@@ -31,6 +31,28 @@ impl Write for SharedBuf {
     }
 }
 
+/// FNV-1a over the stream bytes: stable, dependency-free, and sensitive to
+/// every byte and position.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Assert a sharded 1-thread baseline against its pinned `(fnv1a, length)`.
+fn assert_pinned(bytes: &[u8], pinned: (u64, usize), what: &str) {
+    assert_eq!(
+        (fnv1a(bytes), bytes.len()),
+        pinned,
+        "{what}: sharded stream drifted from the pinned bytes (got hash {:#x}, len {})",
+        fnv1a(bytes),
+        bytes.len()
+    );
+}
+
 /// One traced replication under churn and message loss, returning its event
 /// stream in the requested format. `shards: Some(s)` runs it on the sharded
 /// conservative-window kernel instead of the sequential one.
@@ -307,6 +329,15 @@ fn clean_check_sweep_is_clean_in_parallel() {
 // thread count for a fixed shard count, in both stream formats.
 // ---------------------------------------------------------------------
 
+/// `(format, fnv1a, byte length)` of the sharded 10k-node stream at
+/// `DEFAULT_SHARDS`, recorded on the commit before the run-node handlers
+/// were unified: thread-count identity alone would not notice a refactor
+/// that changed the sharded kernel's bytes at every thread count alike.
+const SHARDED_TEN_K_PINNED: &[(StreamFormat, u64, usize)] = &[
+    (StreamFormat::Jsonl, 0x0742deb17fd37a66, 762_088),
+    (StreamFormat::Binary, 0x4952680636338adb, 121_025),
+];
+
 #[test]
 fn sharded_ten_k_streams_byte_identical_across_thread_counts() {
     // ONE 10k-node churny replication executed space-parallel: the node
@@ -314,7 +345,7 @@ fn sharded_ten_k_streams_byte_identical_across_thread_counts() {
     // fan-out above, every thread mutates state of the same simulation,
     // so this is the test that would catch a shard reading half-merged
     // state, a thread-dependent RNG stream, or an unordered barrier.
-    for format in [StreamFormat::Jsonl, StreamFormat::Binary] {
+    for &(format, hash, len) in SHARDED_TEN_K_PINNED {
         let run = |threads: usize| -> Vec<u8> {
             Pool::install(threads, || {
                 ten_k_replication_sharded(
@@ -326,6 +357,7 @@ fn sharded_ten_k_streams_byte_identical_across_thread_counts() {
             })
         };
         let baseline = run(1);
+        assert_pinned(&baseline, (hash, len), &format!("rn-tree 10k [{format:?}]"));
         for threads in [2, 8] {
             assert_eq!(
                 run(threads),
@@ -336,19 +368,24 @@ fn sharded_ten_k_streams_byte_identical_across_thread_counts() {
     }
 }
 
+/// `(variant, fnv1a, byte length)` of the sharded JSONL stream at
+/// `DEFAULT_SHARDS`, recorded on the same commit as
+/// [`SHARDED_TEN_K_PINNED`].
+const SHARDED_PINNED: &[(Algorithm, u64, usize)] = &[
+    (Algorithm::RnTree, 0x14d9d6077d120175, 44_688),
+    (Algorithm::Can, 0xb5d57464bf95acc5, 44_646),
+    (Algorithm::CanPush, 0xedc045e1fd59dd5e, 44_641),
+    (Algorithm::CanNoVirtualDim, 0xb826718c8a488098, 44_613),
+    (Algorithm::Central, 0x73490d07f68c6206, 44_327),
+];
+
 #[test]
 fn sharded_streams_byte_identical_for_every_matchmaker() {
     // All five matchmaker variants on the sharded kernel: matchmaking
     // itself stays on the barrier (it is global by design), but each
     // variant steers different jobs onto different nodes and therefore
     // different shards — no variant gets a determinism discount.
-    for alg in [
-        Algorithm::RnTree,
-        Algorithm::Can,
-        Algorithm::CanPush,
-        Algorithm::CanNoVirtualDim,
-        Algorithm::Central,
-    ] {
+    for &(alg, hash, len) in SHARDED_PINNED {
         let run = |threads: usize| -> Vec<u8> {
             Pool::install(threads, || {
                 faulty_replication_sharded(
@@ -360,6 +397,7 @@ fn sharded_streams_byte_identical_for_every_matchmaker() {
             })
         };
         let baseline = run(1);
+        assert_pinned(&baseline, (hash, len), alg.label());
         for threads in [2, 8] {
             assert_eq!(
                 run(threads),

@@ -28,6 +28,31 @@ impl Write for SharedBuf {
     }
 }
 
+/// FNV-1a over the stream bytes: stable, dependency-free, and sensitive to
+/// every byte and position.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Assert a sharded 1-thread baseline against its pinned `(fnv1a, length)`,
+/// recorded on the commit before the run-node handlers were unified:
+/// thread-count identity alone would not notice a refactor that changed the
+/// sharded kernel's bytes at every thread count alike.
+fn assert_pinned(bytes: &[u8], pinned: (u64, usize), what: &str) {
+    assert_eq!(
+        (fnv1a(bytes), bytes.len()),
+        pinned,
+        "{what}: sharded stream drifted from the pinned bytes (got hash {:#x}, len {})",
+        fnv1a(bytes),
+        bytes.len()
+    );
+}
+
 /// Shrink a preset so the full thread × format matrix stays fast while
 /// every scenario feature (burst, tenants, quota, failure domain, loss,
 /// diurnal schedule) still fires.
@@ -102,9 +127,24 @@ const SEED: u64 = 2007;
 /// classic workloads to).
 #[test]
 fn scenario_streams_byte_identical_across_thread_counts() {
-    for spec in [compact(flash_crowd()), compact(diurnal_wave())] {
-        for format in [StreamFormat::Jsonl, StreamFormat::Binary] {
+    // Per preset: the pinned JSONL then binary `(fnv1a, length)`.
+    let cases = [
+        (
+            compact(flash_crowd()),
+            [(0xe8c39f4016627fca, 78_880), (0x2bf9aa4b7bfaa416, 10_392)],
+        ),
+        (
+            compact(diurnal_wave()),
+            [(0xe1f6d12d71633e11, 82_680), (0xe9a4520eb798beb2, 10_995)],
+        ),
+    ];
+    for (spec, pinned) in cases {
+        for (format, pinned) in [StreamFormat::Jsonl, StreamFormat::Binary]
+            .into_iter()
+            .zip(pinned)
+        {
             let baseline = spec_stream(&spec, Algorithm::RnTree, SEED, format, Some(1));
+            assert_pinned(&baseline, pinned, &format!("{} [{format:?}]", spec.name));
             for threads in [2, 8] {
                 let sharded = spec_stream(&spec, Algorithm::RnTree, SEED, format, Some(threads));
                 assert_eq!(
@@ -123,8 +163,13 @@ fn scenario_streams_byte_identical_across_thread_counts() {
 #[test]
 fn pub_sub_scenario_stream_is_thread_count_independent() {
     let spec = compact(flash_crowd());
-    for format in [StreamFormat::Jsonl, StreamFormat::Binary] {
+    let pinned = [(0xeb78cf0fc483b445, 81_233), (0xc97fc1a44685f78f, 10_770)];
+    for (format, pinned) in [StreamFormat::Jsonl, StreamFormat::Binary]
+        .into_iter()
+        .zip(pinned)
+    {
         let baseline = spec_stream(&spec, Algorithm::PubSub, SEED, format, Some(1));
+        assert_pinned(&baseline, pinned, &format!("pub-sub [{format:?}]"));
         let sharded = spec_stream(&spec, Algorithm::PubSub, SEED, format, Some(8));
         assert_eq!(
             sharded, baseline,
