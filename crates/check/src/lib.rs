@@ -41,7 +41,10 @@ pub use artifact::ReproArtifact;
 pub use oracle::{
     battery, battery_with_lease, FairnessOracle, NoOrphanOracle, TraceOracle, Violation,
 };
-pub use scenario::{fault_event_count, run_spec, Inject, LeaseSpec, MatchmakerChoice, Scenario};
+pub use scenario::{
+    fault_event_count, run_spec, run_traced, spec_engine, Inject, LeaseSpec, MatchmakerChoice,
+    Scenario,
+};
 pub use shrink::{shrink, ShrinkResult};
 
 /// Oracle verdict for one `(scenario, matchmaker)` run.
@@ -121,7 +124,19 @@ fn judge_trace(
 
 /// Run `scenario` once under `mm` and evaluate the full oracle battery.
 pub fn check_run(scenario: &Scenario, mm: MatchmakerChoice, inject: Inject) -> RunVerdict {
-    let (events, report) = scenario.run(mm, inject);
+    check_engine(scenario, mm, scenario.engine(mm, inject))
+}
+
+/// Run `engine` — built by [`Scenario::engine`] for this `scenario` and `mm`,
+/// then possibly reconfigured by the caller — and evaluate the full oracle
+/// battery. This is how an execution path [`check_run`] does not take (the
+/// sharded kernel) is put under the oracles.
+pub fn check_engine(
+    scenario: &Scenario,
+    mm: MatchmakerChoice,
+    engine: dgrid_core::Engine,
+) -> RunVerdict {
+    let (events, report) = run_traced(engine);
     judge_trace(
         scenario.nodes,
         scenario.jobs,

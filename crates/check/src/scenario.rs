@@ -242,12 +242,10 @@ impl Scenario {
         self
     }
 
-    /// Run the scenario under `mm`, recording the full trace.
-    pub fn run(
-        &self,
-        mm: MatchmakerChoice,
-        inject: Inject,
-    ) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
+    /// The engine that runs this scenario under `mm`, assembled but not yet
+    /// run — so a caller can still reconfigure it (switch it to sharded
+    /// execution, say) before handing it to [`run_traced`].
+    pub fn engine(&self, mm: MatchmakerChoice, inject: Inject) -> Engine {
         let workload = paper_scenario(self.preset, self.nodes, self.jobs, self.seed);
         let cfg = EngineConfig {
             seed: self.seed,
@@ -269,25 +267,25 @@ impl Scenario {
         if !self.faults.is_none() {
             engine.set_fault_plan(self.faults.clone());
         }
-        let sink: Rc<RefCell<VecObserver>> = Rc::default();
-        engine.set_observer(Box::new(SharedObserver(Rc::clone(&sink))));
-        let report = engine.run();
-        let events = std::mem::take(&mut sink.borrow_mut().events);
-        (events, report)
+        engine
+    }
+
+    /// Run the scenario under `mm`, recording the full trace.
+    pub fn run(
+        &self,
+        mm: MatchmakerChoice,
+        inject: Inject,
+    ) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
+        run_traced(self.engine(mm, inject))
     }
 }
 
-/// Run a declarative [`ScenarioSpec`] compiled at `seed` under `mm`,
-/// recording the full trace — the scenario subsystem's analog of
-/// [`Scenario::run`]. The compiled workload, fault plan, churn, and
-/// availability schedule are handed to the engine unchanged, so whatever
-/// the checker observes here is exactly what `dgrid run --scenario-file`
-/// executes.
-pub fn run_spec(
-    spec: &ScenarioSpec,
-    seed: u64,
-    mm: MatchmakerChoice,
-) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
+/// The engine that runs a declarative [`ScenarioSpec`] compiled at `seed`
+/// under `mm` — the scenario subsystem's analog of [`Scenario::engine`].
+/// The compiled workload, fault plan, churn, and availability schedule are
+/// handed to the engine unchanged, so whatever the checker observes is
+/// exactly what `dgrid run --scenario-file` executes.
+pub fn spec_engine(spec: &ScenarioSpec, seed: u64, mm: MatchmakerChoice) -> Engine {
     let compiled = spec.compile(seed);
     let cfg = EngineConfig {
         seed,
@@ -306,6 +304,22 @@ pub fn run_spec(
     if !compiled.fault_plan.is_none() {
         engine.set_fault_plan(compiled.fault_plan);
     }
+    engine
+}
+
+/// Run a declarative [`ScenarioSpec`] compiled at `seed` under `mm`,
+/// recording the full trace.
+pub fn run_spec(
+    spec: &ScenarioSpec,
+    seed: u64,
+    mm: MatchmakerChoice,
+) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
+    run_traced(spec_engine(spec, seed, mm))
+}
+
+/// Run an assembled engine to completion, recording the full trace. (Any
+/// observer already installed on it is replaced.)
+pub fn run_traced(mut engine: Engine) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
     let sink: Rc<RefCell<VecObserver>> = Rc::default();
     engine.set_observer(Box::new(SharedObserver(Rc::clone(&sink))));
     let report = engine.run();

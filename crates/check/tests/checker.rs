@@ -4,9 +4,10 @@
 //! oracles and shrunk to a small repro.
 
 use dgrid_check::{
-    check_run, check_scenario, check_spec_with, fault_event_count, shrink, Inject,
-    MatchmakerChoice, Scenario,
+    check_engine, check_run, check_scenario, check_spec_with, fault_event_count, shrink, Inject,
+    LeaseSpec, MatchmakerChoice, Scenario,
 };
+use dgrid_core::{Engine, PlacementPolicy};
 use dgrid_workloads::{ArrivalProcess, DomainFailure, FailureDomain, ScenarioSpec, TenantSpec};
 
 /// Pinned seed range for the in-tree sweep; CI sweeps a wider range.
@@ -22,6 +23,44 @@ fn clean_sweep_over_pinned_seeds() {
             "seed {seed} ({scenario:?}) violated: {:?}",
             verdict.all_violations()
         );
+    }
+}
+
+#[test]
+fn sharded_kernel_passes_the_oracles_and_terminates_the_sequential_job_set() {
+    // The sharded kernel draws from per-shard RNG streams, so its trace is
+    // not the sequential kernel's — but it is the same protocol, so the
+    // same fuzzed scenarios must satisfy the same oracle battery, and drive
+    // the same job population to some terminal state (the model is the
+    // lease-vs-reassign differential). Odd seeds run leased, so lease
+    // renewals and transfers interleave with shard-local completions at the
+    // barrier and the no-orphan oracle is armed.
+    for seed in 0..8u64 {
+        let mut scenario = Scenario::generate(seed);
+        if seed % 2 == 1 {
+            scenario = scenario.with_lease(LeaseSpec::for_check(PlacementPolicy::LoadAware));
+        }
+        for mm in MatchmakerChoice::ALL {
+            let engine = scenario
+                .engine(mm, Inject::default())
+                .with_sharded_execution(Engine::DEFAULT_SHARDS);
+            let sharded = check_engine(&scenario, mm, engine);
+            assert!(
+                sharded.violations.is_empty(),
+                "seed {seed} under {} violated on the sharded kernel: {:?}",
+                mm.label(),
+                sharded.violations
+            );
+            let sequential = check_run(&scenario, mm, Inject::default());
+            assert!(
+                sharded.terminal.keys().eq(sequential.terminal.keys()),
+                "seed {seed} under {}: the kernels terminated different job sets \
+                 ({} sharded, {} sequential)",
+                mm.label(),
+                sharded.terminal.len(),
+                sequential.terminal.len()
+            );
+        }
     }
 }
 

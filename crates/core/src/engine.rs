@@ -33,14 +33,16 @@ use dgrid_sim::telemetry::{RegistryHook, SharedRegistry, TimeSeries};
 use dgrid_sim::{EventQueue, SimDuration, SimTime};
 use rand::Rng;
 
+use self::run_node::{EnvOp, ReportOp, RunNodeCtx};
 use crate::config::{ChurnConfig, EngineConfig};
 use crate::dag::JobDag;
 use crate::job::{FailureReason, JobRecord, JobState, JobTable, OwnerRef};
 use crate::matchmaker::Matchmaker;
 use crate::metrics::SimReport;
-use crate::node::{GridNodeId, NodeTable, QueuedJob};
+use crate::node::{GridNode, GridNodeId, NodeTable, QueuedJob};
 use crate::trace::{NullObserver, Observer, TraceEvent};
 
+mod run_node;
 mod shard;
 
 /// A scheduled availability transition for one node (deterministic churn,
@@ -716,37 +718,10 @@ impl Engine {
         }
     }
 
-    /// Send one engine-level message through the fault-injecting network,
-    /// counting losses. Latency draws come from the network RNG in exactly
-    /// the pre-fault-layer order, so an empty plan changes nothing.
-    fn send_message(&mut self, now: SimTime, from: Endpoint, to: Endpoint, hops: u32) -> Delivery {
-        let d = self.net.send(&mut self.rng_net, now, from, to, hops);
-        if !d.is_delivered() {
-            self.report.messages_lost += 1;
-        }
-        d
-    }
-
     /// Fold the matchmaker's drained overlay-failover retry count into the
     /// report. Called after every overlay operation.
     fn absorb_lookup_retries(&mut self) {
         self.report.lookup_retries += self.mm.take_lookup_retries();
-    }
-
-    /// RPC timeout plus capped exponential backoff with jitter for the
-    /// given zero-based retry attempt. Jitter draws from the fault RNG, so
-    /// this must only be called on a fault path (losses never happen with
-    /// an empty plan).
-    fn backoff_delay(&mut self, attempt: u32) -> SimDuration {
-        let backoff = (self.cfg.backoff_base_secs * 2f64.powi(attempt.min(16) as i32))
-            .min(self.cfg.backoff_cap_secs);
-        let jitter = self.cfg.backoff_jitter;
-        let factor = if jitter > 0.0 {
-            1.0 + jitter * (self.net.fault_rng().gen::<f64>() * 2.0 - 1.0)
-        } else {
-            1.0
-        };
-        SimDuration::from_secs_f64(self.cfg.rpc_timeout_secs + backoff * factor)
     }
 
     /// A lifecycle RPC (submission routing when `via_submit`, otherwise the
@@ -762,38 +737,13 @@ impl Engine {
             self.schedule_client_resubmit(now, job, epoch);
             return;
         }
-        let d = self.backoff_delay(attempts - 1);
+        let d = run_node::backoff_delay(self, attempts - 1);
         let ev = if via_submit {
             Event::ResendSubmit { job, epoch }
         } else {
             Event::RetryMatch { job, epoch }
         };
         self.queue.schedule(now + d, ev);
-    }
-
-    /// Total virtual time for a transfer retried until it gets through:
-    /// each loss costs a timeout plus backoff; past the retry budget the
-    /// receiver-side poll picks the data up one backoff cap later. Used for
-    /// result return, which the client pulls and therefore never abandons.
-    fn deliver_with_retries(
-        &mut self,
-        now: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        hops: u32,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut attempt = 0u32;
-        loop {
-            if let Delivery::Delivered(d) = self.send_message(now + total, from, to, hops) {
-                return total + d;
-            }
-            if attempt >= self.cfg.max_rpc_retries {
-                return total + SimDuration::from_secs_f64(self.cfg.backoff_cap_secs);
-            }
-            total += self.backoff_delay(attempt);
-            attempt += 1;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -876,7 +826,7 @@ impl Engine {
         // has no live registrar, fall back to the reliable registry.
         let to = registrar.map_or(Endpoint::External, |g| Endpoint::Node(g.0));
         let renew_in = SimDuration::from_secs_f64(self.cfg.lease_renew_secs);
-        match self.send_message(now, Endpoint::Node(owner.0), to, 1) {
+        match run_node::send_message(self, now, Endpoint::Node(owner.0), to, 1) {
             Delivery::Delivered(_) => {
                 self.report.lease_renewals += 1;
                 let Some(rec) = self.job_mut(job) else { return };
@@ -1034,8 +984,13 @@ impl Engine {
             Some((owner, hops)) => {
                 self.report.owner_hops.push(f64::from(hops));
                 // client -> injection -> ... -> owner
-                match self.send_message(now, Endpoint::External, Self::endpoint_of(owner), hops + 1)
-                {
+                match run_node::send_message(
+                    self,
+                    now,
+                    Endpoint::External,
+                    Self::endpoint_of(owner),
+                    hops + 1,
+                ) {
                     Delivery::Delivered(d) => {
                         if let Some(rec) = self.job_mut(job) {
                             rec.rpc_attempts = 0;
@@ -1071,7 +1026,8 @@ impl Engine {
                 match reassigned {
                     Some((new_owner, hops)) => {
                         self.report.owner_hops.push(f64::from(hops));
-                        match self.send_message(
+                        match run_node::send_message(
+                            self,
                             now,
                             Endpoint::External,
                             Self::endpoint_of(new_owner),
@@ -1153,7 +1109,8 @@ impl Engine {
                     },
                 );
                 // owner -> run node transfer
-                match self.send_message(
+                match run_node::send_message(
+                    self,
                     now,
                     Self::endpoint_of(owner),
                     Endpoint::Node(run.0),
@@ -1198,8 +1155,6 @@ impl Engine {
             return;
         }
         let Some(rec) = self.job_ref(job) else { return };
-        let profile = rec.profile;
-        let arrival_epoch = rec.epoch;
         let Some(run) = rec.run_node else {
             // Arrival without an assignment is the same invariant breach as
             // an unknown job: count it and drop the event.
@@ -1212,140 +1167,7 @@ impl Engine {
             self.begin_run_failure_recovery(now, job);
             return;
         }
-        if self.cfg.sandbox.rejects_at_admission(&profile) {
-            self.report.sandbox_kills += 1;
-            self.fail_job(job, FailureReason::SandboxKilled, now);
-            return;
-        }
-        let runtime = self.effective_runtime(job, run);
-        if let Some(rec) = self.job_mut(job) {
-            rec.queued_at = Some(now);
-        }
-        if self.nodes.get(run).running_job().is_none() {
-            self.start_job(now, job, run, runtime);
-        } else {
-            self.nodes.enqueue(
-                run,
-                QueuedJob {
-                    job,
-                    runtime_secs: runtime,
-                    epoch: arrival_epoch,
-                },
-            );
-            if let Some(rec) = self.job_mut(job) {
-                rec.state = JobState::Queued;
-            }
-        }
-    }
-
-    fn effective_runtime(&self, job: JobId, run: GridNodeId) -> f64 {
-        let rec = self.jobs.get(job).expect("runtime of known job");
-        if self.cfg.scale_runtime_by_cpu {
-            let cpu = self
-                .nodes
-                .get(run)
-                .profile
-                .capabilities
-                .get(dgrid_resources::ResourceKind::CpuSpeed)
-                .max(0.1);
-            rec.actual_runtime_secs * self.cfg.reference_cpu_ghz / cpu
-        } else {
-            rec.actual_runtime_secs
-        }
-    }
-
-    fn start_job(&mut self, now: SimTime, job: JobId, run: GridNodeId, runtime: f64) {
-        let Some(rec) = self.job_mut(job) else { return };
-        rec.state = JobState::Running;
-        if rec.started_at.is_none() {
-            rec.started_at = Some(now);
-        }
-        rec.invalidate();
-        let epoch = rec.epoch;
-        let profile = rec.profile;
-        self.emit(now, TraceEvent::Started { job, run_node: run });
-        let kill_after = self.cfg.sandbox.kill_after_secs(&profile);
-
-        self.nodes.set_running(
-            run,
-            QueuedJob {
-                job,
-                runtime_secs: runtime,
-                epoch,
-            },
-            now + SimDuration::from_secs_f64(runtime),
-        );
-
-        match kill_after {
-            Some(k) if runtime > k => {
-                self.queue.schedule(
-                    now + SimDuration::from_secs_f64(k),
-                    Event::SandboxKill {
-                        job,
-                        epoch,
-                        node: run,
-                    },
-                );
-            }
-            _ => {
-                self.queue.schedule(
-                    now + SimDuration::from_secs_f64(runtime),
-                    Event::Complete {
-                        job,
-                        epoch,
-                        node: run,
-                    },
-                );
-            }
-        }
-        if self.net.faulty() {
-            self.schedule_spurious_detections(now, job, run, runtime);
-        }
-    }
-
-    /// While `job` executes on `run`, scan the heartbeat schedule in both
-    /// directions for `heartbeat_misses` consecutive losses; the first such
-    /// run makes the monitoring side falsely declare its partner dead —
-    /// Section 2's detection rule misfiring on a lossy network. Only called
-    /// in fault mode (the scan draws from the fault RNG).
-    fn schedule_spurious_detections(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        run: GridNodeId,
-        runtime: f64,
-    ) {
-        let Some(rec) = self.job_ref(job) else { return };
-        let Some(owner) = rec.owner else { return };
-        let epoch = rec.epoch;
-        let owner_ep = Self::endpoint_of(owner);
-        let run_ep = Endpoint::Node(run.0);
-        let period = self.cfg.heartbeat_secs;
-        let misses = self.cfg.heartbeat_misses;
-        // Run node -> owner heartbeats: the owner spuriously detects a run
-        // failure and re-runs matchmaking under a fresh epoch.
-        if let Some(t) = self
-            .net
-            .first_consecutive_losses(now, run_ep, owner_ep, period, misses, runtime)
-        {
-            self.queue
-                .schedule(t, Event::SpuriousRunFailure { job, epoch });
-        }
-        // Owner -> run node acks: the run node spuriously detects an owner
-        // failure and installs a replacement through the overlay. In lease
-        // mode the owner's liveness is judged solely by its renewals — a
-        // partitioned owner loses the lease instead of being replaced by
-        // its run node, so the spurious owner path is never scheduled.
-        if self.cfg.leases_enabled() {
-            return;
-        }
-        if let Some(t) = self
-            .net
-            .first_consecutive_losses(now, owner_ep, run_ep, period, misses, runtime)
-        {
-            self.queue
-                .schedule(t, Event::SpuriousOwnerFailure { job, epoch });
-        }
+        run_node::arrive(self, now, job, run);
     }
 
     /// Figure 1, step 6: completion; results return to the client.
@@ -1365,88 +1187,32 @@ impl Engine {
                 .running_job()
                 .is_some_and(|q| q.job == job && q.epoch == epoch);
             if !(self.cfg.check_disable_epoch_dedup && held) {
-                self.release_stale_execution(now, job, epoch, node, true);
+                run_node::release_stale_execution(self, now, job, epoch, node, true);
                 return;
             }
         }
         // Figure 1 step 6: return results directly, or publish a pointer in
         // the DHT and let the client resolve it (Section 2's by-reference
         // option).
-        let result_delay = if self.cfg.return_results_by_reference {
-            let result_guid = rng::splitmix64(self.guid_of(job, u32::MAX));
-            let publish = self
-                .mm
-                .resolve_guid(&self.nodes, result_guid, &mut self.rng_mm)
-                .unwrap_or(0);
-            let fetch = self
-                .mm
-                .resolve_guid(&self.nodes, result_guid, &mut self.rng_mm)
-                .unwrap_or(0);
-            self.absorb_lookup_retries();
-            self.report.result_hops.push(f64::from(publish + fetch));
-            self.deliver_with_retries(now, Endpoint::Node(node.0), Endpoint::External, publish)
-                + self.deliver_with_retries(now, Endpoint::External, Endpoint::External, fetch + 1)
-        } else {
-            // direct result transfer
-            self.deliver_with_retries(now, Endpoint::Node(node.0), Endpoint::External, 1)
-        };
-        let finished = now + result_delay;
-        {
-            let done = self
-                .nodes
-                .take_running(node)
-                .expect("completion of running job");
-            debug_assert_eq!(done.job, job);
-            let n = self.nodes.get_mut(node);
-            n.busy_secs += done.runtime_secs;
-            n.completed_jobs += 1;
-        }
-        let Some(rec) = self.job_mut(job) else {
-            self.start_next_on(now, node);
+        if !self.cfg.return_results_by_reference {
+            run_node::complete_direct(self, now, job, node);
             return;
-        };
-        // Only one completion per epoch exists and stale epochs were
-        // rejected above, so the job can never already be terminal here —
-        // except when the checker's dedup backdoor lets a stale completion
-        // fall through after the current epoch already committed. Guard the
-        // in-flight counter so that broken run still terminates and the
-        // trace oracles (not an underflow panic) report the double commit.
-        let was_terminal = rec.state.is_terminal();
-        rec.state = JobState::Completed;
-        rec.finished_at = Some(finished);
-        let queued_at = rec.queued_at;
-        let client = rec.profile.client;
-        let wait = rec.wait_secs();
-        let turnaround = rec.turnaround_secs();
-        if let Some(q) = queued_at {
-            let held = now.since(q).as_secs_f64();
-            self.report.heartbeat_messages += (held / self.cfg.heartbeat_secs).ceil() as u64;
         }
-        self.report.jobs_completed += 1;
-        if let Some(w) = wait {
-            self.report.wait_time.push(w);
-            self.report
-                .client_waits
-                .entry(client.0)
-                .or_default()
-                .push(w);
-        }
-        if let Some(t) = turnaround {
-            self.report.turnaround.push(t);
-        }
-        if !was_terminal {
-            self.outstanding -= 1;
-        }
-        self.emit(
-            now,
-            TraceEvent::Completed {
-                job,
-                results_at: finished,
-            },
-        );
-        self.detach_owner(job);
-        self.release_dependents(now, job);
-        self.start_next_on(now, node);
+        let result_guid = rng::splitmix64(self.guid_of(job, u32::MAX));
+        let publish = self
+            .mm
+            .resolve_guid(&self.nodes, result_guid, &mut self.rng_mm)
+            .unwrap_or(0);
+        let fetch = self
+            .mm
+            .resolve_guid(&self.nodes, result_guid, &mut self.rng_mm)
+            .unwrap_or(0);
+        self.absorb_lookup_retries();
+        self.report.result_hops.push(f64::from(publish + fetch));
+        let (from, client) = (Endpoint::Node(node.0), Endpoint::External);
+        let result_delay = run_node::deliver_with_retries(self, now, from, client, publish)
+            + run_node::deliver_with_retries(self, now, client, client, fetch + 1);
+        run_node::commit_completion(self, now, job, node, result_delay);
     }
 
     /// Section 5 dependencies: the parent's results are now available, so
@@ -1485,70 +1251,10 @@ impl Engine {
         if !self.epoch_valid(job, epoch) {
             // A duplicate execution was sandbox-killed after its epoch was
             // superseded: just free the node.
-            self.release_stale_execution(now, job, epoch, node, false);
+            run_node::release_stale_execution(self, now, job, epoch, node, false);
             return;
         }
-        {
-            let finish_at = self.nodes.get(node).running_finish_at();
-            let killed = self.nodes.take_running(node).expect("kill of running job");
-            debug_assert_eq!(killed.job, job);
-            // The node did burn the time up to the kill: the job's full
-            // runtime minus whatever would have remained past `now`.
-            let remaining = finish_at.since(now).as_secs_f64();
-            self.nodes.get_mut(node).busy_secs += (killed.runtime_secs - remaining).max(0.0);
-        }
-        self.report.sandbox_kills += 1;
-        self.fail_job(job, FailureReason::SandboxKilled, now);
-        self.start_next_on(now, node);
-    }
-
-    /// A completion or kill arrived for a superseded epoch while the node is
-    /// alive and still holds the job: the spurious-detection path re-ran the
-    /// job elsewhere, and this is the duplicate execution winding down.
-    /// Release the node, crediting the time it burned, without granting job
-    /// credit — the at-least-once analogue of discarding a duplicate result.
-    fn release_stale_execution(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        epoch: u32,
-        node: GridNodeId,
-        ran_to_completion: bool,
-    ) {
-        // Match on (job, epoch), not job alone: after a crash + rejoin the
-        // node may be re-running the same job under its current epoch, and
-        // the pre-crash execution's completion must not steal that slot.
-        let held = self
-            .nodes
-            .get(node)
-            .running_job()
-            .is_some_and(|q| q.job == job && q.epoch == epoch);
-        if !held {
-            return;
-        }
-        let finish_at = self.nodes.get(node).running_finish_at();
-        let stale = self.nodes.take_running(node).expect("checked above");
-        let credit = if ran_to_completion {
-            stale.runtime_secs
-        } else {
-            let remaining = finish_at.since(now).as_secs_f64();
-            (stale.runtime_secs - remaining).max(0.0)
-        };
-        self.nodes.get_mut(node).busy_secs += credit;
-        self.report.duplicate_executions += 1;
-        self.start_next_on(now, node);
-    }
-
-    fn start_next_on(&mut self, now: SimTime, node: GridNodeId) {
-        let next = self.nodes.pop_queue(node);
-        if let Some(q) = next {
-            // Skip jobs that terminated while queued (e.g. sandbox-failed).
-            if self.jobs.get(q.job).is_none_or(|r| r.state.is_terminal()) {
-                self.start_next_on(now, node);
-            } else {
-                self.start_job(now, q.job, node, q.runtime_secs);
-            }
-        }
+        run_node::sandbox_kill(self, now, job, node);
     }
 
     // ------------------------------------------------------------------
@@ -1586,7 +1292,7 @@ impl Engine {
         // instead of being discovered by missed heartbeats; if that goodbye
         // is lost, discovery falls back to the heartbeat timeout.
         let detect = if graceful {
-            match self.send_message(now, Endpoint::Node(node.0), Endpoint::External, 1) {
+            match run_node::send_message(self, now, Endpoint::Node(node.0), Endpoint::External, 1) {
                 Delivery::Delivered(d) => d,
                 _ => self.cfg.detection_delay(),
             }
@@ -1940,6 +1646,83 @@ impl Engine {
             if let Some(set) = self.owner_jobs.get_mut(&p) {
                 set.remove(&job);
             }
+        }
+    }
+}
+
+/// The global run-node context: the handlers act on the engine's own tables
+/// and every effect applies on the spot. The sharded kernel's barrier
+/// replays its shards' recorded effects through the same `effect`.
+impl RunNodeCtx for Engine {
+    fn cfg(&self) -> &EngineConfig {
+        &self.cfg
+    }
+
+    fn record(&self, job: JobId) -> Option<&JobRecord> {
+        self.jobs.get(job)
+    }
+
+    fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord> {
+        self.jobs.get_mut(job)
+    }
+
+    fn node(&self, home: GridNodeId) -> &GridNode {
+        self.nodes.get(home)
+    }
+
+    fn node_mut(&mut self, home: GridNodeId) -> &mut GridNode {
+        self.nodes.get_mut(home)
+    }
+
+    fn enqueue(&mut self, home: GridNodeId, q: QueuedJob) {
+        self.nodes.enqueue(home, q);
+    }
+
+    fn pop_queue(&mut self, home: GridNodeId) -> Option<QueuedJob> {
+        self.nodes.pop_queue(home)
+    }
+
+    fn set_running(&mut self, home: GridNodeId, q: QueuedJob, finish_at: SimTime) {
+        self.nodes.set_running(home, q, finish_at);
+    }
+
+    fn take_running(&mut self, home: GridNodeId) -> Option<QueuedJob> {
+        self.nodes.take_running(home)
+    }
+
+    fn net(&mut self) -> (&mut Network, &mut SimRng) {
+        (&mut self.net, &mut self.rng_net)
+    }
+
+    // Forced inline: the shared handlers pass literal ops, so in their
+    // `Engine` instantiation the match folds away and the sequential hot path
+    // is the bare counter bump, `queue.schedule` or `emit` — no `EnvOp` is
+    // built. Left to its own judgement the compiler keeps this a call.
+    #[inline(always)]
+    fn effect(&mut self, at: SimTime, op: EnvOp) {
+        match op {
+            EnvOp::Emit(ev) => self.emit(at, ev),
+            EnvOp::Schedule { at, event } => self.queue.schedule(at, event),
+            EnvOp::Report(r) => match r {
+                ReportOp::MessagesLost => self.report.messages_lost += 1,
+                ReportOp::DuplicateExecution => self.report.duplicate_executions += 1,
+                ReportOp::SandboxKill => self.report.sandbox_kills += 1,
+                ReportOp::HeartbeatMessages(n) => self.report.heartbeat_messages += n,
+                ReportOp::JobCompleted => self.report.jobs_completed += 1,
+                ReportOp::WaitPush { client, wait } => {
+                    self.report.wait_time.push(wait);
+                    self.report
+                        .client_waits
+                        .entry(client.0)
+                        .or_default()
+                        .push(wait);
+                }
+                ReportOp::TurnaroundPush(t) => self.report.turnaround.push(t),
+            },
+            EnvOp::OutstandingDec => self.outstanding -= 1,
+            EnvOp::FailJob { job, reason } => self.fail_job(job, reason, at),
+            EnvOp::DetachOwner(job) => self.detach_owner(job),
+            EnvOp::ReleaseDependents(job) => self.release_dependents(at, job),
         }
     }
 }

@@ -8,11 +8,19 @@
 //! window ([`EventQueue::drain_window`](dgrid_sim::EventQueue::drain_window)),
 //! and the events whose effects are provably confined to one run node —
 //! arrivals at the run-node queue, completions, sandbox kills — execute in
-//! parallel against shard-local copies of that state. Everything a shard
-//! cannot prove local (matchmaking, leases, owner recovery, node churn,
-//! cross-shard messages) is emitted as a timestamped *envelope operation*
-//! and applied at a deterministic barrier that walks the window in
-//! `(virtual_time, seq)` order.
+//! parallel against shard-local copies of that state.
+//!
+//! This module holds no lifecycle logic of its own. A shard-local event runs
+//! the same [`run_node`] handler the sequential kernel runs, through a
+//! [`ShardCtx`] that points it at the checked-out node, job records and the
+//! shard's network state. Everything a handler does beyond its home node
+//! (emissions, scheduling, report counters, terminal failure, owner and DAG
+//! bookkeeping) it hands to the context as an [`EnvOp`]; the shard context
+//! records those as the event's *envelope*, and a deterministic barrier
+//! walks the window in `(virtual_time, seq)` order, replaying each envelope
+//! through the engine's own [`RunNodeCtx::effect`] and dispatching every
+//! event that was not proven local (matchmaking, leases, owner recovery,
+//! node churn) through the ordinary sequential handlers.
 //!
 //! The window width is the network's minimum one-hop latency
 //! ([`Network::min_latency`]): no effect of an event at time `t` can reach
@@ -51,25 +59,27 @@
 //!   shard checked out. (A valid event's record always satisfies
 //!   `run_node == home`, so a job can never be claimed by two shards.)
 //!
-//! Everything else — and every event on an unclean node — dispatches
-//! through the ordinary sequential handlers during the barrier walk, which
-//! runs after shard state commits back, so the two execution paths never
-//! observe half-merged state.
+//! Classification evaluates exactly the guards `handle_arrive`,
+//! `handle_complete` and `handle_sandbox_kill` evaluate before they call
+//! into [`run_node`], so a shard enters the shared handler at the same
+//! point the sequential kernel would. Everything else — and every event on
+//! an unclean node — dispatches through those sequential handlers during
+//! the barrier walk, which runs after shard state commits back, so the two
+//! execution paths never observe half-merged state.
 
 use std::collections::HashMap;
 
-use dgrid_resources::{ClientId, JobId};
-use dgrid_sim::fault::{Delivery, Endpoint, Network};
+use dgrid_resources::JobId;
+use dgrid_sim::fault::Network;
 use dgrid_sim::rng::{self, SimRng};
 use dgrid_sim::{SimDuration, SimTime};
-use rand::Rng;
 use rayon::prelude::*;
 
+use super::run_node::{self, EnvOp, RunNodeCtx};
 use super::{Engine, Event};
 use crate::config::EngineConfig;
-use crate::job::{FailureReason, JobRecord, JobState};
+use crate::job::JobRecord;
 use crate::node::{GridNode, GridNodeId, QueuedJob};
-use crate::trace::TraceEvent;
 
 /// Below this many local events in a round, dispatching to the pool costs
 /// more than it saves; run the shards inline (in shard order, which by
@@ -91,50 +101,24 @@ pub(super) struct ShardState {
     net: Network,
 }
 
-/// One shard-confined event, post-classification.
+/// One shard-confined event, post-classification: which shared run-node
+/// handler runs, entered past the guards classification evaluated.
 #[derive(Clone, Copy)]
 enum LocalEv {
     /// Valid-epoch arrival at a live assigned run node.
     Arrive { job: JobId },
-    /// Completion on a live node; `valid` distinguishes a current-epoch
-    /// commit from a superseded duplicate execution winding down. `epoch`
-    /// is the event's epoch, needed by the stale path to release only its
-    /// own execution.
-    Complete { job: JobId, epoch: u32, valid: bool },
-    /// Sandbox kill on a live node, same `valid` split.
-    Kill { job: JobId, epoch: u32, valid: bool },
-}
-
-/// Everything a shard may not do itself, emitted in execution order and
-/// applied by the barrier at the item's virtual time.
-enum EnvOp {
-    /// Observer emission (buffered, flushed time-sorted at window close).
-    Emit(TraceEvent),
-    /// Future event for the global calendar.
-    Schedule { at: SimTime, event: Event },
-    /// Report-counter mutation.
-    Report(ReportOp),
-    /// One job left the in-flight set (completion commit).
-    OutstandingDec,
-    /// Terminal failure: runs the full sequential `fail_job` (terminal
-    /// guard, DAG cascade, owner detach) against committed state.
-    FailJob { job: JobId, reason: FailureReason },
-    /// Remove the job from its peer owner's owned set.
-    DetachOwner(JobId),
-    /// DAG children of a completed parent become submittable.
-    ReleaseDependents(JobId),
-}
-
-/// The [`SimReport`](crate::SimReport) mutations shard handlers perform,
-/// replayed in barrier order so histogram push order stays deterministic.
-enum ReportOp {
-    MessagesLost,
-    DuplicateExecution,
-    SandboxKill,
-    HeartbeatMessages(u64),
-    JobCompleted,
-    WaitPush { client: ClientId, wait: f64 },
-    TurnaroundPush(f64),
+    /// Current-epoch completion of the job its live node is running.
+    Complete { job: JobId },
+    /// Current-epoch sandbox kill of the job its live node is running.
+    Kill { job: JobId },
+    /// A completion (`ran_to_completion`) or kill under a superseded epoch
+    /// on a live node: a duplicate execution winding down. `epoch` is the
+    /// event's, so it releases only its own execution.
+    ReleaseStale {
+        job: JobId,
+        epoch: u32,
+        ran_to_completion: bool,
+    },
 }
 
 /// One shard's round output: its checked-out state plus the per-batch
@@ -227,6 +211,14 @@ impl Engine {
         }
     }
 
+    /// True iff `node` is executing `job`. A valid-epoch completion or kill
+    /// that fails this is an invariant breach; the sequential handler owns
+    /// reporting it.
+    fn runs(&self, node: GridNodeId, job: JobId) -> bool {
+        let running = self.nodes.get(node).running_job();
+        running.is_some_and(|q| q.job == job)
+    }
+
     /// True iff every job queued on `home` is terminal, unknown, or
     /// assigned to `home` — the condition under which a shard's
     /// `start_next_on` chain can only touch records it checked out.
@@ -246,79 +238,42 @@ impl Engine {
         let mut clean_cache: HashMap<u32, bool> = HashMap::new();
         for (i, (at, _seq, ev)) in batch.iter().enumerate() {
             let candidate = match *ev {
-                Event::ArriveAtRunNode { job, epoch } => {
-                    if !self.epoch_valid(job, epoch) {
-                        None
-                    } else {
-                        let rec = self.jobs.get(job).expect("valid epoch implies record");
-                        match rec.run_node {
-                            Some(run) if self.nodes.is_alive(run) => {
-                                Some((run, LocalEv::Arrive { job }))
-                            }
-                            _ => None,
-                        }
-                    }
+                Event::ArriveAtRunNode { job, epoch } if self.epoch_valid(job, epoch) => {
+                    let rec = self.jobs.get(job).expect("valid epoch implies record");
+                    rec.run_node
+                        .filter(|&run| self.nodes.is_alive(run))
+                        .map(|run| (run, LocalEv::Arrive { job }))
                 }
-                Event::Complete { job, epoch, node } => {
-                    if !self.nodes.is_alive(node) || self.cfg.return_results_by_reference {
-                        None
-                    } else if self.epoch_valid(job, epoch) {
-                        let running = self
-                            .nodes
-                            .get(node)
-                            .running_job()
-                            .is_some_and(|q| q.job == job);
-                        // A valid completion not matching the running job is
-                        // an invariant breach; the sequential handler owns
-                        // reporting it.
-                        running.then_some((
-                            node,
-                            LocalEv::Complete {
-                                job,
-                                epoch,
-                                valid: true,
-                            },
-                        ))
+                // The by-reference result path consults the matchmaker.
+                Event::Complete { job, epoch, node }
+                    if self.nodes.is_alive(node) && !self.cfg.return_results_by_reference =>
+                {
+                    if self.epoch_valid(job, epoch) {
+                        self.runs(node, job)
+                            .then_some((node, LocalEv::Complete { job }))
                     } else if self.cfg.check_disable_epoch_dedup {
                         // The backdoor may double-commit; keep it sequential.
                         None
                     } else {
-                        Some((
-                            node,
-                            LocalEv::Complete {
-                                job,
-                                epoch,
-                                valid: false,
-                            },
-                        ))
+                        let stale = LocalEv::ReleaseStale {
+                            job,
+                            epoch,
+                            ran_to_completion: true,
+                        };
+                        Some((node, stale))
                     }
                 }
-                Event::SandboxKill { job, epoch, node } => {
-                    if !self.nodes.is_alive(node) {
-                        None
-                    } else if self.epoch_valid(job, epoch) {
-                        let running = self
-                            .nodes
-                            .get(node)
-                            .running_job()
-                            .is_some_and(|q| q.job == job);
-                        running.then_some((
-                            node,
-                            LocalEv::Kill {
-                                job,
-                                epoch,
-                                valid: true,
-                            },
-                        ))
+                Event::SandboxKill { job, epoch, node } if self.nodes.is_alive(node) => {
+                    if self.epoch_valid(job, epoch) {
+                        self.runs(node, job)
+                            .then_some((node, LocalEv::Kill { job }))
                     } else {
-                        Some((
-                            node,
-                            LocalEv::Kill {
-                                job,
-                                epoch,
-                                valid: false,
-                            },
-                        ))
+                        let stale = LocalEv::ReleaseStale {
+                            job,
+                            epoch,
+                            ran_to_completion: false,
+                        };
+                        Some((node, stale))
                     }
                 }
                 _ => None,
@@ -370,14 +325,8 @@ impl Engine {
                     }
                     work.nodes.insert(home.0, node);
                 }
-                let event_job = match lev {
-                    LocalEv::Arrive { job } => Some(job),
-                    LocalEv::Complete {
-                        job, valid: true, ..
-                    } => Some(job),
-                    _ => None,
-                };
-                if let Some(job) = event_job {
+                // The handlers that write the event's own record.
+                if let LocalEv::Arrive { job } | LocalEv::Complete { job } = lev {
                     if let std::collections::hash_map::Entry::Vacant(slot) = work.jobs.entry(job) {
                         let r = self.jobs.get(job).expect("classified record");
                         debug_assert_eq!(r.run_node, Some(home));
@@ -429,388 +378,112 @@ impl Engine {
             match ops_by_item[i].take() {
                 Some(ops) => {
                     for op in ops {
-                        self.apply_env_op(at, op);
+                        self.effect(at, op);
                     }
                 }
                 None => self.dispatch(at, ev),
             }
         }
     }
-
-    fn apply_env_op(&mut self, at: SimTime, op: EnvOp) {
-        match op {
-            EnvOp::Emit(ev) => self.emit(at, ev),
-            EnvOp::Schedule { at, event } => self.queue.schedule(at, event),
-            EnvOp::Report(r) => match r {
-                ReportOp::MessagesLost => self.report.messages_lost += 1,
-                ReportOp::DuplicateExecution => self.report.duplicate_executions += 1,
-                ReportOp::SandboxKill => self.report.sandbox_kills += 1,
-                ReportOp::HeartbeatMessages(n) => self.report.heartbeat_messages += n,
-                ReportOp::JobCompleted => self.report.jobs_completed += 1,
-                ReportOp::WaitPush { client, wait } => {
-                    self.report.wait_time.push(wait);
-                    self.report
-                        .client_waits
-                        .entry(client.0)
-                        .or_default()
-                        .push(wait);
-                }
-                ReportOp::TurnaroundPush(t) => self.report.turnaround.push(t),
-            },
-            EnvOp::OutstandingDec => self.outstanding -= 1,
-            EnvOp::FailJob { job, reason } => self.fail_job(job, reason, at),
-            EnvOp::DetachOwner(job) => self.detach_owner(job),
-            EnvOp::ReleaseDependents(job) => self.release_dependents(at, job),
-        }
-    }
 }
 
 /// Run one shard's events, in `(time, seq)` order, against its checked-out
-/// state. Returns each event's envelope operations by batch index.
+/// state: the shared [`run_node`] handlers, entered past the guards that
+/// classification already evaluated. Returns each event's envelope
+/// operations by batch index.
 fn exec_shard(cfg: &EngineConfig, work: &mut ShardWork) -> Vec<(usize, Vec<EnvOp>)> {
     let events = std::mem::take(&mut work.events);
     let mut out = Vec::with_capacity(events.len());
     for (idx, at, lev, home) in events {
-        let mut node = work.nodes.remove(&home.0).expect("checked-out node");
-        let mut exec = ShardExec {
+        let mut cx = ShardCtx {
             cfg,
             state: &mut work.state,
             jobs: &mut work.jobs,
+            home,
+            node: work
+                .nodes
+                .get_mut(&home.0)
+                .expect("checkout put every event's home node in the shard's work"),
             ops: Vec::new(),
         };
         match lev {
-            LocalEv::Arrive { job } => exec.arrive(at, job, home, &mut node),
-            LocalEv::Complete {
-                job, valid: true, ..
-            } => exec.complete_valid(at, job, home, &mut node),
-            LocalEv::Complete {
+            LocalEv::Arrive { job } => run_node::arrive(&mut cx, at, job, home),
+            LocalEv::Complete { job } => run_node::complete_direct(&mut cx, at, job, home),
+            LocalEv::Kill { job } => run_node::sandbox_kill(&mut cx, at, job, home),
+            LocalEv::ReleaseStale {
                 job,
                 epoch,
-                valid: false,
-            } => exec.release_stale(at, job, epoch, home, &mut node, true),
-            LocalEv::Kill {
-                job, valid: true, ..
-            } => exec.kill_valid(at, job, home, &mut node),
-            LocalEv::Kill {
-                job,
-                epoch,
-                valid: false,
-            } => exec.release_stale(at, job, epoch, home, &mut node, false),
+                ran_to_completion,
+            } => {
+                run_node::release_stale_execution(&mut cx, at, job, epoch, home, ran_to_completion)
+            }
         }
-        let ops = exec.ops;
-        work.nodes.insert(home.0, node);
-        out.push((idx, ops));
+        out.push((idx, cx.ops));
     }
     out
 }
 
-/// Shard-side mirror of the engine's run-node handlers. Each method is the
-/// sequential handler of the same name restricted to home-node state, with
-/// every global effect pushed as an [`EnvOp`] in the sequential handler's
-/// execution order.
-struct ShardExec<'a> {
+/// The shard-local run-node context for one event: the handlers act on the
+/// checked-out copy of the event's home node, the job records checked out
+/// with it, and the shard's own network state; every effect is recorded, in
+/// handler order, as the event's envelope for the barrier to replay.
+///
+/// A queued job missing from `jobs` is terminal or unknown (classification
+/// would not have marked the node clean otherwise), which is exactly what
+/// the handlers' skip rule for dead queue entries expects of a miss.
+struct ShardCtx<'a> {
     cfg: &'a EngineConfig,
     state: &'a mut ShardState,
     jobs: &'a mut HashMap<JobId, JobRecord>,
+    home: GridNodeId,
+    node: &'a mut GridNode,
     ops: Vec<EnvOp>,
 }
 
-impl ShardExec<'_> {
-    /// Mirror of `Engine::send_message` on the shard's own network state.
-    fn send_message(&mut self, now: SimTime, from: Endpoint, to: Endpoint, hops: u32) -> Delivery {
-        let d = self
-            .state
-            .net
-            .send(&mut self.state.rng_net, now, from, to, hops);
-        if !d.is_delivered() {
-            self.ops.push(EnvOp::Report(ReportOp::MessagesLost));
-        }
-        d
+impl RunNodeCtx for ShardCtx<'_> {
+    fn cfg(&self) -> &EngineConfig {
+        self.cfg
     }
 
-    /// Mirror of `Engine::backoff_delay` (fault-path only).
-    fn backoff_delay(&mut self, attempt: u32) -> SimDuration {
-        let backoff = (self.cfg.backoff_base_secs * 2f64.powi(attempt.min(16) as i32))
-            .min(self.cfg.backoff_cap_secs);
-        let jitter = self.cfg.backoff_jitter;
-        let factor = if jitter > 0.0 {
-            1.0 + jitter * (self.state.net.fault_rng().gen::<f64>() * 2.0 - 1.0)
-        } else {
-            1.0
-        };
-        SimDuration::from_secs_f64(self.cfg.rpc_timeout_secs + backoff * factor)
+    fn record(&self, job: JobId) -> Option<&JobRecord> {
+        self.jobs.get(&job)
     }
 
-    /// Mirror of `Engine::deliver_with_retries`.
-    fn deliver_with_retries(
-        &mut self,
-        now: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        hops: u32,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut attempt = 0u32;
-        loop {
-            if let Delivery::Delivered(d) = self.send_message(now + total, from, to, hops) {
-                return total + d;
-            }
-            if attempt >= self.cfg.max_rpc_retries {
-                return total + SimDuration::from_secs_f64(self.cfg.backoff_cap_secs);
-            }
-            total += self.backoff_delay(attempt);
-            attempt += 1;
-        }
+    fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord> {
+        self.jobs.get_mut(&job)
     }
 
-    /// Mirror of `Engine::handle_arrive` past the checks classification
-    /// already performed (valid epoch, assigned live run node).
-    fn arrive(&mut self, now: SimTime, job: JobId, home: GridNodeId, node: &mut GridNode) {
-        let (profile, actual_runtime, arrival_epoch) = {
-            let rec = self.jobs.get(&job).expect("checked-out record");
-            (rec.profile, rec.actual_runtime_secs, rec.epoch)
-        };
-        if self.cfg.sandbox.rejects_at_admission(&profile) {
-            self.ops.push(EnvOp::Report(ReportOp::SandboxKill));
-            self.ops.push(EnvOp::FailJob {
-                job,
-                reason: FailureReason::SandboxKilled,
-            });
-            return;
-        }
-        let runtime = if self.cfg.scale_runtime_by_cpu {
-            let cpu = node
-                .profile
-                .capabilities
-                .get(dgrid_resources::ResourceKind::CpuSpeed)
-                .max(0.1);
-            actual_runtime * self.cfg.reference_cpu_ghz / cpu
-        } else {
-            actual_runtime
-        };
-        self.jobs
-            .get_mut(&job)
-            .expect("checked-out record")
-            .queued_at = Some(now);
-        if node.running_job().is_none() {
-            self.start_job(now, job, home, node, runtime);
-        } else {
-            node.enqueue_local(QueuedJob {
-                job,
-                runtime_secs: runtime,
-                epoch: arrival_epoch,
-            });
-            self.jobs.get_mut(&job).expect("checked-out record").state = JobState::Queued;
-        }
+    fn node(&self, home: GridNodeId) -> &GridNode {
+        debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
+        self.node
     }
 
-    /// Mirror of `Engine::start_job`.
-    fn start_job(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        home: GridNodeId,
-        node: &mut GridNode,
-        runtime: f64,
-    ) {
-        let (epoch, profile, owner) = {
-            let rec = self.jobs.get_mut(&job).expect("checked-out record");
-            rec.state = JobState::Running;
-            if rec.started_at.is_none() {
-                rec.started_at = Some(now);
-            }
-            rec.invalidate();
-            (rec.epoch, rec.profile, rec.owner)
-        };
-        self.ops.push(EnvOp::Emit(TraceEvent::Started {
-            job,
-            run_node: home,
-        }));
-        let kill_after = self.cfg.sandbox.kill_after_secs(&profile);
-        node.set_running_local(
-            QueuedJob {
-                job,
-                runtime_secs: runtime,
-                epoch,
-            },
-            now + SimDuration::from_secs_f64(runtime),
-        );
-        match kill_after {
-            Some(k) if runtime > k => self.ops.push(EnvOp::Schedule {
-                at: now + SimDuration::from_secs_f64(k),
-                event: Event::SandboxKill {
-                    job,
-                    epoch,
-                    node: home,
-                },
-            }),
-            _ => self.ops.push(EnvOp::Schedule {
-                at: now + SimDuration::from_secs_f64(runtime),
-                event: Event::Complete {
-                    job,
-                    epoch,
-                    node: home,
-                },
-            }),
-        }
-        if self.state.net.faulty() {
-            self.schedule_spurious_detections(now, job, home, runtime, epoch, owner);
-        }
+    fn node_mut(&mut self, home: GridNodeId) -> &mut GridNode {
+        debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
+        self.node
     }
 
-    /// Mirror of `Engine::schedule_spurious_detections` on the shard's
-    /// fault network (the scans draw from the shard's fault RNG).
-    fn schedule_spurious_detections(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        run: GridNodeId,
-        runtime: f64,
-        epoch: u32,
-        owner: Option<crate::job::OwnerRef>,
-    ) {
-        let Some(owner) = owner else { return };
-        let owner_ep = Engine::endpoint_of(owner);
-        let run_ep = Endpoint::Node(run.0);
-        let period = self.cfg.heartbeat_secs;
-        let misses = self.cfg.heartbeat_misses;
-        if let Some(t) = self
-            .state
-            .net
-            .first_consecutive_losses(now, run_ep, owner_ep, period, misses, runtime)
-        {
-            self.ops.push(EnvOp::Schedule {
-                at: t,
-                event: Event::SpuriousRunFailure { job, epoch },
-            });
-        }
-        if self.cfg.leases_enabled() {
-            return;
-        }
-        if let Some(t) = self
-            .state
-            .net
-            .first_consecutive_losses(now, owner_ep, run_ep, period, misses, runtime)
-        {
-            self.ops.push(EnvOp::Schedule {
-                at: t,
-                event: Event::SpuriousOwnerFailure { job, epoch },
-            });
-        }
+    fn enqueue(&mut self, home: GridNodeId, q: QueuedJob) {
+        self.node_mut(home).enqueue_local(q);
     }
 
-    /// Mirror of `Engine::handle_complete`'s valid-epoch direct-result
-    /// commit (the by-reference path never classifies local).
-    fn complete_valid(&mut self, now: SimTime, job: JobId, home: GridNodeId, node: &mut GridNode) {
-        let result_delay =
-            self.deliver_with_retries(now, Endpoint::Node(home.0), Endpoint::External, 1);
-        let finished = now + result_delay;
-        {
-            let done = node
-                .take_running_local()
-                .expect("completion of running job");
-            debug_assert_eq!(done.job, job);
-            node.busy_secs += done.runtime_secs;
-            node.completed_jobs += 1;
-        }
-        let (was_terminal, queued_at, client, wait, turnaround) = {
-            let rec = self.jobs.get_mut(&job).expect("checked-out record");
-            let was_terminal = rec.state.is_terminal();
-            rec.state = JobState::Completed;
-            rec.finished_at = Some(finished);
-            (
-                was_terminal,
-                rec.queued_at,
-                rec.profile.client,
-                rec.wait_secs(),
-                rec.turnaround_secs(),
-            )
-        };
-        if let Some(q) = queued_at {
-            let held = now.since(q).as_secs_f64();
-            self.ops.push(EnvOp::Report(ReportOp::HeartbeatMessages(
-                (held / self.cfg.heartbeat_secs).ceil() as u64,
-            )));
-        }
-        self.ops.push(EnvOp::Report(ReportOp::JobCompleted));
-        if let Some(w) = wait {
-            self.ops
-                .push(EnvOp::Report(ReportOp::WaitPush { client, wait: w }));
-        }
-        if let Some(t) = turnaround {
-            self.ops.push(EnvOp::Report(ReportOp::TurnaroundPush(t)));
-        }
-        if !was_terminal {
-            self.ops.push(EnvOp::OutstandingDec);
-        }
-        self.ops.push(EnvOp::Emit(TraceEvent::Completed {
-            job,
-            results_at: finished,
-        }));
-        self.ops.push(EnvOp::DetachOwner(job));
-        self.ops.push(EnvOp::ReleaseDependents(job));
-        self.start_next_on(now, home, node);
+    fn pop_queue(&mut self, home: GridNodeId) -> Option<QueuedJob> {
+        self.node_mut(home).pop_queue_local()
     }
 
-    /// Mirror of `Engine::handle_sandbox_kill`'s valid-epoch path.
-    fn kill_valid(&mut self, now: SimTime, job: JobId, home: GridNodeId, node: &mut GridNode) {
-        let finish_at = node.running_finish_at();
-        let killed = node.take_running_local().expect("kill of running job");
-        debug_assert_eq!(killed.job, job);
-        let remaining = finish_at.since(now).as_secs_f64();
-        node.busy_secs += (killed.runtime_secs - remaining).max(0.0);
-        self.ops.push(EnvOp::Report(ReportOp::SandboxKill));
-        self.ops.push(EnvOp::FailJob {
-            job,
-            reason: FailureReason::SandboxKilled,
-        });
-        self.start_next_on(now, home, node);
+    fn set_running(&mut self, home: GridNodeId, q: QueuedJob, finish_at: SimTime) {
+        self.node_mut(home).set_running_local(q, finish_at);
     }
 
-    /// Mirror of `Engine::release_stale_execution`: a stale event may only
-    /// release an execution of its own (job, epoch).
-    fn release_stale(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        epoch: u32,
-        home: GridNodeId,
-        node: &mut GridNode,
-        ran_to_completion: bool,
-    ) {
-        let held = node
-            .running_job()
-            .is_some_and(|q| q.job == job && q.epoch == epoch);
-        if !held {
-            return;
-        }
-        let finish_at = node.running_finish_at();
-        let stale = node.take_running_local().expect("checked above");
-        let credit = if ran_to_completion {
-            stale.runtime_secs
-        } else {
-            let remaining = finish_at.since(now).as_secs_f64();
-            (stale.runtime_secs - remaining).max(0.0)
-        };
-        node.busy_secs += credit;
-        self.ops.push(EnvOp::Report(ReportOp::DuplicateExecution));
-        self.start_next_on(now, home, node);
+    fn take_running(&mut self, home: GridNodeId) -> Option<QueuedJob> {
+        self.node_mut(home).take_running_local()
     }
 
-    /// Mirror of `Engine::start_next_on`. A queued job missing from the
-    /// checked-out records is terminal or unknown (classification would
-    /// not have marked the node clean otherwise) — skipped, exactly like
-    /// the sequential skip rule.
-    fn start_next_on(&mut self, now: SimTime, home: GridNodeId, node: &mut GridNode) {
-        while let Some(q) = node.pop_queue_local() {
-            let startable = self
-                .jobs
-                .get(&q.job)
-                .is_some_and(|r| !r.state.is_terminal());
-            if startable {
-                self.start_job(now, q.job, home, node, q.runtime_secs);
-                return;
-            }
-        }
+    fn net(&mut self) -> (&mut Network, &mut SimRng) {
+        (&mut self.state.net, &mut self.state.rng_net)
+    }
+
+    fn effect(&mut self, _at: SimTime, op: EnvOp) {
+        self.ops.push(op);
     }
 }

@@ -117,6 +117,54 @@ fn runtime_scaling_by_cpu_speed() {
 }
 
 #[test]
+fn admission_failures_behind_a_running_job_leave_its_queue_alone() {
+    // One node, busy with a 1000 s job. While it runs, a long run of jobs
+    // with oversized declared output arrives — each is failed at admission
+    // and must never take a queue slot — plus one ordinary job, which must
+    // start the moment the long job completes, on both kernels. (Entries
+    // that die *while queued* need a superseded epoch; the run-node module's
+    // unit test drives `start_next_on` over a long run of those directly.)
+    use dgrid_core::SandboxPolicy;
+    const REJECTED: u64 = 2_000;
+    for shards in [None, Some(Engine::DEFAULT_SHARDS)] {
+        let mut jobs = vec![job(0, 0.0, 1000.0), job(REJECTED + 1, 500.0, 10.0)];
+        jobs.extend((1..=REJECTED).map(|i| {
+            let mut oversized = job(i, 1.0 + i as f64 * 0.4, 10.0);
+            oversized.profile.output_bytes = 1 << 40;
+            oversized
+        }));
+        let mut engine = Engine::new(
+            EngineConfig {
+                seed: 41,
+                sandbox: SandboxPolicy {
+                    runtime_slack: f64::INFINITY,
+                    max_output_bytes: 1 << 30,
+                },
+                ..EngineConfig::default()
+            },
+            ChurnConfig::none(),
+            Box::new(CentralizedMatchmaker::new()),
+            vec![node(2.0)],
+            jobs,
+        );
+        if let Some(s) = shards {
+            engine.set_sharded_execution(s);
+        }
+        let r = engine.run();
+        assert_eq!(r.sandbox_kills, REJECTED, "shards: {shards:?}");
+        assert_eq!(r.jobs_failed, REJECTED, "shards: {shards:?}");
+        assert_eq!(r.jobs_completed, 2, "shards: {shards:?}");
+        // The ordinary job waited for the long one and for nothing else:
+        // submitted at 500, started when the node freed up at ~1000.
+        let longest = r.wait_time.max().expect("two completions");
+        assert!(
+            (495.0..505.0).contains(&longest),
+            "ordinary job waited {longest:.1} s (shards: {shards:?})"
+        );
+    }
+}
+
+#[test]
 fn single_node_single_job_smoke() {
     let r = Engine::new(
         EngineConfig {

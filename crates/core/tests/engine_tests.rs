@@ -274,75 +274,95 @@ fn p2p_recovery_owner_and_run_roles() {
     );
 }
 
+/// Both execution kernels, for the cases that must hold on each: the
+/// sequential one and the sharded one at the CLI's shard count.
+const KERNELS: [Option<usize>; 2] = [None, Some(Engine::DEFAULT_SHARDS)];
+
 #[test]
 fn sandbox_kills_runaway_jobs() {
-    let nodes = mixed_nodes(10, 31);
-    // Declared 10 s, actually runs 1000 s: killed at slack × declared.
-    let jobs: Vec<JobSubmission> = (0..20)
-        .map(|i| JobSubmission {
-            profile: JobProfile::new(
-                JobId(i),
-                ClientId(0),
-                JobRequirements::unconstrained(),
-                10.0,
-            ),
-            arrival_secs: i as f64 * 5.0,
-            actual_runtime_secs: Some(if i % 2 == 0 { 1000.0 } else { 10.0 }),
-        })
-        .collect();
-    let cfg = EngineConfig {
-        seed: 31,
-        sandbox: SandboxPolicy {
-            runtime_slack: 3.0,
-            max_output_bytes: u64::MAX,
-        },
-        ..EngineConfig::default()
-    };
-    let r = Engine::new(
-        cfg,
-        ChurnConfig::none(),
-        Box::new(CentralizedMatchmaker::new()),
-        nodes,
-        jobs,
-    )
-    .run();
-    assert_eq!(r.sandbox_kills, 10, "every runaway job is killed");
-    assert_eq!(r.jobs_completed, 10);
-    assert_eq!(r.jobs_failed, 10);
+    for shards in KERNELS {
+        let nodes = mixed_nodes(10, 31);
+        // Declared 10 s, actually runs 1000 s: killed at slack × declared.
+        let jobs: Vec<JobSubmission> = (0..20)
+            .map(|i| JobSubmission {
+                profile: JobProfile::new(
+                    JobId(i),
+                    ClientId(0),
+                    JobRequirements::unconstrained(),
+                    10.0,
+                ),
+                arrival_secs: i as f64 * 5.0,
+                actual_runtime_secs: Some(if i % 2 == 0 { 1000.0 } else { 10.0 }),
+            })
+            .collect();
+        let cfg = EngineConfig {
+            seed: 31,
+            sandbox: SandboxPolicy {
+                runtime_slack: 3.0,
+                max_output_bytes: u64::MAX,
+            },
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(
+            cfg,
+            ChurnConfig::none(),
+            Box::new(CentralizedMatchmaker::new()),
+            nodes,
+            jobs,
+        );
+        if let Some(s) = shards {
+            engine.set_sharded_execution(s);
+        }
+        let r = engine.run();
+        assert_eq!(
+            r.sandbox_kills, 10,
+            "every runaway job is killed (shards: {shards:?})"
+        );
+        assert_eq!(r.jobs_completed, 10, "shards: {shards:?}");
+        assert_eq!(r.jobs_failed, 10, "shards: {shards:?}");
+        assert_eq!(r.jobs_total, 20, "shards: {shards:?}");
+    }
 }
 
 #[test]
 fn sandbox_admission_rejects_oversized_output() {
-    let nodes = mixed_nodes(5, 32);
-    let mut profile = JobProfile::new(
-        JobId(0),
-        ClientId(0),
-        JobRequirements::unconstrained(),
-        10.0,
-    );
-    profile.output_bytes = 1 << 40; // 1 TiB declared output
-    let cfg = EngineConfig {
-        seed: 32,
-        sandbox: SandboxPolicy {
-            runtime_slack: f64::INFINITY,
-            max_output_bytes: 1 << 30,
-        },
-        ..EngineConfig::default()
-    };
-    let r = Engine::new(
-        cfg,
-        ChurnConfig::none(),
-        Box::new(CentralizedMatchmaker::new()),
-        nodes,
-        vec![JobSubmission {
-            profile,
-            arrival_secs: 0.0,
-            actual_runtime_secs: None,
-        }],
-    )
-    .run();
-    assert_eq!(r.sandbox_kills, 1);
-    assert_eq!(r.jobs_failed, 1);
+    for shards in KERNELS {
+        let nodes = mixed_nodes(5, 32);
+        let mut profile = JobProfile::new(
+            JobId(0),
+            ClientId(0),
+            JobRequirements::unconstrained(),
+            10.0,
+        );
+        profile.output_bytes = 1 << 40; // 1 TiB declared output
+        let cfg = EngineConfig {
+            seed: 32,
+            sandbox: SandboxPolicy {
+                runtime_slack: f64::INFINITY,
+                max_output_bytes: 1 << 30,
+            },
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(
+            cfg,
+            ChurnConfig::none(),
+            Box::new(CentralizedMatchmaker::new()),
+            nodes,
+            vec![JobSubmission {
+                profile,
+                arrival_secs: 0.0,
+                actual_runtime_secs: None,
+            }],
+        );
+        if let Some(s) = shards {
+            engine.set_sharded_execution(s);
+        }
+        let r = engine.run();
+        assert_eq!(r.sandbox_kills, 1, "shards: {shards:?}");
+        assert_eq!(r.jobs_failed, 1, "shards: {shards:?}");
+        assert_eq!(r.jobs_completed, 0, "shards: {shards:?}");
+        assert_eq!(r.jobs_total, 1, "shards: {shards:?}");
+    }
 }
 
 #[test]
