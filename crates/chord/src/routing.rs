@@ -200,8 +200,12 @@ mod tests {
     use rand::Rng;
 
     fn build_ring(n: usize, seed: u64) -> (ChordRing, Vec<ChordId>) {
+        build_ring_with(ChordConfig::default(), n, seed)
+    }
+
+    fn build_ring_with(cfg: ChordConfig, n: usize, seed: u64) -> (ChordRing, Vec<ChordId>) {
         let mut rng = rng_for(seed, streams::NODE_IDS);
-        let mut ring = ChordRing::default();
+        let mut ring = ChordRing::new(cfg);
         let mut ids = Vec::with_capacity(n);
         while ids.len() < n {
             let id = ChordId(rng.gen());
@@ -363,6 +367,132 @@ mod tests {
         assert_eq!(l.owner, ChordId(300));
         assert!(retries >= 1, "the detour must be counted");
         assert!(l.hops >= 2, "detour handoffs are charged as hops");
+    }
+
+    /// FNV-1a over the `(owner, hops, timeouts)` words of a route stream.
+    struct RouteHash(u64);
+
+    impl RouteHash {
+        fn new() -> Self {
+            RouteHash(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+
+        fn route(&mut self, l: Option<Lookup>) {
+            match l {
+                Some(l) => {
+                    self.word(l.owner.0);
+                    self.word(u64::from(l.hops));
+                    self.word(u64::from(l.timeouts));
+                }
+                None => self.word(u64::MAX),
+            }
+        }
+    }
+
+    /// `trials` seeded lookups from random live peers, hashed; also the
+    /// timeout total, so a golden can show that dead entries were probed.
+    fn hash_lookups(ring: &ChordRing, trials: usize, seed: u64) -> (u64, u64) {
+        let alive = ring.alive_ids();
+        let mut rng = rng_for(seed, 0);
+        let mut h = RouteHash::new();
+        let mut timeouts = 0u64;
+        for _ in 0..trials {
+            let key = ChordId(rng.gen());
+            let from = alive[rng.gen_range(0..alive.len())];
+            let l = ring.lookup(from, key);
+            timeouts += l.map_or(0, |l| u64::from(l.timeouts));
+            h.route(l);
+        }
+        (h.0, timeouts)
+    }
+
+    /// The settled 4 096-peer ring of the route goldens after 400 abrupt
+    /// failures and 200 joins (every fourth one deferred) with *no*
+    /// stabilize: dead fingers and successors, `Mat` states beside `Canon`
+    /// ones, and deferred joiners that resolve against ground truth.
+    fn unsettled_ring(cfg: ChordConfig) -> ChordRing {
+        let (mut ring, ids) = build_ring_with(cfg, 4096, 21);
+        let mut rng = rng_for(22, 0);
+        let mut failed = 0;
+        while failed < 400 {
+            let id = ids[rng.gen_range(0..ids.len())];
+            if ring.is_alive(id) {
+                ring.fail(id);
+                failed += 1;
+            }
+        }
+        let mut joined = 0;
+        while joined < 200 {
+            let id = ChordId(rng.gen());
+            if ring.state(id).is_some() {
+                continue;
+            }
+            if joined % 4 == 3 {
+                ring.join_deferred(id);
+            } else {
+                ring.join(id);
+            }
+            joined += 1;
+        }
+        ring
+    }
+
+    // The four goldens below were recorded on the lookup that materialized
+    // all 64 fingers of every hop; every route — owner, hops and timeouts —
+    // is simulated behaviour and must not move when only the host-time
+    // cost of a hop changes.
+
+    #[test]
+    fn settled_ring_routes_match_the_golden() {
+        let (ring, _) = build_ring(4096, 21);
+        assert_eq!(hash_lookups(&ring, 4000, 23), (0xa560_51e3_eb8c_97bb, 0));
+    }
+
+    #[test]
+    fn unsettled_ring_routes_match_the_golden() {
+        let ring = unsettled_ring(ChordConfig::default());
+        assert_eq!(hash_lookups(&ring, 4000, 24), (0xc7fa_adc4_8b31_6405, 5990));
+    }
+
+    #[test]
+    fn three_peer_ring_routes_match_the_golden() {
+        // Every finger above the lowest few wraps to the asking peer.
+        let mut ring = ChordRing::default();
+        for id in [0x1000u64, 0x8000_0000_0000_0000, 0xF000_0000_0000_0000] {
+            ring.join(ChordId(id));
+        }
+        ring.stabilize();
+        assert_eq!(hash_lookups(&ring, 2000, 25), (0x46cc_799b_a1b2_dbb7, 0));
+    }
+
+    #[test]
+    fn unsettled_ring_failover_routes_match_the_golden() {
+        // A hop budget below the mean route length fails many first
+        // attempts, so detours through the (stale) successor list run.
+        let ring = unsettled_ring(ChordConfig {
+            max_route_hops: 6,
+            ..ChordConfig::default()
+        });
+        let alive = ring.alive_ids();
+        let mut rng = rng_for(26, 0);
+        let mut h = RouteHash::new();
+        let mut retries = 0u64;
+        for _ in 0..4000 {
+            let key = ChordId(rng.gen());
+            let from = alive[rng.gen_range(0..alive.len())];
+            let out = ring.lookup_with_failover(from, key, 2);
+            h.route(out.map(|(l, _)| l));
+            h.word(out.map_or(u64::MAX, |(_, r)| u64::from(r)));
+            retries += out.map_or(0, |(_, r)| u64::from(r));
+        }
+        assert_eq!((h.0, retries), (0x91b7_7d8b_cfdd_366c, 325));
     }
 
     #[test]

@@ -473,10 +473,46 @@ mod tests {
         let n = 512;
         let ring = ring_of(n, 47);
         let (_, hops) = RnTree::build_counting(&ring);
+        // Exact: hop counts are simulated quantities (the T-tree column).
+        assert_eq!(hops, 3770);
         let per_node = hops as f64 / n as f64;
         assert!(
             per_node <= (n as f64).log2(),
             "parent discovery cost {per_node:.2} hops/node too high"
+        );
+    }
+
+    #[test]
+    fn tree_shapes_match_the_golden() {
+        // Height, build hops and an FNV-1a over every (id, parent) edge for
+        // N = 2^6 ..= 2^13, recorded on the hash-map tree built by routed
+        // lookups: the tree's shape is simulated behaviour.
+        let mut got = Vec::new();
+        for exp in 6..=13u32 {
+            let ring = ring_of(1 << exp, 100 + u64::from(exp));
+            let (tree, hops) = RnTree::build_counting(&ring);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for id in tree.ids() {
+                for w in [id, tree.parent(id).unwrap_or(u64::MAX)] {
+                    for b in w.to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                }
+            }
+            got.push((tree.height(), hops, h));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (6, 300, 0xaee8_7541_23d6_71d4),
+                (8, 713, 0x7a80_8f8d_c28e_b84d),
+                (9, 1656, 0x839a_23e5_057e_3562),
+                (10, 3804, 0x55f7_30ea_9fd3_2f29),
+                (10, 8470, 0xcc0f_31a6_360f_471d),
+                (11, 18874, 0x545b_292f_201e_eca4),
+                (13, 41570, 0x3643_b027_e69a_4a21),
+                (15, 90557, 0x3fc0_86ac_f5dc_6d69),
+            ]
         );
     }
 
