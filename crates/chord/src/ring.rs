@@ -1,7 +1,6 @@
 //! Ring membership, per-peer routing state, and churn.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -73,6 +72,13 @@ pub struct PeerView {
 
 /// The Chord ring: authoritative membership plus every peer's (possibly
 /// stale) local routing state.
+///
+/// A peer's state is stored only where it differs from what the last
+/// [`ChordRing::stabilize`] implies ([`Lazy::Mat`]); everything else is one
+/// binary search into the shared `canon` snapshot, made when a route asks
+/// for it. In particular no finger *table* is ever built for a routing
+/// hop: [`ChordRing::lookup`] resolves single fingers, top candidate
+/// first, and stops at the first live one.
 pub struct ChordRing {
     cfg: ChordConfig,
     peers: BTreeMap<u64, PeerState>,
@@ -80,21 +86,12 @@ pub struct ChordRing {
     /// Sorted alive keys at the last [`ChordRing::stabilize`]: the snapshot
     /// every `Canon` component is computed from.
     canon: Vec<u64>,
-    /// Memoized canonical finger tables. A peer's canonical fingers are a
-    /// pure function of (`canon`, peer id), so entries stay valid until the
-    /// next [`ChordRing::stabilize`] rebuilds `canon` — the only place this
-    /// is cleared. Mutations between stabilizes flip the affected peer to
-    /// [`Lazy::Mat`], which bypasses the cache. Bounded by
-    /// [`FINGER_CACHE_CAP`] so a million-peer route burst cannot
-    /// re-materialize the whole ring.
-    finger_cache: RefCell<HashMap<u64, Vec<ChordId>>>,
+    /// No membership change since the last [`ChordRing::stabilize`]: every
+    /// peer's routing state equals ground truth, so a route from any live
+    /// peer ends at `canon_successor(key)`. Set by `stabilize`, cleared by
+    /// every join and departure.
+    settled: bool,
 }
-
-/// Peers whose canonical finger tables may be memoized at once. Routing is
-/// heavily biased toward hub peers (each hop lands just behind the key),
-/// so a small cache absorbs most of the O(`ID_BITS` · log N) finger
-/// recomputation during lookup storms like an RN-tree index rebuild.
-const FINGER_CACHE_CAP: usize = 8192;
 
 impl Default for ChordRing {
     fn default() -> Self {
@@ -114,7 +111,7 @@ impl ChordRing {
             peers: BTreeMap::new(),
             alive_count: 0,
             canon: Vec::new(),
-            finger_cache: RefCell::new(HashMap::new()),
+            settled: false,
         }
     }
 
@@ -270,6 +267,7 @@ impl ChordRing {
             },
         );
         self.alive_count += 1;
+        self.settled = false;
     }
 
     /// Graceful departure: the peer tells its neighbours before leaving, so
@@ -310,6 +308,7 @@ impl ChordRing {
             .unwrap_or_else(|| panic!("departure of unknown/dead peer {id}"));
         state.alive = false;
         self.alive_count -= 1;
+        self.settled = false;
     }
 
     // ------------------------------------------------------------------
@@ -355,12 +354,12 @@ impl ChordRing {
     pub fn stabilize(&mut self) {
         self.peers.retain(|_, p| p.alive);
         self.canon = self.peers.keys().copied().collect();
-        self.finger_cache.borrow_mut().clear();
         for p in self.peers.values_mut() {
             p.predecessor = Lazy::Canon;
             p.successors = Lazy::Canon;
             p.fingers = Lazy::Canon;
         }
+        self.settled = true;
     }
 
     // ------------------------------------------------------------------
@@ -375,7 +374,7 @@ impl ChordRing {
 
     /// First snapshot key at or clockwise after `key` — `successor_of`
     /// evaluated against the membership of the last stabilize.
-    fn canon_successor(&self, key: u64) -> ChordId {
+    pub(crate) fn canon_successor(&self, key: u64) -> ChordId {
         debug_assert!(!self.canon.is_empty());
         let i = self.canon.partition_point(|&x| x < key);
         ChordId(self.canon[if i == self.canon.len() { 0 } else { i }])
@@ -418,30 +417,27 @@ impl ChordRing {
         }
     }
 
-    /// The peer's believed finger table (possibly stale), into `out`.
-    pub(crate) fn peer_fingers_into(&self, id: ChordId, out: &mut Vec<ChordId>) {
-        out.clear();
+    /// The peer's believed finger `k` (possibly stale): the first peer it
+    /// knew at clockwise distance ≥ 2^k, or the peer itself when none was.
+    pub(crate) fn peer_finger(&self, id: ChordId, k: u32) -> ChordId {
         match &self.peers.get(&id.0).expect("known peer").fingers {
-            Lazy::Mat(v) => out.extend_from_slice(v),
-            Lazy::Canon => {
-                if self.canon_pos(id).is_some() {
-                    if let Some(cached) = self.finger_cache.borrow().get(&id.0) {
-                        out.extend_from_slice(cached);
-                        return;
-                    }
-                    out.extend((0..ID_BITS).map(|k| self.canon_successor(id.finger_start(k).0)));
-                    let mut cache = self.finger_cache.borrow_mut();
-                    if cache.len() < FINGER_CACHE_CAP {
-                        cache.insert(id.0, out.clone());
-                    }
-                } else {
-                    out.extend((0..ID_BITS).map(|k| {
-                        self.successor_of(id.finger_start(k))
-                            .expect("ring is non-empty")
-                    }));
-                }
-            }
+            Lazy::Mat(v) => v[k as usize],
+            Lazy::Canon => match self.canon_pos(id) {
+                Some(_) => self.canon_successor(id.finger_start(k).0),
+                None => self
+                    .successor_of(id.finger_start(k))
+                    .expect("ring is non-empty"),
+            },
         }
+    }
+
+    /// Whether every route is known to end at ground truth without being
+    /// walked: no membership change since the last stabilize, and a hop
+    /// budget the at most `ID_BITS` forwarding hops of a route over exact
+    /// fingers (each uses a lower finger than the one before) cannot
+    /// exhaust.
+    pub(crate) fn routes_are_exact(&self) -> bool {
+        self.settled && self.cfg.max_route_hops >= ID_BITS
     }
 
     /// Snapshot one live peer's ring position.
@@ -659,17 +655,18 @@ mod tests {
         let mut r = ring_with(&ids);
         r.stabilize();
         let (mut canon_s, mut mat_s) = (Vec::new(), Vec::new());
-        let (mut canon_f, mut mat_f) = (Vec::new(), Vec::new());
+        let fingers = |r: &ChordRing, id| -> Vec<ChordId> {
+            (0..ID_BITS).map(|k| r.peer_finger(id, k)).collect()
+        };
         for id in r.alive_ids() {
             r.peer_successors_into(id, &mut canon_s);
-            r.peer_fingers_into(id, &mut canon_f);
+            let canon_f = fingers(&r, id);
             let canon_p = r.peer_predecessor(id);
             let canon_v = r.peer_view(id);
             r.refresh_peer(id); // flips this peer to Mat
             r.peer_successors_into(id, &mut mat_s);
-            r.peer_fingers_into(id, &mut mat_f);
             assert_eq!(canon_s, mat_s, "successors of {id}");
-            assert_eq!(canon_f, mat_f, "fingers of {id}");
+            assert_eq!(canon_f, fingers(&r, id), "fingers of {id}");
             assert_eq!(canon_p, r.peer_predecessor(id), "predecessor of {id}");
             assert_eq!(canon_v, r.peer_view(id), "view of {id}");
         }
@@ -763,14 +760,11 @@ mod finger_tests {
             }
         }
         ring.stabilize();
-        let mut fingers = Vec::new();
         for id in ring.alive_ids() {
-            ring.peer_fingers_into(id, &mut fingers);
-            assert_eq!(fingers.len(), crate::id::ID_BITS as usize);
-            for (k, &f) in fingers.iter().enumerate() {
-                let start = id.finger_start(k as u32);
+            for k in 0..ID_BITS {
+                let start = id.finger_start(k);
                 assert_eq!(
-                    Some(f),
+                    Some(ring.peer_finger(id, k)),
                     ring.successor_of(start),
                     "finger {k} of {id} must be successor({start})"
                 );
@@ -794,11 +788,9 @@ mod finger_tests {
         }
         ring.stabilize();
         let mut total_span = 0u128;
-        let mut fingers = Vec::new();
         let ids = ring.alive_ids();
         for &id in &ids {
-            ring.peer_fingers_into(id, &mut fingers);
-            let top = fingers[crate::id::ID_BITS as usize - 1];
+            let top = ring.peer_finger(id, ID_BITS - 1);
             total_span += u128::from(id.distance_to(top));
         }
         let mean_span = total_span / ids.len() as u128;

@@ -1,8 +1,10 @@
 //! Chord as a pluggable overlay substrate: the [`KeyRouter`] impl.
 //!
-//! Everything delegates to the ring's existing public surface; the only
-//! crate-private access is the successor list used for failover detours,
-//! which mirrors [`ChordRing::lookup_with_failover`] exactly.
+//! Everything delegates to the ring's existing public surface except the
+//! successor list used for failover detours, which mirrors
+//! [`ChordRing::lookup_with_failover`] exactly, and the two closed forms
+//! ([`KeyRouter::lookup_owner`], [`KeyRouter::shortest_owned_prefix`]) that
+//! answer from the stabilize snapshot and ground truth.
 
 use dgrid_sim::router::{KeyRouter, RouteCost};
 
@@ -50,6 +52,35 @@ impl KeyRouter for ChordRing {
             hops: l.hops,
             timeouts: l.timeouts,
         })
+    }
+
+    /// Exact: once [`ChordRing::stabilize`] has run and membership has not
+    /// changed since (the ring is *settled*), every peer's tables equal
+    /// ground truth and greedy routing from any live peer ends at the
+    /// key's successor in the stabilize snapshot. Any other state walks
+    /// the route.
+    fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
+        if self.routes_are_exact() {
+            debug_assert!(ChordRing::is_alive(self, ChordId(from)));
+            Some(self.canon_successor(key).0)
+        } else {
+            KeyRouter::lookup(self, from, key).map(|r| r.owner)
+        }
+    }
+
+    /// Exact: a peer owns `(predecessor, key]`, and prefix keys only grow
+    /// with the prefix, so the shortest prefix it owns is the first to
+    /// exceed its predecessor — one bit past their common prefix. An
+    /// interval that wraps through 0 (the lowest peer; a lone peer) holds
+    /// the empty prefix.
+    fn shortest_owned_prefix(&self, key: u64) -> u32 {
+        debug_assert!(ChordRing::is_alive(self, ChordId(key)));
+        let pred = self.predecessor_of(ChordId(key)).expect("live peer").0;
+        if pred >= key {
+            0
+        } else {
+            (pred ^ key).leading_zeros() + 1
+        }
     }
 
     fn bulk_join(&mut self, keys: &[u64]) {

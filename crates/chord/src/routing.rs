@@ -35,7 +35,6 @@ impl ChordRing {
         // Reused across hops; refilled from the current peer's (lazily
         // resolved, possibly stale) local state.
         let mut successors: Vec<ChordId> = Vec::new();
-        let mut fingers: Vec<ChordId> = Vec::new();
 
         loop {
             if hops > self.config().max_route_hops {
@@ -100,35 +99,48 @@ impl ChordRing {
             // (cur, key), tried from closest-to-key backwards, charging a
             // timeout per dead candidate probed.
             //
-            // Both lists are already ascending in clockwise distance from
-            // `cur` — finger `k` targets the first peer at distance ≥ 2^k,
-            // the successor list walks the ring in order — except for a
+            // Both lists are ascending in clockwise distance from `cur` —
+            // finger `k` targets the first peer at distance ≥ 2^k, the
+            // successor list walks the ring in order — except for a
             // possible trailing run of `cur` itself (top fingers of a
-            // sparse ring, a fully-wrapped successor list), which the open
-            // interval rejects anyway. The closest-first scan is therefore
-            // a descending two-way merge: the same candidate order the
-            // filter + sort + dedup spelling yields, without a per-hop
-            // allocation and sort.
-            self.peer_fingers_into(cur, &mut fingers);
-            let mut fi = fingers.len();
-            while fi > 0 && fingers[fi - 1] == cur {
-                fi -= 1;
-            }
+            // sparse ring, a fully-wrapped successor list). The
+            // closest-first scan is therefore a descending two-way merge:
+            // the same candidate order the filter + sort + dedup spelling
+            // yields, without a per-hop allocation and sort.
+            //
+            // Fingers are resolved one at a time, as the merge reaches
+            // them. A finger `k` with 2^k ≥ d = dist(cur, key) lies at
+            // distance ≥ d or has wrapped to `cur`; the open interval
+            // rejects both without a probe, so the merge starts at the top
+            // finger that can pass, k* = ⌊log2(d − 1)⌋, and a hop over
+            // exact tables resolves one or two fingers instead of 64.
+            let d = cur.distance_to(key);
+            let mut fi = if d > 1 { (d - 1).ilog2() + 1 } else { 0 };
+            // Finger `fi - 1` once resolved; `cur`, which no finger below
+            // the trailing run equals, until then.
+            let mut head = cur;
             let mut si = successors.len();
             while si > 0 && successors[si - 1] == cur {
                 si -= 1;
             }
             let mut next = None;
             let mut last = cur; // sentinel: `cur` never passes the filter
-            while fi > 0 || si > 0 {
+            loop {
+                while fi > 0 && head == cur {
+                    head = self.peer_finger(cur, fi - 1);
+                    if head == cur {
+                        fi -= 1; // trailing run: this finger wrapped
+                    }
+                }
                 let take_finger = match (fi, si) {
+                    (0, 0) => break,
                     (0, _) => false,
                     (_, 0) => true,
-                    _ => cur.distance_to(fingers[fi - 1]) >= cur.distance_to(successors[si - 1]),
+                    _ => cur.distance_to(head) >= cur.distance_to(successors[si - 1]),
                 };
                 let cand = if take_finger {
                     fi -= 1;
-                    fingers[fi]
+                    std::mem::replace(&mut head, cur)
                 } else {
                     si -= 1;
                     successors[si]
@@ -175,17 +187,22 @@ impl ChordRing {
         key: ChordId,
         retries: u32,
     ) -> Option<(Lookup, u32)> {
-        let mut successors: Vec<ChordId> = Vec::new();
-        if self.state(from).is_some() {
-            self.peer_successors_into(from, &mut successors);
-        }
-        let mut detours = successors
-            .into_iter()
-            .filter(|&s| s != from && self.is_alive(s));
+        // Resolved on the first detour only: most routes succeed outright.
+        let mut detours = None;
         dgrid_sim::failover::route_with_detours(
             retries,
             || self.lookup(from, key),
-            |_| detours.next(),
+            |_| {
+                detours
+                    .get_or_insert_with(|| {
+                        let mut successors = Vec::new();
+                        if self.state(from).is_some() {
+                            self.peer_successors_into(from, &mut successors);
+                        }
+                        successors.into_iter()
+                    })
+                    .find(|&s| s != from && self.is_alive(s))
+            },
             |&s| self.lookup(s, key),
             |l, extra| l.hops += extra,
         )

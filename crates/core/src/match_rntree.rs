@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use dgrid_chord::ChordRing;
-use dgrid_resources::{Capabilities, JobProfile};
+use dgrid_resources::JobProfile;
 use dgrid_rntree::RnTreeIndex;
 use dgrid_sim::rng::SimRng;
 use dgrid_sim::router::KeyRouter;
@@ -126,13 +126,11 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             self.dirty = false;
             return;
         }
-        let caps: HashMap<u64, Capabilities> = self
-            .grid_of
-            .iter()
-            .filter(|(key, _)| self.router.is_alive(**key))
-            .map(|(&key, &gid)| (key, nodes.get(gid).profile.capabilities))
-            .collect();
-        self.index = Some(RnTreeIndex::build(&self.router, &caps));
+        // `grid_of` mirrors the substrate's membership.
+        let grid_of = &self.grid_of;
+        self.index = Some(RnTreeIndex::build_with(&self.router, |key| {
+            nodes.get(grid_of[&key]).profile.capabilities
+        }));
         self.dirty = false;
     }
 
@@ -406,11 +404,10 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
     }
 
     fn tick(&mut self, nodes: &NodeTable) {
+        // The index copies capabilities when it is built, so between
+        // membership changes its aggregates have nothing to catch up with.
         if self.dirty {
             self.rebuild_index(nodes);
-        } else if let Some(index) = self.index.as_mut() {
-            // Periodic aggregation refresh (soft state up the tree).
-            index.refresh_aggregates();
         }
     }
 

@@ -39,6 +39,8 @@ impl RnTreeIndex {
             hops: 0,
             visited: 0,
         };
+        // The search runs on ranks; ids reappear only in `candidates`.
+        let owner = self.tree().rank(owner);
 
         // Phase 1: the owner's own subtree.
         self.search_subtree(owner, req, k, &mut out);
@@ -46,24 +48,29 @@ impl RnTreeIndex {
         // Phase 2: climb. At each ancestor, examine the ancestor itself and
         // its other children's subtrees. Stop as soon as k are found.
         let mut prev = owner;
-        let mut cur = self.tree().parent(owner);
+        let mut cur = self.tree().parent_rank(owner);
         while out.candidates.len() < k {
             let Some(node) = cur else { break };
             out.hops += 1; // the climb message prev -> node
-            out.visited += 1;
-            if req.satisfied_by(self.capabilities(node)) {
-                out.candidates.push(node);
-            }
-            for &child in self.tree().children(node) {
+            self.visit(node, req, &mut out);
+            for &child in self.tree().kid_ranks(node) {
                 if child == prev || out.candidates.len() >= k {
                     continue;
                 }
                 self.search_subtree(child, req, k, &mut out);
             }
             prev = node;
-            cur = self.tree().parent(node);
+            cur = self.tree().parent_rank(node);
         }
         out
+    }
+
+    /// Evaluate one node's own capability vector.
+    fn visit(&self, node: u32, req: &JobRequirements, out: &mut SearchResult) {
+        out.visited += 1;
+        if req.satisfied_by(self.caps_at(node)) {
+            out.candidates.push(self.tree().id_at(node));
+        }
     }
 
     /// DFS through the subtree rooted at `root`, pruned by the aggregated
@@ -71,8 +78,8 @@ impl RnTreeIndex {
     /// Charges one hop to enter the subtree and one hop per further descent
     /// edge; results return to the requester directly (the paper uses
     /// direct connections for replies).
-    fn search_subtree(&self, root: u64, req: &JobRequirements, k: usize, out: &mut SearchResult) {
-        if !self.subtree_info(root).may_satisfy(req) {
+    fn search_subtree(&self, root: u32, req: &JobRequirements, k: usize, out: &mut SearchResult) {
+        if !self.info_at(root).may_satisfy(req) {
             return; // pruned: the request message is never sent
         }
         let mut stack = vec![root];
@@ -81,12 +88,9 @@ impl RnTreeIndex {
                 return;
             }
             out.hops += 1;
-            out.visited += 1;
-            if req.satisfied_by(self.capabilities(node)) {
-                out.candidates.push(node);
-            }
-            for &child in self.tree().children(node) {
-                if self.subtree_info(child).may_satisfy(req) {
+            self.visit(node, req, out);
+            for &child in self.tree().kid_ranks(node) {
+                if self.info_at(child).may_satisfy(req) {
                     stack.push(child);
                 }
             }

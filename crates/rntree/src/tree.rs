@@ -1,25 +1,28 @@
 //! Tree construction from overlay membership, and the combined index.
 //!
 //! The build is generic over any [`KeyRouter`] substrate (Chord, Pastry,
-//! Tapestry): it needs only ground-truth key ownership for the level rule
-//! and one cost-counted lookup per node for the parent pointer — exactly
-//! the `successor(k)` interface the paper assumes of the underlying DHT.
+//! Tapestry) and asks it two questions per node: the shortest prefix of
+//! its id the node still owns (its level — a local computation) and the
+//! owner of the next-shorter prefix (its parent — one DHT lookup). That is
+//! exactly the `successor(k)` interface the paper assumes of the
+//! underlying DHT.
+//!
+//! Nodes are addressed by **rank**, their position in one ascending id
+//! vector, and everything else — parent pointers, child lists (CSR),
+//! capabilities, subtree aggregates — is a flat vector indexed by rank.
+//! Ids appear only at the public surface, where one binary search turns
+//! an id into a rank.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dgrid_resources::Capabilities;
-use dgrid_sim::router::KeyRouter;
+use dgrid_sim::router::{prefix_key, KeyRouter};
 
 use crate::aggregate::SubtreeInfo;
 
-/// Keep the top `level` bits of `x`, zeroing the rest.
-fn trunc(x: u64, level: u32) -> u64 {
-    match level {
-        0 => 0,
-        64.. => x,
-        l => x & (u64::MAX << (64 - l)),
-    }
-}
+/// `parent` entry of the root (and, during construction, of a node whose
+/// parent is not a member).
+const NO_PARENT: u32 = u32::MAX;
 
 /// The Rendezvous Node Tree over a snapshot of overlay membership.
 ///
@@ -29,9 +32,52 @@ fn trunc(x: u64, level: u32) -> u64 {
 /// pointer (what the paper's periodic soft-state maintenance converges to).
 #[derive(Clone, Debug)]
 pub struct RnTree {
-    root: u64,
-    parent: HashMap<u64, Option<u64>>,
-    children: HashMap<u64, Vec<u64>>,
+    /// Node ids, ascending; a node's rank is its position here.
+    ids: Vec<u64>,
+    root: u32,
+    /// Parent rank of each rank; [`NO_PARENT`] for the root.
+    parent: Vec<u32>,
+    /// Children of rank `r`, ascending: `kids[kid_start[r]..kid_start[r + 1]]`.
+    kid_start: Vec<u32>,
+    kids: Vec<u32>,
+    /// `kids` as ids, for [`RnTree::children`].
+    kid_ids: Vec<u64>,
+    /// Every rank, each parent before its children (depth-first from the
+    /// root, siblings in descending order).
+    order: Vec<u32>,
+}
+
+/// CSR child lists of a parent vector; ascending within each list.
+fn child_lists(parent: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let n = parent.len();
+    let mut start = vec![0u32; n + 1];
+    for &p in parent.iter().filter(|&&p| p != NO_PARENT) {
+        start[p as usize + 1] += 1;
+    }
+    for r in 0..n {
+        start[r + 1] += start[r];
+    }
+    let mut fill = start.clone();
+    let mut kids = vec![0u32; start[n] as usize];
+    for (r, &p) in parent.iter().enumerate() {
+        if p != NO_PARENT {
+            kids[fill[p as usize] as usize] = r as u32;
+            fill[p as usize] += 1;
+        }
+    }
+    (start, kids)
+}
+
+/// Ranks reachable from `root`, each parent before its children.
+fn preorder(root: u32, kid_start: &[u32], kids: &[u32]) -> Vec<u32> {
+    let mut order = Vec::with_capacity(kid_start.len() - 1);
+    let mut stack = vec![root];
+    while let Some(r) = stack.pop() {
+        order.push(r);
+        let r = r as usize;
+        stack.extend_from_slice(&kids[kid_start[r] as usize..kid_start[r + 1] as usize]);
+    }
+    order
 }
 
 impl RnTree {
@@ -40,106 +86,133 @@ impl RnTree {
     /// # Panics
     /// If the overlay is empty.
     pub fn build<R: KeyRouter>(router: &R) -> RnTree {
-        Self::build_counting(router).0
+        Self::build_via(router, |id, key| {
+            router.lookup_owner(id, key).expect("stable overlay routes")
+        })
     }
 
     /// Build the tree and report the total overlay-lookup hop cost the
     /// nodes would pay to (re)establish their parent pointers — one lookup
-    /// per non-root node.
+    /// per non-root node, each one routed.
     pub fn build_counting<R: KeyRouter>(router: &R) -> (RnTree, u64) {
+        let mut lookup_hops = 0u64;
+        let tree = Self::build_via(router, |id, key| {
+            let res = router.lookup(id, key).expect("stable overlay routes");
+            lookup_hops += u64::from(res.hops);
+            res.owner
+        });
+        (tree, lookup_hops)
+    }
+
+    /// The build, given how node `id` finds the owner of its parent `key`.
+    fn build_via<R: KeyRouter>(router: &R, mut owner_from: impl FnMut(u64, u64) -> u64) -> RnTree {
         let ids = router.alive_keys();
         assert!(!ids.is_empty(), "RN-Tree over an empty overlay");
+        assert!(ids.len() < NO_PARENT as usize, "ranks are 32-bit");
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "alive_keys ascends");
+        let rank_of = |id: u64| ids.binary_search(&id).ok().map(|r| r as u32);
         let root = router.owner_of(0).expect("non-empty overlay");
+        let root = rank_of(root).expect("the root is a live node");
 
-        let mut parent: HashMap<u64, Option<u64>> = HashMap::with_capacity(ids.len());
-        let mut children: HashMap<u64, Vec<u64>> = HashMap::with_capacity(ids.len());
-        let mut lookup_hops = 0u64;
-
-        for &id in &ids {
-            children.entry(id).or_default();
-            if id == root {
-                parent.insert(id, None);
+        let mut parent = vec![NO_PARENT; ids.len()];
+        for (r, &id) in ids.iter().enumerate() {
+            if r as u32 == root {
                 continue;
             }
             // Local step: the shortest prefix of our id we still own.
-            let level = (0..=64u32)
-                .find(|&l| router.owner_of(trunc(id, l)) == Some(id))
-                .expect("level 64 always owns the id itself");
+            let level = router.shortest_owned_prefix(id);
             debug_assert!(level > 0, "only the root owns key 0");
             // One DHT lookup: the owner of the next-shorter prefix.
-            let key = trunc(id, level - 1);
-            let res = router.lookup(id, key).expect("stable overlay routes");
-            lookup_hops += u64::from(res.hops);
-            let mut p = res.owner;
+            let key = prefix_key(id, level - 1);
+            let mut p = owner_from(id, key);
             if p == id {
                 // Stale routing delivered the query back to the asker; the
                 // level rule guarantees the shorter prefix is *not* ours, so
                 // fall back to ground truth. (Chord routes never do this.)
                 p = router.owner_of(key).expect("non-empty overlay");
             }
-            parent.insert(id, Some(p));
-            children.entry(p).or_default().push(id);
+            // An owner outside the membership leaves the node detached
+            // until the repair below.
+            parent[r] = rank_of(p).unwrap_or(NO_PARENT);
         }
 
         // Acyclicity repair. Chord's interval ownership makes parent ids
         // strictly decrease, so every chain reaches the root; numeric-
         // closeness (Pastry) and surrogate (Tapestry) ownership admit rare
-        // parent cycles on stale snapshots. Detach any node that cannot
-        // reach the root and graft it onto the root directly, in ascending
-        // id order — a no-op for Chord.
-        let mut reached: HashSet<u64> = HashSet::with_capacity(ids.len());
-        let mut stack = vec![root];
-        reached.insert(root);
-        while let Some(x) = stack.pop() {
-            if let Some(kids) = children.get(&x) {
-                for &c in kids {
-                    if reached.insert(c) {
-                        stack.push(c);
-                    }
-                }
+        // parent cycles on stale snapshots. Graft every node that cannot
+        // reach the root onto the root directly — a no-op for Chord.
+        let (mut kid_start, mut kids) = child_lists(&parent);
+        let mut order = preorder(root, &kid_start, &kids);
+        if order.len() < ids.len() {
+            let mut reached = vec![false; ids.len()];
+            for &r in &order {
+                reached[r as usize] = true;
             }
-        }
-        for &id in ids.iter().filter(|id| !reached.contains(id)) {
-            if let Some(Some(old)) = parent.get(&id).copied() {
-                if let Some(kids) = children.get_mut(&old) {
-                    kids.retain(|&k| k != id);
-                }
+            for (p, _) in parent.iter_mut().zip(reached).filter(|(_, hit)| !hit) {
+                *p = root;
             }
-            parent.insert(id, Some(root));
-            children.entry(root).or_default().push(id);
+            (kid_start, kids) = child_lists(&parent);
+            order = preorder(root, &kid_start, &kids);
         }
 
-        for kids in children.values_mut() {
-            kids.sort_unstable();
+        RnTree {
+            kid_ids: kids.iter().map(|&r| ids[r as usize]).collect(),
+            ids,
+            root,
+            parent,
+            kid_start,
+            kids,
+            order,
         }
-        (
-            RnTree {
-                root,
-                parent,
-                children,
-            },
-            lookup_hops,
-        )
     }
 
     /// The tree root (the overlay owner of key 0).
     pub fn root(&self) -> u64 {
-        self.root
+        self.ids[self.root as usize]
     }
 
     /// Number of nodes in the tree.
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.ids.len()
     }
 
     /// True iff the tree has no nodes (never: construction requires ≥ 1).
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.ids.is_empty()
     }
 
     /// Is `id` in the tree?
     pub fn contains(&self, id: u64) -> bool {
-        self.parent.contains_key(&id)
+        self.ids.binary_search(&id).is_ok()
+    }
+
+    /// Rank of `id`.
+    ///
+    /// # Panics
+    /// If `id` is not in the tree.
+    pub(crate) fn rank(&self, id: u64) -> u32 {
+        match self.ids.binary_search(&id) {
+            Ok(rank) => rank as u32,
+            Err(_) => panic!("{id} not in tree"),
+        }
+    }
+
+    /// Id of the node at `rank`.
+    pub(crate) fn id_at(&self, rank: u32) -> u64 {
+        self.ids[rank as usize]
+    }
+
+    pub(crate) fn parent_rank(&self, rank: u32) -> Option<u32> {
+        Some(self.parent[rank as usize]).filter(|&p| p != NO_PARENT)
+    }
+
+    pub(crate) fn kid_ranks(&self, rank: u32) -> &[u32] {
+        &self.kids[self.kid_range(rank)]
+    }
+
+    fn kid_range(&self, rank: u32) -> std::ops::Range<usize> {
+        let rank = rank as usize;
+        self.kid_start[rank] as usize..self.kid_start[rank + 1] as usize
     }
 
     /// Parent of `id` (`None` for the root).
@@ -147,57 +220,52 @@ impl RnTree {
     /// # Panics
     /// If `id` is not in the tree.
     pub fn parent(&self, id: u64) -> Option<u64> {
-        *self
-            .parent
-            .get(&id)
-            .unwrap_or_else(|| panic!("{id} not in tree"))
+        self.parent_rank(self.rank(id)).map(|p| self.id_at(p))
     }
 
     /// Children of `id`, ascending.
+    ///
+    /// # Panics
+    /// If `id` is not in the tree.
     pub fn children(&self, id: u64) -> &[u64] {
-        self.children
-            .get(&id)
-            .map(Vec::as_slice)
-            .unwrap_or_else(|| panic!("{id} not in tree"))
+        &self.kid_ids[self.kid_range(self.rank(id))]
     }
 
     /// Depth of `id` (root is 0).
     pub fn depth_of(&self, id: u64) -> u32 {
         let mut d = 0;
-        let mut cur = id;
-        while let Some(p) = self.parent(cur) {
+        let mut cur = self.rank(id);
+        while let Some(p) = self.parent_rank(cur) {
             cur = p;
             d += 1;
-            assert!(d as usize <= self.parent.len(), "cycle in tree");
+            assert!(d as usize <= self.len(), "cycle in tree");
         }
         d
     }
 
     /// Height of the tree: the maximum node depth.
     pub fn height(&self) -> u32 {
-        self.parent
-            .keys()
-            .map(|&id| self.depth_of(id))
-            .max()
-            .unwrap_or(0)
+        let mut depth = vec![0u32; self.len()];
+        for &r in &self.order[1..] {
+            depth[r as usize] = depth[self.parent[r as usize] as usize] + 1;
+        }
+        depth.into_iter().max().unwrap_or(0)
     }
 
     /// All node ids, ascending.
     pub fn ids(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.parent.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.ids.clone()
     }
 }
 
 /// The tree plus the hierarchical resource aggregation the matchmaker
 /// queries: per-subtree maximum capability vector, OS presence, node count,
-/// and each node's own capabilities.
+/// and each node's own capabilities — both indexed by the tree's ranks.
 #[derive(Clone, Debug)]
 pub struct RnTreeIndex {
     tree: RnTree,
-    caps: HashMap<u64, Capabilities>,
-    info: HashMap<u64, SubtreeInfo>,
+    caps: Vec<Capabilities>,
+    info: Vec<SubtreeInfo>,
 }
 
 impl RnTreeIndex {
@@ -207,20 +275,24 @@ impl RnTreeIndex {
     /// # Panics
     /// If any live node is missing from `caps`.
     pub fn build<R: KeyRouter>(router: &R, caps: &HashMap<u64, Capabilities>) -> RnTreeIndex {
+        Self::build_with(router, |id| {
+            *caps
+                .get(&id)
+                .unwrap_or_else(|| panic!("no capabilities for {id}"))
+        })
+    }
+
+    /// [`RnTreeIndex::build`] with the capabilities asked of `caps_of`,
+    /// once per live node in ascending id order.
+    pub fn build_with<R: KeyRouter>(
+        router: &R,
+        caps_of: impl FnMut(u64) -> Capabilities,
+    ) -> RnTreeIndex {
         let tree = RnTree::build(router);
         let mut index = RnTreeIndex {
-            caps: tree
-                .ids()
-                .iter()
-                .map(|&id| {
-                    let c = *caps
-                        .get(&id)
-                        .unwrap_or_else(|| panic!("no capabilities for {id}"));
-                    (id, c)
-                })
-                .collect(),
+            caps: tree.ids.iter().copied().map(caps_of).collect(),
             tree,
-            info: HashMap::new(),
+            info: Vec::new(),
         };
         index.refresh_aggregates();
         index
@@ -233,31 +305,37 @@ impl RnTreeIndex {
 
     /// A node's own capabilities.
     pub fn capabilities(&self, id: u64) -> &Capabilities {
-        &self.caps[&id]
+        self.caps_at(self.tree.rank(id))
     }
 
     /// The aggregated information for the subtree rooted at `id`.
     pub fn subtree_info(&self, id: u64) -> &SubtreeInfo {
-        &self.info[&id]
+        self.info_at(self.tree.rank(id))
+    }
+
+    pub(crate) fn caps_at(&self, rank: u32) -> &Capabilities {
+        &self.caps[rank as usize]
+    }
+
+    pub(crate) fn info_at(&self, rank: u32) -> &SubtreeInfo {
+        &self.info[rank as usize]
     }
 
     /// Recompute every subtree aggregate bottom-up — the steady state of the
-    /// paper's periodic "local subtree resource information" reports. Call
-    /// on the matchmaker's maintenance tick.
+    /// paper's periodic "local subtree resource information" reports. The
+    /// index's capabilities are fixed at build time, so this reproduces the
+    /// aggregates `build` already computed.
     pub fn refresh_aggregates(&mut self) {
         self.info.clear();
-        self.aggregate_rec(self.tree.root());
-    }
-
-    fn aggregate_rec(&mut self, id: u64) -> SubtreeInfo {
-        let mut acc = SubtreeInfo::leaf(&self.caps[&id]);
-        let kids: Vec<u64> = self.tree.children(id).to_vec();
-        for k in kids {
-            let sub = self.aggregate_rec(k);
-            acc.absorb(&sub);
+        self.info.extend(self.caps.iter().map(SubtreeInfo::leaf));
+        // Children before parents; a node's children fold in ascending
+        // order, as a recursive descent would fold them.
+        for &r in self.tree.order.iter().rev() {
+            if let Some(p) = self.tree.parent_rank(r) {
+                let sub = self.info[r as usize].clone();
+                self.info[p as usize].absorb(&sub);
+            }
         }
-        self.info.insert(id, acc.clone());
-        acc
     }
 
     /// Aggregate-monotonicity check: every parent's subtree aggregate must
@@ -267,15 +345,13 @@ impl RnTreeIndex {
     /// is sound, otherwise a description of the first violation — the
     /// oracle hook the model checker (`dgrid-check`) calls after rebuilds.
     pub fn aggregate_violation(&self) -> Option<String> {
-        if self.tree.is_empty() {
-            return None;
-        }
-        for &id in &self.tree.ids() {
-            let info = &self.info[&id];
-            let own = SubtreeInfo::leaf(&self.caps[&id]);
+        for (r, &id) in self.tree.ids.iter().enumerate() {
+            let info = &self.info[r];
+            let own = SubtreeInfo::leaf(&self.caps[r]);
             let mut expected_count = own.node_count;
-            for &child in self.tree.children(id) {
-                let ci = &self.info[&child];
+            for &c in self.tree.kid_ranks(r as u32) {
+                let child = self.tree.id_at(c);
+                let ci = self.info_at(c);
                 expected_count += ci.node_count;
                 for (d, (&p, &c)) in info.max_caps.iter().zip(&ci.max_caps).enumerate() {
                     if p < c {
@@ -299,8 +375,7 @@ impl RnTreeIndex {
                 ));
             }
         }
-        let root = self.tree.root();
-        let total = self.info[&root].node_count as usize;
+        let total = self.info_at(self.tree.root).node_count as usize;
         if total != self.tree.len() {
             return Some(format!(
                 "root covers {total} nodes but the tree holds {}",
@@ -317,6 +392,7 @@ mod tests {
     use dgrid_chord::{ChordId, ChordRing};
     use dgrid_pastry::PastryNetwork;
     use dgrid_sim::rng::{rng_for, streams};
+    use dgrid_sim::router::prefix_key as trunc;
     use dgrid_tapestry::TapestryNetwork;
     use rand::Rng;
 

@@ -35,6 +35,16 @@ impl RouteCost {
     }
 }
 
+/// Keep the top `bits` bits of `key`, zeroing the rest: the rendezvous key
+/// of a `bits`-bit prefix.
+pub fn prefix_key(key: u64, bits: u32) -> u64 {
+    match bits {
+        0 => 0,
+        64.. => key,
+        b => key & (u64::MAX << (64 - b)),
+    }
+}
+
 /// A structured overlay that can own and locate 64-bit keys.
 ///
 /// Implementations must be deterministic: every method's result is a pure
@@ -92,6 +102,34 @@ pub trait KeyRouter: Default {
     /// forwarding hops and timeout probes. `None` when routing stalls.
     fn lookup(&self, from: u64, key: u64) -> Option<RouteCost>;
 
+    /// The owner a [`KeyRouter::lookup`] from the live node `from` would
+    /// reach, for callers that do not charge the route:
+    /// `lookup(from, key).map(|r| r.owner)`, which is the default.
+    ///
+    /// A substrate may override it where it can name that owner without
+    /// walking the route; the result must equal the default's in every
+    /// membership and maintenance state, stale ones included.
+    fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
+        self.lookup(from, key).map(|r| r.owner)
+    }
+
+    /// Length in bits of the shortest prefix of the live node `key` whose
+    /// rendezvous key ([`prefix_key`]) the node itself owns — the RN-Tree's
+    /// level rule, a computation local to the node. 0 for the owner of key
+    /// 0, at most 64 since a node owns its own key.
+    ///
+    /// The default probes ground-truth ownership one level at a time. A
+    /// substrate may override it with a closed form of its ownership rule;
+    /// the result must equal the probe's for every live key.
+    ///
+    /// # Panics
+    /// If `key` is not a live member.
+    fn shortest_owned_prefix(&self, key: u64) -> u32 {
+        (0..=64u32)
+            .find(|&l| self.owner_of(prefix_key(key, l)) == Some(key))
+            .expect("level 64 always owns the id itself")
+    }
+
     /// Detour peers to try, in order, when a lookup from `from` fails.
     /// Entries may be stale or dead; [`KeyRouter::lookup_with_failover`]
     /// skips dead ones without consuming retries.
@@ -111,12 +149,16 @@ pub trait KeyRouter: Default {
     /// hand the query to up to `retries` live `failover_peers`, charging
     /// one extra hop per handoff. Returns the route and the retries spent.
     fn lookup_with_failover(&self, from: u64, key: u64, retries: u32) -> Option<(RouteCost, u32)> {
-        let peers = self.failover_peers(from);
-        let mut candidates = peers.into_iter().filter(|&s| s != from && self.is_alive(s));
+        // Resolved on the first detour only: most routes succeed outright.
+        let mut peers = None;
         route_with_detours(
             retries,
             || self.lookup(from, key),
-            |_| candidates.next(),
+            |_| {
+                peers
+                    .get_or_insert_with(|| self.failover_peers(from).into_iter())
+                    .find(|&s| s != from && self.is_alive(s))
+            },
             |&peer| self.lookup(peer, key),
             |r, extra| r.hops += extra,
         )
