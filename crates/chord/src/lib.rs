@@ -22,7 +22,10 @@
 //! The implementation is *structural*: node state (fingers, successor lists,
 //! predecessors) is held in one [`ChordRing`] value and messages are not
 //! materialized — instead every routing step is counted, which is exactly
-//! the fidelity the paper's event-driven simulation uses.
+//! the fidelity the paper's event-driven simulation uses. State a peer
+//! refreshed by itself is stored; state implied by the last `stabilize` is
+//! one binary search into a shared sorted snapshot, made for the single
+//! finger or successor a routing hop asks about.
 //!
 //! ```
 //! use dgrid_chord::{ChordId, ChordRing};

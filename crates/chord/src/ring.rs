@@ -431,11 +431,10 @@ impl ChordRing {
         }
     }
 
-    /// Whether every route is known to end at ground truth without being
-    /// walked: no membership change since the last stabilize, and a hop
-    /// budget the at most `ID_BITS` forwarding hops of a route over exact
-    /// fingers (each uses a lower finger than the one before) cannot
-    /// exhaust.
+    /// Whether a route is known to end at the key's ground-truth owner
+    /// without being walked: the ring is settled, and the hop budget covers
+    /// the longest route exact fingers allow — `ID_BITS` forwarding hops,
+    /// since each hop uses a lower finger than the one before.
     pub(crate) fn routes_are_exact(&self) -> bool {
         self.settled && self.cfg.max_route_hops >= ID_BITS
     }

@@ -127,9 +127,8 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             return;
         }
         // `grid_of` mirrors the substrate's membership.
-        let grid_of = &self.grid_of;
         self.index = Some(RnTreeIndex::build_with(&self.router, |key| {
-            nodes.get(grid_of[&key]).profile.capabilities
+            nodes.get(self.grid_of[&key]).profile.capabilities
         }));
         self.dirty = false;
     }

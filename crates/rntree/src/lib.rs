@@ -19,9 +19,12 @@
 //!
 //! * node `x`'s **level** is the shortest bit-prefix `ℓ` of `x` whose
 //!   truncation `trunc(x, ℓ)` is still **owned by `x`** in the overlay — a
-//!   purely **local** computation;
+//!   purely **local** computation
+//!   ([`KeyRouter::shortest_owned_prefix`](dgrid_sim::router::KeyRouter::shortest_owned_prefix));
 //! * `x`'s **parent** is the overlay owner of `trunc(x, ℓ − 1)` — found with
-//!   a single DHT lookup;
+//!   a single DHT lookup
+//!   ([`KeyRouter::lookup_owner`](dgrid_sim::router::KeyRouter::lookup_owner);
+//!   [`RnTree::build_counting`] routes it and reports the hops);
 //! * the node owning key `0` is the unique **root**; under Chord's interval
 //!   ownership parent ids strictly decrease along every chain, so the
 //!   structure is always a tree (for other ownership rules a cheap repair
@@ -33,6 +36,14 @@
 //! [`RnTreeIndex`] adds the hierarchical aggregation (per-subtree maximum
 //! capability vector, OS presence mask, node count) and the pruned,
 //! extended candidate [`search`](RnTreeIndex::find_candidates).
+//!
+//! Both are snapshots, rebuilt whole when membership changes. A rebuild is
+//! array work: nodes are addressed by their rank in one ascending id
+//! vector, parents, CSR child lists, capabilities and aggregates are flat
+//! vectors indexed by rank, aggregation is a single children-before-parents
+//! sweep, and a search turns the owner's id into a rank once and stays in
+//! rank space. At 100 000 nodes on a settled Chord ring that is tens of
+//! milliseconds, which is why there is no incremental patching.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

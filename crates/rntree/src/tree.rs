@@ -392,7 +392,6 @@ mod tests {
     use dgrid_chord::{ChordId, ChordRing};
     use dgrid_pastry::PastryNetwork;
     use dgrid_sim::rng::{rng_for, streams};
-    use dgrid_sim::router::prefix_key as trunc;
     use dgrid_tapestry::TapestryNetwork;
     use rand::Rng;
 
@@ -425,14 +424,6 @@ mod tests {
         }
         net.stabilize();
         net
-    }
-
-    #[test]
-    fn trunc_masks_low_bits() {
-        assert_eq!(trunc(0xFFFF_FFFF_FFFF_FFFF, 0), 0);
-        assert_eq!(trunc(0xFFFF_FFFF_FFFF_FFFF, 64), u64::MAX);
-        assert_eq!(trunc(0xFFFF_FFFF_FFFF_FFFF, 4), 0xF000_0000_0000_0000);
-        assert_eq!(trunc(0x1234_5678_9ABC_DEF0, 16), 0x1234_0000_0000_0000);
     }
 
     #[test]

@@ -164,3 +164,16 @@ pub trait KeyRouter: Default {
         )
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prefix_key_masks_low_bits() {
+        assert_eq!(prefix_key(0xFFFF_FFFF_FFFF_FFFF, 0), 0);
+        assert_eq!(prefix_key(0xFFFF_FFFF_FFFF_FFFF, 64), u64::MAX);
+        assert_eq!(prefix_key(0xFFFF_FFFF_FFFF_FFFF, 4), 0xF000_0000_0000_0000);
+        assert_eq!(prefix_key(0x1234_5678_9ABC_DEF0, 16), 0x1234_0000_0000_0000);
+    }
+}
