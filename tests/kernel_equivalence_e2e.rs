@@ -224,6 +224,70 @@ fn streams_byte_identical_at_one_and_two_threads() {
     }
 }
 
+/// The central matchmaker on the sharded kernel, sized so its scan has
+/// work to rank: 300 nodes (several 64-node words of the node table) at
+/// full offered load under churn. Shards mutate checked-out node copies and
+/// commit them back between the barrier-phase matchmaking calls, so this is
+/// the run in which the matchmaker reads queues the sharded kernel wrote.
+fn central_sharded_stream(format: StreamFormat) -> Vec<u8> {
+    let workload = paper_scenario(PaperScenario::MixedLight, 300, 3_000, SEED);
+    let cfg = EngineConfig {
+        seed: SEED,
+        max_sim_secs: 3_000_000.0,
+        ..EngineConfig::default()
+    };
+    let churn = ChurnConfig {
+        mttf_secs: Some(10_000.0),
+        rejoin_after_secs: Some(300.0),
+        graceful_fraction: 0.25,
+    };
+    let buf = SharedBuf::default();
+    let observer: Box<dyn dgrid::core::Observer> = match format {
+        StreamFormat::Jsonl => Box::new(JsonlObserver::new(buf.clone())),
+        StreamFormat::Binary => Box::new(BinaryObserver::new(buf.clone())),
+    };
+    let mut engine = Engine::new(
+        cfg,
+        churn,
+        Algorithm::Central.matchmaker(),
+        workload.nodes,
+        workload.submissions,
+    )
+    .with_fault_plan(FaultPlan::with_loss(0.03))
+    .with_observer(observer);
+    engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
+    engine.run();
+    let bytes = buf.0.take();
+    assert!(!bytes.is_empty(), "traced run must emit events");
+    bytes
+}
+
+/// `(format, fnv1a, byte length)` of [`central_sharded_stream`], recorded
+/// on the commit before the central scan moved onto the node table's
+/// columns.
+const CENTRAL_SHARDED_PINNED: &[(StreamFormat, u64, usize)] = &[
+    (StreamFormat::Jsonl, 0x3a1f5c3b99b58c21, 1_152_923),
+    (StreamFormat::Binary, 0x43de4a46c870e358, 158_364),
+];
+
+#[test]
+fn central_on_the_sharded_kernel_reproduces_pinned_goldens_at_one_and_two_threads() {
+    use rayon::Pool;
+    for &(format, hash, len) in CENTRAL_SHARDED_PINNED {
+        for threads in [1, 2] {
+            let bytes = Pool::install(threads, || central_sharded_stream(format));
+            assert_eq!(
+                (fnv1a(&bytes), bytes.len()),
+                (hash, len),
+                "central, sharded, {threads} thread(s), {format:?}: stream drifted \
+                 from the pinned bytes (got hash {:#x}, len {})",
+                fnv1a(&bytes),
+                bytes.len()
+            );
+        }
+    }
+}
+
 /// Harvest helper for deliberate re-pins: `cargo test -q --test
 /// kernel_equivalence_e2e -- --ignored --nocapture print_kernel_goldens`.
 #[test]

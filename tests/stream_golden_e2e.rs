@@ -228,6 +228,60 @@ fn ten_thousand_node_streams_match_pinned_hashes() {
     }
 }
 
+/// The central matchmaker where its scan has something to rank: 300 nodes
+/// (the node table spans several 64-node words) offered 3 000 jobs at full
+/// load, so queues build and ties on exactly equal committed work decide
+/// placements, while ~40 crashes and rejoins clear and refill slots
+/// mid-run. The 40-node rows above fit one word and mostly see idle ties.
+fn central_churn_stream(seed: u64) -> Vec<u8> {
+    let workload = paper_scenario(PaperScenario::MixedLight, 300, 3_000, seed);
+    let cfg = EngineConfig {
+        seed,
+        max_sim_secs: 3_000_000.0,
+        ..EngineConfig::default()
+    };
+    let churn = ChurnConfig {
+        mttf_secs: Some(10_000.0),
+        rejoin_after_secs: Some(300.0),
+        graceful_fraction: 0.25,
+    };
+    let buf = SharedBuf::default();
+    Engine::new(
+        cfg,
+        churn,
+        Algorithm::Central.matchmaker(),
+        workload.nodes,
+        workload.submissions,
+    )
+    .with_fault_plan(FaultPlan::with_loss(0.03))
+    .with_observer(Box::new(JsonlObserver::new(buf.clone())))
+    .run();
+    let bytes = buf.0.take();
+    assert!(!bytes.is_empty(), "traced run must emit events");
+    bytes
+}
+
+/// `(fnv1a, byte length)` of [`central_churn_stream`], recorded on the
+/// commit before the central scan moved onto the node table's columns.
+const CENTRAL_CHURN_PINNED: (u64, usize) = (0xb81035d9d1d95356, 1_155_299);
+
+#[test]
+fn central_stream_under_churn_matches_pinned_hash() {
+    let bytes = central_churn_stream(SEED);
+    assert_eq!(
+        (fnv1a(&bytes), bytes.len()),
+        CENTRAL_CHURN_PINNED,
+        "central under churn: event stream drifted from the pinned bytes \
+         (got hash {:#x}, len {})",
+        fnv1a(&bytes),
+        bytes.len()
+    );
+    let text = std::str::from_utf8(&bytes).expect("jsonl is utf-8");
+    for kind in ["NodeDown", "NodeUp", "RunRecovery"] {
+        assert!(text.contains(kind), "the run must exercise {kind}");
+    }
+}
+
 /// Harvest helper for deliberate re-pins of the 10k goldens: `cargo test
 /// -q --test stream_golden_e2e -- --ignored --nocapture print_10k_hashes`.
 #[test]
