@@ -300,8 +300,12 @@ impl Engine {
         matchmaker.bootstrap(&nodes, &mut rng_mm);
         matchmaker.tick(&nodes);
 
-        let known: HashSet<JobId> = submissions.iter().map(|s| s.profile.id).collect();
-        dag.validate(&known);
+        // An empty DAG names no job, so there is nothing to check it
+        // against: skip hashing every submission's id.
+        if !dag.is_empty() {
+            let known: HashSet<JobId> = submissions.iter().map(|s| s.profile.id).collect();
+            dag.validate(&known);
+        }
         let dag_children = dag.children_index();
 
         let mut jobs = JobTable::with_capacity(submissions.len());
@@ -883,9 +887,7 @@ impl Engine {
                 _ => None,
             };
             if choice.is_none() {
-                // Least loaded live node, lowest id on ties — served by the
-                // node table's min-load index in O(1) instead of the old
-                // full-table scan (`node.rs` proves the choices identical).
+                // Least loaded live node, lowest id on ties.
                 choice = self.nodes.least_loaded_alive().map(|id| (id, 0));
             }
         }

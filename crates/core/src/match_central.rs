@@ -13,7 +13,7 @@
 //! least committed work. Matchmaking cost is zero overlay hops — that is
 //! precisely the advantage being bought with the single point of failure.
 
-use dgrid_resources::JobProfile;
+use dgrid_resources::{JobProfile, JobRequirements, OsType, ResourceKind};
 use dgrid_sim::rng::SimRng;
 use rand::Rng;
 
@@ -24,10 +24,22 @@ use crate::node::{GridNodeId, NodeTable};
 /// Omniscient online scheduler used as the paper's load-balance target.
 #[derive(Debug, Default)]
 pub struct CentralizedMatchmaker {
-    /// Virtual clock mirror so pending-work estimates age correctly; the
-    /// engine ticks this via [`Matchmaker::tick`] indirectly (estimates use
-    /// queue *lengths* plus runtimes, which do not need the exact instant).
-    _private: (),
+    /// The nodes' advertised capabilities, one dense column per dimension,
+    /// so the capability test of [`Matchmaker::find_run_node`] is array
+    /// work. Profiles never change after the table is built and one
+    /// matchmaker serves one table, so the columns are filled on first use
+    /// (whenever their length differs from the table's) and then kept.
+    cpu: Vec<f64>,
+    mem: Vec<f64>,
+    disk: Vec<f64>,
+    /// `os_bit(profile.os)` per node.
+    os: Vec<u8>,
+}
+
+/// One bit per operating system, for testing a node against the set a job
+/// accepts with a single AND.
+fn os_bit(os: OsType) -> u8 {
+    1 << os as u8
 }
 
 impl CentralizedMatchmaker {
@@ -35,6 +47,93 @@ impl CentralizedMatchmaker {
     pub fn new() -> Self {
         CentralizedMatchmaker::default()
     }
+
+    fn project_capabilities(&mut self, nodes: &NodeTable) {
+        let caps = |id: u32| nodes.get(GridNodeId(id)).profile.capabilities;
+        let ids = 0..nodes.len() as u32;
+        let column = |kind| ids.clone().map(|id| caps(id).get(kind)).collect();
+        self.cpu = column(ResourceKind::CpuSpeed);
+        self.mem = column(ResourceKind::Memory);
+        self.disk = column(ResourceKind::Disk);
+        self.os = ids.clone().map(|id| os_bit(caps(id).os)).collect();
+    }
+
+    /// Which of the `candidates` (a word of the node table's bitsets, for
+    /// the 64 nodes starting at `base`) meet `floor`. One pass over the set
+    /// bits with no branch on the outcome of a comparison.
+    fn capable(&self, base: usize, mut candidates: u64, floor: &Floor) -> u64 {
+        let mut capable = 0u64;
+        while candidates != 0 {
+            let bit = candidates.trailing_zeros();
+            candidates &= candidates - 1;
+            let i = base + bit as usize;
+            let ok = (self.os[i] & floor.os != 0)
+                & (self.cpu[i] >= floor.cpu)
+                & (self.mem[i] >= floor.mem)
+                & (self.disk[i] >= floor.disk);
+            capable |= u64::from(ok) << bit;
+        }
+        capable
+    }
+}
+
+/// A job's requirements in the form the columns are compared against: an
+/// unconstrained dimension becomes `-inf`, which every capability meets.
+struct Floor {
+    cpu: f64,
+    mem: f64,
+    disk: f64,
+    /// Union of `os_bit` over the operating systems the job accepts.
+    os: u8,
+}
+
+impl Floor {
+    fn of(req: &JobRequirements) -> Self {
+        let min = |kind| req.min(kind).unwrap_or(f64::NEG_INFINITY);
+        Floor {
+            cpu: min(ResourceKind::CpuSpeed),
+            mem: min(ResourceKind::Memory),
+            disk: min(ResourceKind::Disk),
+            os: OsType::ALL
+                .iter()
+                .filter(|&&os| req.os.accepts(os))
+                .fold(0, |set, &os| set | os_bit(os)),
+        }
+    }
+}
+
+/// The scan [`CentralizedMatchmaker::find_run_node`] must reproduce, node
+/// for node and RNG draw for RNG draw: every live node in ascending id
+/// order, its capabilities tested and its queue re-summed on the spot.
+#[cfg(test)]
+fn reference_scan(nodes: &NodeTable, job: &JobProfile, rng: &mut SimRng) -> Option<GridNodeId> {
+    let mut best: Option<(f64, GridNodeId)> = None;
+    let mut ties = 0u32;
+    for id in nodes.alive_ids() {
+        let n = nodes.get(id);
+        if !job.requirements.satisfied_by(&n.profile.capabilities) {
+            continue;
+        }
+        let work = n.committed_work_secs();
+        match best {
+            None => {
+                best = Some((work, id));
+                ties = 1;
+            }
+            Some((b, _)) if work < b => {
+                best = Some((work, id));
+                ties = 1;
+            }
+            Some((b, _)) if work == b => {
+                ties += 1;
+                if rng.gen_range(0..ties) == 0 {
+                    best = Some((work, id));
+                }
+            }
+            _ => {}
+        }
+    }
+    best.map(|(_, id)| id)
 }
 
 impl Matchmaker for CentralizedMatchmaker {
@@ -65,31 +164,56 @@ impl Matchmaker for CentralizedMatchmaker {
         rng: &mut SimRng,
     ) -> MatchOutcome {
         // Least committed work among capable nodes; random tie-break so
-        // identical idle nodes share load evenly.
+        // identical idle nodes share load evenly. Committed work is queued
+        // runtimes plus the running job's *full* runtime: independent of
+        // the current instant, and a slight overestimate applied to every
+        // node alike, so the ordering is fair.
+        //
+        // The table is walked a word of 64 nodes at a time, ascending, so
+        // candidates meet the tie-break in the order a node-by-node scan
+        // would present them and the RNG is drawn exactly as often.
+        if self.os.len() != nodes.len() {
+            self.project_capabilities(nodes);
+        }
+        let floor = Floor::of(&job.requirements);
+        let committed = nodes.committed_work();
+        let idle = nodes.idle_words();
         let mut best: Option<(f64, GridNodeId)> = None;
         let mut ties = 0u32;
-        for id in nodes.alive_ids() {
-            let n = nodes.get(id);
-            if !job.requirements.satisfied_by(&n.profile.capabilities) {
+        for (w, &alive) in nodes.alive_words().iter().enumerate() {
+            // Every queued runtime is positive, so a busy node's committed
+            // work is too: once an idle node leads at exactly 0.0, no busy
+            // node can beat or tie it, and only idle ones still matter.
+            let candidates = if best.is_some_and(|(b, _)| b == 0.0) {
+                alive & idle[w]
+            } else {
+                alive
+            };
+            if candidates == 0 {
                 continue;
             }
-            let work = pending_estimate(n);
-            match best {
-                None => {
-                    best = Some((work, id));
-                    ties = 1;
-                }
-                Some((b, _)) if work < b => {
-                    best = Some((work, id));
-                    ties = 1;
-                }
-                Some((b, _)) if work == b => {
-                    ties += 1;
-                    if rng.gen_range(0..ties) == 0 {
+            let mut word = self.capable(w * 64, candidates, &floor);
+            while word != 0 {
+                let slot = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let (work, id) = (committed[slot], GridNodeId(slot as u32));
+                match best {
+                    None => {
                         best = Some((work, id));
+                        ties = 1;
                     }
+                    Some((b, _)) if work < b => {
+                        best = Some((work, id));
+                        ties = 1;
+                    }
+                    Some((b, _)) if work == b => {
+                        ties += 1;
+                        if rng.gen_range(0..ties) == 0 {
+                            best = Some((work, id));
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
         MatchOutcome {
@@ -115,23 +239,18 @@ impl Matchmaker for CentralizedMatchmaker {
     }
 }
 
-/// Committed-work estimate independent of the current instant: queued
-/// runtimes plus the running job's full runtime (a slight overestimate of
-/// the remainder, applied identically to every node, so the ordering is
-/// fair).
-fn pending_estimate(n: &crate::node::GridNode) -> f64 {
-    n.committed_work_secs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeTable;
+    use crate::node::{NodeTable, QueuedJob};
     use dgrid_resources::{
-        Capabilities, ClientId, JobId, JobProfile, JobRequirements, NodeProfile, OsType,
-        ResourceKind,
+        Capabilities, ClientId, JobId, JobProfile, JobRequirements, NodeProfile, OsRequirement,
+        OsType, ResourceKind,
     };
     use dgrid_sim::rng::rng_for;
+    use dgrid_sim::SimTime;
+    use proptest::prelude::*;
+    use rand::RngCore;
 
     fn table() -> NodeTable {
         NodeTable::new(vec![
@@ -223,5 +342,152 @@ mod tests {
         let nodes = table();
         let mut rng = rng_for(6, 1);
         assert_eq!(mm.resolve_guid(&nodes, 7, &mut rng), Some(0));
+    }
+
+    /// A table of `size` nodes drawn from a small palette of capabilities
+    /// and operating systems, so requirements split it unevenly.
+    fn mixed_table(size: usize, seed: u64) -> NodeTable {
+        let mut rng = rng_for(seed, 1);
+        let profiles = (0..size)
+            .map(|_| {
+                NodeProfile::new(Capabilities::new(
+                    [1.0, 2.0, 3.0][rng.gen_range(0..3)],
+                    [1.0, 4.0, 8.0][rng.gen_range(0..3)],
+                    [10.0, 100.0, 400.0][rng.gen_range(0..3)],
+                    OsType::ALL[rng.gen_range(0..4)],
+                ))
+            })
+            .collect();
+        NodeTable::new(profiles)
+    }
+
+    /// One requirement set per `kind`: nothing, an OS subset only, a
+    /// minimum no node meets, minimums some nodes meet, and both.
+    fn requirements(kind: u32, pick: u32) -> JobRequirements {
+        let any = JobRequirements::unconstrained();
+        let os = OsRequirement::any_of(match pick % 3 {
+            0 => &[OsType::Linux],
+            1 => &[OsType::Windows, OsType::Solaris],
+            _ => &[OsType::MacOs, OsType::Linux, OsType::Solaris],
+        });
+        let mins = any
+            .with_min(ResourceKind::CpuSpeed, [0.0, 2.0, 3.0][pick as usize % 3])
+            .with_min(
+                ResourceKind::Disk,
+                [10.0, 100.0, 400.5][pick as usize / 3 % 3],
+            );
+        match kind % 5 {
+            0 => any,
+            1 => any.with_os(os),
+            2 => any.with_min(ResourceKind::Memory, 64.0),
+            3 => mins,
+            _ => mins.with_os(os),
+        }
+    }
+
+    /// The column scan and the reference scan, from identical RNG states:
+    /// same node, and the same RNG state afterwards.
+    fn assert_scans_agree(
+        mm: &mut CentralizedMatchmaker,
+        nodes: &NodeTable,
+        req: JobRequirements,
+        rng_seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let p = job(req);
+        let (mut fast_rng, mut ref_rng) = (rng_for(rng_seed, 2), rng_for(rng_seed, 2));
+        let fast = mm.find_run_node(nodes, OwnerRef::Server, &p, &mut fast_rng);
+        let reference = reference_scan(nodes, &p, &mut ref_rng);
+        prop_assert_eq!(fast.run_node, reference, "requirements {:?}", req);
+        prop_assert_eq!(
+            fast_rng.next_u64(),
+            ref_rng.next_u64(),
+            "RNG draws diverged"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Differential: over random tables whose sizes straddle the 64-
+        /// and 128-node word boundaries, random enqueue/start/finish/fail/
+        /// rejoin/checkout histories with runtimes in tenths (so equal
+        /// sums are common and order-sensitive), and every kind of
+        /// requirement, the column scan picks the node the reference scan
+        /// picks and draws the RNG as often — also once every live node is
+        /// busy, and once every node is dead.
+        #[test]
+        fn column_scan_matches_the_reference_scan(
+            size in prop_oneof![
+                Just(1usize), Just(63), Just(64), Just(65),
+                Just(127), Just(128), Just(129), Just(200)
+            ],
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0u8..10, 0u32..200, 0u32..45), 0..250),
+        ) {
+            let mut nodes = mixed_table(size, seed);
+            let mut mm = CentralizedMatchmaker::new();
+            let mut next_job = 0u64;
+            let mut qj = |pick: u32| {
+                next_job += 1;
+                QueuedJob {
+                    job: JobId(next_job),
+                    runtime_secs: 0.1 * f64::from(pick % 4 + 1),
+                    epoch: 0,
+                }
+            };
+            for (step, (op, raw_id, pick)) in ops.into_iter().enumerate() {
+                let id = GridNodeId(raw_id % size as u32);
+                let alive = nodes.is_alive(id);
+                match op {
+                    0 | 1 if alive => nodes.enqueue(id, qj(pick)),
+                    2 if alive && nodes.get(id).running_job().is_none() => {
+                        nodes.set_running(id, qj(pick), SimTime::from_secs(1));
+                    }
+                    3 if alive => {
+                        nodes.take_running(id);
+                    }
+                    4 if alive => {
+                        nodes.pop_queue(id);
+                    }
+                    5 if alive => nodes.mark_failed(id),
+                    5 => nodes.mark_rejoined(id),
+                    6 if alive => {
+                        let mut n = nodes.checkout_node(id);
+                        if n.pop_queue_local().is_some() {
+                            n.enqueue_local(qj(pick));
+                        }
+                        nodes.commit_node(id, n);
+                    }
+                    _ => assert_scans_agree(
+                        &mut mm,
+                        &nodes,
+                        requirements(u32::from(op), pick),
+                        seed ^ step as u64,
+                    )?,
+                }
+            }
+            for kind in 0..5 {
+                assert_scans_agree(&mut mm, &nodes, requirements(kind, kind), seed)?;
+            }
+            // All busy: no committed work is 0.0, so ties are among sums.
+            let idle: Vec<GridNodeId> = nodes
+                .alive_ids()
+                .filter(|&id| nodes.load_of(id) == 0)
+                .collect();
+            for (i, id) in idle.into_iter().enumerate() {
+                nodes.set_running(id, qj(i as u32 % 2), SimTime::from_secs(1));
+            }
+            for kind in 0..5 {
+                assert_scans_agree(&mut mm, &nodes, requirements(kind, kind + 1), !seed)?;
+            }
+            // All dead: nothing to pick, nothing drawn.
+            let live: Vec<GridNodeId> = nodes.alive_ids().collect();
+            for id in live {
+                nodes.mark_failed(id);
+            }
+            let any = JobRequirements::unconstrained();
+            assert_scans_agree(&mut mm, &nodes, any, seed)?;
+        }
     }
 }

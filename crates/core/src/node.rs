@@ -7,12 +7,21 @@
 //!
 //! * `loads` — each node's `load()` as a dense `u32` column, kept in sync
 //!   by the table's mutation methods;
+//! * `committed` — each node's [`GridNode::committed_work_secs`] as a dense
+//!   `f64` column, the quantity the centralized matchmaker ranks by. It is
+//!   *recomputed* by that same front-to-back sum whenever the node's queue
+//!   or running slot changes (`enqueue`, `pop_queue`, `set_running`,
+//!   `take_running`, `commit_node` even at an unchanged load, `mark_failed`)
+//!   and never maintained by adding and subtracting runtimes: f64 addition
+//!   does not associate, and the matchmaker's tie-break tests exact
+//!   equality, so an incrementally kept sum would break ties differently
+//!   from the sum it stands for;
+//! * two bitsets, one bit per node in `u64` words: `alive_bits`, and
+//!   `idle_bits` for live nodes with load 0, updated by the same methods,
+//!   so a scan can test 64 nodes with one word;
 //! * a Fenwick tree over the alive bits, so [`NodeTable::random_alive`]
 //!   selects the n-th live node in O(log N) while drawing the *same* RNG
 //!   value and returning the *same* node as the old O(N) `nth()` walk;
-//! * a min-load bucket index (`Vec<BTreeSet<GridNodeId>>`), so "least
-//!   loaded live node, lowest id on ties" — the lease re-placement
-//!   fallback — is O(1) instead of a full-table scan;
 //! * O(1) aggregates (total live load, count of idle live nodes) for the
 //!   telemetry sampler.
 //!
@@ -20,7 +29,7 @@
 //! `running`) are private to this module: every mutation goes through a
 //! `NodeTable` method that updates the columns in the same step.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use dgrid_resources::{JobId, NodeProfile};
@@ -208,50 +217,13 @@ impl AliveTree {
     }
 }
 
-/// Buckets of live node ids keyed by current load, with a monotone floor
-/// hint: answers "least loaded live node, lowest id on ties" — exactly the
-/// old full-table scan's choice — without the scan.
-struct MinLoadIndex {
-    buckets: Vec<BTreeSet<GridNodeId>>,
-    /// Lower bound on the least occupied bucket (no live node has a load
-    /// below it). Queries advance from here past empty buckets.
-    floor: usize,
-}
-
-impl MinLoadIndex {
-    fn all_idle(n: u32) -> Self {
-        MinLoadIndex {
-            buckets: vec![(0..n).map(GridNodeId).collect()],
-            floor: 0,
-        }
-    }
-
-    fn insert(&mut self, id: GridNodeId, load: usize) {
-        if load >= self.buckets.len() {
-            self.buckets.resize_with(load + 1, BTreeSet::new);
-        }
-        self.buckets[load].insert(id);
-        self.floor = self.floor.min(load);
-    }
-
-    fn remove(&mut self, id: GridNodeId, load: usize) {
-        let present = self.buckets[load].remove(&id);
-        debug_assert!(present, "min-load index out of sync for {id}");
-    }
-
-    fn reclassify(&mut self, id: GridNodeId, old: usize, new: usize) {
-        self.remove(id, old);
-        self.insert(id, new);
-    }
-
-    /// `(id, load)` of the least loaded live node, lowest id on ties.
-    fn least(&self) -> Option<(GridNodeId, usize)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .skip(self.floor)
-            .find_map(|(load, b)| b.first().map(|&id| (id, load)))
-    }
+/// Indices of the set bits of a bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        (0..64)
+            .filter(move |bit| word >> bit & 1 != 0)
+            .map(move |bit| w * 64 + bit)
+    })
 }
 
 /// The engine's table of all nodes, alive and dead.
@@ -266,23 +238,40 @@ pub struct NodeTable {
     alive: usize,
     /// SoA mirror of each node's `load()` (zero for dead nodes).
     loads: Vec<u32>,
+    /// SoA mirror of each node's `committed_work_secs()`, bit for bit.
+    committed: Vec<f64>,
+    /// Bit `i % 64` of word `i / 64` is set iff node `i` is alive.
+    alive_bits: Vec<u64>,
+    /// Same layout: set iff node `i` is alive with load 0.
+    idle_bits: Vec<u64>,
     alive_tree: AliveTree,
-    min_load: MinLoadIndex,
     /// Sum of `loads` over live nodes.
     total_load: u64,
     /// Live nodes with load 0.
     idle_alive: usize,
 }
 
+/// Word index and bit mask of a node's position in the bitsets.
+fn bit_of(slot: usize) -> (usize, u64) {
+    (slot / 64, 1 << (slot % 64))
+}
+
 impl NodeTable {
     pub(crate) fn new(profiles: Vec<NodeProfile>) -> Self {
         let alive = profiles.len();
+        let mut all_ones = vec![u64::MAX; alive.div_ceil(64)];
+        if let Some(last) = all_ones.last_mut() {
+            // Bits past the last node stay clear.
+            *last >>= (64 - alive % 64) % 64;
+        }
         NodeTable {
             nodes: profiles.into_iter().map(GridNode::new).collect(),
             alive,
             loads: vec![0; alive],
+            committed: vec![0.0; alive],
+            alive_bits: all_ones.clone(),
+            idle_bits: all_ones,
             alive_tree: AliveTree::all_ones(alive),
-            min_load: MinLoadIndex::all_idle(alive as u32),
             total_load: 0,
             idle_alive: alive,
         }
@@ -320,6 +309,22 @@ impl NodeTable {
         self.loads[id.0 as usize] as usize
     }
 
+    /// Every node's `committed_work_secs()`, indexed by node id.
+    pub(crate) fn committed_work(&self) -> &[f64] {
+        &self.committed
+    }
+
+    /// The alive bitset: node `i` is bit `i % 64` of word `i / 64`.
+    pub(crate) fn alive_words(&self) -> &[u64] {
+        &self.alive_bits
+    }
+
+    /// The bitset of live nodes with load 0, laid out like
+    /// [`alive_words`](Self::alive_words).
+    pub(crate) fn idle_words(&self) -> &[u64] {
+        &self.idle_bits
+    }
+
     /// Sum of loads over live nodes (the telemetry `queue_depth` gauge).
     pub fn total_alive_load(&self) -> u64 {
         self.total_load
@@ -331,9 +336,21 @@ impl NodeTable {
     }
 
     /// Least loaded live node, lowest id on ties — the deterministic
-    /// fallback target for lease re-placement. O(1) amortized.
+    /// fallback target for lease re-placement. A scan of the `loads`
+    /// column that stops at the first idle node; the fallback fires a
+    /// handful of times per run, too rarely to keep an index for.
     pub fn least_loaded_alive(&self) -> Option<GridNodeId> {
-        self.min_load.least().map(|(id, _)| id)
+        let mut best: Option<(u32, usize)> = None;
+        for slot in set_bits(&self.alive_bits) {
+            let load = self.loads[slot];
+            if load == 0 {
+                return Some(GridNodeId(slot as u32));
+            }
+            if best.is_none_or(|(b, _)| load < b) {
+                best = Some((load, slot));
+            }
+        }
+        best.map(|(_, slot)| GridNodeId(slot as u32))
     }
 
     /// Is the node up?
@@ -363,32 +380,49 @@ impl NodeTable {
         Some(GridNodeId(self.alive_tree.select(n) as u32))
     }
 
-    /// Apply a load delta to a live node, keeping every mirror in sync.
-    fn shift_load(&mut self, id: GridNodeId, delta: i64) {
-        let old = self.loads[id.0 as usize] as usize;
-        let new = (old as i64 + delta) as usize;
-        self.loads[id.0 as usize] = new as u32;
-        self.min_load.reclassify(id, old, new);
-        self.total_load = (self.total_load as i64 + delta) as u64;
+    /// Bring every mirror of a live node back in line with its record,
+    /// after its queue or running slot changed. The committed-work entry
+    /// is the record's own sum taken afresh (see the module header for why
+    /// it is not adjusted by the runtime that came or went).
+    fn resync(&mut self, id: GridNodeId) {
+        let slot = id.0 as usize;
+        let n = &self.nodes[slot];
+        let (old, new) = (self.loads[slot], n.load() as u32);
+        let committed = n.committed_work_secs();
+        // The central scan skips busy nodes once an idle one leads: sound
+        // only while holding a job means holding positive work.
+        debug_assert!(
+            new == 0 || committed > 0.0,
+            "{id} holds {new} jobs worth {committed} s"
+        );
+        self.committed[slot] = committed;
+        self.loads[slot] = new;
+        self.total_load = self.total_load - u64::from(old) + u64::from(new);
+        let (word, bit) = bit_of(slot);
         match (old, new) {
-            (0, n) if n > 0 => self.idle_alive -= 1,
-            (o, 0) if o > 0 => self.idle_alive += 1,
+            (0, 1..) => {
+                self.idle_alive -= 1;
+                self.idle_bits[word] &= !bit;
+            }
+            (1.., 0) => {
+                self.idle_alive += 1;
+                self.idle_bits[word] |= bit;
+            }
             _ => {}
         }
-        debug_assert_eq!(new, self.nodes[id.0 as usize].load());
     }
 
     /// FIFO-queue a job on a live node.
     pub(crate) fn enqueue(&mut self, id: GridNodeId, q: QueuedJob) {
         self.nodes[id.0 as usize].queue.push_back(q);
-        self.shift_load(id, 1);
+        self.resync(id);
     }
 
     /// Dequeue the next job from a node's FIFO queue.
     pub(crate) fn pop_queue(&mut self, id: GridNodeId) -> Option<QueuedJob> {
         let q = self.nodes[id.0 as usize].queue.pop_front();
         if q.is_some() {
-            self.shift_load(id, -1);
+            self.resync(id);
         }
         q
     }
@@ -399,14 +433,14 @@ impl NodeTable {
         debug_assert!(n.running.is_none(), "{id} already running a job");
         n.running = Some(q);
         n.running_finish_at = finish_at;
-        self.shift_load(id, 1);
+        self.resync(id);
     }
 
     /// Release a node's running job (completion, kill, or stale release).
     pub(crate) fn take_running(&mut self, id: GridNodeId) -> Option<QueuedJob> {
         let q = self.nodes[id.0 as usize].running.take();
         if q.is_some() {
-            self.shift_load(id, -1);
+            self.resync(id);
         }
         q
     }
@@ -422,33 +456,33 @@ impl NodeTable {
         self.nodes[id.0 as usize].clone()
     }
 
-    /// Write a checked-out record back, reconciling every load mirror with
-    /// whatever the shard did to the copy in one step.
+    /// Write a checked-out record back, reconciling every mirror with
+    /// whatever the shard did to the copy in one step — also at an
+    /// unchanged load, where the queue may hold different jobs.
     pub(crate) fn commit_node(&mut self, id: GridNodeId, node: GridNode) {
         let slot = id.0 as usize;
         debug_assert!(
             self.nodes[slot].alive && node.alive,
             "commit must not change {id} aliveness"
         );
-        let old = self.loads[slot] as i64;
-        let new = node.load() as i64;
         self.nodes[slot] = node;
-        if new != old {
-            self.shift_load(id, new - old);
-        }
+        self.resync(id);
     }
 
     pub(crate) fn mark_failed(&mut self, id: GridNodeId) {
         let slot = id.0 as usize;
         assert!(self.nodes[slot].alive, "failing dead node {id}");
-        let load = self.loads[slot] as usize;
-        self.min_load.remove(id, load);
+        let load = self.loads[slot];
         self.alive_tree.add(slot, -1);
-        self.total_load -= load as u64;
+        self.total_load -= u64::from(load);
         if load == 0 {
             self.idle_alive -= 1;
         }
         self.loads[slot] = 0;
+        self.committed[slot] = 0.0;
+        let (word, bit) = bit_of(slot);
+        self.alive_bits[word] &= !bit;
+        self.idle_bits[word] &= !bit;
         let n = &mut self.nodes[slot];
         n.alive = false;
         n.queue.clear();
@@ -464,7 +498,9 @@ impl NodeTable {
         self.alive_tree.add(slot, 1);
         // The failure cleared its queue, so it returns idle.
         debug_assert_eq!(self.loads[slot], 0);
-        self.min_load.insert(id, 0);
+        let (word, bit) = bit_of(slot);
+        self.alive_bits[word] |= bit;
+        self.idle_bits[word] |= bit;
         self.idle_alive += 1;
     }
 }
@@ -589,30 +625,61 @@ mod tests {
         best.map(|(_, id)| id)
     }
 
+    /// Every mirror against the record it mirrors, node by node.
+    fn assert_mirrors(t: &NodeTable) -> Result<(), TestCaseError> {
+        for slot in 0..t.len() {
+            let n = t.get(GridNodeId(slot as u32));
+            prop_assert_eq!(t.loads[slot] as usize, n.load());
+            prop_assert_eq!(
+                t.committed[slot].to_bits(),
+                n.committed_work_secs().to_bits(),
+                "committed column of node {} is not its queue's own sum",
+                slot
+            );
+            let (word, bit) = bit_of(slot);
+            prop_assert_eq!(t.alive_bits[word] & bit != 0, n.alive);
+            prop_assert_eq!(t.idle_bits[word] & bit != 0, n.alive && n.load() == 0);
+        }
+        let spare = t.alive_bits.len() * 64 - t.len();
+        if spare > 0 {
+            let past_end = u64::MAX << (64 - spare);
+            prop_assert_eq!(t.alive_bits.last().unwrap() & past_end, 0);
+            prop_assert_eq!(t.idle_bits.last().unwrap() & past_end, 0);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Regression for the lease re-placement fallback: under arbitrary
-        /// enqueue/start/finish/fail/rejoin histories, the min-load index
-        /// picks exactly the node the old O(N) scan picked (least loaded,
-        /// lowest id on ties), and the O(log N) random-alive select returns
-        /// the same node as the old `alive_ids().nth(n)` walk.
+        /// Under arbitrary enqueue/start/finish/fail/rejoin histories —
+        /// including shard-style checkouts that commit back a queue of the
+        /// same length holding different jobs — every mirror equals what a
+        /// naive walk of the records gives: the load column, the committed
+        /// column *to the bit* (runtimes are tenths, whose sums depend on
+        /// the order of addition), both bitsets across a word boundary,
+        /// the aggregates, `least_loaded_alive` (least loaded, lowest id on
+        /// ties, as the lease re-placement fallback expects), and the
+        /// O(log N) random-alive select against `alive_ids().nth(n)`.
         #[test]
         fn indexes_match_naive_scans(
-            ops in proptest::collection::vec((0u8..6, 0u32..12, 0usize..32), 1..300),
+            ops in proptest::collection::vec((0u8..8, 0u32..67, 0usize..32), 1..300),
         ) {
-            let mut t = NodeTable::new((0..12).map(|_| profile()).collect());
+            let mut t = NodeTable::new((0..67).map(|_| profile()).collect());
+            assert_mirrors(&t)?;
             let mut job = 0u64;
             for (op, raw_id, pick) in ops {
-                let id = GridNodeId(raw_id);
+                // Few enough distinct targets that queues grow and drain.
+                let id = GridNodeId(raw_id % 5 * 16 + raw_id % 3);
+                let runtime = 0.1 * (pick + 1) as f64;
                 match op {
                     0 if t.is_alive(id) => {
                         job += 1;
-                        t.enqueue(id, qj(job, 1.0));
+                        t.enqueue(id, qj(job, runtime));
                     }
                     1 if t.is_alive(id) && t.get(id).running_job().is_none() => {
                         job += 1;
-                        t.set_running(id, qj(job, 1.0), SimTime::from_secs(1));
+                        t.set_running(id, qj(job, runtime), SimTime::from_secs(1));
                     }
                     2 if t.is_alive(id) => {
                         t.take_running(id);
@@ -622,16 +689,33 @@ mod tests {
                     }
                     4 if t.is_alive(id) => t.mark_failed(id),
                     5 if !t.is_alive(id) => t.mark_rejoined(id),
+                    6 if t.is_alive(id) => {
+                        // Same load, different contents.
+                        let mut n = t.checkout_node(id);
+                        if n.pop_queue_local().is_some() {
+                            job += 1;
+                            n.enqueue_local(qj(job, runtime));
+                        }
+                        t.commit_node(id, n);
+                    }
+                    7 if t.is_alive(id) => {
+                        let mut n = t.checkout_node(id);
+                        if n.take_running_local().is_none() {
+                            job += 1;
+                            n.set_running_local(qj(job, runtime), SimTime::from_secs(1));
+                        }
+                        job += 1;
+                        n.enqueue_local(qj(job, runtime));
+                        t.commit_node(id, n);
+                    }
                     _ => {}
                 }
+                assert_mirrors(&t)?;
                 prop_assert_eq!(t.least_loaded_alive(), scan_least_loaded(&t));
                 let total: u64 = t.alive_ids().map(|i| t.get(i).load() as u64).sum();
                 prop_assert_eq!(t.total_alive_load(), total);
                 let idle = t.alive_ids().filter(|&i| t.get(i).load() == 0).count();
                 prop_assert_eq!(t.idle_alive_count(), idle);
-                for i in 0..t.len() {
-                    prop_assert_eq!(t.load_of(GridNodeId(i as u32)), t.get(GridNodeId(i as u32)).load());
-                }
                 if t.alive_count() > 0 {
                     let n = pick % t.alive_count();
                     let via_select = GridNodeId(t.alive_tree.select(n) as u32);
