@@ -49,13 +49,14 @@ impl CentralizedMatchmaker {
     }
 
     fn project_capabilities(&mut self, nodes: &NodeTable) {
-        let caps = |id: u32| nodes.get(GridNodeId(id)).profile.capabilities;
-        let ids = 0..nodes.len() as u32;
-        let column = |kind| ids.clone().map(|id| caps(id).get(kind)).collect();
-        self.cpu = column(ResourceKind::CpuSpeed);
-        self.mem = column(ResourceKind::Memory);
-        self.disk = column(ResourceKind::Disk);
-        self.os = ids.clone().map(|id| os_bit(caps(id).os)).collect();
+        (self.cpu, self.mem, self.disk, self.os) = Default::default();
+        for id in 0..nodes.len() as u32 {
+            let caps = nodes.get(GridNodeId(id)).profile.capabilities;
+            self.cpu.push(caps.get(ResourceKind::CpuSpeed));
+            self.mem.push(caps.get(ResourceKind::Memory));
+            self.disk.push(caps.get(ResourceKind::Disk));
+            self.os.push(os_bit(caps.os));
+        }
     }
 
     /// Which of the `candidates` (a word of the node table's bitsets, for
@@ -100,40 +101,6 @@ impl Floor {
                 .fold(0, |set, &os| set | os_bit(os)),
         }
     }
-}
-
-/// The scan [`CentralizedMatchmaker::find_run_node`] must reproduce, node
-/// for node and RNG draw for RNG draw: every live node in ascending id
-/// order, its capabilities tested and its queue re-summed on the spot.
-#[cfg(test)]
-fn reference_scan(nodes: &NodeTable, job: &JobProfile, rng: &mut SimRng) -> Option<GridNodeId> {
-    let mut best: Option<(f64, GridNodeId)> = None;
-    let mut ties = 0u32;
-    for id in nodes.alive_ids() {
-        let n = nodes.get(id);
-        if !job.requirements.satisfied_by(&n.profile.capabilities) {
-            continue;
-        }
-        let work = n.committed_work_secs();
-        match best {
-            None => {
-                best = Some((work, id));
-                ties = 1;
-            }
-            Some((b, _)) if work < b => {
-                best = Some((work, id));
-                ties = 1;
-            }
-            Some((b, _)) if work == b => {
-                ties += 1;
-                if rng.gen_range(0..ties) == 0 {
-                    best = Some((work, id));
-                }
-            }
-            _ => {}
-        }
-    }
-    best.map(|(_, id)| id)
 }
 
 impl Matchmaker for CentralizedMatchmaker {
@@ -251,6 +218,39 @@ mod tests {
     use dgrid_sim::SimTime;
     use proptest::prelude::*;
     use rand::RngCore;
+
+    /// The scan [`CentralizedMatchmaker::find_run_node`] must reproduce, node
+    /// for node and RNG draw for RNG draw: every live node in ascending id
+    /// order, its capabilities tested and its queue re-summed on the spot.
+    fn reference_scan(nodes: &NodeTable, job: &JobProfile, rng: &mut SimRng) -> Option<GridNodeId> {
+        let mut best: Option<(f64, GridNodeId)> = None;
+        let mut ties = 0u32;
+        for id in nodes.alive_ids() {
+            let n = nodes.get(id);
+            if !job.requirements.satisfied_by(&n.profile.capabilities) {
+                continue;
+            }
+            let work = n.committed_work_secs();
+            match best {
+                None => {
+                    best = Some((work, id));
+                    ties = 1;
+                }
+                Some((b, _)) if work < b => {
+                    best = Some((work, id));
+                    ties = 1;
+                }
+                Some((b, _)) if work == b => {
+                    ties += 1;
+                    if rng.gen_range(0..ties) == 0 {
+                        best = Some((work, id));
+                    }
+                }
+                _ => {}
+            }
+        }
+        best.map(|(_, id)| id)
+    }
 
     fn table() -> NodeTable {
         NodeTable::new(vec![
