@@ -444,21 +444,10 @@ mod tests {
 
     #[test]
     fn start_next_on_skips_a_long_run_of_dead_entries_without_recursing() {
-        // 10k entries that terminated while queued, then one live job, on
-        // an idle node, handled on a 256 KiB stack: one frame per skipped
-        // entry would have to fit in 26 bytes not to overflow it. (The
-        // count stays moderate because the node table re-sums a queue on
-        // every pop, which is quadratic in a queue this long.)
-        std::thread::Builder::new()
-            .stack_size(256 * 1024)
-            .spawn(skip_dead_entries)
-            .expect("spawn the small-stack thread")
-            .join()
-            .expect("the handler neither overflowed nor panicked");
-    }
-
-    fn skip_dead_entries() {
-        const DEAD: u64 = 10_000;
+        // 100k entries that terminated while queued, then one live job, on
+        // an idle node. One stack frame per skipped entry would overflow
+        // the test thread's 2 MiB stack long before the live one.
+        const DEAD: u64 = 100_000;
         let jobs = (0..=DEAD)
             .map(|i| JobSubmission {
                 profile: JobProfile::new(

@@ -13,7 +13,7 @@
 //! least committed work. Matchmaking cost is zero overlay hops — that is
 //! precisely the advantage being bought with the single point of failure.
 
-use dgrid_resources::{JobProfile, JobRequirements, OsType, ResourceKind};
+use dgrid_resources::{JobProfile, JobRequirements, NUM_RESOURCE_DIMS};
 use dgrid_sim::rng::SimRng;
 use rand::Rng;
 
@@ -22,24 +22,28 @@ use crate::matchmaker::{MatchOutcome, Matchmaker};
 use crate::node::{GridNodeId, NodeTable};
 
 /// Omniscient online scheduler used as the paper's load-balance target.
+///
+/// It keeps a struct-of-arrays projection of the node table, so that
+/// [`Matchmaker::find_run_node`] is array work: the capabilities, which
+/// never change after the table is built, and each node's committed work,
+/// which does. Both are filled by [`Matchmaker::bootstrap`] (or on first
+/// use, for a matchmaker handed a table without one).
 #[derive(Debug, Default)]
 pub struct CentralizedMatchmaker {
-    /// The nodes' advertised capabilities, one dense column per dimension,
-    /// so the capability test of [`Matchmaker::find_run_node`] is array
-    /// work. Profiles never change after the table is built and one
-    /// matchmaker serves one table, so the columns are filled on first use
-    /// (whenever their length differs from the table's) and then kept.
-    cpu: Vec<f64>,
-    mem: Vec<f64>,
-    disk: Vec<f64>,
-    /// `os_bit(profile.os)` per node.
+    /// One dense column per resource dimension, in `ResourceKind::index`
+    /// order.
+    caps: [Vec<f64>; NUM_RESOURCE_DIMS],
+    /// `profile.os.bit()` per node.
     os: Vec<u8>,
-}
-
-/// One bit per operating system, for testing a node against the set a job
-/// accepts with a single AND.
-fn os_bit(os: OsType) -> u8 {
-    1 << os as u8
+    /// Each node's `committed_work_secs()` as of `summed_at`. An entry is
+    /// only ever the record's own front-to-back sum, taken afresh when the
+    /// scan meets a node whose queue version has moved — never adjusted by
+    /// the runtime that came or went, because f64 addition does not
+    /// associate and the tie-break below tests exact equality.
+    committed: Vec<f64>,
+    /// The node's `NodeTable::queue_versions` entry when `committed` was
+    /// last summed.
+    summed_at: Vec<u32>,
 }
 
 impl CentralizedMatchmaker {
@@ -48,15 +52,18 @@ impl CentralizedMatchmaker {
         CentralizedMatchmaker::default()
     }
 
-    fn project_capabilities(&mut self, nodes: &NodeTable) {
-        (self.cpu, self.mem, self.disk, self.os) = Default::default();
+    fn project(&mut self, nodes: &NodeTable) {
+        *self = CentralizedMatchmaker::default();
         for id in 0..nodes.len() as u32 {
-            let caps = nodes.get(GridNodeId(id)).profile.capabilities;
-            self.cpu.push(caps.get(ResourceKind::CpuSpeed));
-            self.mem.push(caps.get(ResourceKind::Memory));
-            self.disk.push(caps.get(ResourceKind::Disk));
-            self.os.push(os_bit(caps.os));
+            let node = nodes.get(GridNodeId(id));
+            let caps = node.profile.capabilities;
+            for (column, value) in self.caps.iter_mut().zip(caps.values()) {
+                column.push(value);
+            }
+            self.os.push(caps.os.bit());
+            self.committed.push(node.committed_work_secs());
         }
+        self.summed_at = nodes.queue_versions().to_vec();
     }
 
     /// Which of the `candidates` (a word of the node table's bitsets, for
@@ -68,37 +75,30 @@ impl CentralizedMatchmaker {
             let bit = candidates.trailing_zeros();
             candidates &= candidates - 1;
             let i = base + bit as usize;
-            let ok = (self.os[i] & floor.os != 0)
-                & (self.cpu[i] >= floor.cpu)
-                & (self.mem[i] >= floor.mem)
-                & (self.disk[i] >= floor.disk);
+            let mut ok = self.os[i] & floor.os != 0;
+            for (column, min) in self.caps.iter().zip(floor.mins) {
+                ok &= column[i] >= min;
+            }
             capable |= u64::from(ok) << bit;
         }
         capable
     }
 }
 
-/// A job's requirements in the form the columns are compared against: an
-/// unconstrained dimension becomes `-inf`, which every capability meets.
+/// A job's requirements in the form the columns are compared against.
 struct Floor {
-    cpu: f64,
-    mem: f64,
-    disk: f64,
-    /// Union of `os_bit` over the operating systems the job accepts.
+    /// Per dimension; an unconstrained one is `-inf`, which every
+    /// capability meets.
+    mins: [f64; NUM_RESOURCE_DIMS],
+    /// `OsRequirement::bits` of the operating systems the job accepts.
     os: u8,
 }
 
 impl Floor {
     fn of(req: &JobRequirements) -> Self {
-        let min = |kind| req.min(kind).unwrap_or(f64::NEG_INFINITY);
         Floor {
-            cpu: min(ResourceKind::CpuSpeed),
-            mem: min(ResourceKind::Memory),
-            disk: min(ResourceKind::Disk),
-            os: OsType::ALL
-                .iter()
-                .filter(|&&os| req.os.accepts(os))
-                .fold(0, |set, &os| set | os_bit(os)),
+            mins: req.mins().map(|min| min.unwrap_or(f64::NEG_INFINITY)),
+            os: req.os.bits(),
         }
     }
 }
@@ -109,6 +109,10 @@ impl Matchmaker for CentralizedMatchmaker {
     }
 
     fn on_join(&mut self, _nodes: &NodeTable, _node: GridNodeId, _rng: &mut SimRng) {}
+
+    fn bootstrap(&mut self, nodes: &NodeTable, _rng: &mut SimRng) {
+        self.project(nodes);
+    }
 
     fn on_leave(&mut self, _nodes: &NodeTable, _node: GridNodeId, _graceful: bool) {}
 
@@ -140,10 +144,10 @@ impl Matchmaker for CentralizedMatchmaker {
         // candidates meet the tie-break in the order a node-by-node scan
         // would present them and the RNG is drawn exactly as often.
         if self.os.len() != nodes.len() {
-            self.project_capabilities(nodes);
+            self.project(nodes);
         }
         let floor = Floor::of(&job.requirements);
-        let committed = nodes.committed_work();
+        let versions = nodes.queue_versions();
         let idle = nodes.idle_words();
         let mut best: Option<(f64, GridNodeId)> = None;
         let mut ties = 0u32;
@@ -163,7 +167,17 @@ impl Matchmaker for CentralizedMatchmaker {
             while word != 0 {
                 let slot = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let (work, id) = (committed[slot], GridNodeId(slot as u32));
+                let id = GridNodeId(slot as u32);
+                if self.summed_at[slot] != versions[slot] {
+                    self.committed[slot] = nodes.get(id).committed_work_secs();
+                    self.summed_at[slot] = versions[slot];
+                }
+                let work = self.committed[slot];
+                // What the idle-only narrowing above rests on.
+                debug_assert!(
+                    nodes.load_of(id) == 0 || work > 0.0,
+                    "{id} holds jobs worth {work} s"
+                );
                 match best {
                     None => {
                         best = Some((work, id));
@@ -183,6 +197,13 @@ impl Matchmaker for CentralizedMatchmaker {
                 }
             }
         }
+        // The columns are this table's: a matchmaker carried over to
+        // another table without a `bootstrap` would fail here.
+        debug_assert!(best.is_none_or(|(work, id)| {
+            let node = nodes.get(id);
+            job.requirements.satisfied_by(&node.profile.capabilities)
+                && work.to_bits() == node.committed_work_secs().to_bits()
+        }));
         MatchOutcome {
             run_node: best.map(|(_, id)| id),
             hops: 0,
@@ -344,6 +365,32 @@ mod tests {
         assert_eq!(mm.resolve_guid(&nodes, 7, &mut rng), Some(0));
     }
 
+    #[test]
+    fn bootstrap_replaces_the_columns_of_an_earlier_table() {
+        let mut mm = CentralizedMatchmaker::new();
+        let mut rng = rng_for(7, 1);
+        let p = job(JobRequirements::unconstrained().with_min(ResourceKind::Memory, 5.0));
+        let first = table();
+        mm.bootstrap(&first, &mut rng);
+        let out = mm.find_run_node(&first, OwnerRef::Server, &p, &mut rng);
+        assert_eq!(out.run_node, Some(GridNodeId(2)));
+        // Same size, the big node elsewhere and already busy.
+        let mut second = NodeTable::new(vec![
+            NodeProfile::new(Capabilities::new(3.0, 8.0, 400.0, OsType::Windows)),
+            NodeProfile::new(Capabilities::new(3.0, 8.0, 400.0, OsType::Linux)),
+            NodeProfile::new(Capabilities::new(1.0, 1.0, 10.0, OsType::Linux)),
+        ]);
+        let running = QueuedJob {
+            job: JobId(9),
+            runtime_secs: 5.0,
+            epoch: 0,
+        };
+        second.set_running(GridNodeId(1), running, SimTime::from_secs(5));
+        mm.bootstrap(&second, &mut rng);
+        let out = mm.find_run_node(&second, OwnerRef::Server, &p, &mut rng);
+        assert_eq!(out.run_node, Some(GridNodeId(0)), "the idle 8 GiB node");
+    }
+
     /// A table of `size` nodes drawn from a small palette of capabilities
     /// and operating systems, so requirements split it unevenly.
     fn mixed_table(size: usize, seed: u64) -> NodeTable {
@@ -403,6 +450,13 @@ mod tests {
             ref_rng.next_u64(),
             "RNG draws diverged"
         );
+        // Every cached sum that claims to be current is the record's own.
+        for slot in 0..nodes.len() {
+            if mm.summed_at[slot] == nodes.queue_versions()[slot] {
+                let fresh = nodes.get(GridNodeId(slot as u32)).committed_work_secs();
+                prop_assert_eq!(mm.committed[slot].to_bits(), fresh.to_bits());
+            }
+        }
         Ok(())
     }
 

@@ -7,15 +7,18 @@
 //!
 //! * `loads` — each node's `load()` as a dense `u32` column, kept in sync
 //!   by the table's mutation methods;
-//! * `committed` — each node's [`GridNode::committed_work_secs`] as a dense
-//!   `f64` column, the quantity the centralized matchmaker ranks by. It is
-//!   *recomputed* by that same front-to-back sum whenever the node's queue
+//! * `queue_versions` — a `u32` per node, bumped whenever the node's queue
 //!   or running slot changes (`enqueue`, `pop_queue`, `set_running`,
-//!   `take_running`, `commit_node` even at an unchanged load, `mark_failed`)
-//!   and never maintained by adding and subtracting runtimes: f64 addition
-//!   does not associate, and the matchmaker's tie-break tests exact
-//!   equality, so an incrementally kept sum would break ties differently
-//!   from the sum it stands for;
+//!   `take_running`, `commit_node` even at an unchanged load, `mark_failed`).
+//!   It is what lets the centralized matchmaker keep each node's
+//!   [`GridNode::committed_work_secs`] in a dense `f64` column of its own
+//!   and re-sum only the nodes that moved since it last looked. The sum
+//!   itself is not kept here: it could only be kept exact by re-summing the
+//!   queue front to back on every mutation (f64 addition does not
+//!   associate, and the matchmaker's tie-break tests exact equality, so a
+//!   sum maintained by adding and subtracting runtimes would break ties
+//!   differently from the sum it stands for), and that makes draining a
+//!   queue quadratic in its length for the five matchmakers that never ask;
 //! * two bitsets, one bit per node in `u64` words: `alive_bits`, and
 //!   `idle_bits` for live nodes with load 0, updated by the same methods,
 //!   so a scan can test 64 nodes with one word;
@@ -238,8 +241,9 @@ pub struct NodeTable {
     alive: usize,
     /// SoA mirror of each node's `load()` (zero for dead nodes).
     loads: Vec<u32>,
-    /// SoA mirror of each node's `committed_work_secs()`, bit for bit.
-    committed: Vec<f64>,
+    /// Bumped (wrapping) by every change to the node's queue or running
+    /// slot, so a reader can tell which of its cached sums are stale.
+    queue_versions: Vec<u32>,
     /// Bit `i % 64` of word `i / 64` is set iff node `i` is alive.
     alive_bits: Vec<u64>,
     /// Same layout: set iff node `i` is alive with load 0.
@@ -268,7 +272,7 @@ impl NodeTable {
             nodes: profiles.into_iter().map(GridNode::new).collect(),
             alive,
             loads: vec![0; alive],
-            committed: vec![0.0; alive],
+            queue_versions: vec![0; alive],
             alive_bits: all_ones.clone(),
             idle_bits: all_ones,
             alive_tree: AliveTree::all_ones(alive),
@@ -309,9 +313,13 @@ impl NodeTable {
         self.loads[id.0 as usize] as usize
     }
 
-    /// Every node's `committed_work_secs()`, indexed by node id.
-    pub(crate) fn committed_work(&self) -> &[f64] {
-        &self.committed
+    /// Per node, a counter that moves whenever its queue or running slot
+    /// does: anything derived from those (its `committed_work_secs()`, say)
+    /// is still good while the counter reads the same. Wrapping `u32`; a
+    /// reader that looks at least once per 2³² changes of a node — the
+    /// centralized matchmaker looks once per placed job — cannot miss one.
+    pub(crate) fn queue_versions(&self) -> &[u32] {
+        &self.queue_versions
     }
 
     /// The alive bitset: node `i` is bit `i % 64` of word `i / 64`.
@@ -381,21 +389,11 @@ impl NodeTable {
     }
 
     /// Bring every mirror of a live node back in line with its record,
-    /// after its queue or running slot changed. The committed-work entry
-    /// is the record's own sum taken afresh (see the module header for why
-    /// it is not adjusted by the runtime that came or went).
+    /// after its queue or running slot changed. O(1).
     fn resync(&mut self, id: GridNodeId) {
         let slot = id.0 as usize;
-        let n = &self.nodes[slot];
-        let (old, new) = (self.loads[slot], n.load() as u32);
-        let committed = n.committed_work_secs();
-        // The central scan skips busy nodes once an idle one leads: sound
-        // only while holding a job means holding positive work.
-        debug_assert!(
-            new == 0 || committed > 0.0,
-            "{id} holds {new} jobs worth {committed} s"
-        );
-        self.committed[slot] = committed;
+        let (old, new) = (self.loads[slot], self.nodes[slot].load() as u32);
+        self.queue_versions[slot] = self.queue_versions[slot].wrapping_add(1);
         self.loads[slot] = new;
         self.total_load = self.total_load - u64::from(old) + u64::from(new);
         let (word, bit) = bit_of(slot);
@@ -479,7 +477,7 @@ impl NodeTable {
             self.idle_alive -= 1;
         }
         self.loads[slot] = 0;
-        self.committed[slot] = 0.0;
+        self.queue_versions[slot] = self.queue_versions[slot].wrapping_add(1);
         let (word, bit) = bit_of(slot);
         self.alive_bits[word] &= !bit;
         self.idle_bits[word] &= !bit;
@@ -630,12 +628,6 @@ mod tests {
         for slot in 0..t.len() {
             let n = t.get(GridNodeId(slot as u32));
             prop_assert_eq!(t.loads[slot] as usize, n.load());
-            prop_assert_eq!(
-                t.committed[slot].to_bits(),
-                n.committed_work_secs().to_bits(),
-                "committed column of node {} is not its queue's own sum",
-                slot
-            );
             let (word, bit) = bit_of(slot);
             prop_assert_eq!(t.alive_bits[word] & bit != 0, n.alive);
             prop_assert_eq!(t.idle_bits[word] & bit != 0, n.alive && n.load() == 0);
@@ -649,15 +641,47 @@ mod tests {
         Ok(())
     }
 
+    /// What a reader of [`NodeTable::queue_versions`] would have cached
+    /// per node: the version it read, and what it derived at that version —
+    /// the committed work to the bit, and the jobs held (running first).
+    type Cached = (u32, u64, Vec<JobId>);
+
+    fn cache_of(t: &NodeTable, slot: usize) -> Cached {
+        let n = t.get(GridNodeId(slot as u32));
+        let held = n.running_job().map(|q| q.job).into_iter();
+        (
+            t.queue_versions()[slot],
+            n.committed_work_secs().to_bits(),
+            held.chain(n.queued_jobs()).collect(),
+        )
+    }
+
+    /// A node whose version has not moved since `cache` was taken still
+    /// holds exactly what it held then; the others are cached afresh.
+    fn assert_versions_cover_changes(
+        t: &NodeTable,
+        cache: &mut [Cached],
+    ) -> Result<(), TestCaseError> {
+        for (slot, cached) in cache.iter_mut().enumerate() {
+            let now = cache_of(t, slot);
+            if now.0 == cached.0 {
+                prop_assert_eq!(&now, &*cached, "node {} changed under one version", slot);
+            }
+            *cached = now;
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Under arbitrary enqueue/start/finish/fail/rejoin histories —
         /// including shard-style checkouts that commit back a queue of the
         /// same length holding different jobs — every mirror equals what a
-        /// naive walk of the records gives: the load column, the committed
-        /// column *to the bit* (runtimes are tenths, whose sums depend on
-        /// the order of addition), both bitsets across a word boundary,
+        /// naive walk of the records gives: the load column, both bitsets
+        /// across a word boundary, a queue version that moved whenever the
+        /// node's committed work (*to the bit*: runtimes are tenths, whose
+        /// sums depend on the order of addition) or the jobs it holds did,
         /// the aggregates, `least_loaded_alive` (least loaded, lowest id on
         /// ties, as the lease re-placement fallback expects), and the
         /// O(log N) random-alive select against `alive_ids().nth(n)`.
@@ -667,6 +691,7 @@ mod tests {
         ) {
             let mut t = NodeTable::new((0..67).map(|_| profile()).collect());
             assert_mirrors(&t)?;
+            let mut cache: Vec<Cached> = (0..t.len()).map(|slot| cache_of(&t, slot)).collect();
             let mut job = 0u64;
             for (op, raw_id, pick) in ops {
                 // Few enough distinct targets that queues grow and drain.
@@ -711,6 +736,7 @@ mod tests {
                     _ => {}
                 }
                 assert_mirrors(&t)?;
+                assert_versions_cover_changes(&t, &mut cache)?;
                 prop_assert_eq!(t.least_loaded_alive(), scan_least_loaded(&t));
                 let total: u64 = t.alive_ids().map(|i| t.get(i).load() as u64).sum();
                 prop_assert_eq!(t.total_alive_load(), total);

@@ -91,7 +91,8 @@ impl OsType {
         OsType::Solaris,
     ];
 
-    const fn bit(self) -> u8 {
+    /// This OS's bit in an [`OsRequirement::bits`] mask.
+    pub const fn bit(self) -> u8 {
         match self {
             OsType::Linux => 1 << 0,
             OsType::Windows => 1 << 1,
@@ -125,6 +126,12 @@ impl OsRequirement {
     /// Does a node running `os` satisfy this requirement?
     pub fn accepts(self, os: OsType) -> bool {
         self.0 & os.bit() != 0
+    }
+
+    /// The accepted set as a mask of [`OsType::bit`]s, for testing many
+    /// nodes' OS bytes against it with one AND each.
+    pub const fn bits(self) -> u8 {
+        self.0
     }
 
     /// True iff every OS is acceptable (i.e. effectively unconstrained).
@@ -239,6 +246,8 @@ mod tests {
         assert!(OsRequirement::ANY.is_any());
         for os in OsType::ALL {
             assert!(OsRequirement::ANY.accepts(os));
+            // The exposed mask answers as `accepts` does.
+            assert_eq!(unix.bits() & os.bit() != 0, unix.accepts(os));
         }
     }
 
