@@ -8,13 +8,6 @@
 //! dgrid events convert --events IN --out OUT [--to jsonl|binary]
 //! dgrid check   [--seeds N] [--seed BASE] [--out PATH] [--matchmaker M[,M...]]
 //! dgrid check   --replay repro.json
-//! dgrid bench sweep [--replications N] [--json PATH]
-//! dgrid bench overlays [--replications N] [--json PATH]
-//! dgrid bench leases [--replications N] [--json PATH]
-//! dgrid bench stream [--replications N] [--json PATH]
-//! dgrid bench scale [--nodes N[,N...]] [--threads T[,T...]]
-//!                   [--min-events-per-sec F] [--min-speedup X] [--json PATH]
-//! dgrid bench scenarios [--scenario-file S] [--replications N] [--json PATH]
 //!
 //! options:
 //!   --nodes N             grid size                      (default 200)
@@ -22,10 +15,11 @@
 //!   --seed S              root seed                      (default 42)
 //!   --threads N           worker threads for replicated/sweep work; for
 //!                         `run` also parallelizes *inside* each
-//!                         replication (sharded kernel); for `bench scale`
-//!                         a comma ladder `1,2,4,8` to measure
+//!                         replication (sharded kernel)
 //!                         (default: DGRID_THREADS env, else all cores)
-//!   --replications R      average R independent seeds    (default 1)
+//!   --replications R      run/compare: average R independent seeds,
+//!                         `seed ^ 1 ..= seed ^ R`; 1 runs `--seed` itself
+//!                         (default 1)
 //!   --mttf SECS           enable churn with this MTTF
 //!   --rejoin SECS         repair time after a departure
 //!   --graceful FRAC       fraction of graceful departures (default 0)
@@ -89,83 +83,39 @@
 //!                         it under every selected matchmaker (oracles +
 //!                         per-tenant fairness + cross-matchmaker
 //!                         differential; no shrinking — specs are small)
-//!
-//! bench sweep options (defaults: 96 nodes, 400 jobs, 16 replications):
-//!   --replications R      replications per timed cell    (default 16)
-//!   --threads N           highest thread count to measure
-//!   --json PATH           write the sweep results as JSON
-//!
-//! bench overlays options (same defaults): time the RN-Tree matchmaker on
-//! every overlay substrate (chord, pastry, tapestry) over one replicated
-//! cell and compare lookup hops, wait times, and wall time per substrate;
-//! `--json` writes the comparison for the CI artifact.
-//!
-//! bench leases options (same defaults): the `T-lease` experiment — run
-//! RN-Tree on the Tapestry substrate (the most placement-skewed overlay)
-//! three ways: reassign-on-death, leases + hash placement, and leases +
-//! load-aware placement; compares load fairness and wait times. `--lease-*`
-//! override the default ttl 600 / renew 150 / grace 60.
-//!
-//! bench stream options (same defaults): the `T-stream` experiment — run the
-//! same replicated cell under the Null, JSONL, and binary observers, report
-//! events/sec, bytes, and the JSONL-vs-binary size ratio, assert the binary
-//! stream is strictly cheaper than JSONL (bytes and wall time), and verify
-//! the online sketch percentiles match the post-hoc report within one
-//! log₂ bucket; `--json` writes the comparison for the CI artifact.
-//!
-//! bench scale options (defaults: sizes 1k/10k/100k, 1 replication): the
-//! `T-scale` experiment — measure the simulation kernel at increasing grid
-//! sizes, reporting setup time (workload + engine construction including
-//! overlay bootstrap), steady-state events/sec, peak RSS, and the ratio
-//! over the 96-node `bench sweep` baseline extrapolated linearly to each
-//! size. `--nodes` takes a single size or a comma-separated ladder
-//! (e.g. `--nodes 1000,10000,100000,1000000`); `--jobs` pins the job
-//! count (default: nodes/10, at least 400); `--min-events-per-sec` makes
-//! the run exit non-zero if any size falls below the floor (the CI
-//! regression guard); `--json` writes the points for the CI artifact.
-//! `--threads 1,2,4,8` additionally measures each size on the sharded
-//! conservative-window kernel at every listed worker count, recording
-//! events/sec and the parallel speedup over the one-thread sharded run;
-//! `--min-speedup X` exits non-zero when the highest thread count falls
-//! below `X`× (speedup floors only make sense on multi-core runners).
-//!
-//! bench scenarios options (defaults: 16 replications): the `T-scenario`
-//! experiment — run every matchmaker family (central, rn-tree on each
-//! substrate, can, pub-sub) over the production-shaped scenario presets
-//! (or the one spec `--scenario-file` names) and compare wait times,
-//! completion, and per-tenant fairness under flash crowds, correlated
-//! outages, and diurnal load; `--json` writes the comparison (including
-//! the per-tenant breakdown) for the CI artifact.
 //! ```
 //!
 //! `run` executes one cell and prints the report (`--replications R` fans R
 //! seeds out over the work-stealing pool and averages them); `compare` runs
-//! every algorithm on the same workload and prints a comparison table;
-//! `report` renders a per-phase wait-time decomposition from a recorded
-//! event stream; `check` fuzzes randomized fault scenarios under every
-//! matchmaker against the invariant oracles in `dgrid-check` (seeds checked
-//! in parallel), shrinking any violation to a minimal replayable artifact;
-//! `bench sweep` times one replicated cell at increasing thread counts and
-//! reports the speedup over one thread, verifying byte-identical reports.
+//! every algorithm on the same workload and replications and prints a
+//! comparison table (with `--scenario-file`, per-tenant fairness and waits
+//! too); `report` renders a per-phase wait-time decomposition from a
+//! recorded event stream; `check` fuzzes randomized fault scenarios under
+//! every matchmaker against the invariant oracles in `dgrid-check` (seeds
+//! checked in parallel), shrinking any violation to a minimal replayable
+//! artifact. Host time is measured by `benchmark/` alone.
 //!
 //! All replicated work is deterministic: results are merged in input order,
 //! so the same seed yields the same bytes at any `--threads` setting.
 
+use std::fmt::Display;
+use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::str::FromStr;
 
-use dgrid::core::router::{PastryNetwork, TapestryNetwork};
 use dgrid::core::{
     binary_to_jsonl, decode_stream, jsonl_to_binary, parse_jsonl_line, phase_samples, sniff_format,
     BinaryObserver, ChurnConfig, Engine, EngineConfig, FaultPlan, JobDag, JobSpan, JsonlObserver,
-    Phase, PlacementPolicy, RnTreeConfig, RnTreeMatchmaker, SimReport, SpanAssembler, SpanOutcome,
-    StreamAnalytics, StreamDecoder, StreamFormat,
+    Phase, PlacementPolicy, RnTreeConfig, SimReport, SpanAssembler, SpanOutcome, StreamAnalytics,
+    StreamDecoder, StreamFormat,
 };
-use dgrid::harness::Algorithm;
+use dgrid::harness::{mean_over, Algorithm, CellResult};
 use dgrid::sim::hist::LogHistogram;
+use dgrid::sim::stats::{OnlineStats, SampleSummary};
 use dgrid::sim::telemetry::TimeSeries;
 use dgrid::sim::{SimDuration, SimTime};
 use dgrid::workloads::{
-    paper_scenario, scenario_preset, PaperScenario, ScenarioSpec, Workload, SCENARIO_PRESETS,
+    paper_scenario, scenario_preset, PaperScenario, ScenarioSpec, SCENARIO_PRESETS,
 };
 
 #[derive(Clone, Debug)]
@@ -200,17 +150,7 @@ struct Opts {
     inject_bug: Option<String>,
     matchmakers: Option<String>,
     threads: Option<usize>,
-    /// `bench scale` only: the worker-thread ladder from
-    /// `--threads N[,N...]` (a bare `--threads N` is a one-point ladder).
-    thread_axis: Option<Vec<usize>>,
     replications: usize,
-    /// `bench scale` only: the grid-size ladder from `--nodes N[,N...]`.
-    sizes: Option<Vec<usize>>,
-    /// `bench scale` only: the regression-guard throughput floor.
-    min_events_per_sec: Option<f64>,
-    /// `bench scale` only: the regression-guard floor on the sharded
-    /// kernel's parallel speedup at the highest measured thread count.
-    min_speedup: Option<f64>,
     lease_ttl: Option<f64>,
     lease_renew: Option<f64>,
     lease_grace: Option<f64>,
@@ -228,8 +168,7 @@ fn usage() -> ! {
     let scenarios = PaperScenario::ALL.map(PaperScenario::label).join(" ");
     let presets = SCENARIO_PRESETS.join(" ");
     eprintln!(
-        "usage: dgrid <run|compare|report|watch|events convert|check|bench \
-         sweep|bench overlays|bench leases|bench stream|bench scale|bench scenarios> \
+        "usage: dgrid <run|compare|report|watch|events convert|check> \
          [--algorithm A] [--scenario S] [--scenario-file PRESET|SPEC.json] \
          [--nodes N] [--jobs M] [--seed S] [--threads N] [--replications R] [--mttf SECS] \
          [--rejoin SECS] [--graceful FRAC] \
@@ -238,13 +177,56 @@ fn usage() -> ! {
          [--placement hash|load-aware] [--events PATH] [--format jsonl|binary] \
          [--to jsonl|binary] [--follow] [--window SECS] [--refresh SECS] [--idle-exit SECS] \
          [--timeseries PATH] [--sample-secs SECS] [--timeline N] [--width W] [--json PATH] \
-         [--seeds N] [--out PATH] [--replay PATH] [--inject-bug NAME] [--matchmaker M[,M...]] \
-         [--min-events-per-sec F] [--min-speedup X]\n\
+         [--seeds N] [--out PATH] [--replay PATH] [--inject-bug NAME] [--matchmaker M[,M...]]\n\
          algorithms: rn-tree rn-tree@pastry rn-tree@tapestry can can-push can-novirt central pub-sub\n\
          scenarios : {scenarios}\n\
          presets   : {presets} (for --scenario-file; or a JSON spec path)"
     );
     std::process::exit(2)
+}
+
+/// One line on stderr and exit code 2: the invocation cannot be carried out.
+fn die(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// A flag whose value does not parse names itself before the usage block.
+fn bad_flag(flag: &str, val: &str, want: &str) -> ! {
+    eprintln!("{flag}: {val:?} is not {want}");
+    usage()
+}
+
+/// The value of `flag`, parsed; `want` completes "is not ..." on failure.
+fn arg<T: FromStr>(flag: &str, val: &str, want: &str) -> T {
+    val.parse().unwrap_or_else(|_| bad_flag(flag, val, want))
+}
+
+/// A count that must be at least 1.
+fn positive(flag: &str, val: &str) -> usize {
+    match arg(flag, val, "a number") {
+        0 => bad_flag(flag, val, "at least 1"),
+        n => n,
+    }
+}
+
+/// The value of a flag `command` cannot run without.
+fn required<'a>(value: &'a Option<String>, command: &str, flag: &str) -> &'a str {
+    value.as_deref().unwrap_or_else(|| {
+        eprintln!("dgrid {command} requires {flag}");
+        usage()
+    })
+}
+
+/// An unusable file is one line and exit code 2, never a panic.
+trait OrExit<T> {
+    fn or_exit(self, path: impl Display, what: &str) -> T;
+}
+
+impl<T, E: Display> OrExit<T> for Result<T, E> {
+    fn or_exit(self, path: impl Display, what: &str) -> T {
+        self.unwrap_or_else(|e| die(format_args!("cannot {what} {path}: {e}")))
+    }
 }
 
 fn parse_algorithm(s: &str) -> Algorithm {
@@ -257,7 +239,7 @@ fn parse_algorithm(s: &str) -> Algorithm {
         "can-novirt" => Algorithm::CanNoVirtualDim,
         "central" | "centralized" => Algorithm::Central,
         "pub-sub" | "pubsub" => Algorithm::PubSub,
-        _ => usage(),
+        _ => bad_flag("--algorithm", s, "an algorithm"),
     }
 }
 
@@ -265,11 +247,8 @@ fn parse_algorithm(s: &str) -> Algorithm {
 /// accepted labels (and the error text) always match `PaperScenario::ALL`.
 fn parse_scenario(s: &str) -> PaperScenario {
     PaperScenario::from_label(s).unwrap_or_else(|| {
-        eprintln!(
-            "unknown --scenario {s:?} (known: {})",
-            PaperScenario::ALL.map(PaperScenario::label).join(", ")
-        );
-        std::process::exit(2);
+        let known = PaperScenario::ALL.map(PaperScenario::label).join(", ");
+        die(format_args!("unknown --scenario {s:?} (known: {known})"))
     })
 }
 
@@ -280,34 +259,30 @@ fn parse_scenario_file(val: &str) -> ScenarioSpec {
         return spec;
     }
     let json = std::fs::read_to_string(val).unwrap_or_else(|e| {
-        eprintln!(
-            "--scenario-file {val:?}: not a preset (known: {}) and not a readable file: {e}",
-            SCENARIO_PRESETS.join(", ")
-        );
-        std::process::exit(2);
+        let known = SCENARIO_PRESETS.join(", ");
+        die(format_args!(
+            "--scenario-file {val:?}: not a preset (known: {known}) and not a readable file: {e}"
+        ))
     });
-    ScenarioSpec::from_json(&json).unwrap_or_else(|e| {
-        eprintln!("--scenario-file {val}: {e}");
-        std::process::exit(2);
-    })
+    ScenarioSpec::from_json(&json)
+        .unwrap_or_else(|e| die(format_args!("--scenario-file {val}: {e}")))
 }
 
 /// `START:END:ID[,ID...]` — a scheduled partition isolating the listed nodes.
 fn parse_partition(s: &str) -> (f64, f64, Vec<u32>) {
     let parts: Vec<&str> = s.splitn(3, ':').collect();
     if parts.len() != 3 {
-        usage();
+        bad_flag("--partition", s, "START:END:ID[,ID...]");
     }
-    let start: f64 = parts[0].parse().unwrap_or_else(|_| usage());
-    let end: f64 = parts[1].parse().unwrap_or_else(|_| usage());
-    let island: Vec<u32> = parts[2]
+    let island = parts[2]
         .split(',')
-        .map(|id| id.parse().unwrap_or_else(|_| usage()))
+        .map(|id| arg("--partition", id, "a node id"))
         .collect();
-    if island.is_empty() {
-        usage();
-    }
-    (start, end, island)
+    (
+        arg("--partition", parts[0], "a number"),
+        arg("--partition", parts[1], "a number"),
+        island,
+    )
 }
 
 fn parse() -> Opts {
@@ -346,54 +321,26 @@ fn parse() -> Opts {
         inject_bug: None,
         matchmakers: None,
         threads: None,
-        thread_axis: None,
         replications: 1,
-        sizes: None,
-        min_events_per_sec: None,
-        min_speedup: None,
         lease_ttl: None,
         lease_renew: None,
         lease_grace: None,
         placement: None,
         scenario_spec: None,
     };
-    if opts.command != "run"
-        && opts.command != "compare"
-        && opts.command != "report"
-        && opts.command != "watch"
-        && opts.command != "events"
-        && opts.command != "check"
-        && opts.command != "bench"
-    {
-        usage();
-    }
     let mut i = 1;
-    if opts.command == "bench" {
-        // Flags follow the subcommand. Defaults drop to the quick bench
-        // scale so a sweep finishes in seconds.
-        match args.get(1).map(String::as_str) {
-            Some(sub @ ("sweep" | "overlays" | "leases" | "stream" | "scale" | "scenarios")) => {
-                opts.command = format!("bench-{sub}")
-            }
-            _ => usage(),
+    match (opts.command.as_str(), args.get(1).map(String::as_str)) {
+        ("run" | "compare" | "report" | "watch" | "check", _) => {}
+        ("events", Some("convert")) => {
+            opts.command = "events-convert".to_string();
+            i = 2;
         }
-        opts.nodes = 96;
-        opts.jobs = 400;
-        opts.replications = 16;
-        if opts.command == "bench-scale" {
-            // Scale points run sequentially over the size ladder; `jobs == 0`
-            // means "scale the job count with the grid" (nodes/10, min 400).
-            opts.jobs = 0;
-            opts.replications = 1;
-        }
-        i = 2;
-    }
-    if opts.command == "events" {
-        match args.get(1).map(String::as_str) {
-            Some("convert") => opts.command = "events-convert".to_string(),
-            _ => usage(),
-        }
-        i = 2;
+        ("bench", _) => die(
+            "dgrid bench is gone: host time is measured by `cargo run --release \
+             --manifest-path benchmark/Cargo.toml`, and the simulated tables come \
+             from `dgrid compare --replications R`",
+        ),
+        _ => usage(),
     }
     while i < args.len() {
         let flag = args[i].as_str();
@@ -403,98 +350,104 @@ fn parse() -> Opts {
             i += 1;
             continue;
         }
-        let val = args.get(i + 1).unwrap_or_else(|| usage()).clone();
+        let Some(val) = args.get(i + 1).cloned() else {
+            eprintln!("{flag}: unknown flag, or its value is missing");
+            usage();
+        };
+        let num = "a number";
         match flag {
             "--algorithm" => opts.algorithm = parse_algorithm(&val),
             "--scenario" => opts.scenario = parse_scenario(&val),
             "--scenario-file" => opts.scenario_spec = Some(parse_scenario_file(&val)),
-            "--nodes" if opts.command == "bench-scale" => {
-                opts.sizes = Some(
-                    val.split(',')
-                        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                        .collect(),
-                )
-            }
-            "--nodes" => opts.nodes = val.parse().unwrap_or_else(|_| usage()),
-            "--jobs" => opts.jobs = val.parse().unwrap_or_else(|_| usage()),
-            "--seed" => opts.seed = val.parse().unwrap_or_else(|_| usage()),
-            "--mttf" => opts.mttf = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--rejoin" => opts.rejoin = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--graceful" => opts.graceful = val.parse().unwrap_or_else(|_| usage()),
-            "--k" => opts.k = val.parse().unwrap_or_else(|_| usage()),
-            "--loss" => opts.loss = val.parse().unwrap_or_else(|_| usage()),
+            "--nodes" => opts.nodes = arg(flag, &val, num),
+            "--jobs" => opts.jobs = arg(flag, &val, num),
+            "--seed" => opts.seed = arg(flag, &val, num),
+            "--mttf" => opts.mttf = Some(arg(flag, &val, num)),
+            "--rejoin" => opts.rejoin = Some(arg(flag, &val, num)),
+            "--graceful" => opts.graceful = arg(flag, &val, num),
+            "--k" => opts.k = arg(flag, &val, num),
+            "--loss" => opts.loss = arg(flag, &val, num),
             "--partition" => opts.partitions.push(parse_partition(&val)),
             "--events" => opts.events = Some(val),
-            "--format" => opts.format = val.parse().unwrap_or_else(|_| usage()),
-            "--to" => opts.to_format = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--window" => opts.window_secs = val.parse().unwrap_or_else(|_| usage()),
-            "--refresh" => opts.refresh_secs = val.parse().unwrap_or_else(|_| usage()),
-            "--idle-exit" => opts.idle_exit = Some(val.parse().unwrap_or_else(|_| usage())),
+            "--format" => opts.format = arg(flag, &val, "jsonl or binary"),
+            "--to" => opts.to_format = Some(arg(flag, &val, "jsonl or binary")),
+            "--window" => opts.window_secs = arg(flag, &val, num),
+            "--refresh" => opts.refresh_secs = arg(flag, &val, num),
+            "--idle-exit" => opts.idle_exit = Some(arg(flag, &val, num)),
             "--timeseries" => opts.timeseries = Some(val),
-            "--sample-secs" => opts.sample_secs = val.parse().unwrap_or_else(|_| usage()),
-            "--timeline" => opts.timeline = val.parse().unwrap_or_else(|_| usage()),
-            "--width" => opts.width = val.parse().unwrap_or_else(|_| usage()),
+            "--sample-secs" => opts.sample_secs = arg(flag, &val, num),
+            "--timeline" => opts.timeline = arg(flag, &val, num),
+            "--width" => opts.width = arg(flag, &val, num),
             "--json" => opts.json = Some(val),
-            "--seeds" => opts.seeds = val.parse().unwrap_or_else(|_| usage()),
+            "--seeds" => opts.seeds = arg(flag, &val, num),
             "--out" => opts.out = Some(val),
             "--replay" => opts.replay = Some(val),
             "--inject-bug" => opts.inject_bug = Some(val),
             "--matchmaker" => opts.matchmakers = Some(val),
-            "--lease-ttl" => opts.lease_ttl = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--lease-renew" => opts.lease_renew = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--lease-grace" => opts.lease_grace = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--placement" => opts.placement = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--min-events-per-sec" => {
-                opts.min_events_per_sec = Some(val.parse().unwrap_or_else(|_| usage()))
+            "--lease-ttl" => opts.lease_ttl = Some(arg(flag, &val, num)),
+            "--lease-renew" => opts.lease_renew = Some(arg(flag, &val, num)),
+            "--lease-grace" => opts.lease_grace = Some(arg(flag, &val, num)),
+            "--placement" => opts.placement = Some(arg(flag, &val, "hash or load-aware")),
+            "--threads" => opts.threads = Some(positive(flag, &val)),
+            "--replications" => opts.replications = positive(flag, &val),
+            _ => {
+                eprintln!("unknown flag {flag}");
+                usage();
             }
-            "--min-speedup" => opts.min_speedup = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--threads" => {
-                // A comma list is the `bench scale` thread ladder; a bare
-                // count drives every other command. Either way `threads`
-                // carries the highest count for the pool install.
-                let axis: Vec<usize> = val
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if axis.is_empty() || axis.contains(&0) {
-                    usage();
-                }
-                opts.threads = Some(*axis.iter().max().expect("non-empty axis"));
-                opts.thread_axis = Some(axis);
-            }
-            "--replications" => {
-                let n: usize = val.parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                opts.replications = n;
-            }
-            _ => usage(),
         }
         i += 2;
     }
     opts
 }
 
-/// The fault plan described by `--loss` / `--partition`, or `None` when the
-/// flags were not given (keeping the engine on its bit-exact fault-free path).
-fn fault_plan(opts: &Opts) -> Option<FaultPlan> {
-    if opts.loss == 0.0 && opts.partitions.is_empty() {
-        return None;
-    }
-    let mut plan = if opts.loss > 0.0 {
-        FaultPlan::with_loss(opts.loss)
-    } else {
-        FaultPlan::none()
-    };
+/// The fault plan `--loss` / `--partition` describe: none without them,
+/// which keeps the engine on its bit-exact fault-free path.
+fn fault_plan(opts: &Opts) -> FaultPlan {
+    let mut plan = FaultPlan::with_loss(opts.loss.max(0.0));
     for (start, end, island) in &opts.partitions {
         plan = plan.with_partition(*start, *end, island.clone());
     }
-    Some(plan)
+    plan
 }
 
-/// Apply the `--lease-*` / `--placement` flags onto an engine config.
-fn apply_lease_flags(opts: &Opts, cfg: &mut EngineConfig) {
+/// One engine for `(opts, algorithm, seed)`, with `--k` and the `--lease-*`
+/// flags applied. With `--scenario-file` the spec compiled at `seed`
+/// supplies the workload, churn, fault plan, availability schedule and
+/// horizon, as in `dgrid_check::spec_engine`, so what the checker judges is
+/// exactly what `run --scenario-file` executes; otherwise they come from
+/// the classic paper-scenario knobs. `run --threads N` also parallelizes
+/// *inside* the replication: the sharded conservative-window kernel with
+/// the pinned shard count, so the same seed yields the same bytes at any N
+/// (replication fan-out and shard batches share the pool).
+fn engine_for(opts: &Opts, algorithm: Algorithm, seed: u64) -> Engine {
+    let (workload, churn, schedule, plan, horizon_secs) = match &opts.scenario_spec {
+        Some(spec) => {
+            let c = spec.compile(seed);
+            (
+                c.workload,
+                c.churn,
+                c.schedule,
+                c.fault_plan,
+                c.horizon_secs,
+            )
+        }
+        None => (
+            paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed),
+            ChurnConfig {
+                mttf_secs: opts.mttf,
+                rejoin_after_secs: opts.rejoin,
+                graceful_fraction: opts.graceful,
+            },
+            Vec::new(),
+            fault_plan(opts),
+            5_000_000.0,
+        ),
+    };
+    let mut cfg = EngineConfig {
+        seed,
+        max_sim_secs: horizon_secs,
+        ..EngineConfig::default()
+    };
     if let Some(ttl) = opts.lease_ttl {
         cfg.lease_ttl_secs = Some(ttl);
         cfg.lease_renew_secs = opts.lease_renew.unwrap_or(cfg.lease_renew_secs);
@@ -503,94 +456,27 @@ fn apply_lease_flags(opts: &Opts, cfg: &mut EngineConfig) {
         // the paper-faithful hash placement unless --placement says otherwise.
         cfg.placement = Some(opts.placement.unwrap_or(PlacementPolicy::Hash));
     }
-}
-
-/// The matchmaker `(algorithm, --k)` selects: RN-Tree variants honor the
-/// extended-search width, everything else builds its defaults.
-fn matchmaker_for(opts: &Opts, algorithm: Algorithm) -> Box<dyn dgrid::core::Matchmaker> {
-    let rn_cfg = RnTreeConfig {
+    // `--k` is the RN-Tree variants' extended-search width.
+    let rn = RnTreeConfig {
         k: opts.k,
         ..RnTreeConfig::default()
     };
-    match algorithm {
-        Algorithm::RnTree => Box::new(RnTreeMatchmaker::new(rn_cfg)),
-        Algorithm::RnTreePastry => {
-            Box::new(RnTreeMatchmaker::<PastryNetwork>::on_substrate(rn_cfg))
-        }
-        Algorithm::RnTreeTapestry => {
-            Box::new(RnTreeMatchmaker::<TapestryNetwork>::on_substrate(rn_cfg))
-        }
-        _ => algorithm.matchmaker(),
-    }
-}
-
-/// Assemble one engine for `(opts, algorithm, workload)` with the options'
-/// churn, `--k`, and fault plan applied, but `seed` taken explicitly so
-/// replicated runs can vary it.
-fn build_engine(opts: &Opts, algorithm: Algorithm, workload: &Workload, seed: u64) -> Engine {
-    let mut cfg = EngineConfig {
-        seed,
-        max_sim_secs: 5_000_000.0,
-        ..EngineConfig::default()
-    };
-    apply_lease_flags(opts, &mut cfg);
-    let churn = ChurnConfig {
-        mttf_secs: opts.mttf,
-        rejoin_after_secs: opts.rejoin,
-        graceful_fraction: opts.graceful,
-    };
-    let mut engine = Engine::new(
-        cfg,
-        churn,
-        matchmaker_for(opts, algorithm),
-        workload.nodes.clone(),
-        workload.submissions.clone(),
-    );
-    if let Some(plan) = fault_plan(opts) {
-        engine.set_fault_plan(plan);
-    }
-    engine
-}
-
-/// Assemble one engine from a declarative [`ScenarioSpec`] compiled at
-/// `seed`: the spec supplies the workload, churn, fault plan, availability
-/// schedule, and horizon; the CLI's `--k` and `--lease-*` flags still
-/// apply. Mirrors `dgrid_check::run_spec`, so what the checker judges is
-/// exactly what `run --scenario-file` executes.
-fn build_spec_engine(opts: &Opts, algorithm: Algorithm, spec: &ScenarioSpec, seed: u64) -> Engine {
-    let compiled = spec.compile(seed);
-    let mut cfg = EngineConfig {
-        seed,
-        max_sim_secs: compiled.horizon_secs,
-        ..EngineConfig::default()
-    };
-    apply_lease_flags(opts, &mut cfg);
     let mut engine = Engine::with_dag_and_schedule(
         cfg,
-        compiled.churn,
-        matchmaker_for(opts, algorithm),
-        compiled.workload.nodes,
-        compiled.workload.submissions,
+        churn,
+        algorithm.matchmaker_with(rn),
+        workload.nodes,
+        workload.submissions,
         JobDag::none(),
-        compiled.schedule,
+        schedule,
     );
-    if !compiled.fault_plan.is_none() {
-        engine.set_fault_plan(compiled.fault_plan);
+    if !plan.is_none() {
+        engine.set_fault_plan(plan);
+    }
+    if opts.command == "run" && opts.threads.is_some() {
+        engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
     }
     engine
-}
-
-/// One engine for `(opts, algorithm, seed)`: compiled from the declarative
-/// spec when `--scenario-file` was given, otherwise generated from the
-/// classic paper scenario knobs.
-fn engine_for(opts: &Opts, algorithm: Algorithm, seed: u64) -> Engine {
-    match &opts.scenario_spec {
-        Some(spec) => build_spec_engine(opts, algorithm, spec, seed),
-        None => {
-            let workload = paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed);
-            build_engine(opts, algorithm, &workload, seed)
-        }
-    }
 }
 
 /// The stream observer `--format` selects, writing into `sink`.
@@ -604,24 +490,13 @@ fn stream_observer<W: Write + 'static>(
     }
 }
 
-fn run_one(opts: &Opts, algorithm: Algorithm, tracing: bool) -> SimReport {
-    let mut engine = engine_for(opts, algorithm, opts.seed);
-    // `run --threads N` parallelizes *inside* the replication: the sharded
-    // conservative-window kernel with the pinned shard count, so the same
-    // seed yields the same bytes at any N.
-    if opts.command == "run" && opts.threads.is_some() {
-        engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
+/// Seeds of the `--replications R` replications: `--seed` itself at R = 1,
+/// else `seed ^ 1 ..= seed ^ R` (the `run_cell` scheme).
+fn replication_seeds(opts: &Opts) -> Vec<u64> {
+    match opts.replications as u64 {
+        1 => vec![opts.seed],
+        n => (1..=n).map(|r| opts.seed ^ r).collect(),
     }
-    if tracing {
-        if let Some(path) = &opts.events {
-            let f = std::fs::File::create(path).expect("create events output");
-            engine.set_observer(stream_observer(opts.format, BufWriter::new(f)));
-        }
-        if opts.timeseries.is_some() {
-            engine.set_timeseries_sampling(SimDuration::from_secs_f64(opts.sample_secs));
-        }
-    }
-    engine.run()
 }
 
 /// A `Write` handle whose buffer survives the observer that consumes it, so
@@ -642,91 +517,57 @@ impl Write for SharedSink {
     }
 }
 
-/// Run one replication with its own seed (workload regenerated from that
-/// seed, matching `harness::run_cell`), optionally capturing its event
-/// stream (in the `--format` of choice) in memory.
-fn run_replication(
-    opts: &Opts,
-    algorithm: Algorithm,
-    seed: u64,
-    capture_events: bool,
-) -> (SimReport, Vec<u8>) {
-    let mut engine = engine_for(opts, algorithm, seed);
-    // With `--threads`, replication-level fan-out and shard-level execution
-    // share the pool (each nested shard batch gets a slice of the budget).
-    if opts.command == "run" && opts.threads.is_some() {
-        engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
-    }
-    let sink = SharedSink::default();
-    if capture_events {
-        engine.set_observer(stream_observer(opts.format, sink.clone()));
-    }
-    let report = engine.run();
-    let events = sink.0.take();
-    (report, events)
-}
-
-/// `run --replications R` (R > 1): fan R seeds (`seed ^ 1 ..= seed ^ R`,
-/// the `run_cell` scheme) out over the pool, print a per-replication table
-/// plus the averages, and write the concatenated event streams — in
+/// `run --replications R` (R > 1): fan the R seeds out over the pool, print
+/// a per-replication table plus the averages, and write the concatenated
+/// event streams (each captured in memory, in the `--format` of choice) in
 /// replication order, so the file is identical at any thread count.
 fn run_replicated(opts: &Opts) -> Vec<SimReport> {
     use rayon::prelude::*;
 
-    let capture = opts.events.is_some();
-    let results: Vec<(SimReport, Vec<u8>)> = (0..opts.replications as u64)
+    let seeds = replication_seeds(opts);
+    let (reports, streams): (Vec<SimReport>, Vec<Vec<u8>>) = seeds
+        .clone()
         .into_par_iter()
-        .map(|r| run_replication(opts, opts.algorithm, opts.seed ^ (r + 1), capture))
-        .collect();
+        .map(|seed| {
+            let mut engine = engine_for(opts, opts.algorithm, seed);
+            let sink = SharedSink::default();
+            if opts.events.is_some() {
+                engine.set_observer(stream_observer(opts.format, sink.clone()));
+            }
+            (engine.run(), sink.0.take())
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .unzip();
 
-    println!(
-        "{:>4} {:>12} {:>10} {:>10} {:>10} {:>11}",
-        "rep", "seed", "mean wait", "std wait", "hops/job", "completion"
-    );
-    for (r, (report, _)) in results.iter().enumerate() {
+    println!(" rep         seed  mean wait   std wait   hops/job  completion");
+    let row = |rep: &str, seed: &str, cell: CellResult| {
         println!(
-            "{:>4} {:>12} {:>9.1}s {:>9.1}s {:>10.1} {:>10.1}%",
-            r,
-            opts.seed ^ (r as u64 + 1),
-            report.mean_wait(),
-            report.std_wait(),
-            report.match_hops.mean() + report.owner_hops.mean(),
-            100.0 * report.completion_rate(),
-        );
+            "{rep:>4} {seed:>12} {:>9.1}s {:>9.1}s {:>10.1} {:>10.1}%",
+            cell.mean_wait,
+            cell.std_wait,
+            cell.mean_match_hops + cell.mean_owner_hops,
+            100.0 * cell.completion_rate,
+        )
+    };
+    for (r, (report, seed)) in reports.iter().zip(&seeds).enumerate() {
+        let cell = CellResult::from_reports(std::slice::from_ref(report));
+        row(&r.to_string(), &seed.to_string(), cell);
     }
-    let n = results.len() as f64;
-    println!(
-        "{:>4} {:>12} {:>9.1}s {:>9.1}s {:>10.1} {:>10.1}%",
-        "mean",
-        "-",
-        results.iter().map(|(r, _)| r.mean_wait()).sum::<f64>() / n,
-        results.iter().map(|(r, _)| r.std_wait()).sum::<f64>() / n,
-        results
-            .iter()
-            .map(|(r, _)| r.match_hops.mean() + r.owner_hops.mean())
-            .sum::<f64>()
-            / n,
-        100.0
-            * results
-                .iter()
-                .map(|(r, _)| r.completion_rate())
-                .sum::<f64>()
-            / n,
-    );
+    row("mean", "-", CellResult::from_reports(&reports));
 
     if let Some(path) = &opts.events {
-        let f = std::fs::File::create(path).expect("create events output");
-        let mut w = BufWriter::new(f);
-        for (_, events) in &results {
-            w.write_all(events).expect("write event stream");
+        let mut w = BufWriter::new(File::create(path).or_exit(path, "create"));
+        for events in &streams {
+            w.write_all(events).or_exit(path, "write");
         }
-        w.flush().expect("flush event stream");
+        w.flush().or_exit(path, "write");
         eprintln!(
             "wrote {} concatenated event stream(s) to {path}",
-            results.len()
+            streams.len()
         );
     }
-    results.into_iter().map(|(r, _)| r).collect()
+    reports
 }
 
 fn print_report(r: &SimReport) {
@@ -781,19 +622,30 @@ fn print_report(r: &SimReport) {
     }
 }
 
-/// Per-tenant wait breakdown for a scenario run. Tenant `i` submits as
-/// engine client `i`, so the report's per-client accumulators are the
-/// per-tenant accumulators under their spec names.
-fn print_tenant_breakdown(r: &SimReport, spec: &ScenarioSpec) {
-    println!("tenant fairness  : {:>10.3}", r.tenant_fairness());
+/// Per-tenant wait breakdown for the replications of a scenario run.
+/// Tenant `i` submits as engine client `i`, so the reports' per-client
+/// accumulators are the per-tenant accumulators under their spec names;
+/// across replications the fairness index is averaged and each tenant's
+/// accumulators are pooled (counts add, means combine count-weighted).
+fn print_tenant_breakdown(reports: &[SimReport], spec: &ScenarioSpec) {
+    println!(
+        "tenant fairness  : {:>10.3}",
+        mean_over(reports, SimReport::tenant_fairness)
+    );
     for (i, t) in spec.tenants.iter().enumerate() {
-        let (jobs, mean) = r
-            .client_waits
-            .get(&(i as u32))
-            .map_or((0, 0.0), |s| (s.count(), s.mean()));
+        let mut pooled = OnlineStats::new();
+        for s in reports
+            .iter()
+            .filter_map(|r| r.client_waits.get(&(i as u32)))
+        {
+            pooled.merge(s);
+        }
         println!(
             "  {:<15}: {:>6} job(s) waited, mean wait {:.1} s (weight {})",
-            t.name, jobs, mean, t.weight
+            t.name,
+            pooled.count(),
+            pooled.mean(),
+            t.weight
         );
     }
 }
@@ -802,35 +654,20 @@ fn print_tenant_breakdown(r: &SimReport, spec: &ScenarioSpec) {
 /// from the magic bytes), so every existing `report` recipe keeps working
 /// when the stream was recorded with `--format binary`.
 fn spans_from_events(path: &str) -> Vec<JobSpan> {
-    let bytes = std::fs::read(path).expect("read events file");
+    let bytes = std::fs::read(path).or_exit(path, "read");
+    let records = match sniff_format(&bytes) {
+        StreamFormat::Binary => decode_stream(&bytes).or_exit(path, "decode"),
+        StreamFormat::Jsonl => (String::from_utf8(bytes).or_exit(path, "read"))
+            .lines()
+            .enumerate()
+            .filter_map(|(n, line)| {
+                parse_jsonl_line(line).or_exit(format_args!("{path}:{}", n + 1), "parse")
+            })
+            .collect(),
+    };
     let mut assembler = SpanAssembler::new();
-    match sniff_format(&bytes) {
-        StreamFormat::Binary => {
-            let records = decode_stream(&bytes).unwrap_or_else(|e| {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            });
-            for rec in records {
-                assembler.observe(SimTime::ZERO + SimDuration::from_nanos(rec.t_ns), rec.event);
-            }
-        }
-        StreamFormat::Jsonl => {
-            let text = String::from_utf8(bytes).unwrap_or_else(|_| {
-                eprintln!("{path}: not valid UTF-8 (and not a binary event stream)");
-                std::process::exit(1);
-            });
-            for (lineno, line) in text.lines().enumerate() {
-                match parse_jsonl_line(line) {
-                    Ok(Some(rec)) => assembler
-                        .observe(SimTime::ZERO + SimDuration::from_nanos(rec.t_ns), rec.event),
-                    Ok(None) => {}
-                    Err(e) => {
-                        eprintln!("{path}:{}: {e}", lineno + 1);
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
+    for rec in records {
+        assembler.observe(SimTime::ZERO + SimDuration::from_nanos(rec.t_ns), rec.event);
     }
     assembler.finish()
 }
@@ -867,10 +704,7 @@ fn timeline_bar(span: &JobSpan, width: usize) -> String {
 }
 
 fn cmd_report(opts: &Opts) {
-    let Some(events) = &opts.events else {
-        eprintln!("dgrid report requires --events PATH");
-        usage();
-    };
+    let events = required(&opts.events, "report", "--events PATH");
     let spans = spans_from_events(events);
     let completed = spans
         .iter()
@@ -939,8 +773,8 @@ fn cmd_report(opts: &Opts) {
 
     // Gauge sparklines from a recorded time series.
     if let Some(path) = &opts.timeseries {
-        let f = std::fs::File::open(path).expect("open timeseries file");
-        let ts: TimeSeries = serde_json::from_reader(f).expect("parse timeseries file");
+        let f = File::open(path).or_exit(path, "open");
+        let ts: TimeSeries = serde_json::from_reader(f).or_exit(path, "parse");
         println!();
         println!(
             "grid gauges over virtual time ({} samples, every {:.0}s)",
@@ -968,50 +802,33 @@ fn cmd_report(opts: &Opts) {
 /// layer, which validates the stream and normalizes a concatenated
 /// multi-replication binary file down to a single header.
 fn cmd_events_convert(opts: &Opts) {
-    let Some(input) = &opts.events else {
-        eprintln!("dgrid events convert requires --events IN");
-        usage();
-    };
-    let Some(output) = &opts.out else {
-        eprintln!("dgrid events convert requires --out OUT");
-        usage();
-    };
-    let bytes = std::fs::read(input).expect("read input stream");
+    let input = required(&opts.events, "events convert", "--events IN");
+    let output = required(&opts.out, "events convert", "--out OUT");
+    let bytes = std::fs::read(input).or_exit(input, "read");
     let from = sniff_format(&bytes);
     let to = opts.to_format.unwrap_or(match from {
         StreamFormat::Jsonl => StreamFormat::Binary,
         StreamFormat::Binary => StreamFormat::Jsonl,
     });
-    let fail = |e: dgrid::core::StreamError| -> ! {
-        eprintln!("{input}: {e}");
-        std::process::exit(1);
-    };
-    let as_text = |bytes: Vec<u8>| -> String {
-        String::from_utf8(bytes).unwrap_or_else(|_| {
-            eprintln!("{input}: not valid UTF-8 (and not a binary event stream)");
-            std::process::exit(1);
-        })
-    };
+    let in_len = bytes.len();
     let out_bytes: Vec<u8> = match (from, to) {
         (StreamFormat::Jsonl, StreamFormat::Binary) => {
-            jsonl_to_binary(&as_text(bytes)).unwrap_or_else(|e| fail(e))
+            let text = String::from_utf8(bytes).or_exit(input, "read");
+            jsonl_to_binary(&text).or_exit(input, "decode")
         }
         (StreamFormat::Binary, StreamFormat::Jsonl) => binary_to_jsonl(&bytes)
-            .unwrap_or_else(|e| fail(e))
+            .or_exit(input, "decode")
             .into_bytes(),
         (StreamFormat::Binary, StreamFormat::Binary) => {
-            let records = decode_stream(&bytes).unwrap_or_else(|e| fail(e));
-            dgrid::core::encode_events(&records)
+            dgrid::core::encode_events(&decode_stream(&bytes).or_exit(input, "decode"))
         }
         (StreamFormat::Jsonl, StreamFormat::Jsonl) => {
-            let bin = jsonl_to_binary(&as_text(bytes)).unwrap_or_else(|e| fail(e));
-            binary_to_jsonl(&bin)
-                .unwrap_or_else(|e| fail(e))
-                .into_bytes()
+            let text = String::from_utf8(bytes).or_exit(input, "read");
+            let bin = jsonl_to_binary(&text).or_exit(input, "decode");
+            binary_to_jsonl(&bin).or_exit(input, "decode").into_bytes()
         }
     };
-    let in_len = std::fs::metadata(input).map(|m| m.len()).unwrap_or(0);
-    std::fs::write(output, &out_bytes).expect("write output stream");
+    std::fs::write(output, &out_bytes).or_exit(output, "write");
     eprintln!(
         "converted {input} ({}) -> {output} ({}): {} -> {} bytes ({:.2}x)",
         from.label(),
@@ -1033,7 +850,6 @@ struct StreamTail {
     head: Vec<u8>,
     dec: StreamDecoder,
     line_buf: Vec<u8>,
-    events: u64,
 }
 
 impl StreamTail {
@@ -1044,7 +860,6 @@ impl StreamTail {
             head: Vec::new(),
             dec: StreamDecoder::new(),
             line_buf: Vec::new(),
-            events: 0,
         }
     }
 
@@ -1072,10 +887,7 @@ impl StreamTail {
                 self.dec.push(bytes);
                 loop {
                     match self.dec.next_event() {
-                        Ok(Some(rec)) => {
-                            self.analytics.feed_record(&rec);
-                            self.events += 1;
-                        }
+                        Ok(Some(rec)) => self.analytics.feed_record(&rec),
                         Ok(None) => break,
                         Err(e) => return Err(e.to_string()),
                     }
@@ -1092,10 +904,7 @@ impl StreamTail {
                     start += nl + 1;
                     let line = std::str::from_utf8(line).map_err(|_| "non-UTF-8 event line")?;
                     match parse_jsonl_line(line) {
-                        Ok(Some(rec)) => {
-                            self.analytics.feed_record(&rec);
-                            self.events += 1;
-                        }
+                        Ok(Some(rec)) => self.analytics.feed_record(&rec),
                         Ok(None) => {}
                         Err(e) => return Err(e.to_string()),
                     }
@@ -1218,19 +1027,13 @@ fn render_watch(tail: &StreamTail, path: &str, opts: &Opts, clear: bool) {
 /// sketches, and per-kind counters — observability that works *while* the
 /// run is still writing, not just post-hoc.
 fn cmd_watch(opts: &Opts) {
-    let Some(path) = &opts.events else {
-        eprintln!("dgrid watch requires --events PATH");
-        usage();
-    };
+    let path = required(&opts.events, "watch", "--events PATH");
     let window = SimDuration::from_secs_f64(opts.window_secs);
     let mut tail = StreamTail::new(window, 512);
 
     if !opts.follow {
-        let bytes = std::fs::read(path).expect("read events file");
-        if let Err(e) = tail.push(&bytes, true) {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
+        let bytes = std::fs::read(path).or_exit(path, "read");
+        tail.push(&bytes, true).or_exit(path, "decode");
         render_watch(&tail, path, opts, false);
         return;
     }
@@ -1241,19 +1044,16 @@ fn cmd_watch(opts: &Opts) {
     let mut idle_secs = 0.0f64;
     loop {
         let mut grew = false;
-        if let Ok(mut f) = std::fs::File::open(path) {
+        if let Ok(mut f) = File::open(path) {
             let len = f.metadata().map(|m| m.len()).unwrap_or(0);
             if len > pos {
-                f.seek(SeekFrom::Start(pos)).expect("seek events file");
+                f.seek(SeekFrom::Start(pos)).or_exit(path, "seek");
                 let mut buf = Vec::with_capacity((len - pos) as usize);
                 f.take(len - pos)
                     .read_to_end(&mut buf)
-                    .expect("read events file");
+                    .or_exit(path, "read");
                 pos += buf.len() as u64;
-                if let Err(e) = tail.push(&buf, false) {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(1);
-                }
+                tail.push(&buf, false).or_exit(path, "decode");
                 grew = true;
             }
         }
@@ -1299,10 +1099,9 @@ fn cmd_check(opts: &Opts) {
         Some("epoch-dedup") => Inject {
             disable_epoch_dedup: true,
         },
-        Some(other) => {
-            eprintln!("unknown --inject-bug {other:?} (known: epoch-dedup)");
-            std::process::exit(2);
-        }
+        Some(other) => die(format_args!(
+            "unknown --inject-bug {other:?} (known: epoch-dedup)"
+        )),
     };
 
     // `--matchmaker a,b` restricts the sweep (the CI overlay-matrix job runs
@@ -1315,18 +1114,16 @@ fn cmd_check(opts: &Opts) {
             .filter(|s| !s.is_empty())
             .map(|label| {
                 MatchmakerChoice::from_label(label).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown --matchmaker {label:?} (known: {})",
-                        MatchmakerChoice::ALL.map(|m| m.label()).join(", ")
-                    );
-                    std::process::exit(2);
+                    let known = MatchmakerChoice::ALL.map(|m| m.label()).join(", ");
+                    die(format_args!(
+                        "unknown --matchmaker {label:?} (known: {known})"
+                    ))
                 })
             })
             .collect(),
     };
     if selected.is_empty() {
-        eprintln!("--matchmaker selected no matchmakers");
-        std::process::exit(2);
+        die("--matchmaker selected no matchmakers");
     }
 
     fn print_violations(violations: &[Violation]) {
@@ -1336,10 +1133,7 @@ fn cmd_check(opts: &Opts) {
     }
 
     if let Some(path) = &opts.replay {
-        let artifact = ReproArtifact::read(Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot read repro artifact {path}: {e}");
-            std::process::exit(2);
-        });
+        let artifact = ReproArtifact::read(Path::new(path)).or_exit(path, "read repro artifact");
         let violations = match artifact.matchmaker {
             Some(mm) => check_run(&artifact.scenario, mm, artifact.inject).violations,
             None => check_scenario(&artifact.scenario, artifact.inject).all_violations(),
@@ -1369,8 +1163,7 @@ fn cmd_check(opts: &Opts) {
     if let Some(spec) = &opts.scenario_spec {
         use rayon::prelude::*;
         if inject != Inject::default() || lease.is_some() {
-            eprintln!("--scenario-file checks do not support --inject-bug or --lease-ttl");
-            std::process::exit(2);
+            die("--scenario-file checks do not support --inject-bug or --lease-ttl");
         }
         println!(
             "checking scenario '{}' at {} seed(s) from {base}, {} matchmaker(s) [{mm_labels}], \
@@ -1496,10 +1289,8 @@ fn cmd_check(opts: &Opts) {
                 violations: shrunk_violations,
                 original: Some(scenario),
             };
-            artifact.write(Path::new(&out)).unwrap_or_else(|e| {
-                eprintln!("cannot write repro artifact {out}: {e}");
-                std::process::exit(2);
-            });
+            let written = artifact.write(Path::new(&out));
+            written.or_exit(&out, "write repro artifact");
             println!("wrote repro artifact to {out} (replay with: dgrid check --replay {out})");
             std::process::exit(1);
         }
@@ -1511,1207 +1302,32 @@ fn cmd_check(opts: &Opts) {
     );
 }
 
-/// One timed point of the bench sweep.
-#[derive(serde::Serialize)]
-struct SweepPoint {
-    threads: usize,
-    wall_secs: f64,
-    events: u64,
-    events_per_sec: f64,
-    speedup_vs_1: f64,
-}
-
-/// The full `bench sweep` result, as written to `--json`.
-#[derive(serde::Serialize)]
-struct SweepRecord {
-    algorithm: String,
-    scenario: String,
-    nodes: usize,
-    jobs: usize,
-    replications: usize,
-    seed: u64,
-    available_parallelism: usize,
-    reports_identical: bool,
-    runs: Vec<SweepPoint>,
-}
-
-/// Counts events without retaining them — the cheapest observer that still
-/// measures throughput, so the timed runs pay (almost) nothing for it.
-#[derive(Clone, Default)]
-struct CountingObserver(std::rc::Rc<std::cell::Cell<u64>>);
-
-impl dgrid::core::Observer for CountingObserver {
-    fn on_event(&mut self, _at: SimTime, _event: dgrid::core::TraceEvent) {
-        self.0.set(self.0.get() + 1);
-    }
-}
-
-/// `dgrid bench sweep`: time one replicated cell at increasing thread
-/// counts, report events/sec and the speedup over one thread, and verify
-/// the serialized reports are byte-identical at every count.
-fn cmd_bench_sweep(opts: &Opts) {
-    use rayon::prelude::*;
-
-    let max_threads = opts
-        .threads
-        .unwrap_or_else(rayon::Pool::current_threads)
-        // Always measure at least two threads so the cross-thread-count
-        // identity check runs even on a single-core box.
-        .max(2);
-    let mut thread_counts = vec![1usize];
-    let mut t = 2;
-    while t <= max_threads {
-        thread_counts.push(t);
-        t *= 2;
-    }
-    if *thread_counts.last().unwrap() != max_threads {
-        thread_counts.push(max_threads);
-    }
-
-    println!(
-        "bench sweep: {} x {} — {} nodes, {} jobs, {} replications, seed {}",
-        opts.algorithm.label(),
-        opts.scenario.label(),
-        opts.nodes,
-        opts.jobs,
-        opts.replications,
-        opts.seed
-    );
-
-    // One timed pass per thread count: every replication regenerates its
-    // workload from its own seed and counts its events.
-    let timed_pass = |threads: usize| -> (f64, u64, String) {
-        rayon::Pool::install(threads, || {
-            let started = std::time::Instant::now();
-            let results: Vec<(SimReport, u64)> = (0..opts.replications as u64)
-                .into_par_iter()
-                .map(|r| {
-                    let seed = opts.seed ^ (r + 1);
-                    let workload = paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed);
-                    let mut engine = build_engine(opts, opts.algorithm, &workload, seed);
-                    let counter = CountingObserver::default();
-                    engine.set_observer(Box::new(counter.clone()));
-                    let report = engine.run();
-                    (report, counter.0.get())
-                })
-                .collect();
-            let wall = started.elapsed().as_secs_f64();
-            let events: u64 = results.iter().map(|(_, e)| e).sum();
-            let reports: Vec<SimReport> = results.into_iter().map(|(r, _)| r).collect();
-            let serialized = serde_json::to_string(&reports).expect("serialize reports");
-            (wall, events, serialized)
-        })
-    };
-
-    // Warm-up (untimed): touch every code path once so the first timed
-    // pass doesn't also pay first-fault costs.
-    let _ = timed_pass(1);
-
-    println!(
-        "{:>8} {:>10} {:>12} {:>14} {:>12}",
-        "threads", "wall", "events", "events/sec", "speedup"
-    );
-    let mut runs: Vec<SweepPoint> = Vec::new();
-    let mut baseline_secs = 0.0;
-    let mut baseline_reports = String::new();
-    let mut reports_identical = true;
-    for &threads in &thread_counts {
-        let (wall_secs, events, serialized) = timed_pass(threads);
-        if threads == 1 {
-            baseline_secs = wall_secs;
-            baseline_reports = serialized;
-        } else if serialized != baseline_reports {
-            reports_identical = false;
-            eprintln!("WARNING: reports at {threads} thread(s) differ from 1 thread");
-        }
-        let speedup = if wall_secs > 0.0 {
-            baseline_secs / wall_secs
-        } else {
-            1.0
-        };
-        println!(
-            "{:>8} {:>9.2}s {:>12} {:>14.0} {:>11.2}x",
-            threads,
-            wall_secs,
-            events,
-            events as f64 / wall_secs.max(1e-9),
-            speedup,
-        );
-        runs.push(SweepPoint {
-            threads,
-            wall_secs,
-            events,
-            events_per_sec: events as f64 / wall_secs.max(1e-9),
-            speedup_vs_1: speedup,
-        });
-    }
-    if reports_identical {
-        println!("reports byte-identical across all thread counts");
-    }
-
-    if let Some(path) = &opts.json {
-        let record = SweepRecord {
-            algorithm: opts.algorithm.label().to_string(),
-            scenario: opts.scenario.label().to_string(),
-            nodes: opts.nodes,
-            jobs: opts.jobs,
-            replications: opts.replications,
-            seed: opts.seed,
-            available_parallelism: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            reports_identical,
-            runs,
-        };
-        let f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(f, &record).expect("write json");
-        eprintln!("wrote bench sweep to {path}");
-    }
-    if !reports_identical {
-        std::process::exit(1);
-    }
-}
-
-/// Threads-1 throughput of `bench sweep` at its 96-node cell (pinned in
-/// `results/BENCH_sweep.json`). `bench scale` extrapolates it linearly —
-/// events/sec × 96/N — as the "what the old keyed-map kernel would do"
-/// reference each scale point is compared against.
-const SWEEP_BASELINE_EVENTS_PER_SEC: f64 = 518_682.0;
-const SWEEP_BASELINE_NODES: f64 = 96.0;
-
-/// Peak resident set size (VmHWM) in KiB from `/proc/self/status`, or 0
-/// where procfs is unavailable. The high-water mark is process-wide and
-/// monotone, so on an ascending size ladder each point's reading is the
-/// peak of the largest grid built so far.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|line| line.starts_with("VmHWM:"))
-                .and_then(|line| line.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// One measured grid size of `bench scale`.
-#[derive(serde::Serialize)]
-struct ScalePoint {
-    nodes: usize,
-    jobs: usize,
-    setup_secs: f64,
-    run_secs: f64,
-    events: u64,
-    events_per_sec: f64,
-    /// The 96-node sweep baseline extrapolated linearly to this size.
-    baseline_events_per_sec: f64,
-    speedup_vs_baseline: f64,
-    peak_rss_kb: u64,
-    /// Sharded-kernel throughput at each `--threads` ladder point (empty
-    /// unless a thread ladder was requested).
-    threads: Vec<ThreadPoint>,
-}
-
-/// One `--threads` ladder point of `bench scale`: the same single
-/// replication executed by the sharded conservative-window kernel at this
-/// worker-thread count. `speedup_vs_1` compares against the sharded run at
-/// one thread, so it isolates parallel efficiency from kernel overhead.
-#[derive(serde::Serialize)]
-struct ThreadPoint {
-    threads: usize,
-    run_secs: f64,
-    events: u64,
-    events_per_sec: f64,
-    speedup_vs_1: f64,
-}
-
-/// The full `bench scale` result, as written to `--json`.
-#[derive(serde::Serialize)]
-struct ScaleRecord {
-    algorithm: String,
-    scenario: String,
-    replications: usize,
-    seed: u64,
-    min_events_per_sec: Option<f64>,
-    min_speedup: Option<f64>,
-    available_parallelism: usize,
-    sizes: Vec<ScalePoint>,
-}
-
-/// `dgrid bench scale`: measure the kernel at increasing grid sizes —
-/// setup time (workload generation + engine construction, including the
-/// bulk overlay bootstrap), steady-state events/sec, and peak RSS — and
-/// compare each size against the linear extrapolation of the 96-node
-/// `bench sweep` baseline. With `--min-events-per-sec` the run doubles as
-/// a regression guard, exiting non-zero if any size falls below the floor.
-fn cmd_bench_scale(opts: &Opts) {
-    let sizes = opts
-        .sizes
-        .clone()
-        .unwrap_or_else(|| vec![1_000, 10_000, 100_000]);
-    // `--jobs` pins the workload; the default scales it with the grid so
-    // the timed phase stays dominated by matchmaking, not by idle ticks.
-    let jobs_for = |nodes: usize| {
-        if opts.jobs > 0 {
-            opts.jobs
-        } else {
-            (nodes / 10).max(400)
-        }
-    };
-
-    println!(
-        "bench scale: {} x {} — sizes {:?}, {} replication(s), seed {}",
-        opts.algorithm.label(),
-        opts.scenario.label(),
-        sizes,
-        opts.replications,
-        opts.seed
-    );
-
-    // Warm-up (untimed): touch every code path once at a small size so the
-    // first timed point doesn't also pay first-fault costs.
-    {
-        let workload = paper_scenario(opts.scenario, 256, 400, opts.seed);
-        let mut engine = build_engine(opts, opts.algorithm, &workload, opts.seed);
-        engine.set_observer(Box::new(CountingObserver::default()));
-        let _ = engine.run();
-    }
-
-    println!(
-        "{:>10} {:>9} {:>10} {:>10} {:>10} {:>12} {:>11} {:>10}",
-        "nodes", "jobs", "setup", "run", "events", "events/sec", "xbaseline", "peak rss"
-    );
-    let mut points: Vec<ScalePoint> = Vec::new();
-    let mut below_floor = false;
-    for &nodes in &sizes {
-        let jobs = jobs_for(nodes);
-        let mut setup_secs = 0.0;
-        let mut run_secs = 0.0;
-        let mut events = 0u64;
-        for r in 0..opts.replications as u64 {
-            let seed = opts.seed ^ (r + 1);
-            let started = std::time::Instant::now();
-            let workload = paper_scenario(opts.scenario, nodes, jobs, seed);
-            let mut engine = build_engine(opts, opts.algorithm, &workload, seed);
-            setup_secs += started.elapsed().as_secs_f64();
-            let counter = CountingObserver::default();
-            engine.set_observer(Box::new(counter.clone()));
-            let started = std::time::Instant::now();
-            let _ = engine.run();
-            run_secs += started.elapsed().as_secs_f64();
-            events += counter.0.get();
-        }
-        let events_per_sec = events as f64 / run_secs.max(1e-9);
-        let baseline_events_per_sec =
-            SWEEP_BASELINE_EVENTS_PER_SEC * SWEEP_BASELINE_NODES / nodes as f64;
-        let speedup_vs_baseline = events_per_sec / baseline_events_per_sec;
-        let peak_rss_kb = peak_rss_kb();
-        println!(
-            "{:>10} {:>9} {:>9.2}s {:>9.2}s {:>10} {:>12.0} {:>10.1}x {:>8}MB",
-            nodes,
-            jobs,
-            setup_secs,
-            run_secs,
-            events,
-            events_per_sec,
-            speedup_vs_baseline,
-            peak_rss_kb / 1024,
-        );
-        if let Some(floor) = opts.min_events_per_sec {
-            if events_per_sec < floor {
-                below_floor = true;
-                eprintln!(
-                    "REGRESSION: {nodes} nodes ran at {events_per_sec:.0} events/sec, \
-                     below the --min-events-per-sec floor {floor:.0}"
-                );
-            }
-        }
-
-        // The `--threads` ladder: the same replication(s) on the sharded
-        // conservative-window kernel at each requested worker count.
-        // Speedup is sharded-vs-sharded (t vs 1), so it measures parallel
-        // efficiency, not the windowing overhead against the sequential
-        // kernel above.
-        let mut thread_points: Vec<ThreadPoint> = Vec::new();
-        if let Some(requested) = &opts.thread_axis {
-            let mut axis = requested.clone();
-            axis.sort_unstable();
-            axis.dedup();
-            if axis[0] != 1 {
-                axis.insert(0, 1); // the speedup baseline is always measured
-            }
-            let mut base_eps = 0.0;
-            for &t in &axis {
-                let (t_run_secs, t_events) = rayon::Pool::install(t, || {
-                    let mut run_secs = 0.0;
-                    let mut events = 0u64;
-                    for r in 0..opts.replications as u64 {
-                        let seed = opts.seed ^ (r + 1);
-                        let workload = paper_scenario(opts.scenario, nodes, jobs, seed);
-                        let mut engine = build_engine(opts, opts.algorithm, &workload, seed);
-                        engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
-                        let counter = CountingObserver::default();
-                        engine.set_observer(Box::new(counter.clone()));
-                        let started = std::time::Instant::now();
-                        let _ = engine.run();
-                        run_secs += started.elapsed().as_secs_f64();
-                        events += counter.0.get();
-                    }
-                    (run_secs, events)
-                });
-                let eps = t_events as f64 / t_run_secs.max(1e-9);
-                if t == axis[0] {
-                    base_eps = eps;
-                }
-                let speedup = eps / base_eps.max(1e-9);
-                println!(
-                    "{:>10} {:>9} {:>10} {:>9.2}s {:>10} {:>12.0} {:>10.2}x",
-                    "",
-                    "sharded",
-                    format!("t={t}"),
-                    t_run_secs,
-                    t_events,
-                    eps,
-                    speedup,
-                );
-                thread_points.push(ThreadPoint {
-                    threads: t,
-                    run_secs: t_run_secs,
-                    events: t_events,
-                    events_per_sec: eps,
-                    speedup_vs_1: speedup,
-                });
-            }
-            if let (Some(floor), Some(top)) = (opts.min_speedup, thread_points.last()) {
-                if top.threads > 1 && top.speedup_vs_1 < floor {
-                    below_floor = true;
-                    eprintln!(
-                        "REGRESSION: {nodes} nodes at {} threads reached only \
-                         {:.2}x over 1 thread, below the --min-speedup floor {floor:.2}",
-                        top.threads, top.speedup_vs_1
-                    );
-                }
-            }
-        }
-
-        points.push(ScalePoint {
-            nodes,
-            jobs,
-            setup_secs,
-            run_secs,
-            events,
-            events_per_sec,
-            baseline_events_per_sec,
-            speedup_vs_baseline,
-            peak_rss_kb,
-            threads: thread_points,
-        });
-    }
-
-    if let Some(path) = &opts.json {
-        let record = ScaleRecord {
-            algorithm: opts.algorithm.label().to_string(),
-            scenario: opts.scenario.label().to_string(),
-            replications: opts.replications,
-            seed: opts.seed,
-            min_events_per_sec: opts.min_events_per_sec,
-            min_speedup: opts.min_speedup,
-            available_parallelism: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            sizes: points,
-        };
-        let f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(f, &record).expect("write json");
-        eprintln!("wrote bench scale to {path}");
-    }
-    if below_floor {
-        std::process::exit(1);
-    }
-}
-
-/// One overlay row of `bench overlays`, as written to `--json`.
-#[derive(serde::Serialize)]
-struct OverlayPoint {
-    algorithm: String,
-    mean_wait: f64,
-    std_wait: f64,
-    match_hops: f64,
-    owner_hops: f64,
-    hops_per_job: f64,
-    completion_rate: f64,
-    wall_secs: f64,
-}
-
-/// The full `bench overlays` result, as written to `--json`.
-#[derive(serde::Serialize)]
-struct OverlayRecord {
-    scenario: String,
-    nodes: usize,
-    jobs: usize,
-    replications: usize,
-    seed: u64,
-    threads: usize,
-    overlays: Vec<OverlayPoint>,
-}
-
-/// `dgrid bench overlays`: time the RN-Tree matchmaker on every overlay
-/// substrate over the same replicated workload and compare lookup-hop cost
-/// against the paper's wait-time metric (experiment `T-overlay`).
-fn cmd_bench_overlays(opts: &Opts) {
-    use rayon::prelude::*;
-
-    println!(
-        "bench overlays: {} — {} nodes, {} jobs, {} replications, seed {}",
-        opts.scenario.label(),
-        opts.nodes,
-        opts.jobs,
-        opts.replications,
-        opts.seed
-    );
-    println!(
-        "{:<16} {:>10} {:>10} {:>11} {:>11} {:>11} {:>9}",
-        "algorithm", "mean wait", "std wait", "match hops", "owner hops", "completion", "wall"
-    );
-
-    let mut overlays: Vec<OverlayPoint> = Vec::new();
-    for alg in Algorithm::OVERLAYS {
-        let started = std::time::Instant::now();
-        // Same replication scheme as `bench sweep`: each replication
-        // regenerates its workload from its own derived seed.
-        let reports: Vec<SimReport> = (0..opts.replications as u64)
-            .into_par_iter()
-            .map(|r| {
-                let seed = opts.seed ^ (r + 1);
-                let workload = paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed);
-                build_engine(opts, alg, &workload, seed).run()
-            })
-            .collect();
-        let wall_secs = started.elapsed().as_secs_f64();
-        let n = reports.len() as f64;
-        let point = OverlayPoint {
-            algorithm: alg.label().to_string(),
-            mean_wait: reports.iter().map(SimReport::mean_wait).sum::<f64>() / n,
-            std_wait: reports.iter().map(SimReport::std_wait).sum::<f64>() / n,
-            match_hops: reports.iter().map(|r| r.match_hops.mean()).sum::<f64>() / n,
-            owner_hops: reports.iter().map(|r| r.owner_hops.mean()).sum::<f64>() / n,
-            hops_per_job: reports
-                .iter()
-                .map(|r| r.match_hops.mean() + r.owner_hops.mean())
-                .sum::<f64>()
-                / n,
-            completion_rate: reports.iter().map(SimReport::completion_rate).sum::<f64>() / n,
-            wall_secs,
-        };
-        println!(
-            "{:<16} {:>9.1}s {:>9.1}s {:>11.2} {:>11.2} {:>10.1}% {:>8.2}s",
-            point.algorithm,
-            point.mean_wait,
-            point.std_wait,
-            point.match_hops,
-            point.owner_hops,
-            100.0 * point.completion_rate,
-            point.wall_secs,
-        );
-        overlays.push(point);
-    }
-
-    if let Some(path) = &opts.json {
-        let record = OverlayRecord {
-            scenario: opts.scenario.label().to_string(),
-            nodes: opts.nodes,
-            jobs: opts.jobs,
-            replications: opts.replications,
-            seed: opts.seed,
-            threads: rayon::Pool::current_threads(),
-            overlays,
-        };
-        let f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(f, &record).expect("write json");
-        eprintln!("wrote bench overlays to {path}");
-    }
-}
-
-/// One configuration row of `bench leases`, as written to `--json`.
-#[derive(serde::Serialize)]
-struct LeasePoint {
-    config: String,
-    mean_wait: f64,
-    std_wait: f64,
-    load_fairness: f64,
-    hops_per_job: f64,
-    completion_rate: f64,
-    lease_renewals: u64,
-    lease_expiries: u64,
-    lease_transfers: u64,
-    wall_secs: f64,
-}
-
-/// The full `bench leases` result, as written to `--json`.
-#[derive(serde::Serialize)]
-struct LeaseRecord {
-    algorithm: String,
-    scenario: String,
-    nodes: usize,
-    jobs: usize,
-    replications: usize,
-    seed: u64,
-    lease_ttl_secs: f64,
-    lease_renew_secs: f64,
-    lease_grace_secs: f64,
-    configs: Vec<LeasePoint>,
-}
-
-/// `dgrid bench leases`: the `T-lease` experiment. Run the RN-Tree
-/// matchmaker on the Tapestry substrate — the most placement-skewed overlay
-/// — three ways over the same replicated workload: reassign-on-death (no
-/// leases), leases with the paper-faithful hash placement, and leases with
-/// load-aware re-placement. Compares load fairness and wait times to show
-/// what load-aware placement buys back from the substrate's key skew.
-fn cmd_bench_leases(opts: &Opts) {
-    use rayon::prelude::*;
-
-    let alg = Algorithm::RnTreeTapestry;
-    let ttl = opts.lease_ttl.unwrap_or(600.0);
-    let renew = opts.lease_renew.unwrap_or(150.0);
-    let grace = opts.lease_grace.unwrap_or(60.0);
-
-    println!(
-        "bench leases: {} x {} — {} nodes, {} jobs, {} replications, seed {}, \
-         ttl {:.0}s renew {:.0}s grace {:.0}s",
-        alg.label(),
-        opts.scenario.label(),
-        opts.nodes,
-        opts.jobs,
-        opts.replications,
-        opts.seed,
-        ttl,
-        renew,
-        grace,
-    );
-    println!(
-        "{:<22} {:>10} {:>10} {:>9} {:>10} {:>11} {:>9} {:>9}",
-        "config", "mean wait", "std wait", "fairness", "hops/job", "completion", "renewals", "wall"
-    );
-
-    let configs: [(&str, Option<PlacementPolicy>); 3] = [
-        ("reassign (no leases)", None),
-        ("leases / hash", Some(PlacementPolicy::Hash)),
-        ("leases / load-aware", Some(PlacementPolicy::LoadAware)),
-    ];
-    let mut points: Vec<LeasePoint> = Vec::new();
-    for (label, placement) in configs {
-        let mut cfg_opts = opts.clone();
-        match placement {
-            Some(p) => {
-                cfg_opts.lease_ttl = Some(ttl);
-                cfg_opts.lease_renew = Some(renew);
-                cfg_opts.lease_grace = Some(grace);
-                cfg_opts.placement = Some(p);
-            }
-            None => {
-                cfg_opts.lease_ttl = None;
-                cfg_opts.lease_renew = None;
-                cfg_opts.lease_grace = None;
-                cfg_opts.placement = None;
-            }
-        }
-        let started = std::time::Instant::now();
-        let reports: Vec<SimReport> = (0..opts.replications as u64)
-            .into_par_iter()
-            .map(|r| {
-                let seed = opts.seed ^ (r + 1);
-                let workload = paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed);
-                build_engine(&cfg_opts, alg, &workload, seed).run()
-            })
-            .collect();
-        let wall_secs = started.elapsed().as_secs_f64();
-        let n = reports.len() as f64;
-        let point = LeasePoint {
-            config: label.to_string(),
-            mean_wait: reports.iter().map(SimReport::mean_wait).sum::<f64>() / n,
-            std_wait: reports.iter().map(SimReport::std_wait).sum::<f64>() / n,
-            load_fairness: reports.iter().map(SimReport::load_fairness).sum::<f64>() / n,
-            hops_per_job: reports
-                .iter()
-                .map(|r| r.match_hops.mean() + r.owner_hops.mean())
-                .sum::<f64>()
-                / n,
-            completion_rate: reports.iter().map(SimReport::completion_rate).sum::<f64>() / n,
-            lease_renewals: reports.iter().map(|r| r.lease_renewals).sum(),
-            lease_expiries: reports.iter().map(|r| r.lease_expiries).sum(),
-            lease_transfers: reports.iter().map(|r| r.lease_transfers).sum(),
-            wall_secs,
-        };
-        println!(
-            "{:<22} {:>9.1}s {:>9.1}s {:>9.3} {:>10.2} {:>10.1}% {:>9} {:>8.2}s",
-            point.config,
-            point.mean_wait,
-            point.std_wait,
-            point.load_fairness,
-            point.hops_per_job,
-            100.0 * point.completion_rate,
-            point.lease_renewals,
-            point.wall_secs,
-        );
-        points.push(point);
-    }
-
-    if let Some(path) = &opts.json {
-        let record = LeaseRecord {
-            algorithm: alg.label().to_string(),
-            scenario: opts.scenario.label().to_string(),
-            nodes: opts.nodes,
-            jobs: opts.jobs,
-            replications: opts.replications,
-            seed: opts.seed,
-            lease_ttl_secs: ttl,
-            lease_renew_secs: renew,
-            lease_grace_secs: grace,
-            configs: points,
-        };
-        let f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(f, &record).expect("write json");
-        eprintln!("wrote bench leases to {path}");
-    }
-}
-
-/// One tenant row of one algorithm point of `bench scenarios`: per-tenant
-/// accumulators pooled across replications (counts add, means combine
-/// count-weighted).
-#[derive(serde::Serialize)]
-struct TenantPoint {
-    tenant: String,
-    jobs: u64,
-    mean_wait: f64,
-}
-
-/// One algorithm row of one scenario cell of `bench scenarios`.
-#[derive(serde::Serialize)]
-struct ScenarioAlgoPoint {
-    algorithm: String,
-    mean_wait: f64,
-    std_wait: f64,
-    hops_per_job: f64,
-    completion_rate: f64,
-    tenant_fairness: f64,
-    tenants: Vec<TenantPoint>,
-    wall_secs: f64,
-}
-
-/// One scenario cell of `bench scenarios`.
-#[derive(serde::Serialize)]
-struct ScenarioCell {
-    scenario: String,
-    nodes: usize,
-    jobs: usize,
-    tenants: Vec<String>,
-    algorithms: Vec<ScenarioAlgoPoint>,
-}
-
-/// The full `bench scenarios` result, as written to `--json`.
-#[derive(serde::Serialize)]
-struct ScenarioBenchRecord {
-    replications: usize,
-    seed: u64,
-    threads: usize,
-    scenarios: Vec<ScenarioCell>,
-}
-
-/// `dgrid bench scenarios`: the `T-scenario` experiment. Run every
-/// matchmaker family — including the pub/sub discovery baseline — over the
-/// production-shaped scenario presets (or the one spec `--scenario-file`
-/// names) and compare wait times, completion, and per-tenant fairness
-/// under flash crowds, correlated outages, and diurnal load.
-fn cmd_bench_scenarios(opts: &Opts) {
-    use rayon::prelude::*;
-
-    // The six matchmaker families the differential checker sweeps, in the
-    // `MatchmakerChoice::ALL` reporting order.
-    const FAMILIES: [Algorithm; 6] = [
-        Algorithm::Central,
-        Algorithm::RnTree,
-        Algorithm::RnTreePastry,
-        Algorithm::RnTreeTapestry,
-        Algorithm::Can,
-        Algorithm::PubSub,
-    ];
-
-    let specs: Vec<ScenarioSpec> = match &opts.scenario_spec {
-        Some(spec) => vec![spec.clone()],
-        None => SCENARIO_PRESETS
-            .iter()
-            .map(|l| scenario_preset(l).expect("registry preset resolves"))
-            .collect(),
-    };
-
-    let mut cells: Vec<ScenarioCell> = Vec::new();
-    for spec in &specs {
-        println!(
-            "bench scenarios: {} — {} nodes, {} jobs, tenants [{}], {} replications, seed {}",
-            spec.name,
-            spec.nodes,
-            spec.jobs,
-            spec.tenants
-                .iter()
-                .map(|t| t.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", "),
-            opts.replications,
-            opts.seed,
-        );
-        println!(
-            "{:<16} {:>10} {:>10} {:>10} {:>11} {:>9} {:>9}",
-            "algorithm", "mean wait", "std wait", "hops/job", "completion", "fairness", "wall"
-        );
-        let mut algos: Vec<ScenarioAlgoPoint> = Vec::new();
-        for alg in FAMILIES {
-            let started = std::time::Instant::now();
-            // Same replication scheme as every other bench: replication r
-            // recompiles the spec from its own derived seed.
-            let reports: Vec<SimReport> = (0..opts.replications as u64)
-                .into_par_iter()
-                .map(|r| {
-                    let seed = opts.seed ^ (r + 1);
-                    build_spec_engine(opts, alg, spec, seed).run()
-                })
-                .collect();
-            let wall_secs = started.elapsed().as_secs_f64();
-            let n = reports.len() as f64;
-            let tenants: Vec<TenantPoint> = spec
-                .tenants
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let (jobs, weighted) = reports
-                        .iter()
-                        .filter_map(|r| r.client_waits.get(&(i as u32)))
-                        .fold((0u64, 0.0f64), |(c, w), s| {
-                            (c + s.count(), w + s.mean() * s.count() as f64)
-                        });
-                    TenantPoint {
-                        tenant: t.name.clone(),
-                        jobs,
-                        mean_wait: if jobs > 0 {
-                            weighted / jobs as f64
-                        } else {
-                            0.0
-                        },
-                    }
-                })
-                .collect();
-            let point = ScenarioAlgoPoint {
-                algorithm: alg.label().to_string(),
-                mean_wait: reports.iter().map(SimReport::mean_wait).sum::<f64>() / n,
-                std_wait: reports.iter().map(SimReport::std_wait).sum::<f64>() / n,
-                hops_per_job: reports
-                    .iter()
-                    .map(|r| r.match_hops.mean() + r.owner_hops.mean())
-                    .sum::<f64>()
-                    / n,
-                completion_rate: reports.iter().map(SimReport::completion_rate).sum::<f64>() / n,
-                tenant_fairness: reports.iter().map(SimReport::tenant_fairness).sum::<f64>() / n,
-                tenants,
-                wall_secs,
-            };
-            println!(
-                "{:<16} {:>9.1}s {:>9.1}s {:>10.2} {:>10.1}% {:>9.3} {:>8.2}s",
-                point.algorithm,
-                point.mean_wait,
-                point.std_wait,
-                point.hops_per_job,
-                100.0 * point.completion_rate,
-                point.tenant_fairness,
-                point.wall_secs,
-            );
-            let detail = point
-                .tenants
-                .iter()
-                .map(|t| format!("{} {} @ {:.1}s", t.tenant, t.jobs, t.mean_wait))
-                .collect::<Vec<_>>()
-                .join(", ");
-            println!("{:<16}   tenants: {detail}", "");
-            algos.push(point);
-        }
-        cells.push(ScenarioCell {
-            scenario: spec.name.clone(),
-            nodes: spec.nodes,
-            jobs: spec.jobs,
-            tenants: spec.tenants.iter().map(|t| t.name.clone()).collect(),
-            algorithms: algos,
-        });
-        println!();
-    }
-
-    if let Some(path) = &opts.json {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create json output directory");
-            }
-        }
-        let record = ScenarioBenchRecord {
-            replications: opts.replications,
-            seed: opts.seed,
-            threads: rayon::Pool::current_threads(),
-            scenarios: cells,
-        };
-        let f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(f, &record).expect("write json");
-        eprintln!("wrote bench scenarios to {path}");
-    }
-}
-
-/// An [`StreamAnalytics`] handle that survives the engine that consumes it,
-/// so the online sketches can be compared against the post-hoc report after
-/// the run. Never shared across threads — one replication builds its own.
-#[derive(Clone)]
-struct SharedAnalytics(std::rc::Rc<std::cell::RefCell<StreamAnalytics>>);
-
-impl dgrid::core::Observer for SharedAnalytics {
-    fn on_event(&mut self, at: SimTime, event: dgrid::core::TraceEvent) {
-        self.0.borrow_mut().feed(at.as_nanos(), &event);
-    }
-}
-
-/// Records the full event sequence of a replication, so the serializer
-/// replay can time each format over *identical* input with the engine
-/// itself out of the measurement.
-#[derive(Clone, Default)]
-struct CaptureObserver(std::rc::Rc<std::cell::RefCell<Vec<(SimTime, dgrid::core::TraceEvent)>>>);
-
-impl dgrid::core::Observer for CaptureObserver {
-    fn on_event(&mut self, at: SimTime, event: dgrid::core::TraceEvent) {
-        self.0.borrow_mut().push((at, event));
-    }
-}
-
-/// One observer row of `bench stream`, as written to `--json`.
-#[derive(serde::Serialize)]
-struct StreamPoint {
-    observer: String,
-    wall_secs: f64,
-    serialize_secs: f64,
-    serialize_ns_per_event: f64,
-    events: u64,
-    events_per_sec: f64,
-    bytes: u64,
-}
-
-/// One online-vs-post-hoc percentile comparison of `bench stream`.
-#[derive(serde::Serialize)]
-struct OnlineCheck {
-    metric: String,
-    quantile: f64,
-    post_hoc_ns: u64,
-    bucket_lo_ns: u64,
-    bucket_hi_ns: u64,
-    ok: bool,
-}
-
-/// The full `bench stream` result, as written to `--json`.
-#[derive(serde::Serialize)]
-struct StreamRecord {
-    algorithm: String,
-    scenario: String,
-    nodes: usize,
-    jobs: usize,
-    replications: usize,
-    seed: u64,
-    threads: usize,
-    jsonl_bytes: u64,
-    binary_bytes: u64,
-    bytes_ratio: f64,
-    binary_cheaper_bytes: bool,
-    binary_cheaper_wall: bool,
-    online_ok: bool,
-    observers: Vec<StreamPoint>,
-    online_checks: Vec<OnlineCheck>,
-}
-
-/// `dgrid bench stream`: the `T-stream` experiment. Time the replicated
-/// cell under three observers — Null (no tracing), JSONL, and binary, each
-/// streaming to `std::io::sink` — and report events/sec plus bytes written.
-/// The per-format serialization cost (a few milliseconds) sits under tens
-/// of milliseconds of simulation, so the strict wall-time comparison
-/// replays the captured event sequence through each serializer directly.
-/// The binary format must be strictly cheaper than JSONL in both bytes and
-/// serialization wall time, and the online percentile sketches must agree
-/// with the post-hoc report within one log₂ bucket; either failure exits
-/// non-zero.
-fn cmd_bench_stream(opts: &Opts) {
-    use rayon::prelude::*;
-
-    const REPEATS: usize = 5;
-    const SER_REPEATS: usize = 16;
-
-    println!(
-        "bench stream: {} x {} — {} nodes, {} jobs, {} replications, seed {}, {} thread(s)",
-        opts.algorithm.label(),
-        opts.scenario.label(),
-        opts.nodes,
-        opts.jobs,
-        opts.replications,
-        opts.seed,
-        rayon::Pool::current_threads(),
-    );
-
-    // Warm-up pass that doubles as event capture: every observer sees the
-    // exact same deterministic event sequence, so recording it once gives
-    // both the event count and the input for the serializer replay below.
-    let captured: Vec<Vec<(SimTime, dgrid::core::TraceEvent)>> = (0..opts.replications as u64)
-        .into_par_iter()
-        .map(|r| {
-            let seed = opts.seed ^ (r + 1);
-            let workload = paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed);
-            let mut engine = build_engine(opts, opts.algorithm, &workload, seed);
-            let cap = CaptureObserver::default();
-            engine.set_observer(Box::new(cap.clone()));
-            engine.run();
-            cap.0.take()
-        })
-        .collect();
-    let events: u64 = captured.iter().map(|rep| rep.len() as u64).sum();
-
-    // Best-of-REPEATS wall time per observer; bytes come from the summed
-    // `stream_bytes_written` counters (identical across repeats).
-    let timed = |mode: &str| -> (f64, u64) {
-        let mut best = f64::INFINITY;
-        let mut bytes = 0u64;
-        for _ in 0..REPEATS {
-            let started = std::time::Instant::now();
-            let reports: Vec<SimReport> = (0..opts.replications as u64)
-                .into_par_iter()
-                .map(|r| {
-                    let seed = opts.seed ^ (r + 1);
-                    let workload = paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed);
-                    let mut engine = build_engine(opts, opts.algorithm, &workload, seed);
-                    match mode {
-                        "jsonl" => {
-                            engine.set_observer(Box::new(JsonlObserver::new(std::io::sink())))
-                        }
-                        "binary" => {
-                            engine.set_observer(Box::new(BinaryObserver::new(std::io::sink())))
-                        }
-                        _ => {}
-                    }
-                    engine.run()
-                })
-                .collect();
-            best = best.min(started.elapsed().as_secs_f64());
-            bytes = reports.iter().map(|r| r.stream_bytes_written).sum();
-        }
-        (best, bytes)
-    };
-
-    // Best-of-SER_REPEATS replay of the captured event sequence through a
-    // fresh serializer per replication: identical input for every format,
-    // and no simulation noise drowning a few milliseconds of encoding.
-    let serialize = |mode: &str| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..SER_REPEATS {
-            let started = std::time::Instant::now();
-            for rep in &captured {
-                let mut obs: Box<dyn dgrid::core::Observer> = match mode {
-                    "jsonl" => Box::new(JsonlObserver::new(std::io::sink())),
-                    "binary" => Box::new(BinaryObserver::new(std::io::sink())),
-                    _ => Box::new(CountingObserver::default()),
-                };
-                for &(at, event) in rep {
-                    obs.on_event(at, event);
-                }
-            }
-            best = best.min(started.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    println!(
-        "{:<10} {:>10} {:>11} {:>9} {:>12} {:>14} {:>12}",
-        "observer", "wall", "serialize", "ns/event", "events", "events/sec", "bytes"
-    );
-    let mut points: Vec<StreamPoint> = Vec::new();
-    for mode in ["null", "jsonl", "binary"] {
-        let (wall_secs, bytes) = timed(mode);
-        let serialize_secs = serialize(mode);
-        let serialize_ns_per_event = serialize_secs * 1e9 / (events as f64).max(1.0);
-        println!(
-            "{:<10} {:>9.3}s {:>10.4}s {:>9.1} {:>12} {:>14.0} {:>12}",
-            mode,
-            wall_secs,
-            serialize_secs,
-            serialize_ns_per_event,
-            events,
-            events as f64 / wall_secs.max(1e-9),
-            bytes,
-        );
-        points.push(StreamPoint {
-            observer: mode.to_string(),
-            wall_secs,
-            serialize_secs,
-            serialize_ns_per_event,
-            events,
-            events_per_sec: events as f64 / wall_secs.max(1e-9),
-            bytes,
-        });
-    }
-    let (jsonl_ser, jsonl_bytes) = (points[1].serialize_secs, points[1].bytes);
-    let (bin_ser, bin_bytes) = (points[2].serialize_secs, points[2].bytes);
-    let bytes_ratio = jsonl_bytes as f64 / bin_bytes.max(1) as f64;
-    let binary_cheaper_bytes = bin_bytes < jsonl_bytes;
-    let binary_cheaper_wall = bin_ser < jsonl_ser;
-    println!(
-        "binary vs jsonl: {bytes_ratio:.2}x smaller, {:.1}x faster serialization",
-        jsonl_ser / bin_ser.max(1e-12)
-    );
-
-    // Online-vs-post-hoc: replay the first replication through the
-    // streaming-analytics observer and require each post-hoc percentile to
-    // land inside the sketch's bucket, widened one log₂ bucket either way.
-    let seed = opts.seed ^ 1;
-    let workload = paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed);
-    let mut engine = build_engine(opts, opts.algorithm, &workload, seed);
-    let shared = SharedAnalytics(std::rc::Rc::new(std::cell::RefCell::new(
-        StreamAnalytics::new(SimDuration::from_secs_f64(opts.window_secs), 64),
-    )));
-    engine.set_observer(Box::new(shared.clone()));
-    let report = engine.run();
-    let analytics = shared.0.borrow();
-
-    let mut online_checks: Vec<OnlineCheck> = Vec::new();
-    let mut online_ok = true;
-    let pairs = [
-        ("wait", analytics.wait_sketch(), report.wait_stats.as_ref()),
-        (
-            "turnaround",
-            analytics.turnaround_sketch(),
-            report.turnaround_stats.as_ref(),
-        ),
-    ];
-    for (metric, sketch, stats) in pairs {
-        let Some(stats) = stats else { continue };
-        if stats.count == 0 {
-            continue;
-        }
-        for (q, post_secs) in [(0.50, stats.p50), (0.95, stats.p95), (0.99, stats.p99)] {
-            let Some((lo, hi)) = sketch.quantile_bounds(q) else {
-                continue;
-            };
-            let post_ns = (post_secs * 1e9).round() as u64;
-            let lo_ns = lo / 2;
-            let hi_ns = hi.saturating_mul(2);
-            let ok = post_ns >= lo_ns && post_ns <= hi_ns;
-            online_ok &= ok;
-            online_checks.push(OnlineCheck {
-                metric: metric.to_string(),
-                quantile: q,
-                post_hoc_ns: post_ns,
-                bucket_lo_ns: lo_ns,
-                bucket_hi_ns: hi_ns,
-                ok,
-            });
-        }
-    }
-    println!(
-        "online sketches vs post-hoc report: {}/{} percentiles within one log2 bucket",
-        online_checks.iter().filter(|c| c.ok).count(),
-        online_checks.len(),
-    );
-
-    if let Some(path) = &opts.json {
-        let record = StreamRecord {
-            algorithm: opts.algorithm.label().to_string(),
-            scenario: opts.scenario.label().to_string(),
-            nodes: opts.nodes,
-            jobs: opts.jobs,
-            replications: opts.replications,
-            seed: opts.seed,
-            threads: rayon::Pool::current_threads(),
-            jsonl_bytes,
-            binary_bytes: bin_bytes,
-            bytes_ratio,
-            binary_cheaper_bytes,
-            binary_cheaper_wall,
-            online_ok,
-            observers: points,
-            online_checks,
-        };
-        let f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(f, &record).expect("write json");
-        eprintln!("wrote bench stream to {path}");
-    }
-
-    if !binary_cheaper_bytes {
-        eprintln!("FAIL: binary stream wrote {bin_bytes} bytes, not strictly fewer than JSONL's {jsonl_bytes}");
-        std::process::exit(1);
-    }
-    if !binary_cheaper_wall {
-        eprintln!(
-            "FAIL: binary serialization took {:.2}ms, not strictly faster than JSONL's {:.2}ms",
-            bin_ser * 1e3,
-            jsonl_ser * 1e3,
-        );
-        std::process::exit(1);
-    }
-    if !online_ok {
-        eprintln!("FAIL: an online percentile sketch disagrees with the post-hoc report");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let opts = parse();
     match opts.threads {
-        // `bench sweep` and `bench scale` manage thread counts themselves —
-        // their `--threads` is a measurement axis, not a global override.
-        Some(t) if opts.command != "bench-sweep" && opts.command != "bench-scale" => {
-            rayon::Pool::install(t, || dispatch(&opts))
-        }
-        _ => dispatch(&opts),
+        Some(t) => rayon::Pool::install(t, || dispatch(&opts)),
+        None => dispatch(&opts),
     }
 }
 
+/// The algorithms `compare` tabulates, in row order.
+const COMPARED: [Algorithm; 7] = [
+    Algorithm::Central,
+    Algorithm::RnTree,
+    Algorithm::RnTreePastry,
+    Algorithm::RnTreeTapestry,
+    Algorithm::Can,
+    Algorithm::CanPush,
+    Algorithm::PubSub,
+];
+
 fn dispatch(opts: &Opts) {
-    if opts.command == "report" {
-        cmd_report(opts);
-        return;
-    }
-    if opts.command == "watch" {
-        cmd_watch(opts);
-        return;
-    }
-    if opts.command == "events-convert" {
-        cmd_events_convert(opts);
-        return;
-    }
-    if opts.command == "check" {
-        cmd_check(opts);
-        return;
-    }
-    if opts.command == "bench-stream" {
-        cmd_bench_stream(opts);
-        return;
-    }
-    if opts.command == "bench-sweep" {
-        cmd_bench_sweep(opts);
-        return;
-    }
-    if opts.command == "bench-overlays" {
-        cmd_bench_overlays(opts);
-        return;
-    }
-    if opts.command == "bench-leases" {
-        cmd_bench_leases(opts);
-        return;
-    }
-    if opts.command == "bench-scenarios" {
-        cmd_bench_scenarios(opts);
-        return;
-    }
-    if opts.command == "bench-scale" {
-        cmd_bench_scale(opts);
-        return;
+    match opts.command.as_str() {
+        "report" => return cmd_report(opts),
+        "watch" => return cmd_watch(opts),
+        "events-convert" => return cmd_events_convert(opts),
+        "check" => return cmd_check(opts),
+        _ => {}
     }
     match &opts.scenario_spec {
         Some(spec) => println!(
@@ -2736,82 +1352,92 @@ fn dispatch(opts: &Opts) {
     }
     println!();
 
-    let mut reports = Vec::new();
-    match opts.command.as_str() {
-        "run" if opts.replications > 1 => {
-            reports = run_replicated(opts);
-        }
+    let reports: Vec<SimReport> = match opts.command.as_str() {
+        "run" if opts.replications > 1 => run_replicated(opts),
         "run" => {
-            let mut r = run_one(opts, opts.algorithm, true);
+            let mut engine = engine_for(opts, opts.algorithm, opts.seed);
+            if let Some(path) = &opts.events {
+                let f = File::create(path).or_exit(path, "create");
+                engine.set_observer(stream_observer(opts.format, BufWriter::new(f)));
+            }
+            if opts.timeseries.is_some() {
+                engine.set_timeseries_sampling(SimDuration::from_secs_f64(opts.sample_secs));
+            }
+            let r = engine.run();
             print_report(&r);
             if let Some(spec) = &opts.scenario_spec {
-                print_tenant_breakdown(&r, spec);
+                print_tenant_breakdown(std::slice::from_ref(&r), spec);
             }
             if let Some(path) = &opts.events {
                 eprintln!("wrote event stream to {path}");
             }
             if let Some(path) = &opts.timeseries {
-                let ts = r.timeseries.take().expect("sampling was enabled");
-                let f = std::fs::File::create(path).expect("create timeseries output");
-                let mut w = BufWriter::new(f);
-                serde_json::to_writer_pretty(&mut w, &ts).expect("write timeseries");
-                w.flush().expect("flush timeseries");
+                let ts = r.timeseries.as_ref().expect("sampling was enabled");
+                let mut w = BufWriter::new(File::create(path).or_exit(path, "create"));
+                serde_json::to_writer_pretty(&mut w, ts).or_exit(path, "write");
+                w.flush().or_exit(path, "write");
                 eprintln!("wrote {} gauge samples to {path}", ts.len());
-                r.timeseries = Some(ts);
             }
-            reports.push(r);
+            vec![r]
         }
-        "compare" => {
-            println!(
-                "{:<16} {:>10} {:>10} {:>9} {:>9} {:>9} {:>10} {:>10} {:>11}",
-                "algorithm",
-                "mean wait",
-                "std wait",
-                "p50",
-                "p95",
-                "p99",
-                "hops/job",
-                "fairness",
-                "completion"
-            );
-            // The algorithms fan out over the pool; results come back
-            // in input order, so the table rows are stable.
-            use rayon::prelude::*;
-            let compared: Vec<SimReport> = [
-                Algorithm::Central,
-                Algorithm::RnTree,
-                Algorithm::RnTreePastry,
-                Algorithm::RnTreeTapestry,
-                Algorithm::Can,
-                Algorithm::CanPush,
-                Algorithm::PubSub,
-            ]
-            .into_par_iter()
-            .map(|alg| run_one(opts, alg, false))
-            .collect();
-            for r in compared {
-                let w = r.wait_stats.unwrap_or_default();
-                println!(
-                    "{:<16} {:>9.1}s {:>9.1}s {:>8.1}s {:>8.1}s {:>8.1}s {:>10.1} {:>10.3} {:>10.1}%",
-                    r.algorithm,
-                    r.mean_wait(),
-                    r.std_wait(),
-                    w.p50,
-                    w.p95,
-                    w.p99,
-                    r.match_hops.mean() + r.owner_hops.mean(),
-                    r.load_fairness(),
-                    100.0 * r.completion_rate(),
-                );
-                reports.push(r);
-            }
-        }
-        _ => usage(),
-    }
+        _ => compare(opts),
+    };
 
     if let Some(path) = &opts.json {
-        let f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(f, &reports).expect("write json");
+        let f = File::create(path).or_exit(path, "create");
+        serde_json::to_writer_pretty(f, &reports).or_exit(path, "write");
         eprintln!("wrote {} report(s) to {path}", reports.len());
     }
+}
+
+/// `dgrid compare`: every algorithm of [`COMPARED`] over the same
+/// replications, one table row each; with `--replications R` every column
+/// is the mean over the R seeds. The algorithms and their replications fan
+/// out over the pool and come back in input order, so the table is the
+/// same at any thread count.
+fn compare(opts: &Opts) -> Vec<SimReport> {
+    use rayon::prelude::*;
+
+    let seeds = replication_seeds(opts);
+    if seeds.len() > 1 {
+        println!("every column is the mean over seeds {seeds:?}\n");
+    }
+    println!(
+        "algorithm         mean wait   std wait       p50       p95       p99   hops/job   fairness  completion"
+    );
+    let cells: Vec<Vec<SimReport>> = COMPARED
+        .into_par_iter()
+        .map(|alg| {
+            seeds
+                .clone()
+                .into_par_iter()
+                .map(|seed| engine_for(opts, alg, seed).run())
+                .collect()
+        })
+        .collect();
+    for reports in &cells {
+        let cell = CellResult::from_reports(reports);
+        let wait = |f: fn(&SampleSummary) -> f64| {
+            mean_over(reports, |r| r.wait_stats.as_ref().map_or(0.0, f))
+        };
+        println!(
+            "{:<16} {:>9.1}s {:>9.1}s {:>8.1}s {:>8.1}s {:>8.1}s {:>10.1} {:>10.3} {:>10.1}%",
+            cell.algorithm,
+            cell.mean_wait,
+            cell.std_wait,
+            wait(|w| w.p50),
+            wait(|w| w.p95),
+            wait(|w| w.p99),
+            cell.mean_match_hops + cell.mean_owner_hops,
+            cell.load_fairness,
+            100.0 * cell.completion_rate,
+        );
+    }
+    if let Some(spec) = &opts.scenario_spec {
+        for reports in &cells {
+            println!("\n{}", reports[0].algorithm);
+            print_tenant_breakdown(reports, spec);
+        }
+    }
+    cells.into_iter().flatten().collect()
 }

@@ -66,16 +66,22 @@ impl Algorithm {
         }
     }
 
-    /// Instantiate the matchmaker.
+    /// Instantiate the matchmaker with its default settings.
     pub fn matchmaker(self) -> Box<dyn Matchmaker> {
+        self.matchmaker_with(RnTreeConfig::default())
+    }
+
+    /// Instantiate the matchmaker, the RN-Tree variants with `rn` (the
+    /// extended-search width, say) and the others with their defaults.
+    pub fn matchmaker_with(self, rn: RnTreeConfig) -> Box<dyn Matchmaker> {
         match self {
-            Algorithm::RnTree => Box::new(RnTreeMatchmaker::new(RnTreeConfig::default())),
-            Algorithm::RnTreePastry => Box::new(RnTreeMatchmaker::<PastryNetwork>::on_substrate(
-                RnTreeConfig::default(),
-            )),
-            Algorithm::RnTreeTapestry => Box::new(
-                RnTreeMatchmaker::<TapestryNetwork>::on_substrate(RnTreeConfig::default()),
-            ),
+            Algorithm::RnTree => Box::new(RnTreeMatchmaker::new(rn)),
+            Algorithm::RnTreePastry => {
+                Box::new(RnTreeMatchmaker::<PastryNetwork>::on_substrate(rn))
+            }
+            Algorithm::RnTreeTapestry => {
+                Box::new(RnTreeMatchmaker::<TapestryNetwork>::on_substrate(rn))
+            }
             Algorithm::Can => Box::new(CanMatchmaker::with_defaults()),
             Algorithm::CanPush => Box::new(CanMatchmaker::with_push()),
             Algorithm::CanNoVirtualDim => Box::new(CanMatchmaker::new(
@@ -179,8 +185,33 @@ pub struct CellResult {
     pub replications: usize,
 }
 
+/// Mean over replications of one per-replication quantity: the only
+/// averaging the tables do (the paper's figures are averages over runs).
+pub fn mean_over(reports: &[SimReport], f: impl Fn(&SimReport) -> f64) -> f64 {
+    reports.iter().map(f).sum::<f64>() / reports.len() as f64
+}
+
+impl CellResult {
+    /// Average the replications of one cell. `algorithm` is the reports'
+    /// matchmaker name; `scenario` is left empty for the caller to label.
+    pub fn from_reports(reports: &[SimReport]) -> CellResult {
+        assert!(!reports.is_empty());
+        CellResult {
+            algorithm: reports[0].algorithm.clone(),
+            scenario: String::new(),
+            mean_wait: mean_over(reports, SimReport::mean_wait),
+            std_wait: mean_over(reports, SimReport::std_wait),
+            mean_match_hops: mean_over(reports, |r| r.match_hops.mean()),
+            mean_owner_hops: mean_over(reports, |r| r.owner_hops.mean()),
+            completion_rate: mean_over(reports, SimReport::completion_rate),
+            load_fairness: mean_over(reports, SimReport::load_fairness),
+            replications: reports.len(),
+        }
+    }
+}
+
 /// Run `replications` independent seeds of one cell in parallel and average
-/// the reported metrics (the paper's figures are averages over runs).
+/// the reported metrics.
 pub fn run_cell(
     algorithm: Algorithm,
     scenario: PaperScenario,
@@ -194,17 +225,9 @@ pub fn run_cell(
         .into_par_iter()
         .map(|r| run_scenario(algorithm, scenario, nodes, jobs, base_seed ^ (r + 1)))
         .collect();
-    let n = reports.len() as f64;
     CellResult {
-        algorithm: algorithm.label().to_string(),
         scenario: scenario.label().to_string(),
-        mean_wait: reports.iter().map(SimReport::mean_wait).sum::<f64>() / n,
-        std_wait: reports.iter().map(SimReport::std_wait).sum::<f64>() / n,
-        mean_match_hops: reports.iter().map(|r| r.match_hops.mean()).sum::<f64>() / n,
-        mean_owner_hops: reports.iter().map(|r| r.owner_hops.mean()).sum::<f64>() / n,
-        completion_rate: reports.iter().map(SimReport::completion_rate).sum::<f64>() / n,
-        load_fairness: reports.iter().map(SimReport::load_fairness).sum::<f64>() / n,
-        replications,
+        ..CellResult::from_reports(&reports)
     }
 }
 
@@ -214,7 +237,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> = [
+        let all = [
             Algorithm::RnTree,
             Algorithm::RnTreePastry,
             Algorithm::RnTreeTapestry,
@@ -223,11 +246,13 @@ mod tests {
             Algorithm::CanNoVirtualDim,
             Algorithm::Central,
             Algorithm::PubSub,
-        ]
-        .iter()
-        .map(|a| a.label())
-        .collect();
+        ];
+        let labels: std::collections::HashSet<_> = all.iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), 8);
+        // `CellResult::from_reports` labels a cell by its reports' name.
+        for a in all {
+            assert_eq!(a.matchmaker().name(), a.label());
+        }
     }
 
     #[test]

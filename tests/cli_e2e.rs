@@ -35,3 +35,40 @@ fn compare_at_one_replication_prints_the_pinned_bytes() {
         String::from_utf8_lossy(&stdout)
     );
 }
+
+#[test]
+fn replicated_compare_averages_new_seeds_the_same_at_any_thread_count() {
+    let row = |out: &[u8]| {
+        let table = String::from_utf8_lossy(out).into_owned();
+        let row = table.lines().find(|l| l.starts_with("rn-tree "));
+        row.expect("an rn-tree row").to_string()
+    };
+    let one_thread = compare(&["--replications", "4", "--threads", "1"]);
+    assert_eq!(
+        one_thread,
+        compare(&["--replications", "4", "--threads", "2"])
+    );
+    assert_ne!(
+        row(&one_thread),
+        row(&compare(&[])),
+        "--replications ignored"
+    );
+}
+
+/// The stderr of an invocation that must exit 2 (a panic exits 101).
+fn refused(args: &[&str]) -> String {
+    let out = dgrid(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    String::from_utf8(out.stderr).expect("utf-8 stderr")
+}
+
+#[test]
+fn file_and_flag_errors_name_themselves_and_exit_2() {
+    let missing = refused(&["report", "--events", "/nonexistent"]);
+    assert!(missing.contains("/nonexistent") && missing.lines().count() == 1);
+    assert!(refused(&["run", "--nodes", "abc"]).starts_with("--nodes: \"abc\" is not a number\n"));
+    assert!(refused(&["run", "--foo", "1"]).starts_with("unknown flag --foo\n"));
+    let gone = refused(&["bench", "sweep"]);
+    assert!(gone.contains("benchmark/Cargo.toml") && gone.contains("compare --replications"));
+    assert_eq!(gone.lines().count(), 1);
+}

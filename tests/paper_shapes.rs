@@ -2,8 +2,12 @@
 //! observations): who wins, who collapses, and where. Absolute magnitudes
 //! vary with scale and seed; these orderings must not.
 
-use dgrid::harness::{run_scenario, Algorithm};
-use dgrid::workloads::PaperScenario;
+use dgrid::check::{spec_engine, MatchmakerChoice};
+use dgrid::core::{ChurnConfig, EngineConfig, PlacementPolicy, SimReport};
+use dgrid::harness::{
+    paper_engine_config, run_cell, run_scenario, run_workload, Algorithm, CellResult,
+};
+use dgrid::workloads::{flash_crowd, paper_scenario, PaperScenario};
 
 const NODES: usize = 96;
 const JOBS: usize = 480;
@@ -181,4 +185,65 @@ fn decentralized_stdev_tracks_mean_ordering() {
     let central = run_scenario(Algorithm::Central, s, NODES, JOBS, SEED);
     assert!(central.std_wait() <= rn.std_wait());
     assert!(rn.std_wait() < can.std_wait());
+}
+
+// The tables `dgrid compare --replications R` regenerates in EXPERIMENTS.md,
+// at their recorded cell: 96 nodes × 400 jobs, seeds `42 ^ 1 ..= 42 ^ R`.
+
+#[test]
+fn tapestry_ownership_skew_not_hop_count_drives_the_wait() {
+    // T-overlay, 8 seeds: Chord owns key space near-uniformly, Tapestry's
+    // surrogate roots do not, and the wait time follows the fairness.
+    let cell = |alg| run_cell(alg, PaperScenario::MixedLight, 96, 400, 42, 8);
+    let (chord, tapestry) = (cell(Algorithm::RnTree), cell(Algorithm::RnTreeTapestry));
+    assert!(tapestry.load_fairness < 0.5 && 0.5 < chord.load_fairness);
+    assert!(tapestry.mean_wait > 3.0 * chord.mean_wait);
+}
+
+/// T-lease, 16 seeds of `rn-tree@tapestry`: reassign-on-death (`None`) or
+/// leases of ttl 600 s / renew 150 s / grace 60 s under `placement`.
+fn tapestry_cell(placement: Option<PlacementPolicy>) -> CellResult {
+    let alg = Algorithm::RnTreeTapestry;
+    let reports: Vec<SimReport> = (1..=16)
+        .map(|r| {
+            let cfg = EngineConfig {
+                lease_ttl_secs: placement.map(|_| 600.0),
+                lease_renew_secs: 150.0,
+                lease_grace_secs: 60.0,
+                placement,
+                ..paper_engine_config(42 ^ r)
+            };
+            let workload = paper_scenario(PaperScenario::MixedLight, 96, 400, 42 ^ r);
+            run_workload(alg, &workload, cfg, ChurnConfig::none())
+        })
+        .collect();
+    CellResult::from_reports(&reports)
+}
+
+#[test]
+fn lease_machinery_is_free_and_load_aware_placement_buys_back_the_skew() {
+    let reassign = tapestry_cell(None);
+    let hash = tapestry_cell(Some(PlacementPolicy::Hash));
+    let load_aware = tapestry_cell(Some(PlacementPolicy::LoadAware));
+    let drift = (hash.mean_wait - reassign.mean_wait).abs() / reassign.mean_wait;
+    assert!(drift < 0.02, "leases + hash placement drifted {drift:.3}");
+    assert!(load_aware.load_fairness > 0.7);
+    assert!(4.0 * load_aware.mean_wait < reassign.mean_wait);
+}
+
+#[test]
+fn pub_sub_beats_every_rn_tree_substrate_under_a_flash_crowd() {
+    // T-scenario, 4 seeds of the `flash-crowd` preset.
+    let wait = |mm| {
+        let reports: Vec<SimReport> = (1..=4)
+            .map(|r| spec_engine(&flash_crowd(), 42 ^ r, mm).run())
+            .collect();
+        CellResult::from_reports(&reports).mean_wait
+    };
+    let pub_sub = wait(MatchmakerChoice::PubSub);
+    let chord = wait(MatchmakerChoice::RnTree);
+    let pastry = wait(MatchmakerChoice::RnTreePastry);
+    let tapestry = wait(MatchmakerChoice::RnTreeTapestry);
+    assert!(pub_sub < chord.min(pastry), "{pub_sub} {chord} {pastry}");
+    assert!(tapestry > chord.max(pastry).max(wait(MatchmakerChoice::Can)));
 }

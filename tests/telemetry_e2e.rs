@@ -7,8 +7,8 @@ use std::io::Write;
 use std::rc::Rc;
 
 use dgrid::core::{
-    parse_jsonl_line, ChurnConfig, Engine, EngineConfig, FaultPlan, JobSpan, JsonlObserver, Phase,
-    SimReport, SpanAssembler, SpanOutcome,
+    parse_jsonl_line, BinaryObserver, ChurnConfig, Engine, EngineConfig, FaultPlan, JobSpan,
+    JsonlObserver, Observer, Phase, SimReport, SpanAssembler, SpanOutcome,
 };
 use dgrid::harness::Algorithm;
 use dgrid::sim::telemetry::shared_registry;
@@ -236,16 +236,38 @@ fn overlay_hook_reports_into_the_registry() {
 fn installing_telemetry_does_not_change_the_simulation() {
     let workload = paper_scenario(PaperScenario::MixedLight, 48, 150, 91);
     for alg in [Algorithm::RnTree, Algorithm::Can] {
-        let plain = engine(alg, &workload, 91).run();
+        let plain = serde_json::to_string(&engine(alg, &workload, 91).run()).unwrap();
         let instrumented = engine(alg, &workload, 91)
             .with_telemetry_registry(shared_registry())
             .run();
         assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
+            plain,
             serde_json::to_string(&instrumented).unwrap(),
             "{}: the hook only observes",
             alg.label()
         );
+        // Everything switched on at once, under either stream writer: only
+        // the payload that exists when telemetry is on may differ.
+        let writers: [Box<dyn Observer>; 2] = [
+            Box::new(JsonlObserver::new(std::io::sink())),
+            Box::new(BinaryObserver::new(std::io::sink())),
+        ];
+        for writer in writers {
+            let mut traced = engine(alg, &workload, 91)
+                .with_observer(writer)
+                .with_telemetry_registry(shared_registry())
+                .with_timeseries_sampling(SimDuration::from_secs(120))
+                .run();
+            assert!(traced.stream_bytes_written > 0 && traced.timeseries.is_some());
+            traced.stream_bytes_written = 0;
+            traced.timeseries = None;
+            assert_eq!(
+                plain,
+                serde_json::to_string(&traced).unwrap(),
+                "{}",
+                alg.label()
+            );
+        }
     }
 }
 
