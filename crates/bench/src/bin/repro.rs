@@ -5,7 +5,8 @@
 //!       [--threads T] [--json PATH]
 //!
 //! EXPERIMENT: fig2 | fig2a | fig2b | fig2c | fig2d | hops | push | robust
-//!           | tree | virt | ksweep | dht | dist | fair | overhead | tail | all
+//!           | tree | virt | ksweep | dht | dist | fair | overhead | tail | hb
+//!           | faults | all
 //! ```
 //!
 //! Default scale is the paper's (1000 nodes, 5000 jobs); pass smaller
@@ -15,8 +16,10 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 
-use dgrid::core::{ChurnConfig, Engine, RnTreeConfig, RnTreeMatchmaker};
-use dgrid::harness::{paper_engine_config, run_cell, run_workload, Algorithm, CellResult};
+use dgrid::core::{ChurnConfig, Engine, EngineConfig, FaultPlan, RnTreeConfig, RnTreeMatchmaker};
+use dgrid::harness::{
+    paper_engine_config, run_cell, run_workload, run_workload_with_faults, Algorithm, CellResult,
+};
 use dgrid::workloads::{paper_scenario, PaperScenario};
 use serde_json::Value;
 
@@ -139,6 +142,12 @@ fn run(opts: &Opts) {
     }
     if want("tail") {
         tail(opts);
+    }
+    if want("hb") {
+        hb(opts);
+    }
+    if want("faults") {
+        faults(opts);
     }
 
     if let Some(path) = &opts.json {
@@ -623,6 +632,73 @@ fn ksweep(opts: &Opts) {
             r.std_wait(),
             r.match_hops.mean()
         );
+    }
+    println!();
+}
+
+/// A-hb: Section 2's soft-state heartbeat period under churn. Fast
+/// heartbeats detect a failure sooner but cost more messages.
+fn hb(opts: &Opts) {
+    println!("== A-hb: heartbeat period under churn (rn-tree, 64 nodes, 300 jobs, mttf 3000s, rejoin 500s) ==");
+    println!("period    detection   turnaround  completion    hb msgs");
+    let workload = paper_scenario(PaperScenario::MixedLight, 64, 300, opts.seed);
+    for &hb in &[2.0f64, 10.0, 30.0, 120.0] {
+        let cfg = EngineConfig {
+            heartbeat_secs: hb,
+            client_resubmit_secs: (hb * 6.0).max(300.0),
+            max_sim_secs: 3_000_000.0,
+            ..paper_engine_config(opts.seed)
+        };
+        let churn = ChurnConfig {
+            mttf_secs: Some(3_000.0),
+            rejoin_after_secs: Some(500.0),
+            graceful_fraction: 0.0,
+        };
+        let r = run_workload(Algorithm::RnTree, &workload, cfg, churn);
+        println!(
+            "{:<8} {:>9.0}s {:>11.1}s {:>11.3} {:>10}",
+            hb,
+            hb * 3.0,
+            r.turnaround.mean(),
+            r.completion_rate(),
+            r.heartbeat_messages
+        );
+    }
+    println!();
+}
+
+/// T-faults: how each matchmaker degrades as the network gets lossier with
+/// no node ever failing, then with a quarter of the grid cut off for 2000 s.
+/// Every recovery action here is driven by lost messages alone.
+fn faults(opts: &Opts) {
+    println!("== T-faults: message loss and a partition, no churn (64 nodes, 300 jobs) ==");
+    println!(
+        "faults     algorithm  completion    lost  spurious  dup exec  run rec  resubmits  retries"
+    );
+    let workload = paper_scenario(PaperScenario::MixedLight, 64, 300, opts.seed);
+    let cut = FaultPlan::with_loss(0.02).with_partition(500.0, 2_500.0, (0..16).collect());
+    let plans = [0.0, 0.01, 0.05, 0.1, 0.2]
+        .map(|p| (format!("loss={p}"), FaultPlan::with_loss(p)))
+        .into_iter()
+        .chain([("cut 16/64".to_string(), cut)]);
+    for (label, plan) in plans {
+        for alg in [Algorithm::RnTree, Algorithm::Can, Algorithm::Central] {
+            let cfg = paper_engine_config(opts.seed);
+            let r =
+                run_workload_with_faults(alg, &workload, cfg, ChurnConfig::none(), plan.clone());
+            println!(
+                "{:<10} {:<10} {:>10.3} {:>7} {:>9} {:>9} {:>8} {:>10} {:>8}",
+                label,
+                alg.label(),
+                r.completion_rate(),
+                r.messages_lost,
+                r.spurious_detections,
+                r.duplicate_executions,
+                r.run_recoveries,
+                r.client_resubmits,
+                r.lookup_retries
+            );
+        }
     }
     println!();
 }
