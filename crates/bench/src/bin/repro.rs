@@ -642,23 +642,23 @@ fn hb(opts: &Opts) {
     println!("== A-hb: heartbeat period under churn (rn-tree, 64 nodes, 300 jobs, mttf 3000s, rejoin 500s) ==");
     println!("period    detection   turnaround  completion    hb msgs");
     let workload = paper_scenario(PaperScenario::MixedLight, 64, 300, opts.seed);
-    for &hb in &[2.0f64, 10.0, 30.0, 120.0] {
+    let churn = ChurnConfig {
+        mttf_secs: Some(3_000.0),
+        rejoin_after_secs: Some(500.0),
+        graceful_fraction: 0.0,
+    };
+    for &period in &[2.0f64, 10.0, 30.0, 120.0] {
         let cfg = EngineConfig {
-            heartbeat_secs: hb,
-            client_resubmit_secs: (hb * 6.0).max(300.0),
+            heartbeat_secs: period,
+            client_resubmit_secs: (period * 6.0).max(300.0),
             max_sim_secs: 3_000_000.0,
             ..paper_engine_config(opts.seed)
-        };
-        let churn = ChurnConfig {
-            mttf_secs: Some(3_000.0),
-            rejoin_after_secs: Some(500.0),
-            graceful_fraction: 0.0,
         };
         let r = run_workload(Algorithm::RnTree, &workload, cfg, churn);
         println!(
             "{:<8} {:>9.0}s {:>11.1}s {:>11.3} {:>10}",
-            hb,
-            hb * 3.0,
+            period,
+            period * 3.0,
             r.turnaround.mean(),
             r.completion_rate(),
             r.heartbeat_messages

@@ -105,9 +105,9 @@ use std::str::FromStr;
 
 use dgrid::core::{
     binary_to_jsonl, decode_stream, jsonl_to_binary, parse_jsonl_line, phase_samples, sniff_format,
-    BinaryObserver, ChurnConfig, Engine, EngineConfig, FaultPlan, JobDag, JobSpan, JsonlObserver,
-    Phase, PlacementPolicy, RnTreeConfig, SimReport, SpanAssembler, SpanOutcome, StreamAnalytics,
-    StreamDecoder, StreamFormat,
+    BinaryObserver, ChurnConfig, Engine, EngineConfig, EventRecord, FaultPlan, JobDag, JobSpan,
+    JsonlObserver, Phase, PlacementPolicy, RnTreeConfig, SimReport, SpanAssembler, SpanOutcome,
+    StreamAnalytics, StreamDecoder, StreamFormat,
 };
 use dgrid::harness::{mean_over, Algorithm, CellResult};
 use dgrid::sim::hist::LogHistogram;
@@ -655,19 +655,21 @@ fn print_tenant_breakdown(reports: &[SimReport], spec: &ScenarioSpec) {
 /// when the stream was recorded with `--format binary`.
 fn spans_from_events(path: &str) -> Vec<JobSpan> {
     let bytes = std::fs::read(path).or_exit(path, "read");
-    let records = match sniff_format(&bytes) {
-        StreamFormat::Binary => decode_stream(&bytes).or_exit(path, "decode"),
+    let mut assembler = SpanAssembler::new();
+    let mut observe = |rec: EventRecord| {
+        assembler.observe(SimTime::ZERO + SimDuration::from_nanos(rec.t_ns), rec.event)
+    };
+    match sniff_format(&bytes) {
+        StreamFormat::Binary => (decode_stream(&bytes).or_exit(path, "decode"))
+            .into_iter()
+            .for_each(&mut observe),
         StreamFormat::Jsonl => (String::from_utf8(bytes).or_exit(path, "read"))
             .lines()
             .enumerate()
             .filter_map(|(n, line)| {
                 parse_jsonl_line(line).or_exit(format_args!("{path}:{}", n + 1), "parse")
             })
-            .collect(),
-    };
-    let mut assembler = SpanAssembler::new();
-    for rec in records {
-        assembler.observe(SimTime::ZERO + SimDuration::from_nanos(rec.t_ns), rec.event);
+            .for_each(&mut observe),
     }
     assembler.finish()
 }
