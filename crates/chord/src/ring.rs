@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use dgrid_sim::prefix::Lazy;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -26,26 +27,17 @@ impl Default for ChordConfig {
     }
 }
 
-/// One lazily-materialized component of a peer's routing state.
-///
-/// `Canon` means the component was last refreshed by a full
-/// [`ChordRing::stabilize`] and is therefore a pure function of the sorted
-/// alive-key snapshot taken then — so it is *computed on demand* by binary
-/// search instead of being stored. A million-peer ring holds one shared
-/// 8-byte-per-peer snapshot instead of ~72 materialized ids per peer, and
-/// stabilization itself becomes O(N) flag resets. `Mat` holds state
-/// materialized by an individual refresh since the last stabilize (join
-/// notifications, graceful-leave repairs).
-#[derive(Clone, Debug)]
-pub(crate) enum Lazy<T> {
-    Canon,
-    Mat(T),
-}
-
 /// Per-peer routing state, as the peer itself believes it to be.
 ///
 /// Entries go stale under churn until the next [`ChordRing::stabilize`],
 /// which is exactly the window in which routing pays timeout penalties.
+/// Each component is a [`Lazy`]: `Canon` when a full stabilize refreshed it
+/// last — a pure function of the sorted alive-key snapshot taken then, so
+/// it is *computed on demand* by binary search instead of being stored —
+/// or `Mat`, state materialized by an individual refresh since (join
+/// notifications, graceful-leave repairs). A million-peer ring holds one
+/// shared 8-byte-per-peer snapshot instead of ~72 materialized ids per
+/// peer, and stabilization itself becomes O(N) flag resets.
 /// A `Canon` component stays pinned to the snapshot of the last stabilize
 /// even as membership changes afterwards — byte-identical staleness to the
 /// materialized vectors it replaces.
@@ -150,11 +142,18 @@ impl ChordRing {
             return None;
         }
         let n = rng.gen_range(0..self.alive_count);
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.alive)
-            .nth(n)
-            .map(|(&id, _)| ChordId(id))
+        self.alive_key_at(n).map(ChordId)
+    }
+
+    /// The `rank`-th live key in ascending order: one index into the
+    /// snapshot while settled, a walk of the live set otherwise.
+    pub(crate) fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        if self.settled {
+            self.canon.get(rank).copied()
+        } else {
+            let mut alive = self.peers.iter().filter(|(_, p)| p.alive);
+            alive.nth(rank).map(|(&id, _)| id)
+        }
     }
 
     // ------------------------------------------------------------------

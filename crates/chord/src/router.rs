@@ -42,6 +42,10 @@ impl KeyRouter for ChordRing {
         self.alive_ids().into_iter().map(|id| id.0).collect()
     }
 
+    fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        ChordRing::alive_key_at(self, rank)
+    }
+
     fn owner_of(&self, key: u64) -> Option<u64> {
         self.successor_of(ChordId(key)).map(|id| id.0)
     }

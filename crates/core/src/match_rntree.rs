@@ -169,6 +169,17 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         best.map_or(mapped, |(_, key)| key)
     }
 
+    /// A uniformly random live overlay key: where a contactor with no
+    /// overlay position of its own starts a lookup. `None` when nobody is
+    /// alive, without touching `rng`.
+    fn random_live_key(&self, rng: &mut SimRng) -> Option<u64> {
+        if self.router.is_empty() {
+            return None;
+        }
+        self.router
+            .alive_key_at(rng.gen_range(0..self.router.len()))
+    }
+
     /// Report one finished overlay operation to the telemetry hook.
     fn report_lookup(&self, hops: u32, retries: u32) {
         let mut hook = self.hook.borrow_mut();
@@ -380,11 +391,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         // The run node (or client) looks the GUID up again; the live
         // overlay owner of the GUID becomes the new owner. Start the lookup
         // at a random live peer (the contactor's own overlay position).
-        let ids = self.router.alive_keys();
-        if ids.is_empty() {
-            return None;
-        }
-        let from = ids[rng.gen_range(0..ids.len())];
+        let from = self.random_live_key(rng)?;
         let (lookup, retries) =
             self.router
                 .lookup_with_failover(from, guid, LOOKUP_FAILOVER_RETRIES)?;
@@ -411,11 +418,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
     }
 
     fn resolve_guid(&mut self, _nodes: &NodeTable, guid: u64, rng: &mut SimRng) -> Option<u32> {
-        let ids = self.router.alive_keys();
-        if ids.is_empty() {
-            return None;
-        }
-        let from = ids[rng.gen_range(0..ids.len())];
+        let from = self.random_live_key(rng)?;
         let (lookup, retries) =
             self.router
                 .lookup_with_failover(from, guid, LOOKUP_FAILOVER_RETRIES)?;

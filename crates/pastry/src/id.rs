@@ -2,13 +2,10 @@
 
 use std::fmt;
 
+use dgrid_sim::prefix;
+pub use dgrid_sim::prefix::{DIGITS, DIGIT_BITS};
 use dgrid_sim::rng::splitmix64;
 use serde::{Deserialize, Serialize};
-
-/// Bits per digit (`b` in the Pastry paper; 4 ⇒ hexadecimal digits).
-pub const DIGIT_BITS: u32 = 4;
-/// Number of digits in an identifier (= routing-table rows).
-pub const DIGITS: u32 = 64 / DIGIT_BITS;
 
 /// A position in Pastry's circular identifier space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -22,18 +19,12 @@ impl PastryId {
 
     /// The `i`-th digit, counted from the most significant (`i < DIGITS`).
     pub fn digit(self, i: u32) -> u8 {
-        debug_assert!(i < DIGITS);
-        ((self.0 >> (64 - DIGIT_BITS * (i + 1))) & 0xF) as u8
+        prefix::digit(self.0, i)
     }
 
     /// Number of leading digits shared with `other` (0..=DIGITS).
     pub fn shared_prefix_digits(self, other: PastryId) -> u32 {
-        let x = self.0 ^ other.0;
-        if x == 0 {
-            DIGITS
-        } else {
-            x.leading_zeros() / DIGIT_BITS
-        }
+        prefix::shared_prefix_digits(self.0, other.0)
     }
 
     /// Circular numeric distance to `other` (the shorter way around).
@@ -51,25 +42,11 @@ impl PastryId {
         a < b || (a == b && self.0 < other.0)
     }
 
-    /// The smallest id whose first `prefix_len` digits equal `self`'s with
-    /// digit `prefix_len` replaced by `d` — the low end of a routing-table
-    /// slot's id range. Returns the `(lo, hi)` inclusive range.
+    /// The inclusive `(lo, hi)` range of ids whose first `prefix_len`
+    /// digits equal `self`'s and whose next digit is `d`: one routing-table
+    /// slot.
     pub fn slot_range(self, prefix_len: u32, d: u8) -> (u64, u64) {
-        debug_assert!(prefix_len < DIGITS);
-        debug_assert!(d < 16);
-        let shift = 64 - DIGIT_BITS * (prefix_len + 1);
-        let kept = if prefix_len == 0 {
-            0
-        } else {
-            self.0 & (u64::MAX << (64 - DIGIT_BITS * prefix_len))
-        };
-        let lo = kept | ((d as u64) << shift);
-        let hi = if shift == 0 {
-            lo
-        } else {
-            lo | ((1u64 << shift) - 1)
-        };
-        (lo, hi)
+        prefix::slot_range(self.0, prefix_len, d)
     }
 }
 
@@ -90,24 +67,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn digits_read_most_significant_first() {
-        let id = PastryId(0x1234_5678_9ABC_DEF0);
-        assert_eq!(id.digit(0), 0x1);
-        assert_eq!(id.digit(1), 0x2);
-        assert_eq!(id.digit(7), 0x8);
-        assert_eq!(id.digit(15), 0x0);
-    }
-
-    #[test]
-    fn shared_prefix() {
-        let a = PastryId(0x1234_5678_9ABC_DEF0);
-        assert_eq!(a.shared_prefix_digits(a), DIGITS);
-        assert_eq!(a.shared_prefix_digits(PastryId(0x1234_5678_9ABC_DEF1)), 15);
-        assert_eq!(a.shared_prefix_digits(PastryId(0x1235_0000_0000_0000)), 3);
-        assert_eq!(a.shared_prefix_digits(PastryId(0xF000_0000_0000_0000)), 0);
-    }
-
-    #[test]
     fn circular_distance_wraps() {
         let a = PastryId(10);
         let b = PastryId(u64::MAX - 9);
@@ -123,28 +82,5 @@ mod tests {
         assert!(PastryId(10).closer_to(key, PastryId(20)));
         assert!(!PastryId(20).closer_to(key, PastryId(10)));
         assert!(PastryId(16).closer_to(key, PastryId(10)));
-    }
-
-    #[test]
-    fn slot_ranges_partition_by_digit() {
-        let id = PastryId(0xABCD_0000_0000_0000);
-        // Row 0: the 16 top-level digit slots tile the whole space.
-        let mut covered: u128 = 0;
-        for d in 0..16u8 {
-            let (lo, hi) = id.slot_range(0, d);
-            covered += (hi - lo + 1) as u128;
-            assert_eq!(lo >> 60, d as u64);
-        }
-        assert_eq!(covered, 1u128 << 64);
-
-        // Row 2 keeps the first two digits.
-        let (lo, hi) = id.slot_range(2, 0x7);
-        assert_eq!(lo, 0xAB70_0000_0000_0000);
-        assert_eq!(hi, 0xAB7F_FFFF_FFFF_FFFF);
-
-        // Deepest row is a single id.
-        let (lo, hi) = id.slot_range(DIGITS - 1, 0x3);
-        assert_eq!(lo, hi);
-        assert_eq!(lo, 0xABCD_0000_0000_0003);
     }
 }

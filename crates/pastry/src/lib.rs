@@ -10,7 +10,16 @@
 //! * 64-bit identifiers read as 16 hexadecimal **digits** (`b = 4`);
 //! * each node keeps a **leaf set** (the `L/2` numerically closest live
 //!   nodes on each side) and a **routing table** with one row per shared
-//!   prefix length and one entry per next digit;
+//!   prefix length and one entry per next digit — *kept*, not stored: what
+//!   a full [`stabilize`](PastryNetwork::stabilize) leaves a node with is a
+//!   function of the sorted live ids alone, so the network holds that one
+//!   snapshot (`dgrid_sim::prefix`) and computes a table slot (one binary
+//!   search) or a leaf set (the node's snapshot neighbours) when a route
+//!   asks for it. Only state refreshed individually since — a joiner's, the
+//!   leaf sets its neighbours repair on a join or a graceful leave — is
+//!   materialised, until the next stabilize. A computed view stays pinned
+//!   to the snapshot while membership moves on, so it goes stale exactly
+//!   as a stored one would;
 //! * [`route`](PastryNetwork::route) implements Pastry's algorithm: deliver
 //!   within the leaf-set range, otherwise forward to the routing-table
 //!   entry matching one more digit, falling back to any known node that is

@@ -1,8 +1,10 @@
 //! Membership, per-node Pastry state (leaf sets + routing tables), churn,
 //! and prefix routing.
 
-use std::collections::BTreeMap;
+use std::ops::Bound;
 
+use dgrid_sim::prefix::{Entry, Lazy, Membership, RADIX};
+use dgrid_sim::router::{prefix_key, KeyRouter, RouteCost};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -38,24 +40,85 @@ pub struct Route {
     pub timeouts: u32,
 }
 
-#[derive(Clone, Debug)]
-struct PeerState {
-    alive: bool,
+/// A node's two leaf sets as last refreshed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct LeafSets {
     /// Numerically closest live peers clockwise (ascending ids, wrapping).
-    leaf_cw: Vec<PastryId>,
+    cw: Vec<PastryId>,
     /// Numerically closest live peers counter-clockwise.
-    leaf_ccw: Vec<PastryId>,
-    /// `table[row][digit]`: some node sharing `row` digits with us whose
-    /// next digit is `digit` (as of the last refresh).
-    table: Vec<[Option<PastryId>; 16]>,
+    ccw: Vec<PastryId>,
+}
+
+/// One node's leaf sets as the node believes them, read in place: a route
+/// looks at up to `2 × leaf_half` leaves per hop and must not copy them.
+#[derive(Clone, Copy)]
+enum LeafView<'a> {
+    /// The `width` neighbours on each side of `rank` in the snapshot.
+    Canon {
+        keys: &'a [u64],
+        rank: usize,
+        width: usize,
+    },
+    Mat(&'a LeafSets),
+}
+
+impl<'a> LeafView<'a> {
+    fn len(self, clockwise: bool) -> usize {
+        match self {
+            LeafView::Canon { width, .. } => width,
+            LeafView::Mat(l) if clockwise => l.cw.len(),
+            LeafView::Mat(l) => l.ccw.len(),
+        }
+    }
+
+    /// The `j`-th closest leaf on one side (`j < len`).
+    fn get(self, clockwise: bool, j: usize) -> Entry {
+        match self {
+            LeafView::Canon { keys, rank, .. } => {
+                // `j < width <= n - 1`, so one conditional wrap suffices.
+                let n = keys.len();
+                let i = if clockwise {
+                    rank + 1 + j
+                } else {
+                    rank + n - 1 - j
+                };
+                let rank = if i >= n { i - n } else { i };
+                Entry {
+                    key: keys[rank],
+                    rank: Some(rank),
+                }
+            }
+            LeafView::Mat(l) => Entry {
+                key: if clockwise { l.cw[j].0 } else { l.ccw[j].0 },
+                rank: None,
+            },
+        }
+    }
+
+    /// One side, closest first.
+    fn side(self, clockwise: bool) -> impl Iterator<Item = Entry> + 'a {
+        (0..self.len(clockwise)).map(move |j| self.get(clockwise, j))
+    }
+
+    /// The far end of one side: the edge of the span the leaf set covers.
+    fn last(self, clockwise: bool) -> Option<Entry> {
+        let n = self.len(clockwise);
+        (n > 0).then(|| self.get(clockwise, n - 1))
+    }
 }
 
 /// The Pastry network: authoritative membership plus every node's (possibly
 /// stale) local routing state.
+///
+/// A node's state is stored only where an individual refresh has
+/// materialised it since the last [`PastryNetwork::stabilize`]; everything
+/// else is computed from the shared snapshot when a route asks for it: a
+/// table slot is one binary search, a leaf set is the node's snapshot
+/// neighbours.
 pub struct PastryNetwork {
     cfg: PastryConfig,
-    peers: BTreeMap<u64, PeerState>,
-    alive_count: usize,
+    /// Per node: the routing table, and the leaf sets beside it.
+    m: Membership<Lazy<LeafSets>>,
 }
 
 impl Default for PastryNetwork {
@@ -70,8 +133,9 @@ impl PastryNetwork {
         assert!(cfg.leaf_half >= 1);
         PastryNetwork {
             cfg,
-            peers: BTreeMap::new(),
-            alive_count: 0,
+            // A row has no entry for its owner's own digit: deeper rows
+            // and the leaf sets cover that range.
+            m: Membership::new(false),
         }
     }
 
@@ -82,83 +146,73 @@ impl PastryNetwork {
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.alive_count
+        self.m.len()
     }
 
     /// True iff nobody is alive.
     pub fn is_empty(&self) -> bool {
-        self.alive_count == 0
+        self.m.is_empty()
     }
 
     /// Is `id` a live member?
     pub fn is_alive(&self, id: PastryId) -> bool {
-        self.peers.get(&id.0).is_some_and(|p| p.alive)
+        self.m.is_alive(id.0)
     }
 
     /// Live ids, ascending.
     pub fn alive_ids(&self) -> Vec<PastryId> {
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.alive)
-            .map(|(&id, _)| PastryId(id))
-            .collect()
+        self.m.alive_in(..).map(PastryId).collect()
     }
 
     /// A uniformly random live node.
     pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<PastryId> {
-        if self.alive_count == 0 {
+        if self.is_empty() {
             return None;
         }
-        let n = rng.gen_range(0..self.alive_count);
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.alive)
-            .nth(n)
-            .map(|(&id, _)| PastryId(id))
+        let n = rng.gen_range(0..self.len());
+        self.m.alive_key_at(n).map(PastryId)
     }
 
     // ------------------------------------------------------------------
     // Ground truth
     // ------------------------------------------------------------------
 
-    /// Next live id clockwise from `from` (exclusive).
-    fn next_cw(&self, from: u64) -> Option<PastryId> {
-        self.peers
-            .range(from.wrapping_add(1)..)
-            .find(|(_, p)| p.alive)
-            .or_else(|| self.peers.range(..).find(|(_, p)| p.alive))
-            .map(|(&id, _)| PastryId(id))
+    /// Live ids clockwise from `from` (exclusive), once around.
+    fn clockwise(&self, from: u64) -> impl Iterator<Item = PastryId> + '_ {
+        let above = (Bound::Excluded(from), Bound::Unbounded);
+        let wrapped = self.m.alive_in(..from);
+        self.m.alive_in(above).chain(wrapped).map(PastryId)
     }
 
-    /// Next live id counter-clockwise from `from` (exclusive).
-    fn next_ccw(&self, from: u64) -> Option<PastryId> {
-        self.peers
-            .range(..from)
-            .rev()
-            .find(|(_, p)| p.alive)
-            .or_else(|| self.peers.range(..).rev().find(|(_, p)| p.alive))
-            .map(|(&id, _)| PastryId(id))
+    /// Live ids counter-clockwise from `from` (exclusive), once around.
+    fn counter_clockwise(&self, from: u64) -> impl Iterator<Item = PastryId> + '_ {
+        let above = (Bound::Excluded(from), Bound::Unbounded);
+        let wrapped = self.m.alive_in(above).rev();
+        self.m.alive_in(..from).rev().chain(wrapped).map(PastryId)
     }
 
     /// The live owner of `key`: numerically closest (ties to smaller id).
     pub fn owner_of(&self, key: PastryId) -> Option<PastryId> {
-        if self.alive_count == 0 {
-            return None;
-        }
         // Candidates: the first live node at/above the key and the first
         // below (circularly).
-        let above = self
-            .peers
-            .range(key.0..)
-            .find(|(_, p)| p.alive)
-            .map(|(&id, _)| PastryId(id))
-            .or_else(|| self.next_cw(u64::MAX))?;
-        let below = self.next_ccw(key.0).unwrap_or(above);
+        let at_or_above = self.m.alive_in(key.0..).next().map(PastryId);
+        let above = at_or_above.or_else(|| self.m.alive_in(..).next().map(PastryId))?;
+        let below = self.counter_clockwise(key.0).next().unwrap_or(above);
         Some(if below.closer_to(key, above) {
             below
         } else {
             above
         })
+    }
+
+    /// The leaf sets a refresh of `id` yields: its `leaf_half` nearest
+    /// live neighbours each way, fewer on a ring too small to fill them.
+    fn true_leaves(&self, id: PastryId) -> LeafSets {
+        let width = self.cfg.leaf_half.min(self.len().saturating_sub(1));
+        LeafSets {
+            cw: self.clockwise(id.0).take(width).collect(),
+            ccw: self.counter_clockwise(id.0).take(width).collect(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -173,49 +227,22 @@ impl PastryNetwork {
     /// # Panics
     /// If a live node with this id already exists.
     pub fn join(&mut self, id: PastryId) {
-        self.admit(id);
+        self.join_deferred(id);
         self.refresh_node(id);
-        // Notify the leaf neighbourhood (Pastry's join broadcast to the
-        // leaf set).
-        let neighbourhood: Vec<PastryId> = {
-            let st = &self.peers[&id.0];
-            st.leaf_cw
-                .iter()
-                .chain(st.leaf_ccw.iter())
-                .copied()
-                .collect()
-        };
-        for n in neighbourhood {
-            if self.is_alive(n) {
-                self.refresh_leaves_of(n);
-            }
-        }
+        // Pastry's join broadcast to the leaf set.
+        self.refresh_leaves_of_live(self.leaves_of(id.0));
     }
 
     /// Membership-only join used during bulk construction: the node is
-    /// admitted but no leaf sets or routing tables are built or repaired —
-    /// a [`PastryNetwork::stabilize`] must follow before any routing. The
-    /// post-stabilize state is identical to having joined one by one.
+    /// admitted with empty leaf sets and an empty routing table, and
+    /// nobody hears of it — a [`PastryNetwork::stabilize`] must follow
+    /// before any routing. The post-stabilize state is identical to having
+    /// joined one by one.
     ///
     /// # Panics
     /// If a live node with this id already exists.
     pub fn join_deferred(&mut self, id: PastryId) {
-        self.admit(id);
-    }
-
-    fn admit(&mut self, id: PastryId) {
-        let existing = self.peers.get(&id.0).is_some_and(|p| p.alive);
-        assert!(!existing, "duplicate join of live node {id}");
-        self.peers.insert(
-            id.0,
-            PeerState {
-                alive: true,
-                leaf_cw: Vec::new(),
-                leaf_ccw: Vec::new(),
-                table: Vec::new(),
-            },
-        );
-        self.alive_count += 1;
+        self.m.admit(id.0, Lazy::Mat(LeafSets::default()));
     }
 
     /// Graceful departure: the node's leaf set is told, so their leaf sets
@@ -224,24 +251,9 @@ impl PastryNetwork {
     /// # Panics
     /// If `id` is not a live node.
     pub fn leave(&mut self, id: PastryId) {
-        let neighbourhood: Vec<PastryId> = {
-            let st = self
-                .peers
-                .get(&id.0)
-                .filter(|p| p.alive)
-                .unwrap_or_else(|| panic!("departure of unknown/dead node {id}"));
-            st.leaf_cw
-                .iter()
-                .chain(st.leaf_ccw.iter())
-                .copied()
-                .collect()
-        };
-        self.mark_dead(id);
-        for n in neighbourhood {
-            if self.is_alive(n) {
-                self.refresh_leaves_of(n);
-            }
-        }
+        let neighbourhood = self.leaves_of(id.0);
+        self.m.mark_dead(id.0);
+        self.refresh_leaves_of_live(neighbourhood);
     }
 
     /// Abrupt failure: all references remain until discovered by routing
@@ -250,16 +262,7 @@ impl PastryNetwork {
     /// # Panics
     /// If `id` is not a live node.
     pub fn fail(&mut self, id: PastryId) {
-        assert!(
-            self.peers.get(&id.0).is_some_and(|p| p.alive),
-            "departure of unknown/dead node {id}"
-        );
-        self.mark_dead(id);
-    }
-
-    fn mark_dead(&mut self, id: PastryId) {
-        self.peers.get_mut(&id.0).expect("known node").alive = false;
-        self.alive_count -= 1;
+        self.m.mark_dead(id.0);
     }
 
     // ------------------------------------------------------------------
@@ -269,147 +272,99 @@ impl PastryNetwork {
     /// Rebuild one node's leaf set and routing table from ground truth.
     pub fn refresh_node(&mut self, id: PastryId) {
         assert!(self.is_alive(id), "refresh of dead node {id}");
-        let leaf_cw = self.true_leaves(id, true);
-        let leaf_ccw = self.true_leaves(id, false);
-        let table = self.true_table(id);
-        let st = self.peers.get_mut(&id.0).expect("known node");
-        st.leaf_cw = leaf_cw;
-        st.leaf_ccw = leaf_ccw;
-        st.table = table;
+        *self.m.extra_mut(id.0) = Lazy::Mat(self.true_leaves(id));
+        self.m.refresh_table(id.0);
     }
 
-    fn refresh_leaves_of(&mut self, id: PastryId) {
-        let leaf_cw = self.true_leaves(id, true);
-        let leaf_ccw = self.true_leaves(id, false);
-        let st = self.peers.get_mut(&id.0).expect("known node");
-        st.leaf_cw = leaf_cw;
-        st.leaf_ccw = leaf_ccw;
-    }
-
-    fn true_leaves(&self, id: PastryId, clockwise: bool) -> Vec<PastryId> {
-        let mut out = Vec::with_capacity(self.cfg.leaf_half);
-        let mut cur = id.0;
-        for _ in 0..self.cfg.leaf_half.min(self.alive_count.saturating_sub(1)) {
-            let next = if clockwise {
-                self.next_cw(cur)
-            } else {
-                self.next_ccw(cur)
-            };
-            match next {
-                Some(n) if n != id && !out.contains(&n) => {
-                    out.push(n);
-                    cur = n.0;
-                }
-                _ => break,
+    /// Rebuild the leaf sets, not the tables, of those of `ids` still alive.
+    fn refresh_leaves_of_live(&mut self, ids: Vec<PastryId>) {
+        for id in ids {
+            if self.is_alive(id) {
+                *self.m.extra_mut(id.0) = Lazy::Mat(self.true_leaves(id));
             }
         }
-        out
-    }
-
-    fn true_table(&self, id: PastryId) -> Vec<[Option<PastryId>; 16]> {
-        let mut table = vec![[None; 16]; DIGITS as usize];
-        for row in 0..DIGITS {
-            let own_digit = id.digit(row);
-            for d in 0..16u8 {
-                if d == own_digit {
-                    continue; // handled by deeper rows / self
-                }
-                let (lo, hi) = id.slot_range(row, d);
-                // First live node in the slot (deterministic choice; real
-                // Pastry would pick by network proximity).
-                let entry = self
-                    .peers
-                    .range(lo..=hi)
-                    .find(|(_, p)| p.alive)
-                    .map(|(&x, _)| PastryId(x));
-                table[row as usize][d as usize] = entry;
-            }
-            // Rows below our deepest populated prefix are mostly empty;
-            // stop early when the slot range collapses to nothing useful.
-        }
-        table
     }
 
     /// Full stabilization: every live node refreshes; dead records are
-    /// garbage-collected.
+    /// garbage-collected. Afterwards every node's state is a function of
+    /// the live set alone, so the set is kept once and no per-node state
+    /// is built (O(N) in all).
     pub fn stabilize(&mut self) {
-        let ids = self.alive_ids();
-        for id in ids {
-            self.refresh_node(id);
-        }
-        self.peers.retain(|_, p| p.alive);
+        self.m.stabilize();
     }
 
     /// Routing-state invariant check, meaningful after [`stabilize`]:
-    /// every live node's leaf sets hold exactly its nearest live neighbors
-    /// in each ring direction, and every routing-table entry is a live node
-    /// in the entry's prefix slot — with no slot left empty while a live
-    /// candidate exists. Returns a description of the first violation, or
-    /// `None` when the tables are sound.
+    /// every live node's *effective* state — computed from the snapshot
+    /// or materialised, whichever the node holds — is compared with ground
+    /// truth. Its leaf sets must hold exactly its nearest live neighbors
+    /// in each ring direction, and every routing-table entry must be a
+    /// live node in the entry's prefix slot — with no slot left empty while
+    /// a live candidate exists. Returns a description of the first
+    /// violation, or `None` when the tables are sound.
     ///
     /// [`stabilize`]: PastryNetwork::stabilize
     pub fn table_violation(&self) -> Option<String> {
-        for (&raw, st) in self.peers.iter().filter(|(_, p)| p.alive) {
-            let id = PastryId(raw);
-
-            // Leaf sets: walk the true ring outward from `id` and compare.
-            for (clockwise, leaves) in [(true, &st.leaf_cw), (false, &st.leaf_ccw)] {
-                let want = self.cfg.leaf_half.min(self.alive_count.saturating_sub(1));
-                let mut cur = raw;
-                for i in 0..want {
-                    let next = if clockwise {
-                        self.next_cw(cur)
-                    } else {
-                        self.next_ccw(cur)
-                    };
-                    let Some(next) = next.filter(|&n| n != id) else {
-                        break; // wrapped all the way around a tiny ring
-                    };
-                    if leaves.get(i) != Some(&next) {
-                        return Some(format!(
-                            "{id}: leaf[{}][{i}] = {:?}, ring neighbor is {next}",
-                            if clockwise { "cw" } else { "ccw" },
-                            leaves.get(i),
-                        ));
-                    }
-                    cur = next.0;
-                }
-            }
-
-            // Routing table: each entry live and in-slot; no false vacancy.
-            for (row, slots) in st.table.iter().enumerate() {
-                let row = row as u32;
-                for (d, entry) in slots.iter().enumerate() {
-                    let d = d as u8;
-                    if d == id.digit(row) {
-                        continue; // own-digit slot is intentionally empty
-                    }
-                    let (lo, hi) = id.slot_range(row, d);
-                    match entry {
-                        Some(e) => {
-                            if !self.is_alive(*e) {
-                                return Some(format!(
-                                    "{id}: table[{row}][{d}] holds dead node {e}"
-                                ));
-                            }
-                            if e.shared_prefix_digits(id) < row || e.digit(row) != d {
-                                return Some(format!(
-                                    "{id}: table[{row}][{d}] holds {e}, outside its slot"
-                                ));
-                            }
-                        }
-                        None => {
-                            if self.peers.range(lo..=hi).any(|(_, p)| p.alive) {
-                                return Some(format!(
-                                    "{id}: table[{row}][{d}] empty but the slot has live nodes"
-                                ));
-                            }
-                        }
-                    }
+        for id in self.alive_ids() {
+            let peer = self.m.peer(id.0).expect("live node");
+            let held = self.leaf_view(Entry::unranked(id.0), &peer.extra);
+            let truth = self.true_leaves(id);
+            for (clockwise, want) in [(true, &truth.cw), (false, &truth.ccw)] {
+                let held: Vec<PastryId> = held.side(clockwise).map(|e| PastryId(e.key)).collect();
+                if held != *want {
+                    return Some(format!(
+                        "{id}: leaf[{}] = {held:?}, ring neighbors are {want:?}",
+                        if clockwise { "cw" } else { "ccw" },
+                    ));
                 }
             }
         }
-        None
+        self.m.table_violation("table")
+    }
+
+    // ------------------------------------------------------------------
+    // Lazy state resolution
+    // ------------------------------------------------------------------
+
+    /// The leaf sets of the node `at` under the tag `leaves`.
+    fn leaf_view<'a>(&'a self, at: Entry, leaves: &'a Lazy<LeafSets>) -> LeafView<'a> {
+        match leaves {
+            Lazy::Mat(l) => LeafView::Mat(l),
+            Lazy::Canon => {
+                let snapshot = self.m.snapshot();
+                let keys = snapshot.keys();
+                LeafView::Canon {
+                    keys,
+                    rank: at
+                        .rank
+                        .or_else(|| snapshot.rank(at.key))
+                        .expect("a Canon node is in the snapshot"),
+                    width: self.cfg.leaf_half.min(keys.len() - 1),
+                }
+            }
+        }
+    }
+
+    /// The leaves the (live or dead) node `key` believes in, clockwise
+    /// side first; empty for an unknown node.
+    fn leaves_of(&self, key: u64) -> Vec<PastryId> {
+        let Some(peer) = self.m.peer(key) else {
+            return Vec::new();
+        };
+        let view = self.leaf_view(Entry::unranked(key), &peer.extra);
+        let both = view.side(true).chain(view.side(false));
+        both.map(|e| PastryId(e.key)).collect()
+    }
+
+    /// Whether a route is known to end at the key's ground-truth owner
+    /// without being walked: nothing has changed since the last
+    /// stabilize, so every table is complete and every leaf set exact,
+    /// and the hop budget covers the longest such route. That is at most
+    /// `DIGITS` table hops (each extends the prefix shared with the key),
+    /// then — once no node shares a longer prefix — at most `DIGITS`
+    /// fallback hops towards the key's ring neighbour (each fixes one more
+    /// of *its* digits) with one change of side, and one leaf-set hop.
+    fn routes_are_exact(&self) -> bool {
+        self.m.settled() && self.cfg.max_route_hops >= 2 * DIGITS + 3
     }
 
     // ------------------------------------------------------------------
@@ -423,107 +378,100 @@ impl PastryNetwork {
     /// If `from` is not a live node.
     pub fn route(&self, from: PastryId, key: PastryId) -> Option<Route> {
         assert!(self.is_alive(from), "route from dead node {from}");
-        let mut cur = from;
+        // While settled every node's state is `Canon` and every entry of
+        // it alive, so the hops read the snapshot alone: no record is
+        // looked up, and each hop hands its snapshot rank to the next.
+        let settled = self.m.settled();
+        let alive = |e: Entry| settled || self.m.is_alive(e.key);
+        let mut at = Entry::unranked(from.0);
         let mut hops = 0u32;
         let mut timeouts = 0u32;
+        let deliver = |at: Entry, hops, timeouts| {
+            Some(Route {
+                owner: PastryId(at.key),
+                hops,
+                timeouts,
+            })
+        };
 
         loop {
             if hops > self.cfg.max_route_hops {
                 return None;
             }
-            let st = &self.peers[&cur.0];
+            let cur = PastryId(at.key);
+            let (leaves, table) = if settled {
+                (&Lazy::Canon, &Lazy::Canon)
+            } else {
+                let peer = self.m.peer(at.key).expect("hops visit known nodes");
+                (&peer.extra, &peer.table)
+            };
+            let leaves = self.leaf_view(at, leaves);
+            let known_leaves = || leaves.side(false).chain(leaves.side(true));
 
             // Leaf-set delivery: if the key falls within the span of our
             // leaf set (or we have the whole network in it), hand to the
             // numerically closest live member.
-            let span_lo = st.leaf_ccw.last().copied().unwrap_or(cur);
-            let span_hi = st.leaf_cw.last().copied().unwrap_or(cur);
-            let in_span = in_circular_span(span_lo.0, span_hi.0, key.0)
-                || self.alive_count <= 2 * self.cfg.leaf_half + 1;
-            if in_span {
-                let mut best = cur;
-                for cand in st.leaf_ccw.iter().chain(st.leaf_cw.iter()) {
-                    if !self.is_alive(*cand) {
+            let span_lo = leaves.last(false).map_or(at.key, |e| e.key);
+            let span_hi = leaves.last(true).map_or(at.key, |e| e.key);
+            if in_circular_span(span_lo, span_hi, key.0) || self.len() <= 2 * self.cfg.leaf_half + 1
+            {
+                let mut best = at;
+                for cand in known_leaves() {
+                    if !alive(cand) {
                         timeouts += 1;
-                        continue;
-                    }
-                    if cand.closer_to(key, best) {
-                        best = *cand;
+                    } else if PastryId(cand.key).closer_to(key, PastryId(best.key)) {
+                        best = cand;
                     }
                 }
-                if best == cur {
-                    return Some(Route {
-                        owner: cur,
-                        hops,
-                        timeouts,
-                    });
+                if best.key == at.key {
+                    return deliver(at, hops, timeouts);
                 }
                 // One final hop to the numerically closest leaf. It may
                 // itself know an even closer node (stale sets); loop from
                 // there rather than declaring ownership blindly.
-                if best.circular_distance(key) < cur.circular_distance(key)
-                    || best.closer_to(key, cur)
-                {
-                    cur = best;
-                    hops += 1;
-                    continue;
-                }
-                return Some(Route {
-                    owner: cur,
-                    hops,
-                    timeouts,
-                });
+                at = best;
+                hops += 1;
+                continue;
             }
 
             // Prefix routing: forward to the entry matching one more digit.
             let l = cur.shared_prefix_digits(key);
             debug_assert!(l < DIGITS, "equal ids handled by leaf delivery");
-            let slot = st.table[l as usize][key.digit(l) as usize];
             let mut next = None;
-            if let Some(n) = slot {
-                if self.is_alive(n) {
+            if let Some(n) = self.m.slot(at.key, table, l, key.digit(l)) {
+                if alive(n) {
                     next = Some(n);
                 } else {
                     timeouts += 1;
                 }
             }
             // Rare case / fallback: any known node strictly closer to the
-            // key with at-least-as-long a shared prefix.
+            // key with at-least-as-long a shared prefix. An entry of row
+            // `r` shares exactly `r` digits with the key while `r < l`,
+            // so only rows from `l` down can qualify.
             if next.is_none() {
-                let candidates = st
-                    .leaf_ccw
-                    .iter()
-                    .chain(st.leaf_cw.iter())
-                    .copied()
-                    .chain(st.table.iter().flatten().flatten().copied());
-                let mut best: Option<PastryId> = None;
-                for cand in candidates {
-                    if cand == cur || !self.is_alive(cand) {
-                        continue;
-                    }
-                    if cand.shared_prefix_digits(key) >= l && cand.closer_to(key, cur) {
-                        match best {
-                            Some(b) if !cand.closer_to(key, b) => {}
-                            _ => best = Some(cand),
-                        }
+                let rows = (l..DIGITS).flat_map(|row| {
+                    (0..RADIX as u8).filter_map(move |d| self.m.slot(at.key, table, row, d))
+                });
+                for cand in known_leaves().chain(rows) {
+                    let id = PastryId(cand.key);
+                    if id != cur
+                        && alive(cand)
+                        && id.shared_prefix_digits(key) >= l
+                        && id.closer_to(key, next.map_or(cur, |b: Entry| PastryId(b.key)))
+                    {
+                        next = Some(cand);
                     }
                 }
-                next = best;
             }
             match next {
                 Some(n) => {
-                    cur = n;
+                    at = n;
                     hops += 1;
                 }
                 // No strictly closer node known: we are the closest we can
                 // prove; deliver here.
-                None => {
-                    return Some(Route {
-                        owner: cur,
-                        hops,
-                        timeouts,
-                    })
-                }
+                None => return deliver(at, hops, timeouts),
             }
         }
     }
@@ -539,7 +487,7 @@ fn in_circular_span(lo: u64, hi: u64, x: u64) -> bool {
     }
 }
 
-impl dgrid_sim::router::KeyRouter for PastryNetwork {
+impl KeyRouter for PastryNetwork {
     const SUBSTRATE: &'static str = "pastry";
 
     fn key_of(raw: u64) -> u64 {
@@ -565,39 +513,71 @@ impl dgrid_sim::router::KeyRouter for PastryNetwork {
     }
 
     fn is_alive(&self, key: u64) -> bool {
-        PastryNetwork::is_alive(self, PastryId(key))
+        self.m.is_alive(key)
     }
 
     fn len(&self) -> usize {
-        PastryNetwork::len(self)
+        self.m.len()
     }
 
     fn alive_keys(&self) -> Vec<u64> {
-        self.alive_ids().into_iter().map(|id| id.0).collect()
+        self.m.alive_in(..).collect()
+    }
+
+    fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        self.m.alive_key_at(rank)
     }
 
     fn owner_of(&self, key: u64) -> Option<u64> {
         PastryNetwork::owner_of(self, PastryId(key)).map(|id| id.0)
     }
 
-    fn lookup(&self, from: u64, key: u64) -> Option<dgrid_sim::router::RouteCost> {
+    fn lookup(&self, from: u64, key: u64) -> Option<RouteCost> {
         self.route(PastryId(from), PastryId(key))
-            .map(|r| dgrid_sim::router::RouteCost {
+            .map(|r| RouteCost {
                 owner: r.owner.0,
                 hops: r.hops,
                 timeouts: r.timeouts,
             })
     }
 
+    /// Exact while `routes_are_exact`: the route ends at
+    /// the numerically closest live node. Any other state walks the route.
+    fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
+        if self.routes_are_exact() {
+            debug_assert!(self.m.is_alive(from));
+            KeyRouter::owner_of(self, key)
+        } else {
+            self.lookup(from, key).map(|r| r.owner)
+        }
+    }
+
+    /// Exact: on a ring, the nodes nearer to a key than `key` is — if any
+    /// are — include one of its two ring neighbours, so it owns a
+    /// rendezvous key iff it beats both.
+    fn shortest_owned_prefix(&self, key: u64) -> u32 {
+        debug_assert!(self.m.is_alive(key));
+        let id = PastryId(key);
+        let (Some(cw), Some(ccw)) = (
+            self.clockwise(key).next(),
+            self.counter_clockwise(key).next(),
+        ) else {
+            return 0; // alone: owns every key
+        };
+        (0..=64)
+            .find(|&bits| {
+                let k = PastryId(prefix_key(key, bits));
+                id.closer_to(k, cw) && id.closer_to(k, ccw)
+            })
+            .expect("a node owns its own key")
+    }
+
     fn failover_peers(&self, from: u64) -> Vec<u64> {
         // Leaf-set members, clockwise then counter-clockwise — the peers a
         // Pastry node knows best. Deduped: tiny rings wrap, so the two
         // directions can list the same nodes.
-        let Some(st) = self.peers.get(&from) else {
-            return Vec::new();
-        };
-        let mut out: Vec<u64> = Vec::with_capacity(st.leaf_cw.len() + st.leaf_ccw.len());
-        for id in st.leaf_cw.iter().chain(st.leaf_ccw.iter()) {
+        let mut out: Vec<u64> = Vec::with_capacity(2 * self.cfg.leaf_half);
+        for id in self.leaves_of(from) {
             if !out.contains(&id.0) {
                 out.push(id.0);
             }
@@ -608,12 +588,10 @@ impl dgrid_sim::router::KeyRouter for PastryNetwork {
     fn walk_step(&self, at: u64) -> Option<u64> {
         // The clockwise ring neighbor, like Chord's successor step: first
         // live clockwise leaf.
-        let st = self.peers.get(&at)?;
-        st.leaf_cw
-            .iter()
-            .copied()
-            .find(|&n| n.0 != at && PastryNetwork::is_alive(self, n))
-            .map(|n| n.0)
+        let peer = self.m.peer(at)?;
+        let view = self.leaf_view(Entry::unranked(at), &peer.extra);
+        let mut leaves = view.side(true).map(|e| e.key);
+        leaves.find(|&n| n != at && self.m.is_alive(n))
     }
 
     fn stabilize(&mut self) {
@@ -628,8 +606,8 @@ impl dgrid_sim::router::KeyRouter for PastryNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgrid_sim::prefix::Table;
     use dgrid_sim::rng::{rng_for, streams};
-    use rand::Rng;
 
     fn network(n: usize, seed: u64) -> (PastryNetwork, Vec<PastryId>) {
         let mut rng = rng_for(seed, streams::NODE_IDS);
@@ -769,7 +747,6 @@ mod tests {
 
     #[test]
     fn deferred_bulk_join_matches_eager_joins_after_stabilize() {
-        use dgrid_sim::router::KeyRouter;
         let mut rng = rng_for(21, streams::NODE_IDS);
         let keys: Vec<u64> = (0..48).map(|_| rng.gen()).collect();
         let mut eager = PastryNetwork::default();
@@ -793,9 +770,304 @@ mod tests {
     fn leaf_sets_have_configured_width() {
         let (net, _) = network(64, 11);
         for id in net.alive_ids() {
-            let st = &net.peers[&id.0];
-            assert_eq!(st.leaf_cw.len(), net.config().leaf_half);
-            assert_eq!(st.leaf_ccw.len(), net.config().leaf_half);
+            let (leaves, _) = effective(&net, id.0);
+            assert_eq!(leaves.cw.len(), net.config().leaf_half);
+            assert_eq!(leaves.ccw.len(), net.config().leaf_half);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The materialised-everywhere representation, as the reference
+    // ------------------------------------------------------------------
+
+    /// What this crate stored per node before the snapshot: two leaf
+    /// vectors and a 16 × 16 table, each rebuilt by walking the live set.
+    type Stored = (LeafSets, Table);
+
+    fn next_cw(net: &PastryNetwork, from: u64) -> Option<PastryId> {
+        let wrapped = || net.m.alive_in(..).next();
+        let next = net.m.alive_in(from.wrapping_add(1)..).next();
+        next.or_else(wrapped).map(PastryId)
+    }
+
+    fn next_ccw(net: &PastryNetwork, from: u64) -> Option<PastryId> {
+        let wrapped = || net.m.alive_in(..).next_back();
+        net.m
+            .alive_in(..from)
+            .next_back()
+            .or_else(wrapped)
+            .map(PastryId)
+    }
+
+    fn true_leaves(net: &PastryNetwork, id: PastryId, clockwise: bool) -> Vec<PastryId> {
+        let mut out = Vec::with_capacity(net.cfg.leaf_half);
+        let mut cur = id.0;
+        for _ in 0..net.cfg.leaf_half.min(net.len().saturating_sub(1)) {
+            let next = if clockwise {
+                next_cw(net, cur)
+            } else {
+                next_ccw(net, cur)
+            };
+            match next {
+                Some(n) if n != id && !out.contains(&n) => {
+                    out.push(n);
+                    cur = n.0;
+                }
+                _ => break,
+            }
+        }
+        out
+    }
+
+    fn true_leaf_sets(net: &PastryNetwork, id: PastryId) -> LeafSets {
+        LeafSets {
+            cw: true_leaves(net, id, true),
+            ccw: true_leaves(net, id, false),
+        }
+    }
+
+    fn true_table(net: &PastryNetwork, id: PastryId) -> Table {
+        let mut table = vec![[None; 16]; DIGITS as usize];
+        for row in 0..DIGITS {
+            let own_digit = id.digit(row);
+            for d in 0..16u8 {
+                if d == own_digit {
+                    continue; // handled by deeper rows / self
+                }
+                let (lo, hi) = id.slot_range(row, d);
+                // First live node in the slot (deterministic choice; real
+                // Pastry would pick by network proximity).
+                table[row as usize][d as usize] = net.m.alive_in(lo..=hi).next();
+            }
+        }
+        table
+    }
+
+    /// Every node's stored state, refreshed at the points the network
+    /// refreshes a node's — from the network's own live set, which a
+    /// refresh does not change.
+    #[derive(Default)]
+    struct Reference(std::collections::BTreeMap<u64, Stored>);
+
+    impl Reference {
+        fn refresh_node(&mut self, net: &PastryNetwork, id: PastryId) {
+            let stored = (true_leaf_sets(net, id), true_table(net, id));
+            self.0.insert(id.0, stored);
+        }
+
+        fn refresh_leaves_of_live(&mut self, net: &PastryNetwork, ids: Vec<PastryId>) {
+            for n in ids.into_iter().filter(|&n| net.is_alive(n)) {
+                self.0.get_mut(&n.0).expect("known node").0 = true_leaf_sets(net, n);
+            }
+        }
+
+        fn leaves(&self, id: PastryId) -> Vec<PastryId> {
+            let (l, _) = &self.0[&id.0];
+            l.cw.iter().chain(&l.ccw).copied().collect()
+        }
+
+        fn join(&mut self, net: &mut PastryNetwork, id: PastryId) {
+            net.join(id);
+            self.refresh_node(net, id);
+            self.refresh_leaves_of_live(net, self.leaves(id));
+        }
+
+        fn leave(&mut self, net: &mut PastryNetwork, id: PastryId) {
+            net.leave(id);
+            self.refresh_leaves_of_live(net, self.leaves(id));
+        }
+
+        fn stabilize(&mut self, net: &mut PastryNetwork) {
+            net.stabilize();
+            self.0.retain(|&id, _| net.is_alive(PastryId(id)));
+            for id in net.alive_ids() {
+                self.refresh_node(net, id);
+            }
+        }
+    }
+
+    /// One node's state read through the lazy accessors, in stored form.
+    fn effective(net: &PastryNetwork, id: u64) -> Stored {
+        let peer = net.m.peer(id).expect("known node");
+        let view = net.leaf_view(Entry::unranked(id), &peer.extra);
+        let side = |clockwise| view.side(clockwise).map(|e| PastryId(e.key)).collect();
+        let slot = |row, d| net.m.slot(id, &peer.table, row, d as u8).map(|e| e.key);
+        let table = (0..DIGITS).map(|row| std::array::from_fn(|d| slot(row, d)));
+        (
+            LeafSets {
+                cw: side(true),
+                ccw: side(false),
+            },
+            table.collect(),
+        )
+    }
+
+    fn materialised_nodes(net: &PastryNetwork) -> usize {
+        let mat = |p: &dgrid_sim::prefix::Peer<Lazy<LeafSets>>| {
+            matches!(p.table, Lazy::Mat(_)) || matches!(p.extra, Lazy::Mat(_))
+        };
+        net.m.peers().filter(|(_, p)| mat(p)).count()
+    }
+
+    #[test]
+    fn only_individually_refreshed_nodes_hold_state() {
+        let keys: Vec<u64> = (0..10_000u64).map(|i| PastryId::hash_of(i).0).collect();
+        let mut net = PastryNetwork::default();
+        KeyRouter::bulk_join(&mut net, &keys);
+        net.stabilize();
+        assert_eq!(materialised_nodes(&net), 0);
+
+        // The joiner, and the leaf neighbours its arrival repaired.
+        net.join(PastryId::hash_of(10_000));
+        let held = materialised_nodes(&net);
+        assert!((1..=1 + 2 * net.cfg.leaf_half).contains(&held), "{held}");
+
+        net.fail(PastryId(keys[17]));
+        net.leave(PastryId(keys[4242]));
+        net.stabilize();
+        assert_eq!(materialised_nodes(&net), 0);
+        assert_eq!(net.m.peers().count(), net.len(), "dead records collected");
+        assert_eq!(net.len(), 9_999);
+    }
+
+    #[test]
+    fn canonical_leaf_sets_stay_pinned_to_the_snapshot_under_churn() {
+        let mut net = PastryNetwork::new(PastryConfig {
+            leaf_half: 1,
+            ..PastryConfig::default()
+        });
+        for id in [10, 20, 30, 40, 50, 60] {
+            net.join(PastryId(id));
+        }
+        net.stabilize();
+        // Abrupt failure after stabilize: 10 has not noticed, and pays a
+        // timeout for the probe.
+        net.fail(PastryId(20));
+        assert_eq!(effective(&net, 10).0.cw, [PastryId(20)], "stale leaf");
+        assert_eq!(net.walk_step(10), None, "its only clockwise leaf is dead");
+        let res = net.route(PastryId(10), PastryId(21)).unwrap();
+        assert_eq!((res.owner, res.timeouts), (PastryId(10), 1));
+        // An arrival it was not told of either (25's leaves are 30 and 10).
+        net.join(PastryId(25));
+        assert_eq!(effective(&net, 40).0.ccw, [PastryId(30)]);
+        assert_eq!(effective(&net, 30).0.ccw, [PastryId(25)], "told: repaired");
+        net.stabilize();
+        assert_eq!(effective(&net, 10).0.cw, [PastryId(25)]);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Join a fresh id, or pick a live node and have it leave or fail,
+        /// or stabilize.
+        #[derive(Clone, Debug)]
+        enum Step {
+            Join(u64),
+            Leave(usize),
+            Fail(usize),
+            Stabilize,
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                4 => any::<u64>().prop_map(Step::Join),
+                2 => any::<usize>().prop_map(Step::Leave),
+                2 => any::<usize>().prop_map(Step::Fail),
+                1 => Just(Step::Stabilize),
+            ]
+        }
+
+        /// Ids that crowd a few prefixes and both ends of the id space, so
+        /// that slots are empty, deep rows matter and spans wrap.
+        fn crowded_id() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                any::<u64>(),
+                0u64..48,
+                (0u64..48).prop_map(|x| u64::MAX - x),
+                (0u64..4, 0u64..32).prop_map(|(hi, lo)| (hi << 62) | lo),
+                (any::<u8>(), 0u64..4).prop_map(|(hi, lo)| (u64::from(hi) << 56) | (lo << 52)),
+            ]
+        }
+
+        fn views_match(net: &PastryNetwork, reference: &Reference) -> Result<(), TestCaseError> {
+            let live = net.alive_ids();
+            for &id in &live {
+                let stored = &reference.0[&id.0];
+                prop_assert_eq!(&effective(net, id.0), stored, "state of {}", id);
+            }
+            // What `settled` short-cuts must still be ground truth.
+            for rank in 0..=live.len() {
+                let at = net.m.alive_key_at(rank).map(PastryId);
+                prop_assert_eq!(at, live.get(rank).copied());
+            }
+            for &from in live.iter().take(6) {
+                let owner = net.route(from, PastryId(!from.0)).expect("routes").owner;
+                prop_assert!(net.is_alive(owner), "{} delivered to dead {}", from, owner);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// After every step of a churn history, every live node's leaf
+            /// sets and full table read through the lazy accessors equal
+            /// the stored state of the reference, refreshed at the same
+            /// points.
+            #[test]
+            fn lazy_views_equal_the_materialised_reference(
+                initial in proptest::collection::hash_set(crowded_id(), 2..40),
+                steps in proptest::collection::vec(step(), 0..25),
+            ) {
+                let mut net = PastryNetwork::default();
+                let mut reference = Reference::default();
+                for id in initial {
+                    reference.join(&mut net, PastryId(id));
+                    views_match(&net, &reference)?;
+                }
+                for s in steps {
+                    let live = net.alive_ids();
+                    match s {
+                        Step::Join(id) if !net.is_alive(PastryId(id)) => {
+                            reference.join(&mut net, PastryId(id));
+                        }
+                        Step::Leave(i) if live.len() > 1 => {
+                            reference.leave(&mut net, live[i % live.len()]);
+                        }
+                        Step::Fail(i) if live.len() > 1 => net.fail(live[i % live.len()]),
+                        Step::Stabilize => reference.stabilize(&mut net),
+                        _ => {}
+                    }
+                    views_match(&net, &reference)?;
+                }
+            }
+
+            /// The hop bound `routes_are_exact` relies on: on settled
+            /// tables every route ends at the numerically closest node
+            /// within `2 × DIGITS + 3` hops, however the ids crowd.
+            #[test]
+            fn settled_routes_are_exact_within_the_hop_bound(
+                ids in proptest::collection::hash_set(crowded_id(), 1..120),
+                keys in proptest::collection::vec(crowded_id(), 1..6),
+                leaf_half in 1usize..5,
+            ) {
+                let mut net = PastryNetwork::new(PastryConfig {
+                    leaf_half,
+                    max_route_hops: 2 * DIGITS + 3,
+                });
+                let ids: Vec<u64> = ids.into_iter().collect();
+                KeyRouter::bulk_join(&mut net, &ids);
+                net.stabilize();
+                prop_assert!(net.routes_are_exact());
+                for key in keys.into_iter().chain(ids.iter().map(|id| id ^ 1)) {
+                    let owner = net.owner_of(PastryId(key));
+                    for &from in &ids {
+                        let routed = net.route(PastryId(from), PastryId(key));
+                        prop_assert_eq!(routed.map(|r| r.owner), owner, "{:x} from {:x}", key, from);
+                    }
+                }
+            }
         }
     }
 }

@@ -73,11 +73,15 @@ fn probed_level<R: KeyRouter>(net: &R, id: u64) -> u32 {
         .expect("a node owns its own key")
 }
 
-/// Both `KeyRouter` hooks against what they stand for, from every live
-/// node: its level, and the owner a routed lookup reaches for its own
-/// parent key, for `keys`, and for prefixes of `keys`.
+/// The `KeyRouter` hooks against what they stand for: every rank's live
+/// key, and from every live node its level and the owner a routed lookup
+/// reaches for its own parent key, for `keys`, and for prefixes of `keys`.
 fn hooks_match_their_defaults<R: KeyRouter>(net: &R, keys: &[u64]) -> Result<(), TestCaseError> {
-    for from in net.alive_keys() {
+    let live = net.alive_keys();
+    for rank in 0..=live.len() {
+        prop_assert_eq!(net.alive_key_at(rank), live.get(rank).copied());
+    }
+    for from in live {
         let level = net.shortest_owned_prefix(from);
         prop_assert_eq!(level, probed_level(net, from), "level of {:x}", from);
         let own = prefix_key(from, level.saturating_sub(1));
@@ -257,8 +261,9 @@ fn dense_index_matches_the_reference<R: KeyRouter>(net: &R) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `shortest_owned_prefix` and `lookup_owner` equal the probe and the
-    /// routed lookup on every substrate, on stale tables and settled ones.
+    /// `alive_key_at`, `shortest_owned_prefix` and `lookup_owner` equal the
+    /// listing, the probe and the routed lookup on every substrate, on
+    /// stale tables and settled ones.
     #[test]
     fn substrate_hooks_equal_their_defaults(
         initial in proptest::collection::hash_set(any::<u64>(), 1..40),

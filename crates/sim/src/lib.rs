@@ -28,6 +28,10 @@
 //!   substrate-agnostic key-routing surface (membership, ownership,
 //!   cost-counted lookup, maintenance, debug checks) that Chord, Pastry,
 //!   and Tapestry implement and the matchmaking layer builds on.
+//! * [`prefix`] — what the two prefix-routing substrates share: hexadecimal
+//!   digit arithmetic, the sorted live-key snapshot of the last stabilize,
+//!   and per-peer tables that are computed from it until an individual
+//!   refresh materialises one.
 //! * [`failover`] — the shared detour skeleton behind every overlay's
 //!   lookup failover (Chord successor lists, CAN neighbor handoffs, generic
 //!   `KeyRouter` retries).
@@ -64,6 +68,7 @@ pub mod failover;
 pub mod fault;
 pub mod hist;
 pub mod net;
+pub mod prefix;
 pub mod rng;
 pub mod router;
 pub mod stats;

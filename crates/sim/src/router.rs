@@ -61,10 +61,13 @@ pub trait KeyRouter: Default {
     /// Add a live node under `key`. Must not already be present and alive.
     fn join(&mut self, key: u64);
 
-    /// Bulk-admit `keys` during initial construction, deferring per-node
-    /// routing-state building to the next [`KeyRouter::stabilize`] — the
-    /// hook that lets a 10⁶-node overlay come up without paying a full
-    /// routing-table build per join. Callers must stabilize before routing.
+    /// Bulk-admit `keys` during initial construction: membership only,
+    /// nobody's routing state is built or repaired. The next
+    /// [`KeyRouter::stabilize`] takes one sorted snapshot of the live keys
+    /// that every node's state is then computed from on demand — the hook
+    /// that lets a 10⁶-node overlay come up without building a routing
+    /// table per node, at join or ever. Callers must stabilize before
+    /// routing.
     ///
     /// The default simply joins each key in order; substrates override it
     /// with a membership-only insert. Either way, the state after the
@@ -94,6 +97,16 @@ pub trait KeyRouter: Default {
 
     /// All live keys, ascending.
     fn alive_keys(&self) -> Vec<u64>;
+
+    /// The `rank`-th live key in ascending order, `None` past the end:
+    /// `alive_keys().get(rank).copied()`, which is the default — how a
+    /// caller draws one random live node without listing all of them.
+    ///
+    /// A substrate may override it where it keeps the live keys indexable;
+    /// the result must equal the default's in every state.
+    fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        self.alive_keys().get(rank).copied()
+    }
 
     /// Ground-truth owner of `key` (no routing, no cost).
     fn owner_of(&self, key: u64) -> Option<u64>;

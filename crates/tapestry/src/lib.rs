@@ -7,7 +7,15 @@
 //! * 64-bit identifiers read as 16 hexadecimal digits;
 //! * each node keeps **neighbor maps**: one row per prefix level, one entry
 //!   per digit, each entry a node sharing the row's prefix with that next
-//!   digit;
+//!   digit — *kept*, not stored: what a full
+//!   [`stabilize`](TapestryNetwork::stabilize) leaves a node with is a
+//!   function of the sorted live ids alone, so the network holds that one
+//!   snapshot (`dgrid_sim::prefix`) and computes an entry by one binary
+//!   search when a route asks for it. Only maps refreshed individually
+//!   since — a joiner's, a graceful leaver's prefix neighbourhood — are
+//!   materialised, until the next stabilize. A computed entry stays pinned
+//!   to the snapshot while membership moves on, so it goes stale exactly
+//!   as a stored one would;
 //! * routing resolves a key digit by digit; when the exact next digit has
 //!   no node, **surrogate routing** deterministically substitutes the next
 //!   existing digit (wrapping), so every key has exactly one *root* node —

@@ -1,16 +1,12 @@
 //! Tapestry identifiers, neighbor maps, surrogate routing, and churn.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
+use dgrid_sim::prefix::{self, Lazy, Membership, DIGITS as LEVELS, DIGIT_BITS, RADIX};
 use dgrid_sim::rng::splitmix64;
+use dgrid_sim::router::{KeyRouter, RouteCost};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Bits per digit (hexadecimal digits, as in the Tapestry deployments).
-const DIGIT_BITS: u32 = 4;
-/// Digits per identifier (= neighbor-map levels).
-const LEVELS: u32 = 64 / DIGIT_BITS;
 
 /// A position in Tapestry's identifier space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -24,27 +20,13 @@ impl TapestryId {
 
     /// The `i`-th digit, most significant first.
     pub fn digit(self, i: u32) -> u8 {
-        debug_assert!(i < LEVELS);
-        ((self.0 >> (64 - DIGIT_BITS * (i + 1))) & 0xF) as u8
+        prefix::digit(self.0, i)
     }
 
     /// The id range `[lo, hi]` of all ids whose first `level` digits equal
     /// `self`'s and whose digit at `level` is `d`.
     fn slot_range(self, level: u32, d: u8) -> (u64, u64) {
-        debug_assert!(level < LEVELS);
-        let shift = 64 - DIGIT_BITS * (level + 1);
-        let kept = if level == 0 {
-            0
-        } else {
-            self.0 & (u64::MAX << (64 - DIGIT_BITS * level))
-        };
-        let lo = kept | ((d as u64) << shift);
-        let hi = if shift == 0 {
-            lo
-        } else {
-            lo | ((1u64 << shift) - 1)
-        };
-        (lo, hi)
+        prefix::slot_range(self.0, level, d)
     }
 }
 
@@ -85,19 +67,19 @@ pub struct Route {
     pub timeouts: u32,
 }
 
-#[derive(Clone, Debug)]
-struct PeerState {
-    alive: bool,
-    /// `maps[level][digit]`: a node sharing our first `level` digits whose
-    /// next digit is `digit`, as of the last refresh.
-    maps: Vec<[Option<TapestryId>; 16]>,
-}
-
-/// The Tapestry network.
+/// The Tapestry network: authoritative membership plus every node's
+/// (possibly stale) neighbor maps.
+///
+/// `maps[level][digit]` of a node is a node sharing its first `level`
+/// digits whose next digit is `digit`, as of the node's last refresh. Maps
+/// are stored only where an individual refresh has materialised them since
+/// the last [`TapestryNetwork::stabilize`]; any other entry is one binary
+/// search into the shared snapshot, made when a route asks for it.
 pub struct TapestryNetwork {
     cfg: TapestryConfig,
-    peers: BTreeMap<u64, PeerState>,
-    alive_count: usize,
+    /// A level keeps an entry for its owner's own digit too: the surrogate
+    /// scan reads it.
+    m: Membership<()>,
 }
 
 impl Default for TapestryNetwork {
@@ -111,55 +93,37 @@ impl TapestryNetwork {
     pub fn new(cfg: TapestryConfig) -> Self {
         TapestryNetwork {
             cfg,
-            peers: BTreeMap::new(),
-            alive_count: 0,
+            m: Membership::new(true),
         }
     }
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.alive_count
+        self.m.len()
     }
 
     /// True iff nobody is alive.
     pub fn is_empty(&self) -> bool {
-        self.alive_count == 0
+        self.m.is_empty()
     }
 
     /// Is `id` a live member?
     pub fn is_alive(&self, id: TapestryId) -> bool {
-        self.peers.get(&id.0).is_some_and(|p| p.alive)
+        self.m.is_alive(id.0)
     }
 
     /// Live ids, ascending.
     pub fn alive_ids(&self) -> Vec<TapestryId> {
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.alive)
-            .map(|(&id, _)| TapestryId(id))
-            .collect()
+        self.m.alive_in(..).map(TapestryId).collect()
     }
 
     /// A uniformly random live node.
     pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<TapestryId> {
-        if self.alive_count == 0 {
+        if self.is_empty() {
             return None;
         }
-        let n = rng.gen_range(0..self.alive_count);
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.alive)
-            .nth(n)
-            .map(|(&id, _)| TapestryId(id))
-    }
-
-    /// First live node in the inclusive id range, if any (the deterministic
-    /// slot representative used for both ground truth and neighbor maps).
-    fn slot_node(&self, lo: u64, hi: u64) -> Option<TapestryId> {
-        self.peers
-            .range(lo..=hi)
-            .find(|(_, p)| p.alive)
-            .map(|(&id, _)| TapestryId(id))
+        let n = rng.gen_range(0..self.len());
+        self.m.alive_key_at(n).map(TapestryId)
     }
 
     /// Ground truth: the unique root of `key` under surrogate routing.
@@ -168,40 +132,27 @@ impl TapestryNetwork {
     /// live node exists under it, otherwise the next digit (wrapping) that
     /// has one — Tapestry's deterministic surrogate rule.
     pub fn root_of(&self, key: TapestryId) -> Option<TapestryId> {
-        if self.alive_count == 0 {
+        if self.is_empty() {
             return None;
         }
         let mut prefix_carrier = key; // carries the resolved digits so far
         for level in 0..LEVELS {
             let want = key.digit(level);
-            let mut chosen = None;
-            for k in 0..16u8 {
-                let d = (want + k) % 16;
-                let (lo, hi) = prefix_carrier.slot_range(level, d);
-                if let Some(n) = self.slot_node(lo, hi) {
-                    chosen = Some((d, n));
-                    break;
-                }
-            }
-            let (d, node) = chosen?; // None impossible while anyone is alive
-                                     // Fix this digit in the carrier and continue.
-            let (lo, _) = prefix_carrier.slot_range(level, d);
+            // Some slot is live while anyone is: the carrier's prefix is.
+            let (lo, hi) = (0..RADIX as u8)
+                .map(|k| prefix_carrier.slot_range(level, (want + k) % 16))
+                .find(|&(lo, hi)| self.m.first_alive_in(lo, hi).is_some())?;
+            // Fix this digit in the carrier and continue.
             let shift = 64 - DIGIT_BITS * (level + 1);
-            let kept_mask = if shift == 0 {
-                u64::MAX
-            } else {
-                u64::MAX << shift
-            };
+            let kept_mask = u64::MAX << shift;
             prefix_carrier = TapestryId((lo & kept_mask) | (prefix_carrier.0 & !kept_mask));
             // Early exit: if the chosen slot holds exactly one live node it
             // is the root.
-            let (slo, shi) = TapestryId(prefix_carrier.0).slot_range(level, d);
-            let mut iter = self.peers.range(slo..=shi).filter(|(_, p)| p.alive);
-            let first = iter.next();
-            if iter.next().is_none() {
-                return first.map(|(&id, _)| TapestryId(id));
+            let mut inside = self.m.alive_in(lo..=hi);
+            let first = inside.next();
+            if inside.next().is_none() {
+                return first.map(TapestryId);
             }
-            let _ = node;
         }
         Some(prefix_carrier)
     }
@@ -216,7 +167,7 @@ impl TapestryNetwork {
     /// # Panics
     /// If a live node with this id already exists.
     pub fn join(&mut self, id: TapestryId) {
-        self.admit(id);
+        self.join_deferred(id);
         self.refresh_node(id);
     }
 
@@ -228,20 +179,7 @@ impl TapestryNetwork {
     /// # Panics
     /// If a live node with this id already exists.
     pub fn join_deferred(&mut self, id: TapestryId) {
-        self.admit(id);
-    }
-
-    fn admit(&mut self, id: TapestryId) {
-        let existing = self.peers.get(&id.0).is_some_and(|p| p.alive);
-        assert!(!existing, "duplicate join of live node {id}");
-        self.peers.insert(
-            id.0,
-            PeerState {
-                alive: true,
-                maps: Vec::new(),
-            },
-        );
-        self.alive_count += 1;
+        self.m.admit(id.0, ());
     }
 
     /// Graceful departure: the node's immediate prefix neighbourhood is
@@ -250,25 +188,18 @@ impl TapestryNetwork {
     /// # Panics
     /// If `id` is not a live node.
     pub fn leave(&mut self, id: TapestryId) {
-        self.mark_dead(id);
+        self.m.mark_dead(id.0);
         // Refresh the nodes most likely to hold references: those sharing
         // long prefixes (the deepest slot siblings).
-        let mut neighbourhood: Vec<TapestryId> = Vec::with_capacity(16);
-        'outer: for level in (0..LEVELS).rev() {
-            for d in 0..16u8 {
-                let (lo, hi) = id.slot_range(level, d);
-                if let Some(n) = self.slot_node(lo, hi) {
-                    neighbourhood.push(n);
-                    if neighbourhood.len() >= 16 {
-                        break 'outer;
-                    }
-                }
-            }
-        }
+        let slots = (0..LEVELS)
+            .rev()
+            .flat_map(|level| (0..RADIX as u8).map(move |d| id.slot_range(level, d)));
+        let neighbourhood: Vec<u64> = slots
+            .filter_map(|(lo, hi)| self.m.first_alive_in(lo, hi))
+            .take(RADIX)
+            .collect();
         for n in neighbourhood {
-            if self.is_alive(n) {
-                self.refresh_node(n);
-            }
+            self.m.refresh_table(n);
         }
     }
 
@@ -277,86 +208,38 @@ impl TapestryNetwork {
     /// # Panics
     /// If `id` is not a live node.
     pub fn fail(&mut self, id: TapestryId) {
-        self.mark_dead(id);
-    }
-
-    fn mark_dead(&mut self, id: TapestryId) {
-        let p = self
-            .peers
-            .get_mut(&id.0)
-            .filter(|p| p.alive)
-            .unwrap_or_else(|| panic!("departure of unknown/dead node {id}"));
-        p.alive = false;
-        self.alive_count -= 1;
+        self.m.mark_dead(id.0);
     }
 
     /// Rebuild one node's neighbor maps from ground truth.
     pub fn refresh_node(&mut self, id: TapestryId) {
-        assert!(self.is_alive(id), "refresh of dead node {id}");
-        let mut maps = vec![[None; 16]; LEVELS as usize];
-        for level in 0..LEVELS {
-            for d in 0..16u8 {
-                let (lo, hi) = id.slot_range(level, d);
-                maps[level as usize][d as usize] = self.slot_node(lo, hi);
-            }
-        }
-        self.peers.get_mut(&id.0).expect("known node").maps = maps;
+        self.m.refresh_table(id.0);
     }
 
-    /// Full stabilization: refresh everyone, GC dead records.
+    /// Full stabilization: everyone refreshes, dead records are collected.
+    /// Afterwards every node's maps are a function of the live set alone,
+    /// so the set is kept once and no map is built (O(N) in all).
     pub fn stabilize(&mut self) {
-        for id in self.alive_ids() {
-            self.refresh_node(id);
-        }
-        self.peers.retain(|_, p| p.alive);
+        self.m.stabilize();
     }
 
     /// Neighbor-map invariant check, meaningful after [`stabilize`]: every
-    /// entry in every live node's maps is a live node inside the entry's
-    /// prefix slot, and no slot is empty while a live candidate exists.
-    /// Returns a description of the first violation, or `None` when the
-    /// maps are sound.
+    /// entry in every live node's *effective* maps — computed from the
+    /// snapshot or materialised, whichever the node holds — is a live node
+    /// inside the entry's prefix slot, and no slot is empty while a live
+    /// candidate exists. Returns a description of the first violation, or
+    /// `None` when the maps are sound.
     ///
     /// [`stabilize`]: TapestryNetwork::stabilize
     pub fn table_violation(&self) -> Option<String> {
-        for (&raw, st) in self.peers.iter().filter(|(_, p)| p.alive) {
-            let id = TapestryId(raw);
-            if st.maps.len() != LEVELS as usize {
-                return Some(format!(
-                    "{id}: {} map levels populated, expected {LEVELS}",
-                    st.maps.len()
-                ));
-            }
-            for (level, slots) in st.maps.iter().enumerate() {
-                let level = level as u32;
-                for (d, entry) in slots.iter().enumerate() {
-                    let d = d as u8;
-                    let (lo, hi) = id.slot_range(level, d);
-                    match entry {
-                        Some(e) => {
-                            if !self.is_alive(*e) {
-                                return Some(format!(
-                                    "{id}: maps[{level}][{d}] holds dead node {e}"
-                                ));
-                            }
-                            if !(lo..=hi).contains(&e.0) {
-                                return Some(format!(
-                                    "{id}: maps[{level}][{d}] holds {e}, outside its slot"
-                                ));
-                            }
-                        }
-                        None => {
-                            if self.slot_node(lo, hi).is_some() {
-                                return Some(format!(
-                                    "{id}: maps[{level}][{d}] empty but the slot has live nodes"
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
+        self.m.table_violation("maps")
+    }
+
+    /// Whether a route is known to end at the key's root without being
+    /// walked: nothing has changed since the last stabilize, so every map
+    /// is complete, and the hop budget covers one hop per level.
+    fn routes_are_exact(&self) -> bool {
+        self.m.settled() && self.cfg.max_route_hops >= LEVELS
     }
 
     // ------------------------------------------------------------------
@@ -370,34 +253,52 @@ impl TapestryNetwork {
     /// If `from` is not a live node.
     pub fn route(&self, from: TapestryId, key: TapestryId) -> Option<Route> {
         assert!(self.is_alive(from), "route from dead node {from}");
-        let mut cur = from;
+        // While settled every node's maps are `Canon` and every entry of
+        // them alive: the hops read the snapshot alone.
+        let settled = self.m.settled();
+        let mut cur = from.0;
         let mut hops = 0u32;
         let mut timeouts = 0u32;
 
+        let keys = self.m.snapshot().keys();
+        // `cur` is the only snapshot key under the prefix resolved so far.
+        let mut sole = false;
         let mut level = 0u32;
         while level < LEVELS {
             if hops + timeouts > self.cfg.max_route_hops {
                 return None;
             }
-            let st = &self.peers[&cur.0];
+            let maps = if settled {
+                &Lazy::Canon
+            } else {
+                &self.m.peer(cur).expect("hops visit known nodes").table
+            };
+            if sole && matches!(maps, Lazy::Canon) {
+                // Every deeper level of such maps holds `cur` under its own
+                // digit and nothing else: the scans would end here.
+                break;
+            }
             let want = key.digit(level);
             let mut advanced = false;
-            for k in 0..16u8 {
+            for k in 0..RADIX as u8 {
                 let d = (want + k) % 16;
-                let entry = st.maps.get(level as usize).and_then(|row| row[d as usize]);
-                match entry {
-                    Some(n) if self.is_alive(n) => {
-                        if n != cur {
-                            cur = n;
-                            hops += 1;
-                        }
-                        level += 1;
-                        advanced = true;
-                        break;
+                let Some(n) = self.m.slot(cur, maps, level, d) else {
+                    continue;
+                };
+                if settled || self.m.is_alive(n.key) {
+                    let (_, hi) = prefix::slot_range(cur, level, d);
+                    sole = n
+                        .rank
+                        .is_some_and(|r| keys.get(r + 1).is_none_or(|&next| next > hi));
+                    if n.key != cur {
+                        cur = n.key;
+                        hops += 1;
                     }
-                    Some(_) => timeouts += 1, // dead entry probed
-                    None => {}
+                    level += 1;
+                    advanced = true;
+                    break;
                 }
+                timeouts += 1; // dead entry probed
             }
             if !advanced {
                 // Entire row empty (stale maps after mass failure): we are
@@ -406,14 +307,23 @@ impl TapestryNetwork {
             }
         }
         Some(Route {
-            owner: cur,
+            owner: TapestryId(cur),
             hops,
             timeouts,
         })
     }
+
+    /// The entries of the (live or dead) node `from`, level-major.
+    fn entries(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
+        let maps = self.m.peer(from).map(|p| &p.table);
+        maps.into_iter().flat_map(move |maps| {
+            let slots = (0..LEVELS).flat_map(|level| (0..RADIX as u8).map(move |d| (level, d)));
+            slots.filter_map(move |(level, d)| self.m.slot(from, maps, level, d).map(|e| e.key))
+        })
+    }
 }
 
-impl dgrid_sim::router::KeyRouter for TapestryNetwork {
+impl KeyRouter for TapestryNetwork {
     const SUBSTRATE: &'static str = "tapestry";
 
     fn key_of(raw: u64) -> u64 {
@@ -439,42 +349,54 @@ impl dgrid_sim::router::KeyRouter for TapestryNetwork {
     }
 
     fn is_alive(&self, key: u64) -> bool {
-        TapestryNetwork::is_alive(self, TapestryId(key))
+        self.m.is_alive(key)
     }
 
     fn len(&self) -> usize {
-        TapestryNetwork::len(self)
+        self.m.len()
     }
 
     fn alive_keys(&self) -> Vec<u64> {
-        self.alive_ids().into_iter().map(|id| id.0).collect()
+        self.m.alive_in(..).collect()
+    }
+
+    fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        self.m.alive_key_at(rank)
     }
 
     fn owner_of(&self, key: u64) -> Option<u64> {
         self.root_of(TapestryId(key)).map(|id| id.0)
     }
 
-    fn lookup(&self, from: u64, key: u64) -> Option<dgrid_sim::router::RouteCost> {
+    fn lookup(&self, from: u64, key: u64) -> Option<RouteCost> {
         self.route(TapestryId(from), TapestryId(key))
-            .map(|r| dgrid_sim::router::RouteCost {
+            .map(|r| RouteCost {
                 owner: r.owner.0,
                 hops: r.hops,
                 timeouts: r.timeouts,
             })
     }
 
+    /// Exact while `routes_are_exact`: an entry for
+    /// `(prefix, digit)` is a function of the prefix alone, so the route
+    /// makes the surrogate choices of [`TapestryNetwork::root_of`] level
+    /// by level. Any other state walks the route.
+    fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
+        if self.routes_are_exact() {
+            debug_assert!(self.m.is_alive(from));
+            self.owner_of(key)
+        } else {
+            self.lookup(from, key).map(|r| r.owner)
+        }
+    }
+
     fn failover_peers(&self, from: u64) -> Vec<u64> {
         // Neighbor-map entries in level-major order — the closest-known
         // peers first — deduped since one node can fill several slots.
-        let Some(st) = self.peers.get(&from) else {
-            return Vec::new();
-        };
         let mut out: Vec<u64> = Vec::new();
-        for row in &st.maps {
-            for entry in row.iter().flatten() {
-                if entry.0 != from && !out.contains(&entry.0) {
-                    out.push(entry.0);
-                }
+        for entry in self.entries(from) {
+            if entry != from && !out.contains(&entry) {
+                out.push(entry);
             }
         }
         out
@@ -483,13 +405,7 @@ impl dgrid_sim::router::KeyRouter for TapestryNetwork {
     fn walk_step(&self, at: u64) -> Option<u64> {
         // First live neighbor-map entry: Tapestry has no ring successor, so
         // the walk follows the closest known distinct neighbor.
-        let st = self.peers.get(&at)?;
-        st.maps
-            .iter()
-            .flat_map(|row| row.iter().flatten())
-            .copied()
-            .find(|&n| n.0 != at && TapestryNetwork::is_alive(self, n))
-            .map(|n| n.0)
+        self.entries(at).find(|&n| n != at && self.m.is_alive(n))
     }
 
     fn stabilize(&mut self) {
@@ -504,6 +420,7 @@ impl dgrid_sim::router::KeyRouter for TapestryNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgrid_sim::prefix::Table;
     use dgrid_sim::rng::{rng_for, streams};
 
     fn network(n: usize, seed: u64) -> (TapestryNetwork, Vec<TapestryId>) {
@@ -638,7 +555,6 @@ mod tests {
 
     #[test]
     fn deferred_bulk_join_matches_eager_joins_after_stabilize() {
-        use dgrid_sim::router::KeyRouter;
         let mut rng = rng_for(23, streams::NODE_IDS);
         let keys: Vec<u64> = (0..48).map(|_| rng.gen()).collect();
         let mut eager = TapestryNetwork::default();
@@ -672,5 +588,206 @@ mod tests {
         assert!(root == a || root == b);
         let via_route = net.route(a, TapestryId(0xF000_0000_0000_0000)).unwrap();
         assert_eq!(via_route.owner, root);
+    }
+
+    // ------------------------------------------------------------------
+    // The materialised-everywhere representation, as the reference
+    // ------------------------------------------------------------------
+
+    /// Every node's 16 × 16 maps stored, as this crate kept them before the
+    /// snapshot, refreshed at the points the network refreshes a node's —
+    /// from the network's own live set, which a refresh does not change.
+    #[derive(Default)]
+    struct Reference(std::collections::BTreeMap<u64, Table>);
+
+    impl Reference {
+        fn refresh_node(&mut self, net: &TapestryNetwork, id: TapestryId) {
+            let mut maps = vec![[None; 16]; LEVELS as usize];
+            for level in 0..LEVELS {
+                for d in 0..16u8 {
+                    let (lo, hi) = id.slot_range(level, d);
+                    maps[level as usize][d as usize] = net.m.alive_in(lo..=hi).next();
+                }
+            }
+            self.0.insert(id.0, maps);
+        }
+
+        fn join(&mut self, net: &mut TapestryNetwork, id: TapestryId) {
+            net.join(id);
+            self.refresh_node(net, id);
+        }
+
+        fn leave(&mut self, net: &mut TapestryNetwork, id: TapestryId) {
+            net.leave(id);
+            let mut neighbourhood: Vec<u64> = Vec::with_capacity(16);
+            'outer: for level in (0..LEVELS).rev() {
+                for d in 0..16u8 {
+                    let (lo, hi) = id.slot_range(level, d);
+                    if let Some(n) = net.m.alive_in(lo..=hi).next() {
+                        neighbourhood.push(n);
+                        if neighbourhood.len() >= 16 {
+                            break 'outer;
+                        }
+                    }
+                }
+            }
+            for n in neighbourhood {
+                self.refresh_node(net, TapestryId(n));
+            }
+        }
+
+        fn stabilize(&mut self, net: &mut TapestryNetwork) {
+            net.stabilize();
+            self.0.retain(|&id, _| net.is_alive(TapestryId(id)));
+            for id in net.alive_ids() {
+                self.refresh_node(net, id);
+            }
+        }
+    }
+
+    /// One node's maps read through the lazy accessor, in stored form.
+    fn effective(net: &TapestryNetwork, id: u64) -> Table {
+        let maps = &net.m.peer(id).expect("known node").table;
+        let slot = |level, d| net.m.slot(id, maps, level, d as u8).map(|e| e.key);
+        let rows = (0..LEVELS).map(|level| std::array::from_fn(|d| slot(level, d)));
+        rows.collect()
+    }
+
+    fn materialised_nodes(net: &TapestryNetwork) -> usize {
+        let held = |p: &prefix::Peer<()>| matches!(p.table, Lazy::Mat(_));
+        net.m.peers().filter(|(_, p)| held(p)).count()
+    }
+
+    #[test]
+    fn only_individually_refreshed_nodes_hold_maps() {
+        let keys: Vec<u64> = (0..10_000u64).map(|i| TapestryId::hash_of(i).0).collect();
+        let mut net = TapestryNetwork::default();
+        KeyRouter::bulk_join(&mut net, &keys);
+        net.stabilize();
+        assert_eq!(materialised_nodes(&net), 0);
+
+        net.join(TapestryId::hash_of(10_000));
+        assert_eq!(materialised_nodes(&net), 1, "the joiner alone");
+        net.stabilize();
+        assert_eq!(materialised_nodes(&net), 0);
+
+        net.leave(TapestryId(keys[4242]));
+        let held = materialised_nodes(&net);
+        assert!(
+            (1..=16).contains(&held),
+            "{held} nodes in the leaver's neighbourhood"
+        );
+
+        net.fail(TapestryId(keys[17]));
+        net.stabilize();
+        assert_eq!(materialised_nodes(&net), 0);
+        assert_eq!(net.m.peers().count(), net.len(), "dead records collected");
+        assert_eq!(net.len(), 9_999);
+    }
+
+    #[test]
+    fn canonical_maps_stay_pinned_to_the_snapshot_under_churn() {
+        let [a, b, c] = [0x1000u64 << 48, 0x9000 << 48, 0x9800 << 48];
+        let mut net = TapestryNetwork::default();
+        net.join(TapestryId(a));
+        net.join(TapestryId(b));
+        net.stabilize();
+        // Abrupt failure after stabilize: `a` still points at `b`, and a
+        // route pays a timeout to find out.
+        net.fail(TapestryId(b));
+        assert_eq!(effective(&net, a)[0][9], Some(b), "stale entry");
+        let res = net.route(TapestryId(a), TapestryId(b)).unwrap();
+        assert_eq!((res.owner, res.timeouts), (TapestryId(a), 1));
+        // An arrival it has not heard of either.
+        net.join(TapestryId(c));
+        assert_eq!(effective(&net, a)[0][9], Some(b));
+        assert_eq!(effective(&net, c)[0][1], Some(a), "the joiner looked");
+        net.stabilize();
+        assert_eq!(effective(&net, a)[0][9], Some(c));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Join a fresh id, or pick a live node and have it leave or fail,
+        /// or stabilize.
+        #[derive(Clone, Debug)]
+        enum Step {
+            Join(u64),
+            Leave(usize),
+            Fail(usize),
+            Stabilize,
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                4 => any::<u64>().prop_map(Step::Join),
+                2 => any::<usize>().prop_map(Step::Leave),
+                2 => any::<usize>().prop_map(Step::Fail),
+                1 => Just(Step::Stabilize),
+            ]
+        }
+
+        /// Ids that crowd a few prefixes, so that deep levels matter.
+        fn crowded_id() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                any::<u64>(),
+                (0u64..4, 0u64..32).prop_map(|(hi, lo)| (hi << 62) | lo),
+                (any::<u8>(), 0u64..4).prop_map(|(hi, lo)| (u64::from(hi) << 56) | (lo << 52)),
+            ]
+        }
+
+        fn views_match(net: &TapestryNetwork, reference: &Reference) -> Result<(), TestCaseError> {
+            let live = net.alive_ids();
+            for &id in &live {
+                prop_assert_eq!(&effective(net, id.0), &reference.0[&id.0], "maps of {}", id);
+            }
+            // What `settled` short-cuts must still be ground truth.
+            for rank in 0..=live.len() {
+                let at = net.m.alive_key_at(rank).map(TapestryId);
+                prop_assert_eq!(at, live.get(rank).copied());
+            }
+            for &from in live.iter().take(6) {
+                let owner = net.route(from, TapestryId(!from.0)).expect("routes").owner;
+                prop_assert!(net.is_alive(owner), "{} delivered to dead {}", from, owner);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// After every step of a churn history, every live node's full
+            /// maps read through the lazy accessor equal the stored maps of
+            /// the reference, refreshed at the same points.
+            #[test]
+            fn lazy_maps_equal_the_materialised_reference(
+                initial in proptest::collection::hash_set(crowded_id(), 2..40),
+                steps in proptest::collection::vec(step(), 0..25),
+            ) {
+                let mut net = TapestryNetwork::default();
+                let mut reference = Reference::default();
+                for id in initial {
+                    reference.join(&mut net, TapestryId(id));
+                    views_match(&net, &reference)?;
+                }
+                for s in steps {
+                    let live = net.alive_ids();
+                    match s {
+                        Step::Join(id) if !net.is_alive(TapestryId(id)) => {
+                            reference.join(&mut net, TapestryId(id));
+                        }
+                        Step::Leave(i) if live.len() > 1 => {
+                            reference.leave(&mut net, live[i % live.len()]);
+                        }
+                        Step::Fail(i) if live.len() > 1 => net.fail(live[i % live.len()]),
+                        Step::Stabilize => reference.stabilize(&mut net),
+                        _ => {}
+                    }
+                    views_match(&net, &reference)?;
+                }
+            }
+        }
     }
 }
