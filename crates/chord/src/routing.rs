@@ -214,6 +214,7 @@ mod tests {
     use super::*;
     use crate::ring::ChordConfig;
     use dgrid_sim::rng::{rng_for, streams};
+    use dgrid_sim::router::KeyRouter;
     use rand::Rng;
 
     fn build_ring(n: usize, seed: u64) -> (ChordRing, Vec<ChordId>) {
@@ -510,6 +511,107 @@ mod tests {
             retries += out.map_or(0, |(_, r)| u64::from(r));
         }
         assert_eq!((h.0, retries), (0x91b7_7d8b_cfdd_366c, 325));
+    }
+
+    /// `walk_step`, `failover_peers` and `peer_view` of every 16th live
+    /// peer, hashed: the reads of a peer's state that are not a route.
+    fn hash_neighbour_reads(ring: &ChordRing) -> u64 {
+        let mut h = RouteHash::new();
+        for id in ring.alive_ids().into_iter().step_by(16) {
+            h.word(ring.walk_step(id.0).unwrap_or(u64::MAX));
+            let peers = ring.failover_peers(id.0);
+            h.word(peers.len() as u64);
+            for p in peers {
+                h.word(p);
+            }
+            let v = ring.peer_view(id).expect("live peer");
+            for w in [v.id, v.successor, v.predecessor] {
+                h.word(w.0);
+            }
+        }
+        h.0
+    }
+
+    // The goldens below were recorded on the lookup that searched `peers`
+    // and the snapshot once per component of every hop: like the four
+    // above they pin simulated behaviour, at the edges those do not reach.
+
+    #[test]
+    fn neighbour_reads_match_the_golden() {
+        let (settled, _) = build_ring(4096, 21);
+        assert_eq!(hash_neighbour_reads(&settled), 0x945b_e427_da3d_2f3e);
+        let unsettled = unsettled_ring(ChordConfig::default());
+        assert_eq!(hash_neighbour_reads(&unsettled), 0xc0ee_0919_0cd7_dc0e);
+    }
+
+    #[test]
+    fn routes_under_other_configs_match_the_golden() {
+        // A successor list of one entry (no fallback past a dead
+        // successor, so some unsettled routes fail), a long one, and a hop
+        // budget most routes exceed: `None` results are in the hashes.
+        let cfg = |successor_list_len, max_route_hops| ChordConfig {
+            successor_list_len,
+            max_route_hops,
+        };
+        let goldens = [
+            (
+                cfg(1, 192),
+                (0x6e3f_8931_521d_46cd, 0),
+                (0xe9d5_0489_9f8b_c76a, 534),
+            ),
+            (
+                cfg(16, 192),
+                (0x4b5c_e134_af0f_db90, 0),
+                (0x03c3_4423_1ce4_3c9f, 2638),
+            ),
+            (
+                cfg(8, 3),
+                (0xc423_b7c7_631c_d1b7, 0),
+                (0x7be3_d4c0_56dc_b0b2, 91),
+            ),
+        ];
+        for (c, settled, unsettled) in goldens {
+            let (ring, _) = build_ring_with(c, 4096, 21);
+            assert_eq!(hash_lookups(&ring, 2000, 27), settled, "settled {c:?}");
+            let ring = unsettled_ring(c);
+            assert_eq!(hash_lookups(&ring, 2000, 28), unsettled, "unsettled {c:?}");
+        }
+    }
+
+    #[test]
+    fn rings_no_longer_than_the_successor_list_match_the_golden() {
+        // Two peers: each successor list wraps all the way round and ends
+        // in the asking peer itself. Nine: the default list of eight is
+        // exactly everybody else. Hashed settled, then again after an
+        // abrupt failure and a join nobody has stabilized.
+        fn hash_all(ring: &ChordRing, seed: u64) -> (u64, u64) {
+            let routes = hash_lookups(ring, 2000, seed);
+            let mut h = RouteHash::new();
+            h.word(routes.0);
+            for id in ring.alive_ids() {
+                h.word(ring.walk_step(id.0).unwrap_or(u64::MAX));
+                for p in ring.failover_peers(id.0) {
+                    h.word(p);
+                }
+                h.word(ring.peer_view(id).expect("live peer").predecessor.0);
+            }
+            (h.0, routes.1)
+        }
+        let goldens = [
+            (
+                2usize,
+                (0xfd80_cb71_9f19_3c22, 0),
+                (0xb91b_c27a_fc97_a77b, 0),
+            ),
+            (9, (0x25dc_0d85_36be_98bf, 0), (0x793e_c8ed_c184_f5f0, 632)),
+        ];
+        for (n, settled, churned) in goldens {
+            let (mut ring, ids) = build_ring(n, 29);
+            assert_eq!(hash_all(&ring, 30), settled, "{n} peers, settled");
+            ring.fail(ids[0]);
+            ring.join(ChordId(ids[0].0 ^ (1 << 62)));
+            assert_eq!(hash_all(&ring, 31), churned, "{n} peers, churned");
+        }
     }
 
     #[test]
