@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use dgrid_sim::prefix::Lazy;
+use dgrid_sim::prefix::{Entry, Lazy, Snapshot};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -67,21 +67,23 @@ pub struct PeerView {
 ///
 /// A peer's state is stored only where it differs from what the last
 /// [`ChordRing::stabilize`] implies ([`Lazy::Mat`]); everything else is one
-/// binary search into the shared `canon` snapshot, made when a route asks
-/// for it. In particular no finger *table* is ever built for a routing
-/// hop: [`ChordRing::lookup`] resolves single fingers, top candidate
-/// first, and stops at the first live one.
+/// binary search into the shared snapshot, made when a route asks for it
+/// through the peer's [`Hop`] view. In particular no finger *table* is ever
+/// built for a routing hop: [`ChordRing::lookup`] resolves single fingers,
+/// top candidate first, and stops at the first live one.
+#[derive(Clone)]
 pub struct ChordRing {
     cfg: ChordConfig,
     peers: BTreeMap<u64, PeerState>,
     alive_count: usize,
-    /// Sorted alive keys at the last [`ChordRing::stabilize`]: the snapshot
-    /// every `Canon` component is computed from.
-    canon: Vec<u64>,
+    /// Sorted alive keys at the last [`ChordRing::stabilize`]: what every
+    /// `Canon` component is computed from.
+    snapshot: Snapshot,
     /// No membership change since the last [`ChordRing::stabilize`]: every
-    /// peer's routing state equals ground truth, so a route from any live
-    /// peer ends at `canon_successor(key)`. Set by `stabilize`, cleared by
-    /// every join and departure.
+    /// peer's routing state equals what the snapshot implies and the
+    /// snapshot *is* the live set, so routes and ground-truth reads leave
+    /// `peers` alone. Set by `stabilize`, cleared by every join and
+    /// departure.
     settled: bool,
 }
 
@@ -102,7 +104,7 @@ impl ChordRing {
             cfg,
             peers: BTreeMap::new(),
             alive_count: 0,
-            canon: Vec::new(),
+            snapshot: Snapshot::default(),
             settled: false,
         }
     }
@@ -129,11 +131,13 @@ impl ChordRing {
 
     /// All live peer ids in ascending ring order.
     pub fn alive_ids(&self) -> Vec<ChordId> {
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.alive)
-            .map(|(&id, _)| ChordId(id))
-            .collect()
+        self.live_keys().map(ChordId).collect()
+    }
+
+    /// The live keys, ascending.
+    pub(crate) fn live_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        let alive = self.peers.iter().filter(|(_, p)| p.alive);
+        alive.map(|(&id, _)| id)
     }
 
     /// A uniformly random live peer.
@@ -149,10 +153,9 @@ impl ChordRing {
     /// snapshot while settled, a walk of the live set otherwise.
     pub(crate) fn alive_key_at(&self, rank: usize) -> Option<u64> {
         if self.settled {
-            self.canon.get(rank).copied()
+            self.snapshot.keys().get(rank).copied()
         } else {
-            let mut alive = self.peers.iter().filter(|(_, p)| p.alive);
-            alive.nth(rank).map(|(&id, _)| id)
+            self.live_keys().nth(rank)
         }
     }
 
@@ -163,6 +166,11 @@ impl ChordRing {
     /// The live owner of `key`: the first live peer clockwise from `key`
     /// (inclusive). `None` on an empty ring.
     pub fn successor_of(&self, key: ChordId) -> Option<ChordId> {
+        if self.settled {
+            // The snapshot is the live set.
+            let rank = self.snapshot.successor_rank(key.0)?;
+            return Some(ChordId(self.snapshot.keys()[rank]));
+        }
         if self.alive_count == 0 {
             return None;
         }
@@ -175,6 +183,11 @@ impl ChordRing {
 
     /// The first live peer strictly counter-clockwise from `key`.
     pub fn predecessor_of(&self, key: ChordId) -> Option<ChordId> {
+        if self.settled {
+            let keys = self.snapshot.keys();
+            let rank = self.snapshot.successor_rank(key.0)?;
+            return Some(ChordId(keys[rank.checked_sub(1).unwrap_or(keys.len() - 1)]));
+        }
         if self.alive_count == 0 {
             return None;
         }
@@ -186,25 +199,20 @@ impl ChordRing {
             .map(|(&id, _)| ChordId(id))
     }
 
-    /// Successive live successors of `id` (starting after `id`), up to `k`.
+    /// Every live peer once, clockwise from `key` (inclusive) all the way
+    /// round. From `id + 1` that is the successor list a refresh gives
+    /// `id`, unbounded: everybody else in ring order, then `id` itself.
+    fn live_from(&self, key: ChordId) -> impl Iterator<Item = ChordId> + '_ {
+        let onward = self.peers.range(key.0..);
+        let all = onward.chain(self.peers.range(..key.0));
+        all.filter(|(_, p)| p.alive).map(|(&id, _)| ChordId(id))
+    }
+
+    /// Successive live successors of the live peer `id`, up to `k`.
     fn true_successor_list(&self, id: ChordId, k: usize) -> Vec<ChordId> {
-        let mut out = Vec::with_capacity(k);
-        let mut cur = id;
-        for _ in 0..k.min(self.alive_count) {
-            let next = match self.successor_of(ChordId(cur.0.wrapping_add(1))) {
-                Some(n) => n,
-                None => break,
-            };
-            out.push(next);
-            if next == id {
-                break; // wrapped all the way around
-            }
-            cur = next;
-        }
-        if out.is_empty() {
-            out.push(id); // single-node ring: own successor
-        }
-        out
+        self.live_from(ChordId(id.0.wrapping_add(1)))
+            .take(k)
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -352,7 +360,7 @@ impl ChordRing {
     /// [`Lazy::Canon`] — O(N) total, with views computed on demand.
     pub fn stabilize(&mut self) {
         self.peers.retain(|_, p| p.alive);
-        self.canon = self.peers.keys().copied().collect();
+        self.snapshot = Snapshot::from_ascending(self.peers.keys().copied().collect());
         for p in self.peers.values_mut() {
             p.predecessor = Lazy::Canon;
             p.successors = Lazy::Canon;
@@ -365,69 +373,30 @@ impl ChordRing {
     // Lazy state resolution
     // ------------------------------------------------------------------
 
-    /// Position of `id` in the canonical snapshot, if it was alive at the
-    /// last stabilize.
-    fn canon_pos(&self, id: ChordId) -> Option<usize> {
-        self.canon.binary_search(&id.0).ok()
+    /// No membership change since the last [`ChordRing::stabilize`].
+    pub(crate) fn settled(&self) -> bool {
+        self.settled
     }
 
-    /// First snapshot key at or clockwise after `key` — `successor_of`
-    /// evaluated against the membership of the last stabilize.
-    pub(crate) fn canon_successor(&self, key: u64) -> ChordId {
-        debug_assert!(!self.canon.is_empty());
-        let i = self.canon.partition_point(|&x| x < key);
-        ChordId(self.canon[if i == self.canon.len() { 0 } else { i }])
-    }
-
-    /// The peer's believed predecessor (possibly stale).
-    pub(crate) fn peer_predecessor(&self, id: ChordId) -> Option<ChordId> {
-        match &self.peers.get(&id.0).expect("known peer").predecessor {
-            Lazy::Mat(p) => *p,
-            Lazy::Canon => match self.canon_pos(id) {
-                Some(pos) => {
-                    let n = self.canon.len();
-                    Some(ChordId(self.canon[(pos + n - 1) % n]))
-                }
-                // Deferred join not yet stabilized: resolve from ground
-                // truth, as an eager join would have.
-                None => self.predecessor_of(id),
-            },
-        }
-    }
-
-    /// The peer's believed successor list (possibly stale), into `out`.
-    pub(crate) fn peer_successors_into(&self, id: ChordId, out: &mut Vec<ChordId>) {
-        out.clear();
-        match &self.peers.get(&id.0).expect("known peer").successors {
-            Lazy::Mat(v) => out.extend_from_slice(v),
-            Lazy::Canon => match self.canon_pos(id) {
-                Some(pos) => {
-                    let n = self.canon.len();
-                    for j in 1..=self.cfg.successor_list_len.min(n) {
-                        let s = ChordId(self.canon[(pos + j) % n]);
-                        out.push(s);
-                        if s == id {
-                            break; // wrapped all the way around
-                        }
-                    }
-                }
-                None => out.extend(self.true_successor_list(id, self.cfg.successor_list_len)),
-            },
-        }
-    }
-
-    /// The peer's believed finger `k` (possibly stale): the first peer it
-    /// knew at clockwise distance ≥ 2^k, or the peer itself when none was.
-    pub(crate) fn peer_finger(&self, id: ChordId, k: u32) -> ChordId {
-        match &self.peers.get(&id.0).expect("known peer").fingers {
-            Lazy::Mat(v) => v[k as usize],
-            Lazy::Canon => match self.canon_pos(id) {
-                Some(_) => self.canon_successor(id.finger_start(k).0),
-                None => self
-                    .successor_of(id.finger_start(k))
-                    .expect("ring is non-empty"),
-            },
-        }
+    /// The view of the peer `at`, dead or alive, whose rank is searched
+    /// for unless `at` brings it; `None` for a peer the ring has no record
+    /// of. While settled the records are exactly the snapshot's keys, all
+    /// alive and all `Canon`, so the rank is the whole view and `peers` is
+    /// not read.
+    pub(crate) fn hop(&self, at: Entry) -> Option<Hop<'_>> {
+        let rank = || at.rank.or_else(|| self.snapshot.rank(at.key));
+        let (rank, state) = if self.settled {
+            (Some(rank()?), None)
+        } else {
+            let state = self.peers.get(&at.key)?;
+            (rank(), Some(state))
+        };
+        Some(Hop {
+            ring: self,
+            id: ChordId(at.key),
+            rank,
+            state,
+        })
     }
 
     /// Whether a route is known to end at the key's ground-truth owner
@@ -440,27 +409,33 @@ impl ChordRing {
 
     /// Snapshot one live peer's ring position.
     pub fn peer_view(&self, id: ChordId) -> Option<PeerView> {
-        let state = self.peers.get(&id.0).filter(|p| p.alive)?;
-        let successor = match &state.successors {
-            Lazy::Mat(v) => v.first().copied().unwrap_or(id),
-            Lazy::Canon => match self.canon_pos(id) {
-                Some(pos) => ChordId(self.canon[(pos + 1) % self.canon.len()]),
-                None => self
-                    .true_successor_list(id, 1)
-                    .first()
-                    .copied()
-                    .unwrap_or(id),
-            },
-        };
+        let hop = self.hop(Entry::unranked(id.0)).filter(Hop::is_alive)?;
         Some(PeerView {
             id,
-            successor,
-            predecessor: self.peer_predecessor(id).unwrap_or(id),
+            successor: ChordId(hop.successor(0).key),
+            predecessor: hop.predecessor().unwrap_or(id),
         })
     }
 
-    pub(crate) fn state(&self, id: ChordId) -> Option<&PeerState> {
-        self.peers.get(&id.0)
+    /// Forget that nothing has changed since the last stabilize: the same
+    /// ring, read the long way — `peers` walked, liveness probed.
+    #[cfg(test)]
+    pub(crate) fn unsettle(&mut self) {
+        self.settled = false;
+    }
+
+    /// Swap every record for a dead peer that knows nobody: whatever
+    /// still answers afterwards never read `peers`.
+    #[cfg(test)]
+    pub(crate) fn poison_records(&mut self) {
+        for p in self.peers.values_mut() {
+            *p = PeerState {
+                alive: false,
+                predecessor: Lazy::Mat(None),
+                successors: Lazy::Mat(Vec::new()),
+                fingers: Lazy::Mat(Vec::new()),
+            };
+        }
     }
 
     /// Ring-consistency check for a quiesced ring (run [`ChordRing::stabilize`]
@@ -471,11 +446,10 @@ impl ChordRing {
     /// the oracle hook the model checker (`dgrid-check`) calls after churn
     /// has settled.
     pub fn consistency_violation(&self) -> Option<String> {
-        let mut ids = self.alive_ids();
+        let ids = self.alive_ids();
         if ids.len() <= 1 {
             return None;
         }
-        ids.sort();
         let n = ids.len();
         for (i, &id) in ids.iter().enumerate() {
             let next = ids[(i + 1) % n];
@@ -516,6 +490,125 @@ impl ChordRing {
     }
 }
 
+/// Where one component of a peer's routing state is read from.
+enum Source<'a, T> {
+    /// Stored by a refresh of the peer's own.
+    Mat(&'a T),
+    /// Computed from the snapshot around the peer's rank in it.
+    Canon(usize),
+    /// A deferred joiner the snapshot does not know yet: ground truth, as
+    /// an eager join would have stored.
+    Truth,
+}
+
+/// One peer as a routing hop stands on it: the peer's believed (possibly
+/// stale) predecessor, successor list and fingers, each resolved when asked
+/// for. Entries read off the snapshot come with their rank, which the next
+/// hop's view takes over instead of searching for it.
+pub(crate) struct Hop<'a> {
+    ring: &'a ChordRing,
+    id: ChordId,
+    /// The peer's rank in the snapshot, if it is there.
+    rank: Option<usize>,
+    /// The peer's record; `None` while the ring is settled, when every
+    /// component is `Canon` whatever the record says.
+    state: Option<&'a PeerState>,
+}
+
+impl<'a> Hop<'a> {
+    pub(crate) fn id(&self) -> ChordId {
+        self.id
+    }
+
+    /// The peer and its rank, as an entry pointing at it.
+    pub(crate) fn entry(&self) -> Entry {
+        Entry {
+            key: self.id.0,
+            rank: self.rank,
+        }
+    }
+
+    pub(crate) fn is_alive(&self) -> bool {
+        self.state.is_none_or(|s| s.alive)
+    }
+
+    /// The one place a [`Lazy`] component turns into where to read it.
+    fn source<T>(&self, component: impl FnOnce(&'a PeerState) -> &'a Lazy<T>) -> Source<'a, T> {
+        match (self.state.map(component), self.rank) {
+            (Some(Lazy::Mat(v)), _) => Source::Mat(v),
+            (_, Some(rank)) => Source::Canon(rank),
+            (_, None) => Source::Truth,
+        }
+    }
+
+    /// The snapshot entry `ahead` places clockwise of rank `rank`, for
+    /// `ahead` at most the snapshot's length.
+    fn canon_entry(&self, rank: usize, ahead: usize) -> Entry {
+        let keys = self.ring.snapshot.keys();
+        let i = rank + ahead;
+        let i = if i < keys.len() { i } else { i - keys.len() };
+        Entry {
+            key: keys[i],
+            rank: Some(i),
+        }
+    }
+
+    /// The peer's believed predecessor.
+    pub(crate) fn predecessor(&self) -> Option<ChordId> {
+        match self.source(|s| &s.predecessor) {
+            Source::Mat(p) => *p,
+            Source::Canon(rank) => {
+                let back = self.ring.snapshot.keys().len() - 1;
+                Some(ChordId(self.canon_entry(rank, back).key))
+            }
+            Source::Truth => self.ring.predecessor_of(self.id),
+        }
+    }
+
+    /// Length of the peer's believed successor list: the configured
+    /// length, or on a smaller ring everybody else and then the peer
+    /// itself. Never 0 for a live peer.
+    pub(crate) fn successor_count(&self) -> usize {
+        let r = self.ring.cfg.successor_list_len;
+        match self.source(|s| &s.successors) {
+            Source::Mat(v) => v.len(),
+            Source::Canon(_) => r.min(self.ring.snapshot.keys().len()),
+            Source::Truth => r.min(self.ring.alive_count),
+        }
+    }
+
+    /// Entry `j < successor_count()` of the peer's believed successor
+    /// list, nearest first.
+    pub(crate) fn successor(&self, j: usize) -> Entry {
+        match self.source(|s| &s.successors) {
+            Source::Mat(v) => Entry::unranked(v[j].0),
+            Source::Canon(rank) => self.canon_entry(rank, j + 1),
+            Source::Truth => {
+                let next = ChordId(self.id.0.wrapping_add(1));
+                let s = self.ring.live_from(next).nth(j);
+                Entry::unranked(s.expect("j is below the live count").0)
+            }
+        }
+    }
+
+    /// The peer's believed finger `k`: the first peer it knew at clockwise
+    /// distance ≥ 2^k, or the peer itself when none was.
+    pub(crate) fn finger(&self, k: u32) -> Entry {
+        let start = self.id.finger_start(k);
+        match self.source(|s| &s.fingers) {
+            Source::Mat(v) => Entry::unranked(v[k as usize].0),
+            Source::Canon(_) => {
+                let rank = self.ring.snapshot.successor_rank(start.0);
+                self.canon_entry(rank.expect("the peer is in the snapshot"), 0)
+            }
+            Source::Truth => {
+                let owner = self.ring.successor_of(start);
+                Entry::unranked(owner.expect("ring is non-empty").0)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,6 +619,21 @@ mod tests {
             r.join(ChordId(i));
         }
         r
+    }
+
+    fn hop(r: &ChordRing, id: ChordId) -> Hop<'_> {
+        r.hop(Entry::unranked(id.0)).expect("known peer")
+    }
+
+    fn successors(r: &ChordRing, id: ChordId) -> Vec<ChordId> {
+        let hop = hop(r, id);
+        let list = (0..hop.successor_count()).map(|j| hop.successor(j));
+        list.map(|e| ChordId(e.key)).collect()
+    }
+
+    fn fingers(r: &ChordRing, id: ChordId) -> Vec<ChordId> {
+        let hop = hop(r, id);
+        (0..ID_BITS).map(|k| ChordId(hop.finger(k).key)).collect()
     }
 
     #[test]
@@ -629,9 +737,8 @@ mod tests {
     fn successor_lists_have_configured_length() {
         let mut r = ring_with(&(0..20u64).map(|i| i * 100).collect::<Vec<_>>());
         r.stabilize();
-        let mut succ = Vec::new();
         for id in r.alive_ids() {
-            r.peer_successors_into(id, &mut succ);
+            let succ = successors(&r, id);
             assert_eq!(succ.len(), r.config().successor_list_len);
             // Entries are the k nearest live successors in clockwise order.
             let mut prev = id;
@@ -652,21 +759,16 @@ mod tests {
             .collect();
         let mut r = ring_with(&ids);
         r.stabilize();
-        let (mut canon_s, mut mat_s) = (Vec::new(), Vec::new());
-        let fingers = |r: &ChordRing, id| -> Vec<ChordId> {
-            (0..ID_BITS).map(|k| r.peer_finger(id, k)).collect()
-        };
+        let mut mat = r.clone();
         for id in r.alive_ids() {
-            r.peer_successors_into(id, &mut canon_s);
-            let canon_f = fingers(&r, id);
-            let canon_p = r.peer_predecessor(id);
-            let canon_v = r.peer_view(id);
-            r.refresh_peer(id); // flips this peer to Mat
-            r.peer_successors_into(id, &mut mat_s);
-            assert_eq!(canon_s, mat_s, "successors of {id}");
-            assert_eq!(canon_f, fingers(&r, id), "fingers of {id}");
-            assert_eq!(canon_p, r.peer_predecessor(id), "predecessor of {id}");
-            assert_eq!(canon_v, r.peer_view(id), "view of {id}");
+            mat.refresh_peer(id); // flips this peer to Mat
+        }
+        mat.unsettle(); // or its views would read the snapshot all the same
+        for id in r.alive_ids() {
+            assert_eq!(successors(&r, id), successors(&mat, id), "of {id}");
+            assert_eq!(fingers(&r, id), fingers(&mat, id), "of {id}");
+            let (canon, mat) = (hop(&r, id), hop(&mat, id));
+            assert_eq!(canon.predecessor(), mat.predecessor(), "of {id}");
         }
     }
 
@@ -679,9 +781,7 @@ mod tests {
         r.fail(ChordId(20));
         let v10 = r.peer_view(ChordId(10)).unwrap();
         assert_eq!(v10.successor, ChordId(20), "stale canonical successor");
-        let mut succ = Vec::new();
-        r.peer_successors_into(ChordId(10), &mut succ);
-        assert_eq!(succ.first(), Some(&ChordId(20)));
+        assert_eq!(successors(&r, ChordId(10)).first(), Some(&ChordId(20)));
         r.stabilize();
         let v10 = r.peer_view(ChordId(10)).unwrap();
         assert_eq!(v10.successor, ChordId(30), "repaired by stabilization");
@@ -759,10 +859,11 @@ mod finger_tests {
         }
         ring.stabilize();
         for id in ring.alive_ids() {
+            let hop = ring.hop(Entry::unranked(id.0)).expect("known peer");
             for k in 0..ID_BITS {
                 let start = id.finger_start(k);
                 assert_eq!(
-                    Some(ring.peer_finger(id, k)),
+                    Some(ChordId(hop.finger(k).key)),
                     ring.successor_of(start),
                     "finger {k} of {id} must be successor({start})"
                 );
@@ -788,7 +889,8 @@ mod finger_tests {
         let mut total_span = 0u128;
         let ids = ring.alive_ids();
         for &id in &ids {
-            let top = ring.peer_finger(id, ID_BITS - 1);
+            let hop = ring.hop(Entry::unranked(id.0)).expect("known peer");
+            let top = ChordId(hop.finger(ID_BITS - 1).key);
             total_span += u128::from(id.distance_to(top));
         }
         let mean_span = total_span / ids.len() as u128;

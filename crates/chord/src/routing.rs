@@ -1,7 +1,9 @@
 //! Iterative greedy lookup over (possibly stale) finger tables.
 
+use dgrid_sim::prefix::Entry;
+
 use crate::id::ChordId;
-use crate::ring::ChordRing;
+use crate::ring::{ChordRing, Hop};
 
 /// Result of a successful lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -13,6 +15,11 @@ pub struct Lookup {
     /// Dead peers contacted along the way (each costs a timeout in a real
     /// deployment; counted separately from productive hops).
     pub timeouts: u32,
+}
+
+/// The peer an entry points at.
+fn id(e: Entry) -> ChordId {
+    ChordId(e.key)
 }
 
 impl ChordRing {
@@ -28,49 +35,56 @@ impl ChordRing {
     /// # Panics
     /// If `from` is not a live peer.
     pub fn lookup(&self, from: ChordId, key: ChordId) -> Option<Lookup> {
-        assert!(self.is_alive(from), "lookup from dead peer {from}");
-        let mut cur = from;
+        // While settled the view is the snapshot rank alone, so finding it
+        // is the liveness check.
+        let mut at = self
+            .hop(Entry::unranked(from.0))
+            .filter(Hop::is_alive)
+            .unwrap_or_else(|| panic!("lookup from dead peer {from}"));
+        // While settled every entry a hop can read is a snapshot key, and
+        // those are exactly the live peers: no probe, no timeout, and each
+        // entry brings the rank the next hop's view starts from.
+        let settled = self.settled();
+        let alive = |e: Entry| settled || self.is_alive(id(e));
         let mut hops = 0u32;
         let mut timeouts = 0u32;
-        // Reused across hops; refilled from the current peer's (lazily
-        // resolved, possibly stale) local state.
-        let mut successors: Vec<ChordId> = Vec::new();
+        let found = |owner: ChordId, hops, timeouts| {
+            Some(Lookup {
+                owner,
+                hops,
+                timeouts,
+            })
+        };
 
         loop {
             if hops > self.config().max_route_hops {
                 return None;
             }
+            let cur = at.id();
             // A peer whose own id equals the key owns it (successor is
             // inclusive of the key itself).
             if cur == key {
-                return Some(Lookup {
-                    owner: cur,
-                    hops,
-                    timeouts,
-                });
+                return found(cur, hops, timeouts);
             }
 
-            debug_assert!(self.is_alive(cur), "routing through dead peer");
+            debug_assert!(at.is_alive(), "routing through dead peer");
 
             // Ownership check: a node owns (predecessor, self]. A stale
             // predecessor that has *died* only widens this interval towards
             // the true one, so the check stays safe under failures.
-            if let Some(pred) = self.peer_predecessor(cur) {
+            if let Some(pred) = at.predecessor() {
                 if key.in_open_closed(pred, cur) {
-                    return Some(Lookup {
-                        owner: cur,
-                        hops,
-                        timeouts,
-                    });
+                    return found(cur, hops, timeouts);
                 }
             }
 
             // First alive entry in the successor list, charging a timeout
             // for each dead entry we must probe first.
-            self.peer_successors_into(cur, &mut successors);
+            let mut si = at.successor_count();
             let mut succ = None;
-            for &s in &successors {
-                if self.is_alive(s) {
+            for j in 0..si {
+                let s = at.successor(j);
+                if alive(s) {
                     succ = Some(s);
                     break;
                 }
@@ -78,21 +92,13 @@ impl ChordRing {
             }
             let succ = succ?;
 
-            if succ == cur {
+            if succ.key == cur.0 {
                 // Single-node ring: we own everything.
-                return Some(Lookup {
-                    owner: cur,
-                    hops,
-                    timeouts,
-                });
+                return found(cur, hops, timeouts);
             }
-            if key.in_open_closed(cur, succ) {
+            if key.in_open_closed(cur, id(succ)) {
                 // The key lies between us and our successor: succ owns it.
-                return Some(Lookup {
-                    owner: succ,
-                    hops: hops + 1,
-                    timeouts,
-                });
+                return found(id(succ), hops + 1, timeouts);
             }
 
             // Closest preceding alive node: candidates strictly inside
@@ -118,17 +124,16 @@ impl ChordRing {
             let mut fi = if d > 1 { (d - 1).ilog2() + 1 } else { 0 };
             // Finger `fi - 1` once resolved; `cur`, which no finger below
             // the trailing run equals, until then.
-            let mut head = cur;
-            let mut si = successors.len();
-            while si > 0 && successors[si - 1] == cur {
+            let mut head = at.entry();
+            while si > 0 && at.successor(si - 1).key == cur.0 {
                 si -= 1;
             }
             let mut next = None;
-            let mut last = cur; // sentinel: `cur` never passes the filter
+            let mut last = cur.0; // sentinel: `cur` never passes the filter
             loop {
-                while fi > 0 && head == cur {
-                    head = self.peer_finger(cur, fi - 1);
-                    if head == cur {
+                while fi > 0 && head.key == cur.0 {
+                    head = at.finger(fi - 1);
+                    if head.key == cur.0 {
                         fi -= 1; // trailing run: this finger wrapped
                     }
                 }
@@ -136,76 +141,37 @@ impl ChordRing {
                     (0, 0) => break,
                     (0, _) => false,
                     (_, 0) => true,
-                    _ => cur.distance_to(head) >= cur.distance_to(successors[si - 1]),
+                    _ => cur.distance_to(id(head)) >= cur.distance_to(id(at.successor(si - 1))),
                 };
                 let cand = if take_finger {
                     fi -= 1;
-                    std::mem::replace(&mut head, cur)
+                    std::mem::replace(&mut head, at.entry())
                 } else {
                     si -= 1;
-                    successors[si]
+                    at.successor(si)
                 };
-                if cand == last || !cand.in_open_open(cur, key) {
+                if cand.key == last || !id(cand).in_open_open(cur, key) {
                     continue;
                 }
-                last = cand;
-                if self.is_alive(cand) {
+                last = cand.key;
+                if alive(cand) {
                     next = Some(cand);
                     break;
                 }
                 timeouts += 1;
             }
 
-            // Fall back to the first alive successor; since key ∉ (cur, succ],
-            // succ must lie strictly inside (cur, key), so progress is made.
-            let next = next.unwrap_or(succ);
+            // The scan ends at `succ` if nothing closer is alive: it is in
+            // the list, and since key ∉ (cur, succ] it lies strictly inside
+            // (cur, key).
+            let next = next.expect("the first alive successor is a candidate");
             debug_assert!(
-                cur.distance_to(next) < cur.distance_to(key),
+                cur.distance_to(id(next)) < cur.distance_to(key),
                 "routing must make clockwise progress"
             );
-            cur = next;
+            at = self.hop(next).expect("hops visit known peers");
             hops += 1;
         }
-    }
-
-    /// [`lookup`](Self::lookup) with retry-with-failover: when the initial
-    /// route fails (hop limit or routing-state partition), re-issue the
-    /// query from the origin's successor-list entries — the detour a real
-    /// Chord node takes when its own tables cannot make progress — up to
-    /// `retries` times.
-    ///
-    /// Returns the successful lookup (each detour handoff charged as one
-    /// extra hop) and how many retries were spent, or `None` when every
-    /// detour also fails. A first-try success costs nothing beyond the
-    /// plain `lookup`.
-    ///
-    /// # Panics
-    /// If `from` is not a live peer.
-    pub fn lookup_with_failover(
-        &self,
-        from: ChordId,
-        key: ChordId,
-        retries: u32,
-    ) -> Option<(Lookup, u32)> {
-        // Resolved on the first detour only: most routes succeed outright.
-        let mut detours = None;
-        dgrid_sim::failover::route_with_detours(
-            retries,
-            || self.lookup(from, key),
-            |_| {
-                detours
-                    .get_or_insert_with(|| {
-                        let mut successors = Vec::new();
-                        if self.state(from).is_some() {
-                            self.peer_successors_into(from, &mut successors);
-                        }
-                        successors.into_iter()
-                    })
-                    .find(|&s| s != from && self.is_alive(s))
-            },
-            |&s| self.lookup(s, key),
-            |l, extra| l.hops += extra,
-        )
     }
 }
 
@@ -216,6 +182,22 @@ mod tests {
     use dgrid_sim::rng::{rng_for, streams};
     use dgrid_sim::router::KeyRouter;
     use rand::Rng;
+
+    /// The trait's detour failover, in this crate's types.
+    fn lookup_with_failover(
+        ring: &ChordRing,
+        from: ChordId,
+        key: ChordId,
+        retries: u32,
+    ) -> Option<(Lookup, u32)> {
+        let (cost, used) = KeyRouter::lookup_with_failover(ring, from.0, key.0, retries)?;
+        let lookup = Lookup {
+            owner: ChordId(cost.owner),
+            hops: cost.hops,
+            timeouts: cost.timeouts,
+        };
+        Some((lookup, used))
+    }
 
     fn build_ring(n: usize, seed: u64) -> (ChordRing, Vec<ChordId>) {
         build_ring_with(ChordConfig::default(), n, seed)
@@ -356,7 +338,7 @@ mod tests {
             let key = ChordId(rng.gen());
             let from = ids[rng.gen_range(0..ids.len())];
             let plain = ring.lookup(from, key).unwrap();
-            let (via, retries) = ring.lookup_with_failover(from, key, 3).unwrap();
+            let (via, retries) = lookup_with_failover(&ring, from, key, 3).unwrap();
             assert_eq!(via, plain, "successful lookups must be unchanged");
             assert_eq!(retries, 0);
         }
@@ -379,8 +361,7 @@ mod tests {
             None,
             "needs 2 hops"
         );
-        let (l, retries) = ring
-            .lookup_with_failover(ChordId(100), ChordId(250), 3)
+        let (l, retries) = lookup_with_failover(&ring, ChordId(100), ChordId(250), 3)
             .expect("detour via the successor reaches the owner");
         assert_eq!(l.owner, ChordId(300));
         assert!(retries >= 1, "the detour must be counted");
@@ -449,7 +430,7 @@ mod tests {
         let mut joined = 0;
         while joined < 200 {
             let id = ChordId(rng.gen());
-            if ring.state(id).is_some() {
+            if ring.hop(Entry::unranked(id.0)).is_some() {
                 continue;
             }
             if joined % 4 == 3 {
@@ -505,7 +486,7 @@ mod tests {
         for _ in 0..4000 {
             let key = ChordId(rng.gen());
             let from = alive[rng.gen_range(0..alive.len())];
-            let out = ring.lookup_with_failover(from, key, 2);
+            let out = lookup_with_failover(&ring, from, key, 2);
             h.route(out.map(|(l, _)| l));
             h.word(out.map_or(u64::MAX, |(_, r)| u64::from(r)));
             retries += out.map_or(0, |(_, r)| u64::from(r));
@@ -621,6 +602,187 @@ mod tests {
             let res = ring.lookup(id, id).unwrap();
             assert_eq!(res.owner, id);
             assert_eq!(res.hops, 0);
+        }
+    }
+
+    #[test]
+    fn a_settled_hop_reads_no_peer_record() {
+        // Every record swapped for a dead peer that knows nobody: any read
+        // of `peers` would refuse the origin, count a timeout, stall the
+        // route or index an empty finger table.
+        let (ring, ids) = build_ring(512, 33);
+        let mut poisoned = ring.clone();
+        poisoned.poison_records();
+        assert!(poisoned.alive_ids().is_empty(), "the poison took");
+        let mut rng = rng_for(34, 0);
+        for &from in &ids {
+            let key = ChordId(rng.gen());
+            assert_eq!(poisoned.lookup(from, key), ring.lookup(from, key));
+            assert_eq!(poisoned.successor_of(key), ring.successor_of(key));
+            assert_eq!(poisoned.predecessor_of(key), ring.predecessor_of(key));
+            assert_eq!(poisoned.walk_step(from.0), ring.walk_step(from.0));
+            assert_eq!(poisoned.failover_peers(from.0), ring.failover_peers(from.0));
+            assert_eq!(poisoned.peer_view(from), ring.peer_view(from));
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::id::ID_BITS;
+        use proptest::prelude::*;
+        use std::cmp::Reverse;
+
+        /// Join a fresh id with or without building its state; or pick a
+        /// live peer to leave, fail or refresh; or stabilize.
+        #[derive(Clone, Debug)]
+        enum Step {
+            Join(u64),
+            JoinDeferred(u64),
+            Leave(usize),
+            Fail(usize),
+            Refresh(usize),
+            Stabilize,
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                3 => crowded_id().prop_map(Step::Join),
+                1 => crowded_id().prop_map(Step::JoinDeferred),
+                2 => any::<usize>().prop_map(Step::Leave),
+                2 => any::<usize>().prop_map(Step::Fail),
+                1 => any::<usize>().prop_map(Step::Refresh),
+                2 => Just(Step::Stabilize),
+            ]
+        }
+
+        /// Ids that crowd both ends of the ring, so that intervals wrap
+        /// and low fingers tell neighbours apart.
+        fn crowded_id() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                any::<u64>(),
+                0u64..24,
+                (0u64..24).prop_map(|x| u64::MAX - x),
+                (0u64..4, 0u64..16).prop_map(|(hi, lo)| (hi << 62) | lo),
+            ]
+        }
+
+        /// `lookup` spelled the slow way over the same hop views: every
+        /// finger resolved, candidates filtered, sorted and deduplicated.
+        fn reference_lookup(ring: &ChordRing, from: ChordId, key: ChordId) -> Option<Lookup> {
+            let (mut cur, mut hops, mut timeouts) = (from, 0u32, 0u32);
+            let found = |owner, hops, timeouts| {
+                Some(Lookup {
+                    owner,
+                    hops,
+                    timeouts,
+                })
+            };
+            loop {
+                if hops > ring.config().max_route_hops {
+                    return None;
+                }
+                let at = ring.hop(Entry::unranked(cur.0)).expect("known peer");
+                let owns = |pred| key.in_open_closed(pred, cur);
+                if cur == key || at.predecessor().is_some_and(owns) {
+                    return found(cur, hops, timeouts);
+                }
+                let successors = (0..at.successor_count()).map(|j| id(at.successor(j)));
+                let successors: Vec<ChordId> = successors.collect();
+                let dead = successors.iter().take_while(|&&s| !ring.is_alive(s));
+                timeouts += dead.count() as u32;
+                let succ = *successors.iter().find(|&&s| ring.is_alive(s))?;
+                if succ == cur {
+                    return found(cur, hops, timeouts);
+                }
+                if key.in_open_closed(cur, succ) {
+                    return found(succ, hops + 1, timeouts);
+                }
+                let fingers = (0..ID_BITS).map(|k| id(at.finger(k)));
+                let mut candidates: Vec<ChordId> = fingers
+                    .chain(successors)
+                    .filter(|c| c.in_open_open(cur, key))
+                    .collect();
+                candidates.sort_by_key(|&c| Reverse(cur.distance_to(c)));
+                candidates.dedup();
+                let dead = candidates.iter().take_while(|&&c| !ring.is_alive(c));
+                timeouts += dead.count() as u32;
+                cur = *candidates.iter().find(|&&c| ring.is_alive(c))?;
+                hops += 1;
+            }
+        }
+
+        /// Everything the ring answers while settled equals what a clone
+        /// that has forgotten it is settled answers by walking `peers` and
+        /// probing liveness; and either way a route is the reference's.
+        fn reads_agree(ring: &ChordRing, keys: &[u64]) -> Result<(), TestCaseError> {
+            let mut walked = ring.clone();
+            walked.unsettle();
+            let live = walked.alive_ids();
+            for rank in 0..=live.len() {
+                let at = ring.alive_key_at(rank).map(ChordId);
+                prop_assert_eq!(at, live.get(rank).copied());
+            }
+            let own = live.iter().map(|id| id.0);
+            let near = own.flat_map(|k| [k, k.wrapping_add(1), k.wrapping_sub(1)]);
+            let keys: Vec<ChordId> = near
+                .chain([0])
+                .chain(keys.iter().copied())
+                .map(ChordId)
+                .collect();
+            for &key in &keys {
+                prop_assert_eq!(ring.successor_of(key), walked.successor_of(key));
+                prop_assert_eq!(ring.predecessor_of(key), walked.predecessor_of(key));
+            }
+            for &from in &live {
+                prop_assert_eq!(ring.walk_step(from.0), walked.walk_step(from.0));
+                prop_assert_eq!(ring.failover_peers(from.0), walked.failover_peers(from.0));
+                prop_assert_eq!(ring.peer_view(from), walked.peer_view(from));
+                for &key in &keys {
+                    let routed = ring.lookup(from, key);
+                    prop_assert_eq!(routed, walked.lookup(from, key), "{} from {}", key, from);
+                }
+            }
+            // The slow spelling from a few origins only: it is slow.
+            for &from in live.iter().take(3) {
+                for &key in &keys {
+                    let slow = reference_lookup(&walked, from, key);
+                    prop_assert_eq!(ring.lookup(from, key), slow, "{} from {}", key, from);
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn settled_reads_equal_walked_reads_after_every_step(
+                initial in proptest::collection::hash_set(crowded_id(), 1..40),
+                successor_list_len in 1usize..=12,
+                max_route_hops in 0u32..=192,
+                steps in proptest::collection::vec(step(), 0..25),
+                keys in proptest::collection::vec(any::<u64>(), 3),
+            ) {
+                let mut ring = ChordRing::new(ChordConfig { successor_list_len, max_route_hops });
+                for id in initial {
+                    ring.join(ChordId(id));
+                }
+                reads_agree(&ring, &keys)?;
+                for s in steps {
+                    let live = ring.alive_ids();
+                    let known = |id: u64| ring.hop(Entry::unranked(id)).is_some();
+                    match s {
+                        Step::Join(id) if !ring.is_alive(ChordId(id)) => ring.join(ChordId(id)),
+                        Step::JoinDeferred(id) if !known(id) => ring.join_deferred(ChordId(id)),
+                        Step::Leave(i) if live.len() > 1 => ring.leave(live[i % live.len()]),
+                        Step::Fail(i) if live.len() > 1 => ring.fail(live[i % live.len()]),
+                        Step::Refresh(i) => ring.refresh_peer(live[i % live.len()]),
+                        Step::Stabilize => ring.stabilize(),
+                        _ => {}
+                    }
+                    reads_agree(&ring, &keys)?;
+                }
+            }
         }
     }
 }

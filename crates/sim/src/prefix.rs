@@ -74,6 +74,12 @@ pub enum Lazy<T> {
 pub struct Snapshot(Vec<u64>);
 
 impl Snapshot {
+    /// The snapshot of `keys`, which must be strictly ascending.
+    pub fn from_ascending(keys: Vec<u64>) -> Snapshot {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        Snapshot(keys)
+    }
+
     /// The keys, ascending.
     pub fn keys(&self) -> &[u64] {
         &self.0
@@ -88,6 +94,17 @@ impl Snapshot {
     pub fn first_in(&self, lo: u64, hi: u64) -> Option<usize> {
         let i = self.0.partition_point(|&x| x < lo);
         (self.0.get(i)? <= &hi).then_some(i)
+    }
+
+    /// Rank of the first key at or clockwise after `key` on the ring the
+    /// keys lie on, wrapping past the highest to rank 0; `None` when empty.
+    pub fn successor_rank(&self, key: u64) -> Option<usize> {
+        let i = self.0.partition_point(|&x| x < key);
+        if i < self.0.len() {
+            Some(i)
+        } else {
+            (i > 0).then_some(0)
+        }
     }
 }
 
@@ -304,7 +321,7 @@ impl<X> Membership<X> {
         X: Default,
     {
         self.peers.retain(|_, p| p.alive);
-        self.snapshot = Snapshot(self.peers.keys().copied().collect());
+        self.snapshot = Snapshot::from_ascending(self.peers.keys().copied().collect());
         for p in self.peers.values_mut() {
             p.table = Lazy::Canon;
             p.extra = X::default();
@@ -388,13 +405,19 @@ mod tests {
 
     #[test]
     fn snapshot_queries() {
-        let s = Snapshot(vec![10, 20, 30]);
+        let s = Snapshot::from_ascending(vec![10, 20, 30]);
+        assert_eq!(s.keys(), [10, 20, 30]);
         assert_eq!(s.rank(20), Some(1));
         assert_eq!(s.rank(25), None);
         assert_eq!(s.first_in(11, 19), None);
         assert_eq!(s.first_in(11, 20), Some(1));
         assert_eq!(s.first_in(0, u64::MAX), Some(0));
         assert_eq!(s.first_in(31, u64::MAX), None);
+        assert_eq!(s.successor_rank(0), Some(0));
+        assert_eq!(s.successor_rank(20), Some(1), "inclusive");
+        assert_eq!(s.successor_rank(21), Some(2));
+        assert_eq!(s.successor_rank(31), Some(0), "wraps");
+        assert_eq!(Snapshot::default().successor_rank(5), None);
     }
 
     #[test]
