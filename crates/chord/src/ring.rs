@@ -373,9 +373,11 @@ impl ChordRing {
     // Lazy state resolution
     // ------------------------------------------------------------------
 
-    /// No membership change since the last [`ChordRing::stabilize`].
-    pub(crate) fn settled(&self) -> bool {
-        self.settled
+    /// Is the peer that an entry of somebody's routing state points at
+    /// alive? While settled every such entry is a snapshot key, and those
+    /// are exactly the live peers: nothing to probe.
+    pub(crate) fn points_at_live(&self, e: Entry) -> bool {
+        self.settled || self.is_alive(ChordId(e.key))
     }
 
     /// The view of the peer `at`, dead or alive, whose rank is searched
@@ -583,6 +585,8 @@ impl<'a> Hop<'a> {
         match self.source(|s| &s.successors) {
             Source::Mat(v) => Entry::unranked(v[j].0),
             Source::Canon(rank) => self.canon_entry(rank, j + 1),
+            // One walk per entry: deferred joiners are few and gone at
+            // the next stabilize.
             Source::Truth => {
                 let next = ChordId(self.id.0.wrapping_add(1));
                 let s = self.ring.live_from(next).nth(j);
@@ -621,7 +625,7 @@ mod tests {
         r
     }
 
-    fn hop(r: &ChordRing, id: ChordId) -> Hop<'_> {
+    pub(super) fn hop(r: &ChordRing, id: ChordId) -> Hop<'_> {
         r.hop(Entry::unranked(id.0)).expect("known peer")
     }
 
@@ -631,7 +635,7 @@ mod tests {
         list.map(|e| ChordId(e.key)).collect()
     }
 
-    fn fingers(r: &ChordRing, id: ChordId) -> Vec<ChordId> {
+    pub(super) fn fingers(r: &ChordRing, id: ChordId) -> Vec<ChordId> {
         let hop = hop(r, id);
         (0..ID_BITS).map(|k| ChordId(hop.finger(k).key)).collect()
     }
@@ -841,6 +845,7 @@ mod tests {
 
 #[cfg(test)]
 mod finger_tests {
+    use super::tests::{fingers, hop};
     use super::*;
     use dgrid_sim::rng::{rng_for, streams};
     use rand::Rng;
@@ -859,11 +864,11 @@ mod finger_tests {
         }
         ring.stabilize();
         for id in ring.alive_ids() {
-            let hop = ring.hop(Entry::unranked(id.0)).expect("known peer");
+            let fingers = fingers(&ring, id);
             for k in 0..ID_BITS {
                 let start = id.finger_start(k);
                 assert_eq!(
-                    Some(ChordId(hop.finger(k).key)),
+                    Some(fingers[k as usize]),
                     ring.successor_of(start),
                     "finger {k} of {id} must be successor({start})"
                 );
@@ -889,8 +894,7 @@ mod finger_tests {
         let mut total_span = 0u128;
         let ids = ring.alive_ids();
         for &id in &ids {
-            let hop = ring.hop(Entry::unranked(id.0)).expect("known peer");
-            let top = ChordId(hop.finger(ID_BITS - 1).key);
+            let top = ChordId(hop(&ring, id).finger(ID_BITS - 1).key);
             total_span += u128::from(id.distance_to(top));
         }
         let mean_span = total_span / ids.len() as u128;

@@ -111,9 +111,8 @@ impl KeyRouter for ChordRing {
 
     fn walk_step(&self, at: u64) -> Option<u64> {
         let hop = self.hop(Entry::unranked(at)).filter(Hop::is_alive)?;
-        let next = hop.successor(0).key;
-        let alive = self.settled() || ChordRing::is_alive(self, ChordId(next));
-        (next != at && alive).then_some(next)
+        let next = hop.successor(0);
+        (next.key != at && self.points_at_live(next)).then_some(next.key)
     }
 
     fn stabilize(&mut self) {

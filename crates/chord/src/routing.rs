@@ -41,11 +41,8 @@ impl ChordRing {
             .hop(Entry::unranked(from.0))
             .filter(Hop::is_alive)
             .unwrap_or_else(|| panic!("lookup from dead peer {from}"));
-        // While settled every entry a hop can read is a snapshot key, and
-        // those are exactly the live peers: no probe, no timeout, and each
-        // entry brings the rank the next hop's view starts from.
-        let settled = self.settled();
-        let alive = |e: Entry| settled || self.is_alive(id(e));
+        // While settled no probe below fails, so `timeouts` stays 0, and
+        // every entry brings the rank the next hop's view starts from.
         let mut hops = 0u32;
         let mut timeouts = 0u32;
         let found = |owner: ChordId, hops, timeouts| {
@@ -84,7 +81,7 @@ impl ChordRing {
             let mut succ = None;
             for j in 0..si {
                 let s = at.successor(j);
-                if alive(s) {
+                if self.points_at_live(s) {
                     succ = Some(s);
                     break;
                 }
@@ -154,7 +151,7 @@ impl ChordRing {
                     continue;
                 }
                 last = cand.key;
-                if alive(cand) {
+                if self.points_at_live(cand) {
                     next = Some(cand);
                     break;
                 }
