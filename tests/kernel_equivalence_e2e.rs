@@ -17,6 +17,8 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
+mod common;
+
 use dgrid::core::{
     BinaryObserver, ChurnConfig, Engine, EngineConfig, FaultPlan, JsonlObserver, StreamFormat,
 };
@@ -281,6 +283,60 @@ fn central_on_the_sharded_kernel_reproduces_pinned_goldens_at_one_and_two_thread
                 (hash, len),
                 "central, sharded, {threads} thread(s), {format:?}: stream drifted \
                  from the pinned bytes (got hash {:#x}, len {})",
+                fnv1a(&bytes),
+                bytes.len()
+            );
+        }
+    }
+}
+
+/// The JSONL stream of one run on the sharded kernel, followed by its
+/// time series as JSON when the run sampled one. The arrivals reach the
+/// windowed loop through `peek_time` and `drain_window` only.
+fn sharded_with_series(mut engine: Engine) -> Vec<u8> {
+    let buf = SharedBuf::default();
+    engine.set_observer(Box::new(JsonlObserver::new(buf.clone())));
+    engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
+    let report = engine.run();
+    let mut bytes = buf.0.take();
+    assert!(!bytes.is_empty(), "traced run must emit events");
+    if let Some(ts) = &report.timeseries {
+        let json = serde_json::to_string(ts).expect("time series serializes");
+        bytes.extend_from_slice(json.as_bytes());
+    }
+    bytes
+}
+
+/// `(fnv1a, byte length)` of [`common::reversed_blocks_engine`] and
+/// [`common::t0_pileup_engine`] on the sharded kernel, recorded on the
+/// commit before the event queue took the arrival stream as a sorted run.
+const SHARDED_REVERSED_BLOCKS_PINNED: (u64, usize) = (0xd5e4276c3852cb21, 44_826);
+const SHARDED_T0_PILEUP_PINNED: (u64, usize) = (0x0600bf1aceaa14e8, 45_179);
+
+#[test]
+fn out_of_order_and_t0_arrivals_on_the_sharded_kernel_reproduce_pinned_goldens() {
+    use rayon::Pool;
+    type Build = fn(u64) -> Engine;
+    let runs: [(&str, Build, (u64, usize)); 2] = [
+        (
+            "reversed blocks",
+            common::reversed_blocks_engine,
+            SHARDED_REVERSED_BLOCKS_PINNED,
+        ),
+        (
+            "t = 0 pile-up",
+            common::t0_pileup_engine,
+            SHARDED_T0_PILEUP_PINNED,
+        ),
+    ];
+    for (name, build, pinned) in runs {
+        for threads in [1, 2] {
+            let bytes = Pool::install(threads, || sharded_with_series(build(SEED)));
+            assert_eq!(
+                (fnv1a(&bytes), bytes.len()),
+                pinned,
+                "{name}, sharded, {threads} thread(s): stream drifted from the \
+                 pinned bytes (got hash {:#x}, len {})",
                 fnv1a(&bytes),
                 bytes.len()
             );

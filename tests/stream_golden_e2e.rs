@@ -11,6 +11,8 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
+mod common;
+
 use dgrid::core::{ChurnConfig, Engine, EngineConfig, FaultPlan, JsonlObserver};
 use dgrid::harness::Algorithm;
 use dgrid::workloads::{paper_scenario, PaperScenario};
@@ -279,6 +281,54 @@ fn central_stream_under_churn_matches_pinned_hash() {
     let text = std::str::from_utf8(&bytes).expect("jsonl is utf-8");
     for kind in ["NodeDown", "NodeUp", "RunRecovery"] {
         assert!(text.contains(kind), "the run must exercise {kind}");
+    }
+}
+
+/// The JSONL stream of one run, followed by its time series as JSON when
+/// the run sampled one.
+fn traced_with_series(engine: Engine) -> Vec<u8> {
+    let buf = SharedBuf::default();
+    let report = engine
+        .with_observer(Box::new(JsonlObserver::new(buf.clone())))
+        .run();
+    let mut bytes = buf.0.take();
+    assert!(!bytes.is_empty(), "traced run must emit events");
+    if let Some(ts) = &report.timeseries {
+        let json = serde_json::to_string(ts).expect("time series serializes");
+        bytes.extend_from_slice(json.as_bytes());
+    }
+    bytes
+}
+
+/// `(fnv1a, byte length)` of [`common::reversed_blocks_engine`] and
+/// [`common::t0_pileup_engine`], recorded on the commit before the event
+/// queue took the arrival stream as a sorted run.
+const REVERSED_BLOCKS_PINNED: (u64, usize) = (0x8fa048e8abf2b782, 44_382);
+const T0_PILEUP_PINNED: (u64, usize) = (0x8adc34920eeb67d0, 44_982);
+
+#[test]
+fn out_of_order_and_t0_arrival_streams_match_pinned_hashes() {
+    let runs = [
+        (
+            "reversed blocks",
+            common::reversed_blocks_engine(SEED),
+            REVERSED_BLOCKS_PINNED,
+        ),
+        (
+            "t = 0 pile-up",
+            common::t0_pileup_engine(SEED),
+            T0_PILEUP_PINNED,
+        ),
+    ];
+    for (name, engine, pinned) in runs {
+        let bytes = traced_with_series(engine);
+        assert_eq!(
+            (fnv1a(&bytes), bytes.len()),
+            pinned,
+            "{name}: stream drifted from the pinned bytes (got hash {:#x}, len {})",
+            fnv1a(&bytes),
+            bytes.len()
+        );
     }
 }
 
