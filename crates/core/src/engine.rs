@@ -308,8 +308,11 @@ impl Engine {
         }
         let dag_children = dag.children_index();
 
+        // The submissions go over in input order, before any other event
+        // exists. The generators emit them ascending, so they land in the
+        // queue's sorted run and the calendar keeps to what the run creates.
         let mut jobs = JobTable::with_capacity(submissions.len());
-        for sub in &submissions {
+        queue.schedule_sorted(submissions.iter().filter_map(|sub| {
             let actual = sub.actual_runtime_secs.unwrap_or(sub.profile.run_time_secs);
             assert!(actual > 0.0, "non-positive runtime for {}", sub.profile.id);
             let at = SimTime::from_secs_f64(sub.arrival_secs);
@@ -318,14 +321,14 @@ impl Engine {
             assert!(fresh, "duplicate job id {id}");
             let parents = dag.parents_of(id).len();
             if parents == 0 {
-                queue.schedule(at, Event::Submit { job: id });
-            } else {
-                // Held back until the last parent completes.
-                let rec = jobs.get_mut(id).expect("just inserted");
-                rec.unmet_parents = parents as u32;
-                rec.held_arrival = Some(at);
+                return Some((at, Event::Submit { job: id }));
             }
-        }
+            // Held back until the last parent completes.
+            let rec = jobs.get_mut(id).expect("just inserted");
+            rec.unmet_parents = parents as u32;
+            rec.held_arrival = Some(at);
+            None
+        }));
 
         // Churn injection: exponential lifetimes per node; each departure
         // is graceful with the configured probability.
@@ -1726,5 +1729,51 @@ impl RunNodeCtx for Engine {
             EnvOp::DetachOwner(job) => self.detach_owner(job),
             EnvOp::ReleaseDependents(job) => self.release_dependents(at, job),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dgrid_resources::{Capabilities, ClientId, JobRequirements, OsType};
+
+    use super::*;
+    use crate::CentralizedMatchmaker;
+
+    #[test]
+    fn ordered_submissions_leave_only_other_events_in_the_calendar() {
+        const JOBS: u64 = 10_000;
+        const NODES: usize = 50;
+        let jobs = (0..JOBS)
+            .map(|i| JobSubmission {
+                profile: JobProfile::new(
+                    JobId(i),
+                    ClientId(0),
+                    JobRequirements::unconstrained(),
+                    10.0,
+                ),
+                arrival_secs: (i / 4) as f64 * 0.5,
+                actual_runtime_secs: None,
+            })
+            .collect();
+        let node = NodeProfile::new(Capabilities::new(2.0, 4.0, 100.0, OsType::Linux));
+        let churn = ChurnConfig {
+            mttf_secs: Some(1_000.0),
+            rejoin_after_secs: Some(60.0),
+            graceful_fraction: 0.5,
+        };
+        let engine = Engine::new(
+            EngineConfig::default(),
+            churn,
+            Box::new(CentralizedMatchmaker::new()),
+            vec![node; NODES],
+            jobs,
+        );
+        // One departure per node and the first maintenance tick.
+        let calendar = NODES + 1;
+        let shape = format!("{:?}", engine.queue);
+        assert!(
+            shape.contains(&format!("run: {JOBS}, calendar: {calendar},")),
+            "{shape}"
+        );
     }
 }

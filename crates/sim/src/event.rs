@@ -21,6 +21,23 @@
 //!   days; after one fruitless lap over the calendar the queue falls back to
 //!   a direct O(n) search for the minimum and jumps the cursor there, so a
 //!   sparse queue costs a linear scan per pop instead of an unbounded walk.
+//!
+//! Beside the calendar sits an append-only **sorted run**. A simulation
+//! knows its whole arrival stream before the first event fires, and
+//! bucketing 10⁵ submissions would grow the calendar to 2¹⁸ buckets, each
+//! its own heap vector, only to shrink it again as they drain.
+//! [`EventQueue::schedule_sorted`] instead appends every entry no earlier
+//! than the run's tail to the run and sends the rest to the calendar
+//! exactly as [`EventQueue::schedule`] would; `schedule` itself only ever
+//! fills the calendar. Every read compares the run head with the calendar
+//! minimum on the full `(time, seq)` key, so the pop sequence stays the one
+//! `schedule` on each entry would have produced. Ties cannot move either:
+//! the run is sorted by `(time, seq)` because seqs only grow, and the
+//! engine hands over its submissions before any other event exists, so at
+//! equal times a submission's lower seq puts it first in both structures.
+
+use std::collections::VecDeque;
+use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -61,7 +78,11 @@ pub struct EventQueue<E> {
     /// First day the dequeue scan considers. Invariant: no pending event
     /// lives on an earlier day (`at >> bucket_shift >= cursor_day`).
     cursor_day: u64,
+    /// Entries in the calendar; the run counts its own.
     len: usize,
+    /// Entries handed to [`EventQueue::schedule_sorted`] in `(at, seq)`
+    /// order, delivered from the front.
+    run: VecDeque<Entry<E>>,
     seq: u64,
     now: SimTime,
 }
@@ -69,6 +90,18 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The queue's shape, not its events: where the pending entries live.
+impl<E> fmt::Debug for EventQueue<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EventQueue")
+            .field("now", &self.now)
+            .field("run", &self.run.len())
+            .field("calendar", &self.len)
+            .field("buckets", &self.buckets.len())
+            .finish()
     }
 }
 
@@ -80,6 +113,7 @@ impl<E> EventQueue<E> {
             bucket_shift: INITIAL_SHIFT,
             cursor_day: 0,
             len: 0,
+            run: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -92,12 +126,18 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.run.len()
     }
 
     /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len == 0 && self.run.is_empty()
+    }
+
+    /// `(bucket count, calendar entries)`.
+    #[cfg(test)]
+    fn calendar_shape(&self) -> (usize, usize) {
+        (self.buckets.len(), self.len)
     }
 
     fn day_of(&self, at: SimTime) -> u64 {
@@ -137,6 +177,33 @@ impl<E> EventQueue<E> {
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         let at = self.now + delay;
         self.schedule(at, event);
+    }
+
+    /// Schedule a batch, with a result observably identical to calling
+    /// [`EventQueue::schedule`] on each entry in turn: the same seqs, the
+    /// same clock, the same pop and drain order. An entry no earlier than
+    /// the sorted run's tail is appended to the run; any other goes into
+    /// the calendar exactly where `schedule` would put it. An ascending
+    /// batch, such as a workload's arrival stream, never touches the
+    /// calendar.
+    ///
+    /// # Panics
+    /// If an entry is earlier than [`EventQueue::now`], like `schedule`.
+    pub fn schedule_sorted(&mut self, batch: impl IntoIterator<Item = (SimTime, E)>) {
+        for (at, event) in batch {
+            if self.run.back().is_some_and(|tail| at < tail.at) {
+                self.schedule(at, event);
+                continue;
+            }
+            assert!(
+                at >= self.now,
+                "scheduling into the past: at={at:?} < now={:?}",
+                self.now
+            );
+            let seq = self.seq;
+            self.seq += 1;
+            self.run.push_back(Entry { at, seq, event });
+        }
     }
 
     /// Locate the next entry to deliver: `(bucket index, position in bucket)`.
@@ -180,9 +247,62 @@ impl<E> EventQueue<E> {
         best.map(|(at, _, idx, pos)| (self.day_of(at), idx, pos))
     }
 
+    /// The calendar entry to deliver before the run head, if there is one,
+    /// located like [`EventQueue::locate_min`] does.
+    ///
+    /// The day walk stops at the head's day, since an entry on a later day
+    /// is later than the head; without that bound a calendar holding only
+    /// far-off events would send every run pop into the sparse fallback.
+    /// Only when the head lies more than a lap past the cursor can the walk
+    /// end empty-handed short of it, and then the full search decides.
+    fn locate_before_run(&self, head: &Entry<E>) -> Option<(u64, usize, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let head_day = self.day_of(head.at);
+        let last_day = head_day.min(self.cursor_day + self.buckets.len() as u64 - 1);
+        let precedes = |e: &Entry<E>| (e.at, e.seq) < (head.at, head.seq);
+        for day in self.cursor_day..=last_day {
+            let idx = self.bucket_of(day);
+            let first = self.buckets[idx]
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| self.day_of(e.at) == day)
+                .min_by_key(|(_, e)| (e.at, e.seq));
+            if let Some((pos, e)) = first {
+                return precedes(e).then_some((day, idx, pos));
+            }
+        }
+        if last_day == head_day {
+            return None;
+        }
+        self.locate_min()
+            .filter(|&(_, idx, pos)| precedes(&self.buckets[idx][pos]))
+    }
+
+    /// Deliver the run head. It is the global minimum, so the cursor may
+    /// jump to its day.
+    fn pop_run(&mut self) -> Option<(SimTime, E)> {
+        let e = self.run.pop_front()?;
+        if self.run.is_empty() {
+            // The arrival stream is over: hand its buffer back.
+            self.run = VecDeque::new();
+        }
+        debug_assert!(e.at >= self.now);
+        self.now = e.at;
+        self.cursor_day = self.day_of(e.at);
+        Some((e.at, e.event))
+    }
+
     /// Remove and return the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (day, idx, pos) = self.locate_min()?;
+        let (day, idx, pos) = match self.run.front() {
+            None => self.locate_min()?,
+            Some(head) => match self.locate_before_run(head) {
+                Some(loc) => loc,
+                None => return self.pop_run(),
+            },
+        };
         let e = self.buckets[idx].swap_remove(pos);
         self.len -= 1;
         self.cursor_day = day;
@@ -196,8 +316,14 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate_min()
-            .map(|(_, idx, pos)| self.buckets[idx][pos].at)
+        let loc = match self.run.front() {
+            None => self.locate_min(),
+            Some(head) => match self.locate_before_run(head) {
+                None => return Some(head.at),
+                loc => loc,
+            },
+        };
+        loc.map(|(_, idx, pos)| self.buckets[idx][pos].at)
     }
 
     /// Remove and return every pending event strictly before `until`,
@@ -216,7 +342,7 @@ impl<E> EventQueue<E> {
     /// Returns an empty batch (and leaves the queue untouched) when no
     /// pending event precedes `until`.
     pub fn drain_window(&mut self, until: SimTime) -> Vec<(SimTime, u64, E)> {
-        if self.len == 0 || until <= self.now {
+        if self.is_empty() || until <= self.now {
             return Vec::new();
         }
         let last_day = self.day_of(SimTime::from_nanos(until.as_nanos() - 1));
@@ -253,6 +379,12 @@ impl<E> EventQueue<E> {
             }
         }
         self.len -= drained.len();
+        // The run is sorted, so its entries before `until` are a prefix.
+        let from_run = self.run.partition_point(|e| e.at < until);
+        drained.extend(self.run.drain(..from_run));
+        if from_run > 0 && self.run.is_empty() {
+            self.run = VecDeque::new();
+        }
         drained.sort_unstable_by_key(|e| (e.at, e.seq));
         if let Some(first) = drained.first() {
             debug_assert!(first.at >= self.now);
@@ -274,6 +406,7 @@ impl<E> EventQueue<E> {
             b.clear();
         }
         self.len = 0;
+        self.run = VecDeque::new();
     }
 
     /// Rebuild the calendar: pick a bucket count proportional to the live
@@ -525,6 +658,84 @@ mod tests {
             .windows(2)
             .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn ascending_batch_leaves_the_calendar_at_its_floor() {
+        // 10⁵ arrivals, three to a millisecond: all of them join the run,
+        // and delivering them never grows the calendar.
+        let mut q = EventQueue::new();
+        let n = 100_000u64;
+        q.schedule_sorted((0..n).map(|i| (SimTime::from_millis(i / 3), i)));
+        assert_eq!(q.calendar_shape(), (MIN_BUCKETS, 0));
+        assert_eq!(q.len(), n as usize);
+        for want in 0..n {
+            assert_eq!(q.pop(), Some((SimTime::from_millis(want / 3), want)));
+            assert_eq!(q.calendar_shape(), (MIN_BUCKETS, 0));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn schedule_sorted_sends_steps_back_to_the_calendar() {
+        let batch = [5u64, 3, 5, 7, 1, 7];
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), 100);
+        q.schedule_sorted(
+            batch
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (SimTime::from_secs(t), i)),
+        );
+        // 3 and 1 step back from the run's tail; 5, 5, 7, 7 join the run.
+        assert_eq!(q.calendar_shape(), (MIN_BUCKETS, 3));
+        assert_eq!(q.len(), 7);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        // Ties go by seq across both structures: the calendar's 100 was
+        // scheduled before the run's 0 and 2.
+        assert_eq!(order, vec![4, 1, 100, 0, 2, 3, 5]);
+    }
+
+    #[test]
+    fn run_head_more_than_a_lap_out_is_settled_by_the_full_search() {
+        // Both the run head and the calendar entry lie far beyond one lap
+        // of the cursor, in either order.
+        for (cal, run) in [(500_000, 1_000_000), (2_000_000, 1_000_000)] {
+            let mut q = EventQueue::new();
+            q.schedule_sorted([(SimTime::from_secs(run), "run")]);
+            q.schedule(SimTime::from_secs(cal), "cal");
+            let first = if cal < run { "cal" } else { "run" };
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(cal.min(run))));
+            assert_eq!(q.pop().map(|(_, e)| e), Some(first));
+            assert_eq!(q.len(), 1);
+            assert_eq!(
+                q.pop().map(|(at, _)| at),
+                Some(SimTime::from_secs(cal.max(run)))
+            );
+        }
+    }
+
+    #[test]
+    fn drain_window_takes_the_run_prefix_in_seq_order() {
+        let mut q = EventQueue::new();
+        q.schedule_sorted([
+            (SimTime::ZERO, 0),
+            (SimTime::ZERO, 1),
+            (SimTime::from_secs(1), 2),
+            (SimTime::from_secs(4), 3),
+        ]);
+        q.schedule(SimTime::ZERO, 4);
+        q.schedule(SimTime::from_secs(2), 5);
+        let batch = q.drain_window(SimTime::from_secs(3));
+        assert_eq!(
+            batch
+                .iter()
+                .map(|&(_, seq, e)| (seq, e))
+                .collect::<Vec<_>>(),
+            vec![(0, 0), (1, 1), (4, 4), (2, 2), (5, 5)]
+        );
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(4), 3)));
     }
 
     #[test]

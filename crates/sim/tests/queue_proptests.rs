@@ -7,7 +7,10 @@
 //! drive both implementations with arbitrary operation sequences, including
 //! the calendar's resize edge cases: thousands of events on one calendar
 //! day (all-one-epoch) and sparse events flung far into the future (the
-//! direct-search fallback path).
+//! direct-search fallback path). Batches handed to `schedule_sorted` are
+//! held to the same reference fed one `schedule` call per entry, which
+//! covers the sorted run beside the calendar: entries that join it, entries
+//! that step back into the calendar, and ties between the two.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -67,12 +70,58 @@ impl<E: Ord> ReferenceQueue<E> {
 }
 
 /// One step of an interleaved workload: schedule an event `offset_nanos`
-/// past the current clock, or pop `pops` events.
+/// past the current clock, pop `pops` events, drain a window, or hand a
+/// batch to `schedule_sorted`.
 #[derive(Clone, Debug)]
 enum Op {
-    Schedule { offset_nanos: u64 },
-    Pop { pops: u8 },
-    DrainWindow { horizon_nanos: u64 },
+    Schedule {
+        offset_nanos: u64,
+    },
+    Pop {
+        pops: u8,
+    },
+    DrainWindow {
+        horizon_nanos: u64,
+    },
+    /// Offsets past the clock. The reference queue takes them as plain
+    /// `schedule` calls, one after another.
+    ScheduleSorted {
+        offsets_nanos: Vec<u64>,
+    },
+}
+
+/// A batch of offsets that mostly ascends, with ties (zero steps) and
+/// now and then a step back below the previous entry.
+fn arb_batch(max_offset: u64, max_len: usize) -> impl Strategy<Value = Vec<u64>> {
+    let max_step = (max_offset / 8).max(1);
+    let step = prop_oneof![1 => Just(0u64), 3 => 0..max_step];
+    // One step in eight goes back.
+    proptest::collection::vec((step, 0u8..8), 0..max_len).prop_map(|steps| {
+        let mut t = 0u64;
+        steps
+            .into_iter()
+            .map(|(step, dir)| {
+                if dir == 0 {
+                    t.saturating_sub(step)
+                } else {
+                    t = t.saturating_add(step);
+                    t
+                }
+            })
+            .collect()
+    })
+}
+
+/// Every op kind interleaved: batches land before and after pops and
+/// drains have moved the clock, and beside events `schedule` put there.
+fn arb_op_with_batches(max_offset: u64) -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => (0u64..max_offset).prop_map(|offset_nanos| Op::Schedule { offset_nanos }),
+        2 => (1u8..4).prop_map(|pops| Op::Pop { pops }),
+        1 => (0u64..max_offset.saturating_mul(2).max(1))
+            .prop_map(|horizon_nanos| Op::DrainWindow { horizon_nanos }),
+        1 => arb_batch(max_offset, 24).prop_map(|offsets_nanos| Op::ScheduleSorted { offsets_nanos }),
+    ]
 }
 
 fn arb_op(max_offset: u64) -> impl Strategy<Value = Op> {
@@ -103,6 +152,19 @@ fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut payload = 0u64;
     for op in ops {
         match *op {
+            Op::ScheduleSorted { ref offsets_nanos } => {
+                let now = cal.now().as_nanos();
+                let batch: Vec<(SimTime, u64)> = offsets_nanos
+                    .iter()
+                    .zip(payload..)
+                    .map(|(&offset, p)| (SimTime::from_nanos(now + offset), p))
+                    .collect();
+                payload += batch.len() as u64;
+                for &(at, p) in &batch {
+                    reference.schedule(at, p);
+                }
+                cal.schedule_sorted(batch);
+            }
             Op::Schedule { offset_nanos } => {
                 let at = SimTime::from_nanos(cal.now().as_nanos() + offset_nanos);
                 cal.schedule(at, payload);
@@ -238,6 +300,39 @@ proptest! {
     #[test]
     fn drain_window_sparse_far_future(
         ops in proptest::collection::vec(arb_op_with_drains(u64::MAX / 4096), 1..200),
+    ) {
+        run_differential(&ops)?;
+    }
+
+    /// `schedule_sorted` against plain `schedule` calls, interleaved with
+    /// every other op: the same seqs, pops, drained windows, `len` and
+    /// `peek_time` at every step, whether an entry joined the sorted run or
+    /// stepped back into the calendar.
+    #[test]
+    fn schedule_sorted_matches_one_by_one_schedules(
+        ops in proptest::collection::vec(arb_op_with_batches(5_000_000_000), 1..300),
+    ) {
+        run_differential(&ops)?;
+    }
+
+    /// The engine's shape: one long arrival batch first, then the run
+    /// creates its own events around it. Offsets of 0–2 ns make the
+    /// run-versus-calendar comparison a tie on time almost every time.
+    #[test]
+    fn schedule_sorted_same_timestamp_ties_go_by_seq(
+        first in arb_batch(2, 300),
+        ops in proptest::collection::vec(arb_op_with_batches(2), 1..300),
+    ) {
+        let mut all = vec![Op::ScheduleSorted { offsets_nanos: first }];
+        all.extend(ops);
+        run_differential(&all)?;
+    }
+
+    /// Sparse far-future batches: run heads more than a calendar lap past
+    /// the cursor, settled against the calendar by the full search.
+    #[test]
+    fn schedule_sorted_sparse_far_future(
+        ops in proptest::collection::vec(arb_op_with_batches(u64::MAX / 4096), 1..200),
     ) {
         run_differential(&ops)?;
     }
