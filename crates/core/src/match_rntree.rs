@@ -11,10 +11,12 @@
 //!   found (extended search). The least-loaded candidate wins — candidates
 //!   report their queue length in their search replies, so this load reading
 //!   is fresh for exactly the nodes contacted and nothing else.
-//! * **Maintenance:** the overlay stabilizes and the tree + aggregates
-//!   rebuild on the engine's maintenance tick whenever membership changed;
-//!   between ticks the overlay routes on stale state, as a real deployment
-//!   would.
+//! * **Maintenance:** after any join, leave or failure, the overlay
+//!   stabilizes and the tree + aggregates rebuild at the first run-node
+//!   search or maintenance tick, whichever comes first, so a search never
+//!   sees a tree that lags membership. Until that rebuild, owner lookups
+//!   route on the state the last stabilize left (a crashed peer stays in
+//!   its neighbours' tables).
 //!
 //! The paper builds this on Chord, but nothing here is Chord-specific: the
 //! matchmaker is generic over any [`KeyRouter`] substrate, so the same
@@ -318,8 +320,9 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         } else {
             self.cfg.k
         };
-        // The index may lag membership; if the owner is missing, rebuild
-        // (the owner refreshes its own tree state before searching).
+        // `index_for` rebuilds after any membership change; an owner
+        // missing from the index forces a rebuild as well (the owner
+        // refreshes its own tree state before searching).
         let missing = self
             .index
             .as_ref()

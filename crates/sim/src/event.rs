@@ -382,7 +382,8 @@ impl<E> EventQueue<E> {
         // The run is sorted, so its entries before `until` are a prefix.
         let from_run = self.run.partition_point(|e| e.at < until);
         drained.extend(self.run.drain(..from_run));
-        if from_run > 0 && self.run.is_empty() {
+        if self.run.is_empty() {
+            // As in `pop_run`: hand the spent buffer back.
             self.run = VecDeque::new();
         }
         drained.sort_unstable_by_key(|e| (e.at, e.seq));
