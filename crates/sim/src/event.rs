@@ -213,6 +213,10 @@ impl<E> EventQueue<E> {
     /// the *global* minimum because no pending entry lives on an earlier day.
     /// If a whole lap comes up empty (sparse far-future events), falls back
     /// to a direct scan of every bucket for the global minimum.
+    // Forced inline: with a third caller (`locate_before_run`) the compiler
+    // keeps this a call, which cost the `pop` + `schedule` hold loop 3–4 ns
+    // per op at 1k and 100k pending.
+    #[inline(always)]
     fn locate_min(&self) -> Option<(u64, usize, usize)> {
         if self.len == 0 {
             return None;
@@ -280,9 +284,25 @@ impl<E> EventQueue<E> {
             .filter(|&(_, idx, pos)| precedes(&self.buckets[idx][pos]))
     }
 
-    /// Deliver the run head. It is the global minimum, so the cursor may
-    /// jump to its day.
-    fn pop_run(&mut self) -> Option<(SimTime, E)> {
+    /// Remove and return the next event, advancing the clock to its time.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if !self.run.is_empty() {
+            return self.pop_beside_run();
+        }
+        let (day, idx, pos) = self.locate_min()?;
+        Some(self.take_from_calendar(day, idx, pos))
+    }
+
+    /// `pop` while the run is non-empty: the calendar entry that precedes
+    /// the run head, or else the head itself. The head is then the global
+    /// minimum, so the cursor may jump to its day. Out of line, so that
+    /// with an empty run `pop` compiles to the calendar's code alone.
+    #[inline(never)]
+    fn pop_beside_run(&mut self) -> Option<(SimTime, E)> {
+        let head = self.run.front()?;
+        if let Some((day, idx, pos)) = self.locate_before_run(head) {
+            return Some(self.take_from_calendar(day, idx, pos));
+        }
         let e = self.run.pop_front()?;
         if self.run.is_empty() {
             // The arrival stream is over: hand its buffer back.
@@ -294,15 +314,9 @@ impl<E> EventQueue<E> {
         Some((e.at, e.event))
     }
 
-    /// Remove and return the next event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (day, idx, pos) = match self.run.front() {
-            None => self.locate_min()?,
-            Some(head) => match self.locate_before_run(head) {
-                Some(loc) => loc,
-                None => return self.pop_run(),
-            },
-        };
+    /// Remove the calendar entry at `(day, idx, pos)`, the next to deliver.
+    #[inline(always)]
+    fn take_from_calendar(&mut self, day: u64, idx: usize, pos: usize) -> (SimTime, E) {
         let e = self.buckets[idx].swap_remove(pos);
         self.len -= 1;
         self.cursor_day = day;
@@ -311,7 +325,7 @@ impl<E> EventQueue<E> {
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
             self.resize();
         }
-        Some((e.at, e.event))
+        (e.at, e.event)
     }
 
     /// Timestamp of the next pending event, if any.
