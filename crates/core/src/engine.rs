@@ -310,7 +310,9 @@ impl Engine {
 
         // The submissions go over in input order, before any other event
         // exists. The generators emit them ascending, so they land in the
-        // queue's sorted run and the calendar keeps to what the run creates.
+        // queue's sorted run and the calendar holds only what the simulation
+        // schedules itself; an out-of-order input stays correct, its steps
+        // back just land in the calendar.
         let mut jobs = JobTable::with_capacity(submissions.len());
         queue.schedule_sorted(submissions.iter().filter_map(|sub| {
             let actual = sub.actual_runtime_secs.unwrap_or(sub.profile.run_time_secs);

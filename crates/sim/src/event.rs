@@ -397,7 +397,7 @@ impl<E> EventQueue<E> {
         let from_run = self.run.partition_point(|e| e.at < until);
         drained.extend(self.run.drain(..from_run));
         if self.run.is_empty() {
-            // As in `pop_run`: hand the spent buffer back.
+            // As in `pop_beside_run`: hand the spent buffer back.
             self.run = VecDeque::new();
         }
         drained.sort_unstable_by_key(|e| (e.at, e.seq));
