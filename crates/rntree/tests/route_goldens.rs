@@ -1,13 +1,17 @@
-//! Route goldens for the two prefix-routing substrates.
+//! Route and ground-truth goldens for the three `KeyRouter` substrates.
 //!
-//! Recorded on the representation that materialised a 16 × 16 table (and,
-//! for Pastry, two leaf vectors) per peer and rebuilt every one of them in
-//! `stabilize`. Every route — start, key, owner, hops and timeouts — is
-//! simulated behaviour: it must not move when only the host-side
-//! representation of a peer's routing state changes, on settled tables or
-//! stale ones. One harness over [`KeyRouter`], one set of constants per
+//! Pastry's and Tapestry's route constants were recorded on the
+//! representation that materialised a 16 × 16 table (and, for Pastry, two
+//! leaf vectors) per peer and rebuilt every one of them in `stabilize`;
+//! Chord's, and every ground-truth constant, on the commit before the three
+//! substrates came to share one membership type. Every route — start, key,
+//! owner, hops and timeouts — and every ground-truth read is simulated
+//! behaviour: it must not move when only the host-side representation of
+//! the membership or of a peer's routing state changes, on settled tables
+//! or stale ones. One harness over [`KeyRouter`], one set of constants per
 //! substrate.
 
+use dgrid_chord::{ChordConfig, ChordRing};
 use dgrid_pastry::{PastryConfig, PastryNetwork};
 use dgrid_sim::rng::rng_for;
 use dgrid_sim::router::KeyRouter;
@@ -45,15 +49,22 @@ impl Fnv {
 /// then the hop and timeout totals that show which kind of work they did.
 type Routes = (u64, u64, u64);
 
-/// `trials` seeded `(from, key)` lookups from random live nodes.
-fn hash_routes<R: KeyRouter>(net: &R, trials: usize, seed: u64) -> Routes {
+/// `trials` seeded `(from, key)` lookups from random live nodes; and the
+/// hash of the ground-truth reads of the same state: `owner_of` and
+/// `lookup_owner` of every trial, `alive_key_at` at a spread of ranks (one
+/// past the end included) and `shortest_owned_prefix` of every 16th live
+/// key.
+fn hash_routes<R: KeyRouter>(net: &R, trials: usize, seed: u64) -> (Routes, u64) {
     let alive = net.alive_keys();
     let mut rng = rng_for(seed, 0);
     let mut h = Fnv::new();
+    let mut truth = Fnv::new();
     let (mut hops, mut timeouts) = (0u64, 0u64);
     for _ in 0..trials {
         let key: u64 = rng.gen();
         let from = alive[rng.gen_range(0..alive.len())];
+        truth.opt(net.owner_of(key));
+        truth.opt(net.lookup_owner(from, key));
         h.word(from);
         h.word(key);
         match net.lookup(from, key) {
@@ -67,7 +78,14 @@ fn hash_routes<R: KeyRouter>(net: &R, trials: usize, seed: u64) -> Routes {
             None => h.word(u64::MAX),
         }
     }
-    (h.0, hops, timeouts)
+    let ranks = (0..=alive.len()).step_by(61).chain([alive.len()]);
+    for rank in ranks {
+        truth.opt(net.alive_key_at(rank));
+    }
+    for &k in alive.iter().step_by(16) {
+        truth.word(u64::from(net.shortest_owned_prefix(k)));
+    }
+    ((h.0, hops, timeouts), truth.0)
 }
 
 /// The rest of the routing surface the RN-Tree matchmaker uses, on stale
@@ -181,11 +199,22 @@ fn three_peers<R: KeyRouter>() -> R {
     net
 }
 
-/// The five states, routed: settled, failed, churned, churned then
-/// stabilized, three peers; then the detour surface on the two stale ones,
-/// built by `tight` with a hop budget below the mean route length so that
-/// first attempts fail and detours run.
-fn golden<R: KeyRouter>(tight: fn() -> R) -> ([Routes; 5], [(u64, u64, u64); 2]) {
+/// What [`golden`] records of one substrate.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// The five states routed: settled, failed, churned, churned then
+    /// stabilized, three peers.
+    routes: [Routes; 5],
+    /// The ground-truth reads of the same five states.
+    truth: [u64; 5],
+    /// The detour surface on the two stale ones.
+    detours: [(u64, u64, u64); 2],
+}
+
+/// The five states, routed and read; then the detour surface on the two
+/// stale ones, built by `tight` with a hop budget below the mean route
+/// length so that first attempts fail and detours run.
+fn golden<R: KeyRouter>(tight: fn() -> R) -> Golden {
     let detours = [
         hash_detours(&after_failures(tight), 1500, 51),
         hash_detours(&after_joins_and_leaves(tight), 1500, 52),
@@ -195,28 +224,67 @@ fn golden<R: KeyRouter>(tight: fn() -> R) -> ([Routes; 5], [(u64, u64, u64); 2])
     let routes_churned = hash_routes(&churned, 4000, 46);
     churned.stabilize();
     assert_eq!(churned.table_violation(), None);
-    (
-        [
-            hash_routes(&settled(R::default).0, 4000, 44),
-            hash_routes(&failed, 4000, 45),
-            routes_churned,
-            hash_routes(&churned, 4000, 47),
-            hash_routes(&three_peers::<R>(), 2000, 48),
-        ],
+    let states = [
+        hash_routes(&settled(R::default).0, 4000, 44),
+        hash_routes(&failed, 4000, 45),
+        routes_churned,
+        hash_routes(&churned, 4000, 47),
+        hash_routes(&three_peers::<R>(), 2000, 48),
+    ];
+    Golden {
+        routes: states.map(|(routes, _)| routes),
+        truth: states.map(|(_, truth)| truth),
         detours,
-    )
+    }
+}
+
+#[test]
+fn chord_routes_match_the_goldens() {
+    let g = golden(|| {
+        ChordRing::new(ChordConfig {
+            max_route_hops: 3,
+            ..ChordConfig::default()
+        })
+    });
+    assert_eq!(
+        g.routes,
+        [
+            (0xc535_b062_3779_3a58, 25220, 0),
+            (0x5747_9ef1_d6fa_ca48, 26488, 6341),
+            (0xdb7f_e4fd_91dd_ed09, 25801, 1196),
+            (0x6512_a384_a162_b347, 25079, 0),
+            (0xd2dc_2729_8950_cbc8, 1993, 0),
+        ]
+    );
+    assert_eq!(
+        g.truth,
+        [
+            0x1c32_cb9e_37f8_1cf7,
+            0x8f04_a223_64fa_346f,
+            0x4df7_43bd_fe07_a278,
+            0x9bba_1ae2_ad12_89bc,
+            0x6f74_0d00_0bb3_b5ed,
+        ]
+    );
+    assert_eq!(
+        g.detours,
+        [
+            (0x3c06_943f_e958_00af, 1353, 57),
+            (0x60f0_f8b8_694e_2d0a, 1333, 63),
+        ]
+    );
 }
 
 #[test]
 fn pastry_routes_match_the_goldens() {
-    let (routes, detours) = golden(|| {
+    let g = golden(|| {
         PastryNetwork::new(PastryConfig {
             max_route_hops: 3,
             ..PastryConfig::default()
         })
     });
     assert_eq!(
-        routes,
+        g.routes,
         [
             (0x756b_16c3_5dc1_bb2e, 12043, 0),
             (0xc923_3345_7334_968f, 13600, 7608),
@@ -225,10 +293,20 @@ fn pastry_routes_match_the_goldens() {
             (0x7ba6_f442_caf2_74bd, 1330, 0),
         ]
     );
+    assert_eq!(
+        g.truth,
+        [
+            0xf4bd_5c7c_0451_eb6d,
+            0xb85a_2258_0809_a6e5,
+            0x458b_93df_417e_843b,
+            0x365d_f0f7_fdb0_0e97,
+            0xc693_0207_6f5e_b02d,
+        ]
+    );
     // Leaf-set neighbours are as far from the key as the asker, so a detour
     // seldom rescues a lookup the hop budget stalled.
     assert_eq!(
-        detours,
+        g.detours,
         [
             (0x666a_38ef_bacf_3155, 534, 0),
             (0xf4e9_ea92_267b_8650, 526, 21),
@@ -238,9 +316,9 @@ fn pastry_routes_match_the_goldens() {
 
 #[test]
 fn tapestry_routes_match_the_goldens() {
-    let (routes, detours) = golden(|| TapestryNetwork::new(TapestryConfig { max_route_hops: 3 }));
+    let g = golden(|| TapestryNetwork::new(TapestryConfig { max_route_hops: 3 }));
     assert_eq!(
-        routes,
+        g.routes,
         [
             (0x0745_76f9_2020_055c, 11913, 0),
             (0x4b0b_b578_4bc6_2cf1, 11694, 1445),
@@ -250,7 +328,17 @@ fn tapestry_routes_match_the_goldens() {
         ]
     );
     assert_eq!(
-        detours,
+        g.truth,
+        [
+            0x7ac7_7462_0933_236f,
+            0x7831_4560_d62d_7768,
+            0xd5d1_58c6_b8d9_963e,
+            0x46d3_23ee_0d84_8a10,
+            0xbbaf_540d_9137_a46d,
+        ]
+    );
+    assert_eq!(
+        g.detours,
         [
             (0xc0db_490c_b24e_0dac, 495, 69),
             (0xac38_237f_4a46_6105, 349, 166),

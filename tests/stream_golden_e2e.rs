@@ -211,12 +211,17 @@ fn golden_streams_round_trip_through_binary_byte_identically() {
     }
 }
 
-/// `(variant, fnv1a, byte length)` of the 10,000-node runs, pinned when
-/// the kernel landed. Two variants bound the suite's runtime: RN-Tree
-/// exercises the overlay-backed path, Central the overlay-free one.
+/// `(variant, fnv1a, byte length)` of the 10,000-node runs. RN-Tree exercises
+/// the overlay-backed path, Central the overlay-free one; both were pinned
+/// when the kernel landed. The RN-Tree rows over Pastry and Tapestry were
+/// recorded at `886afc4`, before the three substrates came to share one
+/// membership type: under churn and loss these runs are where an overlay
+/// flips between settled and unsettled both ways.
 const PINNED_10K: &[(Algorithm, u64, usize)] = &[
     (Algorithm::RnTree, 0xd04004fd7cc07c7d, 762_263),
     (Algorithm::Central, 0xdab563c9363b4965, 751_837),
+    (Algorithm::RnTreePastry, 0xc4cef2f1ac3a173d, 762_770),
+    (Algorithm::RnTreeTapestry, 0x035c16b2cf754b3a, 775_751),
 ];
 
 #[test]
