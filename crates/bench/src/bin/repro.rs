@@ -308,6 +308,7 @@ fn tree(opts: &Opts) {
     use dgrid::chord::{ChordId, ChordRing};
     use dgrid::rntree::RnTree;
     use dgrid::sim::rng::{rng_for, streams};
+    use dgrid::sim::router::KeyRouter;
     use rand::Rng;
 
     println!("== T-tree: RN-Tree height vs log2(N) ==");
@@ -321,7 +322,7 @@ fn tree(opts: &Opts) {
         let mut count = 0;
         while count < n {
             let id = ChordId(rng.gen());
-            if !ring.is_alive(id) {
+            if !ring.is_alive(id.0) {
                 ring.join(id);
                 count += 1;
             }
@@ -370,6 +371,7 @@ fn dht(opts: &Opts) {
     use dgrid::chord::{ChordId, ChordRing};
     use dgrid::pastry::{PastryId, PastryNetwork};
     use dgrid::sim::rng::{rng_for, streams};
+    use dgrid::sim::router::KeyRouter;
     use dgrid::tapestry::{TapestryId, TapestryNetwork};
     use rand::Rng;
 
@@ -386,7 +388,7 @@ fn dht(opts: &Opts) {
         let mut ids = Vec::new();
         while ids.len() < n {
             let id: u64 = rng.gen();
-            if !ring.is_alive(ChordId(id)) {
+            if !ring.is_alive(id) {
                 ring.join(ChordId(id));
                 pastry.join(PastryId(id));
                 tapestry.join(TapestryId(id));

@@ -578,7 +578,7 @@ impl RnTreeAggregateOracle {
     fn join(&mut self, node: u32) {
         let id = loop {
             let id = ChordId(splitmix_next(&mut self.state));
-            if !self.ring.is_alive(id) {
+            if !self.ring.is_alive(id.0) {
                 break id;
             }
         };

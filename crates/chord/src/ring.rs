@@ -1,8 +1,6 @@
-//! Ring membership, per-peer routing state, and churn.
+//! Chord's routing state over the shared membership, and churn.
 
-use std::collections::BTreeMap;
-
-use dgrid_sim::prefix::{Entry, Lazy, Snapshot};
+use dgrid_sim::overlay::{Entry, Lazy, Membership, Record};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -41,9 +39,8 @@ impl Default for ChordConfig {
 /// A `Canon` component stays pinned to the snapshot of the last stabilize
 /// even as membership changes afterwards — byte-identical staleness to the
 /// materialized vectors it replaces.
-#[derive(Clone, Debug)]
-pub(crate) struct PeerState {
-    pub(crate) alive: bool,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ChordPeer {
     pub(crate) predecessor: Lazy<Option<ChordId>>,
     /// First `r` alive successors at last refresh, clockwise.
     pub(crate) successors: Lazy<Vec<ChordId>>,
@@ -62,8 +59,8 @@ pub struct PeerView {
     pub predecessor: ChordId,
 }
 
-/// The Chord ring: authoritative membership plus every peer's (possibly
-/// stale) local routing state.
+/// The Chord ring: the shared membership, each record holding the peer's
+/// (possibly stale) local routing state.
 ///
 /// A peer's state is stored only where it differs from what the last
 /// [`ChordRing::stabilize`] implies ([`Lazy::Mat`]); everything else is one
@@ -74,17 +71,7 @@ pub struct PeerView {
 #[derive(Clone)]
 pub struct ChordRing {
     cfg: ChordConfig,
-    peers: BTreeMap<u64, PeerState>,
-    alive_count: usize,
-    /// Sorted alive keys at the last [`ChordRing::stabilize`]: what every
-    /// `Canon` component is computed from.
-    snapshot: Snapshot,
-    /// No membership change since the last [`ChordRing::stabilize`]: every
-    /// peer's routing state equals what the snapshot implies and the
-    /// snapshot *is* the live set, so routes and ground-truth reads leave
-    /// `peers` alone. Set by `stabilize`, cleared by every join and
-    /// departure.
-    settled: bool,
+    pub(crate) m: Membership<ChordPeer>,
 }
 
 impl Default for ChordRing {
@@ -102,10 +89,7 @@ impl ChordRing {
         );
         ChordRing {
             cfg,
-            peers: BTreeMap::new(),
-            alive_count: 0,
-            snapshot: Snapshot::default(),
-            settled: false,
+            m: Membership::default(),
         }
     }
 
@@ -114,49 +98,14 @@ impl ChordRing {
         &self.cfg
     }
 
-    /// Number of live peers.
-    pub fn len(&self) -> usize {
-        self.alive_count
-    }
-
-    /// True iff no peer is alive.
-    pub fn is_empty(&self) -> bool {
-        self.alive_count == 0
-    }
-
-    /// Is `id` a live member?
-    pub fn is_alive(&self, id: ChordId) -> bool {
-        self.peers.get(&id.0).is_some_and(|p| p.alive)
-    }
-
     /// All live peer ids in ascending ring order.
     pub fn alive_ids(&self) -> Vec<ChordId> {
-        self.live_keys().map(ChordId).collect()
-    }
-
-    /// The live keys, ascending.
-    pub(crate) fn live_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        let alive = self.peers.iter().filter(|(_, p)| p.alive);
-        alive.map(|(&id, _)| id)
+        self.m.alive_in(..).map(ChordId).collect()
     }
 
     /// A uniformly random live peer.
     pub fn random_peer<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<ChordId> {
-        if self.alive_count == 0 {
-            return None;
-        }
-        let n = rng.gen_range(0..self.alive_count);
-        self.alive_key_at(n).map(ChordId)
-    }
-
-    /// The `rank`-th live key in ascending order: one index into the
-    /// snapshot while settled, a walk of the live set otherwise.
-    pub(crate) fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        if self.settled {
-            self.snapshot.keys().get(rank).copied()
-        } else {
-            self.live_keys().nth(rank)
-        }
+        self.m.random_key(rng).map(ChordId)
     }
 
     // ------------------------------------------------------------------
@@ -166,46 +115,24 @@ impl ChordRing {
     /// The live owner of `key`: the first live peer clockwise from `key`
     /// (inclusive). `None` on an empty ring.
     pub fn successor_of(&self, key: ChordId) -> Option<ChordId> {
-        if self.settled {
-            // The snapshot is the live set.
-            let rank = self.snapshot.successor_rank(key.0)?;
-            return Some(ChordId(self.snapshot.keys()[rank]));
-        }
-        if self.alive_count == 0 {
-            return None;
-        }
-        self.peers
-            .range(key.0..)
-            .find(|(_, p)| p.alive)
-            .or_else(|| self.peers.range(..).find(|(_, p)| p.alive))
-            .map(|(&id, _)| ChordId(id))
+        let wrapped = || self.m.alive_in(..).next();
+        let onward = self.m.alive_in(key.0..).next();
+        onward.or_else(wrapped).map(ChordId)
     }
 
     /// The first live peer strictly counter-clockwise from `key`.
     pub fn predecessor_of(&self, key: ChordId) -> Option<ChordId> {
-        if self.settled {
-            let keys = self.snapshot.keys();
-            let rank = self.snapshot.successor_rank(key.0)?;
-            return Some(ChordId(keys[rank.checked_sub(1).unwrap_or(keys.len() - 1)]));
-        }
-        if self.alive_count == 0 {
-            return None;
-        }
-        self.peers
-            .range(..key.0)
-            .rev()
-            .find(|(_, p)| p.alive)
-            .or_else(|| self.peers.range(..).rev().find(|(_, p)| p.alive))
-            .map(|(&id, _)| ChordId(id))
+        let wrapped = || self.m.alive_in(..).next_back();
+        let below = self.m.alive_in(..key.0).next_back();
+        below.or_else(wrapped).map(ChordId)
     }
 
     /// Every live peer once, clockwise from `key` (inclusive) all the way
     /// round. From `id + 1` that is the successor list a refresh gives
     /// `id`, unbounded: everybody else in ring order, then `id` itself.
     fn live_from(&self, key: ChordId) -> impl Iterator<Item = ChordId> + '_ {
-        let onward = self.peers.range(key.0..);
-        let all = onward.chain(self.peers.range(..key.0));
-        all.filter(|(_, p)| p.alive).map(|(&id, _)| ChordId(id))
+        let onward = self.m.alive_in(key.0..);
+        onward.chain(self.m.alive_in(..key.0)).map(ChordId)
     }
 
     /// Successive live successors of the live peer `id`, up to `k`.
@@ -229,7 +156,7 @@ impl ChordRing {
     /// # Panics
     /// If a live peer with this id already exists.
     pub fn join(&mut self, id: ChordId) {
-        self.admit(id);
+        self.join_deferred(id);
         self.refresh_peer(id);
         // Notify immediate neighbours.
         let pred = self.predecessor_of(id);
@@ -241,9 +168,7 @@ impl ChordRing {
         }
         if let Some(s) = succ {
             if s != id {
-                if let Some(state) = self.peers.get_mut(&s.0) {
-                    state.predecessor = Lazy::Mat(Some(id));
-                }
+                self.m.state_mut(s.0).predecessor = Lazy::Mat(Some(id));
             }
         }
     }
@@ -258,23 +183,7 @@ impl ChordRing {
     /// # Panics
     /// If a live peer with this id already exists.
     pub fn join_deferred(&mut self, id: ChordId) {
-        self.admit(id);
-    }
-
-    fn admit(&mut self, id: ChordId) {
-        let existing_alive = self.peers.get(&id.0).is_some_and(|p| p.alive);
-        assert!(!existing_alive, "duplicate join of live peer {id}");
-        self.peers.insert(
-            id.0,
-            PeerState {
-                alive: true,
-                predecessor: Lazy::Canon,
-                successors: Lazy::Canon,
-                fingers: Lazy::Canon,
-            },
-        );
-        self.alive_count += 1;
-        self.settled = false;
+        self.m.admit(id.0, ChordPeer::default());
     }
 
     /// Graceful departure: the peer tells its neighbours before leaving, so
@@ -284,16 +193,14 @@ impl ChordRing {
     /// # Panics
     /// If `id` is not a live peer.
     pub fn leave(&mut self, id: ChordId) {
-        self.mark_dead(id);
+        self.m.mark_dead(id.0);
         let pred = self.predecessor_of(id);
         let succ = self.successor_of(id);
         if let Some(p) = pred {
             self.refresh_successors_of(p);
         }
         if let (Some(p), Some(s)) = (pred, succ) {
-            if let Some(state) = self.peers.get_mut(&s.0) {
-                state.predecessor = Lazy::Mat(Some(p));
-            }
+            self.m.state_mut(s.0).predecessor = Lazy::Mat(Some(p));
         }
     }
 
@@ -304,18 +211,7 @@ impl ChordRing {
     /// # Panics
     /// If `id` is not a live peer.
     pub fn fail(&mut self, id: ChordId) {
-        self.mark_dead(id);
-    }
-
-    fn mark_dead(&mut self, id: ChordId) {
-        let state = self
-            .peers
-            .get_mut(&id.0)
-            .filter(|p| p.alive)
-            .unwrap_or_else(|| panic!("departure of unknown/dead peer {id}"));
-        state.alive = false;
-        self.alive_count -= 1;
-        self.settled = false;
+        self.m.mark_dead(id.0);
     }
 
     // ------------------------------------------------------------------
@@ -326,7 +222,7 @@ impl ChordRing {
     /// ground truth — the effect of that peer completing a full round of
     /// Chord's `stabilize` + `fix_fingers`.
     pub fn refresh_peer(&mut self, id: ChordId) {
-        assert!(self.is_alive(id), "refresh of dead peer {id}");
+        assert!(self.m.is_alive(id.0), "refresh of dead peer {id}");
         let successors = self.true_successor_list(id, self.cfg.successor_list_len);
         let predecessor = self.predecessor_of(id);
         let fingers: Vec<ChordId> = (0..ID_BITS)
@@ -335,19 +231,19 @@ impl ChordRing {
                     .expect("ring is non-empty")
             })
             .collect();
-        let state = self.peers.get_mut(&id.0).expect("peer exists");
-        state.successors = Lazy::Mat(successors);
-        state.predecessor = Lazy::Mat(predecessor);
-        state.fingers = Lazy::Mat(fingers);
+        *self.m.state_mut(id.0) = ChordPeer {
+            predecessor: Lazy::Mat(predecessor),
+            successors: Lazy::Mat(successors),
+            fingers: Lazy::Mat(fingers),
+        };
     }
 
     fn refresh_successors_of(&mut self, id: ChordId) {
-        if !self.is_alive(id) {
+        if !self.m.is_alive(id.0) {
             return;
         }
         let successors = self.true_successor_list(id, self.cfg.successor_list_len);
-        let state = self.peers.get_mut(&id.0).expect("peer exists");
-        state.successors = Lazy::Mat(successors);
+        self.m.state_mut(id.0).successors = Lazy::Mat(successors);
     }
 
     /// Run a full stabilization round: every live peer refreshes its state,
@@ -359,14 +255,7 @@ impl ChordRing {
     /// per peer this takes the snapshot once and flips every peer to
     /// [`Lazy::Canon`] — O(N) total, with views computed on demand.
     pub fn stabilize(&mut self) {
-        self.peers.retain(|_, p| p.alive);
-        self.snapshot = Snapshot::from_ascending(self.peers.keys().copied().collect());
-        for p in self.peers.values_mut() {
-            p.predecessor = Lazy::Canon;
-            p.successors = Lazy::Canon;
-            p.fingers = Lazy::Canon;
-        }
-        self.settled = true;
+        self.m.stabilize();
     }
 
     // ------------------------------------------------------------------
@@ -377,27 +266,27 @@ impl ChordRing {
     /// alive? While settled every such entry is a snapshot key, and those
     /// are exactly the live peers: nothing to probe.
     pub(crate) fn points_at_live(&self, e: Entry) -> bool {
-        self.settled || self.is_alive(ChordId(e.key))
+        self.m.settled() || self.m.is_alive(e.key)
     }
 
     /// The view of the peer `at`, dead or alive, whose rank is searched
     /// for unless `at` brings it; `None` for a peer the ring has no record
     /// of. While settled the records are exactly the snapshot's keys, all
-    /// alive and all `Canon`, so the rank is the whole view and `peers` is
-    /// not read.
+    /// alive and all `Canon`, so the rank is the whole view and no record
+    /// is read.
     pub(crate) fn hop(&self, at: Entry) -> Option<Hop<'_>> {
-        let rank = || at.rank.or_else(|| self.snapshot.rank(at.key));
-        let (rank, state) = if self.settled {
+        let rank = || at.rank.or_else(|| self.m.snapshot().rank(at.key));
+        let (rank, record) = if self.m.settled() {
             (Some(rank()?), None)
         } else {
-            let state = self.peers.get(&at.key)?;
-            (rank(), Some(state))
+            let record = self.m.record(at.key)?;
+            (rank(), Some(record))
         };
         Some(Hop {
             ring: self,
             id: ChordId(at.key),
             rank,
-            state,
+            record,
         })
     }
 
@@ -406,7 +295,7 @@ impl ChordRing {
     /// the longest route exact fingers allow — `ID_BITS` forwarding hops,
     /// since each hop uses a lower finger than the one before.
     pub(crate) fn routes_are_exact(&self) -> bool {
-        self.settled && self.cfg.max_route_hops >= ID_BITS
+        self.m.settled() && self.cfg.max_route_hops >= ID_BITS
     }
 
     /// Snapshot one live peer's ring position.
@@ -417,27 +306,6 @@ impl ChordRing {
             successor: ChordId(hop.successor(0).key),
             predecessor: hop.predecessor().unwrap_or(id),
         })
-    }
-
-    /// Forget that nothing has changed since the last stabilize: the same
-    /// ring, read the long way — `peers` walked, liveness probed.
-    #[cfg(test)]
-    pub(crate) fn unsettle(&mut self) {
-        self.settled = false;
-    }
-
-    /// Swap every record for a dead peer that knows nobody: whatever
-    /// still answers afterwards never read `peers`.
-    #[cfg(test)]
-    pub(crate) fn poison_records(&mut self) {
-        for p in self.peers.values_mut() {
-            *p = PeerState {
-                alive: false,
-                predecessor: Lazy::Mat(None),
-                successors: Lazy::Mat(Vec::new()),
-                fingers: Lazy::Mat(Vec::new()),
-            };
-        }
     }
 
     /// Ring-consistency check for a quiesced ring (run [`ChordRing::stabilize`]
@@ -514,7 +382,7 @@ pub(crate) struct Hop<'a> {
     rank: Option<usize>,
     /// The peer's record; `None` while the ring is settled, when every
     /// component is `Canon` whatever the record says.
-    state: Option<&'a PeerState>,
+    record: Option<&'a Record<ChordPeer>>,
 }
 
 impl<'a> Hop<'a> {
@@ -531,12 +399,12 @@ impl<'a> Hop<'a> {
     }
 
     pub(crate) fn is_alive(&self) -> bool {
-        self.state.is_none_or(|s| s.alive)
+        self.record.is_none_or(Record::is_alive)
     }
 
     /// The one place a [`Lazy`] component turns into where to read it.
-    fn source<T>(&self, component: impl FnOnce(&'a PeerState) -> &'a Lazy<T>) -> Source<'a, T> {
-        match (self.state.map(component), self.rank) {
+    fn source<T>(&self, component: impl FnOnce(&'a ChordPeer) -> &'a Lazy<T>) -> Source<'a, T> {
+        match (self.record.map(|r| component(&r.state)), self.rank) {
             (Some(Lazy::Mat(v)), _) => Source::Mat(v),
             (_, Some(rank)) => Source::Canon(rank),
             (_, None) => Source::Truth,
@@ -546,7 +414,7 @@ impl<'a> Hop<'a> {
     /// The snapshot entry `ahead` places clockwise of rank `rank`, for
     /// `ahead` at most the snapshot's length.
     fn canon_entry(&self, rank: usize, ahead: usize) -> Entry {
-        let keys = self.ring.snapshot.keys();
+        let keys = self.ring.m.snapshot().keys();
         let i = rank + ahead;
         let i = if i < keys.len() { i } else { i - keys.len() };
         Entry {
@@ -560,7 +428,7 @@ impl<'a> Hop<'a> {
         match self.source(|s| &s.predecessor) {
             Source::Mat(p) => *p,
             Source::Canon(rank) => {
-                let back = self.ring.snapshot.keys().len() - 1;
+                let back = self.ring.m.snapshot().keys().len() - 1;
                 Some(ChordId(self.canon_entry(rank, back).key))
             }
             Source::Truth => self.ring.predecessor_of(self.id),
@@ -574,8 +442,8 @@ impl<'a> Hop<'a> {
         let r = self.ring.cfg.successor_list_len;
         match self.source(|s| &s.successors) {
             Source::Mat(v) => v.len(),
-            Source::Canon(_) => r.min(self.ring.snapshot.keys().len()),
-            Source::Truth => r.min(self.ring.alive_count),
+            Source::Canon(_) => r.min(self.ring.m.snapshot().keys().len()),
+            Source::Truth => r.min(self.ring.m.len()),
         }
     }
 
@@ -602,7 +470,7 @@ impl<'a> Hop<'a> {
         match self.source(|s| &s.fingers) {
             Source::Mat(v) => Entry::unranked(v[k as usize].0),
             Source::Canon(_) => {
-                let rank = self.ring.snapshot.successor_rank(start.0);
+                let rank = self.ring.m.snapshot().successor_rank(start.0);
                 self.canon_entry(rank.expect("the peer is in the snapshot"), 0)
             }
             Source::Truth => {
@@ -658,10 +526,10 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let mut r = ChordRing::default();
-        assert!(r.is_empty());
+        assert!(r.m.is_empty());
         assert_eq!(r.successor_of(ChordId(1)), None);
         r.join(ChordId(42));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.m.len(), 1);
         assert_eq!(r.successor_of(ChordId(7)), Some(ChordId(42)));
         let v = r.peer_view(ChordId(42)).unwrap();
         assert_eq!(
@@ -689,8 +557,8 @@ mod tests {
     fn graceful_leave_repairs_neighbours() {
         let mut r = ring_with(&[10, 20, 30]);
         r.leave(ChordId(20));
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_alive(ChordId(20)));
+        assert_eq!(r.m.len(), 2);
+        assert!(!r.m.is_alive(20));
         let v10 = r.peer_view(ChordId(10)).unwrap();
         assert_eq!(v10.successor, ChordId(30));
         let v30 = r.peer_view(ChordId(30)).unwrap();
@@ -719,8 +587,8 @@ mod tests {
         let mut r = ring_with(&[10, 20]);
         r.fail(ChordId(20));
         r.join(ChordId(20));
-        assert!(r.is_alive(ChordId(20)));
-        assert_eq!(r.len(), 2);
+        assert!(r.m.is_alive(20));
+        assert_eq!(r.m.len(), 2);
     }
 
     #[test]
@@ -767,7 +635,7 @@ mod tests {
         for id in r.alive_ids() {
             mat.refresh_peer(id); // flips this peer to Mat
         }
-        mat.unsettle(); // or its views would read the snapshot all the same
+        mat.m.unsettle(); // or its views would read the snapshot all the same
         for id in r.alive_ids() {
             assert_eq!(successors(&r, id), successors(&mat, id), "of {id}");
             assert_eq!(fingers(&r, id), fingers(&mat, id), "of {id}");
@@ -828,8 +696,14 @@ mod tests {
         let mut rng = dgrid_sim::rng::rng_for(1, 1);
         for _ in 0..50 {
             let p = r.random_peer(&mut rng).unwrap();
-            assert!(r.is_alive(p));
+            assert!(r.m.is_alive(p.0));
         }
+    }
+
+    #[test]
+    fn a_record_is_the_size_the_ring_held_before_sharing_it() {
+        // Three tags and the liveness flag: 72 B of value per B-tree entry.
+        assert_eq!(std::mem::size_of::<Record<ChordPeer>>(), 72);
     }
 
     #[test]
@@ -839,7 +713,7 @@ mod tests {
         r.fail(ChordId(40));
         r.stabilize();
         assert_eq!(r.alive_ids(), vec![ChordId(10), ChordId(30)]);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.m.len(), 2);
     }
 }
 
@@ -857,7 +731,7 @@ mod finger_tests {
         let mut count = 0;
         while count < 96 {
             let id = ChordId(rng.gen());
-            if !ring.is_alive(id) {
+            if !ring.m.is_alive(id.0) {
                 ring.join(id);
                 count += 1;
             }
@@ -885,7 +759,7 @@ mod finger_tests {
         let mut count = 0;
         while count < 128 {
             let id = ChordId(rng.gen());
-            if !ring.is_alive(id) {
+            if !ring.m.is_alive(id.0) {
                 ring.join(id);
                 count += 1;
             }

@@ -7,7 +7,7 @@
 //! ([`KeyRouter::lookup_owner`], [`KeyRouter::shortest_owned_prefix`]) that
 //! answer from the stabilize snapshot and ground truth.
 
-use dgrid_sim::prefix::Entry;
+use dgrid_sim::overlay::Entry;
 use dgrid_sim::router::{KeyRouter, RouteCost};
 
 use crate::id::ChordId;
@@ -33,19 +33,19 @@ impl KeyRouter for ChordRing {
     }
 
     fn is_alive(&self, key: u64) -> bool {
-        ChordRing::is_alive(self, ChordId(key))
+        self.m.is_alive(key)
     }
 
     fn len(&self) -> usize {
-        ChordRing::len(self)
+        self.m.len()
     }
 
     fn alive_keys(&self) -> Vec<u64> {
-        self.live_keys().collect()
+        self.m.alive_in(..).collect()
     }
 
     fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        ChordRing::alive_key_at(self, rank)
+        self.m.alive_key_at(rank)
     }
 
     fn owner_of(&self, key: u64) -> Option<u64> {
@@ -67,7 +67,7 @@ impl KeyRouter for ChordRing {
     /// the route.
     fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
         if self.routes_are_exact() {
-            debug_assert!(ChordRing::is_alive(self, ChordId(from)));
+            debug_assert!(self.m.is_alive(from));
             self.owner_of(key)
         } else {
             KeyRouter::lookup(self, from, key).map(|r| r.owner)
@@ -80,7 +80,7 @@ impl KeyRouter for ChordRing {
     /// interval that wraps through 0 (the lowest peer; a lone peer) holds
     /// the empty prefix.
     fn shortest_owned_prefix(&self, key: u64) -> u32 {
-        debug_assert!(ChordRing::is_alive(self, ChordId(key)));
+        debug_assert!(self.m.is_alive(key));
         let pred = self.predecessor_of(ChordId(key)).expect("live peer").0;
         if pred >= key {
             0

@@ -1,6 +1,6 @@
 //! Iterative greedy lookup over (possibly stale) finger tables.
 
-use dgrid_sim::prefix::Entry;
+use dgrid_sim::overlay::Entry;
 
 use crate::id::ChordId;
 use crate::ring::{ChordRing, Hop};
@@ -175,7 +175,8 @@ impl ChordRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::ChordConfig;
+    use crate::ring::{ChordConfig, ChordPeer};
+    use dgrid_sim::overlay::Lazy;
     use dgrid_sim::rng::{rng_for, streams};
     use dgrid_sim::router::KeyRouter;
     use rand::Rng;
@@ -206,7 +207,7 @@ mod tests {
         let mut ids = Vec::with_capacity(n);
         while ids.len() < n {
             let id = ChordId(rng.gen());
-            if !ring.is_alive(id) {
+            if !ring.m.is_alive(id.0) {
                 ring.join(id);
                 ids.push(id);
             }
@@ -283,7 +284,7 @@ mod tests {
             let res = ring
                 .lookup(from, key)
                 .expect("successor lists route around failures");
-            assert!(ring.is_alive(res.owner), "owner must be alive");
+            assert!(ring.m.is_alive(res.owner.0), "owner must be alive");
             // The reached owner must be the true live successor of the key.
             assert_eq!(Some(res.owner), ring.successor_of(key));
             timeouts_total += res.timeouts;
@@ -419,7 +420,7 @@ mod tests {
         let mut failed = 0;
         while failed < 400 {
             let id = ids[rng.gen_range(0..ids.len())];
-            if ring.is_alive(id) {
+            if ring.m.is_alive(id.0) {
                 ring.fail(id);
                 failed += 1;
             }
@@ -604,13 +605,24 @@ mod tests {
 
     #[test]
     fn a_settled_hop_reads_no_peer_record() {
-        // Every record swapped for a dead peer that knows nobody: any read
-        // of `peers` would refuse the origin, count a timeout, stall the
-        // route or index an empty finger table.
+        // Every record's state swapped for one that knows nobody: any read
+        // of a record would stall the route, empty a successor list or
+        // index an empty finger table.
         let (ring, ids) = build_ring(512, 33);
         let mut poisoned = ring.clone();
-        poisoned.poison_records();
-        assert!(poisoned.alive_ids().is_empty(), "the poison took");
+        for &id in &ids {
+            *poisoned.m.state_mut(id.0) = ChordPeer {
+                predecessor: Lazy::Mat(None),
+                successors: Lazy::Mat(Vec::new()),
+                fingers: Lazy::Mat(Vec::new()),
+            };
+        }
+        let mut walked = poisoned.clone();
+        walked.m.unsettle();
+        assert!(
+            walked.failover_peers(ids[0].0).is_empty(),
+            "the poison took"
+        );
         let mut rng = rng_for(34, 0);
         for &from in &ids {
             let key = ChordId(rng.gen());
@@ -685,9 +697,9 @@ mod tests {
                 }
                 let successors = (0..at.successor_count()).map(|j| id(at.successor(j)));
                 let successors: Vec<ChordId> = successors.collect();
-                let dead = successors.iter().take_while(|&&s| !ring.is_alive(s));
+                let dead = successors.iter().take_while(|&&s| !ring.m.is_alive(s.0));
                 timeouts += dead.count() as u32;
-                let succ = *successors.iter().find(|&&s| ring.is_alive(s))?;
+                let succ = *successors.iter().find(|&&s| ring.m.is_alive(s.0))?;
                 if succ == cur {
                     return found(cur, hops, timeouts);
                 }
@@ -701,9 +713,9 @@ mod tests {
                     .collect();
                 candidates.sort_by_key(|&c| Reverse(cur.distance_to(c)));
                 candidates.dedup();
-                let dead = candidates.iter().take_while(|&&c| !ring.is_alive(c));
+                let dead = candidates.iter().take_while(|&&c| !ring.m.is_alive(c.0));
                 timeouts += dead.count() as u32;
-                cur = *candidates.iter().find(|&&c| ring.is_alive(c))?;
+                cur = *candidates.iter().find(|&&c| ring.m.is_alive(c.0))?;
                 hops += 1;
             }
         }
@@ -713,10 +725,10 @@ mod tests {
         /// probing liveness; and either way a route is the reference's.
         fn reads_agree(ring: &ChordRing, keys: &[u64]) -> Result<(), TestCaseError> {
             let mut walked = ring.clone();
-            walked.unsettle();
+            walked.m.unsettle();
             let live = walked.alive_ids();
             for rank in 0..=live.len() {
-                let at = ring.alive_key_at(rank).map(ChordId);
+                let at = ring.m.alive_key_at(rank).map(ChordId);
                 prop_assert_eq!(at, live.get(rank).copied());
             }
             let own = live.iter().map(|id| id.0);
@@ -769,7 +781,7 @@ mod tests {
                     let live = ring.alive_ids();
                     let known = |id: u64| ring.hop(Entry::unranked(id)).is_some();
                     match s {
-                        Step::Join(id) if !ring.is_alive(ChordId(id)) => ring.join(ChordId(id)),
+                        Step::Join(id) if !ring.m.is_alive(id) => ring.join(ChordId(id)),
                         Step::JoinDeferred(id) if !known(id) => ring.join_deferred(ChordId(id)),
                         Step::Leave(i) if live.len() > 1 => ring.leave(live[i % live.len()]),
                         Step::Fail(i) if live.len() > 1 => ring.fail(live[i % live.len()]),

@@ -1,6 +1,7 @@
 //! Property tests for ring arithmetic and routing under arbitrary churn.
 
 use dgrid_chord::{ChordId, ChordRing};
+use dgrid_sim::router::KeyRouter;
 use proptest::prelude::*;
 
 /// A churn step applied to the ring.
@@ -70,7 +71,7 @@ proptest! {
         for step in steps {
             match step {
                 Step::Join(id)
-                    if !ring.is_alive(ChordId(id)) => {
+                    if !ring.is_alive(id) => {
                         ring.join(ChordId(id));
                         live.push(id);
                     }
@@ -131,7 +132,7 @@ proptest! {
         }
         let from = ChordId(*live.iter().min().unwrap());
         let res = ring.lookup(from, ChordId(key)).expect("routes around failures");
-        prop_assert!(ring.is_alive(res.owner));
+        prop_assert!(ring.is_alive(res.owner.0));
         prop_assert_eq!(Some(res.owner), ring.successor_of(ChordId(key)));
     }
 }

@@ -3,7 +3,8 @@
 
 use std::ops::Bound;
 
-use dgrid_sim::prefix::{Entry, Lazy, Membership, RADIX};
+use dgrid_sim::overlay::{Entry, Lazy, Membership};
+use dgrid_sim::prefix::{Table, Tables, RADIX};
 use dgrid_sim::router::{prefix_key, KeyRouter, RouteCost};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -48,6 +49,17 @@ struct LeafSets {
     /// Numerically closest live peers counter-clockwise.
     ccw: Vec<PastryId>,
 }
+
+/// A node's routing state: its table, and the leaf sets beside it.
+#[derive(Clone, Debug, Default)]
+struct PastryPeer {
+    table: Lazy<Table>,
+    leaves: Lazy<LeafSets>,
+}
+
+/// A row has no entry for its owner's own digit: deeper rows and the leaf
+/// sets cover that range.
+const TABLES: Tables = Tables { own_slots: false };
 
 /// One node's leaf sets as the node believes them, read in place: a route
 /// looks at up to `2 × leaf_half` leaves per hop and must not copy them.
@@ -115,10 +127,10 @@ impl<'a> LeafView<'a> {
 /// else is computed from the shared snapshot when a route asks for it: a
 /// table slot is one binary search, a leaf set is the node's snapshot
 /// neighbours.
+#[derive(Clone)]
 pub struct PastryNetwork {
     cfg: PastryConfig,
-    /// Per node: the routing table, and the leaf sets beside it.
-    m: Membership<Lazy<LeafSets>>,
+    m: Membership<PastryPeer>,
 }
 
 impl Default for PastryNetwork {
@@ -133,9 +145,7 @@ impl PastryNetwork {
         assert!(cfg.leaf_half >= 1);
         PastryNetwork {
             cfg,
-            // A row has no entry for its owner's own digit: deeper rows
-            // and the leaf sets cover that range.
-            m: Membership::new(false),
+            m: Membership::default(),
         }
     }
 
@@ -166,11 +176,7 @@ impl PastryNetwork {
 
     /// A uniformly random live node.
     pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<PastryId> {
-        if self.is_empty() {
-            return None;
-        }
-        let n = rng.gen_range(0..self.len());
-        self.m.alive_key_at(n).map(PastryId)
+        self.m.random_key(rng).map(PastryId)
     }
 
     // ------------------------------------------------------------------
@@ -242,7 +248,11 @@ impl PastryNetwork {
     /// # Panics
     /// If a live node with this id already exists.
     pub fn join_deferred(&mut self, id: PastryId) {
-        self.m.admit(id.0, Lazy::Mat(LeafSets::default()));
+        let empty = PastryPeer {
+            table: Lazy::Mat(Table::new()),
+            leaves: Lazy::Mat(LeafSets::default()),
+        };
+        self.m.admit(id.0, empty);
     }
 
     /// Graceful departure: the node's leaf set is told, so their leaf sets
@@ -272,15 +282,17 @@ impl PastryNetwork {
     /// Rebuild one node's leaf set and routing table from ground truth.
     pub fn refresh_node(&mut self, id: PastryId) {
         assert!(self.is_alive(id), "refresh of dead node {id}");
-        *self.m.extra_mut(id.0) = Lazy::Mat(self.true_leaves(id));
-        self.m.refresh_table(id.0);
+        *self.m.state_mut(id.0) = PastryPeer {
+            table: Lazy::Mat(TABLES.build(&self.m, id.0)),
+            leaves: Lazy::Mat(self.true_leaves(id)),
+        };
     }
 
     /// Rebuild the leaf sets, not the tables, of those of `ids` still alive.
     fn refresh_leaves_of_live(&mut self, ids: Vec<PastryId>) {
         for id in ids {
             if self.is_alive(id) {
-                *self.m.extra_mut(id.0) = Lazy::Mat(self.true_leaves(id));
+                self.m.state_mut(id.0).leaves = Lazy::Mat(self.true_leaves(id));
             }
         }
     }
@@ -305,8 +317,8 @@ impl PastryNetwork {
     /// [`stabilize`]: PastryNetwork::stabilize
     pub fn table_violation(&self) -> Option<String> {
         for id in self.alive_ids() {
-            let peer = self.m.peer(id.0).expect("live node");
-            let held = self.leaf_view(Entry::unranked(id.0), &peer.extra);
+            let peer = &self.m.record(id.0).expect("live node").state;
+            let held = self.leaf_view(Entry::unranked(id.0), &peer.leaves);
             let truth = self.true_leaves(id);
             for (clockwise, want) in [(true, &truth.cw), (false, &truth.ccw)] {
                 let held: Vec<PastryId> = held.side(clockwise).map(|e| PastryId(e.key)).collect();
@@ -318,7 +330,7 @@ impl PastryNetwork {
                 }
             }
         }
-        self.m.table_violation("table")
+        TABLES.violation(&self.m, |p| &p.table, "table")
     }
 
     // ------------------------------------------------------------------
@@ -347,10 +359,10 @@ impl PastryNetwork {
     /// The leaves the (live or dead) node `key` believes in, clockwise
     /// side first; empty for an unknown node.
     fn leaves_of(&self, key: u64) -> Vec<PastryId> {
-        let Some(peer) = self.m.peer(key) else {
+        let Some(peer) = self.m.record(key) else {
             return Vec::new();
         };
-        let view = self.leaf_view(Entry::unranked(key), &peer.extra);
+        let view = self.leaf_view(Entry::unranked(key), &peer.state.leaves);
         let both = view.side(true).chain(view.side(false));
         both.map(|e| PastryId(e.key)).collect()
     }
@@ -402,8 +414,8 @@ impl PastryNetwork {
             let (leaves, table) = if settled {
                 (&Lazy::Canon, &Lazy::Canon)
             } else {
-                let peer = self.m.peer(at.key).expect("hops visit known nodes");
-                (&peer.extra, &peer.table)
+                let peer = &self.m.record(at.key).expect("hops visit known nodes").state;
+                (&peer.leaves, &peer.table)
             };
             let leaves = self.leaf_view(at, leaves);
             let known_leaves = || leaves.side(false).chain(leaves.side(true));
@@ -438,7 +450,7 @@ impl PastryNetwork {
             let l = cur.shared_prefix_digits(key);
             debug_assert!(l < DIGITS, "equal ids handled by leaf delivery");
             let mut next = None;
-            if let Some(n) = self.m.slot(at.key, table, l, key.digit(l)) {
+            if let Some(n) = TABLES.slot(&self.m, at.key, table, l, key.digit(l)) {
                 if alive(n) {
                     next = Some(n);
                 } else {
@@ -451,7 +463,8 @@ impl PastryNetwork {
             // so only rows from `l` down can qualify.
             if next.is_none() {
                 let rows = (l..DIGITS).flat_map(|row| {
-                    (0..RADIX as u8).filter_map(move |d| self.m.slot(at.key, table, row, d))
+                    (0..RADIX as u8)
+                        .filter_map(move |d| TABLES.slot(&self.m, at.key, table, row, d))
                 });
                 for cand in known_leaves().chain(rows) {
                     let id = PastryId(cand.key);
@@ -588,8 +601,8 @@ impl KeyRouter for PastryNetwork {
     fn walk_step(&self, at: u64) -> Option<u64> {
         // The clockwise ring neighbor, like Chord's successor step: first
         // live clockwise leaf.
-        let peer = self.m.peer(at)?;
-        let view = self.leaf_view(Entry::unranked(at), &peer.extra);
+        let peer = self.m.record(at)?;
+        let view = self.leaf_view(Entry::unranked(at), &peer.state.leaves);
         let mut leaves = view.side(true).map(|e| e.key);
         leaves.find(|&n| n != at && self.m.is_alive(n))
     }
@@ -606,7 +619,6 @@ impl KeyRouter for PastryNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgrid_sim::prefix::Table;
     use dgrid_sim::rng::{rng_for, streams};
 
     fn network(n: usize, seed: u64) -> (PastryNetwork, Vec<PastryId>) {
@@ -722,6 +734,31 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_slot_falls_back_to_the_closest_known_node() {
+        // No id starts with the key's digit 7, so neither 1000 nor 5000 has
+        // a table entry for it, and the key lies outside both leaf spans:
+        // each hop is the fallback to the closest node it knows, first 5000
+        // (from 1000's table), then 5800 (from 5000's leaf set).
+        let mut net = PastryNetwork::new(PastryConfig {
+            leaf_half: 1,
+            ..PastryConfig::default()
+        });
+        for top in [0x1000u64, 0x1100, 0x5000, 0x5800, 0x9000, 0xD000] {
+            net.join(PastryId(top << 48));
+        }
+        net.stabilize();
+        let key = PastryId(0x7000 << 48);
+        let route = net.route(PastryId(0x1000 << 48), key).expect("routes");
+        let want = Route {
+            owner: PastryId(0x5800 << 48),
+            hops: 2,
+            timeouts: 0,
+        };
+        assert_eq!(route, want);
+        assert_eq!(net.owner_of(key), Some(want.owner));
+    }
+
+    #[test]
     fn graceful_leave_repairs_leaf_sets() {
         let (mut net, ids) = network(64, 9);
         let victim = ids[10];
@@ -764,6 +801,13 @@ mod tests {
             assert_eq!(eager.route(from, key), lazy.route(from, key));
         }
         assert_eq!(lazy.table_violation(), None);
+    }
+
+    #[test]
+    fn a_record_is_the_size_the_network_held_before_sharing_it() {
+        // Two tags and the liveness flag: 80 B of value per B-tree entry.
+        let record = std::mem::size_of::<dgrid_sim::overlay::Record<PastryPeer>>();
+        assert_eq!(record, 80);
     }
 
     #[test]
@@ -847,7 +891,7 @@ mod tests {
     /// refreshes a node's — from the network's own live set, which a
     /// refresh does not change.
     #[derive(Default)]
-    struct Reference(std::collections::BTreeMap<u64, Stored>);
+    struct Reference(std::collections::HashMap<u64, Stored>);
 
     impl Reference {
         fn refresh_node(&mut self, net: &PastryNetwork, id: PastryId) {
@@ -888,10 +932,14 @@ mod tests {
 
     /// One node's state read through the lazy accessors, in stored form.
     fn effective(net: &PastryNetwork, id: u64) -> Stored {
-        let peer = net.m.peer(id).expect("known node");
-        let view = net.leaf_view(Entry::unranked(id), &peer.extra);
+        let peer = &net.m.record(id).expect("known node").state;
+        let view = net.leaf_view(Entry::unranked(id), &peer.leaves);
         let side = |clockwise| view.side(clockwise).map(|e| PastryId(e.key)).collect();
-        let slot = |row, d| net.m.slot(id, &peer.table, row, d as u8).map(|e| e.key);
+        let slot = |row, d| {
+            TABLES
+                .slot(&net.m, id, &peer.table, row, d as u8)
+                .map(|e| e.key)
+        };
         let table = (0..DIGITS).map(|row| std::array::from_fn(|d| slot(row, d)));
         (
             LeafSets {
@@ -903,10 +951,9 @@ mod tests {
     }
 
     fn materialised_nodes(net: &PastryNetwork) -> usize {
-        let mat = |p: &dgrid_sim::prefix::Peer<Lazy<LeafSets>>| {
-            matches!(p.table, Lazy::Mat(_)) || matches!(p.extra, Lazy::Mat(_))
-        };
-        net.m.peers().filter(|(_, p)| mat(p)).count()
+        let mat =
+            |p: &PastryPeer| matches!(p.table, Lazy::Mat(_)) || matches!(p.leaves, Lazy::Mat(_));
+        net.m.records().filter(|(_, r)| mat(&r.state)).count()
     }
 
     #[test]
@@ -926,7 +973,7 @@ mod tests {
         net.leave(PastryId(keys[4242]));
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
-        assert_eq!(net.m.peers().count(), net.len(), "dead records collected");
+        assert_eq!(net.m.records().count(), net.len(), "dead records collected");
         assert_eq!(net.len(), 9_999);
     }
 
@@ -996,14 +1043,56 @@ mod tests {
                 let stored = &reference.0[&id.0];
                 prop_assert_eq!(&effective(net, id.0), stored, "state of {}", id);
             }
-            // What `settled` short-cuts must still be ground truth.
-            for rank in 0..=live.len() {
-                let at = net.m.alive_key_at(rank).map(PastryId);
-                prop_assert_eq!(at, live.get(rank).copied());
-            }
             for &from in live.iter().take(6) {
                 let owner = net.route(from, PastryId(!from.0)).expect("routes").owner;
                 prop_assert!(net.is_alive(owner), "{} delivered to dead {}", from, owner);
+            }
+            Ok(())
+        }
+
+        /// Everything the network answers equals what a clone that has
+        /// forgotten it is settled answers by walking the records and
+        /// probing liveness: what `settled` short-cuts is ground truth.
+        fn reads_agree(net: &PastryNetwork) -> Result<(), TestCaseError> {
+            let mut walked = net.clone();
+            walked.m.unsettle();
+            let live = walked.alive_keys();
+            prop_assert_eq!(net.alive_keys(), live.clone());
+            for rank in 0..=live.len() {
+                prop_assert_eq!(net.alive_key_at(rank), walked.alive_key_at(rank));
+            }
+            let near = live
+                .iter()
+                .flat_map(|&k| [k, k.wrapping_add(1), k.wrapping_sub(1)]);
+            let keys: Vec<u64> = near.chain([0, u64::MAX]).collect();
+            for &key in &keys {
+                let owner = KeyRouter::owner_of(net, key);
+                prop_assert_eq!(
+                    owner,
+                    KeyRouter::owner_of(&walked, key),
+                    "owner of {:x}",
+                    key
+                );
+                prop_assert_eq!(KeyRouter::is_alive(net, key), walked.m.is_alive(key));
+            }
+            for &from in &live {
+                let level = net.shortest_owned_prefix(from);
+                prop_assert_eq!(level, walked.shortest_owned_prefix(from));
+                prop_assert_eq!(net.failover_peers(from), walked.failover_peers(from));
+                prop_assert_eq!(net.walk_step(from), walked.walk_step(from));
+            }
+            for &from in live.iter().take(2) {
+                for &key in keys.iter().step_by(2) {
+                    prop_assert_eq!(net.lookup(from, key), walked.lookup(from, key));
+                    let owner = net.lookup_owner(from, key);
+                    prop_assert_eq!(
+                        owner,
+                        walked.lookup_owner(from, key),
+                        "{:x} from {:x}",
+                        key,
+                        from
+                    );
+                }
             }
             Ok(())
         }
@@ -1014,7 +1103,7 @@ mod tests {
             /// After every step of a churn history, every live node's leaf
             /// sets and full table read through the lazy accessors equal
             /// the stored state of the reference, refreshed at the same
-            /// points.
+            /// points, and every read equals the walked one.
             #[test]
             fn lazy_views_equal_the_materialised_reference(
                 initial in proptest::collection::hash_set(crowded_id(), 2..40),
@@ -1040,6 +1129,7 @@ mod tests {
                         _ => {}
                     }
                     views_match(&net, &reference)?;
+                    reads_agree(&net)?;
                 }
             }
 

@@ -105,6 +105,7 @@ mod tests {
     use dgrid_chord::{ChordId, ChordRing};
     use dgrid_resources::{Capabilities, OsType, ResourceKind};
     use dgrid_sim::rng::{rng_for, streams};
+    use dgrid_sim::router::KeyRouter;
     use rand::Rng;
     use std::collections::HashMap;
 
@@ -116,7 +117,7 @@ mod tests {
         let mut count = 0;
         while count < n {
             let id = ChordId(rng.gen());
-            if ring.is_alive(id) {
+            if ring.is_alive(id.0) {
                 continue;
             }
             ring.join(id);

@@ -401,7 +401,7 @@ mod tests {
         let mut count = 0;
         while count < n {
             let id = ChordId(rng.gen());
-            if !ring.is_alive(id) {
+            if !ring.is_alive(id.0) {
                 ring.join(id);
                 count += 1;
             }
@@ -594,7 +594,7 @@ mod tests {
         let tree = RnTree::build(&ring);
         assert_eq!(tree.len(), 70);
         for id in tree.ids() {
-            assert!(ring.is_alive(ChordId(id)));
+            assert!(ring.is_alive(id));
         }
     }
 }

@@ -28,10 +28,13 @@
 //!   substrate-agnostic key-routing surface (membership, ownership,
 //!   cost-counted lookup, maintenance, debug checks) that Chord, Pastry,
 //!   and Tapestry implement and the matchmaking layer builds on.
-//! * [`prefix`] — what the two prefix-routing substrates share: hexadecimal
-//!   digit arithmetic, the sorted live-key snapshot of the last stabilize,
-//!   and per-peer tables that are computed from it until an individual
-//!   refresh materialises one.
+//! * [`overlay`] — the one membership type under Chord, Pastry and
+//!   Tapestry: every peer's record and routing state, and the sorted
+//!   live-key snapshot of the last stabilize that routing state is computed
+//!   from until an individual refresh materialises it, and that answers
+//!   every ground-truth read while nothing has changed since.
+//! * [`prefix`] — what the two prefix-routing substrates share beyond
+//!   that: hexadecimal digit arithmetic and the routing tables.
 //! * [`failover`] — the shared detour skeleton behind every overlay's
 //!   lookup failover (Chord successor lists, CAN neighbor handoffs, generic
 //!   `KeyRouter` retries).
@@ -68,6 +71,7 @@ pub mod failover;
 pub mod fault;
 pub mod hist;
 pub mod net;
+pub mod overlay;
 pub mod prefix;
 pub mod rng;
 pub mod router;

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use dgrid_sim::prefix::{self, Lazy, Membership, DIGITS as LEVELS, DIGIT_BITS, RADIX};
+use dgrid_sim::overlay::{Lazy, Membership};
+use dgrid_sim::prefix::{self, Table, Tables, DIGITS as LEVELS, DIGIT_BITS, RADIX};
 use dgrid_sim::rng::splitmix64;
 use dgrid_sim::router::{KeyRouter, RouteCost};
 use rand::Rng;
@@ -75,12 +76,16 @@ pub struct Route {
 /// are stored only where an individual refresh has materialised them since
 /// the last [`TapestryNetwork::stabilize`]; any other entry is one binary
 /// search into the shared snapshot, made when a route asks for it.
+#[derive(Clone)]
 pub struct TapestryNetwork {
     cfg: TapestryConfig,
-    /// A level keeps an entry for its owner's own digit too: the surrogate
-    /// scan reads it.
-    m: Membership<()>,
+    /// Per node: its neighbor maps.
+    m: Membership<Lazy<Table>>,
 }
+
+/// A level keeps an entry for its owner's own digit too: the surrogate scan
+/// reads it.
+const TABLES: Tables = Tables { own_slots: true };
 
 impl Default for TapestryNetwork {
     fn default() -> Self {
@@ -93,7 +98,7 @@ impl TapestryNetwork {
     pub fn new(cfg: TapestryConfig) -> Self {
         TapestryNetwork {
             cfg,
-            m: Membership::new(true),
+            m: Membership::default(),
         }
     }
 
@@ -119,11 +124,7 @@ impl TapestryNetwork {
 
     /// A uniformly random live node.
     pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<TapestryId> {
-        if self.is_empty() {
-            return None;
-        }
-        let n = rng.gen_range(0..self.len());
-        self.m.alive_key_at(n).map(TapestryId)
+        self.m.random_key(rng).map(TapestryId)
     }
 
     /// Ground truth: the unique root of `key` under surrogate routing.
@@ -141,7 +142,7 @@ impl TapestryNetwork {
             // Some slot is live while anyone is: the carrier's prefix is.
             let (lo, hi) = (0..RADIX as u8)
                 .map(|k| prefix_carrier.slot_range(level, (want + k) % 16))
-                .find(|&(lo, hi)| self.m.first_alive_in(lo, hi).is_some())?;
+                .find(|&(lo, hi)| self.m.alive_in(lo..=hi).next().is_some())?;
             // Fix this digit in the carrier and continue.
             let shift = 64 - DIGIT_BITS * (level + 1);
             let kept_mask = u64::MAX << shift;
@@ -179,7 +180,7 @@ impl TapestryNetwork {
     /// # Panics
     /// If a live node with this id already exists.
     pub fn join_deferred(&mut self, id: TapestryId) {
-        self.m.admit(id.0, ());
+        self.m.admit(id.0, Lazy::Mat(Table::new()));
     }
 
     /// Graceful departure: the node's immediate prefix neighbourhood is
@@ -195,11 +196,11 @@ impl TapestryNetwork {
             .rev()
             .flat_map(|level| (0..RADIX as u8).map(move |d| id.slot_range(level, d)));
         let neighbourhood: Vec<u64> = slots
-            .filter_map(|(lo, hi)| self.m.first_alive_in(lo, hi))
+            .filter_map(|(lo, hi)| self.m.alive_in(lo..=hi).next())
             .take(RADIX)
             .collect();
         for n in neighbourhood {
-            self.m.refresh_table(n);
+            self.refresh_node(TapestryId(n));
         }
     }
 
@@ -213,7 +214,7 @@ impl TapestryNetwork {
 
     /// Rebuild one node's neighbor maps from ground truth.
     pub fn refresh_node(&mut self, id: TapestryId) {
-        self.m.refresh_table(id.0);
+        *self.m.state_mut(id.0) = Lazy::Mat(TABLES.build(&self.m, id.0));
     }
 
     /// Full stabilization: everyone refreshes, dead records are collected.
@@ -232,7 +233,7 @@ impl TapestryNetwork {
     ///
     /// [`stabilize`]: TapestryNetwork::stabilize
     pub fn table_violation(&self) -> Option<String> {
-        self.m.table_violation("maps")
+        TABLES.violation(&self.m, |maps| maps, "maps")
     }
 
     /// Whether a route is known to end at the key's root without being
@@ -271,7 +272,7 @@ impl TapestryNetwork {
             let maps = if settled {
                 &Lazy::Canon
             } else {
-                &self.m.peer(cur).expect("hops visit known nodes").table
+                &self.m.record(cur).expect("hops visit known nodes").state
             };
             if sole && matches!(maps, Lazy::Canon) {
                 // Every deeper level of such maps holds `cur` under its own
@@ -282,7 +283,7 @@ impl TapestryNetwork {
             let mut advanced = false;
             for k in 0..RADIX as u8 {
                 let d = (want + k) % 16;
-                let Some(n) = self.m.slot(cur, maps, level, d) else {
+                let Some(n) = TABLES.slot(&self.m, cur, maps, level, d) else {
                     continue;
                 };
                 if settled || self.m.is_alive(n.key) {
@@ -315,10 +316,12 @@ impl TapestryNetwork {
 
     /// The entries of the (live or dead) node `from`, level-major.
     fn entries(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
-        let maps = self.m.peer(from).map(|p| &p.table);
+        let maps = self.m.record(from).map(|r| &r.state);
         maps.into_iter().flat_map(move |maps| {
             let slots = (0..LEVELS).flat_map(|level| (0..RADIX as u8).map(move |d| (level, d)));
-            slots.filter_map(move |(level, d)| self.m.slot(from, maps, level, d).map(|e| e.key))
+            slots.filter_map(move |(level, d)| {
+                TABLES.slot(&self.m, from, maps, level, d).map(|e| e.key)
+            })
         })
     }
 }
@@ -420,7 +423,6 @@ impl KeyRouter for TapestryNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgrid_sim::prefix::Table;
     use dgrid_sim::rng::{rng_for, streams};
 
     fn network(n: usize, seed: u64) -> (TapestryNetwork, Vec<TapestryId>) {
@@ -598,7 +600,7 @@ mod tests {
     /// snapshot, refreshed at the points the network refreshes a node's —
     /// from the network's own live set, which a refresh does not change.
     #[derive(Default)]
-    struct Reference(std::collections::BTreeMap<u64, Table>);
+    struct Reference(std::collections::HashMap<u64, Table>);
 
     impl Reference {
         fn refresh_node(&mut self, net: &TapestryNetwork, id: TapestryId) {
@@ -647,15 +649,22 @@ mod tests {
 
     /// One node's maps read through the lazy accessor, in stored form.
     fn effective(net: &TapestryNetwork, id: u64) -> Table {
-        let maps = &net.m.peer(id).expect("known node").table;
-        let slot = |level, d| net.m.slot(id, maps, level, d as u8).map(|e| e.key);
+        let maps = &net.m.record(id).expect("known node").state;
+        let slot = |level, d| TABLES.slot(&net.m, id, maps, level, d as u8).map(|e| e.key);
         let rows = (0..LEVELS).map(|level| std::array::from_fn(|d| slot(level, d)));
         rows.collect()
     }
 
     fn materialised_nodes(net: &TapestryNetwork) -> usize {
-        let held = |p: &prefix::Peer<()>| matches!(p.table, Lazy::Mat(_));
-        net.m.peers().filter(|(_, p)| held(p)).count()
+        let held = |maps: &Lazy<Table>| matches!(maps, Lazy::Mat(_));
+        net.m.records().filter(|(_, r)| held(&r.state)).count()
+    }
+
+    #[test]
+    fn a_record_is_the_size_the_network_held_before_sharing_it() {
+        // One tag and the liveness flag: 32 B of value per B-tree entry.
+        let record = std::mem::size_of::<dgrid_sim::overlay::Record<Lazy<Table>>>();
+        assert_eq!(record, 32);
     }
 
     #[test]
@@ -681,7 +690,7 @@ mod tests {
         net.fail(TapestryId(keys[17]));
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
-        assert_eq!(net.m.peers().count(), net.len(), "dead records collected");
+        assert_eq!(net.m.records().count(), net.len(), "dead records collected");
         assert_eq!(net.len(), 9_999);
     }
 
@@ -702,6 +711,10 @@ mod tests {
         net.join(TapestryId(c));
         assert_eq!(effective(&net, a)[0][9], Some(b));
         assert_eq!(effective(&net, c)[0][1], Some(a), "the joiner looked");
+        // A route from the joiner reads its stored maps, which never held
+        // `b`: no timeout.
+        let res = net.route(TapestryId(c), TapestryId(b)).unwrap();
+        assert_eq!((res.owner, res.hops, res.timeouts), (TapestryId(c), 0, 0));
         net.stabilize();
         assert_eq!(effective(&net, a)[0][9], Some(c));
     }
@@ -743,14 +756,51 @@ mod tests {
             for &id in &live {
                 prop_assert_eq!(&effective(net, id.0), &reference.0[&id.0], "maps of {}", id);
             }
-            // What `settled` short-cuts must still be ground truth.
-            for rank in 0..=live.len() {
-                let at = net.m.alive_key_at(rank).map(TapestryId);
-                prop_assert_eq!(at, live.get(rank).copied());
-            }
             for &from in live.iter().take(6) {
                 let owner = net.route(from, TapestryId(!from.0)).expect("routes").owner;
                 prop_assert!(net.is_alive(owner), "{} delivered to dead {}", from, owner);
+            }
+            Ok(())
+        }
+
+        /// Everything the network answers equals what a clone that has
+        /// forgotten it is settled answers by walking the records and
+        /// probing liveness: what `settled` short-cuts is ground truth.
+        fn reads_agree(net: &TapestryNetwork) -> Result<(), TestCaseError> {
+            let mut walked = net.clone();
+            walked.m.unsettle();
+            let live = walked.alive_keys();
+            prop_assert_eq!(net.alive_keys(), live.clone());
+            for rank in 0..=live.len() {
+                prop_assert_eq!(net.alive_key_at(rank), walked.alive_key_at(rank));
+            }
+            let near = live
+                .iter()
+                .flat_map(|&k| [k, k.wrapping_add(1), k.wrapping_sub(1)]);
+            let keys: Vec<u64> = near.chain([0, u64::MAX]).collect();
+            for &key in &keys {
+                let root = net.root_of(TapestryId(key));
+                prop_assert_eq!(root, walked.root_of(TapestryId(key)), "root of {:x}", key);
+                prop_assert_eq!(KeyRouter::is_alive(net, key), walked.m.is_alive(key));
+            }
+            for &from in &live {
+                let level = net.shortest_owned_prefix(from);
+                prop_assert_eq!(level, walked.shortest_owned_prefix(from));
+                prop_assert_eq!(net.failover_peers(from), walked.failover_peers(from));
+                prop_assert_eq!(net.walk_step(from), walked.walk_step(from));
+            }
+            for &from in live.iter().take(2) {
+                for &key in keys.iter().step_by(2) {
+                    prop_assert_eq!(net.lookup(from, key), walked.lookup(from, key));
+                    let owner = net.lookup_owner(from, key);
+                    prop_assert_eq!(
+                        owner,
+                        walked.lookup_owner(from, key),
+                        "{:x} from {:x}",
+                        key,
+                        from
+                    );
+                }
             }
             Ok(())
         }
@@ -760,7 +810,8 @@ mod tests {
 
             /// After every step of a churn history, every live node's full
             /// maps read through the lazy accessor equal the stored maps of
-            /// the reference, refreshed at the same points.
+            /// the reference, refreshed at the same points, and every read
+            /// equals the walked one.
             #[test]
             fn lazy_maps_equal_the_materialised_reference(
                 initial in proptest::collection::hash_set(crowded_id(), 2..40),
@@ -786,6 +837,7 @@ mod tests {
                         _ => {}
                     }
                     views_match(&net, &reference)?;
+                    reads_agree(&net)?;
                 }
             }
         }
