@@ -27,8 +27,8 @@
 //!   [`RnTree::build_counting`] routes it and reports the hops);
 //! * the node owning key `0` is the unique **root**; under Chord's interval
 //!   ownership parent ids strictly decrease along every chain, so the
-//!   structure is always a tree (for other ownership rules a cheap repair
-//!   pass restores acyclicity);
+//!   structure is always a tree (Pastry's and Tapestry's ownership carry no
+//!   such order, and the build asserts that their parents form a tree);
 //! * with uniform random GUIDs each parent step roughly halves the candidate
 //!   prefix region, giving expected height `O(log N)` (asserted empirically
 //!   in the tests and reproduced as experiment `T-tree`).

@@ -20,8 +20,7 @@ use dgrid_sim::router::{prefix_key, KeyRouter};
 
 use crate::aggregate::SubtreeInfo;
 
-/// `parent` entry of the root (and, during construction, of a node whose
-/// parent is not a member).
+/// `parent` entry of the root.
 const NO_PARENT: u32 = u32::MAX;
 
 /// The Rendezvous Node Tree over a snapshot of overlay membership.
@@ -81,10 +80,14 @@ fn preorder(root: u32, kid_start: &[u32], kids: &[u32]) -> Vec<u32> {
 }
 
 impl RnTree {
-    /// Build the tree for all live nodes of `router`.
+    /// Build the tree for all live nodes of `router`, which has been
+    /// stabilized since its last membership change (as every engine rebuild
+    /// is), so that every parent lookup names the ground-truth owner.
     ///
     /// # Panics
-    /// If the overlay is empty.
+    /// If the overlay is empty, or if the parent pointers its lookups give
+    /// do not form one tree — a lookup that names the asker itself or a
+    /// non-member, or a cycle; no stabilized substrate's lookups do that.
     pub fn build<R: KeyRouter>(router: &R) -> RnTree {
         Self::build_via(router, |id, key| {
             router.lookup_owner(id, key).expect("stable overlay routes")
@@ -122,38 +125,20 @@ impl RnTree {
             // Local step: the shortest prefix of our id we still own.
             let level = router.shortest_owned_prefix(id);
             debug_assert!(level > 0, "only the root owns key 0");
-            // One DHT lookup: the owner of the next-shorter prefix.
-            let key = prefix_key(id, level - 1);
-            let mut p = owner_from(id, key);
-            if p == id {
-                // Stale routing delivered the query back to the asker; the
-                // level rule guarantees the shorter prefix is *not* ours, so
-                // fall back to ground truth. (Chord routes never do this.)
-                p = router.owner_of(key).expect("non-empty overlay");
-            }
-            // An owner outside the membership leaves the node detached
-            // until the repair below.
-            parent[r] = rank_of(p).unwrap_or(NO_PARENT);
+            // One DHT lookup: the owner of the next-shorter prefix, which
+            // the level rule says is not ours.
+            let p = owner_from(id, prefix_key(id, level - 1));
+            assert_ne!(p, id, "the parent lookup came back to the asker");
+            parent[r] = rank_of(p).expect("the parent is a live node");
         }
 
-        // Acyclicity repair. Chord's interval ownership makes parent ids
-        // strictly decrease, so every chain reaches the root; numeric-
-        // closeness (Pastry) and surrogate (Tapestry) ownership admit rare
-        // parent cycles on stale snapshots. Graft every node that cannot
-        // reach the root onto the root directly — a no-op for Chord.
-        let (mut kid_start, mut kids) = child_lists(&parent);
-        let mut order = preorder(root, &kid_start, &kids);
-        if order.len() < ids.len() {
-            let mut reached = vec![false; ids.len()];
-            for &r in &order {
-                reached[r as usize] = true;
-            }
-            for (p, _) in parent.iter_mut().zip(reached).filter(|(_, hit)| !hit) {
-                *p = root;
-            }
-            (kid_start, kids) = child_lists(&parent);
-            order = preorder(root, &kid_start, &kids);
-        }
+        // Chord's interval ownership makes parent ids strictly decrease, so
+        // every chain reaches the root. Pastry's and Tapestry's ownership
+        // carries no such order, but no stabilized overlay has been seen to
+        // close a cycle.
+        let (kid_start, kids) = child_lists(&parent);
+        let order = preorder(root, &kid_start, &kids);
+        assert_eq!(order.len(), ids.len(), "a parent chain misses the root");
 
         RnTree {
             kid_ids: kids.iter().map(|&r| ids[r as usize]).collect(),

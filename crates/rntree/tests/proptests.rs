@@ -11,7 +11,7 @@ use dgrid_chord::{ChordId, ChordRing};
 use dgrid_pastry::PastryNetwork;
 use dgrid_resources::{Capabilities, JobRequirements, OsType, ResourceKind};
 use dgrid_rntree::{RnTree, RnTreeIndex, SubtreeInfo};
-use dgrid_sim::router::{prefix_key, KeyRouter, RouteCost};
+use dgrid_sim::router::{prefix_key, KeyRouter};
 use dgrid_tapestry::TapestryNetwork;
 use proptest::prelude::*;
 
@@ -165,69 +165,6 @@ fn reference<R: KeyRouter>(net: &R, caps: &HashMap<u64, Capabilities>) -> Refere
     (parent, children, info)
 }
 
-/// Interval ownership over a fixed membership, under a `lookup` that
-/// names a pseudo-random member — or, now and then, the asker or nobody —
-/// as the owner: parent pointers form cycles and chains hanging off them,
-/// loop back, and leave the membership.
-#[derive(Default)]
-struct Scrambled {
-    ids: Vec<u64>,
-    salt: u64,
-}
-
-impl KeyRouter for Scrambled {
-    const SUBSTRATE: &'static str = "scrambled";
-
-    fn key_of(raw: u64) -> u64 {
-        raw
-    }
-    fn is_alive(&self, key: u64) -> bool {
-        self.ids.binary_search(&key).is_ok()
-    }
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-    fn alive_keys(&self) -> Vec<u64> {
-        self.ids.clone()
-    }
-    fn owner_of(&self, key: u64) -> Option<u64> {
-        let at = self.ids.partition_point(|&id| id < key);
-        self.ids.get(at).or(self.ids.first()).copied()
-    }
-    fn lookup(&self, from: u64, _key: u64) -> Option<RouteCost> {
-        let pick = ChordId::hash_of(from ^ self.salt).0 as usize % (self.ids.len() + 2);
-        let owner = match self.ids.get(pick) {
-            Some(&member) => member,
-            None if pick == self.ids.len() => from,
-            None => !from,
-        };
-        Some(RouteCost {
-            owner,
-            hops: 1,
-            timeouts: 0,
-        })
-    }
-    fn failover_peers(&self, _from: u64) -> Vec<u64> {
-        Vec::new()
-    }
-    fn walk_step(&self, _at: u64) -> Option<u64> {
-        None
-    }
-    fn table_violation(&self) -> Option<String> {
-        None
-    }
-    fn stabilize(&mut self) {}
-    fn join(&mut self, _key: u64) {
-        unimplemented!("fixed membership")
-    }
-    fn leave(&mut self, _key: u64) {
-        unimplemented!("fixed membership")
-    }
-    fn fail(&mut self, _key: u64) {
-        unimplemented!("fixed membership")
-    }
-}
-
 fn dense_index_after_churn<R: KeyRouter>(
     initial: &HashSet<u64>,
     steps: &Churn,
@@ -276,7 +213,7 @@ proptest! {
     }
 
     /// The rank-indexed tree and its one-sweep aggregates equal the
-    /// hash-map reference on every substrate, repair pass included.
+    /// hash-map reference on every substrate.
     #[test]
     fn dense_layout_equals_the_reference(
         initial in proptest::collection::hash_set(any::<u64>(), 1..40),
@@ -285,20 +222,6 @@ proptest! {
         dense_index_after_churn::<ChordRing>(&initial, &steps)?;
         dense_index_after_churn::<PastryNetwork>(&initial, &steps)?;
         dense_index_after_churn::<TapestryNetwork>(&initial, &steps)?;
-    }
-
-    /// The repair pass, which no real substrate reaches in these sizes:
-    /// under scrambled parent pointers the grafted tree still equals the
-    /// reference's.
-    #[test]
-    fn repaired_trees_equal_the_reference(
-        ids in proptest::collection::hash_set(any::<u64>(), 1..60),
-        salt in any::<u64>(),
-    ) {
-        let mut ids: Vec<u64> = ids.into_iter().collect();
-        ids.sort_unstable();
-        let net = Scrambled { ids, salt };
-        dense_index_matches_the_reference(&net)?;
     }
 
     /// Single root, full coverage, strictly-decreasing parent ids
