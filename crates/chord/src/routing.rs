@@ -721,8 +721,8 @@ mod tests {
         }
 
         /// Everything the ring answers while settled equals what a clone
-        /// that has forgotten it is settled answers by walking `peers` and
-        /// probing liveness; and either way a route is the reference's.
+        /// that has forgotten it is settled answers by walking its records
+        /// and probing liveness; and either way a route is the reference's.
         fn reads_agree(ring: &ChordRing, keys: &[u64]) -> Result<(), TestCaseError> {
             let mut walked = ring.clone();
             walked.m.unsettle();
