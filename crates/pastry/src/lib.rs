@@ -12,10 +12,11 @@
 //!   nodes on each side) and a **routing table** with one row per shared
 //!   prefix length and one entry per next digit — *kept*, not stored: what
 //!   a full [`stabilize`](PastryNetwork::stabilize) leaves a node with is a
-//!   function of the sorted live ids alone, so the network holds that one
-//!   snapshot (`dgrid_sim::prefix`) and computes a table slot (one binary
-//!   search) or a leaf set (the node's snapshot neighbours) when a route
-//!   asks for it. Only state refreshed individually since — a joiner's, the
+//!   function of the sorted live ids alone, so the network's membership
+//!   (`dgrid_sim::overlay`) holds that one snapshot, and a table slot
+//!   (`dgrid_sim::prefix`; one binary search) or a leaf set (the node's
+//!   snapshot neighbours) is computed from it when a route asks for it.
+//!   Only state refreshed individually since — a joiner's, the
 //!   leaf sets its neighbours repair on a join or a graceful leave — is
 //!   materialised, until the next stabilize. A computed view stays pinned
 //!   to the snapshot while membership moves on, so it goes stale exactly

@@ -9,9 +9,10 @@
 //!   per digit, each entry a node sharing the row's prefix with that next
 //!   digit — *kept*, not stored: what a full
 //!   [`stabilize`](TapestryNetwork::stabilize) leaves a node with is a
-//!   function of the sorted live ids alone, so the network holds that one
-//!   snapshot (`dgrid_sim::prefix`) and computes an entry by one binary
-//!   search when a route asks for it. Only maps refreshed individually
+//!   function of the sorted live ids alone, so the network's membership
+//!   (`dgrid_sim::overlay`) holds that one snapshot, and an entry
+//!   (`dgrid_sim::prefix`) is one binary search into it, made when a route
+//!   asks for it. Only maps refreshed individually
 //!   since — a joiner's, a graceful leaver's prefix neighbourhood — are
 //!   materialised, until the next stabilize. A computed entry stays pinned
 //!   to the snapshot while membership moves on, so it goes stale exactly
