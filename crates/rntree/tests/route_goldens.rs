@@ -314,6 +314,37 @@ fn pastry_routes_match_the_goldens() {
     );
 }
 
+/// 30 000 seeded keys, bulk-joined into a default Pastry overlay and
+/// stabilized: the size of the benchmark's Pastry grid, at which the
+/// closest-known-node fallback carries real weight. On this state it fires
+/// on 2 500 of the 12 000 routes below (20.8 %, counted with a temporary
+/// counter on the commit that pinned them), so the rows it scans are pinned
+/// as well as the slot a hop reads first. The random-walk step of every
+/// 8th live key is pinned beside them.
+#[test]
+fn a_large_settled_pastry_overlay_routes_like_the_golden() {
+    let mut rng = rng_for(49, 0);
+    let mut keys: Vec<u64> = (0..30_000).map(|_| rng.gen()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut net = PastryNetwork::default();
+    net.bulk_join(&keys);
+    net.stabilize();
+    let (routes, truth) = hash_routes(&net, 12_000, 50);
+    let mut walks = Fnv::new();
+    for &k in net.alive_keys().iter().step_by(8) {
+        walks.opt(net.walk_step(k));
+    }
+    assert_eq!(
+        (routes, truth, walks.0),
+        (
+            (0x2225_4514_b1a1_352a, 44709, 0),
+            0xf7de_ee2a_a61f_9097,
+            0x59d0_0047_26f2_e58a
+        )
+    );
+}
+
 #[test]
 fn tapestry_routes_match_the_goldens() {
     let g = golden(|| TapestryNetwork::new(TapestryConfig { max_route_hops: 3 }));
