@@ -460,9 +460,12 @@ impl PastryNetwork {
             // Rare case / fallback: any known node strictly closer to the
             // key with at-least-as-long a shared prefix. An entry of row
             // `r` shares exactly `r` digits with the key while `r < l`,
-            // so only rows from `l` down can qualify.
+            // so only rows from `l` down can qualify, and none past the
+            // last row the table can fill. `closer_to` is a strict total
+            // order, so skipping empty slots cannot change the choice.
             if next.is_none() {
-                let rows = (l..DIGITS).flat_map(|row| {
+                let end = TABLES.rows(&self.m, at, table).end;
+                let rows = (l..end).flat_map(|row| {
                     (0..RADIX as u8)
                         .filter_map(move |d| TABLES.slot(&self.m, at.key, table, row, d))
                 });
@@ -600,7 +603,20 @@ impl KeyRouter for PastryNetwork {
 
     fn walk_step(&self, at: u64) -> Option<u64> {
         // The clockwise ring neighbor, like Chord's successor step: first
-        // live clockwise leaf.
+        // live clockwise leaf. While settled every leaf set is `Canon` and
+        // every leaf alive, so that is the snapshot successor: one search
+        // for the rank, no record, no liveness probe.
+        if self.m.settled() {
+            let rank = self.m.snapshot().rank(at)?;
+            let leaves = self.leaf_view(
+                Entry {
+                    key: at,
+                    rank: Some(rank),
+                },
+                &Lazy::Canon,
+            );
+            return leaves.side(true).next().map(|e| e.key);
+        }
         let peer = self.m.record(at)?;
         let view = self.leaf_view(Entry::unranked(at), &peer.state.leaves);
         let mut leaves = view.side(true).map(|e| e.key);
@@ -950,6 +966,79 @@ mod tests {
         )
     }
 
+    /// Pastry's route as first written, over each hop's stored-form state:
+    /// the fallback scans every row from `l` to the last, empty or not.
+    fn reference_route(net: &PastryNetwork, from: PastryId, key: PastryId) -> Option<Route> {
+        let (mut at, mut hops, mut timeouts) = (from, 0u32, 0u32);
+        loop {
+            if hops > net.cfg.max_route_hops {
+                return None;
+            }
+            let (leaves, table) = effective(net, at.0);
+            let known: Vec<PastryId> = leaves.ccw.iter().chain(&leaves.cw).copied().collect();
+            let lo = leaves.ccw.last().unwrap_or(&at).0;
+            let hi = leaves.cw.last().unwrap_or(&at).0;
+            if in_circular_span(lo, hi, key.0) || net.len() <= 2 * net.cfg.leaf_half + 1 {
+                let mut best = at;
+                for &cand in &known {
+                    if !net.is_alive(cand) {
+                        timeouts += 1;
+                    } else if cand.closer_to(key, best) {
+                        best = cand;
+                    }
+                }
+                if best == at {
+                    return Some(Route {
+                        owner: at,
+                        hops,
+                        timeouts,
+                    });
+                }
+                at = best;
+                hops += 1;
+                continue;
+            }
+            let l = at.shared_prefix_digits(key);
+            let mut next = None;
+            if let Some(n) = table[l as usize][usize::from(key.digit(l))].map(PastryId) {
+                if net.is_alive(n) {
+                    next = Some(n);
+                } else {
+                    timeouts += 1;
+                }
+            }
+            if next.is_none() {
+                let rows = table[l as usize..]
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .map(|&k| PastryId(k));
+                for cand in known.iter().copied().chain(rows) {
+                    if cand != at
+                        && net.is_alive(cand)
+                        && cand.shared_prefix_digits(key) >= l
+                        && cand.closer_to(key, next.unwrap_or(at))
+                    {
+                        next = Some(cand);
+                    }
+                }
+            }
+            match next {
+                Some(n) => {
+                    at = n;
+                    hops += 1;
+                }
+                None => {
+                    return Some(Route {
+                        owner: at,
+                        hops,
+                        timeouts,
+                    })
+                }
+            }
+        }
+    }
+
     fn materialised_nodes(net: &PastryNetwork) -> usize {
         let mat =
             |p: &PastryPeer| matches!(p.table, Lazy::Mat(_)) || matches!(p.leaves, Lazy::Mat(_));
@@ -1095,6 +1184,70 @@ mod tests {
                 }
             }
             Ok(())
+        }
+
+        /// Routes from random live nodes, to random keys and to keys near
+        /// live ones, against [`reference_route`].
+        fn routes_match_the_reference(
+            net: &PastryNetwork,
+            rng: &mut impl Rng,
+        ) -> Result<(), TestCaseError> {
+            let live = net.alive_ids();
+            for _ in 0..24 {
+                let from = live[rng.gen_range(0..live.len())];
+                let noise = rng.gen::<u64>() >> rng.gen_range(8..64);
+                let near = PastryId(live[rng.gen_range(0..live.len())].0 ^ noise);
+                for key in [PastryId(rng.gen()), near] {
+                    let want = reference_route(net, from, key);
+                    prop_assert_eq!(net.route(from, key), want, "{} from {}", key, from);
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The fallback's row bound changes no route: on settled and
+            /// churned networks of 16–5k peers every route equals the one
+            /// that scans all rows from the shared prefix down.
+            #[test]
+            fn bounded_fallback_routes_like_the_full_row_scan(
+                n in 16usize..5000,
+                seed in any::<u64>(),
+                leaf_half in 1usize..5,
+                steps in proptest::collection::vec(step(), 0..30),
+            ) {
+                let mut rng = rng_for(seed, 0);
+                // A quarter of the keys crowd one six-digit prefix, so deep
+                // rows fill and the bound is not always the shallow one.
+                let mut keys: Vec<u64> = (0..n)
+                    .map(|i| {
+                        let k: u64 = rng.gen();
+                        if i % 4 == 0 { (0x005A_5A5A << 40) | (k >> 24) } else { k }
+                    })
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                let mut net = PastryNetwork::new(PastryConfig {
+                    leaf_half,
+                    ..PastryConfig::default()
+                });
+                KeyRouter::bulk_join(&mut net, &keys);
+                net.stabilize();
+                routes_match_the_reference(&net, &mut rng)?;
+                for s in steps {
+                    let live = net.alive_ids();
+                    match s {
+                        Step::Join(id) if !net.is_alive(PastryId(id)) => net.join(PastryId(id)),
+                        Step::Leave(i) if live.len() > 1 => net.leave(live[i % live.len()]),
+                        Step::Fail(i) if live.len() > 1 => net.fail(live[i % live.len()]),
+                        Step::Stabilize => net.stabilize(),
+                        _ => {}
+                    }
+                }
+                routes_match_the_reference(&net, &mut rng)?;
+            }
         }
 
         proptest! {

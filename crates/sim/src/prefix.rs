@@ -11,8 +11,11 @@
 //! `Mat`, a table materialised by an individual refresh since.
 //!
 //! This module holds the digit arithmetic, the table layout ([`Tables`]),
-//! the slot a route reads, the ground-truth build and the debug check. Who
-//! owns a key and how a route walks the tables stay in the two crates.
+//! the slot a route reads and the rows a table can fill, the ground-truth
+//! build and the debug check. Who owns a key and how a route walks the
+//! tables stay in the two crates.
+
+use std::ops::Range;
 
 use crate::overlay::{Entry, Lazy, Membership};
 
@@ -116,6 +119,29 @@ impl Tables {
         }
     }
 
+    /// The rows of `table`, the table of peer `at`, that can hold an entry.
+    /// A `Mat` table reads all of them by indexing. A `Canon` table of a
+    /// layout without own slots has none deeper than the longest prefix `at`
+    /// shares with its snapshot neighbours (ranks ±1): the keys sharing `r`
+    /// digits with `at` form one interval around it, so a key in row `r`
+    /// puts the neighbour on its side in that interval too. A snapshot of one
+    /// key has no rows at all.
+    pub fn rows<X>(self, m: &Membership<X>, at: Entry, table: &Lazy<Table>) -> Range<u32> {
+        match table {
+            Lazy::Canon if !self.own_slots => {
+                let snapshot = m.snapshot();
+                let keys = snapshot.keys();
+                let rank = at.rank.or_else(|| snapshot.rank(at.key));
+                let rank = rank.expect("a Canon peer is in the snapshot");
+                let near = [rank.checked_sub(1), Some(rank + 1)];
+                let near = near.into_iter().flatten().filter_map(|r| keys.get(r));
+                let end = near.map(|&k| shared_prefix_digits(at.key, k) + 1).max();
+                0..end.unwrap_or(0)
+            }
+            _ => 0..DIGITS,
+        }
+    }
+
     /// Check every live peer's *effective* table — computed for a `Canon`
     /// peer, stored for a `Mat` one; `table` picks it out of the peer's
     /// state — against ground truth: each entry a live node inside its
@@ -194,6 +220,60 @@ mod tests {
         // Deepest row is a single key.
         let (lo, hi) = slot_range(key, DIGITS - 1, 0x3);
         assert_eq!((lo, hi), (0xABCD_0000_0000_0003, 0xABCD_0000_0000_0003));
+    }
+
+    #[test]
+    fn canon_rows_end_at_the_last_row_with_an_entry() {
+        use rand::Rng;
+        const TABLES: Tables = Tables { own_slots: false };
+        let mut rng = crate::rng::rng_for(3, 0);
+        for n in [1usize, 2, 3, 17, 300] {
+            let mut m: Membership<()> = Membership::default();
+            // Half the keys crowd one 8-digit prefix, so deep rows fill.
+            while m.len() < n {
+                let k: u64 = rng.gen();
+                let k = if m.len().is_multiple_of(2) {
+                    k
+                } else {
+                    0xABCD_EF01 << 32 | k >> 32
+                };
+                if !m.is_alive(k) {
+                    m.admit(k, ());
+                }
+            }
+            m.stabilize();
+            for (rank, &key) in m.snapshot().keys().iter().enumerate() {
+                let canon = &Lazy::Canon;
+                let filled =
+                    |row| (0..RADIX as u8).any(|d| TABLES.slot(&m, key, canon, row, d).is_some());
+                let rows = TABLES.rows(&m, Entry::unranked(key), canon);
+                assert_eq!(
+                    rows,
+                    TABLES.rows(
+                        &m,
+                        Entry {
+                            key,
+                            rank: Some(rank)
+                        },
+                        canon
+                    )
+                );
+                assert_eq!(rows.start, 0);
+                assert!(
+                    rows.end == 0 || filled(rows.end - 1),
+                    "{key:016x}: bound not tight"
+                );
+                assert!(
+                    (rows.end..DIGITS).all(|row| !filled(row)),
+                    "{key:016x}: entry past the bound"
+                );
+                assert_eq!(n == 1, rows.is_empty());
+            }
+            assert_eq!(
+                TABLES.rows(&m, Entry::unranked(0), &Lazy::Mat(Table::new())),
+                0..DIGITS
+            );
+        }
     }
 
     #[test]
