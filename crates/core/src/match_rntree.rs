@@ -61,6 +61,9 @@ impl Default for RnTreeConfig {
     }
 }
 
+/// `rank_of` entry of a grid node outside the current index.
+const NOT_INDEXED: u32 = u32::MAX;
+
 /// Failover budget for overlay lookups: how many detour peers a failed
 /// lookup may try before the caller's own retry/backoff machinery takes
 /// over.
@@ -71,9 +74,17 @@ const LOOKUP_FAILOVER_RETRIES: u32 = 2;
 pub struct RnTreeMatchmaker<R: KeyRouter = ChordRing> {
     cfg: RnTreeConfig,
     router: R,
-    key_of: HashMap<GridNodeId, u64>,
+    /// Overlay key of each member, indexed by grid node; `None` for a node
+    /// that is not (or no longer) in the overlay.
+    key_of: Vec<Option<u64>>,
     grid_of: HashMap<u64, GridNodeId>,
     index: Option<RnTreeIndex>,
+    /// Grid node of each rank of `index`: the tree's ids seen through
+    /// `grid_of`, resolved once per rebuild.
+    grid_at: Vec<GridNodeId>,
+    /// Rank in `index` of each grid node, [`NOT_INDEXED`] outside it; the
+    /// inverse of `grid_at`.
+    rank_of: Vec<u32>,
     dirty: bool,
     lookup_retries: u64,
     hook: SharedHook,
@@ -101,9 +112,11 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         RnTreeMatchmaker {
             cfg,
             router: R::default(),
-            key_of: HashMap::new(),
+            key_of: Vec::new(),
             grid_of: HashMap::new(),
             index: None,
+            grid_at: Vec::new(),
+            rank_of: Vec::new(),
             dirty: true,
             lookup_retries: 0,
             hook: Rc::new(RefCell::new(NullHook)),
@@ -121,25 +134,41 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         R::key_of((u64::from(node.0) << 20) ^ generation)
     }
 
-    fn rebuild_index(&mut self, nodes: &NodeTable) {
-        self.router.stabilize();
-        if self.router.is_empty() {
-            self.index = None;
-            self.dirty = false;
-            return;
-        }
-        // `grid_of` mirrors the substrate's membership.
-        self.index = Some(RnTreeIndex::build_with(&self.router, |key| {
-            nodes.get(self.grid_of[&key]).profile.capabilities
-        }));
-        self.dirty = false;
+    /// The overlay key of `node`, if it is a member.
+    fn key_of(&self, node: GridNodeId) -> Option<u64> {
+        self.key_of.get(node.0 as usize).copied().flatten()
     }
 
-    fn index_for(&mut self, nodes: &NodeTable) -> Option<&RnTreeIndex> {
-        if self.dirty || self.index.is_none() {
-            self.rebuild_index(nodes);
+    fn set_key_of(&mut self, node: GridNodeId, key: Option<u64>) {
+        let i = node.0 as usize;
+        if i >= self.key_of.len() {
+            self.key_of.resize(i + 1, None);
         }
-        self.index.as_ref()
+        self.key_of[i] = key;
+    }
+
+    fn rebuild_index(&mut self, nodes: &NodeTable) {
+        self.router.stabilize();
+        self.dirty = false;
+        self.grid_at.clear();
+        self.rank_of.clear();
+        if self.router.is_empty() {
+            self.index = None;
+            return;
+        }
+        // `grid_of` mirrors the substrate's membership, and the build asks
+        // for capabilities in rank order: each rank's grid node is resolved
+        // here, once, and the search reads it back by index.
+        let (grid_of, grid_at) = (&self.grid_of, &mut self.grid_at);
+        self.index = Some(RnTreeIndex::build_with(&self.router, |key| {
+            let gid = grid_of[&key];
+            grid_at.push(gid);
+            nodes.get(gid).profile.capabilities
+        }));
+        self.rank_of.resize(nodes.len(), NOT_INDEXED);
+        for (rank, gid) in self.grid_at.iter().enumerate() {
+            self.rank_of[gid.0 as usize] = rank as u32;
+        }
     }
 
     /// Load-aware owner placement: probe the mapped key *and* its failover
@@ -211,7 +240,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
             key = Self::overlay_key_for(node, generation);
         }
         self.router.join(key);
-        self.key_of.insert(node, key);
+        self.set_key_of(node, Some(key));
         self.grid_of.insert(key, node);
         self.dirty = true;
     }
@@ -224,6 +253,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         // stabilize instead of building tables once per join.
         debug_assert!(self.router.is_empty(), "bootstrap of a populated overlay");
         let mut keys = Vec::with_capacity(nodes.len());
+        self.key_of.resize(nodes.len(), None);
         for node in nodes.alive_ids() {
             let mut generation = 0u64;
             let mut key = Self::overlay_key_for(node, generation);
@@ -232,7 +262,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
                 key = Self::overlay_key_for(node, generation);
             }
             keys.push(key);
-            self.key_of.insert(node, key);
+            self.key_of[node.0 as usize] = Some(key);
             self.grid_of.insert(key, node);
         }
         self.router.bulk_join(&keys);
@@ -240,10 +270,8 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
     }
 
     fn on_leave(&mut self, _nodes: &NodeTable, node: GridNodeId, graceful: bool) {
-        let key = self
-            .key_of
-            .remove(&node)
-            .expect("leave of node never joined");
+        let key = self.key_of(node).expect("leave of node never joined");
+        self.set_key_of(node, None);
         self.grid_of.remove(&key);
         if graceful {
             self.router.leave(key); // neighbours repaired immediately
@@ -261,10 +289,10 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         injection: GridNodeId,
         rng: &mut SimRng,
     ) -> Option<(OwnerRef, u32)> {
-        let from = *self.key_of.get(&injection)?;
-        if !self.router.is_alive(from) {
-            return None;
-        }
+        // `on_join`, `bootstrap` and `on_leave` keep `key_of` equal to the
+        // overlay's live membership, so a member's key is alive.
+        let from = self.key_of(injection)?;
+        debug_assert!(self.router.is_alive(from), "{injection} is not live");
         let (lookup, retries) =
             self.router
                 .lookup_with_failover(from, guid, LOOKUP_FAILOVER_RETRIES)?;
@@ -297,13 +325,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         job: &JobProfile,
         rng: &mut SimRng,
     ) -> MatchOutcome {
-        let Some(owner_grid) = owner.peer() else {
-            return MatchOutcome {
-                run_node: None,
-                hops: 0,
-            };
-        };
-        let Some(&owner_key) = self.key_of.get(&owner_grid) else {
+        let Some(owner_grid) = owner.peer().filter(|&g| self.key_of(g).is_some()) else {
             return MatchOutcome {
                 run_node: None,
                 hops: 0,
@@ -320,44 +342,31 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         } else {
             self.cfg.k
         };
-        // `index_for` rebuilds after any membership change; an owner
-        // missing from the index forces a rebuild as well (the owner
-        // refreshes its own tree state before searching).
-        let missing = self
+        // Any membership change since the last rebuild forces one here, so
+        // the search never sees a tree that lags membership, and the owner,
+        // a member, is in it.
+        if self.dirty {
+            self.rebuild_index(nodes);
+        }
+        let index = self
             .index
             .as_ref()
-            .is_none_or(|i| !i.tree().contains(owner_key));
-        if missing {
-            self.dirty = true;
-        }
-        let Some(index) = self.index_for(nodes) else {
-            return MatchOutcome {
-                run_node: None,
-                hops: 0,
-            };
-        };
-        if !index.tree().contains(owner_key) {
-            return MatchOutcome {
-                run_node: None,
-                hops: 0,
-            };
-        }
-        let res = index.find_candidates(owner_key, &job.requirements, k);
-        let mut hops = res.hops;
+            .expect("an overlay with a member is indexed");
+        let owner_rank = self.rank_of[owner_grid.0 as usize];
+        debug_assert_ne!(owner_rank, NOT_INDEXED, "{owner_grid} is not indexed");
+        let res = index.find_candidate_ranks(owner_rank, &job.requirements, k);
 
         // Candidates replied with their current queue length; pick the
-        // least loaded (fresh reads for contacted nodes only). Dead
-        // candidates (stale tree) cost a timeout probe each.
+        // least loaded (fresh reads for contacted nodes only). The tree was
+        // built after the last membership change, and the node table
+        // marks a node dead exactly when `on_leave` removes it, so every
+        // candidate is live.
+        let hops = res.hops;
         let mut best: Option<(usize, GridNodeId)> = None;
         let mut ties = 0u32;
-        for key in res.candidates {
-            let Some(&gid) = self.grid_of.get(&key) else {
-                continue;
-            };
-            if !nodes.is_alive(gid) {
-                hops += 1; // timed-out probe of a stale candidate
-                continue;
-            }
+        for rank in res.candidates {
+            let gid = self.grid_at[rank as usize];
+            debug_assert!(nodes.is_alive(gid), "{gid} is indexed but dead");
             let load = nodes.get(gid).load();
             match best {
                 None => {
@@ -640,6 +649,79 @@ mod tests {
         mm.tick(&nodes);
         let next = mm.lease_registrar(&nodes, guid);
         assert_ne!(next, Some(registrar), "dead registrar must be replaced");
+    }
+
+    /// The matchmaker's membership mirrors and rank columns against the
+    /// tree they were built beside: `key_of` names exactly the live grid
+    /// nodes and `grid_of` inverts it; after a rebuild `grid_at[r]` is
+    /// `grid_of[ids[r]]` and `rank_of` is its inverse, `NOT_INDEXED`
+    /// everywhere else.
+    fn columns_match_the_tree<R: KeyRouter>(mm: &RnTreeMatchmaker<R>, nodes: &NodeTable) {
+        for g in (0..nodes.len() as u32).map(GridNodeId) {
+            let key = mm.key_of(g);
+            assert_eq!(key.is_some(), nodes.is_alive(g), "{g} membership");
+            assert_eq!(key.map(|k| mm.grid_of[&k]), key.map(|_| g), "{g} key");
+        }
+        assert_eq!(mm.grid_of.len(), nodes.alive_count());
+        assert!(!mm.dirty);
+        let ids = mm
+            .index
+            .as_ref()
+            .expect("a live grid is indexed")
+            .tree()
+            .ids();
+        let grid_at: Vec<GridNodeId> = ids.iter().map(|k| mm.grid_of[k]).collect();
+        assert_eq!(mm.grid_at, grid_at);
+        let mut rank_of = vec![NOT_INDEXED; nodes.len()];
+        for (rank, g) in grid_at.iter().enumerate() {
+            rank_of[g.0 as usize] = rank as u32;
+        }
+        assert_eq!(mm.rank_of, rank_of);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Each step picks a grid node: a live one fails or leaves (unless
+        /// it is the last), a dead one rejoins; then the index rebuilds,
+        /// through a maintenance tick or through a search.
+        fn churn<R: KeyRouter>(steps: &[(u32, bool, bool)]) {
+            let (mut mm, mut nodes, mut rng) = setup_on::<R>(40);
+            columns_match_the_tree(&mm, &nodes);
+            let p = job(JobRequirements::unconstrained().with_min(ResourceKind::CpuSpeed, 1.5));
+            for &(pick, graceful, by_search) in steps {
+                let g = GridNodeId(pick % nodes.len() as u32);
+                if !nodes.is_alive(g) {
+                    nodes.mark_rejoined(g);
+                    mm.on_join(&nodes, g, &mut rng);
+                } else if nodes.alive_count() > 1 {
+                    nodes.mark_failed(g);
+                    mm.on_leave(&nodes, g, graceful);
+                }
+                if by_search {
+                    let owner = nodes.alive_ids().next().expect("one node stays");
+                    let out = mm.find_run_node(&nodes, OwnerRef::Peer(owner), &p, &mut rng);
+                    assert!(out.run_node.is_none_or(|r| nodes.is_alive(r)));
+                } else {
+                    mm.tick(&nodes);
+                }
+                columns_match_the_tree(&mm, &nodes);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn rank_columns_follow_every_rebuild_through_churn(
+                steps in proptest::collection::vec((any::<u32>(), any::<bool>(), any::<bool>()), 1..40),
+            ) {
+                churn::<ChordRing>(&steps);
+                churn::<PastryNetwork>(&steps);
+                churn::<TapestryNetwork>(&steps);
+            }
+        }
     }
 
     #[test]

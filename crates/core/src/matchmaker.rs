@@ -52,7 +52,10 @@ pub trait Matchmaker {
     /// A node left the grid. `graceful` distinguishes an announced
     /// departure (the peer notifies its overlay neighbours and the owners
     /// of jobs it holds before going away) from an abrupt failure
-    /// (discovered only by timeouts).
+    /// (discovered only by timeouts). The engine calls it right after
+    /// marking `node` dead in `nodes`, as it calls [`Matchmaker::on_join`]
+    /// right after marking a rejoining node live, so a matchmaker's
+    /// membership always equals the table's live set.
     fn on_leave(&mut self, nodes: &NodeTable, node: GridNodeId, graceful: bool);
 
     /// Figure 1, steps 1–2: assign `job` (with overlay GUID `guid`) to an

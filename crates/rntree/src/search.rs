@@ -12,13 +12,15 @@ use dgrid_resources::JobRequirements;
 
 use crate::tree::RnTreeIndex;
 
-/// Outcome of a candidate search.
+/// Outcome of a candidate search. Candidates are node ids (`T = u64`) from
+/// [`RnTreeIndex::find_candidates`], tree ranks (`T = u32`) from
+/// [`RnTreeIndex::find_candidate_ranks`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SearchResult {
+pub struct SearchResult<T = u64> {
     /// Capable nodes found, in discovery order. May be shorter than `k`
     /// (the system simply has fewer capable nodes), or slightly longer
     /// (the final subtree expansion is not cut mid-node).
-    pub candidates: Vec<u64>,
+    pub candidates: Vec<T>,
     /// Tree-edge messages spent on the search (descents, returns, and
     /// ancestor climbs), the paper's "matchmaking cost" for the RN-Tree.
     pub hops: u32,
@@ -33,17 +35,48 @@ impl RnTreeIndex {
     /// # Panics
     /// If `owner` is not in the tree or `k == 0`.
     pub fn find_candidates(&self, owner: u64, req: &JobRequirements, k: usize) -> SearchResult {
+        let tree = self.tree();
+        self.search(tree.rank(owner), req, k, |r| tree.id_at(r))
+    }
+
+    /// [`RnTreeIndex::find_candidates`] by rank: `owner` and the candidates
+    /// are positions in [`RnTree::ids`](crate::RnTree::ids), the order in
+    /// which [`RnTreeIndex::build_with`] asked for capabilities. A caller
+    /// that keeps its own per-rank columns then needs no id lookups.
+    ///
+    /// # Panics
+    /// If `owner` is not a rank of the tree or `k == 0`.
+    pub fn find_candidate_ranks(
+        &self,
+        owner: u32,
+        req: &JobRequirements,
+        k: usize,
+    ) -> SearchResult<u32> {
+        assert!(
+            (owner as usize) < self.tree().len(),
+            "rank {owner} not in tree"
+        );
+        self.search(owner, req, k, |r| r)
+    }
+
+    /// The search, on ranks throughout; `name` turns a found rank into the
+    /// caller's kind of candidate.
+    fn search<T>(
+        &self,
+        owner: u32,
+        req: &JobRequirements,
+        k: usize,
+        name: impl Fn(u32) -> T + Copy,
+    ) -> SearchResult<T> {
         assert!(k > 0, "extended search needs k >= 1");
         let mut out = SearchResult {
             candidates: Vec::with_capacity(k.min(64)),
             hops: 0,
             visited: 0,
         };
-        // The search runs on ranks; ids reappear only in `candidates`.
-        let owner = self.tree().rank(owner);
 
         // Phase 1: the owner's own subtree.
-        self.search_subtree(owner, req, k, &mut out);
+        self.search_subtree(owner, req, k, name, &mut out);
 
         // Phase 2: climb. At each ancestor, examine the ancestor itself and
         // its other children's subtrees. Stop as soon as k are found.
@@ -52,12 +85,12 @@ impl RnTreeIndex {
         while out.candidates.len() < k {
             let Some(node) = cur else { break };
             out.hops += 1; // the climb message prev -> node
-            self.visit(node, req, &mut out);
+            self.visit(node, req, name, &mut out);
             for &child in self.tree().kid_ranks(node) {
                 if child == prev || out.candidates.len() >= k {
                     continue;
                 }
-                self.search_subtree(child, req, k, &mut out);
+                self.search_subtree(child, req, k, name, &mut out);
             }
             prev = node;
             cur = self.tree().parent_rank(node);
@@ -66,10 +99,16 @@ impl RnTreeIndex {
     }
 
     /// Evaluate one node's own capability vector.
-    fn visit(&self, node: u32, req: &JobRequirements, out: &mut SearchResult) {
+    fn visit<T>(
+        &self,
+        node: u32,
+        req: &JobRequirements,
+        name: impl Fn(u32) -> T,
+        out: &mut SearchResult<T>,
+    ) {
         out.visited += 1;
         if req.satisfied_by(self.caps_at(node)) {
-            out.candidates.push(self.tree().id_at(node));
+            out.candidates.push(name(node));
         }
     }
 
@@ -78,7 +117,14 @@ impl RnTreeIndex {
     /// Charges one hop to enter the subtree and one hop per further descent
     /// edge; results return to the requester directly (the paper uses
     /// direct connections for replies).
-    fn search_subtree(&self, root: u32, req: &JobRequirements, k: usize, out: &mut SearchResult) {
+    fn search_subtree<T>(
+        &self,
+        root: u32,
+        req: &JobRequirements,
+        k: usize,
+        name: impl Fn(u32) -> T + Copy,
+        out: &mut SearchResult<T>,
+    ) {
         if !self.info_at(root).may_satisfy(req) {
             return; // pruned: the request message is never sent
         }
@@ -88,7 +134,7 @@ impl RnTreeIndex {
                 return;
             }
             out.hops += 1;
-            self.visit(node, req, out);
+            self.visit(node, req, name, out);
             for &child in self.tree().kid_ranks(node) {
                 if self.info_at(child).may_satisfy(req) {
                     stack.push(child);

@@ -3,14 +3,15 @@
 //! complete under exhaustive k. Two differential properties hold the fast
 //! paths to the construction as first written: the substrates' closed-form
 //! answers against the probing and routing defaults, and the rank-indexed
-//! tree against a hash-map reference.
+//! tree against a hash-map reference. A third holds the search by id to the
+//! search by rank it wraps.
 
 use std::collections::{HashMap, HashSet};
 
 use dgrid_chord::{ChordId, ChordRing};
 use dgrid_pastry::PastryNetwork;
-use dgrid_resources::{Capabilities, JobRequirements, OsType, ResourceKind};
-use dgrid_rntree::{RnTree, RnTreeIndex, SubtreeInfo};
+use dgrid_resources::{Capabilities, JobRequirements, OsRequirement, OsType, ResourceKind};
+use dgrid_rntree::{RnTree, RnTreeIndex, SearchResult, SubtreeInfo};
 use dgrid_sim::router::{prefix_key, KeyRouter};
 use dgrid_tapestry::TapestryNetwork;
 use proptest::prelude::*;
@@ -195,8 +196,78 @@ fn dense_index_matches_the_reference<R: KeyRouter>(net: &R) -> Result<(), TestCa
     Ok(())
 }
 
+/// Up to three minimums (`mask` picks which of `mins` apply) and, for
+/// `os < 4`, one operating system.
+fn requirements(mins: (f64, f64, f64), mask: u8, os: usize) -> JobRequirements {
+    let kinds = [
+        ResourceKind::CpuSpeed,
+        ResourceKind::Memory,
+        ResourceKind::Disk,
+    ];
+    let mut req = JobRequirements::unconstrained();
+    for (i, (kind, min)) in kinds.into_iter().zip([mins.0, mins.1, mins.2]).enumerate() {
+        if mask & (1 << i) != 0 {
+            req = req.with_min(kind, min);
+        }
+    }
+    match OsType::ALL.get(os) {
+        Some(&os) => req.with_os(OsRequirement::only(os)),
+        None => req,
+    }
+}
+
+/// From every owner, the id search equals the rank search with every
+/// candidate mapped through the tree's ids.
+fn id_search_after_churn<R: KeyRouter>(
+    initial: &HashSet<u64>,
+    steps: &Churn,
+    req: &JobRequirements,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let mut net: R = churned(initial, steps);
+    net.stabilize();
+    let index = RnTreeIndex::build(&net, &caps_for(&net.alive_keys()));
+    let ids = index.tree().ids();
+    for (rank, &owner) in ids.iter().enumerate() {
+        let by_rank = index.find_candidate_ranks(rank as u32, req, k);
+        let mapped = SearchResult {
+            candidates: by_rank
+                .candidates
+                .iter()
+                .map(|&r| ids[r as usize])
+                .collect(),
+            hops: by_rank.hops,
+            visited: by_rank.visited,
+        };
+        prop_assert_eq!(
+            index.find_candidates(owner, req, k),
+            mapped,
+            "owner {:x}",
+            owner
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `find_candidates` is the rank search seen through the tree's ids,
+    /// over every substrate's trees and random requirements and widths.
+    #[test]
+    fn id_search_is_the_rank_search_through_the_ids(
+        initial in proptest::collection::hash_set(any::<u64>(), 1..60),
+        steps in churn(),
+        mins in (0.5f64..4.0, 0.25f64..8.0, 10.0f64..480.0),
+        mask in 0u8..8,
+        os in 0usize..6,
+        k in 1usize..10,
+    ) {
+        let req = requirements(mins, mask, os);
+        id_search_after_churn::<ChordRing>(&initial, &steps, &req, k)?;
+        id_search_after_churn::<PastryNetwork>(&initial, &steps, &req, k)?;
+        id_search_after_churn::<TapestryNetwork>(&initial, &steps, &req, k)?;
+    }
 
     /// `alive_key_at`, `shortest_owned_prefix` and `lookup_owner` equal the
     /// listing, the probe and the routed lookup on every substrate, on
