@@ -177,8 +177,9 @@ impl JobRecord {
 }
 
 /// Ids with a value below this use the dense direct-index column; anything
-/// larger (hash-shaped test ids) falls back to the sparse map.
-const DENSE_ID_LIMIT: u64 = 1 << 21;
+/// larger (hash-shaped test ids) falls back to the sparse map. The binary
+/// trace format interns ids with the same split at the same limit.
+pub(crate) const DENSE_ID_LIMIT: u64 = 1 << 21;
 
 /// `dense` entry of an id with no record.
 const ABSENT: u32 = u32::MAX;

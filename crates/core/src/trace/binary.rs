@@ -47,7 +47,7 @@ use std::io::Write;
 
 use dgrid_resources::JobId;
 
-use crate::job::OwnerRef;
+use crate::job::{OwnerRef, DENSE_ID_LIMIT};
 use crate::node::GridNodeId;
 use crate::trace::{parse_jsonl_line, write_event_line, EventRecord, Observer, TraceEvent};
 use dgrid_sim::SimTime;
@@ -285,14 +285,12 @@ fn unzigzag(v: u64) -> i64 {
 
 // --- encoder ---------------------------------------------------------------
 
-/// Ids below this index directly into the dense intern table; anything
-/// larger (never produced by the engine, but legal in a hand-built stream)
-/// falls back to a hash map. Bounds the dense table at 512 KiB.
-const DENSE_INTERN_CAP: u64 = 1 << 16;
-
 /// First-appearance intern table on the encoder hot path. Engine job and
 /// node ids are small sequential integers, so the common case is a direct
-/// vector index — no hashing per event. Intern indices are assigned in
+/// vector index — no hashing per event. Ids from [`DENSE_ID_LIMIT`] up
+/// (never produced by the engine, but legal in a hand-built stream) fall
+/// back to a hash map, as they do in the engine's job table; the dense
+/// column grows only to the largest id seen. Intern indices are assigned in
 /// first-appearance order either way, so the fallback does not change the
 /// encoding.
 #[derive(Default)]
@@ -305,7 +303,7 @@ struct InternMap {
 impl InternMap {
     /// Intern index for `id`, plus whether this is its first appearance.
     fn get_or_insert(&mut self, id: u64) -> (u64, bool) {
-        if id < DENSE_INTERN_CAP {
+        if id < DENSE_ID_LIMIT {
             let i = id as usize;
             if i >= self.dense.len() {
                 self.dense.resize(i + 1, 0);
@@ -539,10 +537,7 @@ pub struct StreamDecoder {
     buf: Vec<u8>,
     pos: usize,
     consumed: usize,
-    in_stream: bool,
-    jobs: Vec<u64>,
-    nodes: Vec<u32>,
-    prev_t: u64,
+    frames: FrameDecoder,
 }
 
 impl StreamDecoder {
@@ -567,20 +562,56 @@ impl StreamDecoder {
         self.consumed
     }
 
-    fn consume(&mut self, n: usize) {
-        self.pos += n;
-        self.consumed += n;
-    }
-
     /// Decode the next event, or `Ok(None)` if the buffered bytes end at a
     /// clean boundary (more input may still arrive).
     pub fn next_event(&mut self) -> Result<Option<EventRecord>, StreamError> {
+        let from = self.pos;
+        let base = self.consumed - from;
+        let next = self.frames.next_event(&self.buf, &mut self.pos, base);
+        self.consumed += self.pos - from;
+        next
+    }
+
+    /// Signal end-of-input: errors if bytes are left undecoded (a frame or
+    /// header was cut off mid-write).
+    pub fn finish(&self) -> Result<(), StreamError> {
+        if self.pos < self.buf.len() {
+            Err(StreamError::Truncated { at: self.consumed })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// What decoding carries from frame to frame — whether a stream header has
+/// been read, the intern tables and the time base — apart from the bytes,
+/// so that frames are decoded where they lie: in the push decoder's buffer
+/// or in a whole stream the caller holds.
+#[derive(Default)]
+struct FrameDecoder {
+    in_stream: bool,
+    jobs: Vec<u64>,
+    nodes: Vec<u32>,
+    prev_t: u64,
+}
+
+impl FrameDecoder {
+    /// Decode frames of `bytes` from `*pos` on until one yields an event,
+    /// advancing `*pos` past every frame consumed. `Ok(None)` when the
+    /// bytes end at a clean boundary or inside a frame that more input may
+    /// complete. `bytes[0]` lies at stream offset `base`.
+    fn next_event(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+        base: usize,
+    ) -> Result<Option<EventRecord>, StreamError> {
         loop {
-            let avail = &self.buf[self.pos..];
+            let avail = &bytes[*pos..];
             if avail.is_empty() {
                 return Ok(None);
             }
-            let at = self.consumed;
+            let at = base + *pos;
             if !self.in_stream {
                 if avail.len() < MAGIC.len() {
                     return if MAGIC.starts_with(avail) {
@@ -592,7 +623,7 @@ impl StreamDecoder {
                 if avail[..MAGIC.len()] != MAGIC {
                     return Err(StreamError::BadMagic { at });
                 }
-                self.consume(MAGIC.len());
+                *pos += MAGIC.len();
                 self.in_stream = true;
                 self.jobs.clear();
                 self.nodes.clear();
@@ -624,22 +655,10 @@ impl StreamDecoder {
             if avail.len() < n + len {
                 return Ok(None);
             }
-            let payload_at = at + n;
-            let payload: Vec<u8> = avail[n..n + len].to_vec();
-            self.consume(n + len);
-            if let Some(rec) = self.decode_payload(&payload, payload_at)? {
+            *pos += n + len;
+            if let Some(rec) = self.decode_payload(&avail[n..n + len], at + n)? {
                 return Ok(Some(rec));
             }
-        }
-    }
-
-    /// Signal end-of-input: errors if bytes are left undecoded (a frame or
-    /// header was cut off mid-write).
-    pub fn finish(&self) -> Result<(), StreamError> {
-        if self.pos < self.buf.len() {
-            Err(StreamError::Truncated { at: self.consumed })
-        } else {
-            Ok(())
         }
     }
 
@@ -820,13 +839,16 @@ impl Cursor<'_> {
 /// Decode a complete in-memory binary stream (including concatenations of
 /// streams) into its event records.
 pub fn decode_stream(bytes: &[u8]) -> Result<Vec<EventRecord>, StreamError> {
-    let mut dec = StreamDecoder::new();
-    dec.push(bytes);
+    // Frames are decoded where they lie: no copy into a decoder's buffer.
+    let mut frames = FrameDecoder::default();
+    let mut pos = 0;
     let mut out = Vec::new();
-    while let Some(rec) = dec.next_event()? {
+    while let Some(rec) = frames.next_event(bytes, &mut pos, 0)? {
         out.push(rec);
     }
-    dec.finish()?;
+    if pos < bytes.len() {
+        return Err(StreamError::Truncated { at: pos });
+    }
     Ok(out)
 }
 
@@ -1064,6 +1086,16 @@ mod tests {
             decode_stream(&bytes),
             Err(StreamError::TrailingFrameBytes { .. })
         ));
+    }
+
+    #[test]
+    fn ids_either_side_of_the_dense_limit_intern_in_first_appearance_order() {
+        let mut jobs = InternMap::default();
+        let ids = [DENSE_ID_LIMIT, 7, DENSE_ID_LIMIT - 1, DENSE_ID_LIMIT, 7];
+        let got: Vec<(u64, bool)> = ids.iter().map(|&id| jobs.get_or_insert(id)).collect();
+        let want = [(0, true), (1, true), (2, true), (0, false), (1, false)];
+        assert_eq!(got, want);
+        assert_eq!(jobs.sparse.len(), 1, "only the id at the limit hashes");
     }
 
     #[test]

@@ -12,11 +12,12 @@ use dgrid_resources::JobId;
 use dgrid_sim::SimTime;
 use proptest::prelude::*;
 
-/// Arbitrary trace events, including ids past the dense-interning cap so
-/// the encoder's sparse fallback is exercised.
+/// Arbitrary trace events, with small ids and ids past the dense-id limit
+/// so both the encoder's direct index and its sparse fallback are
+/// exercised.
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
-    let job = (0u64..u64::MAX).prop_map(JobId);
-    let node = (0u32..u32::MAX).prop_map(GridNodeId);
+    let job = prop_oneof![0u64..1 << 12, 0u64..u64::MAX].prop_map(JobId);
+    let node = prop_oneof![0u32..1 << 12, 0u32..u32::MAX].prop_map(GridNodeId);
     (
         job,
         node,
@@ -158,6 +159,34 @@ proptest! {
         let pos = pos % bytes.len();
         bytes[pos] ^= 1 << bit;
         let _ = decode_stream(&bytes);
+    }
+
+    /// Decoding a whole stream in place gives what the push decoder gives
+    /// for the same bytes in one chunk — records, or the same typed error
+    /// at the same offset — on valid, truncated and bit-flipped streams.
+    #[test]
+    fn in_place_decoding_equals_push_decoding(
+        records in arb_records(),
+        cut in any::<usize>(),
+        flip in proptest::option::of((any::<usize>(), 0u8..8)),
+    ) {
+        let mut bytes = encode_events(&records);
+        bytes.truncate(cut % (bytes.len() + 1));
+        if let (Some((at, bit)), false) = (flip, bytes.is_empty()) {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        let mut dec = StreamDecoder::new();
+        dec.push(&bytes);
+        let mut pushed = Vec::new();
+        let pushed = loop {
+            match dec.next_event() {
+                Ok(Some(rec)) => pushed.push(rec),
+                Ok(None) => break dec.finish().map(|()| pushed),
+                Err(e) => break Err(e),
+            }
+        };
+        prop_assert_eq!(decode_stream(&bytes), pushed);
     }
 
     /// Push-based decoding is split-invariant: feeding the stream in
