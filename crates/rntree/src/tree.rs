@@ -166,11 +166,6 @@ impl RnTree {
         self.ids.is_empty()
     }
 
-    /// Is `id` in the tree?
-    pub fn contains(&self, id: u64) -> bool {
-        self.ids.binary_search(&id).is_ok()
-    }
-
     /// Rank of `id`.
     ///
     /// # Panics
