@@ -6,6 +6,10 @@
 //! The pinned constants were recorded from the tree *before* the refactor
 //! landed; re-pinning is only legitimate when a PR deliberately changes the
 //! event stream (new event kind, different RNG draw order) and says so.
+//!
+//! The post-run pipeline is pinned the same way: the spans assembled from a
+//! stream, the analytics snapshot over it and the report's percentile
+//! summaries, hashed bit for bit.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -15,11 +19,14 @@ use std::rc::Rc;
 mod common;
 
 use dgrid::core::{
-    parse_jsonl_line, ChurnConfig, Engine, EngineConfig, EventRecord, FaultPlan, JsonlObserver,
-    SimReport, TraceEvent,
+    parse_jsonl_line, phase_samples, ChurnConfig, Engine, EngineConfig, EventRecord, FaultPlan,
+    JobSpan, JsonlObserver, Observer, Phase, SimReport, SpanAssembler, SpanOutcome,
+    StreamAnalytics, TraceEvent,
 };
 use dgrid::harness::Algorithm;
-use dgrid::sim::SimTime;
+use dgrid::resources::JobId;
+use dgrid::sim::stats::SampleSummary;
+use dgrid::sim::{SimDuration, SimTime};
 use dgrid::workloads::{paper_scenario, PaperScenario};
 
 /// A `Write` sink that survives the engine consuming its observer.
@@ -435,6 +442,365 @@ fn owner_departure_stream_matches_pinned_hash() {
         report.spurious_detections
     );
     assert_eq!(report.unknown_job_events, 0);
+}
+
+/// FNV-1a over a sequence of 64-bit words, each fed little-endian.
+struct Words(u64);
+
+impl Words {
+    fn new() -> Self {
+        Words(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn float(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn summary(&mut self, s: &SampleSummary) {
+        self.word(s.count);
+        for x in [s.mean, s.std_dev, s.min, s.p50, s.p95, s.p99, s.max] {
+            self.float(x);
+        }
+    }
+
+    fn optional_summary(&mut self, s: Option<&SampleSummary>) {
+        self.word(u64::from(s.is_some()));
+        if let Some(s) = s {
+            self.summary(s);
+        }
+    }
+}
+
+/// An event log that survives the engine consuming its observer.
+#[derive(Clone, Default)]
+struct SharedLog(Rc<RefCell<Vec<(SimTime, TraceEvent)>>>);
+
+impl Observer for SharedLog {
+    fn on_event(&mut self, at: SimTime, event: TraceEvent) {
+        self.0.borrow_mut().push((at, event));
+    }
+}
+
+fn logged(engine: Engine) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
+    let log = SharedLog::default();
+    let report = engine.with_observer(Box::new(log.clone())).run();
+    let events = log.0.take();
+    assert!(!events.is_empty(), "traced run must emit events");
+    (events, report)
+}
+
+/// The central matchmaker on 500 nodes offered 10 000 jobs: the shape of
+/// the stream workload the post-run pipeline is timed on.
+fn central_10k_run(seed: u64) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
+    let workload = paper_scenario(PaperScenario::MixedLight, 500, 10_000, seed);
+    let cfg = EngineConfig {
+        seed,
+        max_sim_secs: 3_000_000.0,
+        ..EngineConfig::default()
+    };
+    logged(Engine::new(
+        cfg,
+        ChurnConfig::none(),
+        Algorithm::Central.matchmaker(),
+        workload.nodes,
+        workload.submissions,
+    ))
+}
+
+/// Leased RN-Tree on 120 nodes under heavy churn and 2 % loss, with one
+/// RPC retry, one resubmit and one matchmaking attempt allowed: recoveries,
+/// lease transfers, a resubmit and failed jobs all occur.
+fn leased_churn_run(seed: u64) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
+    let workload = paper_scenario(PaperScenario::MixedLight, 120, 1_500, seed);
+    let cfg = EngineConfig {
+        seed,
+        max_sim_secs: 3_000_000.0,
+        max_rpc_retries: 1,
+        max_resubmits: 1,
+        max_match_attempts: 1,
+        lease_ttl_secs: Some(60.0),
+        lease_renew_secs: 15.0,
+        lease_grace_secs: 10.0,
+        placement: Some(dgrid::core::PlacementPolicy::LoadAware),
+        ..EngineConfig::default()
+    };
+    let churn = ChurnConfig {
+        mttf_secs: Some(2_000.0),
+        rejoin_after_secs: Some(600.0),
+        graceful_fraction: 0.25,
+    };
+    logged(
+        Engine::new(
+            cfg,
+            churn,
+            Algorithm::RnTree.matchmaker(),
+            workload.nodes,
+            workload.submissions,
+        )
+        .with_fault_plan(FaultPlan::with_loss(0.02)),
+    )
+}
+
+/// Where the leased stream is cut: a stream tailed mid-run, so jobs are
+/// still open at its end.
+const LEASED_CUT_SECS: u64 = 1_500;
+
+/// The events of `events` up to and including `cut`.
+fn cut_at(events: &[(SimTime, TraceEvent)], cut: SimTime) -> Vec<(SimTime, TraceEvent)> {
+    events
+        .iter()
+        .copied()
+        .filter(|&(at, _)| at <= cut)
+        .collect()
+}
+
+/// `events` twice, the second copy shifted to start where the first ends,
+/// so every job id recurs: closed jobs reopen and open ones continue.
+fn twice(events: &[(SimTime, TraceEvent)]) -> Vec<(SimTime, TraceEvent)> {
+    let shift = events
+        .last()
+        .expect("a non-empty stream")
+        .0
+        .since(SimTime::ZERO);
+    let mut out = events.to_vec();
+    out.extend(events.iter().map(|&(at, ev)| (at + shift, ev)));
+    out
+}
+
+/// The dense/sparse boundary of the job-id tables (`DENSE_ID_LIMIT`).
+const DENSE_LIMIT: u64 = 1 << 21;
+
+/// `events` with two thirds of its job ids moved to or above the dense
+/// limit: ids `3k + 1` to `DENSE_LIMIT + 3k` (job 1 lands exactly on the
+/// limit) and ids `3k + 2` to `u64::MAX - id`; the rest stay dense.
+fn sparse_ids(events: &[(SimTime, TraceEvent)]) -> Vec<(SimTime, TraceEvent)> {
+    let remap = |job: JobId| match job.0 % 3 {
+        1 => JobId(DENSE_LIMIT + job.0 - 1),
+        2 => JobId(u64::MAX - job.0),
+        _ => job,
+    };
+    events
+        .iter()
+        .map(|&(at, ev)| {
+            let ev = match ev {
+                TraceEvent::Submitted { job, resubmits } => TraceEvent::Submitted {
+                    job: remap(job),
+                    resubmits,
+                },
+                TraceEvent::OwnerAssigned { job, owner } => TraceEvent::OwnerAssigned {
+                    job: remap(job),
+                    owner,
+                },
+                TraceEvent::Matched {
+                    job,
+                    run_node,
+                    hops,
+                } => TraceEvent::Matched {
+                    job: remap(job),
+                    run_node,
+                    hops,
+                },
+                TraceEvent::Started { job, run_node } => TraceEvent::Started {
+                    job: remap(job),
+                    run_node,
+                },
+                TraceEvent::Completed { job, results_at } => TraceEvent::Completed {
+                    job: remap(job),
+                    results_at,
+                },
+                TraceEvent::Failed { job } => TraceEvent::Failed { job: remap(job) },
+                TraceEvent::RunRecovery { job } => TraceEvent::RunRecovery { job: remap(job) },
+                TraceEvent::OwnerRecovery { job } => TraceEvent::OwnerRecovery { job: remap(job) },
+                TraceEvent::LeaseExpired { job } => TraceEvent::LeaseExpired { job: remap(job) },
+                TraceEvent::LeaseTransferred { job, owner } => TraceEvent::LeaseTransferred {
+                    job: remap(job),
+                    owner,
+                },
+                TraceEvent::NodeDown { .. } | TraceEvent::NodeUp { .. } => ev,
+            };
+            (at, ev)
+        })
+        .collect()
+}
+
+/// Every field of every assembled span in `finish()` order, then the six
+/// phase summaries.
+fn hash_spans(h: &mut Words, events: &[(SimTime, TraceEvent)]) -> Vec<JobSpan> {
+    let mut assembler = SpanAssembler::new();
+    for &(at, ev) in events {
+        assembler.observe(at, ev);
+    }
+    let spans = assembler.finish();
+    h.word(spans.len() as u64);
+    for s in &spans {
+        h.word(s.job.0);
+        h.word(s.submitted_at.as_nanos());
+        h.word(s.finished_at.map_or(u64::MAX, SimTime::as_nanos));
+        h.word(match s.outcome {
+            SpanOutcome::Completed => 0,
+            SpanOutcome::Failed => 1,
+            SpanOutcome::Open => 2,
+        });
+        h.word(u64::from(s.resubmits));
+        h.word(u64::from(s.recoveries));
+        for p in Phase::ALL {
+            h.word(s.phase(p).as_nanos());
+        }
+    }
+    for (_, mut set) in phase_samples(&spans) {
+        h.summary(&set.summary());
+    }
+    spans
+}
+
+/// Every field of the analytics snapshot after the whole stream.
+fn hash_analytics(h: &mut Words, events: &[(SimTime, TraceEvent)]) {
+    let mut analytics = StreamAnalytics::new(SimDuration::from_secs(60), 64);
+    for (at, ev) in events {
+        analytics.feed(at.as_nanos(), ev);
+    }
+    let snap = analytics.snapshot();
+    h.word(snap.events_total);
+    for n in snap.per_kind {
+        h.word(n);
+    }
+    h.word(snap.inflight);
+    h.word(snap.executing);
+    for stats in [snap.wait, snap.turnaround] {
+        h.word(u64::from(stats.is_some()));
+        if let Some(s) = stats {
+            for w in [s.count, s.p50_ns, s.p95_ns, s.p99_ns, s.max_ns] {
+                h.word(w);
+            }
+            h.float(s.mean_ns);
+        }
+    }
+    h.word(snap.window_ns);
+    h.word(snap.recent.len() as u64);
+    for row in &snap.recent {
+        h.word(row.start_ns);
+        for &n in &row.counts {
+            h.word(n);
+        }
+    }
+    h.word(snap.current_start_ns);
+    for &n in &snap.current {
+        h.word(n);
+    }
+    h.word(snap.last_t_ns);
+}
+
+/// The report's end-of-run summaries, `hop_summary()`, and the means read
+/// after them (which sum the samples in the order the summaries left).
+fn hash_report(h: &mut Words, report: &mut SimReport) {
+    h.optional_summary(report.wait_stats.as_ref());
+    h.optional_summary(report.turnaround_stats.as_ref());
+    let (hop_mean, hop_p99) = report.hop_summary();
+    h.float(hop_mean);
+    h.float(hop_p99);
+    h.float(report.mean_wait());
+    h.float(report.std_wait());
+    h.float(report.turnaround.mean());
+}
+
+/// The four post-run inputs, each hashed as spans + analytics (+ report for
+/// the two whole runs).
+fn post_run_digests(seed: u64) -> [(u64, Vec<JobSpan>); 4] {
+    let digest = |events: &[(SimTime, TraceEvent)], report: Option<&mut SimReport>| {
+        let mut h = Words::new();
+        let spans = hash_spans(&mut h, events);
+        hash_analytics(&mut h, events);
+        if let Some(r) = report {
+            hash_report(&mut h, r);
+        }
+        (h.0, spans)
+    };
+    let (central, mut central_report) = central_10k_run(seed);
+    let (leased, mut leased_report) = leased_churn_run(seed);
+    let cut = cut_at(&leased, SimTime::from_secs(LEASED_CUT_SECS));
+    [
+        digest(&central, Some(&mut central_report)),
+        digest(&cut, Some(&mut leased_report)),
+        digest(&twice(&cut), None),
+        digest(&sparse_ids(&cut), None),
+    ]
+}
+
+/// Digests of [`post_run_digests`] for [`SEED`], recorded on the commit
+/// before the span assembler, the analytics and the summaries left their
+/// B-tree, hash map and full sort.
+const POST_RUN_PINNED: [u64; 4] = [
+    0x1b62c71c50688033, // 10000 spans: 10000 completed
+    0xadbca48d14cec2af, // 1500 spans: 1309 completed, 2 failed, 189 open
+    0x01aa0eea9880b893, // 2811 spans: 2618 completed, 4 failed, 189 open
+    0xa92ef05398950acd, // 1500 spans, as the second row
+];
+
+#[test]
+fn post_run_spans_analytics_and_summaries_match_pinned_digests() {
+    let got = post_run_digests(SEED);
+    let names = [
+        "central 10k",
+        "leased cut",
+        "leased cut twice",
+        "sparse ids",
+    ];
+    for ((name, (digest, _)), pinned) in names.iter().zip(&got).zip(POST_RUN_PINNED) {
+        assert_eq!(
+            *digest, pinned,
+            "{name}: post-run digest drifted (got {digest:#x})"
+        );
+    }
+    // The inputs reach what the pins are meant to cover.
+    let outcomes =
+        |spans: &[JobSpan], o: SpanOutcome| spans.iter().filter(|s| s.outcome == o).count();
+    let cut = &got[1].1;
+    assert!(
+        outcomes(cut, SpanOutcome::Open) > 0,
+        "the cut leaves spans open"
+    );
+    assert!(
+        outcomes(cut, SpanOutcome::Failed) > 0,
+        "jobs fail before the cut"
+    );
+    assert!(cut.iter().any(|s| s.resubmits > 0), "clients resubmit");
+    assert!(cut.iter().any(|s| s.recoveries > 0), "jobs recover");
+    let twice = &got[2].1;
+    assert!(
+        twice.len() > cut.len(),
+        "closed jobs reopen in the second copy"
+    );
+    let sparse = &got[3].1;
+    assert!(sparse.iter().any(|s| s.job.0 == DENSE_LIMIT));
+    assert!(sparse.iter().any(|s| s.job.0 > u64::MAX / 2));
+}
+
+/// Harvest helper for deliberate re-pins of [`POST_RUN_PINNED`]: `cargo
+/// test -q --test stream_golden_e2e -- --ignored --nocapture
+/// print_post_run_digests`.
+#[test]
+#[ignore]
+fn print_post_run_digests() {
+    for (digest, spans) in post_run_digests(SEED) {
+        let count = |o: SpanOutcome| spans.iter().filter(|s| s.outcome == o).count();
+        println!(
+            "    {digest:#x}, // {} spans: {} completed, {} failed, {} open; \
+             {} resubmitted, {} recovered",
+            spans.len(),
+            count(SpanOutcome::Completed),
+            count(SpanOutcome::Failed),
+            count(SpanOutcome::Open),
+            spans.iter().filter(|s| s.resubmits > 0).count(),
+            spans.iter().filter(|s| s.recoveries > 0).count(),
+        );
+    }
 }
 
 /// Harvest helper for deliberate re-pins of the 10k goldens: `cargo test
