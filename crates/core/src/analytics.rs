@@ -11,19 +11,17 @@
 //! * inflight / executing job gauges,
 //! * wait and turnaround [`QuantileSketch`]es whose p50/p95/p99 match the
 //!   post-hoc percentiles in `SimReport` up to one log₂ bucket (asserted by
-//!   the stream e2e test and the `T-stream` bench).
+//!   the stream e2e test).
 //!
 //! The same type powers `dgrid watch` (fed from a decoded stream, live or
 //! recorded) and can sit directly on an engine as its observer. All state
 //! is integer-deterministic; feeding the same event sequence always yields
 //! the same snapshot.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use dgrid_sim::telemetry::sketch::{QuantileSketch, WindowRow, Windowed};
 use dgrid_sim::{SimDuration, SimTime};
 
+use crate::job::{next_index, IdIndex};
 use crate::trace::{EventKind, EventRecord, Observer, TraceEvent};
 
 /// Counters per window: one per [`EventKind`].
@@ -106,7 +104,9 @@ pub struct StreamAnalytics {
     window: Windowed,
     wait: QuantileSketch,
     turnaround: QuantileSketch,
-    jobs: HashMap<u64, JobTrack>,
+    /// Job id → its track in `tracks`; tracks are never removed.
+    jobs: IdIndex,
+    tracks: Vec<JobTrack>,
     per_kind: [u64; WINDOW_COUNTER_ARITY],
     events_total: u64,
     inflight: u64,
@@ -122,7 +122,8 @@ impl StreamAnalytics {
             window: Windowed::new(window, WINDOW_COUNTER_ARITY, history),
             wait: QuantileSketch::new(),
             turnaround: QuantileSketch::new(),
-            jobs: HashMap::new(),
+            jobs: IdIndex::default(),
+            tracks: Vec::new(),
             per_kind: [0; WINDOW_COUNTER_ARITY],
             events_total: 0,
             inflight: 0,
@@ -131,18 +132,20 @@ impl StreamAnalytics {
         }
     }
 
-    fn track<'a>(
-        jobs: &'a mut HashMap<u64, JobTrack>,
-        inflight: &mut u64,
-        job: u64,
-    ) -> &'a mut JobTrack {
-        match jobs.entry(job) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => {
-                *inflight += 1;
-                v.insert(JobTrack::default())
+    /// The index in `tracks` of `job`'s track, created (and counted in
+    /// flight) on first sight.
+    fn track(&mut self, job: u64) -> usize {
+        let idx = match self.jobs.get(job) {
+            Some(idx) => idx,
+            None => {
+                let idx = next_index(self.tracks.len());
+                self.jobs.insert(job, idx);
+                self.tracks.push(JobTrack::default());
+                self.inflight += 1;
+                idx
             }
-        }
+        };
+        idx as usize
     }
 
     /// Fold one event in. Timestamps normally arrive in nondecreasing
@@ -159,7 +162,8 @@ impl StreamAnalytics {
 
         match *event {
             TraceEvent::Submitted { job, .. } => {
-                let tr = Self::track(&mut self.jobs, &mut self.inflight, job.0);
+                let i = self.track(job.0);
+                let tr = &mut self.tracks[i];
                 if tr.done {
                     // A terminal job submitting again can only be the same
                     // id in a later run of a concatenated multi-replication
@@ -173,7 +177,8 @@ impl StreamAnalytics {
                 }
             }
             TraceEvent::Started { job, .. } => {
-                let tr = Self::track(&mut self.jobs, &mut self.inflight, job.0);
+                let i = self.track(job.0);
+                let tr = &mut self.tracks[i];
                 if !tr.done && !tr.executing {
                     tr.executing = true;
                     self.executing += 1;
@@ -187,14 +192,16 @@ impl StreamAnalytics {
             }
             TraceEvent::RunRecovery { job } => {
                 // The run node died; the job is back in matchmaking.
-                let tr = Self::track(&mut self.jobs, &mut self.inflight, job.0);
+                let i = self.track(job.0);
+                let tr = &mut self.tracks[i];
                 if tr.executing {
                     tr.executing = false;
                     self.executing -= 1;
                 }
             }
             TraceEvent::Completed { job, results_at } => {
-                let tr = Self::track(&mut self.jobs, &mut self.inflight, job.0);
+                let i = self.track(job.0);
+                let tr = &mut self.tracks[i];
                 if !tr.done {
                     tr.done = true;
                     self.inflight -= 1;
@@ -209,7 +216,8 @@ impl StreamAnalytics {
                 }
             }
             TraceEvent::Failed { job } => {
-                let tr = Self::track(&mut self.jobs, &mut self.inflight, job.0);
+                let i = self.track(job.0);
+                let tr = &mut self.tracks[i];
                 if !tr.done {
                     tr.done = true;
                     self.inflight -= 1;

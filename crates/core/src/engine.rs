@@ -597,6 +597,11 @@ impl Engine {
         self.report.makespan_secs = makespan.as_secs_f64();
         self.report.wait_stats = Some(self.report.wait_time.summary());
         self.report.turnaround_stats = Some(self.report.turnaround.summary());
+        // The report hands its samples over ascending: `mean_wait` and the
+        // other means read later sum them in that order, and a summary
+        // leaves them only partly ordered.
+        self.report.wait_time.sort();
+        self.report.turnaround.sort();
         self.report.tenant_fairness = Some(self.report.client_fairness());
         self.report.timeseries = self.timeseries.take();
         self.report.stream_bytes_written = self.observer.bytes_written().unwrap_or(0);

@@ -177,35 +177,97 @@ impl JobRecord {
 }
 
 /// Ids with a value below this use the dense direct-index column; anything
-/// larger (hash-shaped test ids) falls back to the sparse map. The binary
-/// trace format interns ids with the same split at the same limit.
+/// larger (hash-shaped test ids) falls back to the sparse map.
 pub(crate) const DENSE_ID_LIMIT: u64 = 1 << 21;
 
-/// `dense` entry of an id with no record.
+/// `dense` entry of an id with no index.
 const ABSENT: u32 = u32::MAX;
 
+/// A map from raw ids to `u32` indices, the one way every per-id table in
+/// this crate is addressed: the engine's job table, the span assembler's
+/// open spans, the analytics' job tracks and the binary encoder's intern
+/// tables.
+///
+/// Engine ids are small sequential integers, so ids below
+/// [`DENSE_ID_LIMIT`] index a `Vec<u32>` directly (4 bytes per id up to the
+/// largest one inserted) and no id is hashed on that path. Ids from the
+/// limit up (hash-shaped test ids) fall back to a hash map.
+#[derive(Default)]
+pub(crate) struct IdIndex {
+    /// `dense[id]` is the index of a dense id, or [`ABSENT`].
+    dense: Vec<u32>,
+    sparse: HashMap<u64, u32>,
+}
+
+impl IdIndex {
+    /// The index of `id`, if it has one.
+    #[inline]
+    pub fn get(&self, id: u64) -> Option<u32> {
+        if id < DENSE_ID_LIMIT {
+            self.dense
+                .get(id as usize)
+                .copied()
+                .filter(|&idx| idx != ABSENT)
+        } else {
+            self.sparse.get(&id).copied()
+        }
+    }
+
+    /// Give `id` the index `idx`, replacing any index it had.
+    #[inline]
+    pub fn insert(&mut self, id: u64, idx: u32) {
+        debug_assert_ne!(idx, ABSENT, "the absent sentinel is not an index");
+        if id < DENSE_ID_LIMIT {
+            let slot = id as usize;
+            if slot >= self.dense.len() {
+                self.dense.resize(slot + 1, ABSENT);
+            }
+            self.dense[slot] = idx;
+        } else {
+            self.sparse.insert(id, idx);
+        }
+    }
+
+    /// Take `id`'s index away, returning it.
+    #[inline]
+    pub fn remove(&mut self, id: u64) -> Option<u32> {
+        if id < DENSE_ID_LIMIT {
+            let slot = self.dense.get_mut(id as usize)?;
+            (*slot != ABSENT).then(|| std::mem::replace(slot, ABSENT))
+        } else {
+            self.sparse.remove(&id)
+        }
+    }
+}
+
+/// `len` as the next index of a table addressed through an [`IdIndex`].
+///
+/// # Panics
+/// If the table already holds 2³² − 1 entries. No stream or run comes near
+/// that: it would take more than four billion distinct ids.
+pub(crate) fn next_index(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&i| i != ABSENT)
+        .expect("a table addressed by IdIndex holds fewer than 2³² − 1 entries")
+}
+
 /// The engine's job store: records in insertion order in one `Vec`,
-/// addressed by [`JobId`] through a direct-index column with a sparse
-/// fallback — the same dense/sparse split the binary trace format uses for
-/// id interning.
+/// addressed by [`JobId`] through an [`IdIndex`].
 ///
 /// Records are never removed during a replication: a terminal record must
 /// keep answering lookups, because a *missing* record is how the engine
 /// detects (and counts, via `unknown_job_events`) a broken invariant.
 pub(crate) struct JobTable {
     records: Vec<JobRecord>,
-    /// `dense[id]` is the record's index for ids below
-    /// [`DENSE_ID_LIMIT`], or [`ABSENT`].
-    dense: Vec<u32>,
-    sparse: HashMap<u64, u32>,
+    index: IdIndex,
 }
 
 impl JobTable {
     pub fn with_capacity(cap: usize) -> Self {
         JobTable {
             records: Vec::with_capacity(cap),
-            dense: Vec::new(),
-            sparse: HashMap::new(),
+            index: IdIndex::default(),
         }
     }
 
@@ -213,48 +275,27 @@ impl JobTable {
         self.records.len()
     }
 
-    fn idx_of(&self, id: JobId) -> Option<usize> {
-        let idx = if id.0 < DENSE_ID_LIMIT {
-            *self.dense.get(id.0 as usize)?
-        } else {
-            *self.sparse.get(&id.0)?
-        };
-        (idx != ABSENT).then_some(idx as usize)
-    }
-
     /// Insert a record; `false` (and no change) if the id already exists.
     pub fn insert(&mut self, id: JobId, record: JobRecord) -> bool {
-        if self.idx_of(id).is_some() {
+        if self.contains(id) {
             return false;
         }
-        let idx = u32::try_from(self.records.len())
-            .ok()
-            .filter(|&i| i != ABSENT)
-            .expect("job table holds fewer than 2³² − 1 records");
+        self.index.insert(id.0, next_index(self.records.len()));
         self.records.push(record);
-        if id.0 < DENSE_ID_LIMIT {
-            let slot = id.0 as usize;
-            if slot >= self.dense.len() {
-                self.dense.resize(slot + 1, ABSENT);
-            }
-            self.dense[slot] = idx;
-        } else {
-            self.sparse.insert(id.0, idx);
-        }
         true
     }
 
     pub fn get(&self, id: JobId) -> Option<&JobRecord> {
-        Some(&self.records[self.idx_of(id)?])
+        Some(&self.records[self.index.get(id.0)? as usize])
     }
 
     pub fn get_mut(&mut self, id: JobId) -> Option<&mut JobRecord> {
-        let idx = self.idx_of(id)?;
-        Some(&mut self.records[idx])
+        let idx = self.index.get(id.0)?;
+        Some(&mut self.records[idx as usize])
     }
 
     pub fn contains(&self, id: JobId) -> bool {
-        self.idx_of(id).is_some()
+        self.index.get(id.0).is_some()
     }
 
     /// Records in insertion order.
@@ -402,8 +443,61 @@ mod tests {
         assert_eq!(order, vec![JobId(3), JobId(u64::MAX - 7)]);
     }
 
+    #[test]
+    fn id_index_hashes_only_ids_from_the_limit_up() {
+        let mut index = IdIndex::default();
+        index.insert(DENSE_ID_LIMIT - 1, 0);
+        index.insert(DENSE_ID_LIMIT, 1);
+        index.insert(7, 2);
+        assert_eq!(index.sparse.len(), 1);
+        assert_eq!(index.dense.len() as u64, DENSE_ID_LIMIT);
+        assert_eq!(index.remove(7), Some(2));
+        assert_eq!(index.remove(7), None);
+        assert_eq!(index.get(8), None, "inside the dense column, no index");
+    }
+
+    /// Ids on both sides of the dense limit, at its edges and far past it.
+    const PROBE_IDS: [u64; 12] = [
+        0,
+        1,
+        5,
+        4_000,
+        DENSE_ID_LIMIT - 2,
+        DENSE_ID_LIMIT - 1,
+        DENSE_ID_LIMIT,
+        DENSE_ID_LIMIT + 1,
+        1 << 40,
+        u64::MAX - 1,
+        u64::MAX,
+        63,
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random inserts, removes and gets on both sides of the dense
+        /// limit answer as a `HashMap` does.
+        #[test]
+        fn id_index_matches_a_hashmap(
+            ops in proptest::collection::vec((0u8..3, 0usize..12, 0u32..1_000), 1..300),
+        ) {
+            let mut index = IdIndex::default();
+            let mut model: HashMap<u64, u32> = HashMap::new();
+            for (op, pick, idx) in ops {
+                let id = PROBE_IDS[pick];
+                match op {
+                    0 => {
+                        index.insert(id, idx);
+                        model.insert(id, idx);
+                    }
+                    1 => prop_assert_eq!(index.remove(id), model.remove(&id)),
+                    _ => prop_assert_eq!(index.get(id), model.get(&id).copied()),
+                }
+            }
+            for id in PROBE_IDS {
+                prop_assert_eq!(index.get(id), model.get(&id).copied());
+            }
+        }
 
         /// Under random own/detach/take sequences over up to 70 nodes, the
         /// lists hold what a `BTreeSet` per node holds, and a take returns

@@ -18,8 +18,10 @@ pub struct SimReport {
     pub jobs_failed: u64,
     /// Job wait times, seconds (submission → execution start): Figure 2's
     /// metric. Mean and standard deviation are the paper's reported values.
+    /// Ascending once the run has finished.
     pub wait_time: SampleSet,
     /// Turnaround times, seconds (submission → results returned).
+    /// Ascending once the run has finished.
     pub turnaround: SampleSet,
     /// Matchmaking cost in overlay hops per successful match.
     pub match_hops: SampleSet,
@@ -83,8 +85,7 @@ pub struct SimReport {
     #[serde(default)]
     pub unknown_job_events: u64,
     /// Bytes the installed stream observer wrote (0 when tracing is off or
-    /// the observer is not a stream writer) — the raw material for the
-    /// JSONL-vs-binary size ratio `dgrid bench stream` reports.
+    /// the observer is not a stream writer).
     #[serde(default)]
     pub stream_bytes_written: u64,
     /// Percentile summary (p50/p95/p99 and friends) of the wait times,

@@ -16,13 +16,12 @@
 //! was spent recovering (a recovery notification, a resubmission, or the
 //! permanent failure), in which case it counts as [`Phase::Recovery`].
 
-use std::collections::BTreeMap;
-
 use dgrid_resources::JobId;
 use dgrid_sim::stats::SampleSet;
 use dgrid_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::job::{next_index, IdIndex};
 use crate::trace::{Observer, TraceEvent};
 
 /// The lifecycle phases a job's turnaround decomposes into.
@@ -207,13 +206,52 @@ fn segment_phase(prev: &TraceEvent, next: &TraceEvent) -> Phase {
     }
 }
 
+/// Fold `event` at `at` into `span`'s counters and, for a closing event,
+/// its end; `true` when the span closed.
+fn accept(span: &mut JobSpan, at: SimTime, event: &TraceEvent) -> bool {
+    match *event {
+        TraceEvent::Submitted { resubmits, .. } => span.resubmits = span.resubmits.max(resubmits),
+        TraceEvent::RunRecovery { .. }
+        | TraceEvent::OwnerRecovery { .. }
+        | TraceEvent::LeaseTransferred { .. } => span.recoveries += 1,
+        TraceEvent::Completed { results_at, .. } => {
+            span.add(Phase::ResultReturn, results_at.since(at));
+            span.finished_at = Some(results_at);
+            span.outcome = SpanOutcome::Completed;
+            return true;
+        }
+        TraceEvent::Failed { .. } => {
+            span.finished_at = Some(at);
+            span.outcome = SpanOutcome::Failed;
+            return true;
+        }
+        _ => {}
+    }
+    false
+}
+
+/// A span still open, with the job's latest event.
+struct OpenSpan {
+    at: SimTime,
+    last: TraceEvent,
+    span: JobSpan,
+}
+
 /// Folds a time-ordered event stream into per-job [`JobSpan`]s.
 ///
 /// Usable directly as an [`Observer`] (install on the engine), or fed from
 /// a parsed JSONL stream via [`SpanAssembler::observe`].
+///
+/// Open spans live in a slab whose freed slots are reused, found through an
+/// [`IdIndex`]: memory is 4 bytes per dense job id plus one slot per job
+/// open *at the same time*, and no event hashes or walks a tree.
 #[derive(Default)]
 pub struct SpanAssembler {
-    open: BTreeMap<JobId, (SimTime, TraceEvent, JobSpan)>,
+    /// Job id → its slot in `open`.
+    index: IdIndex,
+    /// `None` marks a free slot, listed in `free`.
+    open: Vec<Option<OpenSpan>>,
+    free: Vec<u32>,
     done: Vec<JobSpan>,
 }
 
@@ -227,53 +265,62 @@ impl SpanAssembler {
     /// the engine emits them).
     pub fn observe(&mut self, at: SimTime, event: TraceEvent) {
         let Some(job) = job_of(&event) else { return };
-        match self.open.remove(&job) {
-            None => {
-                // First sighting: the span's clock starts here.
-                let span = JobSpan::new(job, at);
-                self.accept(at, event, span, None);
+        let Some(slot) = self.index.get(job.0) else {
+            // First sighting, or the first since the job's span closed: the
+            // span's clock starts here.
+            let mut span = JobSpan::new(job, at);
+            if accept(&mut span, at, &event) {
+                self.done.push(span);
+            } else {
+                self.open_span(OpenSpan {
+                    at,
+                    last: event,
+                    span,
+                });
             }
-            Some((prev_at, prev_event, mut span)) => {
-                span.add(segment_phase(&prev_event, &event), at.since(prev_at));
-                self.accept(at, event, span, Some(prev_at));
-            }
+            return;
+        };
+        let entry = self.open[slot as usize]
+            .as_mut()
+            .expect("an indexed slot holds an open span");
+        debug_assert!(at >= entry.at, "events out of order");
+        entry
+            .span
+            .add(segment_phase(&entry.last, &event), at.since(entry.at));
+        if accept(&mut entry.span, at, &event) {
+            let closed = self.open[slot as usize].take().expect("checked above");
+            self.index.remove(job.0);
+            self.free.push(slot);
+            self.done.push(closed.span);
+        } else {
+            entry.at = at;
+            entry.last = event;
         }
     }
 
-    fn accept(&mut self, at: SimTime, event: TraceEvent, mut span: JobSpan, prev: Option<SimTime>) {
-        debug_assert!(prev.is_none_or(|p| at >= p), "events out of order");
-        match event {
-            TraceEvent::Submitted { resubmits, .. } => {
-                span.resubmits = span.resubmits.max(resubmits)
+    fn open_span(&mut self, entry: OpenSpan) {
+        let job = entry.span.job;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.open[slot as usize] = Some(entry);
+                slot
             }
-            TraceEvent::RunRecovery { .. }
-            | TraceEvent::OwnerRecovery { .. }
-            | TraceEvent::LeaseTransferred { .. } => {
-                span.recoveries += 1;
+            None => {
+                let slot = next_index(self.open.len());
+                self.open.push(Some(entry));
+                slot
             }
-            TraceEvent::Completed { results_at, .. } => {
-                span.add(Phase::ResultReturn, results_at.since(at));
-                span.finished_at = Some(results_at);
-                span.outcome = SpanOutcome::Completed;
-                self.done.push(span);
-                return;
-            }
-            TraceEvent::Failed { .. } => {
-                span.finished_at = Some(at);
-                span.outcome = SpanOutcome::Failed;
-                self.done.push(span);
-                return;
-            }
-            _ => {}
-        }
-        self.open.insert(span.job, (at, event, span));
+        };
+        self.index.insert(job.0, slot);
     }
 
     /// Consume the assembler: every span, closed ones first in completion
     /// order, then still-open jobs by id.
     pub fn finish(self) -> Vec<JobSpan> {
+        let mut open: Vec<JobSpan> = self.open.into_iter().flatten().map(|e| e.span).collect();
+        open.sort_unstable_by_key(|s| s.job);
         let mut spans = self.done;
-        spans.extend(self.open.into_values().map(|(_, _, s)| s));
+        spans.append(&mut open);
         spans
     }
 }
@@ -290,7 +337,7 @@ pub fn phase_samples(spans: &[JobSpan]) -> Vec<(Phase, SampleSet)> {
     Phase::ALL
         .iter()
         .map(|&p| {
-            let mut set = SampleSet::new();
+            let mut set = SampleSet::with_capacity(spans.len());
             for s in spans {
                 set.push(s.phase(p).as_secs_f64());
             }
@@ -301,6 +348,10 @@ pub fn phase_samples(spans: &[JobSpan]) -> Vec<(Phase, SampleSet)> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::job::OwnerRef;
     use crate::node::GridNodeId;
@@ -518,6 +569,135 @@ mod tests {
             },
         );
         assert!(a.finish().is_empty());
+    }
+
+    /// The assembler over a `BTreeMap` of open spans, as it was before the
+    /// slab: the same per-event rules, a different store.
+    #[derive(Default)]
+    struct ReferenceAssembler {
+        open: BTreeMap<JobId, (SimTime, TraceEvent, JobSpan)>,
+        done: Vec<JobSpan>,
+    }
+
+    impl ReferenceAssembler {
+        fn observe(&mut self, at: SimTime, event: TraceEvent) {
+            let Some(job) = job_of(&event) else { return };
+            let mut span = match self.open.remove(&job) {
+                None => JobSpan::new(job, at),
+                Some((prev_at, prev, mut span)) => {
+                    span.add(segment_phase(&prev, &event), at.since(prev_at));
+                    span
+                }
+            };
+            if accept(&mut span, at, &event) {
+                self.done.push(span);
+            } else {
+                self.open.insert(job, (at, event, span));
+            }
+        }
+
+        fn finish(self) -> Vec<JobSpan> {
+            let mut spans = self.done;
+            spans.extend(self.open.into_values().map(|(_, _, s)| s));
+            spans
+        }
+    }
+
+    /// Every field of a span, for comparison.
+    #[allow(clippy::type_complexity)]
+    fn fields(
+        s: &JobSpan,
+    ) -> (
+        JobId,
+        SimTime,
+        Option<SimTime>,
+        SpanOutcome,
+        u32,
+        u32,
+        [u64; 6],
+    ) {
+        (
+            s.job,
+            s.submitted_at,
+            s.finished_at,
+            s.outcome,
+            s.resubmits,
+            s.recoveries,
+            s.phase_ns,
+        )
+    }
+
+    /// Job ids both sides of the dense limit, at its edges and far past it.
+    const JOB_IDS: [u64; 8] = [
+        0,
+        1,
+        2,
+        9,
+        crate::job::DENSE_ID_LIMIT - 1,
+        crate::job::DENSE_ID_LIMIT,
+        crate::job::DENSE_ID_LIMIT + 3,
+        u64::MAX,
+    ];
+
+    fn event(kind: u8, job: JobId, node: GridNodeId, at: SimTime, n: u32) -> TraceEvent {
+        match kind {
+            0 => TraceEvent::Submitted { job, resubmits: n },
+            1 => TraceEvent::OwnerAssigned {
+                job,
+                owner: OwnerRef::Peer(node),
+            },
+            2 => TraceEvent::Matched {
+                job,
+                run_node: node,
+                hops: n,
+            },
+            3 => TraceEvent::Started {
+                job,
+                run_node: node,
+            },
+            4 => TraceEvent::Completed {
+                job,
+                results_at: at + SimDuration::from_secs(u64::from(n)),
+            },
+            5 => TraceEvent::Failed { job },
+            6 => TraceEvent::NodeDown {
+                node,
+                graceful: n.is_multiple_of(2),
+            },
+            7 => TraceEvent::NodeUp { node },
+            8 => TraceEvent::RunRecovery { job },
+            9 => TraceEvent::OwnerRecovery { job },
+            10 => TraceEvent::LeaseExpired { job },
+            _ => TraceEvent::LeaseTransferred { job, owner: node },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random time-ordered streams over a few job ids either side of
+        /// the dense limit — jobs close and reopen, node events interleave,
+        /// some jobs are still open at the end — the slab assembler's
+        /// `finish()` equals the `BTreeMap` reference's, span for span.
+        #[test]
+        fn slab_assembler_matches_a_btreemap_reference(
+            steps in proptest::collection::vec(
+                (0u8..12, 0usize..JOB_IDS.len(), 0u64..3, 0u32..4),
+                0..300,
+            ),
+        ) {
+            let (mut slab, mut reference) = (SpanAssembler::new(), ReferenceAssembler::default());
+            let mut at = SimTime::ZERO;
+            for (kind, pick, dt, n) in steps {
+                at += SimDuration::from_secs(dt);
+                let ev = event(kind, JobId(JOB_IDS[pick]), GridNodeId(n), at, n);
+                slab.observe(at, ev);
+                reference.observe(at, ev);
+            }
+            let got: Vec<_> = slab.finish().iter().map(fields).collect();
+            let want: Vec<_> = reference.finish().iter().map(fields).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -42,12 +42,11 @@
 //! [`StreamError`] — the decoder never panics, which the fuzz proptests
 //! assert over arbitrary byte soup and mutilated valid streams.
 
-use std::collections::HashMap;
 use std::io::Write;
 
 use dgrid_resources::JobId;
 
-use crate::job::{OwnerRef, DENSE_ID_LIMIT};
+use crate::job::{next_index, IdIndex, OwnerRef};
 use crate::node::GridNodeId;
 use crate::trace::{parse_jsonl_line, write_event_line, EventRecord, Observer, TraceEvent};
 use dgrid_sim::SimTime;
@@ -285,44 +284,28 @@ fn unzigzag(v: u64) -> i64 {
 
 // --- encoder ---------------------------------------------------------------
 
-/// First-appearance intern table on the encoder hot path. Engine job and
-/// node ids are small sequential integers, so the common case is a direct
-/// vector index — no hashing per event. Ids from [`DENSE_ID_LIMIT`] up
-/// (never produced by the engine, but legal in a hand-built stream) fall
-/// back to a hash map, as they do in the engine's job table; the dense
-/// column grows only to the largest id seen. Intern indices are assigned in
-/// first-appearance order either way, so the fallback does not change the
-/// encoding.
+/// First-appearance intern table on the encoder hot path, addressed
+/// through an [`IdIndex`]: engine job and node ids are small sequential
+/// integers, so no id is hashed per event. Intern indices are assigned in
+/// first-appearance order whichever side of the dense limit an id falls
+/// on, so the split does not change the encoding.
 #[derive(Default)]
 struct InternMap {
-    dense: Vec<u64>, // id -> intern index + 1; 0 = unassigned
-    sparse: HashMap<u64, u64>,
-    next: u64,
+    index: IdIndex,
+    next: u32,
 }
 
 impl InternMap {
     /// Intern index for `id`, plus whether this is its first appearance.
-    fn get_or_insert(&mut self, id: u64) -> (u64, bool) {
-        if id < DENSE_ID_LIMIT {
-            let i = id as usize;
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, 0);
-            }
-            if self.dense[i] != 0 {
-                return (self.dense[i] - 1, false);
-            }
-            let idx = self.next;
-            self.next += 1;
-            self.dense[i] = idx + 1;
-            (idx, true)
-        } else if let Some(&idx) = self.sparse.get(&id) {
-            (idx, false)
-        } else {
-            let idx = self.next;
-            self.next += 1;
-            self.sparse.insert(id, idx);
-            (idx, true)
+    fn get_or_insert(&mut self, id: u64) -> (u32, bool) {
+        if let Some(idx) = self.index.get(id) {
+            return (idx, false);
         }
+        // One stream interns fewer than 2³² − 1 distinct ids per table.
+        let idx = next_index(self.next as usize);
+        self.next = idx + 1;
+        self.index.insert(id, idx);
+        (idx, true)
     }
 }
 
@@ -365,7 +348,7 @@ impl BinaryEncoder {
         Self::default()
     }
 
-    fn intern_job(&mut self, out: &mut Vec<u8>, job: JobId) -> u64 {
+    fn intern_job(&mut self, out: &mut Vec<u8>, job: JobId) -> u32 {
         let (idx, fresh) = self.jobs.get_or_insert(job.0);
         if fresh {
             let at = begin_frame(out);
@@ -376,7 +359,7 @@ impl BinaryEncoder {
         idx
     }
 
-    fn intern_node(&mut self, out: &mut Vec<u8>, node: GridNodeId) -> u64 {
+    fn intern_node(&mut self, out: &mut Vec<u8>, node: GridNodeId) -> u32 {
         let (idx, fresh) = self.nodes.get_or_insert(u64::from(node.0));
         if fresh {
             let at = begin_frame(out);
@@ -396,7 +379,7 @@ impl BinaryEncoder {
             self.started = true;
         }
         // Intern pass first: DEF frames precede the event that needs them.
-        let (tag, job_idx, node_idx): (u8, Option<u64>, Option<u64>) = match *event {
+        let (tag, job_idx, node_idx): (u8, Option<u32>, Option<u32>) = match *event {
             TraceEvent::Submitted { job, .. } => {
                 (TAG_SUBMITTED, Some(self.intern_job(out, job)), None)
             }
@@ -453,10 +436,10 @@ impl BinaryEncoder {
         self.prev_t = t_ns;
         write_varint(out, dt);
         if let Some(j) = job_idx {
-            write_varint(out, j);
+            write_varint(out, u64::from(j));
         }
         if let Some(n) = node_idx {
-            write_varint(out, n);
+            write_varint(out, u64::from(n));
         }
         match *event {
             TraceEvent::Submitted { resubmits, .. } => write_varint(out, u64::from(resubmits)),
@@ -1090,12 +1073,12 @@ mod tests {
 
     #[test]
     fn ids_either_side_of_the_dense_limit_intern_in_first_appearance_order() {
+        use crate::job::DENSE_ID_LIMIT;
         let mut jobs = InternMap::default();
         let ids = [DENSE_ID_LIMIT, 7, DENSE_ID_LIMIT - 1, DENSE_ID_LIMIT, 7];
-        let got: Vec<(u64, bool)> = ids.iter().map(|&id| jobs.get_or_insert(id)).collect();
+        let got: Vec<(u32, bool)> = ids.iter().map(|&id| jobs.get_or_insert(id)).collect();
         let want = [(0, true), (1, true), (2, true), (0, false), (1, false)];
         assert_eq!(got, want);
-        assert_eq!(jobs.sparse.len(), 1, "only the id at the limit hashes");
     }
 
     #[test]

@@ -134,10 +134,12 @@ impl SampleSet {
         }
     }
 
-    /// Add one observation.
+    /// Add one observation. A `-0.0` is stored as `+0.0`, so samples that
+    /// compare equal are bit-equal and no order statistic depends on how
+    /// ties were ordered.
     pub fn push(&mut self, x: f64) {
         debug_assert!(x.is_finite(), "non-finite observation {x}");
-        self.samples.push(x);
+        self.samples.push(x + 0.0);
         self.sorted = false;
     }
 
@@ -170,19 +172,24 @@ impl SampleSet {
             .sqrt()
     }
 
-    /// The `p`-th percentile (0 ≤ p ≤ 100) by nearest-rank; `None` if empty.
+    /// The `p`-th percentile (0 ≤ p ≤ 100): the sample at 0-based rank
+    /// `round(p/100 · (n−1))` in ascending order; `None` if empty. Sorts
+    /// the samples on the first call after a push.
     pub fn percentile(&mut self, p: f64) -> Option<f64> {
         assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
         if self.samples.is_empty() {
             return None;
         }
+        self.sort();
+        Some(self.samples[rank(p, self.samples.len())])
+    }
+
+    /// Put the samples in ascending order (a no-op when they already are).
+    pub fn sort(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
+            self.samples.sort_unstable_by(f64::total_cmp);
             self.sorted = true;
         }
-        let rank = ((p / 100.0) * (self.samples.len() - 1) as f64).round() as usize;
-        Some(self.samples[rank.min(self.samples.len() - 1)])
     }
 
     /// Median (50th percentile).
@@ -231,18 +238,54 @@ impl SampleSet {
     }
 
     /// Collapse into a serializable [`SampleSummary`] with tail percentiles.
+    ///
+    /// The percentiles follow [`SampleSet::percentile`]'s rank rule, but an
+    /// unsorted set is not sorted: p99 is selected, then p95 among the
+    /// samples below p99's rank, then p50 among those below p95's, and the
+    /// samples are left in the order selection put them.
     pub fn summary(&mut self) -> SampleSummary {
+        let mean = self.mean();
+        let std_dev = self.std_dev();
+        let [p50, p95, p99] = self.select_percentiles([50.0, 95.0, 99.0]);
         SampleSummary {
             count: self.len() as u64,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
+            mean,
+            std_dev,
             min: self.min().unwrap_or(0.0),
-            p50: self.percentile(50.0).unwrap_or(0.0),
-            p95: self.percentile(95.0).unwrap_or(0.0),
-            p99: self.percentile(99.0).unwrap_or(0.0),
+            p50,
+            p95,
+            p99,
             max: self.max().unwrap_or(0.0),
         }
     }
+
+    /// The percentiles `ps` (ascending), each `0.0` when empty: read off a
+    /// sorted set, selected from the top one down on an unsorted one.
+    fn select_percentiles<const K: usize>(&mut self, ps: [f64; K]) -> [f64; K] {
+        let n = self.samples.len();
+        let mut out = [0.0; K];
+        if n == 0 {
+            return out;
+        }
+        // No sample from `bound` on is smaller than one below it, so a rank
+        // under `bound` is found among the first `bound` samples.
+        let mut bound = n;
+        for (i, &p) in ps.iter().enumerate().rev() {
+            let r = rank(p, n);
+            if !self.sorted && r < bound {
+                self.samples[..bound].select_nth_unstable_by(r, f64::total_cmp);
+                bound = r;
+            }
+            out[i] = self.samples[r];
+        }
+        out
+    }
+}
+
+/// 0-based rank of the `p`-th percentile in `n > 0` ascending samples.
+fn rank(p: f64, n: usize) -> usize {
+    let r = ((p / 100.0) * (n - 1) as f64).round() as usize;
+    r.min(n - 1)
 }
 
 /// A compact distribution summary: the paper's mean/std plus the tail
@@ -257,7 +300,8 @@ pub struct SampleSummary {
     pub std_dev: f64,
     /// Smallest observation.
     pub min: f64,
-    /// Median (nearest-rank).
+    /// Median: the sample at rank `round(0.5 · (n−1))`, as
+    /// [`SampleSet::percentile`] ranks.
     pub p50: f64,
     /// 95th percentile.
     pub p95: f64,
@@ -399,6 +443,15 @@ mod tests {
         assert_eq!(sum.p99, s.percentile(99.0).unwrap());
         assert!(sum.p50 <= sum.p95 && sum.p95 <= sum.p99 && sum.p99 <= sum.max);
         assert_eq!(SampleSet::new().summary(), SampleSummary::default());
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_zero() {
+        let mut s = SampleSet::new();
+        s.push(-0.0);
+        s.push(0.0);
+        assert!(s.samples().iter().all(|x| x.to_bits() == 0.0f64.to_bits()));
+        assert_eq!(s.summary().p50.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

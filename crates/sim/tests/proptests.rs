@@ -80,4 +80,62 @@ proptest! {
         prop_assert_eq!(s.percentile(100.0), s.max());
         prop_assert_eq!(s.percentile(0.0), s.min());
     }
+
+    /// `summary` and `percentile` on a set already sorted, one not yet
+    /// sorted, and one sorted and then pushed to again answer bit for bit
+    /// what a stable `partial_cmp` sort ranks, and keep every sample.
+    #[test]
+    fn summary_and_percentiles_match_a_stable_sort(
+        xs in tie_heavy_samples(),
+        split in any::<usize>(),
+        mode in 0u8..3,
+    ) {
+        let mut s = SampleSet::new();
+        let cut = split % (xs.len() + 1);
+        match mode {
+            0 => {
+                xs.iter().for_each(|&x| s.push(x));
+                s.sort();
+            }
+            1 => xs.iter().for_each(|&x| s.push(x)),
+            _ => {
+                xs[..cut].iter().for_each(|&x| s.push(x));
+                s.sort();
+                xs[cut..].iter().for_each(|&x| s.push(x));
+            }
+        }
+        let sorted = stable_sorted(&xs);
+        let at = |p: f64| sorted[((p / 100.0) * (sorted.len() - 1) as f64).round() as usize].to_bits();
+        let sum = s.summary();
+        prop_assert_eq!(sum.p50.to_bits(), at(50.0));
+        prop_assert_eq!(sum.p95.to_bits(), at(95.0));
+        prop_assert_eq!(sum.p99.to_bits(), at(99.0));
+        prop_assert_eq!(sum.min.to_bits(), at(0.0));
+        prop_assert_eq!(sum.max.to_bits(), at(100.0));
+        for p in [0.0, 1.0, 25.0, 50.0, 95.0, 99.0, 99.9, 100.0] {
+            prop_assert_eq!(s.percentile(p).map(f64::to_bits), Some(at(p)));
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(s.samples()), bits(&sorted));
+    }
+}
+
+/// Non-negative samples, heavy in zeros and repeated values.
+fn tie_heavy_samples() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(
+        prop_oneof![
+            Just(0.0),
+            (0u32..8).prop_map(|k| f64::from(k) * 0.5),
+            0.0f64..1e6,
+        ],
+        1..300,
+    )
+}
+
+/// `xs` in ascending order by the stable `partial_cmp` sort percentiles
+/// were once read from.
+fn stable_sorted(xs: &[f64]) -> Vec<f64> {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    sorted
 }

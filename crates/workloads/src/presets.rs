@@ -70,8 +70,8 @@ impl PaperScenario {
 
 /// The paper's configuration for one quadrant, at a chosen scale.
 ///
-/// Paper scale is 1000 nodes / 5000 jobs; tests and Criterion benches use
-/// smaller `nodes`/`jobs` with the same arrival *intensity per node* so the
+/// Paper scale is 1000 nodes / 5000 jobs; tests and the benchmark use
+/// other `nodes`/`jobs` with the same arrival *intensity per node* so the
 /// system operates at the same utilization.
 pub fn paper_scenario(scenario: PaperScenario, nodes: usize, jobs: usize, seed: u64) -> Workload {
     // Keep offered load per node constant across scales: the paper offers
