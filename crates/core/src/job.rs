@@ -183,10 +183,10 @@ pub(crate) const DENSE_ID_LIMIT: u64 = 1 << 21;
 /// `dense` entry of an id with no index.
 const ABSENT: u32 = u32::MAX;
 
-/// A map from raw ids to `u32` indices, the one way every per-id table in
-/// this crate is addressed: the engine's job table, the span assembler's
-/// open spans, the analytics' job tracks and the binary encoder's intern
-/// tables.
+/// A map from raw ids to `u32` indices. The engine's job table and the
+/// stream consumers' per-id tables are addressed through it: the span
+/// assembler's open spans, the analytics' job tracks and the binary
+/// encoder's intern tables.
 ///
 /// Engine ids are small sequential integers, so ids below
 /// [`DENSE_ID_LIMIT`] index a `Vec<u32>` directly (4 bytes per id up to the

@@ -317,10 +317,10 @@ impl SpanAssembler {
     /// Consume the assembler: every span, closed ones first in completion
     /// order, then still-open jobs by id.
     pub fn finish(self) -> Vec<JobSpan> {
-        let mut open: Vec<JobSpan> = self.open.into_iter().flatten().map(|e| e.span).collect();
-        open.sort_unstable_by_key(|s| s.job);
         let mut spans = self.done;
-        spans.append(&mut open);
+        let closed = spans.len();
+        spans.extend(self.open.into_iter().flatten().map(|e| e.span));
+        spans[closed..].sort_unstable_by_key(|s| s.job);
         spans
     }
 }
@@ -571,8 +571,8 @@ mod tests {
         assert!(a.finish().is_empty());
     }
 
-    /// The assembler over a `BTreeMap` of open spans, as it was before the
-    /// slab: the same per-event rules, a different store.
+    /// An assembler over a `BTreeMap` of open spans: the same per-event
+    /// rules as [`SpanAssembler`], the plainest store.
     #[derive(Default)]
     struct ReferenceAssembler {
         open: BTreeMap<JobId, (SimTime, TraceEvent, JobSpan)>,

@@ -261,9 +261,9 @@ impl SampleSet {
 
     /// The percentiles `ps` (ascending), each `0.0` when empty: read off a
     /// sorted set, selected from the top one down on an unsorted one.
-    fn select_percentiles<const K: usize>(&mut self, ps: [f64; K]) -> [f64; K] {
+    fn select_percentiles(&mut self, ps: [f64; 3]) -> [f64; 3] {
         let n = self.samples.len();
-        let mut out = [0.0; K];
+        let mut out = [0.0; 3];
         if n == 0 {
             return out;
         }
