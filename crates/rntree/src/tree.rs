@@ -533,11 +533,9 @@ mod tests {
     fn tree_shapes_match_the_golden() {
         // Height, build hops and an FNV-1a over every (id, parent) edge for
         // N = 2^6 ..= 2^13, recorded on the hash-map tree built by routed
-        // lookups: the tree's shape is simulated behaviour.
-        let mut got = Vec::new();
-        for exp in 6..=13u32 {
-            let ring = ring_of(1 << exp, 100 + u64::from(exp));
-            let (tree, hops) = RnTree::build_counting(&ring);
+        // lookups: the tree's shape is simulated behaviour. The tree `build`
+        // returns on the same ring must have the same shape.
+        fn shape(tree: &RnTree) -> (u32, u64) {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for id in tree.ids() {
                 for w in [id, tree.parent(id).unwrap_or(u64::MAX)] {
@@ -546,7 +544,15 @@ mod tests {
                     }
                 }
             }
-            got.push((tree.height(), hops, h));
+            (tree.height(), h)
+        }
+        let mut got = Vec::new();
+        for exp in 6..=13u32 {
+            let ring = ring_of(1 << exp, 100 + u64::from(exp));
+            let (tree, hops) = RnTree::build_counting(&ring);
+            let (height, h) = shape(&tree);
+            assert_eq!(shape(&RnTree::build(&ring)), (height, h), "N = 2^{exp}");
+            got.push((height, hops, h));
         }
         assert_eq!(
             got,
