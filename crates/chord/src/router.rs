@@ -4,11 +4,11 @@
 //! two reads of a peer's believed successor list — the detour peers of
 //! [`KeyRouter::lookup_with_failover`], which is the only failover Chord
 //! has, and the random-walk step — and the two closed forms
-//! ([`KeyRouter::lookup_owner`], [`KeyRouter::shortest_owned_prefix`]) that
-//! answer from the stabilize snapshot and ground truth.
+//! ([`KeyRouter::lookup_owner`], [`KeyRouter::rn_tree_parents`]) that
+//! answer from the stabilize snapshot.
 
 use dgrid_sim::overlay::Entry;
-use dgrid_sim::router::{KeyRouter, RouteCost};
+use dgrid_sim::router::{rn_tree_parents_via, KeyRouter, RouteCost, NO_PARENT};
 
 use crate::id::ChordId;
 use crate::ring::{ChordRing, Hop};
@@ -74,19 +74,40 @@ impl KeyRouter for ChordRing {
         }
     }
 
-    /// Exact: a peer owns `(predecessor, key]`, and prefix keys only grow
-    /// with the prefix, so the shortest prefix it owns is the first to
-    /// exceed its predecessor — one bit past their common prefix. An
-    /// interval that wraps through 0 (the lowest peer; a lone peer) holds
-    /// the empty prefix.
-    fn shortest_owned_prefix(&self, key: u64) -> u32 {
-        debug_assert!(self.m.is_alive(key));
-        let pred = self.predecessor_of(ChordId(key)).expect("live peer").0;
-        if pred >= key {
-            0
-        } else {
-            (pred ^ key).leading_zeros() + 1
+    /// Exact while settled, when every parent lookup names the ground-truth
+    /// owner. Rank 0 owns key 0 and is the root. Any other rank `r` owns
+    /// `(key r - 1, key r]`, and prefix keys only grow with the prefix, so
+    /// its level is the first prefix to exceed key `r - 1`: one bit past
+    /// `lcp[r]`, the bits the two keys share. Its parent key therefore
+    /// opens the `lcp[r]`-bit block that holds both, and the block's owner
+    /// is its first member: the nearest earlier rank `s` with `lcp[s] <
+    /// lcp[r]` (key `s - 1` lies outside the block), or rank 0. One pass
+    /// over the keys with a stack of ranks whose `lcp` strictly increases,
+    /// at most 64 deep. Any other state looks each parent up.
+    ///
+    /// The level probe this replaces is what `RnTree::build_counting`
+    /// (experiment `T-tree`, which routes every parent lookup to count its
+    /// hops) and that fallback use; no engine path reaches either.
+    fn rn_tree_parents(&self, keys: &[u64]) -> Vec<u32> {
+        if !self.routes_are_exact() {
+            return rn_tree_parents_via(self, keys, |from, key| {
+                KeyRouter::lookup_owner(self, from, key).expect("stable overlay routes")
+            });
         }
+        debug_assert!(keys == self.m.snapshot().keys(), "keys are the live set");
+        let mut parent = Vec::with_capacity(keys.len());
+        parent.extend(keys.first().map(|_| NO_PARENT));
+        // (lcp, rank), lcp strictly increasing upwards.
+        let mut open: Vec<(u32, u32)> = Vec::with_capacity(64);
+        for (r, w) in (1u32..).zip(keys.windows(2)) {
+            let lcp = (w[0] ^ w[1]).leading_zeros();
+            while open.last().is_some_and(|&(l, _)| l >= lcp) {
+                open.pop();
+            }
+            parent.push(open.last().map_or(0, |&(_, s)| s));
+            open.push((lcp, r));
+        }
+        parent
     }
 
     /// In the caller's (hashed, hence random) order on purpose. Admitting

@@ -25,6 +25,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use dgrid_chord::ChordRing;
@@ -69,6 +70,30 @@ const NOT_INDEXED: u32 = u32::MAX;
 /// over.
 const LOOKUP_FAILOVER_RETRIES: u32 = 2;
 
+/// Hashes an overlay key to itself. Every key is a [`KeyRouter::key_of`]
+/// output, a splitmix64 mix on all three substrates, already as evenly
+/// spread as SipHash would leave it; keys come from grid node ids, never
+/// from outside the program, so no one can craft them to collide.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("overlay keys hash as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// Grid node of each overlay member, by key.
+type GridOf = HashMap<u64, GridNodeId, BuildHasherDefault<KeyHasher>>;
+
 /// The Section 3.1 matchmaker, generic over the overlay substrate. The
 /// default substrate is Chord, matching the paper.
 pub struct RnTreeMatchmaker<R: KeyRouter = ChordRing> {
@@ -77,7 +102,7 @@ pub struct RnTreeMatchmaker<R: KeyRouter = ChordRing> {
     /// Overlay key of each member, indexed by grid node; `None` for a node
     /// that is not (or no longer) in the overlay.
     key_of: Vec<Option<u64>>,
-    grid_of: HashMap<u64, GridNodeId>,
+    grid_of: GridOf,
     index: Option<RnTreeIndex>,
     /// Grid node of each rank of `index`: the tree's ids seen through
     /// `grid_of`, resolved once per rebuild.
@@ -113,7 +138,7 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             cfg,
             router: R::default(),
             key_of: Vec::new(),
-            grid_of: HashMap::new(),
+            grid_of: GridOf::default(),
             index: None,
             grid_at: Vec::new(),
             rank_of: Vec::new(),

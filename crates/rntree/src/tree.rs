@@ -5,7 +5,9 @@
 //! its id the node still owns (its level — a local computation) and the
 //! owner of the next-shorter prefix (its parent — one DHT lookup). That is
 //! exactly the `successor(k)` interface the paper assumes of the
-//! underlying DHT.
+//! underlying DHT. The substrate answers for all nodes at once
+//! ([`KeyRouter::rn_tree_parents`]), so one with a closed form of its
+//! ownership — a settled Chord ring — answers in one pass over the ids.
 //!
 //! Nodes are addressed by **rank**, their position in one ascending id
 //! vector, and everything else — parent pointers, child lists (CSR),
@@ -16,12 +18,9 @@
 use std::collections::HashMap;
 
 use dgrid_resources::Capabilities;
-use dgrid_sim::router::{prefix_key, KeyRouter};
+use dgrid_sim::router::{rn_tree_parents_via, KeyRouter, NO_PARENT};
 
 use crate::aggregate::SubtreeInfo;
-
-/// `parent` entry of the root.
-const NO_PARENT: u32 = u32::MAX;
 
 /// The Rendezvous Node Tree over a snapshot of overlay membership.
 ///
@@ -39,8 +38,6 @@ pub struct RnTree {
     /// Children of rank `r`, ascending: `kids[kid_start[r]..kid_start[r + 1]]`.
     kid_start: Vec<u32>,
     kids: Vec<u32>,
-    /// `kids` as ids, for [`RnTree::children`].
-    kid_ids: Vec<u64>,
     /// Every rank, each parent before its children (depth-first from the
     /// root, siblings in descending order).
     order: Vec<u32>,
@@ -79,59 +76,51 @@ fn preorder(root: u32, kid_start: &[u32], kids: &[u32]) -> Vec<u32> {
     order
 }
 
+/// All live keys of `router`, ascending: the tree's ranks.
+fn ranked_keys<R: KeyRouter>(router: &R) -> Vec<u64> {
+    let ids = router.alive_keys();
+    assert!(!ids.is_empty(), "RN-Tree over an empty overlay");
+    assert!(ids.len() < NO_PARENT as usize, "ranks are 32-bit");
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "alive_keys ascends");
+    ids
+}
+
 impl RnTree {
     /// Build the tree for all live nodes of `router`, which has been
     /// stabilized since its last membership change (as every engine rebuild
-    /// is), so that every parent lookup names the ground-truth owner.
+    /// is), so that every parent lookup names the ground-truth owner. The
+    /// parents are [`KeyRouter::rn_tree_parents`], a closed form on a
+    /// settled Chord ring.
     ///
     /// # Panics
     /// If the overlay is empty, or if the parent pointers its lookups give
     /// do not form one tree — a lookup that names the asker itself or a
     /// non-member, or a cycle; no stabilized substrate's lookups do that.
     pub fn build<R: KeyRouter>(router: &R) -> RnTree {
-        Self::build_via(router, |id, key| {
-            router.lookup_owner(id, key).expect("stable overlay routes")
-        })
+        let ids = ranked_keys(router);
+        let parent = router.rn_tree_parents(&ids);
+        Self::from_parents(ids, parent)
     }
 
     /// Build the tree and report the total overlay-lookup hop cost the
     /// nodes would pay to (re)establish their parent pointers — one lookup
     /// per non-root node, each one routed.
     pub fn build_counting<R: KeyRouter>(router: &R) -> (RnTree, u64) {
+        let ids = ranked_keys(router);
         let mut lookup_hops = 0u64;
-        let tree = Self::build_via(router, |id, key| {
+        let parent = rn_tree_parents_via(router, &ids, |id, key| {
             let res = router.lookup(id, key).expect("stable overlay routes");
             lookup_hops += u64::from(res.hops);
             res.owner
         });
-        (tree, lookup_hops)
+        (Self::from_parents(ids, parent), lookup_hops)
     }
 
-    /// The build, given how node `id` finds the owner of its parent `key`.
-    fn build_via<R: KeyRouter>(router: &R, mut owner_from: impl FnMut(u64, u64) -> u64) -> RnTree {
-        let ids = router.alive_keys();
-        assert!(!ids.is_empty(), "RN-Tree over an empty overlay");
-        assert!(ids.len() < NO_PARENT as usize, "ranks are 32-bit");
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "alive_keys ascends");
-        let rank_of = |id: u64| ids.binary_search(&id).ok().map(|r| r as u32);
-        let root = router.owner_of(0).expect("non-empty overlay");
-        let root = rank_of(root).expect("the root is a live node");
-
-        let mut parent = vec![NO_PARENT; ids.len()];
-        for (r, &id) in ids.iter().enumerate() {
-            if r as u32 == root {
-                continue;
-            }
-            // Local step: the shortest prefix of our id we still own.
-            let level = router.shortest_owned_prefix(id);
-            debug_assert!(level > 0, "only the root owns key 0");
-            // One DHT lookup: the owner of the next-shorter prefix, which
-            // the level rule says is not ours.
-            let p = owner_from(id, prefix_key(id, level - 1));
-            assert_ne!(p, id, "the parent lookup came back to the asker");
-            parent[r] = rank_of(p).expect("the parent is a live node");
-        }
-
+    /// The tree of `parent`, one rank per id; [`NO_PARENT`] marks the root.
+    fn from_parents(ids: Vec<u64>, parent: Vec<u32>) -> RnTree {
+        debug_assert_eq!(parent.len(), ids.len(), "one parent per rank");
+        let root = parent.iter().position(|&p| p == NO_PARENT);
+        let root = root.expect("one node is the root") as u32;
         // Chord's interval ownership makes parent ids strictly decrease, so
         // every chain reaches the root. Pastry's and Tapestry's ownership
         // carries no such order, but no stabilized overlay has been seen to
@@ -141,7 +130,6 @@ impl RnTree {
         assert_eq!(order.len(), ids.len(), "a parent chain misses the root");
 
         RnTree {
-            kid_ids: kids.iter().map(|&r| ids[r as usize]).collect(),
             ids,
             root,
             parent,
@@ -207,8 +195,9 @@ impl RnTree {
     ///
     /// # Panics
     /// If `id` is not in the tree.
-    pub fn children(&self, id: u64) -> &[u64] {
-        &self.kid_ids[self.kid_range(self.rank(id))]
+    pub fn children(&self, id: u64) -> Vec<u64> {
+        let kids = self.kid_ranks(self.rank(id));
+        kids.iter().map(|&r| self.id_at(r)).collect()
     }
 
     /// Depth of `id` (root is 0).
@@ -470,7 +459,7 @@ mod tests {
                     cur = p;
                 }
                 assert_eq!(cur, tree.root(), "{}: chain reaches root", R::SUBSTRATE);
-                for &c in tree.children(id) {
+                for c in tree.children(id) {
                     assert_eq!(tree.parent(c), Some(id));
                 }
             }
@@ -487,7 +476,7 @@ mod tests {
         let ring = ring_of(64, 41);
         let tree = RnTree::build(&ring);
         for id in tree.ids() {
-            for &c in tree.children(id) {
+            for c in tree.children(id) {
                 assert_eq!(tree.parent(c), Some(id));
             }
             if let Some(p) = tree.parent(id) {

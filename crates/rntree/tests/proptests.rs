@@ -12,7 +12,7 @@ use dgrid_chord::{ChordId, ChordRing};
 use dgrid_pastry::PastryNetwork;
 use dgrid_resources::{Capabilities, JobRequirements, OsRequirement, OsType, ResourceKind};
 use dgrid_rntree::{RnTree, RnTreeIndex, SearchResult, SubtreeInfo};
-use dgrid_sim::router::{prefix_key, KeyRouter};
+use dgrid_sim::router::{prefix_key, KeyRouter, NO_PARENT};
 use dgrid_tapestry::TapestryNetwork;
 use proptest::prelude::*;
 
@@ -45,6 +45,34 @@ type Churn = Vec<(u64, u8)>;
 
 fn churn() -> impl Strategy<Value = Churn> {
     proptest::collection::vec((any::<u64>(), 0u8..7), 0..30)
+}
+
+/// Up to `clusters × cluster_len` keys that share long prefixes: each
+/// cluster keeps a stem's top bits and draws only its low `spread` bits, or
+/// for `spread = 0` is a run of adjacent keys from the stem. Stems are
+/// random, 0 or `u64::MAX`, so runs wrap and blocks sit at both ends of
+/// the ring; keys 0 and `u64::MAX` are each in or out besides.
+fn clustered_keys(clusters: usize, cluster_len: usize) -> impl Strategy<Value = HashSet<u64>> {
+    let stem = (any::<u64>(), 0u8..4).prop_map(|(stem, pick)| match pick {
+        0 => 0,
+        1 => u64::MAX,
+        _ => stem,
+    });
+    let cluster = (stem, 0u32..64, 1..cluster_len + 1, any::<u64>());
+    let clusters = proptest::collection::vec(cluster, 1..clusters + 1);
+    (clusters, any::<bool>(), any::<bool>()).prop_map(|(clusters, zero, max)| {
+        let mut keys = HashSet::new();
+        for (stem, spread, len, salt) in clusters {
+            let low = (1u64 << spread) - 1;
+            keys.extend((0..len as u64).map(|i| match spread {
+                0 => stem.wrapping_add(i),
+                _ => (stem & !low) | (ChordId::hash_of(salt ^ i).0 & low),
+            }));
+        }
+        keys.extend(zero.then_some(0));
+        keys.extend(max.then_some(u64::MAX));
+        keys
+    })
 }
 
 /// `initial` joined one by one, then `steps` applied.
@@ -97,6 +125,37 @@ fn hooks_match_their_defaults<R: KeyRouter>(net: &R, keys: &[u64]) -> Result<(),
                 from
             );
         }
+    }
+    Ok(())
+}
+
+/// The parent hook's default spelled out, without its panics: every live
+/// key's probed level and routed parent lookup, as a rank; `None` where a
+/// lookup stalls, comes back to the asker or names a non-member.
+fn looked_up_parents<R: KeyRouter>(net: &R, keys: &[u64]) -> Option<Vec<u32>> {
+    let rank = |key: u64| keys.binary_search(&key).ok().map(|r| r as u32);
+    let root = net.owner_of(0)?;
+    keys.iter()
+        .map(|&key| {
+            if key == root {
+                return Some(NO_PARENT);
+            }
+            let parent_key = prefix_key(key, probed_level(net, key) - 1);
+            let owner = net.lookup(key, parent_key)?.owner;
+            if owner == key {
+                return None;
+            }
+            rank(owner)
+        })
+        .collect()
+}
+
+/// `rn_tree_parents` equals the parents looked up node by node, wherever
+/// every lookup lands on another member.
+fn parents_match_the_lookups<R: KeyRouter>(net: &R) -> Result<(), TestCaseError> {
+    let keys = net.alive_keys();
+    if let Some(expected) = looked_up_parents(net, &keys) {
+        prop_assert_eq!(net.rn_tree_parents(&keys), expected, "{}", R::SUBSTRATE);
     }
     Ok(())
 }
@@ -185,7 +244,7 @@ fn dense_index_matches_the_reference<R: KeyRouter>(net: &R) -> Result<(), TestCa
         prop_assert_eq!(index.tree().parent(id), parent[&id], "parent of {:x}", id);
         prop_assert_eq!(
             index.tree().children(id),
-            &children[&id][..],
+            children[&id].clone(),
             "children of {:x}",
             id
         );
@@ -284,15 +343,34 @@ proptest! {
     }
 
     /// The rank-indexed tree and its one-sweep aggregates equal the
-    /// hash-map reference on every substrate.
+    /// hash-map reference on every substrate, over random keys and keys
+    /// that share long prefixes.
     #[test]
     fn dense_layout_equals_the_reference(
         initial in proptest::collection::hash_set(any::<u64>(), 1..40),
+        clustered in clustered_keys(4, 40),
         steps in churn(),
     ) {
-        dense_index_after_churn::<ChordRing>(&initial, &steps)?;
-        dense_index_after_churn::<PastryNetwork>(&initial, &steps)?;
-        dense_index_after_churn::<TapestryNetwork>(&initial, &steps)?;
+        for keys in [&initial, &clustered] {
+            dense_index_after_churn::<ChordRing>(keys, &steps)?;
+            dense_index_after_churn::<PastryNetwork>(keys, &steps)?;
+            dense_index_after_churn::<TapestryNetwork>(keys, &steps)?;
+        }
+    }
+
+    /// Chord's one-sweep parents equal the parents looked up node by node
+    /// on rings of up to ~2k keys that share long prefixes: settled, where
+    /// the sweep runs, and as churn left them, where it must fall back to
+    /// the lookups.
+    #[test]
+    fn chord_parents_equal_the_lookups(
+        keys in clustered_keys(8, 256),
+        steps in churn(),
+    ) {
+        let mut ring: ChordRing = churned(&keys, &steps);
+        parents_match_the_lookups(&ring)?;
+        ring.stabilize();
+        parents_match_the_lookups(&ring)?;
     }
 
     /// Single root, full coverage, strictly-decreasing parent ids

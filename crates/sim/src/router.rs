@@ -45,6 +45,44 @@ pub fn prefix_key(key: u64, bits: u32) -> u64 {
     }
 }
 
+/// The root's entry in [`KeyRouter::rn_tree_parents`]: it has no parent.
+pub const NO_PARENT: u32 = u32::MAX;
+
+/// The RN-Tree parent rank of every key of `keys` — the live keys of
+/// `router`, ascending — with the parent lookup left to `owner_from(node,
+/// key)`, which names the owner of the parent `key` as `node` finds it.
+/// Each node but the root (the owner of key 0, [`NO_PARENT`]) takes its
+/// level with [`KeyRouter::shortest_owned_prefix`], a local step, and looks
+/// up the owner of the next-shorter prefix, which the level rule says is
+/// not its own. [`KeyRouter::rn_tree_parents`] is this with
+/// [`KeyRouter::lookup_owner`]; a caller that charges the route routes it
+/// here itself.
+///
+/// # Panics
+/// If `keys` is empty, or if a lookup names the asker itself or a key not
+/// in `keys`.
+pub fn rn_tree_parents_via<R: KeyRouter>(
+    router: &R,
+    keys: &[u64],
+    mut owner_from: impl FnMut(u64, u64) -> u64,
+) -> Vec<u32> {
+    let rank_of = |key: u64| keys.binary_search(&key).ok().map(|r| r as u32);
+    let root = router.owner_of(0).expect("non-empty overlay");
+    let root = rank_of(root).expect("the root is a live node");
+    let mut parent = vec![NO_PARENT; keys.len()];
+    for (r, &key) in keys.iter().enumerate() {
+        if r as u32 == root {
+            continue;
+        }
+        let level = router.shortest_owned_prefix(key);
+        debug_assert!(level > 0, "only the root owns key 0");
+        let p = owner_from(key, prefix_key(key, level - 1));
+        assert_ne!(p, key, "the parent lookup came back to the asker");
+        parent[r] = rank_of(p).expect("the parent is a live node");
+    }
+    parent
+}
+
 /// A structured overlay that can own and locate 64-bit keys.
 ///
 /// Implementations must be deterministic: every method's result is a pure
@@ -141,6 +179,24 @@ pub trait KeyRouter: Default {
         (0..=64u32)
             .find(|&l| self.owner_of(prefix_key(key, l)) == Some(key))
             .expect("level 64 always owns the id itself")
+    }
+
+    /// The RN-Tree parent of every live key as a rank into `keys`, which
+    /// must be [`KeyRouter::alive_keys`]; [`NO_PARENT`] for the root, the
+    /// owner of key 0. The default is the paper's construction, node by
+    /// node: [`rn_tree_parents_via`] with [`KeyRouter::lookup_owner`].
+    ///
+    /// A substrate may override it with a closed form of its ownership
+    /// rule; the result must equal the default's wherever the default
+    /// does not panic.
+    ///
+    /// # Panics
+    /// If `keys` is empty, or if a parent lookup stalls or names the asker
+    /// itself; no stabilized substrate's lookups do either.
+    fn rn_tree_parents(&self, keys: &[u64]) -> Vec<u32> {
+        rn_tree_parents_via(self, keys, |from, key| {
+            self.lookup_owner(from, key).expect("stable overlay routes")
+        })
     }
 
     /// Detour peers to try, in order, when a lookup from `from` fails.
