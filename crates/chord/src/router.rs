@@ -85,13 +85,14 @@ impl KeyRouter for ChordRing {
     /// over the keys with a stack of ranks whose `lcp` strictly increases,
     /// at most 64 deep. Any other state looks each parent up.
     ///
-    /// The level probe this replaces is what `RnTree::build_counting`
-    /// (experiment `T-tree`, which routes every parent lookup to count its
-    /// hops) and that fallback use; no engine path reaches either.
+    /// Chord keeps the default level probe: only that fallback and
+    /// `RnTree::build_counting` (experiment `T-tree`, which routes every
+    /// parent lookup to count its hops) ask for a level, and no engine
+    /// path reaches either.
     fn rn_tree_parents(&self, keys: &[u64]) -> Vec<u32> {
         if !self.routes_are_exact() {
             return rn_tree_parents_via(self, keys, |from, key| {
-                KeyRouter::lookup_owner(self, from, key).expect("stable overlay routes")
+                self.lookup_owner(from, key).expect("stable overlay routes")
             });
         }
         debug_assert!(keys == self.m.snapshot().keys(), "keys are the live set");
