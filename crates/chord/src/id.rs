@@ -162,4 +162,41 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 8);
     }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// `x ∈ (a, b]` partitions correctly: for a ≠ b, every x is in exactly
+            /// one of (a, b] and (b, a].
+            #[test]
+            fn open_closed_partitions_ring(a: u64, b: u64, x: u64) {
+                prop_assume!(a != b);
+                let (a, b, x) = (ChordId(a), ChordId(b), ChordId(x));
+                let in_ab = x.in_open_closed(a, b);
+                let in_ba = x.in_open_closed(b, a);
+                if x == a || x == b {
+                    // Each endpoint is in exactly the interval it closes.
+                    prop_assert_eq!(in_ab, x == b);
+                    prop_assert_eq!(in_ba, x == a);
+                } else {
+                    prop_assert!(in_ab ^ in_ba, "x must be in exactly one half");
+                }
+            }
+
+            /// Open-open is open-closed minus the right endpoint.
+            #[test]
+            fn open_open_relates_to_open_closed(a: u64, b: u64, x: u64) {
+                let (a, b, x) = (ChordId(a), ChordId(b), ChordId(x));
+                let oo = x.in_open_open(a, b);
+                let oc = x.in_open_closed(a, b);
+                if x == b {
+                    prop_assert!(!oo);
+                } else {
+                    prop_assert_eq!(oo, oc);
+                }
+            }
+        }
+    }
 }

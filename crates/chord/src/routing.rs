@@ -178,37 +178,21 @@ mod tests {
     use crate::ring::{ChordConfig, ChordPeer};
     use dgrid_sim::overlay::Lazy;
     use dgrid_sim::rng::{rng_for, streams};
-    use dgrid_sim::router::KeyRouter;
+    use dgrid_sim::router::{KeyRouter, RouteCost};
     use rand::Rng;
 
-    /// The trait's detour failover, in this crate's types.
-    fn lookup_with_failover(
-        ring: &ChordRing,
-        from: ChordId,
-        key: ChordId,
-        retries: u32,
-    ) -> Option<(Lookup, u32)> {
-        let (cost, used) = KeyRouter::lookup_with_failover(ring, from.0, key.0, retries)?;
-        let lookup = Lookup {
-            owner: ChordId(cost.owner),
-            hops: cost.hops,
-            timeouts: cost.timeouts,
-        };
-        Some((lookup, used))
-    }
-
-    fn build_ring(n: usize, seed: u64) -> (ChordRing, Vec<ChordId>) {
+    fn build_ring(n: usize, seed: u64) -> (ChordRing, Vec<u64>) {
         build_ring_with(ChordConfig::default(), n, seed)
     }
 
-    fn build_ring_with(cfg: ChordConfig, n: usize, seed: u64) -> (ChordRing, Vec<ChordId>) {
+    fn build_ring_with(cfg: ChordConfig, n: usize, seed: u64) -> (ChordRing, Vec<u64>) {
         let mut rng = rng_for(seed, streams::NODE_IDS);
         let mut ring = ChordRing::new(cfg);
         let mut ids = Vec::with_capacity(n);
         while ids.len() < n {
-            let id = ChordId(rng.gen());
-            if !ring.m.is_alive(id.0) {
-                ring.join(id);
+            let id: u64 = rng.gen();
+            if !ring.is_alive(id) {
+                KeyRouter::join(&mut ring, id);
                 ids.push(id);
             }
         }
@@ -221,10 +205,10 @@ mod tests {
         let (ring, ids) = build_ring(128, 1);
         let mut rng = rng_for(2, 0);
         for _ in 0..500 {
-            let key = ChordId(rng.gen());
+            let key: u64 = rng.gen();
             let from = ids[rng.gen_range(0..ids.len())];
-            let res = ring.lookup(from, key).expect("lookup succeeds");
-            assert_eq!(Some(res.owner), ring.successor_of(key));
+            let res = KeyRouter::lookup(&ring, from, key).expect("lookup succeeds");
+            assert_eq!(Some(res.owner), ring.owner_of(key));
             assert_eq!(res.timeouts, 0, "no timeouts on a stable ring");
         }
     }
@@ -237,9 +221,9 @@ mod tests {
             let mut total_hops = 0u64;
             let trials = 300;
             for _ in 0..trials {
-                let key = ChordId(rng.gen());
+                let key: u64 = rng.gen();
                 let from = ids[rng.gen_range(0..ids.len())];
-                total_hops += u64::from(ring.lookup(from, key).unwrap().hops);
+                total_hops += u64::from(KeyRouter::lookup(&ring, from, key).unwrap().hops);
             }
             let mean = total_hops as f64 / trials as f64;
             let log2n = (n as f64).log2();
@@ -256,9 +240,9 @@ mod tests {
         let (ring, _) = build_ring(64, 5);
         let mut rng = rng_for(6, 0);
         for _ in 0..100 {
-            let key = ChordId(rng.gen());
-            let owner = ring.successor_of(key).unwrap();
-            let res = ring.lookup(owner, key).unwrap();
+            let key: u64 = rng.gen();
+            let owner = ring.owner_of(key).unwrap();
+            let res = KeyRouter::lookup(&ring, owner, key).unwrap();
             assert_eq!(res.owner, owner);
             assert_eq!(res.hops, 0, "owner already holds the key");
         }
@@ -272,21 +256,20 @@ mod tests {
         let mut killed = 0;
         for &id in &ids {
             if killed < 51 && rng.gen_bool(0.2) {
-                ring.fail(id);
+                KeyRouter::fail(&mut ring, id);
                 killed += 1;
             }
         }
-        let alive = ring.alive_ids();
+        let alive = ring.alive_keys();
         let mut timeouts_total = 0u32;
         for _ in 0..300 {
-            let key = ChordId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res = ring
-                .lookup(from, key)
-                .expect("successor lists route around failures");
-            assert!(ring.m.is_alive(res.owner.0), "owner must be alive");
+            let res =
+                KeyRouter::lookup(&ring, from, key).expect("successor lists route around failures");
+            assert!(ring.is_alive(res.owner), "owner must be alive");
             // The reached owner must be the true live successor of the key.
-            assert_eq!(Some(res.owner), ring.successor_of(key));
+            assert_eq!(Some(res.owner), ring.owner_of(key));
             timeouts_total += res.timeouts;
         }
         // With 20% dead and stale tables, some timeouts must have occurred.
@@ -298,34 +281,34 @@ mod tests {
         let (mut ring, ids) = build_ring(256, 9);
         let mut rng = rng_for(10, 0);
         for &id in ids.iter().take(50) {
-            ring.fail(id);
+            KeyRouter::fail(&mut ring, id);
         }
         ring.stabilize();
-        let alive = ring.alive_ids();
+        let alive = ring.alive_keys();
         for _ in 0..200 {
-            let key = ChordId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res = ring.lookup(from, key).unwrap();
+            let res = KeyRouter::lookup(&ring, from, key).unwrap();
             assert_eq!(res.timeouts, 0);
-            assert_eq!(Some(res.owner), ring.successor_of(key));
+            assert_eq!(Some(res.owner), ring.owner_of(key));
         }
     }
 
     #[test]
     fn tiny_rings() {
         let mut ring = ChordRing::new(ChordConfig::default());
-        ring.join(ChordId(100));
-        let res = ring.lookup(ChordId(100), ChordId(5)).unwrap();
-        assert_eq!(res.owner, ChordId(100));
+        KeyRouter::join(&mut ring, 100);
+        let res = KeyRouter::lookup(&ring, 100, 5).unwrap();
+        assert_eq!(res.owner, 100);
         assert_eq!(res.hops, 0);
 
-        ring.join(ChordId(200));
+        KeyRouter::join(&mut ring, 200);
         ring.stabilize();
-        let res = ring.lookup(ChordId(100), ChordId(150)).unwrap();
-        assert_eq!(res.owner, ChordId(200));
+        let res = KeyRouter::lookup(&ring, 100, 150).unwrap();
+        assert_eq!(res.owner, 200);
         assert!(res.hops <= 1);
-        let res = ring.lookup(ChordId(100), ChordId(250)).unwrap();
-        assert_eq!(res.owner, ChordId(100));
+        let res = KeyRouter::lookup(&ring, 100, 250).unwrap();
+        assert_eq!(res.owner, 100);
     }
 
     #[test]
@@ -333,10 +316,10 @@ mod tests {
         let (ring, ids) = build_ring(64, 13);
         let mut rng = rng_for(14, 0);
         for _ in 0..200 {
-            let key = ChordId(rng.gen());
+            let key: u64 = rng.gen();
             let from = ids[rng.gen_range(0..ids.len())];
-            let plain = ring.lookup(from, key).unwrap();
-            let (via, retries) = lookup_with_failover(&ring, from, key, 3).unwrap();
+            let plain = KeyRouter::lookup(&ring, from, key).unwrap();
+            let (via, retries) = ring.lookup_with_failover(from, key, 3).unwrap();
             assert_eq!(via, plain, "successful lookups must be unchanged");
             assert_eq!(retries, 0);
         }
@@ -351,17 +334,14 @@ mod tests {
             ..ChordConfig::default()
         });
         for id in [100u64, 200, 300] {
-            ring.join(ChordId(id));
+            KeyRouter::join(&mut ring, id);
         }
         ring.stabilize();
-        assert_eq!(
-            ring.lookup(ChordId(100), ChordId(250)),
-            None,
-            "needs 2 hops"
-        );
-        let (l, retries) = lookup_with_failover(&ring, ChordId(100), ChordId(250), 3)
+        assert_eq!(KeyRouter::lookup(&ring, 100, 250), None, "needs 2 hops");
+        let (l, retries) = ring
+            .lookup_with_failover(100, 250, 3)
             .expect("detour via the successor reaches the owner");
-        assert_eq!(l.owner, ChordId(300));
+        assert_eq!(l.owner, 300);
         assert!(retries >= 1, "the detour must be counted");
         assert!(l.hops >= 2, "detour handoffs are charged as hops");
     }
@@ -381,10 +361,10 @@ mod tests {
             }
         }
 
-        fn route(&mut self, l: Option<Lookup>) {
+        fn route(&mut self, l: Option<RouteCost>) {
             match l {
                 Some(l) => {
-                    self.word(l.owner.0);
+                    self.word(l.owner);
                     self.word(u64::from(l.hops));
                     self.word(u64::from(l.timeouts));
                 }
@@ -396,14 +376,14 @@ mod tests {
     /// `trials` seeded lookups from random live peers, hashed; also the
     /// timeout total, so a golden can show that dead entries were probed.
     fn hash_lookups(ring: &ChordRing, trials: usize, seed: u64) -> (u64, u64) {
-        let alive = ring.alive_ids();
+        let alive = ring.alive_keys();
         let mut rng = rng_for(seed, 0);
         let mut h = RouteHash::new();
         let mut timeouts = 0u64;
         for _ in 0..trials {
-            let key = ChordId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let l = ring.lookup(from, key);
+            let l = KeyRouter::lookup(ring, from, key);
             timeouts += l.map_or(0, |l| u64::from(l.timeouts));
             h.route(l);
         }
@@ -420,21 +400,21 @@ mod tests {
         let mut failed = 0;
         while failed < 400 {
             let id = ids[rng.gen_range(0..ids.len())];
-            if ring.m.is_alive(id.0) {
-                ring.fail(id);
+            if ring.is_alive(id) {
+                KeyRouter::fail(&mut ring, id);
                 failed += 1;
             }
         }
         let mut joined = 0;
         while joined < 200 {
-            let id = ChordId(rng.gen());
-            if ring.hop(Entry::unranked(id.0)).is_some() {
+            let id: u64 = rng.gen();
+            if ring.hop(Entry::unranked(id)).is_some() {
                 continue;
             }
             if joined % 4 == 3 {
-                ring.join_deferred(id);
+                ring.bulk_join(&[id]);
             } else {
-                ring.join(id);
+                KeyRouter::join(&mut ring, id);
             }
             joined += 1;
         }
@@ -463,7 +443,7 @@ mod tests {
         // Every finger above the lowest few wraps to the asking peer.
         let mut ring = ChordRing::default();
         for id in [0x1000u64, 0x8000_0000_0000_0000, 0xF000_0000_0000_0000] {
-            ring.join(ChordId(id));
+            KeyRouter::join(&mut ring, id);
         }
         ring.stabilize();
         assert_eq!(hash_lookups(&ring, 2000, 25), (0x46cc_799b_a1b2_dbb7, 0));
@@ -477,14 +457,14 @@ mod tests {
             max_route_hops: 6,
             ..ChordConfig::default()
         });
-        let alive = ring.alive_ids();
+        let alive = ring.alive_keys();
         let mut rng = rng_for(26, 0);
         let mut h = RouteHash::new();
         let mut retries = 0u64;
         for _ in 0..4000 {
-            let key = ChordId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let out = lookup_with_failover(&ring, from, key, 2);
+            let out = ring.lookup_with_failover(from, key, 2);
             h.route(out.map(|(l, _)| l));
             h.word(out.map_or(u64::MAX, |(_, r)| u64::from(r)));
             retries += out.map_or(0, |(_, r)| u64::from(r));
@@ -496,14 +476,14 @@ mod tests {
     /// peer, hashed: the reads of a peer's state that are not a route.
     fn hash_neighbour_reads(ring: &ChordRing) -> u64 {
         let mut h = RouteHash::new();
-        for id in ring.alive_ids().into_iter().step_by(16) {
-            h.word(ring.walk_step(id.0).unwrap_or(u64::MAX));
-            let peers = ring.failover_peers(id.0);
+        for id in ring.alive_keys().into_iter().step_by(16) {
+            h.word(ring.walk_step(id).unwrap_or(u64::MAX));
+            let peers = ring.failover_peers(id);
             h.word(peers.len() as u64);
             for p in peers {
                 h.word(p);
             }
-            let v = ring.peer_view(id).expect("live peer");
+            let v = ring.peer_view(ChordId(id)).expect("live peer");
             for w in [v.id, v.successor, v.predecessor] {
                 h.word(w.0);
             }
@@ -567,12 +547,17 @@ mod tests {
             let routes = hash_lookups(ring, 2000, seed);
             let mut h = RouteHash::new();
             h.word(routes.0);
-            for id in ring.alive_ids() {
-                h.word(ring.walk_step(id.0).unwrap_or(u64::MAX));
-                for p in ring.failover_peers(id.0) {
+            for id in ring.alive_keys() {
+                h.word(ring.walk_step(id).unwrap_or(u64::MAX));
+                for p in ring.failover_peers(id) {
                     h.word(p);
                 }
-                h.word(ring.peer_view(id).expect("live peer").predecessor.0);
+                h.word(
+                    ring.peer_view(ChordId(id))
+                        .expect("live peer")
+                        .predecessor
+                        .0,
+                );
             }
             (h.0, routes.1)
         }
@@ -587,8 +572,8 @@ mod tests {
         for (n, settled, churned) in goldens {
             let (mut ring, ids) = build_ring(n, 29);
             assert_eq!(hash_all(&ring, 30), settled, "{n} peers, settled");
-            ring.fail(ids[0]);
-            ring.join(ChordId(ids[0].0 ^ (1 << 62)));
+            KeyRouter::fail(&mut ring, ids[0]);
+            KeyRouter::join(&mut ring, ids[0] ^ (1 << 62));
             assert_eq!(hash_all(&ring, 31), churned, "{n} peers, churned");
         }
     }
@@ -597,7 +582,7 @@ mod tests {
     fn lookup_for_own_id_returns_self() {
         let (ring, ids) = build_ring(32, 11);
         for &id in &ids {
-            let res = ring.lookup(id, id).unwrap();
+            let res = KeyRouter::lookup(&ring, id, id).unwrap();
             assert_eq!(res.owner, id);
             assert_eq!(res.hops, 0);
         }
@@ -611,7 +596,7 @@ mod tests {
         let (ring, ids) = build_ring(512, 33);
         let mut poisoned = ring.clone();
         for &id in &ids {
-            *poisoned.m.state_mut(id.0) = ChordPeer {
+            *poisoned.m.state_mut(id) = ChordPeer {
                 predecessor: Lazy::Mat(None),
                 successors: Lazy::Mat(Vec::new()),
                 fingers: Lazy::Mat(Vec::new()),
@@ -619,15 +604,14 @@ mod tests {
         }
         let mut walked = poisoned.clone();
         walked.m.unsettle();
-        assert!(
-            walked.failover_peers(ids[0].0).is_empty(),
-            "the poison took"
-        );
+        assert!(walked.failover_peers(ids[0]).is_empty(), "the poison took");
         let mut rng = rng_for(34, 0);
         for &from in &ids {
-            let key = ChordId(rng.gen());
-            assert_eq!(poisoned.lookup(from, key), ring.lookup(from, key));
-            assert_eq!(poisoned.successor_of(key), ring.successor_of(key));
+            let key: u64 = rng.gen();
+            let lookup = KeyRouter::lookup(&poisoned, from, key);
+            assert_eq!(lookup, KeyRouter::lookup(&ring, from, key));
+            assert_eq!(poisoned.owner_of(key), ring.owner_of(key));
+            let (key, from) = (ChordId(key), ChordId(from));
             assert_eq!(poisoned.predecessor_of(key), ring.predecessor_of(key));
             assert_eq!(poisoned.walk_step(from.0), ring.walk_step(from.0));
             assert_eq!(poisoned.failover_peers(from.0), ring.failover_peers(from.0));
@@ -677,11 +661,12 @@ mod tests {
 
         /// `lookup` spelled the slow way over the same hop views: every
         /// finger resolved, candidates filtered, sorted and deduplicated.
-        fn reference_lookup(ring: &ChordRing, from: ChordId, key: ChordId) -> Option<Lookup> {
-            let (mut cur, mut hops, mut timeouts) = (from, 0u32, 0u32);
-            let found = |owner, hops, timeouts| {
-                Some(Lookup {
-                    owner,
+        fn reference_lookup(ring: &ChordRing, from: u64, key: u64) -> Option<RouteCost> {
+            let key = ChordId(key);
+            let (mut cur, mut hops, mut timeouts) = (ChordId(from), 0u32, 0u32);
+            let found = |owner: ChordId, hops, timeouts| {
+                Some(RouteCost {
+                    owner: owner.0,
                     hops,
                     timeouts,
                 })
@@ -726,36 +711,36 @@ mod tests {
         fn reads_agree(ring: &ChordRing, keys: &[u64]) -> Result<(), TestCaseError> {
             let mut walked = ring.clone();
             walked.m.unsettle();
-            let live = walked.alive_ids();
+            let live = walked.alive_keys();
             for rank in 0..=live.len() {
-                let at = ring.m.alive_key_at(rank).map(ChordId);
-                prop_assert_eq!(at, live.get(rank).copied());
+                prop_assert_eq!(ring.alive_key_at(rank), live.get(rank).copied());
             }
-            let own = live.iter().map(|id| id.0);
-            let near = own.flat_map(|k| [k, k.wrapping_add(1), k.wrapping_sub(1)]);
-            let keys: Vec<ChordId> = near
-                .chain([0])
-                .chain(keys.iter().copied())
-                .map(ChordId)
-                .collect();
+            let near = live
+                .iter()
+                .flat_map(|&k| [k, k.wrapping_add(1), k.wrapping_sub(1)]);
+            let keys: Vec<u64> = near.chain([0]).chain(keys.iter().copied()).collect();
             for &key in &keys {
-                prop_assert_eq!(ring.successor_of(key), walked.successor_of(key));
+                prop_assert_eq!(ring.owner_of(key), walked.owner_of(key));
+                let key = ChordId(key);
                 prop_assert_eq!(ring.predecessor_of(key), walked.predecessor_of(key));
             }
             for &from in &live {
-                prop_assert_eq!(ring.walk_step(from.0), walked.walk_step(from.0));
-                prop_assert_eq!(ring.failover_peers(from.0), walked.failover_peers(from.0));
-                prop_assert_eq!(ring.peer_view(from), walked.peer_view(from));
+                prop_assert_eq!(ring.walk_step(from), walked.walk_step(from));
+                prop_assert_eq!(ring.failover_peers(from), walked.failover_peers(from));
+                let view = ring.peer_view(ChordId(from));
+                prop_assert_eq!(view, walked.peer_view(ChordId(from)));
                 for &key in &keys {
-                    let routed = ring.lookup(from, key);
-                    prop_assert_eq!(routed, walked.lookup(from, key), "{} from {}", key, from);
+                    let routed = KeyRouter::lookup(ring, from, key);
+                    let walked = KeyRouter::lookup(&walked, from, key);
+                    prop_assert_eq!(routed, walked, "{:x} from {:x}", key, from);
                 }
             }
             // The slow spelling from a few origins only: it is slow.
             for &from in live.iter().take(3) {
                 for &key in &keys {
                     let slow = reference_lookup(&walked, from, key);
-                    prop_assert_eq!(ring.lookup(from, key), slow, "{} from {}", key, from);
+                    let routed = KeyRouter::lookup(ring, from, key);
+                    prop_assert_eq!(routed, slow, "{:x} from {:x}", key, from);
                 }
             }
             Ok(())
@@ -774,18 +759,18 @@ mod tests {
             ) {
                 let mut ring = ChordRing::new(ChordConfig { successor_list_len, max_route_hops });
                 for id in initial {
-                    ring.join(ChordId(id));
+                    KeyRouter::join(&mut ring, id);
                 }
                 reads_agree(&ring, &keys)?;
                 for s in steps {
-                    let live = ring.alive_ids();
+                    let live = ring.alive_keys();
                     let known = |id: u64| ring.hop(Entry::unranked(id)).is_some();
                     match s {
-                        Step::Join(id) if !ring.m.is_alive(id) => ring.join(ChordId(id)),
-                        Step::JoinDeferred(id) if !known(id) => ring.join_deferred(ChordId(id)),
-                        Step::Leave(i) if live.len() > 1 => ring.leave(live[i % live.len()]),
-                        Step::Fail(i) if live.len() > 1 => ring.fail(live[i % live.len()]),
-                        Step::Refresh(i) => ring.refresh_peer(live[i % live.len()]),
+                        Step::Join(id) if !ring.is_alive(id) => KeyRouter::join(&mut ring, id),
+                        Step::JoinDeferred(id) if !known(id) => ring.bulk_join(&[id]),
+                        Step::Leave(i) if live.len() > 1 => KeyRouter::leave(&mut ring, live[i % live.len()]),
+                        Step::Fail(i) if live.len() > 1 => KeyRouter::fail(&mut ring, live[i % live.len()]),
+                        Step::Refresh(i) => ring.refresh_peer(ChordId(live[i % live.len()])),
                         Step::Stabilize => ring.stabilize(),
                         _ => {}
                     }

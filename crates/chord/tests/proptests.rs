@@ -1,6 +1,6 @@
-//! Property tests for ring arithmetic and routing under arbitrary churn.
+//! Property tests for routing under arbitrary churn.
 
-use dgrid_chord::{ChordId, ChordRing};
+use dgrid_chord::ChordRing;
 use dgrid_sim::router::KeyRouter;
 use proptest::prelude::*;
 
@@ -23,36 +23,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 proptest! {
-    /// `x ∈ (a, b]` partitions correctly: for a ≠ b, every x is in exactly
-    /// one of (a, b] and (b, a].
-    #[test]
-    fn open_closed_partitions_ring(a: u64, b: u64, x: u64) {
-        prop_assume!(a != b);
-        let (a, b, x) = (ChordId(a), ChordId(b), ChordId(x));
-        let in_ab = x.in_open_closed(a, b);
-        let in_ba = x.in_open_closed(b, a);
-        if x == a || x == b {
-            // Each endpoint is in exactly the interval it closes.
-            prop_assert_eq!(in_ab, x == b);
-            prop_assert_eq!(in_ba, x == a);
-        } else {
-            prop_assert!(in_ab ^ in_ba, "x must be in exactly one half");
-        }
-    }
-
-    /// Open-open is open-closed minus the right endpoint.
-    #[test]
-    fn open_open_relates_to_open_closed(a: u64, b: u64, x: u64) {
-        let (a, b, x) = (ChordId(a), ChordId(b), ChordId(x));
-        let oo = x.in_open_open(a, b);
-        let oc = x.in_open_closed(a, b);
-        if x == b {
-            prop_assert!(!oo);
-        } else {
-            prop_assert_eq!(oo, oc);
-        }
-    }
-
     /// After any churn sequence, (a) ground-truth successor matches a
     /// brute-force computation, and (b) a post-stabilization lookup from any
     /// live peer reaches that exact owner.
@@ -65,23 +35,23 @@ proptest! {
         let mut ring = ChordRing::default();
         let mut live: Vec<u64> = Vec::new();
         for id in initial {
-            ring.join(ChordId(id));
+            KeyRouter::join(&mut ring, id);
             live.push(id);
         }
         for step in steps {
             match step {
                 Step::Join(id)
                     if !ring.is_alive(id) => {
-                        ring.join(ChordId(id));
+                        KeyRouter::join(&mut ring, id);
                         live.push(id);
                     }
                 Step::Leave(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    ring.leave(ChordId(id));
+                    KeyRouter::leave(&mut ring, id);
                 }
                 Step::Fail(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    ring.fail(ChordId(id));
+                    KeyRouter::fail(&mut ring, id);
                 }
                 _ => {}
             }
@@ -95,13 +65,12 @@ proptest! {
                 .iter()
                 .copied()
                 .find(|&id| id >= key)
-                .or_else(|| live.first().copied())
-                .map(ChordId);
-            prop_assert_eq!(ring.successor_of(ChordId(key)), expected);
+                .or_else(|| live.first().copied());
+            prop_assert_eq!(ring.owner_of(key), expected);
 
             let owner = expected.unwrap();
             for &from in live.iter().take(5) {
-                let res = ring.lookup(ChordId(from), ChordId(key)).expect("routes");
+                let res = KeyRouter::lookup(&ring, from, key).expect("routes");
                 prop_assert_eq!(res.owner, owner);
                 prop_assert_eq!(res.timeouts, 0);
             }
@@ -120,19 +89,19 @@ proptest! {
         let mut ring = ChordRing::default();
         let mut live: Vec<u64> = Vec::new();
         for id in seedset {
-            ring.join(ChordId(id));
+            KeyRouter::join(&mut ring, id);
             live.push(id);
         }
         ring.stabilize();
         for k in kill {
             if live.len() > 4 {
                 let id = live.swap_remove(k % live.len());
-                ring.fail(ChordId(id));
+                KeyRouter::fail(&mut ring, id);
             }
         }
-        let from = ChordId(*live.iter().min().unwrap());
-        let res = ring.lookup(from, ChordId(key)).expect("routes around failures");
-        prop_assert!(ring.is_alive(res.owner.0));
-        prop_assert_eq!(Some(res.owner), ring.successor_of(ChordId(key)));
+        let from = *live.iter().min().unwrap();
+        let res = KeyRouter::lookup(&ring, from, key).expect("routes around failures");
+        prop_assert!(ring.is_alive(res.owner));
+        prop_assert_eq!(Some(res.owner), ring.owner_of(key));
     }
 }

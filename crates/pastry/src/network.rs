@@ -760,18 +760,18 @@ mod tests {
             ..PastryConfig::default()
         });
         for top in [0x1000u64, 0x1100, 0x5000, 0x5800, 0x9000, 0xD000] {
-            net.join(PastryId(top << 48));
+            KeyRouter::join(&mut net, top << 48);
         }
         net.stabilize();
-        let key = PastryId(0x7000 << 48);
-        let route = net.route(PastryId(0x1000 << 48), key).expect("routes");
-        let want = Route {
-            owner: PastryId(0x5800 << 48),
+        let key = 0x7000 << 48;
+        let route = net.lookup(0x1000 << 48, key).expect("routes");
+        let want = RouteCost {
+            owner: 0x5800 << 48,
             hops: 2,
             timeouts: 0,
         };
         assert_eq!(route, want);
-        assert_eq!(net.owner_of(key), Some(want.owner));
+        assert_eq!(KeyRouter::owner_of(&net, key), Some(want.owner));
     }
 
     #[test]

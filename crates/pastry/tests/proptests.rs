@@ -1,7 +1,8 @@
 //! Property tests: Pastry ownership matches brute force and routing reaches
 //! the true owner under arbitrary churn.
 
-use dgrid_pastry::{PastryId, PastryNetwork};
+use dgrid_pastry::PastryNetwork;
+use dgrid_sim::router::KeyRouter;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -39,23 +40,23 @@ proptest! {
         let mut net = PastryNetwork::default();
         let mut live: Vec<u64> = Vec::new();
         for id in initial {
-            net.join(PastryId(id));
+            KeyRouter::join(&mut net, id);
             live.push(id);
         }
         for s in steps {
             match s {
                 Step::Join(id)
-                    if !net.is_alive(PastryId(id)) => {
-                        net.join(PastryId(id));
+                    if !KeyRouter::is_alive(&net, id) => {
+                        KeyRouter::join(&mut net, id);
                         live.push(id);
                     }
                 Step::Leave(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    net.leave(PastryId(id));
+                    KeyRouter::leave(&mut net, id);
                 }
                 Step::Fail(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    net.fail(PastryId(id));
+                    KeyRouter::fail(&mut net, id);
                 }
                 _ => {}
             }
@@ -63,11 +64,11 @@ proptest! {
         net.stabilize();
 
         for key in keys {
-            let expected = brute_owner(&live, key).map(PastryId);
-            prop_assert_eq!(net.owner_of(PastryId(key)), expected);
+            let expected = brute_owner(&live, key);
+            prop_assert_eq!(KeyRouter::owner_of(&net, key), expected);
             let owner = expected.unwrap();
             for &from in live.iter().take(5) {
-                let res = net.route(PastryId(from), PastryId(key)).expect("routes");
+                let res = net.lookup(from, key).expect("routes");
                 prop_assert_eq!(res.owner, owner);
                 prop_assert_eq!(res.timeouts, 0);
             }
@@ -88,14 +89,14 @@ proptest! {
     ) {
         let mut net = PastryNetwork::default();
         for &id in &ids {
-            net.join(PastryId(id));
+            KeyRouter::join(&mut net, id);
         }
         net.stabilize();
         let live: Vec<u64> = ids.into_iter().collect();
         for key in keys {
-            let owner = brute_owner(&live, key).map(PastryId).unwrap();
+            let owner = brute_owner(&live, key).unwrap();
             for &from in &live {
-                let res = net.route(PastryId(from), PastryId(key)).expect("routes");
+                let res = net.lookup(from, key).expect("routes");
                 prop_assert_eq!(res.owner, owner);
             }
         }
@@ -112,18 +113,18 @@ proptest! {
         let mut net = PastryNetwork::default();
         let mut live: Vec<u64> = Vec::new();
         for id in seedset {
-            net.join(PastryId(id));
+            KeyRouter::join(&mut net, id);
             live.push(id);
         }
         net.stabilize();
         for k in kills {
             if live.len() > 4 {
                 let id = live.swap_remove(k % live.len());
-                net.fail(PastryId(id));
+                KeyRouter::fail(&mut net, id);
             }
         }
-        let from = PastryId(*live.iter().min().unwrap());
-        let res = net.route(from, PastryId(key)).expect("routes around failures");
-        prop_assert!(net.is_alive(res.owner));
+        let from = *live.iter().min().unwrap();
+        let res = net.lookup(from, key).expect("routes around failures");
+        prop_assert!(KeyRouter::is_alive(&net, res.owner));
     }
 }

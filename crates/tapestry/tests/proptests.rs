@@ -1,7 +1,8 @@
 //! Property tests: root uniqueness and routing convergence under arbitrary
 //! membership and churn.
 
-use dgrid_tapestry::{TapestryId, TapestryNetwork};
+use dgrid_sim::router::KeyRouter;
+use dgrid_tapestry::TapestryNetwork;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -34,35 +35,35 @@ proptest! {
         let mut net = TapestryNetwork::default();
         let mut live: Vec<u64> = Vec::new();
         for id in initial {
-            net.join(TapestryId(id));
+            KeyRouter::join(&mut net, id);
             live.push(id);
         }
         for s in steps {
             match s {
                 Step::Join(id)
-                    if !net.is_alive(TapestryId(id)) => {
-                        net.join(TapestryId(id));
+                    if !KeyRouter::is_alive(&net, id) => {
+                        KeyRouter::join(&mut net, id);
                         live.push(id);
                     }
                 Step::Leave(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    net.leave(TapestryId(id));
+                    KeyRouter::leave(&mut net, id);
                 }
                 Step::Fail(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    net.fail(TapestryId(id));
+                    KeyRouter::fail(&mut net, id);
                 }
                 _ => {}
             }
         }
         net.stabilize();
-        prop_assert_eq!(net.len(), live.len());
+        prop_assert_eq!(KeyRouter::len(&net), live.len());
 
         for key in keys {
-            let root = net.root_of(TapestryId(key)).expect("non-empty");
-            prop_assert!(net.is_alive(root));
+            let root = net.owner_of(key).expect("non-empty");
+            prop_assert!(KeyRouter::is_alive(&net, root));
             for &from in live.iter().take(6) {
-                let res = net.route(TapestryId(from), TapestryId(key)).expect("routes");
+                let res = net.lookup(from, key).expect("routes");
                 prop_assert_eq!(res.owner, root);
                 prop_assert_eq!(res.timeouts, 0);
             }
@@ -82,14 +83,14 @@ proptest! {
     ) {
         let mut net = TapestryNetwork::default();
         for &id in &ids {
-            net.join(TapestryId(id));
+            KeyRouter::join(&mut net, id);
         }
         net.stabilize();
         for key in keys {
-            let root = net.root_of(TapestryId(key)).expect("non-empty");
-            prop_assert!(net.is_alive(root));
+            let root = net.owner_of(key).expect("non-empty");
+            prop_assert!(KeyRouter::is_alive(&net, root));
             for &from in &ids {
-                let res = net.route(TapestryId(from), TapestryId(key)).expect("routes");
+                let res = net.lookup(from, key).expect("routes");
                 prop_assert_eq!(res.owner, root);
                 prop_assert_eq!(res.timeouts, 0);
             }
@@ -101,11 +102,11 @@ proptest! {
     fn exact_match_owns_itself(ids in proptest::collection::hash_set(any::<u64>(), 1..30)) {
         let mut net = TapestryNetwork::default();
         for &id in &ids {
-            net.join(TapestryId(id));
+            KeyRouter::join(&mut net, id);
         }
         net.stabilize();
         for &id in &ids {
-            prop_assert_eq!(net.root_of(TapestryId(id)), Some(TapestryId(id)));
+            prop_assert_eq!(net.owner_of(id), Some(id));
         }
     }
 }
