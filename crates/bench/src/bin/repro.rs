@@ -305,7 +305,7 @@ fn robust(opts: &Opts) {
 
 /// T-tree: RN-Tree height scaling.
 fn tree(opts: &Opts) {
-    use dgrid::chord::{ChordId, ChordRing};
+    use dgrid::chord::ChordRing;
     use dgrid::rntree::RnTree;
     use dgrid::sim::rng::{rng_for, streams};
     use dgrid::sim::router::KeyRouter;
@@ -321,8 +321,8 @@ fn tree(opts: &Opts) {
         let mut ring = ChordRing::default();
         let mut count = 0;
         while count < n {
-            let id = ChordId(rng.gen());
-            if !ring.is_alive(id.0) {
+            let id: u64 = rng.gen();
+            if !ring.is_alive(id) {
                 ring.join(id);
                 count += 1;
             }
@@ -368,11 +368,11 @@ fn virt(opts: &Opts, json: &mut Vec<Value>) {
 /// S-dht: lookup cost per DHT substrate (Section 2's \[17,18,19,21\]).
 fn dht(opts: &Opts) {
     use dgrid::can::{CanConfig, CanNetwork};
-    use dgrid::chord::{ChordId, ChordRing};
-    use dgrid::pastry::{PastryId, PastryNetwork};
+    use dgrid::chord::ChordRing;
+    use dgrid::pastry::PastryNetwork;
     use dgrid::sim::rng::{rng_for, streams};
     use dgrid::sim::router::KeyRouter;
-    use dgrid::tapestry::{TapestryId, TapestryNetwork};
+    use dgrid::tapestry::TapestryNetwork;
     use rand::Rng;
 
     println!("== S-dht: lookup hops by substrate (mean / p99 over 1000 lookups) ==");
@@ -389,9 +389,9 @@ fn dht(opts: &Opts) {
         while ids.len() < n {
             let id: u64 = rng.gen();
             if !ring.is_alive(id) {
-                ring.join(ChordId(id));
-                pastry.join(PastryId(id));
-                tapestry.join(TapestryId(id));
+                ring.join(id);
+                pastry.join(id);
+                tapestry.join(id);
                 ids.push(id);
             }
         }
@@ -414,19 +414,9 @@ fn dht(opts: &Opts) {
         for _ in 0..trials {
             let key: u64 = rng.gen();
             let from = rng.gen_range(0..n);
-            ch.push(ring.lookup(ChordId(ids[from]), ChordId(key)).unwrap().hops as f64);
-            pa.push(
-                pastry
-                    .route(PastryId(ids[from]), PastryId(key))
-                    .unwrap()
-                    .hops as f64,
-            );
-            ta.push(
-                tapestry
-                    .route(TapestryId(ids[from]), TapestryId(key))
-                    .unwrap()
-                    .hops as f64,
-            );
+            ch.push(ring.lookup(ids[from], key).unwrap().hops as f64);
+            pa.push(pastry.lookup(ids[from], key).unwrap().hops as f64);
+            ta.push(tapestry.lookup(ids[from], key).unwrap().hops as f64);
             let target: Vec<f64> = (0..4).map(|_| rng.gen::<f64>()).collect();
             cn.push(can.route(can_ids[from], &target).unwrap().hops as f64);
         }

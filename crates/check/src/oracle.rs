@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use dgrid_can::{CanConfig, CanNetwork, CanNodeId};
-use dgrid_chord::{ChordConfig, ChordId, ChordRing};
+use dgrid_chord::{ChordConfig, ChordRing};
 use dgrid_core::router::{KeyRouter, PastryNetwork, TapestryNetwork};
 use dgrid_core::{OwnerRef, SimReport, SpanAssembler, SpanOutcome, TraceEvent};
 use dgrid_resources::{Capabilities, JobId, OsType};
@@ -556,7 +556,7 @@ impl<R: KeyRouter> TraceOracle for SubstrateTableOracle<R> {
 pub struct RnTreeAggregateOracle {
     ring: ChordRing,
     caps: HashMap<u64, Capabilities>,
-    ids: BTreeMap<u32, ChordId>,
+    ids: BTreeMap<u32, u64>,
     state: u64,
 }
 
@@ -577,8 +577,8 @@ impl RnTreeAggregateOracle {
 
     fn join(&mut self, node: u32) {
         let id = loop {
-            let id = ChordId(splitmix_next(&mut self.state));
-            if !self.ring.is_alive(id.0) {
+            let id = splitmix_next(&mut self.state);
+            if !self.ring.is_alive(id) {
                 break id;
             }
         };
@@ -589,7 +589,7 @@ impl RnTreeAggregateOracle {
             OsType::ALL[(splitmix_next(&mut self.state) % 4) as usize],
         );
         self.ring.join(id);
-        self.caps.insert(id.0, caps);
+        self.caps.insert(id, caps);
         self.ids.insert(node, id);
     }
 }

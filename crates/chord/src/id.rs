@@ -8,14 +8,13 @@
 use std::fmt;
 
 use dgrid_sim::rng::splitmix64;
-use serde::{Deserialize, Serialize};
 
 /// The number of bits in a Chord identifier (and finger-table entries).
-pub const ID_BITS: u32 = 64;
+pub(crate) const ID_BITS: u32 = 64;
 
 /// A position on the Chord identifier ring.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ChordId(pub u64);
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct ChordId(pub(crate) u64);
 
 impl ChordId {
     /// Hash an arbitrary 64-bit value onto the ring.
@@ -24,28 +23,18 @@ impl ChordId {
     /// SplitMix64, which is a bijective 64-bit mixer with excellent
     /// distribution — collision-free by construction for distinct inputs,
     /// which is even stronger than what a truncated SHA-1 would give.
-    pub fn hash_of(x: u64) -> ChordId {
+    pub(crate) fn hash_of(x: u64) -> ChordId {
         ChordId(splitmix64(x))
     }
 
-    /// Hash a byte string onto the ring (FNV-1a, then mixed).
-    pub fn hash_bytes(bytes: &[u8]) -> ChordId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        ChordId(splitmix64(h))
-    }
-
     /// The identifier `self + 2^k` (mod 2^64): the start of finger `k`.
-    pub fn finger_start(self, k: u32) -> ChordId {
+    pub(crate) fn finger_start(self, k: u32) -> ChordId {
         debug_assert!(k < ID_BITS);
         ChordId(self.0.wrapping_add(1u64 << k))
     }
 
     /// Clockwise distance from `self` to `other` on the ring.
-    pub fn distance_to(self, other: ChordId) -> u64 {
+    pub(crate) fn distance_to(self, other: ChordId) -> u64 {
         other.0.wrapping_sub(self.0)
     }
 
@@ -53,7 +42,7 @@ impl ChordId {
     ///
     /// When `a == b` the interval is the whole ring (every id is inside),
     /// matching Chord's single-node convention.
-    pub fn in_open_closed(self, a: ChordId, b: ChordId) -> bool {
+    pub(crate) fn in_open_closed(self, a: ChordId, b: ChordId) -> bool {
         if a == b {
             true
         } else {
@@ -65,7 +54,7 @@ impl ChordId {
     /// Ring interval test `self ∈ (a, b)`.
     ///
     /// When `a == b` the interval is the whole ring minus `a` itself.
-    pub fn in_open_open(self, a: ChordId, b: ChordId) -> bool {
+    pub(crate) fn in_open_open(self, a: ChordId, b: ChordId) -> bool {
         if a == b {
             self != a
         } else {
@@ -153,8 +142,6 @@ mod tests {
     fn hash_is_deterministic_and_spread() {
         assert_eq!(ChordId::hash_of(42), ChordId::hash_of(42));
         assert_ne!(ChordId::hash_of(1), ChordId::hash_of(2));
-        assert_eq!(ChordId::hash_bytes(b"abc"), ChordId::hash_bytes(b"abc"));
-        assert_ne!(ChordId::hash_bytes(b"abc"), ChordId::hash_bytes(b"abd"));
         // Sequential inputs should land far apart on the ring.
         let spread: Vec<u64> = (0..8).map(|i| ChordId::hash_of(i).0).collect();
         let mut sorted = spread.clone();

@@ -6,18 +6,27 @@
 //! (Section 2). This crate is that substrate, implemented from scratch after
 //! Stoica et al. (SIGCOMM'01):
 //!
-//! * a 64-bit identifier ring ([`ChordId`]) with the usual half-open ring
-//!   interval arithmetic;
+//! * a 64-bit identifier ring with the usual half-open ring interval
+//!   arithmetic;
 //! * per-node **finger tables** (finger *i* of node *n* points at
 //!   `successor(n + 2^i)`) and **successor lists** for fault tolerance;
-//! * iterative greedy [`lookup`](ChordRing::lookup) that walks real,
-//!   possibly *stale* finger tables hop by hop — hop counts and dead-peer
-//!   timeouts are first-class results, because matchmaking cost in overlay
-//!   hops is one of the paper's reported metrics;
-//! * membership churn: [`join`](ChordRing::join), graceful
-//!   [`leave`](ChordRing::leave), abrupt [`fail`](ChordRing::fail), and
-//!   [`stabilize`](ChordRing::stabilize) to model the outcome of Chord's
-//!   periodic stabilization protocol.
+//! * iterative greedy [`lookup`] that walks real, possibly *stale* finger
+//!   tables hop by hop — hop counts and dead-peer timeouts are first-class
+//!   results, because matchmaking cost in overlay hops is one of the
+//!   paper's reported metrics;
+//! * membership churn: [`join`], graceful [`leave`], abrupt [`fail`], and
+//!   [`stabilize`] to model the outcome of Chord's periodic stabilization
+//!   protocol.
+//!
+//! [`ChordRing`] is reached only through its [`KeyRouter`] impl, the
+//! surface every substrate shares.
+//!
+//! [`KeyRouter`]: dgrid_sim::router::KeyRouter
+//! [`lookup`]: dgrid_sim::router::KeyRouter::lookup
+//! [`join`]: dgrid_sim::router::KeyRouter::join
+//! [`leave`]: dgrid_sim::router::KeyRouter::leave
+//! [`fail`]: dgrid_sim::router::KeyRouter::fail
+//! [`stabilize`]: dgrid_sim::router::KeyRouter::stabilize
 //!
 //! The implementation is *structural*: node state (fingers, successor lists,
 //! predecessors) is held in one [`ChordRing`] value, as the records of the
@@ -30,17 +39,18 @@
 //! a routing hop asks about.
 //!
 //! ```
-//! use dgrid_chord::{ChordId, ChordRing};
+//! use dgrid_chord::ChordRing;
+//! use dgrid_sim::router::KeyRouter;
 //!
 //! let mut ring = ChordRing::default();
 //! for i in 0..64u64 {
-//!     ring.join(ChordId::hash_of(i));
+//!     ring.join(ChordRing::key_of(i));
 //! }
-//! let key = ChordId::hash_of(0xDEAD_BEEF);
-//! let owner = ring.successor_of(key).unwrap();
-//! let from = ring.random_peer(&mut rand::thread_rng()).unwrap();
+//! ring.stabilize();
+//! let key = ChordRing::key_of(0xDEAD_BEEF);
+//! let from = ring.alive_key_at(17).unwrap();
 //! let res = ring.lookup(from, key).unwrap();
-//! assert_eq!(res.owner, owner);
+//! assert_eq!(Some(res.owner), ring.owner_of(key));
 //! assert!(res.hops <= 2 * 6 + 2, "O(log N) routing");
 //! ```
 
@@ -49,9 +59,6 @@
 
 mod id;
 mod ring;
-mod router;
 mod routing;
 
-pub use id::ChordId;
-pub use ring::{ChordConfig, ChordRing, PeerView};
-pub use routing::Lookup;
+pub use ring::{ChordConfig, ChordRing};

@@ -1,7 +1,6 @@
 //! Chord's routing state over the shared membership, and churn.
 
 use dgrid_sim::overlay::{Entry, Lazy, Membership, Record};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::id::{ChordId, ID_BITS};
@@ -27,7 +26,7 @@ impl Default for ChordConfig {
 
 /// Per-peer routing state, as the peer itself believes it to be.
 ///
-/// Entries go stale under churn until the next [`ChordRing::stabilize`],
+/// Entries go stale under churn until the next stabilize,
 /// which is exactly the window in which routing pays timeout penalties.
 /// Each component is a [`Lazy`]: `Canon` when a full stabilize refreshed it
 /// last — a pure function of the sorted alive-key snapshot taken then, so
@@ -48,26 +47,17 @@ pub(crate) struct ChordPeer {
     pub(crate) fingers: Lazy<Vec<ChordId>>,
 }
 
-/// Read-only snapshot of one peer's position on the ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PeerView {
-    /// The peer's ring identifier.
-    pub id: ChordId,
-    /// Its current first successor (itself on a single-node ring).
-    pub successor: ChordId,
-    /// Its current predecessor (itself on a single-node ring).
-    pub predecessor: ChordId,
-}
-
 /// The Chord ring: the shared membership, each record holding the peer's
-/// (possibly stale) local routing state.
+/// (possibly stale) local routing state. Reached through its
+/// [`KeyRouter`](dgrid_sim::router::KeyRouter) impl.
 ///
 /// A peer's state is stored only where it differs from what the last
-/// [`ChordRing::stabilize`] implies ([`Lazy::Mat`]); everything else is one
-/// binary search into the shared snapshot, made when a route asks for it
-/// through the peer's [`Hop`] view. In particular no finger *table* is ever
-/// built for a routing hop: [`ChordRing::lookup`] resolves single fingers,
-/// top candidate first, and stops at the first live one.
+/// [`stabilize`](dgrid_sim::router::KeyRouter::stabilize) implies
+/// ([`Lazy::Mat`]); everything else is one binary search into the shared
+/// snapshot, made when a route asks for it through the peer's view. In
+/// particular no finger *table* is ever built for a routing hop:
+/// [`lookup`](dgrid_sim::router::KeyRouter::lookup) resolves single
+/// fingers, top candidate first, and stops at the first live one.
 #[derive(Clone)]
 pub struct ChordRing {
     cfg: ChordConfig,
@@ -98,30 +88,20 @@ impl ChordRing {
         &self.cfg
     }
 
-    /// All live peer ids in ascending ring order.
-    pub fn alive_ids(&self) -> Vec<ChordId> {
-        self.m.alive_in(..).map(ChordId).collect()
-    }
-
-    /// A uniformly random live peer.
-    pub fn random_peer<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<ChordId> {
-        self.m.random_key(rng).map(ChordId)
-    }
-
     // ------------------------------------------------------------------
     // Ground truth (what a fully stabilized ring would know)
     // ------------------------------------------------------------------
 
     /// The live owner of `key`: the first live peer clockwise from `key`
     /// (inclusive). `None` on an empty ring.
-    pub fn successor_of(&self, key: ChordId) -> Option<ChordId> {
+    pub(crate) fn successor_of(&self, key: ChordId) -> Option<ChordId> {
         let wrapped = || self.m.alive_in(..).next();
         let onward = self.m.alive_in(key.0..).next();
         onward.or_else(wrapped).map(ChordId)
     }
 
     /// The first live peer strictly counter-clockwise from `key`.
-    pub fn predecessor_of(&self, key: ChordId) -> Option<ChordId> {
+    pub(crate) fn predecessor_of(&self, key: ChordId) -> Option<ChordId> {
         let wrapped = || self.m.alive_in(..).next_back();
         let below = self.m.alive_in(..key.0).next_back();
         below.or_else(wrapped).map(ChordId)
@@ -143,85 +123,20 @@ impl ChordRing {
     }
 
     // ------------------------------------------------------------------
-    // Churn
+    // Churn and maintenance
     // ------------------------------------------------------------------
 
-    /// Add a peer with identifier `id` and build its routing state (a real
-    /// node performs O(log N) lookups for this during join).
-    ///
-    /// The new peer's immediate neighbours learn about it right away (as
-    /// Chord's join notification does); everyone else's fingers remain stale
-    /// until [`ChordRing::stabilize`].
-    ///
-    /// # Panics
-    /// If a live peer with this id already exists.
-    pub fn join(&mut self, id: ChordId) {
-        self.join_deferred(id);
-        self.refresh_peer(id);
-        // Notify immediate neighbours.
-        let pred = self.predecessor_of(id);
-        let succ = self.successor_of(ChordId(id.0.wrapping_add(1)));
-        if let Some(p) = pred {
-            if p != id {
-                self.refresh_successors_of(p);
-            }
-        }
-        if let Some(s) = succ {
-            if s != id {
-                self.m.state_mut(s.0).predecessor = Lazy::Mat(Some(id));
-            }
-        }
-    }
-
-    /// Membership-only join used during bulk construction: the peer is
-    /// admitted but nobody's routing state is built or repaired. Until the
-    /// next [`ChordRing::stabilize`] the peer's own views resolve against
-    /// current ground truth on demand, so a stabilize must follow before
-    /// any churn for the ring to behave as if every peer had joined
-    /// individually.
-    ///
-    /// # Panics
-    /// If a live peer with this id already exists.
-    pub fn join_deferred(&mut self, id: ChordId) {
+    /// Admit `id` without building or repairing anybody's routing state.
+    /// Until the next stabilize the peer's own views resolve against
+    /// current ground truth on demand.
+    pub(crate) fn join_deferred(&mut self, id: ChordId) {
         self.m.admit(id.0, ChordPeer::default());
     }
-
-    /// Graceful departure: the peer tells its neighbours before leaving, so
-    /// their successor/predecessor state is repaired immediately. Remote
-    /// finger tables still go stale.
-    ///
-    /// # Panics
-    /// If `id` is not a live peer.
-    pub fn leave(&mut self, id: ChordId) {
-        self.m.mark_dead(id.0);
-        let pred = self.predecessor_of(id);
-        let succ = self.successor_of(id);
-        if let Some(p) = pred {
-            self.refresh_successors_of(p);
-        }
-        if let (Some(p), Some(s)) = (pred, succ) {
-            self.m.state_mut(s.0).predecessor = Lazy::Mat(Some(p));
-        }
-    }
-
-    /// Abrupt failure: the peer vanishes without notice. All references to
-    /// it (fingers, successor lists) remain until discovered by routing
-    /// timeouts or repaired by [`ChordRing::stabilize`].
-    ///
-    /// # Panics
-    /// If `id` is not a live peer.
-    pub fn fail(&mut self, id: ChordId) {
-        self.m.mark_dead(id.0);
-    }
-
-    // ------------------------------------------------------------------
-    // Maintenance
-    // ------------------------------------------------------------------
 
     /// Rebuild one peer's fingers, successor list and predecessor from
     /// ground truth — the effect of that peer completing a full round of
     /// Chord's `stabilize` + `fix_fingers`.
-    pub fn refresh_peer(&mut self, id: ChordId) {
+    pub(crate) fn refresh_peer(&mut self, id: ChordId) {
         assert!(self.m.is_alive(id.0), "refresh of dead peer {id}");
         let successors = self.true_successor_list(id, self.cfg.successor_list_len);
         let predecessor = self.predecessor_of(id);
@@ -238,24 +153,13 @@ impl ChordRing {
         };
     }
 
-    fn refresh_successors_of(&mut self, id: ChordId) {
+    /// Rebuild the successor list of `id`, if it is alive.
+    pub(crate) fn refresh_successors_of(&mut self, id: ChordId) {
         if !self.m.is_alive(id.0) {
             return;
         }
         let successors = self.true_successor_list(id, self.cfg.successor_list_len);
         self.m.state_mut(id.0).successors = Lazy::Mat(successors);
-    }
-
-    /// Run a full stabilization round: every live peer refreshes its state,
-    /// and records of dead peers are garbage-collected (no stale pointers
-    /// can remain afterwards).
-    ///
-    /// Post-stabilize every peer's state is a pure function of the sorted
-    /// alive-key snapshot, so instead of materializing ~`ID_BITS + r` ids
-    /// per peer this takes the snapshot once and flips every peer to
-    /// [`Lazy::Canon`] — O(N) total, with views computed on demand.
-    pub fn stabilize(&mut self) {
-        self.m.stabilize();
     }
 
     // ------------------------------------------------------------------
@@ -298,65 +202,12 @@ impl ChordRing {
         self.m.settled() && self.cfg.max_route_hops >= ID_BITS
     }
 
-    /// Snapshot one live peer's ring position.
-    pub fn peer_view(&self, id: ChordId) -> Option<PeerView> {
+    /// The live peer `id`'s believed `(successor, predecessor)`; each is
+    /// the peer itself on a single-peer ring.
+    pub(crate) fn peer_view(&self, id: ChordId) -> Option<(ChordId, ChordId)> {
         let hop = self.hop(Entry::unranked(id.0)).filter(Hop::is_alive)?;
-        Some(PeerView {
-            id,
-            successor: ChordId(hop.successor(0).key),
-            predecessor: hop.predecessor().unwrap_or(id),
-        })
-    }
-
-    /// Ring-consistency check for a quiesced ring (run [`ChordRing::stabilize`]
-    /// first): every live peer's successor and predecessor pointers must
-    /// agree with the sorted ring order, and following successor pointers
-    /// from any peer must tour every live peer exactly once. Returns `None`
-    /// when consistent, otherwise a description of the first violation —
-    /// the oracle hook the model checker (`dgrid-check`) calls after churn
-    /// has settled.
-    pub fn consistency_violation(&self) -> Option<String> {
-        let ids = self.alive_ids();
-        if ids.len() <= 1 {
-            return None;
-        }
-        let n = ids.len();
-        for (i, &id) in ids.iter().enumerate() {
-            let next = ids[(i + 1) % n];
-            let prev = ids[(i + n - 1) % n];
-            let Some(v) = self.peer_view(id) else {
-                return Some(format!("live peer {id} has no ring view"));
-            };
-            if v.successor != next {
-                return Some(format!(
-                    "{id}: successor {} disagrees with ring order {next}",
-                    v.successor
-                ));
-            }
-            if v.predecessor != prev {
-                return Some(format!(
-                    "{id}: predecessor {} disagrees with ring order {prev}",
-                    v.predecessor
-                ));
-            }
-        }
-        // Successor pointers must form a single cycle covering the ring.
-        let start = ids[0];
-        let mut at = start;
-        for step in 1..=n {
-            at = match self.peer_view(at) {
-                Some(v) => v.successor,
-                None => return Some(format!("successor walk reaches dead peer {at}")),
-            };
-            if at == start {
-                return if step == n {
-                    None
-                } else {
-                    Some(format!("successor cycle closes after {step} of {n} peers"))
-                };
-            }
-        }
-        Some(format!("successor walk from {start} never closes"))
+        let successor = ChordId(hop.successor(0).key);
+        Some((successor, hop.predecessor().unwrap_or(id)))
     }
 }
 
@@ -484,11 +335,12 @@ impl<'a> Hop<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgrid_sim::router::KeyRouter;
 
     fn ring_with(ids: &[u64]) -> ChordRing {
         let mut r = ChordRing::default();
         for &i in ids {
-            r.join(ChordId(i));
+            r.join(i);
         }
         r
     }
@@ -508,13 +360,27 @@ mod tests {
         (0..ID_BITS).map(|k| ChordId(hop.finger(k).key)).collect()
     }
 
+    /// The live peer's believed successor.
+    fn successor(r: &ChordRing, id: u64) -> u64 {
+        r.peer_view(ChordId(id)).expect("live peer").0 .0
+    }
+
+    /// The live peer's believed predecessor.
+    fn predecessor(r: &ChordRing, id: u64) -> u64 {
+        r.peer_view(ChordId(id)).expect("live peer").1 .0
+    }
+
+    fn live(r: &ChordRing) -> Vec<ChordId> {
+        r.alive_keys().into_iter().map(ChordId).collect()
+    }
+
     #[test]
     fn successor_ground_truth() {
         let r = ring_with(&[10, 20, 30]);
-        assert_eq!(r.successor_of(ChordId(5)), Some(ChordId(10)));
-        assert_eq!(r.successor_of(ChordId(10)), Some(ChordId(10)), "inclusive");
-        assert_eq!(r.successor_of(ChordId(11)), Some(ChordId(20)));
-        assert_eq!(r.successor_of(ChordId(31)), Some(ChordId(10)), "wraps");
+        assert_eq!(r.owner_of(5), Some(10));
+        assert_eq!(r.owner_of(10), Some(10), "inclusive");
+        assert_eq!(r.owner_of(11), Some(20));
+        assert_eq!(r.owner_of(31), Some(10), "wraps");
         assert_eq!(
             r.predecessor_of(ChordId(10)),
             Some(ChordId(30)),
@@ -527,66 +393,54 @@ mod tests {
     fn empty_and_single() {
         let mut r = ChordRing::default();
         assert!(r.m.is_empty());
-        assert_eq!(r.successor_of(ChordId(1)), None);
-        r.join(ChordId(42));
+        assert_eq!(r.owner_of(1), None);
+        r.join(42);
         assert_eq!(r.m.len(), 1);
-        assert_eq!(r.successor_of(ChordId(7)), Some(ChordId(42)));
-        let v = r.peer_view(ChordId(42)).unwrap();
-        assert_eq!(
-            v.successor,
-            ChordId(42),
-            "own successor on single-node ring"
-        );
-        assert_eq!(v.predecessor, ChordId(42));
+        assert_eq!(r.owner_of(7), Some(42));
+        assert_eq!(successor(&r, 42), 42, "own successor on single-node ring");
+        assert_eq!(predecessor(&r, 42), 42);
     }
 
     #[test]
     fn join_updates_neighbours_immediately() {
         let mut r = ring_with(&[10, 30]);
-        r.join(ChordId(20));
-        let v10 = r.peer_view(ChordId(10)).unwrap();
-        assert_eq!(v10.successor, ChordId(20), "predecessor learned of join");
-        let v30 = r.peer_view(ChordId(30)).unwrap();
-        assert_eq!(v30.predecessor, ChordId(20), "successor learned of join");
-        let v20 = r.peer_view(ChordId(20)).unwrap();
-        assert_eq!(v20.successor, ChordId(30));
-        assert_eq!(v20.predecessor, ChordId(10));
+        r.join(20);
+        assert_eq!(successor(&r, 10), 20, "predecessor learned of join");
+        assert_eq!(predecessor(&r, 30), 20, "successor learned of join");
+        assert_eq!(successor(&r, 20), 30);
+        assert_eq!(predecessor(&r, 20), 10);
     }
 
     #[test]
     fn graceful_leave_repairs_neighbours() {
         let mut r = ring_with(&[10, 20, 30]);
-        r.leave(ChordId(20));
+        r.leave(20);
         assert_eq!(r.m.len(), 2);
         assert!(!r.m.is_alive(20));
-        let v10 = r.peer_view(ChordId(10)).unwrap();
-        assert_eq!(v10.successor, ChordId(30));
-        let v30 = r.peer_view(ChordId(30)).unwrap();
-        assert_eq!(v30.predecessor, ChordId(10));
+        assert_eq!(successor(&r, 10), 30);
+        assert_eq!(predecessor(&r, 30), 10);
     }
 
     #[test]
     fn abrupt_fail_leaves_stale_state_until_stabilize() {
         let mut r = ring_with(&[10, 20, 30]);
-        r.fail(ChordId(20));
+        r.fail(20);
         // 10 still *believes* 20 is its successor (stale).
-        let v10 = r.peer_view(ChordId(10)).unwrap();
         assert_eq!(
-            v10.successor,
-            ChordId(20),
+            successor(&r, 10),
+            20,
             "stale successor after silent failure"
         );
         r.stabilize();
-        let v10 = r.peer_view(ChordId(10)).unwrap();
-        assert_eq!(v10.successor, ChordId(30), "repaired by stabilization");
-        assert_eq!(r.successor_of(ChordId(15)), Some(ChordId(30)));
+        assert_eq!(successor(&r, 10), 30, "repaired by stabilization");
+        assert_eq!(r.owner_of(15), Some(30));
     }
 
     #[test]
     fn rejoin_after_failure_is_allowed() {
         let mut r = ring_with(&[10, 20]);
-        r.fail(ChordId(20));
-        r.join(ChordId(20));
+        r.fail(20);
+        r.join(20);
         assert!(r.m.is_alive(20));
         assert_eq!(r.m.len(), 2);
     }
@@ -595,21 +449,21 @@ mod tests {
     #[should_panic(expected = "duplicate join")]
     fn duplicate_join_panics() {
         let mut r = ring_with(&[10]);
-        r.join(ChordId(10));
+        r.join(10);
     }
 
     #[test]
     #[should_panic(expected = "departure of unknown")]
     fn failing_unknown_peer_panics() {
         let mut r = ring_with(&[10]);
-        r.fail(ChordId(99));
+        r.fail(99);
     }
 
     #[test]
     fn successor_lists_have_configured_length() {
         let mut r = ring_with(&(0..20u64).map(|i| i * 100).collect::<Vec<_>>());
         r.stabilize();
-        for id in r.alive_ids() {
+        for id in live(&r) {
             let succ = successors(&r, id);
             assert_eq!(succ.len(), r.config().successor_list_len);
             // Entries are the k nearest live successors in clockwise order.
@@ -632,11 +486,11 @@ mod tests {
         let mut r = ring_with(&ids);
         r.stabilize();
         let mut mat = r.clone();
-        for id in r.alive_ids() {
+        for id in live(&r) {
             mat.refresh_peer(id); // flips this peer to Mat
         }
         mat.m.unsettle(); // or its views would read the snapshot all the same
-        for id in r.alive_ids() {
+        for id in live(&r) {
             assert_eq!(successors(&r, id), successors(&mat, id), "of {id}");
             assert_eq!(fingers(&r, id), fingers(&mat, id), "of {id}");
             let (canon, mat) = (hop(&r, id), hop(&mat, id));
@@ -650,13 +504,11 @@ mod tests {
         r.stabilize();
         // Abrupt failure after stabilize: canonical views must still
         // reference the dead peer (stale, exactly like materialized state).
-        r.fail(ChordId(20));
-        let v10 = r.peer_view(ChordId(10)).unwrap();
-        assert_eq!(v10.successor, ChordId(20), "stale canonical successor");
+        r.fail(20);
+        assert_eq!(successor(&r, 10), 20, "stale canonical successor");
         assert_eq!(successors(&r, ChordId(10)).first(), Some(&ChordId(20)));
         r.stabilize();
-        let v10 = r.peer_view(ChordId(10)).unwrap();
-        assert_eq!(v10.successor, ChordId(30), "repaired by stabilization");
+        assert_eq!(successor(&r, 10), 30, "repaired by stabilization");
     }
 
     #[test]
@@ -666,37 +518,24 @@ mod tests {
             .collect();
         let mut eager = ChordRing::default();
         for &i in &ids {
-            eager.join(ChordId(i));
+            eager.join(i);
         }
         eager.stabilize();
         let mut lazy = ChordRing::default();
-        for &i in &ids {
-            lazy.join_deferred(ChordId(i));
-        }
+        lazy.bulk_join(&ids);
         lazy.stabilize();
-        assert_eq!(eager.alive_ids(), lazy.alive_ids());
-        for id in eager.alive_ids() {
+        assert_eq!(eager.alive_keys(), lazy.alive_keys());
+        for id in live(&eager) {
             assert_eq!(eager.peer_view(id), lazy.peer_view(id), "view of {id}");
         }
-        for probe in ids.iter().map(|&i| ChordId(i ^ 0x5555)) {
+        for probe in ids.iter().map(|&i| i ^ 0x5555) {
             for &from in ids.iter().take(7) {
                 assert_eq!(
-                    eager.lookup(ChordId(from), probe),
-                    lazy.lookup(ChordId(from), probe),
-                    "lookup({from:x}, {probe}) diverged"
+                    eager.lookup(from, probe),
+                    lazy.lookup(from, probe),
+                    "lookup({from:x}, {probe:x}) diverged"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn random_peer_is_alive() {
-        let mut r = ring_with(&[1, 2, 3, 4, 5]);
-        r.fail(ChordId(3));
-        let mut rng = dgrid_sim::rng::rng_for(1, 1);
-        for _ in 0..50 {
-            let p = r.random_peer(&mut rng).unwrap();
-            assert!(r.m.is_alive(p.0));
         }
     }
 
@@ -709,10 +548,10 @@ mod tests {
     #[test]
     fn stabilize_collects_dead_records() {
         let mut r = ring_with(&[10, 20, 30, 40]);
-        r.fail(ChordId(20));
-        r.fail(ChordId(40));
+        r.fail(20);
+        r.fail(40);
         r.stabilize();
-        assert_eq!(r.alive_ids(), vec![ChordId(10), ChordId(30)]);
+        assert_eq!(r.alive_keys(), vec![10, 30]);
         assert_eq!(r.m.len(), 2);
     }
 }
@@ -722,6 +561,7 @@ mod finger_tests {
     use super::tests::{fingers, hop};
     use super::*;
     use dgrid_sim::rng::{rng_for, streams};
+    use dgrid_sim::router::KeyRouter;
     use rand::Rng;
 
     #[test]
@@ -730,14 +570,14 @@ mod finger_tests {
         let mut ring = ChordRing::default();
         let mut count = 0;
         while count < 96 {
-            let id = ChordId(rng.gen());
-            if !ring.m.is_alive(id.0) {
+            let id: u64 = rng.gen();
+            if !ring.m.is_alive(id) {
                 ring.join(id);
                 count += 1;
             }
         }
         ring.stabilize();
-        for id in ring.alive_ids() {
+        for id in ring.alive_keys().into_iter().map(ChordId) {
             let fingers = fingers(&ring, id);
             for k in 0..ID_BITS {
                 let start = id.finger_start(k);
@@ -758,15 +598,15 @@ mod finger_tests {
         let mut ring = ChordRing::default();
         let mut count = 0;
         while count < 128 {
-            let id = ChordId(rng.gen());
-            if !ring.m.is_alive(id.0) {
+            let id: u64 = rng.gen();
+            if !ring.m.is_alive(id) {
                 ring.join(id);
                 count += 1;
             }
         }
         ring.stabilize();
         let mut total_span = 0u128;
-        let ids = ring.alive_ids();
+        let ids: Vec<ChordId> = ring.alive_keys().into_iter().map(ChordId).collect();
         for &id in &ids {
             let top = ChordId(hop(&ring, id).finger(ID_BITS - 1).key);
             total_span += u128::from(id.distance_to(top));

@@ -1,40 +1,104 @@
-//! Iterative greedy lookup over (possibly stale) finger tables.
+//! Chord as a pluggable overlay substrate: the [`KeyRouter`] impl, whose
+//! lookup is iterative greedy routing over (possibly stale) finger tables.
+//!
+//! Besides the route it reads a peer's believed successor list twice —
+//! for the detour peers of [`KeyRouter::lookup_with_failover`], which is
+//! the only failover Chord has, and for the random-walk step — and holds
+//! two closed forms ([`KeyRouter::lookup_owner`],
+//! [`KeyRouter::rn_tree_parents`]) that answer from the stabilize snapshot.
 
-use dgrid_sim::overlay::Entry;
+use dgrid_sim::overlay::{Entry, Lazy};
+use dgrid_sim::router::{rn_tree_parents_via, KeyRouter, RouteCost, NO_PARENT};
 
 use crate::id::ChordId;
 use crate::ring::{ChordRing, Hop};
-
-/// Result of a successful lookup.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Lookup {
-    /// The peer found to own the key.
-    pub owner: ChordId,
-    /// Overlay hops taken (messages forwarded between distinct peers).
-    pub hops: u32,
-    /// Dead peers contacted along the way (each costs a timeout in a real
-    /// deployment; counted separately from productive hops).
-    pub timeouts: u32,
-}
 
 /// The peer an entry points at.
 fn id(e: Entry) -> ChordId {
     ChordId(e.key)
 }
 
-impl ChordRing {
-    /// Route a lookup for `key` starting at live peer `from`, using each
-    /// intermediate peer's *local* finger table and successor list — exactly
-    /// the information a real Chord node has, including stale entries after
-    /// churn.
-    ///
-    /// Returns `None` if routing cannot complete (routing-state partition or
-    /// hop-limit exceeded), which in a deployment triggers retry-after-
-    /// stabilization.
-    ///
-    /// # Panics
-    /// If `from` is not a live peer.
-    pub fn lookup(&self, from: ChordId, key: ChordId) -> Option<Lookup> {
+impl KeyRouter for ChordRing {
+    const SUBSTRATE: &'static str = "chord";
+
+    fn key_of(raw: u64) -> u64 {
+        ChordId::hash_of(raw).0
+    }
+
+    /// Builds the joiner's routing state (a real node performs O(log N)
+    /// lookups for this during join). Its immediate neighbours learn of it
+    /// right away, as Chord's join notification does; everyone else's
+    /// fingers stay stale until [`KeyRouter::stabilize`].
+    fn join(&mut self, key: u64) {
+        let id = ChordId(key);
+        self.join_deferred(id);
+        self.refresh_peer(id);
+        // Notify immediate neighbours.
+        let pred = self.predecessor_of(id);
+        let succ = self.successor_of(ChordId(id.0.wrapping_add(1)));
+        if let Some(p) = pred {
+            if p != id {
+                self.refresh_successors_of(p);
+            }
+        }
+        if let Some(s) = succ {
+            if s != id {
+                self.m.state_mut(s.0).predecessor = Lazy::Mat(Some(id));
+            }
+        }
+    }
+
+    /// The peer tells its neighbours before leaving, so their successor
+    /// and predecessor state is repaired at once. Remote finger tables
+    /// still go stale.
+    fn leave(&mut self, key: u64) {
+        let id = ChordId(key);
+        self.m.mark_dead(id.0);
+        let pred = self.predecessor_of(id);
+        let succ = self.successor_of(id);
+        if let Some(p) = pred {
+            self.refresh_successors_of(p);
+        }
+        if let (Some(p), Some(s)) = (pred, succ) {
+            self.m.state_mut(s.0).predecessor = Lazy::Mat(Some(p));
+        }
+    }
+
+    /// The peer vanishes without notice. Every reference to it (fingers,
+    /// successor lists) remains until routing times out on it or
+    /// [`KeyRouter::stabilize`] repairs it.
+    fn fail(&mut self, key: u64) {
+        self.m.mark_dead(key);
+    }
+
+    fn is_alive(&self, key: u64) -> bool {
+        self.m.is_alive(key)
+    }
+
+    fn len(&self) -> usize {
+        self.m.len()
+    }
+
+    fn alive_keys(&self) -> Vec<u64> {
+        self.m.alive_in(..).collect()
+    }
+
+    fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        self.m.alive_key_at(rank)
+    }
+
+    /// The first live peer clockwise from `key` (inclusive).
+    fn owner_of(&self, key: u64) -> Option<u64> {
+        self.successor_of(ChordId(key)).map(|id| id.0)
+    }
+
+    /// Iterative greedy routing over each intermediate peer's *local*
+    /// finger table and successor list — exactly the information a real
+    /// Chord node has, including stale entries after churn. `None` on a
+    /// routing-state partition or past the hop limit, which in a
+    /// deployment triggers retry-after-stabilization.
+    fn lookup(&self, from: u64, key: u64) -> Option<RouteCost> {
+        let (from, key) = (ChordId(from), ChordId(key));
         // While settled the view is the snapshot rank alone, so finding it
         // is the liveness check.
         let mut at = self
@@ -46,8 +110,8 @@ impl ChordRing {
         let mut hops = 0u32;
         let mut timeouts = 0u32;
         let found = |owner: ChordId, hops, timeouts| {
-            Some(Lookup {
-                owner,
+            Some(RouteCost {
+                owner: owner.0,
                 hops,
                 timeouts,
             })
@@ -170,6 +234,141 @@ impl ChordRing {
             hops += 1;
         }
     }
+
+    /// Exact: once [`KeyRouter::stabilize`] has run and membership has not
+    /// changed since (the ring is *settled*), every peer's tables equal
+    /// ground truth and greedy routing from any live peer ends at the
+    /// key's successor in the stabilize snapshot. Any other state walks
+    /// the route.
+    fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
+        if self.routes_are_exact() {
+            debug_assert!(self.m.is_alive(from));
+            self.owner_of(key)
+        } else {
+            self.lookup(from, key).map(|r| r.owner)
+        }
+    }
+
+    /// Exact while settled, when every parent lookup names the ground-truth
+    /// owner. Rank 0 owns key 0 and is the root. Any other rank `r` owns
+    /// `(key r - 1, key r]`, and prefix keys only grow with the prefix, so
+    /// its level is the first prefix to exceed key `r - 1`: one bit past
+    /// `lcp[r]`, the bits the two keys share. Its parent key therefore
+    /// opens the `lcp[r]`-bit block that holds both, and the block's owner
+    /// is its first member: the nearest earlier rank `s` with `lcp[s] <
+    /// lcp[r]` (key `s - 1` lies outside the block), or rank 0. One pass
+    /// over the keys with a stack of ranks whose `lcp` strictly increases,
+    /// at most 64 deep. Any other state looks each parent up.
+    ///
+    /// Chord keeps the default level probe: only that fallback and
+    /// `RnTree::build_counting` (experiment `T-tree`, which routes every
+    /// parent lookup to count its hops) ask for a level, and no engine
+    /// path reaches either.
+    fn rn_tree_parents(&self, keys: &[u64]) -> Vec<u32> {
+        if !self.routes_are_exact() {
+            return rn_tree_parents_via(self, keys, |from, key| {
+                self.lookup_owner(from, key).expect("stable overlay routes")
+            });
+        }
+        debug_assert!(keys == self.m.snapshot().keys(), "keys are the live set");
+        let mut parent = Vec::with_capacity(keys.len());
+        parent.extend(keys.first().map(|_| NO_PARENT));
+        // (lcp, rank), lcp strictly increasing upwards.
+        let mut open: Vec<(u32, u32)> = Vec::with_capacity(64);
+        for (r, w) in (1u32..).zip(keys.windows(2)) {
+            let lcp = (w[0] ^ w[1]).leading_zeros();
+            while open.last().is_some_and(|&(l, _)| l >= lcp) {
+                open.pop();
+            }
+            parent.push(open.last().map_or(0, |&(_, s)| s));
+            open.push((lcp, r));
+        }
+        parent
+    }
+
+    /// In the caller's (hashed, hence random) order on purpose. Admitting
+    /// the keys sorted is quicker — `matchmaker.bootstrap_s` 47 → 36 ms on
+    /// `rntree-100k` — but ascending inserts split every B-tree node at
+    /// its right edge and leave it half full for the life of the ring:
+    /// `peak_rss_mb` 61.1 → 64.1 on the same run.
+    fn bulk_join(&mut self, keys: &[u64]) {
+        for &k in keys {
+            self.join_deferred(ChordId(k));
+        }
+    }
+
+    fn failover_peers(&self, from: u64) -> Vec<u64> {
+        let Some(hop) = self.hop(Entry::unranked(from)) else {
+            return Vec::new();
+        };
+        (0..hop.successor_count())
+            .map(|j| hop.successor(j).key)
+            .collect()
+    }
+
+    fn walk_step(&self, at: u64) -> Option<u64> {
+        let hop = self.hop(Entry::unranked(at)).filter(Hop::is_alive)?;
+        let next = hop.successor(0);
+        (next.key != at && self.points_at_live(next)).then_some(next.key)
+    }
+
+    /// Every live peer refreshes its state, and records of dead peers are
+    /// garbage-collected (no stale pointers can remain afterwards).
+    ///
+    /// Post-stabilize every peer's state is a pure function of the sorted
+    /// alive-key snapshot, so instead of materializing ~`ID_BITS + r` ids
+    /// per peer this takes the snapshot once and flips every peer to
+    /// [`Lazy::Canon`] — O(N) total, with views computed on demand.
+    fn stabilize(&mut self) {
+        self.m.stabilize();
+    }
+
+    /// Ring consistency, meaningful once stabilized: every live peer's
+    /// successor and predecessor pointers must agree with the sorted ring
+    /// order, and following successor pointers from any peer must tour
+    /// every live peer exactly once. The oracle hook the model checker
+    /// (`dgrid-check`) calls after churn has settled.
+    fn table_violation(&self) -> Option<String> {
+        let ids: Vec<ChordId> = self.m.alive_in(..).map(ChordId).collect();
+        if ids.len() <= 1 {
+            return None;
+        }
+        let n = ids.len();
+        for (i, &id) in ids.iter().enumerate() {
+            let next = ids[(i + 1) % n];
+            let prev = ids[(i + n - 1) % n];
+            let Some((successor, predecessor)) = self.peer_view(id) else {
+                return Some(format!("live peer {id} has no ring view"));
+            };
+            if successor != next {
+                return Some(format!(
+                    "{id}: successor {successor} disagrees with ring order {next}"
+                ));
+            }
+            if predecessor != prev {
+                return Some(format!(
+                    "{id}: predecessor {predecessor} disagrees with ring order {prev}"
+                ));
+            }
+        }
+        // Successor pointers must form a single cycle covering the ring.
+        let start = ids[0];
+        let mut at = start;
+        for step in 1..=n {
+            at = match self.peer_view(at) {
+                Some((successor, _)) => successor,
+                None => return Some(format!("successor walk reaches dead peer {at}")),
+            };
+            if at == start {
+                return if step == n {
+                    None
+                } else {
+                    Some(format!("successor cycle closes after {step} of {n} peers"))
+                };
+            }
+        }
+        Some(format!("successor walk from {start} never closes"))
+    }
 }
 
 #[cfg(test)]
@@ -192,7 +391,7 @@ mod tests {
         while ids.len() < n {
             let id: u64 = rng.gen();
             if !ring.is_alive(id) {
-                KeyRouter::join(&mut ring, id);
+                ring.join(id);
                 ids.push(id);
             }
         }
@@ -207,7 +406,7 @@ mod tests {
         for _ in 0..500 {
             let key: u64 = rng.gen();
             let from = ids[rng.gen_range(0..ids.len())];
-            let res = KeyRouter::lookup(&ring, from, key).expect("lookup succeeds");
+            let res = ring.lookup(from, key).expect("lookup succeeds");
             assert_eq!(Some(res.owner), ring.owner_of(key));
             assert_eq!(res.timeouts, 0, "no timeouts on a stable ring");
         }
@@ -223,7 +422,7 @@ mod tests {
             for _ in 0..trials {
                 let key: u64 = rng.gen();
                 let from = ids[rng.gen_range(0..ids.len())];
-                total_hops += u64::from(KeyRouter::lookup(&ring, from, key).unwrap().hops);
+                total_hops += u64::from(ring.lookup(from, key).unwrap().hops);
             }
             let mean = total_hops as f64 / trials as f64;
             let log2n = (n as f64).log2();
@@ -242,7 +441,7 @@ mod tests {
         for _ in 0..100 {
             let key: u64 = rng.gen();
             let owner = ring.owner_of(key).unwrap();
-            let res = KeyRouter::lookup(&ring, owner, key).unwrap();
+            let res = ring.lookup(owner, key).unwrap();
             assert_eq!(res.owner, owner);
             assert_eq!(res.hops, 0, "owner already holds the key");
         }
@@ -256,7 +455,7 @@ mod tests {
         let mut killed = 0;
         for &id in &ids {
             if killed < 51 && rng.gen_bool(0.2) {
-                KeyRouter::fail(&mut ring, id);
+                ring.fail(id);
                 killed += 1;
             }
         }
@@ -265,8 +464,9 @@ mod tests {
         for _ in 0..300 {
             let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res =
-                KeyRouter::lookup(&ring, from, key).expect("successor lists route around failures");
+            let res = ring
+                .lookup(from, key)
+                .expect("successor lists route around failures");
             assert!(ring.is_alive(res.owner), "owner must be alive");
             // The reached owner must be the true live successor of the key.
             assert_eq!(Some(res.owner), ring.owner_of(key));
@@ -281,14 +481,14 @@ mod tests {
         let (mut ring, ids) = build_ring(256, 9);
         let mut rng = rng_for(10, 0);
         for &id in ids.iter().take(50) {
-            KeyRouter::fail(&mut ring, id);
+            ring.fail(id);
         }
         ring.stabilize();
         let alive = ring.alive_keys();
         for _ in 0..200 {
             let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res = KeyRouter::lookup(&ring, from, key).unwrap();
+            let res = ring.lookup(from, key).unwrap();
             assert_eq!(res.timeouts, 0);
             assert_eq!(Some(res.owner), ring.owner_of(key));
         }
@@ -297,17 +497,17 @@ mod tests {
     #[test]
     fn tiny_rings() {
         let mut ring = ChordRing::new(ChordConfig::default());
-        KeyRouter::join(&mut ring, 100);
-        let res = KeyRouter::lookup(&ring, 100, 5).unwrap();
+        ring.join(100);
+        let res = ring.lookup(100, 5).unwrap();
         assert_eq!(res.owner, 100);
         assert_eq!(res.hops, 0);
 
-        KeyRouter::join(&mut ring, 200);
+        ring.join(200);
         ring.stabilize();
-        let res = KeyRouter::lookup(&ring, 100, 150).unwrap();
+        let res = ring.lookup(100, 150).unwrap();
         assert_eq!(res.owner, 200);
         assert!(res.hops <= 1);
-        let res = KeyRouter::lookup(&ring, 100, 250).unwrap();
+        let res = ring.lookup(100, 250).unwrap();
         assert_eq!(res.owner, 100);
     }
 
@@ -318,7 +518,7 @@ mod tests {
         for _ in 0..200 {
             let key: u64 = rng.gen();
             let from = ids[rng.gen_range(0..ids.len())];
-            let plain = KeyRouter::lookup(&ring, from, key).unwrap();
+            let plain = ring.lookup(from, key).unwrap();
             let (via, retries) = ring.lookup_with_failover(from, key, 3).unwrap();
             assert_eq!(via, plain, "successful lookups must be unchanged");
             assert_eq!(retries, 0);
@@ -334,10 +534,10 @@ mod tests {
             ..ChordConfig::default()
         });
         for id in [100u64, 200, 300] {
-            KeyRouter::join(&mut ring, id);
+            ring.join(id);
         }
         ring.stabilize();
-        assert_eq!(KeyRouter::lookup(&ring, 100, 250), None, "needs 2 hops");
+        assert_eq!(ring.lookup(100, 250), None, "needs 2 hops");
         let (l, retries) = ring
             .lookup_with_failover(100, 250, 3)
             .expect("detour via the successor reaches the owner");
@@ -383,7 +583,7 @@ mod tests {
         for _ in 0..trials {
             let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let l = KeyRouter::lookup(ring, from, key);
+            let l = ring.lookup(from, key);
             timeouts += l.map_or(0, |l| u64::from(l.timeouts));
             h.route(l);
         }
@@ -401,7 +601,7 @@ mod tests {
         while failed < 400 {
             let id = ids[rng.gen_range(0..ids.len())];
             if ring.is_alive(id) {
-                KeyRouter::fail(&mut ring, id);
+                ring.fail(id);
                 failed += 1;
             }
         }
@@ -414,7 +614,7 @@ mod tests {
             if joined % 4 == 3 {
                 ring.bulk_join(&[id]);
             } else {
-                KeyRouter::join(&mut ring, id);
+                ring.join(id);
             }
             joined += 1;
         }
@@ -443,7 +643,7 @@ mod tests {
         // Every finger above the lowest few wraps to the asking peer.
         let mut ring = ChordRing::default();
         for id in [0x1000u64, 0x8000_0000_0000_0000, 0xF000_0000_0000_0000] {
-            KeyRouter::join(&mut ring, id);
+            ring.join(id);
         }
         ring.stabilize();
         assert_eq!(hash_lookups(&ring, 2000, 25), (0x46cc_799b_a1b2_dbb7, 0));
@@ -483,9 +683,9 @@ mod tests {
             for p in peers {
                 h.word(p);
             }
-            let v = ring.peer_view(ChordId(id)).expect("live peer");
-            for w in [v.id, v.successor, v.predecessor] {
-                h.word(w.0);
+            let (successor, predecessor) = ring.peer_view(ChordId(id)).expect("live peer");
+            for w in [id, successor.0, predecessor.0] {
+                h.word(w);
             }
         }
         h.0
@@ -552,12 +752,8 @@ mod tests {
                 for p in ring.failover_peers(id) {
                     h.word(p);
                 }
-                h.word(
-                    ring.peer_view(ChordId(id))
-                        .expect("live peer")
-                        .predecessor
-                        .0,
-                );
+                let (_, predecessor) = ring.peer_view(ChordId(id)).expect("live peer");
+                h.word(predecessor.0);
             }
             (h.0, routes.1)
         }
@@ -572,8 +768,8 @@ mod tests {
         for (n, settled, churned) in goldens {
             let (mut ring, ids) = build_ring(n, 29);
             assert_eq!(hash_all(&ring, 30), settled, "{n} peers, settled");
-            KeyRouter::fail(&mut ring, ids[0]);
-            KeyRouter::join(&mut ring, ids[0] ^ (1 << 62));
+            ring.fail(ids[0]);
+            ring.join(ids[0] ^ (1 << 62));
             assert_eq!(hash_all(&ring, 31), churned, "{n} peers, churned");
         }
     }
@@ -582,7 +778,7 @@ mod tests {
     fn lookup_for_own_id_returns_self() {
         let (ring, ids) = build_ring(32, 11);
         for &id in &ids {
-            let res = KeyRouter::lookup(&ring, id, id).unwrap();
+            let res = ring.lookup(id, id).unwrap();
             assert_eq!(res.owner, id);
             assert_eq!(res.hops, 0);
         }
@@ -608,8 +804,8 @@ mod tests {
         let mut rng = rng_for(34, 0);
         for &from in &ids {
             let key: u64 = rng.gen();
-            let lookup = KeyRouter::lookup(&poisoned, from, key);
-            assert_eq!(lookup, KeyRouter::lookup(&ring, from, key));
+            let lookup = poisoned.lookup(from, key);
+            assert_eq!(lookup, ring.lookup(from, key));
             assert_eq!(poisoned.owner_of(key), ring.owner_of(key));
             let (key, from) = (ChordId(key), ChordId(from));
             assert_eq!(poisoned.predecessor_of(key), ring.predecessor_of(key));
@@ -730,8 +926,8 @@ mod tests {
                 let view = ring.peer_view(ChordId(from));
                 prop_assert_eq!(view, walked.peer_view(ChordId(from)));
                 for &key in &keys {
-                    let routed = KeyRouter::lookup(ring, from, key);
-                    let walked = KeyRouter::lookup(&walked, from, key);
+                    let routed = ring.lookup(from, key);
+                    let walked = walked.lookup(from, key);
                     prop_assert_eq!(routed, walked, "{:x} from {:x}", key, from);
                 }
             }
@@ -739,7 +935,7 @@ mod tests {
             for &from in live.iter().take(3) {
                 for &key in &keys {
                     let slow = reference_lookup(&walked, from, key);
-                    let routed = KeyRouter::lookup(ring, from, key);
+                    let routed = ring.lookup(from, key);
                     prop_assert_eq!(routed, slow, "{:x} from {:x}", key, from);
                 }
             }
@@ -759,17 +955,17 @@ mod tests {
             ) {
                 let mut ring = ChordRing::new(ChordConfig { successor_list_len, max_route_hops });
                 for id in initial {
-                    KeyRouter::join(&mut ring, id);
+                    ring.join(id);
                 }
                 reads_agree(&ring, &keys)?;
                 for s in steps {
                     let live = ring.alive_keys();
                     let known = |id: u64| ring.hop(Entry::unranked(id)).is_some();
                     match s {
-                        Step::Join(id) if !ring.is_alive(id) => KeyRouter::join(&mut ring, id),
+                        Step::Join(id) if !ring.is_alive(id) => ring.join(id),
                         Step::JoinDeferred(id) if !known(id) => ring.bulk_join(&[id]),
-                        Step::Leave(i) if live.len() > 1 => KeyRouter::leave(&mut ring, live[i % live.len()]),
-                        Step::Fail(i) if live.len() > 1 => KeyRouter::fail(&mut ring, live[i % live.len()]),
+                        Step::Leave(i) if live.len() > 1 => ring.leave(live[i % live.len()]),
+                        Step::Fail(i) if live.len() > 1 => ring.fail(live[i % live.len()]),
                         Step::Refresh(i) => ring.refresh_peer(ChordId(live[i % live.len()])),
                         Step::Stabilize => ring.stabilize(),
                         _ => {}

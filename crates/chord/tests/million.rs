@@ -2,7 +2,7 @@
 //! a 10⁶-peer ring, bulk-joined and stabilized as the matchmaker brings one
 //! up. `#[ignore]`d for its size; CI runs it in release.
 
-use dgrid_chord::{ChordId, ChordRing};
+use dgrid_chord::ChordRing;
 use dgrid_sim::rng::rng_for;
 use dgrid_sim::router::KeyRouter;
 use rand::Rng;
@@ -19,7 +19,7 @@ fn million_peer_ring_routes_every_key_to_its_owner() {
     let keys: Vec<u64> = (0..PEERS).map(ChordRing::key_of).collect();
     let mut ring = ChordRing::default();
     ring.bulk_join(&keys);
-    KeyRouter::stabilize(&mut ring);
+    ring.stabilize();
     assert_eq!(ring.len(), keys.len());
 
     let mut sorted = keys.clone();
@@ -30,10 +30,10 @@ fn million_peer_ring_routes_every_key_to_its_owner() {
         let from = keys[rng.gen_range(0..keys.len())];
         let key: u64 = rng.gen();
         let l = ring
-            .lookup(ChordId(from), ChordId(key))
+            .lookup(from, key)
             .expect("a settled ring routes every key");
         let owner = sorted[sorted.partition_point(|&k| k < key) % sorted.len()];
-        assert_eq!(l.owner.0, owner, "owner of {key:016x} from {from:016x}");
+        assert_eq!(l.owner, owner, "owner of {key:016x} from {from:016x}");
         assert_eq!(l.timeouts, 0, "nobody is dead");
         hops += u64::from(l.hops);
     }

@@ -35,23 +35,23 @@ proptest! {
         let mut ring = ChordRing::default();
         let mut live: Vec<u64> = Vec::new();
         for id in initial {
-            KeyRouter::join(&mut ring, id);
+            ring.join(id);
             live.push(id);
         }
         for step in steps {
             match step {
                 Step::Join(id)
                     if !ring.is_alive(id) => {
-                        KeyRouter::join(&mut ring, id);
+                        ring.join(id);
                         live.push(id);
                     }
                 Step::Leave(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    KeyRouter::leave(&mut ring, id);
+                    ring.leave(id);
                 }
                 Step::Fail(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    KeyRouter::fail(&mut ring, id);
+                    ring.fail(id);
                 }
                 _ => {}
             }
@@ -70,7 +70,7 @@ proptest! {
 
             let owner = expected.unwrap();
             for &from in live.iter().take(5) {
-                let res = KeyRouter::lookup(&ring, from, key).expect("routes");
+                let res = ring.lookup(from, key).expect("routes");
                 prop_assert_eq!(res.owner, owner);
                 prop_assert_eq!(res.timeouts, 0);
             }
@@ -89,18 +89,18 @@ proptest! {
         let mut ring = ChordRing::default();
         let mut live: Vec<u64> = Vec::new();
         for id in seedset {
-            KeyRouter::join(&mut ring, id);
+            ring.join(id);
             live.push(id);
         }
         ring.stabilize();
         for k in kill {
             if live.len() > 4 {
                 let id = live.swap_remove(k % live.len());
-                KeyRouter::fail(&mut ring, id);
+                ring.fail(id);
             }
         }
         let from = *live.iter().min().unwrap();
-        let res = KeyRouter::lookup(&ring, from, key).expect("routes around failures");
+        let res = ring.lookup(from, key).expect("routes around failures");
         prop_assert!(ring.is_alive(res.owner));
         prop_assert_eq!(Some(res.owner), ring.owner_of(key));
     }

@@ -4,12 +4,10 @@
 use std::ops::Bound;
 
 use dgrid_sim::overlay::{Entry, Lazy, Membership};
-use dgrid_sim::prefix::{Table, Tables, RADIX};
+use dgrid_sim::prefix::{self, Table, Tables, DIGITS, RADIX};
+use dgrid_sim::rng::splitmix64;
 use dgrid_sim::router::{prefix_key, KeyRouter, RouteCost};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::id::{PastryId, DIGITS};
 
 /// Tunables for the Pastry substrate.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -30,24 +28,13 @@ impl Default for PastryConfig {
     }
 }
 
-/// Result of a successful route.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Route {
-    /// The numerically closest live node to the key.
-    pub owner: PastryId,
-    /// Forwarding hops taken.
-    pub hops: u32,
-    /// Dead entries probed along the way.
-    pub timeouts: u32,
-}
-
 /// A node's two leaf sets as last refreshed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct LeafSets {
     /// Numerically closest live peers clockwise (ascending ids, wrapping).
-    cw: Vec<PastryId>,
+    cw: Vec<u64>,
     /// Numerically closest live peers counter-clockwise.
-    ccw: Vec<PastryId>,
+    ccw: Vec<u64>,
 }
 
 /// A node's routing state: its table, and the leaf sets beside it.
@@ -101,7 +88,7 @@ impl<'a> LeafView<'a> {
                 }
             }
             LeafView::Mat(l) => Entry {
-                key: if clockwise { l.cw[j].0 } else { l.ccw[j].0 },
+                key: if clockwise { l.cw[j] } else { l.ccw[j] },
                 rank: None,
             },
         }
@@ -120,10 +107,10 @@ impl<'a> LeafView<'a> {
 }
 
 /// The Pastry network: authoritative membership plus every node's (possibly
-/// stale) local routing state.
+/// stale) local routing state. Reached through its [`KeyRouter`] impl.
 ///
 /// A node's state is stored only where an individual refresh has
-/// materialised it since the last [`PastryNetwork::stabilize`]; everything
+/// materialised it since the last [`KeyRouter::stabilize`]; everything
 /// else is computed from the shared snapshot when a route asks for it: a
 /// table slot is one binary search, a leaf set is the node's snapshot
 /// neighbours.
@@ -154,183 +141,64 @@ impl PastryNetwork {
         &self.cfg
     }
 
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    /// True iff nobody is alive.
-    pub fn is_empty(&self) -> bool {
-        self.m.is_empty()
-    }
-
-    /// Is `id` a live member?
-    pub fn is_alive(&self, id: PastryId) -> bool {
-        self.m.is_alive(id.0)
-    }
-
-    /// Live ids, ascending.
-    pub fn alive_ids(&self) -> Vec<PastryId> {
-        self.m.alive_in(..).map(PastryId).collect()
-    }
-
-    /// A uniformly random live node.
-    pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<PastryId> {
-        self.m.random_key(rng).map(PastryId)
-    }
-
     // ------------------------------------------------------------------
     // Ground truth
     // ------------------------------------------------------------------
 
     /// Live ids clockwise from `from` (exclusive), once around.
-    fn clockwise(&self, from: u64) -> impl Iterator<Item = PastryId> + '_ {
+    fn clockwise(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
         let above = (Bound::Excluded(from), Bound::Unbounded);
         let wrapped = self.m.alive_in(..from);
-        self.m.alive_in(above).chain(wrapped).map(PastryId)
+        self.m.alive_in(above).chain(wrapped)
     }
 
     /// Live ids counter-clockwise from `from` (exclusive), once around.
-    fn counter_clockwise(&self, from: u64) -> impl Iterator<Item = PastryId> + '_ {
+    fn counter_clockwise(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
         let above = (Bound::Excluded(from), Bound::Unbounded);
         let wrapped = self.m.alive_in(above).rev();
-        self.m.alive_in(..from).rev().chain(wrapped).map(PastryId)
-    }
-
-    /// The live owner of `key`: numerically closest (ties to smaller id).
-    pub fn owner_of(&self, key: PastryId) -> Option<PastryId> {
-        // Candidates: the first live node at/above the key and the first
-        // below (circularly).
-        let at_or_above = self.m.alive_in(key.0..).next().map(PastryId);
-        let above = at_or_above.or_else(|| self.m.alive_in(..).next().map(PastryId))?;
-        let below = self.counter_clockwise(key.0).next().unwrap_or(above);
-        Some(if below.closer_to(key, above) {
-            below
-        } else {
-            above
-        })
+        self.m.alive_in(..from).rev().chain(wrapped)
     }
 
     /// The leaf sets a refresh of `id` yields: its `leaf_half` nearest
     /// live neighbours each way, fewer on a ring too small to fill them.
-    fn true_leaves(&self, id: PastryId) -> LeafSets {
-        let width = self.cfg.leaf_half.min(self.len().saturating_sub(1));
+    fn true_leaves(&self, id: u64) -> LeafSets {
+        let width = self.cfg.leaf_half.min(self.m.len().saturating_sub(1));
         LeafSets {
-            cw: self.clockwise(id.0).take(width).collect(),
-            ccw: self.counter_clockwise(id.0).take(width).collect(),
+            cw: self.clockwise(id).take(width).collect(),
+            ccw: self.counter_clockwise(id).take(width).collect(),
         }
     }
 
     // ------------------------------------------------------------------
-    // Churn
+    // Churn and maintenance
     // ------------------------------------------------------------------
 
-    /// Add a node and build its state (a real join routes to the closest
-    /// node and copies state from the path). Immediate leaf neighbours
-    /// learn of the arrival; everyone else is stale until
-    /// [`PastryNetwork::stabilize`].
-    ///
-    /// # Panics
-    /// If a live node with this id already exists.
-    pub fn join(&mut self, id: PastryId) {
-        self.join_deferred(id);
-        self.refresh_node(id);
-        // Pastry's join broadcast to the leaf set.
-        self.refresh_leaves_of_live(self.leaves_of(id.0));
-    }
-
-    /// Membership-only join used during bulk construction: the node is
-    /// admitted with empty leaf sets and an empty routing table, and
-    /// nobody hears of it — a [`PastryNetwork::stabilize`] must follow
-    /// before any routing. The post-stabilize state is identical to having
-    /// joined one by one.
-    ///
-    /// # Panics
-    /// If a live node with this id already exists.
-    pub fn join_deferred(&mut self, id: PastryId) {
+    /// Admit `id` with empty leaf sets and an empty routing table, telling
+    /// nobody: a stabilize must follow before any routing.
+    fn join_deferred(&mut self, id: u64) {
         let empty = PastryPeer {
             table: Lazy::Mat(Table::new()),
             leaves: Lazy::Mat(LeafSets::default()),
         };
-        self.m.admit(id.0, empty);
+        self.m.admit(id, empty);
     }
-
-    /// Graceful departure: the node's leaf set is told, so their leaf sets
-    /// repair immediately; routing tables elsewhere go stale.
-    ///
-    /// # Panics
-    /// If `id` is not a live node.
-    pub fn leave(&mut self, id: PastryId) {
-        let neighbourhood = self.leaves_of(id.0);
-        self.m.mark_dead(id.0);
-        self.refresh_leaves_of_live(neighbourhood);
-    }
-
-    /// Abrupt failure: all references remain until discovered by routing
-    /// timeouts or repaired by stabilization.
-    ///
-    /// # Panics
-    /// If `id` is not a live node.
-    pub fn fail(&mut self, id: PastryId) {
-        self.m.mark_dead(id.0);
-    }
-
-    // ------------------------------------------------------------------
-    // Maintenance
-    // ------------------------------------------------------------------
 
     /// Rebuild one node's leaf set and routing table from ground truth.
-    pub fn refresh_node(&mut self, id: PastryId) {
-        assert!(self.is_alive(id), "refresh of dead node {id}");
-        *self.m.state_mut(id.0) = PastryPeer {
-            table: Lazy::Mat(TABLES.build(&self.m, id.0)),
+    fn refresh_node(&mut self, id: u64) {
+        assert!(self.m.is_alive(id), "refresh of dead node {id:016x}");
+        *self.m.state_mut(id) = PastryPeer {
+            table: Lazy::Mat(TABLES.build(&self.m, id)),
             leaves: Lazy::Mat(self.true_leaves(id)),
         };
     }
 
     /// Rebuild the leaf sets, not the tables, of those of `ids` still alive.
-    fn refresh_leaves_of_live(&mut self, ids: Vec<PastryId>) {
+    fn refresh_leaves_of_live(&mut self, ids: Vec<u64>) {
         for id in ids {
-            if self.is_alive(id) {
-                self.m.state_mut(id.0).leaves = Lazy::Mat(self.true_leaves(id));
+            if self.m.is_alive(id) {
+                self.m.state_mut(id).leaves = Lazy::Mat(self.true_leaves(id));
             }
         }
-    }
-
-    /// Full stabilization: every live node refreshes; dead records are
-    /// garbage-collected. Afterwards every node's state is a function of
-    /// the live set alone, so the set is kept once and no per-node state
-    /// is built (O(N) in all).
-    pub fn stabilize(&mut self) {
-        self.m.stabilize();
-    }
-
-    /// Routing-state invariant check, meaningful after [`stabilize`]:
-    /// every live node's *effective* state — computed from the snapshot
-    /// or materialised, whichever the node holds — is compared with ground
-    /// truth. Its leaf sets must hold exactly its nearest live neighbors
-    /// in each ring direction, and every routing-table entry must be a
-    /// live node in the entry's prefix slot — with no slot left empty while
-    /// a live candidate exists. Returns a description of the first
-    /// violation, or `None` when the tables are sound.
-    ///
-    /// [`stabilize`]: PastryNetwork::stabilize
-    pub fn table_violation(&self) -> Option<String> {
-        for id in self.alive_ids() {
-            let peer = &self.m.record(id.0).expect("live node").state;
-            let held = self.leaf_view(Entry::unranked(id.0), &peer.leaves);
-            let truth = self.true_leaves(id);
-            for (clockwise, want) in [(true, &truth.cw), (false, &truth.ccw)] {
-                let held: Vec<PastryId> = held.side(clockwise).map(|e| PastryId(e.key)).collect();
-                if held != *want {
-                    return Some(format!(
-                        "{id}: leaf[{}] = {held:?}, ring neighbors are {want:?}",
-                        if clockwise { "cw" } else { "ccw" },
-                    ));
-                }
-            }
-        }
-        TABLES.violation(&self.m, |p| &p.table, "table")
     }
 
     // ------------------------------------------------------------------
@@ -358,13 +226,13 @@ impl PastryNetwork {
 
     /// The leaves the (live or dead) node `key` believes in, clockwise
     /// side first; empty for an unknown node.
-    fn leaves_of(&self, key: u64) -> Vec<PastryId> {
+    fn leaves_of(&self, key: u64) -> Vec<u64> {
         let Some(peer) = self.m.record(key) else {
             return Vec::new();
         };
         let view = self.leaf_view(Entry::unranked(key), &peer.state.leaves);
         let both = view.side(true).chain(view.side(false));
-        both.map(|e| PastryId(e.key)).collect()
+        both.map(|e| e.key).collect()
     }
 
     /// Whether a route is known to end at the key's ground-truth owner
@@ -378,29 +246,114 @@ impl PastryNetwork {
     fn routes_are_exact(&self) -> bool {
         self.m.settled() && self.cfg.max_route_hops >= 2 * DIGITS + 3
     }
+}
 
-    // ------------------------------------------------------------------
-    // Routing
-    // ------------------------------------------------------------------
+/// Is `x` inside the circular closed span from `lo` to `hi` (travelling
+/// clockwise from `lo` to `hi`)?
+fn in_circular_span(lo: u64, hi: u64, x: u64) -> bool {
+    if lo <= hi {
+        (lo..=hi).contains(&x)
+    } else {
+        x >= lo || x <= hi
+    }
+}
+
+/// Circular numeric distance between `a` and `b` (the shorter way round).
+fn circular_distance(a: u64, b: u64) -> u64 {
+    let d = a.wrapping_sub(b);
+    d.min(d.wrapping_neg())
+}
+
+/// Is `a` strictly numerically closer to `key` than `b` is? Exact ties
+/// break towards the smaller identifier, making ownership total and
+/// deterministic.
+fn closer_to(a: u64, key: u64, b: u64) -> bool {
+    let (da, db) = (circular_distance(a, key), circular_distance(b, key));
+    da < db || (da == db && a < b)
+}
+
+impl KeyRouter for PastryNetwork {
+    const SUBSTRATE: &'static str = "pastry";
+
+    fn key_of(raw: u64) -> u64 {
+        splitmix64(raw)
+    }
+
+    /// Builds the joiner's state (a real join routes to the closest node
+    /// and copies state from the path). Immediate leaf neighbours learn of
+    /// the arrival; everyone else is stale until [`KeyRouter::stabilize`].
+    fn join(&mut self, key: u64) {
+        self.join_deferred(key);
+        self.refresh_node(key);
+        // Pastry's join broadcast to the leaf set.
+        self.refresh_leaves_of_live(self.leaves_of(key));
+    }
+
+    fn bulk_join(&mut self, keys: &[u64]) {
+        for &k in keys {
+            self.join_deferred(k);
+        }
+    }
+
+    /// The node's leaf set is told, so their leaf sets repair at once;
+    /// routing tables elsewhere go stale.
+    fn leave(&mut self, key: u64) {
+        let neighbourhood = self.leaves_of(key);
+        self.m.mark_dead(key);
+        self.refresh_leaves_of_live(neighbourhood);
+    }
+
+    /// Every reference remains until routing times out on it or
+    /// stabilization repairs it.
+    fn fail(&mut self, key: u64) {
+        self.m.mark_dead(key);
+    }
+
+    fn is_alive(&self, key: u64) -> bool {
+        self.m.is_alive(key)
+    }
+
+    fn len(&self) -> usize {
+        self.m.len()
+    }
+
+    fn alive_keys(&self) -> Vec<u64> {
+        self.m.alive_in(..).collect()
+    }
+
+    fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        self.m.alive_key_at(rank)
+    }
+
+    /// The numerically closest live node (ties to the smaller id).
+    fn owner_of(&self, key: u64) -> Option<u64> {
+        // Candidates: the first live node at/above the key and the first
+        // below (circularly).
+        let at_or_above = self.m.alive_in(key..).next();
+        let above = at_or_above.or_else(|| self.m.alive_in(..).next())?;
+        let below = self.counter_clockwise(key).next().unwrap_or(above);
+        Some(if closer_to(below, key, above) {
+            below
+        } else {
+            above
+        })
+    }
 
     /// Pastry's routing algorithm over each hop's *local* (possibly stale)
-    /// state. Returns `None` if routing cannot complete.
-    ///
-    /// # Panics
-    /// If `from` is not a live node.
-    pub fn route(&self, from: PastryId, key: PastryId) -> Option<Route> {
-        assert!(self.is_alive(from), "route from dead node {from}");
+    /// state.
+    fn lookup(&self, from: u64, key: u64) -> Option<RouteCost> {
+        assert!(self.m.is_alive(from), "route from dead node {from:016x}");
         // While settled every node's state is `Canon` and every entry of
         // it alive, so the hops read the snapshot alone: no record is
         // looked up, and each hop hands its snapshot rank to the next.
         let settled = self.m.settled();
         let alive = |e: Entry| settled || self.m.is_alive(e.key);
-        let mut at = Entry::unranked(from.0);
+        let mut at = Entry::unranked(from);
         let mut hops = 0u32;
         let mut timeouts = 0u32;
         let deliver = |at: Entry, hops, timeouts| {
-            Some(Route {
-                owner: PastryId(at.key),
+            Some(RouteCost {
+                owner: at.key,
                 hops,
                 timeouts,
             })
@@ -410,7 +363,7 @@ impl PastryNetwork {
             if hops > self.cfg.max_route_hops {
                 return None;
             }
-            let cur = PastryId(at.key);
+            let cur = at.key;
             let (leaves, table) = if settled {
                 (&Lazy::Canon, &Lazy::Canon)
             } else {
@@ -425,13 +378,13 @@ impl PastryNetwork {
             // numerically closest live member.
             let span_lo = leaves.last(false).map_or(at.key, |e| e.key);
             let span_hi = leaves.last(true).map_or(at.key, |e| e.key);
-            if in_circular_span(span_lo, span_hi, key.0) || self.len() <= 2 * self.cfg.leaf_half + 1
+            if in_circular_span(span_lo, span_hi, key) || self.m.len() <= 2 * self.cfg.leaf_half + 1
             {
                 let mut best = at;
                 for cand in known_leaves() {
                     if !alive(cand) {
                         timeouts += 1;
-                    } else if PastryId(cand.key).closer_to(key, PastryId(best.key)) {
+                    } else if closer_to(cand.key, key, best.key) {
                         best = cand;
                     }
                 }
@@ -447,10 +400,10 @@ impl PastryNetwork {
             }
 
             // Prefix routing: forward to the entry matching one more digit.
-            let l = cur.shared_prefix_digits(key);
+            let l = prefix::shared_prefix_digits(cur, key);
             debug_assert!(l < DIGITS, "equal ids handled by leaf delivery");
             let mut next = None;
-            if let Some(n) = TABLES.slot(&self.m, at.key, table, l, key.digit(l)) {
+            if let Some(n) = TABLES.slot(&self.m, at.key, table, l, prefix::digit(key, l)) {
                 if alive(n) {
                     next = Some(n);
                 } else {
@@ -470,11 +423,11 @@ impl PastryNetwork {
                         .filter_map(move |d| TABLES.slot(&self.m, at.key, table, row, d))
                 });
                 for cand in known_leaves().chain(rows) {
-                    let id = PastryId(cand.key);
+                    let id = cand.key;
                     if id != cur
                         && alive(cand)
-                        && id.shared_prefix_digits(key) >= l
-                        && id.closer_to(key, next.map_or(cur, |b: Entry| PastryId(b.key)))
+                        && prefix::shared_prefix_digits(id, key) >= l
+                        && closer_to(id, key, next.map_or(cur, |b: Entry| b.key))
                     {
                         next = Some(cand);
                     }
@@ -491,78 +444,13 @@ impl PastryNetwork {
             }
         }
     }
-}
-
-/// Is `x` inside the circular closed span from `lo` to `hi` (travelling
-/// clockwise from `lo` to `hi`)?
-fn in_circular_span(lo: u64, hi: u64, x: u64) -> bool {
-    if lo <= hi {
-        (lo..=hi).contains(&x)
-    } else {
-        x >= lo || x <= hi
-    }
-}
-
-impl KeyRouter for PastryNetwork {
-    const SUBSTRATE: &'static str = "pastry";
-
-    fn key_of(raw: u64) -> u64 {
-        PastryId::hash_of(raw).0
-    }
-
-    fn join(&mut self, key: u64) {
-        PastryNetwork::join(self, PastryId(key));
-    }
-
-    fn bulk_join(&mut self, keys: &[u64]) {
-        for &k in keys {
-            self.join_deferred(PastryId(k));
-        }
-    }
-
-    fn leave(&mut self, key: u64) {
-        PastryNetwork::leave(self, PastryId(key));
-    }
-
-    fn fail(&mut self, key: u64) {
-        PastryNetwork::fail(self, PastryId(key));
-    }
-
-    fn is_alive(&self, key: u64) -> bool {
-        self.m.is_alive(key)
-    }
-
-    fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    fn alive_keys(&self) -> Vec<u64> {
-        self.m.alive_in(..).collect()
-    }
-
-    fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        self.m.alive_key_at(rank)
-    }
-
-    fn owner_of(&self, key: u64) -> Option<u64> {
-        PastryNetwork::owner_of(self, PastryId(key)).map(|id| id.0)
-    }
-
-    fn lookup(&self, from: u64, key: u64) -> Option<RouteCost> {
-        self.route(PastryId(from), PastryId(key))
-            .map(|r| RouteCost {
-                owner: r.owner.0,
-                hops: r.hops,
-                timeouts: r.timeouts,
-            })
-    }
 
     /// Exact while `routes_are_exact`: the route ends at
     /// the numerically closest live node. Any other state walks the route.
     fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
         if self.routes_are_exact() {
             debug_assert!(self.m.is_alive(from));
-            KeyRouter::owner_of(self, key)
+            self.owner_of(key)
         } else {
             self.lookup(from, key).map(|r| r.owner)
         }
@@ -573,7 +461,6 @@ impl KeyRouter for PastryNetwork {
     /// rendezvous key iff it beats both.
     fn shortest_owned_prefix(&self, key: u64) -> u32 {
         debug_assert!(self.m.is_alive(key));
-        let id = PastryId(key);
         let (Some(cw), Some(ccw)) = (
             self.clockwise(key).next(),
             self.counter_clockwise(key).next(),
@@ -582,8 +469,8 @@ impl KeyRouter for PastryNetwork {
         };
         (0..=64)
             .find(|&bits| {
-                let k = PastryId(prefix_key(key, bits));
-                id.closer_to(k, cw) && id.closer_to(k, ccw)
+                let k = prefix_key(key, bits);
+                closer_to(key, k, cw) && closer_to(key, k, ccw)
             })
             .expect("a node owns its own key")
     }
@@ -594,8 +481,8 @@ impl KeyRouter for PastryNetwork {
         // directions can list the same nodes.
         let mut out: Vec<u64> = Vec::with_capacity(2 * self.cfg.leaf_half);
         for id in self.leaves_of(from) {
-            if !out.contains(&id.0) {
-                out.push(id.0);
+            if !out.contains(&id) {
+                out.push(id);
             }
         }
         out
@@ -623,12 +510,36 @@ impl KeyRouter for PastryNetwork {
         leaves.find(|&n| n != at && self.m.is_alive(n))
     }
 
+    /// Every live node refreshes; dead records are garbage-collected.
+    /// Afterwards every node's state is a function of the live set alone,
+    /// so the set is kept once and no per-node state is built (O(N) in
+    /// all).
     fn stabilize(&mut self) {
-        PastryNetwork::stabilize(self);
+        self.m.stabilize();
     }
 
+    /// Every live node's *effective* state — computed from the snapshot
+    /// or materialised, whichever the node holds — against ground truth:
+    /// its leaf sets must hold exactly its nearest live neighbors in each
+    /// ring direction, and every routing-table entry must be a live node
+    /// in the entry's prefix slot, with no slot left empty while a live
+    /// candidate exists. Meaningful once stabilized.
     fn table_violation(&self) -> Option<String> {
-        PastryNetwork::table_violation(self)
+        for id in self.m.alive_in(..) {
+            let peer = &self.m.record(id).expect("live node").state;
+            let held = self.leaf_view(Entry::unranked(id), &peer.leaves);
+            let truth = self.true_leaves(id);
+            for (clockwise, want) in [(true, &truth.cw), (false, &truth.ccw)] {
+                let held: Vec<u64> = held.side(clockwise).map(|e| e.key).collect();
+                if held != *want {
+                    return Some(format!(
+                        "{id:016x}: leaf[{}] = {held:x?}, ring neighbors are {want:x?}",
+                        if clockwise { "cw" } else { "ccw" },
+                    ));
+                }
+            }
+        }
+        TABLES.violation(&self.m, |p| &p.table, "table")
     }
 }
 
@@ -636,13 +547,14 @@ impl KeyRouter for PastryNetwork {
 mod tests {
     use super::*;
     use dgrid_sim::rng::{rng_for, streams};
+    use rand::Rng;
 
-    fn network(n: usize, seed: u64) -> (PastryNetwork, Vec<PastryId>) {
+    fn network(n: usize, seed: u64) -> (PastryNetwork, Vec<u64>) {
         let mut rng = rng_for(seed, streams::NODE_IDS);
         let mut net = PastryNetwork::default();
         let mut ids = Vec::new();
         while ids.len() < n {
-            let id = PastryId(rng.gen());
+            let id: u64 = rng.gen();
             if !net.is_alive(id) {
                 net.join(id);
                 ids.push(id);
@@ -655,14 +567,30 @@ mod tests {
     #[test]
     fn ownership_is_numerically_closest() {
         let mut net = PastryNetwork::default();
-        net.join(PastryId(100));
-        net.join(PastryId(200));
-        assert_eq!(net.owner_of(PastryId(120)), Some(PastryId(100)));
-        assert_eq!(net.owner_of(PastryId(180)), Some(PastryId(200)));
+        net.join(100);
+        net.join(200);
+        assert_eq!(net.owner_of(120), Some(100));
+        assert_eq!(net.owner_of(180), Some(200));
         // Equidistant: ties to the smaller id.
-        assert_eq!(net.owner_of(PastryId(150)), Some(PastryId(100)));
+        assert_eq!(net.owner_of(150), Some(100));
         // Wrap-around.
-        assert_eq!(net.owner_of(PastryId(u64::MAX - 5)), Some(PastryId(100)));
+        assert_eq!(net.owner_of(u64::MAX - 5), Some(100));
+    }
+
+    #[test]
+    fn circular_distance_wraps() {
+        let (a, b) = (10, u64::MAX - 9);
+        assert_eq!(circular_distance(a, b), 20);
+        assert_eq!(circular_distance(b, a), 20);
+        assert_eq!(circular_distance(a, a), 0);
+    }
+
+    #[test]
+    fn closer_to_breaks_ties_deterministically() {
+        // 10 and 20 are equidistant from 15: the smaller id wins.
+        assert!(closer_to(10, 15, 20));
+        assert!(!closer_to(20, 15, 10));
+        assert!(closer_to(16, 15, 10));
     }
 
     #[test]
@@ -670,9 +598,9 @@ mod tests {
         let (net, ids) = network(128, 1);
         let mut rng = rng_for(2, 0);
         for _ in 0..500 {
-            let key = PastryId(rng.gen());
+            let key: u64 = rng.gen();
             let from = ids[rng.gen_range(0..ids.len())];
-            let res = net.route(from, key).expect("routes");
+            let res = net.lookup(from, key).expect("routes");
             assert_eq!(Some(res.owner), net.owner_of(key), "key {key}");
             assert_eq!(res.timeouts, 0, "no timeouts when stable");
         }
@@ -686,9 +614,9 @@ mod tests {
             let trials = 300;
             let mut total = 0u64;
             for _ in 0..trials {
-                let key = PastryId(rng.gen());
+                let key: u64 = rng.gen();
                 let from = ids[rng.gen_range(0..ids.len())];
-                total += u64::from(net.route(from, key).unwrap().hops);
+                total += u64::from(net.lookup(from, key).unwrap().hops);
             }
             let mean = total as f64 / trials as f64;
             let bound = (n as f64).log2() / 4.0 + 2.5; // log16 N + slack
@@ -699,15 +627,15 @@ mod tests {
     #[test]
     fn single_and_tiny_networks() {
         let mut net = PastryNetwork::default();
-        net.join(PastryId(42));
-        let res = net.route(PastryId(42), PastryId(7)).unwrap();
-        assert_eq!(res.owner, PastryId(42));
+        net.join(42);
+        let res = net.lookup(42, 7).unwrap();
+        assert_eq!(res.owner, 42);
         assert_eq!(res.hops, 0);
 
-        net.join(PastryId(1_000_000));
+        net.join(1_000_000);
         net.stabilize();
-        let res = net.route(PastryId(42), PastryId(999_999)).unwrap();
-        assert_eq!(res.owner, PastryId(1_000_000));
+        let res = net.lookup(42, 999_999).unwrap();
+        assert_eq!(res.owner, 1_000_000);
     }
 
     #[test]
@@ -722,11 +650,11 @@ mod tests {
                 killed += 1;
             }
         }
-        let alive = net.alive_ids();
+        let alive = net.alive_keys();
         for _ in 0..200 {
-            let key = PastryId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res = net.route(from, key).expect("routes around failures");
+            let res = net.lookup(from, key).expect("routes around failures");
             assert!(net.is_alive(res.owner));
         }
     }
@@ -738,12 +666,12 @@ mod tests {
             net.fail(id);
         }
         net.stabilize();
-        let alive = net.alive_ids();
+        let alive = net.alive_keys();
         let mut rng = rng_for(8, 0);
         for _ in 0..200 {
-            let key = PastryId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res = net.route(from, key).unwrap();
+            let res = net.lookup(from, key).unwrap();
             assert_eq!(Some(res.owner), net.owner_of(key));
             assert_eq!(res.timeouts, 0);
         }
@@ -783,9 +711,9 @@ mod tests {
         // to its live neighbours without stabilization.
         let mut rng = rng_for(10, 0);
         for _ in 0..100 {
-            let key = PastryId(victim.0.wrapping_add(rng.gen_range(0..1000)));
-            let from = net.alive_ids()[0];
-            let res = net.route(from, key).expect("routes");
+            let key = victim.wrapping_add(rng.gen_range(0..1000));
+            let from = net.alive_keys()[0];
+            let res = net.lookup(from, key).expect("routes");
             assert!(net.is_alive(res.owner));
         }
     }
@@ -794,8 +722,8 @@ mod tests {
     #[should_panic(expected = "duplicate join")]
     fn duplicate_join_panics() {
         let mut net = PastryNetwork::default();
-        net.join(PastryId(1));
-        net.join(PastryId(1));
+        net.join(1);
+        net.join(1);
     }
 
     #[test]
@@ -804,17 +732,17 @@ mod tests {
         let keys: Vec<u64> = (0..48).map(|_| rng.gen()).collect();
         let mut eager = PastryNetwork::default();
         for &k in &keys {
-            eager.join(PastryId(k));
+            eager.join(k);
         }
         eager.stabilize();
         let mut lazy = PastryNetwork::default();
         KeyRouter::bulk_join(&mut lazy, &keys);
         lazy.stabilize();
-        assert_eq!(eager.alive_ids(), lazy.alive_ids());
+        assert_eq!(eager.alive_keys(), lazy.alive_keys());
         for _ in 0..200 {
-            let key = PastryId(rng.gen());
-            let from = PastryId(keys[rng.gen_range(0..keys.len())]);
-            assert_eq!(eager.route(from, key), lazy.route(from, key));
+            let key: u64 = rng.gen();
+            let from = keys[rng.gen_range(0..keys.len())];
+            assert_eq!(eager.lookup(from, key), lazy.lookup(from, key));
         }
         assert_eq!(lazy.table_violation(), None);
     }
@@ -829,8 +757,8 @@ mod tests {
     #[test]
     fn leaf_sets_have_configured_width() {
         let (net, _) = network(64, 11);
-        for id in net.alive_ids() {
-            let (leaves, _) = effective(&net, id.0);
+        for id in net.alive_keys() {
+            let (leaves, _) = effective(&net, id);
             assert_eq!(leaves.cw.len(), net.config().leaf_half);
             assert_eq!(leaves.ccw.len(), net.config().leaf_half);
         }
@@ -844,24 +772,20 @@ mod tests {
     /// vectors and a 16 × 16 table, each rebuilt by walking the live set.
     type Stored = (LeafSets, Table);
 
-    fn next_cw(net: &PastryNetwork, from: u64) -> Option<PastryId> {
+    fn next_cw(net: &PastryNetwork, from: u64) -> Option<u64> {
         let wrapped = || net.m.alive_in(..).next();
         let next = net.m.alive_in(from.wrapping_add(1)..).next();
-        next.or_else(wrapped).map(PastryId)
+        next.or_else(wrapped)
     }
 
-    fn next_ccw(net: &PastryNetwork, from: u64) -> Option<PastryId> {
+    fn next_ccw(net: &PastryNetwork, from: u64) -> Option<u64> {
         let wrapped = || net.m.alive_in(..).next_back();
-        net.m
-            .alive_in(..from)
-            .next_back()
-            .or_else(wrapped)
-            .map(PastryId)
+        net.m.alive_in(..from).next_back().or_else(wrapped)
     }
 
-    fn true_leaves(net: &PastryNetwork, id: PastryId, clockwise: bool) -> Vec<PastryId> {
+    fn true_leaves(net: &PastryNetwork, id: u64, clockwise: bool) -> Vec<u64> {
         let mut out = Vec::with_capacity(net.cfg.leaf_half);
-        let mut cur = id.0;
+        let mut cur = id;
         for _ in 0..net.cfg.leaf_half.min(net.len().saturating_sub(1)) {
             let next = if clockwise {
                 next_cw(net, cur)
@@ -871,7 +795,7 @@ mod tests {
             match next {
                 Some(n) if n != id && !out.contains(&n) => {
                     out.push(n);
-                    cur = n.0;
+                    cur = n;
                 }
                 _ => break,
             }
@@ -879,22 +803,22 @@ mod tests {
         out
     }
 
-    fn true_leaf_sets(net: &PastryNetwork, id: PastryId) -> LeafSets {
+    fn true_leaf_sets(net: &PastryNetwork, id: u64) -> LeafSets {
         LeafSets {
             cw: true_leaves(net, id, true),
             ccw: true_leaves(net, id, false),
         }
     }
 
-    fn true_table(net: &PastryNetwork, id: PastryId) -> Table {
+    fn true_table(net: &PastryNetwork, id: u64) -> Table {
         let mut table = vec![[None; 16]; DIGITS as usize];
         for row in 0..DIGITS {
-            let own_digit = id.digit(row);
+            let own_digit = prefix::digit(id, row);
             for d in 0..16u8 {
                 if d == own_digit {
                     continue; // handled by deeper rows / self
                 }
-                let (lo, hi) = id.slot_range(row, d);
+                let (lo, hi) = prefix::slot_range(id, row, d);
                 // First live node in the slot (deterministic choice; real
                 // Pastry would pick by network proximity).
                 table[row as usize][d as usize] = net.m.alive_in(lo..=hi).next();
@@ -910,37 +834,37 @@ mod tests {
     struct Reference(std::collections::HashMap<u64, Stored>);
 
     impl Reference {
-        fn refresh_node(&mut self, net: &PastryNetwork, id: PastryId) {
+        fn refresh_node(&mut self, net: &PastryNetwork, id: u64) {
             let stored = (true_leaf_sets(net, id), true_table(net, id));
-            self.0.insert(id.0, stored);
+            self.0.insert(id, stored);
         }
 
-        fn refresh_leaves_of_live(&mut self, net: &PastryNetwork, ids: Vec<PastryId>) {
+        fn refresh_leaves_of_live(&mut self, net: &PastryNetwork, ids: Vec<u64>) {
             for n in ids.into_iter().filter(|&n| net.is_alive(n)) {
-                self.0.get_mut(&n.0).expect("known node").0 = true_leaf_sets(net, n);
+                self.0.get_mut(&n).expect("known node").0 = true_leaf_sets(net, n);
             }
         }
 
-        fn leaves(&self, id: PastryId) -> Vec<PastryId> {
-            let (l, _) = &self.0[&id.0];
+        fn leaves(&self, id: u64) -> Vec<u64> {
+            let (l, _) = &self.0[&id];
             l.cw.iter().chain(&l.ccw).copied().collect()
         }
 
-        fn join(&mut self, net: &mut PastryNetwork, id: PastryId) {
+        fn join(&mut self, net: &mut PastryNetwork, id: u64) {
             net.join(id);
             self.refresh_node(net, id);
             self.refresh_leaves_of_live(net, self.leaves(id));
         }
 
-        fn leave(&mut self, net: &mut PastryNetwork, id: PastryId) {
+        fn leave(&mut self, net: &mut PastryNetwork, id: u64) {
             net.leave(id);
             self.refresh_leaves_of_live(net, self.leaves(id));
         }
 
         fn stabilize(&mut self, net: &mut PastryNetwork) {
             net.stabilize();
-            self.0.retain(|&id, _| net.is_alive(PastryId(id)));
-            for id in net.alive_ids() {
+            self.0.retain(|&id, _| net.is_alive(id));
+            for id in net.alive_keys() {
                 self.refresh_node(net, id);
             }
         }
@@ -950,7 +874,7 @@ mod tests {
     fn effective(net: &PastryNetwork, id: u64) -> Stored {
         let peer = &net.m.record(id).expect("known node").state;
         let view = net.leaf_view(Entry::unranked(id), &peer.leaves);
-        let side = |clockwise| view.side(clockwise).map(|e| PastryId(e.key)).collect();
+        let side = |clockwise| view.side(clockwise).map(|e| e.key).collect();
         let slot = |row, d| {
             TABLES
                 .slot(&net.m, id, &peer.table, row, d as u8)
@@ -968,27 +892,27 @@ mod tests {
 
     /// Pastry's route as first written, over each hop's stored-form state:
     /// the fallback scans every row from `l` to the last, empty or not.
-    fn reference_route(net: &PastryNetwork, from: PastryId, key: PastryId) -> Option<Route> {
+    fn reference_route(net: &PastryNetwork, from: u64, key: u64) -> Option<RouteCost> {
         let (mut at, mut hops, mut timeouts) = (from, 0u32, 0u32);
         loop {
             if hops > net.cfg.max_route_hops {
                 return None;
             }
-            let (leaves, table) = effective(net, at.0);
-            let known: Vec<PastryId> = leaves.ccw.iter().chain(&leaves.cw).copied().collect();
-            let lo = leaves.ccw.last().unwrap_or(&at).0;
-            let hi = leaves.cw.last().unwrap_or(&at).0;
-            if in_circular_span(lo, hi, key.0) || net.len() <= 2 * net.cfg.leaf_half + 1 {
+            let (leaves, table) = effective(net, at);
+            let known: Vec<u64> = leaves.ccw.iter().chain(&leaves.cw).copied().collect();
+            let lo = *leaves.ccw.last().unwrap_or(&at);
+            let hi = *leaves.cw.last().unwrap_or(&at);
+            if in_circular_span(lo, hi, key) || net.len() <= 2 * net.cfg.leaf_half + 1 {
                 let mut best = at;
                 for &cand in &known {
                     if !net.is_alive(cand) {
                         timeouts += 1;
-                    } else if cand.closer_to(key, best) {
+                    } else if closer_to(cand, key, best) {
                         best = cand;
                     }
                 }
                 if best == at {
-                    return Some(Route {
+                    return Some(RouteCost {
                         owner: at,
                         hops,
                         timeouts,
@@ -998,9 +922,9 @@ mod tests {
                 hops += 1;
                 continue;
             }
-            let l = at.shared_prefix_digits(key);
+            let l = prefix::shared_prefix_digits(at, key);
             let mut next = None;
-            if let Some(n) = table[l as usize][usize::from(key.digit(l))].map(PastryId) {
+            if let Some(n) = table[l as usize][usize::from(prefix::digit(key, l))] {
                 if net.is_alive(n) {
                     next = Some(n);
                 } else {
@@ -1008,16 +932,12 @@ mod tests {
                 }
             }
             if next.is_none() {
-                let rows = table[l as usize..]
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .map(|&k| PastryId(k));
+                let rows = table[l as usize..].iter().flatten().flatten().copied();
                 for cand in known.iter().copied().chain(rows) {
                     if cand != at
                         && net.is_alive(cand)
-                        && cand.shared_prefix_digits(key) >= l
-                        && cand.closer_to(key, next.unwrap_or(at))
+                        && prefix::shared_prefix_digits(cand, key) >= l
+                        && closer_to(cand, key, next.unwrap_or(at))
                     {
                         next = Some(cand);
                     }
@@ -1029,7 +949,7 @@ mod tests {
                     hops += 1;
                 }
                 None => {
-                    return Some(Route {
+                    return Some(RouteCost {
                         owner: at,
                         hops,
                         timeouts,
@@ -1047,19 +967,19 @@ mod tests {
 
     #[test]
     fn only_individually_refreshed_nodes_hold_state() {
-        let keys: Vec<u64> = (0..10_000u64).map(|i| PastryId::hash_of(i).0).collect();
+        let keys: Vec<u64> = (0..10_000u64).map(PastryNetwork::key_of).collect();
         let mut net = PastryNetwork::default();
         KeyRouter::bulk_join(&mut net, &keys);
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
 
         // The joiner, and the leaf neighbours its arrival repaired.
-        net.join(PastryId::hash_of(10_000));
+        net.join(PastryNetwork::key_of(10_000));
         let held = materialised_nodes(&net);
         assert!((1..=1 + 2 * net.cfg.leaf_half).contains(&held), "{held}");
 
-        net.fail(PastryId(keys[17]));
-        net.leave(PastryId(keys[4242]));
+        net.fail(keys[17]);
+        net.leave(keys[4242]);
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
         assert_eq!(net.m.records().count(), net.len(), "dead records collected");
@@ -1073,22 +993,22 @@ mod tests {
             ..PastryConfig::default()
         });
         for id in [10, 20, 30, 40, 50, 60] {
-            net.join(PastryId(id));
+            net.join(id);
         }
         net.stabilize();
         // Abrupt failure after stabilize: 10 has not noticed, and pays a
         // timeout for the probe.
-        net.fail(PastryId(20));
-        assert_eq!(effective(&net, 10).0.cw, [PastryId(20)], "stale leaf");
+        net.fail(20);
+        assert_eq!(effective(&net, 10).0.cw, [20], "stale leaf");
         assert_eq!(net.walk_step(10), None, "its only clockwise leaf is dead");
-        let res = net.route(PastryId(10), PastryId(21)).unwrap();
-        assert_eq!((res.owner, res.timeouts), (PastryId(10), 1));
+        let res = net.lookup(10, 21).unwrap();
+        assert_eq!((res.owner, res.timeouts), (10, 1));
         // An arrival it was not told of either (25's leaves are 30 and 10).
-        net.join(PastryId(25));
-        assert_eq!(effective(&net, 40).0.ccw, [PastryId(30)]);
-        assert_eq!(effective(&net, 30).0.ccw, [PastryId(25)], "told: repaired");
+        net.join(25);
+        assert_eq!(effective(&net, 40).0.ccw, [30]);
+        assert_eq!(effective(&net, 30).0.ccw, [25], "told: repaired");
         net.stabilize();
-        assert_eq!(effective(&net, 10).0.cw, [PastryId(25)]);
+        assert_eq!(effective(&net, 10).0.cw, [25]);
     }
 
     mod properties {
@@ -1127,14 +1047,19 @@ mod tests {
         }
 
         fn views_match(net: &PastryNetwork, reference: &Reference) -> Result<(), TestCaseError> {
-            let live = net.alive_ids();
+            let live = net.alive_keys();
             for &id in &live {
-                let stored = &reference.0[&id.0];
-                prop_assert_eq!(&effective(net, id.0), stored, "state of {}", id);
+                let stored = &reference.0[&id];
+                prop_assert_eq!(&effective(net, id), stored, "state of {:x}", id);
             }
             for &from in live.iter().take(6) {
-                let owner = net.route(from, PastryId(!from.0)).expect("routes").owner;
-                prop_assert!(net.is_alive(owner), "{} delivered to dead {}", from, owner);
+                let owner = net.lookup(from, !from).expect("routes").owner;
+                prop_assert!(
+                    net.is_alive(owner),
+                    "{:x} delivered to dead {:x}",
+                    from,
+                    owner
+                );
             }
             Ok(())
         }
@@ -1192,14 +1117,14 @@ mod tests {
             net: &PastryNetwork,
             rng: &mut impl Rng,
         ) -> Result<(), TestCaseError> {
-            let live = net.alive_ids();
+            let live = net.alive_keys();
             for _ in 0..24 {
                 let from = live[rng.gen_range(0..live.len())];
                 let noise = rng.gen::<u64>() >> rng.gen_range(8..64);
-                let near = PastryId(live[rng.gen_range(0..live.len())].0 ^ noise);
-                for key in [PastryId(rng.gen()), near] {
+                let near = live[rng.gen_range(0..live.len())] ^ noise;
+                for key in [rng.gen(), near] {
                     let want = reference_route(net, from, key);
-                    prop_assert_eq!(net.route(from, key), want, "{} from {}", key, from);
+                    prop_assert_eq!(net.lookup(from, key), want, "{:x} from {:x}", key, from);
                 }
             }
             Ok(())
@@ -1237,9 +1162,9 @@ mod tests {
                 net.stabilize();
                 routes_match_the_reference(&net, &mut rng)?;
                 for s in steps {
-                    let live = net.alive_ids();
+                    let live = net.alive_keys();
                     match s {
-                        Step::Join(id) if !net.is_alive(PastryId(id)) => net.join(PastryId(id)),
+                        Step::Join(id) if !net.is_alive(id) => net.join(id),
                         Step::Leave(i) if live.len() > 1 => net.leave(live[i % live.len()]),
                         Step::Fail(i) if live.len() > 1 => net.fail(live[i % live.len()]),
                         Step::Stabilize => net.stabilize(),
@@ -1265,14 +1190,14 @@ mod tests {
                 let mut net = PastryNetwork::default();
                 let mut reference = Reference::default();
                 for id in initial {
-                    reference.join(&mut net, PastryId(id));
+                    reference.join(&mut net, id);
                     views_match(&net, &reference)?;
                 }
                 for s in steps {
-                    let live = net.alive_ids();
+                    let live = net.alive_keys();
                     match s {
-                        Step::Join(id) if !net.is_alive(PastryId(id)) => {
-                            reference.join(&mut net, PastryId(id));
+                        Step::Join(id) if !net.is_alive(id) => {
+                            reference.join(&mut net, id);
                         }
                         Step::Leave(i) if live.len() > 1 => {
                             reference.leave(&mut net, live[i % live.len()]);
@@ -1304,9 +1229,9 @@ mod tests {
                 net.stabilize();
                 prop_assert!(net.routes_are_exact());
                 for key in keys.into_iter().chain(ids.iter().map(|id| id ^ 1)) {
-                    let owner = net.owner_of(PastryId(key));
+                    let owner = net.owner_of(key);
                     for &from in &ids {
-                        let routed = net.route(PastryId(from), PastryId(key));
+                        let routed = net.lookup(from, key);
                         prop_assert_eq!(routed.map(|r| r.owner), owner, "{:x} from {:x}", key, from);
                     }
                 }

@@ -40,23 +40,23 @@ proptest! {
         let mut net = PastryNetwork::default();
         let mut live: Vec<u64> = Vec::new();
         for id in initial {
-            KeyRouter::join(&mut net, id);
+            net.join(id);
             live.push(id);
         }
         for s in steps {
             match s {
                 Step::Join(id)
-                    if !KeyRouter::is_alive(&net, id) => {
-                        KeyRouter::join(&mut net, id);
+                    if !net.is_alive(id) => {
+                        net.join(id);
                         live.push(id);
                     }
                 Step::Leave(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    KeyRouter::leave(&mut net, id);
+                    net.leave(id);
                 }
                 Step::Fail(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    KeyRouter::fail(&mut net, id);
+                    net.fail(id);
                 }
                 _ => {}
             }
@@ -65,7 +65,7 @@ proptest! {
 
         for key in keys {
             let expected = brute_owner(&live, key);
-            prop_assert_eq!(KeyRouter::owner_of(&net, key), expected);
+            prop_assert_eq!(net.owner_of(key), expected);
             let owner = expected.unwrap();
             for &from in live.iter().take(5) {
                 let res = net.lookup(from, key).expect("routes");
@@ -89,7 +89,7 @@ proptest! {
     ) {
         let mut net = PastryNetwork::default();
         for &id in &ids {
-            KeyRouter::join(&mut net, id);
+            net.join(id);
         }
         net.stabilize();
         let live: Vec<u64> = ids.into_iter().collect();
@@ -113,18 +113,18 @@ proptest! {
         let mut net = PastryNetwork::default();
         let mut live: Vec<u64> = Vec::new();
         for id in seedset {
-            KeyRouter::join(&mut net, id);
+            net.join(id);
             live.push(id);
         }
         net.stabilize();
         for k in kills {
             if live.len() > 4 {
                 let id = live.swap_remove(k % live.len());
-                KeyRouter::fail(&mut net, id);
+                net.fail(id);
             }
         }
         let from = *live.iter().min().unwrap();
         let res = net.lookup(from, key).expect("routes around failures");
-        prop_assert!(KeyRouter::is_alive(&net, res.owner));
+        prop_assert!(net.is_alive(res.owner));
     }
 }

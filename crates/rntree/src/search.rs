@@ -148,7 +148,7 @@ impl RnTreeIndex {
 mod tests {
     use super::*;
     use crate::tree::RnTreeIndex;
-    use dgrid_chord::{ChordId, ChordRing};
+    use dgrid_chord::ChordRing;
     use dgrid_resources::{Capabilities, OsType, ResourceKind};
     use dgrid_sim::rng::{rng_for, streams};
     use dgrid_sim::router::KeyRouter;
@@ -162,8 +162,8 @@ mod tests {
         let mut caps = HashMap::new();
         let mut count = 0;
         while count < n {
-            let id = ChordId(rng.gen());
-            if ring.is_alive(id.0) {
+            let id: u64 = rng.gen();
+            if ring.is_alive(id) {
                 continue;
             }
             ring.join(id);
@@ -173,7 +173,7 @@ mod tests {
             } else {
                 Capabilities::new(1.0, 1.0, 40.0, OsType::Linux)
             };
-            caps.insert(id.0, c);
+            caps.insert(id, c);
             count += 1;
         }
         ring.stabilize();

@@ -358,7 +358,7 @@ impl RnTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgrid_chord::{ChordId, ChordRing};
+    use dgrid_chord::ChordRing;
     use dgrid_pastry::PastryNetwork;
     use dgrid_sim::rng::{rng_for, streams};
     use dgrid_tapestry::TapestryNetwork;
@@ -369,8 +369,8 @@ mod tests {
         let mut ring = ChordRing::default();
         let mut count = 0;
         while count < n {
-            let id = ChordId(rng.gen());
-            if !ring.is_alive(id.0) {
+            let id: u64 = rng.gen();
+            if !ring.is_alive(id) {
                 ring.join(id);
                 count += 1;
             }
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn single_node_is_root() {
         let mut ring = ChordRing::default();
-        ring.join(ChordId(12345));
+        ring.join(12345);
         let tree = RnTree::build(&ring);
         assert_eq!(tree.root(), 12345);
         assert_eq!(tree.len(), 1);
@@ -418,7 +418,7 @@ mod tests {
             .filter(|&id| tree.parent(id).is_none())
             .collect();
         assert_eq!(roots, vec![tree.root()]);
-        assert_eq!(Some(ChordId(tree.root())), ring.successor_of(ChordId(0)));
+        assert_eq!(Some(tree.root()), ring.owner_of(0));
     }
 
     #[test]
@@ -561,7 +561,7 @@ mod tests {
     #[test]
     fn rebuild_after_churn_is_consistent() {
         let mut ring = ring_of(100, 53);
-        let ids = ring.alive_ids();
+        let ids = ring.alive_keys();
         for &id in ids.iter().take(30) {
             ring.fail(id);
         }

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dgrid_chord::{ChordId, ChordRing};
+use dgrid_chord::ChordRing;
 use dgrid_pastry::PastryNetwork;
 use dgrid_resources::{Capabilities, JobRequirements, OsRequirement, OsType, ResourceKind};
 use dgrid_rntree::{RnTree, RnTreeIndex, SearchResult, SubtreeInfo};
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 fn ring_from_ids(ids: &HashSet<u64>) -> ChordRing {
     let mut ring = ChordRing::default();
     for &id in ids {
-        ring.join(ChordId(id));
+        ring.join(id);
     }
     ring.stabilize();
     ring
@@ -66,7 +66,7 @@ fn clustered_keys(clusters: usize, cluster_len: usize) -> impl Strategy<Value = 
             let low = (1u64 << spread) - 1;
             keys.extend((0..len as u64).map(|i| match spread {
                 0 => stem.wrapping_add(i),
-                _ => (stem & !low) | (ChordId::hash_of(salt ^ i).0 & low),
+                _ => (stem & !low) | (ChordRing::key_of(salt ^ i) & low),
             }));
         }
         keys.extend(zero.then_some(0));

@@ -6,9 +6,9 @@
 //! that surface over a 64-bit key space: membership (`join`/`leave`/`fail`),
 //! ground-truth ownership, cost-counted routing, detour failover, a
 //! maintenance tick, and a routing-table debug check. Chord, Pastry, and
-//! Tapestry implement it in their own crates; `dgrid-core` re-exports the
-//! trait as its overlay abstraction and builds the generic RN-Tree
-//! matchmaker on top.
+//! Tapestry implement it in their own crates, as the only membership and
+//! routing surface each exports; `dgrid-core` re-exports the trait as its
+//! overlay abstraction and builds the generic RN-Tree matchmaker on top.
 //!
 //! CAN is deliberately **not** a `KeyRouter`: it routes points in a
 //! d-dimensional resource space rather than 64-bit keys, and its matchmaker
@@ -96,7 +96,10 @@ pub trait KeyRouter: Default {
     /// Hash an arbitrary value onto the substrate's key space.
     fn key_of(raw: u64) -> u64;
 
-    /// Add a live node under `key`. Must not already be present and alive.
+    /// Add a live node under `key` and build its routing state.
+    ///
+    /// # Panics
+    /// If `key` is already a live member.
     fn join(&mut self, key: u64);
 
     /// Bulk-admit `keys` during initial construction: membership only,
@@ -117,9 +120,15 @@ pub trait KeyRouter: Default {
     }
 
     /// Graceful departure: the node repairs its neighborhood on the way out.
+    ///
+    /// # Panics
+    /// If `key` is not a live member.
     fn leave(&mut self, key: u64);
 
     /// Abrupt failure: routing state stays stale until maintenance.
+    ///
+    /// # Panics
+    /// If `key` is not a live member.
     fn fail(&mut self, key: u64);
 
     /// Whether `key` is a live member.
@@ -151,6 +160,9 @@ pub trait KeyRouter: Default {
 
     /// Route from the live node `from` to the owner of `key`, counting
     /// forwarding hops and timeout probes. `None` when routing stalls.
+    ///
+    /// # Panics
+    /// If `from` is not a live member.
     fn lookup(&self, from: u64, key: u64) -> Option<RouteCost>;
 
     /// The owner a [`KeyRouter::lookup`] from the live node `from` would

@@ -1,47 +1,10 @@
-//! Tapestry identifiers, neighbor maps, surrogate routing, and churn.
-
-use std::fmt;
+//! Tapestry's neighbor maps, surrogate routing, and churn.
 
 use dgrid_sim::overlay::{Lazy, Membership};
 use dgrid_sim::prefix::{self, Table, Tables, DIGITS as LEVELS, DIGIT_BITS, RADIX};
 use dgrid_sim::rng::splitmix64;
 use dgrid_sim::router::{KeyRouter, RouteCost};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// A position in Tapestry's identifier space.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct TapestryId(pub u64);
-
-impl TapestryId {
-    /// Hash an arbitrary value onto the id space.
-    pub fn hash_of(x: u64) -> TapestryId {
-        TapestryId(splitmix64(x))
-    }
-
-    /// The `i`-th digit, most significant first.
-    pub fn digit(self, i: u32) -> u8 {
-        prefix::digit(self.0, i)
-    }
-
-    /// The id range `[lo, hi]` of all ids whose first `level` digits equal
-    /// `self`'s and whose digit at `level` is `d`.
-    fn slot_range(self, level: u32, d: u8) -> (u64, u64) {
-        prefix::slot_range(self.0, level, d)
-    }
-}
-
-impl fmt::Debug for TapestryId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TapestryId({:016x})", self.0)
-    }
-}
-
-impl fmt::Display for TapestryId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
 
 /// Tunables.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -57,24 +20,13 @@ impl Default for TapestryConfig {
     }
 }
 
-/// Result of a successful route.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Route {
-    /// The key's root node (Tapestry's owner).
-    pub owner: TapestryId,
-    /// Forwarding hops taken.
-    pub hops: u32,
-    /// Dead entries probed.
-    pub timeouts: u32,
-}
-
 /// The Tapestry network: authoritative membership plus every node's
-/// (possibly stale) neighbor maps.
+/// (possibly stale) neighbor maps. Reached through its [`KeyRouter`] impl.
 ///
 /// `maps[level][digit]` of a node is a node sharing its first `level`
 /// digits whose next digit is `digit`, as of the node's last refresh. Maps
 /// are stored only where an individual refresh has materialised them since
-/// the last [`TapestryNetwork::stabilize`]; any other entry is one binary
+/// the last [`KeyRouter::stabilize`]; any other entry is one binary
 /// search into the shared snapshot, made when a route asks for it.
 #[derive(Clone)]
 pub struct TapestryNetwork {
@@ -102,138 +54,15 @@ impl TapestryNetwork {
         }
     }
 
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    /// True iff nobody is alive.
-    pub fn is_empty(&self) -> bool {
-        self.m.is_empty()
-    }
-
-    /// Is `id` a live member?
-    pub fn is_alive(&self, id: TapestryId) -> bool {
-        self.m.is_alive(id.0)
-    }
-
-    /// Live ids, ascending.
-    pub fn alive_ids(&self) -> Vec<TapestryId> {
-        self.m.alive_in(..).map(TapestryId).collect()
-    }
-
-    /// A uniformly random live node.
-    pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<TapestryId> {
-        self.m.random_key(rng).map(TapestryId)
-    }
-
-    /// Ground truth: the unique root of `key` under surrogate routing.
-    ///
-    /// Descend digit by digit; at each level take the key's digit if any
-    /// live node exists under it, otherwise the next digit (wrapping) that
-    /// has one — Tapestry's deterministic surrogate rule.
-    pub fn root_of(&self, key: TapestryId) -> Option<TapestryId> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut prefix_carrier = key; // carries the resolved digits so far
-        for level in 0..LEVELS {
-            let want = key.digit(level);
-            // Some slot is live while anyone is: the carrier's prefix is.
-            let (lo, hi) = (0..RADIX as u8)
-                .map(|k| prefix_carrier.slot_range(level, (want + k) % 16))
-                .find(|&(lo, hi)| self.m.alive_in(lo..=hi).next().is_some())?;
-            // Fix this digit in the carrier and continue.
-            let shift = 64 - DIGIT_BITS * (level + 1);
-            let kept_mask = u64::MAX << shift;
-            prefix_carrier = TapestryId((lo & kept_mask) | (prefix_carrier.0 & !kept_mask));
-            // Early exit: if the chosen slot holds exactly one live node it
-            // is the root.
-            let mut inside = self.m.alive_in(lo..=hi);
-            let first = inside.next();
-            if inside.next().is_none() {
-                return first.map(TapestryId);
-            }
-        }
-        Some(prefix_carrier)
-    }
-
-    // ------------------------------------------------------------------
-    // Churn
-    // ------------------------------------------------------------------
-
-    /// Add a node and build its neighbor maps; nodes sharing prefixes learn
-    /// of it lazily (stale until stabilize).
-    ///
-    /// # Panics
-    /// If a live node with this id already exists.
-    pub fn join(&mut self, id: TapestryId) {
-        self.join_deferred(id);
-        self.refresh_node(id);
-    }
-
-    /// Membership-only join used during bulk construction: the node is
-    /// admitted with empty neighbor maps — a [`TapestryNetwork::stabilize`]
-    /// must follow before any routing. The post-stabilize state is
-    /// identical to having joined one by one.
-    ///
-    /// # Panics
-    /// If a live node with this id already exists.
-    pub fn join_deferred(&mut self, id: TapestryId) {
-        self.m.admit(id.0, Lazy::Mat(Table::new()));
-    }
-
-    /// Graceful departure: the node's immediate prefix neighbourhood is
-    /// refreshed right away.
-    ///
-    /// # Panics
-    /// If `id` is not a live node.
-    pub fn leave(&mut self, id: TapestryId) {
-        self.m.mark_dead(id.0);
-        // Refresh the nodes most likely to hold references: those sharing
-        // long prefixes (the deepest slot siblings).
-        let slots = (0..LEVELS)
-            .rev()
-            .flat_map(|level| (0..RADIX as u8).map(move |d| id.slot_range(level, d)));
-        let neighbourhood: Vec<u64> = slots
-            .filter_map(|(lo, hi)| self.m.alive_in(lo..=hi).next())
-            .take(RADIX)
-            .collect();
-        for n in neighbourhood {
-            self.refresh_node(TapestryId(n));
-        }
-    }
-
-    /// Abrupt failure: references remain until probed or stabilized away.
-    ///
-    /// # Panics
-    /// If `id` is not a live node.
-    pub fn fail(&mut self, id: TapestryId) {
-        self.m.mark_dead(id.0);
+    /// Admit `id` with empty neighbor maps: a stabilize must follow
+    /// before any routing.
+    fn join_deferred(&mut self, id: u64) {
+        self.m.admit(id, Lazy::Mat(Table::new()));
     }
 
     /// Rebuild one node's neighbor maps from ground truth.
-    pub fn refresh_node(&mut self, id: TapestryId) {
-        *self.m.state_mut(id.0) = Lazy::Mat(TABLES.build(&self.m, id.0));
-    }
-
-    /// Full stabilization: everyone refreshes, dead records are collected.
-    /// Afterwards every node's maps are a function of the live set alone,
-    /// so the set is kept once and no map is built (O(N) in all).
-    pub fn stabilize(&mut self) {
-        self.m.stabilize();
-    }
-
-    /// Neighbor-map invariant check, meaningful after [`stabilize`]: every
-    /// entry in every live node's *effective* maps — computed from the
-    /// snapshot or materialised, whichever the node holds — is a live node
-    /// inside the entry's prefix slot, and no slot is empty while a live
-    /// candidate exists. Returns a description of the first violation, or
-    /// `None` when the maps are sound.
-    ///
-    /// [`stabilize`]: TapestryNetwork::stabilize
-    pub fn table_violation(&self) -> Option<String> {
-        TABLES.violation(&self.m, |maps| maps, "maps")
+    fn refresh_node(&mut self, id: u64) {
+        *self.m.state_mut(id) = Lazy::Mat(TABLES.build(&self.m, id));
     }
 
     /// Whether a route is known to end at the key's root without being
@@ -243,21 +72,114 @@ impl TapestryNetwork {
         self.m.settled() && self.cfg.max_route_hops >= LEVELS
     }
 
-    // ------------------------------------------------------------------
-    // Routing
-    // ------------------------------------------------------------------
+    /// The entries of the (live or dead) node `from`, level-major.
+    fn entries(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
+        let maps = self.m.record(from).map(|r| &r.state);
+        maps.into_iter().flat_map(move |maps| {
+            let slots = (0..LEVELS).flat_map(|level| (0..RADIX as u8).map(move |d| (level, d)));
+            slots.filter_map(move |(level, d)| {
+                TABLES.slot(&self.m, from, maps, level, d).map(|e| e.key)
+            })
+        })
+    }
+}
+
+impl KeyRouter for TapestryNetwork {
+    const SUBSTRATE: &'static str = "tapestry";
+
+    fn key_of(raw: u64) -> u64 {
+        splitmix64(raw)
+    }
+
+    /// Builds the joiner's neighbor maps; nodes sharing prefixes learn of
+    /// it lazily (stale until stabilize).
+    fn join(&mut self, key: u64) {
+        self.join_deferred(key);
+        self.refresh_node(key);
+    }
+
+    fn bulk_join(&mut self, keys: &[u64]) {
+        for &k in keys {
+            self.join_deferred(k);
+        }
+    }
+
+    /// The node's immediate prefix neighbourhood is refreshed right away.
+    fn leave(&mut self, key: u64) {
+        self.m.mark_dead(key);
+        // Refresh the nodes most likely to hold references: those sharing
+        // long prefixes (the deepest slot siblings).
+        let slots = (0..LEVELS)
+            .rev()
+            .flat_map(|level| (0..RADIX as u8).map(move |d| prefix::slot_range(key, level, d)));
+        let neighbourhood: Vec<u64> = slots
+            .filter_map(|(lo, hi)| self.m.alive_in(lo..=hi).next())
+            .take(RADIX)
+            .collect();
+        for n in neighbourhood {
+            self.refresh_node(n);
+        }
+    }
+
+    /// References remain until probed or stabilized away.
+    fn fail(&mut self, key: u64) {
+        self.m.mark_dead(key);
+    }
+
+    fn is_alive(&self, key: u64) -> bool {
+        self.m.is_alive(key)
+    }
+
+    fn len(&self) -> usize {
+        self.m.len()
+    }
+
+    fn alive_keys(&self) -> Vec<u64> {
+        self.m.alive_in(..).collect()
+    }
+
+    fn alive_key_at(&self, rank: usize) -> Option<u64> {
+        self.m.alive_key_at(rank)
+    }
+
+    /// The unique root of `key` under surrogate routing: descend digit by
+    /// digit, at each level taking the key's digit if any live node exists
+    /// under it, otherwise the next digit (wrapping) that has one —
+    /// Tapestry's deterministic surrogate rule.
+    fn owner_of(&self, key: u64) -> Option<u64> {
+        if self.m.is_empty() {
+            return None;
+        }
+        let mut prefix_carrier = key; // carries the resolved digits so far
+        for level in 0..LEVELS {
+            let want = prefix::digit(key, level);
+            // Some slot is live while anyone is: the carrier's prefix is.
+            let (lo, hi) = (0..RADIX as u8)
+                .map(|k| prefix::slot_range(prefix_carrier, level, (want + k) % 16))
+                .find(|&(lo, hi)| self.m.alive_in(lo..=hi).next().is_some())?;
+            // Fix this digit in the carrier and continue.
+            let shift = 64 - DIGIT_BITS * (level + 1);
+            let kept_mask = u64::MAX << shift;
+            prefix_carrier = (lo & kept_mask) | (prefix_carrier & !kept_mask);
+            // Early exit: if the chosen slot holds exactly one live node it
+            // is the root.
+            let mut inside = self.m.alive_in(lo..=hi);
+            let first = inside.next();
+            if inside.next().is_none() {
+                return first;
+            }
+        }
+        Some(prefix_carrier)
+    }
 
     /// Surrogate routing from `from` towards `key`'s root, over each hop's
     /// local (possibly stale) neighbor maps.
-    ///
-    /// # Panics
-    /// If `from` is not a live node.
-    pub fn route(&self, from: TapestryId, key: TapestryId) -> Option<Route> {
-        assert!(self.is_alive(from), "route from dead node {from}");
+    fn lookup(&self, from: u64, key: u64) -> Option<RouteCost> {
+        assert!(self.m.is_alive(from), "route from dead node {from:016x}");
         // While settled every node's maps are `Canon` and every entry of
         // them alive: the hops read the snapshot alone.
         let settled = self.m.settled();
-        let mut cur = from.0;
+        let mut cur = from;
         let mut hops = 0u32;
         let mut timeouts = 0u32;
 
@@ -279,7 +201,7 @@ impl TapestryNetwork {
                 // digit and nothing else: the scans would end here.
                 break;
             }
-            let want = key.digit(level);
+            let want = prefix::digit(key, level);
             let mut advanced = false;
             for k in 0..RADIX as u8 {
                 let d = (want + k) % 16;
@@ -307,83 +229,17 @@ impl TapestryNetwork {
                 break;
             }
         }
-        Some(Route {
-            owner: TapestryId(cur),
+        Some(RouteCost {
+            owner: cur,
             hops,
             timeouts,
         })
     }
 
-    /// The entries of the (live or dead) node `from`, level-major.
-    fn entries(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
-        let maps = self.m.record(from).map(|r| &r.state);
-        maps.into_iter().flat_map(move |maps| {
-            let slots = (0..LEVELS).flat_map(|level| (0..RADIX as u8).map(move |d| (level, d)));
-            slots.filter_map(move |(level, d)| {
-                TABLES.slot(&self.m, from, maps, level, d).map(|e| e.key)
-            })
-        })
-    }
-}
-
-impl KeyRouter for TapestryNetwork {
-    const SUBSTRATE: &'static str = "tapestry";
-
-    fn key_of(raw: u64) -> u64 {
-        TapestryId::hash_of(raw).0
-    }
-
-    fn join(&mut self, key: u64) {
-        TapestryNetwork::join(self, TapestryId(key));
-    }
-
-    fn bulk_join(&mut self, keys: &[u64]) {
-        for &k in keys {
-            self.join_deferred(TapestryId(k));
-        }
-    }
-
-    fn leave(&mut self, key: u64) {
-        TapestryNetwork::leave(self, TapestryId(key));
-    }
-
-    fn fail(&mut self, key: u64) {
-        TapestryNetwork::fail(self, TapestryId(key));
-    }
-
-    fn is_alive(&self, key: u64) -> bool {
-        self.m.is_alive(key)
-    }
-
-    fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    fn alive_keys(&self) -> Vec<u64> {
-        self.m.alive_in(..).collect()
-    }
-
-    fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        self.m.alive_key_at(rank)
-    }
-
-    fn owner_of(&self, key: u64) -> Option<u64> {
-        self.root_of(TapestryId(key)).map(|id| id.0)
-    }
-
-    fn lookup(&self, from: u64, key: u64) -> Option<RouteCost> {
-        self.route(TapestryId(from), TapestryId(key))
-            .map(|r| RouteCost {
-                owner: r.owner.0,
-                hops: r.hops,
-                timeouts: r.timeouts,
-            })
-    }
-
-    /// Exact while `routes_are_exact`: an entry for
-    /// `(prefix, digit)` is a function of the prefix alone, so the route
-    /// makes the surrogate choices of [`TapestryNetwork::root_of`] level
-    /// by level. Any other state walks the route.
+    /// Exact while `routes_are_exact`: an entry for `(prefix, digit)` is a
+    /// function of the prefix alone, so the route makes the surrogate
+    /// choices of [`KeyRouter::owner_of`] level by level. Any other state
+    /// walks the route.
     fn lookup_owner(&self, from: u64, key: u64) -> Option<u64> {
         if self.routes_are_exact() {
             debug_assert!(self.m.is_alive(from));
@@ -411,12 +267,19 @@ impl KeyRouter for TapestryNetwork {
         self.entries(at).find(|&n| n != at && self.m.is_alive(n))
     }
 
+    /// Everyone refreshes, dead records are collected. Afterwards every
+    /// node's maps are a function of the live set alone, so the set is
+    /// kept once and no map is built (O(N) in all).
     fn stabilize(&mut self) {
-        TapestryNetwork::stabilize(self);
+        self.m.stabilize();
     }
 
+    /// Every entry in every live node's *effective* maps — computed from
+    /// the snapshot or materialised, whichever the node holds — is a live
+    /// node inside the entry's prefix slot, and no slot is empty while a
+    /// live candidate exists. Meaningful once stabilized.
     fn table_violation(&self) -> Option<String> {
-        TapestryNetwork::table_violation(self)
+        TABLES.violation(&self.m, |maps| maps, "maps")
     }
 }
 
@@ -424,13 +287,14 @@ impl KeyRouter for TapestryNetwork {
 mod tests {
     use super::*;
     use dgrid_sim::rng::{rng_for, streams};
+    use rand::Rng;
 
-    fn network(n: usize, seed: u64) -> (TapestryNetwork, Vec<TapestryId>) {
+    fn network(n: usize, seed: u64) -> (TapestryNetwork, Vec<u64>) {
         let mut rng = rng_for(seed, streams::NODE_IDS);
         let mut net = TapestryNetwork::default();
         let mut ids = Vec::new();
         while ids.len() < n {
-            let id = TapestryId(rng.gen());
+            let id: u64 = rng.gen();
             if !net.is_alive(id) {
                 net.join(id);
                 ids.push(id);
@@ -445,8 +309,8 @@ mod tests {
         let (net, _) = network(64, 1);
         let mut rng = rng_for(2, 0);
         for _ in 0..200 {
-            let key = TapestryId(rng.gen());
-            let root = net.root_of(key).unwrap();
+            let key: u64 = rng.gen();
+            let root = net.owner_of(key).unwrap();
             assert!(net.is_alive(root));
         }
     }
@@ -454,11 +318,11 @@ mod tests {
     #[test]
     fn key_owned_by_exact_match_if_present() {
         let mut net = TapestryNetwork::default();
-        let id = TapestryId(0xDEAD_BEEF_0000_0001);
+        let id = 0xDEAD_BEEF_0000_0001;
         net.join(id);
-        net.join(TapestryId(0x1111_0000_0000_0000));
+        net.join(0x1111_0000_0000_0000);
         net.stabilize();
-        assert_eq!(net.root_of(id), Some(id));
+        assert_eq!(net.owner_of(id), Some(id));
     }
 
     #[test]
@@ -466,10 +330,10 @@ mod tests {
         let (net, ids) = network(128, 3);
         let mut rng = rng_for(4, 0);
         for _ in 0..100 {
-            let key = TapestryId(rng.gen());
-            let root = net.root_of(key).unwrap();
+            let key: u64 = rng.gen();
+            let root = net.owner_of(key).unwrap();
             for &from in ids.iter().step_by(17) {
-                let res = net.route(from, key).expect("routes");
+                let res = net.lookup(from, key).expect("routes");
                 assert_eq!(res.owner, root, "from {from}, key {key}");
                 assert_eq!(res.timeouts, 0);
             }
@@ -483,9 +347,9 @@ mod tests {
         let mut total = 0u64;
         let trials = 300;
         for _ in 0..trials {
-            let key = TapestryId(rng.gen());
+            let key: u64 = rng.gen();
             let from = ids[rng.gen_range(0..ids.len())];
-            let res = net.route(from, key).unwrap();
+            let res = net.lookup(from, key).unwrap();
             assert!(res.hops <= LEVELS);
             total += u64::from(res.hops);
         }
@@ -499,10 +363,10 @@ mod tests {
     #[test]
     fn single_node_owns_everything() {
         let mut net = TapestryNetwork::default();
-        let id = TapestryId(42);
+        let id = 42;
         net.join(id);
-        assert_eq!(net.root_of(TapestryId(u64::MAX)), Some(id));
-        let res = net.route(id, TapestryId(7)).unwrap();
+        assert_eq!(net.owner_of(u64::MAX), Some(id));
+        let res = net.lookup(id, 7).unwrap();
         assert_eq!(res.owner, id);
         assert_eq!(res.hops, 0);
     }
@@ -514,21 +378,21 @@ mod tests {
             net.fail(id);
         }
         // Without stabilization: still delivers to a live node.
-        let alive = net.alive_ids();
+        let alive = net.alive_keys();
         let mut rng = rng_for(8, 0);
         for _ in 0..100 {
-            let key = TapestryId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res = net.route(from, key).expect("routes around failures");
+            let res = net.lookup(from, key).expect("routes around failures");
             assert!(net.is_alive(res.owner));
         }
         // After stabilization: exact root again.
         net.stabilize();
         for _ in 0..100 {
-            let key = TapestryId(rng.gen());
+            let key: u64 = rng.gen();
             let from = alive[rng.gen_range(0..alive.len())];
-            let res = net.route(from, key).unwrap();
-            assert_eq!(Some(res.owner), net.root_of(key));
+            let res = net.lookup(from, key).unwrap();
+            assert_eq!(Some(res.owner), net.owner_of(key));
             assert_eq!(res.timeouts, 0);
         }
     }
@@ -540,9 +404,9 @@ mod tests {
         net.leave(victim);
         let mut rng = rng_for(10, 0);
         for _ in 0..50 {
-            let key = TapestryId(victim.0 ^ rng.gen_range(0..1_000_000));
-            let from = net.alive_ids()[0];
-            let res = net.route(from, key).expect("routes");
+            let key = victim ^ rng.gen_range(0..1_000_000);
+            let from = net.alive_keys()[0];
+            let res = net.lookup(from, key).expect("routes");
             assert!(net.is_alive(res.owner));
         }
     }
@@ -551,8 +415,8 @@ mod tests {
     #[should_panic(expected = "duplicate join")]
     fn duplicate_join_panics() {
         let mut net = TapestryNetwork::default();
-        net.join(TapestryId(1));
-        net.join(TapestryId(1));
+        net.join(1);
+        net.join(1);
     }
 
     #[test]
@@ -561,17 +425,17 @@ mod tests {
         let keys: Vec<u64> = (0..48).map(|_| rng.gen()).collect();
         let mut eager = TapestryNetwork::default();
         for &k in &keys {
-            eager.join(TapestryId(k));
+            eager.join(k);
         }
         eager.stabilize();
         let mut lazy = TapestryNetwork::default();
         KeyRouter::bulk_join(&mut lazy, &keys);
         lazy.stabilize();
-        assert_eq!(eager.alive_ids(), lazy.alive_ids());
+        assert_eq!(eager.alive_keys(), lazy.alive_keys());
         for _ in 0..200 {
-            let key = TapestryId(rng.gen());
-            let from = TapestryId(keys[rng.gen_range(0..keys.len())]);
-            assert_eq!(eager.route(from, key), lazy.route(from, key));
+            let key: u64 = rng.gen();
+            let from = keys[rng.gen_range(0..keys.len())];
+            assert_eq!(eager.lookup(from, key), lazy.lookup(from, key));
         }
         assert_eq!(lazy.table_violation(), None);
     }
@@ -581,14 +445,14 @@ mod tests {
         // Only nodes with top digit 0x2 exist; a key with top digit 0xF
         // must wrap around to 0x2.
         let mut net = TapestryNetwork::default();
-        let a = TapestryId(0x2000_0000_0000_0000);
-        let b = TapestryId(0x2FFF_0000_0000_0000);
+        let a = 0x2000_0000_0000_0000;
+        let b = 0x2FFF_0000_0000_0000;
         net.join(a);
         net.join(b);
         net.stabilize();
-        let root = net.root_of(TapestryId(0xF000_0000_0000_0000)).unwrap();
+        let root = net.owner_of(0xF000_0000_0000_0000).unwrap();
         assert!(root == a || root == b);
-        let via_route = net.route(a, TapestryId(0xF000_0000_0000_0000)).unwrap();
+        let via_route = net.lookup(a, 0xF000_0000_0000_0000).unwrap();
         assert_eq!(via_route.owner, root);
     }
 
@@ -603,28 +467,28 @@ mod tests {
     struct Reference(std::collections::HashMap<u64, Table>);
 
     impl Reference {
-        fn refresh_node(&mut self, net: &TapestryNetwork, id: TapestryId) {
+        fn refresh_node(&mut self, net: &TapestryNetwork, id: u64) {
             let mut maps = vec![[None; 16]; LEVELS as usize];
             for level in 0..LEVELS {
                 for d in 0..16u8 {
-                    let (lo, hi) = id.slot_range(level, d);
+                    let (lo, hi) = prefix::slot_range(id, level, d);
                     maps[level as usize][d as usize] = net.m.alive_in(lo..=hi).next();
                 }
             }
-            self.0.insert(id.0, maps);
+            self.0.insert(id, maps);
         }
 
-        fn join(&mut self, net: &mut TapestryNetwork, id: TapestryId) {
+        fn join(&mut self, net: &mut TapestryNetwork, id: u64) {
             net.join(id);
             self.refresh_node(net, id);
         }
 
-        fn leave(&mut self, net: &mut TapestryNetwork, id: TapestryId) {
+        fn leave(&mut self, net: &mut TapestryNetwork, id: u64) {
             net.leave(id);
             let mut neighbourhood: Vec<u64> = Vec::with_capacity(16);
             'outer: for level in (0..LEVELS).rev() {
                 for d in 0..16u8 {
-                    let (lo, hi) = id.slot_range(level, d);
+                    let (lo, hi) = prefix::slot_range(id, level, d);
                     if let Some(n) = net.m.alive_in(lo..=hi).next() {
                         neighbourhood.push(n);
                         if neighbourhood.len() >= 16 {
@@ -634,14 +498,14 @@ mod tests {
                 }
             }
             for n in neighbourhood {
-                self.refresh_node(net, TapestryId(n));
+                self.refresh_node(net, n);
             }
         }
 
         fn stabilize(&mut self, net: &mut TapestryNetwork) {
             net.stabilize();
-            self.0.retain(|&id, _| net.is_alive(TapestryId(id)));
-            for id in net.alive_ids() {
+            self.0.retain(|&id, _| net.is_alive(id));
+            for id in net.alive_keys() {
                 self.refresh_node(net, id);
             }
         }
@@ -669,25 +533,25 @@ mod tests {
 
     #[test]
     fn only_individually_refreshed_nodes_hold_maps() {
-        let keys: Vec<u64> = (0..10_000u64).map(|i| TapestryId::hash_of(i).0).collect();
+        let keys: Vec<u64> = (0..10_000u64).map(TapestryNetwork::key_of).collect();
         let mut net = TapestryNetwork::default();
         KeyRouter::bulk_join(&mut net, &keys);
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
 
-        net.join(TapestryId::hash_of(10_000));
+        net.join(TapestryNetwork::key_of(10_000));
         assert_eq!(materialised_nodes(&net), 1, "the joiner alone");
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
 
-        net.leave(TapestryId(keys[4242]));
+        net.leave(keys[4242]);
         let held = materialised_nodes(&net);
         assert!(
             (1..=16).contains(&held),
             "{held} nodes in the leaver's neighbourhood"
         );
 
-        net.fail(TapestryId(keys[17]));
+        net.fail(keys[17]);
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
         assert_eq!(net.m.records().count(), net.len(), "dead records collected");
@@ -698,23 +562,23 @@ mod tests {
     fn canonical_maps_stay_pinned_to_the_snapshot_under_churn() {
         let [a, b, c] = [0x1000u64 << 48, 0x9000 << 48, 0x9800 << 48];
         let mut net = TapestryNetwork::default();
-        net.join(TapestryId(a));
-        net.join(TapestryId(b));
+        net.join(a);
+        net.join(b);
         net.stabilize();
         // Abrupt failure after stabilize: `a` still points at `b`, and a
         // route pays a timeout to find out.
-        net.fail(TapestryId(b));
+        net.fail(b);
         assert_eq!(effective(&net, a)[0][9], Some(b), "stale entry");
-        let res = net.route(TapestryId(a), TapestryId(b)).unwrap();
-        assert_eq!((res.owner, res.timeouts), (TapestryId(a), 1));
+        let res = net.lookup(a, b).unwrap();
+        assert_eq!((res.owner, res.timeouts), (a, 1));
         // An arrival it has not heard of either.
-        net.join(TapestryId(c));
+        net.join(c);
         assert_eq!(effective(&net, a)[0][9], Some(b));
         assert_eq!(effective(&net, c)[0][1], Some(a), "the joiner looked");
         // A route from the joiner reads its stored maps, which never held
         // `b`: no timeout.
-        let res = net.route(TapestryId(c), TapestryId(b)).unwrap();
-        assert_eq!((res.owner, res.hops, res.timeouts), (TapestryId(c), 0, 0));
+        let res = net.lookup(c, b).unwrap();
+        assert_eq!((res.owner, res.hops, res.timeouts), (c, 0, 0));
         net.stabilize();
         assert_eq!(effective(&net, a)[0][9], Some(c));
     }
@@ -752,13 +616,18 @@ mod tests {
         }
 
         fn views_match(net: &TapestryNetwork, reference: &Reference) -> Result<(), TestCaseError> {
-            let live = net.alive_ids();
+            let live = net.alive_keys();
             for &id in &live {
-                prop_assert_eq!(&effective(net, id.0), &reference.0[&id.0], "maps of {}", id);
+                prop_assert_eq!(&effective(net, id), &reference.0[&id], "maps of {:x}", id);
             }
             for &from in live.iter().take(6) {
-                let owner = net.route(from, TapestryId(!from.0)).expect("routes").owner;
-                prop_assert!(net.is_alive(owner), "{} delivered to dead {}", from, owner);
+                let owner = net.lookup(from, !from).expect("routes").owner;
+                prop_assert!(
+                    net.is_alive(owner),
+                    "{:x} delivered to dead {:x}",
+                    from,
+                    owner
+                );
             }
             Ok(())
         }
@@ -779,8 +648,8 @@ mod tests {
                 .flat_map(|&k| [k, k.wrapping_add(1), k.wrapping_sub(1)]);
             let keys: Vec<u64> = near.chain([0, u64::MAX]).collect();
             for &key in &keys {
-                let root = net.root_of(TapestryId(key));
-                prop_assert_eq!(root, walked.root_of(TapestryId(key)), "root of {:x}", key);
+                let root = net.owner_of(key);
+                prop_assert_eq!(root, walked.owner_of(key), "root of {:x}", key);
                 prop_assert_eq!(KeyRouter::is_alive(net, key), walked.m.is_alive(key));
             }
             for &from in &live {
@@ -820,14 +689,14 @@ mod tests {
                 let mut net = TapestryNetwork::default();
                 let mut reference = Reference::default();
                 for id in initial {
-                    reference.join(&mut net, TapestryId(id));
+                    reference.join(&mut net, id);
                     views_match(&net, &reference)?;
                 }
                 for s in steps {
-                    let live = net.alive_ids();
+                    let live = net.alive_keys();
                     match s {
-                        Step::Join(id) if !net.is_alive(TapestryId(id)) => {
-                            reference.join(&mut net, TapestryId(id));
+                        Step::Join(id) if !net.is_alive(id) => {
+                            reference.join(&mut net, id);
                         }
                         Step::Leave(i) if live.len() > 1 => {
                             reference.leave(&mut net, live[i % live.len()]);

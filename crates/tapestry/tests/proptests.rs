@@ -35,33 +35,33 @@ proptest! {
         let mut net = TapestryNetwork::default();
         let mut live: Vec<u64> = Vec::new();
         for id in initial {
-            KeyRouter::join(&mut net, id);
+            net.join(id);
             live.push(id);
         }
         for s in steps {
             match s {
                 Step::Join(id)
-                    if !KeyRouter::is_alive(&net, id) => {
-                        KeyRouter::join(&mut net, id);
+                    if !net.is_alive(id) => {
+                        net.join(id);
                         live.push(id);
                     }
                 Step::Leave(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    KeyRouter::leave(&mut net, id);
+                    net.leave(id);
                 }
                 Step::Fail(i) if live.len() > 1 => {
                     let id = live.swap_remove(i % live.len());
-                    KeyRouter::fail(&mut net, id);
+                    net.fail(id);
                 }
                 _ => {}
             }
         }
         net.stabilize();
-        prop_assert_eq!(KeyRouter::len(&net), live.len());
+        prop_assert_eq!(net.len(), live.len());
 
         for key in keys {
             let root = net.owner_of(key).expect("non-empty");
-            prop_assert!(KeyRouter::is_alive(&net, root));
+            prop_assert!(net.is_alive(root));
             for &from in live.iter().take(6) {
                 let res = net.lookup(from, key).expect("routes");
                 prop_assert_eq!(res.owner, root);
@@ -83,12 +83,12 @@ proptest! {
     ) {
         let mut net = TapestryNetwork::default();
         for &id in &ids {
-            KeyRouter::join(&mut net, id);
+            net.join(id);
         }
         net.stabilize();
         for key in keys {
             let root = net.owner_of(key).expect("non-empty");
-            prop_assert!(KeyRouter::is_alive(&net, root));
+            prop_assert!(net.is_alive(root));
             for &from in &ids {
                 let res = net.lookup(from, key).expect("routes");
                 prop_assert_eq!(res.owner, root);
@@ -102,7 +102,7 @@ proptest! {
     fn exact_match_owns_itself(ids in proptest::collection::hash_set(any::<u64>(), 1..30)) {
         let mut net = TapestryNetwork::default();
         for &id in &ids {
-            KeyRouter::join(&mut net, id);
+            net.join(id);
         }
         net.stabilize();
         for &id in &ids {

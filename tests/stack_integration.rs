@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use dgrid::can::{CanConfig, CanNetwork};
-use dgrid::chord::{ChordId, ChordRing};
+use dgrid::chord::ChordRing;
 use dgrid::harness::{run_scenario, Algorithm};
 use dgrid::resources::{Capabilities, JobRequirements, OsType, ResourceKind};
 use dgrid::rntree::RnTreeIndex;
@@ -71,13 +71,13 @@ fn chord_and_rntree_agree_on_membership_through_churn() {
     let mut caps: HashMap<u64, Capabilities> = HashMap::new();
     let mut ids = Vec::new();
     for i in 0..500 {
-        let id = ChordId(rng.gen());
-        if ring.is_alive(id.0) {
+        let id: u64 = rng.gen();
+        if ring.is_alive(id) {
             continue;
         }
         ring.join(id);
         caps.insert(
-            id.0,
+            id,
             Capabilities::new(
                 0.5 + (i % 7) as f64 * 0.5,
                 2f64.powi((i % 6) as i32 - 2),
@@ -89,7 +89,7 @@ fn chord_and_rntree_agree_on_membership_through_churn() {
     }
     for &id in ids.iter().step_by(4) {
         ring.fail(id);
-        caps.remove(&id.0);
+        caps.remove(&id);
     }
     ring.stabilize();
 
