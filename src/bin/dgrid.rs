@@ -98,6 +98,7 @@
 //! All replicated work is deterministic: results are merged in input order,
 //! so the same seed yields the same bytes at any `--threads` setting.
 
+use std::cmp::Ordering;
 use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -210,6 +211,15 @@ fn positive(flag: &str, val: &str) -> usize {
     }
 }
 
+/// A number `ok` accepts; `want` completes "is not ..." when it does not.
+fn number(flag: &str, val: &str, want: &str, ok: impl Fn(f64) -> bool) -> f64 {
+    let x = arg(flag, val, "a number");
+    if !ok(x) {
+        bad_flag(flag, val, want);
+    }
+    x
+}
+
 /// The value of a flag `command` cannot run without.
 fn required<'a>(value: &'a Option<String>, command: &str, flag: &str) -> &'a str {
     value.as_deref().unwrap_or_else(|| {
@@ -278,11 +288,12 @@ fn parse_partition(s: &str) -> (f64, f64, Vec<u32>) {
         .split(',')
         .map(|id| arg("--partition", id, "a node id"))
         .collect();
-    (
-        arg("--partition", parts[0], "a number"),
-        arg("--partition", parts[1], "a number"),
-        island,
-    )
+    let start: f64 = arg("--partition", parts[0], "a number");
+    let end: f64 = arg("--partition", parts[1], "a number");
+    if start.partial_cmp(&end).is_none_or(Ordering::is_gt) {
+        bad_flag("--partition", s, "START:END:ID[,ID...] with START <= END");
+    }
+    (start, end, island)
 }
 
 fn parse() -> Opts {
@@ -359,14 +370,14 @@ fn parse() -> Opts {
             "--algorithm" => opts.algorithm = parse_algorithm(&val),
             "--scenario" => opts.scenario = parse_scenario(&val),
             "--scenario-file" => opts.scenario_spec = Some(parse_scenario_file(&val)),
-            "--nodes" => opts.nodes = arg(flag, &val, num),
-            "--jobs" => opts.jobs = arg(flag, &val, num),
+            "--nodes" => opts.nodes = positive(flag, &val),
+            "--jobs" => opts.jobs = positive(flag, &val),
             "--seed" => opts.seed = arg(flag, &val, num),
-            "--mttf" => opts.mttf = Some(arg(flag, &val, num)),
+            "--mttf" => opts.mttf = Some(number(flag, &val, "at least 0", |x| x >= 0.0)),
             "--rejoin" => opts.rejoin = Some(arg(flag, &val, num)),
             "--graceful" => opts.graceful = arg(flag, &val, num),
-            "--k" => opts.k = arg(flag, &val, num),
-            "--loss" => opts.loss = arg(flag, &val, num),
+            "--k" => opts.k = positive(flag, &val),
+            "--loss" => opts.loss = number(flag, &val, "in [0, 1]", |x| (0.0..=1.0).contains(&x)),
             "--partition" => opts.partitions.push(parse_partition(&val)),
             "--events" => opts.events = Some(val),
             "--format" => opts.format = arg(flag, &val, "jsonl or binary"),
@@ -375,7 +386,7 @@ fn parse() -> Opts {
             "--refresh" => opts.refresh_secs = arg(flag, &val, num),
             "--idle-exit" => opts.idle_exit = Some(arg(flag, &val, num)),
             "--timeseries" => opts.timeseries = Some(val),
-            "--sample-secs" => opts.sample_secs = arg(flag, &val, num),
+            "--sample-secs" => opts.sample_secs = number(flag, &val, "above 0", |x| x > 0.0),
             "--timeline" => opts.timeline = arg(flag, &val, num),
             "--width" => opts.width = arg(flag, &val, num),
             "--json" => opts.json = Some(val),
@@ -384,7 +395,7 @@ fn parse() -> Opts {
             "--replay" => opts.replay = Some(val),
             "--inject-bug" => opts.inject_bug = Some(val),
             "--matchmaker" => opts.matchmakers = Some(val),
-            "--lease-ttl" => opts.lease_ttl = Some(arg(flag, &val, num)),
+            "--lease-ttl" => opts.lease_ttl = Some(number(flag, &val, "above 0", |x| x > 0.0)),
             "--lease-renew" => opts.lease_renew = Some(arg(flag, &val, num)),
             "--lease-grace" => opts.lease_grace = Some(arg(flag, &val, num)),
             "--placement" => opts.placement = Some(arg(flag, &val, "hash or load-aware")),
@@ -403,7 +414,7 @@ fn parse() -> Opts {
 /// The fault plan `--loss` / `--partition` describe: none without them,
 /// which keeps the engine on its bit-exact fault-free path.
 fn fault_plan(opts: &Opts) -> FaultPlan {
-    let mut plan = FaultPlan::with_loss(opts.loss.max(0.0));
+    let mut plan = FaultPlan::with_loss(opts.loss);
     for (start, end, island) in &opts.partitions {
         plan = plan.with_partition(*start, *end, island.clone());
     }

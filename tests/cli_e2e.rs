@@ -68,6 +68,25 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
     assert!(missing.contains("/nonexistent") && missing.lines().count() == 1);
     assert!(refused(&["run", "--nodes", "abc"]).starts_with("--nodes: \"abc\" is not a number\n"));
     assert!(refused(&["run", "--foo", "1"]).starts_with("unknown flag --foo\n"));
+    // Values the library would assert on are refused by the parser.
+    let timeseries = ["--timeseries", "/nonexistent/ts.json"];
+    for (flag, val, extra) in [
+        ("--nodes", "0", &[][..]),
+        ("--jobs", "0", &[]),
+        ("--k", "0", &[]),
+        ("--loss", "2", &[]),
+        ("--mttf", "-1", &[]),
+        ("--lease-ttl", "0", &[]),
+        ("--partition", "10:5:1", &[]),
+        ("--sample-secs", "0", &timeseries),
+    ] {
+        let stderr = refused(&[&["run", flag, val], extra].concat());
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("{flag}: {val:?} is not ")),
+            "{first}"
+        );
+    }
     let gone = refused(&["bench", "sweep"]);
     assert!(gone.contains("benchmark/Cargo.toml") && gone.contains("compare --replications"));
     assert_eq!(gone.lines().count(), 1);
