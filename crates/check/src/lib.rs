@@ -16,7 +16,7 @@
 //!    variant ([`MatchmakerChoice::ALL`] — centralized, RN-Tree over Chord,
 //!    Pastry, and Tapestry, and CAN) and the oracle-visible outcomes are
 //!    compared differentially.
-//! 3. **Shrinker** ([`shrink`]): on violation, greedily shrink the scenario
+//! 3. **Shrinker** ([`shrink()`]): on violation, greedily shrink the scenario
 //!    (fewer nodes, jobs, fault events; shorter horizon) while the
 //!    violation still reproduces, and emit a minimal replayable artifact.
 //!

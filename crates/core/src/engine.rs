@@ -430,8 +430,8 @@ impl Engine {
     }
 
     /// Switch [`Engine::run`] to the space-parallel conservative-window
-    /// kernel with `shards` node shards (see the module docs of
-    /// [`shard`](self) internals): events execute against shard-local state
+    /// kernel with `shards` node shards (see the docs of the private
+    /// `engine::shard` module): events execute against shard-local state
     /// inside windows bounded by the network's minimum latency, and a
     /// deterministic barrier merges their effects in `(time, seq)` order.
     ///

@@ -243,7 +243,7 @@ struct OpenSpan {
 /// a parsed JSONL stream via [`SpanAssembler::observe`].
 ///
 /// Open spans live in a slab whose freed slots are reused, found through an
-/// [`IdIndex`]: memory is 4 bytes per dense job id plus one slot per job
+/// `IdIndex`: memory is 4 bytes per dense job id plus one slot per job
 /// open *at the same time*, and no event hashes or walks a tree.
 #[derive(Default)]
 pub struct SpanAssembler {

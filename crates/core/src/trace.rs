@@ -311,8 +311,8 @@ pub fn write_event_line(buf: &mut String, t_ns: u64, event: &TraceEvent) {
 /// [`StreamError`](binary::StreamError) — never a panic, which the fuzz
 /// proptests assert over arbitrary input.
 ///
-/// A line in exactly the shape [`write_event_line`] emits is read by
-/// [`parse_canonical_line`]; every other line — reordered keys, whitespace,
+/// A line in exactly the shape [`write_event_line`] emits is read by the
+/// private fast path `parse_canonical_line`; every other line — reordered keys, whitespace,
 /// hand edits, garbage — goes through `serde_json`, which therefore still
 /// decides what is accepted and words every error.
 pub fn parse_jsonl_line(line: &str) -> Result<Option<EventRecord>, binary::StreamError> {
