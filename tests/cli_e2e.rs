@@ -1,6 +1,7 @@
 //! The `dgrid` binary driven end to end, at the 96 × 400 cell EXPERIMENTS.md
 //! records its `compare` tables at.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn dgrid(args: &[&str]) -> Output {
@@ -8,6 +9,24 @@ fn dgrid(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn dgrid")
+}
+
+/// `dgrid <args>` run inside `dir`, so relative output paths (and the
+/// "wrote ... to" lines naming them) are the same on every machine.
+fn dgrid_in(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dgrid"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("spawn dgrid")
+}
+
+/// An empty directory of its own for one test's output files.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dgrid-cli-e2e-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 /// `dgrid compare --nodes 96 --jobs 400 <extra>`, which must exit 0.
@@ -21,6 +40,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// `(fnv1a, len)` of a byte string, the form every pin below takes.
+fn pin(bytes: &[u8]) -> (u64, usize) {
+    (fnv1a(bytes), bytes.len())
+}
+
+/// The bytes of `dir/name`.
+fn read(dir: &Path, name: &str) -> Vec<u8> {
+    std::fs::read(dir.join(name)).expect("read output file")
 }
 
 /// Recorded at `7198c56`, before `compare` learned `--replications`: one
@@ -90,4 +119,98 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
     let gone = refused(&["bench", "sweep"]);
     assert!(gone.contains("benchmark/Cargo.toml") && gone.contains("compare --replications"));
     assert_eq!(gone.lines().count(), 1);
+}
+
+/// Recorded at `208be5f`, before `dgrid check` and `dgrid run` built their
+/// engines through one function: the injected-bug sweeps (plain and leased)
+/// find, shrink and write the same violation, and its replay prints the
+/// same lines.
+#[test]
+fn injected_check_sweeps_and_their_replay_print_the_pinned_bytes() {
+    let sweep = ["check", "--seeds", "4", "--seed", "0", "--threads", "1"];
+    let inject = ["--inject-bug", "epoch-dedup", "--out", "a.json"];
+    let lease = ["--lease-ttl", "60", "--lease-renew", "15"];
+    for (name, extra, stdout_pin, artifact_pin) in [
+        (
+            "check-plain",
+            &[][..],
+            (0x0e49_8954_7c20_5ec9, 694),
+            (0x0304_9316_41de_3175, 2041),
+        ),
+        (
+            "check-leased",
+            &lease[..],
+            (0x11d0_3af1_d7ce_b75c, 2000),
+            (0x5bf5_4541_2a67_157f, 2256),
+        ),
+    ] {
+        let dir = scratch_dir(name);
+        let out = dgrid_in(&dir, &[&sweep[..], &inject, extra].concat());
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(pin(&out.stdout), stdout_pin, "{name}: {stdout}");
+        assert_eq!(pin(&read(&dir, "a.json")), artifact_pin, "{name} artifact");
+        if extra.is_empty() {
+            let replay = dgrid_in(&dir, &["check", "--replay", "a.json"]);
+            assert_eq!(replay.status.code(), Some(1));
+            let stdout = String::from_utf8_lossy(&replay.stdout);
+            assert_eq!(
+                pin(&replay.stdout),
+                (0x90b6_9475_8038_f373, 340),
+                "{stdout}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Recorded at `208be5f`: a scenario-file run and a classic-flag run with
+/// churn, loss, a partition and leases print and stream the same bytes.
+#[test]
+fn scenario_file_and_classic_runs_print_and_stream_the_pinned_bytes() {
+    let dir = scratch_dir("runs");
+    let binary = ["--format", "binary"];
+    let scenario = ["run", "--scenario-file", "flash-crowd", "--seed", "7"];
+    let classic = [
+        "run",
+        "--nodes",
+        "200",
+        "--jobs",
+        "1000",
+        "--seed",
+        "7",
+        "--mttf",
+        "3000",
+        "--rejoin",
+        "300",
+        "--loss",
+        "0.05",
+        "--partition",
+        "100:400:1,2,3",
+        "--lease-ttl",
+        "60",
+        "--lease-renew",
+        "15",
+    ];
+    for (args, file, stdout_pin, stream_pin) in [
+        (
+            &scenario[..],
+            "fc.bin",
+            (0x5021_926e_cf12_e751, 824),
+            (0xae93_3ade_e45a_714a, 34543),
+        ),
+        (
+            &classic[..],
+            "cl.bin",
+            (0x8eb8_8e9f_d47e_10e6, 724),
+            (0x8abe_ee7c_2fb1_0916, 57602),
+        ),
+    ] {
+        let out = dgrid_in(&dir, &[args, &["--events", file], &binary].concat());
+        assert!(out.status.success(), "{args:?}: {:?}", out.status);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(pin(&out.stdout), stdout_pin, "{stdout}");
+        assert_eq!(pin(&read(&dir, file)), stream_pin, "{file}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
