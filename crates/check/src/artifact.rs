@@ -9,10 +9,11 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use dgrid_core::Algorithm;
 use serde::{Deserialize, Serialize};
 
 use crate::oracle::Violation;
-use crate::scenario::{Inject, MatchmakerChoice, Scenario};
+use crate::scenario::{Inject, Scenario};
 
 /// A minimal, self-contained reproduction of one oracle violation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -21,7 +22,7 @@ pub struct ReproArtifact {
     pub scenario: Scenario,
     /// The matchmaker under which the violation fires. `None` means the
     /// violation is differential: replay runs every matchmaker.
-    pub matchmaker: Option<MatchmakerChoice>,
+    pub matchmaker: Option<Algorithm>,
     /// Deliberate engine bugs that were active (fault-injection self-test).
     pub inject: Inject,
     /// The violations observed when the artifact was written.
@@ -52,7 +53,7 @@ mod tests {
     fn artifact_roundtrips_through_disk() {
         let artifact = ReproArtifact {
             scenario: Scenario::generate(99),
-            matchmaker: Some(MatchmakerChoice::RnTree),
+            matchmaker: Some(Algorithm::RnTree),
             inject: Inject {
                 disable_epoch_dedup: true,
             },

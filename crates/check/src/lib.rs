@@ -13,9 +13,13 @@
 //! 2. **Scenario fuzzer** ([`scenario`]): a seeded generator composing
 //!    random grid sizes, workload presets, churn, partitions, message loss,
 //!    and crash schedules. Every scenario runs under every matchmaker
-//!    variant ([`MatchmakerChoice::ALL`] — centralized, RN-Tree over Chord,
-//!    Pastry, and Tapestry, and CAN) and the oracle-visible outcomes are
-//!    compared differentially.
+//!    variant ([`CHECKED`] — centralized, RN-Tree over Chord, Pastry, and
+//!    Tapestry, CAN, and pub/sub) and the oracle-visible outcomes are
+//!    compared differentially. A generated [`Scenario`] and a declarative
+//!    [`ScenarioSpec`](dgrid_workloads::ScenarioSpec) both compile to a
+//!    [`CompiledRun`], and every check goes through its one pipeline:
+//!    [`CompiledRun::check`] for one matchmaker, [`CompiledRun::verdict`]
+//!    across a set, [`sweep`] across seeds.
 //! 3. **Shrinker** ([`shrink()`]): on violation, greedily shrink the scenario
 //!    (fewer nodes, jobs, fault events; shorter horizon) while the
 //!    violation still reproduces, and emit a minimal replayable artifact.
@@ -27,9 +31,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
+use dgrid_core::{Algorithm, Engine, EngineConfig, Observer, TraceEvent, VecObserver};
 use dgrid_resources::JobId;
+use dgrid_sim::SimTime;
+use dgrid_workloads::CompiledScenario;
 use serde::{Deserialize, Serialize};
 
 pub mod artifact;
@@ -38,20 +47,25 @@ pub mod scenario;
 pub mod shrink;
 
 pub use artifact::ReproArtifact;
-pub use oracle::{
-    battery, battery_with_lease, FairnessOracle, NoOrphanOracle, TraceOracle, Violation,
-};
-pub use scenario::{
-    fault_event_count, run_spec, run_traced, spec_engine, Inject, LeaseSpec, MatchmakerChoice,
-    Scenario,
-};
+pub use oracle::{battery, FairnessOracle, NoOrphanOracle, TraceOracle, Violation};
+pub use scenario::{fault_event_count, Inject, LeaseSpec, Scenario};
 pub use shrink::{shrink, ShrinkResult};
+
+/// The matchmakers a check runs unless told otherwise, in report order.
+pub const CHECKED: [Algorithm; 6] = [
+    Algorithm::Central,
+    Algorithm::RnTree,
+    Algorithm::RnTreePastry,
+    Algorithm::RnTreeTapestry,
+    Algorithm::Can,
+    Algorithm::PubSub,
+];
 
 /// Oracle verdict for one `(scenario, matchmaker)` run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunVerdict {
     /// Which matchmaker ran.
-    pub matchmaker: MatchmakerChoice,
+    pub matchmaker: Algorithm,
     /// All oracle violations, empty when the run is clean.
     pub violations: Vec<Violation>,
     /// Terminal fate of every job (`true` = completed), for the
@@ -59,11 +73,11 @@ pub struct RunVerdict {
     pub terminal: BTreeMap<u64, bool>,
 }
 
-/// Verdict for one scenario across every matchmaker, including the
+/// Verdict for one scenario across a set of matchmakers, including the
 /// differential comparison.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScenarioVerdict {
-    /// Per-matchmaker verdicts, in [`MatchmakerChoice::ALL`] order.
+    /// Per-matchmaker verdicts, in the order the matchmakers were given.
     pub runs: Vec<RunVerdict>,
     /// Violations from the cross-matchmaker differential comparison.
     pub differential: Vec<Violation>,
@@ -87,219 +101,184 @@ impl ScenarioVerdict {
     }
 }
 
-/// Feed a recorded trace through a fresh oracle battery and collect the
-/// verdict — the shared tail of [`check_run`] and [`check_spec_run`].
-fn judge_trace(
-    nodes: usize,
-    jobs: usize,
-    seed: u64,
-    lease_bound_secs: Option<f64>,
-    events: &[(dgrid_sim::SimTime, dgrid_core::TraceEvent)],
-    report: &dgrid_core::SimReport,
-    mm: MatchmakerChoice,
-) -> RunVerdict {
-    let mut oracles = battery_with_lease(nodes, jobs, seed, lease_bound_secs);
-    let mut terminal: BTreeMap<u64, bool> = BTreeMap::new();
-    for (at, event) in events {
-        match event {
-            dgrid_core::TraceEvent::Completed { job, .. } => {
-                terminal.insert(job.0, true);
+/// One checked run: a compiled scenario, the seed it runs at, its lease
+/// knobs and any injected bug. A generated [`Scenario`] compiles to one
+/// ([`Scenario::compile`]), and so does a declarative spec at a sweep seed.
+#[derive(Clone, Debug)]
+pub struct CompiledRun {
+    /// Workload, churn, fault plan, availability schedule and horizon.
+    pub scenario: CompiledScenario,
+    /// Root seed of the engine and of the oracles' reference overlays.
+    pub seed: u64,
+    /// `Some` runs the engine leased, arms the no-orphan oracle, and adds
+    /// the lease-vs-reassign-on-death differential to [`CompiledRun::verdict`].
+    pub lease: Option<LeaseSpec>,
+    /// Deliberate engine bugs (the oracles' self-test).
+    pub inject: Inject,
+}
+
+impl CompiledRun {
+    /// The engine that runs this under `mm`, assembled but not yet run — so
+    /// a caller can still reconfigure it (switch it to sharded execution,
+    /// say) before handing it to [`CompiledRun::judge`].
+    pub fn engine(&self, mm: Algorithm) -> Engine {
+        let mut cfg = EngineConfig {
+            seed: self.seed,
+            check_disable_epoch_dedup: self.inject.disable_epoch_dedup,
+            ..EngineConfig::default()
+        };
+        if let Some(lease) = self.lease {
+            lease.configure(&mut cfg);
+        }
+        self.scenario.clone().engine(cfg, mm.matchmaker())
+    }
+
+    /// Run this once under `mm` and evaluate the full oracle battery.
+    pub fn check(&self, mm: Algorithm) -> RunVerdict {
+        self.judge(mm, self.engine(mm))
+    }
+
+    /// Run `engine` — built by [`CompiledRun::engine`] for `mm`, then
+    /// possibly reconfigured — and evaluate the full oracle battery on its
+    /// trace. This is how an execution path [`CompiledRun::check`] does not
+    /// take (the sharded kernel) is put under the oracles.
+    pub fn judge(&self, mm: Algorithm, mut engine: Engine) -> RunVerdict {
+        let sink: Rc<RefCell<VecObserver>> = Rc::default();
+        engine.set_observer(Box::new(SharedObserver(Rc::clone(&sink))));
+        let report = engine.run();
+        let events = std::mem::take(&mut sink.borrow_mut().events);
+        let mut oracles = battery(
+            self.scenario.workload.nodes.len(),
+            self.scenario.workload.submissions.len(),
+            self.seed,
+            self.lease.map(|l| l.bound_secs()),
+        );
+        let mut terminal: BTreeMap<u64, bool> = BTreeMap::new();
+        for (at, event) in &events {
+            match event {
+                TraceEvent::Completed { job, .. } => {
+                    terminal.insert(job.0, true);
+                }
+                TraceEvent::Failed { job } => {
+                    terminal.entry(job.0).or_insert(false);
+                }
+                _ => {}
             }
-            dgrid_core::TraceEvent::Failed { job } => {
-                terminal.entry(job.0).or_insert(false);
+            for oracle in &mut oracles {
+                oracle.on_event(*at, event);
             }
-            _ => {}
         }
-        for oracle in &mut oracles {
-            oracle.on_event(*at, event);
-        }
-    }
-    let violations = oracles.iter_mut().flat_map(|o| o.finish(report)).collect();
-    RunVerdict {
-        matchmaker: mm,
-        violations,
-        terminal,
-    }
-}
-
-/// Run `scenario` once under `mm` and evaluate the full oracle battery.
-pub fn check_run(scenario: &Scenario, mm: MatchmakerChoice, inject: Inject) -> RunVerdict {
-    check_engine(scenario, mm, scenario.engine(mm, inject))
-}
-
-/// Run `engine` — built by [`Scenario::engine`] for this `scenario` and `mm`,
-/// then possibly reconfigured by the caller — and evaluate the full oracle
-/// battery. This is how an execution path [`check_run`] does not take (the
-/// sharded kernel) is put under the oracles.
-pub fn check_engine(
-    scenario: &Scenario,
-    mm: MatchmakerChoice,
-    engine: dgrid_core::Engine,
-) -> RunVerdict {
-    let (events, report) = run_traced(engine);
-    judge_trace(
-        scenario.nodes,
-        scenario.jobs,
-        scenario.seed,
-        scenario.lease.map(|l| l.bound_secs()),
-        &events,
-        &report,
-        mm,
-    )
-}
-
-/// Run a declarative [`ScenarioSpec`](dgrid_workloads::ScenarioSpec)
-/// compiled at `seed` once under `mm` and evaluate the full oracle battery
-/// (including the report-level [`FairnessOracle`]).
-pub fn check_spec_run(
-    spec: &dgrid_workloads::ScenarioSpec,
-    seed: u64,
-    mm: MatchmakerChoice,
-) -> RunVerdict {
-    let (events, report) = run_spec(spec, seed, mm);
-    judge_trace(spec.nodes, spec.jobs, seed, None, &events, &report, mm)
-}
-
-/// Cross-matchmaker differential over terminal job populations: every
-/// matchmaker must drive the *same* job population to *some* terminal state.
-fn population_differential(runs: &[RunVerdict]) -> Vec<Violation> {
-    let mut differential = Vec::new();
-    let mut universe: BTreeMap<u64, &'static str> = BTreeMap::new();
-    for run in runs {
-        for &job in run.terminal.keys() {
-            universe.entry(job).or_insert(run.matchmaker.label());
+        let violations = oracles.iter_mut().flat_map(|o| o.finish(&report)).collect();
+        RunVerdict {
+            matchmaker: mm,
+            violations,
+            terminal,
         }
     }
-    for run in runs {
-        let missing: Vec<JobId> = universe
-            .keys()
-            .filter(|j| !run.terminal.contains_key(j))
-            .map(|&j| JobId(j))
+
+    /// Run this under every matchmaker in `matchmakers` and compare the
+    /// oracle-visible outcomes differentially: every matchmaker must drive
+    /// the *same* job population to *some* terminal state. (Which jobs
+    /// complete versus fail may legitimately differ — matchmakers place jobs
+    /// differently, so a crash kills different victims — but a job that
+    /// terminates under one matchmaker and vanishes under another betrays a
+    /// protocol bug, not a policy choice.) A leased run is also compared
+    /// with its own reassign-on-death baseline.
+    pub fn verdict(&self, matchmakers: &[Algorithm]) -> ScenarioVerdict {
+        let runs: Vec<RunVerdict> = matchmakers.iter().map(|&mm| self.check(mm)).collect();
+        let universe: BTreeSet<u64> = runs
+            .iter()
+            .flat_map(|r| r.terminal.keys().copied())
             .collect();
-        if !missing.is_empty() {
-            differential.push(Violation {
-                oracle: "differential".to_string(),
-                detail: format!(
-                    "{} job(s) terminal under other matchmakers never terminated under {} (e.g. {:?})",
-                    missing.len(),
-                    run.matchmaker.label(),
-                    &missing[..missing.len().min(3)],
-                ),
-            });
-        }
-    }
-    differential
-}
+        let mut differential: Vec<Violation> = runs
+            .iter()
+            .filter_map(|run| {
+                let label = run.matchmaker.label();
+                let context = format!("under other matchmakers never terminated under {label}");
+                unterminated("differential", &universe, &run.terminal, context)
+            })
+            .collect();
 
-/// Differentially check a declarative scenario: compile `spec` at `seed`,
-/// run it under every matchmaker in `matchmakers`, and require the same job
-/// population to reach some terminal state everywhere — the scenario-file
-/// analog of [`check_scenario_with`].
-pub fn check_spec_with(
-    spec: &dgrid_workloads::ScenarioSpec,
-    seed: u64,
-    matchmakers: &[MatchmakerChoice],
-) -> ScenarioVerdict {
-    let runs: Vec<RunVerdict> = matchmakers
-        .iter()
-        .map(|&mm| check_spec_run(spec, seed, mm))
-        .collect();
-    let differential = population_differential(&runs);
-    ScenarioVerdict { runs, differential }
-}
-
-/// Run `scenario` under every matchmaker and compare oracle-visible
-/// outcomes differentially: every matchmaker must drive the *same* job
-/// population to *some* terminal state. (Which jobs complete versus fail
-/// may legitimately differ — matchmakers place jobs differently, so a crash
-/// kills different victims — but a job that terminates under one matchmaker
-/// and vanishes under another betrays a protocol bug, not a policy choice.)
-pub fn check_scenario(scenario: &Scenario, inject: Inject) -> ScenarioVerdict {
-    check_scenario_with(scenario, inject, &MatchmakerChoice::ALL)
-}
-
-/// [`check_scenario`] restricted to a subset of matchmakers (the CI
-/// overlay-matrix sweeps run one substrate at a time). The differential
-/// comparison spans exactly the matchmakers given.
-pub fn check_scenario_with(
-    scenario: &Scenario,
-    inject: Inject,
-    matchmakers: &[MatchmakerChoice],
-) -> ScenarioVerdict {
-    let runs: Vec<RunVerdict> = matchmakers
-        .iter()
-        .map(|&mm| check_run(scenario, mm, inject))
-        .collect();
-
-    let mut differential = population_differential(&runs);
-
-    // Lease differential: the lease machinery is a *recovery policy*, not a
-    // semantics change — so the same scenario with leases stripped (falling
-    // back to reassign-on-death recovery) must drive the identical job
-    // population to some terminal state under every matchmaker. A job that
-    // terminates with leases off but is lost with leases on (or vice versa)
-    // means lease expiry dropped or duplicated ownership.
-    if scenario.lease.is_some() {
-        let mut baseline = scenario.clone();
-        baseline.lease = None;
-        for run in &runs {
-            let base = check_run(&baseline, run.matchmaker, inject);
-            for v in base.violations.iter().take(2) {
-                differential.push(Violation {
-                    oracle: "lease-differential".to_string(),
-                    detail: format!(
-                        "reassign-on-death baseline under {} is itself violating: {v}",
-                        run.matchmaker.label(),
-                    ),
-                });
-            }
-            let lost: Vec<JobId> = base
-                .terminal
-                .keys()
-                .filter(|j| !run.terminal.contains_key(j))
-                .map(|&j| JobId(j))
-                .collect();
-            if !lost.is_empty() {
-                differential.push(Violation {
-                    oracle: "lease-differential".to_string(),
-                    detail: format!(
-                        "{} job(s) terminal under reassign-on-death never terminated \
-                         with leases under {} (e.g. {:?})",
-                        lost.len(),
-                        run.matchmaker.label(),
-                        &lost[..lost.len().min(3)],
-                    ),
-                });
-            }
-            let extra: Vec<JobId> = run
-                .terminal
-                .keys()
-                .filter(|j| !base.terminal.contains_key(j))
-                .map(|&j| JobId(j))
-                .collect();
-            if !extra.is_empty() {
-                differential.push(Violation {
-                    oracle: "lease-differential".to_string(),
-                    detail: format!(
-                        "{} job(s) terminal with leases never terminated under \
-                         reassign-on-death under {} (e.g. {:?})",
-                        extra.len(),
-                        run.matchmaker.label(),
-                        &extra[..extra.len().min(3)],
-                    ),
-                });
+        // Lease differential: the lease machinery is a *recovery policy*, not a
+        // semantics change — so the same scenario with leases stripped (falling
+        // back to reassign-on-death recovery) must drive the identical job
+        // population to some terminal state under every matchmaker. A job that
+        // terminates with leases off but is lost with leases on (or vice versa)
+        // means lease expiry dropped or duplicated ownership.
+        if self.lease.is_some() {
+            let baseline = CompiledRun {
+                lease: None,
+                ..self.clone()
+            };
+            for run in &runs {
+                let label = run.matchmaker.label();
+                let base = baseline.check(run.matchmaker);
+                for v in base.violations.iter().take(2) {
+                    differential.push(Violation {
+                        oracle: "lease-differential".to_string(),
+                        detail: format!(
+                            "reassign-on-death baseline under {label} is itself violating: {v}"
+                        ),
+                    });
+                }
+                let (leased, base) = (&run.terminal, &base.terminal);
+                let lost =
+                    format!("under reassign-on-death never terminated with leases under {label}");
+                let extra =
+                    format!("with leases never terminated under reassign-on-death under {label}");
+                differential.extend(unterminated(
+                    "lease-differential",
+                    base.keys(),
+                    leased,
+                    lost,
+                ));
+                differential.extend(unterminated(
+                    "lease-differential",
+                    leased.keys(),
+                    base,
+                    extra,
+                ));
             }
         }
+        ScenarioVerdict { runs, differential }
     }
+}
 
-    ScenarioVerdict { runs, differential }
+/// An [`Observer`] that tees events into a shared buffer the caller keeps,
+/// working around `Engine::run` consuming the observer box.
+struct SharedObserver(Rc<RefCell<VecObserver>>);
+
+impl Observer for SharedObserver {
+    fn on_event(&mut self, at: SimTime, event: TraceEvent) {
+        self.0.borrow_mut().on_event(at, event);
+    }
+}
+
+/// The jobs of `expected` that never reached a terminal state in
+/// `terminal`, as one `oracle` violation reading "N job(s) terminal
+/// {context} (e.g. ...)"; `None` when there are none.
+fn unterminated<'a>(
+    oracle: &str,
+    expected: impl IntoIterator<Item = &'a u64>,
+    terminal: &BTreeMap<u64, bool>,
+    context: String,
+) -> Option<Violation> {
+    let missing: Vec<JobId> = expected
+        .into_iter()
+        .filter(|j| !terminal.contains_key(j))
+        .map(|&j| JobId(j))
+        .collect();
+    (!missing.is_empty()).then(|| Violation {
+        oracle: oracle.to_string(),
+        detail: format!(
+            "{} job(s) terminal {context} (e.g. {:?})",
+            missing.len(),
+            &missing[..missing.len().min(3)]
+        ),
+    })
 }
 
 /// Outcome of a (possibly parallel) multi-seed sweep.
-///
-/// `Violation` carries the full scenario + verdict inline; a sweep produces
-/// at most one of these, so the size skew vs `AllClean` is irrelevant.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum SweepOutcome {
     /// Every checked seed was clean.
@@ -312,8 +291,6 @@ pub enum SweepOutcome {
         /// The violating seed — always the **lowest** violating seed that a
         /// sequential sweep stopping at the first violation would report.
         seed: u64,
-        /// The generated scenario for that seed.
-        scenario: Scenario,
         /// Its verdict (never clean).
         verdict: ScenarioVerdict,
         /// Seeds confirmed clean before the violation (`violating - start`).
@@ -321,40 +298,19 @@ pub enum SweepOutcome {
     },
 }
 
-/// Check seeds `start..start + count` across the work-stealing pool,
-/// stopping at the first violation — with the **same outcome a sequential
-/// sweep would produce**. Seeds are processed in batches (a few per worker);
-/// within a violating batch the lowest violating seed wins, so the reported
-/// seed (and therefore the repro artifact and the shrinker's input) is
-/// independent of thread count and steal schedule. `progress` is invoked
-/// after each fully clean batch with the number of seeds cleared so far.
-pub fn sweep(start: u64, count: u64, inject: Inject, progress: impl FnMut(u64)) -> SweepOutcome {
-    sweep_with(start, count, inject, &MatchmakerChoice::ALL, progress)
-}
-
-/// [`sweep`] restricted to a subset of matchmakers — same batched-parallel
-/// lowest-seed semantics, but each scenario only runs (and is differentially
-/// compared) across `matchmakers`.
-pub fn sweep_with(
+/// Check seeds `start..start + count` across the work-stealing pool, each
+/// with `check` (which compiles the seed's run and takes its
+/// [`CompiledRun::verdict`]), stopping at the first violation — with the
+/// **same outcome a sequential sweep would produce**. Seeds are processed in
+/// batches (a few per worker); within a violating batch the lowest violating
+/// seed wins, so the reported seed (and therefore the repro artifact and the
+/// shrinker's input) is independent of thread count and steal schedule.
+/// `progress` is invoked after each fully clean batch with the number of
+/// seeds cleared so far.
+pub fn sweep(
     start: u64,
     count: u64,
-    inject: Inject,
-    matchmakers: &[MatchmakerChoice],
-    progress: impl FnMut(u64),
-) -> SweepOutcome {
-    sweep_with_lease(start, count, inject, None, matchmakers, progress)
-}
-
-/// [`sweep_with`] with every generated scenario additionally running under
-/// `lease` (when `Some`): the no-orphan oracle joins the battery and each
-/// scenario is differentially compared against its own reassign-on-death
-/// baseline.
-pub fn sweep_with_lease(
-    start: u64,
-    count: u64,
-    inject: Inject,
-    lease: Option<LeaseSpec>,
-    matchmakers: &[MatchmakerChoice],
+    check: impl Fn(u64) -> ScenarioVerdict + Sync,
     mut progress: impl FnMut(u64),
 ) -> SweepOutcome {
     use rayon::prelude::*;
@@ -367,27 +323,19 @@ pub fn sweep_with_lease(
     while done < count {
         let this_batch = batch.min(count - done);
         let base = start + done;
-        let mut violations: Vec<(u64, Scenario, ScenarioVerdict)> = (0..this_batch)
+        let mut violations: Vec<(u64, ScenarioVerdict)> = (0..this_batch)
             .map(|i| base + i)
             .into_par_iter()
-            .map(|seed| {
-                let mut scenario = Scenario::generate(seed);
-                if let Some(l) = lease {
-                    scenario.lease = Some(l);
-                }
-                let verdict = check_scenario_with(&scenario, inject, matchmakers);
-                (seed, scenario, verdict)
-            })
-            .filter(|(_, _, verdict)| !verdict.is_clean())
+            .map(|seed| (seed, check(seed)))
+            .filter(|(_, verdict)| !verdict.is_clean())
             .collect();
-        if let Some((seed, scenario, verdict)) = violations.drain(..).next() {
+        if let Some((seed, verdict)) = violations.drain(..).next() {
             // `filter` preserves input (= ascending seed) order, so the
             // first entry is the lowest violating seed in this batch —
             // exactly where a sequential sweep would have stopped.
             return SweepOutcome::Violation {
                 clean_before: seed - start,
                 seed,
-                scenario,
                 verdict,
             };
         }

@@ -857,14 +857,9 @@ impl TraceOracle for FairnessOracle {
 
 /// The full oracle battery for a grid of `nodes` nodes expecting
 /// `expected_jobs` submissions, with mirror-overlay identities derived from
-/// `seed`.
-pub fn battery(nodes: usize, expected_jobs: usize, seed: u64) -> Vec<Box<dyn TraceOracle>> {
-    battery_with_lease(nodes, expected_jobs, seed, None)
-}
-
-/// [`battery`] plus, when `lease_bound_secs` is set (= ttl + grace of a
-/// leased run), the [`NoOrphanOracle`] liveness check.
-pub fn battery_with_lease(
+/// `seed`; when `lease_bound_secs` is set (= ttl + grace of a leased run),
+/// plus the [`NoOrphanOracle`] liveness check.
+pub fn battery(
     nodes: usize,
     expected_jobs: usize,
     seed: u64,

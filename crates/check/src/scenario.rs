@@ -1,95 +1,18 @@
-//! Scenario generation and execution.
+//! Scenario generation.
 //!
 //! A [`Scenario`] is a fully serializable description of one randomized
 //! simulation: grid size, workload preset, stochastic churn, and a scheduled
 //! [`FaultPlan`]. Scenarios are pure functions of their seed, so any
 //! violation the sweep finds can be replayed bit-exactly from the artifact.
+//! [`Scenario::compile`] turns one into the [`CompiledRun`] every check
+//! runs, the same type a declarative scenario compiles to.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dgrid_core::router::{PastryNetwork, TapestryNetwork};
-use dgrid_core::JobDag;
-use dgrid_core::{
-    CanMatchmaker, CentralizedMatchmaker, ChurnConfig, Engine, EngineConfig, FaultPlan, Matchmaker,
-    Observer, PlacementPolicy, PubSubMatchmaker, RnTreeConfig, RnTreeMatchmaker, SimReport,
-    TraceEvent, VecObserver,
-};
-use dgrid_sim::SimTime;
-use dgrid_workloads::{paper_scenario, PaperScenario, ScenarioSpec};
+use dgrid_core::{ChurnConfig, EngineConfig, FaultPlan, PlacementPolicy};
+use dgrid_workloads::{paper_scenario, CompiledScenario, PaperScenario};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Which matchmaking algorithm a run uses.
-///
-/// This mirrors the umbrella crate's harness enum but lives here so the
-/// checker does not depend on the umbrella crate (which itself depends on
-/// the checker for the `dgrid check` subcommand).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MatchmakerChoice {
-    /// Centralized baseline server.
-    Central,
-    /// RN-Tree over Chord.
-    RnTree,
-    /// RN-Tree over Pastry.
-    RnTreePastry,
-    /// RN-Tree over Tapestry.
-    RnTreeTapestry,
-    /// CAN with the virtual dimension.
-    Can,
-    /// Publish/subscribe discovery over rendezvous brokers.
-    PubSub,
-}
-
-impl MatchmakerChoice {
-    /// All checked matchmakers, in the order runs are reported.
-    pub const ALL: [MatchmakerChoice; 6] = [
-        MatchmakerChoice::Central,
-        MatchmakerChoice::RnTree,
-        MatchmakerChoice::RnTreePastry,
-        MatchmakerChoice::RnTreeTapestry,
-        MatchmakerChoice::Can,
-        MatchmakerChoice::PubSub,
-    ];
-
-    /// Stable label for reports and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            MatchmakerChoice::Central => "central",
-            MatchmakerChoice::RnTree => "rn-tree",
-            MatchmakerChoice::RnTreePastry => "rn-tree@pastry",
-            MatchmakerChoice::RnTreeTapestry => "rn-tree@tapestry",
-            MatchmakerChoice::Can => "can",
-            MatchmakerChoice::PubSub => "pub-sub",
-        }
-    }
-
-    /// Parse a label back into a choice (`None` for unknown labels).
-    /// `rn-tree@chord` is accepted as an alias for `rn-tree`, mirroring the
-    /// CLI's algorithm parser.
-    pub fn from_label(label: &str) -> Option<MatchmakerChoice> {
-        if label == "rn-tree@chord" {
-            return Some(MatchmakerChoice::RnTree);
-        }
-        Self::ALL.into_iter().find(|m| m.label() == label)
-    }
-
-    /// Construct the matchmaker.
-    pub fn build(self) -> Box<dyn Matchmaker> {
-        match self {
-            MatchmakerChoice::Central => Box::new(CentralizedMatchmaker::new()),
-            MatchmakerChoice::RnTree => Box::new(RnTreeMatchmaker::new(RnTreeConfig::default())),
-            MatchmakerChoice::RnTreePastry => Box::new(
-                RnTreeMatchmaker::<PastryNetwork>::on_substrate(RnTreeConfig::default()),
-            ),
-            MatchmakerChoice::RnTreeTapestry => Box::new(
-                RnTreeMatchmaker::<TapestryNetwork>::on_substrate(RnTreeConfig::default()),
-            ),
-            MatchmakerChoice::Can => Box::new(CanMatchmaker::with_defaults()),
-            MatchmakerChoice::PubSub => Box::new(PubSubMatchmaker::new()),
-        }
-    }
-}
+use crate::CompiledRun;
 
 /// Deliberate bugs the checker can inject into the engine to prove its
 /// oracles have teeth (`dgrid check --inject-bug ...`).
@@ -121,6 +44,16 @@ impl LeaseSpec {
     /// a live candidate node exists.
     pub fn bound_secs(&self) -> f64 {
         self.ttl_secs + self.grace_secs
+    }
+
+    /// Set `cfg`'s lease knobs from this spec: the one place a lease
+    /// reaches an [`EngineConfig`], for `dgrid run` and `compare` as for
+    /// the checker.
+    pub fn configure(self, cfg: &mut EngineConfig) {
+        cfg.lease_ttl_secs = Some(self.ttl_secs);
+        cfg.lease_renew_secs = self.renew_secs;
+        cfg.lease_grace_secs = self.grace_secs;
+        cfg.placement = Some(self.placement);
     }
 
     /// The knobs the check sweeps use: short enough that scheduled crashes
@@ -242,104 +175,30 @@ impl Scenario {
         self
     }
 
-    /// The engine that runs this scenario under `mm`, assembled but not yet
-    /// run — so a caller can still reconfigure it (switch it to sharded
-    /// execution, say) before handing it to [`run_traced`].
-    pub fn engine(&self, mm: MatchmakerChoice, inject: Inject) -> Engine {
-        let workload = paper_scenario(self.preset, self.nodes, self.jobs, self.seed);
-        let cfg = EngineConfig {
+    /// This scenario as a checked run: its paper workload, churn, fault
+    /// plan and horizon with no availability schedule, at its own seed and
+    /// lease, broken as `inject` says.
+    pub fn compile(&self, inject: Inject) -> CompiledRun {
+        CompiledRun {
+            scenario: CompiledScenario {
+                workload: paper_scenario(self.preset, self.nodes, self.jobs, self.seed),
+                fault_plan: self.faults.clone(),
+                schedule: Vec::new(),
+                churn: self.churn,
+                horizon_secs: self.horizon_secs,
+                tenant_names: Vec::new(),
+            },
             seed: self.seed,
-            max_sim_secs: self.horizon_secs,
-            check_disable_epoch_dedup: inject.disable_epoch_dedup,
-            lease_ttl_secs: self.lease.map(|l| l.ttl_secs),
-            lease_renew_secs: self.lease.map_or(30.0, |l| l.renew_secs),
-            lease_grace_secs: self.lease.map_or(30.0, |l| l.grace_secs),
-            placement: self.lease.map(|l| l.placement),
-            ..EngineConfig::default()
-        };
-        let mut engine = Engine::new(
-            cfg,
-            self.churn,
-            mm.build(),
-            workload.nodes,
-            workload.submissions,
-        );
-        if !self.faults.is_none() {
-            engine.set_fault_plan(self.faults.clone());
+            lease: self.lease,
+            inject,
         }
-        engine
-    }
-
-    /// Run the scenario under `mm`, recording the full trace.
-    pub fn run(
-        &self,
-        mm: MatchmakerChoice,
-        inject: Inject,
-    ) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
-        run_traced(self.engine(mm, inject))
-    }
-}
-
-/// The engine that runs a declarative [`ScenarioSpec`] compiled at `seed`
-/// under `mm` — the scenario subsystem's analog of [`Scenario::engine`].
-/// The compiled workload, fault plan, churn, and availability schedule are
-/// handed to the engine unchanged, so whatever the checker observes is
-/// exactly what `dgrid run --scenario-file` executes.
-pub fn spec_engine(spec: &ScenarioSpec, seed: u64, mm: MatchmakerChoice) -> Engine {
-    let compiled = spec.compile(seed);
-    let cfg = EngineConfig {
-        seed,
-        max_sim_secs: compiled.horizon_secs,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::with_dag_and_schedule(
-        cfg,
-        compiled.churn,
-        mm.build(),
-        compiled.workload.nodes,
-        compiled.workload.submissions,
-        JobDag::none(),
-        compiled.schedule,
-    );
-    if !compiled.fault_plan.is_none() {
-        engine.set_fault_plan(compiled.fault_plan);
-    }
-    engine
-}
-
-/// Run a declarative [`ScenarioSpec`] compiled at `seed` under `mm`,
-/// recording the full trace.
-pub fn run_spec(
-    spec: &ScenarioSpec,
-    seed: u64,
-    mm: MatchmakerChoice,
-) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
-    run_traced(spec_engine(spec, seed, mm))
-}
-
-/// Run an assembled engine to completion, recording the full trace. (Any
-/// observer already installed on it is replaced.)
-pub fn run_traced(mut engine: Engine) -> (Vec<(SimTime, TraceEvent)>, SimReport) {
-    let sink: Rc<RefCell<VecObserver>> = Rc::default();
-    engine.set_observer(Box::new(SharedObserver(Rc::clone(&sink))));
-    let report = engine.run();
-    let events = std::mem::take(&mut sink.borrow_mut().events);
-    (events, report)
-}
-
-/// An [`Observer`] that tees events into a shared buffer the caller keeps,
-/// working around `Engine::run` consuming the observer box.
-struct SharedObserver(Rc<RefCell<VecObserver>>);
-
-impl Observer for SharedObserver {
-    fn on_event(&mut self, at: SimTime, event: TraceEvent) {
-        self.0.borrow_mut().on_event(at, event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgrid_core::Algorithm;
 
     #[test]
     fn generation_is_deterministic() {
@@ -383,9 +242,11 @@ mod tests {
         sc.faults = FaultPlan::none().with_crash(120.0, 3, None);
         sc.churn = ChurnConfig::none();
         sc.lease = Some(LeaseSpec::for_check(PlacementPolicy::LoadAware));
-        let (events, report) = sc.run(MatchmakerChoice::RnTree, Inject::default());
+        let report = sc
+            .compile(Inject::default())
+            .engine(Algorithm::RnTree)
+            .run();
         assert_eq!(report.jobs_completed + report.jobs_failed, 20);
-        assert!(!events.is_empty());
     }
 
     #[test]
@@ -396,8 +257,8 @@ mod tests {
         // Keep the plan consistent with the shrunken grid.
         sc.faults = FaultPlan::none();
         sc.churn = ChurnConfig::none();
-        let (events, report) = sc.run(MatchmakerChoice::Central, Inject::default());
-        assert_eq!(report.jobs_total, 20);
-        assert!(!events.is_empty());
+        let run = sc.compile(Inject::default());
+        assert_eq!(run.engine(Algorithm::Central).run().jobs_total, 20);
+        assert!(!run.check(Algorithm::Central).terminal.is_empty());
     }
 }

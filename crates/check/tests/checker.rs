@@ -3,10 +3,7 @@
 //! deliberately broken engine (epoch dedup disabled) must be caught by the
 //! oracles and shrunk to a small repro.
 
-use dgrid_check::{
-    check_engine, check_run, check_scenario, check_spec_with, fault_event_count, shrink, Inject,
-    LeaseSpec, MatchmakerChoice, Scenario,
-};
+use dgrid_check::{fault_event_count, shrink, CompiledRun, Inject, LeaseSpec, Scenario, CHECKED};
 use dgrid_core::{Engine, PlacementPolicy};
 use dgrid_workloads::{ArrivalProcess, DomainFailure, FailureDomain, ScenarioSpec, TenantSpec};
 
@@ -17,7 +14,7 @@ const SWEEP_SEEDS: u64 = 6;
 fn clean_sweep_over_pinned_seeds() {
     for seed in 0..SWEEP_SEEDS {
         let scenario = Scenario::generate(seed);
-        let verdict = check_scenario(&scenario, Inject::default());
+        let verdict = scenario.compile(Inject::default()).verdict(&CHECKED);
         assert!(
             verdict.is_clean(),
             "seed {seed} ({scenario:?}) violated: {:?}",
@@ -40,18 +37,19 @@ fn sharded_kernel_passes_the_oracles_and_terminates_the_sequential_job_set() {
         if seed % 2 == 1 {
             scenario = scenario.with_lease(LeaseSpec::for_check(PlacementPolicy::LoadAware));
         }
-        for mm in MatchmakerChoice::ALL {
-            let engine = scenario
-                .engine(mm, Inject::default())
+        let run = scenario.compile(Inject::default());
+        for mm in CHECKED {
+            let engine = run
+                .engine(mm)
                 .with_sharded_execution(Engine::DEFAULT_SHARDS);
-            let sharded = check_engine(&scenario, mm, engine);
+            let sharded = run.judge(mm, engine);
             assert!(
                 sharded.violations.is_empty(),
                 "seed {seed} under {} violated on the sharded kernel: {:?}",
                 mm.label(),
                 sharded.violations
             );
-            let sequential = check_run(&scenario, mm, Inject::default());
+            let sequential = run.check(mm);
             assert!(
                 sharded.terminal.keys().eq(sequential.terminal.keys()),
                 "seed {seed} under {}: the kernels terminated different job sets \
@@ -94,8 +92,14 @@ fn declarative_scenario_checks_clean_across_all_matchmakers() {
         loss_prob: 0.02,
         ..ScenarioSpec::default()
     };
-    let verdict = check_spec_with(&spec, 7, &MatchmakerChoice::ALL);
-    assert_eq!(verdict.runs.len(), MatchmakerChoice::ALL.len());
+    let run = CompiledRun {
+        scenario: spec.compile(7),
+        seed: 7,
+        lease: None,
+        inject: Inject::default(),
+    };
+    let verdict = run.verdict(&CHECKED);
+    assert_eq!(verdict.runs.len(), CHECKED.len());
     assert!(
         verdict.is_clean(),
         "declarative scenario violated: {:?}",
@@ -119,8 +123,8 @@ fn injected_epoch_dedup_bug_is_caught_and_shrunk() {
     let mut shrunk = None;
     'scan: for seed in 0..60u64 {
         let scenario = Scenario::generate(seed);
-        for mm in MatchmakerChoice::ALL {
-            let verdict = check_run(&scenario, mm, inject);
+        for mm in CHECKED {
+            let verdict = scenario.compile(inject).check(mm);
             if verdict.violations.is_empty() {
                 continue;
             }
@@ -138,7 +142,7 @@ fn injected_epoch_dedup_bug_is_caught_and_shrunk() {
             // matchmaker.
             let result = shrink(
                 &scenario,
-                |cand| !check_run(cand, mm, inject).violations.is_empty(),
+                |cand| !cand.compile(inject).check(mm).violations.is_empty(),
                 150,
             );
             if result.scenario.nodes <= 8 && fault_event_count(&result.scenario) <= 10 {
@@ -154,7 +158,10 @@ fn injected_epoch_dedup_bug_is_caught_and_shrunk() {
     let (result, mm) =
         shrunk.expect("no violating scenario shrank to <= 8 nodes and <= 10 fault events");
     // The shrunk scenario must itself still reproduce.
-    assert!(!check_run(&result.scenario, mm, inject)
+    assert!(!result
+        .scenario
+        .compile(inject)
+        .check(mm)
         .violations
         .is_empty());
 }
@@ -166,8 +173,8 @@ fn clean_engine_passes_the_shrunk_bug_scenario() {
     // bug, not to scenario shape.
     for seed in 0..10u64 {
         let scenario = Scenario::generate(seed);
-        for mm in MatchmakerChoice::ALL {
-            let verdict = check_run(&scenario, mm, Inject::default());
+        for mm in CHECKED {
+            let verdict = scenario.compile(Inject::default()).check(mm);
             assert!(
                 verdict.violations.is_empty(),
                 "seed {seed} under {} violated without injection: {:?}",

@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod algorithm;
 mod analytics;
 mod config;
 mod dag;
@@ -58,6 +59,7 @@ mod security;
 mod span;
 pub mod trace;
 
+pub use algorithm::Algorithm;
 pub use analytics::{AnalyticsSnapshot, SketchStats, StreamAnalytics, WINDOW_COUNTER_ARITY};
 pub use config::{ChurnConfig, EngineConfig, PlacementPolicy};
 pub use dag::JobDag;

@@ -11,7 +11,10 @@
 //! dedicated RNG streams, so nothing the engine replays byte-identically
 //! today is perturbed.
 
-use dgrid_core::{AvailabilityEvent, ChurnConfig, FaultPlan, JobSubmission};
+use dgrid_core::{
+    AvailabilityEvent, ChurnConfig, Engine, EngineConfig, FaultPlan, JobDag, JobSubmission,
+    Matchmaker,
+};
 use dgrid_resources::{JobId, JobProfile, JobRequirements};
 use dgrid_sim::rng::{rng_for, streams};
 use rand::Rng;
@@ -172,6 +175,35 @@ pub struct CompiledScenario {
     pub horizon_secs: f64,
     /// Tenant names, indexed by `ClientId`.
     pub tenant_names: Vec<String>,
+}
+
+impl CompiledScenario {
+    /// The engine that runs this scenario under `matchmaker`, assembled but
+    /// not yet run. This is the one place a run of `dgrid run`, `dgrid
+    /// compare` or `dgrid check` becomes an [`Engine`]: `cfg` supplies the
+    /// seed, leases and the rest, the scenario its horizon, workload, churn,
+    /// availability schedule and fault plan.
+    pub fn engine(self, cfg: EngineConfig, matchmaker: Box<dyn Matchmaker>) -> Engine {
+        let cfg = EngineConfig {
+            max_sim_secs: self.horizon_secs,
+            ..cfg
+        };
+        let mut engine = Engine::with_dag_and_schedule(
+            cfg,
+            self.churn,
+            matchmaker,
+            self.workload.nodes,
+            self.workload.submissions,
+            JobDag::none(),
+            self.schedule,
+        );
+        // An empty plan stays uninstalled: the engine's fault-free path is
+        // the bit-exact one.
+        if !self.fault_plan.is_none() {
+            engine.set_fault_plan(self.fault_plan);
+        }
+        engine
+    }
 }
 
 impl ScenarioSpec {

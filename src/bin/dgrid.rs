@@ -82,7 +82,9 @@
 //!                         scenarios: each seed compiles the spec and runs
 //!                         it under every selected matchmaker (oracles +
 //!                         per-tenant fairness + cross-matchmaker
-//!                         differential; no shrinking — specs are small)
+//!                         differential, and with --lease-ttl the lease
+//!                         differential; --inject-bug applies too; no
+//!                         shrinking — specs are small)
 //! ```
 //!
 //! `run` executes one cell and prints the report (`--replications R` fans R
@@ -104,9 +106,10 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::str::FromStr;
 
+use dgrid::check::LeaseSpec;
 use dgrid::core::{
     binary_to_jsonl, decode_stream, jsonl_to_binary, parse_jsonl_line, phase_samples, sniff_format,
-    BinaryObserver, ChurnConfig, Engine, EngineConfig, EventRecord, FaultPlan, JobDag, JobSpan,
+    BinaryObserver, ChurnConfig, Engine, EngineConfig, EventRecord, FaultPlan, JobSpan,
     JsonlObserver, Phase, PlacementPolicy, RnTreeConfig, SimReport, SpanAssembler, SpanOutcome,
     StreamAnalytics, StreamDecoder, StreamFormat,
 };
@@ -116,7 +119,8 @@ use dgrid::sim::stats::{OnlineStats, SampleSummary};
 use dgrid::sim::telemetry::TimeSeries;
 use dgrid::sim::{SimDuration, SimTime};
 use dgrid::workloads::{
-    paper_scenario, scenario_preset, PaperScenario, ScenarioSpec, SCENARIO_PRESETS,
+    paper_scenario, scenario_preset, CompiledScenario, PaperScenario, ScenarioSpec,
+    SCENARIO_PRESETS,
 };
 
 #[derive(Clone, Debug)]
@@ -152,10 +156,9 @@ struct Opts {
     matchmakers: Option<String>,
     threads: Option<usize>,
     replications: usize,
-    lease_ttl: Option<f64>,
-    lease_renew: Option<f64>,
-    lease_grace: Option<f64>,
-    placement: Option<PlacementPolicy>,
+    /// The `--lease-*` and `--placement` flags with the command's defaults
+    /// filled in; `None` without `--lease-ttl`.
+    lease: Option<LeaseSpec>,
     /// A declarative scenario from `--scenario-file` (a preset label or a
     /// JSON spec path); when set, run/compare/check build their engines
     /// from the compiled spec instead of the classic paper workload.
@@ -163,9 +166,10 @@ struct Opts {
 }
 
 fn usage() -> ! {
-    // The scenario and preset lines are generated from the workload
+    // The algorithm, scenario and preset lines are generated from their
     // registries, so the help text cannot drift from what the parsers
     // accept.
+    let algorithms = Algorithm::ALL.map(Algorithm::label).join(" ");
     let scenarios = PaperScenario::ALL.map(PaperScenario::label).join(" ");
     let presets = SCENARIO_PRESETS.join(" ");
     eprintln!(
@@ -179,7 +183,7 @@ fn usage() -> ! {
          [--to jsonl|binary] [--follow] [--window SECS] [--refresh SECS] [--idle-exit SECS] \
          [--timeseries PATH] [--sample-secs SECS] [--timeline N] [--width W] [--json PATH] \
          [--seeds N] [--out PATH] [--replay PATH] [--inject-bug NAME] [--matchmaker M[,M...]]\n\
-         algorithms: rn-tree rn-tree@pastry rn-tree@tapestry can can-push can-novirt central pub-sub\n\
+         algorithms: {algorithms}\n\
          scenarios : {scenarios}\n\
          presets   : {presets} (for --scenario-file; or a JSON spec path)"
     );
@@ -236,20 +240,6 @@ trait OrExit<T> {
 impl<T, E: Display> OrExit<T> for Result<T, E> {
     fn or_exit(self, path: impl Display, what: &str) -> T {
         self.unwrap_or_else(|e| die(format_args!("cannot {what} {path}: {e}")))
-    }
-}
-
-fn parse_algorithm(s: &str) -> Algorithm {
-    match s {
-        "rn-tree" | "rntree" | "rn-tree@chord" => Algorithm::RnTree,
-        "rn-tree@pastry" | "rntree@pastry" => Algorithm::RnTreePastry,
-        "rn-tree@tapestry" | "rntree@tapestry" => Algorithm::RnTreeTapestry,
-        "can" => Algorithm::Can,
-        "can-push" => Algorithm::CanPush,
-        "can-novirt" => Algorithm::CanNoVirtualDim,
-        "central" | "centralized" => Algorithm::Central,
-        "pub-sub" | "pubsub" => Algorithm::PubSub,
-        _ => bad_flag("--algorithm", s, "an algorithm"),
     }
 }
 
@@ -333,12 +323,10 @@ fn parse() -> Opts {
         matchmakers: None,
         threads: None,
         replications: 1,
-        lease_ttl: None,
-        lease_renew: None,
-        lease_grace: None,
-        placement: None,
+        lease: None,
         scenario_spec: None,
     };
+    let (mut ttl, mut renew, mut grace, mut placement) = (None, None, None, None);
     let mut i = 1;
     match (opts.command.as_str(), args.get(1).map(String::as_str)) {
         ("run" | "compare" | "report" | "watch" | "check", _) => {}
@@ -367,23 +355,26 @@ fn parse() -> Opts {
         };
         let num = "a number";
         match flag {
-            "--algorithm" => opts.algorithm = parse_algorithm(&val),
+            "--algorithm" => {
+                let alg = Algorithm::from_label(&val);
+                opts.algorithm = alg.unwrap_or_else(|| bad_flag(flag, &val, "an algorithm"));
+            }
             "--scenario" => opts.scenario = parse_scenario(&val),
             "--scenario-file" => opts.scenario_spec = Some(parse_scenario_file(&val)),
             "--nodes" => opts.nodes = positive(flag, &val),
             "--jobs" => opts.jobs = positive(flag, &val),
             "--seed" => opts.seed = arg(flag, &val, num),
             "--mttf" => opts.mttf = Some(number(flag, &val, "at least 0", |x| x >= 0.0)),
-            "--rejoin" => opts.rejoin = Some(arg(flag, &val, num)),
-            "--graceful" => opts.graceful = arg(flag, &val, num),
+            "--rejoin" => opts.rejoin = Some(number(flag, &val, "at least 0", non_negative)),
+            "--graceful" => opts.graceful = number(flag, &val, "in [0, 1]", fraction),
             "--k" => opts.k = positive(flag, &val),
-            "--loss" => opts.loss = number(flag, &val, "in [0, 1]", |x| (0.0..=1.0).contains(&x)),
+            "--loss" => opts.loss = number(flag, &val, "in [0, 1]", fraction),
             "--partition" => opts.partitions.push(parse_partition(&val)),
             "--events" => opts.events = Some(val),
             "--format" => opts.format = arg(flag, &val, "jsonl or binary"),
             "--to" => opts.to_format = Some(arg(flag, &val, "jsonl or binary")),
-            "--window" => opts.window_secs = arg(flag, &val, num),
-            "--refresh" => opts.refresh_secs = arg(flag, &val, num),
+            "--window" => opts.window_secs = number(flag, &val, "above 0", positive_secs),
+            "--refresh" => opts.refresh_secs = number(flag, &val, "above 0", positive_secs),
             "--idle-exit" => opts.idle_exit = Some(arg(flag, &val, num)),
             "--timeseries" => opts.timeseries = Some(val),
             "--sample-secs" => opts.sample_secs = number(flag, &val, "above 0", |x| x > 0.0),
@@ -395,10 +386,10 @@ fn parse() -> Opts {
             "--replay" => opts.replay = Some(val),
             "--inject-bug" => opts.inject_bug = Some(val),
             "--matchmaker" => opts.matchmakers = Some(val),
-            "--lease-ttl" => opts.lease_ttl = Some(number(flag, &val, "above 0", |x| x > 0.0)),
-            "--lease-renew" => opts.lease_renew = Some(arg(flag, &val, num)),
-            "--lease-grace" => opts.lease_grace = Some(arg(flag, &val, num)),
-            "--placement" => opts.placement = Some(arg(flag, &val, "hash or load-aware")),
+            "--lease-ttl" => ttl = Some(number(flag, &val, "above 0", |x| x > 0.0)),
+            "--lease-renew" => renew = Some(number(flag, &val, "above 0", positive_secs)),
+            "--lease-grace" => grace = Some(number(flag, &val, "at least 0", non_negative)),
+            "--placement" => placement = Some(arg(flag, &val, "hash or load-aware")),
             "--threads" => opts.threads = Some(positive(flag, &val)),
             "--replications" => opts.replications = positive(flag, &val),
             _ => {
@@ -408,7 +399,44 @@ fn parse() -> Opts {
         }
         i += 2;
     }
+    // `check` arms the short standard check lease (renew 15 s, grace 10 s,
+    // load-aware placement); `run` and `compare` the engine's 30 s / 30 s
+    // with the paper-faithful hash placement.
+    let check = opts.command == "check";
+    opts.lease = ttl.map(|ttl| LeaseSpec {
+        ttl_secs: ttl,
+        renew_secs: renew.unwrap_or(if check { 15.0 } else { 30.0 }),
+        grace_secs: grace.unwrap_or(if check { 10.0 } else { 30.0 }),
+        placement: placement.unwrap_or(if check {
+            PlacementPolicy::LoadAware
+        } else {
+            PlacementPolicy::Hash
+        }),
+    });
+    if let Some(l) = opts
+        .lease
+        .filter(|l| l.ttl_secs.is_finite() && l.ttl_secs <= l.renew_secs)
+    {
+        let val = &args[args.iter().rposition(|a| a == "--lease-ttl").unwrap() + 1];
+        let want = format!("above the renew interval ({} s)", l.renew_secs);
+        bad_flag("--lease-ttl", val, &want);
+    }
     opts
+}
+
+/// Seconds that are finite and at least 0.
+fn non_negative(x: f64) -> bool {
+    x.is_finite() && x >= 0.0
+}
+
+/// Seconds that are finite and above 0.
+fn positive_secs(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
+/// A probability or fraction.
+fn fraction(x: f64) -> bool {
+    (0.0..=1.0).contains(&x)
 }
 
 /// The fault plan `--loss` / `--partition` describe: none without them,
@@ -424,66 +452,41 @@ fn fault_plan(opts: &Opts) -> FaultPlan {
 /// One engine for `(opts, algorithm, seed)`, with `--k` and the `--lease-*`
 /// flags applied. With `--scenario-file` the spec compiled at `seed`
 /// supplies the workload, churn, fault plan, availability schedule and
-/// horizon, as in `dgrid_check::spec_engine`, so what the checker judges is
-/// exactly what `run --scenario-file` executes; otherwise they come from
-/// the classic paper-scenario knobs. `run --threads N` also parallelizes
-/// *inside* the replication: the sharded conservative-window kernel with
-/// the pinned shard count, so the same seed yields the same bytes at any N
-/// (replication fan-out and shard batches share the pool).
+/// horizon; otherwise the classic paper-scenario knobs do. Either way
+/// [`CompiledScenario::engine`] assembles it, as it does every engine
+/// `dgrid check` judges. `run --threads N` also parallelizes *inside* the
+/// replication: the sharded conservative-window kernel with the pinned shard
+/// count, so the same seed yields the same bytes at any N (replication
+/// fan-out and shard batches share the pool).
 fn engine_for(opts: &Opts, algorithm: Algorithm, seed: u64) -> Engine {
-    let (workload, churn, schedule, plan, horizon_secs) = match &opts.scenario_spec {
-        Some(spec) => {
-            let c = spec.compile(seed);
-            (
-                c.workload,
-                c.churn,
-                c.schedule,
-                c.fault_plan,
-                c.horizon_secs,
-            )
-        }
-        None => (
-            paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed),
-            ChurnConfig {
+    let compiled = match &opts.scenario_spec {
+        Some(spec) => spec.compile(seed),
+        None => CompiledScenario {
+            workload: paper_scenario(opts.scenario, opts.nodes, opts.jobs, seed),
+            fault_plan: fault_plan(opts),
+            schedule: Vec::new(),
+            churn: ChurnConfig {
                 mttf_secs: opts.mttf,
                 rejoin_after_secs: opts.rejoin,
                 graceful_fraction: opts.graceful,
             },
-            Vec::new(),
-            fault_plan(opts),
-            5_000_000.0,
-        ),
+            horizon_secs: 5_000_000.0,
+            tenant_names: Vec::new(),
+        },
     };
     let mut cfg = EngineConfig {
         seed,
-        max_sim_secs: horizon_secs,
         ..EngineConfig::default()
     };
-    if let Some(ttl) = opts.lease_ttl {
-        cfg.lease_ttl_secs = Some(ttl);
-        cfg.lease_renew_secs = opts.lease_renew.unwrap_or(cfg.lease_renew_secs);
-        cfg.lease_grace_secs = opts.lease_grace.unwrap_or(cfg.lease_grace_secs);
-        // Leases require an explicit placement policy; default the CLI to
-        // the paper-faithful hash placement unless --placement says otherwise.
-        cfg.placement = Some(opts.placement.unwrap_or(PlacementPolicy::Hash));
+    if let Some(lease) = opts.lease {
+        lease.configure(&mut cfg);
     }
     // `--k` is the RN-Tree variants' extended-search width.
     let rn = RnTreeConfig {
         k: opts.k,
         ..RnTreeConfig::default()
     };
-    let mut engine = Engine::with_dag_and_schedule(
-        cfg,
-        churn,
-        algorithm.matchmaker_with(rn),
-        workload.nodes,
-        workload.submissions,
-        JobDag::none(),
-        schedule,
-    );
-    if !plan.is_none() {
-        engine.set_fault_plan(plan);
-    }
+    let mut engine = compiled.engine(cfg, algorithm.matchmaker_with(rn));
     if opts.command == "run" && opts.threads.is_some() {
         engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
     }
@@ -1090,22 +1093,10 @@ fn cmd_watch(opts: &Opts) {
 /// minimal replayable artifact; or `--replay` a previously written artifact.
 fn cmd_check(opts: &Opts) {
     use dgrid::check::{
-        check_run, check_scenario, check_scenario_with, check_spec_with, fault_event_count, shrink,
-        Inject, LeaseSpec, MatchmakerChoice, ReproArtifact, ScenarioVerdict, Violation,
+        fault_event_count, shrink, sweep, CompiledRun, Inject, ReproArtifact, Scenario,
+        ScenarioVerdict, SweepOutcome, Violation, CHECKED,
     };
     use std::path::Path;
-
-    // `--lease-ttl` turns every generated scenario into a leased run: the
-    // no-orphan oracle joins the battery and each scenario is additionally
-    // compared against its own reassign-on-death baseline. Unspecified
-    // companion knobs default to the standard check lease (renew 15s,
-    // grace 10s, load-aware placement).
-    let lease = opts.lease_ttl.map(|ttl| LeaseSpec {
-        ttl_secs: ttl,
-        renew_secs: opts.lease_renew.unwrap_or(15.0),
-        grace_secs: opts.lease_grace.unwrap_or(10.0),
-        placement: opts.placement.unwrap_or(PlacementPolicy::LoadAware),
-    });
 
     let inject = match opts.inject_bug.as_deref() {
         None => Inject::default(),
@@ -1118,16 +1109,16 @@ fn cmd_check(opts: &Opts) {
     };
 
     // `--matchmaker a,b` restricts the sweep (the CI overlay-matrix job runs
-    // one substrate per shard); default is every variant.
-    let selected: Vec<MatchmakerChoice> = match opts.matchmakers.as_deref() {
-        None => MatchmakerChoice::ALL.to_vec(),
+    // one substrate per shard); default is the checker's six variants.
+    let selected: Vec<Algorithm> = match opts.matchmakers.as_deref() {
+        None => CHECKED.to_vec(),
         Some(list) => list
             .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(|label| {
-                MatchmakerChoice::from_label(label).unwrap_or_else(|| {
-                    let known = MatchmakerChoice::ALL.map(|m| m.label()).join(", ");
+                Algorithm::from_label(label).unwrap_or_else(|| {
+                    let known = Algorithm::ALL.map(Algorithm::label).join(", ");
                     die(format_args!(
                         "unknown --matchmaker {label:?} (known: {known})"
                     ))
@@ -1147,9 +1138,10 @@ fn cmd_check(opts: &Opts) {
 
     if let Some(path) = &opts.replay {
         let artifact = ReproArtifact::read(Path::new(path)).or_exit(path, "read repro artifact");
+        let run = artifact.scenario.compile(artifact.inject);
         let violations = match artifact.matchmaker {
-            Some(mm) => check_run(&artifact.scenario, mm, artifact.inject).violations,
-            None => check_scenario(&artifact.scenario, artifact.inject).all_violations(),
+            Some(mm) => run.check(mm).violations,
+            None => run.verdict(&CHECKED).all_violations(),
         };
         if violations.is_empty() {
             println!("replay of {path}: clean (violation no longer reproduces)");
@@ -1167,152 +1159,125 @@ fn cmd_check(opts: &Opts) {
         .map(|m| m.label())
         .collect::<Vec<_>>()
         .join(", ");
-
+    let mut suffix = String::new();
+    if let Some(l) = opts.lease {
+        suffix += &format!(
+            " [leases: ttl {:.0}s renew {:.0}s grace {:.0}s, {} placement]",
+            l.ttl_secs,
+            l.renew_secs,
+            l.grace_secs,
+            l.placement.label()
+        );
+    }
+    if let Some(bug) = &opts.inject_bug {
+        suffix += &format!(" [injected bug: {bug}]");
+    }
+    // Every seed of the sweep is a scenario generated from it, with
+    // `--lease-ttl` turning it into a leased run: the no-orphan oracle joins
+    // the battery and each scenario is additionally compared against its
+    // own reassign-on-death baseline.
+    let generated = |seed| {
+        let scenario = Scenario::generate(seed);
+        match opts.lease {
+            Some(lease) => scenario.with_lease(lease),
+            None => scenario,
+        }
+    };
     // `--scenario-file`: differentially check the declarative spec itself,
     // compiled at every sweep seed and run under every selected matchmaker
-    // — the scenario-file analog of the generated-scenario sweep. Specs
-    // are hand-written and already small, so violations are reported
-    // without shrinking.
-    if let Some(spec) = &opts.scenario_spec {
-        use rayon::prelude::*;
-        if inject != Inject::default() || lease.is_some() {
-            die("--scenario-file checks do not support --inject-bug or --lease-ttl");
-        }
-        println!(
-            "checking scenario '{}' at {} seed(s) from {base}, {} matchmaker(s) [{mm_labels}], \
-             {} thread(s)",
-            spec.name,
-            opts.seeds,
-            selected.len(),
-            rayon::Pool::current_threads(),
-        );
-        // Seeds fan out over the pool but come back in seed order, so the
-        // first violating seed reported is thread-count independent.
-        let verdicts: Vec<(u64, ScenarioVerdict)> = (0..opts.seeds)
-            .into_par_iter()
-            .map(|i| {
-                let seed = base.wrapping_add(i);
-                (seed, check_spec_with(spec, seed, &selected))
-            })
-            .collect();
-        for (seed, verdict) in &verdicts {
-            if !verdict.is_clean() {
-                println!(
-                    "seed {seed}: {} violation(s)",
-                    verdict.all_violations().len()
-                );
-                print_violations(&verdict.all_violations());
-                std::process::exit(1);
-            }
-        }
-        println!(
-            "check: scenario '{}' x {} seed(s) x {} matchmaker(s) clean, all oracles passed",
-            spec.name,
-            opts.seeds,
-            selected.len()
-        );
-        return;
-    }
-
+    // through the same pipeline. Specs are hand-written and already small,
+    // so their violations are reported without shrinking.
+    let (what, swept, check): (_, _, &(dyn Fn(u64) -> ScenarioVerdict + Sync)) =
+        match &opts.scenario_spec {
+            Some(spec) => (
+                format!(
+                    "scenario '{}' at {} seed(s) from {base}",
+                    spec.name, opts.seeds
+                ),
+                format!("scenario '{}' x {} seed(s)", spec.name, opts.seeds),
+                &|seed| {
+                    let run = CompiledRun {
+                        scenario: spec.compile(seed),
+                        seed,
+                        lease: opts.lease,
+                        inject,
+                    };
+                    run.verdict(&selected)
+                },
+            ),
+            None => (
+                format!("{} scenario(s) from seed {base}", opts.seeds),
+                format!("{} scenario(s)", opts.seeds),
+                &|seed| generated(seed).compile(inject).verdict(&selected),
+            ),
+        };
     println!(
-        "checking {} scenario(s) from seed {base}, {} matchmaker(s) [{mm_labels}], {} thread(s){}{}",
-        opts.seeds,
+        "checking {what}, {} matchmaker(s) [{mm_labels}], {} thread(s){suffix}",
         selected.len(),
         rayon::Pool::current_threads(),
-        match lease {
-            Some(l) => format!(
-                " [leases: ttl {:.0}s renew {:.0}s grace {:.0}s, {} placement]",
-                l.ttl_secs,
-                l.renew_secs,
-                l.grace_secs,
-                l.placement.label()
-            ),
-            None => String::new(),
-        },
-        if inject == Inject::default() {
-            String::new()
-        } else {
-            format!(" [injected bug: {}]", opts.inject_bug.as_deref().unwrap())
-        }
     );
     // The sweep fans seeds out over the work-stealing pool but reports the
     // same (lowest) violating seed a sequential sweep would, so the repro
     // artifact — and the shrink below, which stays sequential — are
     // identical at any thread count.
     let mut last_reported = 0;
-    let outcome =
-        dgrid::check::sweep_with_lease(base, opts.seeds, inject, lease, &selected, |done| {
-            if done / 10 > last_reported / 10 && done < opts.seeds {
-                eprintln!("  ... {done}/{} clean", opts.seeds);
-            }
-            last_reported = done;
-        });
-    match outcome {
-        dgrid::check::SweepOutcome::AllClean { .. } => {}
-        dgrid::check::SweepOutcome::Violation {
-            seed,
-            scenario,
-            verdict,
-            ..
-        } => {
-            println!(
-                "seed {seed}: {} violation(s)",
-                verdict.all_violations().len()
-            );
-            print_violations(&verdict.all_violations());
-
-            // Shrink under the first violating matchmaker when one exists;
-            // differential-only violations re-check every matchmaker.
-            let failing_mm = verdict
-                .runs
-                .iter()
-                .find(|r| !r.violations.is_empty())
-                .map(|r| r.matchmaker);
-            let result = shrink(
-                &scenario,
-                |cand| match failing_mm {
-                    Some(mm) => !check_run(cand, mm, inject).violations.is_empty(),
-                    None => !check_scenario_with(cand, inject, &selected).is_clean(),
-                },
-                150,
-            );
-            let shrunk_violations = match failing_mm {
-                Some(mm) => check_run(&result.scenario, mm, inject).violations,
-                None => check_scenario_with(&result.scenario, inject, &selected).all_violations(),
-            };
-            println!(
-                "shrunk {} -> {} nodes, {} -> {} jobs, {} -> {} fault event(s) in {} run(s)",
-                scenario.nodes,
-                result.scenario.nodes,
-                scenario.jobs,
-                result.scenario.jobs,
-                fault_event_count(&scenario),
-                fault_event_count(&result.scenario),
-                result.runs_used,
-            );
-
-            let out = opts
-                .out
-                .clone()
-                .unwrap_or_else(|| "dgrid-check-repro.json".to_string());
-            let artifact = ReproArtifact {
-                scenario: result.scenario,
-                matchmaker: failing_mm,
-                inject,
-                violations: shrunk_violations,
-                original: Some(scenario),
-            };
-            let written = artifact.write(Path::new(&out));
-            written.or_exit(&out, "write repro artifact");
-            println!("wrote repro artifact to {out} (replay with: dgrid check --replay {out})");
-            std::process::exit(1);
+    let outcome = sweep(base, opts.seeds, check, |done| {
+        if done / 10 > last_reported / 10 && done < opts.seeds {
+            eprintln!("  ... {done}/{} clean", opts.seeds);
         }
+        last_reported = done;
+    });
+    let SweepOutcome::Violation { seed, verdict, .. } = outcome else {
+        let n = selected.len();
+        println!("check: {swept} x {n} matchmaker(s) clean, all oracles passed");
+        return;
+    };
+    let violations = verdict.all_violations();
+    println!("seed {seed}: {} violation(s)", violations.len());
+    print_violations(&violations);
+    if opts.scenario_spec.is_some() {
+        std::process::exit(1);
     }
+
+    // Shrink under the first violating matchmaker when one exists;
+    // differential-only violations re-check every matchmaker.
+    let scenario = generated(seed);
+    let failing_mm = verdict
+        .runs
+        .iter()
+        .find(|r| !r.violations.is_empty())
+        .map(|r| r.matchmaker);
+    let violations = |sc: &Scenario| match failing_mm {
+        Some(mm) => sc.compile(inject).check(mm).violations,
+        None => sc.compile(inject).verdict(&selected).all_violations(),
+    };
+    let result = shrink(&scenario, |cand| !violations(cand).is_empty(), 150);
     println!(
-        "check: {} scenario(s) x {} matchmaker(s) clean, all oracles passed",
-        opts.seeds,
-        selected.len()
+        "shrunk {} -> {} nodes, {} -> {} jobs, {} -> {} fault event(s) in {} run(s)",
+        scenario.nodes,
+        result.scenario.nodes,
+        scenario.jobs,
+        result.scenario.jobs,
+        fault_event_count(&scenario),
+        fault_event_count(&result.scenario),
+        result.runs_used,
     );
+
+    let out = opts
+        .out
+        .clone()
+        .unwrap_or_else(|| "dgrid-check-repro.json".to_string());
+    let artifact = ReproArtifact {
+        violations: violations(&result.scenario),
+        scenario: result.scenario,
+        matchmaker: failing_mm,
+        inject,
+        original: Some(scenario),
+    };
+    let written = artifact.write(Path::new(&out));
+    written.or_exit(&out, "write repro artifact");
+    println!("wrote repro artifact to {out} (replay with: dgrid check --replay {out})");
+    std::process::exit(1);
 }
 
 fn main() {

@@ -7,95 +7,14 @@
 //! rayon — each replication is an independent, deterministic simulation
 //! with its own seed, so parallelism never changes results.
 
-use dgrid_core::router::{PastryNetwork, TapestryNetwork};
-use dgrid_core::{
-    CanMatchmaker, CanMmConfig, CentralizedMatchmaker, ChurnConfig, Engine, EngineConfig,
-    FaultPlan, Matchmaker, PubSubMatchmaker, RnTreeConfig, RnTreeMatchmaker, SimReport,
-};
-use dgrid_resources::ResourceSpace;
+use dgrid_core::{ChurnConfig, Engine, EngineConfig, FaultPlan, SimReport};
 use dgrid_workloads::{paper_scenario, PaperScenario, Workload};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// The matchmaking algorithms under evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Algorithm {
-    /// Rendezvous Node Tree over Chord (Section 3.1).
-    RnTree,
-    /// Rendezvous Node Tree over a Pastry substrate (overlay ablation).
-    RnTreePastry,
-    /// Rendezvous Node Tree over a Tapestry substrate (overlay ablation).
-    RnTreeTapestry,
-    /// Basic CAN matchmaking with the virtual dimension (Section 3.2).
-    Can,
-    /// Improved CAN with load pushing (Section 3.3's ongoing work).
-    CanPush,
-    /// Basic CAN *without* the virtual dimension (ablation `A-virt`).
-    CanNoVirtualDim,
-    /// Omniscient centralized baseline (the paper's load-balance target).
-    Central,
-    /// Publish/subscribe resource discovery (the Abbes et al. baseline):
-    /// advertisement table + predicate-keyed subscriptions over rendezvous
-    /// brokers.
-    PubSub,
-}
-
-impl Algorithm {
-    /// The three algorithms Figure 2 compares.
-    pub const FIGURE2: [Algorithm; 3] = [Algorithm::Can, Algorithm::RnTree, Algorithm::Central];
-
-    /// The RN-Tree matchmaker on every overlay substrate (experiment
-    /// `T-overlay`).
-    pub const OVERLAYS: [Algorithm; 3] = [
-        Algorithm::RnTree,
-        Algorithm::RnTreePastry,
-        Algorithm::RnTreeTapestry,
-    ];
-
-    /// Short label used in tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Algorithm::RnTree => "rn-tree",
-            Algorithm::RnTreePastry => "rn-tree@pastry",
-            Algorithm::RnTreeTapestry => "rn-tree@tapestry",
-            Algorithm::Can => "can",
-            Algorithm::CanPush => "can-push",
-            Algorithm::CanNoVirtualDim => "can-novirt",
-            Algorithm::Central => "central",
-            Algorithm::PubSub => "pub-sub",
-        }
-    }
-
-    /// Instantiate the matchmaker with its default settings.
-    pub fn matchmaker(self) -> Box<dyn Matchmaker> {
-        self.matchmaker_with(RnTreeConfig::default())
-    }
-
-    /// Instantiate the matchmaker, the RN-Tree variants with `rn` (the
-    /// extended-search width, say) and the others with their defaults.
-    pub fn matchmaker_with(self, rn: RnTreeConfig) -> Box<dyn Matchmaker> {
-        match self {
-            Algorithm::RnTree => Box::new(RnTreeMatchmaker::new(rn)),
-            Algorithm::RnTreePastry => {
-                Box::new(RnTreeMatchmaker::<PastryNetwork>::on_substrate(rn))
-            }
-            Algorithm::RnTreeTapestry => {
-                Box::new(RnTreeMatchmaker::<TapestryNetwork>::on_substrate(rn))
-            }
-            Algorithm::Can => Box::new(CanMatchmaker::with_defaults()),
-            Algorithm::CanPush => Box::new(CanMatchmaker::with_push()),
-            Algorithm::CanNoVirtualDim => Box::new(CanMatchmaker::new(
-                CanMmConfig {
-                    virtual_dim: false,
-                    ..CanMmConfig::default()
-                },
-                ResourceSpace::default_desktop(),
-            )),
-            Algorithm::Central => Box::new(CentralizedMatchmaker::new()),
-            Algorithm::PubSub => Box::new(PubSubMatchmaker::new()),
-        }
-    }
-}
+/// The matchmaking algorithms under evaluation; defined in `dgrid-core` so
+/// the checker and the CLI name matchmakers with the same enum.
+pub use dgrid_core::Algorithm;
 
 /// Engine configuration used by all paper experiments (failure-free; the
 /// robustness experiment overrides churn separately).
@@ -234,26 +153,6 @@ pub fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_are_unique() {
-        let all = [
-            Algorithm::RnTree,
-            Algorithm::RnTreePastry,
-            Algorithm::RnTreeTapestry,
-            Algorithm::Can,
-            Algorithm::CanPush,
-            Algorithm::CanNoVirtualDim,
-            Algorithm::Central,
-            Algorithm::PubSub,
-        ];
-        let labels: std::collections::HashSet<_> = all.iter().map(|a| a.label()).collect();
-        assert_eq!(labels.len(), 8);
-        // `CellResult::from_reports` labels a cell by its reports' name.
-        for a in all {
-            assert_eq!(a.matchmaker().name(), a.label());
-        }
-    }
 
     #[test]
     fn cell_aggregation_runs_in_parallel_deterministically() {

@@ -97,8 +97,18 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
     assert!(missing.contains("/nonexistent") && missing.lines().count() == 1);
     assert!(refused(&["run", "--nodes", "abc"]).starts_with("--nodes: \"abc\" is not a number\n"));
     assert!(refused(&["run", "--foo", "1"]).starts_with("unknown flag --foo\n"));
-    // Values the library would assert on are refused by the parser.
+    // Values the library would assert on, or that would hang `watch`, are
+    // refused by the parser.
+    let names_itself = |args: &[&str], flag: &str, val: &str| {
+        let stderr = refused(args);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("{flag}: {val:?} is not ")),
+            "{first}"
+        );
+    };
     let timeseries = ["--timeseries", "/nonexistent/ts.json"];
+    let leased = ["--lease-ttl", "60"];
     for (flag, val, extra) in [
         ("--nodes", "0", &[][..]),
         ("--jobs", "0", &[]),
@@ -108,13 +118,26 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
         ("--lease-ttl", "0", &[]),
         ("--partition", "10:5:1", &[]),
         ("--sample-secs", "0", &timeseries),
+        ("--rejoin", "-5", &[]),
+        ("--graceful", "2", &[]),
+        ("--graceful", "-1", &[]),
+        ("--lease-renew", "0", &leased),
+        ("--lease-renew", "-3", &leased),
+        ("--lease-grace", "-1", &leased),
+        ("--lease-ttl", "30", &[]),
+        ("--lease-ttl", "20", &["--lease-renew", "20"]),
     ] {
-        let stderr = refused(&[&["run", flag, val], extra].concat());
-        let first = stderr.lines().next().unwrap_or_default();
-        assert!(
-            first.starts_with(&format!("{flag}: {val:?} is not ")),
-            "{first}"
-        );
+        names_itself(&[&["run", flag, val], extra].concat(), flag, val);
+    }
+    // The ttl is held to the renew interval `check` defaults to (15 s).
+    names_itself(&["check", "--lease-ttl", "15"], "--lease-ttl", "15");
+    let watch = ["watch", "--events", "/nonexistent"];
+    for (flag, val, extra) in [
+        ("--window", "0", &[][..]),
+        ("--window", "-1", &[]),
+        ("--refresh", "0", &["--follow", "--idle-exit", "0.5"]),
+    ] {
+        names_itself(&[&watch[..], &[flag, val], extra].concat(), flag, val);
     }
     let gone = refused(&["bench", "sweep"]);
     assert!(gone.contains("benchmark/Cargo.toml") && gone.contains("compare --replications"));

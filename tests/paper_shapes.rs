@@ -2,7 +2,6 @@
 //! observations): who wins, who collapses, and where. Absolute magnitudes
 //! vary with scale and seed; these orderings must not.
 
-use dgrid::check::{spec_engine, MatchmakerChoice};
 use dgrid::core::{ChurnConfig, EngineConfig, PlacementPolicy, SimReport};
 use dgrid::harness::{
     paper_engine_config, run_cell, run_scenario, run_workload, Algorithm, CellResult,
@@ -234,16 +233,26 @@ fn lease_machinery_is_free_and_load_aware_placement_buys_back_the_skew() {
 #[test]
 fn pub_sub_beats_every_rn_tree_substrate_under_a_flash_crowd() {
     // T-scenario, 4 seeds of the `flash-crowd` preset.
-    let wait = |mm| {
+    let wait = |mm: Algorithm| {
         let reports: Vec<SimReport> = (1..=4)
-            .map(|r| spec_engine(&flash_crowd(), 42 ^ r, mm).run())
+            .map(|r| {
+                let seed = 42 ^ r;
+                let cfg = EngineConfig {
+                    seed,
+                    ..EngineConfig::default()
+                };
+                flash_crowd()
+                    .compile(seed)
+                    .engine(cfg, mm.matchmaker())
+                    .run()
+            })
             .collect();
         CellResult::from_reports(&reports).mean_wait
     };
-    let pub_sub = wait(MatchmakerChoice::PubSub);
-    let chord = wait(MatchmakerChoice::RnTree);
-    let pastry = wait(MatchmakerChoice::RnTreePastry);
-    let tapestry = wait(MatchmakerChoice::RnTreeTapestry);
+    let pub_sub = wait(Algorithm::PubSub);
+    let chord = wait(Algorithm::RnTree);
+    let pastry = wait(Algorithm::RnTreePastry);
+    let tapestry = wait(Algorithm::RnTreeTapestry);
     assert!(pub_sub < chord.min(pastry), "{pub_sub} {chord} {pastry}");
-    assert!(tapestry > chord.max(pastry).max(wait(MatchmakerChoice::Can)));
+    assert!(tapestry > chord.max(pastry).max(wait(Algorithm::Can)));
 }

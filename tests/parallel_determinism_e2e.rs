@@ -284,7 +284,7 @@ fn cell_results_identical_across_thread_counts() {
 
 #[test]
 fn check_sweep_reports_the_same_violation_at_any_thread_count() {
-    use dgrid::check::{sweep, Inject, SweepOutcome};
+    use dgrid::check::{sweep, Inject, Scenario, SweepOutcome, CHECKED};
 
     // The epoch-dedup backdoor makes some seed in this window violate; the
     // parallel sweep must report exactly the seed a sequential sweep finds.
@@ -292,7 +292,8 @@ fn check_sweep_reports_the_same_violation_at_any_thread_count() {
         disable_epoch_dedup: true,
     };
     let outcome_at = |threads: usize| {
-        Pool::install(threads, || match sweep(42, 4, inject, |_| {}) {
+        let check = |seed| Scenario::generate(seed).compile(inject).verdict(&CHECKED);
+        Pool::install(threads, || match sweep(42, 4, check, |_| {}) {
             SweepOutcome::Violation { seed, verdict, .. } => {
                 (Some(seed), verdict.all_violations().len())
             }
@@ -311,9 +312,13 @@ fn check_sweep_reports_the_same_violation_at_any_thread_count() {
 
 #[test]
 fn clean_check_sweep_is_clean_in_parallel() {
-    use dgrid::check::{sweep, Inject, SweepOutcome};
+    use dgrid::check::{sweep, Inject, Scenario, SweepOutcome, CHECKED};
 
-    let checked = Pool::install(4, || match sweep(42, 6, Inject::default(), |_| {}) {
+    let check = |seed| {
+        let run = Scenario::generate(seed).compile(Inject::default());
+        run.verdict(&CHECKED)
+    };
+    let checked = Pool::install(4, || match sweep(42, 6, check, |_| {}) {
         SweepOutcome::AllClean { checked } => checked,
         SweepOutcome::Violation { seed, verdict, .. } => panic!(
             "seed {seed} violated on a clean engine: {:?}",
