@@ -76,8 +76,9 @@
 //!   --replay PATH         re-run a previously written repro artifact
 //!   --inject-bug NAME     deliberately break the engine (self-test);
 //!                         names: epoch-dedup
-//!   --matchmaker M[,M...] only sweep the listed matchmaker labels
-//!                         (default: all six variants)
+//!   --matchmaker M[,M...] only sweep the listed algorithm labels
+//!                         (default: the six checked variants, every
+//!                         algorithm but can-push and can-novirt)
 //!   --scenario-file S     sweep the declarative spec instead of generated
 //!                         scenarios: each seed compiles the spec and runs
 //!                         it under every selected matchmaker (oracles +
@@ -386,7 +387,7 @@ fn parse() -> Opts {
             "--replay" => opts.replay = Some(val),
             "--inject-bug" => opts.inject_bug = Some(val),
             "--matchmaker" => opts.matchmakers = Some(val),
-            "--lease-ttl" => ttl = Some(number(flag, &val, "above 0", |x| x > 0.0)),
+            "--lease-ttl" => ttl = Some((number(flag, &val, "above 0", |x| x > 0.0), val)),
             "--lease-renew" => renew = Some(number(flag, &val, "above 0", positive_secs)),
             "--lease-grace" => grace = Some(number(flag, &val, "at least 0", non_negative)),
             "--placement" => placement = Some(arg(flag, &val, "hash or load-aware")),
@@ -403,23 +404,23 @@ fn parse() -> Opts {
     // load-aware placement); `run` and `compare` the engine's 30 s / 30 s
     // with the paper-faithful hash placement.
     let check = opts.command == "check";
-    opts.lease = ttl.map(|ttl| LeaseSpec {
-        ttl_secs: ttl,
-        renew_secs: renew.unwrap_or(if check { 15.0 } else { 30.0 }),
-        grace_secs: grace.unwrap_or(if check { 10.0 } else { 30.0 }),
-        placement: placement.unwrap_or(if check {
-            PlacementPolicy::LoadAware
-        } else {
-            PlacementPolicy::Hash
-        }),
-    });
-    if let Some(l) = opts
-        .lease
-        .filter(|l| l.ttl_secs.is_finite() && l.ttl_secs <= l.renew_secs)
-    {
-        let val = &args[args.iter().rposition(|a| a == "--lease-ttl").unwrap() + 1];
-        let want = format!("above the renew interval ({} s)", l.renew_secs);
-        bad_flag("--lease-ttl", val, &want);
+    if let Some((ttl, val)) = ttl {
+        let lease = LeaseSpec {
+            ttl_secs: ttl,
+            renew_secs: renew.unwrap_or(if check { 15.0 } else { 30.0 }),
+            grace_secs: grace.unwrap_or(if check { 10.0 } else { 30.0 }),
+            placement: placement.unwrap_or(if check {
+                PlacementPolicy::LoadAware
+            } else {
+                PlacementPolicy::Hash
+            }),
+        };
+        // An infinite ttl switches expiry off: no renew interval to exceed.
+        if ttl.is_finite() && ttl <= lease.renew_secs {
+            let want = format!("above the renew interval ({} s)", lease.renew_secs);
+            bad_flag("--lease-ttl", &val, &want);
+        }
+        opts.lease = Some(lease);
     }
     opts
 }
