@@ -34,9 +34,9 @@
 //! (`dgrid_sim::overlay`), and messages are not materialized — instead
 //! every routing step is counted, which is exactly the fidelity the
 //! paper's event-driven simulation uses. State a peer refreshed by itself
-//! is stored; state implied by the last `stabilize` is one binary search
-//! into a shared sorted snapshot, made for the single finger or successor
-//! a routing hop asks about.
+//! is stored; state implied by the last `stabilize` is one search of a
+//! shared sorted, radix-indexed snapshot, made for the single finger or
+//! successor a routing hop asks about.
 //!
 //! ```
 //! use dgrid_chord::ChordRing;

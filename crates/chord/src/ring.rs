@@ -30,7 +30,7 @@ impl Default for ChordConfig {
 /// which is exactly the window in which routing pays timeout penalties.
 /// Each component is a [`Lazy`]: `Canon` when a full stabilize refreshed it
 /// last — a pure function of the sorted alive-key snapshot taken then, so
-/// it is *computed on demand* by binary search instead of being stored —
+/// it is *computed on demand* by a search of it instead of being stored —
 /// or `Mat`, state materialized by an individual refresh since (join
 /// notifications, graceful-leave repairs). A million-peer ring holds one
 /// shared 8-byte-per-peer snapshot instead of ~72 materialized ids per
@@ -53,7 +53,7 @@ pub(crate) struct ChordPeer {
 ///
 /// A peer's state is stored only where it differs from what the last
 /// [`stabilize`](dgrid_sim::router::KeyRouter::stabilize) implies
-/// ([`Lazy::Mat`]); everything else is one binary search into the shared
+/// ([`Lazy::Mat`]); everything else is one search of the shared
 /// snapshot, made when a route asks for it through the peer's view. In
 /// particular no finger *table* is ever built for a routing hop:
 /// [`lookup`](dgrid_sim::router::KeyRouter::lookup) resolves single

@@ -11,7 +11,7 @@ use dgrid_sim::overlay::{Entry, Lazy};
 use dgrid_sim::router::{rn_tree_parents_via, KeyRouter, RouteCost, NO_PARENT};
 
 use crate::id::ChordId;
-use crate::ring::{ChordRing, Hop};
+use crate::ring::{ChordPeer, ChordRing, Hop};
 
 /// The peer an entry points at.
 fn id(e: Entry) -> ChordId {
@@ -286,15 +286,11 @@ impl KeyRouter for ChordRing {
         parent
     }
 
-    /// In the caller's (hashed, hence random) order on purpose. Admitting
-    /// the keys sorted is quicker — `matchmaker.bootstrap_s` 47 → 36 ms on
-    /// `rntree-100k` — but ascending inserts split every B-tree node at
-    /// its right edge and leave it half full for the life of the ring:
-    /// `peak_rss_mb` 61.1 → 64.1 on the same run.
+    /// Into an empty ring: one sort, landing settled with no record per
+    /// peer. Into any other: deferred joins, which resolve against ground
+    /// truth until the next stabilize.
     fn bulk_join(&mut self, keys: &[u64]) {
-        for &k in keys {
-            self.join_deferred(ChordId(k));
-        }
+        self.m.bulk_join(keys, ChordPeer::default);
     }
 
     fn failover_peers(&self, from: u64) -> Vec<u64> {

@@ -379,13 +379,20 @@ impl NodeTable {
     ///
     /// Draws the same `gen_range(0..alive)` value and returns the same
     /// (n-th smallest live) id as the historical linear walk, via the
-    /// Fenwick select — byte-identity depends on both halves.
+    /// Fenwick select — byte-identity depends on both halves. While every
+    /// node is alive the n-th smallest live id is `n` itself, and the
+    /// select is skipped.
     pub fn random_alive<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Option<GridNodeId> {
         if self.alive == 0 {
             return None;
         }
         let n = rng.gen_range(0..self.alive);
-        Some(GridNodeId(self.alive_tree.select(n) as u32))
+        let slot = if self.alive == self.nodes.len() {
+            n
+        } else {
+            self.alive_tree.select(n)
+        };
+        Some(GridNodeId(slot as u32))
     }
 
     /// Bring every mirror of a live node back in line with its record,
@@ -509,6 +516,7 @@ mod tests {
     use dgrid_resources::{Capabilities, OsType};
     use dgrid_sim::SimDuration;
     use proptest::prelude::*;
+    use rand::Rng;
 
     fn profile() -> NodeProfile {
         NodeProfile::new(Capabilities::new(2.0, 4.0, 100.0, OsType::Linux))
@@ -748,6 +756,33 @@ mod tests {
                     prop_assert_eq!(t.alive_ids().nth(n), Some(via_select));
                 }
             }
+        }
+
+        /// `random_alive` draws once and names the node the Fenwick select
+        /// names for that draw, on tables with every node alive (where it
+        /// skips the select) and with some dead.
+        #[test]
+        fn random_alive_is_the_select_of_one_draw(
+            len in 1usize..200,
+            dead in proptest::collection::vec(any::<usize>(), 0..4),
+            seed in any::<u64>(),
+        ) {
+            let mut t = NodeTable::new((0..len).map(|_| profile()).collect());
+            for d in dead {
+                let id = GridNodeId((d % len) as u32);
+                if t.is_alive(id) && t.alive_count() > 1 {
+                    t.mark_failed(id);
+                }
+            }
+            let mut rng = dgrid_sim::rng::rng_for(seed, 0);
+            let mut again = rng.clone();
+            for _ in 0..32 {
+                let drawn = t.random_alive(&mut rng);
+                let n = again.gen_range(0..t.alive_count());
+                prop_assert_eq!(drawn, Some(GridNodeId(t.alive_tree.select(n) as u32)));
+                prop_assert!(drawn.is_some_and(|id| t.is_alive(id)));
+            }
+            prop_assert_eq!(rng.gen::<u64>(), again.gen::<u64>(), "one draw per call");
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   a full [`stabilize`] leaves a node with is a function of the sorted
 //!   live ids alone, so the network's membership (`dgrid_sim::overlay`)
 //!   holds that one snapshot, and a table slot (`dgrid_sim::prefix`; one
-//!   binary search) or a leaf set (the node's snapshot neighbours) is
+//!   indexed search) or a leaf set (the node's snapshot neighbours) is
 //!   computed from it when a route asks for it. Only state refreshed
 //!   individually since — a joiner's, the leaf sets its neighbours repair
 //!   on a join or a graceful leave — is materialised, until the next

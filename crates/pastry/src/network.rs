@@ -112,7 +112,7 @@ impl<'a> LeafView<'a> {
 /// A node's state is stored only where an individual refresh has
 /// materialised it since the last [`KeyRouter::stabilize`]; everything
 /// else is computed from the shared snapshot when a route asks for it: a
-/// table slot is one binary search, a leaf set is the node's snapshot
+/// table slot is one indexed search, a leaf set is the node's snapshot
 /// neighbours.
 #[derive(Clone)]
 pub struct PastryNetwork {
@@ -173,14 +173,14 @@ impl PastryNetwork {
     // Churn and maintenance
     // ------------------------------------------------------------------
 
-    /// Admit `id` with empty leaf sets and an empty routing table, telling
-    /// nobody: a stabilize must follow before any routing.
-    fn join_deferred(&mut self, id: u64) {
-        let empty = PastryPeer {
+    /// The state of a peer admitted without telling anybody: empty leaf
+    /// sets and an empty routing table, so a stabilize must follow before
+    /// any routing.
+    fn deferred() -> PastryPeer {
+        PastryPeer {
             table: Lazy::Mat(Table::new()),
             leaves: Lazy::Mat(LeafSets::default()),
-        };
-        self.m.admit(id, empty);
+        }
     }
 
     /// Rebuild one node's leaf set and routing table from ground truth.
@@ -283,16 +283,17 @@ impl KeyRouter for PastryNetwork {
     /// and copies state from the path). Immediate leaf neighbours learn of
     /// the arrival; everyone else is stale until [`KeyRouter::stabilize`].
     fn join(&mut self, key: u64) {
-        self.join_deferred(key);
+        self.m.admit(key, Self::deferred());
         self.refresh_node(key);
         // Pastry's join broadcast to the leaf set.
         self.refresh_leaves_of_live(self.leaves_of(key));
     }
 
+    /// Into an empty network: one sort, landing settled with no record
+    /// per node. Into any other: nodes with empty state, which a stabilize
+    /// must follow.
     fn bulk_join(&mut self, keys: &[u64]) {
-        for &k in keys {
-            self.join_deferred(k);
-        }
+        self.m.bulk_join(keys, Self::deferred);
     }
 
     /// The node's leaf set is told, so their leaf sets repair at once;
@@ -982,7 +983,11 @@ mod tests {
         net.leave(keys[4242]);
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
-        assert_eq!(net.m.records().count(), net.len(), "dead records collected");
+        assert_eq!(
+            net.m.records().count(),
+            0,
+            "dead records collected, no other kept"
+        );
         assert_eq!(net.len(), 9_999);
     }
 

@@ -7,7 +7,7 @@
 //! span. Right after a full `stabilize` every such table is a pure
 //! function of the sorted set of live keys, so none is stored: each peer's
 //! table is a [`Lazy`] tag in the shared [`Membership`] — `Canon`, resolved
-//! by one binary search into the snapshot when a route asks for a slot, or
+//! by one indexed search of the snapshot when a route asks for a slot, or
 //! `Mat`, a table materialised by an individual refresh since.
 //!
 //! This module holds the digit arithmetic, the table layout ([`Tables`]),
@@ -153,7 +153,8 @@ impl Tables {
         table: impl Fn(&X) -> &Lazy<Table>,
         noun: &str,
     ) -> Option<String> {
-        for (key, r) in m.records().filter(|(_, r)| r.is_alive()) {
+        for key in m.alive_in(..) {
+            let r = m.record(key).expect("a live peer has a record");
             for row in 0..DIGITS {
                 for d in (0..RADIX as u8).filter(|&d| self.keeps_slot(key, row, d)) {
                     let at = format_args!("{key:016x}: {noun}[{row}][{d}]");

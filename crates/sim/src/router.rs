@@ -111,8 +111,11 @@ pub trait KeyRouter: Default {
     /// routing.
     ///
     /// The default simply joins each key in order; substrates override it
-    /// with a membership-only insert. Either way, the state after the
-    /// following `stabilize` is identical to having joined one by one.
+    /// with a membership-only insert, which into an empty overlay is one
+    /// sort taken as that snapshot at once
+    /// ([`Membership::bulk_join`](crate::overlay::Membership::bulk_join)).
+    /// Either way, the state after the following `stabilize` is identical
+    /// to having joined one by one.
     fn bulk_join(&mut self, keys: &[u64]) {
         for &k in keys {
             self.join(k);

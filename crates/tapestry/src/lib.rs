@@ -10,7 +10,7 @@
 //!   digit — *kept*, not stored: what a full [`stabilize`] leaves a node
 //!   with is a function of the sorted live ids alone, so the network's
 //!   membership (`dgrid_sim::overlay`) holds that one snapshot, and an
-//!   entry (`dgrid_sim::prefix`) is one binary search into it, made when a
+//!   entry (`dgrid_sim::prefix`) is one indexed search of it, made when a
 //!   route asks for it. Only maps refreshed individually since — a
 //!   joiner's, a graceful leaver's prefix neighbourhood — are materialised,
 //!   until the next stabilize. A computed entry stays pinned

@@ -26,8 +26,8 @@ impl Default for TapestryConfig {
 /// `maps[level][digit]` of a node is a node sharing its first `level`
 /// digits whose next digit is `digit`, as of the node's last refresh. Maps
 /// are stored only where an individual refresh has materialised them since
-/// the last [`KeyRouter::stabilize`]; any other entry is one binary
-/// search into the shared snapshot, made when a route asks for it.
+/// the last [`KeyRouter::stabilize`]; any other entry is one indexed
+/// search of the shared snapshot, made when a route asks for it.
 #[derive(Clone)]
 pub struct TapestryNetwork {
     cfg: TapestryConfig,
@@ -54,10 +54,10 @@ impl TapestryNetwork {
         }
     }
 
-    /// Admit `id` with empty neighbor maps: a stabilize must follow
-    /// before any routing.
-    fn join_deferred(&mut self, id: u64) {
-        self.m.admit(id, Lazy::Mat(Table::new()));
+    /// The maps of a node admitted without telling anybody: empty, so a
+    /// stabilize must follow before any routing.
+    fn deferred() -> Lazy<Table> {
+        Lazy::Mat(Table::new())
     }
 
     /// Rebuild one node's neighbor maps from ground truth.
@@ -94,14 +94,15 @@ impl KeyRouter for TapestryNetwork {
     /// Builds the joiner's neighbor maps; nodes sharing prefixes learn of
     /// it lazily (stale until stabilize).
     fn join(&mut self, key: u64) {
-        self.join_deferred(key);
+        self.m.admit(key, Self::deferred());
         self.refresh_node(key);
     }
 
+    /// Into an empty network: one sort, landing settled with no record
+    /// per node. Into any other: nodes with empty maps, which a stabilize
+    /// must follow.
     fn bulk_join(&mut self, keys: &[u64]) {
-        for &k in keys {
-            self.join_deferred(k);
-        }
+        self.m.bulk_join(keys, Self::deferred);
     }
 
     /// The node's immediate prefix neighbourhood is refreshed right away.
@@ -554,7 +555,11 @@ mod tests {
         net.fail(keys[17]);
         net.stabilize();
         assert_eq!(materialised_nodes(&net), 0);
-        assert_eq!(net.m.records().count(), net.len(), "dead records collected");
+        assert_eq!(
+            net.m.records().count(),
+            0,
+            "dead records collected, no other kept"
+        );
         assert_eq!(net.len(), 9_999);
     }
 
