@@ -126,13 +126,6 @@ impl ChordRing {
     // Churn and maintenance
     // ------------------------------------------------------------------
 
-    /// Admit `id` without building or repairing anybody's routing state.
-    /// Until the next stabilize the peer's own views resolve against
-    /// current ground truth on demand.
-    pub(crate) fn join_deferred(&mut self, id: ChordId) {
-        self.m.admit(id.0, ChordPeer::default());
-    }
-
     /// Rebuild one peer's fingers, successor list and predecessor from
     /// ground truth — the effect of that peer completing a full round of
     /// Chord's `stabilize` + `fix_fingers`.

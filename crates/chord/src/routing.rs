@@ -31,7 +31,7 @@ impl KeyRouter for ChordRing {
     /// fingers stay stale until [`KeyRouter::stabilize`].
     fn join(&mut self, key: u64) {
         let id = ChordId(key);
-        self.join_deferred(id);
+        self.m.admit(key, ChordPeer::default());
         self.refresh_peer(id);
         // Notify immediate neighbours.
         let pred = self.predecessor_of(id);
