@@ -1761,9 +1761,13 @@ impl RunNodeCtx for Engine {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
     use dgrid_resources::{Capabilities, ClientId, JobRequirements, OsType};
 
     use super::*;
+    use crate::matchmaker::MatchOutcome;
     use crate::{CentralizedMatchmaker, RnTreeMatchmaker};
 
     #[test]
@@ -1817,6 +1821,286 @@ mod tests {
             };
             assert_eq!(listed, expected, "owner list of {node:?}");
         }
+    }
+
+    /// Places every owner on node `owner` and every run node on node `run`;
+    /// a test moves either between steps.
+    struct Scripted {
+        owner: Rc<Cell<u32>>,
+        run: u32,
+    }
+
+    impl Matchmaker for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn on_join(&mut self, _: &NodeTable, _: GridNodeId, _: &mut SimRng) {}
+
+        fn on_leave(&mut self, _: &NodeTable, _: GridNodeId, _: bool) {}
+
+        fn assign_owner(
+            &mut self,
+            _: &NodeTable,
+            _: &JobProfile,
+            _: u64,
+            _: GridNodeId,
+            _: &mut SimRng,
+        ) -> Option<(OwnerRef, u32)> {
+            Some((OwnerRef::Peer(GridNodeId(self.owner.get())), 1))
+        }
+
+        fn find_run_node(
+            &mut self,
+            _: &NodeTable,
+            _: OwnerRef,
+            _: &JobProfile,
+            _: &mut SimRng,
+        ) -> MatchOutcome {
+            MatchOutcome {
+                run_node: Some(GridNodeId(self.run)),
+                hops: 1,
+            }
+        }
+
+        fn reassign_owner(
+            &mut self,
+            _: &NodeTable,
+            _: &JobProfile,
+            _: u64,
+            _: &mut SimRng,
+        ) -> Option<(OwnerRef, u32)> {
+            Some((OwnerRef::Peer(GridNodeId(self.owner.get())), 1))
+        }
+
+        fn tick(&mut self, _: &NodeTable) {}
+    }
+
+    /// Keeps the recovery events of a stream: what a departure's handover
+    /// turns into.
+    #[derive(Clone, Default)]
+    struct Recoveries(Rc<RefCell<Vec<TraceEvent>>>);
+
+    impl Observer for Recoveries {
+        fn on_event(&mut self, _: SimTime, event: TraceEvent) {
+            if matches!(
+                event,
+                TraceEvent::OwnerRecovery { .. }
+                    | TraceEvent::RunRecovery { .. }
+                    | TraceEvent::Submitted { resubmits: 1.., .. }
+                    | TraceEvent::LeaseExpired { .. }
+                    | TraceEvent::LeaseTransferred { .. }
+                    | TraceEvent::Failed { .. }
+            ) {
+                self.0.borrow_mut().push(event);
+            }
+        }
+    }
+
+    /// Owner `OWNER` and run node `RUN` of every job until a test moves
+    /// the owner to `NEXT` or `LAST`.
+    const OWNER: u32 = 0;
+    const RUN: u32 = 1;
+    const NEXT: u32 = 2;
+    const LAST: u32 = 3;
+
+    /// Four nodes under [`Scripted`], one 10⁴-second job per id arriving a
+    /// second apart in the order given, and the recovery log.
+    fn scripted(cfg: EngineConfig, ids: &[u64]) -> (Engine, Rc<Cell<u32>>, Recoveries) {
+        let jobs = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| JobSubmission {
+                profile: JobProfile::new(
+                    JobId(id),
+                    ClientId(0),
+                    JobRequirements::unconstrained(),
+                    1e4,
+                ),
+                arrival_secs: i as f64,
+                actual_runtime_secs: None,
+            })
+            .collect();
+        let node = NodeProfile::new(Capabilities::new(2.0, 4.0, 100.0, OsType::Linux));
+        let owner = Rc::new(Cell::new(OWNER));
+        let log = Recoveries::default();
+        let engine = Engine::new(
+            cfg,
+            ChurnConfig::none(),
+            Box::new(Scripted {
+                owner: Rc::clone(&owner),
+                run: RUN,
+            }),
+            vec![node; 4],
+            jobs,
+        )
+        .with_observer(Box::new(log.clone()));
+        (engine, owner, log)
+    }
+
+    /// Dispatch events until every job sits at its run node; the time of
+    /// the last one.
+    fn until_all_placed(engine: &mut Engine) -> SimTime {
+        let mut now = SimTime::ZERO;
+        while engine
+            .jobs
+            .iter()
+            .any(|(_, r)| !matches!(r.state, JobState::Queued | JobState::Running))
+        {
+            let (at, ev) = engine.queue.pop().expect("every job gets placed");
+            now = at;
+            engine.dispatch(now, ev);
+        }
+        now
+    }
+
+    /// Dispatch every event before `end`.
+    fn run_until(engine: &mut Engine, end: SimTime) {
+        while engine.queue.peek_time().is_some_and(|at| at < end) {
+            let (at, ev) = engine.queue.pop().expect("peeked");
+            engine.dispatch(at, ev);
+        }
+    }
+
+    fn crash(engine: &mut Engine, at: SimTime, node: u32) {
+        engine.dispatch(
+            at,
+            Event::NodeFail {
+                node: GridNodeId(node),
+            },
+        );
+    }
+
+    fn owner_of(engine: &Engine, job: u64) -> Option<OwnerRef> {
+        engine.jobs.get(JobId(job)).expect("submitted").owner
+    }
+
+    fn owner_recoveries(ids: &[u64]) -> Vec<TraceEvent> {
+        ids.iter()
+            .map(|&id| TraceEvent::OwnerRecovery { job: JobId(id) })
+            .collect()
+    }
+
+    #[test]
+    fn a_departure_hands_over_hash_shaped_ids_in_ascending_order() {
+        // Hash-shaped ids, arriving out of id order.
+        let ids: Vec<u64> = (0..5).map(rng::splitmix64).collect();
+        let mut ascending = ids.clone();
+        ascending.sort_unstable();
+        assert_ne!(ids, ascending);
+        let (mut engine, owner, log) = scripted(EngineConfig::default(), &ids);
+        let now = until_all_placed(&mut engine);
+        assert!(ids
+            .iter()
+            .all(|&id| owner_of(&engine, id) == Some(OwnerRef::Peer(GridNodeId(OWNER)))));
+
+        owner.set(NEXT);
+        crash(&mut engine, now, OWNER);
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        assert_eq!(log.0.take(), owner_recoveries(&ascending));
+
+        // The new owner's departure hands the same jobs over again.
+        owner.set(LAST);
+        let now = now + SimDuration::from_secs(600);
+        crash(&mut engine, now, NEXT);
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        assert_eq!(log.0.take(), owner_recoveries(&ascending));
+        assert_eq!(engine.report.owner_recoveries, 10);
+        assert!(ids
+            .iter()
+            .all(|&id| owner_of(&engine, id) == Some(OwnerRef::Peer(GridNodeId(LAST)))));
+    }
+
+    #[test]
+    fn a_job_resubmitted_and_owned_again_is_handed_over_once_in_id_order() {
+        let (mut engine, owner, log) = scripted(EngineConfig::default(), &[0, 1, 2]);
+        let now = until_all_placed(&mut engine);
+        // The client resubmits job 0: its owner lets go of it, and the
+        // resubmission lands on the same owner again.
+        let epoch = engine.jobs.get(JobId(0)).expect("submitted").epoch;
+        engine.dispatch(
+            now,
+            Event::ClientResubmit {
+                job: JobId(0),
+                epoch,
+            },
+        );
+        let now = until_all_placed(&mut engine);
+        assert_eq!(
+            log.0.take(),
+            vec![TraceEvent::Submitted {
+                job: JobId(0),
+                resubmits: 1
+            }]
+        );
+        assert_eq!(
+            owner_of(&engine, 0),
+            Some(OwnerRef::Peer(GridNodeId(OWNER)))
+        );
+
+        owner.set(NEXT);
+        crash(&mut engine, now, OWNER);
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        assert_eq!(log.0.take(), owner_recoveries(&[0, 1, 2]));
+        assert_eq!(engine.report.owner_recoveries, 3);
+    }
+
+    #[test]
+    fn a_lease_moved_before_its_old_owner_departs_stays_with_the_new_one() {
+        let cfg = EngineConfig {
+            lease_ttl_secs: Some(120.0),
+            lease_renew_secs: 30.0,
+            lease_grace_secs: 10.0,
+            placement: Some(crate::config::PlacementPolicy::Hash),
+            ..EngineConfig::default()
+        };
+        let (mut engine, owner, log) = scripted(cfg, &[0, 1, 2]);
+        let now = until_all_placed(&mut engine);
+        // Job 1's lease runs out and moves to another owner while its old
+        // owner is still up.
+        owner.set(NEXT);
+        let seq = engine.jobs.get(JobId(1)).expect("submitted").lease_seq;
+        engine.dispatch(now, Event::LeaseExpire { job: JobId(1), seq });
+        let moved = |job| {
+            [
+                TraceEvent::LeaseExpired { job: JobId(job) },
+                TraceEvent::LeaseTransferred {
+                    job: JobId(job),
+                    owner: GridNodeId(NEXT),
+                },
+            ]
+        };
+        assert_eq!(log.0.take(), moved(1));
+
+        // The old owner departs: it hands over jobs 0 and 2 only, whose
+        // leases expire and move; job 1 keeps its new owner.
+        let now = now + SimDuration::from_secs(1);
+        crash(&mut engine, now, OWNER);
+        assert_eq!(owner_of(&engine, 0), None);
+        assert_eq!(owner_of(&engine, 1), Some(OwnerRef::Peer(GridNodeId(NEXT))));
+        assert_eq!(owner_of(&engine, 2), None);
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        assert_eq!(log.0.take(), [moved(0), moved(2)].concat());
+
+        // Now the new owner departs holding all three.
+        owner.set(LAST);
+        let now = now + SimDuration::from_secs(600);
+        crash(&mut engine, now, NEXT);
+        assert!((0..3).all(|job| owner_of(&engine, job).is_none()));
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        let last = |job| {
+            [
+                TraceEvent::LeaseExpired { job: JobId(job) },
+                TraceEvent::LeaseTransferred {
+                    job: JobId(job),
+                    owner: GridNodeId(LAST),
+                },
+            ]
+        };
+        // Expiries fire on each lease's own renewal clock: job 1's was
+        // re-armed by its move, so it runs out last.
+        assert_eq!(log.0.take(), [last(0), last(2), last(1)].concat());
+        assert_eq!(engine.report.lease_transfers, 6);
     }
 
     #[test]
