@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use dgrid_sim::rng::splitmix64;
-
 /// The number of bits in a Chord identifier (and finger-table entries).
 pub(crate) const ID_BITS: u32 = 64;
 
@@ -17,16 +15,6 @@ pub(crate) const ID_BITS: u32 = 64;
 pub(crate) struct ChordId(pub(crate) u64);
 
 impl ChordId {
-    /// Hash an arbitrary 64-bit value onto the ring.
-    ///
-    /// This is the "computationally secure hash" role from the paper; we use
-    /// SplitMix64, which is a bijective 64-bit mixer with excellent
-    /// distribution — collision-free by construction for distinct inputs,
-    /// which is even stronger than what a truncated SHA-1 would give.
-    pub(crate) fn hash_of(x: u64) -> ChordId {
-        ChordId(splitmix64(x))
-    }
-
     /// The identifier `self + 2^k` (mod 2^64): the start of finger `k`.
     pub(crate) fn finger_start(self, k: u32) -> ChordId {
         debug_assert!(k < ID_BITS);
@@ -77,6 +65,8 @@ impl fmt::Display for ChordId {
 
 #[cfg(test)]
 mod tests {
+    use dgrid_sim::router::KeyRouter;
+
     use super::*;
 
     const A: ChordId = ChordId(10);
@@ -140,10 +130,11 @@ mod tests {
 
     #[test]
     fn hash_is_deterministic_and_spread() {
-        assert_eq!(ChordId::hash_of(42), ChordId::hash_of(42));
-        assert_ne!(ChordId::hash_of(1), ChordId::hash_of(2));
+        let hash = <crate::ChordRing as KeyRouter>::key_of;
+        assert_eq!(hash(42), hash(42));
+        assert_ne!(hash(1), hash(2));
         // Sequential inputs should land far apart on the ring.
-        let spread: Vec<u64> = (0..8).map(|i| ChordId::hash_of(i).0).collect();
+        let spread: Vec<u64> = (0..8).map(hash).collect();
         let mut sorted = spread.clone();
         sorted.sort_unstable();
         sorted.dedup();

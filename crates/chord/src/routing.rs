@@ -21,10 +21,6 @@ fn id(e: Entry) -> ChordId {
 impl KeyRouter for ChordRing {
     const SUBSTRATE: &'static str = "chord";
 
-    fn key_of(raw: u64) -> u64 {
-        ChordId::hash_of(raw).0
-    }
-
     /// Builds the joiner's routing state (a real node performs O(log N)
     /// lookups for this during join). Its immediate neighbours learn of it
     /// right away, as Chord's join notification does; everyone else's

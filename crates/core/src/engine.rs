@@ -37,7 +37,7 @@ use rand::Rng;
 use self::run_node::{EnvOp, ReportOp, RunNodeCtx};
 use crate::config::{ChurnConfig, EngineConfig};
 use crate::dag::JobDag;
-use crate::job::{FailureReason, JobRecord, JobState, JobTable, OwnerLists, OwnerRef};
+use crate::job::{FailureReason, JobRecord, JobState, JobTable, OwnerRef};
 use crate::matchmaker::Matchmaker;
 use crate::metrics::SimReport;
 use crate::node::{GridNode, GridNodeId, NodeTable, QueuedJob};
@@ -207,10 +207,6 @@ pub struct Engine {
     rng_net: SimRng,
     net: Network,
     report: SimReport,
-    /// The jobs each peer owns. A departure takes its node's list sorted by
-    /// id, so the recovery events it schedules never depend on the order
-    /// in which the jobs were owned.
-    owner_jobs: OwnerLists,
     dag: JobDag,
     dag_children: HashMap<JobId, Vec<JobId>>,
     /// The DAG jobs still held back from submission (Section 5
@@ -385,7 +381,6 @@ impl Engine {
         );
 
         let outstanding = jobs.len();
-        let owner_jobs = OwnerLists::new(nodes.len());
         // One sample per job in each: reserved up front, a run never copies
         // them as they grow.
         let per_job = || SampleSet::with_capacity(jobs.len());
@@ -414,7 +409,6 @@ impl Engine {
             queue,
             rng_mm,
             rng_fail,
-            owner_jobs,
             dag,
             dag_children,
             held,
@@ -888,7 +882,7 @@ impl Engine {
         }
         self.report.lease_expiries += 1;
         self.emit(now, TraceEvent::LeaseExpired { job });
-        self.detach_owner(job);
+        self.jobs.disown(job);
         let Some(rec) = self.job_mut(job) else { return };
         rec.owner = None;
         rec.leased = false;
@@ -928,7 +922,7 @@ impl Engine {
                 self.report.lease_transfers += 1;
                 let Some(rec) = self.job_mut(job) else { return };
                 rec.owner = Some(OwnerRef::Peer(new_owner));
-                self.owner_jobs.own(new_owner, job);
+                self.jobs.own(job, new_owner);
                 self.emit(
                     now,
                     TraceEvent::LeaseTransferred {
@@ -976,7 +970,7 @@ impl Engine {
         if rec.state.is_terminal() {
             return;
         }
-        self.detach_owner(job);
+        self.jobs.disown(job);
         let Some(rec) = self.job_mut(job) else { return };
         rec.state = JobState::Matching;
         rec.match_attempts = 0;
@@ -1088,7 +1082,7 @@ impl Engine {
         let Some(rec) = self.job_mut(job) else { return };
         rec.owner = Some(owner);
         if let OwnerRef::Peer(p) = owner {
-            self.owner_jobs.own(p, job);
+            self.jobs.own(job, p);
         }
         self.emit(now, TraceEvent::OwnerAssigned { job, owner });
         self.grant_lease(now, job);
@@ -1310,7 +1304,9 @@ impl Engine {
                 .chain(n.queued_jobs())
                 .collect()
         };
-        let owned = self.owner_jobs.take_sorted(node);
+        // Taken sorted by id, so the recovery events scheduled below never
+        // depend on the order in which the jobs were owned.
+        let owned = self.jobs.take_owned(node);
 
         self.nodes.mark_failed(node);
         self.mm.on_leave(&self.nodes, node, graceful);
@@ -1361,7 +1357,7 @@ impl Engine {
             debug_assert_eq!(
                 rec.owner,
                 Some(OwnerRef::Peer(node)),
-                "{job} is in the owner list of {node:?}"
+                "{job} was owned by {node:?}"
             );
             if rec.state.is_terminal() {
                 continue;
@@ -1531,11 +1527,11 @@ impl Engine {
             self.report.owner_hops.push(f64::from(hops));
             self.report.owner_recoveries += 1;
             self.emit(now, TraceEvent::OwnerRecovery { job });
-            self.detach_owner(job);
+            self.jobs.disown(job);
             let Some(rec) = self.job_mut(job) else { return };
             rec.owner = Some(new_owner);
             if let OwnerRef::Peer(p) = new_owner {
-                self.owner_jobs.own(p, job);
+                self.jobs.own(job, p);
             }
         }
     }
@@ -1564,15 +1560,14 @@ impl Engine {
                 self.report.owner_hops.push(f64::from(hops));
                 self.report.owner_recoveries += 1;
                 self.emit(now, TraceEvent::OwnerRecovery { job });
-                // The departure that scheduled this detection took the job
-                // off the dead owner's list, but if that owner rejoined, a
-                // spurious detection may have moved the job to a new owner
-                // since: take it off that owner's list too.
-                self.detach_owner(job);
+                // The departure that scheduled this detection disowned the
+                // job, but if that owner rejoined, a spurious detection may
+                // have installed a new owner since: disown it too.
+                self.jobs.disown(job);
                 let Some(rec) = self.job_mut(job) else { return };
                 rec.owner = Some(new_owner);
                 if let OwnerRef::Peer(p) = new_owner {
-                    self.owner_jobs.own(p, job);
+                    self.jobs.own(job, p);
                 }
             }
             None => {
@@ -1645,7 +1640,7 @@ impl Engine {
         self.report.jobs_failed += 1;
         self.outstanding -= 1;
         self.emit(now, TraceEvent::Failed { job });
-        self.detach_owner(job);
+        self.jobs.disown(job);
         if self.dag.is_empty() {
             // The paper's base model: no dependencies, nothing to cascade.
             // Skips rebuilding the children index on every failure.
@@ -1668,16 +1663,7 @@ impl Engine {
             self.report.dependency_failures += 1;
             self.outstanding -= 1;
             self.emit(now, TraceEvent::Failed { job: d });
-            self.detach_owner(d);
-        }
-    }
-
-    fn detach_owner(&mut self, job: JobId) {
-        let Some(rec) = self.jobs.get(job) else {
-            return;
-        };
-        if let Some(OwnerRef::Peer(p)) = rec.owner {
-            self.owner_jobs.detach(p, job);
+            self.jobs.disown(d);
         }
     }
 }
@@ -1753,7 +1739,7 @@ impl RunNodeCtx for Engine {
             },
             EnvOp::OutstandingDec => self.outstanding -= 1,
             EnvOp::FailJob { job, reason } => self.fail_job(job, reason, at),
-            EnvOp::DetachOwner(job) => self.detach_owner(job),
+            EnvOp::DetachOwner(job) => self.jobs.disown(job),
             EnvOp::ReleaseDependents(job) => self.release_dependents(at, job),
         }
     }
@@ -1810,16 +1796,16 @@ mod tests {
         assert_eq!(engine.report.owner_recoveries, 2, "both replaced the owner");
         let owner = engine.jobs.get(job).expect("submitted").owner;
 
-        // Only the current owner lists the job, once.
+        // Only the current owner holds the job, once.
         for n in 0..nodes as u32 {
             let node = GridNodeId(n);
-            let listed = engine.owner_jobs.take_sorted(node);
+            let listed = engine.jobs.take_owned(node);
             let expected = if owner == Some(OwnerRef::Peer(node)) {
                 vec![job]
             } else {
                 Vec::new()
             };
-            assert_eq!(listed, expected, "owner list of {node:?}");
+            assert_eq!(listed, expected, "jobs owned by {node:?}");
         }
     }
 

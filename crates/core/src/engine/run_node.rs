@@ -42,7 +42,7 @@ pub(super) enum EnvOp {
     /// Terminal failure: the full `fail_job` (terminal guard, DAG cascade,
     /// owner detach).
     FailJob { job: JobId, reason: FailureReason },
-    /// Remove the job from its peer owner's owned set.
+    /// No peer owns the job any more.
     DetachOwner(JobId),
     /// DAG children of a completed parent become submittable.
     ReleaseDependents(JobId),

@@ -188,12 +188,20 @@ const ABSENT: u32 = u32::MAX;
 /// assembler's open spans, the analytics' job tracks and the binary
 /// encoder's intern tables.
 ///
-/// Engine ids are small sequential integers, so ids below
+/// Engine ids are small sequential integers, usually inserted as 0, 1, 2, …
+/// each at its own index. While they arrive that way the index is the
+/// identity on a prefix `0..prefix` and stores nothing: a lookup is one
+/// compare. The first insert or remove that breaks the pattern materialises
+/// the prefix into the columns below, which answer from then on: ids below
 /// [`DENSE_ID_LIMIT`] index a `Vec<u32>` directly (4 bytes per id up to the
-/// largest one inserted) and no id is hashed on that path. Ids from the
+/// largest one inserted) and no id is hashed on that path; ids from the
 /// limit up (hash-shaped test ids) fall back to a hash map.
 #[derive(Default)]
 pub(crate) struct IdIndex {
+    /// Until `materialised`, ids `0..prefix` are their own indices and no
+    /// other id has one.
+    prefix: u64,
+    materialised: bool,
     /// `dense[id]` is the index of a dense id, or [`ABSENT`].
     dense: Vec<u32>,
     sparse: HashMap<u64, u32>,
@@ -203,7 +211,9 @@ impl IdIndex {
     /// The index of `id`, if it has one.
     #[inline]
     pub fn get(&self, id: u64) -> Option<u32> {
-        if id < DENSE_ID_LIMIT {
+        if !self.materialised {
+            (id < self.prefix).then_some(id as u32)
+        } else if id < DENSE_ID_LIMIT {
             self.dense
                 .get(id as usize)
                 .copied()
@@ -217,6 +227,13 @@ impl IdIndex {
     #[inline]
     pub fn insert(&mut self, id: u64, idx: u32) {
         debug_assert_ne!(idx, ABSENT, "the absent sentinel is not an index");
+        if !self.materialised {
+            if id == self.prefix && u64::from(idx) == id {
+                self.prefix += 1;
+                return;
+            }
+            self.materialise();
+        }
         if id < DENSE_ID_LIMIT {
             let slot = id as usize;
             if slot >= self.dense.len() {
@@ -231,12 +248,30 @@ impl IdIndex {
     /// Take `id`'s index away, returning it.
     #[inline]
     pub fn remove(&mut self, id: u64) -> Option<u32> {
+        if !self.materialised {
+            if id >= self.prefix {
+                return None;
+            }
+            self.materialise();
+        }
         if id < DENSE_ID_LIMIT {
             let slot = self.dense.get_mut(id as usize)?;
             (*slot != ABSENT).then(|| std::mem::replace(slot, ABSENT))
         } else {
             self.sparse.remove(&id)
         }
+    }
+
+    /// Write the identity prefix out into the columns.
+    #[cold]
+    fn materialise(&mut self) {
+        self.materialised = true;
+        let prefix = std::mem::take(&mut self.prefix);
+        let dense_end = prefix.min(DENSE_ID_LIMIT);
+        // Indices are `u32`, so the prefix never passes `u32::MAX`.
+        self.dense = (0..dense_end as u32).collect();
+        self.sparse
+            .extend((dense_end..prefix).map(|id| (id, id as u32)));
     }
 }
 
@@ -253,7 +288,8 @@ pub(crate) fn next_index(len: usize) -> u32 {
 }
 
 /// The engine's job store: records in insertion order in one `Vec`,
-/// addressed by [`JobId`] through an [`IdIndex`].
+/// addressed by [`JobId`] through an [`IdIndex`], beside the
+/// [`OwnerColumn`] that names each one's owning peer.
 ///
 /// Records are never removed during a replication: a terminal record must
 /// keep answering lookups, because a *missing* record is how the engine
@@ -261,6 +297,7 @@ pub(crate) fn next_index(len: usize) -> u32 {
 pub(crate) struct JobTable {
     records: Vec<JobRecord>,
     index: IdIndex,
+    owners: OwnerColumn,
 }
 
 impl JobTable {
@@ -268,6 +305,7 @@ impl JobTable {
         JobTable {
             records: Vec::with_capacity(cap),
             index: IdIndex::default(),
+            owners: OwnerColumn::default(),
         }
     }
 
@@ -282,6 +320,7 @@ impl JobTable {
         }
         self.index.insert(id.0, next_index(self.records.len()));
         self.records.push(record);
+        self.owners.push_unowned();
         true
     }
 
@@ -302,53 +341,106 @@ impl JobTable {
     pub fn iter(&self) -> impl Iterator<Item = (JobId, &JobRecord)> {
         self.records.iter().map(|r| (r.profile.id, r))
     }
-}
 
-/// The jobs each peer owns, one list per node id: what a departure must
-/// hand to recovery. The engine keeps every job in node `n`'s list owned
-/// by `Peer(n)`, and a list never holds a job twice. A departure takes its
-/// node's whole list, so a departed owner's record may still name it until
-/// recovery installs a new owner.
-#[derive(Debug)]
-pub(crate) struct OwnerLists {
-    lists: Vec<Vec<JobId>>,
-}
-
-impl OwnerLists {
-    /// Empty lists for nodes `0..nodes`.
-    pub fn new(nodes: usize) -> Self {
-        OwnerLists {
-            lists: vec![Vec::new(); nodes],
+    /// `node` now owns `job`, which no peer owned (a no-op for an unknown
+    /// job).
+    pub fn own(&mut self, job: JobId, node: GridNodeId) {
+        if let Some(idx) = self.index.get(job.0) {
+            self.owners.own(idx, node);
         }
     }
 
-    /// `node` now owns `job`.
-    pub fn own(&mut self, node: GridNodeId, job: JobId) {
-        let list = &mut self.lists[node.0 as usize];
-        debug_assert!(!list.contains(&job), "{job} owned twice by {node:?}");
-        list.push(job);
-    }
-
-    /// `node` no longer owns `job` (a no-op if it did not).
-    pub fn detach(&mut self, node: GridNodeId, job: JobId) {
-        let list = &mut self.lists[node.0 as usize];
-        if let Some(pos) = list.iter().position(|&j| j == job) {
-            list.swap_remove(pos);
+    /// No peer owns `job` any more (a no-op if none did).
+    pub fn disown(&mut self, job: JobId) {
+        if let Some(idx) = self.index.get(job.0) {
+            self.owners.disown(idx);
         }
     }
 
-    /// Empty `node`'s list, returning its jobs in ascending id order.
-    pub fn take_sorted(&mut self, node: GridNodeId) -> Vec<JobId> {
-        let mut jobs = std::mem::take(&mut self.lists[node.0 as usize]);
+    /// Disown every job `node` owns, returning them in ascending id order.
+    pub fn take_owned(&mut self, node: GridNodeId) -> Vec<JobId> {
+        let mut jobs: Vec<JobId> = self
+            .owners
+            .take(node)
+            .into_iter()
+            .map(|idx| self.records[idx as usize].profile.id)
+            .collect();
+        // Index order is id order when ids arrive ascending, as engine ids
+        // do; the sort pins it for any other input.
         jobs.sort_unstable();
         jobs
     }
 }
 
+/// [`OwnerColumn`] entry of an index no peer owns.
+const NO_OWNER: u32 = u32::MAX;
+
+/// The owning peer of each job-table index: what a departure must hand to
+/// recovery. A job has at most one peer owner; the engine stores it when it
+/// installs one and clears it when it lets one go. A departure takes its
+/// node's jobs, so a departed owner's record may still name it until
+/// recovery installs a new owner.
+///
+/// Every owned index lies in the window `lo..hi`. An own widens it; a
+/// departure scans only the window and narrows it to the indices still
+/// owned, so its cost follows the jobs in flight, not every job submitted.
+#[derive(Debug, Default)]
+pub(crate) struct OwnerColumn {
+    /// `owner[idx]` is the owning node's id, or [`NO_OWNER`].
+    owner: Vec<u32>,
+    lo: usize,
+    hi: usize,
+}
+
+impl OwnerColumn {
+    /// Append an unowned index.
+    pub fn push_unowned(&mut self) {
+        self.owner.push(NO_OWNER);
+    }
+
+    /// `node` now owns index `idx`, which had no owner.
+    #[inline]
+    pub fn own(&mut self, idx: u32, node: GridNodeId) {
+        let i = idx as usize;
+        debug_assert_eq!(self.owner[i], NO_OWNER, "index {i} already has an owner");
+        debug_assert_ne!(node.0, NO_OWNER, "the no-owner sentinel is not a node");
+        self.owner[i] = node.0;
+        if self.lo == self.hi {
+            (self.lo, self.hi) = (i, i + 1);
+        } else {
+            self.lo = self.lo.min(i);
+            self.hi = self.hi.max(i + 1);
+        }
+    }
+
+    /// Index `idx` has no owner any more.
+    #[inline]
+    pub fn disown(&mut self, idx: u32) {
+        self.owner[idx as usize] = NO_OWNER;
+    }
+
+    /// Disown every index `node` owns, returning them ascending.
+    pub fn take(&mut self, node: GridNodeId) -> Vec<u32> {
+        let mut taken = Vec::new();
+        // The window's new bounds: the first and one past the last index
+        // still owned after the take.
+        let (mut lo, mut hi) = (self.hi, self.lo);
+        for (i, owner) in (self.lo..).zip(&mut self.owner[self.lo..self.hi]) {
+            if *owner == node.0 {
+                *owner = NO_OWNER;
+                taken.push(i as u32);
+            } else if *owner != NO_OWNER {
+                lo = lo.min(i);
+                hi = i + 1;
+            }
+        }
+        (self.lo, self.hi) = if lo < hi { (lo, hi) } else { (0, 0) };
+        taken
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
     use dgrid_resources::{ClientId, JobId, JobRequirements};
     use proptest::prelude::*;
 
@@ -456,6 +548,69 @@ mod tests {
         assert_eq!(index.get(8), None, "inside the dense column, no index");
     }
 
+    #[test]
+    fn id_index_stores_nothing_until_ids_leave_the_identity() {
+        let mut index = IdIndex::default();
+        for id in 0..5 {
+            index.insert(id, id as u32);
+        }
+        assert_eq!(index.remove(9), None, "an absent id keeps the identity");
+        assert!(!index.materialised && index.dense.is_empty() && index.sparse.is_empty());
+        assert_eq!((index.get(4), index.get(5)), (Some(4), None));
+        // An out-of-order insert writes the prefix out.
+        index.insert(8, 5);
+        assert!(index.materialised);
+        assert_eq!(index.dense, [0, 1, 2, 3, 4, ABSENT, ABSENT, ABSENT, 5]);
+        assert_eq!(
+            (index.get(4), index.get(8), index.get(5)),
+            (Some(4), Some(5), None)
+        );
+    }
+
+    #[test]
+    fn owner_column_reowns_below_its_window() {
+        let mut column = OwnerColumn::default();
+        for _ in 0..12 {
+            column.push_unowned();
+        }
+        let (a, b) = (GridNodeId(1), GridNodeId(2));
+        column.own(5, a);
+        column.own(9, b);
+        column.own(7, a);
+        assert_eq!(column.take(a), [5, 7]);
+        assert_eq!((column.lo, column.hi), (9, 10), "narrowed to what b owns");
+        column.own(2, a);
+        column.own(11, a);
+        assert_eq!((column.lo, column.hi), (2, 12));
+        column.disown(9);
+        assert_eq!(column.take(b), [] as [u32; 0]);
+        assert_eq!((column.lo, column.hi), (2, 12));
+        assert_eq!(column.take(a), [2, 11]);
+        assert_eq!(column.lo, column.hi, "nothing owned, an empty window");
+    }
+
+    #[test]
+    fn job_table_hands_over_owned_jobs_in_id_order() {
+        let ids = [u64::MAX - 7, 40, 1 << 40, 3];
+        let mut t = JobTable::with_capacity(ids.len());
+        for id in ids {
+            assert!(t.insert(JobId(id), record_for(id)));
+        }
+        let (a, b) = (GridNodeId(0), GridNodeId(1));
+        for id in ids {
+            t.own(JobId(id), a);
+        }
+        t.disown(JobId(40));
+        t.own(JobId(40), b);
+        t.own(JobId(999), b);
+        assert_eq!(
+            t.take_owned(a),
+            [JobId(3), JobId(1 << 40), JobId(u64::MAX - 7)]
+        );
+        assert_eq!(t.take_owned(b), [JobId(40)]);
+        assert!(t.take_owned(a).is_empty());
+    }
+
     /// Ids on both sides of the dense limit, at its edges and far past it.
     const PROBE_IDS: [u64; 12] = [
         0,
@@ -475,14 +630,27 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random inserts, removes and gets on both sides of the dense
-        /// limit answer as a `HashMap` does.
+        /// An identity run of `run` ids, then random inserts, removes, gets
+        /// and identity extensions on both sides of the dense limit, answer
+        /// as a `HashMap` does. The run stores nothing; an out-of-order
+        /// insert, a remove of an indexed id or a sparse id ends it.
         #[test]
         fn id_index_matches_a_hashmap(
-            ops in proptest::collection::vec((0u8..3, 0usize..12, 0u32..1_000), 1..300),
+            run in 0u64..40,
+            ops in proptest::collection::vec((0u8..4, 0usize..12, 0u32..1_000), 1..300),
         ) {
             let mut index = IdIndex::default();
             let mut model: HashMap<u64, u32> = HashMap::new();
+            let mut next = 0u64;
+            let mut extend = |index: &mut IdIndex, model: &mut HashMap<u64, u32>| {
+                index.insert(next, next as u32);
+                model.insert(next, next as u32);
+                next += 1;
+            };
+            for _ in 0..run {
+                extend(&mut index, &mut model);
+            }
+            prop_assert!(!index.materialised && index.dense.is_empty() && index.sparse.is_empty());
             for (op, pick, idx) in ops {
                 let id = PROBE_IDS[pick];
                 match op {
@@ -491,47 +659,61 @@ mod tests {
                         model.insert(id, idx);
                     }
                     1 => prop_assert_eq!(index.remove(id), model.remove(&id)),
-                    _ => prop_assert_eq!(index.get(id), model.get(&id).copied()),
+                    2 => prop_assert_eq!(index.get(id), model.get(&id).copied()),
+                    _ => extend(&mut index, &mut model),
                 }
             }
-            for id in PROBE_IDS {
+            for id in PROBE_IDS.into_iter().chain(0..next + 1) {
                 prop_assert_eq!(index.get(id), model.get(&id).copied());
             }
         }
 
-        /// Under random own/detach/take sequences over up to 70 nodes, the
-        /// lists hold what a `BTreeSet` per node holds, and a take returns
-        /// it in the set's ascending order. An own is drawn only for a job
-        /// not already in that node's list, as the engine guarantees.
+        /// Under random own/disown/take sequences over up to 70 nodes and
+        /// 24 indices, the column holds what a one-owner-per-index model
+        /// holds, a take returns the node's indices ascending, and every
+        /// owned index stays inside the window. An own is drawn only for an
+        /// unowned index, as the engine guarantees, so indices below a
+        /// narrowed window are owned again.
         #[test]
-        fn owner_lists_match_a_btreeset_per_node(
-            nodes in 1usize..=70,
-            ops in proptest::collection::vec((0u8..3, 0usize..70, 0u64..24), 1..400),
+        fn owner_column_matches_one_owner_per_index(
+            nodes in 1u32..=70,
+            ops in proptest::collection::vec((0u8..3, 0u32..70, 0u32..24), 1..400),
         ) {
-            let mut lists = OwnerLists::new(nodes);
-            let mut reference: Vec<BTreeSet<JobId>> = vec![BTreeSet::new(); nodes];
-            for (op, n, j) in ops {
-                let (node, job) = (GridNodeId((n % nodes) as u32), JobId(j));
-                let set = &mut reference[node.0 as usize];
+            let mut column = OwnerColumn::default();
+            for _ in 0..24 {
+                column.push_unowned();
+            }
+            let mut model: Vec<Option<u32>> = vec![None; 24];
+            for (op, n, idx) in ops {
+                let node = GridNodeId(n % nodes);
+                let slot = &mut model[idx as usize];
                 match op {
-                    0 if !set.contains(&job) => {
-                        lists.own(node, job);
-                        set.insert(job);
+                    0 if slot.is_none() => {
+                        column.own(idx, node);
+                        *slot = Some(node.0);
                     }
                     1 => {
-                        lists.detach(node, job);
-                        set.remove(&job);
+                        column.disown(idx);
+                        *slot = None;
                     }
                     2 => {
-                        let expected: Vec<JobId> = std::mem::take(set).into_iter().collect();
-                        prop_assert_eq!(lists.take_sorted(node), expected);
+                        let expected: Vec<u32> = (0..24u32)
+                            .filter(|&i| model[i as usize] == Some(node.0))
+                            .collect();
+                        for &i in &expected {
+                            model[i as usize] = None;
+                        }
+                        prop_assert_eq!(column.take(node), expected);
                     }
                     _ => {}
                 }
+                for (i, owner) in model.iter().enumerate() {
+                    prop_assert!(owner.is_none() || (column.lo..column.hi).contains(&i));
+                }
             }
-            for (n, set) in reference.into_iter().enumerate() {
-                let expected: Vec<JobId> = set.into_iter().collect();
-                prop_assert_eq!(lists.take_sorted(GridNodeId(n as u32)), expected);
+            for n in 0..nodes {
+                let expected: Vec<u32> = (0..24u32).filter(|&i| model[i as usize] == Some(n)).collect();
+                prop_assert_eq!(column.take(GridNodeId(n)), expected);
             }
         }
     }

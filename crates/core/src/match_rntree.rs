@@ -24,8 +24,6 @@
 //! variants differing only in the underlying routing geometry.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use dgrid_chord::ChordRing;
@@ -70,29 +68,9 @@ const NOT_INDEXED: u32 = u32::MAX;
 /// over.
 const LOOKUP_FAILOVER_RETRIES: u32 = 2;
 
-/// Hashes an overlay key to itself. Every key is a [`KeyRouter::key_of`]
-/// output, a splitmix64 mix on all three substrates, already as evenly
-/// spread as SipHash would leave it; keys come from grid node ids, never
-/// from outside the program, so no one can craft them to collide.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("overlay keys hash as one u64");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-}
-
-/// Grid node of each overlay member, by key.
-type GridOf = HashMap<u64, GridNodeId, BuildHasherDefault<KeyHasher>>;
+/// Low bits of an overlay key's raw value ([`KeyRouter::raw_of`]) that hold
+/// the node's join generation; the grid node id sits above them.
+const GENERATION_BITS: u32 = 20;
 
 /// The Section 3.1 matchmaker, generic over the overlay substrate. The
 /// default substrate is Chord, matching the paper.
@@ -100,12 +78,12 @@ pub struct RnTreeMatchmaker<R: KeyRouter = ChordRing> {
     cfg: RnTreeConfig,
     router: R,
     /// Overlay key of each member, indexed by grid node; `None` for a node
-    /// that is not (or no longer) in the overlay.
+    /// that is not (or no longer) in the overlay. No map runs the other
+    /// way: a key's raw value names its grid node ([`Self::grid_of`]).
     key_of: Vec<Option<u64>>,
-    grid_of: GridOf,
     index: Option<RnTreeIndex>,
     /// Grid node of each rank of `index`: the tree's ids seen through
-    /// `grid_of`, resolved once per rebuild.
+    /// [`Self::grid_of`], resolved once per rebuild.
     grid_at: Vec<GridNodeId>,
     /// Rank in `index` of each grid node, [`NOT_INDEXED`] outside it; the
     /// inverse of `grid_at`.
@@ -138,7 +116,6 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             cfg,
             router: R::default(),
             key_of: Vec::new(),
-            grid_of: GridOf::default(),
             index: None,
             grid_at: Vec::new(),
             rank_of: Vec::new(),
@@ -154,9 +131,26 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         self.index.as_ref().map(|i| i.tree().height())
     }
 
+    /// A fresh overlay identity per (node, join generation): the key of the
+    /// raw value `node << GENERATION_BITS | generation`.
     fn overlay_key_for(node: GridNodeId, generation: u64) -> u64 {
-        // Fresh overlay identity per (node, join-generation).
-        R::key_of((u64::from(node.0) << 20) ^ generation)
+        assert!(
+            generation < 1 << GENERATION_BITS,
+            "{node} ran out of join generations"
+        );
+        R::key_of((u64::from(node.0) << GENERATION_BITS) ^ generation)
+    }
+
+    /// The grid node whose overlay identity `key` is, for a key known to
+    /// be a member's.
+    fn grid_of(key: u64) -> GridNodeId {
+        GridNodeId((R::raw_of(key) >> GENERATION_BITS) as u32)
+    }
+
+    /// The grid node `key` belongs to, if it is a member's current key.
+    fn member_of(&self, key: u64) -> Option<GridNodeId> {
+        let grid = Self::grid_of(key);
+        (self.key_of(grid) == Some(key)).then_some(grid)
     }
 
     /// The overlay key of `node`, if it is a member.
@@ -181,12 +175,14 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             self.index = None;
             return;
         }
-        // `grid_of` mirrors the substrate's membership, and the build asks
-        // for capabilities in rank order: each rank's grid node is resolved
-        // here, once, and the search reads it back by index.
-        let (grid_of, grid_at) = (&self.grid_of, &mut self.grid_at);
+        // The tree's ids are the substrate's live keys, every one a member's,
+        // and the build asks for capabilities in rank order: each rank's
+        // grid node is resolved here, once, and the search reads it back by
+        // index.
+        let (key_of, grid_at) = (&self.key_of, &mut self.grid_at);
         self.index = Some(RnTreeIndex::build_with(&self.router, |key| {
-            let gid = grid_of[&key];
+            let gid = Self::grid_of(key);
+            debug_assert_eq!(key_of[gid.0 as usize], Some(key), "{key:#x} is no member's");
             grid_at.push(gid);
             nodes.get(gid).profile.capabilities
         }));
@@ -208,7 +204,7 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             .chain(self.router.failover_peers(mapped))
             .enumerate()
         {
-            let Some(&gid) = self.grid_of.get(&key) else {
+            let Some(gid) = self.member_of(key) else {
                 continue;
             };
             if !nodes.is_alive(gid) {
@@ -266,30 +262,25 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         }
         self.router.join(key);
         self.set_key_of(node, Some(key));
-        self.grid_of.insert(key, node);
         self.dirty = true;
     }
 
     fn bootstrap(&mut self, nodes: &NodeTable, _rng: &mut SimRng) {
-        // Same key choices as on_join in ascending node order — collisions
-        // are checked against the keys admitted so far (`grid_of` mirrors
-        // the substrate membership exactly while bootstrapping) — but the
-        // substrate defers routing-state construction to the first
-        // stabilize instead of building tables once per join.
+        // Same key choices as on_join in ascending node order: into an
+        // empty overlay every node joins at generation 0, and `key_of` being
+        // a bijection, distinct nodes' keys never collide. The substrate
+        // defers routing-state construction to the first stabilize instead
+        // of building tables once per join.
         debug_assert!(self.router.is_empty(), "bootstrap of a populated overlay");
-        let mut keys = Vec::with_capacity(nodes.len());
         self.key_of.resize(nodes.len(), None);
-        for node in nodes.alive_ids() {
-            let mut generation = 0u64;
-            let mut key = Self::overlay_key_for(node, generation);
-            while self.grid_of.contains_key(&key) || self.router.is_alive(key) {
-                generation += 1;
-                key = Self::overlay_key_for(node, generation);
-            }
-            keys.push(key);
-            self.key_of[node.0 as usize] = Some(key);
-            self.grid_of.insert(key, node);
-        }
+        let keys: Vec<u64> = nodes
+            .alive_ids()
+            .map(|node| {
+                let key = Self::overlay_key_for(node, 0);
+                self.key_of[node.0 as usize] = Some(key);
+                key
+            })
+            .collect();
         self.router.bulk_join(&keys);
         self.dirty = true;
     }
@@ -297,7 +288,6 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
     fn on_leave(&mut self, _nodes: &NodeTable, node: GridNodeId, graceful: bool) {
         let key = self.key_of(node).expect("leave of node never joined");
         self.set_key_of(node, None);
-        self.grid_of.remove(&key);
         if graceful {
             self.router.leave(key); // neighbours repaired immediately
         } else {
@@ -338,7 +328,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         if self.placement == PlacementPolicy::LoadAware {
             owner = self.place_load_aware(nodes, owner, &mut hops);
         }
-        let grid = *self.grid_of.get(&owner)?;
+        let grid = self.member_of(owner)?;
         self.report_lookup(hops, retries);
         Some((OwnerRef::Peer(grid), hops))
     }
@@ -438,7 +428,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         if self.placement == PlacementPolicy::LoadAware {
             owner_key = self.place_load_aware(nodes, owner_key, &mut hops);
         }
-        let grid = *self.grid_of.get(&owner_key)?;
+        let grid = self.member_of(owner_key)?;
         if !nodes.is_alive(grid) {
             return None;
         }
@@ -479,8 +469,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
     fn lease_registrar(&mut self, nodes: &NodeTable, guid: u64) -> Option<GridNodeId> {
         // Ground truth, no routing cost: the registrar *is* the substrate
         // owner of the job's DHT key (renewals ride on its direct address).
-        let key = self.router.owner_of(guid)?;
-        let gid = *self.grid_of.get(&key)?;
+        let gid = Self::grid_of(self.router.owner_of(guid)?);
         nodes.is_alive(gid).then_some(gid)
     }
 }
@@ -676,18 +665,24 @@ mod tests {
         assert_ne!(next, Some(registrar), "dead registrar must be replaced");
     }
 
-    /// The matchmaker's membership mirrors and rank columns against the
+    /// The matchmaker's membership mirror and rank columns against the
     /// tree they were built beside: `key_of` names exactly the live grid
-    /// nodes and `grid_of` inverts it; after a rebuild `grid_at[r]` is
-    /// `grid_of[ids[r]]` and `rank_of` is its inverse, `NOT_INDEXED`
+    /// nodes, `raw_of` inverts it on every member's key and a dead node's
+    /// first key is no member's; after a rebuild `grid_at[r]` is the grid
+    /// node of `ids[r]` and `rank_of` is its inverse, `NOT_INDEXED`
     /// everywhere else.
     fn columns_match_the_tree<R: KeyRouter>(mm: &RnTreeMatchmaker<R>, nodes: &NodeTable) {
         for g in (0..nodes.len() as u32).map(GridNodeId) {
             let key = mm.key_of(g);
             assert_eq!(key.is_some(), nodes.is_alive(g), "{g} membership");
-            assert_eq!(key.map(|k| mm.grid_of[&k]), key.map(|_| g), "{g} key");
+            let Some(key) = key else {
+                let first = RnTreeMatchmaker::<R>::overlay_key_for(g, 0);
+                assert_eq!(mm.member_of(first), None, "{g} left");
+                continue;
+            };
+            assert_eq!(R::raw_of(key) >> GENERATION_BITS, u64::from(g.0), "{g} key");
+            assert_eq!(mm.member_of(key), Some(g), "{g} key");
         }
-        assert_eq!(mm.grid_of.len(), nodes.alive_count());
         assert!(!mm.dirty);
         let ids = mm
             .index
@@ -695,7 +690,11 @@ mod tests {
             .expect("a live grid is indexed")
             .tree()
             .ids();
-        let grid_at: Vec<GridNodeId> = ids.iter().map(|k| mm.grid_of[k]).collect();
+        assert_eq!(ids.len(), nodes.alive_count());
+        let grid_at: Vec<GridNodeId> = ids
+            .iter()
+            .map(|&k| mm.member_of(k).expect("every indexed key is a member's"))
+            .collect();
         assert_eq!(mm.grid_at, grid_at);
         let mut rank_of = vec![NOT_INDEXED; nodes.len()];
         for (rank, g) in grid_at.iter().enumerate() {
@@ -732,6 +731,17 @@ mod tests {
                     mm.tick(&nodes);
                 }
                 columns_match_the_tree(&mm, &nodes);
+            }
+        }
+
+        proptest! {
+            /// The matchmaker reads a key's grid node back through
+            /// `raw_of`, so it must invert `key_of` on every substrate.
+            #[test]
+            fn raw_of_inverts_key_of_on_every_substrate(raw: u64) {
+                prop_assert_eq!(ChordRing::raw_of(ChordRing::key_of(raw)), raw);
+                prop_assert_eq!(PastryNetwork::raw_of(PastryNetwork::key_of(raw)), raw);
+                prop_assert_eq!(TapestryNetwork::raw_of(TapestryNetwork::key_of(raw)), raw);
             }
         }
 

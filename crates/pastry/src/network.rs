@@ -5,7 +5,6 @@ use std::ops::Bound;
 
 use dgrid_sim::overlay::{Entry, Lazy, Membership};
 use dgrid_sim::prefix::{self, Table, Tables, DIGITS, RADIX};
-use dgrid_sim::rng::splitmix64;
 use dgrid_sim::router::{prefix_key, KeyRouter, RouteCost};
 use serde::{Deserialize, Serialize};
 
@@ -274,10 +273,6 @@ fn closer_to(a: u64, key: u64, b: u64) -> bool {
 
 impl KeyRouter for PastryNetwork {
     const SUBSTRATE: &'static str = "pastry";
-
-    fn key_of(raw: u64) -> u64 {
-        splitmix64(raw)
-    }
 
     /// Builds the joiner's state (a real join routes to the closest node
     /// and copies state from the path). Immediate leaf neighbours learn of

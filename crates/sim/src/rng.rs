@@ -22,6 +22,19 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The inverse of [`splitmix64`]: `unsplitmix64(splitmix64(x)) == x` for
+/// every `x`. Each step of the mixer is invertible — the add by its
+/// negation, a multiply by the odd constant's inverse mod 2⁶⁴, and a
+/// `z ^ (z >> s)` by folding the shifted terms back in until they run out.
+pub fn unsplitmix64(mut z: u64) -> u64 {
+    z ^= (z >> 31) ^ (z >> 62);
+    z = z.wrapping_mul(0x3196_42B2_D24D_8EC3);
+    z ^= (z >> 27) ^ (z >> 54);
+    z = z.wrapping_mul(0x96DE_1B17_3F11_9089);
+    z ^= (z >> 30) ^ (z >> 60);
+    z.wrapping_sub(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Derive the seed for logical stream `stream` from `root`.
 ///
 /// Distinct `(root, stream)` pairs yield (with overwhelming probability)
@@ -183,6 +196,18 @@ mod tests {
         for _ in 0..10_000 {
             let x = sample_truncated_normal(&mut rng, 0.0, 5.0, 1.0);
             assert!(x >= 1.0);
+        }
+    }
+
+    #[test]
+    fn unsplitmix_inverts_splitmix() {
+        let edges = [0, 1, u64::MAX, 1 << 63, 0x9E37_79B9_7F4A_7C15];
+        for x in edges
+            .into_iter()
+            .chain((0..10_000u64).map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D)))
+        {
+            assert_eq!(unsplitmix64(splitmix64(x)), x, "{x:#x}");
+            assert_eq!(splitmix64(unsplitmix64(x)), x, "{x:#x}");
         }
     }
 

@@ -16,6 +16,7 @@
 //! skeleton, via [`crate::failover::route_with_detours`].
 
 use crate::failover::route_with_detours;
+use crate::rng::{splitmix64, unsplitmix64};
 
 /// Cost-annotated result of routing to a key's owner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,8 +94,24 @@ pub trait KeyRouter: Default {
     /// Substrate name used in matchmaker labels: "chord", "pastry", ...
     const SUBSTRATE: &'static str;
 
-    /// Hash an arbitrary value onto the substrate's key space.
-    fn key_of(raw: u64) -> u64;
+    /// Hash an arbitrary value onto the substrate's key space: the
+    /// [`splitmix64`] mix, on every substrate. It plays the paper's
+    /// "computationally secure hash", and unlike a truncated SHA-1 it is
+    /// collision-free by construction.
+    ///
+    /// It is a bijection on `u64`, and [`KeyRouter::raw_of`] inverts it, so
+    /// a key names the one raw value it came from. The RN-Tree matchmaker
+    /// relies on that: it hashes its grid node's id into each overlay key
+    /// and reads it back with `raw_of` instead of keeping a key → node map.
+    fn key_of(raw: u64) -> u64 {
+        splitmix64(raw)
+    }
+
+    /// The raw value `key` is the [`KeyRouter::key_of`] of:
+    /// `raw_of(key_of(r)) == r` for every `r`.
+    fn raw_of(key: u64) -> u64 {
+        unsplitmix64(key)
+    }
 
     /// Add a live node under `key` and build its routing state.
     ///

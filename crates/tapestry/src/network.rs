@@ -2,7 +2,6 @@
 
 use dgrid_sim::overlay::{Lazy, Membership};
 use dgrid_sim::prefix::{self, Table, Tables, DIGITS as LEVELS, DIGIT_BITS, RADIX};
-use dgrid_sim::rng::splitmix64;
 use dgrid_sim::router::{KeyRouter, RouteCost};
 use serde::{Deserialize, Serialize};
 
@@ -86,10 +85,6 @@ impl TapestryNetwork {
 
 impl KeyRouter for TapestryNetwork {
     const SUBSTRATE: &'static str = "tapestry";
-
-    fn key_of(raw: u64) -> u64 {
-        splitmix64(raw)
-    }
 
     /// Builds the joiner's neighbor maps; nodes sharing prefixes learn of
     /// it lazily (stale until stabilize).
