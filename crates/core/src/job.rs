@@ -305,7 +305,10 @@ impl JobTable {
         JobTable {
             records: Vec::with_capacity(cap),
             index: IdIndex::default(),
-            owners: OwnerColumn::default(),
+            owners: OwnerColumn {
+                owner: Vec::with_capacity(cap),
+                ..OwnerColumn::default()
+            },
         }
     }
 

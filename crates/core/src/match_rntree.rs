@@ -469,7 +469,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
     fn lease_registrar(&mut self, nodes: &NodeTable, guid: u64) -> Option<GridNodeId> {
         // Ground truth, no routing cost: the registrar *is* the substrate
         // owner of the job's DHT key (renewals ride on its direct address).
-        let gid = Self::grid_of(self.router.owner_of(guid)?);
+        let gid = self.member_of(self.router.owner_of(guid)?)?;
         nodes.is_alive(gid).then_some(gid)
     }
 }
