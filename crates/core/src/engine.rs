@@ -1810,10 +1810,18 @@ mod tests {
     }
 
     /// Places every owner on node `owner` and every run node on node `run`;
-    /// a test moves either between steps.
+    /// a test moves either between steps. An owner of [`NOBODY`] is the
+    /// overlay naming no owner; one the test crashed is it naming a dead one.
     struct Scripted {
         owner: Rc<Cell<u32>>,
         run: u32,
+    }
+
+    impl Scripted {
+        fn named_owner(&self) -> Option<(OwnerRef, u32)> {
+            let owner = self.owner.get();
+            (owner != NOBODY).then_some((OwnerRef::Peer(GridNodeId(owner)), 1))
+        }
     }
 
     impl Matchmaker for Scripted {
@@ -1833,7 +1841,7 @@ mod tests {
             _: GridNodeId,
             _: &mut SimRng,
         ) -> Option<(OwnerRef, u32)> {
-            Some((OwnerRef::Peer(GridNodeId(self.owner.get())), 1))
+            self.named_owner()
         }
 
         fn find_run_node(
@@ -1856,7 +1864,7 @@ mod tests {
             _: u64,
             _: &mut SimRng,
         ) -> Option<(OwnerRef, u32)> {
-            Some((OwnerRef::Peer(GridNodeId(self.owner.get())), 1))
+            self.named_owner()
         }
 
         fn tick(&mut self, _: &NodeTable) {}
@@ -1889,6 +1897,24 @@ mod tests {
     const RUN: u32 = 1;
     const NEXT: u32 = 2;
     const LAST: u32 = 3;
+    /// The overlay names no owner.
+    const NOBODY: u32 = u32::MAX;
+
+    /// Keeps every event of a stream as `"<time> <event>"`.
+    #[derive(Clone, Default)]
+    struct Stream(Rc<RefCell<Vec<String>>>);
+
+    impl Observer for Stream {
+        fn on_event(&mut self, at: SimTime, event: TraceEvent) {
+            self.0.borrow_mut().push(format!("{at} {event:?}"));
+        }
+    }
+
+    impl Stream {
+        fn take(&self) -> Vec<String> {
+            self.0.take()
+        }
+    }
 
     /// Four nodes under [`Scripted`], one 10⁴-second job per id arriving a
     /// second apart in the order given, and the recovery log.
@@ -2087,6 +2113,352 @@ mod tests {
         // re-armed by its move, so it runs out last.
         assert_eq!(log.0.take(), [last(0), last(2), last(1)].concat());
         assert_eq!(engine.report.lease_transfers, 6);
+    }
+
+    /// [`scripted`] with every event of the stream kept.
+    fn streamed(cfg: EngineConfig, ids: &[u64]) -> (Engine, Rc<Cell<u32>>, Stream) {
+        let (mut engine, owner, _) = scripted(cfg, ids);
+        let stream = Stream::default();
+        engine.set_observer(Box::new(stream.clone()));
+        (engine, owner, stream)
+    }
+
+    fn leased() -> EngineConfig {
+        EngineConfig {
+            lease_ttl_secs: Some(120.0),
+            lease_renew_secs: 30.0,
+            lease_grace_secs: 10.0,
+            placement: Some(crate::config::PlacementPolicy::Hash),
+            ..EngineConfig::default()
+        }
+    }
+
+    fn rejoin(engine: &mut Engine, at: SimTime, node: u32) {
+        engine.dispatch(
+            at,
+            Event::NodeRejoin {
+                node: GridNodeId(node),
+            },
+        );
+    }
+
+    /// The recovery counters of a run and the owner lookups' hop counts.
+    #[derive(Debug, Default, PartialEq)]
+    struct Counts {
+        owner_hops: Vec<f64>,
+        match_failures: u64,
+        run_recoveries: u64,
+        owner_recoveries: u64,
+        client_resubmits: u64,
+        lease_expiries: u64,
+        lease_transfers: u64,
+        jobs_failed: u64,
+        unknown_job_events: u64,
+    }
+
+    fn counts_of(engine: &Engine) -> Counts {
+        let r = &engine.report;
+        Counts {
+            owner_hops: r.owner_hops.samples().to_vec(),
+            match_failures: r.match_failures,
+            run_recoveries: r.run_recoveries,
+            owner_recoveries: r.owner_recoveries,
+            client_resubmits: r.client_resubmits,
+            lease_expiries: r.lease_expiries,
+            lease_transfers: r.lease_transfers,
+            jobs_failed: r.jobs_failed,
+            unknown_job_events: r.unknown_job_events,
+        }
+    }
+
+    /// The submission reaches an owner that died in transit: the overlay is
+    /// asked again and the job sent on to the owner it names.
+    #[test]
+    fn an_owner_dead_in_transit_is_replaced_through_the_overlay() {
+        let (mut engine, owner, stream) = streamed(EngineConfig::default(), &[0]);
+        let (at, submit) = engine.queue.pop().expect("the submission");
+        engine.dispatch(at, submit);
+        crash(&mut engine, at, OWNER);
+        owner.set(NEXT);
+        run_until(&mut engine, at + SimDuration::from_secs(600));
+        assert_eq!(
+            stream.take(),
+            [
+                "0.000s Submitted { job: job#0, resubmits: 0 }",
+                "0.000s NodeDown { node: node#0, graceful: false }",
+                "0.136s OwnerAssigned { job: job#0, owner: Peer(node#2) }",
+                "0.136s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                "0.215s Started { job: job#0, run_node: node#1 }",
+            ]
+        );
+        assert_eq!(
+            counts_of(&engine),
+            Counts {
+                owner_hops: vec![1.0, 1.0],
+                ..Counts::default()
+            }
+        );
+    }
+
+    /// The same, but the overlay names no owner: a failed matchmaking
+    /// attempt whose retry finds no owner to match for, so the job waits
+    /// for the horizon.
+    #[test]
+    fn an_owner_dead_in_transit_with_no_replacement_leaves_the_job_to_the_horizon() {
+        let (mut engine, owner, stream) = streamed(EngineConfig::default(), &[0]);
+        let (at, submit) = engine.queue.pop().expect("the submission");
+        engine.dispatch(at, submit);
+        crash(&mut engine, at, OWNER);
+        owner.set(NOBODY);
+        run_until(&mut engine, at + SimDuration::from_secs(600));
+        assert_eq!(
+            stream.take(),
+            [
+                "0.000s Submitted { job: job#0, resubmits: 0 }",
+                "0.000s NodeDown { node: node#0, graceful: false }",
+            ]
+        );
+        assert_eq!(
+            counts_of(&engine),
+            Counts {
+                owner_hops: vec![1.0],
+                match_failures: 1,
+                ..Counts::default()
+            }
+        );
+        assert_eq!(owner_of(&engine, 0), None);
+        let report = engine.run();
+        assert_eq!(stream.take(), ["604800.000s Failed { job: job#0 }"]);
+        assert_eq!((report.jobs_failed, report.match_failures), (1, 1));
+    }
+
+    /// Owner detection finds no owner in the overlay and retries until one
+    /// is named.
+    #[test]
+    fn an_owner_failure_detection_retries_until_the_overlay_names_an_owner() {
+        let (mut engine, owner, stream) = streamed(EngineConfig::default(), &[0]);
+        // Once the job runs, its owner dies and the overlay names none.
+        let now = until_all_placed(&mut engine) + SimDuration::from_secs(1);
+        run_until(&mut engine, now);
+        stream.take();
+        owner.set(NOBODY);
+        crash(&mut engine, now, OWNER);
+        run_until(&mut engine, now + SimDuration::from_secs(75));
+        owner.set(NEXT);
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        assert_eq!(
+            stream.take(),
+            [
+                "1.085s NodeDown { node: node#0, graceful: false }",
+                "91.085s OwnerRecovery { job: job#0 }",
+            ]
+        );
+        assert_eq!(
+            counts_of(&engine),
+            Counts {
+                owner_hops: vec![1.0, 1.0],
+                owner_recoveries: 1,
+                ..Counts::default()
+            }
+        );
+        assert_eq!(owner_of(&engine, 0), Some(OwnerRef::Peer(GridNodeId(NEXT))));
+    }
+
+    /// An owner departs while its job is still being matched (the run node
+    /// is down): the client resubmits it.
+    #[test]
+    fn a_departing_owner_hands_a_job_still_matching_back_to_its_client() {
+        let (mut engine, owner, stream) = streamed(EngineConfig::default(), &[0]);
+        crash(&mut engine, SimTime::ZERO, RUN);
+        run_until(&mut engine, SimTime::from_secs(10));
+        owner.set(NEXT);
+        crash(&mut engine, SimTime::from_secs(10), OWNER);
+        run_until(&mut engine, SimTime::from_secs(100));
+        rejoin(&mut engine, SimTime::from_secs(100), RUN);
+        run_until(&mut engine, SimTime::from_secs(900));
+        assert_eq!(
+            stream.take(),
+            [
+                "0.000s NodeDown { node: node#1, graceful: false }",
+                "0.000s Submitted { job: job#0, resubmits: 0 }",
+                "0.085s OwnerAssigned { job: job#0, owner: Peer(node#0) }",
+                "10.000s NodeDown { node: node#0, graceful: false }",
+                "100.000s NodeUp { node: node#1 }",
+                "310.000s Submitted { job: job#0, resubmits: 1 }",
+                "310.093s OwnerAssigned { job: job#0, owner: Peer(node#2) }",
+                "310.093s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                "310.180s Started { job: job#0, run_node: node#1 }",
+            ]
+        );
+        assert_eq!(
+            counts_of(&engine),
+            Counts {
+                owner_hops: vec![1.0, 1.0],
+                match_failures: 1,
+                client_resubmits: 1,
+                ..Counts::default()
+            }
+        );
+    }
+
+    /// The run node and then the owner die while the job is in transit to
+    /// the run node: its arrival finds both gone. Without leases the client
+    /// resubmits; with them the lease expiry moves the job.
+    #[test]
+    fn an_arrival_at_a_dead_run_node_with_a_dead_owner() {
+        for (cfg, expected, counts) in [
+            (
+                EngineConfig::default(),
+                vec![
+                    "0.000s Submitted { job: job#0, resubmits: 0 }",
+                    "0.085s OwnerAssigned { job: job#0, owner: Peer(node#0) }",
+                    "0.085s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                    "0.085s NodeDown { node: node#1, graceful: false }",
+                    "0.085s NodeDown { node: node#0, graceful: false }",
+                    "100.085s NodeUp { node: node#1 }",
+                    "300.178s Submitted { job: job#0, resubmits: 1 }",
+                    "300.266s OwnerAssigned { job: job#0, owner: Peer(node#2) }",
+                    "300.266s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                    "300.355s Started { job: job#0, run_node: node#1 }",
+                ],
+                Counts {
+                    owner_hops: vec![1.0, 1.0],
+                    client_resubmits: 1,
+                    ..Counts::default()
+                },
+            ),
+            (
+                leased(),
+                vec![
+                    "0.000s Submitted { job: job#0, resubmits: 0 }",
+                    "0.085s OwnerAssigned { job: job#0, owner: Peer(node#0) }",
+                    "0.085s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                    "0.085s NodeDown { node: node#1, graceful: false }",
+                    "0.085s NodeDown { node: node#0, graceful: false }",
+                    "100.085s NodeUp { node: node#1 }",
+                    "130.085s LeaseExpired { job: job#0 }",
+                    "130.085s LeaseTransferred { job: job#0, owner: node#2 }",
+                    "130.085s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                    "130.173s Started { job: job#0, run_node: node#1 }",
+                ],
+                Counts {
+                    owner_hops: vec![1.0, 1.0],
+                    lease_expiries: 1,
+                    lease_transfers: 1,
+                    ..Counts::default()
+                },
+            ),
+        ] {
+            let (mut engine, owner, stream) = streamed(cfg, &[0]);
+            let now = until_all_placed(&mut engine);
+            assert_eq!(
+                engine.jobs.get(JobId(0)).expect("submitted").state,
+                JobState::Queued
+            );
+            crash(&mut engine, now, RUN);
+            crash(&mut engine, now, OWNER);
+            owner.set(NEXT);
+            run_until(&mut engine, now + SimDuration::from_secs(100));
+            rejoin(&mut engine, now + SimDuration::from_secs(100), RUN);
+            run_until(&mut engine, now + SimDuration::from_secs(900));
+            assert_eq!(stream.take(), expected);
+            assert_eq!(counts_of(&engine), counts);
+        }
+    }
+
+    /// A lease transfer whose overlay names a dead owner, and one whose
+    /// overlay names none, both fall back to the least-loaded live node.
+    #[test]
+    fn a_lease_transfer_falls_back_to_the_least_loaded_live_node() {
+        let (mut engine, owner, stream) = streamed(leased(), &[0, 1, 2]);
+        let now = until_all_placed(&mut engine);
+        stream.take();
+        // Owner names the crashed node: the fallback picks node 2, the
+        // lowest idle one.
+        crash(&mut engine, now, OWNER);
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        assert_eq!(
+            stream.take(),
+            [
+                "2.109s NodeDown { node: node#0, graceful: false }",
+                "130.085s LeaseExpired { job: job#0 }",
+                "130.085s LeaseTransferred { job: job#0, owner: node#2 }",
+                "131.087s LeaseExpired { job: job#1 }",
+                "131.087s LeaseTransferred { job: job#1, owner: node#2 }",
+                "132.109s LeaseExpired { job: job#2 }",
+                "132.109s LeaseTransferred { job: job#2, owner: node#2 }",
+            ]
+        );
+        owner.set(NOBODY);
+        let now = now + SimDuration::from_secs(600);
+        crash(&mut engine, now, NEXT);
+        run_until(&mut engine, now + SimDuration::from_secs(600));
+        assert_eq!(
+            stream.take(),
+            [
+                "602.109s NodeDown { node: node#2, graceful: false }",
+                "710.085s LeaseExpired { job: job#0 }",
+                "710.085s LeaseTransferred { job: job#0, owner: node#3 }",
+                "711.087s LeaseExpired { job: job#1 }",
+                "711.087s LeaseTransferred { job: job#1, owner: node#3 }",
+                "712.109s LeaseExpired { job: job#2 }",
+                "712.109s LeaseTransferred { job: job#2, owner: node#3 }",
+            ]
+        );
+        assert_eq!(
+            counts_of(&engine),
+            Counts {
+                owner_hops: vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                lease_expiries: 6,
+                lease_transfers: 6,
+                ..Counts::default()
+            }
+        );
+    }
+
+    /// With every node down a lease expiry has nowhere to go: the lease is
+    /// held vacant and re-armed until nodes rejoin.
+    #[test]
+    fn a_lease_with_no_live_node_is_rearmed_until_one_rejoins() {
+        let (mut engine, owner, stream) = streamed(leased(), &[0]);
+        let now = until_all_placed(&mut engine);
+        stream.take();
+        for node in [OWNER, RUN, NEXT, LAST] {
+            crash(&mut engine, now, node);
+        }
+        run_until(&mut engine, now + SimDuration::from_secs(400));
+        owner.set(LAST);
+        let later = now + SimDuration::from_secs(400);
+        rejoin(&mut engine, later, RUN);
+        rejoin(&mut engine, later, LAST);
+        run_until(&mut engine, later + SimDuration::from_secs(400));
+        assert_eq!(
+            stream.take(),
+            [
+                "0.085s NodeDown { node: node#0, graceful: false }",
+                "0.085s NodeDown { node: node#1, graceful: false }",
+                "0.085s NodeDown { node: node#2, graceful: false }",
+                "0.085s NodeDown { node: node#3, graceful: false }",
+                "130.085s LeaseExpired { job: job#0 }",
+                "260.085s LeaseExpired { job: job#0 }",
+                "390.085s LeaseExpired { job: job#0 }",
+                "400.085s NodeUp { node: node#1 }",
+                "400.085s NodeUp { node: node#3 }",
+                "520.085s LeaseExpired { job: job#0 }",
+                "520.085s LeaseTransferred { job: job#0, owner: node#3 }",
+                "520.085s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                "520.173s Started { job: job#0, run_node: node#1 }",
+            ]
+        );
+        assert_eq!(
+            counts_of(&engine),
+            Counts {
+                owner_hops: vec![1.0, 1.0],
+                lease_expiries: 4,
+                lease_transfers: 1,
+                ..Counts::default()
+            }
+        );
     }
 
     #[test]
