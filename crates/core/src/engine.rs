@@ -807,7 +807,7 @@ impl Engine {
         if rec.state.is_terminal() {
             return;
         }
-        if !matches!(rec.owner, Some(OwnerRef::Peer(_))) {
+        if !matches!(rec.owner(), Some(OwnerRef::Peer(_))) {
             rec.leased = false;
             return;
         }
@@ -842,7 +842,7 @@ impl Engine {
         if rec.state.is_terminal() || !rec.holds_lease(seq) {
             return;
         }
-        let Some(OwnerRef::Peer(owner)) = rec.owner else {
+        let Some(OwnerRef::Peer(owner)) = rec.owner() else {
             return;
         };
         let resubmits = rec.resubmits;
@@ -882,9 +882,8 @@ impl Engine {
         }
         self.report.lease_expiries += 1;
         self.emit(now, TraceEvent::LeaseExpired { job });
-        self.jobs.disown(job);
+        self.jobs.set_owner(job, None);
         let Some(rec) = self.job_mut(job) else { return };
-        rec.owner = None;
         rec.leased = false;
         self.transfer_lease(now, job);
     }
@@ -897,32 +896,20 @@ impl Engine {
     /// property the no-orphan oracle checks. With an empty grid the expiry
     /// clock is simply re-armed.
     fn transfer_lease(&mut self, now: SimTime, job: JobId) {
-        let Some(rec) = self.job_ref(job) else { return };
-        let resubmits = rec.resubmits;
-        let profile = rec.profile;
-        let guid = self.guid_of(job, resubmits);
-        let mut choice: Option<(GridNodeId, u32)> = None;
-        if self.nodes.alive_count() > 0 {
-            let reassigned = self
-                .mm
-                .reassign_owner(&self.nodes, &profile, guid, &mut self.rng_mm);
-            self.absorb_lookup_retries();
-            choice = match reassigned {
+        let choice = if self.nodes.alive_count() == 0 {
+            None
+        } else {
+            match self.reassign(job) {
                 Some((OwnerRef::Peer(p), hops)) if self.nodes.is_alive(p) => Some((p, hops)),
-                _ => None,
-            };
-            if choice.is_none() {
                 // Least loaded live node, lowest id on ties.
-                choice = self.nodes.least_loaded_alive().map(|id| (id, 0));
+                _ => self.nodes.least_loaded_alive().map(|id| (id, 0)),
             }
-        }
+        };
         match choice {
             Some((new_owner, hops)) => {
                 self.report.owner_hops.push(f64::from(hops));
                 self.report.lease_transfers += 1;
-                let Some(rec) = self.job_mut(job) else { return };
-                rec.owner = Some(OwnerRef::Peer(new_owner));
-                self.jobs.own(job, new_owner);
+                self.jobs.set_owner(job, Some(OwnerRef::Peer(new_owner)));
                 self.emit(
                     now,
                     TraceEvent::LeaseTransferred {
@@ -942,13 +929,8 @@ impl Engine {
                     .run_node
                     .is_none_or(|r| !self.nodes.is_alive(r));
                 if idle {
-                    let Some(rec) = self.job_mut(job) else { return };
-                    rec.state = JobState::Recovering;
-                    rec.run_node = None;
-                    rec.invalidate();
-                    rec.match_attempts = 0;
-                    rec.rpc_attempts = 0;
-                    self.try_match(now, job);
+                    self.reset_run(job);
+                    self.rematch(now, job);
                 }
             }
             None => {
@@ -970,12 +952,11 @@ impl Engine {
         if rec.state.is_terminal() {
             return;
         }
-        self.jobs.disown(job);
+        self.jobs.set_owner(job, None);
         let Some(rec) = self.job_mut(job) else { return };
         rec.state = JobState::Matching;
         rec.match_attempts = 0;
         rec.rpc_attempts = 0;
-        rec.owner = None;
         rec.run_node = None;
         // Any lease from an earlier life of this job is abandoned: pending
         // renew/expire events find no active lease and drop themselves.
@@ -1005,31 +986,36 @@ impl Engine {
             self.mm
                 .assign_owner(&self.nodes, &profile, guid, injection, &mut self.rng_mm);
         self.absorb_lookup_retries();
-        match assigned {
-            Some((owner, hops)) => {
-                self.report.owner_hops.push(f64::from(hops));
-                // client -> injection -> ... -> owner
-                match run_node::send_message(
-                    self,
-                    now,
-                    Endpoint::External,
-                    Self::endpoint_of(owner),
-                    hops + 1,
-                ) {
-                    Delivery::Delivered(d) => {
-                        if let Some(rec) = self.job_mut(job) {
-                            rec.rpc_attempts = 0;
-                        }
-                        self.queue
-                            .schedule(now + d, Event::OwnerAssigned { job, epoch, owner });
-                    }
-                    _ => self.note_rpc_loss(now, job, epoch, true),
+        // client -> injection -> ... -> owner
+        self.send_to_owner(now, job, epoch, assigned, 1);
+    }
+
+    /// Send `job`'s submission to the owner an overlay lookup `found`,
+    /// `extra_hops` past the lookup's own. A lookup that found no owner
+    /// (the overlay is in flux) counts as a failed matchmaking attempt.
+    fn send_to_owner(
+        &mut self,
+        now: SimTime,
+        job: JobId,
+        epoch: u32,
+        found: Option<(OwnerRef, u32)>,
+        extra_hops: u32,
+    ) {
+        let Some((owner, hops)) = found else {
+            self.note_match_failure(now, job, epoch);
+            return;
+        };
+        self.report.owner_hops.push(f64::from(hops));
+        let to = Self::endpoint_of(owner);
+        match run_node::send_message(self, now, Endpoint::External, to, hops + extra_hops) {
+            Delivery::Delivered(d) => {
+                if let Some(rec) = self.job_mut(job) {
+                    rec.rpc_attempts = 0;
                 }
+                self.queue
+                    .schedule(now + d, Event::OwnerAssigned { job, epoch, owner });
             }
-            None => {
-                // Overlay in flux; treat as a failed matchmaking attempt.
-                self.note_match_failure(now, job, epoch);
-            }
+            _ => self.note_rpc_loss(now, job, epoch, true),
         }
     }
 
@@ -1037,53 +1023,14 @@ impl Engine {
         if !self.epoch_valid(job, epoch) {
             return;
         }
-        // The designated owner may have died while the job was in transit.
-        if let OwnerRef::Peer(p) = owner {
-            if !self.nodes.is_alive(p) {
-                let Some(rec) = self.job_ref(job) else { return };
-                let resubmits = rec.resubmits;
-                let profile = rec.profile;
-                let guid = self.guid_of(job, resubmits);
-                let reassigned =
-                    self.mm
-                        .reassign_owner(&self.nodes, &profile, guid, &mut self.rng_mm);
-                self.absorb_lookup_retries();
-                match reassigned {
-                    Some((new_owner, hops)) => {
-                        self.report.owner_hops.push(f64::from(hops));
-                        match run_node::send_message(
-                            self,
-                            now,
-                            Endpoint::External,
-                            Self::endpoint_of(new_owner),
-                            hops,
-                        ) {
-                            Delivery::Delivered(d) => {
-                                if let Some(rec) = self.job_mut(job) {
-                                    rec.rpc_attempts = 0;
-                                }
-                                self.queue.schedule(
-                                    now + d,
-                                    Event::OwnerAssigned {
-                                        job,
-                                        epoch,
-                                        owner: new_owner,
-                                    },
-                                );
-                            }
-                            _ => self.note_rpc_loss(now, job, epoch, true),
-                        }
-                    }
-                    None => self.note_match_failure(now, job, epoch),
-                }
-                return;
-            }
+        if !self.owner_alive(Some(owner)) {
+            // The designated owner died while the job was in transit: ask
+            // the overlay again.
+            let found = self.reassign(job);
+            self.send_to_owner(now, job, epoch, found, 0);
+            return;
         }
-        let Some(rec) = self.job_mut(job) else { return };
-        rec.owner = Some(owner);
-        if let OwnerRef::Peer(p) = owner {
-            self.jobs.own(job, p);
-        }
+        self.jobs.set_owner(job, Some(owner));
         self.emit(now, TraceEvent::OwnerAssigned { job, owner });
         self.grant_lease(now, job);
         self.try_match(now, job);
@@ -1095,24 +1042,18 @@ impl Engine {
         if rec.state.is_terminal() {
             return;
         }
-        let Some(owner) = rec.owner else {
+        let Some(owner) = rec.owner() else {
             // Owner lost before matching; the epoch-valid path that led here
-            // guarantees a resubmission, detection, or lease-expiry event is
-            // pending.
+            // left a resubmission, detection, or lease-expiry event pending.
+            // One path does not: an owner dead in transit whose overlay
+            // named no replacement leaves the job to the horizon.
             return;
         };
         let epoch = rec.epoch;
         // Owner must be alive to conduct matchmaking.
-        if let OwnerRef::Peer(p) = owner {
-            if !self.nodes.is_alive(p) {
-                if self.cfg.leases_enabled() {
-                    // The dead owner's lease expires and transfers the job;
-                    // no client involvement needed.
-                    return;
-                }
-                self.schedule_client_resubmit(now, job, epoch);
-                return;
-            }
+        if !self.owner_alive(Some(owner)) {
+            self.owner_lost(now, job, epoch);
+            return;
         }
         let Some(rec) = self.job_mut(job) else { return };
         rec.state = JobState::Matching;
@@ -1189,7 +1130,7 @@ impl Engine {
         if !self.nodes.is_alive(run) {
             // Died while the job was in transit: the owner's heartbeat
             // timeout fires as if the job had been accepted.
-            self.begin_run_failure_recovery(now, job);
+            self.lose_run_node(now, job, self.cfg.detection_delay());
             return;
         }
         run_node::arrive(self, now, job, run);
@@ -1323,39 +1264,15 @@ impl Engine {
             self.cfg.detection_delay()
         };
         for job in victims {
-            let Some(rec) = self.job_mut(job) else {
-                continue;
-            };
-            if rec.state.is_terminal() {
-                continue;
-            }
-            rec.state = JobState::Recovering;
-            rec.run_node = None;
-            rec.invalidate();
-            let epoch = rec.epoch;
-            let owner = rec.owner;
-            let owner_alive = match owner {
-                Some(OwnerRef::Server) => true,
-                Some(OwnerRef::Peer(p)) => p != node && self.nodes.is_alive(p),
-                None => false,
-            };
-            if owner_alive {
-                self.queue
-                    .schedule(now + detect, Event::RunFailureDetected { job, epoch });
-            } else if !self.cfg.leases_enabled() {
-                self.schedule_client_resubmit(now, job, epoch);
-            }
-            // In lease mode a dead (or already detached) owner's pending
-            // lease expiry transfers ownership and rematches the job — the
-            // client is never involved in owner-death recovery.
+            self.lose_run_node(now, job, detect);
         }
 
         for job in owned {
-            let Some(rec) = self.job_mut(job) else {
+            let Some(rec) = self.job_ref(job) else {
                 continue;
             };
             debug_assert_eq!(
-                rec.owner,
+                rec.owner(),
                 Some(OwnerRef::Peer(node)),
                 "{job} was owned by {node:?}"
             );
@@ -1363,17 +1280,13 @@ impl Engine {
                 continue;
             }
             // The job keeps running/queued elsewhere; do NOT invalidate.
-            let epoch = rec.epoch;
-            let run_node = rec.run_node;
-            let state = rec.state;
+            let (epoch, run_node, state) = (rec.epoch, rec.run_node, rec.state);
             if self.cfg.leases_enabled() {
                 // The dead owner stops renewing, so its lease will run out
                 // `ttl + grace` after the last renewal and transfer. Detach
                 // ownership now: if the node rejoins before the expiry
                 // fires, it must not resume renewing a lease it lost.
-                if let Some(rec) = self.job_mut(job) {
-                    rec.owner = None;
-                }
+                self.jobs.set_owner(job, None);
                 continue;
             }
             match run_node {
@@ -1381,21 +1294,16 @@ impl Engine {
                     self.queue
                         .schedule(now + detect, Event::OwnerFailureDetected { job, epoch });
                 }
-                // Run node dead too (or none): the victim path above, or a
-                // pending matching event, already covers this job; if it was
-                // purely owner-held (matching in progress), resubmit.
-                Some(_) => {} // handled via the victim path
-                None => {
-                    if state == JobState::Matching {
-                        let Some(rec) = self.job_mut(job) else {
-                            continue;
-                        };
-                        rec.state = JobState::Recovering;
-                        rec.invalidate();
-                        let epoch = rec.epoch;
+                // Run node dead too: the victim path, or the arrival of a job
+                // in transit, covers it.
+                Some(_) => {}
+                // Purely owner-held (matching in progress): resubmit.
+                None if state == JobState::Matching => {
+                    if let Some(epoch) = self.reset_run(job) {
                         self.schedule_client_resubmit(now, job, epoch);
                     }
                 }
+                None => {}
             }
         }
 
@@ -1407,26 +1315,94 @@ impl Engine {
         }
     }
 
-    fn begin_run_failure_recovery(&mut self, now: SimTime, job: JobId) {
-        let Some(rec) = self.job_mut(job) else { return };
-        rec.state = JobState::Recovering;
-        rec.run_node = None;
-        rec.invalidate();
-        let epoch = rec.epoch;
-        let owner = rec.owner;
-        let owner_alive = match owner {
+    /// Whether `owner` can act: the reliable server always, a peer while it
+    /// is up, no owner never.
+    fn owner_alive(&self, owner: Option<OwnerRef>) -> bool {
+        match owner {
             Some(OwnerRef::Server) => true,
             Some(OwnerRef::Peer(p)) => self.nodes.is_alive(p),
             None => false,
+        }
+    }
+
+    /// Whether `job`'s run node and owner are both up, as a spurious
+    /// detection requires: a real failure meanwhile takes the real path.
+    fn partners_alive(&mut self, job: JobId) -> bool {
+        let Some(rec) = self.job_ref(job) else {
+            return false;
         };
-        if owner_alive {
-            let detect = self.cfg.detection_delay();
-            self.queue
-                .schedule(now + detect, Event::RunFailureDetected { job, epoch });
-        } else if !self.cfg.leases_enabled() {
+        let (run_node, owner) = (rec.run_node, rec.owner());
+        run_node.is_some_and(|r| self.nodes.is_alive(r)) && self.owner_alive(owner)
+    }
+
+    /// Take `job` off its run node under a fresh epoch, which it returns.
+    fn reset_run(&mut self, job: JobId) -> Option<u32> {
+        let rec = self.job_mut(job)?;
+        rec.state = JobState::Recovering;
+        rec.run_node = None;
+        rec.invalidate();
+        Some(rec.epoch)
+    }
+
+    /// Start a fresh matchmaking round for `job` under its owner.
+    fn rematch(&mut self, now: SimTime, job: JobId) {
+        let Some(rec) = self.job_mut(job) else { return };
+        rec.match_attempts = 0;
+        rec.rpc_attempts = 0;
+        self.try_match(now, job);
+    }
+
+    /// `job`'s owner is gone and no run node is left to replace it: the
+    /// client resubmits, or with leases the dead owner's lease expiry moves
+    /// the job and the client is never involved.
+    fn owner_lost(&mut self, now: SimTime, job: JobId, epoch: u32) {
+        if !self.cfg.leases_enabled() {
             self.schedule_client_resubmit(now, job, epoch);
         }
-        // Lease mode: the dead owner's lease expiry transfers the job.
+    }
+
+    /// Section 2's run-failure step: `job` lost its run node. A live owner
+    /// notices `detect` later and rematches; a dead one is lost with it.
+    fn lose_run_node(&mut self, now: SimTime, job: JobId, detect: SimDuration) {
+        let Some(rec) = self.job_ref(job) else { return };
+        if rec.state.is_terminal() {
+            return;
+        }
+        let owner = rec.owner();
+        let Some(epoch) = self.reset_run(job) else {
+            return;
+        };
+        if self.owner_alive(owner) {
+            self.queue
+                .schedule(now + detect, Event::RunFailureDetected { job, epoch });
+        } else {
+            self.owner_lost(now, job, epoch);
+        }
+    }
+
+    /// Ask the overlay for a new owner of `job` (Section 2's owner-failure
+    /// lookup).
+    fn reassign(&mut self, job: JobId) -> Option<(OwnerRef, u32)> {
+        let rec = self.job_ref(job)?;
+        let (resubmits, profile) = (rec.resubmits, rec.profile);
+        let guid = self.guid_of(job, resubmits);
+        let found = self
+            .mm
+            .reassign_owner(&self.nodes, &profile, guid, &mut self.rng_mm);
+        self.absorb_lookup_retries();
+        found
+    }
+
+    /// The run node installs `new_owner`, found `hops` away through the
+    /// overlay. The execution is undisturbed, so the epoch stays.
+    fn recover_owner(&mut self, now: SimTime, job: JobId, new_owner: OwnerRef, hops: u32) {
+        // The replacement lookup pays overlay routing like the initial
+        // assignment did; count it in the same owner_hops series so the
+        // T-overhead message totals cover recovery traffic too.
+        self.report.owner_hops.push(f64::from(hops));
+        self.report.owner_recoveries += 1;
+        self.emit(now, TraceEvent::OwnerRecovery { job });
+        self.jobs.set_owner(job, Some(new_owner));
     }
 
     fn handle_run_failure_detected(&mut self, now: SimTime, job: JobId, epoch: u32) {
@@ -1434,27 +1410,15 @@ impl Engine {
             return;
         }
         let Some(rec) = self.job_ref(job) else { return };
-        let owner = rec.owner;
-        let epoch = rec.epoch;
-        let owner_alive = match owner {
-            Some(OwnerRef::Server) => true,
-            Some(OwnerRef::Peer(p)) => self.nodes.is_alive(p),
-            None => false,
-        };
-        if !owner_alive {
-            // Owner died during the detection window: dual failure — unless
-            // leases are on, in which case the expiry transfers the job.
-            if !self.cfg.leases_enabled() {
-                self.schedule_client_resubmit(now, job, epoch);
-            }
+        let owner = rec.owner();
+        if !self.owner_alive(owner) {
+            // Owner died during the detection window: dual failure.
+            self.owner_lost(now, job, epoch);
             return;
         }
         self.report.run_recoveries += 1;
         self.emit(now, TraceEvent::RunRecovery { job });
-        let Some(rec) = self.job_mut(job) else { return };
-        rec.match_attempts = 0; // fresh matchmaking round
-        rec.rpc_attempts = 0;
-        self.try_match(now, job);
+        self.rematch(now, job);
     }
 
     /// Heartbeat loss made the owner falsely declare the (alive) run node
@@ -1462,77 +1426,27 @@ impl Engine {
     /// epoch is bumped and the job rematched — while the old node keeps
     /// executing a now-duplicate copy that the stale epoch will discard.
     fn handle_spurious_run_failure(&mut self, now: SimTime, job: JobId, epoch: u32) {
-        if !self.epoch_valid(job, epoch) {
-            return;
-        }
-        let Some(rec) = self.job_ref(job) else { return };
-        // Spurious means both sides are in fact alive; a real failure in the
-        // meantime is handled by the real detection path.
-        let run_node = rec.run_node;
-        let owner = rec.owner;
-        let run_alive = run_node.is_some_and(|r| self.nodes.is_alive(r));
-        let owner_alive = match owner {
-            Some(OwnerRef::Server) => true,
-            Some(OwnerRef::Peer(p)) => self.nodes.is_alive(p),
-            None => false,
-        };
-        if !run_alive || !owner_alive {
+        if !self.epoch_valid(job, epoch) || !self.partners_alive(job) {
             return;
         }
         self.report.spurious_detections += 1;
         self.report.run_recoveries += 1;
         self.emit(now, TraceEvent::RunRecovery { job });
-        let Some(rec) = self.job_mut(job) else { return };
-        rec.state = JobState::Recovering;
-        rec.run_node = None;
-        rec.invalidate();
-        rec.match_attempts = 0;
-        rec.rpc_attempts = 0;
-        self.try_match(now, job);
+        self.reset_run(job);
+        self.rematch(now, job);
     }
 
     /// Ack loss made the run node falsely declare the (alive) owner dead:
-    /// it installs a replacement owner through the overlay. The execution is
-    /// undisturbed, so the epoch is *not* bumped.
+    /// it installs a replacement owner through the overlay.
     fn handle_spurious_owner_failure(&mut self, now: SimTime, job: JobId, epoch: u32) {
-        if !self.epoch_valid(job, epoch) {
-            return;
-        }
-        let Some(rec) = self.job_ref(job) else { return };
-        let run_node = rec.run_node;
-        let owner = rec.owner;
-        let resubmits = rec.resubmits;
-        let profile = rec.profile;
-        let run_alive = run_node.is_some_and(|r| self.nodes.is_alive(r));
-        let owner_alive = match owner {
-            Some(OwnerRef::Server) => true,
-            Some(OwnerRef::Peer(p)) => self.nodes.is_alive(p),
-            None => false,
-        };
-        if !run_alive || !owner_alive {
+        if !self.epoch_valid(job, epoch) || !self.partners_alive(job) {
             return;
         }
         self.report.spurious_detections += 1;
-        let guid = self.guid_of(job, resubmits);
-        let reassigned = self
-            .mm
-            .reassign_owner(&self.nodes, &profile, guid, &mut self.rng_mm);
-        self.absorb_lookup_retries();
         // On `None` the overlay cannot name a replacement; since the old
         // owner is in fact alive, dropping the spurious detection is safe.
-        if let Some((new_owner, hops)) = reassigned {
-            // The replacement lookup pays overlay routing like the initial
-            // assignment did; count it in the same owner_hops series so the
-            // T-overhead message totals cover recovery traffic too.
-            self.report.owner_hops.push(f64::from(hops));
-            self.report.owner_recoveries += 1;
-            self.emit(now, TraceEvent::OwnerRecovery { job });
-            self.jobs.disown(job);
-            let Some(rec) = self.job_mut(job) else { return };
-            rec.owner = Some(new_owner);
-            if let OwnerRef::Peer(p) = new_owner {
-                self.jobs.own(job, p);
-            }
+        if let Some((new_owner, hops)) = self.reassign(job) {
+            self.recover_owner(now, job, new_owner, hops);
         }
     }
 
@@ -1541,35 +1455,13 @@ impl Engine {
             return;
         }
         let Some(rec) = self.job_ref(job) else { return };
-        let run_node = rec.run_node;
-        let resubmits = rec.resubmits;
-        let profile = rec.profile;
-        let run_alive = run_node.is_some_and(|r| self.nodes.is_alive(r));
-        if !run_alive {
+        if !rec.run_node.is_some_and(|r| self.nodes.is_alive(r)) {
             // Both sides gone: the run-failure path or resubmission handles
             // it; nothing for the (dead) run node to do.
             return;
         }
-        let guid = self.guid_of(job, resubmits);
-        let reassigned = self
-            .mm
-            .reassign_owner(&self.nodes, &profile, guid, &mut self.rng_mm);
-        self.absorb_lookup_retries();
-        match reassigned {
-            Some((new_owner, hops)) => {
-                self.report.owner_hops.push(f64::from(hops));
-                self.report.owner_recoveries += 1;
-                self.emit(now, TraceEvent::OwnerRecovery { job });
-                // The departure that scheduled this detection disowned the
-                // job, but if that owner rejoined, a spurious detection may
-                // have installed a new owner since: disown it too.
-                self.jobs.disown(job);
-                let Some(rec) = self.job_mut(job) else { return };
-                rec.owner = Some(new_owner);
-                if let OwnerRef::Peer(p) = new_owner {
-                    self.jobs.own(job, p);
-                }
-            }
+        match self.reassign(job) {
+            Some((new_owner, hops)) => self.recover_owner(now, job, new_owner, hops),
             None => {
                 // Overlay cannot name an owner right now; retry shortly.
                 self.queue.schedule(
@@ -1627,44 +1519,39 @@ impl Engine {
     // ------------------------------------------------------------------
 
     fn fail_job(&mut self, job: JobId, reason: FailureReason, now: SimTime) {
-        {
-            let Some(rec) = self.job_mut(job) else { return };
-            if rec.state.is_terminal() {
-                return;
-            }
-            rec.state = JobState::Failed;
-            rec.failure = Some(reason);
-            rec.leased = false;
-            rec.invalidate();
-        }
-        self.report.jobs_failed += 1;
-        self.outstanding -= 1;
-        self.emit(now, TraceEvent::Failed { job });
-        self.jobs.disown(job);
-        if self.dag.is_empty() {
+        if !self.fail_one(now, job, reason) || self.dag.is_empty() {
             // The paper's base model: no dependencies, nothing to cascade.
             // Skips rebuilding the children index on every failure.
             return;
         }
         // Descendants can never obtain this job's output: cascade.
         for d in self.dag.descendants_of(job) {
-            let Some(rec) = self.job_mut(d) else { continue };
-            if rec.state.is_terminal() {
-                continue;
+            if self.fail_one(now, d, FailureReason::DependencyFailed) {
+                // The descendant will never be released: drop its hold so a
+                // later parent completion cannot resurrect it.
+                self.held.remove(&d);
+                self.report.dependency_failures += 1;
             }
-            rec.state = JobState::Failed;
-            rec.failure = Some(FailureReason::DependencyFailed);
-            rec.leased = false;
-            rec.invalidate();
-            // The descendant will never be released: drop its hold so a
-            // later parent completion cannot resurrect it.
-            self.held.remove(&d);
-            self.report.jobs_failed += 1;
-            self.report.dependency_failures += 1;
-            self.outstanding -= 1;
-            self.emit(now, TraceEvent::Failed { job: d });
-            self.jobs.disown(d);
         }
+    }
+
+    /// Fail `job` for `reason`; `false` if it was already terminal.
+    fn fail_one(&mut self, now: SimTime, job: JobId, reason: FailureReason) -> bool {
+        let Some(rec) = self.job_mut(job) else {
+            return false;
+        };
+        if rec.state.is_terminal() {
+            return false;
+        }
+        rec.state = JobState::Failed;
+        rec.failure = Some(reason);
+        rec.leased = false;
+        rec.invalidate();
+        self.report.jobs_failed += 1;
+        self.outstanding -= 1;
+        self.emit(now, TraceEvent::Failed { job });
+        self.jobs.disown(job);
+        true
     }
 }
 
@@ -1780,7 +1667,7 @@ mod tests {
             engine.dispatch(now, ev);
         }
         let rec = engine.jobs.get(job).expect("submitted");
-        let (Some(OwnerRef::Peer(first)), Some(run)) = (rec.owner, rec.run_node) else {
+        let (Some(OwnerRef::Peer(first)), Some(run)) = (rec.owner(), rec.run_node) else {
             panic!("a peer owns the running job");
         };
         assert_ne!(first, run, "owner and run node are different peers");
@@ -1794,7 +1681,7 @@ mod tests {
         engine.dispatch(secs(2), Event::SpuriousOwnerFailure { job, epoch });
         engine.dispatch(secs(30), Event::OwnerFailureDetected { job, epoch });
         assert_eq!(engine.report.owner_recoveries, 2, "both replaced the owner");
-        let owner = engine.jobs.get(job).expect("submitted").owner;
+        let owner = engine.jobs.get(job).expect("submitted").owner();
 
         // Only the current owner holds the job, once.
         for n in 0..nodes as u32 {
@@ -1984,7 +1871,7 @@ mod tests {
     }
 
     fn owner_of(engine: &Engine, job: u64) -> Option<OwnerRef> {
-        engine.jobs.get(JobId(job)).expect("submitted").owner
+        engine.jobs.get(JobId(job)).expect("submitted").owner()
     }
 
     fn owner_recoveries(ids: &[u64]) -> Vec<TraceEvent> {

@@ -200,7 +200,7 @@ fn start_job<C: RunNodeCtx>(cx: &mut C, now: SimTime, job: JobId, home: GridNode
     rec.state = JobState::Running;
     rec.mark_started(now);
     rec.invalidate();
-    let (epoch, profile, owner) = (rec.epoch, rec.profile, rec.owner);
+    let (epoch, profile, owner) = (rec.epoch, rec.profile, rec.owner());
     cx.effect(
         now,
         EnvOp::Emit(TraceEvent::Started {

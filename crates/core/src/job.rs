@@ -86,7 +86,8 @@ pub(crate) struct JobRecord {
     /// declared runtime for runaway jobs).
     pub actual_runtime_secs: f64,
     pub state: JobState,
-    pub owner: Option<OwnerRef>,
+    /// Written only by [`JobTable::set_owner`], beside the owner column.
+    owner: Option<OwnerRef>,
     pub run_node: Option<GridNodeId>,
     /// Invalidates stale in-flight events after any reassignment.
     pub epoch: u32,
@@ -133,6 +134,11 @@ impl JobRecord {
             started_at: SimTime::MAX,
             failure: None,
         }
+    }
+
+    /// Who owns the job; a terminal record keeps naming its last owner.
+    pub fn owner(&self) -> Option<OwnerRef> {
+        self.owner
     }
 
     /// Bump the epoch, invalidating all in-flight events for this job.
@@ -345,15 +351,22 @@ impl JobTable {
         self.records.iter().map(|r| (r.profile.id, r))
     }
 
-    /// `node` now owns `job`, which no peer owned (a no-op for an unknown
+    /// Make `owner` the owner of `job`, in its record and in the owner
+    /// column together: the only writer of either (a no-op for an unknown
     /// job).
-    pub fn own(&mut self, job: JobId, node: GridNodeId) {
-        if let Some(idx) = self.index.get(job.0) {
+    pub fn set_owner(&mut self, job: JobId, owner: Option<OwnerRef>) {
+        let Some(idx) = self.index.get(job.0) else {
+            return;
+        };
+        self.records[idx as usize].owner = owner;
+        self.owners.disown(idx);
+        if let Some(OwnerRef::Peer(node)) = owner {
             self.owners.own(idx, node);
         }
     }
 
-    /// No peer owns `job` any more (a no-op if none did).
+    /// No peer owns `job` any more (a no-op if none did). Its record keeps
+    /// naming the owner: what a terminal job does.
     pub fn disown(&mut self, job: JobId) {
         if let Some(idx) = self.index.get(job.0) {
             self.owners.disown(idx);
@@ -601,17 +614,18 @@ mod tests {
         }
         let (a, b) = (GridNodeId(0), GridNodeId(1));
         for id in ids {
-            t.own(JobId(id), a);
+            t.set_owner(JobId(id), Some(OwnerRef::Peer(a)));
         }
-        t.disown(JobId(40));
-        t.own(JobId(40), b);
-        t.own(JobId(999), b);
+        t.set_owner(JobId(40), Some(OwnerRef::Peer(b)));
+        t.set_owner(JobId(999), Some(OwnerRef::Peer(b)));
         assert_eq!(
             t.take_owned(a),
             [JobId(3), JobId(1 << 40), JobId(u64::MAX - 7)]
         );
         assert_eq!(t.take_owned(b), [JobId(40)]);
         assert!(t.take_owned(a).is_empty());
+        // A record keeps naming the owner that handed it over.
+        assert_eq!(t.get(JobId(40)).unwrap().owner(), Some(OwnerRef::Peer(b)));
     }
 
     /// Ids on both sides of the dense limit, at its edges and far past it.
