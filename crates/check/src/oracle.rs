@@ -18,6 +18,7 @@ use dgrid_core::router::{KeyRouter, PastryNetwork, TapestryNetwork};
 use dgrid_core::{OwnerRef, SimReport, SpanAssembler, SpanOutcome, TraceEvent};
 use dgrid_resources::{Capabilities, JobId, OsType};
 use dgrid_rntree::RnTreeIndex;
+use dgrid_sim::rng::splitmix64;
 use dgrid_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -64,20 +65,99 @@ fn violation(oracle: &'static str, detail: String) -> Violation {
     }
 }
 
-/// SplitMix64 step — the checker's private id/point generator, so mirror
-/// overlay identities are a pure function of `(scenario seed, join order)`
-/// and never collide with anything the engine derives from the same seed.
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The checker's private id/point generator: the SplitMix64 sequence from
+/// a salted scenario seed, so mirror overlay identities are a pure function
+/// of `(scenario seed, join order)` and never collide with anything the
+/// engine derives from the same seed.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        out
+    }
+
+    /// Uniform f64 in `[0, 1)` from one draw.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 }
 
-/// Uniform f64 in `[0, 1)` from one SplitMix64 output.
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix_next(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+/// An overlay an oracle mirrors grid membership into.
+trait Overlay {
+    type Id: Copy;
+    /// Join a new peer, drawing its identity from `draws`.
+    fn join(&mut self, draws: &mut Draws) -> Self::Id;
+    /// Take peer `id` out: a graceful leave or a crash.
+    fn depart(&mut self, id: Self::Id, graceful: bool);
+}
+
+/// The membership mirror the overlay oracles share: their own overlay, the
+/// id each live grid node holds in it, and the draws new ids come from. It
+/// is driven purely by the trace's `NodeDown` and `NodeUp` events.
+struct Mirror<N: Overlay> {
+    net: N,
+    ids: BTreeMap<u32, N::Id>,
+    draws: Draws,
+}
+
+impl<N: Overlay> Mirror<N> {
+    /// `net` with grid nodes `0..nodes` joined in order.
+    fn new(mut net: N, nodes: usize, seed: u64) -> Self {
+        let mut draws = Draws(seed);
+        let ids = (0..nodes as u32)
+            .map(|node| (node, net.join(&mut draws)))
+            .collect();
+        Mirror { net, ids, draws }
+    }
+
+    /// Apply the membership change `event` makes, if any: the departure of
+    /// a mirrored node or the arrival of one not mirrored. Whether it made
+    /// one.
+    fn apply(&mut self, event: &TraceEvent) -> bool {
+        match *event {
+            TraceEvent::NodeDown { node, graceful } => {
+                let Some(id) = self.ids.remove(&node.0) else {
+                    return false;
+                };
+                self.net.depart(id, graceful);
+            }
+            TraceEvent::NodeUp { node } if !self.ids.contains_key(&node.0) => {
+                let id = self.net.join(&mut self.draws);
+                self.ids.insert(node.0, id);
+            }
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// A key-based substrate as a mirrored overlay: a peer joins under the first
+/// drawn key no live peer holds.
+struct Keys<R>(R);
+
+impl<R: KeyRouter> Overlay for Keys<R> {
+    type Id = u64;
+
+    fn join(&mut self, draws: &mut Draws) -> u64 {
+        let id = loop {
+            let id = draws.next();
+            if !self.0.is_alive(id) {
+                break id;
+            }
+        };
+        self.0.join(id);
+        id
+    }
+
+    fn depart(&mut self, id: u64, graceful: bool) {
+        if graceful {
+            self.0.leave(id);
+        } else {
+            self.0.fail(id);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -359,49 +439,51 @@ impl TraceOracle for SpanConservation {
 /// after every membership change, that the zones still exactly partition the
 /// space and the neighbor relation is symmetric.
 pub struct CanZoneOracle {
-    net: CanNetwork,
-    ids: BTreeMap<u32, CanNodeId>,
-    state: u64,
+    mirror: Mirror<CanNetwork>,
     violations: Vec<Violation>,
+}
+
+impl Overlay for CanNetwork {
+    type Id = CanNodeId;
+
+    /// A peer joins at a drawn point of the unit cube.
+    fn join(&mut self, draws: &mut Draws) -> CanNodeId {
+        let point = [draws.unit(), draws.unit(), draws.unit()];
+        CanNetwork::join(self, &point)
+    }
+
+    fn depart(&mut self, id: CanNodeId, graceful: bool) {
+        if graceful {
+            self.leave(id);
+        } else {
+            self.fail(id);
+        }
+    }
 }
 
 impl CanZoneOracle {
     /// Mirror a grid that starts with `nodes` live nodes.
     pub fn new(nodes: usize, seed: u64) -> Self {
+        let net = CanNetwork::new(CanConfig {
+            dims: 3,
+            ..CanConfig::default()
+        });
         let mut oracle = CanZoneOracle {
-            net: CanNetwork::new(CanConfig {
-                dims: 3,
-                ..CanConfig::default()
-            }),
-            ids: BTreeMap::new(),
-            state: seed ^ 0xCA17_0000_0000_0001,
+            mirror: Mirror::new(net, nodes, seed ^ 0xCA17_0000_0000_0001),
             violations: Vec::new(),
         };
-        for node in 0..nodes as u32 {
-            oracle.join(node);
-        }
         oracle.check();
         oracle
-    }
-
-    fn join(&mut self, node: u32) {
-        let point = [
-            unit_f64(&mut self.state),
-            unit_f64(&mut self.state),
-            unit_f64(&mut self.state),
-        ];
-        let id = self.net.join(&point);
-        self.ids.insert(node, id);
     }
 
     fn check(&mut self) {
         if self.violations.len() >= MAX_VIOLATIONS_PER_ORACLE {
             return;
         }
-        if let Some(v) = self.net.partition_violation() {
+        if let Some(v) = self.mirror.net.partition_violation() {
             self.violations.push(violation("can-zones", v));
         }
-        if let Some(v) = self.net.neighbor_symmetry_violation() {
+        if let Some(v) = self.mirror.net.neighbor_symmetry_violation() {
             self.violations.push(violation("can-zones", v));
         }
     }
@@ -413,22 +495,8 @@ impl TraceOracle for CanZoneOracle {
     }
 
     fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
-        match event {
-            TraceEvent::NodeDown { node, graceful } => {
-                if let Some(id) = self.ids.remove(&node.0) {
-                    if *graceful {
-                        self.net.leave(id);
-                    } else {
-                        self.net.fail(id);
-                    }
-                    self.check();
-                }
-            }
-            TraceEvent::NodeUp { node } if !self.ids.contains_key(&node.0) => {
-                self.join(node.0);
-                self.check();
-            }
-            _ => {}
+        if self.mirror.apply(event) {
+            self.check();
         }
     }
 
@@ -450,9 +518,7 @@ impl TraceOracle for CanZoneOracle {
 /// the true ring order; for Pastry and Tapestry, that leaf sets / neighbor
 /// maps are sound.
 pub struct SubstrateTableOracle<R: KeyRouter> {
-    net: R,
-    ids: BTreeMap<u32, u64>,
-    state: u64,
+    mirror: Mirror<Keys<R>>,
     violations: Vec<Violation>,
 }
 
@@ -464,32 +530,11 @@ impl<R: KeyRouter> SubstrateTableOracle<R> {
     /// Mirror a grid that starts with `nodes` live nodes.
     pub fn new(nodes: usize, seed: u64) -> Self {
         let mut oracle = SubstrateTableOracle {
-            net: R::default(),
-            ids: BTreeMap::new(),
-            state: seed ^ 0xC40D_0000_0000_0002,
+            mirror: Mirror::new(Keys(R::default()), nodes, seed ^ 0xC40D_0000_0000_0002),
             violations: Vec::new(),
         };
-        for node in 0..nodes as u32 {
-            oracle.join(node);
-        }
-        oracle.net.stabilize();
-        oracle.check();
+        oracle.stabilize_and_check();
         oracle
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        loop {
-            let id = splitmix_next(&mut self.state);
-            if !self.net.is_alive(id) {
-                return id;
-            }
-        }
-    }
-
-    fn join(&mut self, node: u32) {
-        let id = self.fresh_id();
-        self.net.join(id);
-        self.ids.insert(node, id);
     }
 
     fn oracle_name() -> &'static str {
@@ -500,11 +545,13 @@ impl<R: KeyRouter> SubstrateTableOracle<R> {
         }
     }
 
-    fn check(&mut self) {
+    fn stabilize_and_check(&mut self) {
+        let net = &mut self.mirror.net.0;
+        net.stabilize();
         if self.violations.len() >= MAX_VIOLATIONS_PER_ORACLE {
             return;
         }
-        if let Some(v) = self.net.table_violation() {
+        if let Some(v) = net.table_violation() {
             self.violations.push(violation(Self::oracle_name(), v));
         }
     }
@@ -516,30 +563,13 @@ impl<R: KeyRouter> TraceOracle for SubstrateTableOracle<R> {
     }
 
     fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
-        match event {
-            TraceEvent::NodeDown { node, graceful } => {
-                if let Some(id) = self.ids.remove(&node.0) {
-                    if *graceful {
-                        self.net.leave(id);
-                    } else {
-                        self.net.fail(id);
-                    }
-                    self.net.stabilize();
-                    self.check();
-                }
-            }
-            TraceEvent::NodeUp { node } if !self.ids.contains_key(&node.0) => {
-                self.join(node.0);
-                self.net.stabilize();
-                self.check();
-            }
-            _ => {}
+        if self.mirror.apply(event) {
+            self.stabilize_and_check();
         }
     }
 
     fn finish(&mut self, _report: &SimReport) -> Vec<Violation> {
-        self.net.stabilize();
-        self.check();
+        self.stabilize_and_check();
         std::mem::take(&mut self.violations)
     }
 }
@@ -554,43 +584,45 @@ impl<R: KeyRouter> TraceOracle for SubstrateTableOracle<R> {
 /// vector dominates its children's, OS sets are supersets, and subtree node
 /// counts sum exactly.
 pub struct RnTreeAggregateOracle {
-    ring: ChordRing,
+    mirror: Mirror<CapableRing>,
+}
+
+/// A Chord ring whose every peer carries drawn capabilities.
+struct CapableRing {
+    ring: Keys<ChordRing>,
     caps: HashMap<u64, Capabilities>,
-    ids: BTreeMap<u32, u64>,
-    state: u64,
+}
+
+impl Overlay for CapableRing {
+    type Id = u64;
+
+    fn join(&mut self, draws: &mut Draws) -> u64 {
+        let id = self.ring.join(draws);
+        let caps = Capabilities::new(
+            1.0 + 3.0 * draws.unit(),
+            1.0 + 15.0 * draws.unit(),
+            10.0 + 190.0 * draws.unit(),
+            OsType::ALL[(draws.next() % 4) as usize],
+        );
+        self.caps.insert(id, caps);
+        id
+    }
+
+    fn depart(&mut self, id: u64, graceful: bool) {
+        self.ring.depart(id, graceful);
+    }
 }
 
 impl RnTreeAggregateOracle {
     /// Mirror a grid that starts with `nodes` live nodes.
     pub fn new(nodes: usize, seed: u64) -> Self {
-        let mut oracle = RnTreeAggregateOracle {
-            ring: ChordRing::new(ChordConfig::default()),
+        let net = CapableRing {
+            ring: Keys(ChordRing::new(ChordConfig::default())),
             caps: HashMap::new(),
-            ids: BTreeMap::new(),
-            state: seed ^ 0x27EE_0000_0000_0003,
         };
-        for node in 0..nodes as u32 {
-            oracle.join(node);
+        RnTreeAggregateOracle {
+            mirror: Mirror::new(net, nodes, seed ^ 0x27EE_0000_0000_0003),
         }
-        oracle
-    }
-
-    fn join(&mut self, node: u32) {
-        let id = loop {
-            let id = splitmix_next(&mut self.state);
-            if !self.ring.is_alive(id) {
-                break id;
-            }
-        };
-        let caps = Capabilities::new(
-            1.0 + 3.0 * unit_f64(&mut self.state),
-            1.0 + 15.0 * unit_f64(&mut self.state),
-            10.0 + 190.0 * unit_f64(&mut self.state),
-            OsType::ALL[(splitmix_next(&mut self.state) % 4) as usize],
-        );
-        self.ring.join(id);
-        self.caps.insert(id, caps);
-        self.ids.insert(node, id);
     }
 }
 
@@ -600,29 +632,19 @@ impl TraceOracle for RnTreeAggregateOracle {
     }
 
     fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
-        match event {
-            TraceEvent::NodeDown { node, graceful } => {
-                if let Some(id) = self.ids.remove(&node.0) {
-                    if *graceful {
-                        self.ring.leave(id);
-                    } else {
-                        self.ring.fail(id);
-                    }
-                }
-            }
-            TraceEvent::NodeUp { node } if !self.ids.contains_key(&node.0) => {
-                self.join(node.0);
-            }
-            _ => {}
-        }
+        self.mirror.apply(event);
     }
 
     fn finish(&mut self, _report: &SimReport) -> Vec<Violation> {
-        if self.ring.is_empty() {
+        let CapableRing {
+            ring: Keys(ring),
+            caps,
+        } = &mut self.mirror.net;
+        if ring.is_empty() {
             return Vec::new();
         }
-        self.ring.stabilize();
-        let index = RnTreeIndex::build(&self.ring, &self.caps);
+        ring.stabilize();
+        let index = RnTreeIndex::build(ring, caps);
         match index.aggregate_violation() {
             Some(v) => vec![violation(self.name(), v)],
             None => Vec::new(),
