@@ -1362,7 +1362,7 @@ impl Engine {
     }
 
     /// Section 2's run-failure step: `job` lost its run node. A live owner
-    /// notices `detect` later and rematches; a dead one is lost with it.
+    /// notices `detect` later and rematches; a dead one is `owner_lost`.
     fn lose_run_node(&mut self, now: SimTime, job: JobId, detect: SimDuration) {
         let Some(rec) = self.job_ref(job) else { return };
         if rec.state.is_terminal() {
