@@ -65,99 +65,74 @@ fn violation(oracle: &'static str, detail: String) -> Violation {
     }
 }
 
-/// The checker's private id/point generator: the SplitMix64 sequence from
-/// a salted scenario seed, so mirror overlay identities are a pure function
-/// of `(scenario seed, join order)` and never collide with anything the
-/// engine derives from the same seed.
-struct Draws(u64);
-
-impl Draws {
-    fn next(&mut self) -> u64 {
-        let out = splitmix64(self.0);
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        out
-    }
-
-    /// Uniform f64 in `[0, 1)` from one draw.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
+/// SplitMix64 step — the checker's private id/point generator, so mirror
+/// overlay identities are a pure function of `(scenario seed, join order)`
+/// and never collide with anything the engine derives from the same seed.
+fn splitmix_next(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    out
 }
 
-/// An overlay an oracle mirrors grid membership into.
-trait Overlay {
-    type Id: Copy;
-    /// Join a new peer, drawing its identity from `draws`.
-    fn join(&mut self, draws: &mut Draws) -> Self::Id;
-    /// Take peer `id` out: a graceful leave or a crash.
-    fn depart(&mut self, id: Self::Id, graceful: bool);
+/// Uniform f64 in `[0, 1)` from one SplitMix64 output.
+fn unit_f64(state: &mut u64) -> f64 {
+    (splitmix_next(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The membership mirror the overlay oracles share: their own overlay, the
-/// id each live grid node holds in it, and the draws new ids come from. It
-/// is driven purely by the trace's `NodeDown` and `NodeUp` events.
-struct Mirror<N: Overlay> {
-    net: N,
-    ids: BTreeMap<u32, N::Id>,
-    draws: Draws,
+/// The bookkeeping the overlay oracles share: the id each live grid node
+/// holds in the oracle's own overlay, and the [`splitmix_next`] state new
+/// ids are drawn from. It follows the trace's `NodeDown` and `NodeUp` events.
+struct Mirror<I> {
+    ids: BTreeMap<u32, I>,
+    state: u64,
 }
 
-impl<N: Overlay> Mirror<N> {
-    /// `net` with grid nodes `0..nodes` joined in order.
-    fn new(mut net: N, nodes: usize, seed: u64) -> Self {
-        let mut draws = Draws(seed);
+/// A membership change a trace event made to a mirrored grid: a join, or
+/// the departure of the peer holding an id (gracefully if the flag is set),
+/// which the oracle takes out of its overlay.
+enum Change<I> {
+    Joined,
+    Departed(I, bool),
+}
+
+impl<I> Mirror<I> {
+    /// Grid nodes `0..nodes` joined in order under the ids `join` draws.
+    fn new(nodes: usize, seed: u64, mut join: impl FnMut(&mut u64) -> I) -> Self {
+        let mut state = seed;
         let ids = (0..nodes as u32)
-            .map(|node| (node, net.join(&mut draws)))
+            .map(|node| (node, join(&mut state)))
             .collect();
-        Mirror { net, ids, draws }
+        Mirror { ids, state }
     }
 
-    /// Apply the membership change `event` makes, if any: the departure of
-    /// a mirrored node or the arrival of one not mirrored. Whether it made
-    /// one.
-    fn apply(&mut self, event: &TraceEvent) -> bool {
+    /// Follow `event`, joining a grid node not mirrored that comes up under
+    /// the id `join` draws. The membership change it made, if any.
+    fn apply(&mut self, event: &TraceEvent, join: impl FnOnce(&mut u64) -> I) -> Option<Change<I>> {
         match *event {
-            TraceEvent::NodeDown { node, graceful } => {
-                let Some(id) = self.ids.remove(&node.0) else {
-                    return false;
-                };
-                self.net.depart(id, graceful);
-            }
+            TraceEvent::NodeDown { node, graceful } => self
+                .ids
+                .remove(&node.0)
+                .map(|id| Change::Departed(id, graceful)),
             TraceEvent::NodeUp { node } if !self.ids.contains_key(&node.0) => {
-                let id = self.net.join(&mut self.draws);
+                let id = join(&mut self.state);
                 self.ids.insert(node.0, id);
+                Some(Change::Joined)
             }
-            _ => return false,
+            _ => None,
         }
-        true
     }
 }
 
-/// A key-based substrate as a mirrored overlay: a peer joins under the first
-/// drawn key no live peer holds.
-struct Keys<R>(R);
-
-impl<R: KeyRouter> Overlay for Keys<R> {
-    type Id = u64;
-
-    fn join(&mut self, draws: &mut Draws) -> u64 {
-        let id = loop {
-            let id = draws.next();
-            if !self.0.is_alive(id) {
-                break id;
-            }
-        };
-        self.0.join(id);
-        id
-    }
-
-    fn depart(&mut self, id: u64, graceful: bool) {
-        if graceful {
-            self.0.leave(id);
-        } else {
-            self.0.fail(id);
+/// Join a key-based substrate under the first drawn key no live peer holds.
+fn join_key(net: &mut impl KeyRouter, state: &mut u64) -> u64 {
+    let id = loop {
+        let id = splitmix_next(state);
+        if !net.is_alive(id) {
+            break id;
         }
-    }
+    };
+    net.join(id);
+    id
 }
 
 // ---------------------------------------------------------------------------
@@ -439,37 +414,29 @@ impl TraceOracle for SpanConservation {
 /// after every membership change, that the zones still exactly partition the
 /// space and the neighbor relation is symmetric.
 pub struct CanZoneOracle {
-    mirror: Mirror<CanNetwork>,
+    net: CanNetwork,
+    mirror: Mirror<CanNodeId>,
     violations: Vec<Violation>,
 }
 
-impl Overlay for CanNetwork {
-    type Id = CanNodeId;
-
-    /// A peer joins at a drawn point of the unit cube.
-    fn join(&mut self, draws: &mut Draws) -> CanNodeId {
-        let point = [draws.unit(), draws.unit(), draws.unit()];
-        CanNetwork::join(self, &point)
-    }
-
-    fn depart(&mut self, id: CanNodeId, graceful: bool) {
-        if graceful {
-            self.leave(id);
-        } else {
-            self.fail(id);
-        }
-    }
+/// Join a CAN peer at a drawn point of the unit cube.
+fn join_can(net: &mut CanNetwork, state: &mut u64) -> CanNodeId {
+    net.join(&[unit_f64(state), unit_f64(state), unit_f64(state)])
 }
 
 impl CanZoneOracle {
     /// Mirror a grid that starts with `nodes` live nodes.
     pub fn new(nodes: usize, seed: u64) -> Self {
-        let net = CanNetwork::new(CanConfig {
+        let mut net = CanNetwork::new(CanConfig {
             dims: 3,
             ..CanConfig::default()
         });
+        let mirror = Mirror::new(nodes, seed ^ 0xCA17_0000_0000_0001, |state| {
+            join_can(&mut net, state)
+        });
         let mut oracle = CanZoneOracle {
-            mirror: Mirror::new(net, nodes, seed ^ 0xCA17_0000_0000_0001),
+            net,
+            mirror,
             violations: Vec::new(),
         };
         oracle.check();
@@ -480,10 +447,10 @@ impl CanZoneOracle {
         if self.violations.len() >= MAX_VIOLATIONS_PER_ORACLE {
             return;
         }
-        if let Some(v) = self.mirror.net.partition_violation() {
+        if let Some(v) = self.net.partition_violation() {
             self.violations.push(violation("can-zones", v));
         }
-        if let Some(v) = self.mirror.net.neighbor_symmetry_violation() {
+        if let Some(v) = self.net.neighbor_symmetry_violation() {
             self.violations.push(violation("can-zones", v));
         }
     }
@@ -495,9 +462,14 @@ impl TraceOracle for CanZoneOracle {
     }
 
     fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
-        if self.mirror.apply(event) {
-            self.check();
+        let join = |state: &mut u64| join_can(&mut self.net, state);
+        match self.mirror.apply(event, join) {
+            Some(Change::Joined) => {}
+            Some(Change::Departed(id, true)) => self.net.leave(id),
+            Some(Change::Departed(id, false)) => self.net.fail(id),
+            None => return,
         }
+        self.check();
     }
 
     fn finish(&mut self, _report: &SimReport) -> Vec<Violation> {
@@ -518,7 +490,8 @@ impl TraceOracle for CanZoneOracle {
 /// the true ring order; for Pastry and Tapestry, that leaf sets / neighbor
 /// maps are sound.
 pub struct SubstrateTableOracle<R: KeyRouter> {
-    mirror: Mirror<Keys<R>>,
+    net: R,
+    mirror: Mirror<u64>,
     violations: Vec<Violation>,
 }
 
@@ -529,8 +502,13 @@ pub type ChordRingOracle = SubstrateTableOracle<ChordRing>;
 impl<R: KeyRouter> SubstrateTableOracle<R> {
     /// Mirror a grid that starts with `nodes` live nodes.
     pub fn new(nodes: usize, seed: u64) -> Self {
+        let mut net = R::default();
+        let mirror = Mirror::new(nodes, seed ^ 0xC40D_0000_0000_0002, |state| {
+            join_key(&mut net, state)
+        });
         let mut oracle = SubstrateTableOracle {
-            mirror: Mirror::new(Keys(R::default()), nodes, seed ^ 0xC40D_0000_0000_0002),
+            net,
+            mirror,
             violations: Vec::new(),
         };
         oracle.stabilize_and_check();
@@ -546,12 +524,11 @@ impl<R: KeyRouter> SubstrateTableOracle<R> {
     }
 
     fn stabilize_and_check(&mut self) {
-        let net = &mut self.mirror.net.0;
-        net.stabilize();
+        self.net.stabilize();
         if self.violations.len() >= MAX_VIOLATIONS_PER_ORACLE {
             return;
         }
-        if let Some(v) = net.table_violation() {
+        if let Some(v) = self.net.table_violation() {
             self.violations.push(violation(Self::oracle_name(), v));
         }
     }
@@ -563,9 +540,14 @@ impl<R: KeyRouter> TraceOracle for SubstrateTableOracle<R> {
     }
 
     fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
-        if self.mirror.apply(event) {
-            self.stabilize_and_check();
+        let join = |state: &mut u64| join_key(&mut self.net, state);
+        match self.mirror.apply(event, join) {
+            Some(Change::Joined) => {}
+            Some(Change::Departed(id, true)) => self.net.leave(id),
+            Some(Change::Departed(id, false)) => self.net.fail(id),
+            None => return,
         }
+        self.stabilize_and_check();
     }
 
     fn finish(&mut self, _report: &SimReport) -> Vec<Violation> {
@@ -584,45 +566,37 @@ impl<R: KeyRouter> TraceOracle for SubstrateTableOracle<R> {
 /// vector dominates its children's, OS sets are supersets, and subtree node
 /// counts sum exactly.
 pub struct RnTreeAggregateOracle {
-    mirror: Mirror<CapableRing>,
-}
-
-/// A Chord ring whose every peer carries drawn capabilities.
-struct CapableRing {
-    ring: Keys<ChordRing>,
+    ring: ChordRing,
     caps: HashMap<u64, Capabilities>,
+    mirror: Mirror<u64>,
 }
 
-impl Overlay for CapableRing {
-    type Id = u64;
-
-    fn join(&mut self, draws: &mut Draws) -> u64 {
-        let id = self.ring.join(draws);
-        let caps = Capabilities::new(
-            1.0 + 3.0 * draws.unit(),
-            1.0 + 15.0 * draws.unit(),
-            10.0 + 190.0 * draws.unit(),
-            OsType::ALL[(draws.next() % 4) as usize],
-        );
-        self.caps.insert(id, caps);
-        id
-    }
-
-    fn depart(&mut self, id: u64, graceful: bool) {
-        self.ring.depart(id, graceful);
-    }
+/// Join a Chord peer under a drawn key and give it drawn capabilities.
+fn join_capable(
+    ring: &mut ChordRing,
+    caps: &mut HashMap<u64, Capabilities>,
+    state: &mut u64,
+) -> u64 {
+    let id = join_key(ring, state);
+    let drawn = Capabilities::new(
+        1.0 + 3.0 * unit_f64(state),
+        1.0 + 15.0 * unit_f64(state),
+        10.0 + 190.0 * unit_f64(state),
+        OsType::ALL[(splitmix_next(state) % 4) as usize],
+    );
+    caps.insert(id, drawn);
+    id
 }
 
 impl RnTreeAggregateOracle {
     /// Mirror a grid that starts with `nodes` live nodes.
     pub fn new(nodes: usize, seed: u64) -> Self {
-        let net = CapableRing {
-            ring: Keys(ChordRing::new(ChordConfig::default())),
-            caps: HashMap::new(),
-        };
-        RnTreeAggregateOracle {
-            mirror: Mirror::new(net, nodes, seed ^ 0x27EE_0000_0000_0003),
-        }
+        let mut ring = ChordRing::new(ChordConfig::default());
+        let mut caps = HashMap::new();
+        let mirror = Mirror::new(nodes, seed ^ 0x27EE_0000_0000_0003, |state| {
+            join_capable(&mut ring, &mut caps, state)
+        });
+        RnTreeAggregateOracle { ring, caps, mirror }
     }
 }
 
@@ -632,19 +606,20 @@ impl TraceOracle for RnTreeAggregateOracle {
     }
 
     fn on_event(&mut self, _at: SimTime, event: &TraceEvent) {
-        self.mirror.apply(event);
+        let join = |state: &mut u64| join_capable(&mut self.ring, &mut self.caps, state);
+        match self.mirror.apply(event, join) {
+            Some(Change::Departed(id, true)) => self.ring.leave(id),
+            Some(Change::Departed(id, false)) => self.ring.fail(id),
+            _ => {}
+        }
     }
 
     fn finish(&mut self, _report: &SimReport) -> Vec<Violation> {
-        let CapableRing {
-            ring: Keys(ring),
-            caps,
-        } = &mut self.mirror.net;
-        if ring.is_empty() {
+        if self.ring.is_empty() {
             return Vec::new();
         }
-        ring.stabilize();
-        let index = RnTreeIndex::build(ring, caps);
+        self.ring.stabilize();
+        let index = RnTreeIndex::build(&self.ring, &self.caps);
         match index.aggregate_violation() {
             Some(v) => vec![violation(self.name(), v)],
             None => Vec::new(),

@@ -353,13 +353,22 @@ impl JobTable {
 
     /// Make `owner` the owner of `job`, in its record and in the owner
     /// column together: the only writer of either (a no-op for an unknown
-    /// job).
+    /// job). The column is cleared only of the peer the record names (or of
+    /// no one, after a departure's take or a terminal detach), so an owner
+    /// the record does not name trips a debug assertion here or in `own`.
     pub fn set_owner(&mut self, job: JobId, owner: Option<OwnerRef>) {
         let Some(idx) = self.index.get(job.0) else {
             return;
         };
-        self.records[idx as usize].owner = owner;
-        self.owners.disown(idx);
+        let previous = std::mem::replace(&mut self.records[idx as usize].owner, owner);
+        if let Some(OwnerRef::Peer(prev)) = previous {
+            let held = self.owners.owner[idx as usize];
+            debug_assert!(
+                held == NO_OWNER || held == prev.0,
+                "node {held} owns a job whose record names {prev:?}"
+            );
+            self.owners.disown(idx);
+        }
         if let Some(OwnerRef::Peer(node)) = owner {
             self.owners.own(idx, node);
         }
@@ -626,6 +635,32 @@ mod tests {
         assert!(t.take_owned(a).is_empty());
         // A record keeps naming the owner that handed it over.
         assert_eq!(t.get(JobId(40)).unwrap().owner(), Some(OwnerRef::Peer(b)));
+    }
+
+    /// A table whose one job has no owner in its record while the column
+    /// says `GridNodeId(1)` owns it.
+    #[cfg(debug_assertions)]
+    fn drifted_table() -> JobTable {
+        let mut t = JobTable::with_capacity(1);
+        t.insert(JobId(0), record_for(0));
+        t.owners.own(0, GridNodeId(1));
+        t
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already has an owner")]
+    fn set_owner_refuses_a_column_owner_the_record_does_not_name() {
+        drifted_table().set_owner(JobId(0), Some(OwnerRef::Peer(GridNodeId(2))));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "whose record names node#3")]
+    fn set_owner_refuses_to_clear_another_peers_column_entry() {
+        let mut t = drifted_table();
+        t.records[0].owner = Some(OwnerRef::Peer(GridNodeId(3)));
+        t.set_owner(JobId(0), None);
     }
 
     /// Ids on both sides of the dense limit, at its edges and far past it.
