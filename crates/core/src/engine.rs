@@ -2348,6 +2348,214 @@ mod tests {
         );
     }
 
+    /// Jobs `(id, arrival, runtime)` in the order given, on four nodes under
+    /// [`Scripted`] (owner `OWNER`, run node `RUN`), with every event of the
+    /// stream kept.
+    fn scripted_dag(cfg: EngineConfig, jobs: &[(u64, f64, f64)], dag: JobDag) -> (Engine, Stream) {
+        let jobs = jobs
+            .iter()
+            .map(|&(id, arrival_secs, runtime)| JobSubmission {
+                profile: JobProfile::new(
+                    JobId(id),
+                    ClientId(0),
+                    JobRequirements::unconstrained(),
+                    runtime,
+                ),
+                arrival_secs,
+                actual_runtime_secs: None,
+            })
+            .collect();
+        let node = NodeProfile::new(Capabilities::new(2.0, 4.0, 100.0, OsType::Linux));
+        let stream = Stream::default();
+        let engine = Engine::with_dag(
+            cfg,
+            ChurnConfig::none(),
+            Box::new(Scripted {
+                owner: Rc::new(Cell::new(OWNER)),
+                run: RUN,
+            }),
+            vec![node; 4],
+            jobs,
+            dag,
+        )
+        .with_observer(Box::new(stream.clone()));
+        (engine, stream)
+    }
+
+    /// A report's job counts: total, completed, failed, dependency
+    /// failures, duplicate executions and unknown-job events.
+    fn job_counts(r: &SimReport) -> [u64; 6] {
+        [
+            r.jobs_total,
+            r.jobs_completed,
+            r.jobs_failed,
+            r.dependency_failures,
+            r.duplicate_executions,
+            r.unknown_job_events,
+        ]
+    }
+
+    /// The horizon falls before the last arrivals: two jobs never submitted
+    /// (one out of input order), a DAG child still held behind its running
+    /// parent, and one released but due after the horizon all fail with
+    /// the running and queued jobs, in id order, the held child right
+    /// after its parent.
+    #[test]
+    fn a_horizon_before_the_last_arrivals_fails_every_open_job_in_id_order() {
+        let cfg = EngineConfig {
+            max_sim_secs: 500.0,
+            ..EngineConfig::default()
+        };
+        let mut dag = JobDag::none();
+        dag.add_dependency(JobId(4), JobId(1));
+        dag.add_dependency(JobId(5), JobId(0));
+        let jobs = [
+            (0, 0.0, 10.0),
+            (1, 1.0, 1e4),
+            (2, 700.0, 10.0),
+            (3, 600.0, 10.0),
+            (4, 2.0, 10.0),
+            (5, 900.0, 10.0),
+            (6, 3.0, 10.0),
+        ];
+        let (engine, stream) = scripted_dag(cfg, &jobs, dag);
+        let report = engine.run();
+        assert_eq!(
+            stream.take(),
+            [
+                "0.000s Submitted { job: job#0, resubmits: 0 }",
+                "0.085s OwnerAssigned { job: job#0, owner: Peer(node#0) }",
+                "0.085s Matched { job: job#0, run_node: node#1, hops: 1 }",
+                "0.178s Started { job: job#0, run_node: node#1 }",
+                "1.000s Submitted { job: job#1, resubmits: 0 }",
+                "1.087s OwnerAssigned { job: job#1, owner: Peer(node#0) }",
+                "1.087s Matched { job: job#1, run_node: node#1, hops: 1 }",
+                "3.000s Submitted { job: job#6, resubmits: 0 }",
+                "3.109s OwnerAssigned { job: job#6, owner: Peer(node#0) }",
+                "3.109s Matched { job: job#6, run_node: node#1, hops: 1 }",
+                "10.178s Completed { job: job#0, results_at: t=10.225501s }",
+                "10.178s Started { job: job#1, run_node: node#1 }",
+                "480.000s Failed { job: job#1 }",
+                "480.000s Failed { job: job#4 }",
+                "480.000s Failed { job: job#2 }",
+                "480.000s Failed { job: job#3 }",
+                "480.000s Failed { job: job#5 }",
+                "480.000s Failed { job: job#6 }",
+            ]
+        );
+        assert_eq!(job_counts(&report), [7, 1, 6, 1, 0, 0]);
+        // The last event before the horizon is a maintenance tick.
+        assert_eq!(report.makespan_secs, 480.0);
+    }
+
+    /// A failing job cascades to a held child and grandchild, to a child
+    /// the test submitted ahead of its parent that is still running, and to
+    /// one submitted ahead that already completed: the first three fail,
+    /// the completed one keeps its result.
+    #[test]
+    fn a_dag_cascade_fails_held_and_live_descendants_and_spares_a_completed_one() {
+        let cfg = EngineConfig {
+            max_resubmits: 0,
+            ..EngineConfig::default()
+        };
+        let mut dag = JobDag::none();
+        for child in [2, 3, 4] {
+            dag.add_dependency(JobId(child), JobId(1));
+        }
+        dag.add_dependency(JobId(5), JobId(2));
+        // The parent arrives at 50 s. The test submits job 4 at 1 s, which
+        // finishes, and job 3 at 20 s, which is still running at 100 s.
+        let jobs = [
+            (1, 50.0, 1e4),
+            (2, 0.0, 10.0),
+            (3, 0.0, 1e4),
+            (4, 0.0, 5.0),
+            (5, 0.0, 10.0),
+        ];
+        let (mut engine, stream) = scripted_dag(cfg, &jobs, dag);
+        for (at, job) in [(1, 4), (20, 3)] {
+            let at = SimTime::from_secs(at);
+            run_until(&mut engine, at);
+            engine.dispatch(at, Event::Submit { job: JobId(job) });
+        }
+        run_until(&mut engine, SimTime::from_secs(100));
+        // The parent's client gives up on it.
+        let epoch = engine.jobs.get(JobId(1)).expect("submitted").epoch;
+        engine.dispatch(
+            SimTime::from_secs(100),
+            Event::ClientResubmit {
+                job: JobId(1),
+                epoch,
+            },
+        );
+        let report = engine.run();
+        assert_eq!(
+            stream.take(),
+            [
+                "1.000s Submitted { job: job#4, resubmits: 0 }",
+                "1.085s OwnerAssigned { job: job#4, owner: Peer(node#0) }",
+                "1.085s Matched { job: job#4, run_node: node#1, hops: 1 }",
+                "1.178s Started { job: job#4, run_node: node#1 }",
+                "6.178s Completed { job: job#4, results_at: t=6.215101s }",
+                "20.000s Submitted { job: job#3, resubmits: 0 }",
+                "20.097s OwnerAssigned { job: job#3, owner: Peer(node#0) }",
+                "20.097s Matched { job: job#3, run_node: node#1, hops: 1 }",
+                "20.190s Started { job: job#3, run_node: node#1 }",
+                "50.000s Submitted { job: job#1, resubmits: 0 }",
+                "50.108s OwnerAssigned { job: job#1, owner: Peer(node#0) }",
+                "50.108s Matched { job: job#1, run_node: node#1, hops: 1 }",
+                "100.000s Failed { job: job#1 }",
+                "100.000s Failed { job: job#2 }",
+                "100.000s Failed { job: job#3 }",
+                "100.000s Failed { job: job#5 }",
+            ]
+        );
+        assert_eq!(job_counts(&report), [5, 1, 4, 3, 0, 0]);
+    }
+
+    /// Submissions that step back from an earlier arrival are submitted at
+    /// their own times, and at equal times every submission goes in input
+    /// order.
+    #[test]
+    fn submissions_at_equal_times_go_in_input_order() {
+        let jobs = [
+            (0, 5.0, 10.0),
+            (1, 10.0, 10.0),
+            (2, 5.0, 10.0),
+            (3, 10.0, 10.0),
+            (4, 5.0, 10.0),
+            (5, 1.0, 10.0),
+        ];
+        let (mut engine, stream) = scripted_dag(EngineConfig::default(), &jobs, JobDag::none());
+        run_until(&mut engine, SimTime::from_secs(11));
+        let submitted: Vec<String> = stream
+            .take()
+            .into_iter()
+            .filter(|e| e.contains("Submitted"))
+            .collect();
+        assert_eq!(
+            submitted,
+            [
+                "1.000s Submitted { job: job#5, resubmits: 0 }",
+                "5.000s Submitted { job: job#0, resubmits: 0 }",
+                "5.000s Submitted { job: job#2, resubmits: 0 }",
+                "5.000s Submitted { job: job#4, resubmits: 0 }",
+                "10.000s Submitted { job: job#1, resubmits: 0 }",
+                "10.000s Submitted { job: job#3, resubmits: 0 }",
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate job id job#3")]
+    fn a_duplicate_job_id_is_refused_at_construction() {
+        scripted_dag(
+            EngineConfig::default(),
+            &[(3, 0.0, 10.0), (4, 1.0, 10.0), (3, 2.0, 10.0)],
+            JobDag::none(),
+        );
+    }
+
     #[test]
     fn ordered_submissions_leave_only_other_events_in_the_calendar() {
         const JOBS: u64 = 10_000;
