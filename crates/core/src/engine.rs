@@ -24,7 +24,7 @@
 //! *spurious* failure detections that exercise the same recovery protocol —
 //! including duplicate executions that the epoch mechanism must suppress.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use dgrid_resources::{JobId, JobProfile, NodeProfile};
 use dgrid_sim::fault::{Delivery, Endpoint, FaultPlan, Network};
@@ -73,6 +73,66 @@ pub struct JobSubmission {
     /// True runtime if it differs from the declared one (runaway/malicious
     /// jobs for the sandbox experiments). Defaults to the declared runtime.
     pub actual_runtime_secs: Option<f64>,
+}
+
+/// The submissions that arrive in input order and are not submitted yet:
+/// a FIFO the run pulls from. It is the `Vec` the engine was handed, moved
+/// in rather than copied, and it gives its drained prefix back to the
+/// allocator as the run goes. Its first `staged` entries wait in the
+/// queue's sorted run as `Submit` events under seqs reserved at
+/// construction; the rest are staged as the run reaches them.
+struct Arrivals {
+    fifo: VecDeque<JobSubmission>,
+    staged: usize,
+    /// The seq reserved for `fifo[staged]`.
+    next_seq: u64,
+}
+
+impl Arrivals {
+    fn arrival(sub: &JobSubmission) -> SimTime {
+        SimTime::from_secs_f64(sub.arrival_secs)
+    }
+
+    /// Stage the first unstaged arrival, if there is one.
+    fn stage_next(&mut self, queue: &mut EventQueue<Event>) {
+        let Some(sub) = self.fifo.get(self.staged) else {
+            return;
+        };
+        let job = sub.profile.id;
+        queue.stage(Self::arrival(sub), self.next_seq, Event::Submit { job });
+        self.next_seq += 1;
+        self.staged += 1;
+    }
+
+    /// Stage every arrival before `end`, and the next one if none is
+    /// staged: what a window drain that ends at `end` must find queued.
+    fn stage_before(&mut self, queue: &mut EventQueue<Event>, end: SimTime) {
+        while let Some(sub) = self.fifo.get(self.staged) {
+            if self.staged > 0 && Self::arrival(sub) >= end {
+                break;
+            }
+            self.stage_next(queue);
+        }
+    }
+
+    /// Take `job`'s submission off the front now that its `Submit` was
+    /// delivered, and stage the next arrival if none is left staged, so the
+    /// queue always holds the earliest one; `None` if `job` is not at the
+    /// front. Once the buffer is half empty it shrinks to fit.
+    fn take(&mut self, job: JobId, queue: &mut EventQueue<Event>) -> Option<JobSubmission> {
+        if self.staged == 0 || self.fifo.front()?.profile.id != job {
+            return None;
+        }
+        let sub = self.fifo.pop_front()?;
+        self.staged -= 1;
+        if self.staged == 0 {
+            self.stage_next(queue);
+        }
+        if self.fifo.len() <= self.fifo.capacity() / 2 {
+            self.fifo.shrink_to_fit();
+        }
+        Some(sub)
+    }
 }
 
 /// A job held back until its DAG parents complete.
@@ -212,6 +272,11 @@ pub struct Engine {
     /// The DAG jobs still held back from submission (Section 5
     /// dependencies); empty when the DAG is.
     held: HashMap<JobId, Hold>,
+    /// The arrivals in input order not submitted yet.
+    arrivals: Arrivals,
+    /// The submissions of every other job not submitted yet, until they
+    /// are: arrivals out of input order and DAG children.
+    parked: HashMap<JobId, JobSubmission>,
     observer: Box<dyn Observer>,
     outstanding: usize,
     registry: Option<SharedRegistry>,
@@ -233,6 +298,11 @@ pub struct Engine {
 impl Engine {
     /// Assemble an engine: nodes join the overlay, submissions and churn are
     /// scheduled, the matchmaker gets one initial maintenance tick.
+    ///
+    /// The engine holds no record per job: it keeps `submissions` as the
+    /// queue of jobs to come and creates a job's record when the job is
+    /// submitted, then frees it at the job's terminal event, so its memory
+    /// follows the jobs in flight.
     ///
     /// # Panics
     /// On invalid configuration, duplicate job ids, or an empty node set.
@@ -317,32 +387,61 @@ impl Engine {
         }
         let dag_children = dag.children_index();
 
-        // The submissions go over in input order, before any other event
-        // exists. The generators emit them ascending, so they land in the
-        // queue's sorted run and the calendar holds only what the simulation
-        // schedules itself; an out-of-order input stays correct, its steps
-        // back just land in the calendar.
-        let mut jobs = JobTable::with_capacity(submissions.len());
+        // Each submission is handed to the job table, which gets no record
+        // until the job is submitted. The ones that arrive in input order
+        // stay in `submissions`, which becomes the arrival FIFO, and are
+        // staged into the queue one ahead of the run; any other is parked.
+        // One that steps back from the latest arrival before it is staged
+        // now; a DAG child is scheduled when released. Every undeferred
+        // submission gets one of the seqs reserved before any other event
+        // exists, so at equal times submissions go first: the FIFO's in
+        // order, then the stepped-back ones in input order. At equal times
+        // that is input order too, since every FIFO submission due when a
+        // stepped-back one is comes before it in the input: the ones after
+        // it arrive no earlier than the arrival it stepped back from.
+        let mut submissions = submissions;
+        let jobs_total = submissions.len();
+        let mut jobs = JobTable::default();
         let mut held = HashMap::new();
-        queue.schedule_sorted(submissions.into_iter().filter_map(|sub| {
+        let mut parked = HashMap::new();
+        let mut out_of_order = Vec::new();
+        let mut latest = SimTime::ZERO;
+        submissions.retain(|sub| {
             let actual = sub.actual_runtime_secs.unwrap_or(sub.profile.run_time_secs);
             assert!(actual > 0.0, "non-positive runtime for {}", sub.profile.id);
             let at = SimTime::from_secs_f64(sub.arrival_secs);
             let id = sub.profile.id;
-            let fresh = jobs.insert(id, JobRecord::new(sub.profile, actual, at));
-            assert!(fresh, "duplicate job id {id}");
+            assert!(jobs.declare(id), "duplicate job id {id}");
             let parents = dag.parents_of(id).len();
-            if parents == 0 {
-                return Some((at, Event::Submit { job: id }));
+            if parents > 0 {
+                // Held back until the last parent completes.
+                let hold = Hold {
+                    unmet_parents: parents as u32,
+                    arrival: at,
+                };
+                held.insert(id, hold);
+                parked.insert(id, sub.clone());
+                return false;
             }
-            // Held back until the last parent completes.
-            let hold = Hold {
-                unmet_parents: parents as u32,
-                arrival: at,
-            };
-            held.insert(id, hold);
-            None
-        }));
+            if at < latest {
+                out_of_order.push((at, id));
+                parked.insert(id, sub.clone());
+                return false;
+            }
+            latest = at;
+            true
+        });
+        let in_order = submissions.len() as u64;
+        let first = queue.reserve_seqs(in_order + out_of_order.len() as u64);
+        let mut arrivals = Arrivals {
+            fifo: VecDeque::from(submissions),
+            staged: 0,
+            next_seq: first,
+        };
+        arrivals.stage_next(&mut queue);
+        for ((at, job), seq) in out_of_order.into_iter().zip(first + in_order..) {
+            queue.stage(at, seq, Event::Submit { job });
+        }
 
         // Churn injection: exponential lifetimes per node; each departure
         // is graceful with the configured probability.
@@ -380,14 +479,13 @@ impl Engine {
             Event::Maintenance,
         );
 
-        let outstanding = jobs.len();
         // One sample per job in each: reserved up front, a run never copies
         // them as they grow.
-        let per_job = || SampleSet::with_capacity(jobs.len());
+        let per_job = || SampleSet::with_capacity(jobs_total);
         Engine {
             report: SimReport {
                 algorithm: matchmaker.name().to_string(),
-                jobs_total: jobs.len() as u64,
+                jobs_total: jobs_total as u64,
                 wait_time: per_job(),
                 turnaround: per_job(),
                 match_hops: per_job(),
@@ -412,8 +510,10 @@ impl Engine {
             dag,
             dag_children,
             held,
+            arrivals,
+            parked,
             observer: Box::new(NullObserver),
-            outstanding,
+            outstanding: jobs_total,
             registry: None,
             timeseries: None,
             sample_every: SimDuration::ZERO,
@@ -568,14 +668,18 @@ impl Engine {
         } else {
             self.run_sequential_loop(horizon)
         };
-        // Jobs still open at the horizon fail, in id order: the table
-        // iterates in insertion order, and the failure order is visible in
-        // the trace stream, so it is pinned by an explicit sort.
+        // Jobs still open at the horizon fail, in id order: the live ones,
+        // and those never submitted (late arrivals, DAG children still held
+        // or released too late). The table iterates in slot order, and the
+        // failure order is visible in the trace stream, so it is pinned by
+        // an explicit sort.
         let mut open: Vec<JobId> = self
             .jobs
             .iter()
             .filter(|(_, r)| !r.state.is_terminal())
             .map(|(id, _)| id)
+            .chain(self.arrivals.fifo.iter().map(|sub| sub.profile.id))
+            .chain(self.parked.keys().copied())
             .collect();
         open.sort_unstable();
         for id in open {
@@ -718,26 +822,34 @@ impl Engine {
             .is_some_and(|r| !r.state.is_terminal() && r.epoch == epoch)
     }
 
-    /// Checked job lookup for the recovery paths. A missing record means an
-    /// engine invariant broke; instead of aborting the whole replication
-    /// with a panic, the breach is counted (`unknown_job_events`) and the
-    /// event dropped — the conservation oracle then reports the stuck job,
-    /// the same way the `was_terminal` guard surfaces double commits.
+    /// Checked job lookup for the recovery paths. A retired job has no
+    /// record and its events change nothing, as a terminal record's do. Any
+    /// other missing record means an engine invariant broke; instead of
+    /// aborting the whole replication with a panic, the breach is counted
+    /// (`unknown_job_events`) and the event dropped — the conservation
+    /// oracle then reports the stuck job, the same way the `was_terminal`
+    /// guard surfaces double commits.
     fn job_mut(&mut self, job: JobId) -> Option<&mut JobRecord> {
-        if !self.jobs.contains(job) {
-            self.report.unknown_job_events += 1;
-            return None;
+        match self.jobs.slot(job) {
+            Some(slot) => Some(self.jobs.at_mut(slot)),
+            None => {
+                self.note_missing(job);
+                None
+            }
         }
-        self.jobs.get_mut(job)
     }
 
     /// Shared-reference variant of [`Engine::job_mut`].
     fn job_ref(&mut self, job: JobId) -> Option<&JobRecord> {
-        if !self.jobs.contains(job) {
+        self.job_mut(job).map(|rec| &*rec)
+    }
+
+    /// A handler found no record for `job`: count the breach, unless the
+    /// job is retired.
+    fn note_missing(&mut self, job: JobId) {
+        if !self.jobs.is_retired(job) {
             self.report.unknown_job_events += 1;
-            return None;
         }
-        self.jobs.get(job)
     }
 
     fn guid_of(&self, job: JobId, resubmits: u32) -> u64 {
@@ -921,13 +1033,12 @@ impl Engine {
                 // Execution in progress survives the transfer untouched
                 // (no epoch bump — the at-most-once argument is the same
                 // as for spurious owner recovery). An idle job resumes
-                // matchmaking under its new owner immediately.
-                let idle = self
-                    .jobs
-                    .get(job)
-                    .expect("lease transfer of known job")
-                    .run_node
-                    .is_none_or(|r| !self.nodes.is_alive(r));
+                // matchmaking under its new owner immediately. The expiry
+                // that led here found the record live, and nothing on the
+                // way retires it; a miss is counted like any other.
+                let Some(rec) = self.job_ref(job) else { return };
+                let run_node = rec.run_node;
+                let idle = run_node.is_none_or(|r| !self.nodes.is_alive(r));
                 if idle {
                     self.reset_run(job);
                     self.rematch(now, job);
@@ -947,7 +1058,31 @@ impl Engine {
     // Lifecycle handlers
     // ------------------------------------------------------------------
 
+    /// Create `job`'s record at its first submission, from the submission
+    /// the engine was handed: the arrival FIFO's front, or a parked one.
+    /// `false` if there is none, which is a breach unless the job retired.
+    fn admit(&mut self, job: JobId) -> bool {
+        let sub = if self.jobs.is_pending(job) {
+            let front = self.arrivals.take(job, &mut self.queue);
+            front.or_else(|| self.parked.remove(&job))
+        } else {
+            None
+        };
+        let Some(sub) = sub else {
+            self.note_missing(job);
+            return false;
+        };
+        let actual = sub.actual_runtime_secs.unwrap_or(sub.profile.run_time_secs);
+        let at = SimTime::from_secs_f64(sub.arrival_secs);
+        self.jobs
+            .admit(job, JobRecord::new(sub.profile, actual, at));
+        true
+    }
+
     fn handle_submit(&mut self, now: SimTime, job: JobId) {
+        if !self.jobs.contains(job) && !self.admit(job) {
+            return;
+        }
         let Some(rec) = self.job_ref(job) else { return };
         if rec.state.is_terminal() {
             return;
@@ -1535,23 +1670,44 @@ impl Engine {
         }
     }
 
-    /// Fail `job` for `reason`; `false` if it was already terminal.
+    /// Fail `job` for `reason`; `false` if it was already terminal or
+    /// retired. A job never submitted (a late arrival, a DAG child) fails
+    /// without a record.
     fn fail_one(&mut self, now: SimTime, job: JobId, reason: FailureReason) -> bool {
-        let Some(rec) = self.job_mut(job) else {
-            return false;
-        };
-        if rec.state.is_terminal() {
+        if let Some(rec) = self.jobs.get_mut(job) {
+            if rec.state.is_terminal() {
+                return false;
+            }
+            rec.state = JobState::Failed;
+            rec.failure = Some(reason);
+            rec.leased = false;
+            rec.invalidate();
+        } else if self.jobs.is_pending(job) {
+            self.parked.remove(&job);
+        } else {
+            self.note_missing(job);
             return false;
         }
-        rec.state = JobState::Failed;
-        rec.failure = Some(reason);
-        rec.leased = false;
-        rec.invalidate();
         self.report.jobs_failed += 1;
         self.outstanding -= 1;
         self.emit(now, TraceEvent::Failed { job });
-        self.jobs.disown(job);
+        self.retire(job);
         true
+    }
+
+    /// `job` reached its terminal event — its completion committed, or
+    /// `fail_one` failed it — and no peer owns it any more: free its
+    /// record. The one place a record is freed; the sharded kernel reaches
+    /// it from the barrier, after shard state commits back, so a record a
+    /// shard checked out is never freed under it. With the checker's epoch
+    /// dedup backdoor set the terminal record stays, because the double
+    /// commit the backdoor lets through needs it.
+    fn retire(&mut self, job: JobId) {
+        if self.cfg.check_disable_epoch_dedup && self.jobs.contains(job) {
+            self.jobs.disown(job);
+        } else {
+            self.jobs.retire(job);
+        }
     }
 }
 
@@ -1626,7 +1782,7 @@ impl RunNodeCtx for Engine {
             },
             EnvOp::OutstandingDec => self.outstanding -= 1,
             EnvOp::FailJob { job, reason } => self.fail_job(job, reason, at),
-            EnvOp::DetachOwner(job) => self.jobs.disown(job),
+            EnvOp::Retire(job) => self.retire(job),
             EnvOp::ReleaseDependents(job) => self.release_dependents(at, job),
         }
     }
@@ -1661,7 +1817,11 @@ mod tests {
             jobs,
         );
         let mut now = SimTime::ZERO;
-        while engine.jobs.get(job).expect("submitted").state != JobState::Running {
+        while engine
+            .jobs
+            .get(job)
+            .is_none_or(|r| r.state != JobState::Running)
+        {
             let (at, ev) = engine.queue.pop().expect("the job starts");
             now = at;
             engine.dispatch(now, ev);
@@ -1837,14 +1997,16 @@ mod tests {
         (engine, owner, log)
     }
 
-    /// Dispatch events until every job sits at its run node; the time of
-    /// the last one.
+    /// Dispatch events until every job is submitted and sits at its run
+    /// node; the time of the last one.
     fn until_all_placed(engine: &mut Engine) -> SimTime {
         let mut now = SimTime::ZERO;
-        while engine
-            .jobs
-            .iter()
-            .any(|(_, r)| !matches!(r.state, JobState::Queued | JobState::Running))
+        while !engine.arrivals.fifo.is_empty()
+            || !engine.parked.is_empty()
+            || engine
+                .jobs
+                .iter()
+                .any(|(_, r)| !matches!(r.state, JobState::Queued | JobState::Running))
         {
             let (at, ev) = engine.queue.pop().expect("every job gets placed");
             now = at;
@@ -2556,6 +2718,154 @@ mod tests {
         );
     }
 
+    /// After a job retires, events that acted on it while it lived — a
+    /// completion that frees a duplicate execution, a lease renewal and
+    /// expiry, a matchmaking retry, a client resubmission — do what they
+    /// do for a terminal record: the duplicate's node is freed and nothing
+    /// else changes or counts.
+    #[test]
+    fn events_for_a_retired_job_change_nothing_and_count_nothing() {
+        let jobs = [(0, 0.0, 10.0), (1, 0.0, 1e4)];
+        let (mut engine, stream) = scripted_dag(leased(), &jobs, JobDag::none());
+        let job = JobId(0);
+        while engine
+            .jobs
+            .get(job)
+            .is_none_or(|r| r.state != JobState::Running)
+        {
+            let (at, ev) = engine.queue.pop().expect("job 0 starts");
+            engine.dispatch(at, ev);
+        }
+        let rec = engine.jobs.get(job).expect("running");
+        let (epoch, seq) = (rec.epoch, rec.lease_seq);
+        let now = SimTime::from_secs(100);
+        run_until(&mut engine, now);
+        assert!(engine.jobs.is_retired(job) && engine.jobs.get(job).is_none());
+        stream.take();
+        let (before, renewals) = (counts_of(&engine), engine.report.lease_renewals);
+
+        // A duplicate of job 0 still runs on another node.
+        let dup = GridNodeId(NEXT);
+        let q = QueuedJob {
+            job,
+            runtime_secs: 50.0,
+            epoch,
+        };
+        engine.nodes.set_running(dup, q, now);
+        engine.dispatch(
+            now,
+            Event::Complete {
+                job,
+                epoch,
+                node: dup,
+            },
+        );
+        assert!(engine.nodes.get(dup).running_job().is_none());
+        assert_eq!(engine.report.duplicate_executions, 1);
+        for ev in [
+            Event::LeaseRenew { job, seq },
+            Event::LeaseExpire { job, seq },
+            Event::RetryMatch { job, epoch },
+            Event::ClientResubmit { job, epoch },
+        ] {
+            engine.dispatch(now, ev);
+        }
+        assert_eq!(counts_of(&engine), before);
+        assert_eq!(engine.report.lease_renewals, renewals);
+        assert!(engine.jobs.is_retired(job));
+        assert_eq!(stream.take(), [""; 0]);
+        let report = engine.run();
+        assert_eq!(job_counts(&report), [2, 2, 0, 0, 1, 0]);
+    }
+
+    /// An event for an id the run was never handed counts one unknown-job
+    /// event, and so does a lease event for a job not submitted yet.
+    #[test]
+    fn an_event_for_an_id_never_submitted_counts_one() {
+        let jobs = [(0, 0.0, 10.0), (1, 100.0, 10.0)];
+        let (mut engine, _) = scripted_dag(leased(), &jobs, JobDag::none());
+        let (never, later) = (JobId(7), JobId(1));
+        let events = [
+            Event::LeaseRenew { job: never, seq: 1 },
+            Event::LeaseExpire { job: never, seq: 1 },
+            Event::Submit { job: never },
+            Event::LeaseRenew { job: later, seq: 1 },
+        ];
+        for (counted, ev) in (1..).zip(events) {
+            engine.dispatch(SimTime::ZERO, ev);
+            assert_eq!(engine.report.unknown_job_events, counted);
+        }
+        let report = engine.run();
+        assert_eq!(job_counts(&report), [2, 2, 0, 0, 0, 4]);
+    }
+
+    /// Counts the jobs between their first `Submitted` and their terminal
+    /// event, and the most at once.
+    #[derive(Clone, Default)]
+    struct LiveJobs(Rc<RefCell<(HashSet<JobId>, usize)>>);
+
+    impl Observer for LiveJobs {
+        fn on_event(&mut self, _: SimTime, event: TraceEvent) {
+            let (live, peak) = &mut *self.0.borrow_mut();
+            match event {
+                TraceEvent::Submitted { job, .. } => {
+                    live.insert(job);
+                    *peak = (*peak).max(live.len());
+                }
+                TraceEvent::Completed { job, .. } | TraceEvent::Failed { job } => {
+                    live.remove(&job);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Under churn, run recoveries and a horizon that cuts the stream
+    /// short, the slab's length is the most jobs the stream shows live at
+    /// once, far below the jobs handed over.
+    #[test]
+    fn the_slab_holds_as_many_slots_as_jobs_were_ever_live_at_once() {
+        const JOBS: u64 = 600;
+        let jobs = (0..JOBS)
+            .map(|i| JobSubmission {
+                profile: JobProfile::new(
+                    JobId(i),
+                    ClientId(0),
+                    JobRequirements::unconstrained(),
+                    20.0 + (i % 7) as f64 * 15.0,
+                ),
+                arrival_secs: i as f64 * 10.0,
+                actual_runtime_secs: None,
+            })
+            .collect();
+        let node = NodeProfile::new(Capabilities::new(2.0, 4.0, 100.0, OsType::Linux));
+        let churn = ChurnConfig {
+            mttf_secs: Some(600.0),
+            rejoin_after_secs: Some(60.0),
+            graceful_fraction: 0.5,
+        };
+        let cfg = EngineConfig {
+            max_sim_secs: 1_700.0,
+            ..EngineConfig::default()
+        };
+        let live = LiveJobs::default();
+        let mut engine = Engine::new(
+            cfg,
+            churn,
+            Box::new(CentralizedMatchmaker::new()),
+            vec![node; 12],
+            jobs,
+        )
+        .with_observer(Box::new(live.clone()));
+        engine.run_sequential_loop(SimTime::from_secs(1_700));
+        let peak = live.0.borrow().1;
+        assert!(engine.report.run_recoveries > 0 && !engine.arrivals.fifo.is_empty());
+        assert_eq!(engine.jobs.slot_high_water(), peak);
+        assert!(peak > 0 && (peak as u64) < JOBS / 10, "peak {peak}");
+    }
+
+    /// The queue holds one arrival, the next, and no submission reaches
+    /// the calendar.
     #[test]
     fn ordered_submissions_leave_only_other_events_in_the_calendar() {
         const JOBS: u64 = 10_000;
@@ -2589,7 +2899,7 @@ mod tests {
         let calendar = NODES + 1;
         let shape = format!("{:?}", engine.queue);
         assert!(
-            shape.contains(&format!("run: {JOBS}, calendar: {calendar},")),
+            shape.contains(&format!("run: 1, calendar: {calendar},")),
             "{shape}"
         );
     }

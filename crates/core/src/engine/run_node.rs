@@ -42,8 +42,9 @@ pub(super) enum EnvOp {
     /// Terminal failure: the full `fail_job` (terminal guard, DAG cascade,
     /// owner detach).
     FailJob { job: JobId, reason: FailureReason },
-    /// No peer owns the job any more.
-    DetachOwner(JobId),
+    /// The job's completion committed: no peer owns it any more and its
+    /// record is freed.
+    Retire(JobId),
     /// DAG children of a completed parent become submittable.
     ReleaseDependents(JobId),
 }
@@ -66,9 +67,11 @@ pub(super) enum ReportOp {
 /// assume it.
 pub(super) trait RunNodeCtx {
     fn cfg(&self) -> &EngineConfig;
-    /// The record of `job`, if this context holds it. Records are never
-    /// removed, so for a job the handlers were invoked for (or one they are
-    /// about to start) a miss is a broken invariant.
+    /// The record of `job`, if this context holds it. A record is freed
+    /// only at its job's terminal event, after the last read here, and the
+    /// handlers are invoked only for a job whose record is live (a valid
+    /// epoch, or a job the node runs); a miss for one of those is a broken
+    /// invariant. A queued job with no record retired while queued.
     fn record(&self, job: JobId) -> Option<&JobRecord>;
     fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord>;
     /// Read access to the home node: profile, running slot, finish time.
@@ -148,6 +151,8 @@ pub(super) fn deliver_with_retries<C: RunNodeCtx>(
 /// Figure 1, step 5: the job reaches the FIFO queue of its live, assigned
 /// run node `home` under a valid epoch (the caller checked all three).
 pub(super) fn arrive<C: RunNodeCtx>(cx: &mut C, now: SimTime, job: JobId, home: GridNodeId) {
+    // A valid epoch means a live, non-terminal job, and only a terminal
+    // job retires.
     let rec = cx
         .record(job)
         .expect("a valid-epoch arrival implies the job's record");
@@ -194,6 +199,9 @@ fn sandbox_fail<C: RunNodeCtx>(cx: &mut C, now: SimTime, job: JobId) {
 }
 
 fn start_job<C: RunNodeCtx>(cx: &mut C, now: SimTime, job: JobId, home: GridNodeId, runtime: f64) {
+    // An arrival has a valid epoch and `start_next_on` starts only entries
+    // whose record it found live: neither job is terminal, so neither
+    // retired.
     let rec = cx
         .record_mut(job)
         .expect("only arrivals and non-terminal queue entries start, and both have records");
@@ -319,6 +327,10 @@ pub(super) fn commit_completion<C: RunNodeCtx>(
     let done = release_running(cx, now, home, true);
     debug_assert_eq!(done.job, job);
     cx.node_mut(home).completed_jobs += 1;
+    // The node ran this job under a valid epoch, so it is live; retirement
+    // follows this commit (the `Retire` effect below). The checker's dedup
+    // backdoor double-commits a terminal job, and with it set terminal
+    // records are kept.
     let rec = cx
         .record_mut(job)
         .expect("the node ran this job, so its record exists");
@@ -353,7 +365,7 @@ pub(super) fn commit_completion<C: RunNodeCtx>(
             results_at: finished,
         }),
     );
-    cx.effect(now, EnvOp::DetachOwner(job));
+    cx.effect(now, EnvOp::Retire(job));
     cx.effect(now, EnvOp::ReleaseDependents(job));
     start_next_on(cx, now, home);
 }
@@ -440,8 +452,8 @@ mod tests {
 
     #[test]
     fn start_next_on_skips_a_long_run_of_dead_entries_without_recursing() {
-        // 100k entries that terminated while queued, then one live job, on
-        // an idle node. One stack frame per skipped entry would overflow
+        // 100k entries whose jobs terminated while queued and retired, then
+        // one live job, on an idle node. One stack frame per skipped entry would overflow
         // the test thread's 2 MiB stack long before the live one.
         const DEAD: u64 = 100_000;
         let jobs = (0..=DEAD)
@@ -466,14 +478,17 @@ mod tests {
         );
         let home = GridNodeId(0);
         for i in 0..=DEAD {
-            let rec = engine.jobs.get_mut(JobId(i)).expect("submitted above");
+            let (job, sub) = (JobId(i), engine.arrivals.fifo[i as usize].clone());
+            engine
+                .jobs
+                .admit(job, JobRecord::new(sub.profile, 10.0, SimTime::ZERO));
             if i < DEAD {
-                rec.state = JobState::Failed;
+                engine.jobs.retire(job);
             }
             let q = QueuedJob {
-                job: JobId(i),
+                job,
                 runtime_secs: 10.0,
-                epoch: rec.epoch,
+                epoch: 0,
             };
             engine.nodes.enqueue(home, q);
         }

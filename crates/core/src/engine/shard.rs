@@ -54,9 +54,9 @@
 //!   result path (it consults the matchmaker) and the checker's
 //!   epoch-dedup backdoor;
 //! * additionally the home node must be *clean*: every job in its FIFO
-//!   queue is terminal, unknown, or assigned to this node — so the chain of
-//!   `start_next_on` starts the event can trigger touches only records this
-//!   shard checked out. (A valid event's record always satisfies
+//!   queue is terminal, retired, unknown, or assigned to this node — so the
+//!   chain of `start_next_on` starts the event can trigger touches only
+//!   records this shard checked out. (A valid event's record always satisfies
 //!   `run_node == home`, so a job can never be claimed by two shards.)
 //!
 //! Classification evaluates exactly the guards `handle_arrive`,
@@ -159,6 +159,7 @@ impl Engine {
             // (job starts chaining on a node, zero-delay retries) drain in
             // follow-up rounds at the same horizon until none remain.
             while self.outstanding > 0 {
+                self.arrivals.stage_before(&mut self.queue, wend);
                 let batch = self.queue.drain_window(wend);
                 let Some(&(last_at, _, _)) = batch.last() else {
                     break;
@@ -219,7 +220,7 @@ impl Engine {
         running.is_some_and(|q| q.job == job)
     }
 
-    /// True iff every job queued on `home` is terminal, unknown, or
+    /// True iff every job queued on `home` is terminal, retired, unknown, or
     /// assigned to `home` — the condition under which a shard's
     /// `start_next_on` chain can only touch records it checked out.
     fn node_clean(&self, home: GridNodeId) -> bool {
@@ -239,6 +240,7 @@ impl Engine {
         for (i, (at, _seq, ev)) in batch.iter().enumerate() {
             let candidate = match *ev {
                 Event::ArriveAtRunNode { job, epoch } if self.epoch_valid(job, epoch) => {
+                    // `epoch_valid` read this live record a line above.
                     let rec = self.jobs.get(job).expect("valid epoch implies record");
                     rec.run_node
                         .filter(|&run| self.nodes.is_alive(run))
@@ -328,6 +330,8 @@ impl Engine {
                 // The handlers that write the event's own record.
                 if let LocalEv::Arrive { job } | LocalEv::Complete { job } = lev {
                     if let std::collections::hash_map::Entry::Vacant(slot) = work.jobs.entry(job) {
+                        // Classification found it live under a valid epoch,
+                        // and nothing retires between the two.
                         let r = self.jobs.get(job).expect("classified record");
                         debug_assert_eq!(r.run_node, Some(home));
                         slot.insert(r.clone());
@@ -363,6 +367,9 @@ impl Engine {
             }
             let mut jobs: Vec<(JobId, JobRecord)> = w.jobs.drain().collect();
             jobs.sort_unstable_by_key(|e| e.0);
+            // Every checked-out record is still live: a shard hands its
+            // retirements to the barrier walk below as envelope effects, and
+            // nothing else runs between checkout and here.
             for (id, rec) in jobs {
                 *self.jobs.get_mut(id).expect("checked-out job exists") = rec;
             }
@@ -428,9 +435,10 @@ fn exec_shard(cfg: &EngineConfig, work: &mut ShardWork) -> Vec<(usize, Vec<EnvOp
 /// with it, and the shard's own network state; every effect is recorded, in
 /// handler order, as the event's envelope for the barrier to replay.
 ///
-/// A queued job missing from `jobs` is terminal or unknown (classification
-/// would not have marked the node clean otherwise), which is exactly what
-/// the handlers' skip rule for dead queue entries expects of a miss.
+/// A queued job missing from `jobs` is terminal, retired or unknown
+/// (classification would not have marked the node clean otherwise), which
+/// is exactly what the handlers' skip rule for dead queue entries expects
+/// of a miss.
 struct ShardCtx<'a> {
     cfg: &'a EngineConfig,
     state: &'a mut ShardState,

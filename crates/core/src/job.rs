@@ -229,6 +229,21 @@ impl IdIndex {
         }
     }
 
+    /// The entry of `id` — its index, or [`ABSENT`] — in an index that is
+    /// materialised or empty, without the identity check: for a table that
+    /// keeps sentinels of its own above its indices and so leaves the
+    /// identity path at its first insert.
+    #[inline]
+    fn entry(&self, id: u64) -> u32 {
+        debug_assert!(self.materialised || self.prefix == 0);
+        let entry = if id < DENSE_ID_LIMIT {
+            self.dense.get(id as usize)
+        } else {
+            self.sparse.get(&id)
+        };
+        entry.copied().unwrap_or(ABSENT)
+    }
+
     /// Give `id` the index `idx`, replacing any index it had.
     #[inline]
     pub fn insert(&mut self, id: u64, idx: u32) {
@@ -293,92 +308,166 @@ pub(crate) fn next_index(len: usize) -> u32 {
         .expect("a table addressed by IdIndex holds fewer than 2³² − 1 entries")
 }
 
-/// The engine's job store: records in insertion order in one `Vec`,
-/// addressed by [`JobId`] through an [`IdIndex`], beside the
-/// [`OwnerColumn`] that names each one's owning peer.
+/// [`IdIndex`] entry of an id the run was handed whose job has no record
+/// yet: an arrival not submitted so far, or a DAG child still held. The
+/// first one a table declares takes its index off the identity path.
+const PENDING: u32 = u32::MAX - 2;
+/// [`IdIndex`] entry of an id whose job reached its terminal event and
+/// whose record was freed.
+const RETIRED: u32 = u32::MAX - 1;
+
+/// The engine's job store: a slab of the records of live jobs, addressed
+/// by [`JobId`] through an [`IdIndex`], beside the [`OwnerColumn`] that
+/// names each one's owning peer.
 ///
-/// Records are never removed during a replication: a terminal record must
-/// keep answering lookups, because a *missing* record is how the engine
-/// detects (and counts, via `unknown_job_events`) a broken invariant.
+/// A job's record exists from its first submission to its terminal event,
+/// so the table's memory follows the jobs in flight, not every job the run
+/// was handed. The index keeps one entry per id for the whole run: a slot,
+/// [`PENDING`] before the record exists, or [`RETIRED`] after it is freed.
+/// The engine treats a retired job as it treats a terminal record; a
+/// handler that finds no record for any other id — one the run was never
+/// handed, or one not submitted yet — has met a broken invariant, which it
+/// counts in `unknown_job_events`. Freed slots go on a free list and are
+/// reused before the slab grows, so its length is the peak number of live
+/// records. A free slot keeps its last record until it is reused; a slot is
+/// live while the index maps its record's id to it.
+#[derive(Default)]
 pub(crate) struct JobTable {
-    records: Vec<JobRecord>,
+    slots: Vec<JobRecord>,
+    free: Vec<u32>,
     index: IdIndex,
     owners: OwnerColumn,
 }
 
 impl JobTable {
-    pub fn with_capacity(cap: usize) -> Self {
-        JobTable {
-            records: Vec::with_capacity(cap),
-            index: IdIndex::default(),
-            owners: OwnerColumn {
-                owner: Vec::with_capacity(cap),
-                ..OwnerColumn::default()
-            },
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Insert a record; `false` (and no change) if the id already exists.
-    pub fn insert(&mut self, id: JobId, record: JobRecord) -> bool {
-        if self.contains(id) {
+    /// Hand the run job `id`, whose record is created later by
+    /// [`JobTable::admit`]; `false` (and no change) if it was handed over
+    /// already.
+    pub fn declare(&mut self, id: JobId) -> bool {
+        if self.index.entry(id.0) != ABSENT {
             return false;
         }
-        self.index.insert(id.0, next_index(self.records.len()));
-        self.records.push(record);
-        self.owners.push_unowned();
+        self.index.insert(id.0, PENDING);
         true
     }
 
+    /// Was `job` handed to the run but has no record yet?
+    pub fn is_pending(&self, job: JobId) -> bool {
+        self.index.entry(job.0) == PENDING
+    }
+
+    /// Did `job` reach its terminal event and lose its record?
+    pub fn is_retired(&self, job: JobId) -> bool {
+        self.index.entry(job.0) == RETIRED
+    }
+
+    /// Give the pending job `id` its record, in a free slot if there is one.
+    pub fn admit(&mut self, id: JobId, record: JobRecord) {
+        debug_assert!(self.is_pending(id), "{id} admitted twice or never declared");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = record;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s < PENDING)
+                    .expect("fewer than 2³² − 2 jobs are live at once");
+                self.slots.push(record);
+                self.owners.push_unowned();
+                slot
+            }
+        };
+        self.index.insert(id.0, slot);
+    }
+
+    /// Free `job`'s record and mark it retired; a pending job is retired
+    /// without one. No peer owns it afterwards. A no-op for a job that is
+    /// absent or retired already.
+    pub fn retire(&mut self, job: JobId) {
+        match self.index.entry(job.0) {
+            RETIRED | ABSENT => return,
+            PENDING => {}
+            slot => {
+                self.owners.disown(slot);
+                self.free.push(slot);
+            }
+        }
+        self.index.insert(job.0, RETIRED);
+    }
+
+    /// The slot of `job`'s live record.
+    #[inline]
+    pub fn slot(&self, job: JobId) -> Option<u32> {
+        let entry = self.index.entry(job.0);
+        (entry < PENDING).then_some(entry)
+    }
+
+    /// The record in `slot`, one [`JobTable::slot`] named.
+    #[inline]
+    pub fn at_mut(&mut self, slot: u32) -> &mut JobRecord {
+        &mut self.slots[slot as usize]
+    }
+
     pub fn get(&self, id: JobId) -> Option<&JobRecord> {
-        Some(&self.records[self.index.get(id.0)? as usize])
+        Some(&self.slots[self.slot(id)? as usize])
     }
 
     pub fn get_mut(&mut self, id: JobId) -> Option<&mut JobRecord> {
-        let idx = self.index.get(id.0)?;
-        Some(&mut self.records[idx as usize])
+        let slot = self.slot(id)?;
+        Some(self.at_mut(slot))
     }
 
+    /// Does `id` have a live record?
     pub fn contains(&self, id: JobId) -> bool {
-        self.index.get(id.0).is_some()
+        self.slot(id).is_some()
     }
 
-    /// Records in insertion order.
+    /// The live records, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (JobId, &JobRecord)> {
-        self.records.iter().map(|r| (r.profile.id, r))
+        (0..)
+            .zip(&self.slots)
+            .filter(|&(slot, r)| self.slot(r.profile.id) == Some(slot))
+            .map(|(_, r)| (r.profile.id, r))
+    }
+
+    /// The slab's length: the most records that were live at once.
+    #[cfg(test)]
+    pub fn slot_high_water(&self) -> usize {
+        self.slots.len()
     }
 
     /// Make `owner` the owner of `job`, in its record and in the owner
-    /// column together: the only writer of either (a no-op for an unknown
-    /// job). The column is cleared only of the peer the record names (or of
-    /// no one, after a departure's take or a terminal detach), so an owner
-    /// the record does not name trips a debug assertion here or in `own`.
+    /// column together: the only writer of either (a no-op for a job with
+    /// no live record). The column is cleared only of the peer the record
+    /// names (or of no one, after a departure's take or a terminal detach),
+    /// so an owner the record does not name trips a debug assertion here or
+    /// in `own`.
     pub fn set_owner(&mut self, job: JobId, owner: Option<OwnerRef>) {
-        let Some(idx) = self.index.get(job.0) else {
+        let Some(slot) = self.slot(job) else {
             return;
         };
-        let previous = std::mem::replace(&mut self.records[idx as usize].owner, owner);
+        let record = &mut self.slots[slot as usize];
+        let previous = std::mem::replace(&mut record.owner, owner);
         if let Some(OwnerRef::Peer(prev)) = previous {
-            let held = self.owners.owner[idx as usize];
+            let held = self.owners.owner[slot as usize];
             debug_assert!(
                 held == NO_OWNER || held == prev.0,
                 "node {held} owns a job whose record names {prev:?}"
             );
-            self.owners.disown(idx);
+            self.owners.disown(slot);
         }
         if let Some(OwnerRef::Peer(node)) = owner {
-            self.owners.own(idx, node);
+            self.owners.own(slot, node);
         }
     }
 
     /// No peer owns `job` any more (a no-op if none did). Its record keeps
     /// naming the owner: what a terminal job does.
     pub fn disown(&mut self, job: JobId) {
-        if let Some(idx) = self.index.get(job.0) {
-            self.owners.disown(idx);
+        if let Some(slot) = self.slot(job) {
+            self.owners.disown(slot);
         }
     }
 
@@ -388,10 +477,13 @@ impl JobTable {
             .owners
             .take(node)
             .into_iter()
-            .map(|idx| self.records[idx as usize].profile.id)
+            // `retire` disowns a slot before freeing it, so every owned
+            // slot holds a live record.
+            .map(|slot| self.slots[slot as usize].profile.id)
             .collect();
-        // Index order is id order when ids arrive ascending, as engine ids
-        // do; the sort pins it for any other input.
+        // Slots are reused, so slot order is not id order; the recovery
+        // events a departure schedules follow this order, so it is pinned
+        // by an explicit sort.
         jobs.sort_unstable();
         jobs
     }
@@ -400,7 +492,7 @@ impl JobTable {
 /// [`OwnerColumn`] entry of an index no peer owns.
 const NO_OWNER: u32 = u32::MAX;
 
-/// The owning peer of each job-table index: what a departure must hand to
+/// The owning peer of each job-table slot: what a departure must hand to
 /// recovery. A job has at most one peer owner; the engine stores it when it
 /// installs one and clears it when it lets one go. A departure takes its
 /// node's jobs, so a departed owner's record may still name it until
@@ -537,17 +629,30 @@ mod tests {
         JobRecord::new(profile, 50.0, SimTime::ZERO)
     }
 
+    /// A table with a record for each of `ids`, admitted in that order.
+    fn table_of(ids: &[u64]) -> JobTable {
+        let mut t = JobTable::default();
+        for &id in ids {
+            assert!(t.declare(JobId(id)));
+            t.admit(JobId(id), record_for(id));
+        }
+        t
+    }
+
     #[test]
     fn job_table_dense_and_sparse_ids() {
-        let mut t = JobTable::with_capacity(4);
+        let mut t = JobTable::default();
         // Dense id, sparse (hash-shaped) id, and a duplicate rejection.
-        assert!(t.insert(JobId(3), record_for(3)));
-        assert!(t.insert(JobId(u64::MAX - 7), record_for(u64::MAX - 7)));
-        assert!(!t.insert(JobId(3), record_for(3)));
-        assert_eq!(t.len(), 2);
+        assert!(t.declare(JobId(3)));
+        assert!(t.declare(JobId(u64::MAX - 7)));
+        assert!(!t.declare(JobId(3)));
+        assert!(t.is_pending(JobId(3)) && !t.contains(JobId(3)));
+        t.admit(JobId(3), record_for(3));
+        t.admit(JobId(u64::MAX - 7), record_for(u64::MAX - 7));
+        assert!(!t.declare(JobId(3)), "a live id is refused too");
         assert!(t.contains(JobId(3)));
         assert!(t.contains(JobId(u64::MAX - 7)));
-        assert!(!t.contains(JobId(4)));
+        assert!(!t.contains(JobId(4)) && !t.is_pending(JobId(4)));
         assert!(t.get(JobId(4)).is_none());
         assert!(
             t.get(JobId(2)).is_none(),
@@ -555,9 +660,62 @@ mod tests {
         );
         t.get_mut(JobId(3)).unwrap().resubmits = 9;
         assert_eq!(t.get(JobId(3)).unwrap().resubmits, 9);
-        // Insertion order, not id order.
+        // Slot order, which is admission order while no slot is reused.
         let order: Vec<JobId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(order, vec![JobId(3), JobId(u64::MAX - 7)]);
+    }
+
+    #[test]
+    fn a_retired_job_has_no_record_and_is_not_absent() {
+        let mut t = table_of(&[0, 1 << 40]);
+        t.declare(JobId(7));
+        for id in [0, 1 << 40, 7] {
+            t.retire(JobId(id));
+            assert!(t.is_retired(JobId(id)) && !t.is_pending(JobId(id)));
+            assert!(t.get(JobId(id)).is_none() && !t.contains(JobId(id)));
+            assert!(!t.declare(JobId(id)), "a retired id stays handed over");
+        }
+        // A second retirement, or one of an id never declared, changes
+        // nothing.
+        t.retire(JobId(0));
+        t.retire(JobId(9));
+        assert!(t.is_retired(JobId(0)) && !t.is_retired(JobId(9)));
+        assert_eq!(t.iter().count(), 0);
+        assert_eq!(t.slot_high_water(), 2, "the pending job took no slot");
+    }
+
+    #[test]
+    fn a_freed_slot_is_reused_before_the_slab_grows() {
+        let mut t = table_of(&[0, 1, 2]);
+        t.retire(JobId(1));
+        t.retire(JobId(0));
+        // The last slot freed is the first reused.
+        for id in [3, 4, 5] {
+            t.declare(JobId(id));
+            t.admit(JobId(id), record_for(id));
+        }
+        assert_eq!(t.slot_high_water(), 4);
+        let order: Vec<u64> = t.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(order, [3, 4, 2, 5]);
+        for id in [2, 3, 4, 5] {
+            assert_eq!(t.get(JobId(id)).unwrap().profile.id, JobId(id));
+        }
+        assert!(t.get(JobId(0)).is_none() && t.get(JobId(1)).is_none());
+    }
+
+    #[test]
+    fn retiring_an_owned_job_leaves_its_reused_slot_unowned() {
+        let mut t = table_of(&[0, 1]);
+        let a = GridNodeId(4);
+        t.set_owner(JobId(0), Some(OwnerRef::Peer(a)));
+        t.set_owner(JobId(1), Some(OwnerRef::Peer(a)));
+        t.retire(JobId(0));
+        t.declare(JobId(2));
+        t.admit(JobId(2), record_for(2));
+        // Job 2 sits in job 0's old slot and no one owns it.
+        assert_eq!(t.take_owned(a), [JobId(1)]);
+        t.set_owner(JobId(2), Some(OwnerRef::Peer(a)));
+        assert_eq!(t.take_owned(a), [JobId(2)]);
     }
 
     #[test]
@@ -617,10 +775,7 @@ mod tests {
     #[test]
     fn job_table_hands_over_owned_jobs_in_id_order() {
         let ids = [u64::MAX - 7, 40, 1 << 40, 3];
-        let mut t = JobTable::with_capacity(ids.len());
-        for id in ids {
-            assert!(t.insert(JobId(id), record_for(id)));
-        }
+        let mut t = table_of(&ids);
         let (a, b) = (GridNodeId(0), GridNodeId(1));
         for id in ids {
             t.set_owner(JobId(id), Some(OwnerRef::Peer(a)));
@@ -637,12 +792,34 @@ mod tests {
         assert_eq!(t.get(JobId(40)).unwrap().owner(), Some(OwnerRef::Peer(b)));
     }
 
+    #[test]
+    fn owned_jobs_come_back_in_id_order_after_slots_are_reused() {
+        let mut t = table_of(&[10, 20, 30, 40]);
+        t.retire(JobId(10));
+        t.retire(JobId(30));
+        // Ids 5 and 1 land in the freed slots, below 20's and 40's.
+        for id in [50, 5, 1] {
+            t.declare(JobId(id));
+            t.admit(JobId(id), record_for(id));
+        }
+        let order: Vec<u64> = t.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(order, [5, 20, 50, 40, 1]);
+        let a = GridNodeId(2);
+        for id in [40, 1, 50, 5, 20] {
+            t.set_owner(JobId(id), Some(OwnerRef::Peer(a)));
+        }
+        assert_eq!(
+            t.take_owned(a),
+            [1, 5, 20, 40, 50].map(JobId),
+            "ascending ids, not slot order"
+        );
+    }
+
     /// A table whose one job has no owner in its record while the column
     /// says `GridNodeId(1)` owns it.
     #[cfg(debug_assertions)]
     fn drifted_table() -> JobTable {
-        let mut t = JobTable::with_capacity(1);
-        t.insert(JobId(0), record_for(0));
+        let mut t = table_of(&[0]);
         t.owners.own(0, GridNodeId(1));
         t
     }
@@ -659,7 +836,7 @@ mod tests {
     #[should_panic(expected = "whose record names node#3")]
     fn set_owner_refuses_to_clear_another_peers_column_entry() {
         let mut t = drifted_table();
-        t.records[0].owner = Some(OwnerRef::Peer(GridNodeId(3)));
+        t.slots[0].owner = Some(OwnerRef::Peer(GridNodeId(3)));
         t.set_owner(JobId(0), None);
     }
 

@@ -23,18 +23,23 @@
 //!   sparse queue costs a linear scan per pop instead of an unbounded walk.
 //!
 //! Beside the calendar sits an append-only **sorted run**. A simulation
-//! knows its whole arrival stream before the first event fires, and
+//! knows its whole arrival stream before the first event fires, but
 //! bucketing 10⁵ submissions would grow the calendar to 2¹⁸ buckets, each
-//! its own heap vector, only to shrink it again as they drain.
-//! [`EventQueue::schedule_sorted`] instead appends every entry no earlier
-//! than the run's tail to the run and sends the rest to the calendar
-//! exactly as [`EventQueue::schedule`] would; `schedule` itself only ever
-//! fills the calendar. Every read compares the run head with the calendar
-//! minimum on the full `(time, seq)` key, so the pop sequence stays the one
-//! `schedule` on each entry would have produced. Ties cannot move either:
-//! the run is sorted by `(time, seq)` because seqs only grow, and the
-//! engine hands over its submissions before any other event exists, so at
-//! equal times a submission's lower seq puts it first in both structures.
+//! its own heap vector, only to shrink it again as they drain; holding them
+//! all in the queue would also keep every one in memory from the start.
+//! Instead the caller sets a block of seqs aside for its arrivals with
+//! [`EventQueue::reserve_seqs`] and hands each one over later, when the
+//! run reaches it, with [`EventQueue::stage`]: an entry no earlier than the
+//! run's tail joins the run, any other goes into the calendar, and either
+//! way it carries its reserved seq. `schedule` itself only ever fills the
+//! calendar. Every read compares the run head with the calendar minimum on
+//! the full `(time, seq)` key, so an entry pops exactly where it would
+//! have, had it been scheduled when its seq was reserved — provided it is
+//! staged before anything later than it pops. Ties cannot move either:
+//! the run is sorted by `(time, seq)` because appends only grow the key,
+//! and the engine reserves its submissions' seqs before any other event
+//! exists, so at equal times a submission's lower seq puts it first in
+//! both structures.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -80,8 +85,8 @@ pub struct EventQueue<E> {
     cursor_day: u64,
     /// Entries in the calendar; the run counts its own.
     len: usize,
-    /// Entries handed to [`EventQueue::schedule_sorted`] in `(at, seq)`
-    /// order, delivered from the front.
+    /// Entries handed to [`EventQueue::stage`] in `(at, seq)` order,
+    /// delivered from the front.
     run: VecDeque<Entry<E>>,
     seq: u64,
     now: SimTime,
@@ -161,10 +166,16 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let day = self.day_of(at);
+        self.push_calendar(Entry { at, seq, event });
+    }
+
+    /// File `e` under its day, growing the calendar when it runs full.
+    #[inline(always)]
+    fn push_calendar(&mut self, e: Entry<E>) {
+        let day = self.day_of(e.at);
         debug_assert!(day >= self.cursor_day);
         let idx = self.bucket_of(day);
-        self.buckets[idx].push(Entry { at, seq, event });
+        self.buckets[idx].push(e);
         self.len += 1;
         // The cap keeps a huge backlog from rebuilding on every push once
         // the calendar can no longer grow.
@@ -179,30 +190,41 @@ impl<E> EventQueue<E> {
         self.schedule(at, event);
     }
 
-    /// Schedule a batch, with a result observably identical to calling
-    /// [`EventQueue::schedule`] on each entry in turn: the same seqs, the
-    /// same clock, the same pop and drain order. An entry no earlier than
-    /// the sorted run's tail is appended to the run; any other goes into
-    /// the calendar exactly where `schedule` would put it. An ascending
-    /// batch, such as a workload's arrival stream, never touches the
-    /// calendar.
+    /// Set the next `n` seqs aside for entries handed over later through
+    /// [`EventQueue::stage`], and return the first of them. Events
+    /// scheduled afterwards get later seqs, so at equal times every reserved
+    /// entry pops before them.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Hand over `event` at `at` under `seq`, one set aside by
+    /// [`EventQueue::reserve_seqs`]. It pops exactly where it would have,
+    /// had it been scheduled when `seq` was reserved, as long as it is
+    /// staged before any later entry pops. It joins the sorted run when no
+    /// earlier than the run's tail on `(time, seq)`, so staging a
+    /// nondecreasing stream never touches the calendar; any other entry goes
+    /// into the calendar.
     ///
     /// # Panics
-    /// If an entry is earlier than [`EventQueue::now`], like `schedule`.
-    pub fn schedule_sorted(&mut self, batch: impl IntoIterator<Item = (SimTime, E)>) {
-        for (at, event) in batch {
-            if self.run.back().is_some_and(|tail| at < tail.at) {
-                self.schedule(at, event);
-                continue;
-            }
-            assert!(
-                at >= self.now,
-                "scheduling into the past: at={at:?} < now={:?}",
-                self.now
-            );
-            let seq = self.seq;
-            self.seq += 1;
+    /// If `at` is earlier than [`EventQueue::now`], like `schedule`.
+    pub fn stage(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: at={at:?} < now={:?}",
+            self.now
+        );
+        debug_assert!(seq < self.seq, "seq {seq} was never reserved");
+        if self
+            .run
+            .back()
+            .is_none_or(|tail| (tail.at, tail.seq) < (at, seq))
+        {
             self.run.push_back(Entry { at, seq, event });
+        } else {
+            self.push_calendar(Entry { at, seq, event });
         }
     }
 
@@ -304,10 +326,6 @@ impl<E> EventQueue<E> {
             return Some(self.take_from_calendar(day, idx, pos));
         }
         let e = self.run.pop_front()?;
-        if self.run.is_empty() {
-            // The arrival stream is over: hand its buffer back.
-            self.run = VecDeque::new();
-        }
         debug_assert!(e.at >= self.now);
         self.now = e.at;
         self.cursor_day = self.day_of(e.at);
@@ -396,10 +414,6 @@ impl<E> EventQueue<E> {
         // The run is sorted, so its entries before `until` are a prefix.
         let from_run = self.run.partition_point(|e| e.at < until);
         drained.extend(self.run.drain(..from_run));
-        if self.run.is_empty() {
-            // As in `pop_beside_run`: hand the spent buffer back.
-            self.run = VecDeque::new();
-        }
         drained.sort_unstable_by_key(|e| (e.at, e.seq));
         if let Some(first) = drained.first() {
             debug_assert!(first.at >= self.now);
@@ -675,33 +689,41 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Stage `batch` under seqs reserved for it, in order; its entries'
+    /// payloads are their positions in the batch.
+    fn stage_all(q: &mut EventQueue<usize>, batch: &[u64]) {
+        let first = q.reserve_seqs(batch.len() as u64);
+        for (i, &t) in batch.iter().enumerate() {
+            q.stage(SimTime::from_secs(t), first + i as u64, i);
+        }
+    }
+
     #[test]
-    fn ascending_batch_leaves_the_calendar_at_its_floor() {
-        // 10⁵ arrivals, three to a millisecond: all of them join the run,
-        // and delivering them never grows the calendar.
+    fn an_ascending_stream_staged_one_ahead_leaves_the_calendar_at_its_floor() {
+        // 10⁵ arrivals, three to a millisecond, each staged when the one
+        // before it pops: the run never holds more than one, and delivering
+        // them never grows the calendar.
         let mut q = EventQueue::new();
         let n = 100_000u64;
-        q.schedule_sorted((0..n).map(|i| (SimTime::from_millis(i / 3), i)));
-        assert_eq!(q.calendar_shape(), (MIN_BUCKETS, 0));
-        assert_eq!(q.len(), n as usize);
+        let at = |i: u64| SimTime::from_millis(i / 3);
+        let first = q.reserve_seqs(n);
+        q.stage(at(0), first, 0);
         for want in 0..n {
-            assert_eq!(q.pop(), Some((SimTime::from_millis(want / 3), want)));
+            assert!(format!("{q:?}").contains("run: 1,"));
+            assert_eq!(q.pop(), Some((at(want), want)));
+            if want + 1 < n {
+                q.stage(at(want + 1), first + want + 1, want + 1);
+            }
             assert_eq!(q.calendar_shape(), (MIN_BUCKETS, 0));
         }
         assert!(q.is_empty());
     }
 
     #[test]
-    fn schedule_sorted_sends_steps_back_to_the_calendar() {
-        let batch = [5u64, 3, 5, 7, 1, 7];
+    fn staging_sends_steps_back_to_the_calendar() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(5), 100);
-        q.schedule_sorted(
-            batch
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime::from_secs(t), i)),
-        );
+        stage_all(&mut q, &[5, 3, 5, 7, 1, 7]);
         // 3 and 1 step back from the run's tail; 5, 5, 7, 7 join the run.
         assert_eq!(q.calendar_shape(), (MIN_BUCKETS, 3));
         assert_eq!(q.len(), 7);
@@ -712,12 +734,37 @@ mod tests {
     }
 
     #[test]
+    fn a_staged_entry_keeps_its_reserved_place_among_equal_times() {
+        // Two seqs set aside, then an event scheduled at the same time; the
+        // reserved entries are staged later, the second one first.
+        let mut q = EventQueue::new();
+        let first = q.reserve_seqs(2);
+        let t = SimTime::from_secs(5);
+        q.schedule(t, "scheduled");
+        q.stage(t, first + 1, "second");
+        q.stage(t, first, "first");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["first", "second", "scheduled"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn staging_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        let first = q.reserve_seqs(1);
+        q.schedule(SimTime::from_secs(2), ());
+        q.pop();
+        q.stage(SimTime::from_secs(1), first, ());
+    }
+
+    #[test]
     fn run_head_more_than_a_lap_out_is_settled_by_the_full_search() {
         // Both the run head and the calendar entry lie far beyond one lap
         // of the cursor, in either order.
         for (cal, run) in [(500_000, 1_000_000), (2_000_000, 1_000_000)] {
             let mut q = EventQueue::new();
-            q.schedule_sorted([(SimTime::from_secs(run), "run")]);
+            let seq = q.reserve_seqs(1);
+            q.stage(SimTime::from_secs(run), seq, "run");
             q.schedule(SimTime::from_secs(cal), "cal");
             let first = if cal < run { "cal" } else { "run" };
             assert_eq!(q.peek_time(), Some(SimTime::from_secs(cal.min(run))));
@@ -733,12 +780,7 @@ mod tests {
     #[test]
     fn drain_window_takes_the_run_prefix_in_seq_order() {
         let mut q = EventQueue::new();
-        q.schedule_sorted([
-            (SimTime::ZERO, 0),
-            (SimTime::ZERO, 1),
-            (SimTime::from_secs(1), 2),
-            (SimTime::from_secs(4), 3),
-        ]);
+        stage_all(&mut q, &[0, 0, 1, 4]);
         q.schedule(SimTime::ZERO, 4);
         q.schedule(SimTime::from_secs(2), 5);
         let batch = q.drain_window(SimTime::from_secs(3));

@@ -7,13 +7,15 @@
 //! drive both implementations with arbitrary operation sequences, including
 //! the calendar's resize edge cases: thousands of events on one calendar
 //! day (all-one-epoch) and sparse events flung far into the future (the
-//! direct-search fallback path). Batches handed to `schedule_sorted` are
-//! held to the same reference fed one `schedule` call per entry, which
-//! covers the sorted run beside the calendar: entries that join it, entries
-//! that step back into the calendar, and ties between the two.
+//! direct-search fallback path). Arrival batches whose seqs are reserved up
+//! front and whose entries are staged later, the way the engine pulls its
+//! submissions, are held to the same reference fed one `schedule` call per
+//! entry at reservation, which covers the sorted run beside the calendar:
+//! entries that join it, entries that step back into the calendar, and ties
+//! between the two.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use dgrid_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
@@ -70,8 +72,8 @@ impl<E: Ord> ReferenceQueue<E> {
 }
 
 /// One step of an interleaved workload: schedule an event `offset_nanos`
-/// past the current clock, pop `pops` events, drain a window, or hand a
-/// batch to `schedule_sorted`.
+/// past the current clock, pop `pops` events, drain a window, or reserve
+/// seqs for an arrival batch.
 #[derive(Clone, Debug)]
 enum Op {
     Schedule {
@@ -83,9 +85,10 @@ enum Op {
     DrainWindow {
         horizon_nanos: u64,
     },
-    /// Offsets past the clock. The reference queue takes them as plain
-    /// `schedule` calls, one after another.
-    ScheduleSorted {
+    /// Offsets past the clock of a batch whose seqs are reserved now. The
+    /// reference queue takes them as plain `schedule` calls, one after
+    /// another; the calendar queue is handed them through [`Arrivals`].
+    Reserve {
         offsets_nanos: Vec<u64>,
     },
 }
@@ -120,7 +123,7 @@ fn arb_op_with_batches(max_offset: u64) -> impl Strategy<Value = Op> {
         2 => (1u8..4).prop_map(|pops| Op::Pop { pops }),
         1 => (0u64..max_offset.saturating_mul(2).max(1))
             .prop_map(|horizon_nanos| Op::DrainWindow { horizon_nanos }),
-        1 => arb_batch(max_offset, 24).prop_map(|offsets_nanos| Op::ScheduleSorted { offsets_nanos }),
+        1 => arb_batch(max_offset, 24).prop_map(|offsets_nanos| Op::Reserve { offsets_nanos }),
     ]
 }
 
@@ -144,15 +147,89 @@ fn arb_op_with_drains(max_offset: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One reserved batch's entries no earlier than every entry before them in
+/// the batch, in batch order, as `(time, seq, payload)`, and how many of
+/// its staged ones are still in the queue.
+#[derive(Default)]
+struct Batch {
+    fifo: VecDeque<(SimTime, u64, u64)>,
+    staged: usize,
+}
+
+/// The harness's stand-in for the engine's arrival stream, once per
+/// reserved batch: the entries not yet staged, kept the way the engine
+/// keeps its submissions.
+#[derive(Default)]
+struct Arrivals {
+    batches: Vec<Batch>,
+    /// The batch of each staged, undelivered entry, by payload.
+    in_queue: HashMap<u64, usize>,
+}
+
+impl Arrivals {
+    /// Reserve seqs for `batch`, stage at once every entry that steps back
+    /// below an earlier one, and queue the rest for staging.
+    fn reserve(&mut self, cal: &mut EventQueue<u64>, batch: &[(SimTime, u64)]) {
+        let first = cal.reserve_seqs(batch.len() as u64);
+        let mut fifo = VecDeque::new();
+        let mut tail = SimTime::ZERO;
+        for (seq, &(at, p)) in (first..).zip(batch) {
+            if at < tail {
+                cal.stage(at, seq, p);
+            } else {
+                tail = at;
+                fifo.push_back((at, seq, p));
+            }
+        }
+        self.batches.push(Batch { fifo, staged: 0 });
+        self.stage(cal, self.batches.len() - 1, None);
+    }
+
+    /// Stage `b`'s entries before `until`, and its next one if none of it
+    /// is in the queue. With no `until` this is the engine's sequential
+    /// loop, which stages an arrival when the one before it is delivered;
+    /// with one it is the sharded loop before a window drain.
+    fn stage(&mut self, cal: &mut EventQueue<u64>, b: usize, until: Option<SimTime>) {
+        let batch = &mut self.batches[b];
+        while let Some(&(at, seq, p)) = batch.fifo.front() {
+            if batch.staged > 0 && until.is_none_or(|end| at >= end) {
+                break;
+            }
+            batch.fifo.pop_front();
+            batch.staged += 1;
+            self.in_queue.insert(p, b);
+            cal.stage(at, seq, p);
+        }
+    }
+
+    fn stage_before(&mut self, cal: &mut EventQueue<u64>, until: SimTime) {
+        for b in 0..self.batches.len() {
+            self.stage(cal, b, Some(until));
+        }
+    }
+
+    fn delivered(&mut self, cal: &mut EventQueue<u64>, p: u64) {
+        if let Some(b) = self.in_queue.remove(&p) {
+            self.batches[b].staged -= 1;
+            self.stage(cal, b, None);
+        }
+    }
+
+    fn unstaged(&self) -> usize {
+        self.batches.iter().map(|b| b.fifo.len()).sum()
+    }
+}
+
 /// Run the same op sequence through both queues and demand identical
 /// observable behavior at every step.
 fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut cal = EventQueue::new();
     let mut reference = ReferenceQueue::new();
+    let mut arrivals = Arrivals::default();
     let mut payload = 0u64;
     for op in ops {
         match *op {
-            Op::ScheduleSorted { ref offsets_nanos } => {
+            Op::Reserve { ref offsets_nanos } => {
                 let now = cal.now().as_nanos();
                 let batch: Vec<(SimTime, u64)> = offsets_nanos
                     .iter()
@@ -163,7 +240,7 @@ fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
                 for &(at, p) in &batch {
                     reference.schedule(at, p);
                 }
-                cal.schedule_sorted(batch);
+                arrivals.reserve(&mut cal, &batch);
             }
             Op::Schedule { offset_nanos } => {
                 let at = SimTime::from_nanos(cal.now().as_nanos() + offset_nanos);
@@ -177,21 +254,28 @@ fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
                     let want = reference.pop();
                     prop_assert_eq!(got, want, "pop diverged from reference heap");
                     prop_assert_eq!(cal.now(), reference.now, "clock diverged");
+                    if let Some((_, p)) = got {
+                        arrivals.delivered(&mut cal, p);
+                    }
                 }
             }
             Op::DrainWindow { horizon_nanos } => {
                 let until = SimTime::from_nanos(cal.now().as_nanos().saturating_add(horizon_nanos));
+                arrivals.stage_before(&mut cal, until);
                 let got: Vec<_> = cal
                     .drain_window(until)
                     .into_iter()
                     .map(|(at, _, e)| (at, e))
                     .collect();
+                for &(_, p) in &got {
+                    arrivals.delivered(&mut cal, p);
+                }
                 let want = reference.drain_window(until);
                 prop_assert_eq!(got, want, "drain_window diverged from repeated pops");
                 prop_assert_eq!(cal.now(), reference.now, "clock diverged after drain");
             }
         }
-        prop_assert_eq!(cal.len(), reference.heap.len());
+        prop_assert_eq!(cal.len() + arrivals.unstaged(), reference.heap.len());
         prop_assert_eq!(
             cal.peek_time(),
             reference.heap.peek().map(|(Reverse((at, _)), _)| *at)
@@ -202,9 +286,8 @@ fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
         let got = cal.pop();
         let want = reference.pop();
         prop_assert_eq!(got, want, "drain diverged from reference heap");
-        if got.is_none() {
-            break;
-        }
+        let Some((_, p)) = got else { break };
+        arrivals.delivered(&mut cal, p);
     }
     Ok(())
 }
@@ -304,26 +387,27 @@ proptest! {
         run_differential(&ops)?;
     }
 
-    /// `schedule_sorted` against plain `schedule` calls, interleaved with
-    /// every other op: the same seqs, pops, drained windows, `len` and
-    /// `peek_time` at every step, whether an entry joined the sorted run or
-    /// stepped back into the calendar.
+    /// Reserved batches staged as the run reaches them, against plain
+    /// `schedule` calls at reservation, interleaved with every other op:
+    /// the same seqs, pops, drained windows, `len` and `peek_time` at every
+    /// step, whether an entry joined the sorted run or stepped back into
+    /// the calendar.
     #[test]
-    fn schedule_sorted_matches_one_by_one_schedules(
+    fn staged_batches_match_one_by_one_schedules(
         ops in proptest::collection::vec(arb_op_with_batches(5_000_000_000), 1..300),
     ) {
         run_differential(&ops)?;
     }
 
-    /// The engine's shape: one long arrival batch first, then the run
-    /// creates its own events around it. Offsets of 0–2 ns make the
+    /// The engine's shape: one long arrival batch reserved first, then the
+    /// run creates its own events around it. Offsets of 0–2 ns make the
     /// run-versus-calendar comparison a tie on time almost every time.
     #[test]
-    fn schedule_sorted_same_timestamp_ties_go_by_seq(
+    fn staged_same_timestamp_ties_go_by_seq(
         first in arb_batch(2, 300),
         ops in proptest::collection::vec(arb_op_with_batches(2), 1..300),
     ) {
-        let mut all = vec![Op::ScheduleSorted { offsets_nanos: first }];
+        let mut all = vec![Op::Reserve { offsets_nanos: first }];
         all.extend(ops);
         run_differential(&all)?;
     }
@@ -331,7 +415,7 @@ proptest! {
     /// Sparse far-future batches: run heads more than a calendar lap past
     /// the cursor, settled against the calendar by the full search.
     #[test]
-    fn schedule_sorted_sparse_far_future(
+    fn staged_sparse_far_future(
         ops in proptest::collection::vec(arb_op_with_batches(u64::MAX / 4096), 1..200),
     ) {
         run_differential(&ops)?;
