@@ -453,8 +453,9 @@ mod tests {
     #[test]
     fn start_next_on_skips_a_long_run_of_dead_entries_without_recursing() {
         // 100k entries whose jobs terminated while queued and retired, then
-        // one live job, on an idle node. One stack frame per skipped entry would overflow
-        // the test thread's 2 MiB stack long before the live one.
+        // one live job, on an idle node. One stack frame per skipped entry
+        // would overflow the test thread's 2 MiB stack long before the live
+        // one.
         const DEAD: u64 = 100_000;
         let jobs = (0..=DEAD)
             .map(|i| JobSubmission {
