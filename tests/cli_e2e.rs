@@ -237,3 +237,57 @@ fn scenario_file_and_classic_runs_print_and_stream_the_pinned_bytes() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Recorded at `b06d608`, before `report`, `watch` and `events convert`
+/// read streams through one decoder: one leased churn run recorded in both
+/// formats renders, watches and converts to the same bytes.
+#[test]
+fn recorded_streams_report_watch_and_convert_to_the_pinned_bytes() {
+    let dir = scratch_dir("streams");
+    let run = [
+        "run",
+        "--nodes",
+        "64",
+        "--jobs",
+        "200",
+        "--seed",
+        "3",
+        "--mttf",
+        "3000",
+        "--rejoin",
+        "300",
+        "--lease-ttl",
+        "60",
+    ];
+    let jsonl = (0xd9cd_2311_b16a_7f48, 81067);
+    let binary = (0x4ebf_8af7_c66f_648e, 11037);
+    for (file, format, stream_pin, watch_pin) in [
+        ("s.jsonl", "jsonl", jsonl, (0xb35a_7d26_dfba_a268, 722)),
+        ("s.bin", "binary", binary, (0xe46f_7526_28b4_9986, 721)),
+    ] {
+        let out = dgrid_in(
+            &dir,
+            &[&run[..], &["--events", file, "--format", format]].concat(),
+        );
+        assert!(out.status.success(), "{format}: {:?}", out.status);
+        assert_eq!(pin(&read(&dir, file)), stream_pin, "{file}");
+        let report = dgrid_in(&dir, &["report", "--events", file, "--timeline", "5"]);
+        assert!(report.status.success(), "report {file}");
+        let stdout = String::from_utf8_lossy(&report.stdout);
+        assert_eq!(
+            pin(&report.stdout),
+            (0x732f_48fd_8c57_a2a5, 1122),
+            "{stdout}"
+        );
+        let watch = dgrid_in(&dir, &["watch", "--events", file]);
+        assert!(watch.status.success(), "watch {file}");
+        let stdout = String::from_utf8_lossy(&watch.stdout);
+        assert_eq!(pin(&watch.stdout), watch_pin, "{stdout}");
+    }
+    for (from, to, want) in [("s.jsonl", "c.bin", binary), ("s.bin", "c.jsonl", jsonl)] {
+        let out = dgrid_in(&dir, &["events", "convert", "--events", from, "--out", to]);
+        assert!(out.status.success(), "convert {from}");
+        assert_eq!(pin(&read(&dir, to)), want, "{to}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
