@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! repro [EXPERIMENT] [--nodes N] [--jobs M] [--reps R] [--seed S]
-//!       [--threads T] [--json PATH]
-//!
-//! EXPERIMENT: fig2 | fig2a | fig2b | fig2c | fig2d | hops | push | robust
-//!           | tree | virt | ksweep | dht | dist | fair | overhead | tail | hb
-//!           | faults | all
+//!       [--threads N] [--json PATH]
 //! ```
+//!
+//! `EXPERIMENT` is one of [`EXPERIMENTS`], a panel of Figure 2
+//! (`fig2a`..`fig2d`, which print the whole figure), or `all`, the
+//! default. Flags are read by `dgrid::cli`, so a bad one is refused as in
+//! `dgrid`: one line naming it, the usage, exit code 2.
 //!
 //! Default scale is the paper's (1000 nodes, 5000 jobs); pass smaller
 //! `--nodes/--jobs` for a quick look. Results print as the paper-shaped
@@ -16,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 
+use dgrid::cli::{self, die, parsed, positive, some, text, Flag, Options, OrExit};
 use dgrid::core::{ChurnConfig, Engine, EngineConfig, FaultPlan, RnTreeConfig, RnTreeMatchmaker};
 use dgrid::harness::{
     paper_engine_config, run_cell, run_workload, run_workload_with_faults, Algorithm, CellResult,
@@ -23,63 +25,75 @@ use dgrid::harness::{
 use dgrid::workloads::{paper_scenario, PaperScenario};
 use serde_json::Value;
 
-#[derive(Clone, Debug)]
-struct Opts {
-    experiment: String,
-    nodes: usize,
-    jobs: usize,
-    reps: usize,
-    seed: u64,
-    threads: Option<usize>,
-    json: Option<String>,
+cli::options! {
+    #[derive(Debug)]
+    struct Opts {
+        /// `--nodes N`: the grid size.
+        nodes: usize = 1000, "--nodes", "N", positive;
+        /// `--jobs M`: the job count.
+        jobs: usize = 5000, "--jobs", "M", positive;
+        /// `--reps R`: the replications each cell averages.
+        reps: usize = 3, "--reps", "R", positive;
+        /// `--seed S`: the root seed.
+        seed: u64 = cli::DEFAULT_SEED, "--seed", "S", parsed("a number");
+        /// `--threads N`: replicated cells (`run_cell`) fan out over the
+        /// work-stealing pool; results are order-stable, so the tables are
+        /// identical at any thread count.
+        threads: Option<usize> = None, "--threads", "N", some(positive);
+        /// `--json PATH`: also write the cells as JSON rows.
+        json: Option<String> = None, "--json", "PATH", some(text);
+    }
 }
 
-fn parse_args() -> Opts {
-    let mut opts = Opts {
-        experiment: "all".to_string(),
-        nodes: 1000,
-        jobs: 5000,
-        reps: 3,
-        seed: 42,
-        threads: None,
-        json: None,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => {
-                opts.nodes = args[i + 1].parse().expect("--nodes N");
-                i += 2;
-            }
-            "--jobs" => {
-                opts.jobs = args[i + 1].parse().expect("--jobs M");
-                i += 2;
-            }
-            "--reps" => {
-                opts.reps = args[i + 1].parse().expect("--reps R");
-                i += 2;
-            }
-            "--seed" => {
-                opts.seed = args[i + 1].parse().expect("--seed S");
-                i += 2;
-            }
-            "--threads" => {
-                opts.threads = Some(args[i + 1].parse().expect("--threads T"));
-                i += 2;
-            }
-            "--json" => {
-                opts.json = Some(args[i + 1].clone());
-                i += 2;
-            }
-            exp if !exp.starts_with('-') => {
-                opts.experiment = exp.to_string();
-                i += 1;
-            }
-            other => panic!("unknown flag {other}"),
-        }
+impl Options for Opts {
+    const COMMAND: &'static str = "repro [EXPERIMENT]";
+
+    fn flags() -> Vec<Flag<Self>> {
+        Self::fields()
     }
-    opts
+
+    fn notes() -> String {
+        let names = EXPERIMENTS.map(|(name, _)| name).join(" | ");
+        format!("\nEXPERIMENT: {names} | all (the default); fig2a..fig2d print fig2")
+    }
+}
+
+/// An experiment: what it prints, and the JSON rows it adds.
+type Experiment = fn(&Opts, &mut Vec<Value>);
+
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("fig2", fig2),
+    ("hops", |o, _| hops(o)),
+    ("push", push),
+    ("robust", |o, _| robust(o)),
+    ("tree", |o, _| tree(o)),
+    ("virt", virt),
+    ("ksweep", |o, _| ksweep(o)),
+    ("dht", |o, _| dht(o)),
+    ("dist", |o, _| dist(o)),
+    ("fair", |o, _| fair(o)),
+    ("overhead", |o, _| overhead(o)),
+    ("tail", |o, _| tail(o)),
+    ("hb", |o, _| hb(o)),
+    ("faults", |o, _| faults(o)),
+];
+
+/// The experiments `name` selects: every one for `all`, else the one it
+/// starts with, so that Figure 2's panels `fig2a`..`fig2d` print the whole
+/// figure.
+fn select(name: &str) -> Vec<Experiment> {
+    let selected = EXPERIMENTS
+        .iter()
+        .filter(|(n, _)| name == "all" || name.starts_with(n));
+    let selected: Vec<Experiment> = selected.map(|(_, experiment)| *experiment).collect();
+    if selected.is_empty() {
+        let known = EXPERIMENTS.map(|(name, _)| name).join(", ");
+        die(format_args!(
+            "unknown experiment {name:?} (known: {known}, all)"
+        ));
+    }
+    selected
 }
 
 /// One JSON output row: the cell's fields with an `experiment` tag merged in.
@@ -92,70 +106,25 @@ fn json_row(experiment: &str, cell: &CellResult) -> Value {
 }
 
 fn main() {
-    let opts = parse_args();
-    match opts.threads {
-        // Replicated cells (`run_cell`) fan out over the work-stealing
-        // pool; results are order-stable, so the tables are identical at
-        // any thread count.
-        Some(t) => rayon::Pool::install(t, || run(&opts)),
-        None => run(&opts),
-    }
-}
-
-fn run(opts: &Opts) {
-    let mut json_rows: Vec<Value> = Vec::new();
-
-    let want = |name: &str| opts.experiment == "all" || opts.experiment.starts_with(name);
-
-    if want("fig2") || opts.experiment == "all" {
-        fig2(opts, &mut json_rows);
-    }
-    if want("hops") {
-        hops(opts);
-    }
-    if want("push") {
-        push(opts, &mut json_rows);
-    }
-    if want("robust") {
-        robust(opts);
-    }
-    if want("tree") {
-        tree(opts);
-    }
-    if want("virt") {
-        virt(opts, &mut json_rows);
-    }
-    if want("ksweep") {
-        ksweep(opts);
-    }
-    if want("dht") {
-        dht(opts);
-    }
-    if want("dist") {
-        dist(opts);
-    }
-    if want("fair") {
-        fair(opts);
-    }
-    if want("overhead") {
-        overhead(opts);
-    }
-    if want("tail") {
-        tail(opts);
-    }
-    if want("hb") {
-        hb(opts);
-    }
-    if want("faults") {
-        faults(opts);
-    }
-
-    if let Some(path) = &opts.json {
-        let mut f = std::fs::File::create(path).expect("create json output");
-        serde_json::to_writer_pretty(&mut f, &json_rows).expect("write json");
-        writeln!(f).ok();
-        eprintln!("wrote {} rows to {path}", json_rows.len());
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (name, flags) = match args.split_first() {
+        Some((name, flags)) if !name.starts_with('-') => (name.as_str(), flags),
+        _ => ("all", &args[..]),
+    };
+    let experiments = select(name);
+    let opts: Opts = cli::parse(flags, |_| false);
+    cli::install(opts.threads, || {
+        let mut json_rows: Vec<Value> = Vec::new();
+        for experiment in experiments {
+            experiment(&opts, &mut json_rows);
+        }
+        if let Some(path) = &opts.json {
+            let mut f = std::fs::File::create(path).or_exit(path, "create");
+            serde_json::to_writer_pretty(&mut f, &json_rows).or_exit(path, "write");
+            writeln!(f).ok();
+            eprintln!("wrote {} rows to {path}", json_rows.len());
+        }
+    })
 }
 
 /// Figure 2, all four panels.

@@ -30,3 +30,35 @@ fn fig2_and_tree_print_the_pinned_bytes() {
         assert_eq!((fnv1a(&out.stdout), out.stdout.len()), want, "{stdout}");
     }
 }
+
+/// A bad, missing or unknown flag, a count of 0 and an unknown experiment
+/// each exit 2 with a first line naming what was wrong; none panics.
+#[test]
+fn bad_flags_and_experiments_name_themselves_and_exit_2() {
+    for (args, first_line) in [
+        (&["--nodes", "x"][..], "--nodes: \"x\" is not a number"),
+        (
+            &["tree", "--nodes"],
+            "--nodes: unknown flag, or its value is missing",
+        ),
+        (&["--bogus", "1"], "unknown flag --bogus"),
+        (&["--reps", "0"], "--reps: \"0\" is not at least 1"),
+        (&["--threads", "0"], "--threads: \"0\" is not at least 1"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().next(),
+            Some(first_line),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    let out = repro(&["fig9"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("unknown experiment \"fig9\" (known: fig2, hops,"));
+    assert!(stderr.contains("faults, all)"), "{stderr}");
+}

@@ -76,8 +76,8 @@ pub use node::{GridNode, GridNodeId, NodeTable};
 pub use security::SandboxPolicy;
 pub use span::{phase_samples, JobSpan, Phase, SpanAssembler, SpanOutcome};
 pub use trace::binary::{
-    binary_to_jsonl, decode_stream, encode_events, jsonl_to_binary, sniff_format, BinaryEncoder,
-    BinaryObserver, StreamDecoder, StreamError, StreamFormat,
+    binary_to_jsonl, decode_stream, encode_events, jsonl_to_binary, BinaryEncoder, BinaryObserver,
+    StreamDecoder, StreamError, StreamFormat,
 };
 pub use trace::{
     parse_jsonl_line, EventKind, EventRecord, JsonlObserver, NullObserver, Observer, TraceEvent,

@@ -36,9 +36,10 @@
 //! `dgrid run --replications R` produces (one stream per replication,
 //! concatenated in replication order).
 //!
-//! Decoding is push-based ([`StreamDecoder`]) so `dgrid watch` can tail a
-//! file that is still being written; [`decode_stream`] is the whole-buffer
-//! convenience wrapper. Every malformed input maps to a typed
+//! Decoding is push-based ([`StreamDecoder`], which also reads JSONL and
+//! tells the two formats apart by their first bytes) so `dgrid watch` can
+//! tail a file that is still being written; [`decode_stream`] is the
+//! whole-buffer convenience wrapper for binary streams. Every malformed input maps to a typed
 //! [`StreamError`] — the decoder never panics, which the fuzz proptests
 //! assert over arbitrary byte soup and mutilated valid streams.
 
@@ -226,7 +227,7 @@ impl std::str::FromStr for StreamFormat {
 /// are identified by the [`MAGIC`] header (a truncated prefix of it also
 /// counts — no JSONL stream can start with `DG`); everything else,
 /// including the empty stream, is treated as JSONL.
-pub fn sniff_format(prefix: &[u8]) -> StreamFormat {
+fn sniff_format(prefix: &[u8]) -> StreamFormat {
     let n = prefix.len().min(MAGIC.len());
     if n > 0 && prefix[..n] == MAGIC[..n] {
         StreamFormat::Binary
@@ -507,26 +508,45 @@ impl<W: Write> Observer for BinaryObserver<W> {
 
 // --- decoder ---------------------------------------------------------------
 
-/// Push-based binary stream decoder.
+/// Push-based event-stream decoder, for either format.
 ///
 /// Feed it bytes as they arrive ([`StreamDecoder::push`]) and drain decoded
 /// events ([`StreamDecoder::next_event`]); `Ok(None)` means "need more
 /// bytes", which is what lets `dgrid watch --follow` tail a file mid-write.
-/// Call [`StreamDecoder::finish`] at end-of-input to distinguish a clean
-/// boundary from a truncated tail. All errors are typed [`StreamError`]s;
-/// no input can make the decoder panic.
+/// The format is sniffed from the first bytes: a stream that starts with
+/// [`MAGIC`] is binary, anything else is JSONL, read line by line through
+/// [`parse_jsonl_line`]. Call [`StreamDecoder::finish`] at end-of-input to
+/// distinguish a clean boundary from a truncated tail. All errors are typed
+/// [`StreamError`]s; no input can make the decoder panic.
 #[derive(Default)]
 pub struct StreamDecoder {
     buf: Vec<u8>,
     pos: usize,
     consumed: usize,
+    format: Option<StreamFormat>,
+    /// JSONL lines consumed, for error messages.
+    lines: usize,
     frames: FrameDecoder,
 }
 
 impl StreamDecoder {
-    /// A decoder expecting the start of a stream.
+    /// A decoder expecting the start of a stream in either format.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A decoder for a stream known to be in `format`, which it does not
+    /// sniff.
+    pub fn with_format(format: StreamFormat) -> Self {
+        StreamDecoder {
+            format: Some(format),
+            ..Self::default()
+        }
+    }
+
+    /// The stream's format, once its first bytes have settled it.
+    pub fn format(&self) -> Option<StreamFormat> {
+        self.format
     }
 
     /// Append newly available bytes.
@@ -540,29 +560,65 @@ impl StreamDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Absolute stream offset of the next undecoded byte.
-    pub fn offset(&self) -> usize {
-        self.consumed
-    }
-
     /// Decode the next event, or `Ok(None)` if the buffered bytes end at a
     /// clean boundary (more input may still arrive).
     pub fn next_event(&mut self) -> Result<Option<EventRecord>, StreamError> {
         let from = self.pos;
-        let base = self.consumed - from;
-        let next = self.frames.next_event(&self.buf, &mut self.pos, base);
+        let next = match self.format.or_else(|| self.settle()) {
+            None => Ok(None),
+            Some(StreamFormat::Binary) => {
+                let base = self.consumed - from;
+                self.frames.next_event(&self.buf, &mut self.pos, base)
+            }
+            Some(StreamFormat::Jsonl) => self.next_line(),
+        };
         self.consumed += self.pos - from;
         next
     }
 
-    /// Signal end-of-input: errors if bytes are left undecoded (a frame or
-    /// header was cut off mid-write).
-    pub fn finish(&self) -> Result<(), StreamError> {
+    /// Signal end-of-input: errors if bytes are left undecoded (a frame,
+    /// line or header was cut off mid-write). An empty stream is JSONL.
+    pub fn finish(&mut self) -> Result<(), StreamError> {
+        if self.format.is_none() {
+            self.format = Some(sniff_format(&self.buf[self.pos..]));
+        }
         if self.pos < self.buf.len() {
             Err(StreamError::Truncated { at: self.consumed })
         } else {
             Ok(())
         }
+    }
+
+    /// Decide the format once the bytes so far either depart from
+    /// [`MAGIC`] or cover it.
+    fn settle(&mut self) -> Option<StreamFormat> {
+        let head = &self.buf[self.pos..];
+        if head.len() < MAGIC.len() && MAGIC.starts_with(head) {
+            return None;
+        }
+        self.format = Some(sniff_format(head));
+        self.format
+    }
+
+    /// The next record of a JSONL stream; blank lines yield none.
+    fn next_line(&mut self) -> Result<Option<EventRecord>, StreamError> {
+        while let Some(len) = self.buf[self.pos..].iter().position(|&b| b == b'\n') {
+            let line = &self.buf[self.pos..self.pos + len];
+            self.lines += 1;
+            let bad = |msg: &dyn std::fmt::Display| StreamError::Json {
+                msg: format!("line {}: {msg}", self.lines),
+            };
+            let line = std::str::from_utf8(line).map_err(|e| bad(&e))?;
+            let record = match parse_jsonl_line(line) {
+                Err(StreamError::Json { msg }) => return Err(bad(&msg)),
+                parsed => parsed?,
+            };
+            self.pos += len + 1;
+            if record.is_some() {
+                return Ok(record);
+            }
+        }
+        Ok(None)
     }
 }
 

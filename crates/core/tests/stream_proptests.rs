@@ -5,8 +5,8 @@
 //! timestamps, sparse ids) byte-exactly.
 
 use dgrid_core::{
-    decode_stream, encode_events, parse_jsonl_line, EventRecord, GridNodeId, OwnerRef,
-    StreamDecoder, TraceEvent,
+    binary_to_jsonl, decode_stream, encode_events, parse_jsonl_line, EventRecord, GridNodeId,
+    OwnerRef, StreamDecoder, StreamError, StreamFormat, TraceEvent,
 };
 use dgrid_resources::JobId;
 use dgrid_sim::SimTime;
@@ -176,7 +176,7 @@ proptest! {
             let at = at % bytes.len();
             bytes[at] ^= 1 << bit;
         }
-        let mut dec = StreamDecoder::new();
+        let mut dec = StreamDecoder::with_format(StreamFormat::Binary);
         dec.push(&bytes);
         let mut pushed = Vec::new();
         let pushed = loop {
@@ -189,24 +189,50 @@ proptest! {
         prop_assert_eq!(decode_stream(&bytes), pushed);
     }
 
-    /// Push-based decoding is split-invariant: feeding the stream in
-    /// arbitrary chunks yields exactly the one-shot decoding.
+    /// Push-based decoding is split-invariant in either format: feeding the
+    /// binary stream, or the JSONL text of the same records, in arbitrary
+    /// chunks yields exactly the one-shot decoding.
     #[test]
     fn chunked_decoding_is_split_invariant(records in arb_records(), splits in proptest::collection::vec(any::<usize>(), 0..8)) {
-        let bytes = encode_events(&records);
-        let mut cuts: Vec<usize> = splits.iter().map(|&s| if bytes.is_empty() { 0 } else { s % (bytes.len() + 1) }).collect();
-        cuts.push(0);
-        cuts.push(bytes.len());
-        cuts.sort_unstable();
-        let mut dec = StreamDecoder::new();
-        let mut decoded = Vec::new();
-        for pair in cuts.windows(2) {
-            dec.push(&bytes[pair[0]..pair[1]]);
-            while let Some(rec) = dec.next_event().expect("valid stream decodes") {
-                decoded.push(rec);
+        let binary = encode_events(&records);
+        let jsonl = binary_to_jsonl(&binary).expect("own encoding converts").into_bytes();
+        for bytes in [binary, jsonl] {
+            let mut cuts: Vec<usize> = splits.iter().map(|&s| if bytes.is_empty() { 0 } else { s % (bytes.len() + 1) }).collect();
+            cuts.push(0);
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            let mut dec = StreamDecoder::new();
+            let mut decoded = Vec::new();
+            for pair in cuts.windows(2) {
+                dec.push(&bytes[pair[0]..pair[1]]);
+                while let Some(rec) = dec.next_event().expect("valid stream decodes") {
+                    decoded.push(rec);
+                }
             }
+            dec.finish().expect("stream ends at a frame boundary");
+            prop_assert_eq!(&decoded, &records);
         }
-        dec.finish().expect("stream ends at a frame boundary");
-        prop_assert_eq!(decoded, records);
+    }
+
+    /// A JSONL stream cut off inside its last line, or just before that
+    /// line's newline, yields the complete lines' records and then fails
+    /// `finish` with a typed error.
+    #[test]
+    fn a_jsonl_tail_without_its_newline_fails_finish(records in arb_records(), cut in any::<usize>()) {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let text = binary_to_jsonl(&encode_events(&records)).expect("own encoding converts");
+        let body = text.trim_end_matches('\n');
+        let last_line = body.rfind('\n').map_or(0, |nl| nl + 1);
+        let end = last_line + 1 + cut % (body.len() - last_line);
+        let mut dec = StreamDecoder::new();
+        dec.push(&text.as_bytes()[..end]);
+        let mut decoded = Vec::new();
+        while let Some(rec) = dec.next_event().expect("complete lines decode") {
+            decoded.push(rec);
+        }
+        prop_assert_eq!(&decoded[..], &records[..records.len() - 1]);
+        prop_assert_eq!(dec.finish(), Err(StreamError::Truncated { at: last_line }));
     }
 }

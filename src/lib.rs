@@ -21,6 +21,7 @@
 //! | [`core`] | `dgrid-core` | the grid engine, recovery protocol, and the three matchmakers |
 //! | [`workloads`] | `dgrid-workloads` | the paper's clustered/mixed × light/heavy workload grid |
 //! | [`harness`] | (here) | one-call experiment runner used by examples, tests, and benches |
+//! | [`cli`] | (here) | the flag parser and exit-code conventions `dgrid` and `repro` share |
 //!
 //! ## Quickstart
 //!
@@ -49,4 +50,5 @@ pub use dgrid_sim as sim;
 pub use dgrid_tapestry as tapestry;
 pub use dgrid_workloads as workloads;
 
+pub mod cli;
 pub mod harness;

@@ -139,6 +139,49 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
     ] {
         names_itself(&[&watch[..], &[flag, val], extra].concat(), flag, val);
     }
+    // A flag the command does not read, a classic knob beside a scenario
+    // file and a lease flag without a ttl are one line naming the flag and
+    // the command, never silently dropped.
+    for (args, line) in [
+        (
+            &["check", "--loss", "0.2"][..],
+            "dgrid check does not take --loss",
+        ),
+        (
+            &["check", "--nodes", "9"],
+            "dgrid check does not take --nodes",
+        ),
+        (
+            &["compare", "--algorithm", "can"],
+            "dgrid compare does not take --algorithm",
+        ),
+        (
+            &["compare", "--events", "f"],
+            "dgrid compare does not take --events",
+        ),
+        (
+            &["report", "--replications", "2"],
+            "dgrid report does not take --replications",
+        ),
+        (
+            &["watch", "--seeds", "3"],
+            "dgrid watch does not take --seeds",
+        ),
+        (
+            &["events", "convert", "--follow"],
+            "dgrid events convert does not take --follow",
+        ),
+        (
+            &["run", "--scenario-file", "flash-crowd", "--nodes", "5"],
+            "dgrid run takes --scenario-file or --nodes, not both",
+        ),
+        (
+            &["run", "--lease-renew", "10"],
+            "dgrid run takes --lease-renew only with --lease-ttl",
+        ),
+    ] {
+        assert_eq!(refused(args), format!("{line}\n"), "{args:?}");
+    }
     let gone = refused(&["bench", "sweep"]);
     assert!(gone.contains("benchmark/Cargo.toml") && gone.contains("compare --replications"));
     assert_eq!(gone.lines().count(), 1);
