@@ -39,9 +39,10 @@
 //! Decoding is push-based ([`StreamDecoder`], which also reads JSONL and
 //! tells the two formats apart by their first bytes) so `dgrid watch` can
 //! tail a file that is still being written; [`decode_stream`] is the
-//! whole-buffer convenience wrapper for binary streams. Every malformed input maps to a typed
-//! [`StreamError`] — the decoder never panics, which the fuzz proptests
-//! assert over arbitrary byte soup and mutilated valid streams.
+//! whole-buffer convenience wrapper for binary streams. Every malformed
+//! input maps to a typed [`StreamError`] — the decoder never panics, which
+//! the fuzz proptests assert over arbitrary byte soup and mutilated valid
+//! streams.
 
 use std::io::Write;
 
@@ -1135,6 +1136,36 @@ mod tests {
         let got: Vec<(u32, bool)> = ids.iter().map(|&id| jobs.get_or_insert(id)).collect();
         let want = [(0, true), (1, true), (2, true), (0, false), (1, false)];
         assert_eq!(got, want);
+    }
+
+    /// The decoder settles a stream's format from the bytes alone, not from
+    /// how they were split: a stream that starts like the magic and departs
+    /// from it is JSONL however its first bytes arrive.
+    #[test]
+    fn the_sniffed_format_does_not_depend_on_the_split() {
+        let binary = encode_events(&sample_records());
+        for bytes in [&binary[..], b"DGEVxyz\n", b"{\"t_ns\":x}\n", b"DGEV"] {
+            let decode = |cut: usize| {
+                let mut dec = StreamDecoder::new();
+                let mut records = Vec::new();
+                for chunk in [&bytes[..cut], &bytes[cut..]] {
+                    dec.push(chunk);
+                    loop {
+                        match dec.next_event() {
+                            Ok(Some(rec)) => records.push(rec),
+                            Ok(None) => break,
+                            Err(e) => return (dec.format(), Err(e)),
+                        }
+                    }
+                }
+                let end = dec.finish().map(|()| records);
+                (dec.format(), end)
+            };
+            let whole = decode(bytes.len());
+            for cut in 0..bytes.len() {
+                assert_eq!(decode(cut), whole, "{bytes:?} cut at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ cli::options! {
         /// `--seeds N`: how many scenarios to sweep.
         seeds: u64 = 50, "--seeds", "N", parsed("a number");
         /// `--seed BASE`: the first scenario's seed.
-        seed: u64 = cli::DEFAULT_SEED, "--seed", "S", parsed("a number");
+        seed: u64 = cli::DEFAULT_SEED, "--seed", "BASE", parsed("a number");
         /// `--out PATH`: where a violation's repro artifact goes.
         out: String = "dgrid-check-repro.json".to_string(), "--out", "PATH", text;
         /// `--replay PATH`: re-run a previously written repro artifact.
@@ -41,8 +41,6 @@ cli::options! {
         lease: Lease = Lease::default();
         /// `--threads N` sizes the pool the seeds fan out over.
         threads: Option<usize> = None, "--threads", "N", some(positive);
-        /// The lease the lease flags arm, once they are all read.
-        leased: Option<LeaseSpec> = None;
     }
 }
 
@@ -60,9 +58,8 @@ impl Options for CheckOpts {
     }
 
     fn finish(&mut self) -> Parsed<()> {
-        let defaults = LeaseSpec::for_check(PlacementPolicy::LoadAware);
-        self.leased = self.lease.spec(defaults)?;
-        Ok(())
+        self.lease
+            .arm(LeaseSpec::for_check(PlacementPolicy::LoadAware))
     }
 }
 
@@ -126,7 +123,7 @@ fn run(opts: &CheckOpts) {
     }
 
     let base = opts.seed;
-    let lease = opts.leased;
+    let lease = opts.lease.armed;
     let mm_labels = selected
         .iter()
         .map(|m| m.label())

@@ -142,6 +142,8 @@ cli::options! {
         grace: Option<f64> = None, "--lease-grace", "SECS", some(at_least_0()) => Needs(LEASE_TTL);
         placement: Option<PlacementPolicy> = None, "--placement", "hash|load-aware",
             some(parsed("hash or load-aware")) => Needs(LEASE_TTL);
+        /// The lease the flags arm, once they are all read.
+        armed: Option<LeaseSpec> = None;
     }
 }
 
@@ -151,24 +153,26 @@ fn ttl(val: &str) -> Parsed<(f64, String)> {
 }
 
 impl Lease {
-    /// The armed lease, with `defaults` for what the flags leave out. A
-    /// ttl within the renew interval is refused; an infinite one switches
-    /// expiry off, so it has no renew interval to exceed.
-    fn spec(&self, defaults: LeaseSpec) -> Parsed<Option<LeaseSpec>> {
+    /// Arm the lease `--lease-ttl` asks for, with `defaults` for what the
+    /// flags leave out. A ttl within the renew interval is refused; an
+    /// infinite one switches expiry off, so it has no renew interval to
+    /// exceed.
+    fn arm(&mut self, defaults: LeaseSpec) -> Parsed<()> {
         let Some((ttl_secs, typed)) = &self.ttl else {
-            return Ok(None);
+            return Ok(());
         };
         let renew_secs = self.renew.unwrap_or(defaults.renew_secs);
         if ttl_secs.is_finite() && *ttl_secs <= renew_secs {
             let want = format!("above the renew interval ({renew_secs} s)");
             return Err(format!("{LEASE_TTL}: {typed:?} is not {want}"));
         }
-        Ok(Some(LeaseSpec {
+        self.armed = Some(LeaseSpec {
             ttl_secs: *ttl_secs,
             renew_secs,
             grace_secs: self.grace.unwrap_or(defaults.grace_secs),
             placement: self.placement.unwrap_or(defaults.placement),
-        }))
+        });
+        Ok(())
     }
 }
 

@@ -88,8 +88,6 @@ cli::options! {
         replications: usize = 1, "--replications", "R", positive;
         /// `--json PATH`: also write the full report(s) as JSON.
         json: Option<String> = None, "--json", "PATH", some(text);
-        /// The lease the lease flags arm, once they are all read.
-        leased: Option<LeaseSpec> = None;
     }
 }
 
@@ -129,8 +127,7 @@ impl Options for SimOpts {
             grace_secs: engine.lease_grace_secs,
             placement: PlacementPolicy::Hash,
         };
-        self.leased = self.lease.spec(defaults)?;
-        Ok(())
+        self.lease.arm(defaults)
     }
 }
 
@@ -206,7 +203,7 @@ impl SimOpts {
             seed,
             ..EngineConfig::default()
         };
-        if let Some(lease) = self.leased {
+        if let Some(lease) = self.lease.armed {
             lease.configure(&mut cfg);
         }
         let rn = RnTreeConfig {

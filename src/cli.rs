@@ -205,11 +205,8 @@ pub fn parse<O: Options>(args: &[String], elsewhere: impl Fn(&str) -> bool) -> O
         let clash = |g: &&&Flag<O>| {
             g.rule == Rule::Excludes(flag.name) || flag.rule == Rule::Excludes(g.name)
         };
-        if let Some(earlier) = given.iter().find(clash) {
-            die(format_args!(
-                "{command} takes {} or {arg}, not both",
-                earlier.name
-            ));
+        if let Some(earlier) = given.iter().find(clash).map(|g| g.name) {
+            die(format_args!("{command} takes {earlier} or {arg}, not both"));
         }
         let val = match flag.value {
             "" => "",
@@ -222,21 +219,18 @@ pub fn parse<O: Options>(args: &[String], elsewhere: impl Fn(&str) -> bool) -> O
         given.push(flag);
     }
     let named = |name| given.iter().any(|g| g.name == name);
-    if let Some(f) = flags
+    let missing = flags
         .iter()
-        .find(|f| f.rule == Rule::Required && !named(f.name))
-    {
-        refuse::<O>(format_args!("{command} requires {} {}", f.name, f.value));
+        .find(|f| f.rule == Rule::Required && !named(f.name));
+    if let Some(Flag { name, value, .. }) = missing {
+        refuse::<O>(format_args!("{command} requires {name} {value}"));
     }
-    for flag in &given {
-        if let Rule::Needs(other) = flag.rule {
-            if !named(other) {
-                die(format_args!(
-                    "{command} takes {} only with {other}",
-                    flag.name
-                ));
-            }
-        }
+    let unmet = given.iter().find_map(|f| match f.rule {
+        Rule::Needs(other) if !named(other) => Some((f.name, other)),
+        _ => None,
+    });
+    if let Some((name, other)) = unmet {
+        die(format_args!("{command} takes {name} only with {other}"));
     }
     opts.finish().unwrap_or_else(|e| refuse::<O>(e));
     opts

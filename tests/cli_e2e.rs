@@ -182,9 +182,62 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
     ] {
         assert_eq!(refused(args), format!("{line}\n"), "{args:?}");
     }
+    for (flag, val) in [
+        ("--scenario", "mixed/heavy"),
+        ("--jobs", "5"),
+        ("--mttf", "10"),
+        ("--rejoin", "10"),
+        ("--graceful", "0.5"),
+        ("--loss", "0.9"),
+        ("--partition", "1:2:3"),
+    ] {
+        let line = format!("dgrid compare takes {flag} or --scenario-file, not both\n");
+        let args = ["compare", flag, val, "--scenario-file", "flash-crowd"];
+        assert_eq!(refused(&args), line);
+    }
+    for (flag, val) in [("--lease-grace", "5"), ("--placement", "hash")] {
+        let line = format!("dgrid check takes {flag} only with --lease-ttl\n");
+        assert_eq!(refused(&["check", flag, val]), line);
+    }
     let gone = refused(&["bench", "sweep"]);
     assert!(gone.contains("benchmark/Cargo.toml") && gone.contains("compare --replications"));
     assert_eq!(gone.lines().count(), 1);
+}
+
+/// The usage lines `dgrid` prints come from the tables the parser reads,
+/// so they list exactly the flags each command takes.
+#[test]
+fn each_command_takes_exactly_its_flags() {
+    let compare = "--scenario --scenario-file --nodes --jobs --seed --mttf --rejoin --graceful \
+                   --k --loss --partition --lease-ttl --lease-renew --lease-grace --placement \
+                   --threads --replications --json";
+    let run = format!("{compare} --algorithm --events --format --timeseries --sample-secs");
+    let check = "--seeds --seed --out --replay --inject-bug --matchmaker --scenario-file \
+                 --lease-ttl --lease-renew --lease-grace --placement --threads";
+    let stderr = refused(&[]);
+    for (command, flags) in [
+        ("run", run.as_str()),
+        ("compare", compare),
+        ("report", "--events --timeseries --timeline --width"),
+        (
+            "watch",
+            "--events --follow --window --refresh --idle-exit --width",
+        ),
+        ("events convert", "--events --out --to"),
+        ("check", check),
+    ] {
+        let prefix = format!("usage: dgrid {command} ");
+        let line = stderr.lines().find(|l| l.starts_with(&prefix));
+        let line = line.unwrap_or_else(|| panic!("no usage line for {command}: {stderr}"));
+        let mut listed: Vec<&str> = line
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        let mut want: Vec<&str> = flags.split_whitespace().collect();
+        listed.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(listed, want, "{command}");
+    }
 }
 
 /// Recorded at `208be5f`, before `dgrid check` and `dgrid run` built their
