@@ -7,8 +7,9 @@
 //!
 //! `EXPERIMENT` is one of [`EXPERIMENTS`], a panel of Figure 2
 //! (`fig2a`..`fig2d`, which print the whole figure), or `all`, the
-//! default. Flags are read by `dgrid::cli`, so a bad one is refused as in
-//! `dgrid`: one line naming it, the usage, exit code 2.
+//! default; it may stand before, between or after the flags. Flags are
+//! read by `dgrid::cli`, so a bad one is refused as in `dgrid`: one line
+//! naming it, the usage, exit code 2.
 //!
 //! Default scale is the paper's (1000 nodes, 5000 jobs); pass smaller
 //! `--nodes/--jobs` for a quick look. Results print as the paper-shaped
@@ -17,17 +18,19 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 
-use dgrid::cli::{self, die, parsed, positive, some, text, Flag, Options, OrExit};
-use dgrid::core::{ChurnConfig, Engine, EngineConfig, FaultPlan, RnTreeConfig, RnTreeMatchmaker};
+use dgrid::cli::{self, die, parsed, positive, some, text, OrExit};
+use dgrid::core::{
+    ChurnConfig, Engine, EngineConfig, FaultPlan, RnTreeConfig, RnTreeMatchmaker, SimReport,
+};
 use dgrid::harness::{
     paper_engine_config, run_cell, run_workload, run_workload_with_faults, Algorithm, CellResult,
 };
-use dgrid::workloads::{paper_scenario, PaperScenario};
+use dgrid::workloads::{paper_scenario, PaperScenario, Workload};
 use serde_json::Value;
 
 cli::options! {
     #[derive(Debug)]
-    struct Opts {
+    struct Opts as "repro [EXPERIMENT]" {
         /// `--nodes N`: the grid size.
         nodes: usize = 1000, "--nodes", "N", positive;
         /// `--jobs M`: the job count.
@@ -43,18 +46,27 @@ cli::options! {
         /// `--json PATH`: also write the cells as JSON rows.
         json: Option<String> = None, "--json", "PATH", some(text);
     }
-}
-
-impl Options for Opts {
-    const COMMAND: &'static str = "repro [EXPERIMENT]";
-
-    fn flags() -> Vec<Flag<Self>> {
-        Self::fields()
-    }
 
     fn notes() -> String {
         let names = EXPERIMENTS.map(|(name, _)| name).join(" | ");
         format!("\nEXPERIMENT: {names} | all (the default); fig2a..fig2d print fig2")
+    }
+}
+
+impl Opts {
+    /// [`run_cell`] of `algorithm` on `scenario` at the flags' scale, seed
+    /// and replications.
+    fn cell(&self, algorithm: Algorithm, scenario: PaperScenario) -> CellResult {
+        run_cell(
+            algorithm, scenario, self.nodes, self.jobs, self.seed, self.reps,
+        )
+    }
+
+    /// One run of `algorithm` over `workload` on the paper's engine at
+    /// `--seed`, without churn.
+    fn run(&self, algorithm: Algorithm, workload: &Workload) -> SimReport {
+        let config = paper_engine_config(self.seed);
+        run_workload(algorithm, workload, config, ChurnConfig::none())
     }
 }
 
@@ -106,17 +118,21 @@ fn json_row(experiment: &str, cell: &CellResult) -> Value {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (name, flags) = match args.split_first() {
-        Some((name, flags)) if !name.starts_with('-') => (name.as_str(), flags),
-        _ => ("all", &args[..]),
-    };
-    let experiments = select(name);
-    let opts: Opts = cli::parse(flags, |_| false);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // The experiment is the first word that is not a flag or a flag's
+    // value (every flag takes one), wherever it stands.
+    let mut at = 0;
+    while args.get(at).is_some_and(|arg| arg.starts_with('-')) {
+        at += 2;
+    }
+    let name = (at < args.len()).then(|| args.remove(at));
+    let experiments = select(name.as_deref().unwrap_or("all"));
+    let opts: Opts = cli::parse(&args, |_| false);
     cli::install(opts.threads, || {
         let mut json_rows: Vec<Value> = Vec::new();
         for experiment in experiments {
             experiment(&opts, &mut json_rows);
+            println!();
         }
         if let Some(path) = &opts.json {
             let mut f = std::fs::File::create(path).or_exit(path, "create");
@@ -129,18 +145,13 @@ fn main() {
 
 /// Figure 2, all four panels.
 fn fig2(opts: &Opts, json: &mut Vec<Value>) {
-    println!(
-        "== Figure 2: job wait time ({} nodes, {} jobs, {} reps) ==",
-        opts.nodes, opts.jobs, opts.reps
-    );
-    let mut table: BTreeMap<(String, String), CellResult> = BTreeMap::new();
+    let (nodes, jobs, reps) = (opts.nodes, opts.jobs, opts.reps);
+    println!("== Figure 2: job wait time ({nodes} nodes, {jobs} jobs, {reps} reps) ==");
+    let mut table: BTreeMap<(&str, &str), CellResult> = BTreeMap::new();
     for scenario in PaperScenario::ALL {
         for alg in Algorithm::FIGURE2 {
-            let cell = run_cell(alg, scenario, opts.nodes, opts.jobs, opts.seed, opts.reps);
-            table.insert(
-                (scenario.label().to_string(), alg.label().to_string()),
-                cell.clone(),
-            );
+            let cell = opts.cell(alg, scenario);
+            table.insert((scenario.label(), alg.label()), cell.clone());
             json.push(json_row("fig2", &cell));
         }
     }
@@ -151,101 +162,61 @@ fn fig2(opts: &Opts, json: &mut Vec<Value>) {
         ("2(d) stdev wait, mixed", "std", false),
     ] {
         println!("-- Figure {panel} (seconds) --");
-        println!(
-            "{:<18} {:>10} {:>10} {:>10}",
-            "workload", "can", "rn-tree", "central"
-        );
+        println!("workload                  can    rn-tree    central");
         for scenario in PaperScenario::ALL {
             if scenario.clustered() != clustered {
                 continue;
             }
-            let get = |alg: &str| {
-                let c = &table[&(scenario.label().to_string(), alg.to_string())];
+            let label = scenario.label();
+            let [can, rn_tree, central] = Algorithm::FIGURE2.map(|alg| {
+                let c = &table[&(label, alg.label())];
                 if stat == "mean" {
                     c.mean_wait
                 } else {
                     c.std_wait
                 }
-            };
-            println!(
-                "{:<18} {:>10.1} {:>10.1} {:>10.1}",
-                scenario.label(),
-                get("can"),
-                get("rn-tree"),
-                get("central")
-            );
+            });
+            println!("{label:<18} {can:>10.1} {rn_tree:>10.1} {central:>10.1}");
         }
     }
-    println!();
 }
 
 /// T-hops: matchmaking cost scaling.
 fn hops(opts: &Opts) {
     println!("== T-hops: matchmaking cost in overlay hops ==");
-    println!(
-        "{:<8} {:<10} {:>12} {:>12} {:>12}",
-        "N", "algorithm", "owner hops", "match hops", "p99 match"
-    );
+    println!("N        algorithm    owner hops   match hops    p99 match");
     for &n in &[64usize, 256, 1024, opts.nodes] {
         for alg in [Algorithm::Can, Algorithm::RnTree] {
             let workload =
                 paper_scenario(PaperScenario::MixedHeavy, n, 2 * n, opts.seed + n as u64);
-            let mut r = run_workload(
-                alg,
-                &workload,
-                paper_engine_config(opts.seed),
-                ChurnConfig::none(),
-            );
+            let mut r = opts.run(alg, &workload);
             let (mean, p99) = r.hop_summary();
-            println!(
-                "{:<8} {:<10} {:>12.1} {:>12.1} {:>12.1}",
-                n,
-                alg.label(),
-                r.owner_hops.mean(),
-                mean,
-                p99
-            );
+            let (label, owner) = (alg.label(), r.owner_hops.mean());
+            println!("{n:<8} {label:<10} {owner:>12.1} {mean:>12.1} {p99:>12.1}");
         }
     }
-    println!();
 }
 
 /// T-push: the improved CAN on the failure case.
 fn push(opts: &Opts, json: &mut Vec<Value>) {
     println!("== T-push: improved CAN on mixed/lightly-constrained ==");
-    println!(
-        "{:<10} {:>12} {:>12} {:>10} {:>10}",
-        "algorithm", "mean wait", "std wait", "fairness", "hops"
-    );
+    println!("algorithm     mean wait     std wait   fairness       hops");
     for alg in [Algorithm::Can, Algorithm::CanPush, Algorithm::Central] {
-        let cell = run_cell(
-            alg,
-            PaperScenario::MixedLight,
-            opts.nodes,
-            opts.jobs,
-            opts.seed,
-            opts.reps,
-        );
-        println!(
-            "{:<10} {:>12.1} {:>12.1} {:>10.3} {:>10.1}",
-            cell.algorithm,
-            cell.mean_wait,
-            cell.std_wait,
+        let cell = opts.cell(alg, PaperScenario::MixedLight);
+        let (name, mean, std) = (&cell.algorithm, cell.mean_wait, cell.std_wait);
+        let (fairness, hops) = (
             cell.load_fairness,
-            cell.mean_match_hops + cell.mean_owner_hops
+            cell.mean_match_hops + cell.mean_owner_hops,
         );
+        println!("{name:<10} {mean:>12.1} {std:>12.1} {fairness:>10.3} {hops:>10.1}");
         json.push(json_row("push", &cell));
     }
-    println!();
 }
 
 /// T-robust: the recovery protocol under churn.
 fn robust(opts: &Opts) {
     println!("== T-robust: owner/run recovery under churn (rejoin after 600s) ==");
-    println!(
-        "{:<10} {:<10} {:>10} {:>9} {:>9} {:>10} {:>10}",
-        "mttf (s)", "algorithm", "completion", "run rec", "own rec", "resubmits", "failures"
-    );
+    println!("mttf (s)   algorithm  completion   run rec   own rec  resubmits   failures");
     let nodes = opts.nodes.min(200); // churn runs are long; cap the scale
     let jobs = opts.jobs.min(1000);
     for &mttf in &[2_000.0f64, 8_000.0, 32_000.0] {
@@ -257,19 +228,13 @@ fn robust(opts: &Opts) {
                 graceful_fraction: 0.0,
             };
             let r = run_workload(alg, &workload, paper_engine_config(opts.seed), churn);
+            let (label, done, run) = (alg.label(), r.completion_rate(), r.run_recoveries);
+            let (own, resub, down) = (r.owner_recoveries, r.client_resubmits, r.node_failures);
             println!(
-                "{:<10} {:<10} {:>10.3} {:>9} {:>9} {:>10} {:>10}",
-                mttf,
-                alg.label(),
-                r.completion_rate(),
-                r.run_recoveries,
-                r.owner_recoveries,
-                r.client_resubmits,
-                r.node_failures
+                "{mttf:<10} {label:<10} {done:>10.3} {run:>9} {own:>9} {resub:>10} {down:>10}"
             );
         }
     }
-    println!();
 }
 
 /// T-tree: RN-Tree height scaling.
@@ -281,10 +246,7 @@ fn tree(opts: &Opts) {
     use rand::Rng;
 
     println!("== T-tree: RN-Tree height vs log2(N) ==");
-    println!(
-        "{:<8} {:>8} {:>10} {:>16}",
-        "N", "height", "log2(N)", "build hops/node"
-    );
+    println!("N          height    log2(N)  build hops/node");
     for &n in &[64usize, 256, 1024, 4096, opts.nodes.max(8192)] {
         let mut rng = rng_for(opts.seed, streams::NODE_IDS ^ n as u64);
         let mut ring = ChordRing::default();
@@ -298,40 +260,23 @@ fn tree(opts: &Opts) {
         }
         ring.stabilize();
         let (tree, hops) = RnTree::build_counting(&ring);
-        println!(
-            "{:<8} {:>8} {:>10.1} {:>16.2}",
-            n,
-            tree.height(),
-            (n as f64).log2(),
-            hops as f64 / n as f64
-        );
+        let (height, log2, per_node) = (tree.height(), (n as f64).log2(), hops as f64 / n as f64);
+        println!("{n:<8} {height:>8} {log2:>10.1} {per_node:>16.2}");
     }
-    println!();
 }
 
 /// A-virt: the virtual dimension ablation.
 fn virt(opts: &Opts, json: &mut Vec<Value>) {
     println!("== A-virt: CAN virtual dimension ablation (clustered/light) ==");
-    println!(
-        "{:<12} {:>12} {:>12} {:>10} {:>11}",
-        "algorithm", "mean wait", "std wait", "fairness", "completion"
-    );
+    println!("algorithm       mean wait     std wait   fairness  completion");
     for alg in [Algorithm::Can, Algorithm::CanNoVirtualDim] {
-        let cell = run_cell(
-            alg,
-            PaperScenario::ClusteredLight,
-            opts.nodes,
-            opts.jobs,
-            opts.seed,
-            opts.reps,
-        );
+        let cell = opts.cell(alg, PaperScenario::ClusteredLight);
         println!(
             "{:<12} {:>12.1} {:>12.1} {:>10.3} {:>11.3}",
             cell.algorithm, cell.mean_wait, cell.std_wait, cell.load_fairness, cell.completion_rate
         );
         json.push(json_row("virt", &cell));
     }
-    println!();
 }
 
 /// S-dht: lookup cost per DHT substrate (Section 2's \[17,18,19,21\]).
@@ -345,10 +290,7 @@ fn dht(opts: &Opts) {
     use rand::Rng;
 
     println!("== S-dht: lookup hops by substrate (mean / p99 over 1000 lookups) ==");
-    println!(
-        "{:<8} {:>14} {:>14} {:>14} {:>14}",
-        "N", "chord", "pastry", "tapestry", "can (4-d)"
-    );
+    println!("N                 chord         pastry       tapestry      can (4-d)");
     for &n in &[64usize, 256, 1024, opts.nodes.max(2048)] {
         let mut rng = rng_for(opts.seed ^ n as u64, streams::NODE_IDS);
         let mut ring = ChordRing::default();
@@ -394,16 +336,9 @@ fn dht(opts: &Opts) {
             let mean = v.iter().sum::<f64>() / v.len() as f64;
             format!("{mean:>6.1} / {:<4.0}", v[(v.len() * 99) / 100])
         };
-        println!(
-            "{:<8} {:>14} {:>14} {:>14} {:>14}",
-            n,
-            stats(ch),
-            stats(pa),
-            stats(ta),
-            stats(cn)
-        );
+        let [ch, pa, ta, cn] = [ch, pa, ta, cn].map(stats);
+        println!("{n:<8} {ch:>14} {pa:>14} {ta:>14} {cn:>14}");
     }
-    println!();
 }
 
 /// A-tail: heavy-tailed runtimes (bounded Pareto) vs the paper's
@@ -412,15 +347,14 @@ fn dht(opts: &Opts) {
 fn tail(opts: &Opts) {
     use dgrid::workloads::{RuntimeDistribution, WorkloadConfig};
     println!("== A-tail: runtime distribution robustness (mixed/light population) ==");
-    println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>10}",
-        "algorithm", "runtimes", "mean wait", "p99 wait", "fairness"
-    );
+    println!("algorithm  runtimes          mean wait     p99 wait   fairness");
     for dist in [
         RuntimeDistribution::Fixed,
         RuntimeDistribution::Exponential,
         RuntimeDistribution::Pareto { alpha: 1.8 },
     ] {
+        let shape = format!("{dist:?}");
+        let shape = shape.split(' ').next().unwrap_or("?");
         for alg in [Algorithm::RnTree, Algorithm::Can, Algorithm::Central] {
             let workload = WorkloadConfig {
                 seed: opts.seed,
@@ -431,24 +365,12 @@ fn tail(opts: &Opts) {
                 ..WorkloadConfig::default()
             }
             .generate();
-            let mut r = run_workload(
-                alg,
-                &workload,
-                paper_engine_config(opts.seed),
-                ChurnConfig::none(),
-            );
+            let mut r = opts.run(alg, &workload);
             let p99 = r.wait_time.percentile(99.0).unwrap_or(0.0);
-            println!(
-                "{:<10} {:<14} {:>11.1}s {:>11.1}s {:>10.3}",
-                alg.label(),
-                format!("{dist:?}").split(' ').next().unwrap_or("?"),
-                r.mean_wait(),
-                p99,
-                r.load_fairness(),
-            );
+            let (label, mean, fairness) = (alg.label(), r.mean_wait(), r.load_fairness());
+            println!("{label:<10} {shape:<14} {mean:>11.1}s {p99:>11.1}s {fairness:>10.3}");
         }
     }
-    println!();
 }
 
 /// T-overhead: the total message price of decentralization — every
@@ -456,10 +378,7 @@ fn tail(opts: &Opts) {
 /// results, heartbeats), per completed job, P2P vs the central server.
 fn overhead(opts: &Opts) {
     println!("== T-overhead: application messages per completed job (mixed/heavy) ==");
-    println!(
-        "{:<10} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "algorithm", "owner", "matching", "heartbeat", "total/job", "mean wait"
-    );
+    println!("algorithm       owner   matching  heartbeat    total/job    mean wait");
     for alg in [
         Algorithm::Central,
         Algorithm::RnTree,
@@ -467,12 +386,7 @@ fn overhead(opts: &Opts) {
         Algorithm::CanPush,
     ] {
         let workload = paper_scenario(PaperScenario::MixedHeavy, opts.nodes, opts.jobs, opts.seed);
-        let r = run_workload(
-            alg,
-            &workload,
-            paper_engine_config(opts.seed),
-            ChurnConfig::none(),
-        );
+        let r = opts.run(alg, &workload);
         let per_job = |x: f64| x / r.jobs_completed.max(1) as f64;
         println!(
             "{:<10} {:>10.1} {:>10.1} {:>10.1} {:>12.1} {:>11.1}s",
@@ -484,7 +398,6 @@ fn overhead(opts: &Opts) {
             r.mean_wait(),
         );
     }
-    println!();
 }
 
 /// T-fair: Section 5's open fairness problem, quantified. One parameter-
@@ -494,10 +407,7 @@ fn overhead(opts: &Opts) {
 fn fair(opts: &Opts) {
     use dgrid::workloads::{ClientDemand, WorkloadConfig};
     println!("== T-fair: one heavy client (80% of jobs) vs 15 light clients ==");
-    println!(
-        "{:<10} {:>12} {:>12} {:>15} {:>12}",
-        "algorithm", "heavy wait", "light wait", "heavy jobs done", "jain(wait)"
-    );
+    println!("algorithm    heavy wait   light wait heavy jobs done   jain(wait)");
     for alg in [Algorithm::Central, Algorithm::RnTree, Algorithm::Can] {
         let workload = WorkloadConfig {
             seed: opts.seed,
@@ -508,12 +418,7 @@ fn fair(opts: &Opts) {
             ..WorkloadConfig::default()
         }
         .generate();
-        let r = run_workload(
-            alg,
-            &workload,
-            paper_engine_config(opts.seed),
-            ChurnConfig::none(),
-        );
+        let r = opts.run(alg, &workload);
         let heavy = r.client_waits.get(&0).map(|s| s.mean()).unwrap_or(0.0);
         let light_means: Vec<f64> = r
             .client_waits
@@ -523,17 +428,11 @@ fn fair(opts: &Opts) {
             .collect();
         let light = light_means.iter().sum::<f64>() / light_means.len().max(1) as f64;
         let heavy_done = r.client_waits.get(&0).map(|s| s.count()).unwrap_or(0);
+        let (label, done, jain) = (alg.label(), r.jobs_completed, r.client_fairness());
         println!(
-            "{:<10} {:>11.1}s {:>11.1}s {:>9}/{:<5} {:>12.3}",
-            alg.label(),
-            heavy,
-            light,
-            heavy_done,
-            r.jobs_completed,
-            r.client_fairness()
+            "{label:<10} {heavy:>11.1}s {light:>11.1}s {heavy_done:>9}/{done:<5} {jain:>12.3}"
         );
     }
-    println!();
 }
 
 /// Wait-time distributions (log2 buckets), the fine-grained view behind
@@ -543,35 +442,19 @@ fn dist(opts: &Opts) {
     println!("== wait-time distribution, mixed/light (buckets: [0,1s), [1,2s), [2,4s), ...) ==");
     for alg in Algorithm::FIGURE2 {
         let workload = paper_scenario(PaperScenario::MixedLight, opts.nodes, opts.jobs, opts.seed);
-        let r = run_workload(
-            alg,
-            &workload,
-            paper_engine_config(opts.seed),
-            ChurnConfig::none(),
-        );
+        let r = opts.run(alg, &workload);
         let mut h = LogHistogram::new(1.0);
-        for &w in r.wait_time.samples() {
-            h.record(w);
-        }
-        println!(
-            "{:<10} p50≤{:>7.0}s p90≤{:>7.0}s p99≤{:>7.0}s  |{}|",
-            alg.label(),
-            h.quantile(0.5).unwrap_or(0.0),
-            h.quantile(0.9).unwrap_or(0.0),
-            h.quantile(0.99).unwrap_or(0.0),
-            h.sparkline(),
-        );
+        r.wait_time.samples().iter().for_each(|&w| h.record(w));
+        let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| h.quantile(q).unwrap_or(0.0));
+        let (label, spark) = (alg.label(), h.sparkline());
+        println!("{label:<10} p50≤{p50:>7.0}s p90≤{p90:>7.0}s p99≤{p99:>7.0}s  |{spark}|");
     }
-    println!();
 }
 
 /// A-k: extended-search width sweep.
 fn ksweep(opts: &Opts) {
     println!("== A-k: extended search width (rn-tree, mixed/light) ==");
-    println!(
-        "{:<6} {:>12} {:>12} {:>12}",
-        "k", "mean wait", "std wait", "match hops"
-    );
+    println!("k         mean wait     std wait   match hops");
     for &k in &[1usize, 2, 4, 8, 16] {
         let workload = paper_scenario(PaperScenario::MixedLight, opts.nodes, opts.jobs, opts.seed);
         let mm = Box::new(RnTreeMatchmaker::new(RnTreeConfig {
@@ -586,15 +469,9 @@ fn ksweep(opts: &Opts) {
             workload.submissions,
         )
         .run();
-        println!(
-            "{:<6} {:>12.1} {:>12.1} {:>12.1}",
-            k,
-            r.mean_wait(),
-            r.std_wait(),
-            r.match_hops.mean()
-        );
+        let (mean, std, hops) = (r.mean_wait(), r.std_wait(), r.match_hops.mean());
+        println!("{k:<6} {mean:>12.1} {std:>12.1} {hops:>12.1}");
     }
-    println!();
 }
 
 /// A-hb: Section 2's soft-state heartbeat period under churn. Fast
@@ -616,16 +493,10 @@ fn hb(opts: &Opts) {
             ..paper_engine_config(opts.seed)
         };
         let r = run_workload(Algorithm::RnTree, &workload, cfg, churn);
-        println!(
-            "{:<8} {:>9.0}s {:>11.1}s {:>11.3} {:>10}",
-            period,
-            period * 3.0,
-            r.turnaround.mean(),
-            r.completion_rate(),
-            r.heartbeat_messages
-        );
+        let (detect, turnaround) = (period * 3.0, r.turnaround.mean());
+        let (done, messages) = (r.completion_rate(), r.heartbeat_messages);
+        println!("{period:<8} {detect:>9.0}s {turnaround:>11.1}s {done:>11.3} {messages:>10}");
     }
-    println!();
 }
 
 /// T-faults: how each matchmaker degrades as the network gets lossier with
@@ -647,19 +518,13 @@ fn faults(opts: &Opts) {
             let cfg = paper_engine_config(opts.seed);
             let r =
                 run_workload_with_faults(alg, &workload, cfg, ChurnConfig::none(), plan.clone());
+            let (name, done, lost) = (alg.label(), r.completion_rate(), r.messages_lost);
+            let (spurious, dup) = (r.spurious_detections, r.duplicate_executions);
+            let (run, resub, retries) = (r.run_recoveries, r.client_resubmits, r.lookup_retries);
             println!(
-                "{:<10} {:<10} {:>10.3} {:>7} {:>9} {:>9} {:>8} {:>10} {:>8}",
-                label,
-                alg.label(),
-                r.completion_rate(),
-                r.messages_lost,
-                r.spurious_detections,
-                r.duplicate_executions,
-                r.run_recoveries,
-                r.client_resubmits,
-                r.lookup_retries
+                "{label:<10} {name:<10} {done:>10.3} {lost:>7} {spurious:>9} {dup:>9} {run:>8} \
+                 {resub:>10} {retries:>8}"
             );
         }
     }
-    println!();
 }

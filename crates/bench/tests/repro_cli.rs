@@ -16,7 +16,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Recorded at `b06d608`, before `repro` parsed its flags through
-/// `dgrid::cli`.
+/// `dgrid::cli`. The experiment may stand before, between or after the
+/// flags.
 #[test]
 fn fig2_and_tree_print_the_pinned_bytes() {
     let cell = ["--nodes", "96", "--jobs", "400"];
@@ -24,10 +25,17 @@ fn fig2_and_tree_print_the_pinned_bytes() {
         ("fig2", &["--reps", "2"][..], (0x089d_797c_1e19_b81f, 872)),
         ("tree", &[], (0x905e_b5ee_d587_da0f, 317)),
     ] {
-        let out = repro(&[&[experiment][..], &cell, extra].concat());
-        assert!(out.status.success(), "{experiment}: {:?}", out.status);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!((fnv1a(&out.stdout), out.stdout.len()), want, "{stdout}");
+        let name = [experiment];
+        for args in [
+            [&name[..], &cell, extra].concat(),
+            [&cell[..2], &name, &cell[2..], extra].concat(),
+            [&cell[..], extra, &name].concat(),
+        ] {
+            let out = repro(&args);
+            assert!(out.status.success(), "{args:?}: {:?}", out.status);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!((fnv1a(&out.stdout), out.stdout.len()), want, "{stdout}");
+        }
     }
 }
 

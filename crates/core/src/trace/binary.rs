@@ -536,15 +536,6 @@ impl StreamDecoder {
         Self::default()
     }
 
-    /// A decoder for a stream known to be in `format`, which it does not
-    /// sniff.
-    pub fn with_format(format: StreamFormat) -> Self {
-        StreamDecoder {
-            format: Some(format),
-            ..Self::default()
-        }
-    }
-
     /// The stream's format, once its first bytes have settled it.
     pub fn format(&self) -> Option<StreamFormat> {
         self.format
@@ -580,9 +571,8 @@ impl StreamDecoder {
     /// Signal end-of-input: errors if bytes are left undecoded (a frame,
     /// line or header was cut off mid-write). An empty stream is JSONL.
     pub fn finish(&mut self) -> Result<(), StreamError> {
-        if self.format.is_none() {
-            self.format = Some(sniff_format(&self.buf[self.pos..]));
-        }
+        self.format
+            .get_or_insert(sniff_format(&self.buf[self.pos..]));
         if self.pos < self.buf.len() {
             Err(StreamError::Truncated { at: self.consumed })
         } else {
@@ -594,10 +584,8 @@ impl StreamDecoder {
     /// [`MAGIC`] or cover it.
     fn settle(&mut self) -> Option<StreamFormat> {
         let head = &self.buf[self.pos..];
-        if head.len() < MAGIC.len() && MAGIC.starts_with(head) {
-            return None;
-        }
-        self.format = Some(sniff_format(head));
+        let open = head.len() < MAGIC.len() && MAGIC.starts_with(head);
+        self.format = (!open).then(|| sniff_format(head));
         self.format
     }
 
@@ -749,73 +737,40 @@ impl FrameDecoder {
     }
 
     fn job_ref(&self, cur: &mut Cursor<'_>) -> Result<JobId, StreamError> {
-        let at = cur.at + cur.pos;
-        let idx = cur.varint()?;
-        self.jobs
-            .get(idx as usize)
-            .map(|&raw| JobId(raw))
-            .ok_or(StreamError::BadRef {
-                at,
-                kind: RefKind::Job,
-                idx,
-            })
+        cur.interned(&self.jobs, RefKind::Job).map(JobId)
     }
 
     fn node_ref(&self, cur: &mut Cursor<'_>) -> Result<GridNodeId, StreamError> {
-        let at = cur.at + cur.pos;
-        let idx = cur.varint()?;
-        self.nodes
-            .get(idx as usize)
-            .map(|&raw| GridNodeId(raw))
-            .ok_or(StreamError::BadRef {
-                at,
-                kind: RefKind::Node,
-                idx,
-            })
+        cur.interned(&self.nodes, RefKind::Node).map(GridNodeId)
     }
 
     fn decode_event(&self, tag: u8, cur: &mut Cursor<'_>) -> Result<TraceEvent, StreamError> {
         Ok(match tag {
-            TAG_SUBMITTED => {
-                let job = self.job_ref(cur)?;
-                let resubmits = cur.varint_u32("resubmits")?;
-                TraceEvent::Submitted { job, resubmits }
-            }
+            TAG_SUBMITTED => TraceEvent::Submitted {
+                job: self.job_ref(cur)?,
+                resubmits: cur.varint_u32("resubmits")?,
+            },
             TAG_OWNER_SERVER => TraceEvent::OwnerAssigned {
                 job: self.job_ref(cur)?,
                 owner: OwnerRef::Server,
             },
-            TAG_OWNER_PEER => {
-                let job = self.job_ref(cur)?;
-                let peer = self.node_ref(cur)?;
-                TraceEvent::OwnerAssigned {
-                    job,
-                    owner: OwnerRef::Peer(peer),
-                }
-            }
-            TAG_MATCHED => {
-                let job = self.job_ref(cur)?;
-                let run_node = self.node_ref(cur)?;
-                let hops = cur.varint_u32("hops")?;
-                TraceEvent::Matched {
-                    job,
-                    run_node,
-                    hops,
-                }
-            }
-            TAG_STARTED => {
-                let job = self.job_ref(cur)?;
-                let run_node = self.node_ref(cur)?;
-                TraceEvent::Started { job, run_node }
-            }
-            TAG_COMPLETED => {
-                let job = self.job_ref(cur)?;
-                let results_at = cur.varint()?;
-                TraceEvent::Completed {
-                    job,
-                    results_at: SimTime::from_nanos(results_at),
-                }
-            }
+            TAG_OWNER_PEER => TraceEvent::OwnerAssigned {
+                job: self.job_ref(cur)?,
+                owner: OwnerRef::Peer(self.node_ref(cur)?),
+            },
+            TAG_MATCHED => TraceEvent::Matched {
+                job: self.job_ref(cur)?,
+                run_node: self.node_ref(cur)?,
+                hops: cur.varint_u32("hops")?,
+            },
+            TAG_STARTED => TraceEvent::Started {
+                job: self.job_ref(cur)?,
+                run_node: self.node_ref(cur)?,
+            },
+            TAG_COMPLETED => TraceEvent::Completed {
+                job: self.job_ref(cur)?,
+                results_at: SimTime::from_nanos(cur.varint()?),
+            },
             TAG_FAILED => TraceEvent::Failed {
                 job: self.job_ref(cur)?,
             },
@@ -839,11 +794,10 @@ impl FrameDecoder {
             TAG_LEASE_EXPIRED => TraceEvent::LeaseExpired {
                 job: self.job_ref(cur)?,
             },
-            TAG_LEASE_TRANSFERRED => {
-                let job = self.job_ref(cur)?;
-                let owner = self.node_ref(cur)?;
-                TraceEvent::LeaseTransferred { job, owner }
-            }
+            TAG_LEASE_TRANSFERRED => TraceEvent::LeaseTransferred {
+                job: self.job_ref(cur)?,
+                owner: self.node_ref(cur)?,
+            },
             _ => unreachable!("caller matched the event tag range"),
         })
     }
@@ -873,6 +827,14 @@ impl Cursor<'_> {
     fn varint_u32(&mut self, what: &'static str) -> Result<u32, StreamError> {
         let at = self.at + self.pos;
         u32::try_from(self.varint()?).map_err(|_| StreamError::FieldOverflow { at, what })
+    }
+
+    /// The raw id at the `table` index the next varint names.
+    fn interned<T: Copy>(&mut self, table: &[T], kind: RefKind) -> Result<T, StreamError> {
+        let at = self.at + self.pos;
+        let idx = self.varint()?;
+        let dangling = StreamError::BadRef { at, kind, idx };
+        table.get(idx as usize).copied().ok_or(dangling)
     }
 }
 

@@ -164,6 +164,8 @@ proptest! {
     /// Decoding a whole stream in place gives what the push decoder gives
     /// for the same bytes in one chunk — records, or the same typed error
     /// at the same offset — on valid, truncated and bit-flipped streams.
+    /// A flip in the header can make the sniffing decoder read the bytes as
+    /// JSONL; it must then return records or a typed error, never panic.
     #[test]
     fn in_place_decoding_equals_push_decoding(
         records in arb_records(),
@@ -176,7 +178,7 @@ proptest! {
             let at = at % bytes.len();
             bytes[at] ^= 1 << bit;
         }
-        let mut dec = StreamDecoder::with_format(StreamFormat::Binary);
+        let mut dec = StreamDecoder::new();
         dec.push(&bytes);
         let mut pushed = Vec::new();
         let pushed = loop {
@@ -186,7 +188,9 @@ proptest! {
                 Err(e) => break Err(e),
             }
         };
-        prop_assert_eq!(decode_stream(&bytes), pushed);
+        if dec.format() == Some(StreamFormat::Binary) {
+            prop_assert_eq!(decode_stream(&bytes), pushed);
+        }
     }
 
     /// Push-based decoding is split-invariant in either format: feeding the

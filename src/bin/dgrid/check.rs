@@ -8,7 +8,7 @@ use dgrid::check::{
     fault_event_count, shrink, sweep, CompiledRun, Inject, LeaseSpec, ReproArtifact, Scenario,
     ScenarioVerdict, SweepOutcome, Violation, CHECKED,
 };
-use dgrid::cli::{self, die, parsed, positive, some, text, Flag, Options, OrExit, Parsed};
+use dgrid::cli::{self, die, parsed, positive, some, text, Flag, OrExit, Parsed};
 use dgrid::core::PlacementPolicy;
 use dgrid::harness::Algorithm;
 use dgrid::workloads::ScenarioSpec;
@@ -17,7 +17,7 @@ use crate::{parse_scenario_file, Lease, SCENARIO_FILE};
 
 cli::options! {
     #[derive(Debug)]
-    pub struct CheckOpts {
+    pub struct CheckOpts as "dgrid check" {
         /// `--seeds N`: how many scenarios to sweep.
         seeds: u64 = 50, "--seeds", "N", parsed("a number");
         /// `--seed BASE`: the first scenario's seed.
@@ -42,10 +42,6 @@ cli::options! {
         /// `--threads N` sizes the pool the seeds fan out over.
         threads: Option<usize> = None, "--threads", "N", some(positive);
     }
-}
-
-impl Options for CheckOpts {
-    const COMMAND: &'static str = "dgrid check";
 
     fn flags() -> Vec<Flag<Self>> {
         let mut flags = Self::fields();
@@ -58,8 +54,7 @@ impl Options for CheckOpts {
     }
 
     fn finish(&mut self) -> Parsed<()> {
-        self.lease
-            .arm(LeaseSpec::for_check(PlacementPolicy::LoadAware))
+        self.lease.arm(LeaseSpec::for_check(PlacementPolicy::LoadAware))
     }
 }
 

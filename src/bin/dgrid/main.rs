@@ -35,7 +35,8 @@ mod report;
 mod run;
 mod watch;
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Write};
 
 use dgrid::check::LeaseSpec;
 use dgrid::cli::{self, die, number, parsed, some, Options, OrExit, Parsed};
@@ -195,16 +196,41 @@ fn fraction() -> impl Fn(&str) -> Parsed<f64> {
 /// `--width`.
 const WIDTH: usize = 48;
 
-/// Every record of the event stream `bytes` read from `path`, in either
-/// format, to `each`; returns the format.
-fn decode(path: &str, bytes: &[u8], mut each: impl FnMut(EventRecord)) -> StreamFormat {
+/// Every record of the event stream at `path`, in either format, to `each`
+/// with the stream's format; returns the format and the stream's length in
+/// bytes.
+fn decode(path: &str, mut each: impl FnMut(StreamFormat, EventRecord)) -> (StreamFormat, usize) {
+    let mut file = File::open(path).or_exit(path, "read");
     let mut decoder = StreamDecoder::new();
-    decoder.push(bytes);
-    while let Some(rec) = decoder.next_event().or_exit(path, "decode") {
-        each(rec);
-    }
+    let len = feed(path, &mut file, &mut decoder, &mut each);
     decoder.finish().or_exit(path, "decode");
-    decoder.format().expect("a finished stream has a format")
+    let format = decoder.format().expect("a finished stream has a format");
+    (format, len)
+}
+
+/// Push the rest of `file` into `decoder` in fixed-size chunks, and each
+/// record it completes to `each`; returns the number of bytes read. The
+/// decoder drops what it has decoded, so memory stays at one chunk plus
+/// one partial frame or line, however long the stream.
+fn feed(
+    path: &str,
+    file: &mut File,
+    decoder: &mut StreamDecoder,
+    each: &mut impl FnMut(StreamFormat, EventRecord),
+) -> usize {
+    let mut chunk = vec![0; 1 << 16];
+    let mut read = 0;
+    loop {
+        let n = file.read(&mut chunk).or_exit(path, "read");
+        if n == 0 {
+            return read;
+        }
+        read += n;
+        decoder.push(&chunk[..n]);
+        while let Some(rec) = decoder.next_event().or_exit(path, "decode") {
+            each(decoder.format().expect("a record settles the format"), rec);
+        }
+    }
 }
 
 /// The stream observer of `format`, writing into `sink`.

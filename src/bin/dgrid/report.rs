@@ -3,7 +3,7 @@
 
 use std::fs::File;
 
-use dgrid::cli::{self, parsed, some, text, Flag, Options, OrExit};
+use dgrid::cli::{self, parsed, some, text, OrExit};
 use dgrid::core::{phase_samples, JobSpan, Phase, SpanAssembler, SpanOutcome};
 use dgrid::sim::hist::LogHistogram;
 use dgrid::sim::telemetry::TimeSeries;
@@ -13,7 +13,7 @@ use crate::{decode, WIDTH};
 
 cli::options! {
     #[derive(Debug)]
-    pub struct ReportOpts {
+    pub struct ReportOpts as "dgrid report" {
         /// `--events PATH`: the recorded stream, either format.
         events: String = String::new(), "--events", "PATH", text => Required;
         /// `--timeseries PATH`: render sparklines from a gauge series file.
@@ -25,18 +25,10 @@ cli::options! {
     }
 }
 
-impl Options for ReportOpts {
-    const COMMAND: &'static str = "dgrid report";
-
-    fn flags() -> Vec<Flag<Self>> {
-        Self::fields()
-    }
-}
-
 /// Load spans back out of a recorded event stream, either format.
 fn spans_from_events(path: &str) -> Vec<JobSpan> {
     let mut assembler = SpanAssembler::new();
-    decode(path, &std::fs::read(path).or_exit(path, "read"), |rec| {
+    decode(path, |_, rec| {
         assembler.observe(SimTime::ZERO + SimDuration::from_nanos(rec.t_ns), rec.event)
     });
     assembler.finish()
@@ -75,14 +67,8 @@ fn timeline_bar(span: &JobSpan, width: usize) -> String {
 
 pub fn report(opts: ReportOpts) {
     let spans = spans_from_events(&opts.events);
-    let completed = spans
-        .iter()
-        .filter(|s| s.outcome == SpanOutcome::Completed)
-        .count();
-    let failed = spans
-        .iter()
-        .filter(|s| s.outcome == SpanOutcome::Failed)
-        .count();
+    let count = |outcome| spans.iter().filter(|s| s.outcome == outcome).count();
+    let (completed, failed) = (count(SpanOutcome::Completed), count(SpanOutcome::Failed));
     let open = spans.len() - completed - failed;
     println!(
         "{} jobs traced: {completed} completed, {failed} failed, {open} open",
@@ -97,27 +83,15 @@ pub fn report(opts: ReportOpts) {
 
     // Per-phase percentile table with a log-histogram sparkline of the
     // nonzero durations.
-    println!(
-        "{:<14} {:>8} {:>10} {:>10} {:>10} {:>10}  distribution",
-        "phase", "jobs", "mean", "p50", "p95", "p99"
-    );
+    println!("phase              jobs       mean        p50        p95        p99  distribution");
     for (phase, mut set) in phase_samples(&spans) {
         let nonzero: Vec<f64> = set.samples().iter().copied().filter(|&x| x > 0.0).collect();
         let mut hist = LogHistogram::new(2.0);
-        for x in &nonzero {
-            hist.record(*x);
-        }
-        let s = set.summary();
-        println!(
-            "{:<14} {:>8} {:>9.1}s {:>9.1}s {:>9.1}s {:>9.1}s  {}",
-            phase.label(),
-            nonzero.len(),
-            s.mean,
-            s.p50,
-            s.p95,
-            s.p99,
-            hist.sparkline(),
-        );
+        nonzero.iter().for_each(|&x| hist.record(x));
+        let (label, n, s) = (phase.label(), nonzero.len(), set.summary());
+        let (mean, p50, p95, p99) = (s.mean, s.p50, s.p95, s.p99);
+        let spark = hist.sparkline();
+        println!("{label:<14} {n:>8} {mean:>9.1}s {p50:>9.1}s {p95:>9.1}s {p99:>9.1}s  {spark}");
     }
 
     // Compact per-job timelines, submission order.
@@ -130,13 +104,9 @@ pub fn report(opts: ReportOpts) {
             ordered.len().min(opts.timeline)
         );
         for span in ordered.iter().take(opts.timeline) {
-            let total = span.total();
-            println!(
-                "{:>8} {:>9.1}s |{}|",
-                span.job.to_string(),
-                total.as_secs_f64(),
-                timeline_bar(span, opts.width)
-            );
+            let (job, secs) = (span.job.to_string(), span.total().as_secs_f64());
+            let bar = timeline_bar(span, opts.width);
+            println!("{job:>8} {secs:>9.1}s |{bar}|");
         }
     }
 
@@ -154,13 +124,8 @@ pub fn report(opts: ReportOpts) {
             let xs = ts.get(name).unwrap();
             let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
             let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            println!(
-                "{:<12} {} [{:.0}..{:.0}]",
-                name,
-                ts.sparkline(name, opts.width).unwrap_or_default(),
-                min,
-                max
-            );
+            let line = ts.sparkline(name, opts.width).unwrap_or_default();
+            println!("{name:<12} {line} [{min:.0}..{max:.0}]");
         }
     }
 }

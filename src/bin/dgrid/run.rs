@@ -6,7 +6,7 @@ use std::io::{BufWriter, Write};
 
 use dgrid::check::LeaseSpec;
 use dgrid::cli::{
-    self, arg, die, number, parsed, positive, some, text, Flag, Options, OrExit, Parsed, Rule,
+    self, arg, die, number, parsed, positive, some, text, Flag, OrExit, Parsed, Rule,
 };
 use dgrid::core::{
     ChurnConfig, Engine, EngineConfig, FaultPlan, PlacementPolicy, RnTreeConfig, SimReport,
@@ -72,7 +72,7 @@ cli::options! {
 cli::options! {
     /// The options `run` and `compare` share; all of `compare`'s.
     #[derive(Debug)]
-    pub struct SimOpts {
+    pub struct SimOpts as "dgrid compare" {
         workload: Workload = Workload::Paper(Paper::default()), SCENARIO_FILE, "PRESET|SPEC.json",
             |v| Ok(Workload::Spec(Box::new(parse_scenario_file(v))));
         /// `--seed S`: the root seed.
@@ -89,25 +89,15 @@ cli::options! {
         /// `--json PATH`: also write the full report(s) as JSON.
         json: Option<String> = None, "--json", "PATH", some(text);
     }
-}
-
-impl Options for SimOpts {
-    const COMMAND: &'static str = "dgrid compare";
 
     fn flags() -> Vec<Flag<Self>> {
         let mut flags = cli::lift(Paper::fields(), SimOpts::paper);
-        flags.push(Flag::new(
-            "--partition",
-            "START:END:IDS",
-            |o: &mut Self, v| {
-                o.paper().partitions.push(parse_partition(v)?);
-                Ok(())
-            },
-        ));
-        flags = flags
-            .into_iter()
-            .map(|f| f.with(Rule::Excludes(SCENARIO_FILE)))
-            .collect();
+        flags.push(Flag::new("--partition", "START:END:IDS", |o: &mut Self, v| {
+            o.paper().partitions.push(parse_partition(v)?);
+            Ok(())
+        }));
+        let excludes = |f: Flag<Self>| f.with(Rule::Excludes(SCENARIO_FILE));
+        let mut flags: Vec<_> = flags.into_iter().map(excludes).collect();
         flags.extend(Self::fields());
         flags.extend(cli::lift(Lease::fields(), |o: &mut Self| &mut o.lease));
         flags
@@ -224,26 +214,19 @@ impl SimOpts {
 
     /// The workload line every `run` and `compare` output starts with.
     fn print_workload(&self) {
+        let seed = self.seed;
         match &self.workload {
-            Workload::Spec(spec) => println!(
-                "scenario: {} — {} nodes, {} jobs, tenants [{}], seed {}",
-                spec.name,
-                spec.nodes,
-                spec.jobs,
-                spec.tenants
-                    .iter()
-                    .map(|t| t.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                self.seed
-            ),
-            Workload::Paper(p) => println!(
-                "workload: {} — {} nodes, {} jobs, seed {}",
-                p.scenario.label(),
-                p.nodes,
-                p.jobs,
-                self.seed
-            ),
+            Workload::Spec(spec) => {
+                let (name, nodes, jobs) = (&spec.name, spec.nodes, spec.jobs);
+                let tenants: Vec<&str> = spec.tenants.iter().map(|t| t.name.as_str()).collect();
+                let tenants = tenants.join(", ");
+                print!("scenario: {name} — {nodes} nodes, {jobs} jobs, ");
+                println!("tenants [{tenants}], seed {seed}")
+            }
+            Workload::Paper(p) => {
+                let (label, nodes, jobs) = (p.scenario.label(), p.nodes, p.jobs);
+                println!("workload: {label} — {nodes} nodes, {jobs} jobs, seed {seed}")
+            }
         }
         println!();
     }
@@ -270,7 +253,7 @@ cli::options! {
     /// `run`'s options: the shared ones, and the algorithm and stream
     /// flags.
     #[derive(Debug)]
-    pub struct RunOpts {
+    pub struct RunOpts as "dgrid run" {
         /// `--algorithm A`, from the [`Algorithm`] registry.
         algorithm: Algorithm = Algorithm::RnTree, "--algorithm", "A",
             |v| Algorithm::from_label(v).ok_or(format!("{v:?} is not an algorithm"));
@@ -284,10 +267,6 @@ cli::options! {
         /// `--sample-secs SECS`: the gauge sampling cadence.
         sample_secs: f64 = 60.0, "--sample-secs", "SECS", number("above 0", |x| x > 0.0);
     }
-}
-
-impl Options for RunOpts {
-    const COMMAND: &'static str = "dgrid run";
 
     fn flags() -> Vec<Flag<Self>> {
         let mut flags = Self::fields();
@@ -385,13 +364,9 @@ fn run_replicated(opts: &RunOpts) -> Vec<SimReport> {
 
     println!(" rep         seed  mean wait   std wait   hops/job  completion");
     let row = |rep: &str, seed: &str, cell: CellResult| {
-        println!(
-            "{rep:>4} {seed:>12} {:>9.1}s {:>9.1}s {:>10.1} {:>10.1}%",
-            cell.mean_wait,
-            cell.std_wait,
-            cell.mean_match_hops + cell.mean_owner_hops,
-            100.0 * cell.completion_rate,
-        )
+        let (mean, std, done) = (cell.mean_wait, cell.std_wait, 100.0 * cell.completion_rate);
+        let hops = cell.mean_match_hops + cell.mean_owner_hops;
+        println!("{rep:>4} {seed:>12} {mean:>9.1}s {std:>9.1}s {hops:>10.1} {done:>10.1}%")
     };
     for (r, (report, seed)) in reports.iter().zip(&seeds).enumerate() {
         let cell = CellResult::from_reports(std::slice::from_ref(report));
@@ -415,30 +390,20 @@ fn run_replicated(opts: &RunOpts) -> Vec<SimReport> {
 
 fn print_report(r: &SimReport) {
     println!("algorithm        : {}", r.algorithm);
-    println!(
-        "jobs             : {} completed, {} failed of {}",
-        r.jobs_completed, r.jobs_failed, r.jobs_total
-    );
+    let (done, failed, total) = (r.jobs_completed, r.jobs_failed, r.jobs_total);
+    println!("jobs             : {done} completed, {failed} failed of {total}");
     println!("mean wait        : {:>10.1} s", r.mean_wait());
     println!("stdev wait       : {:>10.1} s", r.std_wait());
-    if let Some(w) = &r.wait_stats {
-        println!(
-            "wait percentiles : {:>10.1} s p50, {:.1} s p95, {:.1} s p99",
-            w.p50, w.p95, w.p99
-        );
+    if let Some(SampleSummary { p50, p95, p99, .. }) = &r.wait_stats {
+        println!("wait percentiles : {p50:>10.1} s p50, {p95:.1} s p95, {p99:.1} s p99");
     }
     println!("mean turnaround  : {:>10.1} s", r.turnaround.mean());
-    if let Some(t) = &r.turnaround_stats {
-        println!(
-            "turn percentiles : {:>10.1} s p50, {:.1} s p95, {:.1} s p99",
-            t.p50, t.p95, t.p99
-        );
+    if let Some(SampleSummary { p50, p95, p99, .. }) = &r.turnaround_stats {
+        println!("turn percentiles : {p50:>10.1} s p50, {p95:.1} s p95, {p99:.1} s p99");
     }
     println!("makespan         : {:>10.1} s", r.makespan_secs);
-    println!(
-        "matchmaking cost : {:>10.1} hops/job",
-        r.match_hops.mean() + r.owner_hops.mean()
-    );
+    let hops = r.match_hops.mean() + r.owner_hops.mean();
+    println!("matchmaking cost : {hops:>10.1} hops/job");
     println!("load fairness    : {:>10.3}", r.load_fairness());
     println!("client fairness  : {:>10.3}", r.client_fairness());
     if r.messages_lost > 0 || r.lookup_retries > 0 {
@@ -448,14 +413,10 @@ fn print_report(r: &SimReport) {
         );
     }
     if r.node_failures + r.graceful_leaves > 0 {
-        println!(
-            "churn            : {} failures, {} graceful leaves",
-            r.node_failures, r.graceful_leaves
-        );
-        println!(
-            "recoveries       : {} run, {} owner, {} client resubmits",
-            r.run_recoveries, r.owner_recoveries, r.client_resubmits
-        );
+        let (failures, leaves) = (r.node_failures, r.graceful_leaves);
+        println!("churn            : {failures} failures, {leaves} graceful leaves");
+        let (run, owner, resubmits) = (r.run_recoveries, r.owner_recoveries, r.client_resubmits);
+        println!("recoveries       : {run} run, {owner} owner, {resubmits} client resubmits");
     }
     if r.lease_renewals + r.lease_expiries + r.lease_transfers > 0 {
         println!(
@@ -471,10 +432,8 @@ fn print_report(r: &SimReport) {
 /// across replications the fairness index is averaged and each tenant's
 /// accumulators are pooled (counts add, means combine count-weighted).
 fn print_tenant_breakdown(reports: &[SimReport], spec: &ScenarioSpec) {
-    println!(
-        "tenant fairness  : {:>10.3}",
-        mean_over(reports, SimReport::tenant_fairness)
-    );
+    let fairness = mean_over(reports, SimReport::tenant_fairness);
+    println!("tenant fairness  : {fairness:>10.3}");
     for (i, t) in spec.tenants.iter().enumerate() {
         let mut pooled = OnlineStats::new();
         for s in reports
@@ -483,13 +442,8 @@ fn print_tenant_breakdown(reports: &[SimReport], spec: &ScenarioSpec) {
         {
             pooled.merge(s);
         }
-        println!(
-            "  {:<15}: {:>6} job(s) waited, mean wait {:.1} s (weight {})",
-            t.name,
-            pooled.count(),
-            pooled.mean(),
-            t.weight
-        );
+        let (name, n, mean, weight) = (&t.name, pooled.count(), pooled.mean(), t.weight);
+        println!("  {name:<15}: {n:>6} job(s) waited, mean wait {mean:.1} s (weight {weight})");
     }
 }
 

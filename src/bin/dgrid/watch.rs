@@ -4,17 +4,17 @@
 //! run is still writing, not just post-hoc.
 
 use std::fs::File;
-use std::io::{IsTerminal, Read, Seek, SeekFrom, Write};
+use std::io::{IsTerminal, Write};
 
-use dgrid::cli::{self, parsed, some, text, Flag, Options, OrExit};
-use dgrid::core::{EventKind, StreamAnalytics, StreamDecoder, StreamFormat};
+use dgrid::cli::{self, parsed, some, text};
+use dgrid::core::{EventKind, EventRecord, StreamAnalytics, StreamDecoder, StreamFormat};
 use dgrid::sim::SimDuration;
 
-use crate::{above_0, decode, WIDTH};
+use crate::{above_0, decode, feed, WIDTH};
 
 cli::options! {
     #[derive(Debug)]
-    pub struct WatchOpts {
+    pub struct WatchOpts as "dgrid watch" {
         /// `--events PATH`: the stream to watch.
         events: String = String::new(), "--events", "PATH", text => Required;
         /// `--follow`: poll the file for growth and refresh the view
@@ -29,14 +29,6 @@ cli::options! {
         idle_exit: Option<f64> = None, "--idle-exit", "SECS", some(parsed("a number"));
         /// `--width W`: the sparkline width.
         width: usize = WIDTH, "--width", "W", parsed("a number");
-    }
-}
-
-impl Options for WatchOpts {
-    const COMMAND: &'static str = "dgrid watch";
-
-    fn flags() -> Vec<Flag<Self>> {
-        Self::fields()
     }
 }
 
@@ -108,25 +100,19 @@ fn render(
     let window_secs = snap.window_ns as f64 / 1e9;
     let mut all_rows: Vec<&[u64]> = snap.recent.iter().map(|r| r.counts.as_slice()).collect();
     all_rows.push(&snap.current);
-    let series = |pick: &dyn Fn(&[u64]) -> u64| -> Vec<f64> {
-        all_rows
-            .iter()
-            .map(|c| pick(c) as f64 / window_secs)
-            .collect()
-    };
-    let rows: [(&str, Vec<f64>); 3] = [
-        ("events/s", series(&|c| c.iter().sum())),
-        (
-            "completions/s",
-            series(&|c| c[EventKind::Completed.index()]),
-        ),
-        (
-            "lease xfers/s",
-            series(&|c| c[EventKind::LeaseTransferred.index()]),
-        ),
+    // Every event, or the events of one kind, per second of each window.
+    let count = |c: &[u64], kind: Option<EventKind>| kind.map_or(c.iter().sum(), |k| c[k.index()]);
+    let rows = [
+        ("events/s", None),
+        ("completions/s", Some(EventKind::Completed)),
+        ("lease xfers/s", Some(EventKind::LeaseTransferred)),
     ];
     out.push_str(&format!("per-{window_secs:.0}s-window rates:\n"));
-    for (label, xs) in rows {
+    for (label, kind) in rows {
+        let xs: Vec<f64> = all_rows
+            .iter()
+            .map(|c| count(c, kind) as f64 / window_secs)
+            .collect();
         let max = xs.iter().copied().fold(0.0f64, f64::max);
         out.push_str(&format!(
             "  {label:<14} {} [0..{max:.2}]\n",
@@ -150,36 +136,24 @@ pub fn watch(opts: WatchOpts) {
     let window = SimDuration::from_secs_f64(opts.window_secs);
     let mut analytics = StreamAnalytics::new(window, 512);
     if !opts.follow {
-        let bytes = std::fs::read(path).or_exit(path, "read");
-        let format = decode(path, &bytes, |rec| analytics.feed_record(&rec));
+        let (format, _) = decode(path, |_, rec| analytics.feed_record(&rec));
         render(&analytics, Some(format), &opts, false);
         return;
     }
 
     let mut decoder = StreamDecoder::new();
     let clear = std::io::stdout().is_terminal();
-    let mut pos: u64 = 0;
+    let mut file = None;
     let mut idle_secs = 0.0f64;
     loop {
-        let mut grew = false;
-        if let Ok(mut f) = File::open(path) {
-            let len = f.metadata().map(|m| m.len()).unwrap_or(0);
-            if len > pos {
-                f.seek(SeekFrom::Start(pos)).or_exit(path, "seek");
-                let mut buf = Vec::with_capacity((len - pos) as usize);
-                f.take(len - pos)
-                    .read_to_end(&mut buf)
-                    .or_exit(path, "read");
-                pos += buf.len() as u64;
-                // A partial frame or line at the end waits for the next
-                // poll, which is what makes tailing a file mid-write safe.
-                decoder.push(&buf);
-                while let Some(rec) = decoder.next_event().or_exit(path, "decode") {
-                    analytics.feed_record(&rec);
-                }
-                grew = true;
-            }
-        }
+        // The file may not exist yet. A partial frame or line at its end
+        // waits in the decoder for the next poll, which is what makes
+        // tailing a file mid-write safe.
+        file = file.or_else(|| File::open(path).ok());
+        let mut each = |_, rec: EventRecord| analytics.feed_record(&rec);
+        let grew = file
+            .as_mut()
+            .is_some_and(|f| feed(path, f, &mut decoder, &mut each) > 0);
         render(&analytics, decoder.format(), &opts, clear);
         if grew {
             idle_secs = 0.0;

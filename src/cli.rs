@@ -43,7 +43,8 @@ pub enum Rule {
 }
 
 impl<O: 'static> Flag<O> {
-    /// A flag whose value `set` reads into the options.
+    /// A flag whose value `set` reads into the options; a switch, which
+    /// takes no value, when `value` is empty.
     pub fn new(
         name: &'static str,
         value: &'static str,
@@ -55,20 +56,6 @@ impl<O: 'static> Flag<O> {
             rule: Rule::Free,
             set: Box::new(set),
         }
-    }
-
-    /// A flag whose value `parse` reads into the field `field` picks; a
-    /// switch, which takes no value, when `value` is empty.
-    pub fn value<T: 'static>(
-        name: &'static str,
-        value: &'static str,
-        parse: impl Fn(&str) -> Parsed<T> + 'static,
-        field: fn(&mut O) -> &mut T,
-    ) -> Self {
-        Flag::new(name, value, move |o, v| {
-            *field(o) = parse(v)?;
-            Ok(())
-        })
     }
 
     /// This flag under `rule`.
@@ -89,29 +76,58 @@ pub fn lift<O: 'static, P: 'static>(
     flags.into_iter().map(lift).collect()
 }
 
-/// Declares a command's options struct, its defaults, and the flags that
-/// read straight into its fields, one line per field:
+/// `*field = parse(val)`, for the setters [`options!`] writes.
+#[doc(hidden)]
+pub fn set<T>(field: &mut T, parse: impl Fn(&str) -> Parsed<T>, val: &str) -> Parsed<()> {
+    *field = parse(val)?;
+    Ok(())
+}
+
+/// Declares an options struct, its defaults, and the flags that read
+/// straight into its fields, one line per field:
 ///
 /// ```text
 /// field: Type = default, "--flag", "VALUE", parser => Needs("--other");
 /// ```
 ///
 /// A field no flag sets on its own ends after its default; a [`Rule`]
-/// other than [`Rule::Free`] follows `=>`, named without its type.
-/// The struct gets `fn fields() -> Vec<Flag<Self>>`, those flags in
-/// declaration order, for its [`Options::flags`].
+/// other than [`Rule::Free`] follows `=>`, named without its type. Those
+/// flags, in declaration order, are the struct's `fields()`. A command's
+/// struct names the command after `as`, and [`Options`] is implemented
+/// for it with `fields()` and whatever items follow the struct; a struct
+/// without `as` is a part other options [`lift`] its fields into.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __cli_options {
+    (@impl $name:ident { $fields:expr }) => {
+        impl $name {
+            /// The flags that read straight into a field.
+            fn fields() -> Vec<$crate::cli::Flag<Self>> {
+                $fields
+            }
+        }
+    };
+    (@impl $name:ident $command:literal { $fields:expr } $($item:item)*) => {
+        impl $crate::cli::Options for $name {
+            const COMMAND: &'static str = $command;
+
+            fn fields() -> Vec<$crate::cli::Flag<Self>> {
+                $fields
+            }
+
+            $($item)*
+        }
+    };
     (
         $(#[$meta:meta])*
-        $vis:vis struct $name:ident {
+        $vis:vis struct $name:ident $(as $command:literal)? {
             $(
                 $(#[$field_meta:meta])*
                 $field:ident: $ty:ty = $default:expr
                 $(, $flag:expr, $value:expr, $parse:expr $(=> $rule:ident$(($other:expr))?)?)?;
             )*
         }
+        $($item:item)*
     ) => {
         $(#[$meta])*
         $vis struct $name {
@@ -124,16 +140,13 @@ macro_rules! __cli_options {
             }
         }
 
-        impl $name {
-            /// The flags that read straight into a field, in declaration
-            /// order.
-            fn fields() -> Vec<$crate::cli::Flag<Self>> {
-                vec![$($(
-                    $crate::cli::Flag::value($flag, $value, $parse, |o: &mut Self| &mut o.$field)
-                        $(.with($crate::cli::Rule::$rule$(($other))?))?,
-                )?)*]
-            }
-        }
+        $crate::cli::options!(@impl $name $($command)? {
+            vec![$($(
+                $crate::cli::Flag::new($flag, $value, |o: &mut Self, v| {
+                    $crate::cli::set(&mut o.$field, $parse, v)
+                })$(.with($crate::cli::Rule::$rule$(($other))?))?,
+            )?)*]
+        } $($item)*);
     };
 }
 
@@ -144,8 +157,13 @@ pub trait Options: Default + 'static {
     /// How the command is invoked, e.g. `dgrid run`.
     const COMMAND: &'static str;
 
+    /// The flags that read straight into a field, from [`options!`].
+    fn fields() -> Vec<Flag<Self>>;
+
     /// The command's flags, in usage order.
-    fn flags() -> Vec<Flag<Self>>;
+    fn flags() -> Vec<Flag<Self>> {
+        Self::fields()
+    }
 
     /// Lines printed under the usage line: positional arguments, or the
     /// labels a flag accepts. Each starts with a newline.
@@ -219,18 +237,17 @@ pub fn parse<O: Options>(args: &[String], elsewhere: impl Fn(&str) -> bool) -> O
         given.push(flag);
     }
     let named = |name| given.iter().any(|g| g.name == name);
-    let missing = flags
-        .iter()
-        .find(|f| f.rule == Rule::Required && !named(f.name));
-    if let Some(Flag { name, value, .. }) = missing {
-        refuse::<O>(format_args!("{command} requires {name} {value}"));
-    }
-    let unmet = given.iter().find_map(|f| match f.rule {
-        Rule::Needs(other) if !named(other) => Some((f.name, other)),
-        _ => None,
-    });
-    if let Some((name, other)) = unmet {
-        die(format_args!("{command} takes {name} only with {other}"));
+    for f in &flags {
+        let (name, value, given) = (f.name, f.value, named(f.name));
+        match f.rule {
+            Rule::Required if !given => {
+                refuse::<O>(format_args!("{command} requires {name} {value}"))
+            }
+            Rule::Needs(other) if given && !named(other) => {
+                die(format_args!("{command} takes {name} only with {other}"))
+            }
+            _ => {}
+        }
     }
     opts.finish().unwrap_or_else(|e| refuse::<O>(e));
     opts

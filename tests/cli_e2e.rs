@@ -385,5 +385,27 @@ fn recorded_streams_report_watch_and_convert_to_the_pinned_bytes() {
         assert!(out.status.success(), "convert {from}");
         assert_eq!(pin(&read(&dir, to)), want, "{to}");
     }
+    // A stream converts in place, and one cut off mid-frame writes nothing.
+    let in_place = ["events", "convert", "--events", "c.bin", "--out", "c.bin"];
+    assert!(
+        dgrid_in(&dir, &in_place).status.success(),
+        "convert in place"
+    );
+    assert_eq!(pin(&read(&dir, "c.bin")), jsonl, "c.bin");
+    let bytes = read(&dir, "s.bin");
+    std::fs::write(dir.join("cut.bin"), &bytes[..bytes.len() - 1]).expect("write cut.bin");
+    let cut = [
+        "events",
+        "convert",
+        "--events",
+        "cut.bin",
+        "--out",
+        "cut.jsonl",
+    ];
+    assert_eq!(dgrid_in(&dir, &cut).status.code(), Some(2));
+    assert!(
+        !dir.join("cut.jsonl").exists(),
+        "a malformed stream wrote output"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
