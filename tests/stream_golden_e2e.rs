@@ -301,6 +301,51 @@ fn central_stream_under_churn_matches_pinned_hash() {
     }
 }
 
+/// The central matchmaker at 10 000 nodes offered 20 000 `mixed/light`
+/// jobs at 0.9 load (arrivals stretched by 1/0.9, as the benchmark's
+/// `central-stream-1k` does), without churn. At this size the node table
+/// spans 157 words and each of the scan's capability quantiles holds
+/// about 156 nodes — a scale the matchmaker's small-table property never
+/// reaches.
+fn central_ten_k_stream(seed: u64) -> Vec<u8> {
+    let mut workload = paper_scenario(PaperScenario::MixedLight, 10_000, 20_000, seed);
+    for s in &mut workload.submissions {
+        s.arrival_secs /= 0.9;
+    }
+    let buf = SharedBuf::default();
+    Engine::new(
+        dgrid::harness::paper_engine_config(seed),
+        ChurnConfig::none(),
+        Algorithm::Central.matchmaker(),
+        workload.nodes,
+        workload.submissions,
+    )
+    .with_observer(Box::new(JsonlObserver::new(buf.clone())))
+    .run();
+    let bytes = buf.0.take();
+    assert!(!bytes.is_empty(), "traced run must emit events");
+    bytes
+}
+
+/// `(fnv1a, byte length)` of [`central_ten_k_stream`], recorded on the
+/// commit before the central scan took its capability index.
+const CENTRAL_10K_PINNED: (u64, usize) = (0xf36ea99a3b559d88, 7_653_688);
+
+/// Ignored in the default suite; CI runs it by name on a release build.
+#[test]
+#[ignore]
+fn central_ten_thousand_node_stream_matches_pinned_hash() {
+    let bytes = central_ten_k_stream(SEED);
+    assert_eq!(
+        (fnv1a(&bytes), bytes.len()),
+        CENTRAL_10K_PINNED,
+        "central at 10k nodes: event stream drifted from the pinned bytes \
+         (got hash {:#x}, len {})",
+        fnv1a(&bytes),
+        bytes.len()
+    );
+}
+
 /// The JSONL stream of one run, followed by its time series as JSON when
 /// the run sampled one.
 fn traced_with_series(engine: Engine) -> Vec<u8> {
