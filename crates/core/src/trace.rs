@@ -181,7 +181,7 @@ pub struct EventRecord {
 /// vendored `serde_json::to_writer` builds both).
 pub struct JsonlObserver<W: Write> {
     sink: W,
-    scratch: String,
+    scratch: Vec<u8>,
     bytes: u64,
 }
 
@@ -191,7 +191,7 @@ impl<W: Write> JsonlObserver<W> {
     pub fn new(sink: W) -> Self {
         JsonlObserver {
             sink,
-            scratch: String::with_capacity(96),
+            scratch: Vec::with_capacity(96),
             bytes: 0,
         }
     }
@@ -208,7 +208,7 @@ impl<W: Write> Observer for JsonlObserver<W> {
         self.scratch.clear();
         write_event_line(&mut self.scratch, at.as_nanos(), &event);
         self.sink
-            .write_all(self.scratch.as_bytes())
+            .write_all(&self.scratch)
             .expect("write event stream");
         self.bytes += self.scratch.len() as u64;
     }
@@ -218,27 +218,41 @@ impl<W: Write> Observer for JsonlObserver<W> {
     }
 }
 
-/// Render one event as its JSONL line (including the trailing newline) into
+/// Render one event as its JSONL line (including the trailing newline) onto
 /// `buf`, byte-for-byte what `serde_json::to_string(&EventRecord)` produces
 /// (asserted by a test below) but without allocating per event. Every field
 /// is an integer, boolean, or bare variant name, so no string escaping is
 /// needed; the line is literal slices and decimal digits pushed onto the
-/// buffer, with no `core::fmt` machinery on the per-event path.
-pub fn write_event_line(buf: &mut String, t_ns: u64, event: &TraceEvent) {
+/// buffer, two digits at a time from a table, with no `core::fmt`
+/// machinery and no UTF-8 check on the per-event path: the bytes are ASCII
+/// by construction, and a caller that needs a `str` checks once.
+pub fn write_event_line(buf: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
     /// `lit`, then `n` in decimal.
-    fn field(buf: &mut String, lit: &str, mut n: u64) {
-        buf.push_str(lit);
+    fn field(buf: &mut Vec<u8>, lit: &str, mut n: u64) {
+        const PAIRS: &[u8; 200] = b"\
+            0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        buf.extend_from_slice(lit.as_bytes());
         let mut digits = [0u8; 20]; // u64::MAX has 20
         let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         }
-        buf.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+        if n >= 10 {
+            let pair = n as usize * 2;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        } else {
+            at -= 1;
+            digits[at] = b'0' + n as u8;
+        }
+        buf.extend_from_slice(&digits[at..]);
     }
     field(buf, "{\"t_ns\":", t_ns);
     match *event {
@@ -249,10 +263,10 @@ pub fn write_event_line(buf: &mut String, t_ns: u64, event: &TraceEvent) {
         TraceEvent::OwnerAssigned { job, owner } => {
             field(buf, ",\"event\":{\"OwnerAssigned\":{\"job\":", job.0);
             match owner {
-                OwnerRef::Server => buf.push_str(",\"owner\":\"Server\""),
+                OwnerRef::Server => buf.extend_from_slice(b",\"owner\":\"Server\""),
                 OwnerRef::Peer(p) => {
                     field(buf, ",\"owner\":{\"Peer\":", u64::from(p.0));
-                    buf.push('}');
+                    buf.push(b'}');
                 }
             }
         }
@@ -280,10 +294,10 @@ pub fn write_event_line(buf: &mut String, t_ns: u64, event: &TraceEvent) {
                 ",\"event\":{\"NodeDown\":{\"node\":",
                 u64::from(node.0),
             );
-            buf.push_str(if graceful {
-                ",\"graceful\":true"
+            buf.extend_from_slice(if graceful {
+                b",\"graceful\":true"
             } else {
-                ",\"graceful\":false"
+                b",\"graceful\":false"
             });
         }
         TraceEvent::NodeUp { node } => {
@@ -303,7 +317,7 @@ pub fn write_event_line(buf: &mut String, t_ns: u64, event: &TraceEvent) {
             field(buf, ",\"owner\":", u64::from(owner.0));
         }
     }
-    buf.push_str("}}}\n");
+    buf.extend_from_slice(b"}}}\n");
 }
 
 /// Parse one JSONL line written by [`JsonlObserver`]. Empty lines yield
@@ -712,15 +726,105 @@ mod tests {
         ]
     }
 
+    /// The line [`write_event_line`] renders, as text.
+    fn line_of(t_ns: u64, event: &TraceEvent) -> String {
+        let mut buf = Vec::new();
+        write_event_line(&mut buf, t_ns, event);
+        String::from_utf8(buf).expect("event lines are ASCII")
+    }
+
+    /// `template`'s variant with its fields replaced: `job` for the job,
+    /// `a` for a node, run node, peer or resubmit count, `b` for hops or a
+    /// lease's new owner, `results_at` in nanoseconds.
+    fn with_fields(template: TraceEvent, job: u64, a: u32, b: u32, results_at: u64) -> TraceEvent {
+        let job = JobId(job);
+        match template {
+            TraceEvent::Submitted { .. } => TraceEvent::Submitted { job, resubmits: a },
+            TraceEvent::OwnerAssigned {
+                owner: OwnerRef::Server,
+                ..
+            } => TraceEvent::OwnerAssigned {
+                job,
+                owner: OwnerRef::Server,
+            },
+            TraceEvent::OwnerAssigned { .. } => TraceEvent::OwnerAssigned {
+                job,
+                owner: OwnerRef::Peer(GridNodeId(a)),
+            },
+            TraceEvent::Matched { .. } => TraceEvent::Matched {
+                job,
+                run_node: GridNodeId(a),
+                hops: b,
+            },
+            TraceEvent::Started { .. } => TraceEvent::Started {
+                job,
+                run_node: GridNodeId(a),
+            },
+            TraceEvent::Completed { .. } => TraceEvent::Completed {
+                job,
+                results_at: SimTime::from_nanos(results_at),
+            },
+            TraceEvent::Failed { .. } => TraceEvent::Failed { job },
+            TraceEvent::NodeDown { graceful, .. } => TraceEvent::NodeDown {
+                node: GridNodeId(a),
+                graceful,
+            },
+            TraceEvent::NodeUp { .. } => TraceEvent::NodeUp {
+                node: GridNodeId(a),
+            },
+            TraceEvent::RunRecovery { .. } => TraceEvent::RunRecovery { job },
+            TraceEvent::OwnerRecovery { .. } => TraceEvent::OwnerRecovery { job },
+            TraceEvent::LeaseExpired { .. } => TraceEvent::LeaseExpired { job },
+            TraceEvent::LeaseTransferred { .. } => TraceEvent::LeaseTransferred {
+                job,
+                owner: GridNodeId(b),
+            },
+        }
+    }
+
+    /// Every variant with every integer field at each digit-count
+    /// boundary (0, 9, 10, 99, 100, each 10^k - 1 and 10^k, `u32::MAX`,
+    /// `u64::MAX`): the two-digit renderer writes the line serde writes.
+    /// The 32-bit fields take the boundaries that fit, in a rotated order,
+    /// so fields of one line differ in length.
+    #[test]
+    fn renderer_matches_serde_at_every_digit_boundary() {
+        let mut wide = vec![0u64, 9];
+        let mut power = 10u64;
+        loop {
+            wide.extend([power - 1, power]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        wide.extend([u64::from(u32::MAX), u64::MAX]);
+        let narrow: Vec<u32> = wide.iter().filter_map(|&n| u32::try_from(n).ok()).collect();
+        for (i, &n) in wide.iter().enumerate() {
+            let (a, b) = (narrow[i % narrow.len()], narrow[(i + 3) % narrow.len()]);
+            for (t_ns, template) in every_variant() {
+                for (t_ns, event) in [
+                    (n, with_fields(template, n, a, b, n)),
+                    (
+                        t_ns,
+                        with_fields(template, wide[wide.len() - 1 - i], b, a, n),
+                    ),
+                ] {
+                    let via_serde = serde_json::to_string(&EventRecord { t_ns, event })
+                        .expect("serde serializes");
+                    assert_eq!(line_of(t_ns, &event), format!("{via_serde}\n"));
+                }
+            }
+        }
+    }
+
     /// The manual line renderer must stay byte-for-byte compatible with the
     /// serde derive output (`dgrid report` and the repro artifacts parse
     /// lines back through serde).
     #[test]
     fn manual_serializer_matches_serde_for_every_variant() {
-        let mut buf = String::new();
         for (t_ns, event) in every_variant() {
-            buf.clear();
-            write_event_line(&mut buf, t_ns, &event);
+            let buf = line_of(t_ns, &event);
             let via_serde =
                 serde_json::to_string(&EventRecord { t_ns, event }).expect("serde serializes");
             assert_eq!(buf, format!("{via_serde}\n"), "mismatch for {event:?}");
@@ -746,10 +850,8 @@ mod tests {
     /// — reads every shape the writer emits.
     #[test]
     fn canonical_parser_accepts_every_written_variant() {
-        let mut buf = String::new();
         for (t_ns, event) in every_variant() {
-            buf.clear();
-            write_event_line(&mut buf, t_ns, &event);
+            let buf = line_of(t_ns, &event);
             let line = buf.trim_end();
             let record = EventRecord { t_ns, event };
             assert_eq!(parse_canonical_line(line), Some(record), "{line}");
@@ -845,37 +947,9 @@ mod tests {
             let (t_ns, big) = (ints.0 >> shift, ints.1 >> shift);
             let (a, b) = (ints.2 >> (shift / 2), ints.3 >> (shift / 2));
             let (_, template) = every_variant()[kind];
-            let job = JobId(big);
-            let event = match template {
-                TraceEvent::Submitted { .. } => TraceEvent::Submitted { job, resubmits: a },
-                TraceEvent::OwnerAssigned { owner: OwnerRef::Server, .. } => {
-                    TraceEvent::OwnerAssigned { job, owner: OwnerRef::Server }
-                }
-                TraceEvent::OwnerAssigned { .. } => {
-                    TraceEvent::OwnerAssigned { job, owner: OwnerRef::Peer(GridNodeId(a)) }
-                }
-                TraceEvent::Matched { .. } => {
-                    TraceEvent::Matched { job, run_node: GridNodeId(a), hops: b }
-                }
-                TraceEvent::Started { .. } => TraceEvent::Started { job, run_node: GridNodeId(a) },
-                TraceEvent::Completed { .. } => TraceEvent::Completed {
-                    job,
-                    results_at: SimTime::from_nanos(ints.1 >> (60 - shift)),
-                },
-                TraceEvent::Failed { .. } => TraceEvent::Failed { job },
-                TraceEvent::NodeDown { graceful, .. } => {
-                    TraceEvent::NodeDown { node: GridNodeId(a), graceful }
-                }
-                TraceEvent::NodeUp { .. } => TraceEvent::NodeUp { node: GridNodeId(a) },
-                TraceEvent::RunRecovery { .. } => TraceEvent::RunRecovery { job },
-                TraceEvent::OwnerRecovery { .. } => TraceEvent::OwnerRecovery { job },
-                TraceEvent::LeaseExpired { .. } => TraceEvent::LeaseExpired { job },
-                TraceEvent::LeaseTransferred { .. } => {
-                    TraceEvent::LeaseTransferred { job, owner: GridNodeId(b) }
-                }
-            };
-            let mut buf = String::new();
-            write_event_line(&mut buf, t_ns, &event);
+            let results_at = ints.1 >> (60 - shift);
+            let event = with_fields(template, big, a, b, results_at);
+            let buf = line_of(t_ns, &event);
             let line = buf.trim_end();
             let record = EventRecord { t_ns, event };
             prop_assert_eq!(parse_canonical_line(line), Some(record));

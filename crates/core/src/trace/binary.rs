@@ -875,11 +875,11 @@ pub fn jsonl_to_binary(text: &str) -> Result<Vec<u8>, StreamError> {
 /// every matchmaker variant.
 pub fn binary_to_jsonl(bytes: &[u8]) -> Result<String, StreamError> {
     let records = decode_stream(bytes)?;
-    let mut out = String::new();
+    let mut out = Vec::new();
     for rec in &records {
         write_event_line(&mut out, rec.t_ns, &rec.event);
     }
-    Ok(out)
+    Ok(String::from_utf8(out).expect("event lines are ASCII"))
 }
 
 #[cfg(test)]
@@ -991,10 +991,11 @@ mod tests {
     #[test]
     fn jsonl_round_trip_is_byte_identical() {
         let records = sample_records();
-        let mut text = String::new();
+        let mut text = Vec::new();
         for rec in &records {
             write_event_line(&mut text, rec.t_ns, &rec.event);
         }
+        let text = String::from_utf8(text).unwrap();
         let bin = jsonl_to_binary(&text).unwrap();
         assert!(bin.len() < text.len(), "binary must be smaller than JSONL");
         assert_eq!(binary_to_jsonl(&bin).unwrap(), text);
