@@ -128,14 +128,14 @@ fn main() {
     let name = (at < args.len()).then(|| args.remove(at));
     let experiments = select(name.as_deref().unwrap_or("all"));
     let opts: Opts = cli::parse(&args, |_| false);
+    let json = opts.json.as_deref().map(cli::create);
     cli::install(opts.threads, || {
         let mut json_rows: Vec<Value> = Vec::new();
         for experiment in experiments {
             experiment(&opts, &mut json_rows);
             println!();
         }
-        if let Some(path) = &opts.json {
-            let mut f = std::fs::File::create(path).or_exit(path, "create");
+        if let (Some(mut f), Some(path)) = (json, &opts.json) {
             serde_json::to_writer_pretty(&mut f, &json_rows).or_exit(path, "write");
             writeln!(f).ok();
             eprintln!("wrote {} rows to {path}", json_rows.len());

@@ -45,10 +45,7 @@ fn fig2_and_tree_print_the_pinned_bytes() {
 fn bad_flags_and_experiments_name_themselves_and_exit_2() {
     for (args, first_line) in [
         (&["--nodes", "x"][..], "--nodes: \"x\" is not a number"),
-        (
-            &["tree", "--nodes"],
-            "--nodes: unknown flag, or its value is missing",
-        ),
+        (&["tree", "--nodes"], "--nodes: value missing"),
         (&["--bogus", "1"], "unknown flag --bogus"),
         (&["--reps", "0"], "--reps: \"0\" is not at least 1"),
         (&["--threads", "0"], "--threads: \"0\" is not at least 1"),
@@ -63,6 +60,23 @@ fn bad_flags_and_experiments_name_themselves_and_exit_2() {
         );
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
+    // An unwritable `--json` is refused before any experiment runs.
+    let out = repro(&[
+        "hops",
+        "--nodes",
+        "32",
+        "--jobs",
+        "50",
+        "--json",
+        "/nonexistent/x.json",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "hops ran anyway");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("cannot create /nonexistent/x.json: "),
+        "{stderr}"
+    );
     let out = repro(&["fig9"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -3,6 +3,7 @@
 //! minimal replayable artifact; or `--replay` a previously written artifact.
 
 use std::path::Path;
+use std::{fs, io};
 
 use dgrid::check::{
     fault_event_count, shrink, sweep, CompiledRun, Inject, LeaseSpec, ReproArtifact, Scenario,
@@ -86,6 +87,22 @@ fn print_violations(violations: &[Violation]) {
 
 pub fn check(opts: CheckOpts) {
     cli::install(opts.threads, || run(&opts))
+}
+
+/// What can be known of `--out` before the sweep without creating it: its
+/// directory exists and it is not a directory itself. The artifact is
+/// written only on a violation, and a file already there is kept until
+/// then.
+fn writable(out: &str) -> io::Result<()> {
+    let path = Path::new(out);
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if !fs::metadata(dir.unwrap_or(Path::new(".")))?.is_dir() {
+        return Err(io::ErrorKind::NotADirectory.into());
+    }
+    if path.is_dir() {
+        return Err(io::ErrorKind::IsADirectory.into());
+    }
+    Ok(())
 }
 
 fn run(opts: &CheckOpts) {
@@ -176,6 +193,9 @@ fn run(opts: &CheckOpts) {
                 &|seed| generated(seed).compile(inject).verdict(selected),
             ),
         };
+    if opts.scenario.is_none() {
+        writable(&opts.out).or_exit(&opts.out, "write repro artifact");
+    }
     println!(
         "checking {what}, {} matchmaker(s) [{mm_labels}], {} thread(s){suffix}",
         selected.len(),

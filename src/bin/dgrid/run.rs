@@ -231,10 +231,15 @@ impl SimOpts {
         println!();
     }
 
-    /// `--json`: every report of the invocation, as JSON.
-    fn write_json(&self, reports: &[SimReport]) {
-        if let Some(path) = &self.json {
-            let f = File::create(path).or_exit(path, "create");
+    /// The `--json` file, created before anything runs.
+    fn create_json(&self) -> Option<File> {
+        self.json.as_deref().map(cli::create)
+    }
+
+    /// `--json`: every report of the invocation, as JSON, into the file
+    /// [`create_json`](Self::create_json) made.
+    fn write_json(&self, file: Option<File>, reports: &[SimReport]) {
+        if let (Some(f), Some(path)) = (file, &self.json) {
             serde_json::to_writer_pretty(f, reports).or_exit(path, "write");
             eprintln!("wrote {} report(s) to {path}", reports.len());
         }
@@ -301,21 +306,30 @@ impl RunOpts {
 /// `dgrid run`: one replication's report, or with `--replications R` a
 /// table of R and their mean.
 pub fn run(opts: RunOpts) {
+    // Every output file is created before anything runs or prints.
+    let events = opts.events.as_deref().map(cli::create);
+    let replicated = opts.sim.replications > 1;
+    // Replications sample no time series, so write none.
+    let timeseries = opts
+        .timeseries
+        .as_deref()
+        .filter(|_| !replicated)
+        .map(cli::create);
+    let json = opts.sim.create_json();
     cli::install(opts.sim.threads, || {
         opts.sim.print_workload();
-        let reports = if opts.sim.replications > 1 {
-            run_replicated(&opts)
+        let reports = if replicated {
+            run_replicated(&opts, events)
         } else {
-            vec![run_once(&opts)]
+            vec![run_once(&opts, events, timeseries)]
         };
-        opts.sim.write_json(&reports);
+        opts.sim.write_json(json, &reports);
     })
 }
 
-fn run_once(opts: &RunOpts) -> SimReport {
+fn run_once(opts: &RunOpts, events: Option<File>, timeseries: Option<File>) -> SimReport {
     let mut engine = opts.engine(opts.sim.seed);
-    if let Some(path) = &opts.events {
-        let f = File::create(path).or_exit(path, "create");
+    if let Some(f) = events {
         engine.set_observer(stream_observer(opts.format, BufWriter::new(f)));
     }
     if opts.timeseries.is_some() {
@@ -329,9 +343,9 @@ fn run_once(opts: &RunOpts) -> SimReport {
     if let Some(path) = &opts.events {
         eprintln!("wrote event stream to {path}");
     }
-    if let Some(path) = &opts.timeseries {
+    if let (Some(f), Some(path)) = (timeseries, &opts.timeseries) {
         let ts = r.timeseries.as_ref().expect("sampling was enabled");
-        let mut w = BufWriter::new(File::create(path).or_exit(path, "create"));
+        let mut w = BufWriter::new(f);
         serde_json::to_writer_pretty(&mut w, ts).or_exit(path, "write");
         w.flush().or_exit(path, "write");
         eprintln!("wrote {} gauge samples to {path}", ts.len());
@@ -343,7 +357,7 @@ fn run_once(opts: &RunOpts) -> SimReport {
 /// a per-replication table plus the averages, and write the concatenated
 /// event streams (each captured in memory, in the `--format` of choice) in
 /// replication order, so the file is identical at any thread count.
-fn run_replicated(opts: &RunOpts) -> Vec<SimReport> {
+fn run_replicated(opts: &RunOpts, events: Option<File>) -> Vec<SimReport> {
     use rayon::prelude::*;
 
     let seeds = opts.sim.replication_seeds();
@@ -374,8 +388,8 @@ fn run_replicated(opts: &RunOpts) -> Vec<SimReport> {
     }
     row("mean", "-", CellResult::from_reports(&reports));
 
-    if let Some(path) = &opts.events {
-        let mut w = BufWriter::new(File::create(path).or_exit(path, "create"));
+    if let (Some(f), Some(path)) = (events, &opts.events) {
+        let mut w = BufWriter::new(f);
         for events in &streams {
             w.write_all(events).or_exit(path, "write");
         }
@@ -455,6 +469,7 @@ fn print_tenant_breakdown(reports: &[SimReport], spec: &ScenarioSpec) {
 pub fn compare(opts: SimOpts) {
     use rayon::prelude::*;
 
+    let json = opts.create_json();
     cli::install(opts.threads, || {
         opts.print_workload();
         let seeds = opts.replication_seeds();
@@ -498,6 +513,6 @@ pub fn compare(opts: SimOpts) {
                 print_tenant_breakdown(reports, spec);
             }
         }
-        opts.write_json(&cells.into_iter().flatten().collect::<Vec<_>>());
+        opts.write_json(json, &cells.into_iter().flatten().collect::<Vec<_>>());
     })
 }

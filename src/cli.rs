@@ -10,6 +10,7 @@
 //! a panic, and its first line names the flag at fault.
 
 use std::fmt::Display;
+use std::fs::File;
 use std::str::FromStr;
 
 /// What a flag's value parses into, or the refusal that follows the flag's
@@ -229,7 +230,7 @@ pub fn parse<O: Options>(args: &[String], elsewhere: impl Fn(&str) -> bool) -> O
         let val = match flag.value {
             "" => "",
             _ => args.next().map_or_else(
-                || refuse::<O>(format_args!("{arg}: unknown flag, or its value is missing")),
+                || refuse::<O>(format_args!("{arg}: value missing")),
                 String::as_str,
             ),
         };
@@ -306,6 +307,13 @@ impl<T, E: Display> OrExit<T> for Result<T, E> {
     fn or_exit(self, path: impl Display, what: &str) -> T {
         self.unwrap_or_else(|e| die(format_args!("cannot {what} {path}: {e}")))
     }
+}
+
+/// `path` created for writing, or `cannot create <path>: <why>` and exit
+/// code 2. Commands create their output files before they run, so a bad
+/// path costs no simulation.
+pub fn create(path: &str) -> File {
+    File::create(path).or_exit(path, "create")
 }
 
 /// The root seed every random stream derives from, unless `--seed` gives

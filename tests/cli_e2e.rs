@@ -204,6 +204,56 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
     assert_eq!(gone.lines().count(), 1);
 }
 
+/// An output path that cannot be written is refused with exit 2 before
+/// anything runs or prints: the file is created (or, for `check`'s
+/// artifact, its directory probed) before the simulation.
+#[test]
+fn bad_output_paths_are_refused_before_the_run() {
+    let cell = ["--nodes", "32", "--jobs", "50"];
+    let bad = "/nonexistent/x.json";
+    let create = format!("cannot create {bad}: ");
+    let artifact = format!("cannot write repro artifact {bad}: ");
+    for (args, first) in [
+        (&["run", "--json", bad][..], &create),
+        (&["compare", "--json", bad], &create),
+        (&["run", "--timeseries", bad], &create),
+        (&["run", "--events", bad], &create),
+        (&["run", "--replications", "2", "--events", bad], &create),
+    ] {
+        let out = dgrid(&[args, &cell].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(first.as_str()), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
+    let sweep = ["check", "--seeds", "4", "--seed", "0"];
+    let injected = ["--inject-bug", "epoch-dedup"];
+    for args in [
+        [&sweep[..], &injected, &["--out", bad]].concat(),
+        [&sweep[..], &["--out", bad]].concat(),
+    ] {
+        let out = dgrid(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(artifact.as_str()), "{args:?}: {stderr}");
+    }
+    // A directory is no artifact path either; a clean sweep with a good
+    // one writes nothing there.
+    let dir = scratch_dir("bad-out");
+    let out = dgrid_in(&dir, &[&sweep[..], &["--out", "."]].concat());
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let out = dgrid_in(&dir, &[&sweep[..], &["--out", "repro.json"]].concat());
+    assert!(out.status.success(), "{:?}", out.status);
+    assert!(
+        !dir.join("repro.json").exists(),
+        "a clean sweep wrote its artifact"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The usage lines `dgrid` prints come from the tables the parser reads,
 /// so they list exactly the flags each command takes.
 #[test]
