@@ -2,8 +2,9 @@
 //! oracles under every matchmaker, shrinking the first violation found to a
 //! minimal replayable artifact; or `--replay` a previously written artifact.
 
+use std::fs::{self, OpenOptions};
+use std::io;
 use std::path::Path;
-use std::{fs, io};
 
 use dgrid::check::{
     fault_event_count, shrink, sweep, CompiledRun, Inject, LeaseSpec, ReproArtifact, Scenario,
@@ -89,20 +90,22 @@ pub fn check(opts: CheckOpts) {
     cli::install(opts.threads, || run(&opts))
 }
 
-/// What can be known of `--out` before the sweep without creating it: its
-/// directory exists and it is not a directory itself. The artifact is
-/// written only on a violation, and a file already there is kept until
-/// then.
+/// What can be known of `--out` before the sweep without creating or
+/// changing it: an existing file opens for writing, or the directory a
+/// new one would go in exists. The artifact is written only on a
+/// violation, and a file already there is kept until then.
 fn writable(out: &str) -> io::Result<()> {
     let path = Path::new(out);
+    if path.exists() {
+        // Opening to append writes nothing.
+        return OpenOptions::new().append(true).open(path).map(drop);
+    }
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    if !fs::metadata(dir.unwrap_or(Path::new(".")))?.is_dir() {
-        return Err(io::ErrorKind::NotADirectory.into());
+    if fs::metadata(dir.unwrap_or(Path::new(".")))?.is_dir() {
+        Ok(())
+    } else {
+        Err(io::ErrorKind::NotADirectory.into())
     }
-    if path.is_dir() {
-        return Err(io::ErrorKind::IsADirectory.into());
-    }
-    Ok(())
 }
 
 fn run(opts: &CheckOpts) {
