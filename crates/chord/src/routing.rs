@@ -76,7 +76,7 @@ impl KeyRouter for ChordRing {
     }
 
     fn alive_keys(&self) -> Vec<u64> {
-        self.m.alive_in(..).collect()
+        self.m.alive_keys()
     }
 
     fn alive_key_at(&self, rank: usize) -> Option<u64> {
@@ -254,7 +254,11 @@ impl KeyRouter for ChordRing {
     /// is its first member: the nearest earlier rank `s` with `lcp[s] <
     /// lcp[r]` (key `s - 1` lies outside the block), or rank 0. One pass
     /// over the keys with a stack of ranks whose `lcp` strictly increases,
-    /// at most 64 deep. Any other state looks each parent up.
+    /// at most 64 deep. The stack holds one rank per `lcp` value, so it is
+    /// a 64-bit mask of the values it holds beside the rank of each: popping
+    /// every entry at or above `lcp[r]` is one mask, and its top is the
+    /// highest bit left, with no branch on how many entries go. Any other
+    /// state looks each parent up.
     ///
     /// Chord keeps the default level probe: only that fallback and
     /// `RnTree::build_counting` (experiment `T-tree`, which routes every
@@ -269,15 +273,17 @@ impl KeyRouter for ChordRing {
         debug_assert!(keys == self.m.snapshot().keys(), "keys are the live set");
         let mut parent = Vec::with_capacity(keys.len());
         parent.extend(keys.first().map(|_| NO_PARENT));
-        // (lcp, rank), lcp strictly increasing upwards.
-        let mut open: Vec<(u32, u32)> = Vec::with_capacity(64);
+        // Bit `l` of `open`: the stack holds a rank whose lcp is `l`, and
+        // `rank_at[l + 1]` is that rank; `rank_at[0]` is rank 0, the parent
+        // when the stack is empty. Distinct keys share at most 63 bits.
+        let mut open = 0u64;
+        let mut rank_at = [0u32; 65];
         for (r, w) in (1u32..).zip(keys.windows(2)) {
             let lcp = (w[0] ^ w[1]).leading_zeros();
-            while open.last().is_some_and(|&(l, _)| l >= lcp) {
-                open.pop();
-            }
-            parent.push(open.last().map_or(0, |&(_, s)| s));
-            open.push((lcp, r));
+            open &= (1u64 << lcp) - 1;
+            parent.push(rank_at[(u64::BITS - open.leading_zeros()) as usize]);
+            open |= 1 << lcp;
+            rank_at[lcp as usize + 1] = r;
         }
         parent
     }

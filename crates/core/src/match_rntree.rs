@@ -175,17 +175,28 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             self.index = None;
             return;
         }
-        // The tree's ids are the substrate's live keys, every one a member's,
-        // and the build asks for capabilities in rank order: each rank's
-        // grid node is resolved here, once, and the search reads it back by
-        // index.
-        let (key_of, grid_at) = (&self.key_of, &mut self.grid_at);
-        self.index = Some(RnTreeIndex::build_with(&self.router, |key| {
+        // The tree's ids are the substrate's live keys, every one a member's.
+        // A refresh asks only for the joiners' capabilities; each rank's
+        // grid node is then read off its key, once, and the search reads it
+        // back by index.
+        let key_of = &self.key_of;
+        let caps_of = |key| {
             let gid = Self::grid_of(key);
             debug_assert_eq!(key_of[gid.0 as usize], Some(key), "{key:#x} is no member's");
-            grid_at.push(gid);
             nodes.get(gid).profile.capabilities
-        }));
+        };
+        let index = match &mut self.index {
+            Some(index) => {
+                index.refresh(&self.router, caps_of);
+                index
+            }
+            None => self
+                .index
+                .insert(RnTreeIndex::build_with(&self.router, caps_of)),
+        };
+        let ids = index.tree().ids();
+        self.grid_at
+            .extend(ids.iter().map(|&key| Self::grid_of(key)));
         self.rank_of.resize(nodes.len(), NOT_INDEXED);
         for (rank, gid) in self.grid_at.iter().enumerate() {
             self.rank_of[gid.0 as usize] = rank as u32;

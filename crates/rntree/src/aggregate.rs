@@ -30,11 +30,12 @@ pub struct SubtreeInfo {
 impl SubtreeInfo {
     /// The aggregate of a single node.
     pub fn leaf(caps: &Capabilities) -> SubtreeInfo {
-        let mut os_present = [false; 4];
-        os_present[os_index(caps.os)] = true;
+        // Element by element: one byte stored into a zeroed array and read
+        // back as a word stalls the store-to-load forwarding.
+        let os = os_index(caps.os);
         SubtreeInfo {
             max_caps: caps.values(),
-            os_present,
+            os_present: std::array::from_fn(|i| i == os),
             node_count: 1,
         }
     }
@@ -67,11 +68,19 @@ impl SubtreeInfo {
     }
 }
 
+/// `os`'s slot in `os_present`: its position in [`OsType::ALL`].
 fn os_index(os: OsType) -> usize {
-    OsType::ALL
-        .iter()
-        .position(|&o| o == os)
-        .expect("OsType::ALL is exhaustive")
+    const _: () = {
+        let mut i = 0;
+        while i < OsType::ALL.len() {
+            assert!(
+                OsType::ALL[i] as usize == i,
+                "OsType::ALL is in declaration order"
+            );
+            i += 1;
+        }
+    };
+    os as usize
 }
 
 #[cfg(test)]

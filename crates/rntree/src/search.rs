@@ -258,7 +258,7 @@ mod tests {
     fn search_from_every_owner_is_well_formed() {
         let (index, caps) = build_index(64, 83);
         let req = JobRequirements::unconstrained().with_min(ResourceKind::CpuSpeed, 2.0);
-        for owner in index.tree().ids() {
+        for &owner in index.tree().ids() {
             let res = index.find_candidates(owner, &req, 3);
             for c in &res.candidates {
                 assert!(req.satisfied_by(&caps[c]));

@@ -14,6 +14,15 @@
 //! capabilities, subtree aggregates — is a flat vector indexed by rank.
 //! Ids appear only at the public surface, where one binary search turns
 //! an id into a rank.
+//!
+//! There is one build path, a refresh: the index brings its vectors up to
+//! the overlay's current membership in place, and a first build is a
+//! refresh of the empty index. Survivors keep their capabilities, so only
+//! joiners are asked for theirs; the child lists are refilled in the
+//! buffers they already have; and where every parent's rank precedes its
+//! child's — always on Chord, whose parent ids strictly decrease — the
+//! aggregates fold in one descending pass over the ranks, with no
+//! depth-first order to build.
 
 use std::collections::HashMap;
 
@@ -24,9 +33,10 @@ use crate::aggregate::SubtreeInfo;
 
 /// The Rendezvous Node Tree over a snapshot of overlay membership.
 ///
-/// Rebuilt from the overlay on churn; in a deployment every node maintains
-/// its own parent pointer with one local computation plus one DHT lookup, so
-/// a full rebuild here corresponds to each node independently refreshing its
+/// Refreshed from the overlay on churn, in place: ranks are renumbered and
+/// every parent pointer is read again. In a deployment every node maintains
+/// its own parent pointer with one local computation plus one DHT lookup,
+/// so a refresh here corresponds to each node independently refreshing its
 /// pointer (what the paper's periodic soft-state maintenance converges to).
 #[derive(Clone, Debug)]
 pub struct RnTree {
@@ -39,41 +49,62 @@ pub struct RnTree {
     kid_start: Vec<u32>,
     kids: Vec<u32>,
     /// Every rank, each parent before its children (depth-first from the
-    /// root, siblings in descending order).
+    /// root, siblings in descending order) — or empty where ascending rank
+    /// order is such an order already: every parent rank below its child's,
+    /// the root at rank 0.
     order: Vec<u32>,
 }
 
-/// CSR child lists of a parent vector; ascending within each list.
-fn child_lists(parent: &[u32]) -> (Vec<u32>, Vec<u32>) {
+/// Refill `start` and `kids` with the CSR child lists of a parent vector,
+/// ascending within each list, in the buffers they already have.
+fn fill_child_lists(parent: &[u32], start: &mut Vec<u32>, kids: &mut Vec<u32>) {
     let n = parent.len();
-    let mut start = vec![0u32; n + 1];
-    for &p in parent.iter().filter(|&&p| p != NO_PARENT) {
-        start[p as usize + 1] += 1;
-    }
-    for r in 0..n {
-        start[r + 1] += start[r];
-    }
-    let mut fill = start.clone();
-    let mut kids = vec![0u32; start[n] as usize];
-    for (r, &p) in parent.iter().enumerate() {
+    // Each parent's child count two slots up, then the running sum from
+    // there: `start[p + 1]` is where `p`'s list begins, and each child
+    // placed moves it on to where `p + 1`'s does.
+    start.clear();
+    start.resize(n + 2, 0);
+    for &p in parent {
         if p != NO_PARENT {
-            kids[fill[p as usize] as usize] = r as u32;
-            fill[p as usize] += 1;
+            start[p as usize + 2] += 1;
         }
     }
-    (start, kids)
+    let mut sum = 0;
+    for s in &mut start[2..] {
+        sum += *s;
+        *s = sum;
+    }
+    kids.clear();
+    kids.resize(sum as usize, 0);
+    for (r, &p) in (0u32..).zip(parent) {
+        if p != NO_PARENT {
+            let at = &mut start[p as usize + 1];
+            kids[*at as usize] = r;
+            *at += 1;
+        }
+    }
+    start.truncate(n + 1);
 }
 
-/// Ranks reachable from `root`, each parent before its children.
-fn preorder(root: u32, kid_start: &[u32], kids: &[u32]) -> Vec<u32> {
-    let mut order = Vec::with_capacity(kid_start.len() - 1);
+/// Whether ascending rank order puts every parent before its children:
+/// rank 0 is the root and every other rank's parent is a lower rank.
+fn ranks_descend_to_the_root(parent: &[u32]) -> bool {
+    parent.first() == Some(&NO_PARENT)
+        && (0u32..)
+            .zip(&parent[1..])
+            .fold(true, |below, (r, &p)| below & (p <= r))
+}
+
+/// Refill `order` with the ranks reachable from `root`, each parent before
+/// its children.
+fn fill_preorder(root: u32, kid_start: &[u32], kids: &[u32], order: &mut Vec<u32>) {
+    order.clear();
     let mut stack = vec![root];
     while let Some(r) = stack.pop() {
         order.push(r);
         let r = r as usize;
         stack.extend_from_slice(&kids[kid_start[r] as usize..kid_start[r + 1] as usize]);
     }
-    order
 }
 
 /// All live keys of `router`, ascending: the tree's ranks.
@@ -86,6 +117,18 @@ fn ranked_keys<R: KeyRouter>(router: &R) -> Vec<u64> {
 }
 
 impl RnTree {
+    /// The tree of no node, which only a refresh fills.
+    fn empty() -> RnTree {
+        RnTree {
+            ids: Vec::new(),
+            root: 0,
+            parent: Vec::new(),
+            kid_start: vec![0],
+            kids: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+
     /// Build the tree for all live nodes of `router`, which has been
     /// stabilized since its last membership change (as every engine rebuild
     /// is), so that every parent lookup names the ground-truth owner. The
@@ -99,7 +142,9 @@ impl RnTree {
     pub fn build<R: KeyRouter>(router: &R) -> RnTree {
         let ids = ranked_keys(router);
         let parent = router.rn_tree_parents(&ids);
-        Self::from_parents(ids, parent)
+        let mut tree = RnTree::empty();
+        tree.relink(ids, parent);
+        tree
     }
 
     /// Build the tree and report the total overlay-lookup hop cost the
@@ -113,30 +158,35 @@ impl RnTree {
             lookup_hops += u64::from(res.hops);
             res.owner
         });
-        (Self::from_parents(ids, parent), lookup_hops)
+        let mut tree = RnTree::empty();
+        tree.relink(ids, parent);
+        (tree, lookup_hops)
     }
 
-    /// The tree of `parent`, one rank per id; [`NO_PARENT`] marks the root.
-    fn from_parents(ids: Vec<u64>, parent: Vec<u32>) -> RnTree {
+    /// Make this the tree of `parent`, one rank per id; [`NO_PARENT`] marks
+    /// the root. The child lists and the order are refilled in place.
+    fn relink(&mut self, ids: Vec<u64>, parent: Vec<u32>) {
         debug_assert_eq!(parent.len(), ids.len(), "one parent per rank");
-        let root = parent.iter().position(|&p| p == NO_PARENT);
-        let root = root.expect("one node is the root") as u32;
-        // Chord's interval ownership makes parent ids strictly decrease, so
-        // every chain reaches the root. Pastry's and Tapestry's ownership
-        // carries no such order, but no stabilized overlay has been seen to
-        // close a cycle.
-        let (kid_start, kids) = child_lists(&parent);
-        let order = preorder(root, &kid_start, &kids);
-        assert_eq!(order.len(), ids.len(), "a parent chain misses the root");
-
-        RnTree {
-            ids,
-            root,
-            parent,
-            kid_start,
-            kids,
-            order,
+        fill_child_lists(&parent, &mut self.kid_start, &mut self.kids);
+        if ranks_descend_to_the_root(&parent) {
+            // Every chain descends in rank, so it ends at rank 0.
+            self.root = 0;
+            self.order.clear();
+        } else {
+            // Pastry's and Tapestry's ownership carries no order between a
+            // node's rank and its parent's, but no stabilized overlay has
+            // been seen to close a cycle.
+            let root = parent.iter().position(|&p| p == NO_PARENT);
+            self.root = root.expect("one node is the root") as u32;
+            fill_preorder(self.root, &self.kid_start, &self.kids, &mut self.order);
+            assert_eq!(
+                self.order.len(),
+                ids.len(),
+                "a parent chain misses the root"
+            );
         }
+        self.ids = ids;
+        self.parent = parent;
     }
 
     /// The tree root (the overlay owner of key 0).
@@ -215,15 +265,37 @@ impl RnTree {
     /// Height of the tree: the maximum node depth.
     pub fn height(&self) -> u32 {
         let mut depth = vec![0u32; self.len()];
-        for &r in &self.order[1..] {
-            depth[r as usize] = depth[self.parent[r as usize] as usize] + 1;
-        }
+        self.visit_ranks(false, |r| {
+            if let Some(p) = self.parent_rank(r) {
+                depth[r as usize] = depth[p as usize] + 1;
+            }
+        });
         depth.into_iter().max().unwrap_or(0)
     }
 
-    /// All node ids, ascending.
-    pub fn ids(&self) -> Vec<u64> {
-        self.ids.clone()
+    /// Call `f` on every rank, each after its parent — or, `upward`, each
+    /// before its parent.
+    fn visit_ranks(&self, upward: bool, f: impl FnMut(u32)) {
+        if self.order.is_empty() {
+            let ranks = 0..self.len() as u32;
+            if upward {
+                ranks.rev().for_each(f);
+            } else {
+                ranks.for_each(f);
+            }
+        } else {
+            let ranks = self.order.iter().copied();
+            if upward {
+                ranks.rev().for_each(f);
+            } else {
+                ranks.for_each(f);
+            }
+        }
+    }
+
+    /// All node ids, ascending: rank `r`'s id is the `r`-th.
+    pub fn ids(&self) -> &[u64] {
+        &self.ids
     }
 }
 
@@ -235,6 +307,9 @@ pub struct RnTreeIndex {
     tree: RnTree,
     caps: Vec<Capabilities>,
     info: Vec<SubtreeInfo>,
+    /// The buffer the next refresh gathers capabilities into, then swaps
+    /// with `caps`.
+    spare_caps: Vec<Capabilities>,
 }
 
 impl RnTreeIndex {
@@ -252,19 +327,64 @@ impl RnTreeIndex {
     }
 
     /// [`RnTreeIndex::build`] with the capabilities asked of `caps_of`,
-    /// once per live node in ascending id order.
+    /// once per live node in ascending id order: a
+    /// [`refresh`](RnTreeIndex::refresh) of the index of no node.
     pub fn build_with<R: KeyRouter>(
         router: &R,
         caps_of: impl FnMut(u64) -> Capabilities,
     ) -> RnTreeIndex {
-        let tree = RnTree::build(router);
         let mut index = RnTreeIndex {
-            caps: tree.ids.iter().copied().map(caps_of).collect(),
-            tree,
+            tree: RnTree::empty(),
+            caps: Vec::new(),
             info: Vec::new(),
+            spare_caps: Vec::new(),
         };
-        index.refresh_aggregates();
+        index.refresh(router, caps_of);
         index
+    }
+
+    /// Bring the index up to the live membership of `router`, stabilized
+    /// since its last change, in the buffers it already has. The result
+    /// equals [`RnTreeIndex::build_with`] from scratch, provided every
+    /// surviving node's capabilities are still the ones the index holds:
+    /// only joiners are asked of `caps_of`, once each in ascending id order.
+    ///
+    /// # Panics
+    /// As [`RnTree::build`].
+    pub fn refresh<R: KeyRouter>(
+        &mut self,
+        router: &R,
+        mut caps_of: impl FnMut(u64) -> Capabilities,
+    ) {
+        let ids = ranked_keys(router);
+        let old = self.tree.ids();
+        let (caps, gathered) = (&self.caps, &mut self.spare_caps);
+        gathered.clear();
+        gathered.reserve(ids.len());
+        // Both lists ascend: runs of survivors are copied whole, a departed
+        // id is stepped over and a joiner asked for its capabilities.
+        let (mut i, mut j) = (0, 0);
+        while j < ids.len() {
+            let run = old[i..]
+                .iter()
+                .zip(&ids[j..])
+                .take_while(|(a, b)| a == b)
+                .count();
+            gathered.extend_from_slice(&caps[i..i + run]);
+            (i, j) = (i + run, j + run);
+            match (old.get(i), ids.get(j)) {
+                (Some(&gone), Some(&id)) if gone < id => i += 1,
+                (_, Some(&id)) => {
+                    gathered.push(caps_of(id));
+                    j += 1;
+                }
+                (_, None) => {}
+            }
+        }
+        std::mem::swap(&mut self.caps, &mut self.spare_caps);
+        let parent = router.rn_tree_parents(&ids);
+        self.tree.relink(ids, parent);
+        self.refresh_aggregates();
     }
 
     /// The underlying tree.
@@ -297,14 +417,20 @@ impl RnTreeIndex {
     pub fn refresh_aggregates(&mut self) {
         self.info.clear();
         self.info.extend(self.caps.iter().map(SubtreeInfo::leaf));
-        // Children before parents; a node's children fold in ascending
-        // order, as a recursive descent would fold them.
-        for &r in self.tree.order.iter().rev() {
-            if let Some(p) = self.tree.parent_rank(r) {
-                let sub = self.info[r as usize].clone();
-                self.info[p as usize].absorb(&sub);
+        self.fold_aggregates();
+    }
+
+    /// Fold every node's own aggregate, `info` at its rank, into its
+    /// parent's, children before parents. `max`, `|` and `+` are exact in
+    /// any order, so which child folds first cannot show.
+    fn fold_aggregates(&mut self) {
+        let (tree, info) = (&self.tree, &mut self.info);
+        tree.visit_ranks(true, |r| {
+            if let Some(p) = tree.parent_rank(r) {
+                let sub = info[r as usize].clone();
+                info[p as usize].absorb(&sub);
             }
-        }
+        });
     }
 
     /// Aggregate-monotonicity check: every parent's subtree aggregate must
@@ -414,7 +540,8 @@ mod tests {
         // Exactly one root, and it owns key 0.
         let roots: Vec<u64> = tree
             .ids()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&id| tree.parent(id).is_none())
             .collect();
         assert_eq!(roots, vec![tree.root()]);
@@ -425,7 +552,7 @@ mod tests {
     fn every_node_reaches_root() {
         let ring = ring_of(128, 37);
         let tree = RnTree::build(&ring);
-        for id in tree.ids() {
+        for &id in tree.ids() {
             let mut cur = id;
             let mut steps = 0;
             while let Some(p) = tree.parent(cur) {
@@ -450,7 +577,7 @@ mod tests {
                 "{}: root owns key 0",
                 R::SUBSTRATE
             );
-            for id in tree.ids() {
+            for &id in tree.ids() {
                 // Terminates and ends at the root (depth_of panics on
                 // cycles), and links are mutual.
                 let _ = tree.depth_of(id);
@@ -475,7 +602,7 @@ mod tests {
     fn parent_child_links_are_consistent() {
         let ring = ring_of(64, 41);
         let tree = RnTree::build(&ring);
-        for id in tree.ids() {
+        for &id in tree.ids() {
             for c in tree.children(id) {
                 assert_eq!(tree.parent(c), Some(id));
             }
@@ -526,7 +653,7 @@ mod tests {
         // returns on the same ring must have the same shape.
         fn shape(tree: &RnTree) -> (u32, u64) {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for id in tree.ids() {
+            for &id in tree.ids() {
                 for w in [id, tree.parent(id).unwrap_or(u64::MAX)] {
                     for b in w.to_le_bytes() {
                         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
@@ -568,7 +695,7 @@ mod tests {
         ring.stabilize();
         let tree = RnTree::build(&ring);
         assert_eq!(tree.len(), 70);
-        for id in tree.ids() {
+        for &id in tree.ids() {
             assert!(ring.is_alive(id));
         }
     }

@@ -382,7 +382,7 @@ proptest! {
         prop_assert_eq!(tree.len(), ids.len());
 
         let mut roots = 0;
-        for id in tree.ids() {
+        for &id in tree.ids() {
             match tree.parent(id) {
                 None => {
                     roots += 1;

@@ -274,6 +274,14 @@ impl<X> Membership<X> {
         }
     }
 
+    /// Every live key, ascending: a copy of the snapshot while settled.
+    pub fn alive_keys(&self) -> Vec<u64> {
+        match self.exceptions() {
+            None => self.snapshot.keys.clone(),
+            Some(_) => self.alive_in(..).collect(),
+        }
+    }
+
     /// The `rank`-th live key in ascending order: one index into the
     /// snapshot while settled, a walk otherwise.
     pub fn alive_key_at(&self, rank: usize) -> Option<u64> {

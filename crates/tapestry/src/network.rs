@@ -131,7 +131,7 @@ impl KeyRouter for TapestryNetwork {
     }
 
     fn alive_keys(&self) -> Vec<u64> {
-        self.m.alive_in(..).collect()
+        self.m.alive_keys()
     }
 
     fn alive_key_at(&self, rank: usize) -> Option<u64> {

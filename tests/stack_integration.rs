@@ -99,7 +99,7 @@ fn chord_and_rntree_agree_on_membership_through_churn() {
         ring.len(),
         "tree spans exactly the live ring"
     );
-    for id in index.tree().ids() {
+    for &id in index.tree().ids() {
         assert!(ring.is_alive(id));
     }
 
