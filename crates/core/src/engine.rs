@@ -37,7 +37,7 @@ use rand::Rng;
 use self::run_node::{EnvOp, ReportOp, RunNodeCtx};
 use crate::config::{ChurnConfig, EngineConfig};
 use crate::dag::JobDag;
-use crate::job::{FailureReason, JobRecord, JobState, JobTable, OwnerRef};
+use crate::job::{FailureReason, JobRecord, JobState, JobTable, OwnerRef, NOT_FILED};
 use crate::matchmaker::Matchmaker;
 use crate::metrics::SimReport;
 use crate::node::{GridNode, GridNodeId, NodeTable, QueuedJob};
@@ -207,9 +207,11 @@ enum Event {
         job: JobId,
         seq: u64,
     },
-    /// A lease reached `ttl + grace` without a successful renewal. Stale
-    /// seqs (the lease was renewed or re-granted) are ignored; a live seq
-    /// expires the lease and transfers it to a freshly placed owner.
+    /// A lease reached `ttl + grace` without a successful renewal. Carries
+    /// the queue seq reserved when its expiry was armed. The queue holds
+    /// one per leased job: if the lease was renewed or re-granted since,
+    /// the latest armed expiry is filed in its place; otherwise it expires
+    /// the lease and transfers it to a freshly placed owner.
     LeaseExpire {
         job: JobId,
         seq: u64,
@@ -293,6 +295,14 @@ pub struct Engine {
     /// sorted by `(time, commit order)` at the barrier; `None` (the
     /// sequential kernel) forwards straight to the observer.
     window_obs: Option<Vec<(SimTime, TraceEvent)>>,
+    /// The due time of the latest lease expiry armed to fall due no later
+    /// than `max_sim_secs`; zero before one is. Arms come in time order,
+    /// each due a fixed bound after its arm, so one value tracks them.
+    expiry_by_horizon: SimTime,
+    /// Sharded kernel only: the due time of every lease expiry armed and
+    /// not yet inside a drained window, ascending. See
+    /// [`Engine::run_sharded_loop`].
+    armed_dues: VecDeque<SimTime>,
 }
 
 impl Engine {
@@ -401,7 +411,7 @@ impl Engine {
         // it arrive no earlier than the arrival it stepped back from.
         let mut submissions = submissions;
         let jobs_total = submissions.len();
-        let mut jobs = JobTable::default();
+        let mut jobs = JobTable::new(cfg.leases_enabled());
         let mut held = HashMap::new();
         let mut parked = HashMap::new();
         let mut out_of_order = Vec::new();
@@ -520,6 +530,8 @@ impl Engine {
             shards: None,
             shard_states: Vec::new(),
             window_obs: None,
+            expiry_by_horizon: SimTime::ZERO,
+            armed_dues: VecDeque::new(),
         }
     }
 
@@ -710,16 +722,24 @@ impl Engine {
     fn run_sequential_loop(&mut self, horizon: SimTime) -> SimTime {
         let mut makespan = SimTime::ZERO;
         while self.outstanding > 0 {
-            let Some((now, ev)) = self.queue.pop() else {
-                break;
+            let Some((now, ev)) = self.queue.pop().filter(|&(now, _)| now <= horizon) else {
+                return self.cut_makespan(makespan);
             };
-            if now > horizon {
-                break;
-            }
             self.dispatch(now, ev);
             makespan = now;
         }
         makespan
+    }
+
+    /// The makespan of a run that stopped with jobs open — at the horizon,
+    /// or with nothing left to happen — whose last event was at `last`.
+    /// Every lease expiry armed to fall due by the horizon was an event of
+    /// its own when each renewal filed one, and was reached before the
+    /// run stopped; one that found its lease renewed did nothing, but the
+    /// run still ended no earlier than it. Only the latest such expiry can
+    /// matter.
+    fn cut_makespan(&self, last: SimTime) -> SimTime {
+        last.max(self.expiry_by_horizon)
     }
 
     // ------------------------------------------------------------------
@@ -908,8 +928,8 @@ impl Engine {
 
     /// Grant (or re-grant) the lease on `job` to its freshly installed peer
     /// owner: bump the per-job lease seq — invalidating every in-flight
-    /// renew/expire for older grants — and schedule the first renewal plus
-    /// the ttl+grace expiry under the new seq. Server owners (the reliable
+    /// renewal for older grants — schedule the first renewal under the new
+    /// seq, and arm the ttl+grace expiry. Server owners (the reliable
     /// centralized baseline) hold an implicit permanent lease.
     fn grant_lease(&mut self, now: SimTime, job: JobId) {
         if !self.cfg.leases_enabled() {
@@ -928,27 +948,45 @@ impl Engine {
             now + SimDuration::from_secs_f64(self.cfg.lease_renew_secs),
             Event::LeaseRenew { job, seq },
         );
-        self.schedule_lease_expiry(now, job, seq);
+        self.arm_lease_expiry(now, job);
     }
 
-    /// Arm the expiry clock for lease `seq`: it fires `ttl + grace` after
-    /// the grant or last successful renewal.
-    fn schedule_lease_expiry(&mut self, now: SimTime, job: JobId, seq: u64) {
+    /// Arm the expiry clock of the lease just granted or renewed on `job`:
+    /// it falls due `ttl + grace` from now, under a queue seq reserved for
+    /// it here, where an event used to be scheduled. The queue holds one
+    /// expiry per job: this one is filed only if none is, and otherwise
+    /// the one queued, when it pops, files this in its place.
+    fn arm_lease_expiry(&mut self, now: SimTime, job: JobId) {
         let bound = self
             .cfg
             .lease_expiry_bound_secs()
             .expect("only called in lease mode");
-        self.queue.schedule(
-            now + SimDuration::from_secs_f64(bound),
-            Event::LeaseExpire { job, seq },
-        );
+        let due = now + SimDuration::from_secs_f64(bound);
+        let seq = self.queue.reserve_seqs(1);
+        if due <= SimTime::from_secs_f64(self.cfg.max_sim_secs) {
+            self.expiry_by_horizon = due;
+        }
+        if self.shards.is_some() {
+            self.armed_dues.push_back(due);
+        }
+        // Every arm follows a grant to the job's live record.
+        let Some(slot) = self.jobs.slot(job) else {
+            return;
+        };
+        let clock = self.jobs.expiry_mut(slot);
+        (clock.due, clock.armed) = (due, seq);
+        if clock.filed == NOT_FILED {
+            clock.filed = seq;
+            self.queue.file(due, seq, Event::LeaseExpire { job, seq });
+        }
     }
 
     /// The owner's renewal heartbeat. A delivered renewal re-arms both the
-    /// renewal and expiry clocks under a fresh seq (the pending expiry goes
-    /// stale); a lost one retries at the next heartbeat under the *same*
-    /// seq, so the expiry armed by the last successful renewal stands — a
-    /// partition outlasting `ttl + grace` therefore expires the lease.
+    /// renewal clock, under a fresh seq, and the expiry clock (the queued
+    /// expiry is superseded); a lost one retries at the next heartbeat
+    /// under the *same* seq, so the expiry armed by the last successful
+    /// renewal stands — a partition outlasting `ttl + grace` therefore
+    /// expires the lease.
     fn handle_lease_renew(&mut self, now: SimTime, job: JobId, seq: u64) {
         let Some(rec) = self.job_ref(job) else { return };
         if rec.state.is_terminal() || !rec.holds_lease(seq) {
@@ -976,7 +1014,7 @@ impl Engine {
                 let seq = rec.grant_lease();
                 self.queue
                     .schedule(now + renew_in, Event::LeaseRenew { job, seq });
-                self.schedule_lease_expiry(now, job, seq);
+                self.arm_lease_expiry(now, job);
             }
             _ => {
                 self.queue
@@ -986,10 +1024,33 @@ impl Engine {
     }
 
     /// A lease ran out its `ttl + grace`: the holder — dead, partitioned,
-    /// or silently gone — loses ownership and the lease transfers.
+    /// or silently gone — loses ownership and the lease transfers. The
+    /// expiry queued for the job carries the seq reserved when it was
+    /// armed; if the lease was renewed or re-granted since, the latest arm
+    /// takes its place in the queue instead, unless the job holds no lease
+    /// any more.
     fn handle_lease_expire(&mut self, now: SimTime, job: JobId, seq: u64) {
-        let Some(rec) = self.job_ref(job) else { return };
-        if rec.state.is_terminal() || !rec.holds_lease(seq) {
+        let Some(slot) = self.jobs.slot(job) else {
+            self.note_missing(job);
+            return;
+        };
+        let clock = *self.jobs.expiry_mut(slot);
+        if clock.filed != seq {
+            // Not the expiry the clock queued (one dispatched by hand).
+            return;
+        }
+        self.jobs.expiry_mut(slot).filed = NOT_FILED;
+        let rec = self.jobs.at_mut(slot);
+        if rec.state.is_terminal() || !rec.leased {
+            return;
+        }
+        if clock.armed != seq {
+            self.jobs.expiry_mut(slot).filed = clock.armed;
+            let ev = Event::LeaseExpire {
+                job,
+                seq: clock.armed,
+            };
+            self.queue.file(clock.due, clock.armed, ev);
             return;
         }
         self.report.lease_expiries += 1;
@@ -1048,8 +1109,8 @@ impl Engine {
                 // No live candidate anywhere: hold the lease vacant and
                 // re-arm the clock; the bound restarts once nodes rejoin.
                 let Some(rec) = self.job_mut(job) else { return };
-                let seq = rec.grant_lease();
-                self.schedule_lease_expiry(now, job, seq);
+                rec.grant_lease();
+                self.arm_lease_expiry(now, job);
             }
         }
     }
@@ -2120,7 +2181,8 @@ mod tests {
         // Job 1's lease runs out and moves to another owner while its old
         // owner is still up.
         owner.set(NEXT);
-        let seq = engine.jobs.get(JobId(1)).expect("submitted").lease_seq;
+        let slot = engine.jobs.slot(JobId(1)).expect("submitted");
+        let seq = engine.jobs.expiry_mut(slot).armed;
         engine.dispatch(now, Event::LeaseExpire { job: JobId(1), seq });
         let moved = |job| {
             [
@@ -2462,6 +2524,117 @@ mod tests {
                 lease_transfers: 6,
                 ..Counts::default()
             }
+        );
+    }
+
+    /// Pop every pending event, keeping `job`'s lease expiries as
+    /// `(time, seq)`.
+    fn drain_expiries(engine: &mut Engine, job: JobId) -> Vec<(SimTime, u64)> {
+        let mut expiries = Vec::new();
+        while let Some((at, ev)) = engine.queue.pop() {
+            if let Event::LeaseExpire { job: j, seq } = ev {
+                if j == job {
+                    expiries.push((at, seq));
+                }
+            }
+        }
+        expiries
+    }
+
+    /// Each renewal arms a new expiry, but the queue keeps the one it had:
+    /// ten renewals in, one `LeaseExpire` is queued for the job, the one
+    /// the grant filed, and the clock names the latest arm.
+    #[test]
+    fn a_renewed_lease_keeps_one_expiry_in_the_queue() {
+        let (mut engine, _, _) = scripted(leased(), &[0]);
+        let granted = until_all_placed(&mut engine);
+        run_until(&mut engine, granted + SimDuration::from_secs(10 * 30 + 1));
+        assert_eq!(engine.report.lease_renewals, 10);
+        let slot = engine.jobs.slot(JobId(0)).expect("running");
+        let clock = *engine.jobs.expiry_mut(slot);
+        let last_renewal = granted + SimDuration::from_secs(10 * 30);
+        assert_eq!(clock.due, last_renewal + SimDuration::from_secs(130));
+        assert_ne!(clock.filed, clock.armed, "the grant's expiry is queued");
+        // The grant's expiry popped at 130 s and filed the arm of 120 s in
+        // its place, which popped at 250 s and filed the arm of 240 s.
+        let queued_due = granted + SimDuration::from_secs(240 + 130);
+        assert_eq!(
+            drain_expiries(&mut engine, JobId(0)),
+            [(queued_due, clock.filed)]
+        );
+    }
+
+    /// The expiry that acts pops at the `(time, seq)` its arm reserved:
+    /// after an event scheduled for the same instant before the arm, and
+    /// before one scheduled after it — here one a renewal superseded files
+    /// it in its place, and the owner's crash stops further renewals.
+    #[test]
+    fn a_refiled_expiry_pops_in_its_reserved_place_among_equal_times() {
+        let (mut engine, _, stream) = streamed(leased(), &[0]);
+        let granted = until_all_placed(&mut engine);
+        let renewal = granted + SimDuration::from_secs(30);
+        run_until(&mut engine, renewal);
+        let due = renewal + SimDuration::from_secs(130);
+        // Markers: a telemetry sample does nothing while sampling is off.
+        engine.queue.schedule(due, Event::TelemetrySample);
+        let (at, ev) = engine.queue.pop().expect("the renewal is next");
+        assert_eq!(at, renewal);
+        assert!(matches!(ev, Event::LeaseRenew { .. }));
+        engine.dispatch(at, ev);
+        engine.queue.schedule(due, Event::TelemetrySample);
+        crash(&mut engine, renewal + SimDuration::from_secs(1), OWNER);
+        stream.take();
+        let mut at_due = Vec::new();
+        while let Some((at, ev)) = engine.queue.pop().filter(|&(at, _)| at <= due) {
+            if at == due {
+                at_due.push(match ev {
+                    Event::TelemetrySample => "marker",
+                    Event::LeaseExpire { .. } => "expiry",
+                    _ => "other",
+                });
+            }
+            engine.dispatch(at, ev);
+        }
+        assert_eq!(at_due, ["marker", "expiry", "marker"]);
+        assert_eq!(
+            stream.take(),
+            [
+                "160.085s LeaseExpired { job: job#0 }",
+                "160.085s LeaseTransferred { job: job#0, owner: node#2 }",
+            ]
+        );
+    }
+
+    /// Renewals lost in a partition arm nothing, so the expiry the last
+    /// delivered renewal armed (at 30 s) stands and fires at its deadline:
+    /// the grant's queued expiry finds itself superseded and files that one.
+    #[test]
+    fn after_lost_renewals_the_last_delivered_ones_expiry_fires_on_time() {
+        let (engine, _, stream) = streamed(leased(), &[0]);
+        let mut engine =
+            engine.with_fault_plan(FaultPlan::none().with_partition(45.0, 400.0, vec![OWNER]));
+        let granted = until_all_placed(&mut engine);
+        stream.take();
+        run_until(&mut engine, granted + SimDuration::from_secs(300));
+        assert_eq!(
+            engine.report.lease_renewals, 1,
+            "only the first is delivered"
+        );
+        // The transfer stays inside the partition, so the new grant's
+        // renewals are lost too and it runs out 130 s later.
+        let leases: Vec<String> = stream
+            .take()
+            .into_iter()
+            .filter(|line| line.contains("Lease"))
+            .collect();
+        assert_eq!(
+            leases,
+            [
+                "160.085s LeaseExpired { job: job#0 }",
+                "160.085s LeaseTransferred { job: job#0, owner: node#0 }",
+                "290.085s LeaseExpired { job: job#0 }",
+                "290.085s LeaseTransferred { job: job#0, owner: node#0 }",
+            ]
         );
     }
 

@@ -138,6 +138,16 @@ struct ShardWork {
 impl Engine {
     /// The windowed outer loop: returns the makespan (time of the last
     /// processed event), like the sequential loop.
+    ///
+    /// The queue holds one lease expiry per leased job, while the windows
+    /// are cut as they were when every arm queued one: a window opens at
+    /// the earliest armed expiry not yet drained when that comes first,
+    /// every armed expiry due before a window's end counts as drained with
+    /// the batch (the makespan reaches it, and a batch of nothing else
+    /// still takes a round), and a queued expiry that a renewal superseded
+    /// brings the latest arm into its batch when that falls due inside the
+    /// window. A superseded expiry did nothing at its barrier, so only
+    /// where windows fall and where batches end depend on them.
     pub(super) fn run_sharded_loop(&mut self, horizon: SimTime) -> SimTime {
         let shards = self.shards.expect("sharded loop without shard count");
         self.init_shard_states(shards);
@@ -148,20 +158,27 @@ impl Engine {
         let mut makespan = SimTime::ZERO;
         self.window_obs = Some(Vec::new());
         while self.outstanding > 0 {
-            let Some(t0) = self.queue.peek_time() else {
+            let next = match (self.queue.peek_time(), self.armed_dues.front()) {
+                (Some(t), Some(&due)) => Some(t.min(due)),
+                (t, due) => t.or(due.copied()),
+            };
+            let Some(t0) = next.filter(|&t0| t0 <= horizon) else {
                 break;
             };
-            if t0 > horizon {
-                break;
-            }
             let wend = (t0 + lookahead).min(hard_end);
             // Fixpoint rounds: effects landing inside the still-open window
             // (job starts chaining on a node, zero-delay retries) drain in
             // follow-up rounds at the same horizon until none remain.
             while self.outstanding > 0 {
                 self.arrivals.stage_before(&mut self.queue, wend);
-                let batch = self.queue.drain_window(wend);
-                let Some(&(last_at, _, _)) = batch.last() else {
+                let mut batch = self.queue.drain_window(wend);
+                let mut armed = None;
+                while let Some(due) = self.armed_dues.front().filter(|&&due| due < wend) {
+                    armed = Some(*due);
+                    self.armed_dues.pop_front();
+                }
+                self.pull_renewed_expiries(&mut batch, wend);
+                let Some(last_at) = batch.last().map(|&(at, ..)| at).max(armed) else {
                     break;
                 };
                 makespan = makespan.max(last_at);
@@ -174,6 +191,36 @@ impl Engine {
             debug_assert!(buf.is_empty(), "unflushed window emissions");
         }
         makespan
+    }
+
+    /// For each expiry in `batch` that a later arm superseded, file that
+    /// latest arm in the batch itself when it falls due before `wend`:
+    /// there it pops in `(time, seq)` order among the window's events, as
+    /// it did when every arm queued an event, instead of in a later round.
+    /// The superseded expiry then finds another filed and does nothing.
+    fn pull_renewed_expiries(&mut self, batch: &mut Vec<(SimTime, u64, Event)>, wend: SimTime) {
+        let mut pulled = Vec::new();
+        for (_, _, ev) in batch.iter() {
+            let &Event::LeaseExpire { job, seq } = ev else {
+                continue;
+            };
+            let Some(slot) = self.jobs.slot(job) else {
+                continue;
+            };
+            let clock = self.jobs.expiry_mut(slot);
+            if clock.filed == seq && clock.armed != seq && clock.due < wend {
+                clock.filed = clock.armed;
+                let ev = Event::LeaseExpire {
+                    job,
+                    seq: clock.armed,
+                };
+                pulled.push((clock.due, clock.armed, ev));
+            }
+        }
+        for entry in pulled {
+            let at = batch.partition_point(|&(t, s, _)| (t, s) < (entry.0, entry.1));
+            batch.insert(at, entry);
+        }
     }
 
     fn init_shard_states(&mut self, shards: usize) {

@@ -318,7 +318,8 @@ const RETIRED: u32 = u32::MAX - 1;
 
 /// The engine's job store: a slab of the records of live jobs, addressed
 /// by [`JobId`] through an [`IdIndex`], beside the [`OwnerColumn`] that
-/// names each one's owning peer.
+/// names each one's owning peer and, in lease mode only, the
+/// [`ExpiryClock`] of each slot.
 ///
 /// A job's record exists from its first submission to its terminal event,
 /// so the table's memory follows the jobs in flight, not every job the run
@@ -337,9 +338,52 @@ pub(crate) struct JobTable {
     free: Vec<u32>,
     index: IdIndex,
     owners: OwnerColumn,
+    /// One clock per slot in lease mode; empty, and never grown, otherwise.
+    expiry: Vec<ExpiryClock>,
+    leased: bool,
+}
+
+/// The lease-expiry clock of a job-table slot's job: the expiry armed
+/// last, and which one `LeaseExpire` the queue holds for the job.
+///
+/// Each grant or renewal arms a new expiry under a queue seq reserved for
+/// it, but only the first arm with none queued files an event. When that
+/// event pops, a later arm has superseded it unless its seq is `armed`'s;
+/// a superseded one files the latest arm in its place, under the time and
+/// seq reserved for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ExpiryClock {
+    /// When the latest armed expiry is due.
+    pub due: SimTime,
+    /// The queue seq reserved for the latest armed expiry.
+    pub armed: u64,
+    /// The seq the queued `LeaseExpire` carries, [`NOT_FILED`] when none
+    /// is queued.
+    pub filed: u64,
+}
+
+/// [`ExpiryClock::filed`] of a job with no `LeaseExpire` queued: no queue
+/// seq reaches it.
+pub(crate) const NOT_FILED: u64 = u64::MAX;
+
+impl ExpiryClock {
+    /// The clock of a freshly admitted job: nothing armed, nothing queued.
+    const IDLE: ExpiryClock = ExpiryClock {
+        due: SimTime::ZERO,
+        armed: NOT_FILED,
+        filed: NOT_FILED,
+    };
 }
 
 impl JobTable {
+    /// An empty table; `leased` gives every slot an [`ExpiryClock`].
+    pub fn new(leased: bool) -> JobTable {
+        JobTable {
+            leased,
+            ..JobTable::default()
+        }
+    }
+
     /// Hand the run job `id`, whose record is created later by
     /// [`JobTable::admit`]; `false` (and no change) if it was handed over
     /// already.
@@ -367,6 +411,9 @@ impl JobTable {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = record;
+                if self.leased {
+                    self.expiry[slot as usize] = ExpiryClock::IDLE;
+                }
                 slot
             }
             None => {
@@ -376,10 +423,22 @@ impl JobTable {
                     .expect("fewer than 2³² − 2 jobs are live at once");
                 self.slots.push(record);
                 self.owners.push_unowned();
+                if self.leased {
+                    self.expiry.push(ExpiryClock::IDLE);
+                }
                 slot
             }
         };
         self.index.insert(id.0, slot);
+    }
+
+    /// The expiry clock of the job in `slot`, one [`JobTable::slot`] named.
+    ///
+    /// # Panics
+    /// Outside lease mode, where no slot has one.
+    #[inline]
+    pub fn expiry_mut(&mut self, slot: u32) -> &mut ExpiryClock {
+        &mut self.expiry[slot as usize]
     }
 
     /// Free `job`'s record and mark it retired; a pending job is retired
@@ -637,6 +696,39 @@ mod tests {
             t.admit(JobId(id), record_for(id));
         }
         t
+    }
+
+    /// Only a leased table keeps an expiry clock per slot, so a run
+    /// without leases pays no byte for them; a reused slot's clock starts
+    /// idle, whatever its last job left queued.
+    #[test]
+    fn only_a_leased_table_keeps_expiry_clocks() {
+        let plain = table_of(&[1, 2, 3]);
+        assert!(plain.expiry.is_empty() && plain.expiry.capacity() == 0);
+
+        let mut leased = JobTable::new(true);
+        for id in [1, 2] {
+            assert!(leased.declare(JobId(id)));
+            leased.admit(JobId(id), record_for(id));
+        }
+        assert_eq!(leased.expiry, [ExpiryClock::IDLE; 2]);
+        let slot = leased.slot(JobId(1)).expect("live");
+        let armed = ExpiryClock {
+            due: SimTime::from_secs(130),
+            armed: 7,
+            filed: 7,
+        };
+        *leased.expiry_mut(slot) = armed;
+        leased.retire(JobId(1));
+        assert!(leased.declare(JobId(3)));
+        leased.admit(JobId(3), record_for(3));
+        assert_eq!(
+            leased.slot(JobId(3)),
+            Some(slot),
+            "the freed slot is reused"
+        );
+        assert_eq!(*leased.expiry_mut(slot), ExpiryClock::IDLE);
+        assert_eq!(leased.expiry.len(), 2);
     }
 
     #[test]

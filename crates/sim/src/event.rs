@@ -40,6 +40,16 @@
 //! and the engine reserves its submissions' seqs before any other event
 //! exists, so at equal times a submission's lower seq puts it first in
 //! both structures.
+//!
+//! Reserved seqs also serve lease expiries, through
+//! [`EventQueue::file`], which takes a reserved seq into the calendar. The
+//! engine reserves one seq each time it arms a lease's expiry, where it
+//! used to schedule an event, so every later seq is what it was; but it
+//! keeps only one expiry per leased job in the queue. An expiry that
+//! finds its lease renewed files the latest armed one under the seq
+//! reserved for it, which therefore pops at exactly the `(time, seq)` it
+//! would have had if scheduled when armed. A renewal no longer leaves an
+//! event behind that does nothing when it pops.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -226,6 +236,25 @@ impl<E> EventQueue<E> {
         } else {
             self.push_calendar(Entry { at, seq, event });
         }
+    }
+
+    /// Hand over `event` at `at` under `seq`, one set aside by
+    /// [`EventQueue::reserve_seqs`], straight into the calendar. Like an
+    /// entry [`EventQueue::stage`] takes, it pops exactly where it would
+    /// have, had it been scheduled when `seq` was reserved, as long as it
+    /// is filed before any later entry pops; unlike one, it never joins the
+    /// sorted run, which stays the arrival stream's.
+    ///
+    /// # Panics
+    /// If `at` is earlier than [`EventQueue::now`], like `schedule`.
+    pub fn file(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(
+            at >= self.now,
+            "scheduling into the past: at={at:?} < now={:?}",
+            self.now
+        );
+        debug_assert!(seq < self.seq, "seq {seq} was never reserved");
+        self.push_calendar(Entry { at, seq, event });
     }
 
     /// Locate the next entry to deliver: `(bucket index, position in bucket)`.
