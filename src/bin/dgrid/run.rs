@@ -306,15 +306,14 @@ impl RunOpts {
 /// `dgrid run`: one replication's report, or with `--replications R` a
 /// table of R and their mean.
 pub fn run(opts: RunOpts) {
+    let replicated = opts.sim.replications > 1;
+    // Replications sample no time series: refuse to promise one.
+    if replicated && opts.timeseries.is_some() {
+        cli::die("dgrid run takes --timeseries only with --replications 1");
+    }
     // Every output file is created before anything runs or prints.
     let events = opts.events.as_deref().map(cli::create);
-    let replicated = opts.sim.replications > 1;
-    // Replications sample no time series, so write none.
-    let timeseries = opts
-        .timeseries
-        .as_deref()
-        .filter(|_| !replicated)
-        .map(cli::create);
+    let timeseries = opts.timeseries.as_deref().map(cli::create);
     let json = opts.sim.create_json();
     cli::install(opts.sim.threads, || {
         opts.sim.print_workload();

@@ -199,6 +199,19 @@ fn file_and_flag_errors_name_themselves_and_exit_2() {
         let line = format!("dgrid check takes {flag} only with --lease-ttl\n");
         assert_eq!(refused(&["check", flag, val]), line);
     }
+    // Replications sample no time series: the pair is refused before
+    // anything runs, and no file is left behind.
+    let dir = scratch_dir("replicated-series");
+    let args = ["run", "--replications", "2", "--timeseries", "ts.json"];
+    let out = dgrid_in(&dir, &args);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "dgrid run takes --timeseries only with --replications 1\n"
+    );
+    assert!(!dir.join("ts.json").exists(), "{args:?} wrote its file");
+    let _ = std::fs::remove_dir_all(&dir);
     let gone = refused(&["bench", "sweep"]);
     assert!(gone.contains("benchmark/Cargo.toml") && gone.contains("compare --replications"));
     assert_eq!(gone.lines().count(), 1);
