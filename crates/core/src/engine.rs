@@ -1034,23 +1034,22 @@ impl Engine {
             self.note_missing(job);
             return;
         };
-        let clock = *self.jobs.expiry_mut(slot);
+        let clock = self.jobs.expiry_mut(slot);
         if clock.filed != seq {
-            // Not the expiry the clock queued (one dispatched by hand).
+            // Not the one the clock has queued: one a sharded window
+            // replaced by the latest arm, or one dispatched by hand.
             return;
         }
-        self.jobs.expiry_mut(slot).filed = NOT_FILED;
+        clock.filed = NOT_FILED;
+        let (due, armed) = (clock.due, clock.armed);
         let rec = self.jobs.at_mut(slot);
         if rec.state.is_terminal() || !rec.leased {
             return;
         }
-        if clock.armed != seq {
-            self.jobs.expiry_mut(slot).filed = clock.armed;
-            let ev = Event::LeaseExpire {
-                job,
-                seq: clock.armed,
-            };
-            self.queue.file(clock.due, clock.armed, ev);
+        if armed != seq {
+            self.jobs.expiry_mut(slot).filed = armed;
+            let ev = Event::LeaseExpire { job, seq: armed };
+            self.queue.file(due, armed, ev);
             return;
         }
         self.report.lease_expiries += 1;

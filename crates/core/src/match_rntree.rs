@@ -12,11 +12,11 @@
 //!   report their queue length in their search replies, so this load reading
 //!   is fresh for exactly the nodes contacted and nothing else.
 //! * **Maintenance:** after any join, leave or failure, the overlay
-//!   stabilizes and the tree + aggregates rebuild at the first run-node
-//!   search or maintenance tick, whichever comes first, so a search never
-//!   sees a tree that lags membership. Until that rebuild, owner lookups
-//!   route on the state the last stabilize left (a crashed peer stays in
-//!   its neighbours' tables).
+//!   stabilizes and the tree + aggregates are refreshed in place at the
+//!   first run-node search or maintenance tick, whichever comes first, so a
+//!   search never sees a tree that lags membership. Until that refresh,
+//!   owner lookups route on the state the last stabilize left (a crashed
+//!   peer stays in its neighbours' tables).
 //!
 //! The paper builds this on Chord, but nothing here is Chord-specific: the
 //! matchmaker is generic over any [`KeyRouter`] substrate, so the same
@@ -83,7 +83,7 @@ pub struct RnTreeMatchmaker<R: KeyRouter = ChordRing> {
     key_of: Vec<Option<u64>>,
     index: Option<RnTreeIndex>,
     /// Grid node of each rank of `index`: the tree's ids seen through
-    /// [`Self::grid_of`], resolved once per rebuild.
+    /// [`Self::grid_of`], resolved once per refresh.
     grid_at: Vec<GridNodeId>,
     /// Rank in `index` of each grid node, [`NOT_INDEXED`] outside it; the
     /// inverse of `grid_at`.
@@ -166,7 +166,7 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         self.key_of[i] = key;
     }
 
-    fn rebuild_index(&mut self, nodes: &NodeTable) {
+    fn refresh_index(&mut self, nodes: &NodeTable) {
         self.router.stabilize();
         self.dirty = false;
         self.grid_at.clear();
@@ -368,11 +368,11 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         } else {
             self.cfg.k
         };
-        // Any membership change since the last rebuild forces one here, so
+        // Any membership change since the last refresh forces one here, so
         // the search never sees a tree that lags membership, and the owner,
         // a member, is in it.
         if self.dirty {
-            self.rebuild_index(nodes);
+            self.refresh_index(nodes);
         }
         let index = self
             .index
@@ -451,7 +451,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         // The index copies capabilities when it is built, so between
         // membership changes its aggregates have nothing to catch up with.
         if self.dirty {
-            self.rebuild_index(nodes);
+            self.refresh_index(nodes);
         }
     }
 
@@ -679,7 +679,7 @@ mod tests {
     /// The matchmaker's membership mirror and rank columns against the
     /// tree they were built beside: `key_of` names exactly the live grid
     /// nodes, `raw_of` inverts it on every member's key and a dead node's
-    /// first key is no member's; after a rebuild `grid_at[r]` is the grid
+    /// first key is no member's; after a refresh `grid_at[r]` is the grid
     /// node of `ids[r]` and `rank_of` is its inverse, `NOT_INDEXED`
     /// everywhere else.
     fn columns_match_the_tree<R: KeyRouter>(mm: &RnTreeMatchmaker<R>, nodes: &NodeTable) {
@@ -719,7 +719,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// Each step picks a grid node: a live one fails or leaves (unless
-        /// it is the last), a dead one rejoins; then the index rebuilds,
+        /// it is the last), a dead one rejoins; then the index is refreshed,
         /// through a maintenance tick or through a search.
         fn churn<R: KeyRouter>(steps: &[(u32, bool, bool)]) {
             let (mut mm, mut nodes, mut rng) = setup_on::<R>(40);

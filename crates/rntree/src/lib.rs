@@ -39,19 +39,23 @@
 //! capability vector, OS presence mask, node count) and the pruned,
 //! extended candidate [`search`](RnTreeIndex::find_candidates).
 //!
-//! Both are snapshots, rebuilt whole when membership changes. A rebuild is
-//! array work: nodes are addressed by their rank in one ascending id
-//! vector, parents, CSR child lists, capabilities and aggregates are flat
-//! vectors indexed by rank, aggregation is a single children-before-parents
-//! sweep, and a search turns the owner's id into a rank once and stays in
-//! rank space — or, through [`RnTreeIndex::find_candidate_ranks`], starts
-//! from a rank its caller already holds and answers in ranks, so a caller
-//! with its own per-rank columns never searches the ids. On a settled
-//! Chord ring the parents come from one sweep of the sorted ids as well
+//! Both are snapshots of one membership, and the index is refreshed in
+//! place when membership changes ([`RnTreeIndex::refresh`]; a first build
+//! is a refresh of the empty index). A refresh is array work: nodes are
+//! addressed by their rank in one ascending id vector, parents, CSR child
+//! lists, capabilities and aggregates are flat vectors indexed by rank and
+//! kept from one refresh to the next, survivors keep their capabilities,
+//! aggregation is a single children-before-parents sweep, and a search
+//! turns the owner's id into a rank once and stays in rank space — or,
+//! through [`RnTreeIndex::find_candidate_ranks`], starts from a rank its
+//! caller already holds and answers in ranks, so a caller with its own
+//! per-rank columns never searches the ids. On a settled Chord ring the
+//! parents come from one sweep of the sorted ids as well
 //! ([`KeyRouter::rn_tree_parents`](dgrid_sim::router::KeyRouter::rn_tree_parents)),
-//! so a whole rebuild of the RN-Tree matchmaker's index, `stabilize`
-//! included, takes about 22 ms at 100 000 nodes and 0.27 ms at 3 000 on a
-//! 2-vCPU VM. That is why there is no incremental patching.
+//! and every parent's rank precedes its child's, so the sweep needs no
+//! depth-first order. Every parent pointer is read again at each refresh,
+//! as every node would refresh its own; only the buffers and the
+//! survivors' capabilities carry over.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -262,3 +262,52 @@ fn a_leased_run_on_the_sharded_kernel_matches_its_pin_at_one_and_two_threads() {
         );
     }
 }
+
+/// A leased run whose expiry bound (20 ms) is shorter than the sharded
+/// kernel's window (the 30 ms one-hop floor), renewing every 10 ms under
+/// 2 % loss: a window holds several arms of one job, and an expiry that a
+/// renewal superseded has its successor fall due inside the same window.
+fn short_lease_engine() -> Engine {
+    let workload = paper_scenario(PaperScenario::MixedLight, 400, 40, SEED);
+    let cfg = EngineConfig {
+        seed: SEED,
+        max_sim_secs: 12.0,
+        lease_ttl_secs: Some(0.02),
+        lease_renew_secs: 0.01,
+        lease_grace_secs: 0.0,
+        placement: Some(PlacementPolicy::Hash),
+        ..EngineConfig::default()
+    };
+    Engine::new(
+        cfg,
+        ChurnConfig::none(),
+        Algorithm::RnTree.matchmaker(),
+        workload.nodes,
+        workload.submissions,
+    )
+    .with_fault_plan(FaultPlan::with_loss(0.02))
+}
+
+/// `(stream fnv1a, stream length, makespan_secs bits)` of
+/// [`short_lease_engine`] on the sharded kernel.
+const SHORT_LEASE_SHARDED_PINNED: (u64, usize, u64) =
+    (0xe1f7_3759_c024_787c, 72_194, 0x4027_ffc1_4947_2cf6);
+
+#[test]
+fn a_lease_shorter_than_a_window_on_the_sharded_kernel_matches_its_pin() {
+    use rayon::Pool;
+    for threads in [1, 2] {
+        let (bytes, report) = Pool::install(threads, || {
+            let mut engine = short_lease_engine();
+            engine.set_sharded_execution(Engine::DEFAULT_SHARDS);
+            streamed(engine)
+        });
+        assert!(report.lease_renewals > 0 && report.lease_expiries > 0);
+        let got = (fnv1a(&bytes), bytes.len(), report.makespan_secs.to_bits());
+        assert_eq!(
+            got, SHORT_LEASE_SHARDED_PINNED,
+            "short lease, sharded, {threads} thread(s): stream drifted from its pin \
+             (got {got:#x?})"
+        );
+    }
+}
