@@ -723,23 +723,17 @@ impl Engine {
         let mut makespan = SimTime::ZERO;
         while self.outstanding > 0 {
             let Some((now, ev)) = self.queue.pop().filter(|&(now, _)| now <= horizon) else {
-                return self.cut_makespan(makespan);
+                // Stopped with jobs open, at the horizon or with nothing
+                // left to happen. Every lease expiry armed to fall due by
+                // the horizon was an event of its own when each renewal
+                // queued one, and the run reached it; one a renewal had
+                // superseded did nothing, but the run ended no earlier.
+                return makespan.max(self.expiry_by_horizon);
             };
             self.dispatch(now, ev);
             makespan = now;
         }
         makespan
-    }
-
-    /// The makespan of a run that stopped with jobs open — at the horizon,
-    /// or with nothing left to happen — whose last event was at `last`.
-    /// Every lease expiry armed to fall due by the horizon was an event of
-    /// its own when each renewal filed one, and was reached before the
-    /// run stopped; one that found its lease renewed did nothing, but the
-    /// run still ended no earlier than it. Only the latest such expiry can
-    /// matter.
-    fn cut_makespan(&self, last: SimTime) -> SimTime {
-        last.max(self.expiry_by_horizon)
     }
 
     // ------------------------------------------------------------------

@@ -130,7 +130,7 @@ impl RnTree {
     }
 
     /// Build the tree for all live nodes of `router`, which has been
-    /// stabilized since its last membership change (as every engine rebuild
+    /// stabilized since its last membership change (as every engine refresh
     /// is), so that every parent lookup names the ground-truth owner. The
     /// parents are [`KeyRouter::rn_tree_parents`], a closed form on a
     /// settled Chord ring.
@@ -276,20 +276,17 @@ impl RnTree {
     /// Call `f` on every rank, each after its parent — or, `upward`, each
     /// before its parent.
     fn visit_ranks(&self, upward: bool, f: impl FnMut(u32)) {
+        fn walk(ranks: impl DoubleEndedIterator<Item = u32>, upward: bool, f: impl FnMut(u32)) {
+            if upward {
+                ranks.rev().for_each(f);
+            } else {
+                ranks.for_each(f);
+            }
+        }
         if self.order.is_empty() {
-            let ranks = 0..self.len() as u32;
-            if upward {
-                ranks.rev().for_each(f);
-            } else {
-                ranks.for_each(f);
-            }
+            walk(0..self.len() as u32, upward, f);
         } else {
-            let ranks = self.order.iter().copied();
-            if upward {
-                ranks.rev().for_each(f);
-            } else {
-                ranks.for_each(f);
-            }
+            walk(self.order.iter().copied(), upward, f);
         }
     }
 
@@ -417,13 +414,8 @@ impl RnTreeIndex {
     pub fn refresh_aggregates(&mut self) {
         self.info.clear();
         self.info.extend(self.caps.iter().map(SubtreeInfo::leaf));
-        self.fold_aggregates();
-    }
-
-    /// Fold every node's own aggregate, `info` at its rank, into its
-    /// parent's, children before parents. `max`, `|` and `+` are exact in
-    /// any order, so which child folds first cannot show.
-    fn fold_aggregates(&mut self) {
+        // Children before parents. `max`, `|` and `+` are exact in any
+        // order, so which child folds first cannot show.
         let (tree, info) = (&self.tree, &mut self.info);
         tree.visit_ranks(true, |r| {
             if let Some(p) = tree.parent_rank(r) {
