@@ -27,7 +27,7 @@ use dgrid::harness::Algorithm;
 use dgrid::resources::JobId;
 use dgrid::sim::stats::SampleSummary;
 use dgrid::sim::{SimDuration, SimTime};
-use dgrid::workloads::{paper_scenario, PaperScenario};
+use dgrid::workloads::{paper_scenario, CompiledScenario, PaperScenario};
 
 /// A `Write` sink that survives the engine consuming its observer.
 #[derive(Clone, Default)]
@@ -344,6 +344,70 @@ fn central_ten_thousand_node_stream_matches_pinned_hash() {
         fnv1a(&bytes),
         bytes.len()
     );
+}
+
+/// `dgrid run --algorithm rn-tree --nodes 100000 --jobs 30000 --seed 7
+/// --rejoin 600 --mttf <mttf_secs>`'s JSONL stream. `Engine::new` files one
+/// exponential lifetime per node, so 10⁵ far-future failures wait in the
+/// queue beside the run's own traffic from the first event on.
+fn churn_100k_stream(mttf_secs: f64) -> Vec<u8> {
+    let compiled = CompiledScenario {
+        workload: paper_scenario(PaperScenario::MixedLight, 100_000, 30_000, 7),
+        fault_plan: FaultPlan::none(),
+        schedule: Vec::new(),
+        churn: ChurnConfig {
+            mttf_secs: Some(mttf_secs),
+            rejoin_after_secs: Some(600.0),
+            graceful_fraction: 0.0,
+        },
+        horizon_secs: 5_000_000.0,
+        tenant_names: Vec::new(),
+    };
+    let cfg = EngineConfig {
+        seed: 7,
+        ..EngineConfig::default()
+    };
+    let buf = SharedBuf::default();
+    compiled
+        .engine(cfg, Algorithm::RnTree.matchmaker())
+        .with_observer(Box::new(JsonlObserver::new(buf.clone())))
+        .run();
+    buf.0.take()
+}
+
+/// `(mttf_secs, fnv1a, byte length)` of [`churn_100k_stream`], recorded on
+/// the calendar queue before the radix heap replaced it.
+const CHURN_100K_PINNED: [(f64, u64, usize); 2] = [
+    (2e7, 0x13cdf667d26c249a, 11_624_639),
+    (86_400.0, 0x40e72f252f216df4, 11_786_441),
+];
+
+fn churn_100k_matches_its_pin((mttf_secs, hash, len): (f64, u64, usize)) {
+    let bytes = churn_100k_stream(mttf_secs);
+    assert_eq!(
+        (fnv1a(&bytes), bytes.len()),
+        (hash, len),
+        "rn-tree at 10⁵ nodes, MTTF {mttf_secs} s: event stream drifted from \
+         the pinned bytes (got hash {:#x}, len {})",
+        fnv1a(&bytes),
+        bytes.len()
+    );
+    let text = std::str::from_utf8(&bytes).expect("jsonl is utf-8");
+    assert!(text.contains("NodeDown"), "the run must churn");
+}
+
+/// Ignored in the default suite; CI runs it by name on a release build.
+#[test]
+#[ignore]
+fn rn_tree_100k_stream_with_rare_failures_matches_pinned_hash() {
+    churn_100k_matches_its_pin(CHURN_100K_PINNED[0]);
+}
+
+/// Ignored in the default suite; CI runs it by name on a release build.
+#[test]
+#[ignore]
+fn rn_tree_100k_stream_with_daily_failures_matches_pinned_hash() {
+    churn_100k_matches_its_pin(CHURN_100K_PINNED[1]);
 }
 
 /// The JSONL stream of one run, followed by its time series as JSON when
