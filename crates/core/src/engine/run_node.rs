@@ -33,7 +33,7 @@ use crate::trace::TraceEvent;
 pub(super) enum EnvOp {
     /// Observer emission.
     Emit(TraceEvent),
-    /// Future event for the global calendar.
+    /// Future event for the global event queue.
     Schedule { at: SimTime, event: Event },
     /// Report-counter mutation.
     Report(ReportOp),

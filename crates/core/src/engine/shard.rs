@@ -4,7 +4,7 @@
 //! The sequential kernel dispatches one event at a time against global
 //! state. This module executes *windows* of events instead: nodes are
 //! partitioned into `S` shards by a stable hash of their index, the
-//! calendar queue batch-pops every event inside a conservative virtual-time
+//! event queue batch-pops every event inside a conservative virtual-time
 //! window ([`EventQueue::drain_window`](dgrid_sim::EventQueue::drain_window)),
 //! and the events whose effects are provably confined to one run node —
 //! arrivals at the run-node queue, completions, sandbox kills — execute in

@@ -9,8 +9,10 @@
 //!   resolution stored in `u64`, so event ordering is exact (no float
 //!   comparison hazards).
 //! * [`EventQueue`] — a stable priority queue of `(time, seq)`-ordered
-//!   events. Two events scheduled for the same instant pop in the order they
-//!   were scheduled, which makes whole simulations bit-for-bit reproducible.
+//!   events: a monotone radix heap, whose cost does not depend on how far
+//!   ahead the pending events lie. Two events scheduled for the same instant
+//!   pop in the order they were scheduled, which makes whole simulations
+//!   bit-for-bit reproducible.
 //! * [`rng`] — seed-derivation utilities so that each logical stream of
 //!   randomness (arrivals, node capabilities, failures, ...) gets an
 //!   independent, deterministic generator from one root seed.

@@ -1,5 +1,5 @@
 //! Kernel-equivalence differential harness: the million-node simulation
-//! kernel (id-indexed state, calendar-queue scheduler, lazy overlay bootstrap)
+//! kernel (id-indexed state, radix-heap scheduler, lazy overlay bootstrap)
 //! claims to be a pure performance change. This suite holds it to that
 //! claim the strong way — for **all five matchmaker variants**, both the
 //! JSONL and the binary event stream of a churny, lossy run must be
@@ -179,7 +179,7 @@ fn binary_and_jsonl_streams_carry_identical_records() {
 }
 
 /// Re-running the same seed in the same process must reproduce the same
-/// bytes: the calendar queue's bucket layout, the job table's insertion order,
+/// bytes: the event queue's bucket layout, the job table's insertion order,
 /// and the lazy overlay snapshots all depend only on the seed, never on
 /// allocator addresses or iteration order of hashed containers.
 #[test]

@@ -125,7 +125,7 @@ fn replicated_streams_in(
 
 /// One traced replication at kernel scale: 10,000 nodes under the same
 /// churn + message loss, horizon pulled in so the case stays suite-cheap.
-/// This is the size where the id-indexed, calendar-queue kernel actually carries
+/// This is the size where the id-indexed, radix-heap kernel actually carries
 /// the run — a 40-node case would never notice a kernel that leaked
 /// allocator addresses or hash order only under load.
 fn ten_k_replication(alg: Algorithm, seed: u64, format: StreamFormat) -> Vec<u8> {
@@ -177,7 +177,7 @@ fn ten_k_replication_sharded(
 #[test]
 fn ten_thousand_node_streams_byte_identical_across_thread_counts() {
     // The 10k-node kernel run on the work-stealing pool at 1, 2, and 8
-    // threads: the job table order, calendar-queue bucket layout,
+    // threads: the job table order, event-queue bucket layout,
     // and lazy overlay snapshots must depend only on the seed, never on
     // which worker thread drives the replication.
     let run = |threads: usize| -> Vec<u8> {

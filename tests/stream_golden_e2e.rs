@@ -90,7 +90,7 @@ fn stream_with(alg: Algorithm, seed: u64, base_cfg: EngineConfig) -> Vec<u8> {
 
 /// One traced run at kernel scale: 10,000 nodes under churn and message
 /// loss, with the sim horizon pulled in so the case stays test-suite
-/// cheap. This is the size where the id-indexed, calendar-queue kernel carries
+/// cheap. This is the size where the id-indexed, radix-heap kernel carries
 /// the run — a keyed-map kernel survives the 40-node goldens unnoticed.
 fn ten_k_stream(alg: Algorithm, seed: u64) -> Vec<u8> {
     let workload = paper_scenario(PaperScenario::MixedLight, 10_000, 2_000, seed);
