@@ -39,7 +39,7 @@ impl Default for ChordConfig {
 /// even as membership changes afterwards — byte-identical staleness to the
 /// materialized vectors it replaces.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ChordPeer {
+pub struct ChordPeer {
     pub(crate) predecessor: Lazy<Option<ChordId>>,
     /// First `r` alive successors at last refresh, clockwise.
     pub(crate) successors: Lazy<Vec<ChordId>>,

@@ -7,7 +7,7 @@
 //! two closed forms ([`KeyRouter::lookup_owner`],
 //! [`KeyRouter::rn_tree_parents`]) that answer from the stabilize snapshot.
 
-use dgrid_sim::overlay::{Entry, Lazy};
+use dgrid_sim::overlay::{Entry, Lazy, Membership};
 use dgrid_sim::router::{rn_tree_parents_via, KeyRouter, RouteCost, NO_PARENT};
 
 use crate::id::ChordId;
@@ -20,6 +20,11 @@ fn id(e: Entry) -> ChordId {
 
 impl KeyRouter for ChordRing {
     const SUBSTRATE: &'static str = "chord";
+    type Peer = ChordPeer;
+
+    fn membership(&self) -> &Membership<Self::Peer> {
+        &self.m
+    }
 
     /// Builds the joiner's routing state (a real node performs O(log N)
     /// lookups for this during join). Its immediate neighbours learn of it
@@ -65,22 +70,6 @@ impl KeyRouter for ChordRing {
     /// [`KeyRouter::stabilize`] repairs it.
     fn fail(&mut self, key: u64) {
         self.m.mark_dead(key);
-    }
-
-    fn is_alive(&self, key: u64) -> bool {
-        self.m.is_alive(key)
-    }
-
-    fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    fn alive_keys(&self) -> Vec<u64> {
-        self.m.alive_keys()
-    }
-
-    fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        self.m.alive_key_at(rank)
     }
 
     /// The first live peer clockwise from `key` (inclusive).

@@ -38,7 +38,7 @@ struct LeafSets {
 
 /// A node's routing state: its table, and the leaf sets beside it.
 #[derive(Clone, Debug, Default)]
-struct PastryPeer {
+pub struct PastryPeer {
     table: Lazy<Table>,
     leaves: Lazy<LeafSets>,
 }
@@ -273,6 +273,11 @@ fn closer_to(a: u64, key: u64, b: u64) -> bool {
 
 impl KeyRouter for PastryNetwork {
     const SUBSTRATE: &'static str = "pastry";
+    type Peer = PastryPeer;
+
+    fn membership(&self) -> &Membership<Self::Peer> {
+        &self.m
+    }
 
     /// Builds the joiner's state (a real join routes to the closest node
     /// and copies state from the path). Immediate leaf neighbours learn of
@@ -303,22 +308,6 @@ impl KeyRouter for PastryNetwork {
     /// stabilization repairs it.
     fn fail(&mut self, key: u64) {
         self.m.mark_dead(key);
-    }
-
-    fn is_alive(&self, key: u64) -> bool {
-        self.m.is_alive(key)
-    }
-
-    fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    fn alive_keys(&self) -> Vec<u64> {
-        self.m.alive_keys()
-    }
-
-    fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        self.m.alive_key_at(rank)
     }
 
     /// The numerically closest live node (ties to the smaller id).

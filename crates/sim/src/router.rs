@@ -9,6 +9,8 @@
 //! Tapestry implement it in their own crates, as the only membership and
 //! routing surface each exports; `dgrid-core` re-exports the trait as its
 //! overlay abstraction and builds the generic RN-Tree matchmaker on top.
+//! Each keeps its peers in one [`Membership`], which answers the trait's
+//! liveness reads, so a substrate supplies its routing rule and little else.
 //!
 //! CAN is deliberately **not** a `KeyRouter`: it routes points in a
 //! d-dimensional resource space rather than 64-bit keys, and its matchmaker
@@ -16,6 +18,7 @@
 //! skeleton, via [`crate::failover::route_with_detours`].
 
 use crate::failover::route_with_detours;
+use crate::overlay::Membership;
 use crate::rng::{splitmix64, unsplitmix64};
 
 /// Cost-annotated result of routing to a key's owner.
@@ -94,6 +97,14 @@ pub trait KeyRouter: Default {
     /// Substrate name used in matchmaker labels: "chord", "pastry", ...
     const SUBSTRATE: &'static str;
 
+    /// The routing state each peer's membership record carries.
+    type Peer;
+
+    /// The membership every substrate keeps its peers in: the one source of
+    /// [`KeyRouter::is_alive`], [`KeyRouter::len`],
+    /// [`KeyRouter::alive_keys`] and [`KeyRouter::alive_key_at`].
+    fn membership(&self) -> &Membership<Self::Peer>;
+
     /// Hash an arbitrary value onto the substrate's key space: the
     /// [`splitmix64`] mix, on every substrate. It plays the paper's
     /// "computationally secure hash", and unlike a truncated SHA-1 it is
@@ -152,10 +163,14 @@ pub trait KeyRouter: Default {
     fn fail(&mut self, key: u64);
 
     /// Whether `key` is a live member.
-    fn is_alive(&self, key: u64) -> bool;
+    fn is_alive(&self, key: u64) -> bool {
+        self.membership().is_alive(key)
+    }
 
     /// Number of live members.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.membership().len()
+    }
 
     /// Whether the overlay has no live members.
     fn is_empty(&self) -> bool {
@@ -163,16 +178,15 @@ pub trait KeyRouter: Default {
     }
 
     /// All live keys, ascending.
-    fn alive_keys(&self) -> Vec<u64>;
+    fn alive_keys(&self) -> Vec<u64> {
+        self.membership().alive_keys()
+    }
 
     /// The `rank`-th live key in ascending order, `None` past the end:
-    /// `alive_keys().get(rank).copied()`, which is the default — how a
-    /// caller draws one random live node without listing all of them.
-    ///
-    /// A substrate may override it where it keeps the live keys indexable;
-    /// the result must equal the default's in every state.
+    /// `alive_keys().get(rank).copied()` — how a caller draws one random
+    /// live node without listing all of them.
     fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        self.alive_keys().get(rank).copied()
+        self.membership().alive_key_at(rank)
     }
 
     /// Ground-truth owner of `key` (no routing, no cost).

@@ -85,6 +85,11 @@ impl TapestryNetwork {
 
 impl KeyRouter for TapestryNetwork {
     const SUBSTRATE: &'static str = "tapestry";
+    type Peer = Lazy<Table>;
+
+    fn membership(&self) -> &Membership<Self::Peer> {
+        &self.m
+    }
 
     /// Builds the joiner's neighbor maps; nodes sharing prefixes learn of
     /// it lazily (stale until stabilize).
@@ -120,22 +125,6 @@ impl KeyRouter for TapestryNetwork {
     /// References remain until probed or stabilized away.
     fn fail(&mut self, key: u64) {
         self.m.mark_dead(key);
-    }
-
-    fn is_alive(&self, key: u64) -> bool {
-        self.m.is_alive(key)
-    }
-
-    fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    fn alive_keys(&self) -> Vec<u64> {
-        self.m.alive_keys()
-    }
-
-    fn alive_key_at(&self, rank: usize) -> Option<u64> {
-        self.m.alive_key_at(rank)
     }
 
     /// The unique root of `key` under surrogate routing: descend digit by
