@@ -79,7 +79,8 @@ enum Op {
     Schedule {
         offset_nanos: u64,
     },
-    /// One `Schedule` per offset, checked once at the end.
+    /// One `Schedule` per offset, with the per-op `len` and `peek_time`
+    /// checks made once at the end, so that a block of 10⁴ stays cheap.
     ScheduleAll {
         offsets_nanos: Vec<u64>,
     },
