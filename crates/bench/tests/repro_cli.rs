@@ -2,17 +2,16 @@
 
 use std::process::{Command, Output};
 
+#[path = "../../../tests/common/pin.rs"]
+mod pin;
+
+use pin::Pin;
+
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("spawn repro")
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Recorded at `b06d608`, before `repro` parsed its flags through
@@ -34,7 +33,7 @@ fn fig2_and_tree_print_the_pinned_bytes() {
             let out = repro(&args);
             assert!(out.status.success(), "{args:?}: {:?}", out.status);
             let stdout = String::from_utf8_lossy(&out.stdout);
-            assert_eq!((fnv1a(&out.stdout), out.stdout.len()), want, "{stdout}");
+            assert_eq!(Pin::of(&out.stdout), want, "{stdout}");
         }
     }
 }

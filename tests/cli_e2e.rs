@@ -4,6 +4,11 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+#[path = "common/pin.rs"]
+mod pin;
+
+use pin::Pin;
+
 fn dgrid(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dgrid"))
         .args(args)
@@ -36,17 +41,6 @@ fn compare(extra: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// `(fnv1a, len)` of a byte string, the form every pin below takes.
-fn pin(bytes: &[u8]) -> (u64, usize) {
-    (fnv1a(bytes), bytes.len())
-}
-
 /// The bytes of `dir/name`.
 fn read(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).expect("read output file")
@@ -58,7 +52,7 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 fn compare_at_one_replication_prints_the_pinned_bytes() {
     let stdout = compare(&[]);
     assert_eq!(
-        (fnv1a(&stdout), stdout.len()),
+        Pin::of(&stdout),
         (0x4074_3eaf_dc26_a30d, 879),
         "{}",
         String::from_utf8_lossy(&stdout)
@@ -330,14 +324,18 @@ fn injected_check_sweeps_and_their_replay_print_the_pinned_bytes() {
         let out = dgrid_in(&dir, &[&sweep[..], &inject, extra].concat());
         assert_eq!(out.status.code(), Some(1), "{name}");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(pin(&out.stdout), stdout_pin, "{name}: {stdout}");
-        assert_eq!(pin(&read(&dir, "a.json")), artifact_pin, "{name} artifact");
+        assert_eq!(Pin::of(&out.stdout), stdout_pin, "{name}: {stdout}");
+        assert_eq!(
+            Pin::of(&read(&dir, "a.json")),
+            artifact_pin,
+            "{name} artifact"
+        );
         if extra.is_empty() {
             let replay = dgrid_in(&dir, &["check", "--replay", "a.json"]);
             assert_eq!(replay.status.code(), Some(1));
             let stdout = String::from_utf8_lossy(&replay.stdout);
             assert_eq!(
-                pin(&replay.stdout),
+                Pin::of(&replay.stdout),
                 (0x90b6_9475_8038_f373, 340),
                 "{stdout}"
             );
@@ -391,8 +389,8 @@ fn scenario_file_and_classic_runs_print_and_stream_the_pinned_bytes() {
         let out = dgrid_in(&dir, &[args, &["--events", file], &binary].concat());
         assert!(out.status.success(), "{args:?}: {:?}", out.status);
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(pin(&out.stdout), stdout_pin, "{stdout}");
-        assert_eq!(pin(&read(&dir, file)), stream_pin, "{file}");
+        assert_eq!(Pin::of(&out.stdout), stdout_pin, "{stdout}");
+        assert_eq!(Pin::of(&read(&dir, file)), stream_pin, "{file}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -429,24 +427,24 @@ fn recorded_streams_report_watch_and_convert_to_the_pinned_bytes() {
             &[&run[..], &["--events", file, "--format", format]].concat(),
         );
         assert!(out.status.success(), "{format}: {:?}", out.status);
-        assert_eq!(pin(&read(&dir, file)), stream_pin, "{file}");
+        assert_eq!(Pin::of(&read(&dir, file)), stream_pin, "{file}");
         let report = dgrid_in(&dir, &["report", "--events", file, "--timeline", "5"]);
         assert!(report.status.success(), "report {file}");
         let stdout = String::from_utf8_lossy(&report.stdout);
         assert_eq!(
-            pin(&report.stdout),
+            Pin::of(&report.stdout),
             (0x732f_48fd_8c57_a2a5, 1122),
             "{stdout}"
         );
         let watch = dgrid_in(&dir, &["watch", "--events", file]);
         assert!(watch.status.success(), "watch {file}");
         let stdout = String::from_utf8_lossy(&watch.stdout);
-        assert_eq!(pin(&watch.stdout), watch_pin, "{stdout}");
+        assert_eq!(Pin::of(&watch.stdout), watch_pin, "{stdout}");
     }
     for (from, to, want) in [("s.jsonl", "c.bin", binary), ("s.bin", "c.jsonl", jsonl)] {
         let out = dgrid_in(&dir, &["events", "convert", "--events", from, "--out", to]);
         assert!(out.status.success(), "convert {from}");
-        assert_eq!(pin(&read(&dir, to)), want, "{to}");
+        assert_eq!(Pin::of(&read(&dir, to)), want, "{to}");
     }
     // A stream converts in place, and one cut off mid-frame writes nothing.
     let in_place = ["events", "convert", "--events", "c.bin", "--out", "c.bin"];
@@ -454,7 +452,7 @@ fn recorded_streams_report_watch_and_convert_to_the_pinned_bytes() {
         dgrid_in(&dir, &in_place).status.success(),
         "convert in place"
     );
-    assert_eq!(pin(&read(&dir, "c.bin")), jsonl, "c.bin");
+    assert_eq!(Pin::of(&read(&dir, "c.bin")), jsonl, "c.bin");
     let bytes = read(&dir, "s.bin");
     std::fs::write(dir.join("cut.bin"), &bytes[..bytes.len() - 1]).expect("write cut.bin");
     let cut = [

@@ -1,7 +1,14 @@
-//! Runs shaped to corner one part of the engine — the event queue's
-//! hand-over of the initial submissions, the DAG hold, the owner lists a
-//! departure reads — shared by the golden suites that pin them on both
-//! kernels.
+//! What the golden suites share: the [`golden`] registry of every pinned
+//! engine stream, the [`pin`] helpers, and runs shaped to corner one part of
+//! the engine — the event queue's hand-over of the initial submissions, the
+//! DAG hold, the owner lists a departure reads — which the registry pins on
+//! both kernels.
+//!
+//! Each test binary uses only part of this module.
+#![allow(dead_code)]
+
+pub mod golden;
+pub mod pin;
 
 use dgrid::core::{
     AvailabilityEvent, ChurnConfig, Engine, EngineConfig, FaultPlan, GridNodeId, JobDag,

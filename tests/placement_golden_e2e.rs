@@ -1,105 +1,22 @@
 //! Golden-stream proof for the load-aware run-node selection follow-up:
 //! extending `find_run_node` with a placement-policy-aware candidate probe
 //! must leave every `hash`-placement stream byte-for-byte unchanged. The
-//! pinned constants were recorded from the tree *before* the extension
-//! landed; only a PR that deliberately changes the hash-placement stream
-//! may re-pin them.
+//! `placement` rows of the registry in `common/golden.rs` were recorded
+//! from the tree *before* the extension landed; only a change that
+//! deliberately alters the hash-placement stream may re-pin them. RN-Tree
+//! variants are the ones whose `find_run_node` honors the placement knob;
+//! Central is the overlay-free control.
 
-use std::cell::RefCell;
-use std::io::Write;
-use std::rc::Rc;
+mod common;
 
-use dgrid::core::{ChurnConfig, Engine, EngineConfig, FaultPlan, JsonlObserver, PlacementPolicy};
+use common::golden::{self, capture, leased_forty};
+use common::pin::Pin;
+use dgrid::core::{PlacementPolicy, StreamFormat};
 use dgrid::harness::Algorithm;
-use dgrid::workloads::{paper_scenario, PaperScenario};
-
-/// A `Write` sink that survives the engine consuming its observer.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// FNV-1a over the stream bytes: stable, dependency-free, and sensitive to
-/// every byte and position.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One traced lease-enabled run under churn and message loss, with the
-/// given placement policy. Finite TTL so leases (and therefore placement)
-/// are actually live on the run-node path.
-fn leased_stream(alg: Algorithm, seed: u64, placement: PlacementPolicy) -> Vec<u8> {
-    let workload = paper_scenario(PaperScenario::MixedLight, 40, 120, seed);
-    let cfg = EngineConfig {
-        seed,
-        max_sim_secs: 3_000_000.0,
-        lease_ttl_secs: Some(600.0),
-        lease_renew_secs: 150.0,
-        lease_grace_secs: 60.0,
-        placement: Some(placement),
-        ..EngineConfig::default()
-    };
-    let churn = ChurnConfig {
-        mttf_secs: Some(40_000.0),
-        rejoin_after_secs: Some(900.0),
-        graceful_fraction: 0.25,
-    };
-    let buf = SharedBuf::default();
-    Engine::new(
-        cfg,
-        churn,
-        alg.matchmaker(),
-        workload.nodes,
-        workload.submissions,
-    )
-    .with_fault_plan(FaultPlan::with_loss(0.03))
-    .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-    .run();
-    let bytes = buf.0.take();
-    assert!(!bytes.is_empty(), "traced run must emit events");
-    bytes
-}
-
-const SEED: u64 = 1993;
-
-/// `(variant, fnv1a, byte length)` of lease-enabled runs under
-/// `placement = hash`, recorded before load-aware run-node selection
-/// landed. RN-Tree variants are the ones whose `find_run_node` honors the
-/// placement knob; Central is the overlay-free control.
-const PINNED_HASH: &[(Algorithm, u64, usize)] = &[
-    (Algorithm::RnTree, 0x52a5f50a6bf05bfd, 44_662),
-    (Algorithm::RnTreePastry, 0xd6cfa0e509d7888e, 44_663),
-    (Algorithm::RnTreeTapestry, 0xd162b8dfbc8e5d95, 44_529),
-    (Algorithm::Central, 0x7a9bd6130068b46e, 44_216),
-];
 
 #[test]
 fn hash_placement_streams_match_pinned_pre_extension_hashes() {
-    for &(alg, hash, len) in PINNED_HASH {
-        let bytes = leased_stream(alg, SEED, PlacementPolicy::Hash);
-        assert_eq!(
-            (fnv1a(&bytes), bytes.len()),
-            (hash, len),
-            "{}: hash-placement stream drifted from the pinned bytes \
-             (got hash {:#x}, len {})",
-            alg.label(),
-            fnv1a(&bytes),
-            bytes.len()
-        );
-    }
+    golden::check(&["placement"]);
 }
 
 /// Load-aware placement must actually *diverge* from hash placement on the
@@ -107,26 +24,15 @@ fn hash_placement_streams_match_pinned_pre_extension_hashes() {
 /// the run-node path and the golden above proves nothing.
 #[test]
 fn load_aware_placement_diverges_from_hash_on_rn_tree() {
-    let hash = leased_stream(Algorithm::RnTree, SEED, PlacementPolicy::Hash);
-    let aware = leased_stream(Algorithm::RnTree, SEED, PlacementPolicy::LoadAware);
+    let aware = capture(
+        leased_forty(Algorithm::RnTree, PlacementPolicy::LoadAware),
+        StreamFormat::Jsonl,
+    );
     assert_ne!(
-        fnv1a(&hash),
-        fnv1a(&aware),
+        Pin::of(&aware.bytes).hash,
+        golden::row("placement/rn-tree", StreamFormat::Jsonl)
+            .pin
+            .hash,
         "load-aware placement must change the RN-Tree run-node stream"
     );
-}
-
-/// Harvest helper for deliberate re-pins: `cargo test -q --test
-/// placement_golden_e2e -- --ignored --nocapture print_hash_placement`.
-#[test]
-#[ignore]
-fn print_hash_placement() {
-    for &(alg, ..) in PINNED_HASH {
-        let bytes = leased_stream(alg, SEED, PlacementPolicy::Hash);
-        println!(
-            "    (Algorithm::{alg:?}, {:#x}, {}),",
-            fnv1a(&bytes),
-            bytes.len()
-        );
-    }
 }

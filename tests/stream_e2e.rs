@@ -5,8 +5,10 @@
 //! the post-hoc report percentiles within one log₂ bucket.
 
 use std::cell::RefCell;
-use std::io::Write;
 use std::rc::Rc;
+
+#[path = "common/pin.rs"]
+mod pin;
 
 use dgrid::core::{
     decode_stream, BinaryObserver, ChurnConfig, Engine, EngineConfig, EventKind, EventRecord,
@@ -15,20 +17,7 @@ use dgrid::core::{
 use dgrid::harness::Algorithm;
 use dgrid::sim::{SimDuration, SimTime};
 use dgrid::workloads::{paper_scenario, PaperScenario};
-
-/// A `Write` sink that survives the engine consuming its observer.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use pin::SharedBuf;
 
 /// A [`VecObserver`] handle that survives the engine consuming it.
 #[derive(Clone, Default)]
@@ -93,7 +82,7 @@ fn live_binary_stream_decodes_to_the_observed_events() {
         engine(alg, 71)
             .with_observer(Box::new(BinaryObserver::new(buf.clone())))
             .run();
-        let bytes = buf.0.take();
+        let bytes = buf.take();
         let decoded = decode_stream(&bytes).expect("live binary stream decodes");
         assert_eq!(
             decoded,

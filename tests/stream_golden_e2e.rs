@@ -1,148 +1,56 @@
-//! Golden-stream regression: the per-seed JSONL event stream of every
-//! pre-existing matchmaker variant is pinned by content hash. A refactor
-//! that claims to be behavior-preserving — like the `KeyRouter` substrate
-//! extraction — must not move a single byte of these streams.
+//! Golden streams: every pinned engine stream is a row of the registry in
+//! `common/golden.rs`, checked here or by the suite that pinned it. A
+//! refactor that claims to be behavior-preserving must not move a single
+//! byte of them; re-pinning is only legitimate when a change deliberately
+//! alters the event stream and says so (the recipe is the registry's).
 //!
-//! The pinned constants were recorded from the tree *before* the refactor
-//! landed; re-pinning is only legitimate when a PR deliberately changes the
-//! event stream (new event kind, different RNG draw order) and says so.
-//!
-//! The post-run pipeline is pinned the same way: the spans assembled from a
+//! The post-run pipeline is pinned here too: the spans assembled from a
 //! stream, the analytics snapshot over it and the report's percentile
 //! summaries, hashed bit for bit.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::Write;
 use std::rc::Rc;
 
 mod common;
 
+use common::golden::{self, Capture, SEED};
+use common::pin::Pin;
 use dgrid::core::{
     parse_jsonl_line, phase_samples, ChurnConfig, Engine, EngineConfig, EventRecord, FaultPlan,
-    JobSpan, JsonlObserver, Observer, Phase, SimReport, SpanAssembler, SpanOutcome,
-    StreamAnalytics, TraceEvent,
+    JobSpan, Observer, Phase, SimReport, SpanAssembler, SpanOutcome, StreamAnalytics, StreamFormat,
+    TraceEvent,
 };
 use dgrid::harness::Algorithm;
 use dgrid::resources::JobId;
 use dgrid::sim::stats::SampleSummary;
 use dgrid::sim::{SimDuration, SimTime};
-use dgrid::workloads::{paper_scenario, CompiledScenario, PaperScenario};
+use dgrid::workloads::{paper_scenario, PaperScenario};
 
-/// A `Write` sink that survives the engine consuming its observer.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// FNV-1a over the stream bytes: stable, dependency-free, and sensitive to
-/// every byte and position.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One traced run under churn and message loss — the same order-sensitive
-/// configuration the parallel-determinism e2e tests use.
-fn stream(alg: Algorithm, seed: u64) -> Vec<u8> {
-    stream_with(alg, seed, EngineConfig::default())
-}
-
-fn stream_with(alg: Algorithm, seed: u64, base_cfg: EngineConfig) -> Vec<u8> {
-    let workload = paper_scenario(PaperScenario::MixedLight, 40, 120, seed);
-    let cfg = EngineConfig {
-        seed,
-        max_sim_secs: 3_000_000.0,
-        ..base_cfg
-    };
-    let churn = ChurnConfig {
-        mttf_secs: Some(40_000.0),
-        rejoin_after_secs: Some(900.0),
-        graceful_fraction: 0.25,
-    };
-    let buf = SharedBuf::default();
-    Engine::new(
-        cfg,
-        churn,
-        alg.matchmaker(),
-        workload.nodes,
-        workload.submissions,
-    )
-    .with_fault_plan(FaultPlan::with_loss(0.03))
-    .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-    .run();
-    let bytes = buf.0.take();
-    assert!(!bytes.is_empty(), "traced run must emit events");
-    bytes
-}
-
-/// One traced run at kernel scale: 10,000 nodes under churn and message
-/// loss, with the sim horizon pulled in so the case stays test-suite
-/// cheap. This is the size where the id-indexed, radix-heap kernel carries
-/// the run — a keyed-map kernel survives the 40-node goldens unnoticed.
-fn ten_k_stream(alg: Algorithm, seed: u64) -> Vec<u8> {
-    let workload = paper_scenario(PaperScenario::MixedLight, 10_000, 2_000, seed);
-    let cfg = EngineConfig {
-        seed,
-        max_sim_secs: 8_000.0,
-        ..EngineConfig::default()
-    };
-    let churn = ChurnConfig {
-        mttf_secs: Some(400_000.0),
-        rejoin_after_secs: Some(900.0),
-        graceful_fraction: 0.25,
-    };
-    let buf = SharedBuf::default();
-    Engine::new(
-        cfg,
-        churn,
-        alg.matchmaker(),
-        workload.nodes,
-        workload.submissions,
-    )
-    .with_fault_plan(FaultPlan::with_loss(0.03))
-    .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-    .run();
-    let bytes = buf.0.take();
-    assert!(!bytes.is_empty(), "traced run must emit events");
-    bytes
-}
-
-const SEED: u64 = 1993;
-
-/// `(variant, fnv1a, byte length)` recorded before the KeyRouter refactor.
-const PINNED: &[(Algorithm, u64, usize)] = &[
-    (Algorithm::RnTree, 0xc27b93d5c4666b3a, 44_666),
-    (Algorithm::Can, 0xcd99c1924fe56479, 44_802),
-    (Algorithm::CanPush, 0xcb962c1e160b0a09, 44_655),
-    (Algorithm::CanNoVirtualDim, 0xeedac32629bc6f6b, 44_707),
-    (Algorithm::Central, 0x659c34daabb90735, 44_289),
-];
-
+/// Every row, the heavy ones included: the re-pin recipe's one run.
 #[test]
-fn legacy_variant_streams_match_pinned_hashes() {
-    for &(alg, hash, len) in PINNED {
-        let bytes = stream(alg, SEED);
-        assert_eq!(
-            (fnv1a(&bytes), bytes.len()),
-            (hash, len),
-            "{}: event stream drifted from the pinned pre-refactor bytes \
-             (got hash {:#x}, len {})",
-            alg.label(),
-            fnv1a(&bytes),
-            bytes.len()
+#[ignore]
+fn every_row_matches_its_pin() {
+    golden::check_all();
+}
+
+/// The drift output is paste-ready: each row prints as the line the table
+/// holds for it, and no two rows share a name and format.
+#[test]
+fn every_row_prints_as_its_table_line() {
+    let table = include_str!("common/golden.rs");
+    for (i, row) in golden::ROWS.iter().enumerate() {
+        let line = row.line(row.pin, row.facts);
+        assert!(
+            table.contains(&format!("{line}\n")),
+            "not in the table: {line}"
+        );
+        assert!(
+            golden::ROWS[..i]
+                .iter()
+                .all(|r| (r.name, r.format) != (row.name, row.format)),
+            "{} appears twice",
+            row.id()
         );
     }
 }
@@ -150,11 +58,11 @@ fn legacy_variant_streams_match_pinned_hashes() {
 /// `lease_ttl = ∞` is the documented spelling for "leases that never
 /// expire", which must degenerate to reassign-on-death recovery — not
 /// approximately, but *byte-for-byte*: no lease event is scheduled, no RNG
-/// stream advances, and every pinned golden stream stays identical.
+/// stream advances, and every 40-node JSONL row stays identical.
 #[test]
 fn infinite_ttl_reproduces_reassign_on_death_streams_byte_identically() {
     use dgrid::core::PlacementPolicy;
-    for &(alg, hash, len) in PINNED {
+    for alg in golden::FORTY {
         let cfg = EngineConfig {
             lease_ttl_secs: Some(f64::INFINITY),
             lease_renew_secs: 15.0,
@@ -162,42 +70,36 @@ fn infinite_ttl_reproduces_reassign_on_death_streams_byte_identically() {
             placement: Some(PlacementPolicy::LoadAware),
             ..EngineConfig::default()
         };
-        let bytes = stream_with(alg, SEED, cfg);
+        let engine = golden::forty_with(alg, SEED, cfg);
+        let bytes = golden::capture(engine, StreamFormat::Jsonl).bytes;
+        let row = golden::row(&format!("forty/{}", alg.label()), StreamFormat::Jsonl);
         assert_eq!(
-            (fnv1a(&bytes), bytes.len()),
-            (hash, len),
-            "{}: lease_ttl = inf must leave the reassign-on-death stream \
-             byte-identical (got hash {:#x}, len {})",
-            alg.label(),
-            fnv1a(&bytes),
-            bytes.len()
+            Pin::of(&bytes),
+            row.pin,
+            "{}: lease_ttl = inf must leave the reassign-on-death stream byte-identical",
+            row.id()
         );
     }
 }
 
 /// The binary format must be a *lossless* re-encoding of the JSONL stream:
-/// JSONL → binary → JSONL reproduces every pinned golden stream
-/// byte-for-byte, for every matchmaker variant. The binary intermediate
-/// must also be strictly smaller, and re-encoding the decoded records must
-/// reproduce the identical binary bytes (encode ∘ decode is the identity
-/// on canonical streams).
+/// JSONL → binary → JSONL reproduces every 40-node JSONL row byte-for-byte.
+/// The binary intermediate must also be strictly smaller, and re-encoding
+/// the decoded records must reproduce the identical binary bytes (encode ∘
+/// decode is the identity on canonical streams).
 #[test]
 fn golden_streams_round_trip_through_binary_byte_identically() {
     use dgrid::core::{binary_to_jsonl, decode_stream, encode_events, jsonl_to_binary};
-    for &(alg, hash, len) in PINNED {
-        let jsonl = stream(alg, SEED);
-        assert_eq!(
-            (fnv1a(&jsonl), jsonl.len()),
-            (hash, len),
-            "{}: precondition",
-            alg.label()
-        );
+    for alg in golden::FORTY {
+        let row = golden::row(&format!("forty/{}", alg.label()), StreamFormat::Jsonl);
+        let jsonl = row.capture().bytes;
+        assert_eq!(Pin::of(&jsonl), row.pin, "{}: precondition", row.id());
         let text = std::str::from_utf8(&jsonl).expect("jsonl is utf-8");
         let bin = jsonl_to_binary(text).expect("golden stream encodes");
         assert!(
             bin.len() < jsonl.len(),
             "{}: binary ({} bytes) must be strictly smaller than JSONL ({} bytes)",
-            alg.label(),
+            row.id(),
             bin.len(),
             jsonl.len()
         );
@@ -206,286 +108,77 @@ fn golden_streams_round_trip_through_binary_byte_identically() {
             back.as_bytes(),
             &jsonl[..],
             "{}: JSONL -> binary -> JSONL must be byte-identical",
-            alg.label()
+            row.id()
         );
         let records = decode_stream(&bin).expect("binary stream decodes to records");
         assert_eq!(
             encode_events(&records),
             bin,
             "{}: decode -> encode must reproduce the binary bytes",
-            alg.label()
+            row.id()
         );
     }
 }
 
-/// `(variant, fnv1a, byte length)` of the 10,000-node runs. RN-Tree exercises
-/// the overlay-backed path, Central the overlay-free one; both were pinned
-/// when the kernel landed. The RN-Tree rows over Pastry and Tapestry were
-/// recorded at `886afc4`, before the three substrates came to share one
-/// membership type: under churn and loss these runs are where an overlay
-/// flips between settled and unsettled both ways.
-const PINNED_10K: &[(Algorithm, u64, usize)] = &[
-    (Algorithm::RnTree, 0xd04004fd7cc07c7d, 762_263),
-    (Algorithm::Central, 0xdab563c9363b4965, 751_837),
-    (Algorithm::RnTreePastry, 0xc4cef2f1ac3a173d, 762_770),
-    (Algorithm::RnTreeTapestry, 0x035c16b2cf754b3a, 775_751),
-];
-
+/// The four 10⁴-node rows, run side by side.
 #[test]
 fn ten_thousand_node_streams_match_pinned_hashes() {
-    for &(alg, hash, len) in PINNED_10K {
-        let bytes = ten_k_stream(alg, SEED);
-        assert_eq!(
-            (fnv1a(&bytes), bytes.len()),
-            (hash, len),
-            "{}: 10k-node event stream drifted from the pinned bytes \
-             (got hash {:#x}, len {})",
-            alg.label(),
-            fnv1a(&bytes),
-            bytes.len()
-        );
-    }
+    golden::check(&["ten_k"]);
 }
 
-/// The central matchmaker where its scan has something to rank: 300 nodes
-/// (the node table spans several 64-node words) offered 3 000 jobs at full
-/// load, so queues build and ties on exactly equal committed work decide
-/// placements, while ~40 crashes and rejoins clear and refill slots
-/// mid-run. The 40-node rows above fit one word and mostly see idle ties.
-fn central_churn_stream(seed: u64) -> Vec<u8> {
-    let workload = paper_scenario(PaperScenario::MixedLight, 300, 3_000, seed);
-    let cfg = EngineConfig {
-        seed,
-        max_sim_secs: 3_000_000.0,
-        ..EngineConfig::default()
-    };
-    let churn = ChurnConfig {
-        mttf_secs: Some(10_000.0),
-        rejoin_after_secs: Some(300.0),
-        graceful_fraction: 0.25,
-    };
-    let buf = SharedBuf::default();
-    Engine::new(
-        cfg,
-        churn,
-        Algorithm::Central.matchmaker(),
-        workload.nodes,
-        workload.submissions,
-    )
-    .with_fault_plan(FaultPlan::with_loss(0.03))
-    .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-    .run();
-    let bytes = buf.0.take();
-    assert!(!bytes.is_empty(), "traced run must emit events");
-    bytes
+/// The one run `selector` names, checked against its pin.
+fn checked(selector: &str) -> Capture {
+    let mut checked = golden::check(&[selector]);
+    assert_eq!(checked.len(), 1, "{selector} names one row");
+    checked.pop().unwrap().1
 }
-
-/// `(fnv1a, byte length)` of [`central_churn_stream`], recorded on the
-/// commit before the central scan moved onto the node table's columns.
-const CENTRAL_CHURN_PINNED: (u64, usize) = (0xb81035d9d1d95356, 1_155_299);
 
 #[test]
 fn central_stream_under_churn_matches_pinned_hash() {
-    let bytes = central_churn_stream(SEED);
-    assert_eq!(
-        (fnv1a(&bytes), bytes.len()),
-        CENTRAL_CHURN_PINNED,
-        "central under churn: event stream drifted from the pinned bytes \
-         (got hash {:#x}, len {})",
-        fnv1a(&bytes),
-        bytes.len()
-    );
+    let bytes = checked("central_churn").bytes;
     let text = std::str::from_utf8(&bytes).expect("jsonl is utf-8");
     for kind in ["NodeDown", "NodeUp", "RunRecovery"] {
         assert!(text.contains(kind), "the run must exercise {kind}");
     }
 }
 
-/// The central matchmaker at 10 000 nodes offered 20 000 `mixed/light`
-/// jobs at 0.9 load (arrivals stretched by 1/0.9, as the benchmark's
-/// `central-stream-1k` does), without churn. At this size the node table
-/// spans 157 words and each of the scan's capability quantiles holds
-/// about 156 nodes — a scale the matchmaker's small-table property never
-/// reaches.
-fn central_ten_k_stream(seed: u64) -> Vec<u8> {
-    let mut workload = paper_scenario(PaperScenario::MixedLight, 10_000, 20_000, seed);
-    for s in &mut workload.submissions {
-        s.arrival_secs /= 0.9;
+/// Heavy: CI runs it by name on a release build.
+#[test]
+#[ignore]
+fn central_10k() {
+    golden::check(&["central_10k"]);
+}
+
+/// The stream of a 10⁵-node churn row, which must churn.
+fn check_churn_100k(name: &str) {
+    for (_, run) in golden::check(&[name]) {
+        let text = std::str::from_utf8(&run.bytes).expect("jsonl is utf-8");
+        assert!(text.contains("NodeDown"), "the run must churn");
     }
-    let buf = SharedBuf::default();
-    Engine::new(
-        dgrid::harness::paper_engine_config(seed),
-        ChurnConfig::none(),
-        Algorithm::Central.matchmaker(),
-        workload.nodes,
-        workload.submissions,
-    )
-    .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-    .run();
-    let bytes = buf.0.take();
-    assert!(!bytes.is_empty(), "traced run must emit events");
-    bytes
 }
 
-/// `(fnv1a, byte length)` of [`central_ten_k_stream`], recorded on the
-/// commit before the central scan took its capability index.
-const CENTRAL_10K_PINNED: (u64, usize) = (0xf36ea99a3b559d88, 7_653_688);
-
-/// Ignored in the default suite; CI runs it by name on a release build.
+/// Heavy: CI runs it by name on a release build.
 #[test]
 #[ignore]
-fn central_ten_thousand_node_stream_matches_pinned_hash() {
-    let bytes = central_ten_k_stream(SEED);
-    assert_eq!(
-        (fnv1a(&bytes), bytes.len()),
-        CENTRAL_10K_PINNED,
-        "central at 10k nodes: event stream drifted from the pinned bytes \
-         (got hash {:#x}, len {})",
-        fnv1a(&bytes),
-        bytes.len()
-    );
+fn rn_tree_100k_rare_failures() {
+    check_churn_100k("rn_tree_100k_rare_failures");
 }
 
-/// `dgrid run --algorithm rn-tree --nodes 100000 --jobs 30000 --seed 7
-/// --rejoin 600 --mttf <mttf_secs>`'s JSONL stream. `Engine::new` files one
-/// exponential lifetime per node, so 10⁵ far-future failures wait in the
-/// queue beside the run's own traffic from the first event on.
-fn churn_100k_stream(mttf_secs: f64) -> Vec<u8> {
-    let compiled = CompiledScenario {
-        workload: paper_scenario(PaperScenario::MixedLight, 100_000, 30_000, 7),
-        fault_plan: FaultPlan::none(),
-        schedule: Vec::new(),
-        churn: ChurnConfig {
-            mttf_secs: Some(mttf_secs),
-            rejoin_after_secs: Some(600.0),
-            graceful_fraction: 0.0,
-        },
-        horizon_secs: 5_000_000.0,
-        tenant_names: Vec::new(),
-    };
-    let cfg = EngineConfig {
-        seed: 7,
-        ..EngineConfig::default()
-    };
-    let buf = SharedBuf::default();
-    compiled
-        .engine(cfg, Algorithm::RnTree.matchmaker())
-        .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-        .run();
-    buf.0.take()
-}
-
-/// `(mttf_secs, fnv1a, byte length)` of [`churn_100k_stream`], recorded on
-/// the calendar queue before the radix heap replaced it.
-const CHURN_100K_PINNED: [(f64, u64, usize); 2] = [
-    (2e7, 0x13cdf667d26c249a, 11_624_639),
-    (86_400.0, 0x40e72f252f216df4, 11_786_441),
-];
-
-fn churn_100k_matches_its_pin((mttf_secs, hash, len): (f64, u64, usize)) {
-    let bytes = churn_100k_stream(mttf_secs);
-    assert_eq!(
-        (fnv1a(&bytes), bytes.len()),
-        (hash, len),
-        "rn-tree at 10⁵ nodes, MTTF {mttf_secs} s: event stream drifted from \
-         the pinned bytes (got hash {:#x}, len {})",
-        fnv1a(&bytes),
-        bytes.len()
-    );
-    let text = std::str::from_utf8(&bytes).expect("jsonl is utf-8");
-    assert!(text.contains("NodeDown"), "the run must churn");
-}
-
-/// Ignored in the default suite; CI runs it by name on a release build.
+/// Heavy: CI runs it by name on a release build.
 #[test]
 #[ignore]
-fn rn_tree_100k_stream_with_rare_failures_matches_pinned_hash() {
-    churn_100k_matches_its_pin(CHURN_100K_PINNED[0]);
+fn rn_tree_100k_daily_failures() {
+    check_churn_100k("rn_tree_100k_daily_failures");
 }
-
-/// Ignored in the default suite; CI runs it by name on a release build.
-#[test]
-#[ignore]
-fn rn_tree_100k_stream_with_daily_failures_matches_pinned_hash() {
-    churn_100k_matches_its_pin(CHURN_100K_PINNED[1]);
-}
-
-/// The JSONL stream of one run, followed by its time series as JSON when
-/// the run sampled one.
-fn traced_with_series(engine: Engine) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let report = engine
-        .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-        .run();
-    let mut bytes = buf.0.take();
-    assert!(!bytes.is_empty(), "traced run must emit events");
-    if let Some(ts) = &report.timeseries {
-        let json = serde_json::to_string(ts).expect("time series serializes");
-        bytes.extend_from_slice(json.as_bytes());
-    }
-    bytes
-}
-
-/// `(fnv1a, byte length)` of [`common::reversed_blocks_engine`] and
-/// [`common::t0_pileup_engine`], recorded on the commit before the event
-/// queue took the arrival stream as a sorted run.
-const REVERSED_BLOCKS_PINNED: (u64, usize) = (0x8fa048e8abf2b782, 44_382);
-const T0_PILEUP_PINNED: (u64, usize) = (0x8adc34920eeb67d0, 44_982);
 
 #[test]
 fn out_of_order_and_t0_arrival_streams_match_pinned_hashes() {
-    let runs = [
-        (
-            "reversed blocks",
-            common::reversed_blocks_engine(SEED),
-            REVERSED_BLOCKS_PINNED,
-        ),
-        (
-            "t = 0 pile-up",
-            common::t0_pileup_engine(SEED),
-            T0_PILEUP_PINNED,
-        ),
-    ];
-    for (name, engine, pinned) in runs {
-        let bytes = traced_with_series(engine);
-        assert_eq!(
-            (fnv1a(&bytes), bytes.len()),
-            pinned,
-            "{name}: stream drifted from the pinned bytes (got hash {:#x}, len {})",
-            fnv1a(&bytes),
-            bytes.len()
-        );
-    }
+    golden::check(&["reversed_blocks", "t0_pileup"]);
 }
-
-/// The JSONL stream and the report of one run.
-fn traced(engine: Engine) -> (Vec<u8>, SimReport) {
-    let buf = SharedBuf::default();
-    let report = engine
-        .with_observer(Box::new(JsonlObserver::new(buf.clone())))
-        .run();
-    let bytes = buf.0.take();
-    assert!(!bytes.is_empty(), "traced run must emit events");
-    (bytes, report)
-}
-
-/// `(fnv1a, byte length)` of [`common::dag_engine`] and
-/// [`common::owner_departure_engine`], recorded on the commit before the
-/// DAG hold moved out of the job record and the owner sets became per-node
-/// lists.
-const DAG_PINNED: (u64, usize) = (0x9ef41d4be839ca33, 46_885);
-const OWNER_DEPARTURE_PINNED: (u64, usize) = (0x86bcfa2d0b7567a3, 158_600);
 
 #[test]
 fn dag_stream_under_churn_matches_pinned_hash() {
-    let (bytes, report) = traced(common::dag_engine(SEED));
-    assert_eq!(
-        (fnv1a(&bytes), bytes.len()),
-        DAG_PINNED,
-        "DAG under churn: stream drifted from the pinned bytes (got hash {:#x}, len {})",
-        fnv1a(&bytes),
-        bytes.len()
-    );
+    let Capture { bytes, report } = checked("dag");
     assert_eq!(report.sandbox_kills, 1, "the runaway parent is killed");
     assert_eq!(report.dependency_failures, 4, "its descendants cascade");
     assert!(report.node_failures > 0, "the run is under churn");
@@ -532,14 +225,7 @@ fn dag_stream_under_churn_matches_pinned_hash() {
 
 #[test]
 fn owner_departure_stream_matches_pinned_hash() {
-    let (bytes, report) = traced(common::owner_departure_engine(SEED));
-    assert_eq!(
-        (fnv1a(&bytes), bytes.len()),
-        OWNER_DEPARTURE_PINNED,
-        "owner departures: stream drifted from the pinned bytes (got hash {:#x}, len {})",
-        fnv1a(&bytes),
-        bytes.len()
-    );
+    let report = checked("owner_departure").report;
     assert!(report.node_failures > 0);
     assert!(report.spurious_detections > 0);
     // A spurious detection recovers at most one owner, so the surplus is
@@ -844,32 +530,45 @@ fn post_run_digests(seed: u64) -> [(u64, Vec<JobSpan>); 4] {
 
 /// Digests of [`post_run_digests`] for [`SEED`], recorded on the commit
 /// before the span assembler, the analytics and the summaries left their
-/// B-tree, hash map and full sort.
+/// B-tree, hash map and full sort. A drift prints the lines to paste here.
 const POST_RUN_PINNED: [u64; 4] = [
-    0x1b62c71c50688033, // 10000 spans: 10000 completed
-    0xadbca48d14cec2af, // 1500 spans: 1309 completed, 2 failed, 189 open
-    0x01aa0eea9880b893, // 2811 spans: 2618 completed, 4 failed, 189 open
-    0xa92ef05398950acd, // 1500 spans, as the second row
+    0x1b62c71c50688033, // central 10k: 10000 spans, 10000 completed, 0 failed, 0 open
+    0xadbca48d14cec2af, // leased cut: 1500 spans, 1309 completed, 2 failed, 189 open
+    0x01aa0eea9880b893, // leased cut twice: 2811 spans, 2618 completed, 4 failed, 189 open
+    0xa92ef05398950acd, // sparse ids: 1500 spans, 1309 completed, 2 failed, 189 open
 ];
 
 #[test]
 fn post_run_spans_analytics_and_summaries_match_pinned_digests() {
     let got = post_run_digests(SEED);
+    let outcomes =
+        |spans: &[JobSpan], o: SpanOutcome| spans.iter().filter(|s| s.outcome == o).count();
     let names = [
         "central 10k",
         "leased cut",
         "leased cut twice",
         "sparse ids",
     ];
-    for ((name, (digest, _)), pinned) in names.iter().zip(&got).zip(POST_RUN_PINNED) {
-        assert_eq!(
-            *digest, pinned,
-            "{name}: post-run digest drifted (got {digest:#x})"
-        );
-    }
+    let lines: Vec<String> = names
+        .iter()
+        .zip(&got)
+        .map(|(name, (digest, spans))| {
+            format!(
+                "    {digest:#018x}, // {name}: {} spans, {} completed, {} failed, {} open",
+                spans.len(),
+                outcomes(spans, SpanOutcome::Completed),
+                outcomes(spans, SpanOutcome::Failed),
+                outcomes(spans, SpanOutcome::Open)
+            )
+        })
+        .collect();
+    assert!(
+        got.iter().map(|(digest, _)| *digest).eq(POST_RUN_PINNED),
+        "post-run digests drifted. If the change declares that it alters them, \
+         paste these lines over POST_RUN_PINNED's:\n{}",
+        lines.join("\n")
+    );
     // The inputs reach what the pins are meant to cover.
-    let outcomes =
-        |spans: &[JobSpan], o: SpanOutcome| spans.iter().filter(|s| s.outcome == o).count();
     let cut = &got[1].1;
     assert!(
         outcomes(cut, SpanOutcome::Open) > 0,
@@ -889,61 +588,4 @@ fn post_run_spans_analytics_and_summaries_match_pinned_digests() {
     let sparse = &got[3].1;
     assert!(sparse.iter().any(|s| s.job.0 == DENSE_LIMIT));
     assert!(sparse.iter().any(|s| s.job.0 > u64::MAX / 2));
-}
-
-/// Harvest helper for deliberate re-pins of [`POST_RUN_PINNED`]: `cargo
-/// test -q --test stream_golden_e2e -- --ignored --nocapture
-/// print_post_run_digests`.
-#[test]
-#[ignore]
-fn print_post_run_digests() {
-    for (digest, spans) in post_run_digests(SEED) {
-        let count = |o: SpanOutcome| spans.iter().filter(|s| s.outcome == o).count();
-        println!(
-            "    {digest:#x}, // {} spans: {} completed, {} failed, {} open; \
-             {} resubmitted, {} recovered",
-            spans.len(),
-            count(SpanOutcome::Completed),
-            count(SpanOutcome::Failed),
-            count(SpanOutcome::Open),
-            spans.iter().filter(|s| s.resubmits > 0).count(),
-            spans.iter().filter(|s| s.recoveries > 0).count(),
-        );
-    }
-}
-
-/// Harvest helper for deliberate re-pins of the 10k goldens: `cargo test
-/// -q --test stream_golden_e2e -- --ignored --nocapture print_10k_hashes`.
-#[test]
-#[ignore]
-fn print_10k_hashes() {
-    for &(alg, ..) in PINNED_10K {
-        let bytes = ten_k_stream(alg, SEED);
-        println!(
-            "    (Algorithm::{alg:?}, {:#x}, {}),",
-            fnv1a(&bytes),
-            bytes.len()
-        );
-    }
-}
-
-/// Harvest helper for deliberate re-pins: `cargo test -q --test
-/// stream_golden_e2e -- --ignored --nocapture print_stream_hashes`.
-#[test]
-#[ignore]
-fn print_stream_hashes() {
-    for alg in [
-        Algorithm::RnTree,
-        Algorithm::Can,
-        Algorithm::CanPush,
-        Algorithm::CanNoVirtualDim,
-        Algorithm::Central,
-    ] {
-        let bytes = stream(alg, SEED);
-        println!(
-            "    (Algorithm::{alg:?}, {:#x}, {}),",
-            fnv1a(&bytes),
-            bytes.len()
-        );
-    }
 }

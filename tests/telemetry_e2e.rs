@@ -2,9 +2,8 @@
 //! exact span/turnaround accounting, zero-impact sampling, and the overlay
 //! telemetry hook.
 
-use std::cell::RefCell;
-use std::io::Write;
-use std::rc::Rc;
+#[path = "common/pin.rs"]
+mod pin;
 
 use dgrid::core::{
     parse_jsonl_line, BinaryObserver, ChurnConfig, Engine, EngineConfig, FaultPlan, JobSpan,
@@ -14,26 +13,7 @@ use dgrid::harness::Algorithm;
 use dgrid::sim::telemetry::shared_registry;
 use dgrid::sim::{SimDuration, SimTime};
 use dgrid::workloads::{paper_scenario, PaperScenario, Workload};
-
-/// A `Write` sink that survives the engine consuming its observer.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl SharedBuf {
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut self.0.borrow_mut())
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use pin::SharedBuf;
 
 fn cfg(seed: u64) -> EngineConfig {
     EngineConfig {
