@@ -55,6 +55,22 @@ fn every_row_prints_as_its_table_line() {
     }
 }
 
+/// The five 40-node JSONL streams, one per matchmaker variant, against the
+/// bytes pinned before the engine refactors.
+#[test]
+fn legacy_variant_streams_match_pinned_hashes() {
+    for alg in golden::FORTY {
+        let row = golden::row(&format!("forty/{}", alg.label()), StreamFormat::Jsonl);
+        let got = Pin::of(&row.capture().bytes);
+        assert_eq!(
+            got,
+            row.pin,
+            "{}: event stream drifted from the pinned pre-refactor bytes",
+            row.id()
+        );
+    }
+}
+
 /// `lease_ttl = ∞` is the documented spelling for "leases that never
 /// expire", which must degenerate to reassign-on-death recovery — not
 /// approximately, but *byte-for-byte*: no lease event is scheduled, no RNG
