@@ -39,7 +39,8 @@ use dgrid::core::{
 };
 use dgrid::harness::Algorithm;
 use dgrid::workloads::{
-    diurnal_wave, flash_crowd, paper_scenario, CompiledScenario, PaperScenario, ScenarioSpec,
+    diurnal_wave, flash_crowd, paper_scenario, CompiledScenario, PaperScenario,
+    RuntimeDistribution, ScenarioSpec, WorkloadConfig,
 };
 use rayon::Pool;
 
@@ -130,6 +131,8 @@ pub const ROWS: &[Row] = &[
     row!("central_churn", Jsonl, central_churn(), 0xb81035d9d1d95356, 1_155_299),
     // Pinned before the central scan took its capability index.
     row!("central_10k", Jsonl, central_10k(), 0xf36ea99a3b559d88, 7_653_688),
+    // Pinned before the stream's wire schema became one table.
+    row!("central_tie", Jsonl, central_tie(), 0xc2a4cf10fa4ac897, 372_683),
     // Pinned on the calendar queue, before the radix heap replaced it.
     row!("rn_tree_100k_rare_failures", Jsonl, churn_100k(2e7), 0x13cdf667d26c249a, 11_624_639),
     row!("rn_tree_100k_daily_failures", Jsonl, churn_100k(86_400.0), 0x40e72f252f216df4, 11_786_441),
@@ -154,6 +157,13 @@ pub const ROWS: &[Row] = &[
     row!("leased_horizon/900", Jsonl, leased_churn(900.0), 0xdaf8a3bb6195ec9b, 906_625, [MakespanBits(0x408c200000000000), JobsFailed(329), SweptAtNs(900_000_000_000)]),
     row!("churned/rn-tree@pastry", Jsonl, churned(RnTreePastry, 2_000, 4_000.0, 3_000_000.0), 0x2383d138d1de94b2, 822_564, [Departures(344)]),
     row!("churned/rn-tree@tapestry", Jsonl, churned(RnTreeTapestry, 1_000, 4_000.0, 3_000.0), 0x192334afbd913225, 483_498, [Departures(701)]),
+    // Sequential runs pinned above in JSONL, pinned in binary too before
+    // the stream's wire schema became one table; with the `forty` binary
+    // rows they carry every event tag. A group of their own keeps the
+    // selectors of the JSONL suites above JSONL-only.
+    row!("binary/central_churn", Binary, central_churn(), 0x0addb313fa14288d, 158_675),
+    row!("binary/leased_horizon/900", Binary, leased_churn(900.0), 0x85ae4d1ca174a5d3, 125_072, [MakespanBits(0x408c200000000000), JobsFailed(329)]),
+    row!("binary/central_tie", Binary, central_tie(), 0xa8b33396f3647772, 49_136),
     // The sharded kernel. Its 40-node and 10⁴-node rows were pinned before
     // the run-node handlers were unified; the others on the same commits as
     // their sequential twins above.
@@ -499,6 +509,35 @@ pub fn central_10k() -> Engine {
     }
     Engine::new(
         dgrid::harness::paper_engine_config(SEED),
+        ChurnConfig::none(),
+        Central.matchmaker(),
+        workload.nodes,
+        workload.submissions,
+    )
+}
+
+/// Central where busy nodes tie exactly: 100 nodes offered 1 000 jobs of
+/// one fixed 100 s runtime at twice their capacity and no churn. A node's
+/// committed work sums its jobs' declared runtimes, so once every node is
+/// busy the nodes holding the fewest jobs commit exactly equal work, and
+/// phase 1 of the scan draws among them.
+pub fn central_tie() -> Engine {
+    let workload = WorkloadConfig {
+        seed: SEED,
+        nodes: 100,
+        jobs: 1_000,
+        mean_interarrival_secs: 0.5,
+        runtime_distribution: RuntimeDistribution::Fixed,
+        ..WorkloadConfig::default()
+    }
+    .generate();
+    let cfg = EngineConfig {
+        seed: SEED,
+        max_sim_secs: 3_000_000.0,
+        ..EngineConfig::default()
+    };
+    Engine::new(
+        cfg,
         ChurnConfig::none(),
         Central.matchmaker(),
         workload.nodes,

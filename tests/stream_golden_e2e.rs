@@ -16,6 +16,7 @@ mod common;
 
 use common::golden::{self, Capture, SEED};
 use common::pin::Pin;
+use dgrid::core::trace::binary::MAGIC;
 use dgrid::core::{
     parse_jsonl_line, phase_samples, ChurnConfig, Engine, EngineConfig, EventRecord, FaultPlan,
     JobSpan, Observer, Phase, SimReport, SpanAssembler, SpanOutcome, StreamAnalytics, StreamFormat,
@@ -156,6 +157,53 @@ fn central_stream_under_churn_matches_pinned_hash() {
     for kind in ["NodeDown", "NodeUp", "RunRecovery"] {
         assert!(text.contains(kind), "the run must exercise {kind}");
     }
+}
+
+/// Every node busy, and busy nodes tied on exactly equal committed work:
+/// the central scan's phase 1 draws among them.
+#[test]
+fn central_busy_node_tie_stream_matches_pinned_hash() {
+    let report = checked("central_tie").report;
+    assert_eq!(report.jobs_completed, 1_000);
+    assert_eq!(report.node_failures, 0);
+}
+
+/// The tag byte of every frame of a binary stream, read frame by frame
+/// without the decoder: a varint length, then the payload, whose first
+/// byte is the tag.
+fn frame_tags(stream: &[u8]) -> Vec<u8> {
+    let mut at = MAGIC.len();
+    assert_eq!(stream[..at], MAGIC, "a binary stream opens with the magic");
+    let mut tags = Vec::new();
+    while at < stream.len() {
+        let (mut len, mut shift) = (0usize, 0);
+        while stream[at] & 0x80 != 0 {
+            len |= usize::from(stream[at] & 0x7f) << shift;
+            (at, shift) = (at + 1, shift + 7);
+        }
+        len |= usize::from(stream[at]) << shift;
+        tags.push(stream[at + 1]);
+        at += 1 + len;
+    }
+    assert_eq!(at, stream.len(), "the last frame ends the stream");
+    tags
+}
+
+/// Each of the 14 event tags (`0x10..=0x1d`) occurs in a binary row of the
+/// sequential kernel, so an encoder and decoder that changed one tag the
+/// same way would still move a pin.
+#[test]
+fn every_event_tag_occurs_in_a_sequential_binary_row() {
+    let mut seen = [false; 256];
+    for (row, run) in golden::check(&["forty", "binary"]) {
+        if row.format == StreamFormat::Binary {
+            for tag in frame_tags(&run.bytes) {
+                seen[usize::from(tag)] = true;
+            }
+        }
+    }
+    let missing: Vec<u8> = (0x10..=0x1d).filter(|&t| !seen[usize::from(t)]).collect();
+    assert!(missing.is_empty(), "no row carries tags {missing:#04x?}");
 }
 
 /// Heavy: CI runs it by name on a release build.
