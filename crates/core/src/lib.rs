@@ -80,6 +80,6 @@ pub use trace::binary::{
     StreamDecoder, StreamError, StreamFormat,
 };
 pub use trace::{
-    parse_jsonl_line, EventKind, EventRecord, JsonlObserver, NullObserver, Observer, TraceEvent,
-    VecObserver,
+    parse_jsonl_line, EventEncoder, EventKind, EventRecord, JsonlEncoder, JsonlObserver,
+    NullObserver, Observer, StreamObserver, TraceEvent, VecObserver,
 };

@@ -157,23 +157,6 @@ impl JobSpan {
     }
 }
 
-/// Which job an event concerns, if any (node up/down events have none).
-fn job_of(event: &TraceEvent) -> Option<JobId> {
-    match event {
-        TraceEvent::Submitted { job, .. }
-        | TraceEvent::OwnerAssigned { job, .. }
-        | TraceEvent::Matched { job, .. }
-        | TraceEvent::Started { job, .. }
-        | TraceEvent::Completed { job, .. }
-        | TraceEvent::Failed { job }
-        | TraceEvent::RunRecovery { job }
-        | TraceEvent::OwnerRecovery { job }
-        | TraceEvent::LeaseExpired { job }
-        | TraceEvent::LeaseTransferred { job, .. } => Some(*job),
-        TraceEvent::NodeDown { .. } | TraceEvent::NodeUp { .. } => None,
-    }
-}
-
 /// Attribute the interval `[prev, next)` to a phase (see module docs).
 fn segment_phase(prev: &TraceEvent, next: &TraceEvent) -> Phase {
     match next {
@@ -264,7 +247,7 @@ impl SpanAssembler {
     /// Feed one event (events must arrive in nondecreasing time order, as
     /// the engine emits them).
     pub fn observe(&mut self, at: SimTime, event: TraceEvent) {
-        let Some(job) = job_of(&event) else { return };
+        let Some(job) = event.job() else { return };
         let Some(slot) = self.index.get(job.0) else {
             // First sighting, or the first since the job's span closed: the
             // span's clock starts here.
@@ -581,7 +564,7 @@ mod tests {
 
     impl ReferenceAssembler {
         fn observe(&mut self, at: SimTime, event: TraceEvent) {
-            let Some(job) = job_of(&event) else { return };
+            let Some(job) = event.job() else { return };
             let mut span = match self.open.remove(&job) {
                 None => JobSpan::new(job, at),
                 Some((prev_at, prev, mut span)) => {

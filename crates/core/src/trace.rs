@@ -16,8 +16,11 @@
 //! time into routing, matchmaking, dispatch, and recovery segments.
 
 pub mod binary;
+mod schema;
 
-use std::io::Write;
+use std::cell::RefCell;
+use std::io::{self, Write};
+use std::rc::Rc;
 
 use dgrid_resources::JobId;
 use dgrid_sim::SimTime;
@@ -25,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::job::OwnerRef;
 use crate::node::GridNodeId;
+use schema::{with_tag, Kind, SHAPES};
 
 /// One lifecycle transition.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -125,6 +129,29 @@ pub trait Observer {
     fn bytes_written(&self) -> Option<u64> {
         None
     }
+
+    /// Flush a stream writer's sink and return the first I/O error its
+    /// stream met. A writer keeps that error and drops every later event
+    /// instead of panicking mid-run; other observers have none to report.
+    fn finish(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A shared observer: the engine consumes one handle and the caller keeps
+/// another, to [`finish`](Observer::finish) the stream after the run.
+impl<O: Observer + ?Sized> Observer for Rc<RefCell<O>> {
+    fn on_event(&mut self, at: SimTime, event: TraceEvent) {
+        self.borrow_mut().on_event(at, event);
+    }
+
+    fn bytes_written(&self) -> Option<u64> {
+        self.borrow().bytes_written()
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.borrow_mut().finish()
+    }
 }
 
 /// The default no-op observer.
@@ -171,50 +198,85 @@ pub struct EventRecord {
     pub event: TraceEvent,
 }
 
-/// Streams every event as one JSON line (`{"t_ns":...,"event":...}`) with
-/// its virtual timestamp. The same seed produces a byte-identical stream,
-/// which the CI determinism job asserts with a plain `diff`.
-///
-/// Lines are rendered by [`write_event_line`] into a scratch buffer that is
-/// reused across events, so the per-event cost is one formatted line plus
-/// one `write_all` — no `Value` tree or fresh `String` per event (the
-/// vendored `serde_json::to_writer` builds both).
-pub struct JsonlObserver<W: Write> {
-    sink: W,
-    scratch: Vec<u8>,
-    bytes: u64,
+/// Appends one event's bytes to a stream in some format.
+pub trait EventEncoder: Default {
+    /// Append `event`, emitted at `t_ns`, to `out`.
+    fn encode(&mut self, out: &mut Vec<u8>, t_ns: u64, event: &TraceEvent);
 }
 
-impl<W: Write> JsonlObserver<W> {
-    /// Stream events into `sink`. Wrap files in a `BufWriter` — the
-    /// observer writes one line per event.
+/// The JSONL format: each event one line, by [`write_event_line`].
+#[derive(Default)]
+pub struct JsonlEncoder;
+
+impl EventEncoder for JsonlEncoder {
+    fn encode(&mut self, out: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
+        write_event_line(out, t_ns, event);
+    }
+}
+
+/// Streams every event into a writer in the format `E` encodes, through a
+/// scratch buffer reused across events: the per-event cost is the encoding
+/// plus one `write_all`. The same seed produces a byte-identical stream,
+/// which the CI determinism job asserts with a plain `diff`. Wrap files in
+/// a `BufWriter`.
+///
+/// The first I/O error ends the stream: later events are dropped and
+/// [`Observer::finish`] returns the error.
+pub struct StreamObserver<W: Write, E: EventEncoder> {
+    sink: W,
+    encoder: E,
+    scratch: Vec<u8>,
+    bytes: u64,
+    error: Option<io::Error>,
+}
+
+/// Streams every event as one JSON line (`{"t_ns":...,"event":...}`) with
+/// its virtual timestamp.
+pub type JsonlObserver<W> = StreamObserver<W, JsonlEncoder>;
+
+impl<W: Write, E: EventEncoder> StreamObserver<W, E> {
+    /// Stream events into `sink`.
     pub fn new(sink: W) -> Self {
-        JsonlObserver {
+        StreamObserver {
             sink,
+            encoder: E::default(),
             scratch: Vec::with_capacity(96),
             bytes: 0,
+            error: None,
         }
     }
 
-    /// Flush and return the sink.
+    /// Flush and return the sink. Panics if the stream met an I/O error;
+    /// [`Observer::finish`] returns it instead.
     pub fn into_inner(mut self) -> W {
-        self.sink.flush().expect("flush event stream");
+        self.finish().expect("write event stream");
         self.sink
     }
 }
 
-impl<W: Write> Observer for JsonlObserver<W> {
+impl<W: Write, E: EventEncoder> Observer for StreamObserver<W, E> {
     fn on_event(&mut self, at: SimTime, event: TraceEvent) {
+        if self.error.is_some() {
+            return;
+        }
         self.scratch.clear();
-        write_event_line(&mut self.scratch, at.as_nanos(), &event);
-        self.sink
-            .write_all(&self.scratch)
-            .expect("write event stream");
-        self.bytes += self.scratch.len() as u64;
+        self.encoder
+            .encode(&mut self.scratch, at.as_nanos(), &event);
+        match self.sink.write_all(&self.scratch) {
+            Ok(()) => self.bytes += self.scratch.len() as u64,
+            Err(e) => self.error = Some(e),
+        }
     }
 
     fn bytes_written(&self) -> Option<u64> {
         Some(self.bytes)
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.sink.flush(),
+        }
     }
 }
 
@@ -255,69 +317,15 @@ pub fn write_event_line(buf: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
         buf.extend_from_slice(&digits[at..]);
     }
     field(buf, "{\"t_ns\":", t_ns);
-    match *event {
-        TraceEvent::Submitted { job, resubmits } => {
-            field(buf, ",\"event\":{\"Submitted\":{\"job\":", job.0);
-            field(buf, ",\"resubmits\":", u64::from(resubmits));
-        }
-        TraceEvent::OwnerAssigned { job, owner } => {
-            field(buf, ",\"event\":{\"OwnerAssigned\":{\"job\":", job.0);
-            match owner {
-                OwnerRef::Server => buf.extend_from_slice(b",\"owner\":\"Server\""),
-                OwnerRef::Peer(p) => {
-                    field(buf, ",\"owner\":{\"Peer\":", u64::from(p.0));
-                    buf.push(b'}');
-                }
+    event.with_wire(
+        #[inline(always)]
+        |shape, values| {
+            for (f, value) in shape.fields.iter().zip(values) {
+                field(buf, f.json, value);
             }
-        }
-        TraceEvent::Matched {
-            job,
-            run_node,
-            hops,
-        } => {
-            field(buf, ",\"event\":{\"Matched\":{\"job\":", job.0);
-            field(buf, ",\"run_node\":", u64::from(run_node.0));
-            field(buf, ",\"hops\":", u64::from(hops));
-        }
-        TraceEvent::Started { job, run_node } => {
-            field(buf, ",\"event\":{\"Started\":{\"job\":", job.0);
-            field(buf, ",\"run_node\":", u64::from(run_node.0));
-        }
-        TraceEvent::Completed { job, results_at } => {
-            field(buf, ",\"event\":{\"Completed\":{\"job\":", job.0);
-            field(buf, ",\"results_at\":", results_at.as_nanos());
-        }
-        TraceEvent::Failed { job } => field(buf, ",\"event\":{\"Failed\":{\"job\":", job.0),
-        TraceEvent::NodeDown { node, graceful } => {
-            field(
-                buf,
-                ",\"event\":{\"NodeDown\":{\"node\":",
-                u64::from(node.0),
-            );
-            buf.extend_from_slice(if graceful {
-                b",\"graceful\":true"
-            } else {
-                b",\"graceful\":false"
-            });
-        }
-        TraceEvent::NodeUp { node } => {
-            field(buf, ",\"event\":{\"NodeUp\":{\"node\":", u64::from(node.0));
-        }
-        TraceEvent::RunRecovery { job } => {
-            field(buf, ",\"event\":{\"RunRecovery\":{\"job\":", job.0);
-        }
-        TraceEvent::OwnerRecovery { job } => {
-            field(buf, ",\"event\":{\"OwnerRecovery\":{\"job\":", job.0);
-        }
-        TraceEvent::LeaseExpired { job } => {
-            field(buf, ",\"event\":{\"LeaseExpired\":{\"job\":", job.0);
-        }
-        TraceEvent::LeaseTransferred { job, owner } => {
-            field(buf, ",\"event\":{\"LeaseTransferred\":{\"job\":", job.0);
-            field(buf, ",\"owner\":", u64::from(owner.0));
-        }
-    }
-    buf.extend_from_slice(b"}}}\n");
+            buf.extend_from_slice(shape.tail.as_bytes());
+        },
+    );
 }
 
 /// Parse one JSONL line written by [`JsonlObserver`]. Empty lines yield
@@ -371,16 +379,6 @@ impl Canonical<'_> {
     fn u32(&mut self) -> Option<u32> {
         u32::try_from(self.u64()?).ok()
     }
-
-    fn job(&mut self) -> Option<JobId> {
-        self.eat("job\":")?;
-        self.u64().map(JobId)
-    }
-
-    fn node(&mut self, key: &str) -> Option<GridNodeId> {
-        self.eat(key)?;
-        self.u32().map(GridNodeId)
-    }
 }
 
 /// Read a line that is byte for byte what [`write_event_line`] writes for
@@ -392,79 +390,32 @@ fn parse_canonical_line(line: &str) -> Option<EventRecord> {
     let mut c = Canonical(line.as_bytes());
     c.eat("{\"t_ns\":")?;
     let t_ns = c.u64()?;
-    c.eat(",\"event\":{\"")?;
-    let name_len = c.0.iter().position(|&b| b == b'"')?;
-    let (name, rest) = c.0.split_at(name_len);
-    c.0 = rest;
-    c.eat("\":{\"")?;
-    let event = match name {
-        b"Submitted" => {
-            let job = c.job()?;
-            c.eat(",\"resubmits\":")?;
-            let resubmits = c.u32()?;
-            TraceEvent::Submitted { job, resubmits }
-        }
-        b"OwnerAssigned" => {
-            let job = c.job()?;
-            c.eat(",\"owner\":")?;
-            let owner = if c.eat("\"Server\"").is_some() {
-                OwnerRef::Server
-            } else {
-                let peer = c.node("{\"Peer\":")?;
-                c.eat("}")?;
-                OwnerRef::Peer(peer)
-            };
-            TraceEvent::OwnerAssigned { job, owner }
-        }
-        b"Matched" => {
-            let job = c.job()?;
-            let run_node = c.node(",\"run_node\":")?;
-            c.eat(",\"hops\":")?;
-            let hops = c.u32()?;
-            TraceEvent::Matched {
-                job,
-                run_node,
-                hops,
-            }
-        }
-        b"Started" => {
-            let job = c.job()?;
-            let run_node = c.node(",\"run_node\":")?;
-            TraceEvent::Started { job, run_node }
-        }
-        b"Completed" => {
-            let job = c.job()?;
-            c.eat(",\"results_at\":")?;
-            let results_at = SimTime::from_nanos(c.u64()?);
-            TraceEvent::Completed { job, results_at }
-        }
-        b"Failed" => TraceEvent::Failed { job: c.job()? },
-        b"NodeDown" => {
-            let node = c.node("node\":")?;
-            c.eat(",\"graceful\":")?;
-            let graceful = if c.eat("true").is_some() {
-                true
-            } else {
-                c.eat("false")?;
-                false
-            };
-            TraceEvent::NodeDown { node, graceful }
-        }
-        b"NodeUp" => TraceEvent::NodeUp {
-            node: c.node("node\":")?,
-        },
-        b"RunRecovery" => TraceEvent::RunRecovery { job: c.job()? },
-        b"OwnerRecovery" => TraceEvent::OwnerRecovery { job: c.job()? },
-        b"LeaseExpired" => TraceEvent::LeaseExpired { job: c.job()? },
-        b"LeaseTransferred" => {
-            let job = c.job()?;
-            let owner = c.node(",\"owner\":")?;
-            TraceEvent::LeaseTransferred { job, owner }
-        }
-        _ => return None,
-    };
-    c.eat("}}}")?;
-    c.0.is_empty().then_some(EventRecord { t_ns, event })
+    let name = c.0.strip_prefix(b",\"event\":{\"")?;
+    let name = &name[..name.iter().position(|&b| b == b'"')?];
+    // `OwnerAssigned` and `NodeDown` have two shapes each; a line is at
+    // most one of them.
+    let mut shapes = SHAPES.iter().filter(|s| s.name.as_bytes() == name);
+    shapes.find_map(|s| {
+        with_tag(
+            s.tag,
+            #[inline(always)]
+            |shape| {
+                let mut c = Canonical(c.0);
+                let mut values = [0; 3];
+                for (f, value) in shape.fields.iter().zip(&mut values) {
+                    c.eat(f.json)?;
+                    *value = match f.kind {
+                        Kind::Job | Kind::Nanos => c.u64()?,
+                        Kind::Node | Kind::U32 => u64::from(c.u32()?),
+                    };
+                }
+                c.eat(shape.tail.strip_suffix('\n')?)?;
+                let event = (shape.event)(values);
+                c.0.is_empty().then_some(EventRecord { t_ns, event })
+            },
+        )
+        .flatten()
+    })
 }
 
 /// The twelve lifecycle event shapes, as a dense index for per-kind
@@ -519,59 +470,12 @@ impl EventKind {
         self as usize
     }
 
-    /// Display label (matches the JSONL variant spelling).
+    /// Display label (the JSONL variant name).
     pub fn label(self) -> &'static str {
-        match self {
-            EventKind::Submitted => "Submitted",
-            EventKind::OwnerAssigned => "OwnerAssigned",
-            EventKind::Matched => "Matched",
-            EventKind::Started => "Started",
-            EventKind::Completed => "Completed",
-            EventKind::Failed => "Failed",
-            EventKind::NodeDown => "NodeDown",
-            EventKind::NodeUp => "NodeUp",
-            EventKind::RunRecovery => "RunRecovery",
-            EventKind::OwnerRecovery => "OwnerRecovery",
-            EventKind::LeaseExpired => "LeaseExpired",
-            EventKind::LeaseTransferred => "LeaseTransferred",
-        }
-    }
-}
-
-impl TraceEvent {
-    /// This event's [`EventKind`].
-    pub fn kind(&self) -> EventKind {
-        match self {
-            TraceEvent::Submitted { .. } => EventKind::Submitted,
-            TraceEvent::OwnerAssigned { .. } => EventKind::OwnerAssigned,
-            TraceEvent::Matched { .. } => EventKind::Matched,
-            TraceEvent::Started { .. } => EventKind::Started,
-            TraceEvent::Completed { .. } => EventKind::Completed,
-            TraceEvent::Failed { .. } => EventKind::Failed,
-            TraceEvent::NodeDown { .. } => EventKind::NodeDown,
-            TraceEvent::NodeUp { .. } => EventKind::NodeUp,
-            TraceEvent::RunRecovery { .. } => EventKind::RunRecovery,
-            TraceEvent::OwnerRecovery { .. } => EventKind::OwnerRecovery,
-            TraceEvent::LeaseExpired { .. } => EventKind::LeaseExpired,
-            TraceEvent::LeaseTransferred { .. } => EventKind::LeaseTransferred,
-        }
-    }
-
-    /// The job this event concerns, if it is job-scoped.
-    pub fn job(&self) -> Option<JobId> {
-        match *self {
-            TraceEvent::Submitted { job, .. }
-            | TraceEvent::OwnerAssigned { job, .. }
-            | TraceEvent::Matched { job, .. }
-            | TraceEvent::Started { job, .. }
-            | TraceEvent::Completed { job, .. }
-            | TraceEvent::Failed { job }
-            | TraceEvent::RunRecovery { job }
-            | TraceEvent::OwnerRecovery { job }
-            | TraceEvent::LeaseExpired { job }
-            | TraceEvent::LeaseTransferred { job, .. } => Some(job),
-            TraceEvent::NodeDown { .. } | TraceEvent::NodeUp { .. } => None,
-        }
+        SHAPES
+            .iter()
+            .find(|s| s.kind == self)
+            .map_or("", |s| s.name)
     }
 }
 
@@ -733,53 +637,23 @@ mod tests {
         String::from_utf8(buf).expect("event lines are ASCII")
     }
 
-    /// `template`'s variant with its fields replaced: `job` for the job,
-    /// `a` for a node, run node, peer or resubmit count, `b` for hops or a
-    /// lease's new owner, `results_at` in nanoseconds.
+    /// `template`'s shape with its fields replaced: `job` for the job,
+    /// `results_at` for a time in nanoseconds, and `a`, then `b`, for the
+    /// 32-bit fields in wire order (a node, peer or resubmit count, then
+    /// hops).
     fn with_fields(template: TraceEvent, job: u64, a: u32, b: u32, results_at: u64) -> TraceEvent {
-        let job = JobId(job);
-        match template {
-            TraceEvent::Submitted { .. } => TraceEvent::Submitted { job, resubmits: a },
-            TraceEvent::OwnerAssigned {
-                owner: OwnerRef::Server,
-                ..
-            } => TraceEvent::OwnerAssigned {
-                job,
-                owner: OwnerRef::Server,
-            },
-            TraceEvent::OwnerAssigned { .. } => TraceEvent::OwnerAssigned {
-                job,
-                owner: OwnerRef::Peer(GridNodeId(a)),
-            },
-            TraceEvent::Matched { .. } => TraceEvent::Matched {
-                job,
-                run_node: GridNodeId(a),
-                hops: b,
-            },
-            TraceEvent::Started { .. } => TraceEvent::Started {
-                job,
-                run_node: GridNodeId(a),
-            },
-            TraceEvent::Completed { .. } => TraceEvent::Completed {
-                job,
-                results_at: SimTime::from_nanos(results_at),
-            },
-            TraceEvent::Failed { .. } => TraceEvent::Failed { job },
-            TraceEvent::NodeDown { graceful, .. } => TraceEvent::NodeDown {
-                node: GridNodeId(a),
-                graceful,
-            },
-            TraceEvent::NodeUp { .. } => TraceEvent::NodeUp {
-                node: GridNodeId(a),
-            },
-            TraceEvent::RunRecovery { .. } => TraceEvent::RunRecovery { job },
-            TraceEvent::OwnerRecovery { .. } => TraceEvent::OwnerRecovery { job },
-            TraceEvent::LeaseExpired { .. } => TraceEvent::LeaseExpired { job },
-            TraceEvent::LeaseTransferred { .. } => TraceEvent::LeaseTransferred {
-                job,
-                owner: GridNodeId(b),
-            },
-        }
+        template.with_wire(|shape, _| {
+            let mut narrow = [a, b].into_iter().map(u64::from);
+            let mut values = [0; 3];
+            for (f, value) in shape.fields.iter().zip(&mut values) {
+                *value = match f.kind {
+                    Kind::Job => job,
+                    Kind::Nanos => results_at,
+                    Kind::Node | Kind::U32 => narrow.next().expect("two 32-bit fields at most"),
+                };
+            }
+            (shape.event)(values)
+        })
     }
 
     /// Every variant with every integer field at each digit-count

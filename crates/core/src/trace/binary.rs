@@ -19,6 +19,32 @@
 //!          | event_tag zigzag(dt) field*       (tags 0x10..=0x1d)
 //! ```
 //!
+//! An event frame's fields follow its time delta in the order its row of
+//! the wire schema (`trace/schema.rs`) lists them — the order of the JSONL
+//! keys: the job, then a node, then a scalar. A job field is an index into
+//! the stream's job table; a node field (`node`, `owner`, `run_node`) one
+//! into its node table; `resubmits` and `hops` are 32-bit varints and
+//! `results_at` a varint in nanoseconds. A member the shape fixes (last
+//! column, as JSONL spells it) takes no bytes: the tag carries it.
+//!
+//! ```text
+//! tag   JSONL variant     fields after zigzag(dt)
+//! 0x10  Submitted         job resubmits
+//! 0x11  OwnerAssigned     job                "owner":"Server"
+//! 0x12  OwnerAssigned     job owner          "owner":{"Peer":owner}
+//! 0x13  Matched           job run_node hops
+//! 0x14  Started           job run_node
+//! 0x15  Completed         job results_at
+//! 0x16  Failed            job
+//! 0x17  NodeDown          node               "graceful":false
+//! 0x18  NodeDown          node               "graceful":true
+//! 0x19  NodeUp            node
+//! 0x1a  RunRecovery       job
+//! 0x1b  OwnerRecovery     job
+//! 0x1c  LeaseExpired      job
+//! 0x1d  LeaseTransferred  job owner
+//! ```
+//!
 //! Varints are LEB128 over `u64`. Event timestamps are encoded as the
 //! zigzag-varint delta from the previous event's timestamp — observers emit
 //! in nondecreasing time order, so deltas are tiny, but the zigzag keeps
@@ -44,14 +70,11 @@
 //! the fuzz proptests assert over arbitrary byte soup and mutilated valid
 //! streams.
 
-use std::io::Write;
-
-use dgrid_resources::JobId;
-
-use crate::job::{next_index, IdIndex, OwnerRef};
-use crate::node::GridNodeId;
-use crate::trace::{parse_jsonl_line, write_event_line, EventRecord, Observer, TraceEvent};
-use dgrid_sim::SimTime;
+use super::schema::{with_tag, Kind};
+use crate::job::{next_index, IdIndex};
+use crate::trace::{
+    parse_jsonl_line, write_event_line, EventEncoder, EventRecord, StreamObserver, TraceEvent,
+};
 
 /// The 8-byte stream header.
 pub const MAGIC: [u8; 8] = *b"DGEVS01\n";
@@ -62,20 +85,6 @@ pub const MAX_FRAME_LEN: u64 = 4096;
 
 const TAG_DEF_JOB: u8 = 0x01;
 const TAG_DEF_NODE: u8 = 0x02;
-const TAG_SUBMITTED: u8 = 0x10;
-const TAG_OWNER_SERVER: u8 = 0x11;
-const TAG_OWNER_PEER: u8 = 0x12;
-const TAG_MATCHED: u8 = 0x13;
-const TAG_STARTED: u8 = 0x14;
-const TAG_COMPLETED: u8 = 0x15;
-const TAG_FAILED: u8 = 0x16;
-const TAG_NODE_DOWN: u8 = 0x17;
-const TAG_NODE_DOWN_GRACEFUL: u8 = 0x18;
-const TAG_NODE_UP: u8 = 0x19;
-const TAG_RUN_RECOVERY: u8 = 0x1a;
-const TAG_OWNER_RECOVERY: u8 = 0x1b;
-const TAG_LEASE_EXPIRED: u8 = 0x1c;
-const TAG_LEASE_TRANSFERRED: u8 = 0x1d;
 
 /// Which intern table a dangling reference pointed into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -309,6 +318,19 @@ impl InternMap {
         self.index.insert(id, idx);
         (idx, true)
     }
+
+    /// The intern index of `id`, first appending to `out` the `def_tag`
+    /// frame that binds it if this is its first appearance.
+    fn intern(&mut self, out: &mut Vec<u8>, def_tag: u8, id: u64) -> u64 {
+        let (idx, fresh) = self.get_or_insert(id);
+        if fresh {
+            let at = begin_frame(out);
+            out.push(def_tag);
+            write_varint(out, id);
+            end_frame(out, at);
+        }
+        u64::from(idx)
+    }
 }
 
 /// Stateful encoder: turns an event sequence into binary stream bytes.
@@ -350,28 +372,6 @@ impl BinaryEncoder {
         Self::default()
     }
 
-    fn intern_job(&mut self, out: &mut Vec<u8>, job: JobId) -> u32 {
-        let (idx, fresh) = self.jobs.get_or_insert(job.0);
-        if fresh {
-            let at = begin_frame(out);
-            out.push(TAG_DEF_JOB);
-            write_varint(out, job.0);
-            end_frame(out, at);
-        }
-        idx
-    }
-
-    fn intern_node(&mut self, out: &mut Vec<u8>, node: GridNodeId) -> u32 {
-        let (idx, fresh) = self.nodes.get_or_insert(u64::from(node.0));
-        if fresh {
-            let at = begin_frame(out);
-            out.push(TAG_DEF_NODE);
-            write_varint(out, u64::from(node.0));
-            end_frame(out, at);
-        }
-        idx
-    }
-
     /// Append the frames for one event (its `DEF_*` frames first, if any id
     /// is new) to `out`. The magic header is appended before the first
     /// event, so encoding zero events yields zero bytes.
@@ -381,75 +381,33 @@ impl BinaryEncoder {
             self.started = true;
         }
         // Intern pass first: DEF frames precede the event that needs them.
-        let (tag, job_idx, node_idx): (u8, Option<u32>, Option<u32>) = match *event {
-            TraceEvent::Submitted { job, .. } => {
-                (TAG_SUBMITTED, Some(self.intern_job(out, job)), None)
-            }
-            TraceEvent::OwnerAssigned { job, owner } => match owner {
-                OwnerRef::Server => (TAG_OWNER_SERVER, Some(self.intern_job(out, job)), None),
-                OwnerRef::Peer(p) => {
-                    let j = self.intern_job(out, job);
-                    let n = self.intern_node(out, p);
-                    (TAG_OWNER_PEER, Some(j), Some(n))
+        event.with_wire(
+            #[inline(always)]
+            |shape, mut values| {
+                for (f, value) in shape.fields.iter().zip(&mut values) {
+                    match f.kind {
+                        Kind::Job => *value = self.jobs.intern(out, TAG_DEF_JOB, *value),
+                        Kind::Node => *value = self.nodes.intern(out, TAG_DEF_NODE, *value),
+                        Kind::U32 | Kind::Nanos => {}
+                    }
                 }
+                let at = begin_frame(out);
+                out.push(shape.tag);
+                let dt = zigzag(t_ns.wrapping_sub(self.prev_t) as i64);
+                self.prev_t = t_ns;
+                write_varint(out, dt);
+                for &value in &values[..shape.fields.len()] {
+                    write_varint(out, value);
+                }
+                end_frame(out, at);
             },
-            TraceEvent::Matched { job, run_node, .. } => {
-                let j = self.intern_job(out, job);
-                let n = self.intern_node(out, run_node);
-                (TAG_MATCHED, Some(j), Some(n))
-            }
-            TraceEvent::Started { job, run_node } => {
-                let j = self.intern_job(out, job);
-                let n = self.intern_node(out, run_node);
-                (TAG_STARTED, Some(j), Some(n))
-            }
-            TraceEvent::Completed { job, .. } => {
-                (TAG_COMPLETED, Some(self.intern_job(out, job)), None)
-            }
-            TraceEvent::Failed { job } => (TAG_FAILED, Some(self.intern_job(out, job)), None),
-            TraceEvent::NodeDown { node, graceful } => {
-                let tag = if graceful {
-                    TAG_NODE_DOWN_GRACEFUL
-                } else {
-                    TAG_NODE_DOWN
-                };
-                (tag, None, Some(self.intern_node(out, node)))
-            }
-            TraceEvent::NodeUp { node } => (TAG_NODE_UP, None, Some(self.intern_node(out, node))),
-            TraceEvent::RunRecovery { job } => {
-                (TAG_RUN_RECOVERY, Some(self.intern_job(out, job)), None)
-            }
-            TraceEvent::OwnerRecovery { job } => {
-                (TAG_OWNER_RECOVERY, Some(self.intern_job(out, job)), None)
-            }
-            TraceEvent::LeaseExpired { job } => {
-                (TAG_LEASE_EXPIRED, Some(self.intern_job(out, job)), None)
-            }
-            TraceEvent::LeaseTransferred { job, owner } => {
-                let j = self.intern_job(out, job);
-                let n = self.intern_node(out, owner);
-                (TAG_LEASE_TRANSFERRED, Some(j), Some(n))
-            }
-        };
+        );
+    }
+}
 
-        let at = begin_frame(out);
-        out.push(tag);
-        let dt = zigzag(t_ns.wrapping_sub(self.prev_t) as i64);
-        self.prev_t = t_ns;
-        write_varint(out, dt);
-        if let Some(j) = job_idx {
-            write_varint(out, u64::from(j));
-        }
-        if let Some(n) = node_idx {
-            write_varint(out, u64::from(n));
-        }
-        match *event {
-            TraceEvent::Submitted { resubmits, .. } => write_varint(out, u64::from(resubmits)),
-            TraceEvent::Matched { hops, .. } => write_varint(out, u64::from(hops)),
-            TraceEvent::Completed { results_at, .. } => write_varint(out, results_at.as_nanos()),
-            _ => {}
-        }
-        end_frame(out, at);
+impl EventEncoder for BinaryEncoder {
+    fn encode(&mut self, out: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
+        self.encode_into(out, t_ns, event);
     }
 }
 
@@ -465,47 +423,8 @@ pub fn encode_events<'a, I: IntoIterator<Item = &'a EventRecord>>(events: I) -> 
 
 /// Streams every event as binary frames into a writer — the drop-in
 /// replacement for [`JsonlObserver`](crate::JsonlObserver) when the stream
-/// is consumed by tools rather than eyes. Wrap files in a `BufWriter`.
-pub struct BinaryObserver<W: Write> {
-    sink: W,
-    encoder: BinaryEncoder,
-    scratch: Vec<u8>,
-    bytes: u64,
-}
-
-impl<W: Write> BinaryObserver<W> {
-    /// Stream events into `sink`.
-    pub fn new(sink: W) -> Self {
-        BinaryObserver {
-            sink,
-            encoder: BinaryEncoder::new(),
-            scratch: Vec::with_capacity(64),
-            bytes: 0,
-        }
-    }
-
-    /// Flush and return the sink.
-    pub fn into_inner(mut self) -> W {
-        self.sink.flush().expect("flush event stream");
-        self.sink
-    }
-}
-
-impl<W: Write> Observer for BinaryObserver<W> {
-    fn on_event(&mut self, at: SimTime, event: TraceEvent) {
-        self.scratch.clear();
-        self.encoder
-            .encode_into(&mut self.scratch, at.as_nanos(), &event);
-        self.sink
-            .write_all(&self.scratch)
-            .expect("write event stream");
-        self.bytes += self.scratch.len() as u64;
-    }
-
-    fn bytes_written(&self) -> Option<u64> {
-        Some(self.bytes)
-    }
-}
+/// is consumed by tools rather than eyes.
+pub type BinaryObserver<W> = StreamObserver<W, BinaryEncoder>;
 
 // --- decoder ---------------------------------------------------------------
 
@@ -718,14 +637,29 @@ impl FrameDecoder {
                 self.nodes.push(raw);
                 None
             }
-            TAG_SUBMITTED..=TAG_LEASE_TRANSFERRED => {
-                let dt = cur.varint()?;
-                let t_ns = self.prev_t.wrapping_add(unzigzag(dt) as u64);
-                let event = self.decode_event(tag, &mut cur)?;
+            tag => {
+                let (t_ns, event) = with_tag(
+                    tag,
+                    #[inline(always)]
+                    |shape| {
+                        let dt = cur.varint()?;
+                        let t_ns = self.prev_t.wrapping_add(unzigzag(dt) as u64);
+                        let mut values = [0; 3];
+                        for (f, value) in shape.fields.iter().zip(&mut values) {
+                            *value = match f.kind {
+                                Kind::Job => cur.interned(&self.jobs, RefKind::Job)?,
+                                Kind::Node => u64::from(cur.interned(&self.nodes, RefKind::Node)?),
+                                Kind::U32 => u64::from(cur.varint_u32(f.name)?),
+                                Kind::Nanos => cur.varint()?,
+                            };
+                        }
+                        Ok((t_ns, (shape.event)(values)))
+                    },
+                )
+                .ok_or(StreamError::UnknownTag { at, tag })??;
                 self.prev_t = t_ns;
                 Some(EventRecord { t_ns, event })
             }
-            tag => return Err(StreamError::UnknownTag { at, tag }),
         };
         if cur.pos < cur.bytes.len() {
             return Err(StreamError::TrailingFrameBytes {
@@ -734,72 +668,6 @@ impl FrameDecoder {
             });
         }
         Ok(rec)
-    }
-
-    fn job_ref(&self, cur: &mut Cursor<'_>) -> Result<JobId, StreamError> {
-        cur.interned(&self.jobs, RefKind::Job).map(JobId)
-    }
-
-    fn node_ref(&self, cur: &mut Cursor<'_>) -> Result<GridNodeId, StreamError> {
-        cur.interned(&self.nodes, RefKind::Node).map(GridNodeId)
-    }
-
-    fn decode_event(&self, tag: u8, cur: &mut Cursor<'_>) -> Result<TraceEvent, StreamError> {
-        Ok(match tag {
-            TAG_SUBMITTED => TraceEvent::Submitted {
-                job: self.job_ref(cur)?,
-                resubmits: cur.varint_u32("resubmits")?,
-            },
-            TAG_OWNER_SERVER => TraceEvent::OwnerAssigned {
-                job: self.job_ref(cur)?,
-                owner: OwnerRef::Server,
-            },
-            TAG_OWNER_PEER => TraceEvent::OwnerAssigned {
-                job: self.job_ref(cur)?,
-                owner: OwnerRef::Peer(self.node_ref(cur)?),
-            },
-            TAG_MATCHED => TraceEvent::Matched {
-                job: self.job_ref(cur)?,
-                run_node: self.node_ref(cur)?,
-                hops: cur.varint_u32("hops")?,
-            },
-            TAG_STARTED => TraceEvent::Started {
-                job: self.job_ref(cur)?,
-                run_node: self.node_ref(cur)?,
-            },
-            TAG_COMPLETED => TraceEvent::Completed {
-                job: self.job_ref(cur)?,
-                results_at: SimTime::from_nanos(cur.varint()?),
-            },
-            TAG_FAILED => TraceEvent::Failed {
-                job: self.job_ref(cur)?,
-            },
-            TAG_NODE_DOWN => TraceEvent::NodeDown {
-                node: self.node_ref(cur)?,
-                graceful: false,
-            },
-            TAG_NODE_DOWN_GRACEFUL => TraceEvent::NodeDown {
-                node: self.node_ref(cur)?,
-                graceful: true,
-            },
-            TAG_NODE_UP => TraceEvent::NodeUp {
-                node: self.node_ref(cur)?,
-            },
-            TAG_RUN_RECOVERY => TraceEvent::RunRecovery {
-                job: self.job_ref(cur)?,
-            },
-            TAG_OWNER_RECOVERY => TraceEvent::OwnerRecovery {
-                job: self.job_ref(cur)?,
-            },
-            TAG_LEASE_EXPIRED => TraceEvent::LeaseExpired {
-                job: self.job_ref(cur)?,
-            },
-            TAG_LEASE_TRANSFERRED => TraceEvent::LeaseTransferred {
-                job: self.job_ref(cur)?,
-                owner: self.node_ref(cur)?,
-            },
-            _ => unreachable!("caller matched the event tag range"),
-        })
     }
 }
 
@@ -885,6 +753,11 @@ pub fn binary_to_jsonl(bytes: &[u8]) -> Result<String, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::OwnerRef;
+    use crate::node::GridNodeId;
+    use crate::trace::Observer;
+    use dgrid_resources::JobId;
+    use dgrid_sim::SimTime;
 
     fn sample_records() -> Vec<EventRecord> {
         let job = JobId(7);
@@ -1059,7 +932,7 @@ mod tests {
         ));
         // Dangling intern reference: Failed { job idx 5 } with empty table.
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&[3, TAG_FAILED, 0, 5]);
+        bytes.extend_from_slice(&[3, 0x16, 0, 5]);
         assert!(matches!(
             decode_stream(&bytes),
             Err(StreamError::BadRef {
@@ -1128,6 +1001,31 @@ mod tests {
             for cut in 0..bytes.len() {
                 assert_eq!(decode(cut), whole, "{bytes:?} cut at {cut}");
             }
+        }
+    }
+
+    /// The module doc's tag table lists every row of the wire schema, in
+    /// tag order, with its fields in wire order.
+    #[test]
+    fn the_documented_tag_table_is_the_schema() {
+        let doc: Vec<&str> = include_str!("binary.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! 0x"))
+            .collect();
+        assert_eq!(doc.len(), super::super::schema::SHAPES.len());
+        for (line, shape) in doc.iter().zip(super::super::schema::SHAPES) {
+            let fields: Vec<&str> = shape.fields.iter().map(|f| f.name).collect();
+            let want = format!(
+                "{:02x}  {:<16}  {}",
+                shape.tag,
+                shape.name,
+                fields.join(" ")
+            );
+            let rest = line.strip_prefix(want.as_str()).unwrap_or("?");
+            assert!(
+                rest.is_empty() || rest.starts_with("  "),
+                "0x{line}: want 0x{want}"
+            );
         }
     }
 
