@@ -37,7 +37,9 @@ pub fn convert(opts: ConvertOpts) {
     let mut observer = None;
     let (from, in_len) = decode(input, |from, rec| {
         let observer = observer.get_or_insert_with(|| stream_observer(target(from), sink.clone()));
-        observer.on_event(SimTime::from_nanos(rec.t_ns), rec.event)
+        observer
+            .borrow_mut()
+            .on_event(SimTime::from_nanos(rec.t_ns), rec.event)
     });
     let out_bytes = sink.0.take();
     std::fs::write(output, &out_bytes).or_exit(output, "write");

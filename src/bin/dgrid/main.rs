@@ -35,8 +35,10 @@ mod report;
 mod run;
 mod watch;
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{Read, Write};
+use std::rc::Rc;
 
 use dgrid::check::LeaseSpec;
 use dgrid::cli::{self, die, number, parsed, some, Options, OrExit, Parsed};
@@ -233,11 +235,13 @@ fn feed(
     }
 }
 
-/// The stream observer of `format`, writing into `sink`.
-fn stream_observer<W: Write + 'static>(format: StreamFormat, sink: W) -> Box<dyn Observer> {
+/// The stream observer of `format`, writing into `sink`, shared so the
+/// caller can still [`finish`](Observer::finish) it once an engine has
+/// consumed a handle.
+fn stream_observer<W: Write + 'static>(format: StreamFormat, sink: W) -> Rc<RefCell<dyn Observer>> {
     match format {
-        StreamFormat::Jsonl => Box::new(JsonlObserver::new(sink)),
-        StreamFormat::Binary => Box::new(BinaryObserver::new(sink)),
+        StreamFormat::Jsonl => Rc::new(RefCell::new(JsonlObserver::new(sink))),
+        StreamFormat::Binary => Rc::new(RefCell::new(BinaryObserver::new(sink))),
     }
 }
 
@@ -246,7 +250,7 @@ fn stream_observer<W: Write + 'static>(format: StreamFormat, sink: W) -> Box<dyn
 /// after the engine (and the observer boxed inside it) is dropped. Never
 /// shared across threads — each replication builds its own.
 #[derive(Clone, Default)]
-struct SharedSink(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+struct SharedSink(Rc<RefCell<Vec<u8>>>);
 
 impl Write for SharedSink {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {

@@ -328,13 +328,17 @@ pub fn run(opts: RunOpts) {
 
 fn run_once(opts: &RunOpts, events: Option<File>, timeseries: Option<File>) -> SimReport {
     let mut engine = opts.engine(opts.sim.seed);
-    if let Some(f) = events {
-        engine.set_observer(stream_observer(opts.format, BufWriter::new(f)));
+    let stream = events.map(|f| stream_observer(opts.format, BufWriter::new(f)));
+    if let Some(stream) = &stream {
+        engine.set_observer(Box::new(stream.clone()));
     }
     if opts.timeseries.is_some() {
         engine.set_timeseries_sampling(SimDuration::from_secs_f64(opts.sample_secs));
     }
     let r = engine.run();
+    if let (Some(stream), Some(path)) = (stream, &opts.events) {
+        stream.borrow_mut().finish().or_exit(path, "write");
+    }
     print_report(&r);
     if let Some(spec) = opts.sim.spec() {
         print_tenant_breakdown(std::slice::from_ref(&r), spec);
@@ -367,7 +371,7 @@ fn run_replicated(opts: &RunOpts, events: Option<File>) -> Vec<SimReport> {
             let mut engine = opts.engine(seed);
             let sink = SharedSink::default();
             if opts.events.is_some() {
-                engine.set_observer(stream_observer(opts.format, sink.clone()));
+                engine.set_observer(Box::new(stream_observer(opts.format, sink.clone())));
             }
             (engine.run(), sink.0.take())
         })

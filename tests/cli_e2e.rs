@@ -263,6 +263,34 @@ fn bad_output_paths_are_refused_before_the_run() {
 
 /// The usage lines `dgrid` prints come from the tables the parser reads,
 /// so they list exactly the flags each command takes.
+/// A stream that cannot be written is one line and exit code 2, as
+/// `events convert` reports it, not a panic: `/dev/full` opens and refuses
+/// every write. Single runs stream as they go; replicated ones write their
+/// concatenated streams after the runs.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_unwritable_event_stream_is_one_line_and_exit_2() {
+    let full = "cannot write /dev/full: No space left on device (os error 28)\n";
+    let run = [
+        "run",
+        "--algorithm",
+        "central",
+        "--nodes",
+        "50",
+        "--jobs",
+        "2000",
+    ];
+    for extra in [
+        &[][..],
+        &["--format", "binary"],
+        &["--replications", "2"],
+        &["--replications", "2", "--format", "binary"],
+    ] {
+        let args = [&run[..], &["--events", "/dev/full"], extra].concat();
+        assert_eq!(refused(&args), full, "{extra:?}");
+    }
+}
+
 #[test]
 fn each_command_takes_exactly_its_flags() {
     let compare = "--scenario --scenario-file --nodes --jobs --seed --mttf --rejoin --graceful \
