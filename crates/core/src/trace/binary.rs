@@ -371,11 +371,13 @@ impl BinaryEncoder {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl EventEncoder for BinaryEncoder {
     /// Append the frames for one event (its `DEF_*` frames first, if any id
     /// is new) to `out`. The magic header is appended before the first
     /// event, so encoding zero events yields zero bytes.
-    pub fn encode_into(&mut self, out: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
+    fn encode(&mut self, out: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
         if !self.started {
             out.extend_from_slice(&MAGIC);
             self.started = true;
@@ -405,18 +407,12 @@ impl BinaryEncoder {
     }
 }
 
-impl EventEncoder for BinaryEncoder {
-    fn encode(&mut self, out: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
-        self.encode_into(out, t_ns, event);
-    }
-}
-
 /// Encode a whole event sequence as one binary stream.
 pub fn encode_events<'a, I: IntoIterator<Item = &'a EventRecord>>(events: I) -> Vec<u8> {
     let mut enc = BinaryEncoder::new();
     let mut out = Vec::new();
     for rec in events {
-        enc.encode_into(&mut out, rec.t_ns, &rec.event);
+        enc.encode(&mut out, rec.t_ns, &rec.event);
     }
     out
 }
@@ -731,7 +727,7 @@ pub fn jsonl_to_binary(text: &str) -> Result<Vec<u8>, StreamError> {
     let mut out = Vec::new();
     for line in text.lines() {
         if let Some(rec) = parse_jsonl_line(line)? {
-            enc.encode_into(&mut out, rec.t_ns, &rec.event);
+            enc.encode(&mut out, rec.t_ns, &rec.event);
         }
     }
     Ok(out)

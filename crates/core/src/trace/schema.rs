@@ -138,32 +138,13 @@ macro_rules! wire_shapes {
                     }
                 )*}
             }
-
-            /// This event's [`EventKind`].
-            pub fn kind(&self) -> EventKind {
-                match self {$(
-                    TraceEvent::$variant { $($fixed: $value $(:: $unit)?,)? .. } => {
-                        EventKind::$variant
-                    }
-                )*}
-            }
-
-            /// The job this event concerns, if it is job-scoped.
-            pub fn job(&self) -> Option<JobId> {
-                match *self {$(
-                    TraceEvent::$variant { $first, $($fixed: $value $(:: $unit)?,)? .. } => {
-                        field!(job $first_kind $first)
-                    }
-                )*}
-            }
         }
     };
 }
 
 /// The pieces of a row's fields: their [`Kind`], the event value from a
-/// wire value and back, the event's job from its first field, a pattern
-/// binding a wrapped value, a wrapper's closing brace, and a fixed member's
-/// JSON.
+/// wire value and back, a pattern binding a wrapped value, a wrapper's
+/// closing brace, and a fixed member's JSON.
 macro_rules! field {
     (kind $kind:ident) => { Kind::$kind };
     (kind $outer:ident $kind:ident) => { Kind::$kind };
@@ -180,8 +161,6 @@ macro_rules! field {
     (to U32 $v:ident) => { u64::from($v) };
     (to Nanos $v:ident) => { $v.as_nanos() };
     (to $kind:ident $outer:ident $v:ident) => { field!(to $kind $v) };
-    (job Job $v:ident) => { Some($v) };
-    (job Node $v:ident) => {{ let _ = $v; None }};
     (bind $kind:ident $v:ident) => { $v };
     (bind $outer:ident :: $wrap:ident $v:ident) => { $outer::$wrap($v) };
     (close $wrap:ident) => { "}" };
@@ -214,3 +193,24 @@ const _: () = {
         i += 1;
     }
 };
+
+impl TraceEvent {
+    /// This event's [`EventKind`].
+    #[inline]
+    pub fn kind(&self) -> EventKind {
+        self.with_wire(
+            #[inline(always)]
+            |shape, _| shape.kind,
+        )
+    }
+
+    /// The job this event concerns, if it is job-scoped: every job-scoped
+    /// shape's first field is its job.
+    #[inline]
+    pub fn job(&self) -> Option<JobId> {
+        self.with_wire(
+            #[inline(always)]
+            |shape, values| (shape.fields[0].kind == Kind::Job).then_some(JobId(values[0])),
+        )
+    }
+}
