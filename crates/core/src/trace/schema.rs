@@ -185,7 +185,7 @@ wire_shapes! {
     0x1d LeaseTransferred { job: Job, owner: Node };
 }
 
-// Decoders find a row by its tag's offset from the first.
+// `with_tag` and `with_wire` index a row by its tag's offset from the first.
 const _: () = {
     let mut i = 0;
     while i < SHAPES.len() {
