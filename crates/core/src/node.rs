@@ -619,142 +619,246 @@ mod tests {
         assert_eq!(t.least_loaded_alive(), Some(GridNodeId(0)));
     }
 
-    /// The naive references the SoA structures must agree with.
-    fn scan_least_loaded(t: &NodeTable) -> Option<GridNodeId> {
-        let mut best: Option<(usize, GridNodeId)> = None;
-        for id in t.alive_ids() {
-            let load = t.get(id).load();
-            if best.is_none_or(|(b, _)| load < b) {
-                best = Some((load, id));
-            }
-        }
-        best.map(|(_, id)| id)
+    /// What one node holds, as a plain record kept beside the table under
+    /// test: the reference every column, bitset, total and version of the
+    /// table is checked against.
+    #[derive(Clone, Default)]
+    struct ModelNode {
+        dead: bool,
+        queue: VecDeque<QueuedJob>,
+        running: Option<(QueuedJob, SimTime)>,
+        busy_secs: f64,
+        completed_jobs: u64,
+        /// Moves with every change to `queue` or `running`, and at every
+        /// commit and failure, as `queue_versions` promises.
+        version: u32,
+        /// Has the node ever held a job?
+        ever_held: bool,
     }
 
-    /// Every mirror against the record it mirrors, node by node.
-    fn assert_mirrors(t: &NodeTable) -> Result<(), TestCaseError> {
-        for slot in 0..t.len() {
-            let n = t.get(GridNodeId(slot as u32));
-            prop_assert_eq!(t.loads[slot] as usize, n.load());
+    impl ModelNode {
+        fn load(&self) -> usize {
+            self.queue.len() + usize::from(self.running.is_some())
+        }
+
+        fn bump(&mut self) {
+            self.version = self.version.wrapping_add(1);
+            self.ever_held |= self.load() > 0;
+        }
+
+        /// Queued runtimes front to back, then the running job's: the sum
+        /// to the bit, since f64 addition does not associate.
+        fn committed_work_secs(&self) -> f64 {
+            let queued: f64 = self.queue.iter().map(|q| q.runtime_secs).sum();
+            queued + self.running.map_or(0.0, |(q, _)| q.runtime_secs)
+        }
+    }
+
+    fn same_job(a: Option<QueuedJob>, b: Option<QueuedJob>) -> bool {
+        let key = |q: Option<QueuedJob>| q.map(|q| (q.job, q.runtime_secs.to_bits(), q.epoch));
+        key(a) == key(b)
+    }
+
+    /// The table against the model, node by node and in total.
+    fn assert_matches_model(t: &NodeTable, model: &[ModelNode]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(t.len(), model.len());
+        let live: Vec<GridNodeId> = (0..model.len() as u32)
+            .map(GridNodeId)
+            .filter(|id| !model[id.0 as usize].dead)
+            .collect();
+        prop_assert_eq!(t.alive_count(), live.len());
+        prop_assert_eq!(t.alive_ids().collect::<Vec<_>>(), live.clone());
+        for (slot, m) in model.iter().enumerate() {
+            let id = GridNodeId(slot as u32);
+            let n = t.get(id);
+            prop_assert_eq!(t.is_alive(id), !m.dead, "{} liveness", id);
+            prop_assert_eq!(t.load_of(id), m.load(), "{} load", id);
+            prop_assert!(
+                same_job(n.running_job(), m.running.map(|(q, _)| q)),
+                "{} running",
+                id
+            );
+            if let Some((_, finish_at)) = m.running {
+                prop_assert_eq!(n.running_finish_at(), finish_at, "{} finish", id);
+            }
+            let queued: Vec<JobId> = m.queue.iter().map(|q| q.job).collect();
+            prop_assert_eq!(n.queued_jobs().collect::<Vec<_>>(), queued, "{} queue", id);
+            prop_assert_eq!(
+                n.committed_work_secs().to_bits(),
+                m.committed_work_secs().to_bits(),
+                "{} committed work",
+                id
+            );
+            prop_assert_eq!(n.busy_secs.to_bits(), m.busy_secs.to_bits(), "{} busy", id);
+            prop_assert_eq!(n.completed_jobs, m.completed_jobs, "{} completed", id);
+            prop_assert_eq!(t.queue_versions()[slot], m.version, "{} version", id);
             let (word, bit) = bit_of(slot);
-            prop_assert_eq!(t.alive_bits[word] & bit != 0, n.alive);
-            prop_assert_eq!(t.idle_bits[word] & bit != 0, n.alive && n.load() == 0);
+            prop_assert_eq!(t.alive_words()[word] & bit != 0, !m.dead, "{} alive bit", id);
+            let idle = !m.dead && m.load() == 0;
+            prop_assert_eq!(t.idle_words()[word] & bit != 0, idle, "{} idle bit", id);
         }
-        let spare = t.alive_bits.len() * 64 - t.len();
-        if spare > 0 {
-            let past_end = u64::MAX << (64 - spare);
-            prop_assert_eq!(t.alive_bits.last().unwrap() & past_end, 0);
-            prop_assert_eq!(t.idle_bits.last().unwrap() & past_end, 0);
+        // Bits past the last node stay clear.
+        for words in [t.alive_words(), t.idle_words()] {
+            for (w, &word) in words.iter().enumerate() {
+                let past = (0..64).filter(|b| w * 64 + b >= model.len());
+                prop_assert!(past.clone().all(|b| word >> b & 1 == 0));
+            }
         }
+        let total: usize = live.iter().map(|id| model[id.0 as usize].load()).sum();
+        prop_assert_eq!(t.total_alive_load(), total as u64);
+        let idle = live.iter().filter(|id| model[id.0 as usize].load() == 0);
+        prop_assert_eq!(t.idle_alive_count(), idle.count());
+        // Least loaded, lowest id on ties: the lease re-placement fallback.
+        let least = live
+            .iter()
+            .min_by_key(|id| (model[id.0 as usize].load(), id.0));
+        prop_assert_eq!(t.least_loaded_alive(), least.copied());
         Ok(())
     }
 
-    /// What a reader of [`NodeTable::queue_versions`] would have cached
-    /// per node: the version it read, and what it derived at that version —
-    /// the committed work to the bit, and the jobs held (running first).
-    type Cached = (u32, u64, Vec<JobId>);
-
-    fn cache_of(t: &NodeTable, slot: usize) -> Cached {
-        let n = t.get(GridNodeId(slot as u32));
-        let held = n.running_job().map(|q| q.job).into_iter();
-        (
-            t.queue_versions()[slot],
-            n.committed_work_secs().to_bits(),
-            held.chain(n.queued_jobs()).collect(),
-        )
-    }
-
-    /// A node whose version has not moved since `cache` was taken still
-    /// holds exactly what it held then; the others are cached afresh.
-    fn assert_versions_cover_changes(
+    /// `random_alive` draws once per call and names the n-th live node for
+    /// draw n.
+    fn assert_random_alive(
         t: &NodeTable,
-        cache: &mut [Cached],
+        model: &[ModelNode],
+        seed: u64,
     ) -> Result<(), TestCaseError> {
-        for (slot, cached) in cache.iter_mut().enumerate() {
-            let now = cache_of(t, slot);
-            if now.0 == cached.0 {
-                prop_assert_eq!(&now, &*cached, "node {} changed under one version", slot);
-            }
-            *cached = now;
+        let live: Vec<GridNodeId> = (0..model.len() as u32)
+            .map(GridNodeId)
+            .filter(|id| !model[id.0 as usize].dead)
+            .collect();
+        let mut rng = dgrid_sim::rng::rng_for(seed, 0);
+        let mut again = rng.clone();
+        for _ in 0..4 {
+            let drawn = t.random_alive(&mut rng);
+            let expected = (!live.is_empty()).then(|| live[again.gen_range(0..live.len())]);
+            prop_assert_eq!(drawn, expected);
         }
+        prop_assert_eq!(rng.gen::<u64>(), again.gen::<u64>(), "one draw per call");
         Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Under arbitrary enqueue/start/finish/fail/rejoin histories —
-        /// including shard-style checkouts that commit back a queue of the
-        /// same length holding different jobs — every mirror equals what a
-        /// naive walk of the records gives: the load column, both bitsets
-        /// across a word boundary, a queue version that moved whenever the
-        /// node's committed work (*to the bit*: runtimes are tenths, whose
-        /// sums depend on the order of addition) or the jobs it holds did,
-        /// the aggregates, `least_loaded_alive` (least loaded, lowest id on
-        /// ties, as the lease re-placement fallback expects), and the
-        /// O(log N) random-alive select against `alive_ids().nth(n)`.
+        /// Under arbitrary enqueue/start/finish/fail/rejoin histories, with
+        /// shard-style checkouts that commit back a queue of the same length
+        /// holding different jobs, the table holds what a plain per-node
+        /// model holds: every node's load, running job, finish time, queue,
+        /// committed work (to the bit: runtimes are tenths, whose sums
+        /// depend on the order of addition), busy seconds, completions and
+        /// queue version; both bitsets across a word boundary; the totals;
+        /// `least_loaded_alive`; and `random_alive`, one draw a call, with
+        /// every node alive, after departures and after rejoins.
         #[test]
-        fn indexes_match_naive_scans(
-            ops in proptest::collection::vec((0u8..8, 0u32..67, 0usize..32), 1..300),
+        fn table_matches_a_per_node_model(
+            ops in proptest::collection::vec((0u8..9, 0u32..67, 0usize..32), 1..300),
+            seed in any::<u64>(),
         ) {
-            let mut t = NodeTable::new((0..67).map(|_| profile()).collect());
-            assert_mirrors(&t)?;
-            let mut cache: Vec<Cached> = (0..t.len()).map(|slot| cache_of(&t, slot)).collect();
+            const N: usize = 67;
+            let mut t = NodeTable::new((0..N).map(|_| profile()).collect());
+            let mut model = vec![ModelNode::default(); N];
+            assert_matches_model(&t, &model)?;
+            assert_random_alive(&t, &model, seed)?;
             let mut job = 0u64;
-            for (op, raw_id, pick) in ops {
+            let mut next = |runtime: f64| {
+                job += 1;
+                qj(job, runtime)
+            };
+            for (step, (op, raw_id, pick)) in ops.into_iter().enumerate() {
                 // Few enough distinct targets that queues grow and drain.
                 let id = GridNodeId(raw_id % 5 * 16 + raw_id % 3);
+                let m = &mut model[id.0 as usize];
                 let runtime = 0.1 * (pick + 1) as f64;
+                let finish_at = SimTime::from_secs(pick as u64);
                 match op {
-                    0 if t.is_alive(id) => {
-                        job += 1;
-                        t.enqueue(id, qj(job, runtime));
+                    0 if !m.dead => {
+                        let q = next(runtime);
+                        t.enqueue(id, q);
+                        m.queue.push_back(q);
+                        m.bump();
                     }
-                    1 if t.is_alive(id) && t.get(id).running_job().is_none() => {
-                        job += 1;
-                        t.set_running(id, qj(job, runtime), SimTime::from_secs(1));
+                    1 if !m.dead && m.running.is_none() => {
+                        let q = next(runtime);
+                        t.set_running(id, q, finish_at);
+                        m.running = Some((q, finish_at));
+                        m.bump();
                     }
-                    2 if t.is_alive(id) => {
-                        t.take_running(id);
+                    2 if !m.dead => {
+                        let got = t.take_running(id);
+                        prop_assert!(same_job(got, m.running.take().map(|(q, _)| q)));
+                        if let Some(q) = got {
+                            m.bump();
+                            // What a completion credits the node with.
+                            t.get_mut(id).busy_secs += q.runtime_secs;
+                            t.get_mut(id).completed_jobs += 1;
+                            m.busy_secs += q.runtime_secs;
+                            m.completed_jobs += 1;
+                        }
                     }
-                    3 if t.is_alive(id) => {
-                        t.pop_queue(id);
+                    3 if !m.dead => {
+                        let got = t.pop_queue(id);
+                        prop_assert!(same_job(got, m.queue.pop_front()));
+                        if got.is_some() {
+                            m.bump();
+                        }
                     }
-                    4 if t.is_alive(id) => t.mark_failed(id),
-                    5 if !t.is_alive(id) => t.mark_rejoined(id),
-                    6 if t.is_alive(id) => {
+                    4 if !m.dead => {
+                        t.mark_failed(id);
+                        m.dead = true;
+                        m.queue.clear();
+                        m.running = None;
+                        m.bump();
+                    }
+                    5 if m.dead => {
+                        t.mark_rejoined(id);
+                        m.dead = false;
+                    }
+                    6 if !m.dead => {
                         // Same load, different contents.
                         let mut n = t.checkout_node(id);
                         if n.pop_queue_local().is_some() {
-                            job += 1;
-                            n.enqueue_local(qj(job, runtime));
+                            let q = next(runtime);
+                            n.enqueue_local(q);
+                            m.queue.pop_front();
+                            m.queue.push_back(q);
                         }
                         t.commit_node(id, n);
+                        m.bump();
                     }
-                    7 if t.is_alive(id) => {
+                    7 if !m.dead => {
+                        // Finish or start the running job, and queue one.
                         let mut n = t.checkout_node(id);
-                        if n.take_running_local().is_none() {
-                            job += 1;
-                            n.set_running_local(qj(job, runtime), SimTime::from_secs(1));
+                        match n.take_running_local() {
+                            Some(q) => {
+                                n.busy_secs += q.runtime_secs;
+                                n.completed_jobs += 1;
+                                m.busy_secs += q.runtime_secs;
+                                m.completed_jobs += 1;
+                                m.running = None;
+                            }
+                            None => {
+                                let q = next(runtime);
+                                n.set_running_local(q, finish_at);
+                                m.running = Some((q, finish_at));
+                            }
                         }
-                        job += 1;
-                        n.enqueue_local(qj(job, runtime));
+                        let q = next(runtime);
+                        n.enqueue_local(q);
+                        m.queue.push_back(q);
                         t.commit_node(id, n);
+                        m.bump();
+                    }
+                    8 if !m.dead => {
+                        // A checkout that changes nothing still commits.
+                        let n = t.checkout_node(id);
+                        t.commit_node(id, n);
+                        m.bump();
                     }
                     _ => {}
                 }
-                assert_mirrors(&t)?;
-                assert_versions_cover_changes(&t, &mut cache)?;
-                prop_assert_eq!(t.least_loaded_alive(), scan_least_loaded(&t));
-                let total: u64 = t.alive_ids().map(|i| t.get(i).load() as u64).sum();
-                prop_assert_eq!(t.total_alive_load(), total);
-                let idle = t.alive_ids().filter(|&i| t.get(i).load() == 0).count();
-                prop_assert_eq!(t.idle_alive_count(), idle);
-                if t.alive_count() > 0 {
-                    let n = pick % t.alive_count();
-                    let via_select = GridNodeId(t.alive_tree.select(n) as u32);
-                    prop_assert_eq!(t.alive_ids().nth(n), Some(via_select));
-                }
+                assert_matches_model(&t, &model)?;
+                assert_random_alive(&t, &model, seed ^ step as u64)?;
             }
         }
 
