@@ -26,7 +26,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use dgrid_resources::{JobId, JobProfile, NodeProfile};
+use dgrid_resources::{Capabilities, JobId, JobProfile, NodeProfile};
 use dgrid_sim::fault::{Delivery, Endpoint, FaultPlan, Network};
 use dgrid_sim::rng::{self, SimRng};
 use dgrid_sim::stats::SampleSet;
@@ -40,7 +40,7 @@ use crate::dag::JobDag;
 use crate::job::{FailureReason, JobRecord, JobState, JobTable, OwnerRef, NOT_FILED};
 use crate::matchmaker::Matchmaker;
 use crate::metrics::SimReport;
-use crate::node::{GridNode, GridNodeId, NodeTable, QueuedJob};
+use crate::node::{GridNodeId, NodeTable, QueuedJob};
 use crate::trace::{NullObserver, Observer, TraceEvent};
 
 mod run_node;
@@ -699,10 +699,10 @@ impl Engine {
         }
         // Final per-node accounting.
         self.report.node_busy_secs = (0..self.nodes.len() as u32)
-            .map(|i| self.nodes.get(GridNodeId(i)).busy_secs)
+            .map(|i| self.nodes.busy_secs(GridNodeId(i)))
             .collect();
         self.report.node_jobs = (0..self.nodes.len() as u32)
-            .map(|i| self.nodes.get(GridNodeId(i)).completed_jobs)
+            .map(|i| self.nodes.completed_jobs(GridNodeId(i)))
             .collect();
         self.report.makespan_secs = makespan.as_secs_f64();
         self.report.wait_stats = Some(self.report.wait_time.summary());
@@ -1338,8 +1338,7 @@ impl Engine {
             // the result (see `EngineConfig::check_disable_epoch_dedup`).
             let held = self
                 .nodes
-                .get(node)
-                .running_job()
+                .running_job(node)
                 .is_some_and(|q| q.job == job && q.epoch == epoch);
             if !(self.cfg.check_disable_epoch_dedup && held) {
                 run_node::release_stale_execution(self, now, job, epoch, node, true);
@@ -1426,14 +1425,13 @@ impl Engine {
 
         // Victim jobs held by the node (running + queued), gathered before
         // the table clears them.
-        let victims: Vec<JobId> = {
-            let n = self.nodes.get(node);
-            n.running_job()
-                .map(|q| q.job)
-                .into_iter()
-                .chain(n.queued_jobs())
-                .collect()
-        };
+        let victims: Vec<JobId> = self
+            .nodes
+            .running_job(node)
+            .map(|q| q.job)
+            .into_iter()
+            .chain(self.nodes.queued_jobs(node))
+            .collect();
         // Taken sorted by id, so the recovery events scheduled below never
         // depend on the order in which the jobs were owned.
         let owned = self.jobs.take_owned(node);
@@ -1781,12 +1779,24 @@ impl RunNodeCtx for Engine {
         self.jobs.get_mut(job)
     }
 
-    fn node(&self, home: GridNodeId) -> &GridNode {
-        self.nodes.get(home)
+    fn capabilities(&self, home: GridNodeId) -> &Capabilities {
+        self.nodes.capabilities(home)
     }
 
-    fn node_mut(&mut self, home: GridNodeId) -> &mut GridNode {
-        self.nodes.get_mut(home)
+    fn running_job(&self, home: GridNodeId) -> Option<QueuedJob> {
+        self.nodes.running_job(home)
+    }
+
+    fn running_finish_at(&self, home: GridNodeId) -> SimTime {
+        self.nodes.running_finish_at(home)
+    }
+
+    fn add_busy_secs(&mut self, home: GridNodeId, secs: f64) {
+        self.nodes.add_busy_secs(home, secs);
+    }
+
+    fn count_completion(&mut self, home: GridNodeId) {
+        self.nodes.count_completion(home);
     }
 
     fn enqueue(&mut self, home: GridNodeId, q: QueuedJob) {
@@ -2926,7 +2936,7 @@ mod tests {
                 node: dup,
             },
         );
-        assert!(engine.nodes.get(dup).running_job().is_none());
+        assert!(engine.nodes.running_job(dup).is_none());
         assert_eq!(engine.report.duplicate_executions, 1);
         for ev in [
             Event::LeaseRenew { job, seq },

@@ -17,7 +17,7 @@
 //! an envelope the barrier replays in `(virtual_time, seq)` order. Because
 //! both run this code, a lifecycle fix is made in one place.
 
-use dgrid_resources::{ClientId, JobId, ResourceKind};
+use dgrid_resources::{Capabilities, ClientId, JobId, ResourceKind};
 use dgrid_sim::fault::{Delivery, Endpoint, Network};
 use dgrid_sim::rng::SimRng;
 use dgrid_sim::{SimDuration, SimTime};
@@ -26,7 +26,7 @@ use rand::Rng;
 use super::{Engine, Event};
 use crate::config::EngineConfig;
 use crate::job::{FailureReason, JobRecord, JobState, OwnerRef};
-use crate::node::{GridNode, GridNodeId, QueuedJob};
+use crate::node::{GridNodeId, QueuedJob};
 use crate::trace::TraceEvent;
 
 /// An effect of a run-node handler that reaches beyond its home node.
@@ -74,10 +74,16 @@ pub(super) trait RunNodeCtx {
     /// invariant. A queued job with no record retired while queued.
     fn record(&self, job: JobId) -> Option<&JobRecord>;
     fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord>;
-    /// Read access to the home node: profile, running slot, finish time.
-    fn node(&self, home: GridNodeId) -> &GridNode;
-    /// The home node's statistics fields (`busy_secs`, `completed_jobs`).
-    fn node_mut(&mut self, home: GridNodeId) -> &mut GridNode;
+    /// The home node's advertised capabilities.
+    fn capabilities(&self, home: GridNodeId) -> &Capabilities;
+    /// The job the home node is executing, if any.
+    fn running_job(&self, home: GridNodeId) -> Option<QueuedJob>;
+    /// When the home node's running job finishes (stale while it idles).
+    fn running_finish_at(&self, home: GridNodeId) -> SimTime;
+    /// Credit the home node with `secs` of execution.
+    fn add_busy_secs(&mut self, home: GridNodeId, secs: f64);
+    /// Count one completion on the home node.
+    fn count_completion(&mut self, home: GridNodeId);
     fn enqueue(&mut self, home: GridNodeId, q: QueuedJob);
     fn pop_queue(&mut self, home: GridNodeId) -> Option<QueuedJob>;
     fn set_running(&mut self, home: GridNodeId, q: QueuedJob, finish_at: SimTime);
@@ -162,16 +168,12 @@ pub(super) fn arrive<C: RunNodeCtx>(cx: &mut C, now: SimTime, job: JobId, home: 
         return;
     }
     let runtime = if cx.cfg().scale_runtime_by_cpu {
-        let cpu = cx
-            .node(home)
-            .profile
-            .capabilities
-            .get(ResourceKind::CpuSpeed);
+        let cpu = cx.capabilities(home).get(ResourceKind::CpuSpeed);
         actual_runtime * cx.cfg().reference_cpu_ghz / cpu.max(0.1)
     } else {
         actual_runtime
     };
-    let busy = cx.node(home).running_job().is_some();
+    let busy = cx.running_job(home).is_some();
     let rec = cx
         .record_mut(job)
         .expect("record read at the top of this handler");
@@ -326,7 +328,7 @@ pub(super) fn commit_completion<C: RunNodeCtx>(
     let finished = now + result_delay;
     let done = release_running(cx, now, home, true);
     debug_assert_eq!(done.job, job);
-    cx.node_mut(home).completed_jobs += 1;
+    cx.count_completion(home);
     // The node ran this job under a valid epoch, so it is live; retirement
     // follows this commit (the `Retire` effect below). The checker's dedup
     // backdoor double-commits a terminal job, and with it set terminal
@@ -395,8 +397,7 @@ pub(super) fn release_stale_execution<C: RunNodeCtx>(
     // may be re-running the same job under its current epoch, and the
     // pre-crash execution's completion must not steal that slot.
     let held = cx
-        .node(home)
-        .running_job()
+        .running_job(home)
         .is_some_and(|q| q.job == job && q.epoch == epoch);
     if !held {
         return;
@@ -416,7 +417,7 @@ fn release_running<C: RunNodeCtx>(
     home: GridNodeId,
     ran_to_completion: bool,
 ) -> QueuedJob {
-    let finish_at = cx.node(home).running_finish_at();
+    let finish_at = cx.running_finish_at(home);
     let q = cx
         .take_running(home)
         .expect("completions, kills and stale releases fire only while their node runs the job");
@@ -426,7 +427,7 @@ fn release_running<C: RunNodeCtx>(
         let remaining = finish_at.since(now).as_secs_f64();
         (q.runtime_secs - remaining).max(0.0)
     };
-    cx.node_mut(home).busy_secs += burned;
+    cx.add_busy_secs(home, burned);
     q
 }
 
@@ -496,9 +497,13 @@ mod tests {
 
         start_next_on(&mut engine, SimTime::ZERO, home);
 
-        let node = engine.nodes.get(home);
-        assert_eq!(node.running_job().map(|q| q.job), Some(JobId(DEAD)));
-        assert_eq!(node.load(), 1, "every dead entry was dropped");
+        let running = engine.nodes.running_job(home);
+        assert_eq!(running.map(|q| q.job), Some(JobId(DEAD)));
+        assert_eq!(
+            engine.nodes.load_of(home),
+            1,
+            "every dead entry was dropped"
+        );
         let started = engine.jobs.get(JobId(DEAD)).expect("submitted above");
         assert_eq!(started.state, JobState::Running);
     }

@@ -69,7 +69,7 @@
 
 use std::collections::HashMap;
 
-use dgrid_resources::JobId;
+use dgrid_resources::{Capabilities, JobId, NodeProfile};
 use dgrid_sim::fault::Network;
 use dgrid_sim::rng::{self, SimRng};
 use dgrid_sim::{SimDuration, SimTime};
@@ -263,7 +263,7 @@ impl Engine {
     /// that fails this is an invariant breach; the sequential handler owns
     /// reporting it.
     fn runs(&self, node: GridNodeId, job: JobId) -> bool {
-        let running = self.nodes.get(node).running_job();
+        let running = self.nodes.running_job(node);
         running.is_some_and(|q| q.job == job)
     }
 
@@ -271,7 +271,7 @@ impl Engine {
     /// assigned to `home` — the condition under which a shard's
     /// `start_next_on` chain can only touch records it checked out.
     fn node_clean(&self, home: GridNodeId) -> bool {
-        self.nodes.get(home).queued_jobs().all(|j| {
+        self.nodes.queued_jobs(home).all(|j| {
             self.jobs
                 .get(j)
                 .is_none_or(|r| r.state.is_terminal() || r.run_node == Some(home))
@@ -360,11 +360,10 @@ impl Engine {
             };
             for &(_, _, lev, home) in &work.events {
                 if !work.nodes.contains_key(&home.0) {
-                    let node = self.nodes.checkout_node(home);
                     // Everything startable in the FIFO queue rides along so
                     // start_next_on can run entirely shard-side; cleanliness
                     // guarantees these records belong to this node.
-                    for j in node.queued_jobs() {
+                    for j in self.nodes.queued_jobs(home) {
                         if let Some(r) = self.jobs.get(j) {
                             if !r.state.is_terminal() && !work.jobs.contains_key(&j) {
                                 debug_assert_eq!(r.run_node, Some(home));
@@ -372,7 +371,7 @@ impl Engine {
                             }
                         }
                     }
-                    work.nodes.insert(home.0, node);
+                    work.nodes.insert(home.0, self.nodes.checkout_node(home));
                 }
                 // The handlers that write the event's own record.
                 if let LocalEv::Arrive { job } | LocalEv::Complete { job } = lev {
@@ -391,8 +390,9 @@ impl Engine {
         // ---- Phase A: independent shard execution ----
         let total_local: usize = works.iter().map(|w| w.events.len()).sum();
         let cfg = &self.cfg;
+        let profiles = self.nodes.profiles();
         let run_one = |mut w: ShardWork| {
-            let ops = exec_shard(cfg, &mut w);
+            let ops = exec_shard(cfg, profiles, &mut w);
             (w, ops)
         };
         let results: Vec<ShardRunResult> =
@@ -445,12 +445,17 @@ impl Engine {
 /// state: the shared [`run_node`] handlers, entered past the guards that
 /// classification already evaluated. Returns each event's envelope
 /// operations by batch index.
-fn exec_shard(cfg: &EngineConfig, work: &mut ShardWork) -> Vec<(usize, Vec<EnvOp>)> {
+fn exec_shard(
+    cfg: &EngineConfig,
+    profiles: &[NodeProfile],
+    work: &mut ShardWork,
+) -> Vec<(usize, Vec<EnvOp>)> {
     let events = std::mem::take(&mut work.events);
     let mut out = Vec::with_capacity(events.len());
     for (idx, at, lev, home) in events {
         let mut cx = ShardCtx {
             cfg,
+            profiles,
             state: &mut work.state,
             jobs: &mut work.jobs,
             home,
@@ -479,8 +484,10 @@ fn exec_shard(cfg: &EngineConfig, work: &mut ShardWork) -> Vec<(usize, Vec<EnvOp
 
 /// The shard-local run-node context for one event: the handlers act on the
 /// checked-out copy of the event's home node, the job records checked out
-/// with it, and the shard's own network state; every effect is recorded, in
-/// handler order, as the event's envelope for the barrier to replay.
+/// with it, and the shard's own network state, and read the node's
+/// capabilities from the table's column, which no window changes; every
+/// effect is recorded, in handler order, as the event's envelope for the
+/// barrier to replay.
 ///
 /// A queued job missing from `jobs` is terminal, retired or unknown
 /// (classification would not have marked the node clean otherwise), which
@@ -488,11 +495,24 @@ fn exec_shard(cfg: &EngineConfig, work: &mut ShardWork) -> Vec<(usize, Vec<EnvOp
 /// of a miss.
 struct ShardCtx<'a> {
     cfg: &'a EngineConfig,
+    profiles: &'a [NodeProfile],
     state: &'a mut ShardState,
     jobs: &'a mut HashMap<JobId, JobRecord>,
     home: GridNodeId,
     node: &'a mut GridNode,
     ops: Vec<EnvOp>,
+}
+
+impl ShardCtx<'_> {
+    fn node(&self, home: GridNodeId) -> &GridNode {
+        debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
+        self.node
+    }
+
+    fn node_mut(&mut self, home: GridNodeId) -> &mut GridNode {
+        debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
+        self.node
+    }
 }
 
 impl RunNodeCtx for ShardCtx<'_> {
@@ -508,14 +528,24 @@ impl RunNodeCtx for ShardCtx<'_> {
         self.jobs.get_mut(&job)
     }
 
-    fn node(&self, home: GridNodeId) -> &GridNode {
-        debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
-        self.node
+    fn capabilities(&self, home: GridNodeId) -> &Capabilities {
+        &self.profiles[home.0 as usize].capabilities
     }
 
-    fn node_mut(&mut self, home: GridNodeId) -> &mut GridNode {
-        debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
-        self.node
+    fn running_job(&self, home: GridNodeId) -> Option<QueuedJob> {
+        self.node(home).running_job()
+    }
+
+    fn running_finish_at(&self, home: GridNodeId) -> SimTime {
+        self.node(home).running_finish_at()
+    }
+
+    fn add_busy_secs(&mut self, home: GridNodeId, secs: f64) {
+        self.node_mut(home).busy_secs += secs;
+    }
+
+    fn count_completion(&mut self, home: GridNodeId) {
+        self.node_mut(home).completed_jobs += 1;
     }
 
     fn enqueue(&mut self, home: GridNodeId, q: QueuedJob) {

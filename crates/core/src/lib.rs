@@ -72,7 +72,7 @@ pub use match_pubsub::PubSubMatchmaker;
 pub use match_rntree::{RnTreeConfig, RnTreeMatchmaker};
 pub use matchmaker::{MatchOutcome, Matchmaker};
 pub use metrics::SimReport;
-pub use node::{GridNode, GridNodeId, NodeTable};
+pub use node::{GridNodeId, NodeTable};
 pub use security::SandboxPolicy;
 pub use span::{phase_samples, JobSpan, Phase, SpanAssembler, SpanOutcome};
 pub use trace::binary::{

@@ -184,7 +184,7 @@ impl CanMatchmaker {
     }
 
     fn node_point(&self, nodes: &NodeTable, node: GridNodeId, rng: &mut SimRng) -> [f64; DIMS] {
-        let caps = nodes.get(node).profile.capabilities;
+        let caps = *nodes.capabilities(node);
         let base = self.space.node_point(&caps);
         let vcoord = if self.cfg.virtual_dim {
             rng.gen::<f64>()
@@ -222,7 +222,7 @@ impl CanMatchmaker {
     /// virtual dimension exists to fix.
     fn capable_neighbors(&self, nodes: &NodeTable, cur: CanNodeId, strict: bool) -> Vec<CanNodeId> {
         let cur_grid = self.grid_of[&cur];
-        let cur_caps = nodes.get(cur_grid).profile.capabilities;
+        let cur_caps = *nodes.capabilities(cur_grid);
         self.net
             .neighbors(cur)
             .iter()
@@ -234,7 +234,7 @@ impl CanMatchmaker {
                 if !nodes.is_alive(g) {
                     return false;
                 }
-                let caps = nodes.get(g).profile.capabilities;
+                let caps = *nodes.capabilities(g);
                 if strict {
                     caps.strictly_dominates(&cur_caps)
                 } else {
@@ -249,7 +249,7 @@ impl CanMatchmaker {
     /// unacceptable OS adds a unit penalty).
     fn requirement_deficit(&self, nodes: &NodeTable, id: CanNodeId, job: &JobProfile) -> f64 {
         let g = self.grid_of[&id];
-        let caps = nodes.get(g).profile.capabilities;
+        let caps = *nodes.capabilities(g);
         let cap_pt = self.space.node_point(&caps);
         let req_pt = self.space.job_point(&job.requirements);
         let mut deficit = 0.0;
@@ -271,10 +271,7 @@ impl CanMatchmaker {
             .chain(self.net.neighbors(at).iter().copied())
             .filter(|c| {
                 self.grid_of.get(c).is_some_and(|&g| {
-                    nodes.is_alive(g)
-                        && job
-                            .requirements
-                            .satisfied_by(&nodes.get(g).profile.capabilities)
+                    nodes.is_alive(g) && job.requirements.satisfied_by(nodes.capabilities(g))
                 })
             })
             .map(|c| self.cached_load(c))
@@ -436,11 +433,7 @@ impl Matchmaker for CanMatchmaker {
                 let Some(&g) = self.grid_of.get(&c) else {
                     continue;
                 };
-                if !nodes.is_alive(g)
-                    || !job
-                        .requirements
-                        .satisfied_by(&nodes.get(g).profile.capabilities)
-                {
+                if !nodes.is_alive(g) || !job.requirements.satisfied_by(nodes.capabilities(g)) {
                     continue;
                 }
                 let load = self.cached_load(c);
@@ -521,7 +514,7 @@ impl Matchmaker for CanMatchmaker {
         self.load_cache.clear();
         for id in self.net.alive_ids() {
             if let Some(&g) = self.grid_of.get(&id) {
-                self.load_cache.insert(id, nodes.get(g).load() as f64);
+                self.load_cache.insert(id, nodes.load_of(g) as f64);
             }
         }
     }
@@ -653,9 +646,7 @@ mod tests {
         let (owner, _) = mm.assign_owner(&nodes, &p, 77, inj, &mut rng).unwrap();
         let out = mm.find_run_node(&nodes, owner, &p, &mut rng);
         let run = out.run_node.expect("strong nodes exist in the population");
-        assert!(p
-            .requirements
-            .satisfied_by(&nodes.get(run).profile.capabilities));
+        assert!(p.requirements.satisfied_by(nodes.capabilities(run)));
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl CapabilityIndex {
         let mut columns: [Vec<f64>; NUM_RESOURCE_DIMS] = Default::default();
         let mut os_sets = vec![0u64; 16 * words];
         for id in 0..n {
-            let caps = nodes.get(GridNodeId(id as u32)).profile.capabilities;
+            let caps = *nodes.capabilities(GridNodeId(id as u32));
             for (column, value) in columns.iter_mut().zip(caps.values()) {
                 column.push(value);
             }
@@ -241,7 +241,7 @@ impl CentralizedMatchmaker {
         *self = CentralizedMatchmaker {
             index: CapabilityIndex::new(nodes),
             committed: (0..nodes.len() as u32)
-                .map(|id| nodes.get(GridNodeId(id)).committed_work_secs())
+                .map(|id| nodes.committed_work_secs(GridNodeId(id)))
                 .collect(),
             summed_at: nodes.queue_versions().to_vec(),
         };
@@ -271,7 +271,7 @@ impl CentralizedMatchmaker {
                 word &= word - 1;
                 let id = GridNodeId(slot as u32);
                 if self.summed_at[slot] != versions[slot] {
-                    self.committed[slot] = nodes.get(id).committed_work_secs();
+                    self.committed[slot] = nodes.committed_work_secs(id);
                     self.summed_at[slot] = versions[slot];
                 }
                 let work = self.committed[slot];
@@ -393,11 +393,10 @@ impl Matchmaker for CentralizedMatchmaker {
         // The index is this table's: a matchmaker carried over to another
         // table of the same size without a `bootstrap` would fail here.
         debug_assert!(run_node.is_none_or(|id| {
-            let node = nodes.get(id);
-            job.requirements.satisfied_by(&node.profile.capabilities)
+            job.requirements.satisfied_by(nodes.capabilities(id))
                 && (nodes.load_of(id) == 0
                     || self.committed[id.0 as usize].to_bits()
-                        == node.committed_work_secs().to_bits())
+                        == nodes.committed_work_secs(id).to_bits())
         }));
         MatchOutcome { run_node, hops: 0 }
     }
@@ -443,11 +442,10 @@ mod tests {
         let mut best: Option<(f64, GridNodeId)> = None;
         let mut ties = 0u32;
         for id in nodes.alive_ids() {
-            let n = nodes.get(id);
-            if !capable(&n.profile.capabilities) {
+            if !capable(nodes.capabilities(id)) {
                 continue;
             }
-            let work = n.committed_work_secs();
+            let work = nodes.committed_work_secs(id);
             match best {
                 None => {
                     best = Some((work, id));
@@ -648,7 +646,7 @@ mod tests {
         let mut rng = rng_for(seed, 3);
         let mins = std::array::from_fn(|d| {
             let id = GridNodeId(rng.gen_range(0..nodes.len() as u32));
-            let value = nodes.get(id).profile.capabilities.values()[d];
+            let value = nodes.capabilities(id).values()[d];
             // Before the first call the index may belong to no table yet.
             let cuts = &mm.index.dims[d].cuts;
             let cut = if cuts.is_empty() {
@@ -720,7 +718,7 @@ mod tests {
         // Every cached sum that claims to be current is the record's own.
         for slot in 0..nodes.len() {
             if mm.summed_at[slot] == nodes.queue_versions()[slot] {
-                let fresh = nodes.get(GridNodeId(slot as u32)).committed_work_secs();
+                let fresh = nodes.committed_work_secs(GridNodeId(slot as u32));
                 prop_assert_eq!(mm.committed[slot].to_bits(), fresh.to_bits());
             }
         }
@@ -770,7 +768,7 @@ mod tests {
                 let rng_seed = seed ^ step as u64;
                 match op {
                     0 | 1 if alive => nodes.enqueue(id, qj(pick)),
-                    2 if alive && nodes.get(id).running_job().is_none() => {
+                    2 if alive && nodes.running_job(id).is_none() => {
                         nodes.set_running(id, qj(pick), SimTime::from_secs(1));
                     }
                     3 if alive => {

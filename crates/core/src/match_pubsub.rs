@@ -131,7 +131,7 @@ impl Matchmaker for PubSubMatchmaker {
         // The node publishes (or re-publishes after a rejoin) its
         // advertisement. No randomness: publication is a broadcast up the
         // dissemination tree.
-        self.ads.insert(node, nodes.get(node).profile.capabilities);
+        self.ads.insert(node, *nodes.capabilities(node));
     }
 
     fn on_leave(&mut self, _nodes: &NodeTable, node: GridNodeId, graceful: bool) {
@@ -198,7 +198,7 @@ impl Matchmaker for PubSubMatchmaker {
                 stale.push(gid);
                 continue;
             }
-            let load = nodes.get(gid).load();
+            let load = nodes.load_of(gid);
             if best.is_none_or(|(b, _)| load < b) {
                 best = Some((load, gid));
             }

@@ -63,6 +63,9 @@ impl Default for RnTreeConfig {
 /// `rank_of` entry of a grid node outside the current index.
 const NOT_INDEXED: u32 = u32::MAX;
 
+/// `generation` entry of a grid node outside the overlay.
+const NOT_MEMBER: u32 = u32::MAX;
+
 /// Failover budget for overlay lookups: how many detour peers a failed
 /// lookup may try before the caller's own retry/backoff machinery takes
 /// over.
@@ -77,16 +80,15 @@ const GENERATION_BITS: u32 = 20;
 pub struct RnTreeMatchmaker<R: KeyRouter = ChordRing> {
     cfg: RnTreeConfig,
     router: R,
-    /// Overlay key of each member, indexed by grid node; `None` for a node
-    /// that is not (or no longer) in the overlay. No map runs the other
-    /// way: a key's raw value names its grid node ([`Self::grid_of`]).
-    key_of: Vec<Option<u64>>,
+    /// Join generation of each member's overlay key, indexed by grid node;
+    /// [`NOT_MEMBER`] for a node that is not (or no longer) in the overlay.
+    /// The key itself is [`Self::overlay_key_for`] of the two, and no map
+    /// runs the other way: a key's raw value names its grid node
+    /// ([`Self::grid_of`]).
+    generation: Vec<u32>,
     index: Option<RnTreeIndex>,
-    /// Grid node of each rank of `index`: the tree's ids seen through
-    /// [`Self::grid_of`], resolved once per refresh.
-    grid_at: Vec<GridNodeId>,
-    /// Rank in `index` of each grid node, [`NOT_INDEXED`] outside it; the
-    /// inverse of `grid_at`.
+    /// Rank in `index` of each grid node, [`NOT_INDEXED`] outside it: the
+    /// inverse of the tree's ids seen through [`Self::grid_of`].
     rank_of: Vec<u32>,
     dirty: bool,
     lookup_retries: u64,
@@ -115,9 +117,8 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         RnTreeMatchmaker {
             cfg,
             router: R::default(),
-            key_of: Vec::new(),
+            generation: Vec::new(),
             index: None,
-            grid_at: Vec::new(),
             rank_of: Vec::new(),
             dirty: true,
             lookup_retries: 0,
@@ -133,12 +134,12 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
 
     /// A fresh overlay identity per (node, join generation): the key of the
     /// raw value `node << GENERATION_BITS | generation`.
-    fn overlay_key_for(node: GridNodeId, generation: u64) -> u64 {
+    fn overlay_key_for(node: GridNodeId, generation: u32) -> u64 {
         assert!(
             generation < 1 << GENERATION_BITS,
             "{node} ran out of join generations"
         );
-        R::key_of((u64::from(node.0) << GENERATION_BITS) ^ generation)
+        R::key_of((u64::from(node.0) << GENERATION_BITS) ^ u64::from(generation))
     }
 
     /// The grid node whose overlay identity `key` is, for a key known to
@@ -155,35 +156,38 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
 
     /// The overlay key of `node`, if it is a member.
     fn key_of(&self, node: GridNodeId) -> Option<u64> {
-        self.key_of.get(node.0 as usize).copied().flatten()
+        let generation = *self.generation.get(node.0 as usize)?;
+        (generation != NOT_MEMBER).then(|| Self::overlay_key_for(node, generation))
     }
 
-    fn set_key_of(&mut self, node: GridNodeId, key: Option<u64>) {
+    fn set_generation(&mut self, node: GridNodeId, generation: u32) {
         let i = node.0 as usize;
-        if i >= self.key_of.len() {
-            self.key_of.resize(i + 1, None);
+        if i >= self.generation.len() {
+            self.generation.resize(i + 1, NOT_MEMBER);
         }
-        self.key_of[i] = key;
+        self.generation[i] = generation;
     }
 
     fn refresh_index(&mut self, nodes: &NodeTable) {
         self.router.stabilize();
         self.dirty = false;
-        self.grid_at.clear();
         self.rank_of.clear();
         if self.router.is_empty() {
             self.index = None;
             return;
         }
         // The tree's ids are the substrate's live keys, every one a member's.
-        // A refresh asks only for the joiners' capabilities; each rank's
-        // grid node is then read off its key, once, and the search reads it
-        // back by index.
-        let key_of = &self.key_of;
+        // A refresh asks only for the joiners' capabilities, and each
+        // rank's grid node is read off its key.
+        let generation = &self.generation;
         let caps_of = |key| {
             let gid = Self::grid_of(key);
-            debug_assert_eq!(key_of[gid.0 as usize], Some(key), "{key:#x} is no member's");
-            nodes.get(gid).profile.capabilities
+            let g = generation[gid.0 as usize];
+            debug_assert!(
+                g != NOT_MEMBER && Self::overlay_key_for(gid, g) == key,
+                "{key:#x} is no member's"
+            );
+            *nodes.capabilities(gid)
         };
         let index = match &mut self.index {
             Some(index) => {
@@ -194,12 +198,9 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
                 .index
                 .insert(RnTreeIndex::build_with(&self.router, caps_of)),
         };
-        let ids = index.tree().ids();
-        self.grid_at
-            .extend(ids.iter().map(|&key| Self::grid_of(key)));
         self.rank_of.resize(nodes.len(), NOT_INDEXED);
-        for (rank, gid) in self.grid_at.iter().enumerate() {
-            self.rank_of[gid.0 as usize] = rank as u32;
+        for (rank, &key) in index.tree().ids().iter().enumerate() {
+            self.rank_of[Self::grid_of(key).0 as usize] = rank as u32;
         }
     }
 
@@ -224,7 +225,7 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
             if i > 0 {
                 *hops += 1; // load probe of one failover peer
             }
-            let load = nodes.get(gid).load();
+            let load = nodes.load_of(gid);
             if best.is_none_or(|(b, _)| load < b) {
                 best = Some((load, key));
             }
@@ -265,14 +266,14 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
 
     fn on_join(&mut self, _nodes: &NodeTable, node: GridNodeId, _rng: &mut SimRng) {
         // Generation counter: how many identities this node has had.
-        let mut generation = 0u64;
+        let mut generation = 0;
         let mut key = Self::overlay_key_for(node, generation);
         while self.router.is_alive(key) {
             generation += 1;
             key = Self::overlay_key_for(node, generation);
         }
         self.router.join(key);
-        self.set_key_of(node, Some(key));
+        self.set_generation(node, generation);
         self.dirty = true;
     }
 
@@ -283,13 +284,12 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         // defers routing-state construction to the first stabilize instead
         // of building tables once per join.
         debug_assert!(self.router.is_empty(), "bootstrap of a populated overlay");
-        self.key_of.resize(nodes.len(), None);
+        self.generation.resize(nodes.len(), NOT_MEMBER);
         let keys: Vec<u64> = nodes
             .alive_ids()
             .map(|node| {
-                let key = Self::overlay_key_for(node, 0);
-                self.key_of[node.0 as usize] = Some(key);
-                key
+                self.generation[node.0 as usize] = 0;
+                Self::overlay_key_for(node, 0)
             })
             .collect();
         self.router.bulk_join(&keys);
@@ -298,7 +298,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
 
     fn on_leave(&mut self, _nodes: &NodeTable, node: GridNodeId, graceful: bool) {
         let key = self.key_of(node).expect("leave of node never joined");
-        self.set_key_of(node, None);
+        self.set_generation(node, NOT_MEMBER);
         if graceful {
             self.router.leave(key); // neighbours repaired immediately
         } else {
@@ -391,9 +391,9 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
         let mut best: Option<(usize, GridNodeId)> = None;
         let mut ties = 0u32;
         for rank in res.candidates {
-            let gid = self.grid_at[rank as usize];
+            let gid = Self::grid_of(index.tree().ids()[rank as usize]);
             debug_assert!(nodes.is_alive(gid), "{gid} is indexed but dead");
-            let load = nodes.get(gid).load();
+            let load = nodes.load_of(gid);
             match best {
                 None => {
                     best = Some((load, gid));
@@ -565,9 +565,7 @@ mod tests {
         let (owner, _) = mm.assign_owner(&nodes, &p, 31, inj, &mut rng).unwrap();
         let out = mm.find_run_node(&nodes, owner, &p, &mut rng);
         let run = out.run_node.expect("capable nodes exist");
-        assert!(p
-            .requirements
-            .satisfied_by(&nodes.get(run).profile.capabilities));
+        assert!(p.requirements.satisfied_by(nodes.capabilities(run)));
         assert!(out.hops > 0, "tree search costs hops");
     }
 
@@ -679,9 +677,9 @@ mod tests {
     /// The matchmaker's membership mirror and rank columns against the
     /// tree they were built beside: `key_of` names exactly the live grid
     /// nodes, `raw_of` inverts it on every member's key and a dead node's
-    /// first key is no member's; after a refresh `grid_at[r]` is the grid
-    /// node of `ids[r]` and `rank_of` is its inverse, `NOT_INDEXED`
-    /// everywhere else.
+    /// first key is no member's; after a refresh `rank_of` names the rank
+    /// of each indexed grid node's key in `ids`, `NOT_INDEXED` everywhere
+    /// else.
     fn columns_match_the_tree<R: KeyRouter>(mm: &RnTreeMatchmaker<R>, nodes: &NodeTable) {
         for g in (0..nodes.len() as u32).map(GridNodeId) {
             let key = mm.key_of(g);
@@ -702,13 +700,9 @@ mod tests {
             .tree()
             .ids();
         assert_eq!(ids.len(), nodes.alive_count());
-        let grid_at: Vec<GridNodeId> = ids
-            .iter()
-            .map(|&k| mm.member_of(k).expect("every indexed key is a member's"))
-            .collect();
-        assert_eq!(mm.grid_at, grid_at);
         let mut rank_of = vec![NOT_INDEXED; nodes.len()];
-        for (rank, g) in grid_at.iter().enumerate() {
+        for (rank, &k) in ids.iter().enumerate() {
+            let g = mm.member_of(k).expect("every indexed key is a member's");
             rank_of[g.0 as usize] = rank as u32;
         }
         assert_eq!(mm.rank_of, rank_of);
@@ -792,9 +786,7 @@ mod tests {
             assert!(hops <= 48, "{}: hops {hops}", R::SUBSTRATE);
             let out = mm.find_run_node(&nodes, owner, &p, &mut rng);
             let run = out.run_node.expect("capable nodes exist");
-            assert!(p
-                .requirements
-                .satisfied_by(&nodes.get(run).profile.capabilities));
+            assert!(p.requirements.satisfied_by(nodes.capabilities(run)));
 
             // Churn a node, then reassign and resolve still work.
             let victim = nodes.alive_ids().nth(7).unwrap();

@@ -1,17 +1,17 @@
 //! Grid nodes and the node table.
 //!
-//! The table is the kernel's hottest state, so it is laid out for
-//! million-node replications: the `GridNode` records sit in one dense
-//! slot-addressed vector (the node arena — `GridNodeId` *is* the slot), and
-//! the per-event scan fields are mirrored struct-of-arrays style:
+//! The table is the kernel's hottest state and, at 10⁵–10⁶ mostly idle
+//! desktops, much of its memory, so it is kept in columns and a node pays
+//! for execution state only once it holds work. `GridNodeId` *is* the index
+//! into every column:
 //!
-//! * `loads` — each node's `load()` as a dense `u32` column, kept in sync
-//!   by the table's mutation methods;
+//! * the capability column — the caller's `Vec<NodeProfile>`, moved in;
+//! * `loads` — each node's load (queued plus running) as a dense `u32`;
 //! * `queue_versions` — a `u32` per node, bumped whenever the node's queue
 //!   or running slot changes (`enqueue`, `pop_queue`, `set_running`,
 //!   `take_running`, `commit_node` even at an unchanged load, `mark_failed`).
 //!   It is what lets the centralized matchmaker keep each node's
-//!   [`GridNode::committed_work_secs`] in a dense `f64` column of its own
+//!   [`NodeTable::committed_work_secs`] in a dense `f64` column of its own
 //!   and re-sum only the nodes that moved since it last looked. The sum
 //!   itself is not kept here: it could only be kept exact by re-summing the
 //!   queue front to back on every mutation (f64 addition does not
@@ -19,23 +19,30 @@
 //!   sum maintained by adding and subtracting runtimes would break ties
 //!   differently from the sum it stands for), and that makes draining a
 //!   queue quadratic in its length for the five matchmakers that never ask;
-//! * two bitsets, one bit per node in `u64` words: `alive_bits`, and
-//!   `idle_bits` for live nodes with load 0, updated by the same methods,
-//!   so a scan can test 64 nodes with one word;
-//! * a Fenwick tree over the alive bits, so [`NodeTable::random_alive`]
-//!   selects the n-th live node in O(log N) while drawing the *same* RNG
-//!   value and returning the *same* node as the old O(N) `nth()` walk;
+//! * two bitsets, one bit per node in `u64` words: `alive_bits`, the only
+//!   record of liveness, and `idle_bits` for live nodes with load 0, so a
+//!   scan can test 64 nodes with one word;
+//! * `work_of` — a 4-byte handle per node into the *work slab*, `NONE`
+//!   until the node first holds a job. A slab entry ([`NodeWork`], 32 B)
+//!   keeps the node's running slot, finish time, busy seconds and
+//!   completions; the jobs it holds, running and queued, sit in one pool
+//!   of 24-byte slots shared by all nodes, each queue a linked FIFO. An
+//!   entry is never freed: the node's statistics outlive its work;
+//! * a Fenwick tree over the alive bits, built at the first departure, so
+//!   [`NodeTable::random_alive`] selects the n-th live node in O(log N)
+//!   while drawing the *same* RNG value and returning the *same* node as an
+//!   O(N) `nth()` walk. While every node is alive the n-th live node is
+//!   `n` itself and the tree is neither needed nor built;
 //! * O(1) aggregates (total live load, count of idle live nodes) for the
 //!   telemetry sampler.
 //!
-//! To keep the mirrors honest, the execution-state fields (`queue`,
-//! `running`) are private to this module: every mutation goes through a
-//! `NodeTable` method that updates the columns in the same step.
+//! Every mutation goes through a `NodeTable` method that updates the
+//! columns in the same step.
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use dgrid_resources::{JobId, NodeProfile};
+use dgrid_resources::{Capabilities, JobId, NodeProfile};
 use dgrid_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -71,61 +78,28 @@ pub(crate) struct QueuedJob {
     pub epoch: u32,
 }
 
-/// One participating peer: its advertised profile plus execution state.
+/// One node's execution state as the sharded kernel checks it out of the
+/// table for a conservative window: a worker thread mutates the copy and
+/// the table takes it back at [`NodeTable::commit_node`], reconciling the
+/// columns once instead of per mutation.
 ///
 /// "Each run node processes jobs in its job queue in FIFO order and only
 /// processes one job at a time." (Section 2.)
-#[derive(Clone, Debug)]
-pub struct GridNode {
-    /// Advertised capabilities.
-    pub profile: NodeProfile,
-    /// Is the node currently up?
-    pub alive: bool,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct GridNode {
     queue: VecDeque<QueuedJob>,
     running: Option<QueuedJob>,
     running_finish_at: SimTime,
-    /// Total seconds this node has spent executing jobs (for utilization
-    /// and load-balance reporting).
+    /// Seconds spent executing jobs.
     pub busy_secs: f64,
-    /// Jobs this node has completed.
-    pub completed_jobs: u64,
+    /// Jobs completed.
+    pub completed_jobs: u32,
 }
 
 impl GridNode {
-    pub(crate) fn new(profile: NodeProfile) -> Self {
-        GridNode {
-            profile,
-            alive: true,
-            queue: VecDeque::new(),
-            running: None,
-            running_finish_at: SimTime::ZERO,
-            busy_secs: 0.0,
-            completed_jobs: 0,
-        }
-    }
-
     /// Jobs currently held: queued plus running.
-    pub fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.queue.len() + usize::from(self.running.is_some())
-    }
-
-    /// Seconds of work committed to this node: the remainder of the running
-    /// job plus everything queued.
-    pub fn pending_work_secs(&self, now: SimTime) -> f64 {
-        let running = if self.running.is_some() {
-            self.running_finish_at.since(now).as_secs_f64()
-        } else {
-            0.0
-        };
-        running + self.queue.iter().map(|q| q.runtime_secs).sum::<f64>()
-    }
-
-    /// Queued runtimes plus the running job's *full* runtime — the
-    /// instant-independent committed-work estimate the centralized
-    /// baseline ranks nodes by.
-    pub(crate) fn committed_work_secs(&self) -> f64 {
-        let queued: f64 = self.queue.iter().map(|q| q.runtime_secs).sum();
-        queued + self.running.map(|q| q.runtime_secs).unwrap_or(0.0)
     }
 
     /// The currently executing job, if any.
@@ -137,18 +111,6 @@ impl GridNode {
     pub(crate) fn running_finish_at(&self) -> SimTime {
         self.running_finish_at
     }
-
-    /// Ids of the queued jobs, FIFO order.
-    pub(crate) fn queued_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.queue.iter().map(|q| q.job)
-    }
-
-    // Shard-local mutators, mirroring the `NodeTable` methods of the same
-    // name minus the load-mirror bookkeeping. They exist for the
-    // conservative-window kernel, which checks a node's record out of the
-    // table (`NodeTable::checkout_node`), mutates the copy on a worker
-    // thread, and commits it back — the table reconciles the mirrors once
-    // at commit instead of per mutation.
 
     /// FIFO-queue a job (shard-local copy of [`NodeTable::enqueue`]).
     pub(crate) fn enqueue_local(&mut self, q: QueuedJob) {
@@ -171,6 +133,173 @@ impl GridNode {
     /// [`NodeTable::take_running`]).
     pub(crate) fn take_running_local(&mut self) -> Option<QueuedJob> {
         self.running.take()
+    }
+}
+
+/// "No slot": the end of a pool list, an empty queue or running slot.
+const NIL: u32 = u32::MAX;
+
+/// A node's handle into the work slab.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct WorkRef(u32);
+
+impl WorkRef {
+    /// The node has never held a job.
+    const NONE: WorkRef = WorkRef(NIL);
+}
+
+/// A node's execution state, from the first job it holds. The jobs
+/// themselves are pool slots.
+#[derive(Clone, Copy)]
+struct NodeWork {
+    /// When the running job finishes; stale while nothing runs.
+    running_finish_at: SimTime,
+    /// Seconds spent executing jobs.
+    busy_secs: f64,
+    /// Pool slot of the running job, [`NIL`] while idle.
+    running: u32,
+    /// First and last pool slot of the FIFO queue, [`NIL`] when empty.
+    head: u32,
+    tail: u32,
+    /// Jobs completed.
+    completed_jobs: u32,
+}
+
+impl NodeWork {
+    const IDLE: NodeWork = NodeWork {
+        running_finish_at: SimTime::ZERO,
+        busy_secs: 0.0,
+        running: NIL,
+        head: NIL,
+        tail: NIL,
+        completed_jobs: 0,
+    };
+}
+
+/// A job held by some node, in the shared pool: running, queued (linked to
+/// the next job of its queue) or free (linked to the next free slot).
+#[derive(Clone, Copy)]
+struct HeldJob {
+    job: JobId,
+    runtime_secs: f64,
+    epoch: u32,
+    next: u32,
+}
+
+impl HeldJob {
+    fn queued(&self) -> QueuedJob {
+        QueuedJob {
+            job: self.job,
+            runtime_secs: self.runtime_secs,
+            epoch: self.epoch,
+        }
+    }
+}
+
+// What a node costs: 4 B of handle while it has never held work, 32 B more
+// from the first job it holds, and 24 B per job it holds at once.
+const _: () = assert!(std::mem::size_of::<WorkRef>() == 4);
+const _: () = assert!(std::mem::size_of::<NodeWork>() == 32);
+const _: () = assert!(std::mem::size_of::<HeldJob>() == 24);
+
+/// The execution state of every node that has held work: the slab of
+/// [`NodeWork`] entries and the pool of the jobs they hold.
+struct WorkSlab {
+    entries: Vec<NodeWork>,
+    held: Vec<HeldJob>,
+    /// First free pool slot, [`NIL`] when none is.
+    free: u32,
+}
+
+impl WorkSlab {
+    fn new() -> Self {
+        WorkSlab {
+            entries: Vec::new(),
+            held: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// A pool slot holding `q`, unlinked.
+    fn hold(&mut self, q: QueuedJob) -> u32 {
+        let slot = HeldJob {
+            job: q.job,
+            runtime_secs: q.runtime_secs,
+            epoch: q.epoch,
+            next: NIL,
+        };
+        if self.free == NIL {
+            self.held.push(slot);
+            return (self.held.len() - 1) as u32;
+        }
+        let at = self.free;
+        self.free = self.held[at as usize].next;
+        self.held[at as usize] = slot;
+        at
+    }
+
+    /// Free a pool slot, returning what it held.
+    fn release(&mut self, at: u32) -> QueuedJob {
+        let slot = &mut self.held[at as usize];
+        slot.next = self.free;
+        self.free = at;
+        slot.queued()
+    }
+
+    fn push_back(&mut self, e: usize, q: QueuedJob) {
+        let at = self.hold(q);
+        let w = &mut self.entries[e];
+        match w.tail {
+            NIL => w.head = at,
+            tail => self.held[tail as usize].next = at,
+        }
+        self.entries[e].tail = at;
+    }
+
+    fn pop_front(&mut self, e: usize) -> Option<QueuedJob> {
+        let w = &mut self.entries[e];
+        let at = w.head;
+        if at == NIL {
+            return None;
+        }
+        w.head = self.held[at as usize].next;
+        if w.head == NIL {
+            w.tail = NIL;
+        }
+        Some(self.release(at))
+    }
+
+    fn set_running(&mut self, e: usize, q: QueuedJob, finish_at: SimTime) {
+        debug_assert_eq!(self.entries[e].running, NIL, "node already running a job");
+        let at = self.hold(q);
+        let w = &mut self.entries[e];
+        w.running = at;
+        w.running_finish_at = finish_at;
+    }
+
+    fn take_running(&mut self, e: usize) -> Option<QueuedJob> {
+        let at = std::mem::replace(&mut self.entries[e].running, NIL);
+        (at != NIL).then(|| self.release(at))
+    }
+
+    /// Drop everything the node holds.
+    fn clear(&mut self, e: usize) {
+        while self.pop_front(e).is_some() {}
+        self.take_running(e);
+    }
+
+    fn running(&self, e: usize) -> Option<QueuedJob> {
+        let at = self.entries[e].running;
+        (at != NIL).then(|| self.held[at as usize].queued())
+    }
+
+    /// The queue, front to back.
+    fn queued(&self, e: usize) -> impl Iterator<Item = QueuedJob> + '_ {
+        let first = Some(self.entries[e].head).filter(|&at| at != NIL);
+        std::iter::successors(first, |&at| {
+            Some(self.held[at as usize].next).filter(|&next| next != NIL)
+        })
+        .map(|at| self.held[at as usize].queued())
     }
 }
 
@@ -223,9 +352,9 @@ impl AliveTree {
 /// Indices of the set bits of a bitset, ascending.
 fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &word)| {
-        (0..64)
-            .filter(move |bit| word >> bit & 1 != 0)
-            .map(move |bit| w * 64 + bit)
+        let first = Some(word).filter(|&x| x != 0);
+        std::iter::successors(first, |&x| Some(x & (x - 1)).filter(|&x| x != 0))
+            .map(move |x| w * 64 + x.trailing_zeros() as usize)
     })
 }
 
@@ -237,9 +366,10 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// for nodes they have legitimately contacted (search candidates, neighbor
 /// load exchange at tick time).
 pub struct NodeTable {
-    nodes: Vec<GridNode>,
+    /// Advertised capabilities: the caller's buffer, moved in.
+    profiles: Vec<NodeProfile>,
     alive: usize,
-    /// SoA mirror of each node's `load()` (zero for dead nodes).
+    /// Each node's load, queued plus running (zero for dead nodes).
     loads: Vec<u32>,
     /// Bumped (wrapping) by every change to the node's queue or running
     /// slot, so a reader can tell which of its cached sums are stale.
@@ -248,11 +378,15 @@ pub struct NodeTable {
     alive_bits: Vec<u64>,
     /// Same layout: set iff node `i` is alive with load 0.
     idle_bits: Vec<u64>,
-    alive_tree: AliveTree,
+    /// Built at the first departure.
+    alive_tree: Option<AliveTree>,
     /// Sum of `loads` over live nodes.
     total_load: u64,
     /// Live nodes with load 0.
     idle_alive: usize,
+    /// Each node's entry in `work`.
+    work_of: Vec<WorkRef>,
+    work: WorkSlab,
 }
 
 /// Word index and bit mask of a node's position in the bitsets.
@@ -262,33 +396,35 @@ fn bit_of(slot: usize) -> (usize, u64) {
 
 impl NodeTable {
     pub(crate) fn new(profiles: Vec<NodeProfile>) -> Self {
-        let alive = profiles.len();
-        let mut all_ones = vec![u64::MAX; alive.div_ceil(64)];
+        let n = profiles.len();
+        let mut all_ones = vec![u64::MAX; n.div_ceil(64)];
         if let Some(last) = all_ones.last_mut() {
             // Bits past the last node stay clear.
-            *last >>= (64 - alive % 64) % 64;
+            *last >>= (64 - n % 64) % 64;
         }
         NodeTable {
-            nodes: profiles.into_iter().map(GridNode::new).collect(),
-            alive,
-            loads: vec![0; alive],
-            queue_versions: vec![0; alive],
+            profiles,
+            alive: n,
+            loads: vec![0; n],
+            queue_versions: vec![0; n],
             alive_bits: all_ones.clone(),
             idle_bits: all_ones,
-            alive_tree: AliveTree::all_ones(alive),
+            alive_tree: None,
             total_load: 0,
-            idle_alive: alive,
+            idle_alive: n,
+            work_of: vec![WorkRef::NONE; n],
+            work: WorkSlab::new(),
         }
     }
 
     /// Total number of nodes ever registered.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.profiles.len()
     }
 
     /// True iff the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.profiles.is_empty()
     }
 
     /// Number of currently live nodes.
@@ -296,25 +432,23 @@ impl NodeTable {
         self.alive
     }
 
-    /// The node behind a handle.
-    pub fn get(&self, id: GridNodeId) -> &GridNode {
-        &self.nodes[id.0 as usize]
+    /// A node's advertised capabilities.
+    pub fn capabilities(&self, id: GridNodeId) -> &Capabilities {
+        &self.profiles[id.0 as usize].capabilities
     }
 
-    /// Mutable access to a node's *statistics* fields. The execution-state
-    /// fields that back the load mirrors are module-private; mutate them
-    /// through the table methods below.
-    pub(crate) fn get_mut(&mut self, id: GridNodeId) -> &mut GridNode {
-        &mut self.nodes[id.0 as usize]
+    /// The capability column, indexed by node.
+    pub(crate) fn profiles(&self) -> &[NodeProfile] {
+        &self.profiles
     }
 
-    /// A node's current load from the SoA column (no record deref).
+    /// A node's current load: jobs queued plus running.
     pub fn load_of(&self, id: GridNodeId) -> usize {
         self.loads[id.0 as usize] as usize
     }
 
     /// Per node, a counter that moves whenever its queue or running slot
-    /// does: anything derived from those (its `committed_work_secs()`, say)
+    /// does: anything derived from those (its `committed_work_secs`, say)
     /// is still good while the counter reads the same. Wrapping `u32`; a
     /// reader that looks at least once per 2³² changes of a node — the
     /// centralized matchmaker looks once per placed job — cannot miss one.
@@ -363,43 +497,117 @@ impl NodeTable {
 
     /// Is the node up?
     pub fn is_alive(&self, id: GridNodeId) -> bool {
-        self.get(id).alive
+        let slot = id.0 as usize;
+        debug_assert!(slot < self.len(), "{id} is not in the table");
+        let (word, bit) = bit_of(slot);
+        self.alive_bits[word] & bit != 0
     }
 
     /// Handles of all live nodes, ascending.
     pub fn alive_ids(&self) -> impl Iterator<Item = GridNodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(i, _)| GridNodeId(i as u32))
+        set_bits(&self.alive_bits).map(|slot| GridNodeId(slot as u32))
     }
 
     /// A uniformly random live node.
     ///
-    /// Draws the same `gen_range(0..alive)` value and returns the same
-    /// (n-th smallest live) id as the historical linear walk, via the
-    /// Fenwick select — byte-identity depends on both halves. While every
-    /// node is alive the n-th smallest live id is `n` itself, and the
-    /// select is skipped.
+    /// Draws one `gen_range(0..alive)` value `n` and returns the n-th
+    /// smallest live id, through the Fenwick select once a node has
+    /// departed — byte-identity depends on both halves. While every node is
+    /// alive the n-th smallest live id is `n` itself.
     pub fn random_alive<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Option<GridNodeId> {
         if self.alive == 0 {
             return None;
         }
         let n = rng.gen_range(0..self.alive);
-        let slot = if self.alive == self.nodes.len() {
-            n
-        } else {
-            self.alive_tree.select(n)
+        let slot = match &self.alive_tree {
+            Some(tree) if self.alive < self.len() => tree.select(n),
+            _ => n,
         };
         Some(GridNodeId(slot as u32))
     }
 
-    /// Bring every mirror of a live node back in line with its record,
-    /// after its queue or running slot changed. O(1).
-    fn resync(&mut self, id: GridNodeId) {
+    /// The node's slab entry, if it has ever held work.
+    fn entry(&self, id: GridNodeId) -> Option<usize> {
+        let WorkRef(e) = self.work_of[id.0 as usize];
+        (e != NIL).then_some(e as usize)
+    }
+
+    /// The node's slab entry, made on its first job.
+    fn entry_or_new(&mut self, id: GridNodeId) -> usize {
+        if let Some(e) = self.entry(id) {
+            return e;
+        }
+        let e = self.work.entries.len();
+        self.work.entries.push(NodeWork::IDLE);
+        self.work_of[id.0 as usize] = WorkRef(e as u32);
+        e
+    }
+
+    /// The currently executing job, if any.
+    pub(crate) fn running_job(&self, id: GridNodeId) -> Option<QueuedJob> {
+        self.entry(id).and_then(|e| self.work.running(e))
+    }
+
+    /// When the node's running job will finish (stale if nothing is
+    /// running).
+    pub(crate) fn running_finish_at(&self, id: GridNodeId) -> SimTime {
+        self.entry(id)
+            .map_or(SimTime::ZERO, |e| self.work.entries[e].running_finish_at)
+    }
+
+    /// Ids of the node's queued jobs, FIFO order.
+    pub(crate) fn queued_jobs(&self, id: GridNodeId) -> impl Iterator<Item = JobId> + '_ {
+        let entry = self.entry(id);
+        entry
+            .into_iter()
+            .flat_map(|e| self.work.queued(e))
+            .map(|q| q.job)
+    }
+
+    /// Queued runtimes plus the running job's *full* runtime — the
+    /// instant-independent committed-work estimate the centralized
+    /// baseline ranks nodes by.
+    pub(crate) fn committed_work_secs(&self, id: GridNodeId) -> f64 {
+        let Some(e) = self.entry(id) else {
+            return 0.0;
+        };
+        let queued: f64 = self.work.queued(e).map(|q| q.runtime_secs).sum();
+        queued + self.work.running(e).map_or(0.0, |q| q.runtime_secs)
+    }
+
+    /// Total seconds the node has spent executing jobs.
+    pub(crate) fn busy_secs(&self, id: GridNodeId) -> f64 {
+        self.entry(id)
+            .map_or(0.0, |e| self.work.entries[e].busy_secs)
+    }
+
+    /// Jobs the node has completed.
+    pub(crate) fn completed_jobs(&self, id: GridNodeId) -> u64 {
+        self.entry(id)
+            .map_or(0, |e| u64::from(self.work.entries[e].completed_jobs))
+    }
+
+    /// Credit a node that has held work with `secs` of execution.
+    pub(crate) fn add_busy_secs(&mut self, id: GridNodeId, secs: f64) {
+        let e = self
+            .entry(id)
+            .expect("only a node that ran a job is credited");
+        self.work.entries[e].busy_secs += secs;
+    }
+
+    /// Count one completion on a node that has held work.
+    pub(crate) fn count_completion(&mut self, id: GridNodeId) {
+        let e = self
+            .entry(id)
+            .expect("only a node that ran a job completes one");
+        self.work.entries[e].completed_jobs += 1;
+    }
+
+    /// Bring every column of a live node in line with its new load, after
+    /// its queue or running slot changed. O(1).
+    fn resync(&mut self, id: GridNodeId, new: usize) {
         let slot = id.0 as usize;
-        let (old, new) = (self.loads[slot], self.nodes[slot].load() as u32);
+        let (old, new) = (self.loads[slot], new as u32);
         self.queue_versions[slot] = self.queue_versions[slot].wrapping_add(1);
         self.loads[slot] = new;
         self.total_load = self.total_load - u64::from(old) + u64::from(new);
@@ -419,66 +627,89 @@ impl NodeTable {
 
     /// FIFO-queue a job on a live node.
     pub(crate) fn enqueue(&mut self, id: GridNodeId, q: QueuedJob) {
-        self.nodes[id.0 as usize].queue.push_back(q);
-        self.resync(id);
+        let e = self.entry_or_new(id);
+        self.work.push_back(e, q);
+        self.resync(id, self.load_of(id) + 1);
     }
 
     /// Dequeue the next job from a node's FIFO queue.
     pub(crate) fn pop_queue(&mut self, id: GridNodeId) -> Option<QueuedJob> {
-        let q = self.nodes[id.0 as usize].queue.pop_front();
+        let q = self.entry(id).and_then(|e| self.work.pop_front(e));
         if q.is_some() {
-            self.resync(id);
+            self.resync(id, self.load_of(id) - 1);
         }
         q
     }
 
     /// Begin executing a job on an idle live node.
     pub(crate) fn set_running(&mut self, id: GridNodeId, q: QueuedJob, finish_at: SimTime) {
-        let n = &mut self.nodes[id.0 as usize];
-        debug_assert!(n.running.is_none(), "{id} already running a job");
-        n.running = Some(q);
-        n.running_finish_at = finish_at;
-        self.resync(id);
+        let e = self.entry_or_new(id);
+        self.work.set_running(e, q, finish_at);
+        self.resync(id, self.load_of(id) + 1);
     }
 
     /// Release a node's running job (completion, kill, or stale release).
     pub(crate) fn take_running(&mut self, id: GridNodeId) -> Option<QueuedJob> {
-        let q = self.nodes[id.0 as usize].running.take();
+        let q = self.entry(id).and_then(|e| self.work.take_running(e));
         if q.is_some() {
-            self.resync(id);
+            self.resync(id, self.load_of(id) - 1);
         }
         q
     }
 
-    /// Clone a live node's record out of the table for exclusive
-    /// shard-local mutation during one conservative window. The caller owns
-    /// the copy; nothing else may touch the slot until
-    /// [`commit_node`](Self::commit_node) writes it back. Aliveness cannot
-    /// change while a record is checked out (failures and rejoins are
-    /// barrier-phase events).
-    pub(crate) fn checkout_node(&mut self, id: GridNodeId) -> GridNode {
-        debug_assert!(self.nodes[id.0 as usize].alive, "checkout of dead {id}");
-        self.nodes[id.0 as usize].clone()
+    /// Copy a live node's execution state out of the table for exclusive
+    /// shard-local mutation during one conservative window. Nothing else
+    /// may touch the node until [`commit_node`](Self::commit_node) writes
+    /// the copy back. Aliveness cannot change while a node is checked out
+    /// (failures and rejoins are barrier-phase events).
+    pub(crate) fn checkout_node(&self, id: GridNodeId) -> GridNode {
+        debug_assert!(self.is_alive(id), "checkout of dead {id}");
+        let Some(e) = self.entry(id) else {
+            return GridNode::default();
+        };
+        let w = &self.work.entries[e];
+        GridNode {
+            queue: self.work.queued(e).collect(),
+            running: self.work.running(e),
+            running_finish_at: w.running_finish_at,
+            busy_secs: w.busy_secs,
+            completed_jobs: w.completed_jobs,
+        }
     }
 
-    /// Write a checked-out record back, reconciling every mirror with
+    /// Write a checked-out node back, reconciling every column with
     /// whatever the shard did to the copy in one step — also at an
-    /// unchanged load, where the queue may hold different jobs.
+    /// unchanged load, where the queue may hold different jobs. A node that
+    /// had no slab entry gets one only if the copy holds or did work.
     pub(crate) fn commit_node(&mut self, id: GridNodeId, node: GridNode) {
-        let slot = id.0 as usize;
-        debug_assert!(
-            self.nodes[slot].alive && node.alive,
-            "commit must not change {id} aliveness"
-        );
-        self.nodes[slot] = node;
-        self.resync(id);
+        debug_assert!(self.is_alive(id), "commit must not change {id} aliveness");
+        let load = node.load();
+        let blank = load == 0 && node.busy_secs == 0.0 && node.completed_jobs == 0;
+        if self.entry(id).is_some() || !blank {
+            let e = self.entry_or_new(id);
+            self.work.clear(e);
+            for q in node.queue {
+                self.work.push_back(e, q);
+            }
+            if let Some(q) = node.running {
+                self.work.set_running(e, q, node.running_finish_at);
+            }
+            let w = &mut self.work.entries[e];
+            w.running_finish_at = node.running_finish_at;
+            w.busy_secs = node.busy_secs;
+            w.completed_jobs = node.completed_jobs;
+        }
+        self.resync(id, load);
     }
 
     pub(crate) fn mark_failed(&mut self, id: GridNodeId) {
         let slot = id.0 as usize;
-        assert!(self.nodes[slot].alive, "failing dead node {id}");
+        assert!(self.is_alive(id), "failing dead node {id}");
+        let n = self.len();
+        self.alive_tree
+            .get_or_insert_with(|| AliveTree::all_ones(n))
+            .add(slot, -1);
         let load = self.loads[slot];
-        self.alive_tree.add(slot, -1);
         self.total_load -= u64::from(load);
         if load == 0 {
             self.idle_alive -= 1;
@@ -488,19 +719,20 @@ impl NodeTable {
         let (word, bit) = bit_of(slot);
         self.alive_bits[word] &= !bit;
         self.idle_bits[word] &= !bit;
-        let n = &mut self.nodes[slot];
-        n.alive = false;
-        n.queue.clear();
-        n.running = None;
+        if let Some(e) = self.entry(id) {
+            self.work.clear(e);
+        }
         self.alive -= 1;
     }
 
     pub(crate) fn mark_rejoined(&mut self, id: GridNodeId) {
         let slot = id.0 as usize;
-        assert!(!self.nodes[slot].alive, "rejoining live node {id}");
-        self.nodes[slot].alive = true;
+        assert!(!self.is_alive(id), "rejoining live node {id}");
         self.alive += 1;
-        self.alive_tree.add(slot, 1);
+        self.alive_tree
+            .as_mut()
+            .expect("a node departed before it rejoins")
+            .add(slot, 1);
         // The failure cleared its queue, so it returns idle.
         debug_assert_eq!(self.loads[slot], 0);
         let (word, bit) = bit_of(slot);
@@ -514,7 +746,6 @@ impl NodeTable {
 mod tests {
     use super::*;
     use dgrid_resources::{Capabilities, OsType};
-    use dgrid_sim::SimDuration;
     use proptest::prelude::*;
     use rand::Rng;
 
@@ -528,25 +759,6 @@ mod tests {
             runtime_secs,
             epoch: 0,
         }
-    }
-
-    #[test]
-    fn load_counts_running_and_queued() {
-        let mut n = GridNode::new(profile());
-        assert_eq!(n.load(), 0);
-        n.running = Some(qj(1, 10.0));
-        n.queue.push_back(qj(2, 5.0));
-        assert_eq!(n.load(), 2);
-    }
-
-    #[test]
-    fn pending_work_includes_remaining_runtime() {
-        let mut n = GridNode::new(profile());
-        n.running = Some(qj(1, 10.0));
-        n.running_finish_at = SimTime::ZERO + SimDuration::from_secs(8);
-        n.queue.push_back(qj(2, 5.0));
-        let now = SimTime::from_secs(2);
-        assert!((n.pending_work_secs(now) - 11.0).abs() < 1e-9);
     }
 
     #[test]
@@ -670,30 +882,42 @@ mod tests {
         prop_assert_eq!(t.alive_ids().collect::<Vec<_>>(), live.clone());
         for (slot, m) in model.iter().enumerate() {
             let id = GridNodeId(slot as u32);
-            let n = t.get(id);
             prop_assert_eq!(t.is_alive(id), !m.dead, "{} liveness", id);
             prop_assert_eq!(t.load_of(id), m.load(), "{} load", id);
             prop_assert!(
-                same_job(n.running_job(), m.running.map(|(q, _)| q)),
+                same_job(t.running_job(id), m.running.map(|(q, _)| q)),
                 "{} running",
                 id
             );
             if let Some((_, finish_at)) = m.running {
-                prop_assert_eq!(n.running_finish_at(), finish_at, "{} finish", id);
+                prop_assert_eq!(t.running_finish_at(id), finish_at, "{} finish", id);
             }
             let queued: Vec<JobId> = m.queue.iter().map(|q| q.job).collect();
-            prop_assert_eq!(n.queued_jobs().collect::<Vec<_>>(), queued, "{} queue", id);
             prop_assert_eq!(
-                n.committed_work_secs().to_bits(),
+                t.queued_jobs(id).collect::<Vec<_>>(),
+                queued,
+                "{} queue",
+                id
+            );
+            prop_assert_eq!(
+                t.committed_work_secs(id).to_bits(),
                 m.committed_work_secs().to_bits(),
                 "{} committed work",
                 id
             );
-            prop_assert_eq!(n.busy_secs.to_bits(), m.busy_secs.to_bits(), "{} busy", id);
-            prop_assert_eq!(n.completed_jobs, m.completed_jobs, "{} completed", id);
+            let busy = t.busy_secs(id).to_bits();
+            prop_assert_eq!(busy, m.busy_secs.to_bits(), "{} busy", id);
+            prop_assert_eq!(t.completed_jobs(id), m.completed_jobs, "{} completed", id);
+            // A slab entry from the first job held, and never before.
+            prop_assert_eq!(t.entry(id).is_some(), m.ever_held, "{} slab entry", id);
             prop_assert_eq!(t.queue_versions()[slot], m.version, "{} version", id);
             let (word, bit) = bit_of(slot);
-            prop_assert_eq!(t.alive_words()[word] & bit != 0, !m.dead, "{} alive bit", id);
+            prop_assert_eq!(
+                t.alive_words()[word] & bit != 0,
+                !m.dead,
+                "{} alive bit",
+                id
+            );
             let idle = !m.dead && m.load() == 0;
             prop_assert_eq!(t.idle_words()[word] & bit != 0, idle, "{} idle bit", id);
         }
@@ -706,6 +930,13 @@ mod tests {
         }
         let total: usize = live.iter().map(|id| model[id.0 as usize].load()).sum();
         prop_assert_eq!(t.total_alive_load(), total as u64);
+        let entries = model.iter().filter(|m| m.ever_held).count();
+        prop_assert_eq!(t.work.entries.len(), entries);
+        // Every pool slot is held by a live node or free: none leaks.
+        let free_slots = std::iter::successors(Some(t.work.free).filter(|&at| at != NIL), |&at| {
+            Some(t.work.held[at as usize].next).filter(|&next| next != NIL)
+        });
+        prop_assert_eq!(t.work.held.len() - free_slots.count(), total);
         let idle = live.iter().filter(|id| model[id.0 as usize].load() == 0);
         prop_assert_eq!(t.idle_alive_count(), idle.count());
         // Least loaded, lowest id on ties: the lease re-placement fallback.
@@ -790,8 +1021,8 @@ mod tests {
                         if let Some(q) = got {
                             m.bump();
                             // What a completion credits the node with.
-                            t.get_mut(id).busy_secs += q.runtime_secs;
-                            t.get_mut(id).completed_jobs += 1;
+                            t.add_busy_secs(id, q.runtime_secs);
+                            t.count_completion(id);
                             m.busy_secs += q.runtime_secs;
                             m.completed_jobs += 1;
                         }
@@ -863,8 +1094,8 @@ mod tests {
         }
 
         /// `random_alive` draws once and names the node the Fenwick select
-        /// names for that draw, on tables with every node alive (where it
-        /// skips the select) and with some dead.
+        /// names for that draw, on tables with every node alive (where no
+        /// tree is built) and with some dead.
         #[test]
         fn random_alive_is_the_select_of_one_draw(
             len in 1usize..200,
@@ -878,13 +1109,16 @@ mod tests {
                     t.mark_failed(id);
                 }
             }
+            prop_assert_eq!(t.alive_tree.is_some(), t.alive_count() < len);
             let mut rng = dgrid_sim::rng::rng_for(seed, 0);
             let mut again = rng.clone();
             for _ in 0..32 {
                 let drawn = t.random_alive(&mut rng);
                 let n = again.gen_range(0..t.alive_count());
-                prop_assert_eq!(drawn, Some(GridNodeId(t.alive_tree.select(n) as u32)));
-                prop_assert!(drawn.is_some_and(|id| t.is_alive(id)));
+                prop_assert_eq!(drawn, t.alive_ids().nth(n));
+                if let Some(tree) = &t.alive_tree {
+                    prop_assert_eq!(drawn, Some(GridNodeId(tree.select(n) as u32)));
+                }
             }
             prop_assert_eq!(rng.gen::<u64>(), again.gen::<u64>(), "one draw per call");
         }
