@@ -8,7 +8,7 @@
 //! [`KeyRouter::rn_tree_parents`]) that answer from the stabilize snapshot.
 
 use dgrid_sim::overlay::{Entry, Lazy, Membership};
-use dgrid_sim::router::{rn_tree_parents_via, KeyRouter, RouteCost, NO_PARENT};
+use dgrid_sim::router::{rn_tree_parents_of_successors, rn_tree_parents_via, KeyRouter, RouteCost};
 
 use crate::id::ChordId;
 use crate::ring::{ChordPeer, ChordRing, Hop};
@@ -235,19 +235,9 @@ impl KeyRouter for ChordRing {
     }
 
     /// Exact while settled, when every parent lookup names the ground-truth
-    /// owner. Rank 0 owns key 0 and is the root. Any other rank `r` owns
-    /// `(key r - 1, key r]`, and prefix keys only grow with the prefix, so
-    /// its level is the first prefix to exceed key `r - 1`: one bit past
-    /// `lcp[r]`, the bits the two keys share. Its parent key therefore
-    /// opens the `lcp[r]`-bit block that holds both, and the block's owner
-    /// is its first member: the nearest earlier rank `s` with `lcp[s] <
-    /// lcp[r]` (key `s - 1` lies outside the block), or rank 0. One pass
-    /// over the keys with a stack of ranks whose `lcp` strictly increases,
-    /// at most 64 deep. The stack holds one rank per `lcp` value, so it is
-    /// a 64-bit mask of the values it holds beside the rank of each: popping
-    /// every entry at or above `lcp[r]` is one mask, and its top is the
-    /// highest bit left, with no branch on how many entries go. Any other
-    /// state looks each parent up.
+    /// owner, the successor of the parent key:
+    /// [`rn_tree_parents_of_successors`]. Any other state looks each
+    /// parent up.
     ///
     /// Chord keeps the default level probe: only that fallback and
     /// `RnTree::build_counting` (experiment `T-tree`, which routes every
@@ -260,21 +250,7 @@ impl KeyRouter for ChordRing {
             });
         }
         debug_assert!(keys == self.m.snapshot().keys(), "keys are the live set");
-        let mut parent = Vec::with_capacity(keys.len());
-        parent.extend(keys.first().map(|_| NO_PARENT));
-        // Bit `l` of `open`: the stack holds a rank whose lcp is `l`, and
-        // `rank_at[l + 1]` is that rank; `rank_at[0]` is rank 0, the parent
-        // when the stack is empty. Distinct keys share at most 63 bits.
-        let mut open = 0u64;
-        let mut rank_at = [0u32; 65];
-        for (r, w) in (1u32..).zip(keys.windows(2)) {
-            let lcp = (w[0] ^ w[1]).leading_zeros();
-            open &= (1u64 << lcp) - 1;
-            parent.push(rank_at[(u64::BITS - open.leading_zeros()) as usize]);
-            open |= 1 << lcp;
-            rank_at[lcp as usize + 1] = r;
-        }
-        parent
+        rn_tree_parents_of_successors(keys)
     }
 
     /// Into an empty ring: one sort, landing settled with no record per

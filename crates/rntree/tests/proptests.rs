@@ -373,6 +373,24 @@ proptest! {
         parents_match_the_lookups(&ring)?;
     }
 
+    /// Tapestry's parents through the successor sweep equal the parents
+    /// looked up node by node, on memberships that share long prefixes and
+    /// went through joins, leaves and failures: settled, where the sweep
+    /// runs, and as churn left them, where it falls back to the lookups.
+    #[test]
+    fn tapestry_parents_equal_the_lookups(
+        keys in clustered_keys(4, 64),
+        steps in churn(),
+    ) {
+        let mut net: TapestryNetwork = churned(&keys, &steps);
+        parents_match_the_lookups(&net)?;
+        net.stabilize();
+        parents_match_the_lookups(&net)?;
+        let live = net.alive_keys();
+        let swept = dgrid_sim::router::rn_tree_parents_of_successors(&live);
+        prop_assert_eq!(Some(swept), looked_up_parents(&net, &live));
+    }
+
     /// Single root, full coverage, strictly-decreasing parent ids
     /// (acyclicity), height within a small multiple of log2(N).
     #[test]

@@ -87,6 +87,41 @@ pub fn rn_tree_parents_via<R: KeyRouter>(
     parent
 }
 
+/// The RN-Tree parent rank of every key of `keys`, ascending and non-empty,
+/// in a membership where the owner of a key is its successor among `keys`
+/// (the first key at or past it, wrapping to rank 0) — Chord's rule, and
+/// Tapestry's for the prefix keys a parent lookup asks for.
+///
+/// Rank 0 owns key 0 and is the root. Any other rank `r` owns `(key r - 1,
+/// key r]`, and prefix keys only grow with the prefix, so its level is the
+/// first prefix to exceed key `r - 1`: one bit past `lcp[r]`, the bits the
+/// two keys share. Its parent key therefore opens the `lcp[r]`-bit block
+/// that holds both, and the block's owner is its first member: the nearest
+/// earlier rank `s` with `lcp[s] < lcp[r]` (key `s - 1` lies outside the
+/// block), or rank 0. One pass over the keys with a stack of ranks whose
+/// `lcp` strictly increases, at most 64 deep. The stack holds one rank per
+/// `lcp` value, so it is a 64-bit mask of the values it holds beside the
+/// rank of each: popping every entry at or above `lcp[r]` is one mask, and
+/// its top is the highest bit left, with no branch on how many entries go.
+pub fn rn_tree_parents_of_successors(keys: &[u64]) -> Vec<u32> {
+    debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys ascend");
+    let mut parent = Vec::with_capacity(keys.len());
+    parent.extend(keys.first().map(|_| NO_PARENT));
+    // Bit `l` of `open`: the stack holds a rank whose lcp is `l`, and
+    // `rank_at[l + 1]` is that rank; `rank_at[0]` is rank 0, the parent
+    // when the stack is empty. Distinct keys share at most 63 bits.
+    let mut open = 0u64;
+    let mut rank_at = [0u32; 65];
+    for (r, w) in (1u32..).zip(keys.windows(2)) {
+        let lcp = (w[0] ^ w[1]).leading_zeros();
+        open &= (1u64 << lcp) - 1;
+        parent.push(rank_at[(u64::BITS - open.leading_zeros()) as usize]);
+        open |= 1 << lcp;
+        rank_at[lcp as usize + 1] = r;
+    }
+    parent
+}
+
 /// A structured overlay that can own and locate 64-bit keys.
 ///
 /// Implementations must be deterministic: every method's result is a pure

@@ -2,7 +2,7 @@
 
 use dgrid_sim::overlay::{Lazy, Membership};
 use dgrid_sim::prefix::{self, Table, Tables, DIGITS as LEVELS, DIGIT_BITS, RADIX};
-use dgrid_sim::router::{KeyRouter, RouteCost};
+use dgrid_sim::router::{rn_tree_parents_of_successors, rn_tree_parents_via, KeyRouter, RouteCost};
 use serde::{Deserialize, Serialize};
 
 /// Tunables.
@@ -232,6 +232,24 @@ impl KeyRouter for TapestryNetwork {
         } else {
             self.lookup(from, key).map(|r| r.owner)
         }
+    }
+
+    /// Exact while `routes_are_exact`, when every parent lookup names the
+    /// surrogate root. A parent key is a prefix of its asker followed by
+    /// zeros, and the asker lives under that prefix, so at each level the
+    /// surrogate rule finds a live digit at or past the wanted one without
+    /// wrapping and takes the smallest: the root is the smallest live key
+    /// under the prefix, which is the parent key's successor. The parents
+    /// are then Chord's, [`rn_tree_parents_of_successors`]. Any other state
+    /// looks each parent up.
+    fn rn_tree_parents(&self, keys: &[u64]) -> Vec<u32> {
+        if !self.routes_are_exact() {
+            return rn_tree_parents_via(self, keys, |from, key| {
+                self.lookup_owner(from, key).expect("stable overlay routes")
+            });
+        }
+        debug_assert!(keys == self.m.snapshot().keys(), "keys are the live set");
+        rn_tree_parents_of_successors(keys)
     }
 
     fn failover_peers(&self, from: u64) -> Vec<u64> {
