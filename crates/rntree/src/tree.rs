@@ -25,6 +25,7 @@
 //! depth-first order to build.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dgrid_resources::Capabilities;
 use dgrid_sim::router::{rn_tree_parents_via, KeyRouter, NO_PARENT};
@@ -40,8 +41,9 @@ use crate::aggregate::SubtreeInfo;
 /// pointer (what the paper's periodic soft-state maintenance converges to).
 #[derive(Clone, Debug)]
 pub struct RnTree {
-    /// Node ids, ascending; a node's rank is its position here.
-    ids: Vec<u64>,
+    /// Node ids, ascending; a node's rank is its position here. Shared
+    /// with the overlay's settled snapshot of the same keys.
+    ids: Arc<[u64]>,
     root: u32,
     /// Parent rank of each rank; [`NO_PARENT`] for the root.
     parent: Vec<u32>,
@@ -108,8 +110,8 @@ fn fill_preorder(root: u32, kid_start: &[u32], kids: &[u32], order: &mut Vec<u32
 }
 
 /// All live keys of `router`, ascending: the tree's ranks.
-fn ranked_keys<R: KeyRouter>(router: &R) -> Vec<u64> {
-    let ids = router.alive_keys();
+fn ranked_keys<R: KeyRouter>(router: &R) -> Arc<[u64]> {
+    let ids = router.membership().shared_alive_keys();
     assert!(!ids.is_empty(), "RN-Tree over an empty overlay");
     assert!(ids.len() < NO_PARENT as usize, "ranks are 32-bit");
     debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "alive_keys ascends");
@@ -120,7 +122,7 @@ impl RnTree {
     /// The tree of no node, which only a refresh fills.
     fn empty() -> RnTree {
         RnTree {
-            ids: Vec::new(),
+            ids: Arc::new([]),
             root: 0,
             parent: Vec::new(),
             kid_start: vec![0],
@@ -165,7 +167,7 @@ impl RnTree {
 
     /// Make this the tree of `parent`, one rank per id; [`NO_PARENT`] marks
     /// the root. The child lists and the order are refilled in place.
-    fn relink(&mut self, ids: Vec<u64>, parent: Vec<u32>) {
+    fn relink(&mut self, ids: Arc<[u64]>, parent: Vec<u32>) {
         debug_assert_eq!(parent.len(), ids.len(), "one parent per rank");
         fill_child_lists(&parent, &mut self.kid_start, &mut self.kids);
         if ranks_descend_to_the_root(&parent) {

@@ -27,6 +27,7 @@
 
 use std::collections::{btree_map, BTreeMap};
 use std::ops::{Bound, RangeBounds};
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -48,7 +49,9 @@ pub enum Lazy<T> {
 /// The sorted keys alive at the last stabilize, radix-indexed.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    keys: Vec<u64>,
+    /// Shared with every reader that takes the live set while it is
+    /// settled ([`Membership::shared_alive_keys`]).
+    keys: Arc<[u64]>,
     /// `starts[p]` is the rank of the first key whose bucket is `p` or
     /// later; one entry per bucket, then `keys.len()`.
     starts: Vec<u32>,
@@ -84,7 +87,7 @@ impl Snapshot {
             *s = sum;
         }
         Snapshot {
-            keys,
+            keys: keys.into(),
             starts,
             shift,
         }
@@ -277,7 +280,16 @@ impl<X> Membership<X> {
     /// Every live key, ascending: a copy of the snapshot while settled.
     pub fn alive_keys(&self) -> Vec<u64> {
         match self.exceptions() {
-            None => self.snapshot.keys.clone(),
+            None => self.snapshot.keys.to_vec(),
+            Some(_) => self.alive_in(..).collect(),
+        }
+    }
+
+    /// [`Self::alive_keys`] as one shared buffer: the snapshot's own while
+    /// settled, so a reader that keeps the live set costs no copy of it.
+    pub fn shared_alive_keys(&self) -> Arc<[u64]> {
+        match self.exceptions() {
+            None => Arc::clone(&self.snapshot.keys),
             Some(_) => self.alive_in(..).collect(),
         }
     }
