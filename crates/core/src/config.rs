@@ -35,7 +35,7 @@ pub enum PlacementPolicy {
     /// deterministic choice, however skewed it is).
     Hash,
     /// Probe the substrate owner *and* its failover peers and take the one
-    /// with the shallowest queue (`GridNode::load()`), breaking ties by the
+    /// with the shallowest queue (`NodeTable::load_of`), breaking ties by the
     /// overlay's own preference order.
     LoadAware,
 }

@@ -79,7 +79,7 @@ use super::run_node::{self, EnvOp, RunNodeCtx};
 use super::{Engine, Event};
 use crate::config::EngineConfig;
 use crate::job::JobRecord;
-use crate::node::{GridNode, GridNodeId, QueuedJob};
+use crate::node::{GridNodeId, NodeWork, QueuedJob};
 
 /// Below this many local events in a round, dispatching to the pool costs
 /// more than it saves; run the shards inline (in shard order, which by
@@ -131,7 +131,7 @@ struct ShardWork {
     state: ShardState,
     /// `(batch index, virtual time, event)` in `(time, seq)` order.
     events: Vec<(usize, SimTime, LocalEv, GridNodeId)>,
-    nodes: HashMap<u32, GridNode>,
+    nodes: HashMap<u32, NodeWork>,
     jobs: HashMap<JobId, JobRecord>,
 }
 
@@ -407,7 +407,7 @@ impl Engine {
         let n = batch.len();
         let mut ops_by_item: Vec<Option<Vec<EnvOp>>> = (0..n).map(|_| None).collect();
         for (mut w, ops) in results {
-            let mut nodes: Vec<(u32, GridNode)> = w.nodes.drain().collect();
+            let mut nodes: Vec<(u32, NodeWork)> = w.nodes.drain().collect();
             nodes.sort_unstable_by_key(|e| e.0);
             for (id, node) in nodes {
                 self.nodes.commit_node(GridNodeId(id), node);
@@ -499,17 +499,17 @@ struct ShardCtx<'a> {
     state: &'a mut ShardState,
     jobs: &'a mut HashMap<JobId, JobRecord>,
     home: GridNodeId,
-    node: &'a mut GridNode,
+    node: &'a mut NodeWork,
     ops: Vec<EnvOp>,
 }
 
 impl ShardCtx<'_> {
-    fn node(&self, home: GridNodeId) -> &GridNode {
+    fn node(&self, home: GridNodeId) -> &NodeWork {
         debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
         self.node
     }
 
-    fn node_mut(&mut self, home: GridNodeId) -> &mut GridNode {
+    fn node_mut(&mut self, home: GridNodeId) -> &mut NodeWork {
         debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
         self.node
     }
@@ -529,6 +529,7 @@ impl RunNodeCtx for ShardCtx<'_> {
     }
 
     fn capabilities(&self, home: GridNodeId) -> &Capabilities {
+        debug_assert_eq!(home, self.home, "shard handlers stay on the home node");
         &self.profiles[home.0 as usize].capabilities
     }
 
@@ -549,19 +550,19 @@ impl RunNodeCtx for ShardCtx<'_> {
     }
 
     fn enqueue(&mut self, home: GridNodeId, q: QueuedJob) {
-        self.node_mut(home).enqueue_local(q);
+        self.node_mut(home).enqueue(q);
     }
 
     fn pop_queue(&mut self, home: GridNodeId) -> Option<QueuedJob> {
-        self.node_mut(home).pop_queue_local()
+        self.node_mut(home).pop_queue()
     }
 
     fn set_running(&mut self, home: GridNodeId, q: QueuedJob, finish_at: SimTime) {
-        self.node_mut(home).set_running_local(q, finish_at);
+        self.node_mut(home).set_running(q, finish_at);
     }
 
     fn take_running(&mut self, home: GridNodeId) -> Option<QueuedJob> {
-        self.node_mut(home).take_running_local()
+        self.node_mut(home).take_running()
     }
 
     fn net(&mut self) -> (&mut Network, &mut SimRng) {

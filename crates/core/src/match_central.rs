@@ -781,8 +781,8 @@ mod tests {
                     5 => nodes.mark_rejoined(id),
                     6 if alive => {
                         let mut n = nodes.checkout_node(id);
-                        if n.pop_queue_local().is_some() {
-                            n.enqueue_local(qj(pick));
+                        if n.pop_queue().is_some() {
+                            n.enqueue(qj(pick));
                         }
                         nodes.commit_node(id, n);
                     }

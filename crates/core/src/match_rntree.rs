@@ -206,7 +206,7 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
 
     /// Load-aware owner placement: probe the mapped key *and* its failover
     /// peers, and keep the live candidate with the shallowest queue
-    /// (`GridNode::load()`), each extra probe costing one hop. Ties keep
+    /// (`NodeTable::load_of`), each extra probe costing one hop. Ties keep
     /// the earliest candidate — the overlay's own preference order — so
     /// placement stays deterministic without consuming RNG draws. Falls
     /// back to the mapped key when no probe improves on it.

@@ -23,11 +23,10 @@
 //!   record of liveness, and `idle_bits` for live nodes with load 0, so a
 //!   scan can test 64 nodes with one word;
 //! * `work_of` — a 4-byte handle per node into the *work slab*, `NONE`
-//!   until the node first holds a job. A slab entry ([`NodeWork`], 32 B)
-//!   keeps the node's running slot, finish time, busy seconds and
-//!   completions; the jobs it holds, running and queued, sit in one pool
-//!   of 24-byte slots shared by all nodes, each queue a linked FIFO. An
-//!   entry is never freed: the node's statistics outlive its work;
+//!   until the node first holds a job. A slab entry ([`NodeWork`], 80 B)
+//!   keeps the node's FIFO queue, running job and its finish time, busy
+//!   seconds and completions. An entry is never freed: the node's
+//!   statistics outlive its work;
 //! * a Fenwick tree over the alive bits, built at the first departure, so
 //!   [`NodeTable::random_alive`] selects the n-th live node in O(log N)
 //!   while drawing the *same* RNG value and returning the *same* node as an
@@ -78,17 +77,22 @@ pub(crate) struct QueuedJob {
     pub epoch: u32,
 }
 
-/// One node's execution state as the sharded kernel checks it out of the
-/// table for a conservative window: a worker thread mutates the copy and
-/// the table takes it back at [`NodeTable::commit_node`], reconciling the
-/// columns once instead of per mutation.
+/// A node's execution state, from the first job it holds: the slab entry,
+/// and the copy of it the sharded kernel checks out of the table for a
+/// conservative window (a worker thread mutates the copy, and
+/// [`NodeTable::commit_node`] writes it back and reconciles the columns
+/// once instead of per mutation).
 ///
 /// "Each run node processes jobs in its job queue in FIFO order and only
 /// processes one job at a time." (Section 2.)
-#[derive(Clone, Debug, Default)]
-pub(crate) struct GridNode {
+#[derive(Clone, Debug)]
+pub(crate) struct NodeWork {
+    /// The jobs waiting behind the running one.
     queue: VecDeque<QueuedJob>,
-    running: Option<QueuedJob>,
+    /// The running job while `is_running`: apart from its flag, the two
+    /// fit in 80 bytes with the rest, where an `Option` takes 88.
+    running: QueuedJob,
+    is_running: bool,
     running_finish_at: SimTime,
     /// Seconds spent executing jobs.
     pub busy_secs: f64,
@@ -96,15 +100,37 @@ pub(crate) struct GridNode {
     pub completed_jobs: u32,
 }
 
-impl GridNode {
+// What a node costs: 4 B of handle while it has never held work, 80 B more
+// from the first job it holds, and its queue's buffer once it queues one.
+const _: () = assert!(std::mem::size_of::<WorkRef>() == 4);
+const _: () = assert!(std::mem::size_of::<NodeWork>() == 80);
+
+impl Default for NodeWork {
+    fn default() -> Self {
+        NodeWork {
+            queue: VecDeque::new(),
+            running: QueuedJob {
+                job: JobId(0),
+                runtime_secs: 0.0,
+                epoch: 0,
+            },
+            is_running: false,
+            running_finish_at: SimTime::ZERO,
+            busy_secs: 0.0,
+            completed_jobs: 0,
+        }
+    }
+}
+
+impl NodeWork {
     /// Jobs currently held: queued plus running.
     pub(crate) fn load(&self) -> usize {
-        self.queue.len() + usize::from(self.running.is_some())
+        self.queue.len() + usize::from(self.is_running)
     }
 
     /// The currently executing job, if any.
     pub(crate) fn running_job(&self) -> Option<QueuedJob> {
-        self.running
+        self.is_running.then_some(self.running)
     }
 
     /// When the running job will finish (stale if nothing is running).
@@ -112,32 +138,35 @@ impl GridNode {
         self.running_finish_at
     }
 
-    /// FIFO-queue a job (shard-local copy of [`NodeTable::enqueue`]).
-    pub(crate) fn enqueue_local(&mut self, q: QueuedJob) {
+    /// FIFO-queue a job.
+    pub(crate) fn enqueue(&mut self, q: QueuedJob) {
         self.queue.push_back(q);
     }
 
-    /// Dequeue the next job (shard-local copy of [`NodeTable::pop_queue`]).
-    pub(crate) fn pop_queue_local(&mut self) -> Option<QueuedJob> {
+    /// Dequeue the next job.
+    pub(crate) fn pop_queue(&mut self) -> Option<QueuedJob> {
         self.queue.pop_front()
     }
 
-    /// Begin executing a job (shard-local copy of [`NodeTable::set_running`]).
-    pub(crate) fn set_running_local(&mut self, q: QueuedJob, finish_at: SimTime) {
-        debug_assert!(self.running.is_none(), "node already running a job");
-        self.running = Some(q);
+    /// Begin executing a job.
+    pub(crate) fn set_running(&mut self, q: QueuedJob, finish_at: SimTime) {
+        debug_assert!(!self.is_running, "node already running a job");
+        (self.running, self.is_running) = (q, true);
         self.running_finish_at = finish_at;
     }
 
-    /// Release the running job (shard-local copy of
-    /// [`NodeTable::take_running`]).
-    pub(crate) fn take_running_local(&mut self) -> Option<QueuedJob> {
-        self.running.take()
+    /// Release the running job.
+    pub(crate) fn take_running(&mut self) -> Option<QueuedJob> {
+        std::mem::take(&mut self.is_running).then_some(self.running)
+    }
+
+    /// Queued runtimes front to back, plus the running job's *full*
+    /// runtime.
+    fn committed_work_secs(&self) -> f64 {
+        let queued: f64 = self.queue.iter().map(|q| q.runtime_secs).sum();
+        queued + self.running_job().map_or(0.0, |q| q.runtime_secs)
     }
 }
-
-/// "No slot": the end of a pool list, an empty queue or running slot.
-const NIL: u32 = u32::MAX;
 
 /// A node's handle into the work slab.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -145,162 +174,7 @@ struct WorkRef(u32);
 
 impl WorkRef {
     /// The node has never held a job.
-    const NONE: WorkRef = WorkRef(NIL);
-}
-
-/// A node's execution state, from the first job it holds. The jobs
-/// themselves are pool slots.
-#[derive(Clone, Copy)]
-struct NodeWork {
-    /// When the running job finishes; stale while nothing runs.
-    running_finish_at: SimTime,
-    /// Seconds spent executing jobs.
-    busy_secs: f64,
-    /// Pool slot of the running job, [`NIL`] while idle.
-    running: u32,
-    /// First and last pool slot of the FIFO queue, [`NIL`] when empty.
-    head: u32,
-    tail: u32,
-    /// Jobs completed.
-    completed_jobs: u32,
-}
-
-impl NodeWork {
-    const IDLE: NodeWork = NodeWork {
-        running_finish_at: SimTime::ZERO,
-        busy_secs: 0.0,
-        running: NIL,
-        head: NIL,
-        tail: NIL,
-        completed_jobs: 0,
-    };
-}
-
-/// A job held by some node, in the shared pool: running, queued (linked to
-/// the next job of its queue) or free (linked to the next free slot).
-#[derive(Clone, Copy)]
-struct HeldJob {
-    job: JobId,
-    runtime_secs: f64,
-    epoch: u32,
-    next: u32,
-}
-
-impl HeldJob {
-    fn queued(&self) -> QueuedJob {
-        QueuedJob {
-            job: self.job,
-            runtime_secs: self.runtime_secs,
-            epoch: self.epoch,
-        }
-    }
-}
-
-// What a node costs: 4 B of handle while it has never held work, 32 B more
-// from the first job it holds, and 24 B per job it holds at once.
-const _: () = assert!(std::mem::size_of::<WorkRef>() == 4);
-const _: () = assert!(std::mem::size_of::<NodeWork>() == 32);
-const _: () = assert!(std::mem::size_of::<HeldJob>() == 24);
-
-/// The execution state of every node that has held work: the slab of
-/// [`NodeWork`] entries and the pool of the jobs they hold.
-struct WorkSlab {
-    entries: Vec<NodeWork>,
-    held: Vec<HeldJob>,
-    /// First free pool slot, [`NIL`] when none is.
-    free: u32,
-}
-
-impl WorkSlab {
-    fn new() -> Self {
-        WorkSlab {
-            entries: Vec::new(),
-            held: Vec::new(),
-            free: NIL,
-        }
-    }
-
-    /// A pool slot holding `q`, unlinked.
-    fn hold(&mut self, q: QueuedJob) -> u32 {
-        let slot = HeldJob {
-            job: q.job,
-            runtime_secs: q.runtime_secs,
-            epoch: q.epoch,
-            next: NIL,
-        };
-        if self.free == NIL {
-            self.held.push(slot);
-            return (self.held.len() - 1) as u32;
-        }
-        let at = self.free;
-        self.free = self.held[at as usize].next;
-        self.held[at as usize] = slot;
-        at
-    }
-
-    /// Free a pool slot, returning what it held.
-    fn release(&mut self, at: u32) -> QueuedJob {
-        let slot = &mut self.held[at as usize];
-        slot.next = self.free;
-        self.free = at;
-        slot.queued()
-    }
-
-    fn push_back(&mut self, e: usize, q: QueuedJob) {
-        let at = self.hold(q);
-        let w = &mut self.entries[e];
-        match w.tail {
-            NIL => w.head = at,
-            tail => self.held[tail as usize].next = at,
-        }
-        self.entries[e].tail = at;
-    }
-
-    fn pop_front(&mut self, e: usize) -> Option<QueuedJob> {
-        let w = &mut self.entries[e];
-        let at = w.head;
-        if at == NIL {
-            return None;
-        }
-        w.head = self.held[at as usize].next;
-        if w.head == NIL {
-            w.tail = NIL;
-        }
-        Some(self.release(at))
-    }
-
-    fn set_running(&mut self, e: usize, q: QueuedJob, finish_at: SimTime) {
-        debug_assert_eq!(self.entries[e].running, NIL, "node already running a job");
-        let at = self.hold(q);
-        let w = &mut self.entries[e];
-        w.running = at;
-        w.running_finish_at = finish_at;
-    }
-
-    fn take_running(&mut self, e: usize) -> Option<QueuedJob> {
-        let at = std::mem::replace(&mut self.entries[e].running, NIL);
-        (at != NIL).then(|| self.release(at))
-    }
-
-    /// Drop everything the node holds.
-    fn clear(&mut self, e: usize) {
-        while self.pop_front(e).is_some() {}
-        self.take_running(e);
-    }
-
-    fn running(&self, e: usize) -> Option<QueuedJob> {
-        let at = self.entries[e].running;
-        (at != NIL).then(|| self.held[at as usize].queued())
-    }
-
-    /// The queue, front to back.
-    fn queued(&self, e: usize) -> impl Iterator<Item = QueuedJob> + '_ {
-        let first = Some(self.entries[e].head).filter(|&at| at != NIL);
-        std::iter::successors(first, |&at| {
-            Some(self.held[at as usize].next).filter(|&next| next != NIL)
-        })
-        .map(|at| self.held[at as usize].queued())
-    }
+    const NONE: WorkRef = WorkRef(u32::MAX);
 }
 
 /// Fenwick (binary indexed) tree over the alive bits: O(log N) rank/select
@@ -386,7 +260,8 @@ pub struct NodeTable {
     idle_alive: usize,
     /// Each node's entry in `work`.
     work_of: Vec<WorkRef>,
-    work: WorkSlab,
+    /// The work slab: an entry per node that has ever held a job.
+    work: Vec<NodeWork>,
 }
 
 /// Word index and bit mask of a node's position in the bitsets.
@@ -413,7 +288,7 @@ impl NodeTable {
             total_load: 0,
             idle_alive: n,
             work_of: vec![WorkRef::NONE; n],
-            work: WorkSlab::new(),
+            work: Vec::new(),
         }
     }
 
@@ -527,40 +402,44 @@ impl NodeTable {
     }
 
     /// The node's slab entry, if it has ever held work.
-    fn entry(&self, id: GridNodeId) -> Option<usize> {
+    fn entry(&self, id: GridNodeId) -> Option<&NodeWork> {
         let WorkRef(e) = self.work_of[id.0 as usize];
-        (e != NIL).then_some(e as usize)
+        self.work.get(e as usize)
+    }
+
+    /// The node's slab entry, if it has ever held work, for writing.
+    fn entry_mut(&mut self, id: GridNodeId) -> Option<&mut NodeWork> {
+        let WorkRef(e) = self.work_of[id.0 as usize];
+        self.work.get_mut(e as usize)
     }
 
     /// The node's slab entry, made on its first job.
-    fn entry_or_new(&mut self, id: GridNodeId) -> usize {
-        if let Some(e) = self.entry(id) {
-            return e;
+    fn entry_or_new(&mut self, id: GridNodeId) -> &mut NodeWork {
+        let slot = id.0 as usize;
+        if self.work_of[slot] == WorkRef::NONE {
+            self.work_of[slot] = WorkRef(self.work.len() as u32);
+            self.work.push(NodeWork::default());
         }
-        let e = self.work.entries.len();
-        self.work.entries.push(NodeWork::IDLE);
-        self.work_of[id.0 as usize] = WorkRef(e as u32);
-        e
+        &mut self.work[self.work_of[slot].0 as usize]
     }
 
     /// The currently executing job, if any.
     pub(crate) fn running_job(&self, id: GridNodeId) -> Option<QueuedJob> {
-        self.entry(id).and_then(|e| self.work.running(e))
+        self.entry(id).and_then(NodeWork::running_job)
     }
 
     /// When the node's running job will finish (stale if nothing is
     /// running).
     pub(crate) fn running_finish_at(&self, id: GridNodeId) -> SimTime {
         self.entry(id)
-            .map_or(SimTime::ZERO, |e| self.work.entries[e].running_finish_at)
+            .map_or(SimTime::ZERO, NodeWork::running_finish_at)
     }
 
     /// Ids of the node's queued jobs, FIFO order.
     pub(crate) fn queued_jobs(&self, id: GridNodeId) -> impl Iterator<Item = JobId> + '_ {
-        let entry = self.entry(id);
-        entry
+        self.entry(id)
             .into_iter()
-            .flat_map(|e| self.work.queued(e))
+            .flat_map(|w| &w.queue)
             .map(|q| q.job)
     }
 
@@ -568,39 +447,27 @@ impl NodeTable {
     /// instant-independent committed-work estimate the centralized
     /// baseline ranks nodes by.
     pub(crate) fn committed_work_secs(&self, id: GridNodeId) -> f64 {
-        let Some(e) = self.entry(id) else {
-            return 0.0;
-        };
-        let queued: f64 = self.work.queued(e).map(|q| q.runtime_secs).sum();
-        queued + self.work.running(e).map_or(0.0, |q| q.runtime_secs)
+        self.entry(id).map_or(0.0, NodeWork::committed_work_secs)
     }
 
     /// Total seconds the node has spent executing jobs.
     pub(crate) fn busy_secs(&self, id: GridNodeId) -> f64 {
-        self.entry(id)
-            .map_or(0.0, |e| self.work.entries[e].busy_secs)
+        self.entry(id).map_or(0.0, |w| w.busy_secs)
     }
 
     /// Jobs the node has completed.
     pub(crate) fn completed_jobs(&self, id: GridNodeId) -> u64 {
-        self.entry(id)
-            .map_or(0, |e| u64::from(self.work.entries[e].completed_jobs))
+        self.entry(id).map_or(0, |w| u64::from(w.completed_jobs))
     }
 
-    /// Credit a node that has held work with `secs` of execution.
+    /// Credit the node with `secs` of execution.
     pub(crate) fn add_busy_secs(&mut self, id: GridNodeId, secs: f64) {
-        let e = self
-            .entry(id)
-            .expect("only a node that ran a job is credited");
-        self.work.entries[e].busy_secs += secs;
+        self.entry_or_new(id).busy_secs += secs;
     }
 
-    /// Count one completion on a node that has held work.
+    /// Count one completion on the node.
     pub(crate) fn count_completion(&mut self, id: GridNodeId) {
-        let e = self
-            .entry(id)
-            .expect("only a node that ran a job completes one");
-        self.work.entries[e].completed_jobs += 1;
+        self.entry_or_new(id).completed_jobs += 1;
     }
 
     /// Bring every column of a live node in line with its new load, after
@@ -627,34 +494,28 @@ impl NodeTable {
 
     /// FIFO-queue a job on a live node.
     pub(crate) fn enqueue(&mut self, id: GridNodeId, q: QueuedJob) {
-        let e = self.entry_or_new(id);
-        self.work.push_back(e, q);
+        self.entry_or_new(id).enqueue(q);
         self.resync(id, self.load_of(id) + 1);
     }
 
     /// Dequeue the next job from a node's FIFO queue.
     pub(crate) fn pop_queue(&mut self, id: GridNodeId) -> Option<QueuedJob> {
-        let q = self.entry(id).and_then(|e| self.work.pop_front(e));
-        if q.is_some() {
-            self.resync(id, self.load_of(id) - 1);
-        }
-        q
+        let q = self.entry_mut(id)?.pop_queue()?;
+        self.resync(id, self.load_of(id) - 1);
+        Some(q)
     }
 
     /// Begin executing a job on an idle live node.
     pub(crate) fn set_running(&mut self, id: GridNodeId, q: QueuedJob, finish_at: SimTime) {
-        let e = self.entry_or_new(id);
-        self.work.set_running(e, q, finish_at);
+        self.entry_or_new(id).set_running(q, finish_at);
         self.resync(id, self.load_of(id) + 1);
     }
 
     /// Release a node's running job (completion, kill, or stale release).
     pub(crate) fn take_running(&mut self, id: GridNodeId) -> Option<QueuedJob> {
-        let q = self.entry(id).and_then(|e| self.work.take_running(e));
-        if q.is_some() {
-            self.resync(id, self.load_of(id) - 1);
-        }
-        q
+        let q = self.entry_mut(id)?.take_running()?;
+        self.resync(id, self.load_of(id) - 1);
+        Some(q)
     }
 
     /// Copy a live node's execution state out of the table for exclusive
@@ -662,42 +523,21 @@ impl NodeTable {
     /// may touch the node until [`commit_node`](Self::commit_node) writes
     /// the copy back. Aliveness cannot change while a node is checked out
     /// (failures and rejoins are barrier-phase events).
-    pub(crate) fn checkout_node(&self, id: GridNodeId) -> GridNode {
+    pub(crate) fn checkout_node(&self, id: GridNodeId) -> NodeWork {
         debug_assert!(self.is_alive(id), "checkout of dead {id}");
-        let Some(e) = self.entry(id) else {
-            return GridNode::default();
-        };
-        let w = &self.work.entries[e];
-        GridNode {
-            queue: self.work.queued(e).collect(),
-            running: self.work.running(e),
-            running_finish_at: w.running_finish_at,
-            busy_secs: w.busy_secs,
-            completed_jobs: w.completed_jobs,
-        }
+        self.entry(id).cloned().unwrap_or_default()
     }
 
     /// Write a checked-out node back, reconciling every column with
     /// whatever the shard did to the copy in one step — also at an
     /// unchanged load, where the queue may hold different jobs. A node that
     /// had no slab entry gets one only if the copy holds or did work.
-    pub(crate) fn commit_node(&mut self, id: GridNodeId, node: GridNode) {
+    pub(crate) fn commit_node(&mut self, id: GridNodeId, node: NodeWork) {
         debug_assert!(self.is_alive(id), "commit must not change {id} aliveness");
         let load = node.load();
         let blank = load == 0 && node.busy_secs == 0.0 && node.completed_jobs == 0;
         if self.entry(id).is_some() || !blank {
-            let e = self.entry_or_new(id);
-            self.work.clear(e);
-            for q in node.queue {
-                self.work.push_back(e, q);
-            }
-            if let Some(q) = node.running {
-                self.work.set_running(e, q, node.running_finish_at);
-            }
-            let w = &mut self.work.entries[e];
-            w.running_finish_at = node.running_finish_at;
-            w.busy_secs = node.busy_secs;
-            w.completed_jobs = node.completed_jobs;
+            *self.entry_or_new(id) = node;
         }
         self.resync(id, load);
     }
@@ -719,8 +559,9 @@ impl NodeTable {
         let (word, bit) = bit_of(slot);
         self.alive_bits[word] &= !bit;
         self.idle_bits[word] &= !bit;
-        if let Some(e) = self.entry(id) {
-            self.work.clear(e);
+        if let Some(w) = self.entry_mut(id) {
+            w.queue = VecDeque::new();
+            w.is_running = false;
         }
         self.alive -= 1;
     }
@@ -811,9 +652,9 @@ mod tests {
     fn checkout_commit_reconciles_mirrors() {
         let mut t = NodeTable::new(vec![profile(), profile()]);
         let mut n = t.checkout_node(GridNodeId(0));
-        n.set_running_local(qj(1, 10.0), SimTime::from_secs(10));
-        n.enqueue_local(qj(2, 5.0));
-        n.enqueue_local(qj(3, 5.0));
+        n.set_running(qj(1, 10.0), SimTime::from_secs(10));
+        n.enqueue(qj(2, 5.0));
+        n.enqueue(qj(3, 5.0));
         t.commit_node(GridNodeId(0), n);
         assert_eq!(t.load_of(GridNodeId(0)), 3);
         assert_eq!(t.total_alive_load(), 3);
@@ -821,9 +662,9 @@ mod tests {
         assert_eq!(t.least_loaded_alive(), Some(GridNodeId(1)));
         // Drain it back down through another checkout.
         let mut n = t.checkout_node(GridNodeId(0));
-        assert_eq!(n.take_running_local().unwrap().job, JobId(1));
-        assert_eq!(n.pop_queue_local().unwrap().job, JobId(2));
-        assert_eq!(n.pop_queue_local().unwrap().job, JobId(3));
+        assert_eq!(n.take_running().unwrap().job, JobId(1));
+        assert_eq!(n.pop_queue().unwrap().job, JobId(2));
+        assert_eq!(n.pop_queue().unwrap().job, JobId(3));
         t.commit_node(GridNodeId(0), n);
         assert_eq!(t.load_of(GridNodeId(0)), 0);
         assert_eq!(t.total_alive_load(), 0);
@@ -931,12 +772,7 @@ mod tests {
         let total: usize = live.iter().map(|id| model[id.0 as usize].load()).sum();
         prop_assert_eq!(t.total_alive_load(), total as u64);
         let entries = model.iter().filter(|m| m.ever_held).count();
-        prop_assert_eq!(t.work.entries.len(), entries);
-        // Every pool slot is held by a live node or free: none leaks.
-        let free_slots = std::iter::successors(Some(t.work.free).filter(|&at| at != NIL), |&at| {
-            Some(t.work.held[at as usize].next).filter(|&next| next != NIL)
-        });
-        prop_assert_eq!(t.work.held.len() - free_slots.count(), total);
+        prop_assert_eq!(t.work.len(), entries);
         let idle = live.iter().filter(|id| model[id.0 as usize].load() == 0);
         prop_assert_eq!(t.idle_alive_count(), idle.count());
         // Least loaded, lowest id on ties: the lease re-placement fallback.
@@ -1048,9 +884,9 @@ mod tests {
                     6 if !m.dead => {
                         // Same load, different contents.
                         let mut n = t.checkout_node(id);
-                        if n.pop_queue_local().is_some() {
+                        if n.pop_queue().is_some() {
                             let q = next(runtime);
-                            n.enqueue_local(q);
+                            n.enqueue(q);
                             m.queue.pop_front();
                             m.queue.push_back(q);
                         }
@@ -1060,7 +896,7 @@ mod tests {
                     7 if !m.dead => {
                         // Finish or start the running job, and queue one.
                         let mut n = t.checkout_node(id);
-                        match n.take_running_local() {
+                        match n.take_running() {
                             Some(q) => {
                                 n.busy_secs += q.runtime_secs;
                                 n.completed_jobs += 1;
@@ -1070,12 +906,12 @@ mod tests {
                             }
                             None => {
                                 let q = next(runtime);
-                                n.set_running_local(q, finish_at);
+                                n.set_running(q, finish_at);
                                 m.running = Some((q, finish_at));
                             }
                         }
                         let q = next(runtime);
-                        n.enqueue_local(q);
+                        n.enqueue(q);
                         m.queue.push_back(q);
                         t.commit_node(id, n);
                         m.bump();
