@@ -34,7 +34,7 @@ fn peak_rss_mb() -> f64 {
 
 /// The benchmark's `rntree-100k` shape: RN-Tree over Chord, `mixed/light`,
 /// 100 000 nodes, 30 000 jobs, seed 7. With a 128-byte record per node it
-/// peaked at 37.9 MB; with the node table in columns, at 28.1–28.3 MB (a
+/// peaked at 37.9 MB; with the node table in columns, at 27.9–28.2 MB (a
 /// 2-vCPU x86-64 VM, glibc malloc). The bound is 5 % above that.
 #[test]
 #[ignore = "10⁵ nodes and a per-process peak: run alone with --release -- --ignored"]
