@@ -77,25 +77,49 @@ pub struct JobSubmission {
 
 /// The submissions that arrive in input order and are not submitted yet:
 /// a FIFO the run pulls from. It is the `Vec` the engine was handed, moved
-/// in rather than copied, and it gives its drained prefix back to the
-/// allocator as the run goes. Its first `staged` entries wait in the
-/// queue as `Submit` events, filed under seqs reserved at construction;
-/// the rest are staged as the run reaches them.
+/// in rather than copied and reversed once, so the next arrival is its last
+/// entry and taking it is a `pop`. Once [`RELEASE_STEP`] entries' room lies
+/// unused the buffer shrinks to fit, which frees its tail without moving an
+/// entry. Its next `staged` arrivals wait in the queue as `Submit` events,
+/// filed under seqs reserved at construction; the rest are staged as the
+/// run reaches them.
 struct Arrivals {
-    fifo: VecDeque<JobSubmission>,
+    /// Reversed: the next arrival is the last entry.
+    fifo: Vec<JobSubmission>,
     staged: usize,
-    /// The seq reserved for `fifo[staged]`.
+    /// The seq reserved for the first unstaged arrival.
     next_seq: u64,
 }
 
+/// The most entries' room the arrival FIFO leaves unused before it shrinks.
+const RELEASE_STEP: usize = 4_096;
+
 impl Arrivals {
+    /// The FIFO of `in_order`, submissions in arrival order whose seqs
+    /// start at `first`.
+    fn new(mut in_order: Vec<JobSubmission>, first: u64) -> Arrivals {
+        in_order.reverse();
+        in_order.shrink_to_fit();
+        Arrivals {
+            fifo: in_order,
+            staged: 0,
+            next_seq: first,
+        }
+    }
+
     fn arrival(sub: &JobSubmission) -> SimTime {
         SimTime::from_secs_f64(sub.arrival_secs)
     }
 
+    /// The `n`-th arrival to come, counting from 0.
+    fn nth(&self, n: usize) -> Option<&JobSubmission> {
+        let i = self.fifo.len().checked_sub(n + 1)?;
+        Some(&self.fifo[i])
+    }
+
     /// Stage the first unstaged arrival, if there is one.
     fn stage_next(&mut self, queue: &mut EventQueue<Event>) {
-        let Some(sub) = self.fifo.get(self.staged) else {
+        let Some(sub) = self.nth(self.staged) else {
             return;
         };
         let job = sub.profile.id;
@@ -107,7 +131,7 @@ impl Arrivals {
     /// Stage every arrival before `end`, and the next one if none is
     /// staged: what a window drain that ends at `end` must find queued.
     fn stage_before(&mut self, queue: &mut EventQueue<Event>, end: SimTime) {
-        while let Some(sub) = self.fifo.get(self.staged) {
+        while let Some(sub) = self.nth(self.staged) {
             if self.staged > 0 && Self::arrival(sub) >= end {
                 break;
             }
@@ -118,17 +142,17 @@ impl Arrivals {
     /// Take `job`'s submission off the front now that its `Submit` was
     /// delivered, and stage the next arrival if none is left staged, so the
     /// queue always holds the earliest one; `None` if `job` is not at the
-    /// front. Once the buffer is half empty it shrinks to fit.
+    /// front.
     fn take(&mut self, job: JobId, queue: &mut EventQueue<Event>) -> Option<JobSubmission> {
-        if self.staged == 0 || self.fifo.front()?.profile.id != job {
+        if self.staged == 0 || self.fifo.last()?.profile.id != job {
             return None;
         }
-        let sub = self.fifo.pop_front()?;
+        let sub = self.fifo.pop()?;
         self.staged -= 1;
         if self.staged == 0 {
             self.stage_next(queue);
         }
-        if self.fifo.len() <= self.fifo.capacity() / 2 {
+        if self.fifo.capacity() - self.fifo.len() >= RELEASE_STEP {
             self.fifo.shrink_to_fit();
         }
         Some(sub)
@@ -443,11 +467,7 @@ impl Engine {
         });
         let in_order = submissions.len() as u64;
         let first = queue.reserve_seqs(in_order + out_of_order.len() as u64);
-        let mut arrivals = Arrivals {
-            fifo: VecDeque::from(submissions),
-            staged: 0,
-            next_seq: first,
-        };
+        let mut arrivals = Arrivals::new(submissions, first);
         arrivals.stage_next(&mut queue);
         for ((at, job), seq) in out_of_order.into_iter().zip(first + in_order..) {
             queue.file(at, seq, Event::Submit { job });
@@ -697,6 +717,11 @@ impl Engine {
         for id in open {
             self.fail_job(id, FailureReason::HorizonExceeded, makespan);
         }
+        // Every job is terminal now: free the job table and the queue
+        // before the per-node columns below are allocated, so the two never
+        // add to one peak.
+        self.jobs = JobTable::default();
+        self.queue = EventQueue::new();
         // Final per-node accounting.
         self.report.node_busy_secs = (0..self.nodes.len() as u32)
             .map(|i| self.nodes.busy_secs(GridNodeId(i)))
@@ -929,15 +954,19 @@ impl Engine {
         if !self.cfg.leases_enabled() {
             return;
         }
-        let Some(rec) = self.job_mut(job) else { return };
+        let Some(rec) = self.job_ref(job) else { return };
         if rec.state.is_terminal() {
             return;
         }
-        if !matches!(rec.owner(), Some(OwnerRef::Peer(_))) {
-            rec.leased = false;
+        // A live record has a slot.
+        let Some(slot) = self.jobs.slot(job) else {
+            return;
+        };
+        if !matches!(self.jobs.owner(job), Some(OwnerRef::Peer(_))) {
+            self.jobs.end_lease(slot);
             return;
         }
-        let seq = rec.grant_lease();
+        let seq = self.jobs.lease_mut(slot).grant();
         self.queue.schedule(
             now + SimDuration::from_secs_f64(self.cfg.lease_renew_secs),
             Event::LeaseRenew { job, seq },
@@ -967,7 +996,7 @@ impl Engine {
         let Some(slot) = self.jobs.slot(job) else {
             return;
         };
-        let clock = self.jobs.expiry_mut(slot);
+        let clock = self.jobs.lease_mut(slot);
         (clock.due, clock.armed) = (due, seq);
         if clock.filed == NOT_FILED {
             clock.filed = seq;
@@ -983,13 +1012,16 @@ impl Engine {
     /// expires the lease.
     fn handle_lease_renew(&mut self, now: SimTime, job: JobId, seq: u64) {
         let Some(rec) = self.job_ref(job) else { return };
-        if rec.state.is_terminal() || !rec.holds_lease(seq) {
-            return;
-        }
-        let Some(OwnerRef::Peer(owner)) = rec.owner() else {
+        let (terminal, resubmits) = (rec.state.is_terminal(), rec.resubmits);
+        let Some(slot) = self.jobs.slot(job) else {
             return;
         };
-        let resubmits = rec.resubmits;
+        if terminal || !self.jobs.lease_mut(slot).holds(seq) {
+            return;
+        }
+        let Some(OwnerRef::Peer(owner)) = self.jobs.owner(job) else {
+            return;
+        };
         if !self.nodes.is_alive(owner) {
             // A dead owner renews nothing; the pending expiry stands and
             // will transfer the lease — this *is* the failure detection.
@@ -1004,8 +1036,11 @@ impl Engine {
         match run_node::send_message(self, now, Endpoint::Node(owner.0), to, 1) {
             Delivery::Delivered(_) => {
                 self.report.lease_renewals += 1;
-                let Some(rec) = self.job_mut(job) else { return };
-                let seq = rec.grant_lease();
+                let Some(slot) = self.jobs.slot(job) else {
+                    self.note_missing(job);
+                    return;
+                };
+                let seq = self.jobs.lease_mut(slot).grant();
                 self.queue
                     .schedule(now + renew_in, Event::LeaseRenew { job, seq });
                 self.arm_lease_expiry(now, job);
@@ -1028,20 +1063,19 @@ impl Engine {
             self.note_missing(job);
             return;
         };
-        let clock = self.jobs.expiry_mut(slot);
+        let clock = self.jobs.lease_mut(slot);
         if clock.filed != seq {
             // Not the one the clock has queued: one a sharded window
             // replaced by the latest arm, or one dispatched by hand.
             return;
         }
         clock.filed = NOT_FILED;
-        let (due, armed) = (clock.due, clock.armed);
-        let rec = self.jobs.at_mut(slot);
-        if rec.state.is_terminal() || !rec.leased {
+        let (due, armed, held) = (clock.due, clock.armed, clock.held);
+        if self.jobs.at_mut(slot).state.is_terminal() || !held {
             return;
         }
         if armed != seq {
-            self.jobs.expiry_mut(slot).filed = armed;
+            self.jobs.lease_mut(slot).filed = armed;
             let ev = Event::LeaseExpire { job, seq: armed };
             self.queue.file(due, armed, ev);
             return;
@@ -1049,8 +1083,7 @@ impl Engine {
         self.report.lease_expiries += 1;
         self.emit(now, TraceEvent::LeaseExpired { job });
         self.jobs.set_owner(job, None);
-        let Some(rec) = self.job_mut(job) else { return };
-        rec.leased = false;
+        self.jobs.end_lease(slot);
         self.transfer_lease(now, job);
     }
 
@@ -1091,7 +1124,7 @@ impl Engine {
                 // that led here found the record live, and nothing on the
                 // way retires it; a miss is counted like any other.
                 let Some(rec) = self.job_ref(job) else { return };
-                let run_node = rec.run_node;
+                let run_node = rec.run_node();
                 let idle = run_node.is_none_or(|r| !self.nodes.is_alive(r));
                 if idle {
                     self.reset_run(job);
@@ -1101,8 +1134,11 @@ impl Engine {
             None => {
                 // No live candidate anywhere: hold the lease vacant and
                 // re-arm the clock; the bound restarts once nodes rejoin.
-                let Some(rec) = self.job_mut(job) else { return };
-                rec.grant_lease();
+                let Some(slot) = self.jobs.slot(job) else {
+                    self.note_missing(job);
+                    return;
+                };
+                self.jobs.lease_mut(slot).grant();
                 self.arm_lease_expiry(now, job);
             }
         }
@@ -1142,14 +1178,16 @@ impl Engine {
             return;
         }
         self.jobs.set_owner(job, None);
+        // Any lease from an earlier life of this job is abandoned: pending
+        // renew/expire events find no active lease and drop themselves.
+        if let Some(slot) = self.jobs.slot(job) {
+            self.jobs.end_lease(slot);
+        }
         let Some(rec) = self.job_mut(job) else { return };
         rec.state = JobState::Matching;
         rec.match_attempts = 0;
         rec.rpc_attempts = 0;
-        rec.run_node = None;
-        // Any lease from an earlier life of this job is abandoned: pending
-        // renew/expire events find no active lease and drop themselves.
-        rec.leased = false;
+        rec.set_run_node(None);
         rec.invalidate();
         let epoch = rec.epoch;
         let resubmits = rec.resubmits;
@@ -1227,18 +1265,18 @@ impl Engine {
 
     /// Figure 1, step 3: the owner searches for a run node.
     fn try_match(&mut self, now: SimTime, job: JobId) {
-        let Some(rec) = self.job_mut(job) else { return };
+        let Some(rec) = self.job_ref(job) else { return };
         if rec.state.is_terminal() {
             return;
         }
-        let Some(owner) = rec.owner() else {
+        let epoch = rec.epoch;
+        let Some(owner) = self.jobs.owner(job) else {
             // Owner lost before matching; the epoch-valid path that led here
             // left a resubmission, detection, or lease-expiry event pending.
             // One path does not: an owner dead in transit whose overlay
             // named no replacement leaves the job to the horizon.
             return;
         };
-        let epoch = rec.epoch;
         // Owner must be alive to conduct matchmaking.
         if !self.owner_alive(Some(owner)) {
             self.owner_lost(now, job, epoch);
@@ -1273,7 +1311,7 @@ impl Engine {
                 ) {
                     Delivery::Delivered(d) => {
                         let Some(rec) = self.job_mut(job) else { return };
-                        rec.run_node = Some(run);
+                        rec.set_run_node(Some(run));
                         rec.state = JobState::Queued;
                         rec.invalidate();
                         rec.rpc_attempts = 0;
@@ -1310,7 +1348,7 @@ impl Engine {
             return;
         }
         let Some(rec) = self.job_ref(job) else { return };
-        let Some(run) = rec.run_node else {
+        let Some(run) = rec.run_node() else {
             // Arrival without an assignment is the same invariant breach as
             // an unknown job: count it and drop the event.
             self.report.unknown_job_events += 1;
@@ -1378,6 +1416,10 @@ impl Engine {
         // epochs that never reach here, and a re-run's release finds the
         // children entry already gone). A child with no hold left was
         // failed by a cascade, which is ordinary, not an invariant breach.
+        // Without a DAG there is nothing to look up.
+        if self.dag_children.is_empty() {
+            return;
+        }
         let Some(children) = self.dag_children.remove(&parent) else {
             return;
         };
@@ -1455,19 +1497,19 @@ impl Engine {
         }
 
         for job in owned {
-            let Some(rec) = self.job_ref(job) else {
-                continue;
-            };
             debug_assert_eq!(
-                rec.owner(),
+                self.jobs.owner(job),
                 Some(OwnerRef::Peer(node)),
                 "{job} was owned by {node:?}"
             );
+            let Some(rec) = self.job_ref(job) else {
+                continue;
+            };
             if rec.state.is_terminal() {
                 continue;
             }
             // The job keeps running/queued elsewhere; do NOT invalidate.
-            let (epoch, run_node, state) = (rec.epoch, rec.run_node, rec.state);
+            let (epoch, run_node, state) = (rec.epoch, rec.run_node(), rec.state);
             if self.cfg.leases_enabled() {
                 // The dead owner stops renewing, so its lease will run out
                 // `ttl + grace` after the last renewal and transfer. Detach
@@ -1518,15 +1560,15 @@ impl Engine {
         let Some(rec) = self.job_ref(job) else {
             return false;
         };
-        let (run_node, owner) = (rec.run_node, rec.owner());
-        run_node.is_some_and(|r| self.nodes.is_alive(r)) && self.owner_alive(owner)
+        let run_node = rec.run_node();
+        run_node.is_some_and(|r| self.nodes.is_alive(r)) && self.owner_alive(self.jobs.owner(job))
     }
 
     /// Take `job` off its run node under a fresh epoch, which it returns.
     fn reset_run(&mut self, job: JobId) -> Option<u32> {
         let rec = self.job_mut(job)?;
         rec.state = JobState::Recovering;
-        rec.run_node = None;
+        rec.set_run_node(None);
         rec.invalidate();
         Some(rec.epoch)
     }
@@ -1555,7 +1597,7 @@ impl Engine {
         if rec.state.is_terminal() {
             return;
         }
-        let owner = rec.owner();
+        let owner = self.jobs.owner(job);
         let Some(epoch) = self.reset_run(job) else {
             return;
         };
@@ -1596,8 +1638,10 @@ impl Engine {
         if !self.epoch_valid(job, epoch) {
             return;
         }
-        let Some(rec) = self.job_ref(job) else { return };
-        let owner = rec.owner();
+        if self.job_ref(job).is_none() {
+            return;
+        }
+        let owner = self.jobs.owner(job);
         if !self.owner_alive(owner) {
             // Owner died during the detection window: dual failure.
             self.owner_lost(now, job, epoch);
@@ -1642,7 +1686,7 @@ impl Engine {
             return;
         }
         let Some(rec) = self.job_ref(job) else { return };
-        if !rec.run_node.is_some_and(|r| self.nodes.is_alive(r)) {
+        if !rec.run_node().is_some_and(|r| self.nodes.is_alive(r)) {
             // Both sides gone: the run-failure path or resubmission handles
             // it; nothing for the (dead) run node to do.
             return;
@@ -1726,14 +1770,15 @@ impl Engine {
     /// retired. A job never submitted (a late arrival, a DAG child) fails
     /// without a record.
     fn fail_one(&mut self, now: SimTime, job: JobId, reason: FailureReason) -> bool {
-        if let Some(rec) = self.jobs.get_mut(job) {
+        if let Some(slot) = self.jobs.slot(job) {
+            let rec = self.jobs.at_mut(slot);
             if rec.state.is_terminal() {
                 return false;
             }
             rec.state = JobState::Failed;
             rec.failure = Some(reason);
-            rec.leased = false;
             rec.invalidate();
+            self.jobs.end_lease(slot);
         } else if self.jobs.is_pending(job) {
             self.parked.remove(&job);
         } else {
@@ -1777,6 +1822,10 @@ impl RunNodeCtx for Engine {
 
     fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord> {
         self.jobs.get_mut(job)
+    }
+
+    fn owner(&self, job: JobId) -> Option<OwnerRef> {
+        self.jobs.owner(job)
     }
 
     fn capabilities(&self, home: GridNodeId) -> &Capabilities {
@@ -1891,7 +1940,8 @@ mod tests {
             engine.dispatch(now, ev);
         }
         let rec = engine.jobs.get(job).expect("submitted");
-        let (Some(OwnerRef::Peer(first)), Some(run)) = (rec.owner(), rec.run_node) else {
+        let (Some(OwnerRef::Peer(first)), Some(run)) = (engine.jobs.owner(job), rec.run_node())
+        else {
             panic!("a peer owns the running job");
         };
         assert_ne!(first, run, "owner and run node are different peers");
@@ -1905,7 +1955,8 @@ mod tests {
         engine.dispatch(secs(2), Event::SpuriousOwnerFailure { job, epoch });
         engine.dispatch(secs(30), Event::OwnerFailureDetected { job, epoch });
         assert_eq!(engine.report.owner_recoveries, 2, "both replaced the owner");
-        let owner = engine.jobs.get(job).expect("submitted").owner();
+        assert!(engine.jobs.contains(job), "submitted");
+        let owner = engine.jobs.owner(job);
 
         // Only the current owner holds the job, once.
         for n in 0..nodes as u32 {
@@ -2097,7 +2148,8 @@ mod tests {
     }
 
     fn owner_of(engine: &Engine, job: u64) -> Option<OwnerRef> {
-        engine.jobs.get(JobId(job)).expect("submitted").owner()
+        assert!(engine.jobs.contains(JobId(job)), "submitted");
+        engine.jobs.owner(JobId(job))
     }
 
     fn owner_recoveries(ids: &[u64]) -> Vec<TraceEvent> {
@@ -2185,7 +2237,7 @@ mod tests {
         // owner is still up.
         owner.set(NEXT);
         let slot = engine.jobs.slot(JobId(1)).expect("submitted");
-        let seq = engine.jobs.expiry_mut(slot).armed;
+        let seq = engine.jobs.lease_mut(slot).armed;
         engine.dispatch(now, Event::LeaseExpire { job: JobId(1), seq });
         let moved = |job| {
             [
@@ -2554,7 +2606,7 @@ mod tests {
         run_until(&mut engine, granted + SimDuration::from_secs(10 * 30 + 1));
         assert_eq!(engine.report.lease_renewals, 10);
         let slot = engine.jobs.slot(JobId(0)).expect("running");
-        let clock = *engine.jobs.expiry_mut(slot);
+        let clock = *engine.jobs.lease_mut(slot);
         let last_renewal = granted + SimDuration::from_secs(10 * 30);
         assert_eq!(clock.due, last_renewal + SimDuration::from_secs(130));
         assert_ne!(clock.filed, clock.armed, "the grant's expiry is queued");
@@ -2912,8 +2964,11 @@ mod tests {
             let (at, ev) = engine.queue.pop().expect("job 0 starts");
             engine.dispatch(at, ev);
         }
-        let rec = engine.jobs.get(job).expect("running");
-        let (epoch, seq) = (rec.epoch, rec.lease_seq);
+        let slot = engine.jobs.slot(job).expect("running");
+        let (epoch, seq) = (
+            engine.jobs.at_mut(slot).epoch,
+            engine.jobs.lease_mut(slot).seq,
+        );
         let now = SimTime::from_secs(100);
         run_until(&mut engine, now);
         assert!(engine.jobs.is_retired(job) && engine.jobs.get(job).is_none());
@@ -3074,5 +3129,43 @@ mod tests {
         // The next arrival, one departure per node and the first
         // maintenance tick.
         assert_eq!(engine.queue.len(), NODES + 2, "{:?}", engine.queue);
+    }
+
+    /// The arrival FIFO gives the room of admitted submissions back in
+    /// steps: after every event its buffer has room for at most one step
+    /// more than the submissions still to come, and it shrank at least
+    /// once per step of them.
+    #[test]
+    fn the_arrival_fifo_keeps_at_most_one_step_of_spare_room() {
+        const JOBS: u64 = 20_000;
+        let mut jobs: Vec<JobSubmission> = Vec::with_capacity(2 * JOBS as usize);
+        jobs.extend((0..JOBS).map(|i| JobSubmission {
+            profile: JobProfile::new(JobId(i), ClientId(0), JobRequirements::unconstrained(), 0.5),
+            arrival_secs: i as f64 * 0.01,
+            actual_runtime_secs: None,
+        }));
+        let node = NodeProfile::new(Capabilities::new(2.0, 4.0, 100.0, OsType::Linux));
+        let mut engine = Engine::new(
+            EngineConfig::default(),
+            ChurnConfig::none(),
+            Box::new(CentralizedMatchmaker::new()),
+            vec![node; 100],
+            jobs,
+        );
+        let spare = |e: &Engine| e.arrivals.fifo.capacity() - e.arrivals.fifo.len();
+        assert!(
+            spare(&engine) <= RELEASE_STEP,
+            "the handed-over room is trimmed"
+        );
+        let mut shrinks = 0;
+        while engine.outstanding > 0 {
+            let before = engine.arrivals.fifo.capacity();
+            let (at, ev) = engine.queue.pop().expect("every job completes");
+            engine.dispatch(at, ev);
+            assert!(spare(&engine) <= RELEASE_STEP, "{} spare", spare(&engine));
+            shrinks += usize::from(engine.arrivals.fifo.capacity() < before);
+        }
+        assert_eq!(engine.report.jobs_completed, JOBS);
+        assert!(shrinks >= JOBS as usize / RELEASE_STEP, "{shrinks} shrinks");
     }
 }

@@ -74,6 +74,8 @@ pub(super) trait RunNodeCtx {
     /// invariant. A queued job with no record retired while queued.
     fn record(&self, job: JobId) -> Option<&JobRecord>;
     fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord>;
+    /// Who owns `job`, if this context holds its record and it names one.
+    fn owner(&self, job: JobId) -> Option<OwnerRef>;
     /// The home node's advertised capabilities.
     fn capabilities(&self, home: GridNodeId) -> &Capabilities;
     /// The job the home node is executing, if any.
@@ -210,7 +212,8 @@ fn start_job<C: RunNodeCtx>(cx: &mut C, now: SimTime, job: JobId, home: GridNode
     rec.state = JobState::Running;
     rec.mark_started(now);
     rec.invalidate();
-    let (epoch, profile, owner) = (rec.epoch, rec.profile, rec.owner());
+    let (epoch, profile) = (rec.epoch, rec.profile);
+    let owner = cx.owner(job);
     cx.effect(
         now,
         EnvOp::Emit(TraceEvent::Started {
@@ -480,7 +483,7 @@ mod tests {
         );
         let home = GridNodeId(0);
         for i in 0..=DEAD {
-            let (job, sub) = (JobId(i), engine.arrivals.fifo[i as usize].clone());
+            let (job, sub) = (JobId(i), engine.arrivals.nth(i as usize).unwrap().clone());
             engine
                 .jobs
                 .admit(job, JobRecord::new(sub.profile, 10.0, SimTime::ZERO));

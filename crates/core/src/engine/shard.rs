@@ -78,7 +78,7 @@ use rayon::prelude::*;
 use super::run_node::{self, EnvOp, RunNodeCtx};
 use super::{Engine, Event};
 use crate::config::EngineConfig;
-use crate::job::JobRecord;
+use crate::job::{JobRecord, OwnerRef};
 use crate::node::{GridNodeId, NodeWork, QueuedJob};
 
 /// Below this many local events in a round, dispatching to the pool costs
@@ -125,6 +125,10 @@ enum LocalEv {
 /// global effects it emitted.
 type ShardRunResult = (ShardWork, Vec<(usize, Vec<EnvOp>)>);
 
+/// A job record a shard checked out, with the owner it names; handlers
+/// read the owner and never write it.
+type Checkout = (JobRecord, Option<OwnerRef>);
+
 /// Checked-out state one shard mutates during a window round.
 struct ShardWork {
     shard: usize,
@@ -132,7 +136,7 @@ struct ShardWork {
     /// `(batch index, virtual time, event)` in `(time, seq)` order.
     events: Vec<(usize, SimTime, LocalEv, GridNodeId)>,
     nodes: HashMap<u32, NodeWork>,
-    jobs: HashMap<JobId, JobRecord>,
+    jobs: HashMap<JobId, Checkout>,
 }
 
 impl Engine {
@@ -207,7 +211,7 @@ impl Engine {
             let Some(slot) = self.jobs.slot(job) else {
                 continue;
             };
-            let clock = self.jobs.expiry_mut(slot);
+            let clock = self.jobs.lease_mut(slot);
             if clock.filed == seq && clock.armed != seq && clock.due < wend {
                 clock.filed = clock.armed;
                 let ev = Event::LeaseExpire {
@@ -274,7 +278,7 @@ impl Engine {
         self.nodes.queued_jobs(home).all(|j| {
             self.jobs
                 .get(j)
-                .is_none_or(|r| r.state.is_terminal() || r.run_node == Some(home))
+                .is_none_or(|r| r.state.is_terminal() || r.run_node() == Some(home))
         })
     }
 
@@ -289,7 +293,7 @@ impl Engine {
                 Event::ArriveAtRunNode { job, epoch } if self.epoch_valid(job, epoch) => {
                     // `epoch_valid` read this live record a line above.
                     let rec = self.jobs.get(job).expect("valid epoch implies record");
-                    rec.run_node
+                    rec.run_node()
                         .filter(|&run| self.nodes.is_alive(run))
                         .map(|run| (run, LocalEv::Arrive { job }))
                 }
@@ -366,8 +370,8 @@ impl Engine {
                     for j in self.nodes.queued_jobs(home) {
                         if let Some(r) = self.jobs.get(j) {
                             if !r.state.is_terminal() && !work.jobs.contains_key(&j) {
-                                debug_assert_eq!(r.run_node, Some(home));
-                                work.jobs.insert(j, r.clone());
+                                debug_assert_eq!(r.run_node(), Some(home));
+                                work.jobs.insert(j, (r.clone(), self.jobs.owner(j)));
                             }
                         }
                     }
@@ -379,8 +383,8 @@ impl Engine {
                         // Classification found it live under a valid epoch,
                         // and nothing retires between the two.
                         let r = self.jobs.get(job).expect("classified record");
-                        debug_assert_eq!(r.run_node, Some(home));
-                        slot.insert(r.clone());
+                        debug_assert_eq!(r.run_node(), Some(home));
+                        slot.insert((r.clone(), self.jobs.owner(job)));
                     }
                 }
             }
@@ -412,12 +416,12 @@ impl Engine {
             for (id, node) in nodes {
                 self.nodes.commit_node(GridNodeId(id), node);
             }
-            let mut jobs: Vec<(JobId, JobRecord)> = w.jobs.drain().collect();
+            let mut jobs: Vec<(JobId, Checkout)> = w.jobs.drain().collect();
             jobs.sort_unstable_by_key(|e| e.0);
             // Every checked-out record is still live: a shard hands its
             // retirements to the barrier walk below as envelope effects, and
             // nothing else runs between checkout and here.
-            for (id, rec) in jobs {
+            for (id, (rec, _)) in jobs {
                 *self.jobs.get_mut(id).expect("checked-out job exists") = rec;
             }
             self.shard_states[w.shard] = Some(w.state);
@@ -497,7 +501,7 @@ struct ShardCtx<'a> {
     cfg: &'a EngineConfig,
     profiles: &'a [NodeProfile],
     state: &'a mut ShardState,
-    jobs: &'a mut HashMap<JobId, JobRecord>,
+    jobs: &'a mut HashMap<JobId, Checkout>,
     home: GridNodeId,
     node: &'a mut NodeWork,
     ops: Vec<EnvOp>,
@@ -521,11 +525,15 @@ impl RunNodeCtx for ShardCtx<'_> {
     }
 
     fn record(&self, job: JobId) -> Option<&JobRecord> {
-        self.jobs.get(&job)
+        self.jobs.get(&job).map(|(rec, _)| rec)
     }
 
     fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord> {
-        self.jobs.get_mut(&job)
+        self.jobs.get_mut(&job).map(|(rec, _)| rec)
+    }
+
+    fn owner(&self, job: JobId) -> Option<OwnerRef> {
+        self.jobs.get(&job).and_then(|&(_, owner)| owner)
     }
 
     fn capabilities(&self, home: GridNodeId) -> &Capabilities {

@@ -77,8 +77,9 @@ pub enum FailureReason {
 /// monitoring state" that owner and run node each hold in the real system).
 ///
 /// It holds only what every job needs from submission to the report: a
-/// DAG hold lives in the engine, and times not reached yet are
-/// [`SimTime::MAX`] behind accessors rather than `Option`s.
+/// DAG hold lives in the engine, the owner in the table's [`OwnerColumn`],
+/// the lease in its lease-only column, and times and nodes not reached yet
+/// are sentinels behind accessors rather than `Option`s.
 #[derive(Clone, Debug)]
 pub(crate) struct JobRecord {
     pub profile: JobProfile,
@@ -86,9 +87,8 @@ pub(crate) struct JobRecord {
     /// declared runtime for runaway jobs).
     pub actual_runtime_secs: f64,
     pub state: JobState,
-    /// Written only by [`JobTable::set_owner`], beside the owner column.
-    owner: Option<OwnerRef>,
-    pub run_node: Option<GridNodeId>,
+    /// The run node's id, or [`NO_RUN_NODE`].
+    run_node: u32,
     /// Invalidates stale in-flight events after any reassignment.
     pub epoch: u32,
     /// Matchmaking attempts in the current submission.
@@ -98,14 +98,6 @@ pub(crate) struct JobRecord {
     pub rpc_attempts: u32,
     /// Times the client had to resubmit after dual failure.
     pub resubmits: u32,
-    /// Whether an ownership lease is active; the active one is always
-    /// number `lease_seq`. Renew/expire events carry the seq they were
-    /// scheduled under and are discarded when it no longer matches (the
-    /// lease analogue of `epoch`).
-    pub leased: bool,
-    /// Monotonic lease grant/renewal counter; never reset, so a reissued
-    /// lease can never collide with a stale in-flight event.
-    pub lease_seq: u64,
     pub first_submitted_at: SimTime,
     /// When the job last entered a run node's queue (heartbeats start).
     queued_at: SimTime,
@@ -113,7 +105,10 @@ pub(crate) struct JobRecord {
     pub failure: Option<FailureReason>,
 }
 
-const _: () = assert!(std::mem::size_of::<JobRecord>() <= 152);
+const _: () = assert!(std::mem::size_of::<JobRecord>() <= 128);
+
+/// [`JobRecord`]'s run node while it has none.
+const NO_RUN_NODE: u32 = u32::MAX;
 
 impl JobRecord {
     pub fn new(profile: JobProfile, actual_runtime_secs: f64, submitted_at: SimTime) -> Self {
@@ -121,14 +116,11 @@ impl JobRecord {
             profile,
             actual_runtime_secs,
             state: JobState::Matching,
-            owner: None,
-            run_node: None,
+            run_node: NO_RUN_NODE,
             epoch: 0,
             match_attempts: 0,
             rpc_attempts: 0,
             resubmits: 0,
-            leased: false,
-            lease_seq: 0,
             first_submitted_at: submitted_at,
             queued_at: SimTime::MAX,
             started_at: SimTime::MAX,
@@ -136,26 +128,24 @@ impl JobRecord {
         }
     }
 
-    /// Who owns the job; a terminal record keeps naming its last owner.
-    pub fn owner(&self) -> Option<OwnerRef> {
-        self.owner
+    /// The node the job was sent to run on, if it has one.
+    pub fn run_node(&self) -> Option<GridNodeId> {
+        (self.run_node != NO_RUN_NODE).then_some(GridNodeId(self.run_node))
+    }
+
+    pub fn set_run_node(&mut self, node: Option<GridNodeId>) {
+        self.run_node = match node {
+            Some(node) => {
+                debug_assert_ne!(node.0, NO_RUN_NODE, "the sentinel is not a node");
+                node.0
+            }
+            None => NO_RUN_NODE,
+        };
     }
 
     /// Bump the epoch, invalidating all in-flight events for this job.
     pub fn invalidate(&mut self) {
         self.epoch += 1;
-    }
-
-    /// Issue the next lease number and make it the active lease.
-    pub fn grant_lease(&mut self) -> u64 {
-        self.lease_seq += 1;
-        self.leased = true;
-        self.lease_seq
-    }
-
-    /// Is lease `seq` the active one?
-    pub fn holds_lease(&self, seq: u64) -> bool {
-        self.leased && self.lease_seq == seq
     }
 
     /// When the job last entered a run node's queue, if it ever did.
@@ -318,8 +308,8 @@ const RETIRED: u32 = u32::MAX - 1;
 
 /// The engine's job store: a slab of the records of live jobs, addressed
 /// by [`JobId`] through an [`IdIndex`], beside the [`OwnerColumn`] that
-/// names each one's owning peer and, in lease mode only, the
-/// [`ExpiryClock`] of each slot.
+/// names each one's owner and, in lease mode only, the [`LeaseClock`] of
+/// each slot.
 ///
 /// A job's record exists from its first submission to its terminal event,
 /// so the table's memory follows the jobs in flight, not every job the run
@@ -339,12 +329,13 @@ pub(crate) struct JobTable {
     index: IdIndex,
     owners: OwnerColumn,
     /// One clock per slot in lease mode; empty, and never grown, otherwise.
-    expiry: Vec<ExpiryClock>,
+    leases: Vec<LeaseClock>,
     leased: bool,
 }
 
-/// The lease-expiry clock of a job-table slot's job: the expiry armed
-/// last, and which one `LeaseExpire` the queue holds for the job.
+/// The lease of a job-table slot's job: whether one is held and under
+/// which grant, the expiry armed last, and which one `LeaseExpire` the
+/// queue holds for the job.
 ///
 /// Each grant or renewal arms a new expiry under a queue seq reserved for
 /// it, but only the first arm with none queued files an event. When that
@@ -352,7 +343,16 @@ pub(crate) struct JobTable {
 /// a superseded one files the latest arm in its place, under the time and
 /// seq reserved for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ExpiryClock {
+pub(crate) struct LeaseClock {
+    /// Monotonic lease grant/renewal counter; never reset while the job
+    /// lives, so a reissued lease can never collide with a stale in-flight
+    /// event.
+    pub seq: u64,
+    /// Whether a lease is active; the active one is always number `seq`.
+    /// Renew/expire events carry the seq they were scheduled under and are
+    /// discarded when it no longer matches (the lease analogue of the
+    /// epoch).
+    pub held: bool,
     /// When the latest armed expiry is due.
     pub due: SimTime,
     /// The queue seq reserved for the latest armed expiry.
@@ -362,21 +362,36 @@ pub(crate) struct ExpiryClock {
     pub filed: u64,
 }
 
-/// [`ExpiryClock::filed`] of a job with no `LeaseExpire` queued: no queue
+/// [`LeaseClock::filed`] of a job with no `LeaseExpire` queued: no queue
 /// seq reaches it.
 pub(crate) const NOT_FILED: u64 = u64::MAX;
 
-impl ExpiryClock {
-    /// The clock of a freshly admitted job: nothing armed, nothing queued.
-    const IDLE: ExpiryClock = ExpiryClock {
+impl LeaseClock {
+    /// The clock of a freshly admitted job: no lease, nothing armed,
+    /// nothing queued.
+    const IDLE: LeaseClock = LeaseClock {
+        seq: 0,
+        held: false,
         due: SimTime::ZERO,
         armed: NOT_FILED,
         filed: NOT_FILED,
     };
+
+    /// Issue the next lease number and make it the active lease.
+    pub fn grant(&mut self) -> u64 {
+        self.seq += 1;
+        self.held = true;
+        self.seq
+    }
+
+    /// Is lease `seq` the active one?
+    pub fn holds(&self, seq: u64) -> bool {
+        self.held && self.seq == seq
+    }
 }
 
 impl JobTable {
-    /// An empty table; `leased` gives every slot an [`ExpiryClock`].
+    /// An empty table; `leased` gives every slot a [`LeaseClock`].
     pub fn new(leased: bool) -> JobTable {
         JobTable {
             leased,
@@ -406,13 +421,14 @@ impl JobTable {
     }
 
     /// Give the pending job `id` its record, in a free slot if there is one.
+    /// It names no owner.
     pub fn admit(&mut self, id: JobId, record: JobRecord) {
         debug_assert!(self.is_pending(id), "{id} admitted twice or never declared");
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = record;
                 if self.leased {
-                    self.expiry[slot as usize] = ExpiryClock::IDLE;
+                    self.leases[slot as usize] = LeaseClock::IDLE;
                 }
                 slot
             }
@@ -424,7 +440,7 @@ impl JobTable {
                 self.slots.push(record);
                 self.owners.push_unowned();
                 if self.leased {
-                    self.expiry.push(ExpiryClock::IDLE);
+                    self.leases.push(LeaseClock::IDLE);
                 }
                 slot
             }
@@ -432,13 +448,22 @@ impl JobTable {
         self.index.insert(id.0, slot);
     }
 
-    /// The expiry clock of the job in `slot`, one [`JobTable::slot`] named.
+    /// The lease of the job in `slot`, one [`JobTable::slot`] named.
     ///
     /// # Panics
     /// Outside lease mode, where no slot has one.
     #[inline]
-    pub fn expiry_mut(&mut self, slot: u32) -> &mut ExpiryClock {
-        &mut self.expiry[slot as usize]
+    pub fn lease_mut(&mut self, slot: u32) -> &mut LeaseClock {
+        &mut self.leases[slot as usize]
+    }
+
+    /// The job in `slot` holds no lease any more; a no-op outside lease
+    /// mode.
+    #[inline]
+    pub fn end_lease(&mut self, slot: u32) {
+        if let Some(lease) = self.leases.get_mut(slot as usize) {
+            lease.held = false;
+        }
     }
 
     /// Free `job`'s record and mark it retired; a pending job is retired
@@ -449,7 +474,7 @@ impl JobTable {
             RETIRED | ABSENT => return,
             PENDING => {}
             slot => {
-                self.owners.disown(slot);
+                self.owners.set(slot, None);
                 self.free.push(slot);
             }
         }
@@ -497,28 +522,19 @@ impl JobTable {
         self.slots.len()
     }
 
-    /// Make `owner` the owner of `job`, in its record and in the owner
-    /// column together: the only writer of either (a no-op for a job with
-    /// no live record). The column is cleared only of the peer the record
-    /// names (or of no one, after a departure's take or a terminal detach),
-    /// so an owner the record does not name trips a debug assertion here or
-    /// in `own`.
+    /// Who owns `job`, if it has a live record that names an owner. A
+    /// terminal record keeps naming its last owner, and so does one whose
+    /// owner departed, until recovery installs a new one.
+    #[inline]
+    pub fn owner(&self, job: JobId) -> Option<OwnerRef> {
+        self.owners.get(self.slot(job)?)
+    }
+
+    /// Make `owner` the owner of `job`: the only writer of owners (a no-op
+    /// for a job with no live record).
     pub fn set_owner(&mut self, job: JobId, owner: Option<OwnerRef>) {
-        let Some(slot) = self.slot(job) else {
-            return;
-        };
-        let record = &mut self.slots[slot as usize];
-        let previous = std::mem::replace(&mut record.owner, owner);
-        if let Some(OwnerRef::Peer(prev)) = previous {
-            let held = self.owners.owner[slot as usize];
-            debug_assert!(
-                held == NO_OWNER || held == prev.0,
-                "node {held} owns a job whose record names {prev:?}"
-            );
-            self.owners.disown(slot);
-        }
-        if let Some(OwnerRef::Peer(node)) = owner {
-            self.owners.own(slot, node);
+        if let Some(slot) = self.slot(job) {
+            self.owners.set(slot, owner);
         }
     }
 
@@ -536,7 +552,7 @@ impl JobTable {
             .owners
             .take(node)
             .into_iter()
-            // `retire` disowns a slot before freeing it, so every owned
+            // `retire` clears a slot before freeing it, so every owned
             // slot holds a live record.
             .map(|slot| self.slots[slot as usize].profile.id)
             .collect();
@@ -548,51 +564,77 @@ impl JobTable {
     }
 }
 
-/// [`OwnerColumn`] entry of an index no peer owns.
+/// [`OwnerColumn`] entry of an index that names no owner.
 const NO_OWNER: u32 = u32::MAX;
+/// [`OwnerColumn`] entry of an index the reliable server owns.
+const SERVER: u32 = u32::MAX - 1;
+/// Set in the [`OwnerColumn`] entry of an index that still names a peer
+/// which no longer owns it: a departure took it, or its job reached its
+/// terminal event. Peer ids stay below it.
+const DISOWNED: u32 = 1 << 31;
 
-/// The owning peer of each job-table slot: what a departure must hand to
-/// recovery. A job has at most one peer owner; the engine stores it when it
-/// installs one and clears it when it lets one go. A departure takes its
-/// node's jobs, so a departed owner's record may still name it until
-/// recovery installs a new owner.
+/// The owner of each job-table slot, and whether a named peer still owns
+/// it: what a departure must hand to recovery. A job has at most one
+/// owner; the engine names one when it installs it and disowns it when it
+/// lets it go. A departure takes its node's jobs, so a slot may keep naming
+/// a departed owner until recovery installs a new one.
 ///
-/// Every owned index lies in the window `lo..hi`. An own widens it; a
+/// Every index a peer owns lies in the window `lo..hi`. An own widens it; a
 /// departure scans only the window and narrows it to the indices still
 /// owned, so its cost follows the jobs in flight, not every job submitted.
 #[derive(Debug, Default)]
 pub(crate) struct OwnerColumn {
-    /// `owner[idx]` is the owning node's id, or [`NO_OWNER`].
+    /// `owner[idx]` is the owning peer's id, that id with [`DISOWNED`]
+    /// set, [`SERVER`] or [`NO_OWNER`].
     owner: Vec<u32>,
     lo: usize,
     hi: usize,
 }
 
 impl OwnerColumn {
-    /// Append an unowned index.
+    /// Append an index that names no owner.
     pub fn push_unowned(&mut self) {
         self.owner.push(NO_OWNER);
     }
 
-    /// `node` now owns index `idx`, which had no owner.
+    /// The owner index `idx` names, whether or not it still owns it.
     #[inline]
-    pub fn own(&mut self, idx: u32, node: GridNodeId) {
-        let i = idx as usize;
-        debug_assert_eq!(self.owner[i], NO_OWNER, "index {i} already has an owner");
-        debug_assert_ne!(node.0, NO_OWNER, "the no-owner sentinel is not a node");
-        self.owner[i] = node.0;
-        if self.lo == self.hi {
-            (self.lo, self.hi) = (i, i + 1);
-        } else {
-            self.lo = self.lo.min(i);
-            self.hi = self.hi.max(i + 1);
+    pub fn get(&self, idx: u32) -> Option<OwnerRef> {
+        match self.owner[idx as usize] {
+            NO_OWNER => None,
+            SERVER => Some(OwnerRef::Server),
+            peer => Some(OwnerRef::Peer(GridNodeId(peer & !DISOWNED))),
         }
     }
 
-    /// Index `idx` has no owner any more.
+    /// Index `idx` names `owner`, which owns it.
+    #[inline]
+    pub fn set(&mut self, idx: u32, owner: Option<OwnerRef>) {
+        let i = idx as usize;
+        self.owner[i] = match owner {
+            None => NO_OWNER,
+            Some(OwnerRef::Server) => SERVER,
+            Some(OwnerRef::Peer(node)) => {
+                debug_assert!(node.0 < DISOWNED, "peer ids stay below the disowned bit");
+                if self.lo == self.hi {
+                    (self.lo, self.hi) = (i, i + 1);
+                } else {
+                    self.lo = self.lo.min(i);
+                    self.hi = self.hi.max(i + 1);
+                }
+                node.0
+            }
+        };
+    }
+
+    /// The peer index `idx` names does not own it any more; it keeps
+    /// naming it.
     #[inline]
     pub fn disown(&mut self, idx: u32) {
-        self.owner[idx as usize] = NO_OWNER;
+        let entry = &mut self.owner[idx as usize];
+        if *entry < DISOWNED {
+            *entry |= DISOWNED;
+        }
     }
 
     /// Disown every index `node` owns, returning them ascending.
@@ -603,9 +645,9 @@ impl OwnerColumn {
         let (mut lo, mut hi) = (self.hi, self.lo);
         for (i, owner) in (self.lo..).zip(&mut self.owner[self.lo..self.hi]) {
             if *owner == node.0 {
-                *owner = NO_OWNER;
+                *owner |= DISOWNED;
                 taken.push(i as u32);
-            } else if *owner != NO_OWNER {
+            } else if *owner < DISOWNED {
                 lo = lo.min(i);
                 hi = i + 1;
             }
@@ -654,14 +696,24 @@ mod tests {
 
     #[test]
     fn only_the_latest_grant_is_held() {
+        let mut lease = LeaseClock::IDLE;
+        assert!(!lease.holds(0), "no lease before the first grant");
+        let first = lease.grant();
+        assert!(lease.holds(first));
+        let second = lease.grant();
+        assert!(!lease.holds(first) && lease.holds(second));
+        lease.held = false;
+        assert!(!lease.holds(second));
+    }
+
+    #[test]
+    fn a_record_names_its_run_node_through_a_sentinel() {
         let mut r = record();
-        assert!(!r.holds_lease(0), "no lease before the first grant");
-        let first = r.grant_lease();
-        assert!(r.holds_lease(first));
-        let second = r.grant_lease();
-        assert!(!r.holds_lease(first) && r.holds_lease(second));
-        r.leased = false;
-        assert!(!r.holds_lease(second));
+        assert_eq!(r.run_node(), None);
+        r.set_run_node(Some(GridNodeId(0)));
+        assert_eq!(r.run_node(), Some(GridNodeId(0)));
+        r.set_run_node(None);
+        assert_eq!(r.run_node(), None);
     }
 
     #[test]
@@ -698,27 +750,32 @@ mod tests {
         t
     }
 
-    /// Only a leased table keeps an expiry clock per slot, so a run
-    /// without leases pays no byte for them; a reused slot's clock starts
-    /// idle, whatever its last job left queued.
+    /// Only a leased table keeps a lease clock per slot, so a run without
+    /// leases pays no byte for them; a reused slot's clock starts idle,
+    /// whatever its last job held or left queued.
     #[test]
-    fn only_a_leased_table_keeps_expiry_clocks() {
-        let plain = table_of(&[1, 2, 3]);
-        assert!(plain.expiry.is_empty() && plain.expiry.capacity() == 0);
+    fn only_a_leased_table_keeps_lease_clocks() {
+        let mut plain = table_of(&[1, 2, 3]);
+        assert!(plain.leases.is_empty() && plain.leases.capacity() == 0);
+        plain.end_lease(0);
 
         let mut leased = JobTable::new(true);
         for id in [1, 2] {
             assert!(leased.declare(JobId(id)));
             leased.admit(JobId(id), record_for(id));
         }
-        assert_eq!(leased.expiry, [ExpiryClock::IDLE; 2]);
+        assert_eq!(leased.leases, [LeaseClock::IDLE; 2]);
         let slot = leased.slot(JobId(1)).expect("live");
-        let armed = ExpiryClock {
+        let armed = LeaseClock {
+            seq: 3,
+            held: true,
             due: SimTime::from_secs(130),
             armed: 7,
             filed: 7,
         };
-        *leased.expiry_mut(slot) = armed;
+        *leased.lease_mut(slot) = armed;
+        leased.end_lease(slot);
+        assert!(!leased.lease_mut(slot).holds(3));
         leased.retire(JobId(1));
         assert!(leased.declare(JobId(3)));
         leased.admit(JobId(3), record_for(3));
@@ -727,8 +784,8 @@ mod tests {
             Some(slot),
             "the freed slot is reused"
         );
-        assert_eq!(*leased.expiry_mut(slot), ExpiryClock::IDLE);
-        assert_eq!(leased.expiry.len(), 2);
+        assert_eq!(*leased.lease_mut(slot), LeaseClock::IDLE);
+        assert_eq!(leased.leases.len(), 2);
     }
 
     #[test]
@@ -849,13 +906,19 @@ mod tests {
             column.push_unowned();
         }
         let (a, b) = (GridNodeId(1), GridNodeId(2));
-        column.own(5, a);
-        column.own(9, b);
-        column.own(7, a);
+        let own = |column: &mut OwnerColumn, idx, node| column.set(idx, Some(OwnerRef::Peer(node)));
+        own(&mut column, 5, a);
+        own(&mut column, 9, b);
+        own(&mut column, 7, a);
         assert_eq!(column.take(a), [5, 7]);
+        assert_eq!(
+            column.get(5),
+            Some(OwnerRef::Peer(a)),
+            "a taken index keeps naming"
+        );
         assert_eq!((column.lo, column.hi), (9, 10), "narrowed to what b owns");
-        column.own(2, a);
-        column.own(11, a);
+        own(&mut column, 2, a);
+        own(&mut column, 11, a);
         assert_eq!((column.lo, column.hi), (2, 12));
         column.disown(9);
         assert_eq!(column.take(b), [] as [u32; 0]);
@@ -881,7 +944,10 @@ mod tests {
         assert_eq!(t.take_owned(b), [JobId(40)]);
         assert!(t.take_owned(a).is_empty());
         // A record keeps naming the owner that handed it over.
-        assert_eq!(t.get(JobId(40)).unwrap().owner(), Some(OwnerRef::Peer(b)));
+        assert_eq!(t.owner(JobId(40)), Some(OwnerRef::Peer(b)));
+        t.set_owner(JobId(3), Some(OwnerRef::Server));
+        assert_eq!(t.owner(JobId(3)), Some(OwnerRef::Server));
+        assert!(t.take_owned(a).is_empty(), "the server is no peer");
     }
 
     #[test]
@@ -905,31 +971,6 @@ mod tests {
             [1, 5, 20, 40, 50].map(JobId),
             "ascending ids, not slot order"
         );
-    }
-
-    /// A table whose one job has no owner in its record while the column
-    /// says `GridNodeId(1)` owns it.
-    #[cfg(debug_assertions)]
-    fn drifted_table() -> JobTable {
-        let mut t = table_of(&[0]);
-        t.owners.own(0, GridNodeId(1));
-        t
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "already has an owner")]
-    fn set_owner_refuses_a_column_owner_the_record_does_not_name() {
-        drifted_table().set_owner(JobId(0), Some(OwnerRef::Peer(GridNodeId(2))));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "whose record names node#3")]
-    fn set_owner_refuses_to_clear_another_peers_column_entry() {
-        let mut t = drifted_table();
-        t.slots[0].owner = Some(OwnerRef::Peer(GridNodeId(3)));
-        t.set_owner(JobId(0), None);
     }
 
     /// Ids on both sides of the dense limit, at its edges and far past it.
@@ -989,51 +1030,58 @@ mod tests {
             }
         }
 
-        /// Under random own/disown/take sequences over up to 70 nodes and
-        /// 24 indices, the column holds what a one-owner-per-index model
-        /// holds, a take returns the node's indices ascending, and every
-        /// owned index stays inside the window. An own is drawn only for an
-        /// unowned index, as the engine guarantees, so indices below a
-        /// narrowed window are owned again.
+        /// Under random own/disown/set/take sequences over up to 70 nodes
+        /// and 24 indices, the column names what a model of one named owner
+        /// per index names, a take returns the node's owned indices
+        /// ascending and leaves them named, and every index a peer owns
+        /// stays inside the window, also when indices below a narrowed
+        /// window are owned again.
         #[test]
         fn owner_column_matches_one_owner_per_index(
             nodes in 1u32..=70,
-            ops in proptest::collection::vec((0u8..3, 0u32..70, 0u32..24), 1..400),
+            ops in proptest::collection::vec((0u8..4, 0u32..70, 0u32..24), 1..400),
         ) {
             let mut column = OwnerColumn::default();
             for _ in 0..24 {
                 column.push_unowned();
             }
-            let mut model: Vec<Option<u32>> = vec![None; 24];
+            // The named owner of each index, and whether it still owns it.
+            let mut model: Vec<(Option<OwnerRef>, bool)> = vec![(None, false); 24];
+            let owns = |m: &(Option<OwnerRef>, bool), n: u32| m.1 && m.0 == Some(OwnerRef::Peer(GridNodeId(n)));
             for (op, n, idx) in ops {
                 let node = GridNodeId(n % nodes);
                 let slot = &mut model[idx as usize];
                 match op {
-                    0 if slot.is_none() => {
-                        column.own(idx, node);
-                        *slot = Some(node.0);
+                    0 => {
+                        column.set(idx, Some(OwnerRef::Peer(node)));
+                        *slot = (Some(OwnerRef::Peer(node)), true);
                     }
                     1 => {
                         column.disown(idx);
-                        *slot = None;
+                        slot.1 = false;
                     }
                     2 => {
                         let expected: Vec<u32> = (0..24u32)
-                            .filter(|&i| model[i as usize] == Some(node.0))
+                            .filter(|&i| owns(&model[i as usize], node.0))
                             .collect();
                         for &i in &expected {
-                            model[i as usize] = None;
+                            model[i as usize].1 = false;
                         }
                         prop_assert_eq!(column.take(node), expected);
                     }
-                    _ => {}
+                    _ => {
+                        let owner = (n % 2 == 0).then_some(OwnerRef::Server);
+                        column.set(idx, owner);
+                        *slot = (owner, false);
+                    }
                 }
-                for (i, owner) in model.iter().enumerate() {
-                    prop_assert!(owner.is_none() || (column.lo..column.hi).contains(&i));
+                for (i, m) in model.iter().enumerate() {
+                    prop_assert_eq!(column.get(i as u32), m.0);
+                    prop_assert!(!m.1 || (column.lo..column.hi).contains(&i));
                 }
             }
             for n in 0..nodes {
-                let expected: Vec<u32> = (0..24u32).filter(|&i| model[i as usize] == Some(n)).collect();
+                let expected: Vec<u32> = (0..24u32).filter(|&i| owns(&model[i as usize], n)).collect();
                 prop_assert_eq!(column.take(GridNodeId(n)), expected);
             }
         }

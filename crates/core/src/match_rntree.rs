@@ -63,29 +63,25 @@ impl Default for RnTreeConfig {
 /// `rank_of` entry of a grid node outside the current index.
 const NOT_INDEXED: u32 = u32::MAX;
 
-/// `generation` entry of a grid node outside the overlay.
-const NOT_MEMBER: u32 = u32::MAX;
-
 /// Failover budget for overlay lookups: how many detour peers a failed
 /// lookup may try before the caller's own retry/backoff machinery takes
 /// over.
 const LOOKUP_FAILOVER_RETRIES: u32 = 2;
 
-/// Low bits of an overlay key's raw value ([`KeyRouter::raw_of`]) that hold
-/// the node's join generation; the grid node id sits above them.
-const GENERATION_BITS: u32 = 20;
+/// Low bits of an overlay key's raw value ([`KeyRouter::raw_of`]) below the
+/// grid node id; they are zero.
+const RAW_SHIFT: u32 = 20;
 
 /// The Section 3.1 matchmaker, generic over the overlay substrate. The
 /// default substrate is Chord, matching the paper.
 pub struct RnTreeMatchmaker<R: KeyRouter = ChordRing> {
     cfg: RnTreeConfig,
     router: R,
-    /// Join generation of each member's overlay key, indexed by grid node;
-    /// [`NOT_MEMBER`] for a node that is not (or no longer) in the overlay.
-    /// The key itself is [`Self::overlay_key_for`] of the two, and no map
-    /// runs the other way: a key's raw value names its grid node
+    /// Bit `i % 64` of word `i / 64` is set while grid node `i` is in the
+    /// overlay. A member's key is [`Self::overlay_key_for`] the node, and
+    /// no map runs the other way: a key's raw value names its grid node
     /// ([`Self::grid_of`]).
-    generation: Vec<u32>,
+    members: Vec<u64>,
     index: Option<RnTreeIndex>,
     /// Rank in `index` of each grid node, [`NOT_INDEXED`] outside it: the
     /// inverse of the tree's ids seen through [`Self::grid_of`].
@@ -117,7 +113,7 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         RnTreeMatchmaker {
             cfg,
             router: R::default(),
-            generation: Vec::new(),
+            members: Vec::new(),
             index: None,
             rank_of: Vec::new(),
             dirty: true,
@@ -132,20 +128,17 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         self.index.as_ref().map(|i| i.tree().height())
     }
 
-    /// A fresh overlay identity per (node, join generation): the key of the
-    /// raw value `node << GENERATION_BITS | generation`.
-    fn overlay_key_for(node: GridNodeId, generation: u32) -> u64 {
-        assert!(
-            generation < 1 << GENERATION_BITS,
-            "{node} ran out of join generations"
-        );
-        R::key_of((u64::from(node.0) << GENERATION_BITS) ^ u64::from(generation))
+    /// The overlay identity of `node`: the key of the raw value
+    /// `node << RAW_SHIFT`. A node rejoins under the same key, which its
+    /// departure took out of the overlay.
+    fn overlay_key_for(node: GridNodeId) -> u64 {
+        R::key_of(u64::from(node.0) << RAW_SHIFT)
     }
 
     /// The grid node whose overlay identity `key` is, for a key known to
     /// be a member's.
     fn grid_of(key: u64) -> GridNodeId {
-        GridNodeId((R::raw_of(key) >> GENERATION_BITS) as u32)
+        GridNodeId((R::raw_of(key) >> RAW_SHIFT) as u32)
     }
 
     /// The grid node `key` belongs to, if it is a member's current key.
@@ -154,18 +147,28 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         (self.key_of(grid) == Some(key)).then_some(grid)
     }
 
-    /// The overlay key of `node`, if it is a member.
-    fn key_of(&self, node: GridNodeId) -> Option<u64> {
-        let generation = *self.generation.get(node.0 as usize)?;
-        (generation != NOT_MEMBER).then(|| Self::overlay_key_for(node, generation))
+    /// Is `node` in the overlay whose membership bits are `members`?
+    fn is_member(members: &[u64], node: GridNodeId) -> bool {
+        let i = node.0 as usize;
+        members.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
     }
 
-    fn set_generation(&mut self, node: GridNodeId, generation: u32) {
+    /// The overlay key of `node`, if it is a member.
+    fn key_of(&self, node: GridNodeId) -> Option<u64> {
+        Self::is_member(&self.members, node).then(|| Self::overlay_key_for(node))
+    }
+
+    fn set_member(&mut self, node: GridNodeId, member: bool) {
         let i = node.0 as usize;
-        if i >= self.generation.len() {
-            self.generation.resize(i + 1, NOT_MEMBER);
+        if i / 64 >= self.members.len() {
+            self.members.resize(i / 64 + 1, 0);
         }
-        self.generation[i] = generation;
+        let bit = 1 << (i % 64);
+        if member {
+            self.members[i / 64] |= bit;
+        } else {
+            self.members[i / 64] &= !bit;
+        }
     }
 
     fn refresh_index(&mut self, nodes: &NodeTable) {
@@ -179,12 +182,11 @@ impl<R: KeyRouter> RnTreeMatchmaker<R> {
         // The tree's ids are the substrate's live keys, every one a member's.
         // A refresh asks only for the joiners' capabilities, and each
         // rank's grid node is read off its key.
-        let generation = &self.generation;
+        let members = &self.members;
         let caps_of = |key| {
             let gid = Self::grid_of(key);
-            let g = generation[gid.0 as usize];
             debug_assert!(
-                g != NOT_MEMBER && Self::overlay_key_for(gid, g) == key,
+                Self::is_member(members, gid) && Self::overlay_key_for(gid) == key,
                 "{key:#x} is no member's"
             );
             *nodes.capabilities(gid)
@@ -265,31 +267,28 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
     }
 
     fn on_join(&mut self, _nodes: &NodeTable, node: GridNodeId, _rng: &mut SimRng) {
-        // Generation counter: how many identities this node has had.
-        let mut generation = 0;
-        let mut key = Self::overlay_key_for(node, generation);
-        while self.router.is_alive(key) {
-            generation += 1;
-            key = Self::overlay_key_for(node, generation);
-        }
+        let key = Self::overlay_key_for(node);
+        debug_assert!(
+            !self.router.is_alive(key),
+            "{node} joins under a key its departure freed"
+        );
         self.router.join(key);
-        self.set_generation(node, generation);
+        self.set_member(node, true);
         self.dirty = true;
     }
 
     fn bootstrap(&mut self, nodes: &NodeTable, _rng: &mut SimRng) {
-        // Same key choices as on_join in ascending node order: into an
-        // empty overlay every node joins at generation 0, and `key_of` being
-        // a bijection, distinct nodes' keys never collide. The substrate
+        // Same keys as on_join in ascending node order: `key_of` being a
+        // bijection, distinct nodes' keys never collide. The substrate
         // defers routing-state construction to the first stabilize instead
         // of building tables once per join.
         debug_assert!(self.router.is_empty(), "bootstrap of a populated overlay");
-        self.generation.resize(nodes.len(), NOT_MEMBER);
+        self.members = vec![0; nodes.len().div_ceil(64)];
         let keys: Vec<u64> = nodes
             .alive_ids()
             .map(|node| {
-                self.generation[node.0 as usize] = 0;
-                Self::overlay_key_for(node, 0)
+                self.set_member(node, true);
+                Self::overlay_key_for(node)
             })
             .collect();
         self.router.bulk_join(&keys);
@@ -298,7 +297,7 @@ impl<R: KeyRouter> Matchmaker for RnTreeMatchmaker<R> {
 
     fn on_leave(&mut self, _nodes: &NodeTable, node: GridNodeId, graceful: bool) {
         let key = self.key_of(node).expect("leave of node never joined");
-        self.set_generation(node, NOT_MEMBER);
+        self.set_member(node, false);
         if graceful {
             self.router.leave(key); // neighbours repaired immediately
         } else {
@@ -685,11 +684,11 @@ mod tests {
             let key = mm.key_of(g);
             assert_eq!(key.is_some(), nodes.is_alive(g), "{g} membership");
             let Some(key) = key else {
-                let first = RnTreeMatchmaker::<R>::overlay_key_for(g, 0);
-                assert_eq!(mm.member_of(first), None, "{g} left");
+                let own = RnTreeMatchmaker::<R>::overlay_key_for(g);
+                assert_eq!(mm.member_of(own), None, "{g} left");
                 continue;
             };
-            assert_eq!(R::raw_of(key) >> GENERATION_BITS, u64::from(g.0), "{g} key");
+            assert_eq!(R::raw_of(key), u64::from(g.0) << RAW_SHIFT, "{g} key");
             assert_eq!(mm.member_of(key), Some(g), "{g} key");
         }
         assert!(!mm.dirty);

@@ -5,7 +5,7 @@ use std::ops::Bound;
 
 use dgrid_sim::overlay::{Entry, Lazy, Membership};
 use dgrid_sim::prefix::{self, Table, Tables, DIGITS, RADIX};
-use dgrid_sim::router::{prefix_key, KeyRouter, RouteCost};
+use dgrid_sim::router::{prefix_key, rn_tree_parents_via, KeyRouter, RouteCost, NO_PARENT};
 use serde::{Deserialize, Serialize};
 
 /// Tunables for the Pastry substrate.
@@ -263,6 +263,19 @@ fn circular_distance(a: u64, b: u64) -> u64 {
     d.min(d.wrapping_neg())
 }
 
+/// The RN-Tree level of the live node `key` whose ring neighbours are `cw`
+/// and `ccw`: the shortest prefix whose rendezvous key it owns. On a ring,
+/// the nodes nearer to a key than `key` is — if any are — include one of
+/// its two ring neighbours, so it owns a rendezvous key iff it beats both.
+fn owned_level(key: u64, cw: u64, ccw: u64) -> u32 {
+    (0..=64)
+        .find(|&bits| {
+            let k = prefix_key(key, bits);
+            closer_to(key, k, cw) && closer_to(key, k, ccw)
+        })
+        .expect("a node owns its own key")
+}
+
 /// Is `a` strictly numerically closer to `key` than `b` is? Exact ties
 /// break towards the smaller identifier, making ownership total and
 /// deterministic.
@@ -441,9 +454,7 @@ impl KeyRouter for PastryNetwork {
         }
     }
 
-    /// Exact: on a ring, the nodes nearer to a key than `key` is — if any
-    /// are — include one of its two ring neighbours, so it owns a
-    /// rendezvous key iff it beats both.
+    /// Exact: [`owned_level`] between the node's two ring neighbours.
     fn shortest_owned_prefix(&self, key: u64) -> u32 {
         debug_assert!(self.m.is_alive(key));
         let (Some(cw), Some(ccw)) = (
@@ -452,12 +463,46 @@ impl KeyRouter for PastryNetwork {
         ) else {
             return 0; // alone: owns every key
         };
-        (0..=64)
-            .find(|&bits| {
-                let k = prefix_key(key, bits);
-                closer_to(key, k, cw) && closer_to(key, k, ccw)
+        owned_level(key, cw, ccw)
+    }
+
+    /// Exact while `routes_are_exact`, when every parent lookup names the
+    /// numerically closest live node: one pass over the ranks. Rank `r`'s
+    /// level is [`owned_level`] between ranks `r ± 1`, and the owner of its
+    /// parent key is the closer of that key's two neighbours in the
+    /// snapshot, found through its radix index. Any other state looks each
+    /// parent up.
+    fn rn_tree_parents(&self, keys: &[u64]) -> Vec<u32> {
+        if !self.routes_are_exact() {
+            return rn_tree_parents_via(self, keys, |from, key| {
+                self.lookup_owner(from, key).expect("stable overlay routes")
+            });
+        }
+        let snapshot = self.m.snapshot();
+        debug_assert!(keys == snapshot.keys(), "keys are the live set");
+        let n = keys.len();
+        assert!(n > 0, "non-empty overlay");
+        (0..n)
+            .map(|r| {
+                let key = keys[r];
+                let (cw, ccw) = (keys[(r + 1) % n], keys[(r + n - 1) % n]);
+                // Alone, or the owner of key 0: the root.
+                let level = if n == 1 { 0 } else { owned_level(key, cw, ccw) };
+                if level == 0 {
+                    return NO_PARENT;
+                }
+                let parent_key = prefix_key(key, level - 1);
+                let above = snapshot.successor_rank(parent_key).expect("non-empty");
+                let below = (above + n - 1) % n;
+                let parent = if closer_to(keys[below], parent_key, keys[above]) {
+                    below
+                } else {
+                    above
+                };
+                debug_assert_ne!(parent, r, "the parent lookup came back to the asker");
+                parent as u32
             })
-            .expect("a node owns its own key")
+            .collect()
     }
 
     fn failover_peers(&self, from: u64) -> Vec<u64> {

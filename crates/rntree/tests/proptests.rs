@@ -391,6 +391,23 @@ proptest! {
         prop_assert_eq!(Some(swept), looked_up_parents(&net, &live));
     }
 
+    /// Pastry's one-pass parents equal the parents looked up node by node,
+    /// on memberships that share long prefixes and went through joins,
+    /// leaves and failures: settled, where the pass runs, and as churn left
+    /// them, where it falls back to the lookups.
+    #[test]
+    fn pastry_parents_equal_the_lookups(
+        keys in clustered_keys(4, 64),
+        steps in churn(),
+    ) {
+        let mut net: PastryNetwork = churned(&keys, &steps);
+        parents_match_the_lookups(&net)?;
+        net.stabilize();
+        parents_match_the_lookups(&net)?;
+        let live = net.alive_keys();
+        prop_assert!(looked_up_parents(&net, &live).is_some(), "settled lookups reach other members");
+    }
+
     /// Single root, full coverage, strictly-decreasing parent ids
     /// (acyclicity), height within a small multiple of log2(N).
     #[test]

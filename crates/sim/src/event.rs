@@ -31,11 +31,22 @@
 //! the run this way, and keeps one lease expiry per leased job in the
 //! queue: an expiry that finds its lease renewed files the latest armed one
 //! under the seq reserved when it was armed.
+//!
+//! **Memory follows the pending events.** A bucket the clock empties gives
+//! its buffer back to the allocator unless the buffer is small
+//! ([`KEPT_CAPACITY`] entries or fewer), and so does the FIFO of a past
+//! instant; the queue therefore holds about what is pending, not the sum of
+//! every buffer's high-water mark. A small buffer is kept because the low
+//! buckets empty and refill at almost every pop.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
+
+/// The most entries a buffer the clock empties may keep room for; a larger
+/// one is freed.
+const KEPT_CAPACITY: usize = 256;
 
 struct Entry<E> {
     at: SimTime,
@@ -180,6 +191,9 @@ impl<E> EventQueue<E> {
     /// what they held, since `at` agrees with the old clock above `b`.
     fn advance(&mut self, b: usize, at: SimTime) {
         debug_assert!(self.current.is_empty());
+        if self.current.capacity() > KEPT_CAPACITY {
+            self.current = VecDeque::new();
+        }
         self.now = at;
         self.occupied &= !(1 << b);
         let mut taken = std::mem::take(&mut self.buckets[b]);
@@ -193,7 +207,9 @@ impl<E> EventQueue<E> {
                 }
             }
         }
-        self.buckets[b] = taken;
+        if taken.capacity() <= KEPT_CAPACITY {
+            self.buckets[b] = taken;
+        }
         self.current
             .make_contiguous()
             .sort_unstable_by_key(|e| e.seq);
@@ -265,6 +281,9 @@ impl<E> EventQueue<E> {
             }
             if bucket.is_empty() {
                 self.occupied &= !(1 << b);
+                if bucket.capacity() > KEPT_CAPACITY {
+                    *bucket = Vec::new();
+                }
             }
         }
         drained.sort_unstable_by_key(|e| (e.at, e.seq));
@@ -599,6 +618,65 @@ mod tests {
         );
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime::from_secs(4), 3)));
+    }
+
+    /// Room the buckets keep, in entries.
+    fn bucket_capacity<E>(q: &EventQueue<E>) -> usize {
+        q.buckets.iter().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn a_drained_burst_gives_its_buffers_back() {
+        // 10⁴ events at one far instant, then 10⁴ spread over a second:
+        // once both have popped, no buffer keeps room for them.
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.schedule(SimTime::from_secs(1_000), i);
+            q.schedule(SimTime::from_nanos(i * 100_000), i);
+        }
+        q.schedule(SimTime::from_secs(2_000), 0);
+        while q.len() > 1 {
+            q.pop();
+        }
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2_000), 0)));
+        assert!(q.current.capacity() <= KEPT_CAPACITY);
+        assert!(bucket_capacity(&q) <= 64 * KEPT_CAPACITY);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Under bursts of schedules at offsets from a nanosecond to days,
+        /// interleaved with runs of pops, the room the buckets keep after
+        /// every pop is at most twice what they hold, plus what a kept
+        /// small buffer may hold in each: a bucket's buffer is either kept
+        /// small when the clock empties it or grown by pushes since.
+        #[test]
+        fn kept_bucket_room_follows_the_pending_events(
+            ops in proptest::collection::vec((0u32..2_000, 0u32..48, 0u32..3_000), 1..40),
+        ) {
+            let mut q = EventQueue::new();
+            let mut next = 0u64;
+            for (burst, spread, pops) in ops {
+                for i in 0..u64::from(burst) {
+                    let offset = next.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (63 - spread);
+                    next += 1;
+                    q.schedule(q.now() + SimDuration::from_nanos(offset), i);
+                }
+                for _ in 0..pops {
+                    if q.pop().is_none() {
+                        break;
+                    }
+                    let pending = q.len() - q.current.len();
+                    proptest::prop_assert!(
+                        bucket_capacity(&q) <= 2 * pending + 64 * KEPT_CAPACITY,
+                        "{} entries of room for {} pending",
+                        bucket_capacity(&q),
+                        pending
+                    );
+                }
+            }
+        }
     }
 
     #[test]
