@@ -2,11 +2,12 @@
 //! arbitrary, truncated, and bit-flipped input, `parse_jsonl_line` and the
 //! binary decoder must return typed errors — never panic — and the binary
 //! codec must round-trip *arbitrary* record sequences (non-monotonic
-//! timestamps, sparse ids) byte-exactly.
+//! timestamps, sparse ids) byte-exactly; and `jsonl_to_binary` must read
+//! any text exactly as its line-by-line definition does.
 
 use dgrid_core::{
-    binary_to_jsonl, decode_stream, encode_events, parse_jsonl_line, EventRecord, GridNodeId,
-    OwnerRef, StreamDecoder, StreamError, StreamFormat, TraceEvent,
+    binary_to_jsonl, decode_stream, encode_events, jsonl_to_binary, parse_jsonl_line, EventRecord,
+    GridNodeId, OwnerRef, StreamDecoder, StreamError, StreamFormat, TraceEvent,
 };
 use dgrid_resources::JobId;
 use dgrid_sim::SimTime;
@@ -16,8 +17,18 @@ use proptest::prelude::*;
 /// so both the encoder's direct index and its sparse fallback are
 /// exercised.
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
-    let job = prop_oneof![0u64..1 << 12, 0u64..u64::MAX].prop_map(JobId);
-    let node = prop_oneof![0u32..1 << 12, 0u32..u32::MAX].prop_map(GridNodeId);
+    events_over(
+        prop_oneof![0u64..1 << 12, 0u64..u64::MAX],
+        prop_oneof![0u32..1 << 12, 0u32..u32::MAX],
+    )
+}
+
+/// Trace events over the given job and node ids.
+fn events_over(
+    job: impl Strategy<Value = u64>,
+    node: impl Strategy<Value = u32>,
+) -> impl Strategy<Value = TraceEvent> {
+    let (job, node) = (job.prop_map(JobId), node.prop_map(GridNodeId));
     (
         job,
         node,
@@ -72,6 +83,105 @@ fn arb_records() -> impl Strategy<Value = Vec<EventRecord>> {
     )
 }
 
+/// The intern table's dense limit: ids below it are indexed directly.
+const DENSE_LIMIT: u64 = 1 << 21;
+
+/// What `jsonl_to_binary` means: every `str::lines` line through
+/// `parse_jsonl_line`, the records then through `encode_events` — the same
+/// bytes, or the first line's error.
+fn lines_then_encode(text: &str) -> Result<Vec<u8>, StreamError> {
+    let mut records = Vec::new();
+    for line in text.lines() {
+        records.extend(parse_jsonl_line(line)?);
+    }
+    Ok(encode_events(&records))
+}
+
+/// The canonical line of one record, newline excluded.
+fn canonical_line(rec: EventRecord) -> String {
+    let text = binary_to_jsonl(&encode_events(&[rec])).expect("own encoding converts");
+    text.trim_end_matches('\n').to_string()
+}
+
+/// `line` spelled the `how`-th way: canonically with `\n`, `\r\n` or
+/// `\r\r\n`, padded with whitespace, with whitespace after every `:` and
+/// `,`, with its two top-level keys swapped, or after a blank line.
+fn spell(line: &str, how: u8) -> String {
+    match how {
+        0..=2 => format!("{line}\n"),
+        3 => format!("{line}\r\n"),
+        4 => format!("{line}\r\r\n"),
+        5 => format!(" \t{line}  \n"),
+        6 => format!("{}\n", line.replace(':', ": ").replace(',', " ,\t")),
+        7 => {
+            let (t_field, event_field) = line[1..line.len() - 1]
+                .split_once(",\"event\":")
+                .expect("canonical line");
+            format!("{{\"event\":{event_field},{t_field}}}\n")
+        }
+        _ => format!("{}{line}\n", ["\n", "  \r\n", "\t\n"][usize::from(how % 3)]),
+    }
+}
+
+/// A line no reader accepts, the `how`-th way, made from a canonical line.
+fn malformed(line: &str, how: u8, cut: usize) -> String {
+    match how {
+        0 => line[..cut % line.len()].to_string(),
+        1 => format!("{line}x"),
+        2 => format!("{line}\r{line}"),
+        3 => "{\"t_ns\":1}".to_string(),
+        4 => line.replacen("{\"t_ns\":", "{\"t_ns\":18446744073709551616", 1),
+        _ => "not json".to_string(),
+    }
+}
+
+/// JSONL text as files meet it: one to three concatenated runs (each in
+/// nondecreasing time, each starting over from its own base, so time goes
+/// backwards between them) over ids either side of the dense limit, every
+/// line spelled one of `spell`'s ways, perhaps one malformed line at a
+/// random position, perhaps no newline after the last line. Also whether a
+/// malformed line went in.
+fn arb_jsonl_text() -> impl Strategy<Value = (String, bool)> {
+    let job = prop_oneof![
+        0u64..64,
+        DENSE_LIMIT - 2..DENSE_LIMIT + 3,
+        DENSE_LIMIT..u64::MAX,
+    ];
+    let node = prop_oneof![0u32..64, (1u32 << 21) - 2..(1 << 21) + 3, any::<u32>()];
+    let run = (
+        0u64..1 << 40,
+        proptest::collection::vec((0u64..1 << 31, events_over(job, node), 0u8..11), 0..16),
+    );
+    (
+        proptest::collection::vec(run, 1..4),
+        proptest::option::of((any::<usize>(), 0u8..6, any::<usize>())),
+        any::<bool>(),
+    )
+        .prop_map(|(runs, bad, open_end)| {
+            let mut lines = Vec::new();
+            for (mut t_ns, events) in runs {
+                for (dt, event, how) in events {
+                    t_ns += dt;
+                    lines.push(spell(&canonical_line(EventRecord { t_ns, event }), how));
+                }
+            }
+            let has_malformed = bad.is_some();
+            if let Some((at, how, cut)) = bad {
+                let template = canonical_line(EventRecord {
+                    t_ns: cut as u64,
+                    event: TraceEvent::Failed { job: JobId(7) },
+                });
+                let at = at % (lines.len() + 1);
+                lines.insert(at, format!("{}\n", malformed(&template, how, cut)));
+            }
+            let mut text = lines.concat();
+            if open_end {
+                text.pop();
+            }
+            (text, has_malformed)
+        })
+}
+
 /// A deeply nested JSON line must come back as a typed error — the vendored
 /// parser's recursion is depth-limited, so hostile nesting cannot blow the
 /// stack out from under `dgrid report` or `dgrid watch`.
@@ -93,6 +203,19 @@ proptest! {
     fn jsonl_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..160)) {
         let line = String::from_utf8_lossy(&bytes);
         let _ = parse_jsonl_line(&line);
+    }
+
+    /// `jsonl_to_binary` reads any text as its definition does — each
+    /// `str::lines` line through `parse_jsonl_line`, then `encode_events` —
+    /// giving the same bytes or the same error, on canonical streams mixed
+    /// with whitespace, reordered keys, blank lines, `\r\n` line ends, a
+    /// last line without its newline, runs whose time goes backwards, ids
+    /// at and above the dense limit, and a malformed line anywhere.
+    #[test]
+    fn jsonl_to_binary_reads_text_as_its_lines_do((text, has_malformed) in arb_jsonl_text()) {
+        let converted = jsonl_to_binary(&text);
+        prop_assert!(has_malformed || converted.is_ok(), "{:?}", converted);
+        prop_assert_eq!(converted, lines_then_encode(&text), "text {:?}", text);
     }
 
     /// Truncating a *valid* JSONL line at any byte yields `Ok(None)` (blank)
