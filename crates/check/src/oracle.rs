@@ -326,10 +326,14 @@ impl TraceOracle for AtMostOnceCommit {
 
 /// Re-assembles per-job phase spans from the trace (reusing
 /// [`SpanAssembler`]) and checks that every closed span's phase durations
-/// sum exactly to its turnaround, and that no span is left open at end of
-/// run — the engine's horizon failsafe guarantees every job closes.
+/// sum exactly to its turnaround — from its submission to the instant its
+/// closing event names — and that no span is left open at end of run — the
+/// engine's horizon failsafe guarantees every job closes.
 pub struct SpanConservation {
     assembler: Option<SpanAssembler>,
+    /// The instant each closing event names, in stream order: results at
+    /// the client for `Completed`, the event's own time for `Failed`.
+    ends: Vec<SimTime>,
 }
 
 impl SpanConservation {
@@ -337,6 +341,7 @@ impl SpanConservation {
     pub fn new() -> Self {
         SpanConservation {
             assembler: Some(SpanAssembler::new()),
+            ends: Vec::new(),
         }
     }
 }
@@ -356,36 +361,35 @@ impl TraceOracle for SpanConservation {
         if let Some(a) = self.assembler.as_mut() {
             a.observe(at, *event);
         }
+        match *event {
+            TraceEvent::Completed { results_at, .. } => self.ends.push(results_at),
+            TraceEvent::Failed { .. } => self.ends.push(at),
+            _ => {}
+        }
     }
 
     fn finish(&mut self, report: &SimReport) -> Vec<Violation> {
         let mut out = Vec::new();
         let spans = self.assembler.take().expect("finish called once").finish();
-        let mut open = 0usize;
-        for span in &spans {
-            match span.outcome {
-                SpanOutcome::Open => open += 1,
-                SpanOutcome::Completed | SpanOutcome::Failed => match span.turnaround() {
-                    None => out.push(violation(
-                        self.name(),
-                        format!("closed span for {:?} has no turnaround", span.job),
-                    )),
-                    Some(turnaround) => {
-                        if span.total() != turnaround && out.len() < MAX_VIOLATIONS_PER_ORACLE {
-                            out.push(violation(
-                                self.name(),
-                                format!(
-                                    "span for {:?}: phase sum {:?} != turnaround {:?}",
-                                    span.job,
-                                    span.total(),
-                                    turnaround
-                                ),
-                            ));
-                        }
-                    }
-                },
+        // Each closing event closes one span, and the closed spans come
+        // first, in the order their closing events came.
+        for (span, &end) in spans.iter().zip(&self.ends) {
+            if span.finished_at() != Some(end) && out.len() < MAX_VIOLATIONS_PER_ORACLE {
+                out.push(violation(
+                    self.name(),
+                    format!(
+                        "span for {:?}: phase sum {:?} != turnaround {:?}",
+                        span.job(),
+                        span.total(),
+                        end.since(span.submitted_at())
+                    ),
+                ));
             }
         }
+        let open = spans
+            .iter()
+            .filter(|s| s.outcome() == SpanOutcome::Open)
+            .count();
         if open > 0 {
             out.push(violation(
                 self.name(),

@@ -94,35 +94,32 @@ pub enum SpanOutcome {
 }
 
 /// One job's assembled lifecycle span with exact per-phase durations.
+///
+/// 80 bytes: the close instant is not stored but derived, as the submission
+/// time plus the phase sum, which the assembly rule makes exact for a
+/// closed span.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct JobSpan {
-    /// The job.
-    pub job: JobId,
-    /// First submission time (the turnaround clock's zero).
-    pub submitted_at: SimTime,
-    /// When the span closed: results at the client for completed jobs, the
-    /// failure instant for failed ones; `None` while open.
-    pub finished_at: Option<SimTime>,
-    /// Terminal state of the job at end of trace.
-    pub outcome: SpanOutcome,
-    /// Client resubmissions observed.
-    pub resubmits: u32,
-    /// Recovery notifications observed (run + owner).
-    pub recoveries: u32,
+    job: JobId,
+    submitted_at: SimTime,
     /// Per-phase durations in nanoseconds, indexed by [`Phase::index`].
     phase_ns: [u64; 6],
+    resubmits: u32,
+    recoveries: u32,
+    outcome: SpanOutcome,
 }
+
+const _: () = assert!(std::mem::size_of::<JobSpan>() <= 80);
 
 impl JobSpan {
     fn new(job: JobId, submitted_at: SimTime) -> Self {
         JobSpan {
             job,
             submitted_at,
-            finished_at: None,
-            outcome: SpanOutcome::Open,
+            phase_ns: [0; 6],
             resubmits: 0,
             recoveries: 0,
-            phase_ns: [0; 6],
+            outcome: SpanOutcome::Open,
         }
     }
 
@@ -130,25 +127,59 @@ impl JobSpan {
         self.phase_ns[phase.index()] += d.as_nanos();
     }
 
+    /// The job.
+    pub fn job(&self) -> JobId {
+        self.job
+    }
+
+    /// First submission time (the turnaround clock's zero).
+    pub fn submitted_at(&self) -> SimTime {
+        self.submitted_at
+    }
+
+    /// When the span closed: results at the client for completed jobs, the
+    /// failure instant for failed ones; `None` while open.
+    pub fn finished_at(&self) -> Option<SimTime> {
+        self.turnaround()
+            .map(|d| SimTime::from_nanos(self.submitted_at.as_nanos().saturating_add(d.as_nanos())))
+    }
+
+    /// Terminal state of the job at end of trace.
+    pub fn outcome(&self) -> SpanOutcome {
+        self.outcome
+    }
+
+    /// Client resubmissions observed.
+    pub fn resubmits(&self) -> u32 {
+        self.resubmits
+    }
+
+    /// Recovery notifications observed (run + owner).
+    pub fn recoveries(&self) -> u32 {
+        self.recoveries
+    }
+
     /// Duration spent in one phase.
     pub fn phase(&self, phase: Phase) -> SimDuration {
         SimDuration::from_nanos(self.phase_ns[phase.index()])
     }
 
-    /// Sum of all phase durations. For a closed span this equals
-    /// `finished_at - submitted_at` exactly (asserted in the test suite).
+    /// Sum of all phase durations: for a closed span, its turnaround.
     pub fn total(&self) -> SimDuration {
         SimDuration::from_nanos(self.phase_ns.iter().sum())
     }
 
-    /// Turnaround (`finished_at - submitted_at`), when closed.
+    /// Turnaround (`finished_at - submitted_at`), when closed. Every
+    /// interval between two of the job's events is added to one phase and
+    /// the close adds the result return, so in a time-ordered stream the
+    /// phase sum is the turnaround exactly.
     pub fn turnaround(&self) -> Option<SimDuration> {
-        self.finished_at.map(|f| f.since(self.submitted_at))
+        (self.outcome != SpanOutcome::Open).then(|| self.total())
     }
 
     /// The pre-execution wait decomposition: everything before the job
     /// first ran (routing + matchmaking + dispatch + recovery) — the part
-    /// of Figure 2's wait time this PR makes inspectable.
+    /// of Figure 2's wait time that spans make inspectable.
     pub fn wait(&self) -> SimDuration {
         self.phase(Phase::Routing)
             + self.phase(Phase::Matchmaking)
@@ -190,7 +221,7 @@ fn segment_phase(prev: &TraceEvent, next: &TraceEvent) -> Phase {
 }
 
 /// Fold `event` at `at` into `span`'s counters and, for a closing event,
-/// its end; `true` when the span closed.
+/// its outcome and result return; `true` when the span closed.
 fn accept(span: &mut JobSpan, at: SimTime, event: &TraceEvent) -> bool {
     match *event {
         TraceEvent::Submitted { resubmits, .. } => span.resubmits = span.resubmits.max(resubmits),
@@ -199,12 +230,10 @@ fn accept(span: &mut JobSpan, at: SimTime, event: &TraceEvent) -> bool {
         | TraceEvent::LeaseTransferred { .. } => span.recoveries += 1,
         TraceEvent::Completed { results_at, .. } => {
             span.add(Phase::ResultReturn, results_at.since(at));
-            span.finished_at = Some(results_at);
             span.outcome = SpanOutcome::Completed;
             return true;
         }
         TraceEvent::Failed { .. } => {
-            span.finished_at = Some(at);
             span.outcome = SpanOutcome::Failed;
             return true;
         }
@@ -314,19 +343,19 @@ impl Observer for SpanAssembler {
     }
 }
 
-/// Collect per-phase duration samples (seconds) across spans — the raw
-/// material for the `dgrid report` percentile table.
-pub fn phase_samples(spans: &[JobSpan]) -> Vec<(Phase, SampleSet)> {
-    Phase::ALL
-        .iter()
-        .map(|&p| {
-            let mut set = SampleSet::with_capacity(spans.len());
-            for s in spans {
-                set.push(s.phase(p).as_secs_f64());
-            }
-            (p, set)
-        })
-        .collect()
+/// Per-phase duration samples (seconds) across spans — the raw material
+/// for the `dgrid report` percentile table — one phase at a time, in
+/// [`Phase::ALL`] order: a phase's set is built only when the iterator
+/// reaches it, so one set is alive at a time if the caller drops each
+/// before taking the next.
+pub fn phase_samples(spans: &[JobSpan]) -> impl ExactSizeIterator<Item = (Phase, SampleSet)> + '_ {
+    Phase::ALL.into_iter().map(move |p| {
+        let mut set = SampleSet::with_capacity(spans.len());
+        for s in spans {
+            set.push(s.phase(p).as_secs_f64());
+        }
+        (p, set)
+    })
 }
 
 #[cfg(test)]
@@ -555,11 +584,12 @@ mod tests {
     }
 
     /// An assembler over a `BTreeMap` of open spans: the same per-event
-    /// rules as [`SpanAssembler`], the plainest store.
+    /// rules as [`SpanAssembler`], the plainest store, and each closed
+    /// span's end recorded from its closing event.
     #[derive(Default)]
     struct ReferenceAssembler {
         open: BTreeMap<JobId, (SimTime, TraceEvent, JobSpan)>,
-        done: Vec<JobSpan>,
+        done: Vec<(JobSpan, Option<SimTime>)>,
     }
 
     impl ReferenceAssembler {
@@ -573,23 +603,28 @@ mod tests {
                 }
             };
             if accept(&mut span, at, &event) {
-                self.done.push(span);
+                let end = match event {
+                    TraceEvent::Completed { results_at, .. } => results_at,
+                    _ => at,
+                };
+                self.done.push((span, Some(end)));
             } else {
                 self.open.insert(job, (at, event, span));
             }
         }
 
-        fn finish(self) -> Vec<JobSpan> {
+        fn finish(self) -> Vec<(JobSpan, Option<SimTime>)> {
             let mut spans = self.done;
-            spans.extend(self.open.into_values().map(|(_, _, s)| s));
+            spans.extend(self.open.into_values().map(|(_, _, s)| (s, None)));
             spans
         }
     }
 
-    /// Every field of a span, for comparison.
+    /// Every field of a span, with the end it closed at, for comparison.
     #[allow(clippy::type_complexity)]
     fn fields(
         s: &JobSpan,
+        finished_at: Option<SimTime>,
     ) -> (
         JobId,
         SimTime,
@@ -602,7 +637,7 @@ mod tests {
         (
             s.job,
             s.submitted_at,
-            s.finished_at,
+            finished_at,
             s.outcome,
             s.resubmits,
             s.recoveries,
@@ -661,7 +696,9 @@ mod tests {
         /// On random time-ordered streams over a few job ids either side of
         /// the dense limit — jobs close and reopen, node events interleave,
         /// some jobs are still open at the end — the slab assembler's
-        /// `finish()` equals the `BTreeMap` reference's, span for span.
+        /// `finish()` equals the `BTreeMap` reference's, span for span, and
+        /// each closed span's derived `finished_at()` is the instant its
+        /// closing event named.
         #[test]
         fn slab_assembler_matches_a_btreemap_reference(
             steps in proptest::collection::vec(
@@ -677,8 +714,8 @@ mod tests {
                 slab.observe(at, ev);
                 reference.observe(at, ev);
             }
-            let got: Vec<_> = slab.finish().iter().map(fields).collect();
-            let want: Vec<_> = reference.finish().iter().map(fields).collect();
+            let got: Vec<_> = slab.finish().iter().map(|s| fields(s, s.finished_at())).collect();
+            let want: Vec<_> = reference.finish().iter().map(|(s, end)| fields(s, *end)).collect();
             prop_assert_eq!(got, want);
         }
     }
@@ -717,10 +754,20 @@ mod tests {
                 results_at: t(13),
             },
         );
-        let samples = phase_samples(&a.finish());
+        let spans = a.finish();
+        let samples = phase_samples(&spans);
         assert_eq!(samples.len(), Phase::ALL.len());
-        for (_, set) in &samples {
-            assert_eq!(set.len(), 1);
-        }
+        let phases: Vec<_> = samples.map(|(p, set)| (p, set.samples().to_vec())).collect();
+        assert_eq!(
+            phases,
+            Phase::ALL.map(|p| {
+                let secs = match p {
+                    Phase::Execution => 10.0,
+                    Phase::Recovery | Phase::ResultReturn => 0.0,
+                    _ => 1.0,
+                };
+                (p, vec![secs])
+            })
+        );
     }
 }

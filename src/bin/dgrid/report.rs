@@ -67,15 +67,15 @@ fn timeline_bar(span: &JobSpan, width: usize) -> String {
 
 pub fn report(opts: ReportOpts) {
     let spans = spans_from_events(&opts.events);
-    let count = |outcome| spans.iter().filter(|s| s.outcome == outcome).count();
+    let count = |outcome| spans.iter().filter(|s| s.outcome() == outcome).count();
     let (completed, failed) = (count(SpanOutcome::Completed), count(SpanOutcome::Failed));
     let open = spans.len() - completed - failed;
     println!(
         "{} jobs traced: {completed} completed, {failed} failed, {open} open",
         spans.len()
     );
-    let recoveries: u32 = spans.iter().map(|s| s.recoveries).sum();
-    let resubmits: u32 = spans.iter().map(|s| s.resubmits).sum();
+    let recoveries: u32 = spans.iter().map(JobSpan::recoveries).sum();
+    let resubmits: u32 = spans.iter().map(JobSpan::resubmits).sum();
     if recoveries + resubmits > 0 {
         println!("{recoveries} recoveries, {resubmits} client resubmissions");
     }
@@ -97,14 +97,14 @@ pub fn report(opts: ReportOpts) {
     // Compact per-job timelines, submission order.
     if opts.timeline > 0 {
         let mut ordered: Vec<&JobSpan> = spans.iter().collect();
-        ordered.sort_by_key(|s| (s.submitted_at, s.job));
+        ordered.sort_by_key(|s| (s.submitted_at(), s.job()));
         println!();
         println!(
             "first {} job timelines (r=routing m=matchmaking d=dispatch #=execution !=recovery t=result)",
             ordered.len().min(opts.timeline)
         );
         for span in ordered.iter().take(opts.timeline) {
-            let (job, secs) = (span.job.to_string(), span.total().as_secs_f64());
+            let (job, secs) = (span.job().to_string(), span.total().as_secs_f64());
             let bar = timeline_bar(span, opts.width);
             println!("{job:>8} {secs:>9.1}s |{bar}|");
         }

@@ -5,11 +5,14 @@
 #[path = "common/pin.rs"]
 mod pin;
 
+use std::collections::HashMap;
+
 use dgrid::core::{
     parse_jsonl_line, BinaryObserver, ChurnConfig, Engine, EngineConfig, FaultPlan, JobSpan,
-    JsonlObserver, Observer, Phase, SimReport, SpanAssembler, SpanOutcome,
+    JsonlObserver, Observer, Phase, SimReport, SpanAssembler, SpanOutcome, TraceEvent,
 };
 use dgrid::harness::Algorithm;
+use dgrid::resources::JobId;
 use dgrid::sim::telemetry::shared_registry;
 use dgrid::sim::{SimDuration, SimTime};
 use dgrid::workloads::{paper_scenario, PaperScenario, Workload};
@@ -48,16 +51,26 @@ fn traced_run(
     (buf.take(), report)
 }
 
-fn spans_of(bytes: &[u8]) -> Vec<JobSpan> {
+/// The stream's spans, and for each job the instant its closing event
+/// names: results at the client for `Completed`, the event's own time for
+/// `Failed`.
+fn spans_of(bytes: &[u8]) -> (Vec<JobSpan>, HashMap<JobId, SimTime>) {
     let text = std::str::from_utf8(bytes).expect("stream is utf-8");
     let mut assembler = SpanAssembler::new();
+    let mut ends = HashMap::new();
     for line in text.lines() {
         let rec = parse_jsonl_line(line)
             .expect("well-formed event line")
             .expect("no blank lines in stream");
-        assembler.observe(SimTime::ZERO + SimDuration::from_nanos(rec.t_ns), rec.event);
+        let at = SimTime::ZERO + SimDuration::from_nanos(rec.t_ns);
+        match rec.event {
+            TraceEvent::Completed { job, results_at } => ends.insert(job, results_at),
+            TraceEvent::Failed { job } => ends.insert(job, at),
+            _ => None,
+        };
+        assembler.observe(at, rec.event);
     }
-    assembler.finish()
+    (assembler.finish(), ends)
 }
 
 #[test]
@@ -81,24 +94,24 @@ fn span_phase_durations_sum_exactly_to_turnaround() {
     let workload = paper_scenario(PaperScenario::MixedHeavy, 48, 250, 13);
     for alg in [Algorithm::RnTree, Algorithm::Can, Algorithm::Central] {
         let (bytes, report) = traced_run(alg, &workload, 13, FaultPlan::none());
-        let spans = spans_of(&bytes);
+        let (spans, ends) = spans_of(&bytes);
         assert_eq!(spans.len() as u64, report.jobs_total);
         let mut completed = 0u64;
         let mut span_turnarounds: Vec<f64> = Vec::new();
         for s in &spans {
-            if s.outcome != SpanOutcome::Completed {
+            if s.outcome() != SpanOutcome::Completed {
                 continue;
             }
             completed += 1;
             let turnaround = s.turnaround().expect("completed span closes");
-            // The invariant this PR promises: integer-nanosecond phase
-            // segments telescope, so the sum is *exactly* the turnaround.
+            // Integer-nanosecond phase segments telescope, so the sum from
+            // submission is *exactly* the instant results reach the client.
             assert_eq!(
-                s.total(),
-                turnaround,
+                s.submitted_at() + turnaround,
+                ends[&s.job()],
                 "{}: phase durations must sum to turnaround for {}",
                 alg.label(),
-                s.job
+                s.job()
             );
             span_turnarounds.push(turnaround.as_secs_f64());
         }
@@ -119,10 +132,11 @@ fn span_accounting_stays_exact_under_faults() {
     let plan = FaultPlan::with_loss(0.08).with_partition(500.0, 2_500.0, vec![2, 5, 9]);
     for alg in [Algorithm::RnTree, Algorithm::Can] {
         let (bytes, report) = traced_run(alg, &workload, 29, plan.clone());
-        let spans = spans_of(&bytes);
+        let (spans, ends) = spans_of(&bytes);
         for s in &spans {
             if let Some(turnaround) = s.turnaround() {
-                assert_eq!(s.total(), turnaround, "{}: {}", alg.label(), s.job);
+                let end = ends[&s.job()];
+                assert_eq!(s.submitted_at() + turnaround, end, "{}: {}", alg.label(), s.job());
             }
         }
         // The fault plan actually bit: something was lost and retried.
@@ -131,7 +145,7 @@ fn span_accounting_stays_exact_under_faults() {
             .iter()
             .map(|s| s.phase(Phase::Recovery).as_secs_f64())
             .sum();
-        let resubmitted: u32 = spans.iter().map(|s| s.resubmits).sum();
+        let resubmitted: u32 = spans.iter().map(JobSpan::resubmits).sum();
         if resubmitted > 0 {
             assert!(
                 recovery_secs > 0.0,
