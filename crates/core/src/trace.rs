@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::job::OwnerRef;
 use crate::node::GridNodeId;
-use schema::{with_tag, Kind, SHAPES};
+use schema::{first_tag_named, with_tag, Kind, Shape, Values, SHAPES};
 
 /// One lifecycle transition.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -334,16 +334,17 @@ pub fn write_event_line(buf: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
 /// proptests assert over arbitrary input.
 ///
 /// A line in exactly the shape [`write_event_line`] emits is read by the
-/// private fast path `parse_canonical_line`; every other line — reordered keys, whitespace,
-/// hand edits, garbage — goes through `serde_json`, which therefore still
-/// decides what is accepted and words every error.
+/// private fast path `read_canonical`; every other line — reordered keys,
+/// whitespace, hand edits, garbage — goes through `serde_json`, which
+/// therefore still decides what is accepted and words every error.
 pub fn parse_jsonl_line(line: &str) -> Result<Option<EventRecord>, binary::StreamError> {
     let line = line.trim();
     if line.is_empty() {
         return Ok(None);
     }
-    if let Some(record) = parse_canonical_line(line) {
-        return Ok(Some(record));
+    if let Some((shape, t_ns, values, "")) = read_canonical(line) {
+        let event = (shape.event)(values);
+        return Ok(Some(EventRecord { t_ns, event }));
     }
     serde_json::from_str(line)
         .map(Some)
@@ -355,6 +356,7 @@ struct Canonical<'a>(&'a [u8]);
 
 impl Canonical<'_> {
     /// Consume exactly `lit`.
+    #[inline(always)]
     fn eat(&mut self, lit: &str) -> Option<()> {
         self.0 = self.0.strip_prefix(lit.as_bytes())?;
         Some(())
@@ -362,42 +364,54 @@ impl Canonical<'_> {
 
     /// Consume a plain decimal integer as the writer prints one: digits
     /// only, no leading zero, within `u64`.
+    #[inline(always)]
     fn u64(&mut self) -> Option<u64> {
-        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
-        let (digits, rest) = self.0.split_at(len);
-        if len == 0 || (len > 1 && digits[0] == b'0') {
+        let digit = |i: usize| Some(self.0.get(i)?.wrapping_sub(b'0')).filter(|&d| d < 10);
+        let mut n = u64::from(digit(0)?);
+        let mut len = 1;
+        // Nineteen digits stay below 10^19 < 2^64: only a twentieth can
+        // overflow.
+        while let Some(d) = digit(len) {
+            n = match len {
+                ..19 => n * 10 + u64::from(d),
+                19 => n.checked_mul(10)?.checked_add(u64::from(d))?,
+                _ => return None,
+            };
+            len += 1;
+        }
+        if len > 1 && self.0[0] == b'0' {
             return None;
         }
-        let mut n = 0u64;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
-        }
-        self.0 = rest;
+        self.0 = &self.0[len..];
         Some(n)
     }
 
+    #[inline(always)]
     fn u32(&mut self) -> Option<u32> {
         u32::try_from(self.u64()?).ok()
     }
 }
 
-/// Read a line that is byte for byte what [`write_event_line`] writes for
-/// some record (without the newline): fixed key order, no whitespace,
-/// canonical integers, the whole line consumed. `None` on the slightest
-/// deviation — which says nothing about validity, only that the general
-/// parser must look at the line.
-fn parse_canonical_line(line: &str) -> Option<EventRecord> {
-    let mut c = Canonical(line.as_bytes());
+/// Read the line at the front of `text` if, up to its row's tail, it is
+/// byte for byte what [`write_event_line`] writes for some record: fixed
+/// key order, no whitespace, canonical integers. The row, timestamp and
+/// field values, and the text after the tail — where the writer puts the
+/// newline. `None` on the slightest deviation — which says nothing about
+/// validity, only that the general parser must look at the line.
+#[inline(always)]
+pub(crate) fn read_canonical(text: &str) -> Option<(&'static Shape, u64, Values, &str)> {
+    let mut c = Canonical(text.as_bytes());
     c.eat("{\"t_ns\":")?;
     let t_ns = c.u64()?;
     let name = c.0.strip_prefix(b",\"event\":{\"")?;
-    let name = &name[..name.iter().position(|&b| b == b'"')?];
-    // `OwnerAssigned` and `NodeDown` have two shapes each; a line is at
-    // most one of them.
-    let mut shapes = SHAPES.iter().filter(|s| s.name.as_bytes() == name);
-    shapes.find_map(|s| {
+    let start = text.len() - name.len();
+    let name = text.get(start..start + name.iter().position(|&b| b == b'"')?)?;
+    // `OwnerAssigned` and `NodeDown` have two rows each. Every row's first
+    // field spells its name, so a row of the next name never matches.
+    let first = first_tag_named(name)?;
+    (first..=first + 1).find_map(|tag| {
         with_tag(
-            s.tag,
+            tag,
             #[inline(always)]
             |shape| {
                 let mut c = Canonical(c.0);
@@ -410,8 +424,7 @@ fn parse_canonical_line(line: &str) -> Option<EventRecord> {
                     };
                 }
                 c.eat(shape.tail.strip_suffix('\n')?)?;
-                let event = (shape.event)(values);
-                c.0.is_empty().then_some(EventRecord { t_ns, event })
+                Some((shape, t_ns, values, &text[text.len() - c.0.len()..]))
             },
         )
         .flatten()
@@ -706,6 +719,13 @@ mod tests {
             let parsed = parse_jsonl_line(&buf).expect("parses").expect("non-empty");
             assert_eq!(parsed, EventRecord { t_ns, event });
         }
+    }
+
+    /// The canonical-line reader on one whole line.
+    fn parse_canonical_line(line: &str) -> Option<EventRecord> {
+        let (shape, t_ns, values, rest) = read_canonical(line)?;
+        let event = (shape.event)(values);
+        rest.is_empty().then_some(EventRecord { t_ns, event })
     }
 
     /// What `parse_jsonl_line` returned before the canonical-line parser

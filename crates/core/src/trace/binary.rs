@@ -70,10 +70,11 @@
 //! the fuzz proptests assert over arbitrary byte soup and mutilated valid
 //! streams.
 
-use super::schema::{with_tag, Kind};
+use super::schema::{with_tag, Kind, Shape, Values};
 use crate::job::{next_index, IdIndex};
 use crate::trace::{
-    parse_jsonl_line, write_event_line, EventEncoder, EventRecord, StreamObserver, TraceEvent,
+    parse_jsonl_line, read_canonical, write_event_line, EventEncoder, EventRecord, StreamObserver,
+    TraceEvent,
 };
 
 /// The 8-byte stream header.
@@ -371,6 +372,40 @@ impl BinaryEncoder {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Append the frames for one event given as its wire row and field
+    /// values — its `DEF_*` frames first, if any id is new. The magic header
+    /// is appended before the first event.
+    #[inline(always)]
+    pub(crate) fn encode_row(
+        &mut self,
+        out: &mut Vec<u8>,
+        shape: &Shape,
+        t_ns: u64,
+        mut values: Values,
+    ) {
+        if !self.started {
+            out.extend_from_slice(&MAGIC);
+            self.started = true;
+        }
+        // Intern pass first: DEF frames precede the event that needs them.
+        for (f, value) in shape.fields.iter().zip(&mut values) {
+            match f.kind {
+                Kind::Job => *value = self.jobs.intern(out, TAG_DEF_JOB, *value),
+                Kind::Node => *value = self.nodes.intern(out, TAG_DEF_NODE, *value),
+                Kind::U32 | Kind::Nanos => {}
+            }
+        }
+        let at = begin_frame(out);
+        out.push(shape.tag);
+        let dt = zigzag(t_ns.wrapping_sub(self.prev_t) as i64);
+        self.prev_t = t_ns;
+        write_varint(out, dt);
+        for &value in &values[..shape.fields.len()] {
+            write_varint(out, value);
+        }
+        end_frame(out, at);
+    }
 }
 
 impl EventEncoder for BinaryEncoder {
@@ -378,31 +413,9 @@ impl EventEncoder for BinaryEncoder {
     /// is new) to `out`. The magic header is appended before the first
     /// event, so encoding zero events yields zero bytes.
     fn encode(&mut self, out: &mut Vec<u8>, t_ns: u64, event: &TraceEvent) {
-        if !self.started {
-            out.extend_from_slice(&MAGIC);
-            self.started = true;
-        }
-        // Intern pass first: DEF frames precede the event that needs them.
         event.with_wire(
             #[inline(always)]
-            |shape, mut values| {
-                for (f, value) in shape.fields.iter().zip(&mut values) {
-                    match f.kind {
-                        Kind::Job => *value = self.jobs.intern(out, TAG_DEF_JOB, *value),
-                        Kind::Node => *value = self.nodes.intern(out, TAG_DEF_NODE, *value),
-                        Kind::U32 | Kind::Nanos => {}
-                    }
-                }
-                let at = begin_frame(out);
-                out.push(shape.tag);
-                let dt = zigzag(t_ns.wrapping_sub(self.prev_t) as i64);
-                self.prev_t = t_ns;
-                write_varint(out, dt);
-                for &value in &values[..shape.fields.len()] {
-                    write_varint(out, value);
-                }
-                end_frame(out, at);
-            },
+            |shape, values| self.encode_row(out, shape, t_ns, values),
         );
     }
 }
@@ -722,13 +735,44 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<EventRecord>, StreamError> {
 /// the text was a concatenation of runs — the zigzag time deltas absorb the
 /// backward jumps). Blank lines are skipped, exactly as the JSONL readers
 /// skip them.
+///
+/// One pass over the text: a canonical line is read up to its row's tail
+/// and its row and values go straight to the encoder; it ends there, at a
+/// `\n`, a `\r\n` or the end of the text. Any other line is cut as
+/// `str::lines` cuts it and read by [`parse_jsonl_line`], so every text
+/// converts to what its lines parsed one by one encode to, or fails with
+/// the first bad line's error.
 pub fn jsonl_to_binary(text: &str) -> Result<Vec<u8>, StreamError> {
     let mut enc = BinaryEncoder::new();
     let mut out = Vec::new();
-    for line in text.lines() {
+    let mut rest = text;
+    while !rest.is_empty() {
+        let canonical = read_canonical(rest).and_then(|(shape, t_ns, values, after)| {
+            let after = match after.as_bytes() {
+                [] => after,
+                [b'\n', ..] => &after[1..],
+                [b'\r', b'\n', ..] => &after[2..],
+                _ => return None,
+            };
+            Some((shape, t_ns, values, after))
+        });
+        if let Some((shape, t_ns, values, after)) = canonical {
+            with_tag(
+                shape.tag,
+                #[inline(always)]
+                |shape| enc.encode_row(&mut out, shape, t_ns, values),
+            );
+            rest = after;
+            continue;
+        }
+        let (line, after) = match rest.split_once('\n') {
+            Some((line, after)) => (line.strip_suffix('\r').unwrap_or(line), after),
+            None => (rest, ""),
+        };
         if let Some(rec) = parse_jsonl_line(line)? {
             enc.encode(&mut out, rec.t_ns, &rec.event);
         }
+        rest = after;
     }
     Ok(out)
 }

@@ -11,8 +11,9 @@
 //! then the scalar. The JSONL writer and canonical parser
 //! ([`write_event_line`](super::write_event_line)) and the binary encoder and
 //! decoder ([`binary`](super::binary)) are each one loop over a row's
-//! fields; [`EventKind`]'s labels, [`TraceEvent::kind`] and
-//! [`TraceEvent::job`] read the rows too.
+//! fields; the canonical-line reader finds a line's row by its variant name
+//! through one generated `match`; [`EventKind`]'s labels,
+//! [`TraceEvent::kind`] and [`TraceEvent::job`] read the rows too.
 //!
 //! A new event kind is one more row (with its variant and its `EventKind`)
 //! and a new binary magic, since old decoders would refuse its tag.
@@ -104,6 +105,18 @@ macro_rules! wire_shapes {
                 }
             },
         },)*];
+
+        /// The tag of the first row whose JSONL variant name is `name`. A
+        /// name has at most two rows, at consecutive tags.
+        #[inline]
+        pub(crate) fn first_tag_named(name: &str) -> Option<u8> {
+            // A name's second row repeats its first's arm.
+            #[allow(unreachable_patterns)]
+            match name {
+                $(stringify!($variant) => Some($tag),)*
+                _ => None,
+            }
+        }
 
         /// `f` of the shape binary tag `tag` names, if any, compiled once
         /// per shape as in [`TraceEvent::with_wire`].
