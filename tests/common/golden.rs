@@ -159,8 +159,9 @@ pub const ROWS: &[Row] = &[
     row!("churned/rn-tree@tapestry", Jsonl, churned(RnTreeTapestry, 1_000, 4_000.0, 3_000.0), 0x192334afbd913225, 483_498, [Departures(701)]),
     // Sequential runs pinned above in JSONL, pinned in binary too before
     // the stream's wire schema became one table; with the `forty` binary
-    // rows they carry every event tag. A group of their own keeps the
-    // selectors of the JSONL suites above JSONL-only.
+    // rows they carry every event tag, the departure ones (`NodeDown` and
+    // `NodeUp`) in `central_churn` and `leased_horizon/900` alone. A group
+    // of their own keeps the selectors of the JSONL suites above JSONL-only.
     row!("binary/central_churn", Binary, central_churn(), 0x0addb313fa14288d, 158_675),
     row!("binary/leased_horizon/900", Binary, leased_churn(900.0), 0x85ae4d1ca174a5d3, 125_072, [MakespanBits(0x408c200000000000), JobsFailed(329)]),
     row!("binary/central_tie", Binary, central_tie(), 0xa8b33396f3647772, 49_136),
@@ -283,6 +284,11 @@ impl Row {
         self.name
             .strip_prefix(s)
             .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+    }
+
+    /// Whether the row runs on the sequential kernel.
+    pub fn is_sequential(&self) -> bool {
+        !self.run_src.starts_with("sharded(")
     }
 
     /// `name [format]`, for messages.
@@ -421,8 +427,13 @@ fn churn(mttf_secs: f64, rejoin_after_secs: f64, graceful_fraction: f64) -> Chur
     }
 }
 
-/// `alg` on 40 nodes offered 120 `mixed/light` jobs under churn and 3 %
-/// loss: small, but order-sensitive on every path a departure takes.
+/// `alg` on 40 nodes offered 120 `mixed/light` jobs under churn (MTTF
+/// 40 000 s) and 3 % loss: small, but order-sensitive on every path a lost
+/// message takes. The runs end after ~960 s of virtual time, before any
+/// node departs, so they cover loss, not departures: `central_churn`,
+/// `dag`, `owner_departure`, `t0_pileup`, `leased_horizon/701.25` and
+/// `/900`, `churned/*` and `ten_k/rn-tree@tapestry` carry both `NodeDown`
+/// and `NodeUp`.
 pub fn forty(alg: Algorithm, seed: u64) -> Engine {
     forty_with(alg, seed, EngineConfig::default())
 }

@@ -100,41 +100,69 @@ fn infinite_ttl_reproduces_reassign_on_death_streams_byte_identically() {
 }
 
 /// The binary format must be a *lossless* re-encoding of the JSONL stream:
-/// JSONL → binary → JSONL reproduces every 40-node JSONL row byte-for-byte.
-/// The binary intermediate must also be strictly smaller, and re-encoding
-/// the decoded records must reproduce the identical binary bytes (encode ∘
-/// decode is the identity on canonical streams).
+/// Every sequential run the registry pins in both formats — the five
+/// `forty` runs, `central_churn`, `central_tie` and `leased_horizon/900` —
+/// converts between them byte for byte: `jsonl_to_binary` of the JSONL row
+/// is the binary row, and `binary_to_jsonl` of the binary row is the JSONL
+/// row. The binary must also be strictly smaller, re-encoding its decoded
+/// records must reproduce it (encode ∘ decode is the identity on canonical
+/// streams), and between them the runs carry all fourteen wire tags
+/// through the converter.
 #[test]
 fn golden_streams_round_trip_through_binary_byte_identically() {
     use dgrid::core::{binary_to_jsonl, decode_stream, encode_events, jsonl_to_binary};
-    for alg in golden::FORTY {
-        let row = golden::row(&format!("forty/{}", alg.label()), StreamFormat::Jsonl);
-        let jsonl = row.capture().bytes;
-        assert_eq!(Pin::of(&jsonl), row.pin, "{}: precondition", row.id());
-        let text = std::str::from_utf8(&jsonl).expect("jsonl is utf-8");
+    let twins: Vec<(&golden::Row, &golden::Row)> = golden::ROWS
+        .iter()
+        .filter(|r| r.format == StreamFormat::Binary && r.is_sequential())
+        .map(|bin| {
+            let name = bin.name.strip_prefix("binary/").unwrap_or(bin.name);
+            (golden::row(name, StreamFormat::Jsonl), bin)
+        })
+        .collect();
+    let names: Vec<&str> = twins.iter().flat_map(|(j, b)| [j.name, b.name]).collect();
+    let runs = golden::check(&names);
+    let bytes = |row: &golden::Row| {
+        let (_, run) = runs
+            .iter()
+            .find(|(r, _)| (r.name, r.format) == (row.name, row.format))
+            .expect("every twin was checked against its pin");
+        &run.bytes
+    };
+    let mut seen = [false; 256];
+    for (jsonl_row, binary_row) in twins {
+        let (jsonl, binary) = (bytes(jsonl_row), bytes(binary_row));
+        let text = std::str::from_utf8(jsonl).expect("jsonl is utf-8");
         let bin = jsonl_to_binary(text).expect("golden stream encodes");
+        assert!(
+            bin == *binary,
+            "{}: JSONL -> binary must be the binary row",
+            jsonl_row.id()
+        );
         assert!(
             bin.len() < jsonl.len(),
             "{}: binary ({} bytes) must be strictly smaller than JSONL ({} bytes)",
-            row.id(),
+            jsonl_row.id(),
             bin.len(),
             jsonl.len()
         );
         let back = binary_to_jsonl(&bin).expect("binary stream decodes");
-        assert_eq!(
-            back.as_bytes(),
-            &jsonl[..],
-            "{}: JSONL -> binary -> JSONL must be byte-identical",
-            row.id()
+        assert!(
+            back.as_bytes() == jsonl,
+            "{}: binary -> JSONL must be the JSONL row",
+            binary_row.id()
         );
         let records = decode_stream(&bin).expect("binary stream decodes to records");
-        assert_eq!(
-            encode_events(&records),
-            bin,
+        assert!(
+            encode_events(&records) == bin,
             "{}: decode -> encode must reproduce the binary bytes",
-            row.id()
+            binary_row.id()
         );
+        for tag in frame_tags(&bin) {
+            seen[usize::from(tag)] = true;
+        }
     }
+    let missing: Vec<u8> = (0x10..=0x1d).filter(|&t| !seen[usize::from(t)]).collect();
+    assert!(missing.is_empty(), "no twin converts tags {missing:#04x?}");
 }
 
 /// The four 10⁴-node rows, run side by side.
@@ -665,3 +693,4 @@ fn post_run_spans_analytics_and_summaries_match_pinned_digests() {
     assert!(sparse.iter().any(|s| s.job().0 == DENSE_LIMIT));
     assert!(sparse.iter().any(|s| s.job().0 > u64::MAX / 2));
 }
+
