@@ -642,6 +642,34 @@ const POST_RUN_PINNED: [u64; 4] = [
     0xa92ef05398950acd, // sparse ids: 1500 spans, 1309 completed, 2 failed, 189 open
 ];
 
+/// `phase_samples` yields the six phases in `Phase::ALL` order, each with
+/// exactly the samples one eager pass over the spans collects, on the
+/// spans of the churned and leased rows (recoveries, resubmissions, lease
+/// transfers and horizon failures).
+#[test]
+fn phase_samples_yield_each_phase_in_order_on_churned_and_leased_spans() {
+    for (row, run) in golden::check(&["churned", "leased_horizon"]) {
+        let mut assembler = SpanAssembler::new();
+        let text = std::str::from_utf8(&run.bytes).expect("jsonl is utf-8");
+        for line in text.lines() {
+            let rec = parse_jsonl_line(line)
+                .expect("a pinned line parses")
+                .expect("no blank lines in a pinned stream");
+            assembler.observe(SimTime::from_nanos(rec.t_ns), rec.event);
+        }
+        let spans = assembler.finish();
+        let bits = |xs: &mut dyn Iterator<Item = f64>| xs.map(f64::to_bits).collect::<Vec<_>>();
+        let lazy: Vec<_> = phase_samples(&spans)
+            .map(|(p, set)| (p, bits(&mut set.samples().iter().copied())))
+            .collect();
+        let eager: Vec<_> = Phase::ALL
+            .iter()
+            .map(|&p| (p, bits(&mut spans.iter().map(|s| s.phase(p).as_secs_f64()))))
+            .collect();
+        assert!(lazy == eager, "{}: lazy phase samples differ", row.id());
+    }
+}
+
 #[test]
 fn post_run_spans_analytics_and_summaries_match_pinned_digests() {
     let got = post_run_digests(SEED);
