@@ -757,7 +757,9 @@ mod tests {
         let spans = a.finish();
         let samples = phase_samples(&spans);
         assert_eq!(samples.len(), Phase::ALL.len());
-        let phases: Vec<_> = samples.map(|(p, set)| (p, set.samples().to_vec())).collect();
+        let phases: Vec<_> = samples
+            .map(|(p, set)| (p, set.samples().to_vec()))
+            .collect();
         assert_eq!(
             phases,
             Phase::ALL.map(|p| {

@@ -721,4 +721,3 @@ fn post_run_spans_analytics_and_summaries_match_pinned_digests() {
     assert!(sparse.iter().any(|s| s.job().0 == DENSE_LIMIT));
     assert!(sparse.iter().any(|s| s.job().0 > u64::MAX / 2));
 }
-

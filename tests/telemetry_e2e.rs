@@ -136,7 +136,13 @@ fn span_accounting_stays_exact_under_faults() {
         for s in &spans {
             if let Some(turnaround) = s.turnaround() {
                 let end = ends[&s.job()];
-                assert_eq!(s.submitted_at() + turnaround, end, "{}: {}", alg.label(), s.job());
+                assert_eq!(
+                    s.submitted_at() + turnaround,
+                    end,
+                    "{}: {}",
+                    alg.label(),
+                    s.job()
+                );
             }
         }
         // The fault plan actually bit: something was lost and retried.
