@@ -757,6 +757,9 @@ pub fn jsonl_to_binary(text: &str) -> Result<Vec<u8>, StreamError> {
             Some((shape, t_ns, values, after))
         });
         if let Some((shape, t_ns, values, after)) = canonical {
+            // Dispatching on the tag again makes the row a constant in each
+            // arm, so the encoder's loop over its fields compiles to
+            // straight-line code per row, as through `with_wire`.
             with_tag(
                 shape.tag,
                 #[inline(always)]
