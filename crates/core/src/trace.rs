@@ -356,7 +356,6 @@ struct Canonical<'a>(&'a [u8]);
 
 impl Canonical<'_> {
     /// Consume exactly `lit`.
-    #[inline(always)]
     fn eat(&mut self, lit: &str) -> Option<()> {
         self.0 = self.0.strip_prefix(lit.as_bytes())?;
         Some(())
@@ -364,7 +363,6 @@ impl Canonical<'_> {
 
     /// Consume a plain decimal integer as the writer prints one: digits
     /// only, no leading zero, within `u64`.
-    #[inline(always)]
     fn u64(&mut self) -> Option<u64> {
         let digit = |i: usize| Some(self.0.get(i)?.wrapping_sub(b'0')).filter(|&d| d < 10);
         let mut n = u64::from(digit(0)?);
@@ -386,7 +384,6 @@ impl Canonical<'_> {
         Some(n)
     }
 
-    #[inline(always)]
     fn u32(&mut self) -> Option<u32> {
         u32::try_from(self.u64()?).ok()
     }
